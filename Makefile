@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-serving lint lint-json bench-smoke bench-smoke-sharded bench-smoke-serving bench-smoke-skew
+.PHONY: check build vet test race race-sharded race-serving lint lint-json fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-sharded bench-smoke-serving bench-smoke-skew
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
-# tests on both storage engines, and the repository linter. Any lint
-# finding fails the build.
-check: build vet race race-sharded lint
+# tests on both storage engines, the repository linter, a short run of the
+# epoch fuzz target, and a smoke run of the end-to-end benchmark (a module
+# of its own that `./...` does not reach). Any lint finding fails the build.
+check: build vet race race-sharded lint fuzz-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +39,25 @@ lint:
 # per finding, [] when clean). Exit status matches `make lint`.
 lint-json:
 	$(GO) run ./cmd/ivmlint -o lint.json ./...
+
+# fuzz-smoke runs the table-epoch fuzz target (writes × Begin/Advance/
+# EndEpoch programs against the full-copy oracle, see
+# internal/rel/epochtest) for twenty seconds. A failure leaves its
+# minimised input under internal/rel/testdata/fuzz/ — check it in with the
+# fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTableEpoch$$' -fuzztime 20s ./internal/rel
+
+# bench-e2e-smoke vets, tests and smoke-runs the end-to-end benchmark
+# (benchmark/, BENCHMARK.json): every workload untraced and traced on a
+# tenth of the data for five seconds each, with every view checked against
+# recomputation inside the run. It reads the benchmark and never edits it;
+# it gates correctness and that the benchmark still builds against the
+# internal packages, not speed.
+bench-e2e-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) run -C benchmark . -smoke -all -seconds 5
 
 # bench-smoke mirrors CI's benchmark regression gate: a one-iteration run
 # of the Figure 12a (d=200) and SPJ headline benchmarks plus the columnar

@@ -1,6 +1,7 @@
 package idivm_test
 
 import (
+	"strings"
 	"testing"
 
 	"idivm"
@@ -133,4 +134,41 @@ func TestFacadeDuplicateView(t *testing.T) {
 	if err := d.CreateView(`CREATE VIEW broken AS SELECT nosuch FROM parts`); err == nil {
 		t.Fatal("bad column must error")
 	}
+}
+
+// A select list that names two output columns alike is an error from
+// CreateView and Query, never a panic out of plan construction (ROADMAP
+// item 4a): explicit aliases, derived bare names, repeated aggregates, and
+// an aggregate aliased onto a selected group column.
+func TestFacadeDuplicateOutputNames(t *testing.T) {
+	d := openRunningExample(t)
+	for _, sql := range []string{
+		`SELECT pid AS x, price AS x FROM parts`,
+		`SELECT pid, pid FROM parts`,
+		`SELECT parts.pid, devices_parts.pid FROM parts, devices_parts WHERE parts.pid = devices_parts.pid`,
+		`SELECT DISTINCT price AS p, pid AS p FROM parts`,
+		`SELECT did, SUM(price), SUM(price) FROM parts NATURAL JOIN devices_parts GROUP BY did`,
+		`SELECT did, SUM(price) AS s, COUNT(*) AS s FROM parts NATURAL JOIN devices_parts GROUP BY did`,
+		`SELECT did AS n, COUNT(*) AS n FROM devices_parts GROUP BY did`,
+		`SELECT did, did, COUNT(*) FROM devices_parts GROUP BY did`,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("CreateView(%q) panicked: %v", sql, r)
+				}
+			}()
+			err := d.CreateView("CREATE VIEW w AS " + sql)
+			if err == nil {
+				t.Errorf("CreateView(%q) succeeded, want a duplicate-output error", sql)
+			} else if !strings.Contains(err.Error(), "duplicate output column") {
+				t.Errorf("CreateView(%q): %v, want a duplicate-output error", sql, err)
+			}
+			if _, err := d.Query(sql); err == nil {
+				t.Errorf("Query(%q) succeeded, want an error", sql)
+			}
+		}()
+	}
+	// The catalog must not keep a half-registered view around.
+	d.MustCreateView(`CREATE VIEW w AS SELECT pid AS x, price AS y FROM parts`)
 }

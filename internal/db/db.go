@@ -2,7 +2,7 @@
 // named stored tables (base tables, materialized views and caches) and a
 // trigger-style modification logger, layered over a storage.Engine.
 //
-// Storage itself — rows, indexes, epoch pre-state snapshots — lives
+// Storage itself — rows, indexes, epoch pre-states — lives
 // behind the engine boundary (internal/storage); the catalog only decides
 // *when* epochs open (the first logged modification after the last
 // maintenance freezes the pre-state the views were last consistent with,
@@ -272,6 +272,11 @@ func (d *Database) clearDerived() {
 	d.derivedMu.Unlock()
 }
 
+// beginEpochIfLogged opens the table's maintenance epoch on the first
+// logged write since the last ResetLog, freezing the pre-state the views'
+// Δ-scripts will read. Opening is O(1) whatever the table's size — the
+// engine keeps the pre-state as an undo overlay, not a copy — so the first
+// modification of a round costs what every other one does.
 func (d *Database) beginEpochIfLogged(t *storage.Handle) {
 	if d.LoggingEnabled(t.Name()) && !t.InEpoch() {
 		t.BeginEpoch()
@@ -346,7 +351,7 @@ func (d *Database) Log() []Modification { return d.log }
 // ClearLog clears the modification log (and every derived log) without
 // touching any epochs — the pinned-epoch maintenance path
 // (ivm.System.PinEpochs) keeps every served table in a permanent epoch
-// and advances the snapshots itself.
+// and advances the pre-states itself.
 func (d *Database) ClearLog() {
 	d.log = nil
 	d.clearDerived()

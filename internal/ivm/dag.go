@@ -73,7 +73,7 @@ type stepDAG struct {
 //     stored target waits for the target's last apply (the verifier's
 //     freshness check guarantees all applies precede it in script order).
 //
-// Pre-state reads take no edge: the epoch snapshot is frozen at script
+// Pre-state reads take no edge: the epoch's pre-state is frozen at script
 // start and the storage backend's locking makes concurrent pre-reads
 // race-free even while the post-state is being mutated.
 func buildDAG(s *Script) *stepDAG {

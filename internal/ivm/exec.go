@@ -183,7 +183,7 @@ var _ algebra.SkewEnv = (*stepEnv)(nil)
 // evaluate plans and bind results; apply steps mutate caches and the view.
 // Every view/cache table whose pre-state some step reads is placed in a
 // maintenance epoch for the duration, so those plans may reference the
-// pre-state at any point; tables nobody pre-reads skip the snapshot.
+// pre-state at any point; tables nobody pre-reads get no epoch.
 func RunScript(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*PhaseCosts, error) {
 	return runScript(d, s, bindings, false, ExecOptions{})
 }
@@ -215,9 +215,10 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 		x.bind[k] = v
 	}
 	// Open epochs on the view and caches — but only the ones some step
-	// actually reads in pre-state (computed once per script): the epoch
-	// snapshot is O(rows), and a table whose pre-state nobody reads gets
-	// nothing from it. Counters are unaffected — snapshots are uncharged.
+	// actually reads in pre-state (computed once per script). Opening is
+	// O(1), but inside an epoch every first write to a row sets its
+	// pre-image aside, and a table whose pre-state nobody reads gets
+	// nothing from that. Counters are unaffected — epochs are uncharged.
 	epochTables := []string{s.View}
 	for _, c := range s.Caches {
 		epochTables = append(epochTables, c.Name)

@@ -108,8 +108,8 @@ type Script struct {
 	// preRead memoizes which stored tables some step plan reads in
 	// pre-state. The executor opens a maintenance epoch only on the
 	// view/cache tables in this set: an epoch exists solely to freeze the
-	// pre-state for readers, and snapshotting a table nobody pre-reads is
-	// pure overhead on every round. Scripts are immutable after
+	// pre-state for readers, and setting aside the pre-images of a table
+	// nobody pre-reads is pure overhead on every round. Scripts are immutable after
 	// generation, so computing this once is safe.
 	preReadOnce sync.Once
 	preRead     map[string]bool

@@ -114,7 +114,7 @@ type System struct {
 	SkewThreshold int
 	// PinEpochs keeps every view, cache and logged base table in a
 	// permanent maintenance epoch: MaintainAll pins any not yet pinned at
-	// round start and, at round end, atomically advances each snapshot to
+	// round start and, at round end, atomically advances each pre-state to
 	// the new post-state (AdvanceEpoch) instead of closing the epochs. A
 	// concurrent snapshot reader therefore always resolves StatePre to
 	// some completed round's frozen state, never to live storage. On a
@@ -420,8 +420,12 @@ func (s *System) MaintainAll() ([]*Report, error) {
 	if err == nil {
 		if s.PinEpochs {
 			// The pinned path never leaves the epoch: clear the consumed
-			// log, then atomically refreeze every served table's snapshot
-			// at the new post-state. A failed round skips both, so
+			// log, then atomically refreeze every served table's
+			// pre-state at the new post-state. Each advance costs O(rows
+			// the round wrote to that table) — untouched tables cost a
+			// lock — so the sweep, and with it the window snapshot
+			// readers retry through, is proportional to the round's
+			// writes, not to the state. A failed round skips both, so
 			// readers keep the last good state and the log is retained.
 			s.DB.ClearLog()
 			for _, t := range s.epochTables() {

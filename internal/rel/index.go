@@ -92,51 +92,60 @@ type idxEntry struct {
 	err  error
 }
 
-// indexOn returns (building lazily) the secondary index over attrs for the
-// requested state. Pre-state indexes are cached for the epoch; post-state
-// indexes are maintained incrementally by the table's mutation paths.
+// indexOn returns (building lazily) the post-state secondary index over
+// attrs, which the table's mutation paths maintain incrementally. It also
+// serves the pre-state: an open epoch filters its buckets by the dirty
+// bitmap and adds the matches of the overlay index over the same attrs
+// (Table.probe), so no index is ever rebuilt because an epoch began,
+// advanced or saw its first write.
 //
 // Callers hold c.mu (read or write). The cache maps are guarded by the
 // leaf lock idxMu; builds themselves run inside the entry's once, outside
 // idxMu. That is safe against mutation: builds only run under the caller's
 // c.mu (read or write), and every mutation path holds c.mu.Lock — so a
 // writer can never observe an in-flight build, only completed entries.
-func (c *tableCore) indexOn(s State, attrs []string) (*hashIndex, error) {
-	return c.indexOnSig(s, attrs, indexSig(attrs))
+func (c *tableCore) indexOn(attrs []string) (*hashIndex, error) {
+	return c.indexOnSig(attrs, indexSig(attrs))
 }
 
 // indexOnSig is indexOn with the signature precomputed by the caller, so
 // prepared probes (Table.LookupInto) skip the per-call strings.Join. Column
 // resolution only runs on a cache miss: a hit is a map lookup.
-func (c *tableCore) indexOnSig(s State, attrs []string, sig string) (*hashIndex, error) {
-	var cache map[string]*idxEntry
-	var rows []Tuple
-	if s == StatePre && c.inEpoch {
-		// Until the first write of the epoch, the pre- and post-states are
-		// identical (same content, same row order), so the incrementally
-		// maintained post-state index serves pre-state probes without a
-		// rebuild.
-		if !c.epochMutated {
-			cache, rows = c.secondary, c.rows
-		} else {
-			cache, rows = c.preSecondary, c.preRows
-		}
-	} else {
-		cache, rows = c.secondary, c.rows
-	}
+func (c *tableCore) indexOnSig(attrs []string, sig string) (*hashIndex, error) {
+	return c.cachedIndex(&c.secondary, c.rows, &c.idxBuilds, attrs, sig)
+}
+
+// undoIndexOnSig returns (building lazily, in O(undo)) the overlay index
+// over attrs: a hash index whose bucket entries are positions in undoRows.
+// The first pre-state probe of a mutated epoch that needs it builds it;
+// from then on touch extends it with every pre-image it sets aside, and
+// the epoch's end or advance drops it.
+func (c *tableCore) undoIndexOnSig(attrs []string, sig string) (*hashIndex, error) {
+	return c.cachedIndex(&c.undoIdx, c.undoRows, nil, attrs, sig)
+}
+
+// cachedIndex resolves sig in one of the table's index caches, building
+// the index over rows exactly once however many readers hit the cold slot
+// (see idxEntry). builds, when non-nil, counts the builds.
+func (c *tableCore) cachedIndex(cache *map[string]*idxEntry, rows []Tuple, builds *int64, attrs []string, sig string) (*hashIndex, error) {
 	c.idxMu.RLock()
-	e, ok := cache[sig]
+	e, ok := (*cache)[sig]
 	c.idxMu.RUnlock()
 	if !ok {
 		c.idxMu.Lock()
-		if e, ok = cache[sig]; !ok {
+		if e, ok = (*cache)[sig]; !ok {
+			if *cache == nil {
+				*cache = make(map[string]*idxEntry)
+			}
 			e = &idxEntry{}
-			cache[sig] = e
+			(*cache)[sig] = e
 		}
 		c.idxMu.Unlock()
 	}
 	e.once.Do(func() {
-		atomic.AddInt64(&c.idxBuilds, 1)
+		if builds != nil {
+			atomic.AddInt64(builds, 1)
+		}
 		idx, err := c.schema.Indices(attrs)
 		if err != nil {
 			e.err = err
@@ -158,6 +167,23 @@ func (c *tableCore) indexesAdd(row Tuple, pos int) {
 	c.idxMu.RLock()
 	defer c.idxMu.RUnlock()
 	for _, e := range c.secondary { // order-free: every index is updated
+		if e.h != nil {
+			e.h.add(row, pos)
+		}
+	}
+}
+
+// undoIndexesAdd registers the pre-image just appended to undoRows at pos
+// with every overlay index built so far this epoch — usually none, and
+// the write path then pays a nil check (the cache is only ever installed
+// by readers, which the caller's write lock excludes).
+func (c *tableCore) undoIndexesAdd(row Tuple, pos int) {
+	if c.undoIdx == nil {
+		return
+	}
+	c.idxMu.RLock()
+	defer c.idxMu.RUnlock()
+	for _, e := range c.undoIdx { // order-free: every index is updated
 		if e.h != nil {
 			e.h.add(row, pos)
 		}

@@ -31,39 +31,67 @@ func (s State) String() string {
 //
 //   - readers (Scan/Get/Lookup/Len/Rows/Relation) hold mu.RLock; the
 //     Δ-script scheduler may run many of them concurrently;
-//   - writers (Insert/Delete/Update/Begin-/EndEpoch) hold mu.Lock; the
-//     scheduler serializes apply steps per table, so writer contention is
-//     only with readers of *other* states (pre-state probes), which the
+//   - writers (Insert/Delete/Update/Begin-/Advance-/EndEpoch) hold mu.Lock;
+//     the scheduler serializes apply steps per table, so writer contention
+//     is only with readers of *other* states (pre-state probes), which the
 //     lock makes safe;
-//   - lazy secondary-index builds happen under an RLock (readers probing a
-//     cold index), so the index caches are additionally guarded by the
-//     leaf lock idxMu, and each cache slot is a single-flight entry: many
-//     concurrent probes of the same cold index — routine once the
-//     partition-parallel kernels fan probes out — build it exactly once.
+//   - lazy builds (secondary indexes, the undo-overlay indexes, the
+//     materialized pre-state) happen under an RLock (readers probing a cold
+//     structure), so the caches are additionally guarded by the leaf lock
+//     idxMu, and each cache slot is a single-flight entry: many concurrent
+//     probes of the same cold index — routine once the partition-parallel
+//     kernels fan probes out — build it exactly once.
+//
+// The pre-state of an epoch is never copied up front. It is kept as an
+// undo overlay over the live rows: the first write of the epoch that
+// touches a position below preLen appends the row found there (its
+// pre-image) to undoRows/undoPos and sets the position's bit in dirty —
+// an update touches its position, a swap-remove both the vacated and the
+// moved-from position — so at every instant
+//
+//	pre-state = {rows[p] : p < preLen, p clean} ∪ undoRows
+//
+// with every pre-state row in exactly one of the two sets. Opening an
+// epoch is O(1), closing or advancing it is O(undo), and pre-state probes
+// are answered from the incrementally maintained post-state indexes
+// filtered by the dirty bitmap plus small indexes over undoRows.
 type tableCore struct {
 	mu     sync.RWMutex
 	name   string
 	schema Schema
 	keyIdx []int
+	keySig string // indexSig(schema.Key): the overlay's by-key index
 	rows   []Tuple
 	byKey  map[string]int
 
-	idxMu     sync.RWMutex         // guards the index cache maps (not the builds)
+	idxMu     sync.RWMutex         // guards the cache maps and frozen (not the builds)
 	secondary map[string]*idxEntry // post-state secondary indexes, single-flight
-	idxBuilds int64                // total index builds (atomic; observability/tests)
+	idxBuilds int64                // full-table index builds (atomic; observability/tests)
 
 	inEpoch      bool
-	epochMutated bool // any write since BeginEpoch
-	preRows      []Tuple
-	preByKey     map[string]int
-	preSecondary map[string]*idxEntry
+	epochMutated bool     // any write since the epoch opened (or last advanced)
+	preLen       int      // len(rows) when the epoch opened
+	dirty        []uint64 // bitmap over positions; covers preLen once epochMutated
+	undoRows     []Tuple  // pre-images of the dirtied positions, in first-touch order
+	undoPos      []int    // undoPos[i]: the position undoRows[i] held when the epoch opened
+	// undoIdx holds indexes over undoRows (bucket entries index undoRows),
+	// built lazily by the first pre-state probe that needs one and from
+	// then on extended by the write path, exactly like secondary.
+	undoIdx map[string]*idxEntry
+	frozen  *frozenPre // the materialized pre-state, built by the first whole-state read
+}
+
+// frozenPre is the single-flight cell of an epoch's materialized pre-state.
+type frozenPre struct {
+	once sync.Once
+	rows []Tuple
 }
 
 // Table is the storage core of the default in-memory engine: a stored
 // relation (base table, materialized view, or intermediate cache) with a
 // primary-key hash index, lazily built secondary hash indexes, and an
-// optional pre-state snapshot used during a maintenance epoch (deferred
-// IVM).
+// optional pre-state — an undo overlay, see tableCore — readable during a
+// maintenance epoch (deferred IVM).
 //
 // Table implements pure storage semantics and charges nothing. The
 // access-count cost model of the paper's Section 6 lives one layer up, in
@@ -88,6 +116,7 @@ func NewTable(name string, schema Schema) (*Table, error) {
 		name:      name,
 		schema:    schema.Clone(),
 		keyIdx:    idx,
+		keySig:    indexSig(schema.Key),
 		byKey:     make(map[string]int),
 		secondary: make(map[string]*idxEntry),
 	}}, nil
@@ -119,19 +148,27 @@ func (t *Table) Len() int {
 func (t *Table) LenPre() int {
 	t.core.mu.RLock()
 	defer t.core.mu.RUnlock()
-	if t.core.inEpoch {
-		return len(t.core.preRows)
+	return t.core.stateLen(StatePre)
+}
+
+// stateLen is the row count of the requested state; the caller holds c.mu.
+func (c *tableCore) stateLen(s State) int {
+	if s == StatePre && c.inEpoch {
+		return c.preLen
 	}
-	return len(t.core.rows)
+	return len(c.rows)
 }
 
 func (c *tableCore) keyOf(row Tuple) string { return KeyOf(row, c.keyIdx) }
 
-func (c *tableCore) stateRows(s State) ([]Tuple, map[string]int) {
+// stateRows returns every tuple of the requested state: the live rows, or —
+// for the pre-state of an open epoch — the epoch's frozen materialization
+// (see preRows), never an alias of live storage.
+func (c *tableCore) stateRows(s State) []Tuple {
 	if s == StatePre && c.inEpoch {
-		return c.preRows, c.preByKey
+		return c.preRows()
 	}
-	return c.rows, c.byKey
+	return c.rows
 }
 
 // Rows returns the raw tuples of the requested state. It exists for
@@ -142,18 +179,19 @@ func (c *tableCore) stateRows(s State) ([]Tuple, map[string]int) {
 func (t *Table) Rows(s State) []Tuple {
 	t.core.mu.RLock()
 	defer t.core.mu.RUnlock()
-	rows, _ := t.core.stateRows(s)
-	return rows
+	return t.core.stateRows(s)
 }
 
 // Scan reads every tuple of the requested state. Callers must not mutate
-// the returned tuples. The returned slice aliases table storage; the
+// the returned tuples. A post-state result aliases table storage; the
 // Δ-script DAG guarantees no concurrent writer exists for the state being
-// read (post-state reads are ordered after all applies, pre-state rows
-// are frozen for the epoch).
+// read (post-state reads are ordered after all applies). The pre-state
+// result of an open epoch is a frozen slice, materialized once per epoch
+// by the first whole-state read, that no later write touches: callers may
+// retain it across writes, rounds and epoch advances.
 func (t *Table) Scan(s State) []Tuple {
 	t.core.mu.RLock()
-	rows, _ := t.core.stateRows(s)
+	rows := t.core.stateRows(s)
 	t.core.mu.RUnlock()
 	return rows
 }
@@ -174,49 +212,71 @@ func (t *Table) ScanPart(s State, i int) []Tuple {
 // Relation materializes the requested state as a Relation (snapshot
 // utility).
 func (t *Table) Relation(s State) *Relation {
-	t.core.mu.RLock()
-	rows, _ := t.core.stateRows(s)
-	r := NewRelation(t.core.schema)
-	r.Tuples = append(r.Tuples, rows...)
-	t.core.mu.RUnlock()
+	c := t.core
+	r := NewRelation(c.schema)
+	c.mu.RLock()
+	if s == StatePre && c.inEpoch {
+		r.Tuples = c.materializePre()
+	} else {
+		r.Tuples = append(r.Tuples, c.rows...)
+	}
+	c.mu.RUnlock()
 	return r
 }
 
 // Get fetches the row with the given primary-key values.
 func (t *Table) Get(s State, key []Value) (Tuple, bool) {
-	kt := make(Tuple, len(key))
-	copy(kt, key)
-	k := TupleKey(kt)
-	t.core.mu.RLock()
-	rows, byKey := t.core.stateRows(s)
-	i, ok := byKey[k]
-	var row Tuple
-	if ok {
-		row = rows[i]
+	var buf [64]byte
+	k := AppendTupleKey(buf[:0], key)
+	c := t.core
+	c.mu.RLock()
+	row, ok := c.get(s, k)
+	c.mu.RUnlock()
+	return row, ok
+}
+
+// get resolves an encoded primary key in the requested state; the caller
+// holds c.mu.
+func (c *tableCore) get(s State, k []byte) (Tuple, bool) {
+	p, ok := c.byKey[string(k)]
+	if !c.overlaid(s) {
+		if !ok {
+			return nil, false
+		}
+		return c.rows[p], true
 	}
-	t.core.mu.RUnlock()
-	if !ok {
+	if ok && c.clean(p) {
+		return c.rows[p], true
+	}
+	// Not live at a clean position: updated, deleted or moved this epoch —
+	// then its pre-image is in the overlay — or absent from the pre-state.
+	if len(c.undoRows) == 0 {
 		return nil, false
 	}
-	return row, true
+	ov, err := c.undoIndexOnSig(c.schema.Key, c.keySig)
+	if err != nil {
+		return nil, false
+	}
+	if b := ov.buckets[string(k)]; len(b) > 0 {
+		return c.undoRows[b[0]], true
+	}
+	return nil, false
 }
 
 // Lookup probes a (lazily built) secondary hash index over the named
 // attributes.
 func (t *Table) Lookup(s State, attrs []string, vals []Value) ([]Tuple, error) {
+	var buf [64]byte
+	k := AppendTupleKey(buf[:0], vals)
 	t.core.mu.RLock()
-	idx, err := t.core.indexOn(s, attrs)
+	out, err := t.core.probe(s, attrs, indexSig(attrs), k, nil)
+	t.core.mu.RUnlock()
 	if err != nil {
-		t.core.mu.RUnlock()
 		return nil, err
 	}
-	rows, _ := t.core.stateRows(s)
-	positions := idx.get(vals)
-	out := make([]Tuple, 0, len(positions))
-	for _, p := range positions {
-		out = append(out, rows[p])
+	if out == nil {
+		out = []Tuple{}
 	}
-	t.core.mu.RUnlock()
 	return out, nil
 }
 
@@ -243,18 +303,68 @@ func (p PrepLookup) Attrs() []string { return p.attrs }
 func (t *Table) LookupInto(s State, pl PrepLookup, vals []Value, keyBuf []byte, out []Tuple) ([]Tuple, []byte, error) {
 	keyBuf = AppendTupleKey(keyBuf[:0], vals)
 	t.core.mu.RLock()
-	idx, err := t.core.indexOnSig(s, pl.attrs, pl.sig)
-	if err != nil {
-		t.core.mu.RUnlock()
-		return out, keyBuf, err
-	}
-	rows, _ := t.core.stateRows(s)
-	positions := idx.buckets[string(keyBuf)]
-	for _, p := range positions {
-		out = append(out, rows[p])
-	}
+	out, err := t.core.probe(s, pl.attrs, pl.sig, keyBuf, out)
 	t.core.mu.RUnlock()
-	return out, keyBuf, nil
+	return out, keyBuf, err
+}
+
+// buckets resolves key on the index over attrs for state s: live holds
+// positions in rows and undo positions in undoRows. The post-state index
+// answers both states; for the pre-state of a mutated epoch (overlaid)
+// only the clean positions of live count, and the overlay index over the
+// same attributes supplies the pre-images. The caller holds c.mu.
+func (c *tableCore) buckets(s State, attrs []string, sig string, key []byte) (live, undo []int, overlaid bool, err error) {
+	idx, err := c.indexOnSig(attrs, sig)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	live = idx.buckets[string(key)]
+	if !c.overlaid(s) {
+		return live, nil, false, nil
+	}
+	if len(c.undoRows) > 0 {
+		ov, err := c.undoIndexOnSig(attrs, sig)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		undo = ov.buckets[string(key)]
+	}
+	return live, undo, true, nil
+}
+
+// probe appends to out the rows of state s whose attrs encode to key. The
+// caller holds c.mu.
+func (c *tableCore) probe(s State, attrs []string, sig string, key []byte, out []Tuple) ([]Tuple, error) {
+	live, undo, overlaid, err := c.buckets(s, attrs, sig, key)
+	if err != nil {
+		return out, err
+	}
+	if out == nil && len(live)+len(undo) > 0 {
+		out = make([]Tuple, 0, len(live)+len(undo))
+	}
+	for _, p := range live {
+		if !overlaid || c.clean(p) {
+			out = append(out, c.rows[p])
+		}
+	}
+	for _, u := range undo {
+		out = append(out, c.undoRows[u])
+	}
+	return out, nil
+}
+
+// matchCount is probe that only counts: the exact number of rows of state
+// s whose attrs equal vals. The caller holds c.mu.
+func (c *tableCore) matchCount(s State, attrs []string, vals []Value) (int, error) {
+	var buf [64]byte
+	live, undo, overlaid, err := c.buckets(s, attrs, indexSig(attrs), AppendTupleKey(buf[:0], vals))
+	if err != nil {
+		return 0, err
+	}
+	if !overlaid {
+		return len(live), nil
+	}
+	return c.countClean(live) + len(undo), nil
 }
 
 // IndexCard reports (p, n): how many rows of the requested state match vals
@@ -262,14 +372,14 @@ func (t *Table) LookupInto(s State, pl PrepLookup, vals []Value, keyBuf []byte, 
 // catalog metadata, the cardinality a planner consults when choosing
 // between an index probe (1 lookup + p reads) and a full scan (n reads).
 func (t *Table) IndexCard(s State, attrs []string, vals []Value) (p, n int, err error) {
-	t.core.mu.RLock()
-	defer t.core.mu.RUnlock()
-	idx, err := t.core.indexOn(s, attrs)
+	c := t.core
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	p, err = c.matchCount(s, attrs, vals)
 	if err != nil {
 		return 0, 0, err
 	}
-	rows, _ := t.core.stateRows(s)
-	return len(idx.get(vals)), len(rows), nil
+	return p, c.stateLen(s), nil
 }
 
 // KeyCount is one entry of a key-frequency statistic: a distinct value
@@ -287,47 +397,79 @@ type KeyCount struct {
 // KeyFreq reports how many rows of the requested state match vals on the
 // secondary index over attrs — catalog metadata like IndexCard, but
 // without the total row count. The statistic rides the incrementally
-// maintained secondary indexes, so it is exact at every epoch boundary
-// and costs one hash probe.
+// maintained secondary indexes (and, in the pre-state, the undo overlay),
+// so it is exact in both states at every instant.
 func (t *Table) KeyFreq(s State, attrs []string, vals []Value) (int, error) {
 	t.core.mu.RLock()
 	defer t.core.mu.RUnlock()
-	idx, err := t.core.indexOn(s, attrs)
-	if err != nil {
-		return 0, err
-	}
-	return len(idx.get(vals)), nil
+	return t.core.matchCount(s, attrs, vals)
 }
 
 // HeavyKeys reports every distinct value combination over attrs whose
 // frequency in the requested state is at least threshold, sorted by the
 // canonical key encoding. A threshold below 1 is treated as 1. Like
 // IndexCard, this is uncharged catalog metadata: the frequencies are the
-// bucket sizes of the incrementally maintained secondary index, so the
-// call reads statistics, not tuples.
+// bucket sizes of the incrementally maintained secondary index (less the
+// dirty positions, plus the overlay's buckets, in the pre-state of a
+// mutated epoch), so the call reads statistics, not tuples.
 func (t *Table) HeavyKeys(s State, attrs []string, threshold int) ([]KeyCount, error) {
 	if threshold < 1 {
 		threshold = 1
 	}
-	t.core.mu.RLock()
-	defer t.core.mu.RUnlock()
-	idx, err := t.core.indexOn(s, attrs)
+	c := t.core
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	sig := indexSig(attrs)
+	idx, err := c.indexOnSig(attrs, sig)
 	if err != nil {
 		return nil, err
 	}
-	rows, _ := t.core.stateRows(s)
 	var out []KeyCount
-	// Map order is fine here: results are sorted by encoded key below.
-	for k, b := range idx.buckets {
-		if len(b) < threshold {
-			continue
-		}
-		rep := rows[b[0]]
+	add := func(k string, rep Tuple, n int) {
 		vals := make(Tuple, len(idx.attrIdx))
 		for i, j := range idx.attrIdx {
 			vals[i] = rep[j]
 		}
-		out = append(out, KeyCount{Key: k, Vals: vals, Count: len(b)})
+		out = append(out, KeyCount{Key: k, Vals: vals, Count: n})
+	}
+	// Map order is fine below: results are sorted by encoded key at the end.
+	if !c.overlaid(s) {
+		for k, b := range idx.buckets {
+			if len(b) >= threshold {
+				add(k, c.rows[b[0]], len(b))
+			}
+		}
+	} else {
+		var undo map[string][]int
+		if len(c.undoRows) > 0 {
+			ov, err := c.undoIndexOnSig(attrs, sig)
+			if err != nil {
+				return nil, err
+			}
+			undo = ov.buckets
+		}
+		for k, b := range idx.buckets {
+			u := undo[k]
+			n := c.countClean(b) + len(u)
+			if n < threshold {
+				continue
+			}
+			if len(u) > 0 {
+				add(k, c.undoRows[u[0]], n)
+				continue
+			}
+			for _, p := range b {
+				if c.clean(p) {
+					add(k, c.rows[p], n)
+					break
+				}
+			}
+		}
+		for k, u := range undo {
+			if _, live := idx.buckets[k]; !live && len(u) >= threshold {
+				add(k, c.undoRows[u[0]], len(u))
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
@@ -345,12 +487,19 @@ func (t *Table) Insert(row Tuple) error {
 	if _, dup := c.byKey[k]; dup {
 		return fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
 	}
+	c.appendRow(k, row)
+	return nil
+}
+
+// appendRow stores a clone of row, whose encoded key is k, at the end of
+// rows. The new position needs no undo entry: it is either beyond preLen
+// or was vacated — and so dirtied — by an earlier removal of this epoch.
+func (c *tableCore) appendRow(k string, row Tuple) {
+	c.noteWrite()
 	pos := len(c.rows)
 	c.byKey[k] = pos
 	c.rows = append(c.rows, row.Clone())
 	c.indexesAdd(c.rows[pos], pos)
-	c.epochMutated = true
-	return nil
 }
 
 // MustInsert is Insert that panics on error, for generators and tests.
@@ -378,22 +527,18 @@ func (t *Table) InsertIfAbsent(row Tuple) (inserted bool, err error) {
 		}
 		return false, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), c.rows[i].String())
 	}
-	pos := len(c.rows)
-	c.byKey[k] = pos
-	c.rows = append(c.rows, row.Clone())
-	c.indexesAdd(c.rows[pos], pos)
-	c.epochMutated = true
+	c.appendRow(k, row)
 	return true, nil
 }
 
 // DeleteKey removes the row with the given primary-key values if present.
 func (t *Table) DeleteKey(key []Value) bool {
-	kt := make(Tuple, len(key))
-	copy(kt, key)
+	var buf [64]byte
+	k := AppendTupleKey(buf[:0], key)
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.byKey[TupleKey(kt)]
+	i, ok := c.byKey[string(k)]
 	if !ok {
 		return false
 	}
@@ -419,7 +564,7 @@ func (t *Table) DeleteWhereFunc(attrs []string, vals []Value, fn func(pre Tuple)
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, err := c.indexOn(StatePost, attrs)
+	idx, err := c.indexOn(attrs)
 	if err != nil {
 		return 0, err
 	}
@@ -460,9 +605,9 @@ func (t *Table) UpdateWhere(attrs []string, vals []Value, setAttrs []string, set
 // UpdateWhereFunc is UpdateWhere that additionally invokes fn (when
 // non-nil) with the full pre- and post-image of every updated row, in
 // update order. Like DeleteWhereFunc, the images come from the critical
-// section where the update already holds both tuples (the clone preserving
-// the pre-state snapshot is the pre-image); fn must not call back into
-// the table.
+// section where the update already holds both tuples (stored tuples are
+// immutable, so an update writes a modified clone and the replaced tuple
+// is the pre-image); fn must not call back into the table.
 func (t *Table) UpdateWhereFunc(attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
 	c := t.core
 	for _, a := range setAttrs {
@@ -476,20 +621,20 @@ func (t *Table) UpdateWhereFunc(attrs []string, vals []Value, setAttrs []string,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, err := c.indexOn(StatePost, attrs)
+	idx, err := c.indexOn(attrs)
 	if err != nil {
 		return 0, err
 	}
 	positions := idx.get(vals)
 	for _, p := range positions {
 		old := c.rows[p]
-		nr := old.Clone() // preserve pre-state snapshot aliasing
+		nr := old.Clone() // stored tuples are immutable: readers and the undo overlay alias old
 		for i, j := range setIdx {
 			nr[j] = setVals[i]
 		}
+		c.touch(p)
 		c.rows[p] = nr
 		c.indexesUpdate(old, nr, p)
-		c.epochMutated = true
 		if fn != nil {
 			fn(old, nr)
 		}
@@ -503,12 +648,15 @@ func (t *Table) UpdateKey(key []Value, setAttrs []string, setVals []Value) (bool
 	return n > 0, err
 }
 
+// removeAt swap-removes the row at position i: the last row moves into the
+// hole, so both positions are touched first.
 func (c *tableCore) removeAt(i int) {
-	c.epochMutated = true
+	last := len(c.rows) - 1
+	c.touch(i)
 	c.indexesRemove(c.rows[i], i)
 	delete(c.byKey, c.keyOf(c.rows[i]))
-	last := len(c.rows) - 1
 	if i != last {
+		c.touch(last)
 		moved := c.rows[last]
 		c.rows[i] = moved
 		c.byKey[c.keyOf(moved)] = i
@@ -516,66 +664,6 @@ func (c *tableCore) removeAt(i int) {
 	}
 	c.rows[last] = nil
 	c.rows = c.rows[:last]
-}
-
-// BeginEpoch snapshots the current contents as the pre-state. Subsequent
-// mutations affect only the post-state; Scan/Get/Lookup with StatePre see
-// the snapshot. Snapshotting is O(n) in row references (it models the
-// DBMS's ability to read the pre-state from diffs/log, per Section 4's
-// Input_pre).
-func (t *Table) BeginEpoch() {
-	c := t.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inEpoch {
-		return
-	}
-	c.snapshotLocked()
-}
-
-// AdvanceEpoch atomically replaces the pre-state snapshot with the
-// current contents — EndEpoch plus BeginEpoch under a single critical
-// section, so a concurrent StatePre reader always resolves either the old
-// or the new frozen snapshot and never live storage. The serving layer
-// uses it to move readers to the next round's state without ever leaving
-// the epoch.
-func (t *Table) AdvanceEpoch() {
-	c := t.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.snapshotLocked()
-}
-
-// snapshotLocked (re)freezes the current contents as the pre-state; the
-// caller holds the write lock.
-func (c *tableCore) snapshotLocked() {
-	c.inEpoch = true
-	c.epochMutated = false
-	c.preRows = append([]Tuple(nil), c.rows...)
-	c.preByKey = make(map[string]int, len(c.byKey))
-	for k, v := range c.byKey { // order-free: map-to-map copy
-		c.preByKey[k] = v
-	}
-	c.preSecondary = make(map[string]*idxEntry)
-}
-
-// EndEpoch discards the pre-state snapshot.
-func (t *Table) EndEpoch() {
-	c := t.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inEpoch = false
-	c.epochMutated = false
-	c.preRows = nil
-	c.preByKey = nil
-	c.preSecondary = nil
-}
-
-// InEpoch reports whether a maintenance epoch is active.
-func (t *Table) InEpoch() bool {
-	t.core.mu.RLock()
-	defer t.core.mu.RUnlock()
-	return t.core.inEpoch
 }
 
 // Clone returns an independent deep copy of the table's post-state (no

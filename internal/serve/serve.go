@@ -7,27 +7,32 @@
 // # Pinning rule
 //
 // Every stored table keeps two addressable states: StatePost (live) and
-// StatePre (the epoch snapshot frozen when the epoch opened). While a
+// StatePre (the contents as of the moment the epoch opened or last
+// advanced, which the engine keeps as an undo overlay). While a
 // server is attached, every view, cache and logged base table lives in a
 // *permanent* epoch (System.PinEpochs): New pins them all, and each
 // successful MaintainAll round ends by atomically refreezing each
-// snapshot at the new post-state (AdvanceEpoch) instead of closing the
+// pre-state at the new post-state (AdvanceEpoch) instead of closing the
 // epoch. The invariant serving reads are built on:
 //
 //	StatePre == some completed round's frozen post-state, always.
 //
 // So a snapshot reader simply reads StatePre. It never waits for a round
-// — maintenance and batched writes mutate StatePost only, and frozen
-// snapshots are immutable (updates clone rows rather than writing in
-// place), so readers and the single writer never touch the same memory.
+// — maintenance and batched writes change StatePost only: stored tuples
+// are immutable (updates store a clone), every write first sets aside the
+// pre-image it is about to replace, and a whole-table pre-state read
+// returns a frozen slice no later write touches. A reader shares nothing
+// with the single writer but the per-table lock, held per operation.
 // The one consistency hazard is the advance window at round end: the
 // sweep refreezes tables (and, on the sharded engine, shards) one at a
 // time, so a reader overlapping it could combine tables from two rounds.
 // A seqlock brackets exactly that window: the round hooks bump
 // Server.pinSeq to odd when the advance begins and back to even when it
 // ends; readers retry if they started during, or were overlapped by, an
-// advance. The window is one snapshot sweep — retries are rare and short
-// — while rounds themselves, however long, never delay a read.
+// advance. The window is one advance sweep, whose cost is proportional to
+// the rows the round wrote and orders of magnitude below the round's —
+// retries are rare and short — while rounds themselves, however long,
+// never delay a read.
 //
 // Unlogged base tables feed no view and get no epoch: a snapshot query
 // touching one reads its live state, which is only stable if nothing is

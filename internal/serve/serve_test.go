@@ -422,6 +422,86 @@ func TestSnapshotTearFreedom(t *testing.T) {
 	}
 }
 
+// TestRetainedSnapshotsSurviveRounds pins that a pre-state read never hands
+// out an alias of live storage: a reader takes Scan(StatePre) of the view
+// and of a logged base table, and a ViewSnapshot, between rounds — when
+// the pinned epochs have seen no write and the pre-state is the live
+// contents — and keeps re-reading all three while full rounds (updates,
+// inserts, deletes, view applies, epoch advances) run beside it. Every
+// retained result must stay what it was; under -race any write into the
+// retained memory is reported as well.
+func TestRetainedSnapshotsSurviveRounds(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			s := newServed(t, e.mk, flushOpts)
+			roundsMods := genRounds(testParams(), 6, 24)
+			applyServed(t, s.srv, roundsMods[0]) // the epochs have advanced at least once
+
+			scanPre := func(name string) []rel.Tuple {
+				h, err := s.ds.DB.Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h.WithCounter(nil).Scan(rel.StatePre)
+			}
+			snap, err := s.srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := [][]rel.Tuple{scanPre(testView), scanPre("parts"), snap.Tuples}
+			want := make([]string, len(held))
+			render := func(rows []rel.Tuple) string {
+				var b strings.Builder
+				for _, r := range rows {
+					b.WriteString(r.String())
+				}
+				return b.String()
+			}
+			for i, rows := range held {
+				want[i] = render(rows)
+			}
+
+			stop := make(chan struct{})
+			changed := make(chan int, 1)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			//ivmlint:allow gostmt — test reader re-reading retained snapshots beside the rounds
+			go func() {
+				defer wg.Done()
+				for {
+					for i, rows := range held {
+						if render(rows) != want[i] {
+							select {
+							case changed <- i:
+							default:
+							}
+							return
+						}
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			for _, ms := range roundsMods[1:] {
+				applyServed(t, s.srv, ms)
+			}
+			close(stop)
+			wg.Wait()
+			select {
+			case i := <-changed:
+				t.Fatalf("retained result %d (0 view scan, 1 parts scan, 2 ViewSnapshot) was modified by a later round", i)
+			default:
+			}
+			if now := render(scanPre("parts")); now == want[1] {
+				t.Fatal("the rounds changed nothing in parts: the test exercised no write")
+			}
+		})
+	}
+}
+
 func snapInto(t testing.TB, srv *serve.Server, legalView, legalQuery map[string]bool) {
 	t.Helper()
 	v, err := srv.ViewSnapshot(testView)

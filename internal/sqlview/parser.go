@@ -512,6 +512,18 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 				needProject = true
 			}
 		}
+		names := make([]string, len(postItems))
+		for i, it := range postItems {
+			names[i] = it.As
+		}
+		if err := p.uniqueOutputs(names); err != nil {
+			return nil, err
+		}
+		for _, a := range aggs {
+			if rel.Contains(groupBy, a.As) {
+				return nil, p.errf("aggregate output %q collides with a GROUP BY column", a.As)
+			}
+		}
 		g := algebra.NewGroupBy(plan, groupBy, aggs)
 		if !needProject {
 			return g, nil
@@ -520,6 +532,7 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 	}
 
 	var projItems []algebra.ProjItem
+	var names []string
 	for _, it := range items {
 		name := autoName(it)
 		re, err := p.resolve(it.e)
@@ -527,6 +540,10 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 			return nil, err
 		}
 		projItems = append(projItems, algebra.ProjItem{E: re, As: name})
+		names = append(names, name)
+	}
+	if err := p.uniqueOutputs(names); err != nil {
+		return nil, err
 	}
 	out := algebra.Node(algebra.NewProject(plan, projItems))
 	if distinct {
@@ -539,6 +556,21 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 		out = algebra.NewGroupBy(out, keys, nil)
 	}
 	return out, nil
+}
+
+// uniqueOutputs rejects a select list that gives two output columns the
+// same name — written out (a AS x, b AS x) or derived (t.a and u.a both
+// come out as a; two SUM(a) as sum_a). The algebra constructors treat a
+// duplicate as a caller bug and panic, so it has to stop here.
+func (p *parser) uniqueOutputs(names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
+			return p.errf("duplicate output column %q in the select list (rename one with AS)", n)
+		}
+		seen[n] = true
+	}
+	return nil
 }
 
 // ---- column resolution ------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"idivm/internal/rel"
+	"idivm/internal/rel/epochtest"
 )
 
 // engines returns one instance of every backend, including the degenerate
@@ -192,6 +193,34 @@ func TestConformanceEpoch(t *testing.T) {
 		}
 		if _, ok := tab.Get(rel.StatePost, []rel.Value{rel.String("P4")}); !ok {
 			t.Fatal("P4 must survive EndEpoch")
+		}
+	})
+}
+
+// TestConformanceEpochModel runs the epoch model programs — the overlay's
+// hand-written corners and random write × Begin/Advance/EndEpoch sequences
+// — on every backend against epochtest's full-copy oracle, comparing every
+// read in both states after every operation. It also pins the contract
+// that a StatePre scan result is never modified by later writes.
+func TestConformanceEpochModel(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e Engine) {
+		run := func(t *testing.T, prog []byte) {
+			t.Helper()
+			tab, err := e.Create("t", epochtest.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			epochtest.Run(t, tab, prog)
+		}
+		for name, prog := range epochtest.Seeds() {
+			t.Run(name, func(t *testing.T) { run(t, prog) })
+		}
+		rng := rand.New(rand.NewSource(29))
+		for i := 0; i < 100; i++ {
+			prog := epochtest.RandomProg(rng, 20+rng.Intn(60))
+			if run(t, prog); t.Failed() {
+				t.Fatalf("program %d failed: %v", i, prog)
+			}
 		}
 	})
 }

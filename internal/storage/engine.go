@@ -58,7 +58,10 @@ type Table interface {
 	// Callers must not mutate the tuples.
 	Rows(s rel.State) []rel.Tuple
 	// Scan reads every tuple of the requested state. Callers must not
-	// mutate the returned tuples; the slice may alias backend storage.
+	// mutate the returned tuples. A post-state result may alias backend
+	// storage; a StatePre result of an open epoch is never modified by
+	// later writes, so it may be retained across them (and across
+	// AdvanceEpoch/EndEpoch).
 	Scan(s rel.State) []rel.Tuple
 	// Parts reports how many storage partitions back the table: 1 for
 	// unpartitioned backends, the shard count for partitioned ones.
@@ -68,7 +71,7 @@ type Table interface {
 	// requested state. Concatenating all parts in part order yields exactly
 	// Scan's result — the contract the parallel operator kernels rely on
 	// for deterministic merges. Callers must not mutate the returned
-	// tuples; the slice may alias backend storage.
+	// tuples; aliasing and retention are as for Scan.
 	ScanPart(s rel.State, i int) []rel.Tuple
 	// Relation materializes the requested state as an independent Relation.
 	Relation(s rel.State) *rel.Relation
@@ -123,14 +126,23 @@ type Table interface {
 
 	// AdvanceEpoch atomically refreezes the pre-state at the current
 	// contents (EndEpoch + BeginEpoch in one step): concurrent StatePre
-	// readers resolve either the old or the new frozen snapshot, never
-	// live storage. Sharded backends may advance shard by shard; callers
-	// needing cross-shard atomicity must coordinate above this interface.
+	// readers resolve either the old or the new pre-state, never a mix.
+	// Its cost must be proportional to the rows written since the epoch
+	// opened or last advanced, not to the table: the serving layer calls
+	// it on every pinned table after every round, inside the window
+	// snapshot readers spin through. Sharded backends may advance shard by
+	// shard; callers needing cross-shard atomicity must coordinate above
+	// this interface.
 	AdvanceEpoch()
 	// BeginEpoch freezes the current contents as the pre-state; subsequent
-	// mutations affect only the post-state (deferred IVM, Section 3).
+	// mutations affect only the post-state (deferred IVM, Section 3). It
+	// is O(1) — backends read the pre-state from the post-state and the
+	// pre-images of the rows written since, they do not copy the table —
+	// so the catalog can open an epoch on the first logged write of every
+	// round. A StatePre scan result is never modified by later writes.
 	BeginEpoch()
-	// EndEpoch discards the pre-state snapshot.
+	// EndEpoch discards the pre-state, in time proportional to the rows
+	// written during the epoch.
 	EndEpoch()
 	// InEpoch reports whether a maintenance epoch is open.
 	InEpoch() bool

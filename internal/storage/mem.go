@@ -4,7 +4,7 @@ import "idivm/internal/rel"
 
 // memEngine is the default backend: each table is a single rel.Table —
 // row storage, primary-key hash index, lazily built secondary indexes and
-// the epoch pre-state snapshot, all behind one RWMutex.
+// the epoch's undo overlay (the pre-state), all behind one RWMutex.
 type memEngine struct{}
 
 // NewMem returns the default in-memory engine.

@@ -330,7 +330,7 @@ func (t *shardTable) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel
 	return t.forKey(key).UpdateKey(key, setAttrs, setVals)
 }
 
-// BeginEpoch implements Table: every shard snapshots its pre-state.
+// BeginEpoch implements Table: every shard freezes its pre-state (O(1) each).
 func (t *shardTable) BeginEpoch() {
 	for _, sh := range t.shards {
 		sh.BeginEpoch()
