@@ -68,6 +68,9 @@ bench-e2e-smoke:
 # BENCHJSON_FLAGS='... -metric allocs/op'). The SPJBatchedMaintenance row
 # runs under IDIVM_BATCH_SIZE=1024: its accesses/op must match the
 # SPJNonConditionalUpdate/id row — batching is invisible to the cost model.
+# The TableChurn rows (internal/rel: insert a bucket, DeleteWhere it,
+# UpdateKey as many rows) have a constant accesses/op; they are there for
+# their allocs/op column — the storage write path's allocations.
 # Regenerate the baseline after a deliberate cost change with:
 #   make bench-smoke BENCHJSON_FLAGS='-o testdata/bench_baseline.json'
 BENCHJSON_FLAGS ?= -o BENCH.json -baseline testdata/bench_baseline.json
@@ -78,6 +81,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkScanHeavyRecompute$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkBatch(Filter|HashJoin)$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkTableChurn$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
 
 # bench-smoke-sharded re-runs the same subset on the hash-partitioned

@@ -325,7 +325,11 @@ func (c *cProject) run(env Env) (*rel.Relation, error) {
 		nt := backing[:w:w]
 		backing = backing[w:]
 		for i, item := range c.items {
-			nt[i] = item.Eval(t)
+			if j := c.colIdx[i]; j >= 0 {
+				nt[i] = t[j] // plain column: no closure, no allocation
+			} else {
+				nt[i] = item.Eval(t)
+			}
 		}
 		out.Tuples = append(out.Tuples, nt)
 	}

@@ -311,12 +311,12 @@ func (d *Database) Delete(table string, key []rel.Value) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	preCopy := pre.Clone()
 	if !t.DeleteKey(key) {
 		return false, nil
 	}
 	if d.LoggingEnabled(table) {
-		d.log = append(d.log, Modification{Kind: ModDelete, Table: table, Pre: preCopy})
+		// pre aliases the removed row: stored tuples are immutable once stored.
+		d.log = append(d.log, Modification{Kind: ModDelete, Table: table, Pre: pre})
 	}
 	return true, nil
 }
@@ -333,14 +333,15 @@ func (d *Database) Update(table string, key []rel.Value, setAttrs []string, setV
 	if !ok {
 		return false, nil
 	}
-	preCopy := pre.Clone()
 	changed, err := t.UpdateKey(key, setAttrs, setVals)
 	if err != nil || !changed {
 		return changed, err
 	}
 	post, _ := t.Get(rel.StatePost, key)
 	if d.LoggingEnabled(table) {
-		d.log = append(d.log, Modification{Kind: ModUpdate, Table: table, Pre: preCopy, Post: post.Clone()})
+		// Both images alias stored rows, which are immutable once stored: the
+		// update wrote a modified clone and left pre untouched.
+		d.log = append(d.log, Modification{Kind: ModUpdate, Table: table, Pre: pre, Post: post})
 	}
 	return true, nil
 }

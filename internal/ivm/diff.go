@@ -179,24 +179,24 @@ func (i *Instance) applyUpdate(t *storage.Handle, rec func(db.Modification)) (in
 	if err != nil {
 		return 0, err
 	}
+	var record func(pre, post rel.Tuple)
+	if rec != nil {
+		record = func(pre, post rel.Tuple) {
+			rec(db.Modification{Kind: db.ModUpdate, Table: t.Name(), Pre: pre, Post: post})
+		}
+	}
+	// One probe/SET scratch for the whole instance: storage retains neither.
+	idVals := make([]rel.Value, len(idIdx))
+	postVals := make([]rel.Value, len(postIdx))
 	touched := 0
 	for _, row := range i.Rows.Tuples {
-		idVals := make([]rel.Value, len(idIdx))
 		for k, j := range idIdx {
 			idVals[k] = row[j]
 		}
-		postVals := make([]rel.Value, len(postIdx))
 		for k, j := range postIdx {
 			postVals[k] = row[j]
 		}
-		var n int
-		if rec == nil {
-			n, err = t.UpdateWhere(i.Schema.IDs, idVals, i.Schema.Post, postVals)
-		} else {
-			n, err = t.UpdateWhereFunc(i.Schema.IDs, idVals, i.Schema.Post, postVals, func(pre, post rel.Tuple) {
-				rec(db.Modification{Kind: db.ModUpdate, Table: t.Name(), Pre: pre, Post: post})
-			})
-		}
+		n, err := t.UpdateWhereFunc(i.Schema.IDs, idVals, i.Schema.Post, postVals, record)
 		if err != nil {
 			return touched, err
 		}
@@ -224,9 +224,14 @@ func (i *Instance) applyInsert(t *storage.Handle, rec func(db.Modification)) (in
 		}
 		srcIdx[k] = j
 	}
+	// Storage clones the row it keeps, so one scratch tuple serves the whole
+	// instance — unless the rows are recorded, and so retained.
+	nt := make(rel.Tuple, len(srcIdx))
 	inserted := 0
 	for _, row := range i.Rows.Tuples {
-		nt := make(rel.Tuple, len(srcIdx))
+		if rec != nil {
+			nt = make(rel.Tuple, len(srcIdx))
+		}
 		for k, j := range srcIdx {
 			nt[k] = row[j]
 		}
@@ -237,8 +242,8 @@ func (i *Instance) applyInsert(t *storage.Handle, rec func(db.Modification)) (in
 		if ok {
 			inserted++
 			if rec != nil {
-				// nt's ownership just transferred to storage, where tuples
-				// are immutable; it is the full post-image.
+				// nt equals the clone storage just stored and is never
+				// written again: it is the full post-image.
 				rec(db.Modification{Kind: db.ModInsert, Table: t.Name(), Post: nt})
 			}
 		}
@@ -251,20 +256,19 @@ func (i *Instance) applyDelete(t *storage.Handle, rec func(db.Modification)) (in
 	if err != nil {
 		return 0, err
 	}
+	var record func(pre rel.Tuple)
+	if rec != nil {
+		record = func(pre rel.Tuple) {
+			rec(db.Modification{Kind: db.ModDelete, Table: t.Name(), Pre: pre})
+		}
+	}
+	idVals := make([]rel.Value, len(idIdx)) // probe scratch: storage retains none of it
 	deleted := 0
 	for _, row := range i.Rows.Tuples {
-		idVals := make([]rel.Value, len(idIdx))
 		for k, j := range idIdx {
 			idVals[k] = row[j]
 		}
-		var n int
-		if rec == nil {
-			n, err = t.DeleteWhere(i.Schema.IDs, idVals)
-		} else {
-			n, err = t.DeleteWhereFunc(i.Schema.IDs, idVals, func(pre rel.Tuple) {
-				rec(db.Modification{Kind: db.ModDelete, Table: t.Name(), Pre: pre})
-			})
-		}
+		n, err := t.DeleteWhereFunc(i.Schema.IDs, idVals, record)
 		if err != nil {
 			return deleted, err
 		}

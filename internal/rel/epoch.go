@@ -105,7 +105,7 @@ func (c *tableCore) touch(p int) {
 	c.dirty[w] |= bit
 	c.undoRows = append(c.undoRows, c.rows[p])
 	c.undoPos = append(c.undoPos, p)
-	c.undoIndexesAdd(c.rows[p], len(c.undoRows)-1)
+	c.undoIndexesAdd(c.rows[p], int32(len(c.undoRows)-1))
 }
 
 // overlaid reports whether reads of state s must go through the overlay:
@@ -122,10 +122,11 @@ func (c *tableCore) clean(p int) bool {
 	return p < c.preLen && c.dirty[p>>6]&(uint64(1)<<(uint(p)&63)) == 0
 }
 
-func (c *tableCore) countClean(positions []int) int {
+// countClean counts the rows among ids that sit at clean positions.
+func (c *tableCore) countClean(ids []int32) int {
 	n := 0
-	for _, p := range positions {
-		if c.clean(p) {
+	for _, id := range ids {
+		if c.clean(int(c.posOf[id])) {
 			n++
 		}
 	}

@@ -71,6 +71,8 @@ const (
 	opUpdateWhereVal        // g → v' : payload update through the g index
 	opUpdateWhereGrp        // g → g' : moves rows between g buckets
 	opUpdateKey             // k → g' v'
+	opUpdateWhereKey        // k → v' : UpdateWhere over the primary-key attributes
+	opDeleteWhereKey        // k : DeleteWhere over the primary-key attributes
 	opBegin
 	opAdvance
 	opEnd
@@ -114,6 +116,19 @@ func Seeds() map[string][]byte {
 			[4]byte{opBegin}, [4]byte{opDeleteWhere, 0}, [4]byte{opInsertIfAbsent, 9, 0, 1}, [4]byte{opInsert, 10, 0, 2}, [4]byte{opInsert, 11, 1, 2}, [4]byte{opAdvance}, [4]byte{opDeleteWhere, 0}),
 		"writes-outside-any-epoch": with(fill(4),
 			[4]byte{opDeleteKey, 0}, [4]byte{opBegin}, [4]byte{opEnd}, [4]byte{opUpdateWhereVal, 1, 2}, [4]byte{opBegin}, [4]byte{opUpdateWhereVal, 1, 1}),
+		// Stable row ids: a removal frees an id that a later insert reuses.
+		"reuse-freed-id-in-one-epoch": with(fill(4),
+			[4]byte{opBegin}, [4]byte{opDeleteKey, 1}, [4]byte{opInsert, 8, 1, 2}, [4]byte{opDeleteKey, 8}, [4]byte{opInsertIfAbsent, 1, 2, 1}, [4]byte{opAdvance}, [4]byte{opDeleteWhere, 2}),
+		"delete-where-bucket-holds-last-positions": with(fill(6), // g=2 is k=2,5: position 5 is the last
+			[4]byte{opBegin}, [4]byte{opInsert, 8, 2, 1}, [4]byte{opDeleteWhere, 2}, [4]byte{opInsert, 9, 2, 0}, [4]byte{opDeleteWhere, 2}, [4]byte{opEnd}, [4]byte{opDeleteWhere, 1}),
+		"delete-everything-then-refill": with(fill(5),
+			[4]byte{opBegin}, [4]byte{opDeleteWhere, 0}, [4]byte{opDeleteWhere, 1}, [4]byte{opDeleteWhere, 2},
+			[4]byte{opInsert, 3, 0, 1}, [4]byte{opInsert, 0, 1, 1}, [4]byte{opInsert, 7, 2, 1}, [4]byte{opAdvance},
+			[4]byte{opDeleteWhereKey, 0}, [4]byte{opDeleteWhere, 0}, [4]byte{opDeleteWhere, 2}, [4]byte{opInsert, 4, 1, 2}),
+		"update-where-over-the-key": with(fill(4),
+			[4]byte{opUpdateWhereKey, 2, 1}, [4]byte{opBegin}, [4]byte{opUpdateWhereKey, 2, 2}, [4]byte{opUpdateWhereKey, 9, 1}, [4]byte{opDeleteWhereKey, 2}, [4]byte{opUpdateWhereKey, 3, 0}, [4]byte{opAdvance}, [4]byte{opDeleteWhereKey, 3}),
+		"indexed-column-away-and-back-by-key": with(fill(4),
+			[4]byte{opBegin}, [4]byte{opUpdateKey, 1, 2, 0}, [4]byte{opUpdateKey, 1, 1, 0}, [4]byte{opAdvance}, [4]byte{opUpdateKey, 1, 0, 1}, [4]byte{opDeleteWhere, 1}, [4]byte{opUpdateKey, 1, 1, 1}),
 	}
 }
 
@@ -202,6 +217,13 @@ func Run(t testing.TB, tab Table, program []byte) {
 		desc := step(t, tab, m, op, a, b, c)
 		where := fmt.Sprintf("op %d (%s)", pc/OpSize, desc)
 		check(t, tab, m, where)
+		// A table that can check its own structural invariants (rel.Table
+		// does, in its package's tests) is asked to after every operation.
+		if c, ok := tab.(interface{ CheckInvariants() error }); ok {
+			if err := c.CheckInvariants(); err != nil {
+				t.Errorf("%s: %v", where, err)
+			}
+		}
 		for _, k := range kept {
 			if !sameTuples(k.rows, k.want) {
 				t.Fatalf("%s: a retained Scan(StatePre) result was modified by a later write", where)
@@ -289,6 +311,25 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 			m.update(k, []int{1, 2}, vals)
 		}
 		return fmt.Sprintf("update k=%d set g,v=%v", k, vals)
+	case opUpdateWhereKey:
+		val := rel.Int(int64(b % numVals))
+		_, exists := m.post[k]
+		n, err := tab.UpdateWhere(attrsK, key, []string{"v"}, []rel.Value{val})
+		if err != nil || (n == 1) != exists || n > 1 {
+			t.Errorf("UpdateWhere(k=%d, v=%v) = %d, %v; model has key: %v", k, val, n, err, exists)
+		}
+		if exists {
+			m.update(k, []int{2}, []rel.Value{val})
+		}
+		return fmt.Sprintf("update where k=%d set v=%v", k, val)
+	case opDeleteWhereKey:
+		_, exists := m.post[k]
+		n, err := tab.DeleteWhere(attrsK, key)
+		if err != nil || (n == 1) != exists || n > 1 {
+			t.Errorf("DeleteWhere(k=%d) = %d, %v; model has key: %v", k, n, err, exists)
+		}
+		delete(m.post, k)
+		return fmt.Sprintf("delete where k=%d", k)
 	case opBegin:
 		tab.BeginEpoch()
 		if !m.inEpoch {
@@ -370,6 +411,18 @@ func check(t testing.TB, tab Table, m *model, where string) {
 			}
 			if fmt.Sprint(gotHK) != fmt.Sprint(wantHK) {
 				t.Errorf("%s: %s HeavyKeys(g, %d) = %q, want %q", where, s, thr, gotHK, wantHK)
+			}
+		}
+		// Over the primary key every row is its own bucket of one.
+		for thr, n := range map[int]int{0: len(want), 2: 0} {
+			got, err := tab.HeavyKeys(s, attrsK, thr)
+			if err != nil || len(got) != n {
+				t.Errorf("%s: %s HeavyKeys(k, %d) = %d keys, %v; want %d", where, s, thr, len(got), err, n)
+			}
+			for _, kc := range got {
+				if w, ok := want[kc.Vals[0].AsInt()]; !ok || kc.Count != 1 || kc.Key != rel.TupleKey(w[:1]) {
+					t.Errorf("%s: %s HeavyKeys(k, %d) lists %+v, model has %v", where, s, thr, kc, w)
+				}
 			}
 		}
 	}

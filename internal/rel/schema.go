@@ -88,15 +88,19 @@ func (s Schema) HasAll(names []string) bool {
 // Indices returns the positions of the named attributes. It returns an
 // error naming the first missing attribute.
 func (s Schema) Indices(names []string) ([]int, error) {
-	idx := make([]int, len(names))
-	for i, n := range names {
+	return s.AppendIndices(make([]int, 0, len(names)), names)
+}
+
+// AppendIndices is Indices appending to dst, for callers with a scratch.
+func (s Schema) AppendIndices(dst []int, names []string) ([]int, error) {
+	for _, n := range names {
 		j := s.Index(n)
 		if j < 0 {
 			return nil, fmt.Errorf("rel: attribute %q not in schema %v", n, s.Attrs)
 		}
-		idx[i] = j
+		dst = append(dst, j)
 	}
-	return idx, nil
+	return dst, nil
 }
 
 // KeyIndices returns the positions of the key attributes.

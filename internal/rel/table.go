@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -35,12 +36,27 @@ func (s State) String() string {
 //     the scheduler serializes apply steps per table, so writer contention
 //     is only with readers of *other* states (pre-state probes), which the
 //     lock makes safe;
-//   - lazy builds (secondary indexes, the undo-overlay indexes, the
-//     materialized pre-state) happen under an RLock (readers probing a cold
-//     structure), so the caches are additionally guarded by the leaf lock
-//     idxMu, and each cache slot is a single-flight entry: many concurrent
-//     probes of the same cold index — routine once the partition-parallel
-//     kernels fan probes out — build it exactly once.
+//   - lazy installs and builds (secondary indexes, the undo-overlay
+//     indexes, the materialized pre-state) happen under an RLock (readers
+//     probing a cold structure), so the caches are additionally guarded by
+//     the leaf lock idxMu, and each cache slot is a single-flight entry:
+//     many concurrent probes of the same cold index — routine once the
+//     partition-parallel kernels fan probes out — build it exactly once.
+//     Writers never take idxMu: whoever installs or builds holds mu.RLock,
+//     which a writer's mu.Lock excludes, so the write hooks walk the cache
+//     lists and use the per-table and per-index scratch buffers freely.
+//
+// Rows are stored by position (rows is dense; a removal moves the last row
+// into the hole) but referred to by a stable row id: byKey and every
+// secondary bucket hold ids, and idOf/posOf translate,
+//
+//	posOf[idOf[p]] == p    for every position p,
+//	idOf[posOf[id]] == id  for every live id,
+//
+// with the ids of removed rows (posOf[id] == -1) recycled through free. A
+// swap-remove therefore patches two array slots for the row it moves and
+// touches neither byKey nor any index. The primary key has no secondary
+// index: any request over exactly schema.Key is served by byKey (liveIDs).
 //
 // The pre-state of an epoch is never copied up front. It is kept as an
 // undo overlay over the live rows: the first write of the epoch that
@@ -62,11 +78,17 @@ type tableCore struct {
 	keyIdx []int
 	keySig string // indexSig(schema.Key): the overlay's by-key index
 	rows   []Tuple
-	byKey  map[string]int
+	idOf   []int32          // position → row id; len(idOf) == len(rows)
+	posOf  []int32          // row id → position, -1 while the id is free
+	free   []int32          // removed rows' ids, reused by the next inserts
+	byKey  map[string]int32 // encoded primary key → row id
+	keyBuf []byte           // write paths' key scratch (writers hold mu exclusively)
+	posBuf []int32          // write paths' position scratch
+	setBuf []int            // UpdateWhere's SET-column scratch
 
-	idxMu     sync.RWMutex         // guards the cache maps and frozen (not the builds)
-	secondary map[string]*idxEntry // post-state secondary indexes, single-flight
-	idxBuilds int64                // full-table index builds (atomic; observability/tests)
+	idxMu     sync.RWMutex // guards the cache lists and frozen against other readers (not the builds)
+	secondary []*idxEntry  // post-state secondary indexes (entries are row ids), single-flight
+	idxBuilds int64        // full-table index builds (atomic; observability/tests)
 
 	inEpoch      bool
 	epochMutated bool     // any write since the epoch opened (or last advanced)
@@ -77,7 +99,7 @@ type tableCore struct {
 	// undoIdx holds indexes over undoRows (bucket entries index undoRows),
 	// built lazily by the first pre-state probe that needs one and from
 	// then on extended by the write path, exactly like secondary.
-	undoIdx map[string]*idxEntry
+	undoIdx []*idxEntry
 	frozen  *frozenPre // the materialized pre-state, built by the first whole-state read
 }
 
@@ -113,12 +135,11 @@ func NewTable(name string, schema Schema) (*Table, error) {
 		return nil, err
 	}
 	return &Table{core: &tableCore{
-		name:      name,
-		schema:    schema.Clone(),
-		keyIdx:    idx,
-		keySig:    indexSig(schema.Key),
-		byKey:     make(map[string]int),
-		secondary: make(map[string]*idxEntry),
+		name:   name,
+		schema: schema.Clone(),
+		keyIdx: idx,
+		keySig: indexSig(schema.Key),
+		byKey:  make(map[string]int32),
 	}}, nil
 }
 
@@ -158,8 +179,6 @@ func (c *tableCore) stateLen(s State) int {
 	}
 	return len(c.rows)
 }
-
-func (c *tableCore) keyOf(row Tuple) string { return KeyOf(row, c.keyIdx) }
 
 // stateRows returns every tuple of the requested state: the live rows, or —
 // for the pre-state of an open epoch — the epoch's frozen materialization
@@ -238,27 +257,20 @@ func (t *Table) Get(s State, key []Value) (Tuple, bool) {
 // get resolves an encoded primary key in the requested state; the caller
 // holds c.mu.
 func (c *tableCore) get(s State, k []byte) (Tuple, bool) {
-	p, ok := c.byKey[string(k)]
-	if !c.overlaid(s) {
-		if !ok {
-			return nil, false
+	overlaid := c.overlaid(s)
+	if id, ok := c.byKey[string(k)]; ok {
+		if p := int(c.posOf[id]); !overlaid || c.clean(p) {
+			return c.rows[p], true
 		}
-		return c.rows[p], true
-	}
-	if ok && c.clean(p) {
-		return c.rows[p], true
 	}
 	// Not live at a clean position: updated, deleted or moved this epoch —
-	// then its pre-image is in the overlay — or absent from the pre-state.
-	if len(c.undoRows) == 0 {
-		return nil, false
-	}
-	ov, err := c.undoIndexOnSig(c.schema.Key, c.keySig)
-	if err != nil {
-		return nil, false
-	}
-	if b := ov.buckets[string(k)]; len(b) > 0 {
-		return c.undoRows[b[0]], true
+	// then its pre-image is in the overlay — or absent from the state.
+	if overlaid && len(c.undoRows) > 0 {
+		if ov, err := c.undoIndexOnSig(c.schema.Key, c.keySig); err == nil {
+			if u := ov.get(k); len(u) > 0 {
+				return c.undoRows[u[0]], true
+			}
+		}
 	}
 	return nil, false
 }
@@ -308,17 +320,35 @@ func (t *Table) LookupInto(s State, pl PrepLookup, vals []Value, keyBuf []byte, 
 	return out, keyBuf, err
 }
 
-// buckets resolves key on the index over attrs for state s: live holds
-// positions in rows and undo positions in undoRows. The post-state index
-// answers both states; for the pre-state of a mutated epoch (overlaid)
-// only the clean positions of live count, and the overlay index over the
-// same attributes supplies the pre-images. The caller holds c.mu.
-func (c *tableCore) buckets(s State, attrs []string, sig string, key []byte) (live, undo []int, overlaid bool, err error) {
+// liveIDs returns the ids of the live rows whose attrs (with signature
+// sig) encode to key, and the secondary index that answered — nil when
+// attrs are exactly the primary key, which byKey serves, so no index ever
+// duplicates it. Callers must not modify the ids. The caller holds c.mu.
+func (c *tableCore) liveIDs(attrs []string, sig string, key []byte) ([]int32, *hashIndex, error) {
+	if sig == c.keySig {
+		if id, ok := c.byKey[string(key)]; ok {
+			p := c.posOf[id]
+			return c.idOf[p : p+1 : p+1], nil, nil // {id}, without allocating
+		}
+		return nil, nil, nil
+	}
 	idx, err := c.indexOnSig(attrs, sig)
+	if err != nil {
+		return nil, nil, err
+	}
+	return idx.get(key), idx, nil
+}
+
+// buckets resolves key on the index over attrs for state s: live holds
+// row ids and undo positions in undoRows. The post-state index answers
+// both states; for the pre-state of a mutated epoch (overlaid) only the
+// live ids at clean positions count, and the overlay index over the same
+// attributes supplies the pre-images. The caller holds c.mu.
+func (c *tableCore) buckets(s State, attrs []string, sig string, key []byte) (live, undo []int32, overlaid bool, err error) {
+	live, _, err = c.liveIDs(attrs, sig, key)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	live = idx.buckets[string(key)]
 	if !c.overlaid(s) {
 		return live, nil, false, nil
 	}
@@ -327,7 +357,7 @@ func (c *tableCore) buckets(s State, attrs []string, sig string, key []byte) (li
 		if err != nil {
 			return nil, nil, false, err
 		}
-		undo = ov.buckets[string(key)]
+		undo = ov.get(key)
 	}
 	return live, undo, true, nil
 }
@@ -342,8 +372,8 @@ func (c *tableCore) probe(s State, attrs []string, sig string, key []byte, out [
 	if out == nil && len(live)+len(undo) > 0 {
 		out = make([]Tuple, 0, len(live)+len(undo))
 	}
-	for _, p := range live {
-		if !overlaid || c.clean(p) {
+	for _, id := range live {
+		if p := c.posOf[id]; !overlaid || c.clean(int(p)) {
 			out = append(out, c.rows[p])
 		}
 	}
@@ -420,27 +450,39 @@ func (t *Table) HeavyKeys(s State, attrs []string, threshold int) ([]KeyCount, e
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sig := indexSig(attrs)
-	idx, err := c.indexOnSig(attrs, sig)
-	if err != nil {
-		return nil, err
-	}
+	attrIdx := c.keyIdx
 	var out []KeyCount
 	add := func(k string, rep Tuple, n int) {
-		vals := make(Tuple, len(idx.attrIdx))
-		for i, j := range idx.attrIdx {
+		vals := make(Tuple, len(attrIdx))
+		for i, j := range attrIdx {
 			vals[i] = rep[j]
 		}
 		out = append(out, KeyCount{Key: k, Vals: vals, Count: n})
 	}
 	// Map order is fine below: results are sorted by encoded key at the end.
+	if sig == c.keySig {
+		// Primary-key values are unique: every row is its own bucket.
+		if threshold == 1 {
+			for _, r := range c.stateRows(s) {
+				add(KeyOf(r, attrIdx), r, 1)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		return out, nil
+	}
+	idx, err := c.indexOnSig(attrs, sig)
+	if err != nil {
+		return nil, err
+	}
+	attrIdx = idx.attrIdx
 	if !c.overlaid(s) {
 		for k, b := range idx.buckets {
-			if len(b) >= threshold {
-				add(k, c.rows[b[0]], len(b))
+			if len(b.ids) >= threshold {
+				add(k, c.rows[c.posOf[b.ids[0]]], len(b.ids))
 			}
 		}
 	} else {
-		var undo map[string][]int
+		var undo map[string]*bucket
 		if len(c.undoRows) > 0 {
 			ov, err := c.undoIndexOnSig(attrs, sig)
 			if err != nil {
@@ -449,25 +491,26 @@ func (t *Table) HeavyKeys(s State, attrs []string, threshold int) ([]KeyCount, e
 			undo = ov.buckets
 		}
 		for k, b := range idx.buckets {
-			u := undo[k]
-			n := c.countClean(b) + len(u)
+			n := c.countClean(b.ids)
+			if u := undo[k]; u != nil {
+				if n += len(u.ids); n >= threshold {
+					add(k, c.undoRows[u.ids[0]], n)
+				}
+				continue
+			}
 			if n < threshold {
 				continue
 			}
-			if len(u) > 0 {
-				add(k, c.undoRows[u[0]], n)
-				continue
-			}
-			for _, p := range b {
-				if c.clean(p) {
+			for _, id := range b.ids {
+				if p := int(c.posOf[id]); c.clean(p) {
 					add(k, c.rows[p], n)
 					break
 				}
 			}
 		}
 		for k, u := range undo {
-			if _, live := idx.buckets[k]; !live && len(u) >= threshold {
-				add(k, c.undoRows[u[0]], len(u))
+			if _, live := idx.buckets[k]; !live && len(u.ids) >= threshold {
+				add(k, c.undoRows[u.ids[0]], len(u.ids))
 			}
 		}
 	}
@@ -483,23 +526,41 @@ func (t *Table) Insert(row Tuple) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := c.keyOf(row)
-	if _, dup := c.byKey[k]; dup {
+	if _, dup := c.find(row); dup {
 		return fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
 	}
-	c.appendRow(k, row)
+	c.appendRow(row)
 	return nil
 }
 
-// appendRow stores a clone of row, whose encoded key is k, at the end of
-// rows. The new position needs no undo entry: it is either beyond preLen
-// or was vacated — and so dirtied — by an earlier removal of this epoch.
-func (c *tableCore) appendRow(k string, row Tuple) {
+// find encodes row's primary key into keyBuf (where appendRow expects it)
+// and resolves it to the live row's id. Write paths only.
+func (c *tableCore) find(row Tuple) (id int32, ok bool) {
+	c.keyBuf = AppendKey(c.keyBuf[:0], row, c.keyIdx)
+	id, ok = c.byKey[string(c.keyBuf)]
+	return id, ok
+}
+
+// appendRow stores a clone of row, whose encoded key find left in keyBuf,
+// at the end of rows under a recycled (or else fresh) id. The new position
+// needs no undo entry: it is either beyond preLen or was vacated — and so
+// dirtied — by an earlier removal of this epoch, which is also why a
+// recycled id can never show up in a pre-state probe.
+func (c *tableCore) appendRow(row Tuple) {
 	c.noteWrite()
-	pos := len(c.rows)
-	c.byKey[k] = pos
-	c.rows = append(c.rows, row.Clone())
-	c.indexesAdd(c.rows[pos], pos)
+	var id int32
+	if n := len(c.free); n > 0 {
+		id, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		id = int32(len(c.posOf))
+		c.posOf = append(c.posOf, 0)
+	}
+	c.posOf[id] = int32(len(c.rows))
+	c.idOf = append(c.idOf, id)
+	c.byKey[string(c.keyBuf)] = id
+	stored := row.Clone()
+	c.rows = append(c.rows, stored)
+	c.indexesAdd(stored, id)
 }
 
 // MustInsert is Insert that panics on error, for generators and tests.
@@ -520,14 +581,13 @@ func (t *Table) InsertIfAbsent(row Tuple) (inserted bool, err error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := c.keyOf(row)
-	if i, ok := c.byKey[k]; ok {
-		if c.rows[i].Equal(row) {
-			return false, nil
+	if id, ok := c.find(row); ok {
+		if old := c.rows[c.posOf[id]]; !old.Equal(row) {
+			return false, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), old.String())
 		}
-		return false, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), c.rows[i].String())
+		return false, nil
 	}
-	c.appendRow(k, row)
+	c.appendRow(row)
 	return true, nil
 }
 
@@ -538,11 +598,11 @@ func (t *Table) DeleteKey(key []Value) bool {
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.byKey[string(k)]
+	id, ok := c.byKey[string(k)]
 	if !ok {
 		return false
 	}
-	c.removeAt(i)
+	c.removeAt(int(c.posOf[id]), nil)
 	return true
 }
 
@@ -554,45 +614,53 @@ func (t *Table) DeleteWhere(attrs []string, vals []Value) (int, error) {
 }
 
 // DeleteWhereFunc is DeleteWhere that additionally invokes fn (when
-// non-nil) with the full pre-image of every removed row, in removal
-// order. The images are captured inside the critical section where they
-// are already in hand — no extra probes — and alias stored tuples, which
-// are immutable once stored (updates clone). fn must not call back into
-// the table. It is how the Δ-script executor records a view's applied
-// deletes into the derived modification log that cascaded views consume.
+// non-nil) with the full pre-image of every removed row, in the order the
+// index lists them. The images are in hand inside the critical section —
+// no extra probes — and alias stored tuples, which are immutable once
+// stored (updates clone). fn must not call back into the table. It is how
+// the Δ-script executor records a view's applied deletes into the derived
+// modification log that cascaded views consume.
+//
+// The delete is set-oriented: the matching bucket is resolved once and
+// dropped from its index as a whole, and the rows go in descending position
+// order — a swap-remove then only ever moves a row from outside the set, so
+// the resolved positions stay valid without re-probing anything.
 func (t *Table) DeleteWhereFunc(attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, err := c.indexOn(attrs)
-	if err != nil {
+	pos, idx, err := c.writeSet(attrs, indexSig(attrs), vals)
+	if err != nil || len(pos) == 0 {
 		return 0, err
 	}
-	positions := idx.get(vals)
-	if len(positions) == 0 {
-		return 0, nil
-	}
-	// Collect keys (and pre-images) first: removeAt perturbs positions.
-	keys := make([]string, 0, len(positions))
-	var pres []Tuple
 	if fn != nil {
-		pres = make([]Tuple, 0, len(positions))
-	}
-	for _, p := range positions {
-		keys = append(keys, c.keyOf(c.rows[p]))
-		if fn != nil {
-			pres = append(pres, c.rows[p])
+		for _, p := range pos {
+			fn(c.rows[p])
 		}
 	}
-	for _, k := range keys {
-		if i, ok := c.byKey[k]; ok {
-			c.removeAt(i)
-		}
+	if idx != nil {
+		delete(idx.buckets, string(c.keyBuf))
 	}
-	for _, r := range pres {
-		fn(r)
+	slices.Sort(pos)
+	for i := len(pos) - 1; i >= 0; i-- {
+		c.removeAt(int(pos[i]), idx)
 	}
-	return len(keys), nil
+	return len(pos), nil
+}
+
+// writeSet resolves, for a write path, the positions of the live rows whose
+// attrs (with signature sig) equal vals — in index order, in the writer's
+// position scratch, with the encoded vals left in keyBuf — and the
+// secondary index that answered (nil for the primary key, see liveIDs).
+func (c *tableCore) writeSet(attrs []string, sig string, vals []Value) ([]int32, *hashIndex, error) {
+	c.keyBuf = AppendTupleKey(c.keyBuf[:0], vals)
+	ids, idx, err := c.liveIDs(attrs, sig, c.keyBuf)
+	pos := c.posBuf[:0]
+	for _, id := range ids {
+		pos = append(pos, c.posOf[id])
+	}
+	c.posBuf = pos
+	return pos, idx, err
 }
 
 // UpdateWhere updates every row whose attrs equal vals, overwriting the
@@ -609,32 +677,36 @@ func (t *Table) UpdateWhere(attrs []string, vals []Value, setAttrs []string, set
 // immutable, so an update writes a modified clone and the replaced tuple
 // is the pre-image); fn must not call back into the table.
 func (t *Table) UpdateWhereFunc(attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
+	return t.updateWhere(attrs, indexSig(attrs), vals, setAttrs, setVals, fn)
+}
+
+func (t *Table) updateWhere(attrs []string, sig string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
 	c := t.core
 	for _, a := range setAttrs {
 		if Contains(c.schema.Key, a) {
 			return 0, fmt.Errorf("rel: table %q: cannot update key attribute %q", c.name, a)
 		}
 	}
-	setIdx, err := c.schema.Indices(setAttrs)
-	if err != nil {
-		return 0, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, err := c.indexOn(attrs)
+	setIdx, err := c.schema.AppendIndices(c.setBuf[:0], setAttrs)
 	if err != nil {
 		return 0, err
 	}
-	positions := idx.get(vals)
+	c.setBuf = setIdx
+	positions, _, err := c.writeSet(attrs, sig, vals)
+	if err != nil {
+		return 0, err
+	}
 	for _, p := range positions {
 		old := c.rows[p]
 		nr := old.Clone() // stored tuples are immutable: readers and the undo overlay alias old
 		for i, j := range setIdx {
 			nr[j] = setVals[i]
 		}
-		c.touch(p)
+		c.touch(int(p))
 		c.rows[p] = nr
-		c.indexesUpdate(old, nr, p)
+		c.indexesUpdate(old, nr, c.idOf[p], setIdx)
 		if fn != nil {
 			fn(old, nr)
 		}
@@ -644,26 +716,31 @@ func (t *Table) UpdateWhereFunc(attrs []string, vals []Value, setAttrs []string,
 
 // UpdateKey updates the single row with the given primary key.
 func (t *Table) UpdateKey(key []Value, setAttrs []string, setVals []Value) (bool, error) {
-	n, err := t.UpdateWhere(t.core.schema.Key, key, setAttrs, setVals)
+	n, err := t.updateWhere(t.core.schema.Key, t.core.keySig, key, setAttrs, setVals, nil)
 	return n > 0, err
 }
 
-// removeAt swap-removes the row at position i: the last row moves into the
-// hole, so both positions are touched first.
-func (c *tableCore) removeAt(i int) {
+// removeAt swap-removes the row at position p: the last row moves into the
+// hole, so both positions are touched first. The moved row keeps its id —
+// only its two translation slots change — and the removed row's id goes to
+// the free list. skip is the index whose bucket the caller already dropped.
+func (c *tableCore) removeAt(p int, skip *hashIndex) {
 	last := len(c.rows) - 1
-	c.touch(i)
-	c.indexesRemove(c.rows[i], i)
-	delete(c.byKey, c.keyOf(c.rows[i]))
-	if i != last {
+	c.touch(p)
+	row, id := c.rows[p], c.idOf[p]
+	c.indexesRemove(row, id, skip)
+	c.keyBuf = AppendKey(c.keyBuf[:0], row, c.keyIdx)
+	delete(c.byKey, string(c.keyBuf))
+	c.posOf[id] = -1
+	c.free = append(c.free, id)
+	if p != last {
 		c.touch(last)
-		moved := c.rows[last]
-		c.rows[i] = moved
-		c.byKey[c.keyOf(moved)] = i
-		c.indexesMove(moved, last, i)
+		moved := c.idOf[last]
+		c.rows[p], c.idOf[p] = c.rows[last], moved
+		c.posOf[moved] = int32(p)
 	}
 	c.rows[last] = nil
-	c.rows = c.rows[:last]
+	c.rows, c.idOf = c.rows[:last], c.idOf[:last]
 }
 
 // Clone returns an independent deep copy of the table's post-state (no

@@ -2,8 +2,10 @@ package serve_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"idivm/internal/rel"
 	"idivm/internal/serve"
 )
 
@@ -71,18 +73,23 @@ func TestQuerySnapshotPlanCacheDisabled(t *testing.T) {
 
 // TestQuerySnapshotPlanCacheConcurrent shares one cached plan across
 // concurrent readers while the dispatcher commits rounds — the shared
-// immutable-plan claim, under -race.
+// immutable-plan claim, under -race. The writes go through the server (so
+// the rounds really run beside the readers), and the writer stops only once
+// every reader has read at least twice: a second read of the same SQL is a
+// cache hit, so the final assertion cannot race the readers' start.
 func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			s := newServed(t, eng.mk, serve.Options{MaxBatch: 8})
 			const sql = `SELECT pid, price FROM parts WHERE price < 100`
+			const readers = 4
 			var wg sync.WaitGroup
+			var reads [readers]atomic.Int64
 			stop := make(chan struct{})
-			for r := 0; r < 4; r++ {
+			for r := 0; r < readers; r++ {
 				wg.Add(1)
 				//ivmlint:allow gostmt — test reader goroutines sharing one cached plan
-				go func() {
+				go func(n *atomic.Int64) {
 					defer wg.Done()
 					for {
 						select {
@@ -92,22 +99,37 @@ func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
 						}
 						if _, err := s.srv.QuerySnapshot(sql); err != nil {
 							t.Errorf("QuerySnapshot: %v", err)
+							n.Store(2) // let the writer finish
 							return
 						}
+						n.Add(1)
 					}
-				}()
+				}(&reads[r])
 			}
-			for i := 0; i < 50; i++ {
-				if err := s.ds.ApplyPriceUpdates(); err != nil {
-					t.Fatalf("updates: %v", err)
+			everyReaderReadTwice := func() bool {
+				for r := range reads {
+					if reads[r].Load() < 2 {
+						return false
+					}
 				}
+				return true
+			}
+			for i := 0; i < 50 || !everyReaderReadTwice(); i++ {
+				pid, price := rel.Int(int64(i%testParams().Parts)), rel.Int(int64(1+i%100))
+				p := s.srv.EnqueueUpdate("parts", []rel.Value{pid}, []string{"price"}, []rel.Value{price})
 				if err := s.srv.Flush(); err != nil {
 					t.Fatalf("Flush: %v", err)
+				}
+				if err := p.Wait(); err != nil {
+					t.Fatalf("update %d: %v", i, err)
 				}
 			}
 			close(stop)
 			wg.Wait()
 			st := s.srv.Stats()
+			if st.Ops < 50 || st.Rounds == 0 {
+				t.Fatalf("the writes bypassed the server: %+v", st)
+			}
 			if st.PlanCacheHits == 0 {
 				t.Fatalf("no cache hits under concurrency: %+v", st)
 			}
