@@ -68,11 +68,16 @@ bench-e2e-smoke:
 # BENCHJSON_FLAGS='... -metric allocs/op'). The SPJBatchedMaintenance row
 # runs under IDIVM_BATCH_SIZE=1024: its accesses/op must match the
 # SPJNonConditionalUpdate/id row — batching is invisible to the cost model.
+# The Fig10 rows (all eight BSMA views, both modes) are the gate on the γ
+# rules: Q11, Q18, Q*1–Q*3 are aggregates over joins, and a rule that
+# evaluates one sub-plan per output diff shows up there as a multiple.
 # The TableChurn rows (internal/rel: insert a bucket, DeleteWhere it,
 # UpdateKey as many rows) have a constant accesses/op; they are there for
 # their allocs/op column — the storage write path's allocations.
 # Regenerate the baseline after a deliberate cost change with:
 #   make bench-smoke BENCHJSON_FLAGS='-o testdata/bench_baseline.json'
+# and carry the BenchmarkServing and BenchmarkSkewSweep rows over (the
+# serving and skew lanes gate against the same file).
 BENCHJSON_FLAGS ?= -o BENCH.json -baseline testdata/bench_baseline.json
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig12a_DiffSize$$/^d=200$$' -benchtime=1x . | tee bench.txt
@@ -81,6 +86,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkScanHeavyRecompute$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkBatch(Filter|HashJoin)$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkFig10$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkTableChurn$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
 

@@ -231,3 +231,30 @@ func TestCountOnlyAggregate(t *testing.T) {
 		})
 	}
 }
+
+// A selection over a join whose predicate attribute is updated: a tuple
+// entering the selection needs its other attributes (here the joined
+// devices_parts columns), which a partial-ID update diff does not carry.
+// The fast path used to drop such tuples silently; it now fetches them
+// from Input_post.
+func TestSelectUpdateEnteringOverJoin(t *testing.T) {
+	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
+		d := fig2DB(t)
+		parts, _ := d.Table("parts")
+		dp, _ := d.Table("devices_parts")
+		plan := algebra.NewSelect(algebra.NewJoin(
+			algebra.NewScan("parts", "", parts.Schema()),
+			algebra.NewScan("devices_parts", "", dp.Schema()),
+			expr.Eq(expr.C("parts.pid"), expr.C("devices_parts.pid"))),
+			expr.Gt(expr.C("parts.price"), expr.IntLit(10)))
+		s := ivm.NewSystem(d)
+		register(t, s, "sel", plan, mode)
+		vt, _ := d.Table("sel")
+		before := vt.Len()
+		mustUpdate(t, d, "parts", []rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(11)})
+		maintainAndCheck(t, s)
+		if got := vt.Len(); got != before+2 {
+			t.Errorf("%s: P1's two containments should enter the view: %d → %d rows", mode, before, got)
+		}
+	}
+}

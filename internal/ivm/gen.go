@@ -2,9 +2,11 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"idivm/internal/algebra"
+	"idivm/internal/expr"
 	"idivm/internal/rel"
 )
 
@@ -41,7 +43,7 @@ type Step interface {
 }
 
 // ComputeStep evaluates a plan and binds the result under Name. Diff is
-// nil for auxiliary bindings (e.g. the combined group-delta relation).
+// nil for transient intermediates (ΔG, ΔK, ΔR, …; see gen.share).
 type ComputeStep struct {
 	Name string
 	Diff *DiffSchema
@@ -219,6 +221,64 @@ func (g *gen) flushPending() {
 	g.pending = nil
 }
 
+// share binds plan to a transient intermediate and returns a reference to
+// it: a compute step without a diff schema that is never applied, lives for
+// one round, and is charged once however many plans read it. The γ rules
+// name the intermediates their dispatch is built from this way (ΔK, ΔR,
+// ΔG); shareRepeats finds every other repeat. A plan reading a stored
+// post-state goes behind the deferred applies, any other ahead of them.
+func (g *gen) share(prefix string, plan algebra.Node, ph Phase) algebra.Node {
+	for _, l := range planLeaves(plan) {
+		if l.Kind == leafStored && l.St == rel.StatePost {
+			g.flushPending()
+			break
+		}
+	}
+	name := g.fresh(prefix)
+	g.steps = append(g.steps, &ComputeStep{Name: name, Plan: plan, Ph: ph})
+	return algebra.NewRelRef(name, plan.Schema())
+}
+
+// shareRepeats closes generation: while a diff-driven sub-plan is evaluated
+// twice against one state (repeatedSubplan), it moves the sub-plan into a
+// transient step ΔS in front of its first reader — everything it reads is
+// bound there, and no apply separates the two — and points the readers at
+// it. Composition and join linearization decide what ends up repeated (the
+// diffs a join emits for a join-attribute update, both images of a
+// key-moving diff, a view that contains one sub-expression twice), so the
+// repeats are collected here, on the final plans, not rule by rule.
+func (g *gen) shareRepeats() {
+	memo := newSubplans()
+	for {
+		prev, at, sub := repeatedSubplan(g.steps, memo)
+		if sub == nil {
+			return
+		}
+		id := memo.of(sub).id
+		src := g.steps[prev].(*ComputeStep)
+		if src.Diff != nil || memo.of(src.Plan).id != id { // not a step of its own yet
+			src = &ComputeStep{Name: g.fresh("ΔS"), Plan: sub, Ph: src.Ph}
+			g.steps = slices.Insert(g.steps, prev, Step(src))
+			at++
+		}
+		ref := algebra.NewRelRef(src.Name, sub.Schema())
+		var replace func(n algebra.Node) algebra.Node
+		replace = func(n algebra.Node) algebra.Node {
+			if sp := memo.of(n); sp.id == id {
+				return ref
+			} else if !sp.driven() { // nor is anything below it
+				return n
+			}
+			return mapChildren(n, replace)
+		}
+		for _, st := range g.steps[prev+1 : at+1] {
+			if cs, ok := st.(*ComputeStep); ok {
+				cs.Plan = replace(cs.Plan)
+			}
+		}
+	}
+}
+
 func (g *gen) fresh(prefix string) string {
 	g.seq++
 	return fmt.Sprintf("%s%d", prefix, g.seq)
@@ -265,6 +325,8 @@ func Generate(viewTable string, plan algebra.Node, base BaseDiffSchemas, tupleMo
 	if !o.NoMinimize {
 		Minimize(s)
 	}
+	g.shareRepeats()
+	s.Steps = g.steps
 	return s, nil
 }
 
@@ -278,26 +340,8 @@ type mat struct {
 // emit appends ComputeSteps for each decl followed by ApplySteps against
 // the target table, ordering applies delete → update → insert.
 func (g *gen) emit(table string, decls []decl, computePh, applyPh Phase) {
+	g.emitAndRef(table, decls, computePh, applyPh)
 	g.flushPending()
-	type named struct {
-		name string
-		d    decl
-	}
-	var names []named
-	for _, d := range decls {
-		n := g.fresh("Δ")
-		ds := d.schema
-		ds.Rel = table
-		g.steps = append(g.steps, &ComputeStep{Name: n, Diff: &ds, Plan: d.plan, Ph: computePh})
-		names = append(names, named{name: n, d: decl{schema: ds, plan: d.plan}})
-	}
-	for _, want := range []DiffType{DiffDelete, DiffUpdate, DiffInsert} {
-		for _, nd := range names {
-			if nd.d.schema.Type == want {
-				g.steps = append(g.steps, &ApplyStep{Table: table, DiffName: nd.name, Diff: nd.d.schema, Ph: applyPh})
-			}
-		}
-	}
 }
 
 // materializeDecls converts freshly emitted decls into reference decls
@@ -548,13 +592,13 @@ func (g *gen) scanDecls(s *algebra.Scan) []decl {
 		// Rename bare diff columns to qualified ones.
 		var items []algebra.ProjItem
 		for k, id := range ds.IDs {
-			items = append(items, algebra.ProjItem{E: exprCol(id), As: qds.IDs[k]})
+			items = append(items, algebra.ProjItem{E: expr.C(id), As: qds.IDs[k]})
 		}
 		for k, a := range ds.Pre {
-			items = append(items, algebra.ProjItem{E: exprCol(PreName(a)), As: PreName(qds.Pre[k])})
+			items = append(items, algebra.ProjItem{E: expr.C(PreName(a)), As: PreName(qds.Pre[k])})
 		}
 		for k, a := range ds.Post {
-			items = append(items, algebra.ProjItem{E: exprCol(PostName(a)), As: PostName(qds.Post[k])})
+			items = append(items, algebra.ProjItem{E: expr.C(PostName(a)), As: PostName(qds.Post[k])})
 		}
 		out = append(out, decl{schema: qds, plan: algebra.NewProject(ref, items)})
 	}

@@ -55,12 +55,10 @@ type minimizer struct {
 }
 
 func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
+	n = mapChildren(n, m.rewrite) // bottom-up: the cases below see rewritten inputs
 	switch x := n.(type) {
-	case *algebra.Scan, *algebra.RelRef, *algebra.Empty:
-		return n
-
 	case *algebra.Select:
-		child := m.rewrite(x.Child)
+		child := x.Child
 		if expr.IsTrueLit(x.Pred) {
 			return child
 		}
@@ -70,10 +68,10 @@ func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
 		if cs, ok := child.(*algebra.Select); ok {
 			return m.rewrite(algebra.NewSelect(cs.Child, expr.And(cs.Pred, x.Pred)))
 		}
-		return &algebra.Select{Child: child, Pred: x.Pred}
+		return x
 
 	case *algebra.Project:
-		child := m.rewrite(x.Child)
+		child := x.Child
 		if isEmpty(child) {
 			return &algebra.Empty{Sch: x.Schema()}
 		}
@@ -104,10 +102,10 @@ func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
 				return child
 			}
 		}
-		return &algebra.Project{Child: child, Items: x.Items}
+		return x
 
 	case *algebra.Join:
-		l, r := m.rewrite(x.Left), m.rewrite(x.Right)
+		l, r := x.Left, x.Right
 		if isEmpty(l) || isEmpty(r) {
 			return &algebra.Empty{Sch: x.Schema()}
 		}
@@ -127,10 +125,10 @@ func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
 		if out, ok := m.insertJoinOwnPost(r, l, x.Pred, false); ok {
 			return m.rewrite(out)
 		}
-		return linearizeJoin(&algebra.Join{Left: l, Right: r, Pred: x.Pred})
+		return linearizeJoin(x)
 
 	case *algebra.SemiJoin:
-		l, r := m.rewrite(x.Left), m.rewrite(x.Right)
+		l, r := x.Left, x.Right
 		if isEmpty(l) {
 			return &algebra.Empty{Sch: x.Schema()}
 		}
@@ -145,10 +143,10 @@ func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
 		if out, ok := m.diffSemiOwnPost(l, r, x.Pred, true); ok {
 			return m.rewrite(out)
 		}
-		return &algebra.SemiJoin{Left: l, Right: r, Pred: x.Pred}
+		return x
 
 	case *algebra.AntiJoin:
-		l, r := m.rewrite(x.Left), m.rewrite(x.Right)
+		l, r := x.Left, x.Right
 		if isEmpty(l) {
 			return &algebra.Empty{Sch: x.Schema()}
 		}
@@ -163,19 +161,9 @@ func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
 		if out, ok := m.diffSemiOwnPost(l, r, x.Pred, false); ok {
 			return m.rewrite(out)
 		}
-		return &algebra.AntiJoin{Left: l, Right: r, Pred: x.Pred}
-
-	case *algebra.GroupBy:
-		child := m.rewrite(x.Child)
-		return &algebra.GroupBy{Child: child, Keys: x.Keys, Aggs: x.Aggs}
-
-	case *algebra.UnionAll:
-		l, r := m.rewrite(x.Left), m.rewrite(x.Right)
-		return &algebra.UnionAll{Left: l, Right: r, BranchAttr: x.BranchAttr}
-
-	default:
-		return n
+		return x
 	}
+	return n
 }
 
 func isEmpty(n algebra.Node) bool {

@@ -77,8 +77,13 @@ func minMaxMods(t *testing.T, d *db.Database, rng *rand.Rand, nextID *int) {
 // delete-heavy streams — per-step reports, database counters and view
 // state must stay byte-identical, and the view must match a from-scratch
 // recompute every round. A third system registered with NoCache pins the
-// point of the cache: the cached path must spend strictly fewer accesses
-// on the same stream than group recompute from the base table.
+// point of the cache: the cached path must spend less than half the
+// accesses of group recompute from the base table on the same stream
+// (7 174 against 19 523 once both sides compute ΔK/ΔR once — before that
+// 16 758 against 56 685, so "fewer" alone would no longer say much). The
+// bound also guards the dispatch: letting the cache's synthetic γ-COUNT,
+// whose input is a base-table scan, take the per-diff dispatch costs
+// 62 083 on this stream (DESIGN.md §16).
 func TestMinMaxCachedDifferential(t *testing.T) {
 	dC := minMaxItemsDB(t, storage.NewMem())
 	dI := minMaxItemsDB(t, storage.NewMem())
@@ -150,8 +155,8 @@ func TestMinMaxCachedDifferential(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if cached >= nocache {
-		t.Fatalf("multiset cache saved nothing: cached %d accesses, nocache %d", cached, nocache)
+	if 2*cached >= nocache {
+		t.Fatalf("multiset cache saves too little: cached %d accesses, nocache %d", cached, nocache)
 	}
 	t.Logf("delete-heavy stream: cached %d accesses vs nocache %d (%.1f%% of recompute)",
 		cached, nocache, 100*float64(cached)/float64(nocache))

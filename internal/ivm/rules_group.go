@@ -24,42 +24,72 @@ func renamedInput(in inputFn, st rel.State, sfx string) algebra.Node {
 	return renameAll(n, sfx)
 }
 
-// groupRules dispatches between the incremental aggregation path
+// groupRules dispatches each input diff of a γ to the incremental path
 // (Tables 9, 11 and 12 for SUM, COUNT and AVG, extended with group
-// creation/deletion handling) and the general recompute path (Table 7,
-// used for MIN/MAX, duplicate elimination, and updates that modify
-// grouping attributes).
+// creation/deletion) or to the general recompute path (Table 7). A diff is
+// key-moving when it is an update whose post set intersects the grouping
+// attributes: it moves tuples between groups, which only Table 7 handles.
+//
+//	aggregates      mode / input          key-moving diffs   other diffs
+//	SUM/COUNT/AVG   any, none key-moving  —                  Tables 9/11/12
+//	SUM/COUNT       ID mode, stored input Table 7 on ΔK      Tables 9/11, ΔG ▷ ΔK
+//	SUM/COUNT/AVG   otherwise             Table 7            Table 7
+//	MIN/MAX (arg)   ID mode, caches on    multiset cache     multiset cache
+//	anything else   any                   Table 7            Table 7
+//
+// The mixed row is exact because ΔK holds the pre- and the post-group of
+// every moved tuple: a group outside ΔK neither lost nor gained a moved
+// tuple, so the other diffs' combined delta ΔG ▷ ΔK describes it
+// completely, and a group inside ΔK is recomputed from the input's
+// post-state, which already reflects every diff. No group takes both
+// paths. It is confined to stored inputs because the incremental path's
+// new-group and dead-group probes read the input by group key — an index
+// lookup on a cache, repeated scans of an unmaterialized input (DESIGN.md
+// §16 records the measured regression).
 func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
 	if len(ins) == 0 {
 		return nil, nil
 	}
-	incremental := len(op.Aggs) > 0
+	incremental, hasAvg := len(op.Aggs) > 0, false
 	for _, a := range op.Aggs {
 		switch a.Fn {
-		case algebra.AggSum, algebra.AggCount, algebra.AggAvg:
+		case algebra.AggSum, algebra.AggCount:
+		case algebra.AggAvg:
+			hasAvg = true
 		default:
 			incremental = false
 		}
 	}
+	var moving, rest []decl
 	for _, in := range ins {
 		if in.schema.Type == DiffUpdate && len(rel.Intersect(op.Keys, in.schema.Post)) > 0 {
-			incremental = false // grouping attributes updated
+			moving = append(moving, in)
+		} else {
+			rest = append(rest, in)
 		}
 	}
-	if incremental {
-		return g.groupIncremental(op, ins, input, output, ph)
-	}
-	if g.minMaxCacheable(op) {
+	inRef, _ := input(rel.StatePost).(*algebra.RelRef)
+	switch {
+	case incremental && len(moving) == 0:
+		return g.groupIncremental(op, ins, nil, input, output, ph)
+	case incremental && !hasAvg && !g.tupleMode && inRef != nil && inRef.Stored:
+		ak := g.share("ΔK", affectedGroupKeys(op, moving, input), ph)
+		incr, err := g.groupIncremental(op, rest, ak, input, output, ph)
+		if err != nil {
+			return nil, err
+		}
+		return append(g.classifyRecomputed(op, ak, input(rel.StatePost), output, ph), incr...), nil
+	case g.minMaxCacheable(op):
 		return g.groupMinMaxCached(op, ins, input, output, ph)
 	}
-	g.flushPending()
-	return g.groupRecompute(op, ins, input, output)
+	ak := g.share("ΔK", affectedGroupKeys(op, ins, input), ph)
+	return g.classifyRecomputed(op, ak, input(rel.StatePost), output, ph), nil
 }
 
 // minMaxCacheable reports whether the ordered-multiset cache path applies:
 // every aggregate is a MIN/MAX with an argument and caches are enabled.
-// Updates that move tuples across groups need no special case here —
-// affectedGroupKeys collects both group images and the affected groups are
+// Updates that move tuples across groups need no special case here — the
+// cache's own diffs name both group images and the affected groups are
 // recomputed from the cache's exact post-state.
 func (g *gen) minMaxCacheable(op *algebra.GroupBy) bool {
 	if g.tupleMode || g.opts.NoCache || len(op.Aggs) == 0 {
@@ -87,12 +117,11 @@ const minMaxMultCol = "#mult"
 // update that moves argument values lands on the recompute path of the
 // synthetic γ, still exact.
 func (g *gen) groupMinMaxCached(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
-	keys := op.Keys
 	vcols := []string{}
 	for _, a := range op.Aggs {
 		vcols = rel.Union(vcols, a.Arg.Cols())
 	}
-	cacheKeys := rel.Union(append([]string(nil), keys...), vcols)
+	cacheKeys := rel.Union(append([]string(nil), op.Keys...), vcols)
 
 	cacheName := g.freshCache()
 	cachePlan := algebra.NewGroupBy(input(rel.StatePost), cacheKeys,
@@ -106,17 +135,18 @@ func (g *gen) groupMinMaxCached(op *algebra.GroupBy, ins []decl, input inputFn, 
 	if err != nil {
 		return nil, err
 	}
-	g.emit(cacheName, cacheDecls, ph, PhaseCacheUpdate)
+	cacheDiffs := g.emitAndRef(cacheName, cacheDecls, ph, PhaseCacheUpdate)
 
-	// Affected groups recompute from C's post-state — the emit above
-	// ordered C's applies before the view steps this returns into.
-	ak := affectedGroupKeys(op, ins, input)
-	rec := algebra.NewGroupBy(
-		algebra.NewSemiJoin(
-			algebra.NewStoredRef(cacheName, cacheSchema, rel.StatePost),
-			renameAll(ak, "@k"), idEq(keys, "@k")),
-		keys, op.Aggs)
-	return classifyRecomputed(op, ak, rec, output)
+	// A group's extremes can only move when its multiset does, and every
+	// diff of C names its (group, value) row by full ID: the affected
+	// groups are the Ḡ columns of C's own diffs — no stored access. They
+	// recompute from C's post-state, behind C's applies.
+	var keyPlans []algebra.Node
+	for _, d := range cacheDiffs {
+		keyPlans = append(keyPlans, algebra.Keep(d.plan, op.Keys...))
+	}
+	ak := g.share("ΔK", dedupKeys(unionPlans(keyPlans), op.Keys), ph)
+	return g.classifyRecomputed(op, ak, algebra.NewStoredRef(cacheName, cacheSchema, rel.StatePost), output, ph), nil
 }
 
 // kappaCol names the i-th input-tuple ID column carried by contribution
@@ -298,8 +328,10 @@ func restrictMap(base map[string]string, ids, needed []string) map[string]string
 // per-group delta relation, joins it with the operator's Output to update
 // existing groups, and — as an extension over the paper, which "does not
 // handle group creation/deletion" — recomputes newly created groups from
-// the input cache and deletes groups whose tuple count reaches zero.
-func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
+// the input cache and deletes groups whose tuple count reaches zero. A
+// non-nil ak names the groups the caller recomputes instead (groupRules'
+// mixed dispatch); they are removed from the combined delta.
+func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node, input inputFn, output inputFn, ph Phase) ([]decl, error) {
 	// 1. Contributions from every diff, partitioned by diff kind so that
 	// overlapping contributions from different base-diff paths can be
 	// deduplicated: two paths deleting (or inserting) the same input tuple
@@ -325,8 +357,10 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 	for i := range childKey {
 		kcols = append(kcols, kappaCol(i))
 	}
+	upds := byKind[DiffUpdate]
 	var parts []algebra.Node
 	var allCols []string
+	// collect unions one kind's contributions into the combined delta.
 	collect := func(kind DiffType) algebra.Node {
 		ps := byKind[kind]
 		if len(ps) == 0 {
@@ -336,20 +370,14 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 		if allCols == nil {
 			allCols = u.Schema().Attrs
 		}
-		if len(ps) == 1 {
-			return u
+		if len(ps) > 1 {
+			u = dedupKeys(u, allCols)
 		}
-		return dedupKeys(u, allCols)
+		parts = append(parts, u)
+		return u
 	}
 	dels := collect(DiffDelete)
 	insrt := collect(DiffInsert)
-	upds := byKind[DiffUpdate]
-	if dels != nil {
-		parts = append(parts, dels)
-	}
-	if insrt != nil {
-		parts = append(parts, insrt)
-	}
 	if len(upds) > 0 {
 		u := unionPlans(upds)
 		if allCols == nil {
@@ -374,9 +402,11 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 			parts = append(parts, u)
 		}
 	}
-	union := unionPlans(parts)
 
-	// 2. The combined group-delta relation CD = γ_Ḡ, sum(Δ…).
+	// 2. The combined group-delta relation CD = γ_Ḡ, sum(Δ…), scheduled
+	// before the input cache's (deferred) applies: it reads only pre-state,
+	// so its probes reuse the cache's live post-state indexes.
+	keys := op.Keys
 	var cdAggs []algebra.Agg
 	for j := range op.Aggs {
 		cdAggs = append(cdAggs,
@@ -384,19 +414,13 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 			algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(cntDeltaCol(j)), As: cntDeltaCol(j) + "Σ"})
 	}
 	cdAggs = append(cdAggs, algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(tupleCntCol), As: tupleCntCol + "Σ"})
-	cdPlan := algebra.NewGroupBy(union, op.Keys, cdAggs)
-
-	cdName := g.fresh("ΔG")
-	g.steps = append(g.steps, &ComputeStep{Name: cdName, Plan: cdPlan, Ph: ph})
-	// The combined delta reads only pre-state; scheduling it before the
-	// input cache's (deferred) applies lets its probes reuse the cache's
-	// live post-state indexes.
+	var cdPlan algebra.Node = algebra.NewGroupBy(unionPlans(parts), keys, cdAggs)
+	if ak != nil {
+		cdPlan = algebra.NewAntiJoin(cdPlan, renameAll(ak, "@k"), idEq(keys, "@k"))
+	}
+	cd := renameAll(g.share("ΔG", cdPlan, ph), "@d")
 	g.flushPending()
-	cdRef := func() algebra.Node { return algebra.NewRelRef(cdName, cdPlan.Schema()) }
-	cdRenamed := func() algebra.Node { return renameAll(cdRef(), "@d") }
 
-	outSchema := op.Schema()
-	keys := op.Keys
 	var aggCols []string
 	for _, a := range op.Aggs {
 		aggCols = append(aggCols, a.As)
@@ -404,41 +428,35 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 
 	// 3. Optional operator cache for AVG (Table 12): Ḡ plus the sum and
 	// count backing each AVG column, maintained alongside the view.
-	hasAvg := false
+	var ocAggs []algebra.Agg
 	for _, a := range op.Aggs {
 		if a.Fn == algebra.AggAvg {
-			hasAvg = true
+			ocAggs = append(ocAggs,
+				algebra.Agg{Fn: algebra.AggSum, Arg: a.Arg, As: a.As + "#sum"},
+				algebra.Agg{Fn: algebra.AggCount, Arg: a.Arg, As: a.As + "#cnt"})
 		}
 	}
+	hasAvg := len(ocAggs) > 0
+	dead := deadGroups(cd, input, keys)
 	var avgCacheName string
 	var avgCacheSchema rel.Schema
 	if hasAvg {
 		avgCacheName = g.freshCache()
-		var ocAggs []algebra.Agg
-		for _, a := range op.Aggs {
-			if a.Fn == algebra.AggAvg {
-				ocAggs = append(ocAggs,
-					algebra.Agg{Fn: algebra.AggSum, Arg: a.Arg, As: a.As + "#sum"},
-					algebra.Agg{Fn: algebra.AggCount, Arg: a.Arg, As: a.As + "#cnt"})
-			}
-		}
 		ocPlan := algebra.NewGroupBy(input(rel.StatePost), keys, ocAggs)
 		avgCacheSchema = ocPlan.Schema()
 		g.caches = append(g.caches, CacheDef{Name: avgCacheName, Plan: ocPlan})
-		if err := g.maintainAvgCache(op, cdRenamed, input, avgCacheName, avgCacheSchema, ph); err != nil {
-			return nil, err
-		}
+		g.maintainAvgCache(op, ocAggs, cd, dead, input, avgCacheName, avgCacheSchema, ph)
 	}
 
 	// 4. ∆u for existing groups: CD ⋈Ḡ Output_pre (one view index lookup
 	// per affected group — the |D|pg term of Table 3).
 	outPre := renamedInput(output, rel.StatePre, "") // plain names
-	join := algebra.NewJoin(cdRenamed(), outPre, idEqSwap(keys, "@d"))
+	join := algebra.NewJoin(cd, outPre, idEqBoth(keys, "@d", ""))
 	updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys, Pre: aggCols, Post: aggCols}
 	var updPlan algebra.Node = join
 	if hasAvg {
 		ocPost := algebra.NewStoredRef(avgCacheName, avgCacheSchema, rel.StatePost).Renamed("@c")
-		updPlan = algebra.NewJoin(updPlan, ocPost, idEqPlain(keys, "@c"))
+		updPlan = algebra.NewJoin(updPlan, ocPost, idEq(keys, "@c"))
 	}
 	var updItems []algebra.ProjItem
 	for _, k := range keys {
@@ -463,41 +481,49 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 	}
 	updOut := algebra.NewProject(updPlan, updItems)
 
-	// 5. ∆+ for newly created groups (extension): group keys in CD but not
-	// in Output, recomputed from the input's post-state.
-	newKeys := projectSuffixToPlain(
-		algebra.NewAntiJoin(cdRenamed(), outPre, idEqSwap(keys, "@d")), keys, "@d")
-	recNew := algebra.NewGroupBy(
-		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
-		keys, op.Aggs)
-	insDS := insertSchemaFor("", outSchema)
-	insOut := toDiff(recNew, insDS, nil)
-
-	// 6. ∆- for dying groups (extension): groups that received deletions
-	// and have no remaining tuple in the input's post-state.
-	delCandidates := projectSuffixToPlain(
-		algebra.NewSelect(cdRenamed(), expr.Lt(expr.C(tupleCntCol+"Σ@d"), expr.IntLit(0))),
-		keys, "@d")
-	dead := algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s"))
+	// 5–6. ∆+ for newly created and ∆- for dying groups (extension).
+	recNew := newGroups(cd, outPre, idEqBoth(keys, "@d", ""), input, keys, op.Aggs)
+	insDS := insertSchemaFor("", op.Schema())
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
-	delOut := algebra.Keep(dead, keys...)
 
 	return []decl{
-		{schema: delDS, plan: delOut},
+		{schema: delDS, plan: dead},
 		{schema: updDS, plan: updOut},
-		{schema: insDS, plan: insOut},
+		{schema: insDS, plan: toDiff(recNew, insDS, nil)},
 	}, nil
+}
+
+// newGroups is the incremental rules' ∆+ extension: the groups of the
+// combined delta cd (columns suffixed "@d") that `existing` — the pre-state
+// of the table being maintained, matched through pred — does not hold yet,
+// recomputed with aggs from the input's post-state.
+func newGroups(cd, existing algebra.Node, pred expr.Expr, input inputFn, keys []string, aggs []algebra.Agg) algebra.Node {
+	newKeys := projectSuffixToPlain(algebra.NewAntiJoin(cd, existing, pred), keys, "@d")
+	return algebra.NewGroupBy(
+		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
+		keys, aggs)
+}
+
+// deadGroups is their ∆- extension: the groups of cd that received
+// deletions and have no tuple left in the input's post-state.
+func deadGroups(cd algebra.Node, input inputFn, keys []string) algebra.Node {
+	delCandidates := projectSuffixToPlain(
+		algebra.NewSelect(cd, expr.Lt(expr.C(tupleCntCol+"Σ@d"), expr.IntLit(0))),
+		keys, "@d")
+	return algebra.Keep(
+		algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s")),
+		keys...)
 }
 
 // maintainAvgCache emits the cache maintenance steps for the AVG operator
 // cache: update existing groups by the accumulated deltas, insert new
 // groups recomputed from the input, and delete dead groups (Table 12's
 // cache maintenance rules).
-func (g *gen) maintainAvgCache(op *algebra.GroupBy, cdRenamed func() algebra.Node,
-	input inputFn, cacheName string, cacheSchema rel.Schema, ph Phase) error {
+func (g *gen) maintainAvgCache(op *algebra.GroupBy, ocAggs []algebra.Agg, cd, dead algebra.Node,
+	input inputFn, cacheName string, cacheSchema rel.Schema, ph Phase) {
 	keys := op.Keys
 	ocPre := algebra.NewStoredRef(cacheName, cacheSchema, rel.StatePre).Renamed("@c")
-	join := algebra.NewJoin(cdRenamed(), ocPre, idEqBoth(keys, "@d", "@c"))
+	join := algebra.NewJoin(cd, ocPre, idEqBoth(keys, "@d", "@c"))
 
 	var pre, post []string
 	var items []algebra.ProjItem
@@ -517,119 +543,95 @@ func (g *gen) maintainAvgCache(op *algebra.GroupBy, cdRenamed func() algebra.Nod
 			algebra.ProjItem{E: expr.AddE(expr.C(sumCol+"@c"), expr.C(sumDeltaCol(j)+"Σ@d")), As: PostName(sumCol)},
 			algebra.ProjItem{E: expr.AddE(expr.C(cntCol+"@c"), expr.C(cntDeltaCol(j)+"Σ@d")), As: PostName(cntCol)})
 	}
+	recNew := newGroups(cd, ocPre, idEqBoth(keys, "@d", "@c"), input, keys, ocAggs)
 	updDS := DiffSchema{Type: DiffUpdate, Rel: cacheName, IDs: keys, Pre: pre, Post: post}
-	updName := g.fresh("Δ")
-	g.steps = append(g.steps,
-		&ComputeStep{Name: updName, Diff: &updDS, Plan: algebra.NewProject(join, items), Ph: ph})
-
-	// New groups: recompute their sums/counts from the input post-state.
-	newKeys := projectSuffixToPlain(
-		algebra.NewAntiJoin(cdRenamed(), ocPre, idEqBoth(keys, "@d", "@c")), keys, "@d")
-	var ocAggs []algebra.Agg
-	for _, a := range op.Aggs {
-		if a.Fn == algebra.AggAvg {
-			ocAggs = append(ocAggs,
-				algebra.Agg{Fn: algebra.AggSum, Arg: a.Arg, As: a.As + "#sum"},
-				algebra.Agg{Fn: algebra.AggCount, Arg: a.Arg, As: a.As + "#cnt"})
-		}
-	}
-	recNew := algebra.NewGroupBy(
-		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
-		keys, ocAggs)
 	insDS := insertSchemaFor(cacheName, cacheSchema)
-	insName := g.fresh("Δ")
-	g.steps = append(g.steps,
-		&ComputeStep{Name: insName, Diff: &insDS, Plan: toDiff(recNew, insDS, nil), Ph: ph})
-
-	// Dead groups.
-	delCandidates := projectSuffixToPlain(
-		algebra.NewSelect(cdRenamed(), expr.Lt(expr.C(tupleCntCol+"Σ@d"), expr.IntLit(0))),
-		keys, "@d")
-	dead := algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s"))
 	delDS := DiffSchema{Type: DiffDelete, Rel: cacheName, IDs: keys}
-	delName := g.fresh("Δ")
+	updName, insName, delName := g.fresh("Δ"), g.fresh("Δ"), g.fresh("Δ")
 	g.steps = append(g.steps,
-		&ComputeStep{Name: delName, Diff: &delDS, Plan: algebra.Keep(dead, keys...), Ph: ph})
-
-	applyPh := PhaseCacheUpdate
-	g.steps = append(g.steps,
-		&ApplyStep{Table: cacheName, DiffName: delName, Diff: delDS, Ph: applyPh},
-		&ApplyStep{Table: cacheName, DiffName: updName, Diff: updDS, Ph: applyPh},
-		&ApplyStep{Table: cacheName, DiffName: insName, Diff: insDS, Ph: applyPh})
-	return nil
-}
-
-// groupRecompute implements the general aggregation rule (Table 7): find
-// every affected group, recompute it from the input's post-state, and
-// classify the results against the operator's Output into updates,
-// inserts (new groups) and deletes (vanished groups).
-func (g *gen) groupRecompute(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn) ([]decl, error) {
-	keys := op.Keys
-
-	// 1. Affected group keys from every diff (pre and post images).
-	ak := affectedGroupKeys(op, ins, input)
-
-	// 2. Recompute the affected groups from the input's post-state.
-	rec := algebra.NewGroupBy(
-		algebra.NewSemiJoin(input(rel.StatePost), renameAll(ak, "@k"), idEq(keys, "@k")),
-		keys, op.Aggs)
-
-	return classifyRecomputed(op, ak, rec, output)
+		&ComputeStep{Name: updName, Diff: &updDS, Plan: algebra.NewProject(join, items), Ph: ph},
+		&ComputeStep{Name: insName, Diff: &insDS, Plan: toDiff(recNew, insDS, nil), Ph: ph},
+		&ComputeStep{Name: delName, Diff: &delDS, Plan: dead, Ph: ph},
+		&ApplyStep{Table: cacheName, DiffName: delName, Diff: delDS, Ph: PhaseCacheUpdate},
+		&ApplyStep{Table: cacheName, DiffName: updName, Diff: updDS, Ph: PhaseCacheUpdate},
+		&ApplyStep{Table: cacheName, DiffName: insName, Diff: insDS, Ph: PhaseCacheUpdate})
 }
 
 // affectedGroupKeys builds the deduplicated union of every group key some
-// diff touches, reading pre and post images as the diff kind requires
-// (step 1 of the general aggregation rule, Table 7).
+// diff of ins touches, reading pre and post images as the diff kind
+// requires (step 1 of the general aggregation rule, Table 7). The result
+// covers the pre- and the post-group of every tuple a diff touches; it may
+// name more groups, never fewer.
 func affectedGroupKeys(op *algebra.GroupBy, ins []decl, input inputFn) algebra.Node {
 	keys := op.Keys
-	var keyPlans []algebra.Node
-	addKeys := func(in decl, st rel.State) {
-		ds := in.schema
-		if canReconstruct(in, keys, st) {
-			keyPlans = append(keyPlans, algebra.Keep(reconstruct(in, keys, st), keys...))
-			return
-		}
-		// Join the input's pre-state on the diff IDs to recover Ḡ.
-		j := algebra.NewJoin(in.plan, renamedInput(input, rel.StatePre, "@in"), idEq(ds.IDs, "@in"))
-		var items []algebra.ProjItem
-		for _, k := range keys {
-			src := k + "@in"
-			if st == rel.StatePost && rel.Contains(ds.Post, k) {
-				src = PostName(k)
-			} else if rel.Contains(ds.IDs, k) {
-				src = k
-			}
-			items = append(items, algebra.ProjItem{E: expr.C(src), As: k})
-		}
-		keyPlans = append(keyPlans, algebra.NewProject(j, items))
+	moving := func(ds DiffSchema) bool {
+		return ds.Type == DiffUpdate && len(rel.Intersect(keys, ds.Post)) > 0
 	}
-	for _, in := range ins {
-		switch in.schema.Type {
-		case DiffInsert:
-			addKeys(in, rel.StatePost)
-		case DiffDelete:
-			addKeys(in, rel.StatePre)
-		case DiffUpdate:
-			addKeys(in, rel.StatePre)
-			if len(rel.Intersect(keys, in.schema.Post)) > 0 {
-				addKeys(in, rel.StatePost)
+	var keyPlans []algebra.Node
+	for i, in := range ins {
+		ds := in.schema
+		states := []rel.State{rel.StatePre}
+		if ds.Type == DiffInsert {
+			states[0] = rel.StatePost
+		} else if moving(ds) {
+			states = append(states, rel.StatePost)
+		}
+		// A diff that does not carry Ḡ joins the input's pre-state on its
+		// IDs to recover it — one join, whichever images are read from it.
+		var widened algebra.Node
+		for _, st := range states {
+			if canReconstruct(in, keys, st) {
+				keyPlans = append(keyPlans, algebra.Keep(reconstruct(in, keys, st), keys...))
+				continue
 			}
+			if widened == nil {
+				widened = algebra.NewJoin(in.plan, renamedInput(input, rel.StatePre, "@in"), idEq(ds.IDs, "@in"))
+			}
+			var items []algebra.ProjItem
+			for _, k := range keys {
+				src := k + "@in"
+				if st == rel.StatePost && rel.Contains(ds.Post, k) {
+					src = PostName(k)
+				} else if rel.Contains(ds.IDs, k) {
+					src = k
+				}
+				items = append(items, algebra.ProjItem{E: expr.C(src), As: k})
+			}
+			keyPlans = append(keyPlans, algebra.NewProject(widened, items))
+		}
+		// The post image above takes the grouping attributes this diff does
+		// not update from the tuple's pre-state. That is the tuple's group
+		// unless another key-moving diff changed one of them in the same
+		// round: whenever such a diff is non-empty, read the groups of this
+		// diff's tuples from the input's post-state as well.
+		var rivals []algebra.Node
+		for j, o := range ins {
+			if len(states) > 1 && j != i && moving(o.schema) && len(rel.Intersect(rel.Minus(keys, ds.Post), o.schema.Post)) > 0 {
+				rivals = append(rivals, algebra.NewProject(o.plan, []algebra.ProjItem{{E: expr.IntLit(1), As: "#hit"}}))
+			}
+		}
+		if len(rivals) > 0 {
+			hit := algebra.NewSemiJoin(in.plan, unionPlans(rivals), expr.True())
+			exact := algebra.NewJoin(hit, renamedInput(input, rel.StatePost, "@p"), idEq(ds.IDs, "@p"))
+			keyPlans = append(keyPlans, projectSuffixToPlain(exact, keys, "@p"))
 		}
 	}
 	return dedupKeys(unionPlans(keyPlans), keys)
 }
 
-// classifyRecomputed classifies recomputed affected groups against the
-// operator's Output into updates, inserts and deletes — steps 3–5 of the
-// general aggregation rule, shared by the recompute and min/max-cache
-// paths (they differ only in where rec reads the group's tuples from).
-func classifyRecomputed(op *algebra.GroupBy, ak, rec algebra.Node, output inputFn) ([]decl, error) {
+// classifyRecomputed is steps 2–5 of the general aggregation rule (Table
+// 7): recompute the groups of ak from `from` — the input's post-state, or
+// the min/max multiset cache's — once into ΔR, then classify ΔR against
+// the operator's Output into updates, inserts (new groups) and deletes
+// (vanished groups). Each of the three diffs reads ΔK/ΔR by reference.
+func (g *gen) classifyRecomputed(op *algebra.GroupBy, ak, from algebra.Node, output inputFn, ph Phase) []decl {
 	keys := op.Keys
-	outSchema := op.Schema()
 	var aggCols []string
 	for _, a := range op.Aggs {
 		aggCols = append(aggCols, a.As)
 	}
+	rec := g.share("ΔR", algebra.NewGroupBy(
+		algebra.NewSemiJoin(from, renameAll(ak, "@k"), idEq(keys, "@k")), keys, op.Aggs), ph)
 	outPre := renamedInput(output, rel.StatePre, "@o")
 
 	var outs []decl
@@ -641,14 +643,13 @@ func classifyRecomputed(op *algebra.GroupBy, ak, rec algebra.Node, output inputF
 		outs = append(outs, decl{schema: updDS, plan: upd})
 	}
 	// 4. New groups → ∆+.
-	insDS := insertSchemaFor("", outSchema)
-	ins2 := toDiff(algebra.NewAntiJoin(rec, outPre, idEq(keys, "@o")), insDS, nil)
-	outs = append(outs, decl{schema: insDS, plan: ins2})
+	insDS := insertSchemaFor("", op.Schema())
+	ins := toDiff(algebra.NewAntiJoin(rec, outPre, idEq(keys, "@o")), insDS, nil)
+	outs = append(outs, decl{schema: insDS, plan: ins})
 	// 5. Vanished groups → ∆-: affected keys with no recomputed group.
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
 	del := algebra.NewAntiJoin(ak, renameAll(algebra.Keep(rec, keys...), "@r"), idEq(keys, "@r"))
-	outs = append(outs, decl{schema: delDS, plan: del})
-	return outs, nil
+	return append(outs, decl{schema: delDS, plan: del})
 }
 
 // projectSuffixToPlain projects suffixed key columns back to plain names.
@@ -660,19 +661,8 @@ func projectSuffixToPlain(plan algebra.Node, keys []string, sfx string) algebra.
 	return algebra.NewProject(plan, items)
 }
 
-// idEqSwap joins sfx-renamed left columns to plain right columns.
-func idEqSwap(ids []string, sfx string) expr.Expr {
-	terms := make([]expr.Expr, len(ids))
-	for i, id := range ids {
-		terms[i] = expr.Eq(expr.C(id+sfx), expr.C(id))
-	}
-	return expr.And(terms...)
-}
-
-// idEqPlain joins plain left columns to sfx-renamed right columns.
-func idEqPlain(ids []string, sfx string) expr.Expr { return idEq(ids, sfx) }
-
-// idEqBoth joins lsfx-renamed columns to rsfx-renamed columns.
+// idEqBoth joins lsfx-renamed columns to rsfx-renamed columns (either
+// suffix may be empty).
 func idEqBoth(ids []string, lsfx, rsfx string) expr.Expr {
 	terms := make([]expr.Expr, len(ids))
 	for i, id := range ids {

@@ -8,8 +8,6 @@ import (
 	"idivm/internal/rel"
 )
 
-func exprCol(name string) expr.Expr { return expr.C(name) }
-
 // insertSchemaFor builds the canonical insert diff schema over a node's
 // output: full IDs plus post-state values for every non-ID attribute.
 func insertSchemaFor(relName string, sch rel.Schema) DiffSchema {
@@ -56,7 +54,7 @@ func (g *gen) selectRules(op *algebra.Select, in decl, input inputFn) ([]decl, e
 		}
 
 		if canEvalPre(pred, ds) && canEvalPost(pred, ds) {
-			return g.selectUpdateFast(op, in, pred, childSchema)
+			return g.selectUpdateFast(op, in, pred, childSchema, input)
 		}
 		return g.selectUpdateFallback(op, in, pred, childSchema, input)
 	}
@@ -65,8 +63,9 @@ func (g *gen) selectRules(op *algebra.Select, in decl, input inputFn) ([]decl, e
 
 // selectUpdateFast handles updates touching φ when the diff carries every
 // needed pre/post column: the staying, entering and leaving tuples are all
-// computed from the diff alone.
-func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, childSchema rel.Schema) ([]decl, error) {
+// computed from the diff alone — except that an entering tuple's other
+// attributes, when the diff does not carry them, come from Input_post.
+func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, childSchema rel.Schema, input inputFn) ([]decl, error) {
 	ds := in.schema
 	prePred := expr.Rename(pred, preMap(ds))
 	postPred := expr.Rename(pred, postMap(ds))
@@ -80,12 +79,15 @@ func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, chil
 	})
 
 	// Entering tuples: ¬φ(pre) ∧ φ(post) → insert (needs full post tuples).
+	entering := algebra.NewSelect(in.plan, expr.And(expr.Not(prePred), postPred))
+	var full algebra.Node
 	if canReconstruct(in, childSchema.Attrs, rel.StatePost) {
-		entering := algebra.NewSelect(in.plan, expr.And(expr.Not(prePred), postPred))
-		insDS := insertSchemaFor(ds.Rel, childSchema)
-		plan := toDiff(reconstruct(decl{schema: ds, plan: entering}, childSchema.Attrs, rel.StatePost), insDS, nil)
-		outs = append(outs, decl{schema: insDS, plan: plan})
+		full = reconstruct(decl{schema: ds, plan: entering}, childSchema.Attrs, rel.StatePost)
+	} else {
+		full = algebra.NewSemiJoin(input(rel.StatePost), renameAll(algebra.Keep(entering, ds.IDs...), "@k"), idEq(ds.IDs, "@k"))
 	}
+	insDS := insertSchemaFor(ds.Rel, childSchema)
+	outs = append(outs, decl{schema: insDS, plan: toDiff(full, insDS, nil)})
 
 	// Leaving tuples: φ(pre) ∧ ¬φ(post) → delete.
 	leaving := algebra.NewSelect(in.plan, expr.And(prePred, expr.Not(postPred)))
@@ -109,7 +111,7 @@ func (g *gen) selectUpdateFallback(op *algebra.Select, in decl, pred expr.Expr, 
 
 	affected := func(st rel.State, sfx string) algebra.Node {
 		return algebra.NewSelect(
-			algebra.NewSemiJoin(input(st), renameAll(keys, sfx), idEqCols(ids, sfx)),
+			algebra.NewSemiJoin(input(st), renameAll(keys, sfx), idEq(ids, sfx)),
 			pred)
 	}
 	oldSat := affected(rel.StatePre, "@k1")
@@ -153,9 +155,6 @@ func mapIDs(ids []string, km map[string]string) []string {
 	}
 	return out
 }
-
-// idEqCols joins plain id columns against their sfx-renamed counterparts.
-func idEqCols(ids []string, sfx string) expr.Expr { return idEq(ids, sfx) }
 
 // projectRules implements the rules for the generalized projection
 // πD̄,f(X̄)→c (Table 8). Pass 1 guarantees the child's IDs survive as

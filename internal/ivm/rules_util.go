@@ -215,13 +215,7 @@ func renameAll(plan algebra.Node, suffix string) algebra.Node {
 
 // idEq builds the equality predicate joining ids on the left plan to
 // ids+suffix on the right plan.
-func idEq(ids []string, suffix string) expr.Expr {
-	terms := make([]expr.Expr, len(ids))
-	for i, id := range ids {
-		terms[i] = expr.Eq(expr.C(id), expr.C(id+suffix))
-	}
-	return expr.And(terms...)
-}
+func idEq(ids []string, suffix string) expr.Expr { return idEqBoth(ids, "", suffix) }
 
 // unionPlans chains UnionAll over plans with identical attribute lists,
 // projecting out the branch attributes, yielding their bag union.

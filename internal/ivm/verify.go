@@ -61,6 +61,10 @@ const (
 	// sources of an already-registered view — cascades must form a DAG so
 	// topological (level-ordered) maintenance terminates.
 	VerifyCyclicView VerifyCode = "cyclic-view"
+	// VerifyDuplicateSubplan: a script evaluates one diff-driven sub-plan
+	// twice against the same state. Generation ends by hoisting such repeats
+	// (gen.shareRepeats), so no view plan can trip this; it guards that pass.
+	VerifyDuplicateSubplan VerifyCode = "duplicate-subplan"
 )
 
 // VerifyError is a structured verification failure naming the offending
@@ -109,7 +113,9 @@ func verr(s *Script, code VerifyCode, step int, name, format string, args ...any
 //   - minimization safety (minimized scripts only): no surviving join,
 //     semijoin or antisemijoin combines a delete diff with its own target's
 //     post-state on the diff's full IDs — the C2 shapes Figure 8 proves
-//     empty.
+//     empty;
+//   - sharing: no diff-driven sub-plan is evaluated twice against the same
+//     state (repeatedSubplan).
 //
 // It returns nil or the first violation as a *VerifyError.
 func Verify(s *Script) error {
@@ -171,7 +177,7 @@ func Verify(s *Script) error {
 		}
 	}
 
-	computed := map[string]int{}            // binding name → defining step index
+	computed := map[string]int{}             // binding name → defining step index
 	computedDiff := map[string]*DiffSchema{} // binding name → declared diff schema
 	sawViewUpdate := false
 
@@ -307,6 +313,10 @@ func Verify(s *Script) error {
 			}
 		}
 	}
+	if prev, at, sub := repeatedSubplan(s.Steps, newSubplans()); sub != nil {
+		return verr(s, VerifyDuplicateSubplan, at, s.Steps[at].(*ComputeStep).Name,
+			"diff-driven sub-plan already evaluated at step %d: %s", prev, sub)
+	}
 	return nil
 }
 
@@ -414,4 +424,119 @@ func setEqualStrs(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// subplans interns plan nodes bottom-up: two nodes get the same id iff they
+// render alike and scan the same states. An id is built from the node's
+// own rendering over its children's ids, so interning a plan is linear in
+// its size (registration time is a benchmark metric); nodes are immutable,
+// so generation keeps one table across the iterations of shareRepeats.
+//
+// driven marks a sub-plan worth a step of its own: it reads stored data, so
+// evaluating it is charged, and a binding of the round, so it is free
+// whenever its diffs are empty. A sub-plan without a binding is an access
+// path or the Input of a subview the mode did not materialize: it is
+// evaluated only through the diff-driven operator above it, and a step of
+// its own would compute the whole subview every round.
+type subplans struct {
+	ids   map[string]int
+	nodes map[algebra.Node]subplan
+}
+
+type subplan struct {
+	id            int
+	stored, bound bool
+}
+
+func (sp subplan) driven() bool { return sp.stored && sp.bound }
+
+func newSubplans() *subplans {
+	return &subplans{ids: map[string]int{}, nodes: map[algebra.Node]subplan{}}
+}
+
+func (m *subplans) of(n algebra.Node) subplan {
+	sp, ok := m.nodes[n]
+	if ok {
+		return sp
+	}
+	state := "" // of a Scan, which its rendering omits
+	switch x := n.(type) {
+	case *algebra.Scan:
+		sp.stored, state = true, fmt.Sprint("|", x.St)
+	case *algebra.RelRef:
+		sp.stored, sp.bound = x.Stored, !x.Stored
+	}
+	key := mapChildren(n, func(c algebra.Node) algebra.Node {
+		k := m.of(c)
+		sp.stored, sp.bound = sp.stored || k.stored, sp.bound || k.bound
+		return &algebra.RelRef{Name: fmt.Sprint("#", k.id)}
+	}).String() + state
+	if sp.id, ok = m.ids[key]; !ok {
+		sp.id = len(m.ids)
+		m.ids[key] = sp.id
+	}
+	m.nodes[n] = sp
+	return sp
+}
+
+// mapChildren rebuilds n over f(child) for each of its children; a leaf is
+// returned as it is.
+func mapChildren(n algebra.Node, f func(algebra.Node) algebra.Node) algebra.Node {
+	switch x := n.(type) {
+	case *algebra.Select:
+		return &algebra.Select{Child: f(x.Child), Pred: x.Pred}
+	case *algebra.Project:
+		return &algebra.Project{Child: f(x.Child), Items: x.Items}
+	case *algebra.GroupBy:
+		return &algebra.GroupBy{Child: f(x.Child), Keys: x.Keys, Aggs: x.Aggs}
+	case *algebra.Join:
+		return &algebra.Join{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+	case *algebra.SemiJoin:
+		return &algebra.SemiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+	case *algebra.AntiJoin:
+		return &algebra.AntiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+	case *algebra.UnionAll:
+		return &algebra.UnionAll{Left: f(x.Left), Right: f(x.Right), BranchAttr: x.BranchAttr}
+	}
+	return n
+}
+
+// repeatedSubplan finds the first breach of "computed once and referenced
+// by name" (Section 4 pass 3, Figure 7), extended from diffs to their
+// sub-plans: a diff-driven sub-plan that step `at` evaluates although step
+// prev (possibly the same one) did and no apply step since changed a table
+// the sub-plan reads in post-state — pre-states are frozen for the round
+// and no script writes a base table, so both evaluations agree. It returns
+// the largest such sub-plan of the earliest such step, or a nil sub.
+func repeatedSubplan(steps []Step, memo *subplans) (prev, at int, sub algebra.Node) {
+	seen := map[int]int{}         // sub-plan id → step that last evaluated it
+	lastApply := map[string]int{} // table → latest apply step so far
+	for i, st := range steps {
+		cs, ok := st.(*ComputeStep)
+		if !ok {
+			lastApply[st.(*ApplyStep).Table] = i
+			continue
+		}
+		algebra.Walk(cs.Plan, func(n algebra.Node) {
+			sp := memo.of(n)
+			if sub != nil || !sp.driven() {
+				return
+			}
+			p, dup := seen[sp.id]
+			seen[sp.id] = i
+			if !dup {
+				return
+			}
+			for _, l := range planLeaves(n) {
+				if a, ok := lastApply[l.Name]; ok && l.Kind == leafStored && l.St == rel.StatePost && a > p {
+					return // re-evaluated against a newer state
+				}
+			}
+			prev, at, sub = p, i, n
+		})
+		if sub != nil {
+			break
+		}
+	}
+	return prev, at, sub
 }

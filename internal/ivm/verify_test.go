@@ -305,6 +305,72 @@ func TestVerifyRejectsUnsafeShapeAfterMinimize(t *testing.T) {
 	}
 }
 
+// Mutation: undoing a share — inlining a transient step's plan back into
+// the steps that read it — makes a script evaluate one diff-driven sub-plan
+// once per reader. The seeded case is the recompute ΔR of a γ-MIN (Table
+// 7): its three classification diffs read it.
+func TestVerifyRejectsInlinedSharedSubplan(t *testing.T) {
+	scan := algebra.NewScan("parts", "", minParts)
+	sel := algebra.NewSelect(scan, expr.Gt(expr.C("parts.price"), expr.IntLit(0)))
+	plan := algebra.NewGroupBy(sel, []string{"parts.price"},
+		[]algebra.Agg{{Fn: algebra.AggMin, Arg: expr.C("parts.pid"), As: "first"}})
+	base, err := GenerateBaseDiffSchemas(plan, verifyTableSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Generate("V", plan, base, false, GenOptions{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(s); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	var shared *ComputeStep
+	for _, st := range s.Steps {
+		if cs, ok := st.(*ComputeStep); ok && strings.HasPrefix(cs.Name, "ΔR") {
+			shared = cs
+		}
+	}
+	if shared == nil {
+		t.Fatalf("fixture should recompute affected groups into ΔR:\n%s", s)
+	}
+	var inline func(n algebra.Node) algebra.Node
+	inline = func(n algebra.Node) algebra.Node {
+		switch x := n.(type) {
+		case *algebra.RelRef:
+			if x.Name == shared.Name {
+				return shared.Plan
+			}
+		case *algebra.Project:
+			return &algebra.Project{Child: inline(x.Child), Items: x.Items}
+		case *algebra.SemiJoin:
+			return &algebra.SemiJoin{Left: inline(x.Left), Right: inline(x.Right), Pred: x.Pred}
+		case *algebra.AntiJoin:
+			return &algebra.AntiJoin{Left: inline(x.Left), Right: inline(x.Right), Pred: x.Pred}
+		}
+		return n
+	}
+	readers := 0
+	for _, st := range s.Steps {
+		if cs, ok := st.(*ComputeStep); ok && cs != shared {
+			if p := inline(cs.Plan); p.String() != cs.Plan.String() {
+				cs.Plan = p
+				readers++
+			}
+		}
+	}
+	if readers < 2 {
+		t.Fatalf("ΔR should have several readers, found %d:\n%s", readers, s)
+	}
+	ve := wantCode(t, Verify(s), VerifyDuplicateSubplan)
+	if !strings.Contains(ve.Detail, "γ[parts.price") {
+		t.Errorf("violation should name the repeated sub-plan: %s", ve)
+	}
+	if ve.Step < 0 || !strings.Contains(ve.Detail, "step") {
+		t.Errorf("violation should name both evaluating steps: %s", ve)
+	}
+}
+
 func TestVerifyErrorRendering(t *testing.T) {
 	e := &VerifyError{Code: VerifyOrphanCache, View: "V", Step: -1, Name: "cache:V:1", Detail: "d"}
 	for _, frag := range []string{"orphan-cache", "V", "script", "cache:V:1"} {
@@ -315,5 +381,64 @@ func TestVerifyErrorRendering(t *testing.T) {
 	e.Step = 3
 	if !strings.Contains(e.Error(), "step 3") {
 		t.Errorf("step index missing: %s", e.Error())
+	}
+}
+
+// The sharing rule is about evaluations against the same state: the same
+// probe of a cache's post-state before and after an apply to that cache is
+// two different values and stays two evaluations; an apply to another table,
+// or a probe of the frozen pre-state, changes nothing. shareRepeats hoists
+// exactly what repeatedSubplan reports, once however many readers follow.
+func TestRepeatedSubplanRespectsApplies(t *testing.T) {
+	cache := rel.NewSchema([]string{"k", "v"}, []string{"k"})
+	diff := algebra.NewRelRef("Δ1", rel.NewSchema([]string{"k@d"}, nil))
+	probe := func(st rel.State) algebra.Node {
+		return algebra.NewJoin(diff, algebra.NewStoredRef("c", cache, st), expr.Eq(expr.C("k@d"), expr.C("k")))
+	}
+	ds := &DiffSchema{Type: DiffInsert, Rel: "v", IDs: []string{"k"}}
+	script := func(st rel.State, applyTo string) []Step {
+		return []Step{
+			&ComputeStep{Name: "Δ2", Diff: ds, Plan: probe(st)},
+			&ApplyStep{Table: applyTo, DiffName: "Δ1"},
+			&ComputeStep{Name: "Δ3", Diff: ds, Plan: probe(st)},
+			&ComputeStep{Name: "Δ4", Plan: algebra.Keep(probe(st), "k")},
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		steps    []Step
+		prev, at int // -1: no repeat between Δ2 and Δ3
+	}{
+		{"post-state, apply to the cache between", script(rel.StatePost, "c"), 2, 3},
+		{"post-state, apply to another table", script(rel.StatePost, "other"), 0, 2},
+		{"pre-state, apply to the cache between", script(rel.StatePre, "c"), 0, 2},
+	} {
+		prev, at, sub := repeatedSubplan(tc.steps, newSubplans())
+		if sub == nil || prev != tc.prev || at != tc.at {
+			t.Errorf("%s: repeat (%d, %d, %v), want steps %d and %d", tc.name, prev, at, sub, tc.prev, tc.at)
+		}
+		g := &gen{steps: tc.steps}
+		g.shareRepeats()
+		var names []string
+		for _, st := range g.steps {
+			if cs, ok := st.(*ComputeStep); ok {
+				names = append(names, cs.Name+"="+cs.Plan.String())
+			} else {
+				names = append(names, "APPLY")
+			}
+		}
+		got := strings.Join(names, " ; ")
+		want := "ΔS1=" + probe(rel.StatePost).String() + " ; Δ2=@ΔS1 ; APPLY ; Δ3=@ΔS1 ; Δ4=π[k](@ΔS1)"
+		if tc.prev == 2 { // Δ2 keeps its own evaluation; Δ3 and Δ4 share the later one
+			want = "Δ2=" + probe(rel.StatePost).String() + " ; APPLY ; ΔS1=" + probe(rel.StatePost).String() + " ; Δ3=@ΔS1 ; Δ4=π[k](@ΔS1)"
+		} else if strings.HasPrefix(tc.name, "pre") {
+			want = strings.ReplaceAll(want, "[post]", "[pre]")
+		}
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
+		}
+		if _, _, sub := repeatedSubplan(g.steps, newSubplans()); sub != nil {
+			t.Errorf("%s: a repeat survives the pass: %s", tc.name, sub)
+		}
 	}
 }
