@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-serving lint lint-json fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-sharded bench-smoke-serving bench-smoke-skew
+.PHONY: check build vet test race race-sharded race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-sharded bench-smoke-serving bench-smoke-skew
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
-# tests on both storage engines, the repository linter, a short run of the
-# epoch fuzz target, and a smoke run of the end-to-end benchmark (a module
-# of its own that `./...` does not reach). Any lint finding fails the build.
-check: build vet race race-sharded lint fuzz-smoke bench-e2e-smoke
+# tests on both storage engines, the repository linter, the non-test line
+# count per package, a short run of the epoch fuzz target, and a smoke run
+# of the end-to-end benchmark (a module of its own that `./...` does not
+# reach). Any lint finding fails the build.
+check: build vet race race-sharded lint loc fuzz-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -40,6 +41,15 @@ lint:
 lint-json:
 	$(GO) run ./cmd/ivmlint -o lint.json ./...
 
+# loc prints the non-test Go lines of every package (every line of every
+# *.go file that is not a _test.go file, comments and blanks included) and
+# their total — ROADMAP aim 2's "least code" as a number every PR shows.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -printf '%h\n' | sort -u | while read -r d; do \
+		printf '%6d  %s\n' "$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
+	done
+	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec cat {} + | wc -l)"
+
 # fuzz-smoke runs the table-epoch fuzz target (writes × Begin/Advance/
 # EndEpoch programs against the full-copy oracle, see
 # internal/rel/epochtest) for twenty seconds. A failure leaves its
@@ -65,9 +75,7 @@ bench-e2e-smoke:
 # accesses/op per row) and compared against testdata/bench_baseline.json
 # on the deterministic accesses/op metric (>20% worse fails; ns/op and
 # allocs/op appear as informational columns — gate on allocations with
-# BENCHJSON_FLAGS='... -metric allocs/op'). The SPJBatchedMaintenance row
-# runs under IDIVM_BATCH_SIZE=1024: its accesses/op must match the
-# SPJNonConditionalUpdate/id row — batching is invisible to the cost model.
+# BENCHJSON_FLAGS='... -metric allocs/op').
 # The Fig10 rows (all eight BSMA views, both modes) are the gate on the γ
 # rules: Q11, Q18, Q*1–Q*3 are aggregates over joins, and a rule that
 # evaluates one sub-plan per output diff shows up there as a multiple.
@@ -82,7 +90,6 @@ BENCHJSON_FLAGS ?= -o BENCH.json -baseline testdata/bench_baseline.json
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig12a_DiffSize$$/^d=200$$' -benchtime=1x . | tee bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkSPJNonConditionalUpdate$$' -benchtime=1x . | tee -a bench.txt
-	IDIVM_BATCH_SIZE=1024 $(GO) test -run '^$$' -bench '^BenchmarkSPJBatchedMaintenance$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkScanHeavyRecompute$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkBatch(Filter|HashJoin)$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt

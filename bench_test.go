@@ -76,22 +76,6 @@ func benchOpWorkers() int {
 	return n
 }
 
-// benchBatchSize reads $IDIVM_BATCH_SIZE, the bench-smoke knob that runs
-// every compiled compute step through the columnar batch kernels
-// (0 = tuple mode). Access counts are invariant under the knob, so the
-// gated accesses/op column is unaffected; only ns/op and allocs/op move.
-func benchBatchSize() int {
-	v := os.Getenv("IDIVM_BATCH_SIZE")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		panic(fmt.Sprintf("bad IDIVM_BATCH_SIZE %q", v))
-	}
-	return n
-}
-
 // benchSkewThreshold reads $IDIVM_SKEW_THRESHOLD, the heavy-key threshold
 // the skew sweep's on-lanes run at (default 16). Unlike the other knobs,
 // a positive threshold deliberately CHANGES access counts — that is the
@@ -115,7 +99,6 @@ func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode, workers 
 	sys := ivm.NewSystem(ds.DB)
 	sys.Workers = workers
 	sys.OpWorkers = benchOpWorkers()
-	sys.BatchSize = benchBatchSize()
 	plan := ds.SPJPlan()
 	if agg {
 		plan = ds.AggPlan()
@@ -306,15 +289,19 @@ func BenchmarkSPJNonConditionalUpdate(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, benchWorkers) })
 }
 
-// BenchmarkSPJBatchedMaintenance is the bench-smoke lane for the
-// IDIVM_BATCH_SIZE knob: the same workload and Δ-script as
-// BenchmarkSPJNonConditionalUpdate/id, but bench-smoke runs it under
-// IDIVM_BATCH_SIZE=1024 so the full maintenance path (not just isolated
-// kernels) flows through the columnar executor. Its own name keeps the
-// tuple-mode row intact in BENCH.json; the gated accesses/op must equal
-// the /id row's — batching is invisible to the cost model.
-func BenchmarkSPJBatchedMaintenance(b *testing.B) {
-	benchIVM(b, benchWorkloadParams(), false, ivm.ModeID, 1)
+// BenchmarkSmallDiff is the small-diff guard of the single columnar path
+// (ROADMAP item 1: "a 100-row i-diff must not pay a 1024-row batch's
+// set-up"): the SPJ view maintained in both modes at d ∈ {1, 10, 100, 1000}
+// price updates per round. accesses/op is deterministic per d; a fixed
+// per-batch cost would show up in B/op and allocs/op at d = 1, where eight
+// of the nine compute steps see an empty diff and the ninth one row.
+func BenchmarkSmallDiff(b *testing.B) {
+	for _, d := range []int{1, 10, 100, 1000} {
+		p := benchWorkloadParams()
+		p.DiffSize = d
+		b.Run(fmt.Sprintf("d=%d/id", d), func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, 1) })
+		b.Run(fmt.Sprintf("d=%d/tuple", d), func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple, 1) })
+	}
 }
 
 // benchSkewLane measures maintenance rounds of the skewed-join feed view
@@ -326,7 +313,6 @@ func benchSkewLane(b *testing.B, p workload.SkewParams, thresh int) {
 	ds := workload.BuildSkew(p)
 	sys := ivm.NewSystem(ds.DB)
 	sys.OpWorkers = benchOpWorkers()
-	sys.BatchSize = benchBatchSize()
 	sys.SkewThreshold = thresh
 	if _, err := sys.RegisterView("feed", ds.FeedPlan(), ivm.ModeID); err != nil {
 		b.Fatal(err)
@@ -428,7 +414,6 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 		ds := bsma.Build(p)
 		sys := ivm.NewSystem(ds.DB)
 		sys.OpWorkers = benchOpWorkers()
-		sys.BatchSize = benchBatchSize()
 		if _, err := sys.RegisterView("v1", cascadeL1Plan(ds.DB), ivm.ModeID); err != nil {
 			b.Fatal(err)
 		}
@@ -469,7 +454,7 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		env := &opBenchEnv{Env: ds.DB, w: benchOpWorkers(), bs: benchBatchSize()}
+		env := &opBenchEnv{Env: ds.DB, w: benchOpWorkers()}
 		var accesses int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -490,17 +475,14 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 	})
 }
 
-// opBenchEnv grants a database environment intra-operator workers and a
-// batch size, engaging the partition-parallel and/or columnar kernels in
-// compiled plans.
+// opBenchEnv grants a database environment intra-operator workers,
+// engaging the chunk-parallel form of the kernels in compiled plans.
 type opBenchEnv struct {
 	algebra.Env
-	w  int
-	bs int
+	w int
 }
 
-func (e *opBenchEnv) OpWorkers() int { return e.w }
-func (e *opBenchEnv) BatchSize() int { return e.bs }
+func (e *opBenchEnv) Knobs() algebra.Knobs { return algebra.Knobs{OpWorkers: e.w} }
 
 // BenchmarkScanHeavyRecompute measures full recomputation of the Figure 1b
 // (SPJ) and Figure 5b (aggregate) views over a ~200k-row devices_parts
@@ -528,24 +510,9 @@ func BenchmarkScanHeavyRecompute(b *testing.B) {
 		for _, w := range []struct {
 			name string
 			n    int
-			bs   int
-		}{{"seq", 1, 0}, {"op4", 4, 0}, {"b1024", 1, 1024}, {"b1024-op4", 4, 1024}} {
+		}{{"seq", 1}, {"op4", 4}} {
 			b.Run(v.name+"/"+w.name, func(b *testing.B) {
-				env := &opBenchEnv{Env: ds.DB, w: w.n, bs: w.bs}
-				var accesses, rows int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ds.DB.Counter().Reset()
-					r, err := compiled.Run(env)
-					if err != nil {
-						b.Fatal(err)
-					}
-					accesses += ds.DB.Counter().Total()
-					rows += int64(r.Len())
-				}
-				b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
-				b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+				runCompiledBench(b, ds.DB, compiled, &opBenchEnv{Env: ds.DB, w: w.n})
 			})
 		}
 	}
@@ -573,42 +540,28 @@ func batchBenchDB(b *testing.B, rows int) *db.Database {
 	return d
 }
 
-// runCompiledBench measures repeated runs of one compiled plan in tuple
-// mode and at BatchSize=1024, reporting the gated accesses/op (identical
-// across modes by construction) plus rows/op.
-func runCompiledBench(b *testing.B, d *db.Database, plan algebra.Node) {
-	compiled, err := algebra.Compile(plan)
-	if err != nil {
-		b.Fatal(err)
+// runCompiledBench measures repeated runs of one compiled plan under env
+// (an environment over d), reporting the gated accesses/op plus rows/op.
+func runCompiledBench(b *testing.B, d *db.Database, compiled *algebra.ExecPlan, env algebra.Env) {
+	var accesses, rows int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Counter().Reset()
+		r, err := compiled.Run(env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		accesses += d.Counter().Total()
+		rows += int64(r.Len())
 	}
-	for _, m := range []struct {
-		name string
-		bs   int
-	}{{"tuple", 0}, {"b1024", 1024}} {
-		b.Run(m.name, func(b *testing.B) {
-			env := &opBenchEnv{Env: d, w: 1, bs: m.bs}
-			var accesses, rows int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Counter().Reset()
-				r, err := compiled.Run(env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses += d.Counter().Total()
-				rows += int64(r.Len())
-			}
-			b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
-			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
-		})
-	}
+	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
-// BenchmarkBatchFilter isolates the σ kernels: a conjunctive comparison
-// filter over a 200k-row scan, tuple mode vs the type-specialized batch
-// predicate loops. Access counts (the full scan) are identical; the
-// delta is pure per-row execution overhead.
+// BenchmarkBatchFilter isolates the σ kernel: a conjunctive comparison
+// filter over a 200k-row scan through the type-specialized predicate
+// loops. The access count is the full scan.
 func BenchmarkBatchFilter(b *testing.B) {
 	d := batchBenchDB(b, 200000)
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
@@ -616,13 +569,13 @@ func BenchmarkBatchFilter(b *testing.B) {
 		expr.And(
 			expr.Lt(expr.C("big.grp"), expr.IntLit(7)),
 			expr.Gt(expr.C("big.k"), expr.IntLit(1000))))
-	runCompiledBench(b, d, plan)
+	runCompiledBench(b, d, algebra.MustCompile(plan), d)
 }
 
-// BenchmarkBatchHashJoin isolates the hash-join kernels: a self-join of
-// two 200k-row derived projections, tuple mode's string-keyed hash table
-// vs the batch FNV-digest build and gather-pair probe. Both sides are
-// derived, so the only charged accesses are the two scans.
+// BenchmarkBatchHashJoin isolates the hash-join kernel: a self-join of
+// two 200k-row derived projections through the FNV-digest build and
+// gather-pair probe. Both sides are derived, so the only charged accesses
+// are the two scans.
 func BenchmarkBatchHashJoin(b *testing.B) {
 	d := batchBenchDB(b, 200000)
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
@@ -637,7 +590,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 			{E: expr.C("big.val"), As: "rv"},
 		}),
 		expr.Eq(expr.C("lk"), expr.C("rk")))
-	runCompiledBench(b, d, plan)
+	runCompiledBench(b, d, algebra.MustCompile(plan), d)
 }
 
 // benchIVMOpts is benchIVM with generation options, for ablations.

@@ -19,19 +19,20 @@ func escape(h *storage.Handle) storage.Table {
 }
 
 // The batch converters are uncharged by design; outside internal/algebra
-// and internal/rel they move tuples around the charge point.
+// (compiled plan leaves, ExecPlan.Run, the nested-loop strategies) and
+// internal/rel they move tuples around the charge point.
 
 func smuggleIn(rows []rel.Tuple) *rel.Batch {
 	sch := rel.NewSchema([]string{"a"}, nil)
-	return rel.FromTuples(sch, rows) // violation: uncharged batch conversion outside the kernels
+	return rel.FromTuples(sch, rows) // violation: uncharged batch conversion outside the compiled plans
 }
 
 func smuggleRel(r *rel.Relation) *rel.Batch {
-	return rel.FromRelation(r) // violation: uncharged batch conversion outside the kernels
+	return rel.FromRelation(r) // violation: uncharged batch conversion outside the compiled plans
 }
 
 func smuggleOut(b *rel.Batch) *rel.Relation {
-	return b.Materialize(0) // violation: uncharged materialization outside the kernels
+	return b.Materialize(0) // violation: uncharged materialization outside the compiled plans
 }
 
 // The key-frequency statistics are uncharged like IndexCard — sound while

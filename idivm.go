@@ -66,7 +66,6 @@ type Option func(*openConfig)
 type openConfig struct {
 	engine        Engine
 	opWorkers     int
-	batchSize     int
 	skewThreshold int
 	serving       *ServingOptions
 }
@@ -87,21 +86,12 @@ func WithOpWorkers(n int) Option { return func(c *openConfig) { c.opWorkers = n 
 // n (per the engine's uncharged key-frequency statistics) are treated as
 // heavy — the round probes each distinct heavy key once and serves every
 // further occurrence from a per-round cache, while light keys keep the
-// index-pushdown path. Unlike WithOpWorkers and WithBatchSize, this knob
+// index-pushdown path. Unlike WithOpWorkers, this knob
 // deliberately CHANGES access counts (that is the point: fewer probes on
 // skewed diffs); for a fixed threshold the results and counts remain
 // byte-identical across engines and execution strategies. 0 (the default)
 // keeps the single-strategy plans and never consults the statistics.
 func WithSkewThreshold(n int) Option { return func(c *openConfig) { c.skewThreshold = n } }
-
-// WithBatchSize routes every compiled maintenance step through the
-// columnar batch kernels: operators exchange column vectors with
-// selection-vector narrowing instead of boxed tuples, and results
-// materialize back to tuples in n-row arena chunks only where they hit
-// storage. 0 (the default) keeps tuple-at-a-time execution. Composes
-// with WithOpWorkers; results and access counts are identical either
-// way — only ns/op and allocs/op move.
-func WithBatchSize(n int) Option { return func(c *openConfig) { c.batchSize = n } }
 
 // ServingOptions tunes the concurrent serving layer; see WithServing.
 // Zero MaxBatch and Queue pick the defaults (128 and 1024); MaxDelay has
@@ -138,7 +128,6 @@ func Open(opts ...Option) *DB {
 	d := db.NewWith(cfg.engine)
 	sys := ivm.NewSystem(d)
 	sys.OpWorkers = cfg.opWorkers
-	sys.BatchSize = cfg.batchSize
 	sys.SkewThreshold = cfg.skewThreshold
 	x := &DB{d: d, sys: sys}
 	if cfg.serving != nil {
@@ -365,10 +354,6 @@ func (x *DB) SetWorkers(n int) { x.sys.Workers = n }
 // SetOpWorkers adjusts the intra-operator worker budget after Open; see
 // WithOpWorkers.
 func (x *DB) SetOpWorkers(n int) { x.sys.OpWorkers = n }
-
-// SetBatchSize adjusts the columnar batch size after Open; see
-// WithBatchSize.
-func (x *DB) SetBatchSize(n int) { x.sys.BatchSize = n }
 
 // SetSkewThreshold adjusts the heavy-key threshold after Open; see
 // WithSkewThreshold.

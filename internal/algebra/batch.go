@@ -1,7 +1,6 @@
-// Columnar batch kernels: the BatchSize>0 execution mode of compiled
-// plans. When the environment implements BatchEnv with a positive batch
-// size, ExecPlan.Run routes the plan through runBatch methods that move
-// column vectors (rel.Batch) instead of boxed tuples:
+// Columnar kernels: what the compiled operators' run bodies (compile.go)
+// are built from. They move column vectors (rel.Batch) instead of boxed
+// tuples:
 //
 //   - σ runs type-specialized predicate loops over []int64 / []float64 /
 //     []string payloads (no rel.Value boxing per row) and narrows the
@@ -15,23 +14,28 @@
 //     column is a uniform int vector, falling back to the canonical
 //     encoded-key map otherwise.
 //
-// Every kernel preserves tuple-mode semantics bit-for-bit: row order,
-// float widening in comparisons (Value.compare), NULL folding (every
-// comparison with NULL is false, including <>), Same-based key equality
-// (EncodeKey is canonical and injective w.r.t. Same, so hash buckets
-// verified column-wise with Same reproduce the tuple-mode string-keyed
-// buckets exactly), group first-appearance order, and float aggregation
-// fold order. Storage is touched through exactly the same Handle calls
-// as tuple mode — batches form right after a charged Scan/Lookup and
+// Every kernel reproduces the interpreted evaluator's semantics
+// bit-for-bit: row order, float widening in comparisons (Value.compare),
+// NULL folding (every comparison with NULL is false, including <>),
+// Same-based key equality (EncodeKey is canonical and injective w.r.t.
+// Same, so hash buckets verified column-wise with Same reproduce
+// string-keyed buckets exactly), group first-appearance order, and float
+// aggregation fold order. Storage is touched through exactly the Handle
+// calls Eval makes — batches form right after a charged Scan/Lookup and
 // materialize only at the plan root — so state, reports and access
-// counters are byte-identical across modes; only ns/op and allocs/op
-// move. Operators that are order-sensitive in ways batching cannot
-// reproduce cheaply (nested-loop joins, the dedup-heavy semiProbeLeft)
-// fall back to the tuple kernels via runNodeBatch.
+// counters are byte-identical to the oracle's.
 //
-// OpWorkers composes: chunked batch kernels mirror kernels.go — each
-// worker owns a probe clone and a counter shard, merges happen in chunk
-// order via parallelFor (pool.go), and no other goroutines exist here.
+// Three strategies are order-sensitive in ways columns cannot reproduce
+// cheaply — the nested-loop θ-join, the nested-loop semijoin and the
+// dedup-ordered semiProbeLeft. They stay row loops (nestedJoin, nestedSel,
+// probeLeft below), but over batches: children arrive as batches and the
+// result leaves as one, built from gather vectors.
+//
+// OpWorkers composes with every kernel the same way: the *Range form of a
+// kernel works on a chunk (or key partition) of its input; the sequential
+// run is the one-chunk case and the parallel run fans the chunks out via
+// pool.go — each worker on a probe clone and a private counter shard —
+// and merges in chunk order. No goroutine is launched here.
 
 package algebra
 
@@ -43,46 +47,6 @@ import (
 	"idivm/internal/rel"
 	"idivm/internal/storage"
 )
-
-// BatchEnv is an Env that additionally requests columnar batch execution.
-// BatchSize <= 0 selects tuple mode; a positive size enables the batch
-// kernels and sets the arena chunk granularity of the final
-// materialization.
-type BatchEnv interface {
-	Env
-	BatchSize() int
-}
-
-// batchSize extracts the effective batch size from an environment:
-// 0 (tuple mode) unless env implements BatchEnv with a positive size.
-func batchSize(env Env) int {
-	if be, ok := env.(BatchEnv); ok {
-		if n := be.BatchSize(); n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// batchNode is implemented by compiled operators with a columnar kernel.
-type batchNode interface {
-	runBatch(env Env, bs int) (*rel.Batch, error)
-}
-
-// runNodeBatch runs a compiled node in batch mode, falling back to the
-// tuple kernel plus a conversion for operators without a columnar
-// implementation. The fallback charges exactly what tuple mode charges
-// (it is tuple mode), so the conversion sits at a charged boundary.
-func runNodeBatch(c cNode, env Env, bs int) (*rel.Batch, error) {
-	if bn, ok := c.(batchNode); ok {
-		return bn.runBatch(env, bs)
-	}
-	r, err := c.run(env)
-	if err != nil {
-		return nil, err
-	}
-	return rel.FromRelation(r), nil
-}
 
 // ---------------------------------------------------------------------------
 // Specialized predicate evaluation (σ)
@@ -102,6 +66,7 @@ type bTerm struct {
 type bPred struct {
 	terms []bTerm
 	rest  *expr.Compiled // nil when the terms cover the whole predicate
+	sel   []int32        // filter's candidate-selection scratch
 }
 
 // flipCmp mirrors a comparison for operand swap: lit op col ≡ col flip(op) lit.
@@ -330,21 +295,21 @@ func (tm *bTerm) passAt(c *rel.ColVec, i int) bool {
 }
 
 // filter narrows a batch by the predicate, returning a gathered view
-// (shared payloads, fresh selection vector). An all-pass filter returns
-// the input batch unchanged.
-func (p *bPred) filter(b *rel.Batch) *rel.Batch {
+// (shared payloads, fresh selection vector). When every row passes it
+// returns the input batch itself and when none does the caller's empty
+// batch; neither case allocates — the candidate selection is built in
+// scratch and copied, at its exact size, only when it is a proper subset.
+func (p *bPred) filter(b, empty *rel.Batch) *rel.Batch {
 	n := b.Len()
 	if n == 0 || (len(p.terms) == 0 && p.rest == nil) {
 		return b
 	}
-	var sel []int32
-	applied := false
+	sel := p.sel[:0]
 	for t := range p.terms {
 		tm := &p.terms[t]
 		col := &b.Cols[tm.col]
-		if !applied {
-			sel = tm.applyDense(col, n, make([]int32, 0, n))
-			applied = true
+		if t == 0 {
+			sel = tm.applyDense(col, n, sel)
 		} else {
 			kept := sel[:0]
 			for _, i := range sel {
@@ -360,15 +325,14 @@ func (p *bPred) filter(b *rel.Batch) *rel.Batch {
 	}
 	if p.rest != nil {
 		var buf rel.Tuple
-		if !applied {
-			sel = make([]int32, 0, n)
+		if len(p.terms) == 0 {
 			for i := 0; i < n; i++ {
 				buf = b.Row(i, buf)
 				if p.rest.EvalBool(buf) {
 					sel = append(sel, int32(i))
 				}
 			}
-		} else if len(sel) > 0 {
+		} else {
 			kept := sel[:0]
 			for _, i := range sel {
 				buf = b.Row(int(i), buf)
@@ -379,121 +343,14 @@ func (p *bPred) filter(b *rel.Batch) *rel.Batch {
 			sel = kept
 		}
 	}
-	return b.Gather(sel)
-}
-
-// ---------------------------------------------------------------------------
-// σ and π kernels
-
-func (c *cSelect) runBatch(env Env, bs int) (*rel.Batch, error) {
-	child, err := runNodeBatch(c.child, env, bs)
-	if err != nil {
-		return nil, err
+	p.sel = sel[:0]
+	switch len(sel) {
+	case n:
+		return b
+	case 0:
+		return empty
 	}
-	return c.bpred.filter(child), nil
-}
-
-// runBatch keeps cStoredSelect's index-vs-scan decision and Handle calls
-// exactly as in tuple mode; only the scan path's filtering is columnar.
-func (c *cStoredSelect) runBatch(env Env, bs int) (*rel.Batch, error) {
-	t, err := env.Table(c.table)
-	if err != nil {
-		return nil, err
-	}
-	if len(c.eqBare) > 0 {
-		p, n, err := t.IndexCard(c.st, c.eqBare, c.eqVals)
-		if err != nil {
-			return nil, err
-		}
-		if p+1 < n {
-			rows, keyBuf, err := t.LookupInto(c.st, c.prep, c.eqVals, c.keyBuf, make([]rel.Tuple, 0, p))
-			c.keyBuf = keyBuf
-			if err != nil {
-				return nil, err
-			}
-			if c.residual != nil {
-				kept := rows[:0]
-				for _, r := range rows {
-					if c.residual.EvalBool(r) {
-						kept = append(kept, r)
-					}
-				}
-				rows = kept
-			}
-			return rel.FromTuples(c.sch, rows), nil
-		}
-	}
-	var rows []rel.Tuple
-	if w := opWorkers(env); w > 1 {
-		if out, ok := scanPartsParallel(c.sch, t, c.st, w); ok {
-			rows = out.Tuples
-		}
-	}
-	if rows == nil {
-		rows = t.Scan(c.st)
-	}
-	return c.bfull.filter(rel.FromTuples(c.sch, rows)), nil
-}
-
-func (c *cProject) runBatch(env Env, bs int) (*rel.Batch, error) {
-	child, err := runNodeBatch(c.child, env, bs)
-	if err != nil {
-		return nil, err
-	}
-	out := &rel.Batch{Schema: c.sch, Cols: make([]rel.ColVec, len(c.items)), N: child.Len()}
-	var generic []int
-	for i := range c.items {
-		if j := c.colIdx[i]; j >= 0 {
-			// Plain column reference: alias the child vector (payload and
-			// indirection shared, zero copies, zero evaluations).
-			out.Cols[i] = child.Cols[j]
-			continue
-		}
-		generic = append(generic, i)
-	}
-	if len(generic) > 0 {
-		builders := make([]rel.ColBuilder, len(generic))
-		n := child.Len()
-		for k := range builders {
-			builders[k].Grow(n)
-		}
-		var buf rel.Tuple
-		for r := 0; r < n; r++ {
-			buf = child.Row(r, buf)
-			for k, i := range generic {
-				builders[k].Append(c.items[i].Eval(buf))
-			}
-		}
-		for k, i := range generic {
-			out.Cols[i] = builders[k].Vec()
-		}
-	}
-	return out, nil
-}
-
-func (c *cUnion) runBatch(env Env, bs int) (*rel.Batch, error) {
-	left, err := runNodeBatch(c.left, env, bs)
-	if err != nil {
-		return nil, err
-	}
-	right, err := runNodeBatch(c.right, env, bs)
-	if err != nil {
-		return nil, err
-	}
-	out := &rel.Batch{Schema: c.sch, Cols: make([]rel.ColVec, c.w+1), N: left.Len() + right.Len()}
-	for j := 0; j < c.w; j++ {
-		var cb rel.ColBuilder
-		cb.Grow(out.N)
-		cb.AppendVec(&left.Cols[j], left.Len())
-		cb.AppendVec(&right.Cols[j], right.Len())
-		out.Cols[j] = cb.Vec()
-	}
-	branch := make([]int64, out.N)
-	for i := left.Len(); i < out.N; i++ {
-		branch[i] = 1
-	}
-	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Ints: branch}
-	return out, nil
+	return b.GatherRows(append([]int32(nil), sel...))
 }
 
 // ---------------------------------------------------------------------------
@@ -520,15 +377,30 @@ func appendBatchKey(buf []byte, b *rel.Batch, idx []int, row int) []byte {
 }
 
 // buildHashIdx hashes the idx columns of every row of b into digest
-// buckets of row indices, in row order.
-func buildHashIdx(b *rel.Batch, idx []int) map[uint64][]int32 {
-	n := b.Len()
-	ht := make(map[uint64][]int32, n)
-	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = appendBatchKey(buf[:0], b, idx, i)
-		h := fnv1a64(buf)
-		ht[h] = append(ht[h], int32(i))
+// buckets of row indices, in row order. Chunks hash into local maps that
+// merge in chunk order, so a bucket's indices ascend whatever w is.
+func buildHashIdx(b *rel.Batch, idx []int, w int) map[uint64][]int32 {
+	spans := spansFor(b.Len(), w)
+	locals := make([]map[uint64][]int32, len(spans))
+	parallelFor(w, len(spans), func(i int) {
+		local := make(map[uint64][]int32, spans[i].hi-spans[i].lo)
+		var buf []byte
+		for r := spans[i].lo; r < spans[i].hi; r++ {
+			buf = appendBatchKey(buf[:0], b, idx, r)
+			h := fnv1a64(buf)
+			local[h] = append(local[h], int32(r))
+		}
+		locals[i] = local
+	})
+	var ht map[uint64][]int32
+	for _, local := range locals {
+		if ht == nil {
+			ht = local
+			continue
+		}
+		for h, rows := range local { //ivmlint:allow maprange — bucket contents keep chunk order; digest order is irrelevant
+			ht[h] = append(ht[h], rows...)
+		}
 	}
 	return ht
 }
@@ -544,104 +416,76 @@ func keysSameIdx(left, right *rel.Batch, lidx, ridx []int, li, ri int) bool {
 	return true
 }
 
-func (c *cJoin) runBatch(env Env, bs int) (*rel.Batch, error) {
-	if c.strategy == joinNested {
-		// Tuple fallback before any child runs, so nothing charges twice.
-		r, err := c.run(env)
-		if err != nil {
-			return nil, err
-		}
-		return rel.FromRelation(r), nil
+// drivingLeft reports whether a probe join drives from its left input
+// (and probes the stored right).
+func (c *cJoin) drivingLeft() bool { return c.strategy == joinProbeRight }
+
+// drive reports, for the two probe strategies, the driving side's key
+// positions and the stored side's width.
+func (c *cJoin) drive() (idx []int, storedW int) {
+	if c.drivingLeft() {
+		return c.lidx, c.rw
 	}
-	var left, right *rel.Batch
-	var err error
-	if c.shortLeft && c.left != nil {
-		if left, err = runNodeBatch(c.left, env, bs); err != nil {
-			return nil, err
-		}
-		if left.Len() == 0 {
-			return rel.NewBatch(c.sch), nil
-		}
-	} else if c.shortRight && c.right != nil {
-		if right, err = runNodeBatch(c.right, env, bs); err != nil {
-			return nil, err
-		}
-		if right.Len() == 0 {
-			return rel.NewBatch(c.sch), nil
-		}
-	}
-	if c.left != nil && left == nil {
-		if left, err = runNodeBatch(c.left, env, bs); err != nil {
-			return nil, err
-		}
-	}
-	if c.right != nil && right == nil {
-		if right, err = runNodeBatch(c.right, env, bs); err != nil {
-			return nil, err
-		}
-	}
-	switch c.strategy {
-	case joinProbeRight:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.prepareHeavyBatch(env, t, left, true); err != nil {
-			return nil, err
-		}
-		return c.probeBatch(t, left, true, opWorkers(env))
-	case joinProbeLeft:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.prepareHeavyBatch(env, t, right, false); err != nil {
-			return nil, err
-		}
-		return c.probeBatch(t, right, false, opWorkers(env))
-	default: // joinHash
-		return c.hashBatch(left, right, opWorkers(env))
-	}
+	return c.ridx, c.lw
 }
 
-// probeBatch drives joinProbeRight/joinProbeLeft from a columnar driving
+// probeJoin executes joinProbeRight/joinProbeLeft from a columnar driving
 // side. Per driving row the stored table is probed through exactly the
-// tuple-mode LookupInto calls; each match appends the driving row's
-// logical index to a gather vector and the probed tuple's values to
-// dense builders — driving-side payloads are never copied.
-func (c *cJoin) probeBatch(t *storage.Handle, driving *rel.Batch, drivingLeft bool, w int) (*rel.Batch, error) {
-	if w > 1 && driving.Len() >= MinOpRows {
-		return c.probeBatchParallel(t, driving, drivingLeft, w)
+// LookupInto calls Eval makes; the output is the driving side gathered by
+// the match vector (zero-copy) beside the probed tuples' values in dense
+// builders.
+func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch, w int) (*rel.Batch, error) {
+	if driving.Len() == 0 {
+		return c.empty, nil
 	}
-	G, stored, err := c.probeBatchRange(t, driving, drivingLeft, c.probe, 0, driving.Len())
+	spans := spansFor(driving.Len(), w)
+	gs := make([][]int32, len(spans))
+	parts := make([][]rel.ColBuilder, len(spans))
+	err := chargedSpans(t, w, spans, func(i int, th *storage.Handle) (err error) {
+		pr := c.probe
+		if len(spans) > 1 {
+			pr = pr.clone()
+		}
+		gs[i], parts[i], err = c.probeRange(th, driving, pr, spans[i])
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return c.assembleProbe(driving, drivingLeft, G, stored), nil
+	G, stored := concatSel(gs), parts[0]
+	if len(G) == 0 {
+		return c.empty, nil
+	}
+	for _, p := range parts[1:] {
+		for j := range stored {
+			v := p[j].Vec()
+			stored[j].AppendVec(&v, p[j].Len())
+		}
+	}
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(G)}
+	dcols, scols := out.Cols[:c.lw], out.Cols[c.lw:]
+	if !c.drivingLeft() {
+		scols, dcols = dcols, scols
+	}
+	copy(dcols, driving.GatherRows(G).Cols)
+	for j := range stored {
+		scols[j] = stored[j].Vec()
+	}
+	return out, nil
 }
 
-func (c *cJoin) probeBatchRange(t *storage.Handle, driving *rel.Batch, drivingLeft bool, pr *cProbe, lo, hi int) ([]int32, []rel.ColBuilder, error) {
-	idx, storedW := c.lidx, c.rw
-	if !drivingLeft {
-		idx, storedW = c.ridx, c.lw
-	}
+// probeRange probes for the driving rows of one span, consulting the
+// heavy-lane cache before the index.
+func (c *cJoin) probeRange(t *storage.Handle, driving *rel.Batch, pr *cProbe, sp span) ([]int32, []rel.ColBuilder, error) {
+	idx, storedW := c.drive()
 	// The match count is unknown until probed (selectivity can be ≪1), so
 	// the stored builders size themselves by doubling rather than reserving
-	// hi-lo rows up front.
+	// a row per driving row up front.
 	stored := make([]rel.ColBuilder, storedW)
-	G := make([]int32, 0, hi-lo)
+	G := make([]int32, 0, sp.hi-sp.lo)
 	var scratch rel.Tuple
-	for i := lo; i < hi; i++ {
-		null := false
-		for k, x := range idx {
-			v := driving.Cols[x].Value(i)
-			if v.IsNull() {
-				null = true
-				break
-			}
-			pr.valsBuf[k] = v
-		}
-		if null {
+	for i := sp.lo; i < sp.hi; i++ {
+		if !pr.fill(driving, idx, i) {
 			continue
 		}
 		rows, cached := c.heavyLookup(pr)
@@ -660,7 +504,7 @@ func (c *cJoin) probeBatchRange(t *storage.Handle, driving *rel.Batch, drivingLe
 		for _, mt := range rows {
 			if c.residual != nil {
 				lt, rt := scratch, mt
-				if !drivingLeft {
+				if !c.drivingLeft() {
 					lt, rt = mt, scratch
 				}
 				if !c.residual.EvalBool(lt, rt) {
@@ -676,89 +520,28 @@ func (c *cJoin) probeBatchRange(t *storage.Handle, driving *rel.Batch, drivingLe
 	return G, stored, nil
 }
 
-// assembleProbe lays out the join output: the driving side gathered by G
-// (zero-copy), the stored side as the dense builder payloads.
-func (c *cJoin) assembleProbe(driving *rel.Batch, drivingLeft bool, G []int32, stored []rel.ColBuilder) *rel.Batch {
-	out := &rel.Batch{Schema: c.sch, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(G)}
-	dg := driving.GatherRows(G)
-	if drivingLeft {
-		copy(out.Cols[:c.lw], dg.Cols)
-		for j := range stored {
-			out.Cols[c.lw+j] = stored[j].Vec()
-		}
-	} else {
-		for j := range stored {
-			out.Cols[j] = stored[j].Vec()
-		}
-		copy(out.Cols[c.lw:], dg.Cols)
+// hashJoin executes joinHash: digest buckets of row indices on the build
+// side, candidates verified with Same, matches emitted as (left, right)
+// gather-vector pairs — both outputs zero-copy.
+func (c *cJoin) hashJoin(left, right *rel.Batch, w int) *rel.Batch {
+	if left.Len() == 0 || right.Len() == 0 {
+		return c.empty
 	}
-	return out
-}
-
-// probeBatchParallel chunks the driving rows; each worker probes with a
-// private clone and counter shard, merges happen in chunk order — the
-// batch analogue of probeParallel.
-func (c *cJoin) probeBatchParallel(t *storage.Handle, driving *rel.Batch, drivingLeft bool, w int) (*rel.Batch, error) {
-	spans := chunkSpans(driving.Len(), w)
-	type chunkOut struct {
-		g      []int32
-		stored []rel.ColBuilder
-	}
-	outs := make([]chunkOut, len(spans))
-	shards := make([]rel.CostCounter, len(spans))
-	errs := make([]error, len(spans))
+	ht := buildHashIdx(right, c.ridx, w)
+	spans := spansFor(left.Len(), w)
+	gls, grs := make([][]int32, len(spans)), make([][]int32, len(spans))
 	parallelFor(w, len(spans), func(i int) {
-		pr := c.probe.clone()
-		th := t.WithCounter(&shards[i])
-		g, stored, err := c.probeBatchRange(th, driving, drivingLeft, pr, spans[i].lo, spans[i].hi)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		outs[i] = chunkOut{g: g, stored: stored}
+		gls[i], grs[i] = c.hashProbeRange(left, right, ht, spans[i])
 	})
-	for i := range shards {
-		t.Merge(shards[i])
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	storedW := c.rw
-	if !drivingLeft {
-		storedW = c.lw
-	}
-	var G []int32
-	merged := make([]rel.ColBuilder, storedW)
-	for _, o := range outs {
-		G = append(G, o.g...)
-		for j := range merged {
-			v := o.stored[j].Vec()
-			merged[j].AppendVec(&v, o.stored[j].Len())
-		}
-	}
-	return c.assembleProbe(driving, drivingLeft, G, merged), nil
+	return c.gatherPairs(left, right, concatSel(gls), concatSel(grs))
 }
 
-// hashBatch executes joinHash columnarly: digest buckets of row indices
-// on the build side, candidates verified with Same, matches emitted as
-// (left, right) gather-vector pairs — both outputs zero-copy.
-func (c *cJoin) hashBatch(left, right *rel.Batch, w int) (*rel.Batch, error) {
-	if w > 1 && left.Len()+right.Len() >= MinOpRows {
-		return c.hashBatchParallel(left, right, w)
-	}
-	ht := buildHashIdx(right, c.ridx)
-	gl, gr := c.hashProbeBatchRange(left, right, ht, 0, left.Len())
-	return c.assembleHash(left, right, gl, gr), nil
-}
-
-func (c *cJoin) hashProbeBatchRange(left, right *rel.Batch, ht map[uint64][]int32, lo, hi int) ([]int32, []int32) {
-	gl := make([]int32, 0, hi-lo)
-	gr := make([]int32, 0, hi-lo)
+func (c *cJoin) hashProbeRange(left, right *rel.Batch, ht map[uint64][]int32, sp span) ([]int32, []int32) {
+	gl := make([]int32, 0, sp.hi-sp.lo)
+	gr := make([]int32, 0, sp.hi-sp.lo)
 	var buf []byte
 	var lbuf, rbuf rel.Tuple
-	for i := lo; i < hi; i++ {
+	for i := sp.lo; i < sp.hi; i++ {
 		buf = appendBatchKey(buf[:0], left, c.lidx, i)
 		cands := ht[fnv1a64(buf)]
 		if len(cands) == 0 {
@@ -784,122 +567,101 @@ func (c *cJoin) hashProbeBatchRange(left, right *rel.Batch, ht map[uint64][]int3
 	return gl, gr
 }
 
-func (c *cJoin) assembleHash(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
-	out := &rel.Batch{Schema: c.sch, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(gl)}
-	lg := left.GatherRows(gl)
-	rg := right.GatherRows(gr)
-	copy(out.Cols[:c.lw], lg.Cols)
-	copy(out.Cols[c.lw:], rg.Cols)
-	return out
+// nestedJoin is the θ-join. With no equi-column to hash or probe on there
+// is nothing columnar to do: the inner side is boxed once and every pair
+// is tested in (left, right) order. It is the only implementation of the
+// strategy; only its inputs and its output are columnar.
+func (c *cJoin) nestedJoin(left, right *rel.Batch) *rel.Batch {
+	if left.Len() == 0 || right.Len() == 0 {
+		return c.empty
+	}
+	rrows := right.Materialize(0).Tuples
+	var gl, gr []int32
+	var lbuf rel.Tuple
+	for i := 0; i < left.Len(); i++ {
+		lbuf = left.Row(i, lbuf)
+		for j, rt := range rrows {
+			if c.pred.EvalBool(lbuf, rt) {
+				gl = append(gl, int32(i))
+				gr = append(gr, int32(j))
+			}
+		}
+	}
+	return c.gatherPairs(left, right, gl, gr)
 }
 
-// hashBatchParallel mirrors hashParallel: chunk-local digest maps merged
-// in chunk order (bucket row indices ascend, reproducing the sequential
-// build order), then a chunked probe concatenated in chunk order.
-func (c *cJoin) hashBatchParallel(left, right *rel.Batch, w int) (*rel.Batch, error) {
-	bspans := chunkSpans(right.Len(), w)
-	locals := make([]map[uint64][]int32, len(bspans))
-	parallelFor(w, len(bspans), func(i int) {
-		local := make(map[uint64][]int32, bspans[i].hi-bspans[i].lo)
-		var buf []byte
-		for r := bspans[i].lo; r < bspans[i].hi; r++ {
-			buf = appendBatchKey(buf[:0], right, c.ridx, r)
-			h := fnv1a64(buf)
-			local[h] = append(local[h], int32(r))
-		}
-		locals[i] = local
-	})
-	ht := make(map[uint64][]int32, right.Len())
-	for _, local := range locals {
-		for h, rows := range local { //ivmlint:allow maprange — bucket contents keep chunk order; digest order is irrelevant
-			ht[h] = append(ht[h], rows...)
-		}
+// gatherPairs lays out the matches of two derived sides: row gl[k] of the
+// left beside row gr[k] of the right.
+func (c *cJoin) gatherPairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
+	if len(gl) == 0 {
+		return c.empty
 	}
-	pspans := chunkSpans(left.Len(), w)
-	type pair struct{ gl, gr []int32 }
-	outs := make([]pair, len(pspans))
-	parallelFor(w, len(pspans), func(i int) {
-		gl, gr := c.hashProbeBatchRange(left, right, ht, pspans[i].lo, pspans[i].hi)
-		outs[i] = pair{gl, gr}
-	})
-	var gl, gr []int32
-	for _, o := range outs {
-		gl = append(gl, o.gl...)
-		gr = append(gr, o.gr...)
-	}
-	return c.assembleHash(left, right, gl, gr), nil
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(gl)}
+	copy(out.Cols[:c.lw], left.GatherRows(gl).Cols)
+	copy(out.Cols[c.lw:], right.GatherRows(gr).Cols)
+	return out
 }
 
 // ---------------------------------------------------------------------------
 // Semijoin / antijoin kernels
 
-func (c *cSemi) runBatch(env Env, bs int) (*rel.Batch, error) {
-	if c.strategy == semiProbeLeft || c.strategy == semiNested {
-		// semiProbeLeft's key-dedup emission order and the nested loop
-		// gain nothing from columns; tuple fallback before any child runs.
-		r, err := c.run(env)
+// probeLeft is semiProbeLeft: each distinct right key probes the stored
+// left once and each left tuple is emitted once, in first-probe order — an
+// order two hash sets define and no selection vector can express, so this
+// strategy stays a row loop over the right batch. The emitted tuples come
+// straight from charged lookups and become a batch here.
+func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, error) {
+	var out []rel.Tuple
+	seenKey := map[string]bool{}
+	emitted := map[string]bool{}
+	pr, buf := c.probe, c.keyBuf
+	for i, n := 0, right.Len(); i < n; i++ {
+		if !pr.fill(right, c.ridx, i) {
+			continue
+		}
+		buf = rel.AppendTupleKey(buf[:0], pr.valsBuf[:pr.nJoin])
+		if seenKey[string(buf)] {
+			continue
+		}
+		seenKey[string(buf)] = true
+		rows, err := pr.lookup(t)
 		if err != nil {
 			return nil, err
 		}
-		return rel.FromRelation(r), nil
-	}
-	var right *rel.Batch
-	var err error
-	if c.keysetFirst {
-		if right, err = runNodeBatch(c.right, env, bs); err != nil {
-			return nil, err
-		}
-		if right.Len() == 0 {
-			return rel.NewBatch(c.sch), nil
-		}
-	}
-	left, err := runNodeBatch(c.left, env, bs)
-	if err != nil {
-		return nil, err
-	}
-	if left.Len() == 0 {
-		return rel.NewBatch(c.sch), nil
-	}
-	switch c.strategy {
-	case semiProbeRight:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if w := opWorkers(env); w > 1 && left.Len() >= MinOpRows {
-			return c.probeRightBatchParallel(t, left, w)
-		}
-		sel, err := c.probeRightBatchRange(t, left, c.probe, 0, left.Len())
-		if err != nil {
-			return nil, err
-		}
-		return left.Gather(sel), nil
-	default: // semiHash
-		if right == nil {
-			if right, err = runNodeBatch(c.right, env, bs); err != nil {
-				return nil, err
+		for _, lt := range rows {
+			buf = rel.AppendTupleKey(buf[:0], lt)
+			if !emitted[string(buf)] {
+				emitted[string(buf)] = true
+				out = append(out, lt)
 			}
 		}
-		ht := buildHashIdx(right, c.ridx)
-		if w := opWorkers(env); w > 1 && left.Len() >= MinOpRows {
-			return left.Gather(c.hashSelBatchParallel(left, right, ht, w)), nil
-		}
-		return left.Gather(c.hashSelBatchRange(left, right, ht, 0, left.Len())), nil
 	}
+	c.keyBuf = buf
+	return batchOf(c.empty, out), nil
 }
 
-// probeRightBatchRange decides keep/drop per left row by probing the
-// stored right — identical Handle calls to the tuple loop — and returns
-// the kept rows as a selection vector.
-func (c *cSemi) probeRightBatchRange(t *storage.Handle, left *rel.Batch, pr *cProbe, lo, hi int) ([]int32, error) {
-	sel := make([]int32, 0, hi-lo)
-	var scratch rel.Tuple
-	for i := lo; i < hi; i++ {
-		for k, x := range c.lidx {
-			pr.valsBuf[k] = left.Cols[x].Value(i)
+// probeRightSel is semiProbeRight: keep/drop per left row by probing the
+// stored right — the Handle calls of Eval's loop — as a selection vector.
+func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch, w int) ([]int32, error) {
+	spans := spansFor(left.Len(), w)
+	sels := make([][]int32, len(spans))
+	err := chargedSpans(t, w, spans, func(i int, th *storage.Handle) (err error) {
+		pr := c.probe
+		if len(spans) > 1 {
+			pr = pr.clone()
 		}
+		sels[i], err = c.probeRightRange(th, left, pr, spans[i])
+		return err
+	})
+	return concatSel(sels), err
+}
+
+func (c *cSemi) probeRightRange(t *storage.Handle, left *rel.Batch, pr *cProbe, sp span) ([]int32, error) {
+	sel := make([]int32, 0, sp.hi-sp.lo)
+	var scratch rel.Tuple
+	for i := sp.lo; i < sp.hi; i++ {
 		matched := false
-		if !hasNull(pr.valsBuf[:pr.nJoin]) {
+		if pr.fill(left, c.lidx, i) {
 			rows, err := pr.lookup(t)
 			if err != nil {
 				return nil, err
@@ -918,37 +680,23 @@ func (c *cSemi) probeRightBatchRange(t *storage.Handle, left *rel.Batch, pr *cPr
 	return sel, nil
 }
 
-func (c *cSemi) probeRightBatchParallel(t *storage.Handle, left *rel.Batch, w int) (*rel.Batch, error) {
-	spans := chunkSpans(left.Len(), w)
+// hashSel is semiHash: digest buckets over the right, each left row
+// tested against its bucket.
+func (c *cSemi) hashSel(left, right *rel.Batch, w int) []int32 {
+	ht := buildHashIdx(right, c.ridx, w)
+	spans := spansFor(left.Len(), w)
 	sels := make([][]int32, len(spans))
-	shards := make([]rel.CostCounter, len(spans))
-	errs := make([]error, len(spans))
 	parallelFor(w, len(spans), func(i int) {
-		pr := c.probe.clone()
-		th := t.WithCounter(&shards[i])
-		sel, err := c.probeRightBatchRange(th, left, pr, spans[i].lo, spans[i].hi)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sels[i] = sel
+		sels[i] = c.hashSelRange(left, right, ht, spans[i])
 	})
-	for i := range shards {
-		t.Merge(shards[i])
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return left.Gather(concatSel(sels)), nil
+	return concatSel(sels)
 }
 
-func (c *cSemi) hashSelBatchRange(left, right *rel.Batch, ht map[uint64][]int32, lo, hi int) []int32 {
-	sel := make([]int32, 0, hi-lo)
+func (c *cSemi) hashSelRange(left, right *rel.Batch, ht map[uint64][]int32, sp span) []int32 {
+	sel := make([]int32, 0, sp.hi-sp.lo)
 	var buf []byte
 	var lbuf, rbuf rel.Tuple
-	for i := lo; i < hi; i++ {
+	for i := sp.lo; i < sp.hi; i++ {
 		buf = appendBatchKey(buf[:0], left, c.lidx, i)
 		matched := false
 		for _, ri := range ht[fnv1a64(buf)] {
@@ -973,17 +721,33 @@ func (c *cSemi) hashSelBatchRange(left, right *rel.Batch, ht map[uint64][]int32,
 	return sel
 }
 
-func (c *cSemi) hashSelBatchParallel(left, right *rel.Batch, ht map[uint64][]int32, w int) []int32 {
-	spans := chunkSpans(left.Len(), w)
-	sels := make([][]int32, len(spans))
-	parallelFor(w, len(spans), func(i int) {
-		sels[i] = c.hashSelBatchRange(left, right, ht, spans[i].lo, spans[i].hi)
-	})
-	return concatSel(sels)
+// nestedSel is semiNested, the θ-semijoin: like nestedJoin, a row loop
+// over the boxed inner side, returning the kept left rows.
+func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
+	rrows := right.Materialize(0).Tuples
+	var sel []int32
+	var lbuf rel.Tuple
+	for i := 0; i < left.Len(); i++ {
+		lbuf = left.Row(i, lbuf)
+		matched := false
+		for _, rt := range rrows {
+			if c.pred.EvalBool(lbuf, rt) {
+				matched = true
+				break
+			}
+		}
+		if matched == c.keep {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
 }
 
 // concatSel concatenates per-chunk selection vectors in chunk order.
 func concatSel(sels [][]int32) []int32 {
+	if len(sels) == 1 {
+		return sels[0]
+	}
 	total := 0
 	for _, s := range sels {
 		total += len(s)
@@ -998,41 +762,62 @@ func concatSel(sels [][]int32) []int32 {
 // ---------------------------------------------------------------------------
 // γ kernel
 
-// Aggregate-argument shapes resolved at compile time (cGroupBy.argIdx):
-// a non-negative entry is a plain column position.
-const (
-	argComplex = -1 // general expression; evaluated on a scratch row
-	argStar    = -2 // COUNT(*)
-)
-
-// bGroup is one aggregation group; firstIdx is the global input index of
-// its first row, the merge order of the parallel fold.
+// bGroup is one aggregation group; firstIdx is the input index of its
+// first row, the merge order of the parallel fold.
 type bGroup struct {
 	keyVals  rel.Tuple
 	states   []aggState
 	firstIdx int
 }
 
-func (c *cGroupBy) runBatch(env Env, bs int) (*rel.Batch, error) {
-	child, err := runNodeBatch(c.child, env, bs)
-	if err != nil {
-		return nil, err
+// maxGroupParts caps the key-partition count of the parallel γ so routing
+// tags fit a byte; more partitions than workers buys nothing anyway.
+const maxGroupParts = 64
+
+// fold groups the child's rows, in first-appearance order. With workers
+// and a large input, rows are routed to key partitions — every group
+// folds wholly inside one partition, in input order, which keeps
+// non-associative float SUM/AVG byte-identical to the sequential fold —
+// the partitions fold in parallel, and the merged groups sort by first
+// appearance.
+func (c *cGroupBy) fold(child *rel.Batch, w int) []*bGroup {
+	n := child.Len()
+	if w < 2 || n < MinOpRows {
+		return c.foldPart(child, nil, 0)
 	}
-	if w := opWorkers(env); w > 1 && child.Len() >= MinOpRows {
-		return c.groupBatchParallel(child, w)
+	np := w
+	if np > maxGroupParts {
+		np = maxGroupParts
 	}
-	return c.emitGroups(c.groupBatchRange(child, child.Len(), nil, 0)), nil
+	route := make([]uint8, n)
+	spans := chunkSpans(n, w)
+	parallelFor(w, len(spans), func(i int) {
+		var buf []byte
+		for j := spans[i].lo; j < spans[i].hi; j++ {
+			buf = appendBatchKey(buf[:0], child, c.keyIdx, j)
+			route[j] = uint8(fnv1a64(buf) % uint64(np))
+		}
+	})
+	partGroups := make([][]*bGroup, np)
+	parallelFor(w, np, func(p int) {
+		partGroups[p] = c.foldPart(child, route, uint8(p))
+	})
+	var all []*bGroup
+	for _, g := range partGroups {
+		all = append(all, g...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].firstIdx < all[j].firstIdx })
+	return all
 }
 
-// groupBatchRange folds rows [0,n) (restricted to one route partition
-// when route != nil) into groups in input order. A single uniform-int key
+// foldPart folds the child's rows (restricted to one route partition when
+// route != nil) into groups in input order. A single uniform-int key
 // column uses an int64-keyed map — no key encoding, no string interning
-// per group; any other key shape groups by the canonical encoded key,
-// exactly the tuple-mode map. Group identity is Same-equality in both
-// paths (EncodeKey is injective w.r.t. Same, and a uniform VecInt column
-// contains only KindInt values, whose encodings collide with nothing
-// else in the column).
-func (c *cGroupBy) groupBatchRange(child *rel.Batch, n int, route []uint8, part uint8) []*bGroup {
+// per group; any other key shape groups by the canonical encoded key.
+// Group identity is Same-equality in both paths (EncodeKey is injective
+// w.r.t. Same, and a uniform VecInt column contains only KindInt values,
+// whose encodings collide with nothing else in the column).
+func (c *cGroupBy) foldPart(child *rel.Batch, route []uint8, part uint8) []*bGroup {
 	var order []*bGroup
 	intKey := len(c.keyIdx) == 1 && child.Cols[c.keyIdx[0]].Kind == rel.VecInt
 	var byInt map[int64]*bGroup
@@ -1045,7 +830,7 @@ func (c *cGroupBy) groupBatchRange(child *rel.Batch, n int, route []uint8, part 
 	}
 	var buf []byte
 	var scratch rel.Tuple
-	for i := 0; i < n; i++ {
+	for i, n := 0, child.Len(); i < n; i++ {
 		if route != nil && route[i] != part {
 			continue
 		}
@@ -1106,9 +891,7 @@ func (c *cGroupBy) newBGroup(child *rel.Batch, i int) *bGroup {
 	return &bGroup{keyVals: kv, states: states, firstIdx: i}
 }
 
-// emitGroups lays the groups out columnarly in slice order (first
-// appearance for the sequential fold, post-merge order for the parallel
-// one).
+// emitGroups lays the groups out columnarly in slice order.
 func (c *cGroupBy) emitGroups(groups []*bGroup) *rel.Batch {
 	kw := len(c.keyIdx)
 	builders := make([]rel.ColBuilder, kw+len(c.fns))
@@ -1123,45 +906,9 @@ func (c *cGroupBy) emitGroups(groups []*bGroup) *rel.Batch {
 			builders[kw+i].Append(g.states[i].result())
 		}
 	}
-	out := &rel.Batch{Schema: c.sch, Cols: make([]rel.ColVec, kw+len(c.fns)), N: len(groups)}
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+len(c.fns)), N: len(groups)}
 	for i := range builders {
 		out.Cols[i] = builders[i].Vec()
 	}
 	return out
-}
-
-// groupBatchParallel is the batch analogue of groupParallel: rows are
-// routed to key partitions (every group folds wholly inside one
-// partition, in input order — float fold order preserved), partitions
-// fold in parallel, and the merged groups sort by global first
-// appearance.
-func (c *cGroupBy) groupBatchParallel(child *rel.Batch, w int) (*rel.Batch, error) {
-	np := w
-	if np > maxGroupParts {
-		np = maxGroupParts
-	}
-	n := child.Len()
-	route := make([]uint8, n)
-	spans := chunkSpans(n, w)
-	parallelFor(w, len(spans), func(i int) {
-		var buf []byte
-		for j := spans[i].lo; j < spans[i].hi; j++ {
-			buf = appendBatchKey(buf[:0], child, c.keyIdx, j)
-			route[j] = uint8(fnv1a64(buf) % uint64(np))
-		}
-	})
-	partGroups := make([][]*bGroup, np)
-	parallelFor(w, np, func(p int) {
-		partGroups[p] = c.groupBatchRange(child, n, route, uint8(p))
-	})
-	total := 0
-	for _, g := range partGroups {
-		total += len(g)
-	}
-	all := make([]*bGroup, 0, total)
-	for _, g := range partGroups {
-		all = append(all, g...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].firstIdx < all[j].firstIdx })
-	return c.emitGroups(all), nil
 }

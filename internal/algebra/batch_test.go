@@ -10,17 +10,6 @@ import (
 	"idivm/internal/storage"
 )
 
-// batchEnv grants a base Env op-workers and a batch size, engaging the
-// columnar kernels in compiled plans.
-type batchEnv struct {
-	algebra.Env
-	w  int
-	bs int
-}
-
-func (e *batchEnv) OpWorkers() int { return e.w }
-func (e *batchEnv) BatchSize() int { return e.bs }
-
 // mixedKeys drives hash joins with repeats, misses, a NULL, and a kind
 // mix (Int + Float with equal numeric value) so the batch key columns
 // degrade to VecAny and the Same-based bucket verification is exercised.
@@ -124,63 +113,32 @@ func batchPlans() map[string]algebra.Node {
 	}
 }
 
-// TestBatchMatchesTupleMode runs every plan in tuple mode (the oracle)
-// and in batch mode across batch sizes and worker counts, on mem and
-// sharded backends: rows must match in exact order and the access
-// counters must be byte-identical — batching is invisible to the cost
-// model.
+// TestBatchMatchesTupleMode runs every plan through the interpreted
+// evaluator (the oracle) and through the compiled plan across
+// materialization chunks and worker counts, on mem and sharded backends:
+// rows must match in exact order and the access counters must be
+// byte-identical — the columnar kernels are invisible to the cost model.
 func TestBatchMatchesTupleMode(t *testing.T) {
 	plans := batchPlans()
 	engines := map[string]func() storage.Engine{
 		"mem":      storage.NewMem,
 		"sharded8": func() storage.Engine { return storage.NewSharded(8) },
 	}
-	modes := []struct {
-		name string
-		w    int
-		bs   int
-	}{
-		{"b64", 1, 64},
-		{"b1024", 1, 1024},
-		{"b1024-op4", 4, 1024},
-	}
 	for engName, mk := range engines {
 		t.Run(engName, func(t *testing.T) {
 			d := bigDB(t, mk())
 			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
 			for name, plan := range plans {
-				t.Run(name, func(t *testing.T) {
-					compiled, err := algebra.Compile(plan)
-					if err != nil {
-						t.Fatalf("compile: %v", err)
-					}
-					d.Counter().Reset()
-					ref, err := compiled.Run(&batchEnv{Env: base, w: 1, bs: 0})
-					if err != nil {
-						t.Fatalf("tuple run: %v", err)
-					}
-					refCost := *d.Counter()
-					for _, m := range modes {
-						d.Counter().Reset()
-						got, err := compiled.Run(&batchEnv{Env: base, w: m.w, bs: m.bs})
-						if err != nil {
-							t.Fatalf("%s run: %v", m.name, err)
-						}
-						if cost := *d.Counter(); cost != refCost {
-							t.Fatalf("%s: counters differ: tuple %v, batch %v", m.name, refCost, cost)
-						}
-						sameOrderedRelation(t, name+"/"+m.name, ref, got)
-					}
-				})
+				t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
 			}
 		})
 	}
 }
 
 // TestBatchReuseAcrossRuns re-runs one compiled plan with interleaved
-// tuple/batch modes and worker counts: compiled plans are shared state,
-// so scratch leaking between modes or workers shows up as drift (and as
-// a data race under -race).
+// worker counts and materialization chunks: compiled plans are shared
+// state, so scratch leaking between runs or workers shows up as drift
+// from the interpreted result (and as a data race under -race).
 func TestBatchReuseAcrossRuns(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	plan := algebra.NewGroupBy(
@@ -195,7 +153,7 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 	}
 	d := bigDB(t, storage.NewSharded(4))
 	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
-	ref, err := compiled.Run(&batchEnv{Env: base, w: 1, bs: 0})
+	ref, err := algebra.Eval(plan, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +161,7 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 		{1, 64}, {4, 1024}, {1, 0}, {8, 64}, {4, 0}, {1, 1024},
 	}
 	for _, r := range runs {
-		got, err := compiled.Run(&batchEnv{Env: base, w: r.w, bs: r.bs})
+		got, err := compiled.Run(&opEnv{Env: base, w: r.w, bs: r.bs})
 		if err != nil {
 			t.Fatalf("w=%d bs=%d: %v", r.w, r.bs, err)
 		}

@@ -6,24 +6,28 @@
 // the executor runs the compiled form every maintenance round; Eval stays
 // as the reference oracle.
 //
+// Every compiled operator has exactly one body, run, and the only currency
+// between operators is the column-major rel.Batch: rows enter columnar form
+// right after a charged Scan/Lookup (or when a bound relation is read) and
+// become tuples again once, in ExecPlan.Run. The kernels those bodies are
+// built from live in batch.go.
+//
 // The compiled and interpreted paths are built from the same shape
 // analysis (shapeOf) and the same selection split (expr.EqLiterals), and
-// charge stored accesses through the same Table entry points, so for every
+// charge stored accesses through the same Handle entry points, so for every
 // plan they perform identical stored accesses: state, reports and access
 // counters match tuple-for-tuple. The differential suite in internal/ivm
 // asserts this on randomized plans.
 //
-// An ExecPlan owns mutable probe scratch (key-encoding buffers, probe
-// result buffers), so a single ExecPlan must not be Run concurrently with
-// itself. The Δ-script executor satisfies this: each step runs at most
-// once per round, and concurrently scheduled steps hold distinct plans.
-//
-// When the environment implements OpParallelEnv (pool.go) the hot
-// strategies additionally run partition-parallel kernels (kernels.go):
-// parts or chunks are processed by a bounded worker pool, each worker on
-// private scratch and a private counter shard, and merged in a fixed
-// order — output, reports and counters stay byte-identical to the
-// sequential run.
+// An ExecPlan owns mutable scratch (key-encoding buffers, probe result
+// buffers, selection vectors, the heavy-key cache), so a single ExecPlan
+// must not be Run concurrently with itself. The Δ-script executor satisfies
+// this: each step runs at most once per round, and concurrently scheduled
+// steps hold distinct plans. Batches, by contrast, are immutable once
+// built — kernels only ever derive new ones — which is what lets every
+// operator hand out one shared zero-row batch (its empty field, which also
+// carries the operator's output schema) instead of allocating a fresh one
+// whenever a diff turns out empty.
 package algebra
 
 import (
@@ -64,26 +68,63 @@ func MustCompile(n Node) *ExecPlan {
 // Schema returns the plan's output schema.
 func (p *ExecPlan) Schema() rel.Schema { return p.sch }
 
-// Run executes the compiled plan against an environment. Stored tables are
-// resolved through env on every run, so WithCounter sharding keeps working:
-// the plan pins strategies, not table handles or counters. When the
-// environment requests a positive BatchSize, the plan runs through the
-// columnar kernels (batch.go) and materializes tuples only here, at the
-// root — storage access and charging are identical either way.
+// Run executes the compiled plan against an environment and materializes
+// the root batch. Stored tables are resolved through env on every run, so
+// WithCounter sharding keeps working: the plan pins strategies, not table
+// handles or counters.
 func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
-	if bs := batchSize(env); bs > 0 {
-		b, err := runNodeBatch(p.root, env, bs)
-		if err != nil {
-			return nil, err
-		}
-		return b.Materialize(bs), nil
+	b, err := p.root.run(env)
+	if err != nil {
+		return nil, err
 	}
-	return p.root.run(env)
+	return b.Materialize(knobsOf(env).BatchSize), nil
+}
+
+// Knobs are the execution options an executor may grant a compiled plan.
+// The zero value — what a plain Env gets — is the sequential,
+// single-strategy default.
+type Knobs struct {
+	// OpWorkers > 1 lets large inputs run the chunk- and partition-parallel
+	// forms of the kernels on that many pool workers (pool.go). Output,
+	// reports and counters are byte-identical to the sequential run.
+	OpWorkers int
+	// SkewThreshold > 0 turns on the heavy/light probe lanes (skew.go):
+	// the stored-side key frequency at and above which a probe key is
+	// probed once per round and served from a cache afterwards. Unlike
+	// OpWorkers it deliberately lowers access counts.
+	SkewThreshold int
+	// BatchSize is the arena chunk, in rows, of the root Materialize
+	// (0 = 1024). It has no other effect.
+	BatchSize int
+}
+
+// KnobEnv is the optional extension of Env through which an executor hands
+// its Knobs to the plans it runs; the Δ-script executor implements it from
+// its ExecOptions.
+type KnobEnv interface {
+	Env
+	Knobs() Knobs
+}
+
+// knobsOf extracts the normalized knobs of an environment: OpWorkers is at
+// least 1 and SkewThreshold at least 0.
+func knobsOf(env Env) Knobs {
+	var k Knobs
+	if ke, ok := env.(KnobEnv); ok {
+		k = ke.Knobs()
+	}
+	if k.OpWorkers < 1 {
+		k.OpWorkers = 1
+	}
+	if k.SkewThreshold < 0 {
+		k.SkewThreshold = 0
+	}
+	return k
 }
 
 // cNode is one compiled operator.
 type cNode interface {
-	run(env Env) (*rel.Relation, error)
+	run(env Env) (*rel.Batch, error)
 }
 
 func compileNode(n Node) (cNode, error) {
@@ -91,12 +132,12 @@ func compileNode(n Node) (cNode, error) {
 	case *Scan:
 		return &cStored{table: x.Table, st: x.St, sch: x.schema}, nil
 	case *Empty:
-		return &cEmpty{sch: x.Sch}, nil
+		return &cEmpty{empty: rel.NewBatch(x.Sch)}, nil
 	case *RelRef:
 		if x.Stored {
 			return &cStored{table: x.Name, st: x.St, sch: x.Sch}, nil
 		}
-		return &cBinding{name: x.Name, sch: x.Sch}, nil
+		return &cBinding{name: x.Name, empty: rel.NewBatch(x.Sch)}, nil
 	case *Select:
 		if sh, ok := shapeOf(x); ok {
 			return compileStoredSelect(sh)
@@ -105,15 +146,11 @@ func compileNode(n Node) (cNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := expr.Compile(x.Pred, x.Child.Schema())
+		pred, err := compileBatchPred(x.Pred, x.Child.Schema())
 		if err != nil {
 			return nil, err
 		}
-		bpred, err := compileBatchPred(x.Pred, x.Child.Schema())
-		if err != nil {
-			return nil, err
-		}
-		return &cSelect{child: child, pred: pred, bpred: bpred, sch: x.Child.Schema()}, nil
+		return &cSelect{child: child, pred: pred, empty: rel.NewBatch(x.Child.Schema())}, nil
 	case *Project:
 		return compileProject(x)
 	case *Join:
@@ -131,65 +168,87 @@ func compileNode(n Node) (cNode, error) {
 	}
 }
 
-// cStored scans a stored table (Scan or stored RelRef leaf). The result
-// aliases table storage copy-on-write, exactly like the interpreted leaf.
+// cStored scans a stored table (Scan or stored RelRef leaf).
 type cStored struct {
 	table string
 	st    rel.State
 	sch   rel.Schema
 }
 
-func (c *cStored) run(env Env) (*rel.Relation, error) {
+func (c *cStored) run(env Env) (*rel.Batch, error) {
 	t, err := env.Table(c.table)
 	if err != nil {
 		return nil, err
 	}
-	if w := opWorkers(env); w > 1 {
-		if out, ok := scanPartsParallel(c.sch, t, c.st, w); ok {
-			return out, nil
-		}
+	return rel.FromTuples(c.sch, scanRows(t, c.st, knobsOf(env).OpWorkers)), nil
+}
+
+// scanRows is the charged full scan of a stored table: part-by-part on the
+// worker pool, concatenated in part order, when the table is partitioned
+// and large enough for that to pay; one flat Scan otherwise.
+func scanRows(t *storage.Handle, st rel.State, w int) []rel.Tuple {
+	np := t.Parts()
+	if w < 2 || np < 2 || t.Len() < MinOpRows {
+		return t.Scan(st)
 	}
-	return aliasTuples(c.sch, t.Scan(c.st)), nil
+	parts := make([][]rel.Tuple, np)
+	shards := make([]rel.CostCounter, np)
+	parallelFor(w, np, func(i int) {
+		parts[i] = t.WithCounter(&shards[i]).ScanPart(st, i)
+	})
+	total := 0
+	for i := range parts {
+		t.Merge(shards[i])
+		total += len(parts[i])
+	}
+	out := make([]rel.Tuple, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // cBinding reads a named in-memory relation.
 type cBinding struct {
-	name string
-	sch  rel.Schema
+	name  string
+	empty *rel.Batch
 }
 
-func (c *cBinding) run(env Env) (*rel.Relation, error) {
+func (c *cBinding) run(env Env) (*rel.Batch, error) {
 	rr, err := env.Rel(c.name)
 	if err != nil {
 		return nil, err
 	}
-	return aliasTuples(c.sch, rr.Tuples), nil
+	return batchOf(c.empty, rr.Tuples), nil
 }
 
-type cEmpty struct{ sch rel.Schema }
+// batchOf columnarizes rows an operator just obtained — from a charged
+// lookup or scan, or from a bound relation — under the schema of its empty
+// batch, which it returns as is when there are none.
+func batchOf(empty *rel.Batch, rows []rel.Tuple) *rel.Batch {
+	if len(rows) == 0 {
+		return empty
+	}
+	return rel.FromTuples(empty.Schema, rows)
+}
 
-func (c *cEmpty) run(Env) (*rel.Relation, error) { return rel.NewRelation(c.sch), nil }
+type cEmpty struct{ empty *rel.Batch }
 
-// cSelect filters a derived child with a precompiled predicate.
+func (c *cEmpty) run(Env) (*rel.Batch, error) { return c.empty, nil }
+
+// cSelect filters a derived child with a type-specialized predicate.
 type cSelect struct {
 	child cNode
-	pred  *expr.Compiled
-	bpred *bPred // batch-specialized form of pred
-	sch   rel.Schema
+	pred  *bPred
+	empty *rel.Batch
 }
 
-func (c *cSelect) run(env Env) (*rel.Relation, error) {
+func (c *cSelect) run(env Env) (*rel.Batch, error) {
 	child, err := c.child.run(env)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.NewRelation(c.sch)
-	for _, t := range child.Tuples {
-		if c.pred.EvalBool(t) {
-			out.Add(t)
-		}
-	}
-	return out, nil
+	return c.pred.filter(child, c.empty), nil
 }
 
 // cStoredSelect runs a σ-chain over a stored leaf with the same
@@ -201,26 +260,23 @@ func (c *cSelect) run(env Env) (*rel.Relation, error) {
 type cStoredSelect struct {
 	table    string
 	st       rel.State
-	sch      rel.Schema
+	empty    *rel.Batch
 	eqBare   []string
 	eqVals   []rel.Value
 	prep     rel.PrepLookup
 	residual *expr.Compiled // after removing the eq literals; nil when TRUE
-	full     *expr.Compiled // the whole predicate, for the scan path
-	bfull    *bPred         // batch-specialized form of full
+	full     *bPred         // the whole predicate, for the scan path
 	keyBuf   []byte
+	rowsBuf  []rel.Tuple
 }
 
 func compileStoredSelect(sh *probeShape) (cNode, error) {
 	cols, vals, residual := expr.EqLiterals(sh.extra, sh.schema)
-	full, err := expr.Compile(sh.extra, sh.schema)
+	full, err := compileBatchPred(sh.extra, sh.schema)
 	if err != nil {
 		return nil, err
 	}
-	c := &cStoredSelect{table: sh.table, st: sh.st, sch: sh.schema, eqVals: vals, full: full}
-	if c.bfull, err = compileBatchPred(sh.extra, sh.schema); err != nil {
-		return nil, err
-	}
+	c := &cStoredSelect{table: sh.table, st: sh.st, empty: rel.NewBatch(sh.schema), eqVals: vals, full: full}
 	if len(cols) > 0 {
 		c.eqBare = make([]string, len(cols))
 		for i, col := range cols {
@@ -236,7 +292,7 @@ func compileStoredSelect(sh *probeShape) (cNode, error) {
 	return c, nil
 }
 
-func (c *cStoredSelect) run(env Env) (*rel.Relation, error) {
+func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 	t, err := env.Table(c.table)
 	if err != nil {
 		return nil, err
@@ -247,47 +303,38 @@ func (c *cStoredSelect) run(env Env) (*rel.Relation, error) {
 			return nil, err
 		}
 		if p+1 < n {
-			// The result slice is retained by the output relation, so it is
-			// freshly allocated; only the key buffer is reused across runs.
-			rows, keyBuf, err := t.LookupInto(c.st, c.prep, c.eqVals, c.keyBuf, make([]rel.Tuple, 0, p))
-			c.keyBuf = keyBuf
+			// The batch copies the values out, so the row buffer is scratch.
+			rows, keyBuf, err := t.LookupInto(c.st, c.prep, c.eqVals, c.keyBuf, c.rowsBuf[:0])
+			c.keyBuf, c.rowsBuf = keyBuf, rows[:0]
 			if err != nil {
 				return nil, err
 			}
-			if c.residual == nil {
-				return aliasTuples(c.sch, rows), nil
-			}
-			out := rel.NewRelation(c.sch)
-			for _, r := range rows {
-				if c.residual.EvalBool(r) {
-					out.Add(r)
+			if c.residual != nil {
+				kept := rows[:0]
+				for _, r := range rows {
+					if c.residual.EvalBool(r) {
+						kept = append(kept, r)
+					}
 				}
+				rows = kept
 			}
-			return out, nil
+			return batchOf(c.empty, rows), nil
 		}
 	}
-	if w := opWorkers(env); w > 1 {
-		if out, ok := c.scanFilterParallel(t, w); ok {
-			return out, nil
-		}
-	}
-	out := rel.NewRelation(c.sch)
-	for _, r := range t.Scan(c.st) {
-		if c.full.EvalBool(r) {
-			out.Add(r)
-		}
-	}
-	return out, nil
+	rows := scanRows(t, c.st, knobsOf(env).OpWorkers)
+	return c.full.filter(batchOf(c.empty, rows), c.empty), nil
 }
 
-// cProject applies precompiled projection expressions, laying output
-// tuples out in one backing array per run instead of one allocation per
-// tuple.
+// cProject applies precompiled projection expressions. A plain column
+// reference aliases the child's vector — payload and indirection shared,
+// zero copies, zero evaluations; only the generic items are evaluated, on a
+// scratch row.
 type cProject struct {
-	items  []*expr.Compiled
-	colIdx []int // child column position for plain Col items, -1 otherwise
-	child  cNode
-	sch    rel.Schema
+	items   []*expr.Compiled
+	colIdx  []int // child column position for plain Col items, -1 otherwise
+	generic []int // the items with colIdx < 0
+	child   cNode
+	empty   *rel.Batch
 }
 
 func compileProject(p *Project) (cNode, error) {
@@ -296,61 +343,55 @@ func compileProject(p *Project) (cNode, error) {
 		return nil, err
 	}
 	cs := p.Child.Schema()
-	items := make([]*expr.Compiled, len(p.Items))
-	colIdx := make([]int, len(p.Items))
+	c := &cProject{items: make([]*expr.Compiled, len(p.Items)), colIdx: make([]int, len(p.Items)),
+		child: child, empty: rel.NewBatch(p.Schema())}
 	for i, it := range p.Items {
-		c, err := expr.Compile(it.E, cs)
-		if err != nil {
+		if c.items[i], err = expr.Compile(it.E, cs); err != nil {
 			return nil, err
 		}
-		items[i] = c
-		colIdx[i] = -1
+		c.colIdx[i] = -1
 		if col, ok := it.E.(expr.Col); ok {
-			colIdx[i] = cs.Index(col.Name)
+			c.colIdx[i] = cs.Index(col.Name)
+		}
+		if c.colIdx[i] < 0 {
+			c.generic = append(c.generic, i)
 		}
 	}
-	return &cProject{items: items, colIdx: colIdx, child: child, sch: p.Schema()}, nil
+	return c, nil
 }
 
-func (c *cProject) run(env Env) (*rel.Relation, error) {
+func (c *cProject) run(env Env) (*rel.Batch, error) {
 	child, err := c.child.run(env)
 	if err != nil {
 		return nil, err
 	}
-	w := len(c.items)
-	out := rel.NewRelation(c.sch)
-	out.Tuples = make([]rel.Tuple, 0, len(child.Tuples))
-	backing := make([]rel.Value, len(child.Tuples)*w)
-	for _, t := range child.Tuples {
-		nt := backing[:w:w]
-		backing = backing[w:]
-		for i, item := range c.items {
-			if j := c.colIdx[i]; j >= 0 {
-				nt[i] = t[j] // plain column: no closure, no allocation
-			} else {
-				nt[i] = item.Eval(t)
+	n := child.Len()
+	if n == 0 {
+		return c.empty, nil
+	}
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, len(c.items)), N: n}
+	for i, j := range c.colIdx {
+		if j >= 0 {
+			out.Cols[i] = child.Cols[j]
+		}
+	}
+	if len(c.generic) > 0 {
+		builders := make([]rel.ColBuilder, len(c.generic))
+		for k := range builders {
+			builders[k].Grow(n)
+		}
+		var buf rel.Tuple
+		for r := 0; r < n; r++ {
+			buf = child.Row(r, buf)
+			for k, i := range c.generic {
+				builders[k].Append(c.items[i].Eval(buf))
 			}
 		}
-		out.Tuples = append(out.Tuples, nt)
+		for k, i := range c.generic {
+			out.Cols[i] = builders[k].Vec()
+		}
 	}
 	return out, nil
-}
-
-// tupleArena batch-allocates fixed-width output tuples. It is created per
-// run: its chunks are retained by the emitted relation.
-type tupleArena struct {
-	w   int
-	buf []rel.Value
-}
-
-func (a *tupleArena) next() rel.Tuple {
-	if len(a.buf) < a.w {
-		n := 256 * a.w
-		a.buf = make([]rel.Value, n)
-	}
-	t := a.buf[:a.w:a.w]
-	a.buf = a.buf[a.w:]
-	return t
 }
 
 // cProbe is a compiled probeTarget: the full probe attribute list (join
@@ -399,7 +440,31 @@ func compileProbe(sh *probeShape, joinCols []string) (*cProbe, error) {
 	return p, nil
 }
 
+// clone derives a worker-private probe: the immutable prepared state
+// (signature, literal values, residual predicate) is shared, the mutable
+// scratch (value/key/result buffers) is fresh. An ExecPlan owns its
+// scratch, so the workers of a chunked probe each hold a clone.
+func (p *cProbe) clone() *cProbe {
+	q := *p
+	q.valsBuf = append([]rel.Value(nil), p.valsBuf...)
+	q.keyBuf, q.rowsBuf = nil, nil
+	return &q
+}
+
 func (p *cProbe) resolve(env Env) (*storage.Handle, error) { return env.Table(p.table) }
+
+// fill writes the idx columns of row i of b into the probe's join values,
+// reporting false when one of them is NULL (NULL never joins).
+func (p *cProbe) fill(b *rel.Batch, idx []int, i int) bool {
+	for k, x := range idx {
+		v := b.Cols[x].Value(i)
+		if v.IsNull() {
+			return false
+		}
+		p.valsBuf[k] = v
+	}
+	return true
+}
 
 // lookup probes the resolved table with the join values previously written
 // into valsBuf[:nJoin]. The returned slice is valid until the next lookup.
@@ -446,15 +511,14 @@ type cJoin struct {
 	pred       *expr.CompiledPair // nested-loop predicate
 	shortLeft  bool
 	shortRight bool
-	sch        rel.Schema
-	lw, rw     int // child widths, for output tuple layout
-	keyBuf     []byte
+	empty      *rel.Batch
+	lw, rw     int // child widths, for output column layout
 
 	// heavy is the per-round heavy-lane cache (skew.go): probe results for
 	// driving keys whose stored-side frequency crossed the SkewThreshold.
-	// Rebuilt by prepareHeavy/prepareHeavyBatch before each probe round;
-	// nil whenever the heavy lane is off. Read-only once the probe loops
-	// (including parallel workers) start.
+	// Rebuilt by prepareHeavy before each probe round; nil whenever the
+	// heavy lane is off. Read-only once the probe loop (including its
+	// parallel workers) starts.
 	heavy map[string][]rel.Tuple
 }
 
@@ -462,9 +526,9 @@ func compileJoin(j *Join) (cNode, error) {
 	ls, rs := j.Left.Schema(), j.Right.Schema()
 	lcols, rcols, residual := expr.EquiPairs(j.Pred, ls, rs)
 	c := &cJoin{
-		sch: j.Schema(),
-		lw:  len(ls.Attrs),
-		rw:  len(rs.Attrs),
+		empty: rel.NewBatch(j.Schema()),
+		lw:    len(ls.Attrs),
+		rw:    len(rs.Attrs),
 	}
 	c.shortLeft = !TouchesStored(j.Left)
 	c.shortRight = !c.shortLeft && !TouchesStored(j.Right)
@@ -530,25 +594,25 @@ func compileJoin(j *Join) (cNode, error) {
 	return c, nil
 }
 
-func (c *cJoin) run(env Env) (*rel.Relation, error) {
+func (c *cJoin) run(env Env) (*rel.Batch, error) {
 	// Diff-driven short-circuit: evaluate the stored-free side first; an
 	// empty diff makes the join free. The result is reused below — that
 	// side charges nothing, so charges match the interpreted re-evaluation.
-	var left, right *rel.Relation
+	var left, right *rel.Batch
 	var err error
 	if c.shortLeft && c.left != nil {
 		if left, err = c.left.run(env); err != nil {
 			return nil, err
 		}
 		if left.Len() == 0 {
-			return rel.NewRelation(c.sch), nil
+			return c.empty, nil
 		}
 	} else if c.shortRight && c.right != nil {
 		if right, err = c.right.run(env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
-			return rel.NewRelation(c.sch), nil
+			return c.empty, nil
 		}
 	}
 	if c.left != nil && left == nil {
@@ -561,109 +625,25 @@ func (c *cJoin) run(env Env) (*rel.Relation, error) {
 			return nil, err
 		}
 	}
-
-	out := rel.NewRelation(c.sch)
-	arena := tupleArena{w: c.lw + c.rw}
-	emit := func(lt, rt rel.Tuple) {
-		nt := arena.next()
-		copy(nt, lt)
-		copy(nt[c.lw:], rt)
-		out.Tuples = append(out.Tuples, nt)
-	}
-
+	k := knobsOf(env)
 	switch c.strategy {
-	case joinProbeRight:
+	case joinProbeRight, joinProbeLeft:
+		driving := left
+		if !c.drivingLeft() {
+			driving = right
+		}
 		t, err := c.probe.resolve(env)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.prepareHeavy(env, t, left.Tuples, true); err != nil {
+		if err := c.prepareHeavy(k.SkewThreshold, t, driving); err != nil {
 			return nil, err
 		}
-		if w := opWorkers(env); w > 1 && len(left.Tuples) >= MinOpRows {
-			return c.probeParallel(t, left.Tuples, true, w)
-		}
-		for _, lt := range left.Tuples {
-			for i, x := range c.lidx {
-				c.probe.valsBuf[i] = lt[x]
-			}
-			if hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				continue
-			}
-			rows, cached := c.heavyLookup(c.probe)
-			if !cached {
-				if rows, err = c.probe.lookup(t); err != nil {
-					return nil, err
-				}
-			}
-			for _, rt := range rows {
-				if c.residual == nil || c.residual.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		return out, nil
-	case joinProbeLeft:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.prepareHeavy(env, t, right.Tuples, false); err != nil {
-			return nil, err
-		}
-		if w := opWorkers(env); w > 1 && len(right.Tuples) >= MinOpRows {
-			return c.probeParallel(t, right.Tuples, false, w)
-		}
-		for _, rt := range right.Tuples {
-			for i, x := range c.ridx {
-				c.probe.valsBuf[i] = rt[x]
-			}
-			if hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				continue
-			}
-			rows, cached := c.heavyLookup(c.probe)
-			if !cached {
-				if rows, err = c.probe.lookup(t); err != nil {
-					return nil, err
-				}
-			}
-			for _, lt := range rows {
-				if c.residual == nil || c.residual.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		return out, nil
+		return c.probeJoin(t, driving, k.OpWorkers)
 	case joinHash:
-		if w := opWorkers(env); w > 1 && len(left.Tuples)+len(right.Tuples) >= MinOpRows {
-			return c.hashParallel(left.Tuples, right.Tuples, w)
-		}
-		buckets := make(map[string][]rel.Tuple, len(right.Tuples))
-		buf := c.keyBuf
-		for _, rt := range right.Tuples {
-			buf = rel.AppendKey(buf[:0], rt, c.ridx)
-			k := string(buf)
-			buckets[k] = append(buckets[k], rt)
-		}
-		for _, lt := range left.Tuples {
-			buf = rel.AppendKey(buf[:0], lt, c.lidx)
-			for _, rt := range buckets[string(buf)] {
-				if c.residual == nil || c.residual.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		c.keyBuf = buf
-		return out, nil
-	default: // joinNested
-		for _, lt := range left.Tuples {
-			for _, rt := range right.Tuples {
-				if c.pred.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		return out, nil
+		return c.hashJoin(left, right, k.OpWorkers), nil
+	default:
+		return c.nestedJoin(left, right), nil
 	}
 }
 
@@ -689,7 +669,7 @@ type cSemi struct {
 	lidx, ridx  []int
 	residual    *expr.CompiledPair
 	pred        *expr.CompiledPair // nested-loop predicate
-	sch         rel.Schema
+	empty       *rel.Batch
 	keyBuf      []byte
 }
 
@@ -697,7 +677,7 @@ func compileSemi(l, r Node, p expr.Expr, keep bool) (cNode, error) {
 	ls, rs := l.Schema(), r.Schema()
 	lcols, rcols, residual := expr.EquiPairs(p, ls, rs)
 	_, rightProbe := shapeOf(r)
-	c := &cSemi{keep: keep, sch: ls}
+	c := &cSemi{keep: keep, empty: rel.NewBatch(ls)}
 	c.keysetFirst = keep && !rightProbe
 
 	var err error
@@ -757,135 +737,60 @@ func compileSemi(l, r Node, p expr.Expr, keep bool) (cNode, error) {
 	return c, nil
 }
 
-func (c *cSemi) run(env Env) (*rel.Relation, error) {
-	var right *rel.Relation
+func (c *cSemi) run(env Env) (*rel.Batch, error) {
+	var right *rel.Batch
 	var err error
 	if c.keysetFirst {
 		if right, err = c.right.run(env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
-			return rel.NewRelation(c.sch), nil
+			return c.empty, nil
 		}
 	}
-
 	if c.strategy == semiProbeLeft {
 		t, err := c.probe.resolve(env)
 		if err != nil {
 			return nil, err
 		}
-		out := rel.NewRelation(c.sch)
-		seenKey := map[string]bool{}
-		emitted := map[string]bool{}
-		buf := c.keyBuf
-		for _, rt := range right.Tuples {
-			for i, x := range c.ridx {
-				c.probe.valsBuf[i] = rt[x]
-			}
-			if hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				continue
-			}
-			buf = rel.AppendTupleKey(buf[:0], c.probe.valsBuf[:c.probe.nJoin])
-			if seenKey[string(buf)] {
-				continue
-			}
-			seenKey[string(buf)] = true
-			rows, err := c.probe.lookup(t)
-			if err != nil {
-				return nil, err
-			}
-			for _, lt := range rows {
-				buf = rel.AppendTupleKey(buf[:0], lt)
-				if !emitted[string(buf)] {
-					emitted[string(buf)] = true
-					out.Add(lt)
-				}
-			}
-		}
-		c.keyBuf = buf
-		return out, nil
+		return c.probeLeft(t, right)
 	}
 
 	left, err := c.left.run(env)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.NewRelation(c.sch)
 	if left.Len() == 0 {
-		return out, nil
+		return c.empty, nil
 	}
-
-	switch c.strategy {
-	case semiProbeRight:
+	var sel []int32
+	if c.strategy == semiProbeRight {
 		t, err := c.probe.resolve(env)
 		if err != nil {
 			return nil, err
 		}
-		if w := opWorkers(env); w > 1 && len(left.Tuples) >= MinOpRows {
-			return c.probeRightParallel(t, left.Tuples, w)
+		if sel, err = c.probeRightSel(t, left, knobsOf(env).OpWorkers); err != nil {
+			return nil, err
 		}
-		for _, lt := range left.Tuples {
-			for i, x := range c.lidx {
-				c.probe.valsBuf[i] = lt[x]
-			}
-			matched := false
-			if !hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				rows, err := c.probe.lookup(t)
-				if err != nil {
-					return nil, err
-				}
-				matched = c.anyMatch(lt, rows)
-			}
-			if matched == c.keep {
-				out.Add(lt)
-			}
-		}
-		return out, nil
-	case semiHash:
+	} else {
 		if right == nil {
 			if right, err = c.right.run(env); err != nil {
 				return nil, err
 			}
 		}
-		buckets := make(map[string][]rel.Tuple, len(right.Tuples))
-		buf := c.keyBuf
-		for _, rt := range right.Tuples {
-			buf = rel.AppendKey(buf[:0], rt, c.ridx)
-			k := string(buf)
-			buckets[k] = append(buckets[k], rt)
+		switch {
+		case right.Len() == 0 && !c.keep: // nothing to exclude (a semijoin's empty key set returned above)
+			return left, nil
+		case c.strategy == semiHash:
+			sel = c.hashSel(left, right, knobsOf(env).OpWorkers)
+		default:
+			sel = c.nestedSel(left, right)
 		}
-		if w := opWorkers(env); w > 1 && len(left.Tuples) >= MinOpRows {
-			c.keyBuf = buf
-			return c.hashProbeParallel(left.Tuples, buckets, w), nil
-		}
-		for _, lt := range left.Tuples {
-			buf = rel.AppendKey(buf[:0], lt, c.lidx)
-			if c.anyMatch(lt, buckets[string(buf)]) == c.keep {
-				out.Add(lt)
-			}
-		}
-		c.keyBuf = buf
-		return out, nil
-	default: // semiNested
-		if right == nil {
-			if right, err = c.right.run(env); err != nil {
-				return nil, err
-			}
-		}
-		for _, lt := range left.Tuples {
-			matched := false
-			for _, rt := range right.Tuples {
-				if c.pred.EvalBool(lt, rt) {
-					matched = true
-					break
-				}
-			}
-			if matched == c.keep {
-				out.Add(lt)
-			}
-		}
-		return out, nil
 	}
+	if len(sel) == 0 {
+		return c.empty, nil
+	}
+	return left.Gather(sel), nil
 }
 
 func (c *cSemi) anyMatch(lt rel.Tuple, rows []rel.Tuple) bool {
@@ -897,6 +802,13 @@ func (c *cSemi) anyMatch(lt rel.Tuple, rows []rel.Tuple) bool {
 	return false
 }
 
+// Aggregate-argument shapes resolved at compile time (cGroupBy.argIdx):
+// a non-negative entry is a plain column position.
+const (
+	argComplex = -1 // general expression; evaluated on a scratch row
+	argStar    = -2 // COUNT(*)
+)
+
 // cGroupBy hash-aggregates with precompiled aggregate arguments and
 // resolved key positions; group order follows first appearance, exactly
 // like AggregateRelation.
@@ -906,8 +818,7 @@ type cGroupBy struct {
 	fns    []AggFn
 	args   []*expr.Compiled // nil entry means COUNT(*)
 	argIdx []int            // argStar, argComplex, or a plain column position
-	sch    rel.Schema
-	keyBuf []byte
+	empty  *rel.Batch
 }
 
 func compileGroupBy(g *GroupBy) (cNode, error) {
@@ -939,68 +850,26 @@ func compileGroupBy(g *GroupBy) (cNode, error) {
 			}
 		}
 	}
-	return &cGroupBy{child: child, keyIdx: keyIdx, fns: fns, args: args, argIdx: argIdx, sch: g.Schema()}, nil
+	return &cGroupBy{child: child, keyIdx: keyIdx, fns: fns, args: args, argIdx: argIdx,
+		empty: rel.NewBatch(g.Schema())}, nil
 }
 
-func (c *cGroupBy) run(env Env) (*rel.Relation, error) {
+func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 	child, err := c.child.run(env)
 	if err != nil {
 		return nil, err
 	}
-	if w := opWorkers(env); w > 1 && len(child.Tuples) >= MinOpRows {
-		return c.groupParallel(child.Tuples, w)
+	if child.Len() == 0 {
+		return c.empty, nil
 	}
-	type group struct {
-		keyVals rel.Tuple
-		states  []aggState
-	}
-	byKey := make(map[string]*group)
-	var order []*group
-	buf := c.keyBuf
-	for _, t := range child.Tuples {
-		buf = rel.AppendKey(buf[:0], t, c.keyIdx)
-		grp, ok := byKey[string(buf)]
-		if !ok {
-			kv := make(rel.Tuple, len(c.keyIdx))
-			for i, j := range c.keyIdx {
-				kv[i] = t[j]
-			}
-			states := make([]aggState, len(c.fns))
-			for i, fn := range c.fns {
-				states[i] = aggState{fn: fn, sum: rel.Null(), best: rel.Null()}
-			}
-			grp = &group{keyVals: kv, states: states}
-			byKey[string(buf)] = grp
-			order = append(order, grp)
-		}
-		for i := range c.fns {
-			if c.args[i] == nil {
-				grp.states[i].add(rel.Null(), true)
-			} else {
-				grp.states[i].add(c.args[i].Eval(t), false)
-			}
-		}
-	}
-	c.keyBuf = buf
-	out := rel.NewRelation(c.sch)
-	w := len(c.keyIdx) + len(c.fns)
-	backing := make([]rel.Value, len(order)*w)
-	for _, grp := range order {
-		nt := backing[:w:w]
-		backing = backing[w:]
-		copy(nt, grp.keyVals)
-		for i := range grp.states {
-			nt[len(c.keyIdx)+i] = grp.states[i].result()
-		}
-		out.Add(nt)
-	}
-	return out, nil
+	return c.emitGroups(c.fold(child, knobsOf(env).OpWorkers)), nil
 }
 
-// cUnion appends the branch attribute while copying, like evalUnion.
+// cUnion concatenates its children column by column and appends the
+// branch attribute, like evalUnion.
 type cUnion struct {
 	left, right cNode
-	sch         rel.Schema
+	empty       *rel.Batch
 	w           int // child width (without the branch attribute)
 }
 
@@ -1013,10 +882,10 @@ func compileUnion(u *UnionAll) (cNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cUnion{left: left, right: right, sch: u.Schema(), w: len(u.Left.Schema().Attrs)}, nil
+	return &cUnion{left: left, right: right, empty: rel.NewBatch(u.Schema()), w: len(u.Left.Schema().Attrs)}, nil
 }
 
-func (c *cUnion) run(env Env) (*rel.Relation, error) {
+func (c *cUnion) run(env Env) (*rel.Batch, error) {
 	left, err := c.left.run(env)
 	if err != nil {
 		return nil, err
@@ -1025,20 +894,22 @@ func (c *cUnion) run(env Env) (*rel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := rel.NewRelation(c.sch)
-	out.Tuples = make([]rel.Tuple, 0, len(left.Tuples)+len(right.Tuples))
-	arena := tupleArena{w: c.w + 1}
-	emit := func(t rel.Tuple, branch rel.Value) {
-		nt := arena.next()
-		copy(nt, t)
-		nt[c.w] = branch
-		out.Tuples = append(out.Tuples, nt)
+	n := left.Len() + right.Len()
+	if n == 0 {
+		return c.empty, nil
 	}
-	for _, t := range left.Tuples {
-		emit(t, rel.Int(0))
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.w+1), N: n}
+	for j := 0; j < c.w; j++ {
+		var cb rel.ColBuilder
+		cb.Grow(out.N)
+		cb.AppendVec(&left.Cols[j], left.Len())
+		cb.AppendVec(&right.Cols[j], right.Len())
+		out.Cols[j] = cb.Vec()
 	}
-	for _, t := range right.Tuples {
-		emit(t, rel.Int(1))
+	branch := make([]int64, out.N)
+	for i := left.Len(); i < out.N; i++ {
+		branch[i] = 1
 	}
+	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Ints: branch}
 	return out, nil
 }

@@ -49,26 +49,28 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
-type fakeOpEnv struct {
+type fakeKnobEnv struct {
 	Env
-	w int
+	k Knobs
 }
 
-func (e *fakeOpEnv) OpWorkers() int { return e.w }
+func (e *fakeKnobEnv) Knobs() Knobs { return e.k }
 
+// A plain Env and out-of-range knob values normalize to the sequential,
+// single-strategy default.
 func TestOpWorkersDefaultsSequential(t *testing.T) {
-	var plain Env // nil concrete env: no OpParallelEnv implementation
-	if got := opWorkers(plain); got != 1 {
-		t.Errorf("opWorkers(plain) = %d", got)
+	var plain Env // nil concrete env: no KnobEnv implementation
+	if got := knobsOf(plain); got != (Knobs{OpWorkers: 1}) {
+		t.Errorf("knobsOf(plain) = %+v", got)
 	}
-	if got := opWorkers(&fakeOpEnv{w: 4}); got != 4 {
-		t.Errorf("opWorkers(w=4) = %d", got)
-	}
-	if got := opWorkers(&fakeOpEnv{w: 0}); got != 1 {
-		t.Errorf("opWorkers(w=0) = %d", got)
-	}
-	if got := opWorkers(&fakeOpEnv{w: -2}); got != 1 {
-		t.Errorf("opWorkers(w=-2) = %d", got)
+	for _, c := range []struct{ in, want Knobs }{
+		{Knobs{OpWorkers: 4, SkewThreshold: 8, BatchSize: 64}, Knobs{OpWorkers: 4, SkewThreshold: 8, BatchSize: 64}},
+		{Knobs{OpWorkers: 0}, Knobs{OpWorkers: 1}},
+		{Knobs{OpWorkers: -2, SkewThreshold: -1}, Knobs{OpWorkers: 1}},
+	} {
+		if got := knobsOf(&fakeKnobEnv{k: c.in}); got != c.want {
+			t.Errorf("knobsOf(%+v) = %+v, want %+v", c.in, got, c.want)
+		}
 	}
 }
 

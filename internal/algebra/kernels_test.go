@@ -11,14 +11,15 @@ import (
 	"idivm/internal/storage"
 )
 
-// opEnv grants a base Env intra-operator workers, engaging the parallel
-// kernels in compiled plans.
+// opEnv grants a base Env intra-operator workers (and a materialization
+// chunk), engaging the parallel form of the kernels in compiled plans.
 type opEnv struct {
 	algebra.Env
-	w int
+	w  int
+	bs int
 }
 
-func (e *opEnv) OpWorkers() int { return e.w }
+func (e *opEnv) Knobs() algebra.Knobs { return algebra.Knobs{OpWorkers: e.w, BatchSize: e.bs} }
 
 // bigDB builds a table large enough (3000 rows > MinOpRows) for every
 // parallel kernel to engage without lowering the threshold. val mixes

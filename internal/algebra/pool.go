@@ -2,35 +2,18 @@
 // goroutine launches (the ivmlint gostmt rule enforces it, exactly as it
 // does for internal/ivm/sched.go). All operator-kernel concurrency in
 // internal/algebra flows through parallelFor below, so worker counts stay
-// bounded by the caller's OpWorkers knob and there is exactly one place to
+// bounded by the caller's Knobs.OpWorkers and there is exactly one place to
 // reason about goroutine lifetime: every launch is joined before the
 // kernel returns.
 
 package algebra
 
-import "sync"
+import (
+	"sync"
 
-// OpParallelEnv is the optional extension of Env through which an executor
-// grants a plan intra-operator parallelism. Plans Run against a plain Env
-// stay fully sequential; the Δ-script executor implements it and returns
-// its ExecOptions.OpWorkers.
-type OpParallelEnv interface {
-	Env
-	// OpWorkers returns the worker budget for partition-parallel kernels
-	// inside a single operator; values below 2 mean sequential.
-	OpWorkers() int
-}
-
-// opWorkers extracts the intra-operator worker budget from an environment
-// (1 — sequential — unless env opts in via OpParallelEnv).
-func opWorkers(env Env) int {
-	if pe, ok := env.(OpParallelEnv); ok {
-		if w := pe.OpWorkers(); w > 1 {
-			return w
-		}
-	}
-	return 1
-}
+	"idivm/internal/rel"
+	"idivm/internal/storage"
+)
 
 // MinOpRows is the smallest input cardinality at which a parallel kernel
 // engages; below it the sequential loop wins on constant factors alone.
@@ -38,7 +21,7 @@ func opWorkers(env Env) int {
 // the parallel kernels on small seeded inputs.
 var MinOpRows = 1024
 
-// span is a half-open chunk [lo, hi) of a slice.
+// span is a half-open chunk [lo, hi) of a batch's rows.
 type span struct{ lo, hi int }
 
 // chunkSpans splits n items into at most k contiguous, near-equal chunks
@@ -59,6 +42,41 @@ func chunkSpans(n, k int) []span {
 		}
 	}
 	return out
+}
+
+// spansFor splits n input rows into the chunks a kernel fans out over: one
+// chunk — the sequential run — without workers or below MinOpRows, up to w
+// near-equal chunks otherwise.
+func spansFor(n, w int) []span {
+	if w < 2 || n < MinOpRows {
+		w = 1
+	}
+	return chunkSpans(n, w)
+}
+
+// chargedSpans runs fn once per span on up to w workers. A lone span runs
+// against t itself; otherwise each call gets a handle charging a private
+// counter shard, and the shards merge into t in span order. Handle charges
+// are per-call sums, so the totals equal the sequential loop's, and the
+// error returned is the first in span order.
+func chargedSpans(t *storage.Handle, w int, spans []span, fn func(i int, th *storage.Handle) error) error {
+	if len(spans) == 1 {
+		return fn(0, t)
+	}
+	shards := make([]rel.CostCounter, len(spans))
+	errs := make([]error, len(spans))
+	parallelFor(w, len(spans), func(i int) {
+		errs[i] = fn(i, t.WithCounter(&shards[i]))
+	})
+	for i := range shards {
+		t.Merge(shards[i])
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parallelFor runs fn(0) … fn(n-1) on up to `workers` goroutines and

@@ -1,7 +1,7 @@
 // Skew-adaptive probe execution: the heavy/light partitioning of the
 // compiled probe-join strategies (Abo-Khamis et al.'s heavy-light lever,
-// adapted to the paper's access-count model). When the environment opts in
-// via SkewEnv with a positive threshold, a probe join consults the
+// adapted to the paper's access-count model). When the environment grants
+// a positive Knobs.SkewThreshold, a probe join consults the
 // storage layer's uncharged key-frequency statistics (Table.HeavyKeys)
 // before the probe loop runs and splits the driving rows into two lanes:
 //
@@ -19,11 +19,13 @@
 // strategy plan; only the access counters drop, by (m-1)·(1+matches) per
 // heavy key appearing m times in the round's diff. Because the pre-pass
 // runs sequentially before any worker fans out and the cache is read-only
-// afterwards, the charge totals are byte-identical across {sequential,
-// OpWorkers, BatchSize} execution strategies — the skew-axis differential
-// matrix in internal/ivm pins this under -race. A threshold of 0 (the
+// afterwards, the charge totals are byte-identical across OpWorkers
+// settings and storage engines for a fixed threshold — the skew axis of
+// the differential matrix in internal/ivm pins this under -race. Unlike
+// OpWorkers the threshold deliberately changes access counts: it must stay
+// invariant across engines and schedules, not across thresholds. 0 (the
 // default) disables the machinery entirely: not one statistics call is
-// made and the plan behaves exactly as before.
+// made and every probe takes the index.
 
 package algebra
 
@@ -31,34 +33,6 @@ import (
 	"idivm/internal/rel"
 	"idivm/internal/storage"
 )
-
-// SkewEnv is the optional extension of Env through which an executor
-// grants compiled probe joins skew-adaptive heavy/light partitioning.
-// Plans Run against a plain Env stay single-strategy; the Δ-script
-// executor implements it and returns its ExecOptions.SkewThreshold.
-//
-// Unlike OpWorkers and BatchSize — which never move a counter — a
-// positive SkewThreshold deliberately changes access counts: repeated
-// probes of a heavy key collapse into one. It must stay invariant across
-// execution strategies and storage engines, not across thresholds.
-type SkewEnv interface {
-	Env
-	// SkewThreshold returns the stored-side key frequency at and above
-	// which a probe key is treated as heavy; values below 1 disable the
-	// heavy lane.
-	SkewThreshold() int
-}
-
-// skewThreshold extracts the heavy-key threshold from an environment
-// (0 — disabled — unless env opts in via SkewEnv).
-func skewThreshold(env Env) int {
-	if se, ok := env.(SkewEnv); ok {
-		if t := se.SkewThreshold(); t > 0 {
-			return t
-		}
-	}
-	return 0
-}
 
 // heavyLookup consults the join's heavy-lane cache for the probe key
 // currently in pr.valsBuf. ok=false means the key is light (or the heavy
@@ -74,16 +48,15 @@ func (c *cJoin) heavyLookup(pr *cProbe) ([]rel.Tuple, bool) {
 	return rows, ok
 }
 
-// prepareHeavy builds the heavy-lane cache for a probe-join round over
-// tuple-mode driving rows. It resets any cache left from a previous run,
-// reads the stored side's heavy-key statistics (uncharged), and probes
-// each distinct heavy key present in the driving rows exactly once, in
-// first-appearance order, on the step's main counter — the only charged
-// accesses the heavy lane performs this round.
-func (c *cJoin) prepareHeavy(env Env, t *storage.Handle, driving []rel.Tuple, drivingLeft bool) error {
+// prepareHeavy builds the heavy-lane cache for a probe-join round. It
+// resets any cache left from a previous run, reads the stored side's
+// heavy-key statistics (uncharged), and probes each distinct heavy key
+// present in the driving rows exactly once, in first-appearance order, on
+// the step's main counter — the only charged accesses the heavy lane
+// performs this round.
+func (c *cJoin) prepareHeavy(thresh int, t *storage.Handle, driving *rel.Batch) error {
 	c.heavy = nil
-	thresh := skewThreshold(env)
-	if thresh <= 0 || len(driving) == 0 {
+	if thresh <= 0 || driving.Len() == 0 {
 		return nil
 	}
 	heavy, err := t.HeavyKeys(c.probe.st, c.probe.prep.Attrs(), thresh)
@@ -94,18 +67,12 @@ func (c *cJoin) prepareHeavy(env Env, t *storage.Handle, driving []rel.Tuple, dr
 	for _, k := range heavy {
 		set[k.Key] = struct{}{}
 	}
-	idx := c.lidx
-	if !drivingLeft {
-		idx = c.ridx
-	}
+	idx, _ := c.drive()
 	pr := c.probe
 	var cache map[string][]rel.Tuple
 	var buf []byte
-	for _, dt := range driving {
-		for i, x := range idx {
-			pr.valsBuf[i] = dt[x]
-		}
-		if hasNull(pr.valsBuf[:pr.nJoin]) {
+	for i, n := 0, driving.Len(); i < n; i++ {
+		if !pr.fill(driving, idx, i) {
 			continue
 		}
 		buf = rel.AppendTupleKey(buf[:0], pr.valsBuf)
@@ -123,64 +90,6 @@ func (c *cJoin) prepareHeavy(env Env, t *storage.Handle, driving []rel.Tuple, dr
 			cache = make(map[string][]rel.Tuple)
 		}
 		// pr.lookup returns probe scratch; the cache outlives the next call.
-		cache[string(buf)] = append([]rel.Tuple(nil), rows...)
-	}
-	c.heavy = cache
-	return nil
-}
-
-// prepareHeavyBatch is prepareHeavy over a columnar driving side: same
-// statistics read, same one-probe-per-distinct-heavy-key pre-pass, with
-// the probe values gathered from column vectors.
-func (c *cJoin) prepareHeavyBatch(env Env, t *storage.Handle, driving *rel.Batch, drivingLeft bool) error {
-	c.heavy = nil
-	thresh := skewThreshold(env)
-	if thresh <= 0 || driving.Len() == 0 {
-		return nil
-	}
-	heavy, err := t.HeavyKeys(c.probe.st, c.probe.prep.Attrs(), thresh)
-	if err != nil || len(heavy) == 0 {
-		return err
-	}
-	set := make(map[string]struct{}, len(heavy))
-	for _, k := range heavy {
-		set[k.Key] = struct{}{}
-	}
-	idx := c.lidx
-	if !drivingLeft {
-		idx = c.ridx
-	}
-	pr := c.probe
-	var cache map[string][]rel.Tuple
-	var buf []byte
-	n := driving.Len()
-	for i := 0; i < n; i++ {
-		null := false
-		for k, x := range idx {
-			v := driving.Cols[x].Value(i)
-			if v.IsNull() {
-				null = true
-				break
-			}
-			pr.valsBuf[k] = v
-		}
-		if null {
-			continue
-		}
-		buf = rel.AppendTupleKey(buf[:0], pr.valsBuf)
-		if _, isHeavy := set[string(buf)]; !isHeavy {
-			continue
-		}
-		if _, done := cache[string(buf)]; done {
-			continue
-		}
-		rows, err := pr.lookup(t)
-		if err != nil {
-			return err
-		}
-		if cache == nil {
-			cache = make(map[string][]rel.Tuple)
-		}
 		cache[string(buf)] = append([]rel.Tuple(nil), rows...)
 	}
 	c.heavy = cache

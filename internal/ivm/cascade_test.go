@@ -220,8 +220,10 @@ func TestCascadeMaintenance(t *testing.T) {
 // TestCascadeMatchesFlattened is the differential acceptance test: after
 // every round, the 2-level cascade's top view holds exactly the rows of
 // the equivalent flattened view registered directly over the base table —
-// across both engines, sequential and worker-pool scheduling, and
-// tuple-at-a-time vs columnar batch execution.
+// across both engines, sequential and worker-pool scheduling, and two
+// materialization chunk sizes (the sub-test names predate the single
+// columnar path: "tuple" is the default 1024-row chunk, "batch64" a
+// 64-row one).
 func TestCascadeMatchesFlattened(t *testing.T) {
 	engs := []struct {
 		name string

@@ -180,17 +180,17 @@ func TestCompiledParallelCounterParity(t *testing.T) {
 
 // TestOpWorkersEngineMatrixDifferential is the differential net over the
 // intra-operator kernels: every seeded random plan runs, per storage
-// engine (mem, sharded:1, sharded:8), as a fully sequential reference and
-// as {OpWorkers only, step-DAG + OpWorkers, batch64, batch1024 +
-// OpWorkers} twins fed identical modification streams. Every parallel
-// or columnar cell must reproduce its engine's
-// sequential reference byte-for-byte — per-step reports and the database
-// access counters — because the Handle charges partitioned scans exactly
-// as flat scans and every kernel merges in deterministic order. (The
-// reference is per-engine: physical scan order differs between backends,
-// which can legitimately shift apply-phase costs; parallelism must not.)
-// Final view state must additionally agree across all engines. MinOpRows
-// is forced to 1 so the kernels engage on the tiny Figure 2 instance; run
+// engine (mem, sharded:1, sharded:8), through the interpreted oracle and
+// as {sequential, OpWorkers only, step-DAG + OpWorkers} compiled twins,
+// each with the heavy lane off and on, fed identical modification
+// streams. Every compiled cell must reproduce its engine's reference
+// byte-for-byte — per-step reports and the database access counters —
+// because the Handle charges partitioned scans exactly as flat scans and
+// every kernel merges in deterministic order. (The reference is
+// per-engine: physical scan order differs between backends, which can
+// legitimately shift apply-phase costs; parallelism must not.) Final view
+// state must additionally agree across all engines. MinOpRows is forced
+// to 1 so the chunked kernels engage on the tiny Figure 2 instance; run
 // under -race this also proves the kernels are data-race free on every
 // backend.
 func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
@@ -211,29 +211,28 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 	}
 	strategies := []struct {
 		name      string
+		interpret bool
 		workers   int
 		opWorkers int
-		batch     int
 		skew      int
 	}{
-		{"seq", 0, 0, 0, 0}, // per-engine skew-off reference; must come first
-		{"op4", 0, 4, 0, 0},
-		{"dag4+op4", 4, 4, 0, 0},
-		{"b64", 0, 0, 64, 0},
-		{"b1024+op4", 0, 4, 1024, 0},
+		{"interp", true, 0, 0, 0}, // per-engine skew-off reference: the oracle; must come first
+		{"seq", false, 0, 0, 0},
+		{"op4", false, 0, 4, 0},
+		{"dag4+op4", false, 4, 4, 0},
 		// The skew axis: SkewThreshold=2 on the tiny Figure 2 instance keeps
 		// keys crossing the heavy threshold mid-history as randomMods
-		// inserts and deletes rows. Skew deliberately changes access counts,
-		// so these cells form their own comparison group: the first skew
-		// cell is the per-engine reference the others must reproduce
-		// byte-for-byte. View state must still agree with every skew-off
-		// cell — the heavy lane serves cached rows, never different ones.
-		{"skew2/seq", 0, 0, 0, 2}, // per-engine skew-on reference; must come first
-		{"skew2/op4", 0, 4, 0, 2},
-		{"skew2/b64", 0, 0, 64, 2},
-		{"skew2/b1024+op4", 0, 4, 1024, 2},
+		// inserts and deletes rows. Skew deliberately changes access counts
+		// (and the interpreter has no heavy lane), so these cells form their
+		// own comparison group: the first skew cell is the per-engine
+		// reference the others must reproduce byte-for-byte. View state must
+		// still agree with every skew-off cell, the oracle included — the
+		// heavy lane serves cached rows, never different ones.
+		{"skew2/seq", false, 0, 0, 2}, // per-engine skew-on reference
+		{"skew2/op4", false, 0, 4, 2},
+		{"skew2/dag4+op4", false, 4, 4, 2},
 	}
-	const skewRef = 5 // index of skew2/seq
+	const skewRef = 4 // index of skew2/seq
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(11000 + trial)
 		// One plan, generated against a throwaway mem twin; every cell
@@ -252,15 +251,15 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 			count rel.CostCounter
 		}
 		// cells[e][s]: engine e under strategy s; strategy 0 is the
-		// sequential reference every other strategy is compared against.
+		// interpreted reference every skew-off strategy is compared against.
 		cells := make([][]*cell, len(engines))
 		for ei, e := range engines {
 			for _, s := range strategies {
 				d := fig2DBOn(t, e.mk())
 				sys := ivm.NewSystem(d)
+				sys.Interpret = s.interpret
 				sys.Workers = s.workers
 				sys.OpWorkers = s.opWorkers
-				sys.BatchSize = s.batch
 				sys.SkewThreshold = s.skew
 				if _, err := sys.RegisterView("V", plan, ivm.ModeID); err != nil {
 					t.Fatalf("trial %d: register %s/%s: %v\nplan: %s", trial, e.name, s.name, err, plan)
@@ -285,8 +284,8 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 					c.rep, c.count = rep[0], *c.d.Counter()
 				}
 			}
-			// Parallel and columnar cells must match their engine's
-			// sequential reference exactly: reports, steps, counters. The
+			// Compiled cells must match their engine's reference exactly:
+			// reports, steps, counters. The
 			// comparison is per skew group — a fixed threshold is
 			// strategy-invariant, but the two thresholds legitimately
 			// differ from each other.

@@ -78,28 +78,27 @@ type ExecOptions struct {
 	// the differential tests compare the compiled executor against.
 	Interpret bool
 	// OpWorkers bounds intra-operator parallelism: >1 lets each compiled
-	// compute step run its partition-parallel kernels (scan, scan+filter,
-	// join probe/build, group-by pre-aggregation) on that many pool
-	// workers. Orthogonal to Workers (which overlaps whole steps); results,
-	// per-step reports and access counters are identical to sequential
-	// execution. 0 or 1 keeps operators sequential; the interpreted path
-	// ignores it.
+	// compute step run the chunk- and partition-parallel forms of its
+	// kernels (scan, join probe/build, semijoin, group-by pre-aggregation)
+	// on that many pool workers. Orthogonal to Workers (which overlaps
+	// whole steps); results, per-step reports and access counters are
+	// identical to sequential execution. 0 or 1 keeps operators
+	// sequential; the interpreted path ignores it.
 	OpWorkers int
-	// BatchSize > 0 routes compiled compute steps through the columnar
-	// batch kernels with that materialization granularity; 0 keeps the
-	// tuple-at-a-time kernels. Like OpWorkers it changes only ns/op and
-	// allocs/op — results, reports and access counters are identical —
-	// and the interpreted path ignores it.
+	// BatchSize is the arena chunk, in rows, in which a compiled compute
+	// step's result is materialized into tuples (0 = 1024). It has no
+	// other effect: every compiled step runs the columnar kernels
+	// whatever the value.
 	BatchSize int
 	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
 	// compiled compute steps: driving keys whose stored-side frequency
 	// reaches the threshold are probed once per round and served from a
-	// per-key cache afterwards. Unlike OpWorkers and BatchSize this
-	// deliberately CHANGES access counts (repeat probes of a heavy key
-	// collapse into one) — results stay identical, and for a fixed
-	// threshold the counters stay byte-identical across engines and
-	// execution strategies. 0 (the default) keeps the single-strategy
-	// plans; the interpreted path ignores it.
+	// per-key cache afterwards. Unlike OpWorkers this deliberately CHANGES
+	// access counts (repeat probes of a heavy key collapse into one) —
+	// results stay identical, and for a fixed threshold the counters stay
+	// byte-identical across engines and execution strategies. 0 (the
+	// default) keeps the single-strategy plans; the interpreted path
+	// ignores it.
 	SkewThreshold int
 }
 
@@ -108,12 +107,9 @@ type ExecOptions struct {
 // binding map is guarded for concurrent step execution; everything else is
 // read-only during the run.
 type scriptExec struct {
-	d         *db.Database
-	s         *Script
-	interpret bool
-	opWorkers int
-	batchSize int
-	skewThr   int
+	d    *db.Database
+	s    *Script
+	opts ExecOptions
 	// logDerived records the view's applies into the database's derived
 	// modification log — set when the view is a cascade source (some other
 	// registered view scans it).
@@ -161,22 +157,14 @@ func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
 }
 
-// OpWorkers implements algebra.OpParallelEnv: the per-operator worker
-// budget granted to this step's compiled plan.
-func (e *stepEnv) OpWorkers() int { return e.x.opWorkers }
+// Knobs implements algebra.KnobEnv: the execution options this run was
+// given, as far as compiled plans consume them.
+func (e *stepEnv) Knobs() algebra.Knobs {
+	o := &e.x.opts
+	return algebra.Knobs{OpWorkers: o.OpWorkers, SkewThreshold: o.SkewThreshold, BatchSize: o.BatchSize}
+}
 
-// BatchSize implements algebra.BatchEnv: a positive size switches this
-// step's compiled plan to columnar batch execution.
-func (e *stepEnv) BatchSize() int { return e.x.batchSize }
-
-// SkewThreshold implements algebra.SkewEnv: a positive threshold lets this
-// step's compiled probe joins split their driving keys into heavy and
-// light lanes against the storage layer's key-frequency statistics.
-func (e *stepEnv) SkewThreshold() int { return e.x.skewThr }
-
-var _ algebra.OpParallelEnv = (*stepEnv)(nil)
-var _ algebra.BatchEnv = (*stepEnv)(nil)
-var _ algebra.SkewEnv = (*stepEnv)(nil)
+var _ algebra.KnobEnv = (*stepEnv)(nil)
 
 // RunScript executes a Δ-script against the database: base diff instances
 // are passed as bindings keyed by BaseBindName; the script's compute steps
@@ -208,8 +196,7 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 	if root == nil {
 		root = d.Counter()
 	}
-	x := &scriptExec{d: d, s: s, interpret: opts.Interpret, opWorkers: opts.OpWorkers, batchSize: opts.BatchSize,
-		skewThr:    opts.SkewThreshold,
+	x := &scriptExec{d: d, s: s, opts: opts,
 		logDerived: d.DerivedLoggingEnabled(s.View), bind: make(map[string]*rel.Relation, len(bindings)+8)}
 	for k, v := range bindings { //ivmlint:allow maprange — map-to-map copy, order-free
 		x.bind[k] = v
@@ -328,7 +315,7 @@ func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
 		// that were never compiled).
 		var r *rel.Relation
 		var err error
-		if st.compiled != nil && !x.interpret {
+		if st.compiled != nil && !x.opts.Interpret {
 			r, err = st.compiled.Run(env)
 		} else {
 			r, err = algebra.Eval(st.Plan, env)

@@ -104,12 +104,13 @@ type System struct {
 	// compute step (partition-parallel scans, join probes/builds, group-by
 	// pre-aggregation). Orthogonal to Workers; see ExecOptions.OpWorkers.
 	OpWorkers int
-	// BatchSize > 0 runs every compiled compute step through the columnar
-	// batch kernels; see ExecOptions.BatchSize.
+	// BatchSize is the arena chunk of a compiled step's final
+	// materialization (0 = 1024) and nothing else; see
+	// ExecOptions.BatchSize.
 	BatchSize int
 	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
 	// every compiled compute step; see ExecOptions.SkewThreshold. Unlike
-	// OpWorkers/BatchSize this changes access counts (that is the point);
+	// OpWorkers this changes access counts (that is the point);
 	// 0 keeps the single-strategy plans.
 	SkewThreshold int
 	// PinEpochs keeps every view, cache and logged base table in a
@@ -334,7 +335,14 @@ func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, erro
 // you): a child's diff feed is whatever its sources' derived logs hold.
 func (s *System) Maintain(name string) (*Report, error) {
 	s.beginCascadeEpochs()
-	return s.maintain(name, ExecOptions{Workers: s.Workers, Interpret: s.Interpret, OpWorkers: s.OpWorkers, BatchSize: s.BatchSize, SkewThreshold: s.SkewThreshold})
+	return s.maintain(name, s.execOptions(nil))
+}
+
+// execOptions is the System's knob set as one script run's options,
+// charging counter (nil = the database-wide one).
+func (s *System) execOptions(counter *rel.CostCounter) ExecOptions {
+	return ExecOptions{Workers: s.Workers, Counter: counter, Interpret: s.Interpret,
+		OpWorkers: s.OpWorkers, BatchSize: s.BatchSize, SkewThreshold: s.SkewThreshold}
 }
 
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged
@@ -523,7 +531,7 @@ func (s *System) maintainAllParallel() ([]*Report, error) {
 		}
 		parallelFor(s.Workers, len(idxs), func(k int) {
 			i := idxs[k]
-			reports[i], errs[i] = s.maintain(s.order[i], ExecOptions{Workers: s.Workers, Counter: &shards[i], Interpret: s.Interpret, OpWorkers: s.OpWorkers, BatchSize: s.BatchSize, SkewThreshold: s.SkewThreshold})
+			reports[i], errs[i] = s.maintain(s.order[i], s.execOptions(&shards[i]))
 		})
 		failed := false
 		for _, i := range idxs {

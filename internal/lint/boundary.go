@@ -11,9 +11,11 @@ import (
 
 // goStmtExemptFiles are the blessed goroutine-launch files, one per linted
 // package: the Δ-script scheduler owning internal/ivm's worker pool, the
-// operator pool owning internal/algebra's, and the serving layer's
-// group-commit dispatcher. Everything else must route concurrency through
-// them.
+// operator pool owning internal/algebra's (parallelFor — the chunked form
+// of every columnar kernel in batch.go and the partitioned scan in
+// compile.go fan out through it and hold no go statement themselves), and
+// the serving layer's group-commit dispatcher. Everything else must route
+// concurrency through them.
 var goStmtExemptFiles = map[string]bool{
 	"sched.go":    true, // internal/ivm: step-DAG scheduler + view parallel-for
 	"pool.go":     true, // internal/algebra: intra-operator kernel pool

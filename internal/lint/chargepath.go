@@ -19,10 +19,13 @@
 // converters (rel.FromTuples, rel.FromRelation, Batch.Materialize) are
 // deliberately uncharged — batching must be invisible to the Section-6
 // cost model — which is only sound while every tuple they convert already
-// flowed through a Handle-charged call. The compiled kernels in
+// flowed through a Handle-charged call. The compiled plans in
 // internal/algebra (and internal/rel itself) are the blessed home of that
-// pattern; a converter call anywhere else is a channel for moving tuples
-// around the charge point and is flagged.
+// pattern — their leaves call FromTuples on rows a Handle just returned or
+// on a bound relation, ExecPlan.Run calls Materialize once at the root,
+// and the two nested-loop strategies box their inner side with it; a
+// converter call anywhere else is a channel for moving tuples around the
+// charge point and is flagged.
 //
 // The skew-adaptive planner adds a fourth escape class: the key-frequency
 // statistics (KeyFreq/HeavyKeys) are uncharged like IndexCard, which is

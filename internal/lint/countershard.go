@@ -3,7 +3,7 @@
 // back through the blessed helpers — Handle.Merge, db.MergeCounter, or
 // CostCounter.Add/Sub/Reset — whose fields are plain sums, so the fold
 // order cannot change totals and a parallel run stays byte-identical to
-// the sequential one (DESIGN.md §7, §10). Ad-hoc field arithmetic on a
+// the sequential one (DESIGN.md §7, §8). Ad-hoc field arithmetic on a
 // counter outside internal/rel and internal/storage reintroduces exactly
 // the attribution bugs the shard discipline removed: a hand-written
 // `c.TupleReads += n` is an uncharged-by-Handle mutation no differential

@@ -1,5 +1,5 @@
 // floatfold pins the non-associative aggregation rule of the parallel
-// kernels (DESIGN.md §10): float64 addition is not associative, so SUM and
+// kernels (DESIGN.md §8): float64 addition is not associative, so SUM and
 // AVG over floats are only deterministic when every group folds its inputs
 // in original input order. The group-by kernels honor that by routing
 // whole groups to one partition and folding slices in input order; what

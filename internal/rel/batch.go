@@ -11,8 +11,12 @@
 // (Materialize) only where results must become tuples again — when they
 // are bound for storage, the modification log, or a plan's caller. The
 // converters therefore never touch storage themselves and charge nothing;
-// batching is invisible to the Section-6 cost model (DESIGN.md §13), and
+// batching is invisible to the Section-6 cost model (DESIGN.md §8), and
 // the ivmlint chargepath analyzer pins the converters to the kernel layer.
+//
+// A batch is immutable once built: kernels derive new batches (sharing
+// payloads) and never write into one they were handed, so one zero-row
+// batch per operator can be shared by every run that comes up empty.
 package rel
 
 // VecKind identifies the payload layout of a column vector. The zero
@@ -128,10 +132,19 @@ type Batch struct {
 	N      int
 }
 
+// nullCols backs the columns of zero-row batches. A zero ColVec is a valid
+// column of any length and a batch is never written to once built, so all
+// empty batches of up to len(nullCols) attributes share these.
+var nullCols [64]ColVec
+
 // NewBatch returns an empty (zero-row) batch with one VecNull column per
 // attribute — safe to Gather, Materialize or read at any width.
 func NewBatch(sch Schema) *Batch {
-	return &Batch{Schema: sch, Cols: make([]ColVec, len(sch.Attrs))}
+	w := len(sch.Attrs)
+	if w > len(nullCols) {
+		return &Batch{Schema: sch, Cols: make([]ColVec, w)}
+	}
+	return &Batch{Schema: sch, Cols: nullCols[:w:w]}
 }
 
 // Len returns the logical row count.
@@ -398,20 +411,20 @@ func (cb *ColBuilder) Vec() ColVec {
 // a *storage.Handle just charged for (or on an already-bound derived
 // relation), never inside an operator loop.
 func FromTuples(sch Schema, rows []Tuple) *Batch {
-	w := len(sch.Attrs)
-	builders := make([]ColBuilder, w)
+	if len(rows) == 0 {
+		return NewBatch(sch)
+	}
+	b := &Batch{Schema: sch, Cols: make([]ColVec, len(sch.Attrs)), N: len(rows)}
 	// Column-major fill: one builder at a time keeps its kind switch
 	// predicted and its payload slice hot instead of cycling through all
-	// w builders per row.
-	for j := range builders {
-		builders[j].Grow(len(rows))
+	// the builders per row.
+	for j := range b.Cols {
+		var cb ColBuilder
+		cb.Grow(len(rows))
 		for _, t := range rows {
-			builders[j].Append(t[j])
+			cb.Append(t[j])
 		}
-	}
-	b := &Batch{Schema: sch, Cols: make([]ColVec, w), N: len(rows)}
-	for j := range builders {
-		b.Cols[j] = builders[j].Vec()
+		b.Cols[j] = cb.Vec()
 	}
 	return b
 }
