@@ -79,6 +79,9 @@ bench-e2e-smoke:
 # The Fig10 rows (all eight BSMA views, both modes) are the gate on the γ
 # rules: Q11, Q18, Q*1–Q*3 are aggregates over joins, and a rule that
 # evaluates one sub-plan per output diff shows up there as a multiple.
+# The AggClasses rows pin what Fig10 has no view for: AVG (alone and beside
+# a SUM) and MIN/MAX over a base table and over a join, i.e. the two plan
+# rewrites of DESIGN.md §16, plus AVG in tuple mode.
 # The TableChurn rows (internal/rel: insert a bucket, DeleteWhere it,
 # UpdateKey as many rows) have a constant accesses/op; they are there for
 # their allocs/op column — the storage write path's allocations.
@@ -94,6 +97,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkBatch(Filter|HashJoin)$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFig10$$' -benchtime=1x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkAggClasses$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkTableChurn$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
 

@@ -174,41 +174,85 @@ func approachSet(b *testing.B, p workload.Params, withSDBT bool) {
 	b.Run("E=parallel", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID, benchWorkers) })
 }
 
+// benchBSMAView measures maintenance rounds of one view over the BSMA data
+// set under the 100-user-update workload.
+func benchBSMAView(b *testing.B, name string, plan func(*bsma.Dataset) (algebra.Node, error), mode ivm.Mode) {
+	ds := bsma.Build(benchBSMAParams())
+	sys := ivm.NewSystem(ds.DB)
+	p, err := plan(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.RegisterView(name, p, mode); err != nil {
+		b.Fatal(err)
+	}
+	var accesses int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := ds.ApplyUserUpdates(); err != nil {
+			b.Fatal(err)
+		}
+		ds.DB.Counter().Reset()
+		b.StartTimer()
+		reports, err := sys.MaintainAll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		accesses += reports[0].Phases.Total().Total()
+	}
+	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+}
+
 // BenchmarkFig10 regenerates Figure 10: the eight BSMA views maintained
 // under the 100-user-update workload, in both modes.
 func BenchmarkFig10(b *testing.B) {
-	p := benchBSMAParams()
 	for _, q := range bsma.QueryNames() {
 		for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
 			b.Run(fmt.Sprintf("%s/%s", q, mode), func(b *testing.B) {
-				ds := bsma.Build(p)
-				sys := ivm.NewSystem(ds.DB)
-				plan, err := ds.Plan(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sys.RegisterView(q, plan, mode); err != nil {
-					b.Fatal(err)
-				}
-				var accesses int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := ds.ApplyUserUpdates(); err != nil {
-						b.Fatal(err)
-					}
-					ds.DB.Counter().Reset()
-					b.StartTimer()
-					reports, err := sys.MaintainAll()
-					if err != nil {
-						b.Fatal(err)
-					}
-					accesses += reports[0].Phases.Total().Total()
-				}
-				b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+				benchBSMAView(b, q, func(ds *bsma.Dataset) (algebra.Node, error) { return ds.Plan(q) }, mode)
 			})
 		}
+	}
+}
+
+// BenchmarkAggClasses pins the aggregate classes Figure 10 has no view for
+// — AVG, AVG beside SUM, and MIN/MAX over a base table and over a join —
+// on the same data set and workload: per topic over microblog ⋈ user (the
+// input of Q*3), per city over user.
+func BenchmarkAggClasses(b *testing.B) {
+	tweets := expr.C("user.tweetsnum")
+	avg := algebra.Agg{Fn: algebra.AggAvg, Arg: tweets, As: "avg_tweets"}
+	minmax := []algebra.Agg{{Fn: algebra.AggMin, Arg: tweets, As: "lo"}, {Fn: algebra.AggMax, Arg: tweets, As: "hi"}}
+	perTopic := func(aggs ...algebra.Agg) func(*bsma.Dataset) (algebra.Node, error) {
+		return func(ds *bsma.Dataset) (algebra.Node, error) {
+			qs3, err := ds.Plan("Q*3")
+			if err != nil {
+				return nil, err
+			}
+			return algebra.NewGroupBy(qs3.(*algebra.GroupBy).Child, []string{"microblog.topic"}, aggs), nil
+		}
+	}
+	perCity := func(ds *bsma.Dataset) (algebra.Node, error) {
+		user, err := ds.DB.Table("user")
+		if err != nil {
+			return nil, err
+		}
+		return algebra.NewGroupBy(algebra.NewScan("user", "", user.Schema()), []string{"user.city"}, minmax), nil
+	}
+	for _, row := range []struct {
+		name string
+		plan func(*bsma.Dataset) (algebra.Node, error)
+		mode ivm.Mode
+	}{
+		{"avg/id", perTopic(avg), ivm.ModeID},
+		{"avg/tuple", perTopic(avg), ivm.ModeTuple},
+		{"sum+avg/id", perTopic(algebra.Agg{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "favors"}, avg), ivm.ModeID},
+		{"minmax/id", perCity, ivm.ModeID},
+		{"minmax-over-join/id", perTopic(minmax...), ivm.ModeID},
+	} {
+		b.Run(row.name, func(b *testing.B) { benchBSMAView(b, "V", row.plan, row.mode) })
 	}
 }
 

@@ -172,3 +172,82 @@ func TestFacadeDuplicateOutputNames(t *testing.T) {
 	// The catalog must not keep a half-registered view around.
 	d.MustCreateView(`CREATE VIEW w AS SELECT pid AS x, price AS y FROM parts`)
 }
+
+// Malformed input through the facade is an error, never a panic and never
+// a silent "no such row" (ROADMAP aim 3): a table named twice in FROM
+// without an alias, a key column that is not a column, a column named
+// twice, and a primary key of the wrong length.
+func TestFacadeMalformedInput(t *testing.T) {
+	d := openRunningExample(t)
+	for _, tc := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"query: table twice in FROM", func() error { _, err := d.Query(`SELECT parts.pid FROM parts, parts`); return err }, "two FROM sources"},
+		{"view: table twice in FROM", func() error { return d.CreateView(`CREATE VIEW twice AS SELECT parts.pid FROM parts, parts`) }, "two FROM sources"},
+		{"view: alias twice in JOIN", func() error {
+			return d.CreateView(`CREATE VIEW twice AS SELECT x.pid FROM parts x JOIN devices_parts x ON x.pid = x.pid`)
+		}, "two FROM sources"},
+		{"table: key not a column", func() error { return d.CreateTable("t", idivm.Columns("a"), "b") }, "not one of its columns"},
+		{"table: column twice", func() error { return d.CreateTable("t", idivm.Columns("a", "a"), "a") }, "twice"},
+		{"update: key too long", func() error {
+			_, err := d.Update("parts", []any{"P1", 2}, map[string]any{"price": 1})
+			return err
+		}, "has key [pid]"},
+		{"update: key too short", func() error {
+			_, err := d.Update("devices_parts", []any{"D1"}, map[string]any{})
+			return err
+		}, "has key [did pid]"},
+		{"delete: key too long", func() error { _, err := d.Delete("parts", "P1", 2); return err }, "has key [pid]"},
+		{"delete: no key", func() error { _, err := d.Delete("parts"); return err }, "has key [pid]"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			if err := tc.call(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+	// Nothing above left a table or view behind, and well-formed calls
+	// still work.
+	if err := d.CreateTable("t", idivm.Columns("a", "b"), "a"); err != nil {
+		t.Fatal(err)
+	}
+	d.MustCreateView(`CREATE VIEW twice AS SELECT a.pid, b.pid AS other FROM parts a, parts b WHERE a.price = b.price`)
+	if ok, err := d.Delete("parts", "nosuch"); ok || err != nil {
+		t.Fatalf("delete of a missing key: ok=%v err=%v", ok, err)
+	}
+}
+
+// The AVG and MIN/MAX rewrites add hidden columns (a#sum, a#cnt, #mult)
+// next to the user's; a quoted identifier can spell the same name, and the
+// view must still register and stay consistent.
+func TestFacadeHiddenAggregateNamesDoNotCollide(t *testing.T) {
+	d := openRunningExample(t)
+	d.MustCreateView(`CREATE VIEW shadow AS
+		SELECT did, AVG(price) AS a, SUM(price) AS "a#sum", COUNT(*) AS "a#cnt"
+		FROM parts NATURAL JOIN devices_parts GROUP BY did`)
+	d.MustCreateTable("odd", idivm.Columns("k", "g", "#mult"), "k")
+	d.MustInsert("odd", 1, 1, 5)
+	d.MustInsert("odd", 2, 1, 3)
+	d.MustCreateView(`CREATE VIEW lows AS SELECT g, MIN("#mult") AS lo FROM odd GROUP BY g`)
+	if _, err := d.Update("parts", []any{"P1"}, map[string]any{"price": 17}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Delete("odd", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"shadow", "lows"} {
+		if err := d.CheckConsistent(v); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -157,6 +157,18 @@ func Columns(names ...string) []string { return names }
 // CreateTable registers a base table with the given columns; key names the
 // primary key columns (required — idIVM exploits keys).
 func (x *DB) CreateTable(name string, columns []string, key ...string) error {
+	seen := map[string]bool{}
+	for _, c := range columns {
+		if seen[c] {
+			return fmt.Errorf("idivm: table %s names column %q twice", name, c)
+		}
+		seen[c] = true
+	}
+	for _, k := range key {
+		if !seen[k] {
+			return fmt.Errorf("idivm: key column %q of table %s is not one of its columns %v", k, name, columns)
+		}
+	}
 	_, err := x.d.CreateTable(name, rel.NewSchema(columns, key))
 	return err
 }
@@ -223,6 +235,20 @@ func toTuple(vals []any) (rel.Tuple, error) {
 	return t, nil
 }
 
+// keyTuple converts a primary-key argument and checks it against the
+// table's key: a key of the wrong length finds no row on any table, which
+// would read as "no such row" instead of a caller mistake.
+func (x *DB) keyTuple(table string, key []any) (rel.Tuple, error) {
+	t, err := x.d.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	if want := t.Schema().Key; len(key) != len(want) {
+		return nil, fmt.Errorf("idivm: table %s has key %v, got %d value(s)", table, want, len(key))
+	}
+	return toTuple(key)
+}
+
 // Insert adds a row to a base table (logged for view maintenance).
 func (x *DB) Insert(table string, values ...any) error {
 	t, err := toTuple(values)
@@ -267,7 +293,7 @@ func (x *DB) setLists(table string, set map[string]any) ([]string, []rel.Value, 
 // Update modifies the row with the given primary key, setting the named
 // columns. It reports whether a row was found.
 func (x *DB) Update(table string, key []any, set map[string]any) (bool, error) {
-	kt, err := toTuple(key)
+	kt, err := x.keyTuple(table, key)
 	if err != nil {
 		return false, err
 	}
@@ -281,7 +307,7 @@ func (x *DB) Update(table string, key []any, set map[string]any) (bool, error) {
 // Delete removes the row with the given primary key, reporting whether a
 // row was found.
 func (x *DB) Delete(table string, key ...any) (bool, error) {
-	kt, err := toTuple(key)
+	kt, err := x.keyTuple(table, key)
 	if err != nil {
 		return false, err
 	}
@@ -470,24 +496,6 @@ func (x *DB) ViewSnapshot(name string) (*Rows, error) {
 	return rowsFromRelation(t.Relation(rel.StatePre)), nil
 }
 
-// unchargedEnv resolves stored tables to handles that discard their
-// access charges — the snapshot-read counterpart of the catalog env.
-type unchargedEnv struct{ d *db.Database }
-
-// Table implements algebra.Env.
-func (e unchargedEnv) Table(name string) (*storage.Handle, error) {
-	t, err := e.d.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.WithCounter(nil), nil
-}
-
-// Rel implements algebra.Env.
-func (e unchargedEnv) Rel(name string) (*rel.Relation, error) {
-	return nil, fmt.Errorf("idivm: no relation binding for %q", name)
-}
-
 // QuerySnapshot evaluates an ad-hoc SELECT against the snapshot of the
 // last completed maintenance round: every stored table in the plan reads
 // its pinned pre-state (views and logged base tables; an unlogged table
@@ -501,11 +509,11 @@ func (x *DB) QuerySnapshot(sql string) (*Rows, error) {
 		}
 		return rowsFromRelation(rr), nil
 	}
-	v, err := sqlview.Parse(sql, x.d)
+	plan, err := serve.SnapshotPlan(x.d, sql)
 	if err != nil {
 		return nil, err
 	}
-	rr, err := algebra.Eval(algebra.WithState(v.Plan, rel.StatePre), unchargedEnv{x.d})
+	rr, err := algebra.Eval(plan, db.Uncharged{Database: x.d})
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +583,7 @@ func (s *Serving) EnqueueInsert(table string, values ...any) *PendingWrite {
 // EnqueueUpdate queues a primary-key update for the next batch without
 // waiting.
 func (s *Serving) EnqueueUpdate(table string, key []any, set map[string]any) *PendingWrite {
-	kt, err := toTuple(key)
+	kt, err := s.x.keyTuple(table, key)
 	if err != nil {
 		return failedWrite(err)
 	}
@@ -589,7 +597,7 @@ func (s *Serving) EnqueueUpdate(table string, key []any, set map[string]any) *Pe
 // EnqueueDelete queues a primary-key delete for the next batch without
 // waiting.
 func (s *Serving) EnqueueDelete(table string, key ...any) *PendingWrite {
-	kt, err := toTuple(key)
+	kt, err := s.x.keyTuple(table, key)
 	if err != nil {
 		return failedWrite(err)
 	}

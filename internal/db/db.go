@@ -193,6 +193,21 @@ func (d *Database) Rel(name string) (*rel.Relation, error) {
 	return nil, fmt.Errorf("db: no relation binding for %q", name)
 }
 
+// Uncharged is the database as an algebra.Env whose handles discard their
+// access charges: the Env of snapshot reads, which must not perturb the
+// maintenance access counters. Like the database it carries no relation
+// bindings.
+type Uncharged struct{ *Database }
+
+// Table implements algebra.Env.
+func (e Uncharged) Table(name string) (*storage.Handle, error) {
+	t, err := e.Database.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	return t.WithCounter(nil), nil
+}
+
 // TableNames returns the registered table names in creation order.
 func (d *Database) TableNames() []string {
 	d.mu.RLock()

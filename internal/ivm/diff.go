@@ -149,8 +149,8 @@ func (i *Instance) Apply(t *storage.Handle) (int, error) {
 // derived modification log that a cascaded (view-over-view) consumer
 // compacts exactly like a trigger log on a base table. Charges are
 // identical to Apply's: the images are captured inside the storage
-// critical sections where they are already in hand (DeleteWhereFunc /
-// UpdateWhereFunc), never through extra probes, so the paper's Section 6
+// critical sections where they are already in hand (DeleteWhere /
+// UpdateWhere's fn), never through extra probes, so the paper's Section 6
 // access counts cannot tell the two entry points apart. The recorded
 // tuples alias stored rows, which are immutable once stored.
 func (i *Instance) ApplyLogged(t *storage.Handle, rec func(db.Modification)) (int, error) {
@@ -196,7 +196,7 @@ func (i *Instance) applyUpdate(t *storage.Handle, rec func(db.Modification)) (in
 		for k, j := range postIdx {
 			postVals[k] = row[j]
 		}
-		n, err := t.UpdateWhereFunc(i.Schema.IDs, idVals, i.Schema.Post, postVals, record)
+		n, err := t.UpdateWhere(i.Schema.IDs, idVals, i.Schema.Post, postVals, record)
 		if err != nil {
 			return touched, err
 		}
@@ -268,7 +268,7 @@ func (i *Instance) applyDelete(t *storage.Handle, rec func(db.Modification)) (in
 		for k, j := range idIdx {
 			idVals[k] = row[j]
 		}
-		n, err := t.DeleteWhereFunc(i.Schema.IDs, idVals, record)
+		n, err := t.DeleteWhere(i.Schema.IDs, idVals, record)
 		if err != nil {
 			return deleted, err
 		}

@@ -306,8 +306,10 @@ func Generate(viewTable string, plan algebra.Node, base BaseDiffSchemas, tupleMo
 	}
 	g := &gen{viewTable: viewTable, tupleMode: tupleMode, opts: o, base: base}
 
-	// Passes 2–3: rule instantiation and composition.
-	decls, _, err := g.node(fixed, &mat{name: viewTable, schema: fixed.Schema()})
+	// Passes 2–3: rule instantiation and composition, on the plan with its
+	// derived aggregates rewritten. ViewPlan stays the plan as written: it
+	// is what the view is checked against.
+	decls, _, err := g.node(g.normalizeAggs(fixed), &mat{name: viewTable, schema: fixed.Schema()})
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +507,7 @@ func (g *gen) binaryNode(n algebra.Node, l, r algebra.Node,
 }
 
 // groupNode handles aggregation: input cache creation (idIVM mode), rule
-// dispatch between the incremental sum/count/avg path and the general
+// dispatch between the incremental sum/count path and the general
 // recompute path, and output materialization (out-cache for interior γs).
 func (g *gen) groupNode(x *algebra.GroupBy, out *mat) ([]decl, algebra.Node, error) {
 	ins, childMat, err := g.node(x.Child, nil)

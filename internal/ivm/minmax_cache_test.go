@@ -72,8 +72,8 @@ func minMaxMods(t *testing.T, d *db.Database, rng *rand.Rand, nextID *int) {
 }
 
 // TestMinMaxCachedDifferential is the differential net over the MIN/MAX
-// ordered-multiset cache: the compiled path (which takes the cached rule)
-// against the interpreted oracle on identical twins fed identical
+// ordered-multiset cache (the inner γ of normalizeAggs' MIN/MAX rewrite):
+// the compiled path against the interpreted oracle on identical twins fed identical
 // delete-heavy streams — per-step reports, database counters and view
 // state must stay byte-identical, and the view must match a from-scratch
 // recompute every round. A third system registered with NoCache pins the
@@ -81,8 +81,8 @@ func minMaxMods(t *testing.T, d *db.Database, rng *rand.Rand, nextID *int) {
 // accesses of group recompute from the base table on the same stream
 // (7 174 against 19 523 once both sides compute ΔK/ΔR once — before that
 // 16 758 against 56 685, so "fewer" alone would no longer say much). The
-// bound also guards the dispatch: letting the cache's synthetic γ-COUNT,
-// whose input is a base-table scan, take the per-diff dispatch costs
+// bound also guards the dispatch: letting the multiset γ-COUNT, whose
+// input is a base-table scan, take the per-diff dispatch costs
 // 62 083 on this stream (DESIGN.md §16).
 func TestMinMaxCachedDifferential(t *testing.T) {
 	dC := minMaxItemsDB(t, storage.NewMem())
@@ -104,7 +104,7 @@ func TestMinMaxCachedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cached rule must actually be in play: its "#mult" multiset cache
+	// The rewrite must actually be in play: its "#mult" multiset cache
 	// appears in the script, and disabling caches removes it.
 	v, _ := sysC.View("V")
 	if len(v.Script.Caches) == 0 || !strings.Contains(v.Script.String(), "#mult") {

@@ -211,7 +211,8 @@ func TestMinMaxAggregateView(t *testing.T) {
 	}
 }
 
-// avgPlan exercises the AVG operator-cache rules of Table 12.
+// avgPlan exercises the AVG rewrite: π[sum/cnt] over γ[SUM, COUNT], whose
+// materialized γ is the operator cache of Table 12.
 func avgPlan(t testing.TB, d *db.Database) algebra.Node {
 	t.Helper()
 	return algebra.NewGroupBy(spjPlan(t, d), []string{"devices_parts.did"},

@@ -8,9 +8,9 @@ import (
 	"idivm/internal/rel"
 )
 
-// Delta column names used by the incremental aggregation path.
-func sumDeltaCol(j int) string { return fmt.Sprintf("Δx%d", j) }
-func cntDeltaCol(j int) string { return fmt.Sprintf("Δn%d", j) }
+// Delta column names used by the incremental aggregation path: one per
+// aggregate, plus the change in the group's tuple count.
+func deltaCol(j int) string { return fmt.Sprintf("Δx%d", j) }
 
 const tupleCntCol = "Δcnt"
 
@@ -24,18 +24,18 @@ func renamedInput(in inputFn, st rel.State, sfx string) algebra.Node {
 	return renameAll(n, sfx)
 }
 
-// groupRules dispatches each input diff of a γ to the incremental path
-// (Tables 9, 11 and 12 for SUM, COUNT and AVG, extended with group
-// creation/deletion) or to the general recompute path (Table 7). A diff is
+// groupRules dispatches each input diff of a γ to one of two rules: the
+// incremental rule (Tables 9 and 11, extended with group creation and
+// deletion), which needs every aggregate to be a SUM or a COUNT, or the
+// general recompute rule (Table 7). Derived aggregates never get here as
+// such — normalizeAggs rewrote them into plans over these two. A diff is
 // key-moving when it is an update whose post set intersects the grouping
 // attributes: it moves tuples between groups, which only Table 7 handles.
 //
-//	aggregates      mode / input          key-moving diffs   other diffs
-//	SUM/COUNT/AVG   any, none key-moving  —                  Tables 9/11/12
-//	SUM/COUNT       ID mode, stored input Table 7 on ΔK      Tables 9/11, ΔG ▷ ΔK
-//	SUM/COUNT/AVG   otherwise             Table 7            Table 7
-//	MIN/MAX (arg)   ID mode, caches on    multiset cache     multiset cache
-//	anything else   any                   Table 7            Table 7
+//	aggregates   mode / input           key-moving diffs   other diffs
+//	SUM/COUNT    any, none key-moving   —                  Tables 9/11
+//	SUM/COUNT    ID mode, stored input  Table 7 on ΔK      Tables 9/11, ΔG ▷ ΔK
+//	anything else                       Table 7            Table 7
 //
 // The mixed row is exact because ΔK holds the pre- and the post-group of
 // every moved tuple: a group outside ΔK neither lost nor gained a moved
@@ -50,13 +50,9 @@ func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output 
 	if len(ins) == 0 {
 		return nil, nil
 	}
-	incremental, hasAvg := len(op.Aggs) > 0, false
+	incremental := len(op.Aggs) > 0
 	for _, a := range op.Aggs {
-		switch a.Fn {
-		case algebra.AggSum, algebra.AggCount:
-		case algebra.AggAvg:
-			hasAvg = true
-		default:
+		if a.Fn != algebra.AggSum && a.Fn != algebra.AggCount {
 			incremental = false
 		}
 	}
@@ -72,81 +68,16 @@ func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output 
 	switch {
 	case incremental && len(moving) == 0:
 		return g.groupIncremental(op, ins, nil, input, output, ph)
-	case incremental && !hasAvg && !g.tupleMode && inRef != nil && inRef.Stored:
+	case incremental && !g.tupleMode && inRef != nil && inRef.Stored:
 		ak := g.share("ΔK", affectedGroupKeys(op, moving, input), ph)
 		incr, err := g.groupIncremental(op, rest, ak, input, output, ph)
 		if err != nil {
 			return nil, err
 		}
-		return append(g.classifyRecomputed(op, ak, input(rel.StatePost), output, ph), incr...), nil
-	case g.minMaxCacheable(op):
-		return g.groupMinMaxCached(op, ins, input, output, ph)
+		return append(g.classifyRecomputed(op, ak, input, output, ph), incr...), nil
 	}
 	ak := g.share("ΔK", affectedGroupKeys(op, ins, input), ph)
-	return g.classifyRecomputed(op, ak, input(rel.StatePost), output, ph), nil
-}
-
-// minMaxCacheable reports whether the ordered-multiset cache path applies:
-// every aggregate is a MIN/MAX with an argument and caches are enabled.
-// Updates that move tuples across groups need no special case here — the
-// cache's own diffs name both group images and the affected groups are
-// recomputed from the cache's exact post-state.
-func (g *gen) minMaxCacheable(op *algebra.GroupBy) bool {
-	if g.tupleMode || g.opts.NoCache || len(op.Aggs) == 0 {
-		return false
-	}
-	for _, a := range op.Aggs {
-		if (a.Fn != algebra.AggMin && a.Fn != algebra.AggMax) || a.Arg == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// minMaxMultCol is the multiplicity column of the ordered-multiset cache.
-const minMaxMultCol = "#mult"
-
-// groupMinMaxCached implements the ordered-multiset path for MIN/MAX: the
-// operator keeps a cache C = γ_{Ḡ ∪ v̄}(COUNT(*)) of the distinct
-// (group, argument) combinations with their multiplicities. MIN/MAX are
-// duplicate-insensitive, so recomputing an affected group from C is exact
-// and touches one row per distinct value instead of one per input tuple —
-// a delete of the current minimum no longer rescans the whole group. The
-// cache itself is COUNT-maintained by recursing into the group rules: the
-// incremental path (Table 11) updates multiplicities in place, and an
-// update that moves argument values lands on the recompute path of the
-// synthetic γ, still exact.
-func (g *gen) groupMinMaxCached(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
-	vcols := []string{}
-	for _, a := range op.Aggs {
-		vcols = rel.Union(vcols, a.Arg.Cols())
-	}
-	cacheKeys := rel.Union(append([]string(nil), op.Keys...), vcols)
-
-	cacheName := g.freshCache()
-	cachePlan := algebra.NewGroupBy(input(rel.StatePost), cacheKeys,
-		[]algebra.Agg{{Fn: algebra.AggCount, As: minMaxMultCol}})
-	cacheSchema := cachePlan.Schema()
-	g.caches = append(g.caches, CacheDef{Name: cacheName, Plan: cachePlan})
-
-	// Maintain C through the same diffs the operator consumes. The
-	// recursion cannot loop: COUNT(*) is never min/max-cacheable.
-	cacheDecls, err := g.groupRules(cachePlan, ins, input, storedInput(cacheName, cacheSchema), ph)
-	if err != nil {
-		return nil, err
-	}
-	cacheDiffs := g.emitAndRef(cacheName, cacheDecls, ph, PhaseCacheUpdate)
-
-	// A group's extremes can only move when its multiset does, and every
-	// diff of C names its (group, value) row by full ID: the affected
-	// groups are the Ḡ columns of C's own diffs — no stored access. They
-	// recompute from C's post-state, behind C's applies.
-	var keyPlans []algebra.Node
-	for _, d := range cacheDiffs {
-		keyPlans = append(keyPlans, algebra.Keep(d.plan, op.Keys...))
-	}
-	ak := g.share("ΔK", dedupKeys(unionPlans(keyPlans), op.Keys), ph)
-	return g.classifyRecomputed(op, ak, algebra.NewStoredRef(cacheName, cacheSchema, rel.StatePost), output, ph), nil
+	return g.classifyRecomputed(op, ak, input, output, ph), nil
 }
 
 // kappaCol names the i-th input-tuple ID column carried by contribution
@@ -157,7 +88,7 @@ func kappaCol(i int) string { return fmt.Sprintf("κ%d", i) }
 
 // contribution builds, for one input diff, a plan producing one row per
 // affected input tuple with the input tuple's full ID, the group key, and
-// per-aggregate delta columns: (κ̄, Ḡ, Δx_j, Δn_j, Δcnt). This realizes
+// one delta column per aggregate: (κ̄, Ḡ, Δx_j, Δcnt). This realizes
 // the ∆1/∆2/∆3 rules of Tables 9 and 11; partial-ID update diffs are
 // expanded to per-tuple granularity by joining the input's pre-state on
 // the diff's IDs — the central trick of the paper's Figure 7 script.
@@ -229,7 +160,9 @@ func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra
 		}
 	}
 
-	// Build the projection items: input-tuple ID, group key, deltas.
+	// Build the projection items: input-tuple ID, group key, deltas. A SUM
+	// changes by the argument (NULL counts 0), a COUNT(x) by whether it is
+	// non-NULL, COUNT(*) and the group's size by the tuple itself.
 	var items []algebra.ProjItem
 	for i, k := range childKey {
 		items = append(items, algebra.ProjItem{E: expr.C(preRen[k]), As: kappaCol(i)})
@@ -238,51 +171,33 @@ func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra
 		items = append(items, algebra.ProjItem{E: expr.C(preRen[k]), As: k})
 	}
 	zero := expr.IntLit(0)
-	for j, a := range op.Aggs {
-		var pre, post expr.Expr
-		if a.Arg != nil {
-			pre = expr.Rename(a.Arg, preRen)
-			post = expr.Rename(a.Arg, postRen)
-		}
-		sumPre := func() expr.Expr { return expr.Call("coalesce", pre, zero) }
-		sumPost := func() expr.Expr { return expr.Call("coalesce", post, zero) }
-		nnPre := func() expr.Expr { return expr.Call("notnull", pre) }
-		nnPost := func() expr.Expr { return expr.Call("notnull", post) }
-
-		var sumDelta, cntDelta expr.Expr
-		switch ds.Type {
-		case DiffInsert:
-			if a.Arg != nil {
-				sumDelta, cntDelta = sumPost(), nnPost()
-			} else {
-				sumDelta, cntDelta = zero, expr.IntLit(1)
-			}
-		case DiffDelete:
-			if a.Arg != nil {
-				sumDelta = expr.SubE(zero, sumPre())
-				cntDelta = expr.SubE(zero, nnPre())
-			} else {
-				sumDelta, cntDelta = zero, expr.IntLit(-1)
-			}
-		case DiffUpdate:
-			if a.Arg != nil && len(rel.Intersect(a.Arg.Cols(), ds.Post)) > 0 {
-				sumDelta = expr.SubE(sumPost(), sumPre())
-				cntDelta = expr.SubE(nnPost(), nnPre())
-			} else {
-				sumDelta, cntDelta = zero, zero
-			}
-		}
-		items = append(items, algebra.ProjItem{E: sumDelta, As: sumDeltaCol(j)})
-		items = append(items, algebra.ProjItem{E: cntDelta, As: cntDeltaCol(j)})
-	}
-	var tupleCnt expr.Expr
+	var tupleCnt expr.Expr = zero // an update keeps every tuple in its group
 	switch ds.Type {
 	case DiffInsert:
 		tupleCnt = expr.IntLit(1)
 	case DiffDelete:
 		tupleCnt = expr.IntLit(-1)
-	default:
-		tupleCnt = zero
+	}
+	for j, a := range op.Aggs {
+		delta := tupleCnt
+		if a.Arg != nil {
+			weight := func(ren map[string]string) expr.Expr {
+				arg := expr.Rename(a.Arg, ren)
+				if a.Fn == algebra.AggSum {
+					return expr.Call("coalesce", arg, zero)
+				}
+				return expr.Call("notnull", arg)
+			}
+			switch {
+			case ds.Type == DiffInsert:
+				delta = weight(postRen)
+			case ds.Type == DiffDelete:
+				delta = expr.SubE(zero, weight(preRen))
+			case len(rel.Intersect(a.Arg.Cols(), ds.Post)) > 0:
+				delta = expr.SubE(weight(postRen), weight(preRen))
+			}
+		}
+		items = append(items, algebra.ProjItem{E: delta, As: deltaCol(j)})
 	}
 	items = append(items, algebra.ProjItem{E: tupleCnt, As: tupleCntCol})
 
@@ -323,8 +238,8 @@ func restrictMap(base map[string]string, ids, needed []string) map[string]string
 	return m
 }
 
-// groupIncremental implements the blocking incremental rules for
-// SUM/COUNT/AVG (Tables 9, 11, 12): it combines every input diff into one
+// groupIncremental implements the blocking incremental rules for SUM and
+// COUNT (Tables 9 and 11): it combines every input diff into one
 // per-group delta relation, joins it with the operator's Output to update
 // existing groups, and — as an extension over the paper, which "does not
 // handle group creation/deletion" — recomputes newly created groups from
@@ -408,12 +323,11 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 	// so its probes reuse the cache's live post-state indexes.
 	keys := op.Keys
 	var cdAggs []algebra.Agg
+	sumOf := func(c string) { cdAggs = append(cdAggs, algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(c), As: c + "Σ"}) }
 	for j := range op.Aggs {
-		cdAggs = append(cdAggs,
-			algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(sumDeltaCol(j)), As: sumDeltaCol(j) + "Σ"},
-			algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(cntDeltaCol(j)), As: cntDeltaCol(j) + "Σ"})
+		sumOf(deltaCol(j))
 	}
-	cdAggs = append(cdAggs, algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(tupleCntCol), As: tupleCntCol + "Σ"})
+	sumOf(tupleCntCol)
 	var cdPlan algebra.Node = algebra.NewGroupBy(unionPlans(parts), keys, cdAggs)
 	if ak != nil {
 		cdPlan = algebra.NewAntiJoin(cdPlan, renameAll(ak, "@k"), idEq(keys, "@k"))
@@ -421,68 +335,38 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 	cd := renameAll(g.share("ΔG", cdPlan, ph), "@d")
 	g.flushPending()
 
-	var aggCols []string
-	for _, a := range op.Aggs {
-		aggCols = append(aggCols, a.As)
-	}
-
-	// 3. Optional operator cache for AVG (Table 12): Ḡ plus the sum and
-	// count backing each AVG column, maintained alongside the view.
-	var ocAggs []algebra.Agg
-	for _, a := range op.Aggs {
-		if a.Fn == algebra.AggAvg {
-			ocAggs = append(ocAggs,
-				algebra.Agg{Fn: algebra.AggSum, Arg: a.Arg, As: a.As + "#sum"},
-				algebra.Agg{Fn: algebra.AggCount, Arg: a.Arg, As: a.As + "#cnt"})
-		}
-	}
-	hasAvg := len(ocAggs) > 0
-	dead := deadGroups(cd, input, keys)
-	var avgCacheName string
-	var avgCacheSchema rel.Schema
-	if hasAvg {
-		avgCacheName = g.freshCache()
-		ocPlan := algebra.NewGroupBy(input(rel.StatePost), keys, ocAggs)
-		avgCacheSchema = ocPlan.Schema()
-		g.caches = append(g.caches, CacheDef{Name: avgCacheName, Plan: ocPlan})
-		g.maintainAvgCache(op, ocAggs, cd, dead, input, avgCacheName, avgCacheSchema, ph)
-	}
-
-	// 4. ∆u for existing groups: CD ⋈Ḡ Output_pre (one view index lookup
+	// 3. ∆u for existing groups: CD ⋈Ḡ Output_pre (one view index lookup
 	// per affected group — the |D|pg term of Table 3).
 	outPre := renamedInput(output, rel.StatePre, "") // plain names
-	join := algebra.NewJoin(cd, outPre, idEqBoth(keys, "@d", ""))
-	updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys, Pre: aggCols, Post: aggCols}
-	var updPlan algebra.Node = join
-	if hasAvg {
-		ocPost := algebra.NewStoredRef(avgCacheName, avgCacheSchema, rel.StatePost).Renamed("@c")
-		updPlan = algebra.NewJoin(updPlan, ocPost, idEq(keys, "@c"))
-	}
-	var updItems []algebra.ProjItem
+	// Columns in the diff's own layout (IDs, pre, post): an interior γ's
+	// diff is read back through a reference declared with that layout.
+	updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys}
+	var updItems, posts []algebra.ProjItem
 	for _, k := range keys {
 		updItems = append(updItems, algebra.ProjItem{E: expr.C(k), As: k})
 	}
 	for j, a := range op.Aggs {
+		updDS.Pre, updDS.Post = append(updDS.Pre, a.As), append(updDS.Post, a.As)
 		updItems = append(updItems, algebra.ProjItem{E: expr.C(a.As), As: PreName(a.As)})
-		var post expr.Expr
-		switch a.Fn {
-		case algebra.AggSum:
-			post = expr.AddE(expr.C(a.As), expr.C(sumDeltaCol(j)+"Σ@d"))
-		case algebra.AggCount:
-			if a.Arg != nil {
-				post = expr.AddE(expr.C(a.As), expr.C(cntDeltaCol(j)+"Σ@d"))
-			} else {
-				post = expr.AddE(expr.C(a.As), expr.C(tupleCntCol+"Σ@d"))
-			}
-		case algebra.AggAvg:
-			post = expr.DivE(expr.C(a.As+"#sum@c"), expr.C(a.As+"#cnt@c"))
-		}
-		updItems = append(updItems, algebra.ProjItem{E: post, As: PostName(a.As)})
+		posts = append(posts, algebra.ProjItem{E: expr.AddE(expr.C(a.As), expr.C(deltaCol(j)+"Σ@d")), As: PostName(a.As)})
 	}
-	updOut := algebra.NewProject(updPlan, updItems)
+	updItems = append(updItems, posts...)
+	updOut := algebra.NewProject(algebra.NewJoin(cd, outPre, idEqBoth(keys, "@d", "")), updItems)
 
-	// 5–6. ∆+ for newly created and ∆- for dying groups (extension).
-	recNew := newGroups(cd, outPre, idEqBoth(keys, "@d", ""), input, keys, op.Aggs)
+	// 4–5. ∆+ for newly created and ∆- for dying groups (extension): the
+	// groups of the combined delta that Output_pre does not hold yet,
+	// recomputed from the input's post-state, and those that received
+	// deletions and have no tuple left in it.
+	newKeys := projectSuffixToPlain(algebra.NewAntiJoin(cd, outPre, idEqBoth(keys, "@d", "")), keys, "@d")
+	recNew := algebra.NewGroupBy(
+		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
+		keys, op.Aggs)
+	delCandidates := projectSuffixToPlain(
+		algebra.NewSelect(cd, expr.Lt(expr.C(tupleCntCol+"Σ@d"), expr.IntLit(0))),
+		keys, "@d")
+	dead := algebra.Keep(
+		algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s")),
+		keys...)
 	insDS := insertSchemaFor("", op.Schema())
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
 
@@ -491,70 +375,6 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 		{schema: updDS, plan: updOut},
 		{schema: insDS, plan: toDiff(recNew, insDS, nil)},
 	}, nil
-}
-
-// newGroups is the incremental rules' ∆+ extension: the groups of the
-// combined delta cd (columns suffixed "@d") that `existing` — the pre-state
-// of the table being maintained, matched through pred — does not hold yet,
-// recomputed with aggs from the input's post-state.
-func newGroups(cd, existing algebra.Node, pred expr.Expr, input inputFn, keys []string, aggs []algebra.Agg) algebra.Node {
-	newKeys := projectSuffixToPlain(algebra.NewAntiJoin(cd, existing, pred), keys, "@d")
-	return algebra.NewGroupBy(
-		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
-		keys, aggs)
-}
-
-// deadGroups is their ∆- extension: the groups of cd that received
-// deletions and have no tuple left in the input's post-state.
-func deadGroups(cd algebra.Node, input inputFn, keys []string) algebra.Node {
-	delCandidates := projectSuffixToPlain(
-		algebra.NewSelect(cd, expr.Lt(expr.C(tupleCntCol+"Σ@d"), expr.IntLit(0))),
-		keys, "@d")
-	return algebra.Keep(
-		algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s")),
-		keys...)
-}
-
-// maintainAvgCache emits the cache maintenance steps for the AVG operator
-// cache: update existing groups by the accumulated deltas, insert new
-// groups recomputed from the input, and delete dead groups (Table 12's
-// cache maintenance rules).
-func (g *gen) maintainAvgCache(op *algebra.GroupBy, ocAggs []algebra.Agg, cd, dead algebra.Node,
-	input inputFn, cacheName string, cacheSchema rel.Schema, ph Phase) {
-	keys := op.Keys
-	ocPre := algebra.NewStoredRef(cacheName, cacheSchema, rel.StatePre).Renamed("@c")
-	join := algebra.NewJoin(cd, ocPre, idEqBoth(keys, "@d", "@c"))
-
-	var pre, post []string
-	var items []algebra.ProjItem
-	for _, k := range keys {
-		items = append(items, algebra.ProjItem{E: expr.C(k + "@d"), As: k})
-	}
-	for j, a := range op.Aggs {
-		if a.Fn != algebra.AggAvg {
-			continue
-		}
-		sumCol, cntCol := a.As+"#sum", a.As+"#cnt"
-		pre = append(pre, sumCol, cntCol)
-		post = append(post, sumCol, cntCol)
-		items = append(items,
-			algebra.ProjItem{E: expr.C(sumCol + "@c"), As: PreName(sumCol)},
-			algebra.ProjItem{E: expr.C(cntCol + "@c"), As: PreName(cntCol)},
-			algebra.ProjItem{E: expr.AddE(expr.C(sumCol+"@c"), expr.C(sumDeltaCol(j)+"Σ@d")), As: PostName(sumCol)},
-			algebra.ProjItem{E: expr.AddE(expr.C(cntCol+"@c"), expr.C(cntDeltaCol(j)+"Σ@d")), As: PostName(cntCol)})
-	}
-	recNew := newGroups(cd, ocPre, idEqBoth(keys, "@d", "@c"), input, keys, ocAggs)
-	updDS := DiffSchema{Type: DiffUpdate, Rel: cacheName, IDs: keys, Pre: pre, Post: post}
-	insDS := insertSchemaFor(cacheName, cacheSchema)
-	delDS := DiffSchema{Type: DiffDelete, Rel: cacheName, IDs: keys}
-	updName, insName, delName := g.fresh("Δ"), g.fresh("Δ"), g.fresh("Δ")
-	g.steps = append(g.steps,
-		&ComputeStep{Name: updName, Diff: &updDS, Plan: algebra.NewProject(join, items), Ph: ph},
-		&ComputeStep{Name: insName, Diff: &insDS, Plan: toDiff(recNew, insDS, nil), Ph: ph},
-		&ComputeStep{Name: delName, Diff: &delDS, Plan: dead, Ph: ph},
-		&ApplyStep{Table: cacheName, DiffName: delName, Diff: delDS, Ph: PhaseCacheUpdate},
-		&ApplyStep{Table: cacheName, DiffName: updName, Diff: updDS, Ph: PhaseCacheUpdate},
-		&ApplyStep{Table: cacheName, DiffName: insName, Diff: insDS, Ph: PhaseCacheUpdate})
 }
 
 // affectedGroupKeys builds the deduplicated union of every group key some
@@ -620,18 +440,18 @@ func affectedGroupKeys(op *algebra.GroupBy, ins []decl, input inputFn) algebra.N
 }
 
 // classifyRecomputed is steps 2–5 of the general aggregation rule (Table
-// 7): recompute the groups of ak from `from` — the input's post-state, or
-// the min/max multiset cache's — once into ΔR, then classify ΔR against
-// the operator's Output into updates, inserts (new groups) and deletes
-// (vanished groups). Each of the three diffs reads ΔK/ΔR by reference.
-func (g *gen) classifyRecomputed(op *algebra.GroupBy, ak, from algebra.Node, output inputFn, ph Phase) []decl {
+// 7): recompute the groups of ak from the input's post-state once into ΔR,
+// then classify ΔR against the operator's Output into updates, inserts
+// (new groups) and deletes (vanished groups). Each of the three diffs reads
+// ΔK/ΔR by reference.
+func (g *gen) classifyRecomputed(op *algebra.GroupBy, ak algebra.Node, input, output inputFn, ph Phase) []decl {
 	keys := op.Keys
 	var aggCols []string
 	for _, a := range op.Aggs {
 		aggCols = append(aggCols, a.As)
 	}
 	rec := g.share("ΔR", algebra.NewGroupBy(
-		algebra.NewSemiJoin(from, renameAll(ak, "@k"), idEq(keys, "@k")), keys, op.Aggs), ph)
+		algebra.NewSemiJoin(input(rel.StatePost), renameAll(ak, "@k"), idEq(keys, "@k")), keys, op.Aggs), ph)
 	outPre := renamedInput(output, rel.StatePre, "@o")
 
 	var outs []decl

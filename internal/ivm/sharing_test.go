@@ -59,11 +59,16 @@ func TestGroupRuleDispatch(t *testing.T) {
 		{"sum over a cache, id mode: per-diff", qs3, ivm.ModeID, ivm.GenOptions{}, true, true, false},
 		{"sum over a cache, tuple mode: all Table 7", qs3, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 		{"sum, caches off: all Table 7", qs3, ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
-		{"avg over a cache: all Table 7", avg, ivm.ModeID, ivm.GenOptions{}, true, false, false},
+		// AVG is rewritten to π over γ[SUM, COUNT] and dispatches like them.
+		{"avg over a cache, id mode: per-diff", avg, ivm.ModeID, ivm.GenOptions{}, true, true, false},
+		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 		{"sum over a base scan: all Table 7", cityRollupPlan(ds.DB), ivm.ModeID, ivm.GenOptions{}, true, false, false},
-		// user.tweetsnum is a key of the multiset cache, whose input is a
-		// base scan: its synthetic γ-COUNT stays on Table 7 as well.
+		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum);
+		// user.tweetsnum is a key of that γ, whose input is a base scan, so
+		// it stays on Table 7 as well. Without caches there is no rewrite.
 		{"min/max over a base scan", cityMinMaxPlan(ds.DB), ivm.ModeID, ivm.GenOptions{}, true, false, true},
+		{"min/max, caches off", cityMinMaxPlan(ds.DB), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
+		{"min/max, tuple mode", cityMinMaxPlan(ds.DB), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 	} {
 		v, err := sys.RegisterView(tc.name, tc.plan, tc.mode, tc.opts)
 		if err != nil {

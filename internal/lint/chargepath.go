@@ -28,7 +28,7 @@
 // charge point and is flagged.
 //
 // The skew-adaptive planner adds a fourth escape class: the key-frequency
-// statistics (KeyFreq/HeavyKeys) are uncharged like IndexCard, which is
+// statistics (HeavyKeys) are uncharged like IndexCard, which is
 // sound only while they steer plan choice rather than feed results; a
 // stats read outside internal/storage, internal/algebra and internal/rel
 // is flagged.
@@ -81,17 +81,13 @@ func batchLayer(rel string) bool {
 	return pathIn(rel, "internal/algebra", "internal/rel")
 }
 
-// statsMethods are the uncharged key-frequency statistics reads. Like
-// IndexCard they are free by design — statistics may steer plan choice
-// but never contribute result tuples — which is only sound in the layers
-// that make planning decisions: the engines that maintain them and the
-// compiled kernels that split heavy from light keys. Anywhere else a
-// stats read is a channel for deriving data from table contents without
-// charging.
-var statsMethods = map[string]bool{
-	"KeyFreq":   true,
-	"HeavyKeys": true,
-}
+// statsMethod is the uncharged key-frequency statistics read. Like
+// IndexCard it is free by design — statistics may steer plan choice but
+// never contribute result tuples — which is only sound in the layers that
+// make planning decisions: the engines that maintain them and the compiled
+// kernels that split heavy from light keys. Anywhere else a stats read is a
+// channel for deriving data from table contents without charging.
+const statsMethod = "HeavyKeys"
 
 // statsLayer reports whether the package is a blessed consumer of the
 // uncharged key-frequency statistics: the planner/kernels and the table
@@ -139,7 +135,7 @@ func runChargePath(pass *Pass) {
 				pass.Reportf(sel.Pos(), "%s called on a raw storage.Table, bypassing the cost-counting "+
 					"Handle; take a *storage.Handle instead "+
 					"(or annotate with //ivmlint:allow chargepath)", sel.Sel.Name)
-			case statsMethods[sel.Sel.Name] && !statsLayer(pass.Pkg.Rel) &&
+			case sel.Sel.Name == statsMethod && !statsLayer(pass.Pkg.Rel) &&
 				(isNamed(recv, storagePkgPath, "Handle") || isNamed(recv, storagePkgPath, "Table") ||
 					isNamed(recv, relPkgPath, "Table")):
 				pass.Reportf(sel.Pos(), "%s outside the storage/planner layers: key-frequency statistics "+

@@ -41,7 +41,7 @@ func BenchmarkTableChurn(b *testing.B) {
 					}
 				}
 				key[0] = g
-				if got, err := tab.DeleteWhere(onG, key); got != k || err != nil {
+				if got, err := tab.DeleteWhere(onG, key, nil); got != k || err != nil {
 					b.Fatalf("DeleteWhere = %d, %v; want %d", got, err, k)
 				}
 				val[0] = rel.Int(c)

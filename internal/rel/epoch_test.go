@@ -88,7 +88,7 @@ func TestPinnedRoundsNeverRebuildAnIndex(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			write(i)
 		}
-		preLen := tab.LenPre()
+		preLen := len(tab.Rows(StatePre))
 		total := 0
 		for g := int64(0); g < 16; g++ {
 			rows, err := tab.Lookup(StatePre, []string{"g"}, []Value{Int(g)})
@@ -98,7 +98,7 @@ func TestPinnedRoundsNeverRebuildAnIndex(t *testing.T) {
 			total += len(rows)
 		}
 		if total != preLen {
-			t.Fatalf("round %d: pre-state g buckets hold %d rows, LenPre is %d", round, total, preLen)
+			t.Fatalf("round %d: pre-state g buckets hold %d rows, the pre-state has %d", round, total, preLen)
 		}
 		for i := 20; i < 40; i++ {
 			write(i)

@@ -20,7 +20,6 @@ import (
 // Table is the part of the storage.Table contract a program exercises.
 type Table interface {
 	Len() int
-	LenPre() int
 	Rows(s rel.State) []rel.Tuple
 	Scan(s rel.State) []rel.Tuple
 	Parts() int
@@ -30,14 +29,13 @@ type Table interface {
 	Lookup(s rel.State, attrs []string, vals []rel.Value) ([]rel.Tuple, error)
 	LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, keyBuf []byte, out []rel.Tuple) ([]rel.Tuple, []byte, error)
 	IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error)
-	KeyFreq(s rel.State, attrs []string, vals []rel.Value) (int, error)
 	HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error)
 
 	Insert(row rel.Tuple) error
 	InsertIfAbsent(row rel.Tuple) (bool, error)
 	DeleteKey(key []rel.Value) bool
-	DeleteWhere(attrs []string, vals []rel.Value) (int, error)
-	UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value) (int, error)
+	DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error)
+	UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error)
 	UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (bool, error)
 
 	BeginEpoch()
@@ -277,9 +275,10 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 	case opDeleteWhere:
 		g := rel.Int(int64(a % numGroups))
 		victims := m.matching(rel.StatePost, func(r rel.Tuple) bool { return r[1].Same(g) })
-		n, err := tab.DeleteWhere(attrsG, []rel.Value{g})
-		if err != nil || n != len(victims) {
-			t.Errorf("DeleteWhere(g=%v) = %d, %v; model removes %d", g, n, err, len(victims))
+		var seen []rel.Tuple
+		n, err := tab.DeleteWhere(attrsG, []rel.Value{g}, func(pre rel.Tuple) { seen = append(seen, pre) })
+		if err != nil || n != len(victims) || !sameSet(seen, victims) {
+			t.Errorf("DeleteWhere(g=%v) = %d, %v, fn saw %v; model removes %v", g, n, err, seen, victims)
 		}
 		for _, r := range victims {
 			delete(m.post, r[0].AsInt())
@@ -292,9 +291,15 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 			col, attr, val = 1, "g", rel.Int(int64(b%numGroups))
 		}
 		hits := m.matching(rel.StatePost, func(r rel.Tuple) bool { return r[1].Same(g) })
-		n, err := tab.UpdateWhere(attrsG, []rel.Value{g}, []string{attr}, []rel.Value{val})
-		if err != nil || n != len(hits) {
-			t.Errorf("UpdateWhere(g=%v, %s=%v) = %d, %v; model updates %d", g, attr, val, n, err, len(hits))
+		var seen []rel.Tuple
+		n, err := tab.UpdateWhere(attrsG, []rel.Value{g}, []string{attr}, []rel.Value{val}, func(pre, post rel.Tuple) {
+			if !post[col].Same(val) {
+				t.Errorf("UpdateWhere(g=%v, %s=%v): fn saw post-image %v of %v", g, attr, val, post, pre)
+			}
+			seen = append(seen, pre)
+		})
+		if err != nil || n != len(hits) || !sameSet(seen, hits) {
+			t.Errorf("UpdateWhere(g=%v, %s=%v) = %d, %v, fn saw %v; model updates %v", g, attr, val, n, err, seen, hits)
 		}
 		for _, r := range hits {
 			m.update(r[0].AsInt(), []int{col}, []rel.Value{val})
@@ -314,7 +319,7 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 	case opUpdateWhereKey:
 		val := rel.Int(int64(b % numVals))
 		_, exists := m.post[k]
-		n, err := tab.UpdateWhere(attrsK, key, []string{"v"}, []rel.Value{val})
+		n, err := tab.UpdateWhere(attrsK, key, []string{"v"}, []rel.Value{val}, nil)
 		if err != nil || (n == 1) != exists || n > 1 {
 			t.Errorf("UpdateWhere(k=%d, v=%v) = %d, %v; model has key: %v", k, val, n, err, exists)
 		}
@@ -324,7 +329,7 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 		return fmt.Sprintf("update where k=%d set v=%v", k, val)
 	case opDeleteWhereKey:
 		_, exists := m.post[k]
-		n, err := tab.DeleteWhere(attrsK, key)
+		n, err := tab.DeleteWhere(attrsK, key, nil)
 		if err != nil || (n == 1) != exists || n > 1 {
 			t.Errorf("DeleteWhere(k=%d) = %d, %v; model has key: %v", k, n, err, exists)
 		}
@@ -353,8 +358,8 @@ func check(t testing.TB, tab Table, m *model, where string) {
 	if tab.InEpoch() != m.inEpoch {
 		t.Errorf("%s: InEpoch = %v, want %v", where, tab.InEpoch(), m.inEpoch)
 	}
-	if tab.Len() != len(m.post) || tab.LenPre() != len(m.state(rel.StatePre)) {
-		t.Errorf("%s: Len, LenPre = %d, %d; want %d, %d", where, tab.Len(), tab.LenPre(), len(m.post), len(m.state(rel.StatePre)))
+	if tab.Len() != len(m.post) {
+		t.Errorf("%s: Len = %d; want %d", where, tab.Len(), len(m.post))
 	}
 	for _, s := range states {
 		want := m.state(s)
@@ -428,7 +433,7 @@ func check(t testing.TB, tab Table, m *model, where string) {
 	}
 }
 
-// probe compares Lookup, LookupInto, IndexCard and KeyFreq on one
+// probe compares Lookup, LookupInto and IndexCard on one
 // attribute set and value combination with the model's filtered state.
 func probe(t testing.TB, tab Table, m *model, s rel.State, where string, attrs []string, vals []rel.Value, pred func(rel.Tuple) bool) {
 	t.Helper()
@@ -445,9 +450,6 @@ func probe(t testing.TB, tab Table, m *model, s rel.State, where string, attrs [
 	p, n, err := tab.IndexCard(s, attrs, vals)
 	if err != nil || p != len(want) || n != len(m.state(s)) {
 		t.Errorf("%s: %s IndexCard(%v=%v) = %d, %d, %v; want %d, %d", where, s, attrs, vals, p, n, err, len(want), len(m.state(s)))
-	}
-	if f, err := tab.KeyFreq(s, attrs, vals); err != nil || f != len(want) {
-		t.Errorf("%s: %s KeyFreq(%v=%v) = %d, %v; want %d", where, s, attrs, vals, f, err, len(want))
 	}
 }
 

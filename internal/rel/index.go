@@ -235,7 +235,7 @@ func (c *tableCore) undoIndexesAdd(row Tuple, pos int32) {
 }
 
 // indexesRemove unregisters a row from every index but skip, whose bucket
-// the caller (DeleteWhereFunc) drops as a whole.
+// the caller (DeleteWhere) drops as a whole.
 func (c *tableCore) indexesRemove(row Tuple, id int32, skip *hashIndex) {
 	for _, e := range c.secondary {
 		if e.h != nil && e.h != skip {

@@ -88,7 +88,7 @@ func TestDeleteWhereKeepsIndexesFresh(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tab.MustInsert(Int(i), Int(i%2))
 	}
-	n, err := tab.DeleteWhere([]string{"g"}, []Value{Int(0)})
+	n, err := tab.DeleteWhere([]string{"g"}, []Value{Int(0)}, nil)
 	if err != nil || n != 5 {
 		t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 	}

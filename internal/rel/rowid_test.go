@@ -36,7 +36,7 @@ func TestWritePathAllocations(t *testing.T) {
 	// Warm the scratch buffers and size the free list: remove a third of
 	// the buckets, then re-add their rows, each once more through DeleteKey.
 	for g := 0; g < n/100; g += 3 {
-		if _, err := tab.DeleteWhere([]string{"g"}, []Value{Int(int64(g))}); err != nil {
+		if _, err := tab.DeleteWhere([]string{"g"}, []Value{Int(int64(g))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestWritePathAllocations(t *testing.T) {
 	pin("DeleteWhere of a 100-row bucket", 0, func() {
 		key[0] = Int(group)
 		group--
-		if n, err := tab.DeleteWhere(onG, key); n != 100 || err != nil {
+		if n, err := tab.DeleteWhere(onG, key, nil); n != 100 || err != nil {
 			t.Fatalf("DeleteWhere = %d, %v", n, err)
 		}
 	})
@@ -109,7 +109,7 @@ func TestNoIndexOverThePrimaryKey(t *testing.T) {
 	if ok, err := tab.UpdateKey(key, []string{"v"}, []Value{Int(1)}); !ok || err != nil {
 		t.Fatalf("UpdateKey = %v, %v", ok, err)
 	}
-	if n, err := tab.UpdateWhere(attrs, key, []string{"v"}, []Value{Int(2)}); n != 1 || err != nil {
+	if n, err := tab.UpdateWhere(attrs, key, []string{"v"}, []Value{Int(2)}, nil); n != 1 || err != nil {
 		t.Fatalf("UpdateWhere = %d, %v", n, err)
 	}
 	for _, s := range []State{StatePost, StatePre} {
@@ -120,14 +120,11 @@ func TestNoIndexOverThePrimaryKey(t *testing.T) {
 		if p, n, err := tab.IndexCard(s, attrs, key); p != 1 || n != 10 || err != nil {
 			t.Fatalf("%s IndexCard = %d, %d, %v", s, p, n, err)
 		}
-		if f, err := tab.KeyFreq(s, attrs, key); f != 1 || err != nil {
-			t.Fatalf("%s KeyFreq = %d, %v", s, f, err)
-		}
 		if hk, err := tab.HeavyKeys(s, attrs, 1); len(hk) != 10 || err != nil {
 			t.Fatalf("%s HeavyKeys = %d keys, %v", s, len(hk), err)
 		}
 	}
-	if n, err := tab.DeleteWhere(attrs, key); n != 1 || err != nil {
+	if n, err := tab.DeleteWhere(attrs, key, nil); n != 1 || err != nil {
 		t.Fatalf("DeleteWhere = %d, %v", n, err)
 	}
 	if _, ok := tab.Get(StatePre, key); !ok {
@@ -159,7 +156,7 @@ func TestDeleteWhereScalesWithTheBucket(t *testing.T) {
 			tab.MustInsert(Int(int64(-1-i)), Int(-1), Int(int64(-1-i)), Int(0))
 		}
 		before := tab.BucketScans()
-		if got, err := tab.DeleteWhere([]string{"g"}, []Value{Int(-1)}); got != n || err != nil {
+		if got, err := tab.DeleteWhere([]string{"g"}, []Value{Int(-1)}, nil); got != n || err != nil {
 			t.Fatalf("DeleteWhere = %d, %v; want %d", got, err, n)
 		}
 		if scans := tab.BucketScans() - before; scans != 2*n {
@@ -198,7 +195,7 @@ func TestIndexedUpdateBetweenSameButDistinctKeys(t *testing.T) {
 			if byKey {
 				_, err = tab.UpdateKey([]Value{Int(1)}, onG, []Value{next})
 			} else {
-				n, err = tab.UpdateWhere(onG, []Value{prev}, onG, []Value{next})
+				n, err = tab.UpdateWhere(onG, []Value{prev}, onG, []Value{next}, nil)
 			}
 			if n != 1 || err != nil {
 				t.Fatalf("update g=%v → %v: %d rows, %v; want 1", prev, next, n, err)
@@ -277,7 +274,7 @@ func TestPreStateReadersBesideBucketDeletes(t *testing.T) {
 	next := int64(n)
 	for round := 0; round < 200; round++ {
 		g := Int(int64(round % groups))
-		if _, err := tab.DeleteWhere([]string{"g"}, []Value{g}); err != nil {
+		if _, err := tab.DeleteWhere([]string{"g"}, []Value{g}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {

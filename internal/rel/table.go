@@ -165,13 +165,6 @@ func (t *Table) Len() int {
 	return len(t.core.rows)
 }
 
-// LenPre returns the number of pre-state rows (same as Len outside an epoch).
-func (t *Table) LenPre() int {
-	t.core.mu.RLock()
-	defer t.core.mu.RUnlock()
-	return t.core.stateLen(StatePre)
-}
-
 // stateLen is the row count of the requested state; the caller holds c.mu.
 func (c *tableCore) stateLen(s State) int {
 	if s == StatePre && c.inEpoch {
@@ -424,17 +417,6 @@ type KeyCount struct {
 	Count int
 }
 
-// KeyFreq reports how many rows of the requested state match vals on the
-// secondary index over attrs — catalog metadata like IndexCard, but
-// without the total row count. The statistic rides the incrementally
-// maintained secondary indexes (and, in the pre-state, the undo overlay),
-// so it is exact in both states at every instant.
-func (t *Table) KeyFreq(s State, attrs []string, vals []Value) (int, error) {
-	t.core.mu.RLock()
-	defer t.core.mu.RUnlock()
-	return t.core.matchCount(s, attrs, vals)
-}
-
 // HeavyKeys reports every distinct value combination over attrs whose
 // frequency in the requested state is at least threshold, sorted by the
 // canonical key encoding. A threshold below 1 is treated as 1. Like
@@ -608,24 +590,18 @@ func (t *Table) DeleteKey(key []Value) bool {
 
 // DeleteWhere removes every row whose attrs equal vals (an ID-subset
 // delete, the APPLY semantics of delete i-diffs), returning the removal
-// count.
-func (t *Table) DeleteWhere(attrs []string, vals []Value) (int, error) {
-	return t.DeleteWhereFunc(attrs, vals, nil)
-}
-
-// DeleteWhereFunc is DeleteWhere that additionally invokes fn (when
-// non-nil) with the full pre-image of every removed row, in the order the
-// index lists them. The images are in hand inside the critical section —
-// no extra probes — and alias stored tuples, which are immutable once
-// stored (updates clone). fn must not call back into the table. It is how
-// the Δ-script executor records a view's applied deletes into the derived
-// modification log that cascaded views consume.
+// count. It invokes fn (when non-nil) with the full pre-image of every
+// removed row, in the order the index lists them. The images are in hand
+// inside the critical section — no extra probes — and alias stored tuples,
+// which are immutable once stored (updates clone). fn must not call back
+// into the table. It is how the Δ-script executor records a view's applied
+// deletes into the derived modification log that cascaded views consume.
 //
 // The delete is set-oriented: the matching bucket is resolved once and
 // dropped from its index as a whole, and the rows go in descending position
 // order — a swap-remove then only ever moves a row from outside the set, so
 // the resolved positions stay valid without re-probing anything.
-func (t *Table) DeleteWhereFunc(attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
+func (t *Table) DeleteWhere(attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -666,17 +642,12 @@ func (c *tableCore) writeSet(attrs []string, sig string, vals []Value) ([]int32,
 // UpdateWhere updates every row whose attrs equal vals, overwriting the
 // setAttrs columns with setVals, and returns the update count. Key
 // attributes cannot be updated (they are immutable in the paper's model).
-func (t *Table) UpdateWhere(attrs []string, vals []Value, setAttrs []string, setVals []Value) (int, error) {
-	return t.UpdateWhereFunc(attrs, vals, setAttrs, setVals, nil)
-}
-
-// UpdateWhereFunc is UpdateWhere that additionally invokes fn (when
-// non-nil) with the full pre- and post-image of every updated row, in
-// update order. Like DeleteWhereFunc, the images come from the critical
-// section where the update already holds both tuples (stored tuples are
-// immutable, so an update writes a modified clone and the replaced tuple
-// is the pre-image); fn must not call back into the table.
-func (t *Table) UpdateWhereFunc(attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
+// It invokes fn (when non-nil) with the full pre- and post-image of every
+// updated row, in update order. Like DeleteWhere's, the images come from
+// the critical section where the update already holds both tuples (stored
+// tuples are immutable, so an update writes a modified clone and the
+// replaced tuple is the pre-image); fn must not call back into the table.
+func (t *Table) UpdateWhere(attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
 	return t.updateWhere(attrs, indexSig(attrs), vals, setAttrs, setVals, fn)
 }
 

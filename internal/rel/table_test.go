@@ -58,7 +58,7 @@ func TestTableDelete(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("len = %d, want 2", tab.Len())
 	}
-	n, err := tab.DeleteWhere([]string{"price"}, []Value{Int(20)})
+	n, err := tab.DeleteWhere([]string{"price"}, []Value{Int(20)}, nil)
 	if err != nil || n != 1 {
 		t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 	}
@@ -99,8 +99,8 @@ func TestTableEpochPrePostIsolation(t *testing.T) {
 	if _, ok := tab.Get(StatePost, []Value{String("P2")}); ok {
 		t.Error("post state must not contain P2")
 	}
-	if tab.LenPre() != 3 || tab.Len() != 3 {
-		t.Errorf("LenPre=%d Len=%d", tab.LenPre(), tab.Len())
+	if pre := len(tab.Rows(StatePre)); pre != 3 || tab.Len() != 3 {
+		t.Errorf("pre rows=%d Len=%d", pre, tab.Len())
 	}
 }
 

@@ -204,7 +204,7 @@ func orZero(v rel.Value) rel.Value {
 func insertOrAddDP(t *storage.Handle, pid, did rel.Value) error {
 	if row, ok := t.Get(rel.StatePost, []rel.Value{pid, did}); ok {
 		_, err := t.UpdateWhere([]string{"pid", "did"}, []rel.Value{pid, did},
-			[]string{"cnt"}, []rel.Value{rel.Add(row[2], rel.Int(1))})
+			[]string{"cnt"}, []rel.Value{rel.Add(row[2], rel.Int(1))}, nil)
 		return err
 	}
 	return t.Insert(rel.Tuple{pid, did, rel.Int(1)})
@@ -335,7 +335,7 @@ func (e *Engine) Check() error {
 func addToGroup(t *storage.Handle, valCol string, did rel.Value, delta rel.Value) error {
 	if row, ok := t.Get(rel.StatePost, []rel.Value{did}); ok {
 		_, err := t.UpdateWhere(t.Schema().Key, []rel.Value{did},
-			[]string{valCol}, []rel.Value{rel.Add(row[1], delta)})
+			[]string{valCol}, []rel.Value{rel.Add(row[1], delta)}, nil)
 		return err
 	}
 	return t.Insert(rel.Tuple{did, delta})
@@ -368,7 +368,7 @@ func (e *Engine) partPriceUpdate(pre, post rel.Tuple) error {
 			}
 		}
 		if _, err := e.mprice.UpdateWhere([]string{"pid"}, []rel.Value{pid},
-			[]string{"price"}, []rel.Value{post[1]}); err != nil {
+			[]string{"price"}, []rel.Value{post[1]}, nil); err != nil {
 			return err
 		}
 	}
@@ -435,7 +435,7 @@ func (e *Engine) deviceFlip(pre, post rel.Tuple) error {
 		is = 1
 	}
 	if _, err := e.mphone.UpdateWhere([]string{"did"}, []rel.Value{did},
-		[]string{"isphone"}, []rel.Value{rel.Int(is)}); err != nil {
+		[]string{"isphone"}, []rel.Value{rel.Int(is)}, nil); err != nil {
 		return err
 	}
 	// The device's parts move in or out of m_parts and the view.
@@ -482,7 +482,7 @@ func (e *Engine) dpChange(row rel.Tuple, sign int64) error {
 		if cur[2].AsInt() <= 1 {
 			e.mdp.DeleteKey([]rel.Value{pid, did})
 		} else if _, err := e.mdp.UpdateWhere([]string{"pid", "did"}, []rel.Value{pid, did},
-			[]string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}); err != nil {
+			[]string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}, nil); err != nil {
 			return err
 		}
 	}
@@ -512,7 +512,7 @@ func (e *Engine) dpChange(row rel.Tuple, sign int64) error {
 		if cur[2].AsInt() <= 1 {
 			e.mparts.DeleteKey([]rel.Value{pid, did})
 		} else if _, err := e.mparts.UpdateWhere([]string{"pid", "did"}, []rel.Value{pid, did},
-			[]string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}); err != nil {
+			[]string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}, nil); err != nil {
 			return err
 		}
 	}

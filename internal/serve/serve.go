@@ -47,7 +47,6 @@
 package serve
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,7 +57,6 @@ import (
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/sqlview"
-	"idivm/internal/storage"
 )
 
 // Options tunes the group-commit dispatcher.
@@ -254,23 +252,15 @@ func (s *Server) ViewSnapshot(name string) (*rel.Relation, error) {
 	})
 }
 
-// snapEnv resolves stored tables to uncharged handles; it carries no
-// relation bindings. Used by QuerySnapshot so ad-hoc reads never perturb
-// the maintenance access counters.
-type snapEnv struct{ d *db.Database }
-
-// Table implements algebra.Env.
-func (e snapEnv) Table(name string) (*storage.Handle, error) {
-	t, err := e.d.Table(name)
+// SnapshotPlan parses an ad-hoc SELECT against d's catalog and pins every
+// stored table it reads to the pre-state: the plan of a snapshot query,
+// with or without a server in front of d.
+func SnapshotPlan(d *db.Database, sql string) (algebra.Node, error) {
+	v, err := sqlview.Parse(sql, d)
 	if err != nil {
 		return nil, err
 	}
-	return t.WithCounter(nil), nil
-}
-
-// Rel implements algebra.Env.
-func (e snapEnv) Rel(name string) (*rel.Relation, error) {
-	return nil, fmt.Errorf("serve: no relation binding for %q", name)
+	return algebra.WithState(v.Plan, rel.StatePre), nil
 }
 
 // QuerySnapshot evaluates an ad-hoc SELECT against the pinned snapshot:
@@ -283,16 +273,15 @@ func (e snapEnv) Rel(name string) (*rel.Relation, error) {
 func (s *Server) QuerySnapshot(sql string) (*rel.Relation, error) {
 	plan, cached := s.cachedPlan(sql)
 	if !cached {
-		v, err := sqlview.Parse(sql, s.d)
-		if err != nil {
+		var err error
+		if plan, err = SnapshotPlan(s.d, sql); err != nil {
 			return nil, err
 		}
-		plan = algebra.WithState(v.Plan, rel.StatePre)
 		if s.plans != nil {
 			s.plans.put(sql, plan)
 		}
 	}
-	env := snapEnv{d: s.d}
+	env := db.Uncharged{Database: s.d}
 	return s.read(func() (*rel.Relation, error) {
 		return algebra.Eval(plan, env)
 	})

@@ -363,6 +363,11 @@ func (p *parser) fromItem() (*algebra.Scan, error) {
 		alias = t.text
 		p.pos++
 	}
+	for _, s := range p.sources {
+		if s.alias == alias {
+			return nil, p.errf("%q names two FROM sources; give one an alias", alias)
+		}
+	}
 	tab, err := p.cat.Table(name)
 	if err != nil {
 		return nil, fmt.Errorf("sqlview: %w", err)

@@ -131,7 +131,7 @@ func TestConformanceDiffApplyOps(t *testing.T) {
 			t.Fatalf("fresh InsertIfAbsent: ins=%v err=%v", ins, err)
 		}
 		// UpdateWhere via secondary attr; key attrs immutable.
-		n, err := tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)})
+		n, err := tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("UpdateWhere: n=%d err=%v", n, err)
 		}
@@ -143,7 +143,7 @@ func TestConformanceDiffApplyOps(t *testing.T) {
 			t.Fatalf("UpdateKey: ok=%v err=%v", ok, err)
 		}
 		// DeleteWhere by the updated secondary value.
-		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(21)})
+		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 		}
@@ -170,8 +170,8 @@ func TestConformanceEpoch(t *testing.T) {
 			t.Fatal("delete P3")
 		}
 		// Pre-state is frozen; post-state sees the mutations.
-		if tab.LenPre() != 3 || tab.Len() != 3 {
-			t.Fatalf("lens = pre %d post %d", tab.LenPre(), tab.Len())
+		if pre := len(tab.Rows(rel.StatePre)); pre != 3 || tab.Len() != 3 {
+			t.Fatalf("lens = pre %d post %d", pre, tab.Len())
 		}
 		pre, ok := tab.Get(rel.StatePre, []rel.Value{rel.String("P1")})
 		if !ok || !pre[1].Equal(rel.Int(10)) {
@@ -188,7 +188,7 @@ func TestConformanceEpoch(t *testing.T) {
 			t.Fatalf("pre lookup: %d rows, err %v", len(preRows), err)
 		}
 		tab.EndEpoch()
-		if tab.InEpoch() || tab.LenPre() != 3 {
+		if tab.InEpoch() || len(tab.Rows(rel.StatePre)) != 3 {
 			t.Fatal("EndEpoch must drop the snapshot")
 		}
 		if _, ok := tab.Get(rel.StatePost, []rel.Value{rel.String("P4")}); !ok {
@@ -325,7 +325,7 @@ func TestConformanceRandomizedDifferential(t *testing.T) {
 			do = func(r run) (any, error) { return r.h.DeleteKey(kv), nil }
 		case k < 6:
 			grp := []rel.Value{rel.Int(int64(rng.Intn(5)))}
-			do = func(r run) (any, error) { return r.h.DeleteWhere([]string{"grp"}, grp) }
+			do = func(r run) (any, error) { return r.h.DeleteWhere([]string{"grp"}, grp, nil) }
 		case k < 8:
 			kv := key()
 			v := []rel.Value{rel.Int(int64(rng.Intn(50)))}
@@ -376,13 +376,17 @@ func TestConformanceRandomizedDifferential(t *testing.T) {
 }
 
 // TestConformanceKeyStats pins the key-frequency statistics contract the
-// skew-adaptive planner builds on: KeyFreq is the exact global bucket
-// size, HeavyKeys returns exactly the keys at or above the threshold in
+// skew-adaptive planner builds on: IndexCard's match count (keyFreq) is
+// the exact global bucket size, HeavyKeys returns exactly the keys at or above the threshold in
 // deterministic (encoded-key) order with exact global counts, both hold
 // for pre and post state under an epoch, and every backend agrees with
 // the mem engine. Partitioned backends must not under-count a key whose
 // per-shard buckets are individually below the threshold.
 func TestConformanceKeyStats(t *testing.T) {
+	keyFreq := func(h *Handle, s rel.State, attrs []string, vals []rel.Value) (int, error) {
+		p, _, err := h.IndexCard(s, attrs, vals)
+		return p, err
+	}
 	type run struct {
 		name string
 		h    *Handle
@@ -423,11 +427,11 @@ func TestConformanceKeyStats(t *testing.T) {
 		t.Helper()
 		for _, st := range []rel.State{rel.StatePre, rel.StatePost} {
 			for g := 0; g < 9; g++ {
-				ref, refErr := runs[0].h.KeyFreq(st, []string{"grp"}, []rel.Value{rel.Int(int64(g))})
+				ref, refErr := keyFreq(runs[0].h, st, []string{"grp"}, []rel.Value{rel.Int(int64(g))})
 				for _, r := range runs[1:] {
-					got, err := r.h.KeyFreq(st, []string{"grp"}, []rel.Value{rel.Int(int64(g))})
+					got, err := keyFreq(r.h, st, []string{"grp"}, []rel.Value{rel.Int(int64(g))})
 					if got != ref || (err == nil) != (refErr == nil) {
-						t.Fatalf("%s: %s KeyFreq(%v, grp=%d) = %d/%v, mem %d/%v",
+						t.Fatalf("%s: %s keyFreq(%v, grp=%d) = %d/%v, mem %d/%v",
 							stage, r.name, st, g, got, err, ref, refErr)
 					}
 				}
@@ -441,11 +445,11 @@ func TestConformanceKeyStats(t *testing.T) {
 							stage, r.name, st, thresh, got, err, ref, refErr)
 					}
 				}
-				// Cross-check the mem reference against brute-force KeyFreq.
+				// Cross-check the mem reference against brute-force keyFreq.
 				for _, kc := range ref {
-					n, err := runs[0].h.KeyFreq(st, []string{"grp"}, kc.Vals)
+					n, err := keyFreq(runs[0].h, st, []string{"grp"}, kc.Vals)
 					if err != nil || n != kc.Count || n < thresh {
-						t.Fatalf("%s: heavy key %v count %d, KeyFreq %d/%v, threshold %d",
+						t.Fatalf("%s: heavy key %v count %d, keyFreq %d/%v, threshold %d",
 							stage, kc.Vals, kc.Count, n, err, thresh)
 					}
 				}
@@ -458,8 +462,8 @@ func TestConformanceKeyStats(t *testing.T) {
 	}
 	statsEqual(t, "loaded")
 	// Freq 8 exists only for group 7; freq 9 nowhere.
-	if n, err := runs[0].h.KeyFreq(rel.StatePost, []string{"grp"}, []rel.Value{rel.Int(7)}); err != nil || n != 8 {
-		t.Fatalf("KeyFreq(grp=7) = %d/%v, want 8", n, err)
+	if n, err := keyFreq(runs[0].h, rel.StatePost, []string{"grp"}, []rel.Value{rel.Int(7)}); err != nil || n != 8 {
+		t.Fatalf("keyFreq(grp=7) = %d/%v, want 8", n, err)
 	}
 	heavy, err := runs[0].h.HeavyKeys(rel.StatePost, []string{"grp"}, 5)
 	if err != nil || len(heavy) != 4 {
@@ -486,27 +490,27 @@ func TestConformanceKeyStats(t *testing.T) {
 		if err := r.h.Insert(rel.Tuple{rel.Int(101), rel.Int(0), rel.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := r.h.DeleteWhere([]string{"k"}, []rel.Value{rel.Int(35)}); err != nil || n != 1 {
+		if n, err := r.h.DeleteWhere([]string{"k"}, []rel.Value{rel.Int(35)}, nil); err != nil || n != 1 {
 			t.Fatalf("%s: epoch delete n=%d err=%v", r.name, n, err)
 		}
 		// Group 3's rows move to group 8 (4 -> 0 and 0 -> 4).
 		if n, err := r.h.UpdateWhere([]string{"grp"}, []rel.Value{rel.Int(3)},
-			[]string{"grp"}, []rel.Value{rel.Int(8)}); err != nil || n != 4 {
+			[]string{"grp"}, []rel.Value{rel.Int(8)}, nil); err != nil || n != 4 {
 			t.Fatalf("%s: epoch update n=%d err=%v", r.name, n, err)
 		}
 	}
 	statsEqual(t, "in-epoch")
-	if n, err := runs[0].h.KeyFreq(rel.StatePre, []string{"grp"}, []rel.Value{rel.Int(0)}); err != nil || n != 1 {
-		t.Fatalf("pre KeyFreq(grp=0) = %d/%v, want frozen 1", n, err)
+	if n, err := keyFreq(runs[0].h, rel.StatePre, []string{"grp"}, []rel.Value{rel.Int(0)}); err != nil || n != 1 {
+		t.Fatalf("pre keyFreq(grp=0) = %d/%v, want frozen 1", n, err)
 	}
-	if n, err := runs[0].h.KeyFreq(rel.StatePost, []string{"grp"}, []rel.Value{rel.Int(0)}); err != nil || n != 3 {
-		t.Fatalf("post KeyFreq(grp=0) = %d/%v, want 3", n, err)
+	if n, err := keyFreq(runs[0].h, rel.StatePost, []string{"grp"}, []rel.Value{rel.Int(0)}); err != nil || n != 3 {
+		t.Fatalf("post keyFreq(grp=0) = %d/%v, want 3", n, err)
 	}
-	if n, err := runs[0].h.KeyFreq(rel.StatePre, []string{"grp"}, []rel.Value{rel.Int(3)}); err != nil || n != 4 {
-		t.Fatalf("pre KeyFreq(grp=3) = %d/%v, want frozen 4", n, err)
+	if n, err := keyFreq(runs[0].h, rel.StatePre, []string{"grp"}, []rel.Value{rel.Int(3)}); err != nil || n != 4 {
+		t.Fatalf("pre keyFreq(grp=3) = %d/%v, want frozen 4", n, err)
 	}
-	if n, err := runs[0].h.KeyFreq(rel.StatePost, []string{"grp"}, []rel.Value{rel.Int(8)}); err != nil || n != 4 {
-		t.Fatalf("post KeyFreq(grp=8) = %d/%v, want 4", n, err)
+	if n, err := keyFreq(runs[0].h, rel.StatePost, []string{"grp"}, []rel.Value{rel.Int(8)}); err != nil || n != 4 {
+		t.Fatalf("post keyFreq(grp=8) = %d/%v, want 4", n, err)
 	}
 	for _, r := range runs {
 		r.h.EndEpoch()
@@ -515,8 +519,8 @@ func TestConformanceKeyStats(t *testing.T) {
 
 	// Unknown attribute errors on every backend.
 	for _, r := range runs {
-		if _, err := r.h.KeyFreq(rel.StatePost, []string{"nope"}, []rel.Value{rel.Int(1)}); err == nil {
-			t.Fatalf("%s: KeyFreq on unknown attr must fail", r.name)
+		if _, err := keyFreq(r.h, rel.StatePost, []string{"nope"}, []rel.Value{rel.Int(1)}); err == nil {
+			t.Fatalf("%s: keyFreq on unknown attr must fail", r.name)
 		}
 		if _, err := r.h.HeavyKeys(rel.StatePost, []string{"nope"}, 2); err == nil {
 			t.Fatalf("%s: HeavyKeys on unknown attr must fail", r.name)
@@ -535,7 +539,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 		// UpdateWhereFunc: both price=20 rows move to 21; the callback sees
 		// the pre image with 20 and the post image with 21, full width.
 		seen := map[string][2]int64{}
-		n, err := tab.UpdateWhereFunc([]string{"price"}, []rel.Value{rel.Int(20)},
+		n, err := tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)},
 			[]string{"price"}, []rel.Value{rel.Int(21)},
 			func(pre, post rel.Tuple) {
 				if len(pre) != 2 || len(post) != 2 {
@@ -562,7 +566,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 		}
 
 		// nil fn behaves exactly like the plain variant.
-		n, err = tab.UpdateWhereFunc([]string{"price"}, []rel.Value{rel.Int(10)},
+		n, err = tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(10)},
 			[]string{"price"}, []rel.Value{rel.Int(11)}, nil)
 		if err != nil || n != 1 {
 			t.Fatalf("nil-fn UpdateWhereFunc: n=%d err=%v", n, err)
@@ -570,7 +574,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 
 		// DeleteWhereFunc: both 21-rows go; pre images are complete.
 		var deleted []string
-		n, err = tab.DeleteWhereFunc([]string{"price"}, []rel.Value{rel.Int(21)},
+		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(21)},
 			func(pre rel.Tuple) {
 				if len(pre) != 2 || !pre[1].Equal(rel.Int(21)) {
 					t.Errorf("bad delete pre image %v", pre)
@@ -584,7 +588,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 			t.Fatalf("len after capture delete = %d", tab.Len())
 		}
 		// No matches: no calls, no error.
-		n, err = tab.DeleteWhereFunc([]string{"price"}, []rel.Value{rel.Int(999)},
+		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(999)},
 			func(pre rel.Tuple) { t.Errorf("callback on zero-match delete: %v", pre) })
 		if err != nil || n != 0 {
 			t.Fatalf("zero-match DeleteWhereFunc: n=%d err=%v", n, err)

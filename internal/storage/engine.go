@@ -51,8 +51,6 @@ type Table interface {
 
 	// Len returns the number of live (post-state) rows.
 	Len() int
-	// LenPre returns the number of pre-state rows (Len outside an epoch).
-	LenPre() int
 	// Rows returns the raw tuples of the requested state (verification and
 	// snapshot utility; plan evaluation must go through Scan on a Handle).
 	// Callers must not mutate the tuples.
@@ -86,10 +84,6 @@ type Table interface {
 	// attrs and the state's total row count — the uncharged catalog
 	// statistics the planner consults for index-vs-scan decisions.
 	IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error)
-	// KeyFreq reports how many rows of the requested state match vals on
-	// the secondary index over attrs — uncharged key-frequency catalog
-	// statistics, maintained incrementally with the index itself.
-	KeyFreq(s rel.State, attrs []string, vals []rel.Value) (int, error)
 	// HeavyKeys reports every distinct value combination over attrs whose
 	// frequency in the requested state is at least threshold, sorted by
 	// the canonical key encoding — the uncharged skew statistics behind
@@ -105,22 +99,19 @@ type Table interface {
 	// DeleteKey removes the row with the given primary-key values.
 	DeleteKey(key []rel.Value) bool
 	// DeleteWhere removes every row whose attrs equal vals (delete i-diff
-	// semantics), returning the removal count.
-	DeleteWhere(attrs []string, vals []rel.Value) (int, error)
-	// DeleteWhereFunc is DeleteWhere that additionally invokes fn (when
-	// non-nil) with each removed row's full pre-image, in removal order.
-	// The images come from the delete's own critical section — no extra
-	// probes, so (through Handle) the charge is identical to DeleteWhere's.
-	// fn must not call back into the table. This is how a view's applied
-	// i-diffs become the derived modification log a cascaded view consumes.
-	DeleteWhereFunc(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error)
+	// semantics), returning the removal count. It invokes fn (when non-nil)
+	// with each removed row's full pre-image, in removal order. The images
+	// come from the delete's own critical section — no extra probes, so
+	// (through Handle) the charge does not depend on fn. fn must not call
+	// back into the table. This is how a view's applied i-diffs become the
+	// derived modification log a cascaded view consumes.
+	DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error)
 	// UpdateWhere overwrites setAttrs with setVals on every row whose attrs
 	// equal vals (update i-diff semantics). Key attributes are immutable.
-	UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value) (int, error)
-	// UpdateWhereFunc is UpdateWhere that additionally invokes fn (when
-	// non-nil) with each updated row's full pre- and post-image, in update
-	// order, under the same no-extra-probe contract as DeleteWhereFunc.
-	UpdateWhereFunc(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error)
+	// It invokes fn (when non-nil) with each updated row's full pre- and
+	// post-image, in update order, under the same no-extra-probe contract
+	// as DeleteWhere.
+	UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error)
 	// UpdateKey updates the single row with the given primary key.
 	UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (bool, error)
 

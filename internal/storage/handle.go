@@ -26,8 +26,8 @@ import "idivm/internal/rel"
 //     tuple write per affected row; nothing on a validation/index error.
 //   - UpdateKey: on success, one index lookup plus one tuple write when
 //     the row exists.
-//   - Rows, Relation, Len, LenPre, IndexCard, KeyFreq, HeavyKeys and the
-//     epoch operations are uncharged (verification utilities, catalog
+//   - Rows, Relation, Len, IndexCard, HeavyKeys and the epoch operations
+//     are uncharged (verification utilities, catalog
 //     statistics, and the snapshot the paper models as reading the log).
 //     The frequency statistics ride the incrementally maintained secondary
 //     indexes — reading a bucket size inspects the catalog, not tuples —
@@ -90,9 +90,6 @@ func (h *Handle) Schema() rel.Schema { return h.t.Schema() }
 // Len implements Table (uncharged).
 func (h *Handle) Len() int { return h.t.Len() }
 
-// LenPre implements Table (uncharged).
-func (h *Handle) LenPre() int { return h.t.LenPre() }
-
 // Rows implements Table (uncharged; see Table.Rows for the contract).
 func (h *Handle) Rows(s rel.State) []rel.Tuple { return h.t.Rows(s) }
 
@@ -102,11 +99,6 @@ func (h *Handle) Relation(s rel.State) *rel.Relation { return h.t.Relation(s) }
 // IndexCard implements Table (uncharged catalog statistics).
 func (h *Handle) IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error) {
 	return h.t.IndexCard(s, attrs, vals)
-}
-
-// KeyFreq implements Table (uncharged catalog statistics, like IndexCard).
-func (h *Handle) KeyFreq(s rel.State, attrs []string, vals []rel.Value) (int, error) {
-	return h.t.KeyFreq(s, attrs, vals)
 }
 
 // HeavyKeys implements Table (uncharged catalog statistics, like IndexCard).
@@ -210,21 +202,10 @@ func (h *Handle) DeleteKey(key []rel.Value) bool {
 }
 
 // DeleteWhere implements Table, charging one index lookup plus one write
-// per removed row on success.
-func (h *Handle) DeleteWhere(attrs []string, vals []rel.Value) (int, error) {
-	n, err := h.t.DeleteWhere(attrs, vals)
-	if err != nil {
-		return n, err
-	}
-	h.charge(0, 1, int64(n))
-	return n, nil
-}
-
-// DeleteWhereFunc implements Table. The charge is identical to
-// DeleteWhere's — one index lookup plus one write per removed row — since
-// fn observes pre-images the backend already holds, not extra probes.
-func (h *Handle) DeleteWhereFunc(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
-	n, err := h.t.DeleteWhereFunc(attrs, vals, fn)
+// per removed row on success — with or without fn, which observes
+// pre-images the backend already holds, not extra probes.
+func (h *Handle) DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
+	n, err := h.t.DeleteWhere(attrs, vals, fn)
 	if err != nil {
 		return n, err
 	}
@@ -233,20 +214,9 @@ func (h *Handle) DeleteWhereFunc(attrs []string, vals []rel.Value, fn func(pre r
 }
 
 // UpdateWhere implements Table, charging one index lookup plus one write
-// per updated row on success.
-func (h *Handle) UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value) (int, error) {
-	n, err := h.t.UpdateWhere(attrs, vals, setAttrs, setVals)
-	if err != nil {
-		return n, err
-	}
-	h.charge(0, 1, int64(n))
-	return n, nil
-}
-
-// UpdateWhereFunc implements Table; the charge is identical to
-// UpdateWhere's, for the same reason as DeleteWhereFunc.
-func (h *Handle) UpdateWhereFunc(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
-	n, err := h.t.UpdateWhereFunc(attrs, vals, setAttrs, setVals, fn)
+// per updated row on success, with or without fn like DeleteWhere.
+func (h *Handle) UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
+	n, err := h.t.UpdateWhere(attrs, vals, setAttrs, setVals, fn)
 	if err != nil {
 		return n, err
 	}

@@ -54,7 +54,7 @@ func TestHandleCostAccounting(t *testing.T) {
 			t.Errorf("LookupInto charged %v", c)
 		}
 		c.Reset()
-		n, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)})
+		n, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("UpdateWhere: n=%d err=%v", n, err)
 		}
@@ -81,10 +81,10 @@ func TestHandleErrorPathsUncharged(t *testing.T) {
 		if _, err := h.Lookup(rel.StatePost, []string{"nope"}, []rel.Value{rel.Int(1)}); err == nil {
 			t.Fatal("index error expected")
 		}
-		if _, err := h.DeleteWhere([]string{"nope"}, []rel.Value{rel.Int(1)}); err == nil {
+		if _, err := h.DeleteWhere([]string{"nope"}, []rel.Value{rel.Int(1)}, nil); err == nil {
 			t.Fatal("index error expected")
 		}
-		if _, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"pid"}, []rel.Value{rel.Int(1)}); err == nil {
+		if _, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"pid"}, []rel.Value{rel.Int(1)}, nil); err == nil {
 			t.Fatal("key-update error expected")
 		}
 		if c.Total() != 0 {
@@ -243,14 +243,14 @@ func TestHandleCaptureOpCharges(t *testing.T) {
 		h, c := countedParts(t, e)
 
 		n, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)},
-			[]string{"price"}, []rel.Value{rel.Int(21)})
+			[]string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("UpdateWhere: n=%d err=%v", n, err)
 		}
 		plain := *c
 		c.Reset()
 		fired := 0
-		n, err = h.UpdateWhereFunc([]string{"price"}, []rel.Value{rel.Int(21)},
+		n, err = h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(21)},
 			[]string{"price"}, []rel.Value{rel.Int(22)},
 			func(pre, post rel.Tuple) { fired++ })
 		if err != nil || n != 2 || fired != 2 {
@@ -261,14 +261,14 @@ func TestHandleCaptureOpCharges(t *testing.T) {
 		}
 
 		c.Reset()
-		n, err = h.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(10)})
+		n, err = h.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(10)}, nil)
 		if err != nil || n != 1 {
 			t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 		}
 		plain = *c
 		c.Reset()
 		fired = 0
-		n, err = h.DeleteWhereFunc([]string{"price"}, []rel.Value{rel.Int(22)},
+		n, err = h.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(22)},
 			func(pre rel.Tuple) { fired++ })
 		if err != nil || n != 2 || fired != 2 {
 			t.Fatalf("DeleteWhereFunc: n=%d fired=%d err=%v", n, fired, err)

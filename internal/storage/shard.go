@@ -95,15 +95,6 @@ func (t *shardTable) Len() int {
 	return n
 }
 
-// LenPre implements Table.
-func (t *shardTable) LenPre() int {
-	n := 0
-	for _, sh := range t.shards {
-		n += sh.LenPre()
-	}
-	return n
-}
-
 // Rows implements Table: shard contents concatenated in shard order.
 func (t *shardTable) Rows(s rel.State) []rel.Tuple {
 	return t.Scan(s)
@@ -188,25 +179,11 @@ func (t *shardTable) IndexCard(s rel.State, attrs []string, vals []rel.Value) (p
 	return p, n, nil
 }
 
-// KeyFreq implements Table: per-shard frequencies summed in shard order.
-// The shards partition the rows, so the sum is the exact global count.
-func (t *shardTable) KeyFreq(s rel.State, attrs []string, vals []rel.Value) (int, error) {
-	n := 0
-	for _, sh := range t.shards {
-		sn, err := sh.KeyFreq(s, attrs, vals)
-		if err != nil {
-			return 0, err
-		}
-		n += sn
-	}
-	return n, nil
-}
-
 // HeavyKeys implements Table. Rows are partitioned by a hash of the
 // primary key, so a secondary key's rows can land anywhere — but a key
 // with ≥ threshold rows globally must have ≥ ceil(threshold/N) rows in at
 // least one of the N shards. Gathering per-shard candidates at that floor
-// and re-counting each exactly (summed per-shard KeyFreq) therefore yields
+// and re-counting each exactly (IndexCard, summed per shard) therefore yields
 // precisely the unpartitioned result, which the conformance tests pin.
 func (t *shardTable) HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error) {
 	if threshold < 1 {
@@ -227,7 +204,7 @@ func (t *shardTable) HeavyKeys(s rel.State, attrs []string, threshold int) ([]re
 			if _, dup := seen[c.Key]; dup {
 				continue
 			}
-			n, err := t.KeyFreq(s, attrs, c.Vals)
+			n, _, err := t.IndexCard(s, attrs, c.Vals)
 			if err != nil {
 				return nil, err
 			}
@@ -268,26 +245,13 @@ func (t *shardTable) DeleteKey(key []rel.Value) bool {
 
 // DeleteWhere implements Table: fanned out over all shards; removal
 // counts sum. Index errors are schema-determined, so either every shard
-// fails identically before mutating or none does.
-func (t *shardTable) DeleteWhere(attrs []string, vals []rel.Value) (int, error) {
+// fails identically before mutating or none does. fn is threaded through,
+// so each shard reports its removals' pre-images in shard order — matching
+// the order Scan would have returned the rows.
+func (t *shardTable) DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
 	n := 0
 	for _, sh := range t.shards {
-		sn, err := sh.DeleteWhere(attrs, vals)
-		if err != nil {
-			return n, err
-		}
-		n += sn
-	}
-	return n, nil
-}
-
-// DeleteWhereFunc implements Table: the shard fan-out of DeleteWhere,
-// threading fn through so each shard reports its removals' pre-images in
-// shard order — matching the order Scan would have returned the rows.
-func (t *shardTable) DeleteWhereFunc(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
-	n := 0
-	for _, sh := range t.shards {
-		sn, err := sh.DeleteWhereFunc(attrs, vals, fn)
+		sn, err := sh.DeleteWhere(attrs, vals, fn)
 		if err != nil {
 			return n, err
 		}
@@ -298,25 +262,12 @@ func (t *shardTable) DeleteWhereFunc(attrs []string, vals []rel.Value, fn func(p
 
 // UpdateWhere implements Table: fanned out over all shards; update counts
 // sum. Validation errors (key-attribute update, unknown attribute) are
-// schema-determined and reported before any shard mutates.
-func (t *shardTable) UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value) (int, error) {
+// schema-determined and reported before any shard mutates. fn is threaded
+// through in shard order like DeleteWhere's.
+func (t *shardTable) UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
 	n := 0
 	for _, sh := range t.shards {
-		sn, err := sh.UpdateWhere(attrs, vals, setAttrs, setVals)
-		if err != nil {
-			return n, err
-		}
-		n += sn
-	}
-	return n, nil
-}
-
-// UpdateWhereFunc implements Table: the shard fan-out of UpdateWhere,
-// threading fn through in shard order like DeleteWhereFunc.
-func (t *shardTable) UpdateWhereFunc(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
-	n := 0
-	for _, sh := range t.shards {
-		sn, err := sh.UpdateWhereFunc(attrs, vals, setAttrs, setVals, fn)
+		sn, err := sh.UpdateWhere(attrs, vals, setAttrs, setVals, fn)
 		if err != nil {
 			return n, err
 		}
