@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-sharded bench-smoke-serving bench-smoke-skew
+.PHONY: check build vet test race race-sharded race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-sharded bench-smoke-serving
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests on both storage engines, the repository linter, the non-test line
@@ -69,7 +69,8 @@ bench-e2e-smoke:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark . -smoke -all -seconds 5
 
-# bench-smoke mirrors CI's benchmark regression gate: a one-iteration run
+# bench-smoke is the benchmark regression gate (CI's bench-smoke job runs
+# this target): a one-iteration run
 # of the Figure 12a (d=200) and SPJ headline benchmarks plus the columnar
 # kernel microbenchmarks, converted to BENCH.json (ns/op, allocs/op and
 # accesses/op per row) and compared against testdata/bench_baseline.json
@@ -85,10 +86,13 @@ bench-e2e-smoke:
 # The TableChurn rows (internal/rel: insert a bucket, DeleteWhere it,
 # UpdateKey as many rows) have a constant accesses/op; they are there for
 # their allocs/op column — the storage write path's allocations.
+# The FeedJoin rows are the probe join under uniform and Zipf(1.1) keys:
+# one charged lookup per driving row, so the zipf row is the cost of a few
+# celebrity buckets being read once per tweet.
 # Regenerate the baseline after a deliberate cost change with:
 #   make bench-smoke BENCHJSON_FLAGS='-o testdata/bench_baseline.json'
-# and carry the BenchmarkServing and BenchmarkSkewSweep rows over (the
-# serving and skew lanes gate against the same file).
+# and carry the BenchmarkServing rows over (the serving lane gates against
+# the same file).
 BENCHJSON_FLAGS ?= -o BENCH.json -baseline testdata/bench_baseline.json
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig12a_DiffSize$$/^d=200$$' -benchtime=1x . | tee bench.txt
@@ -98,10 +102,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFig10$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkAggClasses$$' -benchtime=1x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkFeedJoin$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkTableChurn$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
 
-# bench-smoke-sharded re-runs the same subset on the hash-partitioned
+# bench-smoke-sharded re-runs the first three of those on the hash-partitioned
 # engine with 4 intra-operator workers. Report-only: accesses/op are
 # invariant under OpWorkers by construction (the race-sharded differential
 # matrix proves it), but physical scan order shifts some apply-phase costs
@@ -114,7 +119,7 @@ bench-smoke-sharded:
 	IDIVM_ENGINE=sharded:8 IDIVM_OP_WORKERS=4 $(GO) test -run '^$$' -bench '^BenchmarkScanHeavyRecompute$$' -benchtime=1x . | tee -a bench_sharded.txt
 	$(GO) run ./cmd/benchjson -o BENCH_sharded.json bench_sharded.txt
 
-# bench-smoke-serving mirrors CI's bench-serving lane: BenchmarkServing's
+# bench-smoke-serving is CI's bench-serving lane: BenchmarkServing's
 # replay lane reports accesses/op — the deterministic apply+maintenance
 # cost of one 100-write group-commit batch — and gates against the same
 # baseline; the concurrent lane's p50-ns/p99-ns/rounds-per-sec are
@@ -124,17 +129,3 @@ BENCHJSON_SERVING_FLAGS ?= -o BENCH_7.json -baseline testdata/bench_baseline.jso
 bench-smoke-serving:
 	$(GO) test -run '^$$' -bench '^BenchmarkServing$$' -benchtime=2000x . | tee bench_serving.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_SERVING_FLAGS) bench_serving.txt
-
-# bench-smoke-skew is the skew-adaptation lane: BenchmarkSkewSweep runs the
-# feed join under uniform and zipf(1.1) author distributions with
-# heavy/light partitioning off and on (threshold 16 unless
-# IDIVM_SKEW_THRESHOLD overrides it), converted to BENCH_skew.json and
-# gated against the shared baseline on accesses/op. The uniform rows pin
-# the no-heavy-keys safety property (on ≡ off), the zipf1.1 rows pin the
-# heavy-lane win (~31% fewer accesses at threshold 16). ns/op stays
-# informational: CI runs on small shared runners where wall-clock is
-# noise, so only the deterministic access counts gate.
-BENCHJSON_SKEW_FLAGS ?= -o BENCH_skew.json -baseline testdata/bench_baseline.json
-bench-smoke-skew:
-	$(GO) test -run '^$$' -bench '^BenchmarkSkewSweep$$' -benchtime=1x . | tee bench_skew.txt
-	$(GO) run ./cmd/benchjson $(BENCHJSON_SKEW_FLAGS) bench_skew.txt

@@ -76,23 +76,6 @@ func benchOpWorkers() int {
 	return n
 }
 
-// benchSkewThreshold reads $IDIVM_SKEW_THRESHOLD, the heavy-key threshold
-// the skew sweep's on-lanes run at (default 16). Unlike the other knobs,
-// a positive threshold deliberately CHANGES access counts — that is the
-// measurement — so only the skew sweep consults it; every other benchmark
-// keeps the single-strategy plans.
-func benchSkewThreshold() int {
-	v := os.Getenv("IDIVM_SKEW_THRESHOLD")
-	if v == "" {
-		return 16
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		panic(fmt.Sprintf("bad IDIVM_SKEW_THRESHOLD %q", v))
-	}
-	return n
-}
-
 func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode, workers int) {
 	b.Helper()
 	ds := workload.Build(p)
@@ -348,58 +331,46 @@ func BenchmarkSmallDiff(b *testing.B) {
 	}
 }
 
-// benchSkewLane measures maintenance rounds of the skewed-join feed view
-// (tweets ⋈ follows on the author id) at one skew threshold: 0 keeps the
-// single-strategy index-pushdown plan, a positive threshold engages the
-// heavy/light lane split.
-func benchSkewLane(b *testing.B, p workload.SkewParams, thresh int) {
-	b.Helper()
-	ds := workload.BuildSkew(p)
-	sys := ivm.NewSystem(ds.DB)
-	sys.OpWorkers = benchOpWorkers()
-	sys.SkewThreshold = thresh
-	if _, err := sys.RegisterView("feed", ds.FeedPlan(), ivm.ModeID); err != nil {
-		b.Fatal(err)
-	}
-	var accesses int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := ds.ApplyTweetInserts(); err != nil {
-			b.Fatal(err)
-		}
-		ds.DB.Counter().Reset()
-		b.StartTimer()
-		reports, err := sys.MaintainAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		accesses += reports[0].Phases.Total().Total()
-		b.StopTimer()
-		ds.DB.ResetLog()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
-}
-
-// BenchmarkSkewSweep is the skew-adaptive maintenance measurement:
-// {uniform, Zipf 1.1} key distributions × {off, on} skew thresholds over
-// the feed view. The Zipf/on lane is the payoff — celebrity authors'
-// follower buckets are probed once per round instead of once per tweet —
-// and CI gates it reducing accesses/op by ≥25% versus Zipf/off. The
-// uniform lanes pin the no-skew safety property: with no heavy keys the
-// split changes nothing.
-func BenchmarkSkewSweep(b *testing.B) {
-	thresh := benchSkewThreshold()
+// BenchmarkFeedJoin measures maintenance rounds of the feed view (tweets ⋈
+// follows on the author id) under uniform and Zipf 1.1 author
+// distributions: the probe join pays one charged lookup per inserted tweet,
+// so the Zipf lane's accesses/op is the cost of celebrity authors' follower
+// buckets being read once per tweet.
+func BenchmarkFeedJoin(b *testing.B) {
 	for _, d := range []struct {
 		name string
 		s    float64
 	}{{"uniform", 0}, {"zipf1.1", 1.1}} {
 		p := workload.SkewDefaults(1000)
 		p.ZipfS = d.s
-		b.Run(d.name+"/skew=off", func(b *testing.B) { benchSkewLane(b, p, 0) })
-		b.Run(d.name+"/skew=on", func(b *testing.B) { benchSkewLane(b, p, thresh) })
+		b.Run(d.name, func(b *testing.B) {
+			ds := workload.BuildSkew(p)
+			sys := ivm.NewSystem(ds.DB)
+			sys.OpWorkers = benchOpWorkers()
+			if _, err := sys.RegisterView("feed", ds.FeedPlan(), ivm.ModeID); err != nil {
+				b.Fatal(err)
+			}
+			var accesses int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := ds.ApplyTweetInserts(); err != nil {
+					b.Fatal(err)
+				}
+				ds.DB.Counter().Reset()
+				b.StartTimer()
+				reports, err := sys.MaintainAll()
+				if err != nil {
+					b.Fatal(err)
+				}
+				accesses += reports[0].Phases.Total().Total()
+				b.StopTimer()
+				ds.DB.ResetLog()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+		})
 	}
 }
 
@@ -526,7 +497,7 @@ type opBenchEnv struct {
 	w int
 }
 
-func (e *opBenchEnv) Knobs() algebra.Knobs { return algebra.Knobs{OpWorkers: e.w} }
+func (e *opBenchEnv) OpWorkers() int { return e.w }
 
 // BenchmarkScanHeavyRecompute measures full recomputation of the Figure 1b
 // (SPJ) and Figure 5b (aggregate) views over a ~200k-row devices_parts

@@ -1,8 +1,7 @@
 // Package chargepath is the seeded fixture for the chargepath analyzer:
 // deliberate violations (a charged-shape call on the raw backend
-// interface, the three uncharged batch-converter escapes, and a
-// key-frequency stats read outside the planner) and two blessed
-// suppressions (a Backend() escape and a stats read).
+// interface and the three uncharged batch-converter escapes) and one
+// blessed suppression (a Backend() escape).
 package chargepath
 
 import (
@@ -32,17 +31,5 @@ func smuggleRel(r *rel.Relation) *rel.Batch {
 }
 
 func smuggleOut(b *rel.Batch) *rel.Relation {
-	return b.Materialize(0) // violation: uncharged materialization outside the compiled plans
-}
-
-// The key-frequency statistics are uncharged like IndexCard — sound while
-// they steer plan choice inside the planner, a free data channel anywhere
-// else.
-
-func statsPeek(h *storage.Handle) ([]rel.KeyCount, error) {
-	return h.HeavyKeys(rel.StatePost, []string{"a"}, 1) // violation: uncharged stats read outside the planner
-}
-
-func statsBless(h *storage.Handle) ([]rel.KeyCount, error) {
-	return h.HeavyKeys(rel.StatePost, []string{"a"}, 2) //ivmlint:allow chargepath — fixture bless: ops introspection
+	return b.Materialize() // violation: uncharged materialization outside the compiled plans
 }

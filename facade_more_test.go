@@ -1,6 +1,7 @@
 package idivm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -249,5 +250,62 @@ func TestFacadeHiddenAggregateNamesDoNotCollide(t *testing.T) {
 		if err := d.CheckConsistent(v); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// A SQL-created aggregate view stores its group key under the qualified
+// source name (devices.category); SQL over the view — ad-hoc or a view over
+// the view — must be able to name that column bare, alias-qualified or
+// quoted in full (benchmark/README Finding 7).
+func TestFacadeViewGroupKeyReadableFromSQL(t *testing.T) {
+	d := openRunningExample(t)
+	d.MustCreateView(`CREATE VIEW v AS SELECT category, COUNT(*) AS n FROM devices GROUP BY category`)
+	d.MustCreateView(`CREATE VIEW amb AS SELECT a.pid, b.pid, COUNT(*) AS n
+		FROM parts a, parts b WHERE a.price = b.price GROUP BY a.pid, b.pid`)
+	for _, tc := range []struct {
+		sql  string
+		want string // fmt.Sprint of the rows, or a substring of the error when err is set
+		err  bool
+	}{
+		{`SELECT category, n FROM v`, "[[phone 2] [tablet 1]]", false},
+		{`SELECT n FROM v WHERE category = 'tablet'`, "[[1]]", false},
+		{`SELECT v.category, v.n FROM v`, "[[phone 2] [tablet 1]]", false},
+		{`SELECT x.category FROM v AS x WHERE x.n = 2`, "[[phone]]", false},
+		{`SELECT "devices.category" FROM v`, "[[phone] [tablet]]", false},
+		{`SELECT v.devices.category FROM v`, "[[phone] [tablet]]", false},
+		{`SELECT "a.pid", n FROM amb`, "[[P1 1] [P2 1]]", false},
+		{`SELECT pid FROM amb`, "ambiguous", true},
+		{`SELECT amb.pid FROM amb`, "ambiguous", true},
+	} {
+		rows, err := d.Query(tc.sql)
+		switch {
+		case tc.err:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Query(%q): error %v, want one containing %q", tc.sql, err, tc.want)
+			}
+		case err != nil:
+			t.Errorf("Query(%q): %v", tc.sql, err)
+		case fmt.Sprint(rows.Data) != tc.want:
+			t.Errorf("Query(%q) = %v, want %s", tc.sql, rows.Data, tc.want)
+		}
+	}
+
+	// A view over the view, grouped by that column, registers and is
+	// maintained in the same round as its parent.
+	if err := d.CreateView(`CREATE VIEW w AS SELECT category, SUM(n) AS total FROM v GROUP BY category`); err != nil {
+		t.Fatal(err)
+	}
+	d.MustInsert("devices", "D4", "tablet")
+	if _, err := d.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []string{"v", "w"} {
+		if err := d.CheckConsistent(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := d.Query(`SELECT category, total FROM w`)
+	if err != nil || fmt.Sprint(rows.Data) != "[[phone 2] [tablet 2]]" {
+		t.Fatalf("w = %v, %v", rows, err)
 	}
 }

@@ -64,10 +64,9 @@ func ShardedEngine(n int) Engine { return storage.NewSharded(n) }
 type Option func(*openConfig)
 
 type openConfig struct {
-	engine        Engine
-	opWorkers     int
-	skewThreshold int
-	serving       *ServingOptions
+	engine    Engine
+	opWorkers int
+	serving   *ServingOptions
 }
 
 // WithEngine selects the storage backend (default MemEngine()).
@@ -80,18 +79,6 @@ func WithEngine(e Engine) Option { return func(c *openConfig) { c.engine = e } }
 // split along. 0 or 1 (the default) keeps operators sequential; results
 // and access counts are identical either way.
 func WithOpWorkers(n int) Option { return func(c *openConfig) { c.opWorkers = n } }
-
-// WithSkewThreshold turns on skew-adaptive join maintenance: before each
-// compiled join probe round, keys whose stored-side frequency is at least
-// n (per the engine's uncharged key-frequency statistics) are treated as
-// heavy — the round probes each distinct heavy key once and serves every
-// further occurrence from a per-round cache, while light keys keep the
-// index-pushdown path. Unlike WithOpWorkers, this knob
-// deliberately CHANGES access counts (that is the point: fewer probes on
-// skewed diffs); for a fixed threshold the results and counts remain
-// byte-identical across engines and execution strategies. 0 (the default)
-// keeps the single-strategy plans and never consults the statistics.
-func WithSkewThreshold(n int) Option { return func(c *openConfig) { c.skewThreshold = n } }
 
 // ServingOptions tunes the concurrent serving layer; see WithServing.
 // Zero MaxBatch and Queue pick the defaults (128 and 1024); MaxDelay has
@@ -128,7 +115,6 @@ func Open(opts ...Option) *DB {
 	d := db.NewWith(cfg.engine)
 	sys := ivm.NewSystem(d)
 	sys.OpWorkers = cfg.opWorkers
-	sys.SkewThreshold = cfg.skewThreshold
 	x := &DB{d: d, sys: sys}
 	if cfg.serving != nil {
 		x.srv = serve.New(d, sys, serve.Options{
@@ -380,10 +366,6 @@ func (x *DB) SetWorkers(n int) { x.sys.Workers = n }
 // SetOpWorkers adjusts the intra-operator worker budget after Open; see
 // WithOpWorkers.
 func (x *DB) SetOpWorkers(n int) { x.sys.OpWorkers = n }
-
-// SetSkewThreshold adjusts the heavy-key threshold after Open; see
-// WithSkewThreshold.
-func (x *DB) SetSkewThreshold(n int) { x.sys.SkewThreshold = n }
 
 // Maintain incrementally brings every registered view up to date with the
 // base-table modifications since the previous call, and clears the log.

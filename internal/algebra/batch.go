@@ -474,8 +474,8 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch, w int) (*rel.Ba
 	return out, nil
 }
 
-// probeRange probes for the driving rows of one span, consulting the
-// heavy-lane cache before the index.
+// probeRange probes for the driving rows of one span: fill the key, one
+// charged lookup, gather the matches.
 func (c *cJoin) probeRange(t *storage.Handle, driving *rel.Batch, pr *cProbe, sp span) ([]int32, []rel.ColBuilder, error) {
 	idx, storedW := c.drive()
 	// The match count is unknown until probed (selectivity can be ≪1), so
@@ -488,12 +488,9 @@ func (c *cJoin) probeRange(t *storage.Handle, driving *rel.Batch, pr *cProbe, sp
 		if !pr.fill(driving, idx, i) {
 			continue
 		}
-		rows, cached := c.heavyLookup(pr)
-		if !cached {
-			var err error
-			if rows, err = pr.lookup(t); err != nil {
-				return nil, nil, err
-			}
+		rows, err := pr.lookup(t)
+		if err != nil {
+			return nil, nil, err
 		}
 		if len(rows) == 0 {
 			continue
@@ -575,7 +572,7 @@ func (c *cJoin) nestedJoin(left, right *rel.Batch) *rel.Batch {
 	if left.Len() == 0 || right.Len() == 0 {
 		return c.empty
 	}
-	rrows := right.Materialize(0).Tuples
+	rrows := right.Materialize().Tuples
 	var gl, gr []int32
 	var lbuf rel.Tuple
 	for i := 0; i < left.Len(); i++ {
@@ -724,7 +721,7 @@ func (c *cSemi) hashSelRange(left, right *rel.Batch, ht map[uint64][]int32, sp s
 // nestedSel is semiNested, the θ-semijoin: like nestedJoin, a row loop
 // over the boxed inner side, returning the kept left rows.
 func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
-	rrows := right.Materialize(0).Tuples
+	rrows := right.Materialize().Tuples
 	var sel []int32
 	var lbuf rel.Tuple
 	for i := 0; i < left.Len(); i++ {

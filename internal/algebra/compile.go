@@ -20,7 +20,7 @@
 // asserts this on randomized plans.
 //
 // An ExecPlan owns mutable scratch (key-encoding buffers, probe result
-// buffers, selection vectors, the heavy-key cache), so a single ExecPlan
+// buffers, selection vectors), so a single ExecPlan
 // must not be Run concurrently with itself. The Δ-script executor satisfies
 // this: each step runs at most once per round, and concurrently scheduled
 // steps hold distinct plans. Batches, by contrast, are immutable once
@@ -77,49 +77,28 @@ func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Materialize(knobsOf(env).BatchSize), nil
+	return b.Materialize(), nil
 }
 
-// Knobs are the execution options an executor may grant a compiled plan.
-// The zero value — what a plain Env gets — is the sequential,
-// single-strategy default.
-type Knobs struct {
+// KnobEnv is the optional extension of Env through which an executor grants
+// the plans it runs intra-operator parallelism; the Δ-script executor
+// implements it from its ExecOptions. A plain Env runs sequentially.
+type KnobEnv interface {
+	Env
 	// OpWorkers > 1 lets large inputs run the chunk- and partition-parallel
 	// forms of the kernels on that many pool workers (pool.go). Output,
 	// reports and counters are byte-identical to the sequential run.
-	OpWorkers int
-	// SkewThreshold > 0 turns on the heavy/light probe lanes (skew.go):
-	// the stored-side key frequency at and above which a probe key is
-	// probed once per round and served from a cache afterwards. Unlike
-	// OpWorkers it deliberately lowers access counts.
-	SkewThreshold int
-	// BatchSize is the arena chunk, in rows, of the root Materialize
-	// (0 = 1024). It has no other effect.
-	BatchSize int
+	OpWorkers() int
 }
 
-// KnobEnv is the optional extension of Env through which an executor hands
-// its Knobs to the plans it runs; the Δ-script executor implements it from
-// its ExecOptions.
-type KnobEnv interface {
-	Env
-	Knobs() Knobs
-}
-
-// knobsOf extracts the normalized knobs of an environment: OpWorkers is at
-// least 1 and SkewThreshold at least 0.
-func knobsOf(env Env) Knobs {
-	var k Knobs
+// opWorkersOf is the worker budget env grants, at least 1.
+func opWorkersOf(env Env) int {
 	if ke, ok := env.(KnobEnv); ok {
-		k = ke.Knobs()
+		if w := ke.OpWorkers(); w > 1 {
+			return w
+		}
 	}
-	if k.OpWorkers < 1 {
-		k.OpWorkers = 1
-	}
-	if k.SkewThreshold < 0 {
-		k.SkewThreshold = 0
-	}
-	return k
+	return 1
 }
 
 // cNode is one compiled operator.
@@ -180,7 +159,7 @@ func (c *cStored) run(env Env) (*rel.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rel.FromTuples(c.sch, scanRows(t, c.st, knobsOf(env).OpWorkers)), nil
+	return rel.FromTuples(c.sch, scanRows(t, c.st, opWorkersOf(env))), nil
 }
 
 // scanRows is the charged full scan of a stored table: part-by-part on the
@@ -321,7 +300,7 @@ func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 			return batchOf(c.empty, rows), nil
 		}
 	}
-	rows := scanRows(t, c.st, knobsOf(env).OpWorkers)
+	rows := scanRows(t, c.st, opWorkersOf(env))
 	return c.full.filter(batchOf(c.empty, rows), c.empty), nil
 }
 
@@ -513,13 +492,6 @@ type cJoin struct {
 	shortRight bool
 	empty      *rel.Batch
 	lw, rw     int // child widths, for output column layout
-
-	// heavy is the per-round heavy-lane cache (skew.go): probe results for
-	// driving keys whose stored-side frequency crossed the SkewThreshold.
-	// Rebuilt by prepareHeavy before each probe round; nil whenever the
-	// heavy lane is off. Read-only once the probe loop (including its
-	// parallel workers) starts.
-	heavy map[string][]rel.Tuple
 }
 
 func compileJoin(j *Join) (cNode, error) {
@@ -625,7 +597,7 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 			return nil, err
 		}
 	}
-	k := knobsOf(env)
+	w := opWorkersOf(env)
 	switch c.strategy {
 	case joinProbeRight, joinProbeLeft:
 		driving := left
@@ -636,12 +608,9 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.prepareHeavy(k.SkewThreshold, t, driving); err != nil {
-			return nil, err
-		}
-		return c.probeJoin(t, driving, k.OpWorkers)
+		return c.probeJoin(t, driving, w)
 	case joinHash:
-		return c.hashJoin(left, right, k.OpWorkers), nil
+		return c.hashJoin(left, right, w), nil
 	default:
 		return c.nestedJoin(left, right), nil
 	}
@@ -769,7 +738,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sel, err = c.probeRightSel(t, left, knobsOf(env).OpWorkers); err != nil {
+		if sel, err = c.probeRightSel(t, left, opWorkersOf(env)); err != nil {
 			return nil, err
 		}
 	} else {
@@ -782,7 +751,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 		case right.Len() == 0 && !c.keep: // nothing to exclude (a semijoin's empty key set returned above)
 			return left, nil
 		case c.strategy == semiHash:
-			sel = c.hashSel(left, right, knobsOf(env).OpWorkers)
+			sel = c.hashSel(left, right, opWorkersOf(env))
 		default:
 			sel = c.nestedSel(left, right)
 		}
@@ -862,7 +831,7 @@ func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 	if child.Len() == 0 {
 		return c.empty, nil
 	}
-	return c.emitGroups(c.fold(child, knobsOf(env).OpWorkers)), nil
+	return c.emitGroups(c.fold(child, opWorkersOf(env))), nil
 }
 
 // cUnion concatenates its children column by column and appends the

@@ -51,25 +51,20 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 
 type fakeKnobEnv struct {
 	Env
-	k Knobs
+	w int
 }
 
-func (e *fakeKnobEnv) Knobs() Knobs { return e.k }
+func (e *fakeKnobEnv) OpWorkers() int { return e.w }
 
-// A plain Env and out-of-range knob values normalize to the sequential,
-// single-strategy default.
+// A plain Env and out-of-range worker counts normalize to sequential.
 func TestOpWorkersDefaultsSequential(t *testing.T) {
 	var plain Env // nil concrete env: no KnobEnv implementation
-	if got := knobsOf(plain); got != (Knobs{OpWorkers: 1}) {
-		t.Errorf("knobsOf(plain) = %+v", got)
+	if got := opWorkersOf(plain); got != 1 {
+		t.Errorf("opWorkersOf(plain) = %d", got)
 	}
-	for _, c := range []struct{ in, want Knobs }{
-		{Knobs{OpWorkers: 4, SkewThreshold: 8, BatchSize: 64}, Knobs{OpWorkers: 4, SkewThreshold: 8, BatchSize: 64}},
-		{Knobs{OpWorkers: 0}, Knobs{OpWorkers: 1}},
-		{Knobs{OpWorkers: -2, SkewThreshold: -1}, Knobs{OpWorkers: 1}},
-	} {
-		if got := knobsOf(&fakeKnobEnv{k: c.in}); got != c.want {
-			t.Errorf("knobsOf(%+v) = %+v, want %+v", c.in, got, c.want)
+	for _, c := range []struct{ in, want int }{{4, 4}, {1, 1}, {0, 1}, {-2, 1}} {
+		if got := opWorkersOf(&fakeKnobEnv{w: c.in}); got != c.want {
+			t.Errorf("opWorkersOf(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

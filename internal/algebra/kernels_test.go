@@ -11,15 +11,14 @@ import (
 	"idivm/internal/storage"
 )
 
-// opEnv grants a base Env intra-operator workers (and a materialization
-// chunk), engaging the parallel form of the kernels in compiled plans.
+// opEnv grants a base Env intra-operator workers, engaging the parallel
+// form of the kernels in compiled plans.
 type opEnv struct {
 	algebra.Env
-	w  int
-	bs int
+	w int
 }
 
-func (e *opEnv) Knobs() algebra.Knobs { return algebra.Knobs{OpWorkers: e.w, BatchSize: e.bs} }
+func (e *opEnv) OpWorkers() int { return e.w }
 
 // bigDB builds a table large enough (3000 rows > MinOpRows) for every
 // parallel kernel to engage without lowering the threshold. val mixes

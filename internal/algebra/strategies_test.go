@@ -133,9 +133,8 @@ func TestCompiledStrategiesAtInputSizes(t *testing.T) {
 	}
 }
 
-// checkAgainstEval compiles plan and compares its runs — sequential, with
-// a 64-row materialization chunk, and on four workers — with the
-// interpreted oracle: schema, row width, rows in order, access counters.
+// checkAgainstEval compiles plan and compares its runs — sequential and on
+// four workers — with the interpreted oracle: schema, row width, rows in order, access counters.
 func checkAgainstEval(t *testing.T, d *db.Database, env algebra.Env, plan algebra.Node) {
 	t.Helper()
 	compiled, err := algebra.Compile(plan)
@@ -146,11 +145,11 @@ func checkAgainstEval(t *testing.T, d *db.Database, env algebra.Env, plan algebr
 	want := eval(t, plan, env)
 	wantCost := *d.Counter()
 	for _, m := range []struct {
-		name  string
-		w, bs int
-	}{{"seq", 1, 0}, {"b64", 1, 64}, {"op4", 4, 1024}} {
+		name string
+		w    int
+	}{{"seq", 1}, {"op4", 4}} {
 		d.Counter().Reset()
-		got, err := compiled.Run(&opEnv{Env: env, w: m.w, bs: m.bs})
+		got, err := compiled.Run(&opEnv{Env: env, w: m.w})
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}

@@ -220,10 +220,10 @@ func TestCascadeMaintenance(t *testing.T) {
 // TestCascadeMatchesFlattened is the differential acceptance test: after
 // every round, the 2-level cascade's top view holds exactly the rows of
 // the equivalent flattened view registered directly over the base table —
-// across both engines, sequential and worker-pool scheduling, and two
-// materialization chunk sizes (the sub-test names predate the single
-// columnar path: "tuple" is the default 1024-row chunk, "batch64" a
-// 64-row one).
+// across both engines and sequential and worker-pool scheduling. The
+// "tuple"/"batch64" sub-test names predate the single columnar path; both
+// run the same configuration now that System.BatchSize is ignored, and the
+// axis goes when the field does (ROADMAP item 1(a)).
 func TestCascadeMatchesFlattened(t *testing.T) {
 	engs := []struct {
 		name string

@@ -182,8 +182,7 @@ func TestCompiledParallelCounterParity(t *testing.T) {
 // intra-operator kernels: every seeded random plan runs, per storage
 // engine (mem, sharded:1, sharded:8), through the interpreted oracle and
 // as {sequential, OpWorkers only, step-DAG + OpWorkers} compiled twins,
-// each with the heavy lane off and on, fed identical modification
-// streams. Every compiled cell must reproduce its engine's reference
+// fed identical modification streams. Every compiled cell must reproduce its engine's reference
 // byte-for-byte — per-step reports and the database access counters —
 // because the Handle charges partitioned scans exactly as flat scans and
 // every kernel merges in deterministic order. (The reference is
@@ -214,25 +213,12 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 		interpret bool
 		workers   int
 		opWorkers int
-		skew      int
 	}{
-		{"interp", true, 0, 0, 0}, // per-engine skew-off reference: the oracle; must come first
-		{"seq", false, 0, 0, 0},
-		{"op4", false, 0, 4, 0},
-		{"dag4+op4", false, 4, 4, 0},
-		// The skew axis: SkewThreshold=2 on the tiny Figure 2 instance keeps
-		// keys crossing the heavy threshold mid-history as randomMods
-		// inserts and deletes rows. Skew deliberately changes access counts
-		// (and the interpreter has no heavy lane), so these cells form their
-		// own comparison group: the first skew cell is the per-engine
-		// reference the others must reproduce byte-for-byte. View state must
-		// still agree with every skew-off cell, the oracle included — the
-		// heavy lane serves cached rows, never different ones.
-		{"skew2/seq", false, 0, 0, 2}, // per-engine skew-on reference
-		{"skew2/op4", false, 0, 4, 2},
-		{"skew2/dag4+op4", false, 4, 4, 2},
+		{"interp", true, 0, 0}, // per-engine reference: the oracle; must come first
+		{"seq", false, 0, 0},
+		{"op4", false, 0, 4},
+		{"dag4+op4", false, 4, 4},
 	}
-	const skewRef = 4 // index of skew2/seq
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(11000 + trial)
 		// One plan, generated against a throwaway mem twin; every cell
@@ -251,7 +237,7 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 			count rel.CostCounter
 		}
 		// cells[e][s]: engine e under strategy s; strategy 0 is the
-		// interpreted reference every skew-off strategy is compared against.
+		// interpreted reference every other strategy is compared against.
 		cells := make([][]*cell, len(engines))
 		for ei, e := range engines {
 			for _, s := range strategies {
@@ -260,7 +246,6 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 				sys.Interpret = s.interpret
 				sys.Workers = s.workers
 				sys.OpWorkers = s.opWorkers
-				sys.SkewThreshold = s.skew
 				if _, err := sys.RegisterView("V", plan, ivm.ModeID); err != nil {
 					t.Fatalf("trial %d: register %s/%s: %v\nplan: %s", trial, e.name, s.name, err, plan)
 				}
@@ -285,19 +270,10 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 				}
 			}
 			// Compiled cells must match their engine's reference exactly:
-			// reports, steps, counters. The
-			// comparison is per skew group — a fixed threshold is
-			// strategy-invariant, but the two thresholds legitimately
-			// differ from each other.
+			// reports, steps, counters.
 			for _, row := range cells {
-				for si, c := range row {
-					ref := row[0]
-					if strategies[si].skew != 0 {
-						ref = row[skewRef]
-					}
-					if c == ref {
-						continue
-					}
+				ref := row[0]
+				for _, c := range row[1:] {
 					samePhases(t, c.label, ref.rep, c.rep)
 					if ref.count != c.count {
 						t.Fatalf("trial %d round %d %s: counters differ:\n %s %v\n %s %v\nplan: %s",

@@ -84,22 +84,9 @@ type ExecOptions struct {
 	// whole steps); results, per-step reports and access counters are
 	// identical to sequential execution. 0 or 1 keeps operators
 	// sequential; the interpreted path ignores it.
-	OpWorkers int
-	// BatchSize is the arena chunk, in rows, in which a compiled compute
-	// step's result is materialized into tuples (0 = 1024). It has no
-	// other effect: every compiled step runs the columnar kernels
-	// whatever the value.
-	BatchSize int
-	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
-	// compiled compute steps: driving keys whose stored-side frequency
-	// reaches the threshold are probed once per round and served from a
-	// per-key cache afterwards. Unlike OpWorkers this deliberately CHANGES
-	// access counts (repeat probes of a heavy key collapse into one) —
-	// results stay identical, and for a fixed threshold the counters stay
-	// byte-identical across engines and execution strategies. 0 (the
-	// default) keeps the single-strategy plans; the interpreted path
-	// ignores it.
-	SkewThreshold int
+	OpWorkers     int
+	BatchSize     int // ignored: kept because the frozen benchmark/trace.go assigns it
+	SkewThreshold int // ignored: kept because the frozen benchmark/trace.go assigns it
 }
 
 // scriptExec is the shared state of one script execution: the database,
@@ -157,12 +144,8 @@ func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
 }
 
-// Knobs implements algebra.KnobEnv: the execution options this run was
-// given, as far as compiled plans consume them.
-func (e *stepEnv) Knobs() algebra.Knobs {
-	o := &e.x.opts
-	return algebra.Knobs{OpWorkers: o.OpWorkers, SkewThreshold: o.SkewThreshold, BatchSize: o.BatchSize}
-}
+// OpWorkers implements algebra.KnobEnv.
+func (e *stepEnv) OpWorkers() int { return e.x.opts.OpWorkers }
 
 var _ algebra.KnobEnv = (*stepEnv)(nil)
 

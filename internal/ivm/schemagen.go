@@ -41,59 +41,7 @@ func (b BaseDiffSchemas) Tables() []string {
 // rules exploit to avoid base-table accesses (the "blue" rule variants of
 // Tables 6, 8, 10, 13).
 func GenerateBaseDiffSchemas(plan algebra.Node, tableSchema func(string) (rel.Schema, error)) (BaseDiffSchemas, error) {
-	// alias → table name, from the plan's scans.
-	aliasTable := map[string]string{}
-	for _, s := range algebra.Scans(plan) {
-		aliasTable[s.Alias] = s.Table
-	}
-
-	// Resolve a (possibly alias-qualified) column to (table, bare attr).
-	resolve := func(col string) (table, attr string, ok bool) {
-		alias, bare := rel.BaseAttr(col)
-		if alias == "" {
-			return "", "", false
-		}
-		t, found := aliasTable[alias]
-		if !found {
-			return "", "", false
-		}
-		return t, bare, true
-	}
-
-	// Collect per-operator conditional attribute sets, as (table, attr)
-	// grouped per operator occurrence.
-	type condSet map[string][]string // table → bare attrs
-	var condSets []condSet
-	addCondSet := func(cols []string) {
-		cs := condSet{}
-		for _, c := range cols {
-			if t, a, ok := resolve(c); ok {
-				ts, err := tableSchema(t)
-				if err == nil && !rel.Contains(ts.Key, a) && ts.Has(a) {
-					if !rel.Contains(cs[t], a) {
-						cs[t] = append(cs[t], a)
-					}
-				}
-			}
-		}
-		if len(cs) > 0 {
-			condSets = append(condSets, cs)
-		}
-	}
-	algebra.Walk(plan, func(n algebra.Node) {
-		switch x := n.(type) {
-		case *algebra.Select:
-			addCondSet(x.Pred.Cols())
-		case *algebra.Join:
-			addCondSet(x.Pred.Cols())
-		case *algebra.SemiJoin:
-			addCondSet(x.Pred.Cols())
-		case *algebra.AntiJoin:
-			addCondSet(x.Pred.Cols())
-		case *algebra.GroupBy:
-			addCondSet(x.Keys)
-		}
-	})
+	condSets := conditionalSets(plan, tableSchema)
 
 	out := BaseDiffSchemas{}
 	tables := map[string]bool{}
@@ -160,15 +108,18 @@ func GenerateBaseDiffSchemas(plan algebra.Node, tableSchema func(string) (rel.Sc
 	return out, nil
 }
 
-// ConditionalAttrs returns, for inspection and tests, the conditional
-// attributes of each base table of the plan (the union of the C_op sets).
-func ConditionalAttrs(plan algebra.Node, tableSchema func(string) (rel.Schema, error)) (map[string][]string, error) {
+// conditionalSets collects the C_op sets of the plan: for every operator
+// with a condition (selections, join/semijoin/antisemijoin predicates,
+// grouping keys), the non-key attributes of each base table it mentions,
+// as table → bare attributes. Operators mentioning none are left out.
+func conditionalSets(plan algebra.Node, tableSchema func(string) (rel.Schema, error)) []map[string][]string {
 	aliasTable := map[string]string{}
 	for _, s := range algebra.Scans(plan) {
 		aliasTable[s.Alias] = s.Table
 	}
-	out := map[string][]string{}
+	var sets []map[string][]string
 	add := func(cols []string) {
+		cs := map[string][]string{}
 		for _, c := range cols {
 			alias, bare := rel.BaseAttr(c)
 			t, found := aliasTable[alias]
@@ -179,9 +130,12 @@ func ConditionalAttrs(plan algebra.Node, tableSchema func(string) (rel.Schema, e
 			if err != nil || rel.Contains(ts.Key, bare) || !ts.Has(bare) {
 				continue
 			}
-			if !rel.Contains(out[t], bare) {
-				out[t] = append(out[t], bare)
+			if !rel.Contains(cs[t], bare) {
+				cs[t] = append(cs[t], bare)
 			}
+		}
+		if len(cs) > 0 {
+			sets = append(sets, cs)
 		}
 	}
 	algebra.Walk(plan, func(n algebra.Node) {
@@ -198,5 +152,17 @@ func ConditionalAttrs(plan algebra.Node, tableSchema func(string) (rel.Schema, e
 			add(x.Keys)
 		}
 	})
+	return sets
+}
+
+// ConditionalAttrs returns, for inspection and tests, the conditional
+// attributes of each base table of the plan (the union of the C_op sets).
+func ConditionalAttrs(plan algebra.Node, tableSchema func(string) (rel.Schema, error)) (map[string][]string, error) {
+	out := map[string][]string{}
+	for _, cs := range conditionalSets(plan, tableSchema) {
+		for t, attrs := range cs { //ivmlint:allow maprange — per-table unions are independent
+			out[t] = rel.Union(out[t], attrs)
+		}
+	}
 	return out, nil
 }

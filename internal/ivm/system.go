@@ -103,16 +103,9 @@ type System struct {
 	// OpWorkers bounds intra-operator parallelism inside each compiled
 	// compute step (partition-parallel scans, join probes/builds, group-by
 	// pre-aggregation). Orthogonal to Workers; see ExecOptions.OpWorkers.
-	OpWorkers int
-	// BatchSize is the arena chunk of a compiled step's final
-	// materialization (0 = 1024) and nothing else; see
-	// ExecOptions.BatchSize.
-	BatchSize int
-	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
-	// every compiled compute step; see ExecOptions.SkewThreshold. Unlike
-	// OpWorkers this changes access counts (that is the point);
-	// 0 keeps the single-strategy plans.
-	SkewThreshold int
+	OpWorkers     int
+	BatchSize     int // ignored: kept because the frozen benchmark/setup.go assigns it
+	SkewThreshold int // ignored: kept because the frozen benchmark/setup.go assigns it
 	// PinEpochs keeps every view, cache and logged base table in a
 	// permanent maintenance epoch: MaintainAll pins any not yet pinned at
 	// round start and, at round end, atomically advances each pre-state to
@@ -342,7 +335,7 @@ func (s *System) Maintain(name string) (*Report, error) {
 // charging counter (nil = the database-wide one).
 func (s *System) execOptions(counter *rel.CostCounter) ExecOptions {
 	return ExecOptions{Workers: s.Workers, Counter: counter, Interpret: s.Interpret,
-		OpWorkers: s.OpWorkers, BatchSize: s.BatchSize, SkewThreshold: s.SkewThreshold}
+		OpWorkers: s.OpWorkers}
 }
 
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged

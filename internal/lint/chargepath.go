@@ -26,12 +26,6 @@
 // and the two nested-loop strategies box their inner side with it; a
 // converter call anywhere else is a channel for moving tuples around the
 // charge point and is flagged.
-//
-// The skew-adaptive planner adds a fourth escape class: the key-frequency
-// statistics (HeavyKeys) are uncharged like IndexCard, which is
-// sound only while they steer plan choice rather than feed results; a
-// stats read outside internal/storage, internal/algebra and internal/rel
-// is flagged.
 
 package lint
 
@@ -81,22 +75,6 @@ func batchLayer(rel string) bool {
 	return pathIn(rel, "internal/algebra", "internal/rel")
 }
 
-// statsMethod is the uncharged key-frequency statistics read. Like
-// IndexCard it is free by design — statistics may steer plan choice but
-// never contribute result tuples — which is only sound in the layers that
-// make planning decisions: the engines that maintain them and the compiled
-// kernels that split heavy from light keys. Anywhere else a stats read is a
-// channel for deriving data from table contents without charging.
-const statsMethod = "HeavyKeys"
-
-// statsLayer reports whether the package is a blessed consumer of the
-// uncharged key-frequency statistics: the planner/kernels and the table
-// implementation itself. internal/storage, which maintains the stats, is
-// outside the analyzer's scope already.
-func statsLayer(rel string) bool {
-	return pathIn(rel, "internal/algebra", "internal/rel")
-}
-
 func runChargePath(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -135,13 +113,6 @@ func runChargePath(pass *Pass) {
 				pass.Reportf(sel.Pos(), "%s called on a raw storage.Table, bypassing the cost-counting "+
 					"Handle; take a *storage.Handle instead "+
 					"(or annotate with //ivmlint:allow chargepath)", sel.Sel.Name)
-			case sel.Sel.Name == statsMethod && !statsLayer(pass.Pkg.Rel) &&
-				(isNamed(recv, storagePkgPath, "Handle") || isNamed(recv, storagePkgPath, "Table") ||
-					isNamed(recv, relPkgPath, "Table")):
-				pass.Reportf(sel.Pos(), "%s outside the storage/planner layers: key-frequency statistics "+
-					"are uncharged by design (they steer plan choice, never results), so reading them here "+
-					"derives data from table contents invisibly to the cost model; keep stats consumers "+
-					"under internal/algebra (or annotate with //ivmlint:allow chargepath)", sel.Sel.Name)
 			case sel.Sel.Name == "Materialize" && !batchLayer(pass.Pkg.Rel) &&
 				isNamed(recv, relPkgPath, "Batch"):
 				pass.Reportf(sel.Pos(), "Batch.Materialize outside the compiled kernel layer: batch "+

@@ -434,24 +434,25 @@ func FromRelation(r *Relation) *Batch {
 	return FromTuples(r.Schema, r.Tuples)
 }
 
+// materializeChunk is the arena size, in rows, of Materialize: 64 and 1024
+// measured the same on every benchmark workload (DESIGN.md §8).
+const materializeChunk = 1024
+
 // Materialize converts the batch back into a row-major relation, the
 // inverse charged-boundary converter: it runs only where batch results
 // leave the kernel layer (plan output bound for storage, the modlog or
-// the caller). Tuples are laid out in arena chunks of `chunk` rows
-// (batch-size granularity) instead of one allocation per tuple; values
-// are written by per-column typed loops.
-func (b *Batch) Materialize(chunk int) *Relation {
+// the caller). Tuples are laid out in arena chunks of materializeChunk
+// rows instead of one allocation per tuple; values are written by
+// per-column typed loops.
+func (b *Batch) Materialize() *Relation {
 	out := NewRelation(b.Schema)
 	n, w := b.N, len(b.Cols)
 	if n == 0 {
 		return out
 	}
-	if chunk <= 0 {
-		chunk = 1024
-	}
 	out.Tuples = make([]Tuple, n)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
+	for lo := 0; lo < n; lo += materializeChunk {
+		hi := lo + materializeChunk
 		if hi > n {
 			hi = n
 		}

@@ -19,25 +19,30 @@ func sampleRows() []Tuple {
 }
 
 // Round-trip through FromTuples/Materialize must reproduce every value
-// (Same semantics, including NULLs) in order.
+// (Same semantics, including NULLs) in order — within one arena chunk, at
+// exactly one chunk, and across a chunk boundary.
 func TestBatchRoundTrip(t *testing.T) {
 	sch := batchSchema(t)
-	rows := sampleRows()
-	b := FromTuples(sch, rows)
-	if b.Len() != len(rows) {
-		t.Fatalf("len = %d, want %d", b.Len(), len(rows))
-	}
-	if b.Cols[0].Kind != VecInt || b.Cols[1].Kind != VecStr || b.Cols[2].Kind != VecFloat {
+	if b := FromTuples(sch, sampleRows()); b.Cols[0].Kind != VecInt || b.Cols[1].Kind != VecStr || b.Cols[2].Kind != VecFloat {
 		t.Fatalf("kinds = %v %v %v", b.Cols[0].Kind, b.Cols[1].Kind, b.Cols[2].Kind)
 	}
-	for _, chunk := range []int{0, 1, 3, 1024} {
-		out := b.Materialize(chunk)
-		if len(out.Tuples) != len(rows) {
-			t.Fatalf("chunk %d: %d tuples, want %d", chunk, len(out.Tuples), len(rows))
+	for _, n := range []int{4, materializeChunk, 2*materializeChunk + 3} {
+		rows := make([]Tuple, 0, n)
+		for len(rows) < n {
+			rows = append(rows, sampleRows()...)
+		}
+		rows = rows[:n]
+		b := FromTuples(sch, rows)
+		if b.Len() != n {
+			t.Fatalf("len = %d, want %d", b.Len(), n)
+		}
+		out := b.Materialize()
+		if len(out.Tuples) != n {
+			t.Fatalf("%d rows: %d tuples", n, len(out.Tuples))
 		}
 		for i, want := range rows {
 			if !out.Tuples[i].Equal(want) {
-				t.Fatalf("chunk %d row %d = %v, want %v", chunk, i, out.Tuples[i], want)
+				t.Fatalf("%d rows: row %d = %v, want %v", n, i, out.Tuples[i], want)
 			}
 		}
 	}
@@ -62,7 +67,7 @@ func TestBatchDegradedColumns(t *testing.T) {
 	if b.Cols[2].Kind != VecAny {
 		t.Fatalf("col 2 kind = %v, want VecAny", b.Cols[2].Kind)
 	}
-	out := b.Materialize(2)
+	out := b.Materialize()
 	for i, want := range rows {
 		if !out.Tuples[i].Equal(want) {
 			t.Fatalf("row %d = %v, want %v", i, out.Tuples[i], want)
@@ -104,7 +109,7 @@ func TestBatchGather(t *testing.T) {
 	// Chained gather composes indirection (logical rows of g1).
 	g2 := g1.Gather([]int32{2, 0})
 	want2 := []Tuple{rows[0], rows[3]}
-	out := g2.Materialize(0)
+	out := g2.Materialize()
 	for i, want := range want2 {
 		if !out.Tuples[i].Equal(want) {
 			t.Fatalf("g2 row %d = %v, want %v", i, out.Tuples[i], want)
@@ -136,7 +141,7 @@ func TestBatchRowScratch(t *testing.T) {
 	if empty.Len() != 0 || len(empty.Cols) != 3 {
 		t.Fatalf("empty batch: n=%d cols=%d", empty.Len(), len(empty.Cols))
 	}
-	if out := empty.Materialize(0); len(out.Tuples) != 0 {
+	if out := empty.Materialize(); len(out.Tuples) != 0 {
 		t.Fatalf("empty materialize: %d tuples", len(out.Tuples))
 	}
 }

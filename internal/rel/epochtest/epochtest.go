@@ -11,7 +11,6 @@ package epochtest
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"idivm/internal/rel"
@@ -29,7 +28,6 @@ type Table interface {
 	Lookup(s rel.State, attrs []string, vals []rel.Value) ([]rel.Tuple, error)
 	LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, keyBuf []byte, out []rel.Tuple) ([]rel.Tuple, []byte, error)
 	IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error)
-	HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error)
 
 	Insert(row rel.Tuple) error
 	InsertIfAbsent(row rel.Tuple) (bool, error)
@@ -390,44 +388,6 @@ func check(t testing.TB, tab Table, m *model, where string) {
 			probe(t, tab, m, s, where, attrsG, []rel.Value{rel.Int(g)}, func(r rel.Tuple) bool { return r[1].AsInt() == g })
 			for v := int64(0); v < numVals; v++ {
 				probe(t, tab, m, s, where, attrsGV, []rel.Value{rel.Int(g), rel.Int(v)}, func(r rel.Tuple) bool { return r[1].AsInt() == g && r[2].AsInt() == v })
-			}
-		}
-
-		for thr := 0; thr <= 3; thr++ {
-			got, err := tab.HeavyKeys(s, attrsG, thr)
-			if err != nil {
-				t.Errorf("%s: %s HeavyKeys: %v", where, s, err)
-				continue
-			}
-			var wantHK []string
-			for g := int64(0); g < numGroups; g++ {
-				n := len(m.matching(s, func(r rel.Tuple) bool { return r[1].AsInt() == g }))
-				if n >= max(thr, 1) {
-					wantHK = append(wantHK, fmt.Sprintf("%s=%d", rel.TupleKey(rel.Tuple{rel.Int(g)}), n))
-				}
-			}
-			sort.Strings(wantHK)
-			var gotHK []string
-			for _, kc := range got {
-				if kc.Key != rel.TupleKey(kc.Vals) {
-					t.Errorf("%s: %s HeavyKeys: Key %q does not encode Vals %v", where, s, kc.Key, kc.Vals)
-				}
-				gotHK = append(gotHK, fmt.Sprintf("%s=%d", kc.Key, kc.Count))
-			}
-			if fmt.Sprint(gotHK) != fmt.Sprint(wantHK) {
-				t.Errorf("%s: %s HeavyKeys(g, %d) = %q, want %q", where, s, thr, gotHK, wantHK)
-			}
-		}
-		// Over the primary key every row is its own bucket of one.
-		for thr, n := range map[int]int{0: len(want), 2: 0} {
-			got, err := tab.HeavyKeys(s, attrsK, thr)
-			if err != nil || len(got) != n {
-				t.Errorf("%s: %s HeavyKeys(k, %d) = %d keys, %v; want %d", where, s, thr, len(got), err, n)
-			}
-			for _, kc := range got {
-				if w, ok := want[kc.Vals[0].AsInt()]; !ok || kc.Count != 1 || kc.Key != rel.TupleKey(w[:1]) {
-					t.Errorf("%s: %s HeavyKeys(k, %d) lists %+v, model has %v", where, s, thr, kc, w)
-				}
 			}
 		}
 	}

@@ -120,9 +120,6 @@ func TestNoIndexOverThePrimaryKey(t *testing.T) {
 		if p, n, err := tab.IndexCard(s, attrs, key); p != 1 || n != 10 || err != nil {
 			t.Fatalf("%s IndexCard = %d, %d, %v", s, p, n, err)
 		}
-		if hk, err := tab.HeavyKeys(s, attrs, 1); len(hk) != 10 || err != nil {
-			t.Fatalf("%s HeavyKeys = %d keys, %v", s, len(hk), err)
-		}
 	}
 	if n, err := tab.DeleteWhere(attrs, key, nil); n != 1 || err != nil {
 		t.Fatalf("DeleteWhere = %d, %v", n, err)

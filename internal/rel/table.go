@@ -3,7 +3,6 @@ package rel
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -403,101 +402,6 @@ func (t *Table) IndexCard(s State, attrs []string, vals []Value) (p, n int, err 
 		return 0, 0, err
 	}
 	return p, c.stateLen(s), nil
-}
-
-// KeyCount is one entry of a key-frequency statistic: a distinct value
-// combination of an indexed attribute set together with how many rows of
-// the inspected state carry it. Key is the canonical tuple-key encoding of
-// Vals (the same encoding AppendTupleKey produces for a probe over the
-// same attribute order), so planners can test probe keys against a heavy
-// set without re-encoding.
-type KeyCount struct {
-	Key   string
-	Vals  Tuple
-	Count int
-}
-
-// HeavyKeys reports every distinct value combination over attrs whose
-// frequency in the requested state is at least threshold, sorted by the
-// canonical key encoding. A threshold below 1 is treated as 1. Like
-// IndexCard, this is uncharged catalog metadata: the frequencies are the
-// bucket sizes of the incrementally maintained secondary index (less the
-// dirty positions, plus the overlay's buckets, in the pre-state of a
-// mutated epoch), so the call reads statistics, not tuples.
-func (t *Table) HeavyKeys(s State, attrs []string, threshold int) ([]KeyCount, error) {
-	if threshold < 1 {
-		threshold = 1
-	}
-	c := t.core
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	sig := indexSig(attrs)
-	attrIdx := c.keyIdx
-	var out []KeyCount
-	add := func(k string, rep Tuple, n int) {
-		vals := make(Tuple, len(attrIdx))
-		for i, j := range attrIdx {
-			vals[i] = rep[j]
-		}
-		out = append(out, KeyCount{Key: k, Vals: vals, Count: n})
-	}
-	// Map order is fine below: results are sorted by encoded key at the end.
-	if sig == c.keySig {
-		// Primary-key values are unique: every row is its own bucket.
-		if threshold == 1 {
-			for _, r := range c.stateRows(s) {
-				add(KeyOf(r, attrIdx), r, 1)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		return out, nil
-	}
-	idx, err := c.indexOnSig(attrs, sig)
-	if err != nil {
-		return nil, err
-	}
-	attrIdx = idx.attrIdx
-	if !c.overlaid(s) {
-		for k, b := range idx.buckets {
-			if len(b.ids) >= threshold {
-				add(k, c.rows[c.posOf[b.ids[0]]], len(b.ids))
-			}
-		}
-	} else {
-		var undo map[string]*bucket
-		if len(c.undoRows) > 0 {
-			ov, err := c.undoIndexOnSig(attrs, sig)
-			if err != nil {
-				return nil, err
-			}
-			undo = ov.buckets
-		}
-		for k, b := range idx.buckets {
-			n := c.countClean(b.ids)
-			if u := undo[k]; u != nil {
-				if n += len(u.ids); n >= threshold {
-					add(k, c.undoRows[u.ids[0]], n)
-				}
-				continue
-			}
-			if n < threshold {
-				continue
-			}
-			for _, id := range b.ids {
-				if p := int(c.posOf[id]); c.clean(p) {
-					add(k, c.rows[p], n)
-					break
-				}
-			}
-		}
-		for k, u := range undo {
-			if _, live := idx.buckets[k]; !live && len(u.ids) >= threshold {
-				add(k, c.undoRows[u.ids[0]], len(u.ids))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
 }
 
 // Insert adds a row, failing on a primary-key conflict.

@@ -580,24 +580,43 @@ func (p *parser) uniqueOutputs(names []string) error {
 
 // ---- column resolution ------------------------------------------------
 
-// resolveCol maps a possibly-bare column name to a qualified attribute.
-// When a bare name matches several sources — which is routine after a
-// NATURAL JOIN, where the joined columns are equal by construction — the
-// first source in FROM order wins.
+// resolveCol maps a column name as written to a qualified attribute of a
+// FROM source. A name that spells an attribute in full (t.a) or without
+// its source (a — or "parts.cat", the stored name of a view's group key)
+// is that attribute. Otherwise a bare name, or one qualified by a source's
+// alias, stands for the attribute of that source whose last dotted
+// component it is: v.cat and cat both reach v's column parts.cat. When a
+// name matches in several sources — which is routine after a NATURAL JOIN,
+// where the joined columns are equal by construction — the first source in
+// FROM order wins; two matches inside one source are an error.
 func (p *parser) resolveCol(name string) (string, error) {
-	// Already qualified?
-	if alias, bare := rel.BaseAttr(name); alias != "" {
-		for _, s := range p.sources {
-			if s.alias == alias && s.schema.Has(alias+"."+bare) {
-				return name, nil
-			}
+	for _, s := range p.sources {
+		if strings.HasPrefix(name, s.alias+".") && s.schema.Has(name) {
+			return name, nil
 		}
-		return "", fmt.Errorf("sqlview: unknown column %q", name)
 	}
 	for _, s := range p.sources {
-		q := s.alias + "." + name
-		if s.schema.Has(q) {
+		if q := s.alias + "." + name; s.schema.Has(q) {
 			return q, nil
+		}
+	}
+	alias, last := rel.BaseAttr(name)
+	for _, s := range p.sources {
+		if alias != "" && alias != s.alias {
+			continue
+		}
+		found := ""
+		for _, a := range s.schema.Attrs {
+			if _, l := rel.BaseAttr(a); l != last {
+				continue
+			}
+			if found != "" {
+				return "", fmt.Errorf("sqlview: column %q is ambiguous in %q: %q or %q", name, s.alias, found, a)
+			}
+			found = a
+		}
+		if found != "" {
+			return found, nil
 		}
 	}
 	return "", fmt.Errorf("sqlview: unknown column %q", name)

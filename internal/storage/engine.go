@@ -84,12 +84,6 @@ type Table interface {
 	// attrs and the state's total row count — the uncharged catalog
 	// statistics the planner consults for index-vs-scan decisions.
 	IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error)
-	// HeavyKeys reports every distinct value combination over attrs whose
-	// frequency in the requested state is at least threshold, sorted by
-	// the canonical key encoding — the uncharged skew statistics behind
-	// heavy/light plan partitioning. Partitioned backends must return
-	// exact global frequencies identical to the unpartitioned result.
-	HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error)
 
 	// Insert adds a row, failing on a primary-key conflict.
 	Insert(row rel.Tuple) error

@@ -26,13 +26,9 @@ import "idivm/internal/rel"
 //     tuple write per affected row; nothing on a validation/index error.
 //   - UpdateKey: on success, one index lookup plus one tuple write when
 //     the row exists.
-//   - Rows, Relation, Len, IndexCard, HeavyKeys and the epoch operations
-//     are uncharged (verification utilities, catalog
-//     statistics, and the snapshot the paper models as reading the log).
-//     The frequency statistics ride the incrementally maintained secondary
-//     indexes — reading a bucket size inspects the catalog, not tuples —
-//     but precisely because they are free here, consuming them outside the
-//     storage and planner layers is an ivmlint chargepath violation.
+//   - Rows, Relation, Len, IndexCard and the epoch operations are
+//     uncharged (verification utilities, catalog statistics, and the
+//     snapshot the paper models as reading the log).
 //
 // WithCounter derives a handle over the same backend charging a different
 // counter — how the parallel executor shards cost attribution without
@@ -99,11 +95,6 @@ func (h *Handle) Relation(s rel.State) *rel.Relation { return h.t.Relation(s) }
 // IndexCard implements Table (uncharged catalog statistics).
 func (h *Handle) IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error) {
 	return h.t.IndexCard(s, attrs, vals)
-}
-
-// HeavyKeys implements Table (uncharged catalog statistics, like IndexCard).
-func (h *Handle) HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error) {
-	return h.t.HeavyKeys(s, attrs, threshold)
 }
 
 // Scan implements Table, charging one tuple read per row.

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"idivm/internal/rel"
 )
@@ -177,47 +176,6 @@ func (t *shardTable) IndexCard(s rel.State, attrs []string, vals []rel.Value) (p
 		n += sn
 	}
 	return p, n, nil
-}
-
-// HeavyKeys implements Table. Rows are partitioned by a hash of the
-// primary key, so a secondary key's rows can land anywhere — but a key
-// with ≥ threshold rows globally must have ≥ ceil(threshold/N) rows in at
-// least one of the N shards. Gathering per-shard candidates at that floor
-// and re-counting each exactly (IndexCard, summed per shard) therefore yields
-// precisely the unpartitioned result, which the conformance tests pin.
-func (t *shardTable) HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error) {
-	if threshold < 1 {
-		threshold = 1
-	}
-	floor := (threshold + len(t.shards) - 1) / len(t.shards)
-	if floor < 1 {
-		floor = 1
-	}
-	seen := make(map[string]int) // key -> position in out
-	var out []rel.KeyCount
-	for _, sh := range t.shards {
-		cands, err := sh.HeavyKeys(s, attrs, floor)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range cands {
-			if _, dup := seen[c.Key]; dup {
-				continue
-			}
-			n, _, err := t.IndexCard(s, attrs, c.Vals)
-			if err != nil {
-				return nil, err
-			}
-			if n >= threshold {
-				seen[c.Key] = len(out)
-				out = append(out, rel.KeyCount{Key: c.Key, Vals: c.Vals, Count: n})
-			} else {
-				seen[c.Key] = -1
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
 }
 
 // Insert implements Table: routed to the owning shard. A width-invalid

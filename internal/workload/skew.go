@@ -12,10 +12,10 @@ import (
 
 // SkewParams configures the skewed-join workload: a tweets ⋈ follows feed
 // view whose join keys are drawn from a Zipf distribution, so a handful of
-// celebrity users own most follow edges AND author most new tweets. This
-// is the regime skew-adaptive maintenance (WithSkewThreshold) targets: the
-// per-round diff keeps probing the same heavy keys into the same huge
-// stored buckets.
+// celebrity users own most follow edges AND author most new tweets: the
+// per-round diff keeps probing the same few keys into the same huge stored
+// buckets. It is the data of the benchmark's feed_serving workload and of
+// BenchmarkFeedJoin.
 type SkewParams struct {
 	Users          int     // number of user ids keys are drawn from
 	FollowsPerUser int     // average: follow edges = Users*FollowsPerUser
@@ -25,7 +25,7 @@ type SkewParams struct {
 	Seed           int64
 }
 
-// SkewDefaults returns the skew-sweep defaults at the given user count:
+// SkewDefaults returns BenchmarkFeedJoin's defaults at the given user count:
 // Zipf(1.1) keys, 4 follow edges per user on average, a 200-tweet diff.
 func SkewDefaults(users int) SkewParams {
 	return SkewParams{
@@ -89,7 +89,7 @@ func BuildSkewWith(p SkewParams, e storage.Engine) *SkewDataset {
 
 // FeedPlan builds the feed view: every (tweet, follower) delivery pair,
 // tweets ⋈ follows on the author id. Maintaining it under tweet inserts
-// probes follows on uid — the skewed access pattern of the sweep.
+// probes follows on uid — the skewed access pattern BenchmarkFeedJoin measures.
 func (ds *SkewDataset) FeedPlan() algebra.Node {
 	tweets, _ := ds.DB.Table("tweets")
 	follows, _ := ds.DB.Table("follows")
