@@ -4,7 +4,7 @@ GO ?= go
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests on both storage engines, the repository linter, the non-test line
-# count per package, a short run of the epoch fuzz target, and a smoke run
+# count per package, a short run of the two fuzz targets, and a smoke run
 # of the end-to-end benchmark (a module of its own that `./...` does not
 # reach). Any lint finding fails the build.
 check: build vet race race-sharded lint loc fuzz-smoke bench-e2e-smoke
@@ -50,13 +50,15 @@ loc:
 	done
 	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec cat {} + | wc -l)"
 
-# fuzz-smoke runs the table-epoch fuzz target (writes × Begin/Advance/
-# EndEpoch programs against the full-copy oracle, see
-# internal/rel/epochtest) for twenty seconds. A failure leaves its
-# minimised input under internal/rel/testdata/fuzz/ — check it in with the
-# fix.
+# fuzz-smoke runs internal/rel's two fuzz targets for ten seconds each (CI's
+# fuzz step runs this target): FuzzTableEpoch — writes × Begin/Advance/
+# EndEpoch programs against the full-copy oracle, see internal/rel/epochtest
+# — and FuzzValueKey — KeyEqual ⇔ equal EncodeKey encodings ⇒ equal digests,
+# the contract the keyless indexes rest on. A failure leaves its minimised
+# input under internal/rel/testdata/fuzz/ — check it in with the fix.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzTableEpoch$$' -fuzztime 20s ./internal/rel
+	$(GO) test -run '^$$' -fuzz '^FuzzTableEpoch$$' -fuzztime 10s ./internal/rel
+	$(GO) test -run '^$$' -fuzz '^FuzzValueKey$$' -fuzztime 10s ./internal/rel
 
 # bench-e2e-smoke vets, tests and smoke-runs the end-to-end benchmark
 # (benchmark/, BENCHMARK.json): every workload untraced and traced on a
@@ -85,7 +87,9 @@ bench-e2e-smoke:
 # rewrites of DESIGN.md §16, plus AVG in tuple mode.
 # The TableChurn rows (internal/rel: insert a bucket, DeleteWhere it,
 # UpdateKey as many rows) have a constant accesses/op; they are there for
-# their allocs/op column — the storage write path's allocations.
+# their allocs/op column — the storage write path's allocations. The
+# FeedApplyShape row is one feed_serving-sized apply round on a pinned epoch
+# (64 bucket deletes, 12 160 inserts, three indexes, one advance).
 # The FeedJoin rows are the probe join under uniform and Zipf(1.1) keys:
 # one charged lookup per driving row, so the zipf row is the cost of a few
 # celebrity buckets being read once per tweet.
@@ -103,7 +107,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig10$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkAggClasses$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFeedJoin$$' -benchtime=1x . | tee -a bench.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkTableChurn$$' -benchtime=20x ./internal/rel | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^Benchmark(TableChurn|FeedApplyShape)$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
 
 # bench-smoke-sharded re-runs the first three of those on the hash-partitioned

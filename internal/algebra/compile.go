@@ -245,7 +245,6 @@ type cStoredSelect struct {
 	prep     rel.PrepLookup
 	residual *expr.Compiled // after removing the eq literals; nil when TRUE
 	full     *bPred         // the whole predicate, for the scan path
-	keyBuf   []byte
 	rowsBuf  []rel.Tuple
 }
 
@@ -283,8 +282,8 @@ func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 		}
 		if p+1 < n {
 			// The batch copies the values out, so the row buffer is scratch.
-			rows, keyBuf, err := t.LookupInto(c.st, c.prep, c.eqVals, c.keyBuf, c.rowsBuf[:0])
-			c.keyBuf, c.rowsBuf = keyBuf, rows[:0]
+			rows, err := t.LookupInto(c.st, c.prep, c.eqVals, c.rowsBuf[:0])
+			c.rowsBuf = rows[:0]
 			if err != nil {
 				return nil, err
 			}
@@ -386,7 +385,6 @@ type cProbe struct {
 	residual *expr.Compiled // probe target's σ residual; nil when TRUE
 
 	valsBuf []rel.Value
-	keyBuf  []byte
 	rowsBuf []rel.Tuple
 }
 
@@ -421,12 +419,12 @@ func compileProbe(sh *probeShape, joinCols []string) (*cProbe, error) {
 
 // clone derives a worker-private probe: the immutable prepared state
 // (signature, literal values, residual predicate) is shared, the mutable
-// scratch (value/key/result buffers) is fresh. An ExecPlan owns its
+// scratch (value/result buffers) is fresh. An ExecPlan owns its
 // scratch, so the workers of a chunked probe each hold a clone.
 func (p *cProbe) clone() *cProbe {
 	q := *p
 	q.valsBuf = append([]rel.Value(nil), p.valsBuf...)
-	q.keyBuf, q.rowsBuf = nil, nil
+	q.rowsBuf = nil
 	return &q
 }
 
@@ -448,8 +446,7 @@ func (p *cProbe) fill(b *rel.Batch, idx []int, i int) bool {
 // lookup probes the resolved table with the join values previously written
 // into valsBuf[:nJoin]. The returned slice is valid until the next lookup.
 func (p *cProbe) lookup(t *storage.Handle) ([]rel.Tuple, error) {
-	rows, keyBuf, err := t.LookupInto(p.st, p.prep, p.valsBuf, p.keyBuf, p.rowsBuf[:0])
-	p.keyBuf = keyBuf
+	rows, err := t.LookupInto(p.st, p.prep, p.valsBuf, p.rowsBuf[:0])
 	p.rowsBuf = rows[:0]
 	if err != nil {
 		return nil, err

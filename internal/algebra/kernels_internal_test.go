@@ -70,14 +70,13 @@ func TestOpWorkersDefaultsSequential(t *testing.T) {
 }
 
 // The probe clone must share the prepared plan pieces but allocate private
-// scratch buffers — each worker mutates valsBuf/keyBuf/rowsBuf per probe.
+// scratch buffers — each worker mutates valsBuf/rowsBuf per probe.
 func TestProbeCloneSharesPrepNotScratch(t *testing.T) {
 	p := &cProbe{
 		table:   "t",
 		nJoin:   1,
 		litVals: []rel.Value{rel.Int(7)},
 		valsBuf: []rel.Value{rel.Int(1), rel.Int(7)},
-		keyBuf:  []byte("x"),
 		rowsBuf: []rel.Tuple{{rel.Int(1)}},
 	}
 	q := p.clone()
@@ -91,7 +90,7 @@ func TestProbeCloneSharesPrepNotScratch(t *testing.T) {
 	if p.valsBuf[0].Equal(rel.Int(99)) {
 		t.Fatal("clone shares valsBuf with the original")
 	}
-	if q.keyBuf != nil || q.rowsBuf != nil {
-		t.Fatalf("clone must start with empty scratch, got keyBuf=%v rowsBuf=%v", q.keyBuf, q.rowsBuf)
+	if q.rowsBuf != nil {
+		t.Fatalf("clone must start with empty scratch, got rowsBuf=%v", q.rowsBuf)
 	}
 }

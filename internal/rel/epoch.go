@@ -122,17 +122,6 @@ func (c *tableCore) clean(p int) bool {
 	return p < c.preLen && c.dirty[p>>6]&(uint64(1)<<(uint(p)&63)) == 0
 }
 
-// countClean counts the rows among ids that sit at clean positions.
-func (c *tableCore) countClean(ids []int32) int {
-	n := 0
-	for _, id := range ids {
-		if c.clean(int(c.posOf[id])) {
-			n++
-		}
-	}
-	return n
-}
-
 // materializePre builds the pre-state of the open epoch as a fresh slice in
 // the row order the epoch opened with: the live rows below preLen, with
 // every dirtied position overwritten by its pre-image (positions vacated

@@ -26,7 +26,7 @@ type Table interface {
 	Relation(s rel.State) *rel.Relation
 	Get(s rel.State, key []rel.Value) (rel.Tuple, bool)
 	Lookup(s rel.State, attrs []string, vals []rel.Value) ([]rel.Tuple, error)
-	LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, keyBuf []byte, out []rel.Tuple) ([]rel.Tuple, []byte, error)
+	LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, out []rel.Tuple) ([]rel.Tuple, error)
 	IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error)
 
 	Insert(row rel.Tuple) error
@@ -403,7 +403,7 @@ func probe(t testing.TB, tab Table, m *model, s rel.State, where string, attrs [
 		t.Errorf("%s: %s Lookup(%v=%v) = %v, %v; want %v", where, s, attrs, vals, got, err, want)
 	}
 	sentinel := rel.Tuple{rel.Int(-1), rel.Int(-1), rel.Int(-1)}
-	into, _, err := tab.LookupInto(s, rel.PrepareLookup(attrs), vals, nil, []rel.Tuple{sentinel})
+	into, err := tab.LookupInto(s, rel.PrepareLookup(attrs), vals, []rel.Tuple{sentinel})
 	if err != nil || len(into) == 0 || !into[0].Equal(sentinel) || !sameSet(into[1:], want) {
 		t.Errorf("%s: %s LookupInto(%v=%v) = %v, %v; want the sentinel then %v", where, s, attrs, vals, into, err, want)
 	}

@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,115 +8,213 @@ import (
 	"sync/atomic"
 )
 
-// bucket holds the entries of one index key. The map stores buckets by
-// pointer so the write path mutates them in place through lookup-only map
-// access (m[string(buf)] allocates no key); a key string is allocated only
-// when a bucket is created. The first two entries live in the bucket
-// itself, so a small bucket is a single allocation.
-type bucket struct {
-	ids    []int32
-	inline [2]int32
-}
-
-// hashIndex is an equality index over a fixed attribute set, mapping the
-// encoded attribute values to entries: stable row ids (tableCore.posOf
-// resolves them) for a table's secondary indexes, positions in undoRows for
-// the overlay indexes. Indexes are maintained incrementally across
-// mutations so that probe-heavy IVM workloads never pay full rebuilds —
-// and because ids are stable, a row the table moves needs no maintenance.
+// hashIndex is the one index type of a stored table: its primary key, every
+// secondary index and the undo-overlay indexes are instances. It is an
+// equality index over a fixed column set that stores no key at all. The
+// indexed values of a row are folded into a 64-bit digest (digestCols —
+// KeyEqual values fold alike, so the rows whose canonical key encodings are
+// equal share a digest, as may the odd pair whose encodings differ), heads
+// maps a digest to the first entry of a chain, and the chain is threaded
+// through next/prev, which are indexed by entry: a stable row id
+// (tableCore.posOf resolves it) for the primary and secondary indexes, a
+// position in undoRows for an overlay index. Chains are in insertion order and
+//
+//	next[tail] == -1,  prev[head] == tail,  prev[next[e]] == e otherwise,
+//
+// so appending an entry is one map read (the head knows the tail) and
+// unlinking an interior entry is two array writes and no map operation;
+// only the head and the tail of a chain need the digest again. Nothing is
+// ever decided on a 64-bit coincidence: every reader and writer compares the
+// entry's row with the probe values (matches), so keys that collide merely
+// share a chain — except where a collision cannot exist (exact). The cost is
+// 8 bytes per row per index and one map cell per distinct digest — no
+// per-key string or bucket object.
 type hashIndex struct {
-	attrIdx []int
-	buckets map[string]*bucket
-	// buf (and buf2, update's second key) is the write path's key scratch:
-	// each hook encodes a row's key into it once. Writers hold c.mu
-	// exclusively, so one per index is safe; readers never touch it (they
-	// encode probe keys into their own buffers).
-	buf, buf2 []byte
-	scanned   int // bucket entries remove has examined (tests pin it per removed row)
+	c     *tableCore
+	cols  []int
+	undo  bool             // entries are positions in undoRows, not row ids
+	heads map[uint64]int32 // digest → first entry of its chain
+	next  []int32          // entry → successor, -1 at the tail
+	prev  []int32          // entry → predecessor; the head's is the tail
+	// exact: the index is over one column and every row ever registered
+	// holds an int there. The digest of a single int is mix, a bijection of
+	// its 64 bits (TestMixIsABijection), so two such keys with equal digests
+	// are equal: a chain holds one key, and an int probe need not dereference
+	// the rows it walks — which is most of a long chain's read cost. The
+	// first other value (a string, a float, NULL) clears it for good.
+	exact bool
 }
 
-// buildHashIndex indexes rows; entry i is ids[i], or i itself when ids is nil.
-func buildHashIndex(rows []Tuple, ids []int32, attrIdx []int) *hashIndex {
-	h := &hashIndex{attrIdx: attrIdx, buckets: make(map[string]*bucket)}
-	for i, r := range rows {
-		e := int32(i)
-		if ids != nil {
-			e = ids[i]
+// digestVals is the digest of a probe key; digestCols(row, cols) equals it
+// for every row whose cols are KeyEqual to vals.
+func digestVals(vals []Value) uint64 {
+	h := uint64(digestSeed)
+	for _, v := range vals {
+		h = v.keyDigest(h)
+	}
+	return h & digestMask
+}
+
+func digestCols(row Tuple, cols []int) uint64 {
+	h := uint64(digestSeed)
+	for _, j := range cols {
+		h = row[j].keyDigest(h)
+	}
+	return h & digestMask
+}
+
+// buildIndex indexes the live rows under their ids, or (undo) the overlay's
+// pre-images under their positions in undoRows, with the link arrays sized
+// up front.
+func (c *tableCore) buildIndex(cols []int, undo bool) *hashIndex {
+	h := &hashIndex{c: c, cols: cols, undo: undo, heads: make(map[uint64]int32),
+		exact: len(cols) == 1 && digestMask == ^uint64(0)}
+	if undo {
+		h.grow(len(c.undoRows))
+		for i, r := range c.undoRows {
+			h.add(r, int32(i))
 		}
-		h.add(r, e)
+		return h
+	}
+	h.grow(len(c.posOf))
+	for p, r := range c.rows {
+		h.add(r, c.idOf[p])
 	}
 	return h
 }
 
-// get returns the entries under an encoded key; callers must not modify them.
-func (h *hashIndex) get(key []byte) []int32 {
-	if b := h.buckets[string(key)]; b != nil {
-		return b.ids
+func (h *hashIndex) grow(n int) {
+	if d := n - len(h.next); d > 0 {
+		h.next = append(h.next, make([]int32, d)...)
+		h.prev = append(h.prev, make([]int32, d)...)
 	}
-	return nil
 }
 
-// key encodes the row's indexed values into the index's scratch buffer.
-func (h *hashIndex) key(row Tuple) []byte {
-	h.buf = AppendKey(h.buf[:0], row, h.attrIdx)
-	return h.buf
-}
-
-// add registers entry e under the row's key.
-func (h *hashIndex) add(row Tuple, e int32) { h.addKey(h.key(row), e) }
-
-func (h *hashIndex) addKey(k []byte, e int32) {
-	b := h.buckets[string(k)]
-	if b == nil {
-		b = &bucket{}
-		b.ids = b.inline[:0]
-		h.buckets[string(k)] = b
+// row resolves an entry to the row it stands for.
+func (h *hashIndex) row(e int32) Tuple {
+	if h.undo {
+		return h.c.undoRows[e]
 	}
-	b.ids = append(b.ids, e)
+	return h.c.rows[h.c.posOf[e]]
 }
 
-// remove unregisters entry e from the row's bucket, dropping the bucket
-// with its last entry.
-func (h *hashIndex) remove(row Tuple, e int32) { h.removeKey(h.key(row), e) }
-
-// removeKey panics when e is not listed under k: with stable ids a missed
-// removal would leave a dead id behind for a later insert to recycle onto an
-// unrelated row, so the broken invariant must not survive until a wrong read.
-func (h *hashIndex) removeKey(k []byte, e int32) {
-	b := h.buckets[string(k)]
-	if b != nil {
-		for i, x := range b.ids {
-			if x != e {
-				continue
-			}
-			h.scanned += i + 1
-			last := len(b.ids) - 1
-			b.ids[i] = b.ids[last]
-			if b.ids = b.ids[:last]; last == 0 {
-				delete(h.buckets, string(k))
-			}
-			return
+// matches reports whether the indexed columns of entry e, which the caller
+// took off the chain under vals' digest, are KeyEqual to vals.
+func (h *hashIndex) matches(e int32, vals []Value) bool {
+	if h.exact && vals[0].Kind == KindInt {
+		return true
+	}
+	row := h.row(e)
+	for i, j := range h.cols {
+		if !row[j].KeyEqual(vals[i]) {
+			return false
 		}
 	}
-	panic(fmt.Sprintf("rel: index over columns %v does not list entry %d under key %q", h.attrIdx, e, k))
+	return true
 }
 
-// update moves entry e between buckets if the row's key changed. The
-// decision is made on the encoded keys, the very strings the buckets are
-// filed under: Value.Same is coarser (it compares numerics through float64,
-// so Int(1<<53) and Int(1<<53+1), or NaN and any number, are Same) and
-// would leave the entry in the old bucket.
-func (h *hashIndex) update(oldRow, newRow Tuple, e int32) {
-	h.buf2 = AppendKey(h.buf2[:0], newRow, h.attrIdx)
-	if k := h.key(oldRow); !bytes.Equal(k, h.buf2) {
-		h.removeKey(k, e)
-		h.addKey(h.buf2, e)
+// head returns the first entry of the chain under digest d, or -1.
+func (h *hashIndex) head(d uint64) int32 {
+	if e, ok := h.heads[d]; ok {
+		return e
 	}
+	return -1
+}
+
+// chainLen counts the entries filed under digest d: the rows of every key
+// with that digest. A nil index has none.
+func (h *hashIndex) chainLen(d uint64) (n int) {
+	if h != nil {
+		for e := h.head(d); e >= 0; e = h.next[e] {
+			n++
+		}
+	}
+	return n
+}
+
+// first and after iterate the entries whose rows match vals (of digest d),
+// in insertion order:
+//
+//	for e := h.first(d, vals); e >= 0; e = h.after(e, vals) { … }
+//
+// The loop body must not modify the index.
+func (h *hashIndex) first(d uint64, vals []Value) int32 { return h.seek(h.head(d), vals) }
+func (h *hashIndex) after(e int32, vals []Value) int32  { return h.seek(h.next[e], vals) }
+
+func (h *hashIndex) seek(e int32, vals []Value) int32 {
+	for ; e >= 0; e = h.next[e] {
+		if h.matches(e, vals) {
+			return e
+		}
+	}
+	return -1
+}
+
+// add registers entry e at the tail of its row's chain.
+func (h *hashIndex) add(row Tuple, e int32) {
+	d := digestCols(row, h.cols)
+	if h.exact && row[h.cols[0]].Kind != KindInt {
+		h.exact = false
+	}
+	h.grow(int(e) + 1)
+	h.next[e] = -1
+	head, ok := h.heads[d]
+	if !ok {
+		h.heads[d], h.prev[e] = e, e
+		return
+	}
+	tail := h.prev[head]
+	h.next[tail], h.prev[e], h.prev[head] = e, tail, e
+}
+
+// remove unlinks entry e, registered for row. It panics when the links
+// around e do not list it: with stable ids a missed removal would leave a
+// dead id behind for a later insert to recycle onto an unrelated row, so the
+// broken invariant must not survive until a wrong read.
+func (h *hashIndex) remove(row Tuple, e int32) {
+	p, n := h.prev[e], h.next[e]
+	if n >= 0 && h.next[p] == e && h.prev[n] == e { // interior: p really precedes e
+		h.next[p], h.prev[n] = n, p
+		return
+	}
+	d := digestCols(row, h.cols)
+	switch head := h.head(d); {
+	case head == e && n < 0 && p == e: // the only entry
+		delete(h.heads, d)
+	case head == e && n >= 0 && h.prev[n] == e:
+		h.heads[d], h.prev[n] = n, p
+	case head >= 0 && head != e && n < 0 && h.next[p] == e && h.prev[head] == e: // the tail
+		h.next[p], h.prev[head] = -1, p
+	default:
+		panic(fmt.Sprintf("rel: index over columns %v does not list entry %d for row %v", h.cols, e, row))
+	}
+}
+
+// update moves entry e to the tail of its new chain if the row's key
+// changed. The decision is KeyEqual's, the equivalence the chains are filed
+// under: Value.Same is coarser (it compares numerics through float64, so
+// Int(1<<53) and Int(1<<53+1), or NaN and any number, are Same) and would
+// leave the entry in the old chain.
+func (h *hashIndex) update(oldRow, newRow Tuple, e int32) {
+	if !sameKey(oldRow, newRow, h.cols) {
+		h.remove(oldRow, e)
+		h.add(newRow, e)
+	}
+}
+
+// sameKey reports whether rows a and b are KeyEqual on cols.
+func sameKey(a, b Tuple, cols []int) bool {
+	for _, j := range cols {
+		if !a[j].KeyEqual(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // covers reports whether the index is over any of the given columns.
 func (h *hashIndex) covers(cols []int) bool {
-	for _, j := range h.attrIdx {
+	for _, j := range h.cols {
 		if slices.Contains(cols, j) {
 			return true
 		}
@@ -141,14 +238,16 @@ type idxEntry struct {
 	err  error
 }
 
-// indexOnSig returns (building lazily) the post-state secondary index over
-// attrs, whose signature the caller precomputed (prepared probes skip the
-// per-call strings.Join) and which the table's mutation paths maintain
-// incrementally. It also serves the pre-state: an open epoch filters its
-// buckets by the dirty bitmap and adds the matches of the overlay index
-// over the same attrs (tableCore.buckets), so no index is ever rebuilt
-// because an epoch began, advanced or saw its first write. It is never
-// asked for the primary-key attributes: byKey serves those (liveIDs).
+// indexOnSig returns (building lazily) the post-state index over attrs,
+// whose signature the caller precomputed (prepared probes skip the per-call
+// strings.Join) and which the table's mutation paths maintain
+// incrementally. Slot 0 of the cache is the primary-key index, installed
+// with the table, so a request over exactly schema.Key resolves to it and
+// no second index over the key is ever built. The index also serves the
+// pre-state: an open epoch filters its chains by the dirty bitmap and adds
+// the matches of the overlay index over the same attrs (tableCore.probe), so
+// no index is ever rebuilt because an epoch began, advanced or saw its
+// first write.
 //
 // Callers hold c.mu (read or write). The cache lists are guarded by the
 // leaf lock idxMu; builds themselves run inside the entry's once, outside
@@ -157,23 +256,22 @@ type idxEntry struct {
 // c.mu.Lock — so a writer can never observe an install or an in-flight
 // build, only completed entries, and walks the lists without idxMu.
 func (c *tableCore) indexOnSig(attrs []string, sig string) (*hashIndex, error) {
-	return c.cachedIndex(&c.secondary, c.rows, c.idOf, &c.idxBuilds, attrs, sig)
+	return c.cachedIndex(&c.indexes, false, attrs, sig)
 }
 
 // undoIndexOnSig returns (building lazily, in O(undo)) the overlay index
-// over attrs: a hash index whose bucket entries are positions in undoRows.
-// The first pre-state probe of a mutated epoch that needs it builds it;
-// from then on touch extends it with every pre-image it sets aside, and
-// the epoch's end or advance drops it.
+// over attrs, whose entries are positions in undoRows. The first pre-state
+// probe of a mutated epoch that needs it builds it; from then on touch
+// extends it with every pre-image it sets aside, and the epoch's end or
+// advance drops it.
 func (c *tableCore) undoIndexOnSig(attrs []string, sig string) (*hashIndex, error) {
-	return c.cachedIndex(&c.undoIdx, c.undoRows, nil, nil, attrs, sig)
+	return c.cachedIndex(&c.undoIdx, true, attrs, sig)
 }
 
-// cachedIndex resolves sig in one of the table's index caches (a handful of
-// entries: a linear scan), building the index over rows exactly once
-// however many readers hit the cold slot (see idxEntry). builds, when
-// non-nil, counts the builds.
-func (c *tableCore) cachedIndex(cache *[]*idxEntry, rows []Tuple, ids []int32, builds *int64, attrs []string, sig string) (*hashIndex, error) {
+// cachedIndex resolves sig in one of the table's two index caches (a handful
+// of entries: a linear scan), building the index exactly once however many
+// readers hit the cold slot (see idxEntry).
+func (c *tableCore) cachedIndex(cache *[]*idxEntry, undo bool, attrs []string, sig string) (*hashIndex, error) {
 	c.idxMu.RLock()
 	e := findEntry(*cache, sig)
 	c.idxMu.RUnlock()
@@ -186,15 +284,15 @@ func (c *tableCore) cachedIndex(cache *[]*idxEntry, rows []Tuple, ids []int32, b
 		c.idxMu.Unlock()
 	}
 	e.once.Do(func() {
-		if builds != nil {
-			atomic.AddInt64(builds, 1)
+		if !undo {
+			atomic.AddInt64(&c.idxBuilds, 1)
 		}
-		idx, err := c.schema.Indices(attrs)
+		cols, err := c.schema.Indices(attrs)
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.h = buildHashIndex(rows, ids, idx)
+		e.h = c.buildIndex(cols, undo)
 	})
 	if e.err != nil {
 		return nil, e.err
@@ -217,7 +315,7 @@ func findEntry(cache []*idxEntry, sig string) *idxEntry {
 // skipped.
 
 func (c *tableCore) indexesAdd(row Tuple, id int32) {
-	for _, e := range c.secondary {
+	for _, e := range c.indexes {
 		if e.h != nil {
 			e.h.add(row, id)
 		}
@@ -234,10 +332,10 @@ func (c *tableCore) undoIndexesAdd(row Tuple, pos int32) {
 	}
 }
 
-// indexesRemove unregisters a row from every index but skip, whose bucket
+// indexesRemove unregisters a row from every index but skip, whose chain
 // the caller (DeleteWhere) drops as a whole.
 func (c *tableCore) indexesRemove(row Tuple, id int32, skip *hashIndex) {
-	for _, e := range c.secondary {
+	for _, e := range c.indexes {
 		if e.h != nil && e.h != skip {
 			e.h.remove(row, id)
 		}
@@ -245,9 +343,9 @@ func (c *tableCore) indexesRemove(row Tuple, id int32, skip *hashIndex) {
 }
 
 // indexesUpdate re-registers a row whose setIdx columns were overwritten;
-// an index over none of them cannot be affected.
+// an index over none of them — the primary always — cannot be affected.
 func (c *tableCore) indexesUpdate(oldRow, newRow Tuple, id int32, setIdx []int) {
-	for _, e := range c.secondary {
+	for _, e := range c.indexes {
 		if e.h != nil && e.h.covers(setIdx) {
 			e.h.update(oldRow, newRow, id)
 		}

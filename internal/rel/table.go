@@ -43,19 +43,19 @@ func (s State) String() string {
 //     partition-parallel kernels fan probes out — build it exactly once.
 //     Writers never take idxMu: whoever installs or builds holds mu.RLock,
 //     which a writer's mu.Lock excludes, so the write hooks walk the cache
-//     lists and use the per-table and per-index scratch buffers freely.
+//     lists and use the per-table scratch buffers freely.
 //
 // Rows are stored by position (rows is dense; a removal moves the last row
-// into the hole) but referred to by a stable row id: byKey and every
-// secondary bucket hold ids, and idOf/posOf translate,
+// into the hole) but referred to by a stable row id: every index chain
+// (hashIndex) holds ids, and idOf/posOf translate,
 //
 //	posOf[idOf[p]] == p    for every position p,
 //	idOf[posOf[id]] == id  for every live id,
 //
 // with the ids of removed rows (posOf[id] == -1) recycled through free. A
 // swap-remove therefore patches two array slots for the row it moves and
-// touches neither byKey nor any index. The primary key has no secondary
-// index: any request over exactly schema.Key is served by byKey (liveIDs).
+// touches no index. The primary-key index is slot 0 of indexes, so a request
+// over exactly schema.Key resolves to it like any other attribute list.
 //
 // The pre-state of an epoch is never copied up front. It is kept as an
 // undo overlay over the live rows: the first write of the epoch that
@@ -77,16 +77,15 @@ type tableCore struct {
 	keyIdx []int
 	keySig string // indexSig(schema.Key): the overlay's by-key index
 	rows   []Tuple
-	idOf   []int32          // position → row id; len(idOf) == len(rows)
-	posOf  []int32          // row id → position, -1 while the id is free
-	free   []int32          // removed rows' ids, reused by the next inserts
-	byKey  map[string]int32 // encoded primary key → row id
-	keyBuf []byte           // write paths' key scratch (writers hold mu exclusively)
-	posBuf []int32          // write paths' position scratch
-	setBuf []int            // UpdateWhere's SET-column scratch
+	idOf   []int32 // position → row id; len(idOf) == len(rows)
+	posOf  []int32 // row id → position, -1 while the id is free
+	free   []int32 // removed rows' ids, reused by the next inserts
+	posBuf []int32 // write paths' position scratch (writers hold mu exclusively)
+	setBuf []int   // UpdateWhere's SET-column scratch
 
 	idxMu     sync.RWMutex // guards the cache lists and frozen against other readers (not the builds)
-	secondary []*idxEntry  // post-state secondary indexes (entries are row ids), single-flight
+	primary   *hashIndex   // indexes[0].h
+	indexes   []*idxEntry  // post-state indexes (entries are row ids): the primary key's, then the lazily built ones, single-flight
 	idxBuilds int64        // full-table index builds (atomic; observability/tests)
 
 	inEpoch      bool
@@ -95,7 +94,7 @@ type tableCore struct {
 	dirty        []uint64 // bitmap over positions; covers preLen once epochMutated
 	undoRows     []Tuple  // pre-images of the dirtied positions, in first-touch order
 	undoPos      []int    // undoPos[i]: the position undoRows[i] held when the epoch opened
-	// undoIdx holds indexes over undoRows (bucket entries index undoRows),
+	// undoIdx holds indexes over undoRows (their entries index undoRows),
 	// built lazily by the first pre-state probe that needs one and from
 	// then on extended by the write path, exactly like secondary.
 	undoIdx []*idxEntry
@@ -133,13 +132,12 @@ func NewTable(name string, schema Schema) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Table{core: &tableCore{
-		name:   name,
-		schema: schema.Clone(),
-		keyIdx: idx,
-		keySig: indexSig(schema.Key),
-		byKey:  make(map[string]int32),
-	}}, nil
+	c := &tableCore{name: name, schema: schema.Clone(), keyIdx: idx, keySig: indexSig(schema.Key)}
+	c.primary = c.buildIndex(idx, false)
+	e := &idxEntry{sig: c.keySig, h: c.primary}
+	e.once.Do(func() {}) // built
+	c.indexes = []*idxEntry{e}
+	return &Table{core: c}, nil
 }
 
 // MustNewTable is NewTable that panics on error, for generators and tests.
@@ -237,20 +235,20 @@ func (t *Table) Relation(s State) *Relation {
 
 // Get fetches the row with the given primary-key values.
 func (t *Table) Get(s State, key []Value) (Tuple, bool) {
-	var buf [64]byte
-	k := AppendTupleKey(buf[:0], key)
 	c := t.core
+	if len(key) != len(c.keyIdx) {
+		return nil, false
+	}
 	c.mu.RLock()
-	row, ok := c.get(s, k)
+	row, ok := c.get(s, key)
 	c.mu.RUnlock()
 	return row, ok
 }
 
-// get resolves an encoded primary key in the requested state; the caller
-// holds c.mu.
-func (c *tableCore) get(s State, k []byte) (Tuple, bool) {
-	overlaid := c.overlaid(s)
-	if id, ok := c.byKey[string(k)]; ok {
+// get resolves a primary key in the requested state; the caller holds c.mu.
+func (c *tableCore) get(s State, key []Value) (Tuple, bool) {
+	overlaid, d := c.overlaid(s), digestVals(key)
+	if id := c.primary.first(d, key); id >= 0 {
 		if p := int(c.posOf[id]); !overlaid || c.clean(p) {
 			return c.rows[p], true
 		}
@@ -259,34 +257,22 @@ func (c *tableCore) get(s State, k []byte) (Tuple, bool) {
 	// then its pre-image is in the overlay — or absent from the state.
 	if overlaid && len(c.undoRows) > 0 {
 		if ov, err := c.undoIndexOnSig(c.schema.Key, c.keySig); err == nil {
-			if u := ov.get(k); len(u) > 0 {
-				return c.undoRows[u[0]], true
+			if u := ov.first(d, key); u >= 0 {
+				return c.undoRows[u], true
 			}
 		}
 	}
 	return nil, false
 }
 
-// Lookup probes a (lazily built) secondary hash index over the named
-// attributes.
+// Lookup probes a (lazily built) hash index over the named attributes.
 func (t *Table) Lookup(s State, attrs []string, vals []Value) ([]Tuple, error) {
-	var buf [64]byte
-	k := AppendTupleKey(buf[:0], vals)
-	t.core.mu.RLock()
-	out, err := t.core.probe(s, attrs, indexSig(attrs), k, nil)
-	t.core.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = []Tuple{}
-	}
-	return out, nil
+	return t.LookupInto(s, PrepLookup{attrs: attrs, sig: indexSig(attrs)}, vals, nil)
 }
 
-// PrepLookup is a reusable secondary-index probe specification: the
-// attribute list together with its precomputed index signature. Preparing
-// it once hoists the per-call signature work out of probe loops.
+// PrepLookup is a reusable index probe specification: the attribute list
+// together with its precomputed index signature. Preparing it once hoists
+// the per-call signature work out of probe loops.
 type PrepLookup struct {
 	attrs []string
 	sig   string
@@ -301,92 +287,60 @@ func PrepareLookup(attrs []string) PrepLookup {
 func (p PrepLookup) Attrs() []string { return p.attrs }
 
 // LookupInto is Lookup through a prepared probe, appending the matches to
-// out (reusing its capacity) instead of allocating a result slice. keyBuf
-// is an optional scratch buffer for the probe key encoding; the (possibly
-// grown) buffer is returned for reuse.
-func (t *Table) LookupInto(s State, pl PrepLookup, vals []Value, keyBuf []byte, out []Tuple) ([]Tuple, []byte, error) {
-	keyBuf = AppendTupleKey(keyBuf[:0], vals)
+// out (reusing its capacity) instead of allocating a result slice; a nil out
+// is allocated once, at the size of the probed chains.
+func (t *Table) LookupInto(s State, pl PrepLookup, vals []Value, out []Tuple) ([]Tuple, error) {
 	t.core.mu.RLock()
-	out, err := t.core.probe(s, pl.attrs, pl.sig, keyBuf, out)
+	out, _, err := t.core.probe(s, pl.attrs, pl.sig, vals, out, true)
 	t.core.mu.RUnlock()
-	return out, keyBuf, err
+	return out, err
 }
 
-// liveIDs returns the ids of the live rows whose attrs (with signature
-// sig) encode to key, and the secondary index that answered — nil when
-// attrs are exactly the primary key, which byKey serves, so no index ever
-// duplicates it. Callers must not modify the ids. The caller holds c.mu.
-func (c *tableCore) liveIDs(attrs []string, sig string, key []byte) ([]int32, *hashIndex, error) {
-	if sig == c.keySig {
-		if id, ok := c.byKey[string(key)]; ok {
-			p := c.posOf[id]
-			return c.idOf[p : p+1 : p+1], nil, nil // {id}, without allocating
-		}
-		return nil, nil, nil
+// indexFor returns the post-state index over attrs (indexOnSig) for a probe
+// with vals, which must be one value per attribute.
+func (c *tableCore) indexFor(attrs []string, sig string, vals []Value) (*hashIndex, error) {
+	if len(vals) != len(attrs) {
+		return nil, fmt.Errorf("rel: table %q: %d values for attributes %v", c.name, len(vals), attrs)
 	}
-	idx, err := c.indexOnSig(attrs, sig)
-	if err != nil {
-		return nil, nil, err
-	}
-	return idx.get(key), idx, nil
+	return c.indexOnSig(attrs, sig)
 }
 
-// buckets resolves key on the index over attrs for state s: live holds
-// row ids and undo positions in undoRows. The post-state index answers
-// both states; for the pre-state of a mutated epoch (overlaid) only the
-// live ids at clean positions count, and the overlay index over the same
-// attributes supplies the pre-images. The caller holds c.mu.
-func (c *tableCore) buckets(s State, attrs []string, sig string, key []byte) (live, undo []int32, overlaid bool, err error) {
-	live, _, err = c.liveIDs(attrs, sig, key)
+// probe counts the rows of state s whose attrs (with signature sig) are
+// KeyEqual to vals and, when collect is set, appends them to out. The
+// post-state index answers both states; for the pre-state of a mutated epoch
+// (overlaid) only its entries at clean positions count, and the overlay
+// index over the same attributes supplies the pre-images. The caller holds
+// c.mu.
+func (c *tableCore) probe(s State, attrs []string, sig string, vals []Value, out []Tuple, collect bool) ([]Tuple, int, error) {
+	idx, err := c.indexFor(attrs, sig, vals)
 	if err != nil {
-		return nil, nil, false, err
+		return out, 0, err
 	}
-	if !c.overlaid(s) {
-		return live, nil, false, nil
-	}
-	if len(c.undoRows) > 0 {
-		ov, err := c.undoIndexOnSig(attrs, sig)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		undo = ov.get(key)
-	}
-	return live, undo, true, nil
-}
-
-// probe appends to out the rows of state s whose attrs encode to key. The
-// caller holds c.mu.
-func (c *tableCore) probe(s State, attrs []string, sig string, key []byte, out []Tuple) ([]Tuple, error) {
-	live, undo, overlaid, err := c.buckets(s, attrs, sig, key)
-	if err != nil {
-		return out, err
-	}
-	if out == nil && len(live)+len(undo) > 0 {
-		out = make([]Tuple, 0, len(live)+len(undo))
-	}
-	for _, id := range live {
-		if p := c.posOf[id]; !overlaid || c.clean(int(p)) {
-			out = append(out, c.rows[p])
+	n, d, overlaid := 0, digestVals(vals), c.overlaid(s)
+	var ov *hashIndex
+	if overlaid && len(c.undoRows) > 0 {
+		if ov, err = c.undoIndexOnSig(attrs, sig); err != nil {
+			return out, 0, err
 		}
 	}
-	for _, u := range undo {
-		out = append(out, c.undoRows[u])
+	if collect && out == nil { // an upper bound, exact unless the epoch dirtied matches or digests collide
+		out = make([]Tuple, 0, idx.chainLen(d)+ov.chainLen(d))
 	}
-	return out, nil
-}
-
-// matchCount is probe that only counts: the exact number of rows of state
-// s whose attrs equal vals. The caller holds c.mu.
-func (c *tableCore) matchCount(s State, attrs []string, vals []Value) (int, error) {
-	var buf [64]byte
-	live, undo, overlaid, err := c.buckets(s, attrs, indexSig(attrs), AppendTupleKey(buf[:0], vals))
-	if err != nil {
-		return 0, err
+	for id := idx.first(d, vals); id >= 0; id = idx.after(id, vals) {
+		if p := int(c.posOf[id]); !overlaid || c.clean(p) {
+			if n++; collect {
+				out = append(out, c.rows[p])
+			}
+		}
 	}
-	if !overlaid {
-		return len(live), nil
+	if ov != nil {
+		for u := ov.first(d, vals); u >= 0; u = ov.after(u, vals) {
+			if n++; collect {
+				out = append(out, c.undoRows[u])
+			}
+		}
 	}
-	return c.countClean(live) + len(undo), nil
+	return out, n, nil
 }
 
 // IndexCard reports (p, n): how many rows of the requested state match vals
@@ -397,7 +351,7 @@ func (t *Table) IndexCard(s State, attrs []string, vals []Value) (p, n int, err 
 	c := t.core
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	p, err = c.matchCount(s, attrs, vals)
+	_, p, err = c.probe(s, attrs, indexSig(attrs), vals, nil, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -412,26 +366,29 @@ func (t *Table) Insert(row Tuple) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.find(row); dup {
+	if c.find(row) >= 0 {
 		return fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
 	}
 	c.appendRow(row)
 	return nil
 }
 
-// find encodes row's primary key into keyBuf (where appendRow expects it)
-// and resolves it to the live row's id. Write paths only.
-func (c *tableCore) find(row Tuple) (id int32, ok bool) {
-	c.keyBuf = AppendKey(c.keyBuf[:0], row, c.keyIdx)
-	id, ok = c.byKey[string(c.keyBuf)]
-	return id, ok
+// find resolves row's primary key to the live row's id, or -1.
+func (c *tableCore) find(row Tuple) int32 {
+	h := c.primary
+	for id := h.head(digestCols(row, h.cols)); id >= 0; id = h.next[id] {
+		if sameKey(h.row(id), row, h.cols) {
+			return id
+		}
+	}
+	return -1
 }
 
-// appendRow stores a clone of row, whose encoded key find left in keyBuf,
-// at the end of rows under a recycled (or else fresh) id. The new position
-// needs no undo entry: it is either beyond preLen or was vacated — and so
-// dirtied — by an earlier removal of this epoch, which is also why a
-// recycled id can never show up in a pre-state probe.
+// appendRow stores a clone of row at the end of rows under a recycled (or
+// else fresh) id. The new position needs no undo entry: it is either beyond
+// preLen or was vacated — and so dirtied — by an earlier removal of this
+// epoch, which is also why a recycled id can never show up in a pre-state
+// probe.
 func (c *tableCore) appendRow(row Tuple) {
 	c.noteWrite()
 	var id int32
@@ -443,7 +400,6 @@ func (c *tableCore) appendRow(row Tuple) {
 	}
 	c.posOf[id] = int32(len(c.rows))
 	c.idOf = append(c.idOf, id)
-	c.byKey[string(c.keyBuf)] = id
 	stored := row.Clone()
 	c.rows = append(c.rows, stored)
 	c.indexesAdd(stored, id)
@@ -467,9 +423,14 @@ func (t *Table) InsertIfAbsent(row Tuple) (inserted bool, err error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id, ok := c.find(row); ok {
-		if old := c.rows[c.posOf[id]]; !old.Equal(row) {
-			return false, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), old.String())
+	if id := c.find(row); id >= 0 {
+		// Identical means KeyEqual column by column, the equivalence the key
+		// was just resolved under; Tuple.Equal is coarser (see hashIndex.update).
+		old := c.rows[c.posOf[id]]
+		for i := range row {
+			if !old[i].KeyEqual(row[i]) {
+				return false, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), old.String())
+			}
 		}
 		return false, nil
 	}
@@ -479,13 +440,14 @@ func (t *Table) InsertIfAbsent(row Tuple) (inserted bool, err error) {
 
 // DeleteKey removes the row with the given primary-key values if present.
 func (t *Table) DeleteKey(key []Value) bool {
-	var buf [64]byte
-	k := AppendTupleKey(buf[:0], key)
 	c := t.core
+	if len(key) != len(c.keyIdx) {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, ok := c.byKey[string(k)]
-	if !ok {
+	id := c.primary.first(digestVals(key), key)
+	if id < 0 {
 		return false
 	}
 	c.removeAt(int(c.posOf[id]), nil)
@@ -501,15 +463,16 @@ func (t *Table) DeleteKey(key []Value) bool {
 // into the table. It is how the Δ-script executor records a view's applied
 // deletes into the derived modification log that cascaded views consume.
 //
-// The delete is set-oriented: the matching bucket is resolved once and
-// dropped from its index as a whole, and the rows go in descending position
-// order — a swap-remove then only ever moves a row from outside the set, so
-// the resolved positions stay valid without re-probing anything.
+// The delete is set-oriented: the matching chain is resolved once and —
+// unless a colliding key shares it — dropped from its index as a whole, and
+// the rows go in descending position order — a swap-remove then only ever
+// moves a row from outside the set, so the resolved positions stay valid
+// without re-probing anything.
 func (t *Table) DeleteWhere(attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pos, idx, err := c.writeSet(attrs, indexSig(attrs), vals)
+	pos, idx, whole, err := c.writeSet(attrs, indexSig(attrs), vals)
 	if err != nil || len(pos) == 0 {
 		return 0, err
 	}
@@ -518,8 +481,10 @@ func (t *Table) DeleteWhere(attrs []string, vals []Value, fn func(pre Tuple)) (i
 			fn(c.rows[p])
 		}
 	}
-	if idx != nil {
-		delete(idx.buckets, string(c.keyBuf))
+	if whole {
+		delete(idx.heads, digestVals(vals))
+	} else {
+		idx = nil // unlink the rows one by one, like from every other index
 	}
 	slices.Sort(pos)
 	for i := len(pos) - 1; i >= 0; i-- {
@@ -529,18 +494,23 @@ func (t *Table) DeleteWhere(attrs []string, vals []Value, fn func(pre Tuple)) (i
 }
 
 // writeSet resolves, for a write path, the positions of the live rows whose
-// attrs (with signature sig) equal vals — in index order, in the writer's
-// position scratch, with the encoded vals left in keyBuf — and the
-// secondary index that answered (nil for the primary key, see liveIDs).
-func (c *tableCore) writeSet(attrs []string, sig string, vals []Value) ([]int32, *hashIndex, error) {
-	c.keyBuf = AppendTupleKey(c.keyBuf[:0], vals)
-	ids, idx, err := c.liveIDs(attrs, sig, c.keyBuf)
-	pos := c.posBuf[:0]
-	for _, id := range ids {
-		pos = append(pos, c.posOf[id])
+// attrs (with signature sig) are KeyEqual to vals — in index order, in the
+// writer's position scratch — the index that answered, and whether those
+// rows are the whole chain filed under vals' digest.
+func (c *tableCore) writeSet(attrs []string, sig string, vals []Value) (pos []int32, idx *hashIndex, whole bool, err error) {
+	if idx, err = c.indexFor(attrs, sig, vals); err != nil {
+		return nil, nil, false, err
+	}
+	pos, whole = c.posBuf[:0], true
+	for id := idx.head(digestVals(vals)); id >= 0; id = idx.next[id] {
+		if idx.matches(id, vals) {
+			pos = append(pos, c.posOf[id])
+		} else {
+			whole = false
+		}
 	}
 	c.posBuf = pos
-	return pos, idx, err
+	return pos, idx, whole, nil
 }
 
 // UpdateWhere updates every row whose attrs equal vals, overwriting the
@@ -569,7 +539,7 @@ func (t *Table) updateWhere(attrs []string, sig string, vals []Value, setAttrs [
 		return 0, err
 	}
 	c.setBuf = setIdx
-	positions, _, err := c.writeSet(attrs, sig, vals)
+	positions, _, _, err := c.writeSet(attrs, sig, vals)
 	if err != nil {
 		return 0, err
 	}
@@ -598,14 +568,12 @@ func (t *Table) UpdateKey(key []Value, setAttrs []string, setVals []Value) (bool
 // removeAt swap-removes the row at position p: the last row moves into the
 // hole, so both positions are touched first. The moved row keeps its id —
 // only its two translation slots change — and the removed row's id goes to
-// the free list. skip is the index whose bucket the caller already dropped.
+// the free list. skip is the index whose chain the caller already dropped.
 func (c *tableCore) removeAt(p int, skip *hashIndex) {
 	last := len(c.rows) - 1
 	c.touch(p)
 	row, id := c.rows[p], c.idOf[p]
 	c.indexesRemove(row, id, skip)
-	c.keyBuf = AppendKey(c.keyBuf[:0], row, c.keyIdx)
-	delete(c.byKey, string(c.keyBuf))
 	c.posOf[id] = -1
 	c.free = append(c.free, id)
 	if p != last {

@@ -251,6 +251,90 @@ func appendNumKey(b []byte, f float64, i int64, integral bool) []byte {
 	return append(b, 0)
 }
 
+// keyNum is EncodeKey's canonical form of a numeric value without the
+// printing: the int64 of an int or of an integral float EncodeKey prints as
+// one (so Float(2) and Int(2), or -0.0 and 0, coincide), else the float's
+// bits with every NaN folded onto one pattern ('g' prints them all "NaN").
+func (v Value) keyNum() (bits uint64, integral bool) {
+	if v.Kind == KindInt {
+		return uint64(v.i), true
+	}
+	if v.f == math.Trunc(v.f) && v.f >= -9.2e18 && v.f <= 9.2e18 {
+		return uint64(int64(v.f)), true
+	}
+	if v.f != v.f {
+		return math.Float64bits(math.NaN()), false
+	}
+	return math.Float64bits(v.f), false
+}
+
+// KeyEqual reports whether v and o encode to the same key:
+//
+//	v.KeyEqual(o)  ⇔  bytes.Equal(v.EncodeKey(nil), o.EncodeKey(nil))
+//
+// without encoding either. It is the equivalence stored tables index under,
+// and finer than Same, which compares numerics through float64: Int(1<<53)
+// and Int(1<<53+1) are Same but not KeyEqual, and NaN is KeyEqual only to NaN.
+func (v Value) KeyEqual(o Value) bool {
+	if v.Kind == KindInt && o.Kind == KindInt {
+		return v.i == o.i
+	}
+	if v.IsNumeric() && o.IsNumeric() {
+		vb, vi := v.keyNum()
+		ob, oi := o.keyNum()
+		return vb == ob && vi == oi
+	}
+	if v.Kind != o.Kind {
+		return false
+	}
+	switch v.Kind {
+	case KindBool:
+		return v.b == o.b
+	case KindString:
+		return v.s == o.s
+	}
+	return true
+}
+
+// digestMask truncates every key digest; all ones outside tests (see
+// export_test.go, which narrows it so that chains mix keys).
+var digestMask = ^uint64(0)
+
+// digestSeed starts a key digest.
+const digestSeed = 0x9e3779b97f4a7c15
+
+// mix folds x into the running digest h. For a fixed h it is a bijection of
+// x, so single-column integer keys never share a digest.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
+
+// keyDigest folds v into the running 64-bit digest h such that KeyEqual
+// values fold alike — the digest of a key is a hash of what EncodeKey would
+// print, computed from the canonical values instead of from the print.
+func (v Value) keyDigest(h uint64) uint64 {
+	switch v.Kind {
+	case KindInt:
+		return mix(h, uint64(v.i))
+	case KindFloat:
+		bits, integral := v.keyNum()
+		if !integral {
+			h = mix(h, 'f')
+		}
+		return mix(h, bits)
+	case KindBool:
+		return mix(mix(h, 'b'), uint64(v.AsInt()))
+	case KindString:
+		h = mix(h, 's')
+		for i := 0; i < len(v.s); i++ {
+			h = (h ^ uint64(v.s[i])) * 0x100000001b3
+		}
+		return mix(h, uint64(len(v.s)))
+	}
+	return mix(mix(h, 'n'), 0)
+}
+
 // String renders the value for display and debugging.
 func (v Value) String() string {
 	switch v.Kind {

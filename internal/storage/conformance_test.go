@@ -104,7 +104,7 @@ func TestConformanceSecondaryLookup(t *testing.T) {
 			t.Fatal("lookup on unknown attr must fail")
 		}
 		pl := rel.PrepareLookup([]string{"price"})
-		out, _, err := tab.LookupInto(rel.StatePost, pl, []rel.Value{rel.Int(20)}, nil, nil)
+		out, err := tab.LookupInto(rel.StatePost, pl, []rel.Value{rel.Int(20)}, nil)
 		if err != nil || len(out) != 2 {
 			t.Fatalf("LookupInto price=20: %d rows, err %v", len(out), err)
 		}

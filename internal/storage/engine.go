@@ -78,8 +78,8 @@ type Table interface {
 	// Lookup probes a (lazily built) secondary hash index over attrs.
 	Lookup(s rel.State, attrs []string, vals []rel.Value) ([]rel.Tuple, error)
 	// LookupInto is Lookup through a prepared probe, appending matches to
-	// out and reusing keyBuf for the key encoding.
-	LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, keyBuf []byte, out []rel.Tuple) ([]rel.Tuple, []byte, error)
+	// out.
+	LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, out []rel.Tuple) ([]rel.Tuple, error)
 	// IndexCard reports (p, n): matching rows on the secondary index over
 	// attrs and the state's total row count — the uncharged catalog
 	// statistics the planner consults for index-vs-scan decisions.

@@ -140,14 +140,14 @@ func (h *Handle) Lookup(s rel.State, attrs []string, vals []rel.Value) ([]rel.Tu
 }
 
 // LookupInto implements Table; the charge is identical to Lookup's.
-func (h *Handle) LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, keyBuf []byte, out []rel.Tuple) ([]rel.Tuple, []byte, error) {
+func (h *Handle) LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, out []rel.Tuple) ([]rel.Tuple, error) {
 	n0 := len(out)
-	out, keyBuf, err := h.t.LookupInto(s, pl, vals, keyBuf, out)
+	out, err := h.t.LookupInto(s, pl, vals, out)
 	if err != nil {
-		return out, keyBuf, err
+		return out, err
 	}
 	h.charge(int64(len(out)-n0), 1, 0)
-	return out, keyBuf, nil
+	return out, nil
 }
 
 // Insert implements Table, charging one tuple write on success.

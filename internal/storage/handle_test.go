@@ -46,7 +46,7 @@ func TestHandleCostAccounting(t *testing.T) {
 		}
 		c.Reset()
 		pl := rel.PrepareLookup([]string{"price"})
-		out, _, err := h.LookupInto(rel.StatePost, pl, []rel.Value{rel.Int(20)}, nil, nil)
+		out, err := h.LookupInto(rel.StatePost, pl, []rel.Value{rel.Int(20)}, nil)
 		if err != nil || len(out) != 2 {
 			t.Fatalf("LookupInto: %v rows, err %v", len(out), err)
 		}

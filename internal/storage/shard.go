@@ -150,17 +150,15 @@ func (t *shardTable) Lookup(s rel.State, attrs []string, vals []rel.Value) ([]re
 	return out, nil
 }
 
-// LookupInto implements Table: per-shard probes appended in shard order,
-// threading the shared buffers through.
-func (t *shardTable) LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, keyBuf []byte, out []rel.Tuple) ([]rel.Tuple, []byte, error) {
+// LookupInto implements Table: per-shard probes appended in shard order.
+func (t *shardTable) LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, out []rel.Tuple) ([]rel.Tuple, error) {
 	var err error
 	for _, sh := range t.shards {
-		out, keyBuf, err = sh.LookupInto(s, pl, vals, keyBuf, out)
-		if err != nil {
-			return out, keyBuf, err
+		if out, err = sh.LookupInto(s, pl, vals, out); err != nil {
+			return out, err
 		}
 	}
-	return out, keyBuf, nil
+	return out, nil
 }
 
 // IndexCard implements Table: (p, n) summed over the shards. Since the
