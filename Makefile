@@ -4,7 +4,7 @@ GO ?= go
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests on both storage engines, the repository linter, the non-test line
-# count per package, a short run of the two fuzz targets, and a smoke run
+# count per package, a short run of the three fuzz targets, and a smoke run
 # of the end-to-end benchmark (a module of its own that `./...` does not
 # reach). Any lint finding fails the build.
 check: build vet race race-sharded lint loc fuzz-smoke bench-e2e-smoke
@@ -50,15 +50,18 @@ loc:
 	done
 	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec cat {} + | wc -l)"
 
-# fuzz-smoke runs internal/rel's two fuzz targets for ten seconds each (CI's
-# fuzz step runs this target): FuzzTableEpoch — writes × Begin/Advance/
-# EndEpoch programs against the full-copy oracle, see internal/rel/epochtest
-# — and FuzzValueKey — KeyEqual ⇔ equal EncodeKey encodings ⇒ equal digests,
-# the contract the keyless indexes rest on. A failure leaves its minimised
-# input under internal/rel/testdata/fuzz/ — check it in with the fix.
+# fuzz-smoke runs internal/rel's three fuzz targets for ten seconds each
+# (CI's fuzz step runs this target): FuzzTableEpoch — writes, multi-tuple
+# i-diff instances × Begin/Advance/EndEpoch programs against the full-copy
+# oracle, see internal/rel/epochtest —, FuzzValueKey — KeyEqual ⇔ equal
+# EncodeKey encodings ⇒ equal digests, the contract the keyless indexes rest
+# on — and FuzzDigestTable — set/get/delete/grow programs on the flat
+# digest → chain-head table against the map it replaced. A failure leaves its
+# minimised input under internal/rel/testdata/fuzz/ — check it in with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableEpoch$$' -fuzztime 10s ./internal/rel
 	$(GO) test -run '^$$' -fuzz '^FuzzValueKey$$' -fuzztime 10s ./internal/rel
+	$(GO) test -run '^$$' -fuzz '^FuzzDigestTable$$' -fuzztime 10s ./internal/rel
 
 # bench-e2e-smoke vets, tests and smoke-runs the end-to-end benchmark
 # (benchmark/, BENCHMARK.json): every workload untraced and traced on a
@@ -89,7 +92,8 @@ bench-e2e-smoke:
 # UpdateKey as many rows) have a constant accesses/op; they are there for
 # their allocs/op column — the storage write path's allocations. The
 # FeedApplyShape row is one feed_serving-sized apply round on a pinned epoch
-# (64 bucket deletes, 12 160 inserts, three indexes, one advance).
+# (one delete instance of 64 buckets, one insert instance of 12 160 rows,
+# three indexes, one advance).
 # The FeedJoin rows are the probe join under uniform and Zipf(1.1) keys:
 # one charged lookup per driving row, so the zipf row is the cost of a few
 # celebrity buckets being read once per tweet.

@@ -344,15 +344,12 @@ func (d *Database) Update(table string, key []rel.Value, setAttrs []string, setV
 		return false, err
 	}
 	d.beginEpochIfLogged(t)
-	pre, ok := t.Get(rel.StatePost, key)
-	if !ok {
-		return false, nil
+	// One call resolves the key once and hands back both images from the
+	// update's critical section, charged as the Get–UpdateKey–Get it replaces.
+	pre, post, err := t.UpdateKeyLogged(key, setAttrs, setVals)
+	if err != nil || post == nil {
+		return false, err
 	}
-	changed, err := t.UpdateKey(key, setAttrs, setVals)
-	if err != nil || !changed {
-		return changed, err
-	}
-	post, _ := t.Get(rel.StatePost, key)
 	if d.LoggingEnabled(table) {
 		// Both images alias stored rows, which are immutable once stored: the
 		// update wrote a modified clone and left pre untouched.

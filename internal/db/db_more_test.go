@@ -103,3 +103,50 @@ func TestInsertUnknownTable(t *testing.T) {
 		t.Fatal("update of unknown table must fail")
 	}
 }
+
+// Update resolves its key once and takes both logged images from the update's
+// critical section (Handle.UpdateKeyLogged), yet is charged as the Get,
+// UpdateKey, Get it used to be — three lookups, two reads, a write — or the
+// one lookup of the first Get when the key is absent: accesses/op of every
+// update workload stay what they were.
+func TestUpdateIsChargedAsGetUpdateGet(t *testing.T) {
+	d := New()
+	d.MustCreateTable("t", rel.NewSchema([]string{"k", "v", "w"}, []string{"k"}))
+	d.EnableLogging("t")
+	if err := d.Insert("t", rel.Tuple{rel.Int(1), rel.Int(10), rel.Int(7)}); err != nil {
+		t.Fatal(err)
+	}
+	d.Counter().Reset()
+	ok, err := d.Update("t", []rel.Value{rel.Int(1)}, []string{"v"}, []rel.Value{rel.Int(11)})
+	if !ok || err != nil {
+		t.Fatalf("Update = %v, %v", ok, err)
+	}
+	if c := *d.Counter(); c.IndexLookups != 3 || c.TupleReads != 2 || c.TupleWrites != 1 {
+		t.Errorf("found: charged %+v, want 3 lookups, 2 reads, 1 write", c)
+	}
+	m := d.Log()[len(d.Log())-1]
+	if m.Kind != ModUpdate || !m.Pre.Equal(rel.Tuple{rel.Int(1), rel.Int(10), rel.Int(7)}) || !m.Post.Equal(rel.Tuple{rel.Int(1), rel.Int(11), rel.Int(7)}) {
+		t.Errorf("logged %+v", m)
+	}
+	tab, err := d.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row, _ := tab.Get(rel.StatePost, []rel.Value{rel.Int(1)}); !row.Equal(m.Post) {
+		t.Errorf("stored %v, logged post-image %v", row, m.Post)
+	}
+	d.Counter().Reset()
+	if ok, err := d.Update("t", []rel.Value{rel.Int(2)}, []string{"v"}, []rel.Value{rel.Int(0)}); ok || err != nil {
+		t.Fatalf("Update of an absent key = %v, %v", ok, err)
+	}
+	if c := *d.Counter(); c.IndexLookups != 1 || c.TupleReads != 0 || c.TupleWrites != 0 {
+		t.Errorf("absent: charged %+v, want 1 lookup", c)
+	}
+	d.Counter().Reset()
+	if ok, err := d.Update("t", []rel.Value{rel.Int(1)}, []string{"k"}, []rel.Value{rel.Int(5)}); ok || err == nil {
+		t.Fatalf("Update of the key attribute = %v, %v", ok, err)
+	}
+	if c := *d.Counter(); c.Total() != 0 {
+		t.Errorf("refused: charged %+v", c)
+	}
+}

@@ -165,6 +165,10 @@ func (i *Instance) ApplyLogged(t *storage.Handle, rec func(db.Modification)) (in
 	return 0, fmt.Errorf("ivm: unknown diff type %d", i.Schema.Type)
 }
 
+// The three statements hand storage the whole instance — the diff's tuples
+// and where in a tuple the ID, SET and target columns are — so an ApplyStep is
+// one storage call, not one per diff tuple.
+
 func (i *Instance) applyUpdate(t *storage.Handle, rec func(db.Modification)) (int, error) {
 	sch := i.Rows.Schema
 	idIdx, err := sch.Indices(i.Schema.IDs)
@@ -185,24 +189,8 @@ func (i *Instance) applyUpdate(t *storage.Handle, rec func(db.Modification)) (in
 			rec(db.Modification{Kind: db.ModUpdate, Table: t.Name(), Pre: pre, Post: post})
 		}
 	}
-	// One probe/SET scratch for the whole instance: storage retains neither.
-	idVals := make([]rel.Value, len(idIdx))
-	postVals := make([]rel.Value, len(postIdx))
-	touched := 0
-	for _, row := range i.Rows.Tuples {
-		for k, j := range idIdx {
-			idVals[k] = row[j]
-		}
-		for k, j := range postIdx {
-			postVals[k] = row[j]
-		}
-		n, err := t.UpdateWhere(i.Schema.IDs, idVals, i.Schema.Post, postVals, record)
-		if err != nil {
-			return touched, err
-		}
-		touched += n
-	}
-	return touched, nil
+	_, touched, err := t.UpdateWhere(i.Schema.IDs, i.Rows.Tuples, idIdx, i.Schema.Post, postIdx, record)
+	return touched, err
 }
 
 func (i *Instance) applyInsert(t *storage.Handle, rec func(db.Modification)) (int, error) {
@@ -211,7 +199,7 @@ func (i *Instance) applyInsert(t *storage.Handle, rec func(db.Modification)) (in
 		return 0, fmt.Errorf("ivm: insert diff IDs %v must equal the full key %v of %s",
 			i.Schema.IDs, tSchema.Key, t.Name())
 	}
-	// Build each target row in the table's attribute order.
+	// Storage builds each target row in the table's attribute order.
 	srcIdx := make([]int, len(tSchema.Attrs))
 	diffSch := i.Rows.Schema
 	for k, a := range tSchema.Attrs {
@@ -224,31 +212,14 @@ func (i *Instance) applyInsert(t *storage.Handle, rec func(db.Modification)) (in
 		}
 		srcIdx[k] = j
 	}
-	// Storage clones the row it keeps, so one scratch tuple serves the whole
-	// instance — unless the rows are recorded, and so retained.
-	nt := make(rel.Tuple, len(srcIdx))
-	inserted := 0
-	for _, row := range i.Rows.Tuples {
-		if rec != nil {
-			nt = make(rel.Tuple, len(srcIdx))
-		}
-		for k, j := range srcIdx {
-			nt[k] = row[j]
-		}
-		ok, err := t.InsertIfAbsent(nt)
-		if err != nil {
-			return inserted, err
-		}
-		if ok {
-			inserted++
-			if rec != nil {
-				// nt equals the clone storage just stored and is never
-				// written again: it is the full post-image.
-				rec(db.Modification{Kind: db.ModInsert, Table: t.Name(), Post: nt})
-			}
+	var record func(post rel.Tuple)
+	if rec != nil {
+		record = func(post rel.Tuple) {
+			rec(db.Modification{Kind: db.ModInsert, Table: t.Name(), Post: post})
 		}
 	}
-	return inserted, nil
+	_, inserted, err := t.InsertIfAbsent(i.Rows.Tuples, srcIdx, record)
+	return inserted, err
 }
 
 func (i *Instance) applyDelete(t *storage.Handle, rec func(db.Modification)) (int, error) {
@@ -262,19 +233,8 @@ func (i *Instance) applyDelete(t *storage.Handle, rec func(db.Modification)) (in
 			rec(db.Modification{Kind: db.ModDelete, Table: t.Name(), Pre: pre})
 		}
 	}
-	idVals := make([]rel.Value, len(idIdx)) // probe scratch: storage retains none of it
-	deleted := 0
-	for _, row := range i.Rows.Tuples {
-		for k, j := range idIdx {
-			idVals[k] = row[j]
-		}
-		n, err := t.DeleteWhere(i.Schema.IDs, idVals, record)
-		if err != nil {
-			return deleted, err
-		}
-		deleted += n
-	}
-	return deleted, nil
+	_, deleted, err := t.DeleteWhere(i.Schema.IDs, i.Rows.Tuples, idIdx, record)
+	return deleted, err
 }
 
 // IsEffective checks the effectiveness conditions of Section 2 against the

@@ -32,6 +32,7 @@ func BenchmarkTableChurn(b *testing.B) {
 				}
 			}
 			row, key, val := make(rel.Tuple, 4), make([]rel.Value, 1), make([]rel.Value, 1)
+			bucket, keyCol := []rel.Tuple{key}, []int{0} // the one-tuple delete instance
 			cycle := func(c int64) {
 				g := rel.Int(-1 - c)
 				for i := int64(0); i < int64(k); i++ {
@@ -41,7 +42,7 @@ func BenchmarkTableChurn(b *testing.B) {
 					}
 				}
 				key[0] = g
-				if got, err := tab.DeleteWhere(onG, key, nil); got != k || err != nil {
+				if _, got, err := tab.DeleteWhere(onG, bucket, keyCol, nil); got != k || err != nil {
 					b.Fatalf("DeleteWhere = %d, %v; want %d", got, err, k)
 				}
 				val[0] = rel.Int(c)
@@ -68,30 +69,48 @@ func BenchmarkTableChurn(b *testing.B) {
 // feed_serving produces it (benchmark/): a 95 000-row (fid*, twid*, uid)
 // table — 500 tweets delivered to 190 followers each — with secondary
 // indexes on twid and on fid, inside an epoch a serving replica keeps
-// pinned. One iteration retracts 64 tweets (DeleteWhere on twid, 190 rows
-// each), delivers 64 new ones (12 160 InsertIfAbsent) and advances the epoch.
-// Every removed row leaves the primary index, the dropped twid chain and the
+// pinned. One iteration retracts 64 tweets (one DeleteWhere instance of 64
+// twid keys, 190 rows each), delivers 64 new ones (one InsertIfAbsent
+// instance of 12 160 rows) and advances the epoch — the two storage calls an
+// ApplyStep pair makes. Every removed row leaves the primary index, the dropped twid chain and the
 // middle of some follower's fid chain; every inserted row joins all three.
 // accesses/op is constant; ns/op and allocs/op are what the row is for.
 func BenchmarkFeedApplyShape(b *testing.B) {
 	const tweets, fanout, followers, perRound = 500, 190, 2000, 64
 	var cost rel.CostCounter
 	tab := storage.NewHandle(rel.MustNewTable("feed", rel.NewSchema([]string{"fid", "twid", "uid"}, []string{"fid", "twid"})))
-	row, key := make(rel.Tuple, 3), make([]rel.Value, 1)
-	deliver := func(tw int64) {
-		for j := int64(0); j < fanout; j++ {
-			row[0], row[1], row[2] = rel.Int((tw*7+j*3)%followers), rel.Int(tw), rel.Int(tw%97)
-			if ok, err := tab.InsertIfAbsent(row); !ok || err != nil {
-				b.Fatalf("InsertIfAbsent(%v) = %v, %v", row, ok, err)
-			}
+	onTwid := []string{"twid"}
+	// diffs returns n diff tuples of the given width over one backing array;
+	// storage copies what it stores, so a round overwrites them in place.
+	diffs := func(n, width int) []rel.Tuple {
+		rows, vals := make([]rel.Tuple, n), make([]rel.Value, n*width)
+		for i := range rows {
+			rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+		}
+		return rows
+	}
+	// deliveries fills rows with tweet tw's diff tuples, in attribute order.
+	deliveries := func(rows []rel.Tuple, tw int64) {
+		for j, row := range rows {
+			row[0], row[1], row[2] = rel.Int((tw*7+int64(j)*3)%followers), rel.Int(tw), rel.Int(tw%97)
 		}
 	}
-	for tw := int64(0); tw < tweets; tw++ {
-		deliver(tw)
+	keyCol, inOrder := []int{0}, []int{0, 1, 2}
+	apply := func(retract, deliver []rel.Tuple) {
+		if p, n, err := tab.DeleteWhere(onTwid, retract, keyCol, nil); p != len(retract) || n != len(retract)*fanout || err != nil {
+			b.Fatalf("DeleteWhere = %d, %d, %v; want %d keys, %d rows", p, n, err, len(retract), len(retract)*fanout)
+		}
+		if p, n, err := tab.InsertIfAbsent(deliver, inOrder, nil); p != len(deliver) || n != len(deliver) || err != nil {
+			b.Fatalf("InsertIfAbsent = %d, %d, %v; want %d rows", p, n, err, len(deliver))
+		}
 	}
-	onTwid := []string{"twid"}
+	retract, deliver := diffs(perRound, 1), diffs(perRound*fanout, 3)
+	for tw := int64(0); tw < tweets; tw++ {
+		deliveries(deliver[:fanout], tw)
+		apply(nil, deliver[:fanout])
+	}
 	for _, attrs := range [][]string{onTwid, {"fid"}} {
-		if _, err := tab.Lookup(rel.StatePost, attrs, key); err != nil {
+		if _, err := tab.Lookup(rel.StatePost, attrs, []rel.Value{rel.Int(0)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,17 +118,12 @@ func BenchmarkFeedApplyShape(b *testing.B) {
 	defer tab.EndEpoch()
 	oldest, next := int64(0), int64(tweets)
 	round := func() {
-		for i := 0; i < perRound; i++ {
-			key[0] = rel.Int(oldest)
-			if n, err := tab.DeleteWhere(onTwid, key, nil); n != fanout || err != nil {
-				b.Fatalf("DeleteWhere(twid=%d) = %d, %v; want %d", oldest, n, err, fanout)
-			}
-			oldest++
+		for i := range retract {
+			retract[i][0] = rel.Int(oldest)
+			deliveries(deliver[i*fanout:(i+1)*fanout], next)
+			oldest, next = oldest+1, next+1
 		}
-		for i := 0; i < perRound; i++ {
-			deliver(next)
-			next++
-		}
+		apply(retract, deliver)
 		tab.AdvanceEpoch()
 	}
 	round() // sizes the scratch buffers, the free list and the undo list

@@ -1,0 +1,109 @@
+package rel
+
+import "math/bits"
+
+// digestTable maps a key digest to the head of its chain (hashIndex): one
+// flat open-addressed table that uses the digest itself as the hash. A digest
+// comes out of mix, so its high bits already depend on every bit of the key:
+// the home cell of d among c cells is the high word of d·c (bits.Mul64), for
+// any c, so the table grows by half instead of doubling. Collisions probe
+// linearly and a deletion shifts the rest of the cluster back — no tombstones,
+// so a table under churn probes like one freshly built. Lookups return the
+// cell, not the value: "find the key, else link the new entry", "read the
+// head, else set it" and "drop the chain" are one probe each.
+type digestTable struct {
+	cells []dcell
+	n     int // occupied cells; (n+1)·4 ≤ len(cells)·3 after every insert
+}
+
+// dcell is 16 bytes with padding: a probe that ends in its home cell — most
+// do at ≤ ¾ load — touches one cache line.
+type dcell struct {
+	digest uint64
+	head   int32 // first entry of digest's chain; < 0: the cell is empty
+}
+
+// homeMask is all ones outside tests, which narrow it (export_test.go) so
+// that distinct digests share a home and every operation runs in a cluster.
+var homeMask = ^uint64(0)
+
+func (t *digestTable) home(d uint64) int {
+	hi, _ := bits.Mul64(d&homeMask, uint64(len(t.cells)))
+	return int(hi)
+}
+
+// find returns the cell holding digest d, or -1.
+func (t *digestTable) find(d uint64) int {
+	if t.n == 0 {
+		return -1
+	}
+	if i := t.probe(d); t.cells[i].head >= 0 {
+		return i
+	}
+	return -1
+}
+
+// probe walks to the cell holding d or the empty cell that ends d's probe
+// sequence; the table has cells and — load ≤ ¾ — an empty one among them.
+func (t *digestTable) probe(d uint64) int {
+	for i := t.home(d); ; {
+		if c := &t.cells[i]; c.head < 0 || c.digest == d {
+			return i
+		}
+		if i++; i == len(t.cells) {
+			i = 0
+		}
+	}
+}
+
+// cell returns the cell holding digest d or, having made room for one more
+// digest, the empty cell d belongs in: the caller fills it and counts it in n.
+func (t *digestTable) cell(d uint64) int {
+	if (t.n+1)*4 > len(t.cells)*3 {
+		t.resize(max(8, len(t.cells)+len(t.cells)/2))
+	}
+	return t.probe(d)
+}
+
+// del empties cell i and closes the gap: each later cell of the cluster moves
+// back into the hole unless its home lies (cyclically) after the hole, at or
+// before the cell — moved, it would sit ahead of its home, where no probe looks.
+func (t *digestTable) del(i int) {
+	t.n--
+	for j := i; ; {
+		if j++; j == len(t.cells) {
+			j = 0
+		}
+		c := t.cells[j]
+		if c.head < 0 {
+			break
+		}
+		if h := t.home(c.digest); (i < j && i < h && h <= j) || (j < i && (i < h || h <= j)) {
+			continue
+		}
+		t.cells[i], i = c, j
+	}
+	t.cells[i].head = -1
+}
+
+// resize rehashes into a table of c cells, which must keep the load ≤ ¾.
+func (t *digestTable) resize(c int) {
+	old := t.cells
+	t.cells = make([]dcell, c)
+	for i := range t.cells {
+		t.cells[i].head = -1
+	}
+	for _, s := range old {
+		if s.head >= 0 {
+			t.cells[t.probe(s.digest)] = s
+		}
+	}
+}
+
+// fit trims the table after a bulk build: an index nobody inserts into again
+// then sits at ¾ load.
+func (t *digestTable) fit() {
+	if c := (t.n+1)*4/3 + 1; c < len(t.cells) {
+		t.resize(c)
+	}
+}

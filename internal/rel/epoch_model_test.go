@@ -40,26 +40,47 @@ func TestTableEpochRandomPrograms(t *testing.T) {
 // never rest on the digest.
 func TestTableEpochUnderCollidingDigests(t *testing.T) {
 	defer any(newModelTable()).(interface{ NarrowDigests() func() }).NarrowDigests()()
+	runModelOnEngines(t)
+}
+
+// And with the digests whole but only four home cells per digest table
+// (SqueezeHomes): every probe, insert, growth and backward-shift deletion of
+// the flat table then happens inside a long cluster of unrelated digests, one
+// of them wrapping the end of the slice, and CheckInvariants verifies after
+// every operation that each stored digest is still found by probing.
+func TestTableEpochUnderSqueezedHomes(t *testing.T) {
+	defer any(newModelTable()).(interface{ SqueezeHomes() func() }).SqueezeHomes()()
+	runModelOnEngines(t)
+}
+
+// runModelOnEngines runs the seed programs, random programs and the
+// instance-versus-tuple-by-tuple differential on the mem engine and on three
+// shards.
+func runModelOnEngines(t *testing.T) {
 	for _, eng := range []storage.Engine{storage.NewMem(), storage.NewSharded(3)} {
-		run := func(t *testing.T, prog []byte) {
-			t.Helper()
+		create := func() storage.Table {
 			tab, err := eng.Create("t", epochtest.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
-			epochtest.Run(t, tab, prog)
+			return tab
 		}
 		t.Run(eng.Kind(), func(t *testing.T) {
 			for name, prog := range epochtest.Seeds() {
-				t.Run(name, func(t *testing.T) { run(t, prog) })
+				t.Run(name, func(t *testing.T) { epochtest.Run(t, create(), prog) })
 			}
 			rng := rand.New(rand.NewSource(31))
 			for i := 0; i < 200; i++ {
 				prog := epochtest.RandomProg(rng, 20+rng.Intn(60))
-				if run(t, prog); t.Failed() {
+				if epochtest.Run(t, create(), prog); t.Failed() {
 					t.Fatalf("program %d failed: %v", i, prog)
 				}
 			}
+			epochtest.RunInstances(t, rng, 60, func() (epochtest.InstanceTable, *rel.CostCounter) {
+				h, cost := storage.NewHandle(create()), new(rel.CostCounter)
+				h.SetCounter(cost)
+				return h, cost
+			})
 		})
 	}
 }

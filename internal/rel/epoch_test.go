@@ -47,11 +47,11 @@ func TestGetDoesNotAllocate(t *testing.T) {
 	tab.BeginEpoch()
 	defer tab.EndEpoch()
 	check("Get pre, unmutated epoch", hit(StatePre))
-	if _, err := tab.UpdateKey([]Value{Int(7)}, []string{"v"}, []Value{Int(1)}); err != nil {
+	if _, _, err := tab.UpdateKey([]Value{Int(7)}, []string{"v"}, []Value{Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	check("Get pre, clean position", hit(StatePre))
-	if _, err := tab.UpdateKey(key, []string{"v"}, []Value{Int(1)}); err != nil {
+	if _, _, err := tab.UpdateKey(key, []string{"v"}, []Value{Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if row, ok := tab.Get(StatePre, key); !ok || row[2].AsInt() != 0 {
@@ -68,7 +68,7 @@ func TestPinnedRoundsNeverRebuildAnIndex(t *testing.T) {
 	const n = 2000
 	tab := epochTable(t, n)
 	// UpdateKey goes through the index over the key attributes: build it now.
-	if _, err := tab.UpdateKey([]Value{Int(0)}, []string{"v"}, []Value{Int(0)}); err != nil {
+	if _, _, err := tab.UpdateKey([]Value{Int(0)}, []string{"v"}, []Value{Int(0)}); err != nil {
 		t.Fatal(err)
 	}
 	tab.BeginEpoch()
@@ -78,7 +78,7 @@ func TestPinnedRoundsNeverRebuildAnIndex(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		write := func(i int) {
 			k := int64((round*37 + i*11) % n)
-			if _, err := tab.UpdateKey([]Value{Int(k)}, []string{"g"}, []Value{Int(int64(round % 16))}); err != nil {
+			if _, _, err := tab.UpdateKey([]Value{Int(k)}, []string{"g"}, []Value{Int(int64(round % 16))}); err != nil {
 				t.Fatal(err)
 			}
 			tab.DeleteKey([]Value{Int(int64((round*53 + i*7) % n))})
@@ -121,7 +121,7 @@ func epochCycle(tb testing.TB, tab *Table, n, delta, cycle int) {
 	var k int64
 	for i := 0; i < delta; i++ {
 		k = int64((cycle*delta + i) * 7919 % n)
-		if _, err := tab.UpdateKey([]Value{Int(k)}, []string{"v"}, []Value{Int(int64(cycle + 1))}); err != nil {
+		if _, _, err := tab.UpdateKey([]Value{Int(k)}, []string{"v"}, []Value{Int(int64(cycle + 1))}); err != nil {
 			tb.Fatal(err)
 		}
 	}

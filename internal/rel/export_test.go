@@ -16,6 +16,26 @@ func (*Table) NarrowDigests() (restore func()) {
 	return func() { digestMask = ^uint64(0) }
 }
 
+// SqueezeHomes is NarrowDigests one layer down: digests stay distinct, but
+// only their top two bits choose a home cell in the digest tables, so every
+// table has at most four clusters — one of them wrapping the end of the slice
+// once it is long enough — and every probe, insert and backward shift runs
+// inside a cluster of unrelated digests.
+func (*Table) SqueezeHomes() (restore func()) {
+	homeMask = 3 << 62
+	return func() { homeMask = ^uint64(0) }
+}
+
+// OnChunkGap installs fn as the hook instance-level writes call between two
+// chunks, with the table lock released, until the returned function is called.
+func (*Table) OnChunkGap(fn func()) (restore func()) {
+	chunkGap = fn
+	return func() { chunkGap = nil }
+}
+
+// ApplyChunk is the number of diff tuples an instance applies per lock hold.
+func (*Table) ApplyChunk() int { return applyChunk }
+
 // CheckInvariants verifies the structural invariants of tableCore: idOf and
 // posOf are inverse bijections between positions and live ids, every other
 // id is on the free list exactly once, and every index — slot 0 is the
@@ -37,7 +57,11 @@ func (t *Table) CheckInvariants() error {
 		if id < 0 || int(id) >= len(c.posOf) || int(c.posOf[id]) != p {
 			return fmt.Errorf("position %d holds id %d, whose posOf does not point back", p, id)
 		}
-		if got := c.find(c.rows[p]); got != id {
+		var key []Value
+		for _, j := range c.keyIdx {
+			key = append(key, c.rows[p][j])
+		}
+		if got := c.primary.first(digestVals(key), key); got != id {
 			return fmt.Errorf("the primary index resolves row %v to id %d; want %d", c.rows[p], got, id)
 		}
 	}
@@ -75,14 +99,41 @@ func (t *Table) CheckInvariants() error {
 	return nil
 }
 
-// check walks every chain of the index, which must list want entries.
+// check verifies the digest table: n counts the occupied cells, every stored
+// digest is found by probing for it — so no probe sequence crosses an empty
+// cell and no digest is stored twice — and the load bound holds.
+func (t *digestTable) check() error {
+	used := 0
+	for i, c := range t.cells {
+		if c.head < 0 {
+			continue
+		}
+		if used++; t.find(c.digest) != i {
+			return fmt.Errorf("digest %#x in cell %d (home %d) is not found by probing: find = %d", c.digest, i, t.home(c.digest), t.find(c.digest))
+		}
+	}
+	if used != t.n || t.n*4 > len(t.cells)*3 {
+		return fmt.Errorf("n = %d with %d of %d cells occupied", t.n, used, len(t.cells))
+	}
+	return nil
+}
+
+// check walks the cells of the digest table and every chain of the index,
+// which must list want entries.
 func (h *hashIndex) check(want int) error {
 	if h.exact && (len(h.cols) != 1 || digestMask != ^uint64(0)) {
 		return fmt.Errorf("exact over columns %v with digest mask %#x", h.cols, digestMask)
 	}
+	if err := h.tab.check(); err != nil {
+		return err
+	}
 	n, listed := 0, make(map[int32]bool)
-	for d, head := range h.heads {
-		if head < 0 || int(head) >= len(h.next) {
+	for _, cell := range h.tab.cells {
+		d, head := cell.digest, cell.head
+		if head < 0 {
+			continue
+		}
+		if int(head) >= len(h.next) {
 			return fmt.Errorf("digest %#x heads an empty chain (entry %d)", d, head)
 		}
 		prev := int32(-1)
@@ -110,4 +161,43 @@ func (h *hashIndex) check(want int) error {
 		return fmt.Errorf("%d entries for %d rows", n, want)
 	}
 	return nil
+}
+
+// Applier and the one-row conveniences are epochtest's, repeated here for this
+// package's internal tests, which cannot import it (it imports rel).
+type Applier interface {
+	InsertIfAbsent(rows []Tuple, src []int, fn func(post Tuple)) (probed, inserted int, err error)
+	DeleteWhere(attrs []string, rows []Tuple, cols []int, fn func(pre Tuple)) (probed, deleted int, err error)
+	UpdateWhere(attrs []string, rows []Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post Tuple)) (probed, updated int, err error)
+}
+
+// InsertRowIfAbsent inserts row, given in the table's attribute order, unless
+// an identical row exists.
+func InsertRowIfAbsent(t Applier, row Tuple) (inserted bool, err error) {
+	_, n, err := t.InsertIfAbsent([]Tuple{row}, Cols(0, len(row)), nil)
+	return n > 0, err
+}
+
+// DeleteRowsWhere removes every row whose attrs equal vals.
+func DeleteRowsWhere(t Applier, attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
+	_, n, err := t.DeleteWhere(attrs, []Tuple{vals}, Cols(0, len(vals)), fn)
+	return n, err
+}
+
+// UpdateRowsWhere overwrites setAttrs with setVals on every row whose attrs
+// equal vals.
+func UpdateRowsWhere(t Applier, attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
+	k, row := len(vals), append(append(make(Tuple, 0, len(vals)+len(setVals)), vals...), setVals...)
+	_, n, err := t.UpdateWhere(attrs, []Tuple{row}, Cols(0, k), setAttrs, Cols(k, len(row)), fn)
+	return n, err
+}
+
+// Cols returns the column map lo, lo+1, …, hi-1: the map of a diff whose
+// columns already are in the order the statement wants.
+func Cols(lo, hi int) []int {
+	cols := make([]int, hi-lo)
+	for i := range cols {
+		cols[i] = lo + i
+	}
+	return cols
 }

@@ -13,7 +13,7 @@ import (
 // equality index over a fixed column set that stores no key at all. The
 // indexed values of a row are folded into a 64-bit digest (digestCols —
 // KeyEqual values fold alike, so the rows whose canonical key encodings are
-// equal share a digest, as may the odd pair whose encodings differ), heads
+// equal share a digest, as may the odd pair whose encodings differ), tab
 // maps a digest to the first entry of a chain, and the chain is threaded
 // through next/prev, which are indexed by entry: a stable row id
 // (tableCore.posOf resolves it) for the primary and secondary indexes, a
@@ -21,21 +21,21 @@ import (
 //
 //	next[tail] == -1,  prev[head] == tail,  prev[next[e]] == e otherwise,
 //
-// so appending an entry is one map read (the head knows the tail) and
-// unlinking an interior entry is two array writes and no map operation;
-// only the head and the tail of a chain need the digest again. Nothing is
+// so appending an entry is one probe of tab (the head knows the tail) and
+// unlinking an interior entry is two array writes and no probe; only the
+// head and the tail of a chain need the digest again. Nothing is
 // ever decided on a 64-bit coincidence: every reader and writer compares the
 // entry's row with the probe values (matches), so keys that collide merely
 // share a chain — except where a collision cannot exist (exact). The cost is
-// 8 bytes per row per index and one map cell per distinct digest — no
-// per-key string or bucket object.
+// 8 bytes per row per index and one 16-byte cell per distinct digest
+// (digestTable) — no per-key string or bucket object.
 type hashIndex struct {
-	c     *tableCore
-	cols  []int
-	undo  bool             // entries are positions in undoRows, not row ids
-	heads map[uint64]int32 // digest → first entry of its chain
-	next  []int32          // entry → successor, -1 at the tail
-	prev  []int32          // entry → predecessor; the head's is the tail
+	c    *tableCore
+	cols []int
+	undo bool        // entries are positions in undoRows, not row ids
+	tab  digestTable // digest → first entry of its chain
+	next []int32     // entry → successor, -1 at the tail
+	prev []int32     // entry → predecessor; the head's is the tail
 	// exact: the index is over one column and every row ever registered
 	// holds an int there. The digest of a single int is mix, a bijection of
 	// its 64 bits (TestMixIsABijection), so two such keys with equal digests
@@ -65,21 +65,21 @@ func digestCols(row Tuple, cols []int) uint64 {
 
 // buildIndex indexes the live rows under their ids, or (undo) the overlay's
 // pre-images under their positions in undoRows, with the link arrays sized
-// up front.
+// up front and the digest table trimmed to its load bound afterwards.
 func (c *tableCore) buildIndex(cols []int, undo bool) *hashIndex {
-	h := &hashIndex{c: c, cols: cols, undo: undo, heads: make(map[uint64]int32),
-		exact: len(cols) == 1 && digestMask == ^uint64(0)}
+	h := &hashIndex{c: c, cols: cols, undo: undo, exact: len(cols) == 1 && digestMask == ^uint64(0)}
 	if undo {
 		h.grow(len(c.undoRows))
 		for i, r := range c.undoRows {
 			h.add(r, int32(i))
 		}
-		return h
+	} else {
+		h.grow(len(c.posOf))
+		for p, r := range c.rows {
+			h.add(r, c.idOf[p])
+		}
 	}
-	h.grow(len(c.posOf))
-	for p, r := range c.rows {
-		h.add(r, c.idOf[p])
-	}
+	h.tab.fit()
 	return h
 }
 
@@ -115,8 +115,8 @@ func (h *hashIndex) matches(e int32, vals []Value) bool {
 
 // head returns the first entry of the chain under digest d, or -1.
 func (h *hashIndex) head(d uint64) int32 {
-	if e, ok := h.heads[d]; ok {
-		return e
+	if i := h.tab.find(d); i >= 0 {
+		return h.tab.cells[i].head
 	}
 	return -1
 }
@@ -150,39 +150,50 @@ func (h *hashIndex) seek(e int32, vals []Value) int32 {
 	return -1
 }
 
-// add registers entry e at the tail of its row's chain.
+// add registers entry e at the tail of its row's chain: one probe.
 func (h *hashIndex) add(row Tuple, e int32) {
 	d := digestCols(row, h.cols)
+	h.link(h.tab.cell(d), d, row, e)
+}
+
+// link is add for a caller that already probed: i is tab.cell(d), d the
+// digest of row, and nothing touched tab in between.
+func (h *hashIndex) link(i int, d uint64, row Tuple, e int32) {
 	if h.exact && row[h.cols[0]].Kind != KindInt {
 		h.exact = false
 	}
 	h.grow(int(e) + 1)
 	h.next[e] = -1
-	head, ok := h.heads[d]
-	if !ok {
-		h.heads[d], h.prev[e] = e, e
+	head := h.tab.cells[i].head
+	if head < 0 {
+		h.tab.cells[i], h.prev[e] = dcell{d, e}, e
+		h.tab.n++
 		return
 	}
 	tail := h.prev[head]
 	h.next[tail], h.prev[e], h.prev[head] = e, tail, e
 }
 
-// remove unlinks entry e, registered for row. It panics when the links
-// around e do not list it: with stable ids a missed removal would leave a
-// dead id behind for a later insert to recycle onto an unrelated row, so the
-// broken invariant must not survive until a wrong read.
+// remove unlinks entry e, registered for row: no probe for an interior entry,
+// one for a head or a tail. It panics when the links around e do not list it:
+// with stable ids a missed removal would leave a dead id behind for a later
+// insert to recycle onto an unrelated row, so the broken invariant must not
+// survive until a wrong read.
 func (h *hashIndex) remove(row Tuple, e int32) {
 	p, n := h.prev[e], h.next[e]
 	if n >= 0 && h.next[p] == e && h.prev[n] == e { // interior: p really precedes e
 		h.next[p], h.prev[n] = n, p
 		return
 	}
-	d := digestCols(row, h.cols)
-	switch head := h.head(d); {
+	i, head := h.tab.find(digestCols(row, h.cols)), int32(-1)
+	if i >= 0 {
+		head = h.tab.cells[i].head
+	}
+	switch {
 	case head == e && n < 0 && p == e: // the only entry
-		delete(h.heads, d)
+		h.tab.del(i)
 	case head == e && n >= 0 && h.prev[n] == e:
-		h.heads[d], h.prev[n] = n, p
+		h.tab.cells[i].head, h.prev[n] = n, p
 	case head >= 0 && head != e && n < 0 && h.next[p] == e && h.prev[head] == e: // the tail
 		h.next[p], h.prev[head] = -1, p
 	default:
@@ -313,14 +324,6 @@ func findEntry(cache []*idxEntry, sig string) *idxEntry {
 // which hold the write lock (so no install or build is in flight and idxMu
 // is not needed; see indexOnSig). Failed entries carry a nil index and are
 // skipped.
-
-func (c *tableCore) indexesAdd(row Tuple, id int32) {
-	for _, e := range c.indexes {
-		if e.h != nil {
-			e.h.add(row, id)
-		}
-	}
-}
 
 // undoIndexesAdd registers the pre-image just appended to undoRows at pos
 // with every overlay index built so far this epoch — usually none.

@@ -26,7 +26,7 @@ func TestIncrementalIndexAgreesWithRebuild(t *testing.T) {
 		case 1:
 			tab.DeleteKey([]Value{Int(k)})
 		case 2:
-			_, _ = tab.UpdateKey([]Value{Int(k)}, []string{"g"}, []Value{Int(int64(rng.Intn(8)))})
+			_, _, _ = tab.UpdateKey([]Value{Int(k)}, []string{"g"}, []Value{Int(int64(rng.Intn(8)))})
 		}
 
 		if step%97 != 0 {
@@ -67,7 +67,7 @@ func TestMultiAttrIndexUnderUpdates(t *testing.T) {
 		t.Fatalf("initial (0,0) rows = %d err=%v", len(rows), err) // 0 and 12
 	}
 	// Move key 0 to bucket (1,1).
-	if _, err := tab.UpdateKey([]Value{Int(0)}, []string{"a", "b"}, []Value{Int(1), Int(1)}); err != nil {
+	if _, _, err := tab.UpdateKey([]Value{Int(0)}, []string{"a", "b"}, []Value{Int(1), Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	rows, _ := tab.Lookup(StatePost, []string{"a", "b"}, []Value{Int(0), Int(0)})
@@ -88,7 +88,7 @@ func TestDeleteWhereKeepsIndexesFresh(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tab.MustInsert(Int(i), Int(i%2))
 	}
-	n, err := tab.DeleteWhere([]string{"g"}, []Value{Int(0)}, nil)
+	n, err := DeleteRowsWhere(tab, []string{"g"}, []Value{Int(0)}, nil)
 	if err != nil || n != 5 {
 		t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 	}

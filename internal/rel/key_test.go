@@ -185,14 +185,14 @@ func TestCollidingKeysShareAChainAndStayApart(t *testing.T) {
 		tab.MustInsert(Int(4), half)
 		count(tab, twin, 2)
 		count(tab, half, 2)
-		if n, err := tab.UpdateWhere(onG, []Value{half}, onG, []Value{Int(7)}, nil); n != 2 || err != nil {
+		if n, err := UpdateRowsWhere(tab, onG, []Value{half}, onG, []Value{Int(7)}, nil); n != 2 || err != nil {
 			t.Fatalf("UpdateWhere(g=0.5) = %d, %v; want 2", n, err)
 		}
 		count(tab, half, 0)
 		count(tab, Int(7), 2)
 		count(tab, twin, 2)
 		tab.MustInsert(Int(5), half)
-		if n, err := tab.DeleteWhere(onG, []Value{twin}, nil); n != 2 || err != nil { // part of a chain
+		if n, err := DeleteRowsWhere(tab, onG, []Value{twin}, nil); n != 2 || err != nil { // part of a chain
 			t.Fatalf("DeleteWhere(g=twin) = %d, %v; want 2", n, err)
 		}
 		count(tab, twin, 0)

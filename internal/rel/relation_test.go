@@ -79,7 +79,7 @@ func TestTableCloneIsIndependent(t *testing.T) {
 	if a.Len() != 1 || b.Len() != 2 {
 		t.Fatalf("clone sharing: a=%d b=%d", a.Len(), b.Len())
 	}
-	if _, err := b.UpdateKey([]Value{Int(1)}, []string{"v"}, []Value{Int(99)}); err != nil {
+	if _, _, err := b.UpdateKey([]Value{Int(1)}, []string{"v"}, []Value{Int(99)}); err != nil {
 		t.Fatal(err)
 	}
 	row, _ := a.Get(StatePost, []Value{Int(1)})

@@ -26,7 +26,7 @@ func churnTable(tb testing.TB, n int) *Table {
 }
 
 // The write path's allocations outside an epoch, pinned exactly: an insert
-// allocates the stored clone and nothing else (no key is materialised for any
+// allocates the stored row and nothing else (no key is materialised for any
 // index, and a recycled id reuses its link slots), an update allocates the
 // new row image, and removing a row — by key or as a 100-row bucket —
 // allocates nothing.
@@ -36,7 +36,7 @@ func TestWritePathAllocations(t *testing.T) {
 	// Warm the scratch buffers and size the free list: remove a third of
 	// the buckets, then re-add their rows, each once more through DeleteKey.
 	for g := 0; g < n/100; g += 3 {
-		if _, err := tab.DeleteWhere([]string{"g"}, []Value{Int(int64(g))}, nil); err != nil {
+		if _, err := DeleteRowsWhere(tab, []string{"g"}, []Value{Int(int64(g))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,8 +63,8 @@ func TestWritePathAllocations(t *testing.T) {
 	pin("UpdateKey of a non-indexed column", 1, func() {
 		key[0] = Int(next)
 		next++
-		if ok, err := tab.UpdateKey(key, setV, one); !ok || err != nil {
-			t.Fatalf("UpdateKey = %v, %v", ok, err)
+		if _, post, err := tab.UpdateKey(key, setV, one); post == nil || err != nil {
+			t.Fatalf("UpdateKey = %v, %v", post, err)
 		}
 	})
 	pin("DeleteKey", 0, func() {
@@ -74,22 +74,39 @@ func TestWritePathAllocations(t *testing.T) {
 			t.Fatal("DeleteKey missed")
 		}
 	})
-	row := make(Tuple, 4)
-	pin("InsertIfAbsent into existing buckets", 1, func() {
-		// Back into the g bucket the DeleteKey calls above thinned out, and
-		// into the h and (g, h) buckets of that group's last row.
-		next--
-		row[0], row[1], row[2], row[3] = Int(next), Int(next/100), Int(next/100*100+99), Int(0)
-		if ok, err := tab.InsertIfAbsent(row); !ok || err != nil {
-			t.Fatalf("InsertIfAbsent = %v, %v", ok, err)
+	// An instance is one call: its diff tuples are the caller's (here reused,
+	// storage copies what it stores), so an n-row insert instance allocates
+	// the n stored rows and the instance's key-column map, and a delete
+	// instance — 3 keys, 100-row buckets — nothing at all.
+	const batch = 64
+	diffs, src := make([]Tuple, batch), Cols(0, 4)
+	for i := range diffs {
+		diffs[i] = make(Tuple, 4)
+	}
+	const runs = 51 // AllocsPerRun's 50 and its warm-up
+	for k := int64(1000); k < 1000+2*batch*runs; k += 2 {
+		tab.DeleteKey([]Value{Int(k)}) // thin the g buckets out: the even keys go
+	}
+	next = 1000
+	pin("an InsertIfAbsent instance into existing buckets", batch+1, func() {
+		// Back into the thinned-out g buckets, and into the h and (g, h)
+		// buckets of each group's last row.
+		for _, row := range diffs {
+			row[0], row[1], row[2], row[3] = Int(next), Int(next/100), Int(next/100*100+99), Int(0)
+			next += 2
+		}
+		if p, ins, err := tab.InsertIfAbsent(diffs, src, nil); p != batch || ins != batch || err != nil {
+			t.Fatalf("InsertIfAbsent = %d, %d, %v", p, ins, err)
 		}
 	})
-	group := int64(n/100 - 1)
-	pin("DeleteWhere of a 100-row bucket", 0, func() {
-		key[0] = Int(group)
-		group--
-		if n, err := tab.DeleteWhere(onG, key, nil); n != 100 || err != nil {
-			t.Fatalf("DeleteWhere = %d, %v", n, err)
+	group, keys, keyCol := int64(n/100-1), []Tuple{make(Tuple, 1), make(Tuple, 1), make(Tuple, 1)}, Cols(0, 1)
+	pin("a DeleteWhere instance of 100-row buckets", 0, func() {
+		for _, key := range keys {
+			key[0] = Int(group)
+			group--
+		}
+		if p, n, err := tab.DeleteWhere(onG, keys, keyCol, nil); p != 3 || n != 300 || err != nil {
+			t.Fatalf("DeleteWhere = %d, %d, %v", p, n, err)
 		}
 	})
 	if err := tab.CheckInvariants(); err != nil {
@@ -106,10 +123,10 @@ func TestNoIndexOverThePrimaryKey(t *testing.T) {
 	}
 	key, attrs := []Value{Int(3), Int(1)}, []string{"a", "b"}
 	tab.BeginEpoch()
-	if ok, err := tab.UpdateKey(key, []string{"v"}, []Value{Int(1)}); !ok || err != nil {
-		t.Fatalf("UpdateKey = %v, %v", ok, err)
+	if _, post, err := tab.UpdateKey(key, []string{"v"}, []Value{Int(1)}); post == nil || err != nil {
+		t.Fatalf("UpdateKey = %v, %v", post, err)
 	}
-	if n, err := tab.UpdateWhere(attrs, key, []string{"v"}, []Value{Int(2)}, nil); n != 1 || err != nil {
+	if n, err := UpdateRowsWhere(tab, attrs, key, []string{"v"}, []Value{Int(2)}, nil); n != 1 || err != nil {
 		t.Fatalf("UpdateWhere = %d, %v", n, err)
 	}
 	for _, s := range []State{StatePost, StatePre} {
@@ -121,7 +138,7 @@ func TestNoIndexOverThePrimaryKey(t *testing.T) {
 			t.Fatalf("%s IndexCard = %d, %d, %v", s, p, n, err)
 		}
 	}
-	if n, err := tab.DeleteWhere(attrs, key, nil); n != 1 || err != nil {
+	if n, err := DeleteRowsWhere(tab, attrs, key, nil); n != 1 || err != nil {
 		t.Fatalf("DeleteWhere = %d, %v", n, err)
 	}
 	if _, ok := tab.Get(StatePre, key); !ok {
@@ -158,7 +175,7 @@ func TestDeleteWhereScalesWithTheBucket(t *testing.T) {
 				tab.MustInsert(Int(int64(-1-i)), Int(-1), Int(-1), Int(0))
 			}
 			start := time.Now()
-			got, err := tab.DeleteWhere([]string{"g"}, []Value{Int(-1)}, nil)
+			got, err := DeleteRowsWhere(tab, []string{"g"}, []Value{Int(-1)}, nil)
 			best = min(best, time.Since(start))
 			if got != n || err != nil {
 				t.Fatalf("DeleteWhere = %d, %v; want %d", got, err, n)
@@ -201,9 +218,9 @@ func TestIndexedUpdateBetweenSameButDistinctKeys(t *testing.T) {
 		for _, next := range steps {
 			n, err := 1, error(nil)
 			if byKey {
-				_, err = tab.UpdateKey([]Value{Int(1)}, onG, []Value{next})
+				_, _, err = tab.UpdateKey([]Value{Int(1)}, onG, []Value{next})
 			} else {
-				n, err = tab.UpdateWhere(onG, []Value{prev}, onG, []Value{next}, nil)
+				n, err = UpdateRowsWhere(tab, onG, []Value{prev}, onG, []Value{next}, nil)
 			}
 			if n != 1 || err != nil {
 				t.Fatalf("update g=%v → %v: %d rows, %v; want 1", prev, next, n, err)
@@ -239,13 +256,13 @@ func TestInsertIfAbsentTellsSameButDistinctRowsApart(t *testing.T) {
 	const big = int64(1) << 53
 	tab := MustNewTable("t", NewSchema([]string{"k", "v"}, []string{"k"}))
 	tab.MustInsert(Int(1), Int(big))
-	if ins, err := tab.InsertIfAbsent(Tuple{Int(1), Int(big + 1)}); ins || err == nil {
+	if ins, err := InsertRowIfAbsent(tab, Tuple{Int(1), Int(big + 1)}); ins || err == nil {
 		t.Errorf("InsertIfAbsent((1, 2^53+1)) over (1, 2^53) = %v, %v; want a key conflict", ins, err)
 	}
-	if ins, err := tab.InsertIfAbsent(Tuple{Int(1), Float(math.NaN())}); ins || err == nil {
+	if ins, err := InsertRowIfAbsent(tab, Tuple{Int(1), Float(math.NaN())}); ins || err == nil {
 		t.Errorf("InsertIfAbsent((1, NaN)) over (1, 2^53) = %v, %v; want a key conflict", ins, err)
 	}
-	if ins, err := tab.InsertIfAbsent(Tuple{Float(1), Float(float64(big))}); ins || err != nil {
+	if ins, err := InsertRowIfAbsent(tab, Tuple{Float(1), Float(float64(big))}); ins || err != nil {
 		t.Errorf("InsertIfAbsent of the same row as floats = %v, %v; want a no-op", ins, err)
 	}
 	if row, _ := tab.Get(StatePost, []Value{Int(1)}); len(row) != 2 || row[1] != Int(big) {
@@ -266,14 +283,14 @@ func TestValueCountMustMatchAttributes(t *testing.T) {
 		if _, _, err := tab.IndexCard(StatePost, []string{"v"}, vals); err == nil && len(vals) != 1 {
 			t.Errorf("IndexCard(v = %v) succeeded", vals)
 		}
-		if n, err := tab.DeleteWhere(ab, vals, nil); n != 0 || err == nil {
+		if n, err := DeleteRowsWhere(tab, ab, vals, nil); n != 0 || err == nil {
 			t.Errorf("DeleteWhere(a, b = %v) = %d, %v; want an error", vals, n, err)
 		}
-		if n, err := tab.UpdateWhere(ab, vals, []string{"v"}, []Value{Int(0)}, nil); n != 0 || err == nil {
+		if n, err := UpdateRowsWhere(tab, ab, vals, []string{"v"}, []Value{Int(0)}, nil); n != 0 || err == nil {
 			t.Errorf("UpdateWhere(a, b = %v) = %d, %v; want an error", vals, n, err)
 		}
-		if ok, err := tab.UpdateKey(vals, []string{"v"}, []Value{Int(0)}); ok || err == nil {
-			t.Errorf("UpdateKey(%v) = %v, %v; want an error", vals, ok, err)
+		if _, post, err := tab.UpdateKey(vals, []string{"v"}, []Value{Int(0)}); post != nil || err == nil {
+			t.Errorf("UpdateKey(%v) = %v, %v; want an error", vals, post, err)
 		}
 		if row, ok := tab.Get(StatePost, vals); ok {
 			t.Errorf("Get(%v) = %v", vals, row)
@@ -338,7 +355,7 @@ func TestPreStateReadersBesideBucketDeletes(t *testing.T) {
 	next := int64(n)
 	for round := 0; round < 200; round++ {
 		g := Int(int64(round % groups))
-		if _, err := tab.DeleteWhere([]string{"g"}, []Value{g}, nil); err != nil {
+		if _, err := DeleteRowsWhere(tab, []string{"g"}, []Value{g}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {

@@ -71,17 +71,18 @@ func (s State) String() string {
 // are answered from the incrementally maintained post-state indexes
 // filtered by the dirty bitmap plus small indexes over undoRows.
 type tableCore struct {
-	mu     sync.RWMutex
-	name   string
-	schema Schema
-	keyIdx []int
-	keySig string // indexSig(schema.Key): the overlay's by-key index
-	rows   []Tuple
-	idOf   []int32 // position → row id; len(idOf) == len(rows)
-	posOf  []int32 // row id → position, -1 while the id is free
-	free   []int32 // removed rows' ids, reused by the next inserts
-	posBuf []int32 // write paths' position scratch (writers hold mu exclusively)
-	setBuf []int   // UpdateWhere's SET-column scratch
+	mu                sync.RWMutex
+	name              string
+	schema            Schema
+	keyIdx            []int
+	keySig            string // indexSig(schema.Key): the overlay's by-key index
+	rows              []Tuple
+	idOf              []int32 // position → row id; len(idOf) == len(rows)
+	posOf             []int32 // row id → position, -1 while the id is free
+	free              []int32 // removed rows' ids, reused by the next inserts
+	posBuf            []int32 // write paths' position scratch (writers hold mu exclusively)
+	setBuf            []int   // UpdateKey's SET-column scratch
+	valBuf, setValBuf []Value // an instance's probe- and SET-vector scratch
 
 	idxMu     sync.RWMutex // guards the cache lists and frozen against other readers (not the builds)
 	primary   *hashIndex   // indexes[0].h
@@ -297,10 +298,10 @@ func (t *Table) LookupInto(s State, pl PrepLookup, vals []Value, out []Tuple) ([
 }
 
 // indexFor returns the post-state index over attrs (indexOnSig) for a probe
-// with vals, which must be one value per attribute.
-func (c *tableCore) indexFor(attrs []string, sig string, vals []Value) (*hashIndex, error) {
-	if len(vals) != len(attrs) {
-		return nil, fmt.Errorf("rel: table %q: %d values for attributes %v", c.name, len(vals), attrs)
+// with n values, which must be one per attribute.
+func (c *tableCore) indexFor(attrs []string, sig string, n int) (*hashIndex, error) {
+	if n != len(attrs) {
+		return nil, fmt.Errorf("rel: table %q: %d values for attributes %v", c.name, n, attrs)
 	}
 	return c.indexOnSig(attrs, sig)
 }
@@ -312,7 +313,7 @@ func (c *tableCore) indexFor(attrs []string, sig string, vals []Value) (*hashInd
 // index over the same attributes supplies the pre-images. The caller holds
 // c.mu.
 func (c *tableCore) probe(s State, attrs []string, sig string, vals []Value, out []Tuple, collect bool) ([]Tuple, int, error) {
-	idx, err := c.indexFor(attrs, sig, vals)
+	idx, err := c.indexFor(attrs, sig, len(vals))
 	if err != nil {
 		return out, 0, err
 	}
@@ -366,30 +367,41 @@ func (t *Table) Insert(row Tuple) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.find(row) >= 0 {
+	cell, d, id := c.locate(row, c.keyIdx)
+	if id >= 0 {
 		return fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
 	}
-	c.appendRow(row)
+	c.store(row.Clone(), cell, d)
 	return nil
 }
 
-// find resolves row's primary key to the live row's id, or -1.
-func (c *tableCore) find(row Tuple) int32 {
+// locate resolves the primary key row holds in keyCols with one probe: its
+// digest, its cell in the primary index — made room for, so store can file a
+// new chain there without probing again — and the live row's id, or -1.
+func (c *tableCore) locate(row Tuple, keyCols []int) (cell int, d uint64, id int32) {
 	h := c.primary
-	for id := h.head(digestCols(row, h.cols)); id >= 0; id = h.next[id] {
-		if sameKey(h.row(id), row, h.cols) {
-			return id
+	d = digestCols(row, keyCols)
+	cell = h.tab.cell(d)
+next:
+	for id = h.tab.cells[cell].head; id >= 0; id = h.next[id] {
+		old := h.row(id)
+		for k, j := range h.cols {
+			if !old[j].KeyEqual(row[keyCols[k]]) {
+				continue next
+			}
 		}
+		return cell, d, id
 	}
-	return -1
+	return cell, d, -1
 }
 
-// appendRow stores a clone of row at the end of rows under a recycled (or
-// else fresh) id. The new position needs no undo entry: it is either beyond
-// preLen or was vacated — and so dirtied — by an earlier removal of this
-// epoch, which is also why a recycled id can never show up in a pre-state
-// probe.
-func (c *tableCore) appendRow(row Tuple) {
+// store appends stored, the table's from here on, under a recycled (or else
+// fresh) id and registers it with every index — the primary through the cell
+// and digest locate found for its key. The new position needs no undo entry:
+// it is either beyond preLen or was vacated — and so dirtied — by an earlier
+// removal of this epoch, which is also why a recycled id can never show up in
+// a pre-state probe.
+func (c *tableCore) store(stored Tuple, cell int, d uint64) {
 	c.noteWrite()
 	var id int32
 	if n := len(c.free); n > 0 {
@@ -400,9 +412,13 @@ func (c *tableCore) appendRow(row Tuple) {
 	}
 	c.posOf[id] = int32(len(c.rows))
 	c.idOf = append(c.idOf, id)
-	stored := row.Clone()
 	c.rows = append(c.rows, stored)
-	c.indexesAdd(stored, id)
+	c.primary.link(cell, d, stored, id)
+	for _, e := range c.indexes[1:] {
+		if e.h != nil {
+			e.h.add(stored, id)
+		}
+	}
 }
 
 // MustInsert is Insert that panics on error, for generators and tests.
@@ -412,30 +428,90 @@ func (t *Table) MustInsert(vals ...Value) {
 	}
 }
 
-// InsertIfAbsent inserts the row unless an identical row already exists
-// (the APPLY semantics of insert i-diffs, Section 2). It returns an error
-// if a row with the same key but different non-key values exists, which
-// would be a primary-key violation and indicates a non-effective diff.
-func (t *Table) InsertIfAbsent(row Tuple) (inserted bool, err error) {
-	c := t.core
-	if len(row) != len(c.schema.Attrs) {
-		return false, fmt.Errorf("rel: table %q: tuple width %d != schema width %d", c.name, len(row), len(c.schema.Attrs))
+// The three APPLY statements of Section 2 are set-at-a-time, like the
+// paper's: one call applies one i-diff instance. rows are the diff's tuples,
+// applied in order, and the column maps say where in a tuple the statement's
+// values are. Each returns how many tuples it probed — those whose index
+// probe ran, what storage.Handle charges lookups by — and how many stored
+// rows it affected. Validation fails before any tuple; a key conflict, the
+// one failure that strikes mid-instance, leaves the tuples before it applied
+// and counts the conflicting one as probed. The image callbacks (when
+// non-nil) run in apply order inside the critical section, where the full
+// images are in hand; the images alias stored tuples, immutable once stored,
+// and fn must not call back into the table.
+//
+// An instance takes the write lock once per applyChunk tuples (or rows they
+// affect) — not per tuple, and not once for all: concurrent pre-state readers
+// wait for at most one chunk (or one DeleteWhere key, whatever its bucket
+// holds), as they did when every tuple was its own call. Measured on
+// feed_serving (DESIGN.md §9): 1 costs a fifth of the apply phase in lock
+// traffic, 8 to 128 cost the same, and reader latency grows with the chunk.
+const applyChunk = 16
+
+// chunkGap (tests only) runs between two chunks, while the lock is released.
+var chunkGap func()
+
+// chunked applies diff tuples 0..n-1 in order, each chunk under one hold of
+// c.mu. apply reports how many stored rows tuple i affected: a chunk ends once
+// it has applied applyChunk tuples or rows, so a delete of heavy keys releases
+// the lock after every key, like the per-tuple calls it replaces.
+func (c *tableCore) chunked(n int, apply func(i int) (rows int, err error)) (err error) {
+	for i := 0; i < n && err == nil; {
+		if i > 0 && chunkGap != nil {
+			chunkGap()
+		}
+		func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			for budget := applyChunk; budget > 0 && i < n && err == nil; i++ {
+				var rows int
+				rows, err = apply(i)
+				budget -= max(rows, 1)
+			}
+		}()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id := c.find(row); id >= 0 {
+	return err
+}
+
+// InsertIfAbsent stores each diff tuple's src columns — the table's
+// attributes, in order — unless an identical row exists; a row with the same
+// key and other values is a primary-key violation, a non-effective diff. fn
+// sees each stored row.
+func (t *Table) InsertIfAbsent(rows []Tuple, src []int, fn func(post Tuple)) (probed, inserted int, err error) {
+	c := t.core
+	if len(src) != len(c.schema.Attrs) {
+		return 0, 0, fmt.Errorf("rel: table %q: tuple width %d != schema width %d", c.name, len(src), len(c.schema.Attrs))
+	}
+	keySrc := make([]int, len(c.keyIdx))
+	for k, j := range c.keyIdx {
+		keySrc[k] = src[j]
+	}
+	err = c.chunked(len(rows), func(i int) (int, error) {
+		row := rows[i]
+		probed++
+		cell, d, id := c.locate(row, keySrc)
+		if id < 0 {
+			stored := make(Tuple, len(src))
+			for k, j := range src {
+				stored[k] = row[j]
+			}
+			c.store(stored, cell, d)
+			if inserted++; fn != nil {
+				fn(stored)
+			}
+			return 1, nil
+		}
 		// Identical means KeyEqual column by column, the equivalence the key
 		// was just resolved under; Tuple.Equal is coarser (see hashIndex.update).
 		old := c.rows[c.posOf[id]]
-		for i := range row {
-			if !old[i].KeyEqual(row[i]) {
-				return false, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), old.String())
+		for k, j := range src {
+			if !old[k].KeyEqual(row[j]) {
+				return 0, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), old.String())
 			}
 		}
-		return false, nil
-	}
-	c.appendRow(row)
-	return true, nil
+		return 0, nil
+	})
+	return probed, inserted, err
 }
 
 // DeleteKey removes the row with the given primary-key values if present.
@@ -454,95 +530,115 @@ func (t *Table) DeleteKey(key []Value) bool {
 	return true
 }
 
-// DeleteWhere removes every row whose attrs equal vals (an ID-subset
-// delete, the APPLY semantics of delete i-diffs), returning the removal
-// count. It invokes fn (when non-nil) with the full pre-image of every
-// removed row, in the order the index lists them. The images are in hand
-// inside the critical section — no extra probes — and alias stored tuples,
-// which are immutable once stored (updates clone). fn must not call back
-// into the table. It is how the Δ-script executor records a view's applied
-// deletes into the derived modification log that cascaded views consume.
-//
-// The delete is set-oriented: the matching chain is resolved once and —
-// unless a colliding key shares it — dropped from its index as a whole, and
-// the rows go in descending position order — a swap-remove then only ever
-// moves a row from outside the set, so the resolved positions stay valid
-// without re-probing anything.
-func (t *Table) DeleteWhere(attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
-	c := t.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pos, idx, whole, err := c.writeSet(attrs, indexSig(attrs), vals)
-	if err != nil || len(pos) == 0 {
-		return 0, err
-	}
-	if fn != nil {
-		for _, p := range pos {
-			fn(c.rows[p])
+// DeleteWhere removes every row whose attrs equal a diff tuple's cols; fn sees
+// their pre-images in index order. Each key is deleted set-at-a-time: its chain is resolved
+// once and — unless a colliding key shares it — dropped from its index as a
+// whole, and the rows go in descending position order — a swap-remove then
+// only ever moves a row from outside the set, so the resolved positions stay
+// valid without re-probing anything.
+func (t *Table) DeleteWhere(attrs []string, rows []Tuple, cols []int, fn func(pre Tuple)) (probed, deleted int, err error) {
+	c, sig := t.core, indexSig(attrs)
+	var idx *hashIndex
+	err = c.chunked(len(rows), func(i int) (n int, err error) {
+		if idx == nil { // resolved once per instance: an index, once built, stays
+			if idx, err = c.indexFor(attrs, sig, len(cols)); err != nil {
+				return 0, err
+			}
 		}
-	}
-	if whole {
-		delete(idx.heads, digestVals(vals))
-	} else {
-		idx = nil // unlink the rows one by one, like from every other index
-	}
-	slices.Sort(pos)
-	for i := len(pos) - 1; i >= 0; i-- {
-		c.removeAt(int(pos[i]), idx)
-	}
-	return len(pos), nil
+		pos, cell, whole := c.writeSet(idx, gather(&c.valBuf, rows[i], cols))
+		if probed++; len(pos) == 0 {
+			return 0, nil
+		}
+		if fn != nil {
+			for _, p := range pos {
+				fn(c.rows[p])
+			}
+		}
+		skip := idx
+		if whole {
+			idx.tab.del(cell)
+		} else {
+			skip = nil // unlink the rows one by one, like from every other index
+		}
+		slices.Sort(pos)
+		for k := len(pos) - 1; k >= 0; k-- {
+			c.removeAt(int(pos[k]), skip)
+		}
+		deleted += len(pos)
+		return len(pos), nil
+	})
+	return probed, deleted, err
 }
 
-// writeSet resolves, for a write path, the positions of the live rows whose
-// attrs (with signature sig) are KeyEqual to vals — in index order, in the
-// writer's position scratch — the index that answered, and whether those
-// rows are the whole chain filed under vals' digest.
-func (c *tableCore) writeSet(attrs []string, sig string, vals []Value) (pos []int32, idx *hashIndex, whole bool, err error) {
-	if idx, err = c.indexFor(attrs, sig, vals); err != nil {
-		return nil, nil, false, err
+// gather copies row's cols into *buf, a scratch of the writer holding c.mu.
+func gather(buf *[]Value, row Tuple, cols []int) []Value {
+	vals := (*buf)[:0]
+	for _, j := range cols {
+		vals = append(vals, row[j])
 	}
-	pos, whole = c.posBuf[:0], true
-	for id := idx.head(digestVals(vals)); id >= 0; id = idx.next[id] {
-		if idx.matches(id, vals) {
-			pos = append(pos, c.posOf[id])
-		} else {
-			whole = false
+	*buf = vals
+	return vals
+}
+
+// writeSet resolves the positions of the live rows idx files under vals — in
+// index order, in the writer's position scratch —, the cell of their chain,
+// and whether they are the whole chain.
+func (c *tableCore) writeSet(idx *hashIndex, vals []Value) (pos []int32, cell int, whole bool) {
+	pos, whole, cell = c.posBuf[:0], true, idx.tab.find(digestVals(vals))
+	if cell >= 0 {
+		for id := idx.tab.cells[cell].head; id >= 0; id = idx.next[id] {
+			if idx.matches(id, vals) {
+				pos = append(pos, c.posOf[id])
+			} else {
+				whole = false
+			}
 		}
 	}
 	c.posBuf = pos
-	return pos, idx, whole, nil
+	return pos, cell, whole
 }
 
-// UpdateWhere updates every row whose attrs equal vals, overwriting the
-// setAttrs columns with setVals, and returns the update count. Key
-// attributes cannot be updated (they are immutable in the paper's model).
-// It invokes fn (when non-nil) with the full pre- and post-image of every
-// updated row, in update order. Like DeleteWhere's, the images come from
-// the critical section where the update already holds both tuples (stored
-// tuples are immutable, so an update writes a modified clone and the
-// replaced tuple is the pre-image); fn must not call back into the table.
-func (t *Table) UpdateWhere(attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
-	return t.updateWhere(attrs, indexSig(attrs), vals, setAttrs, setVals, fn)
+// UpdateWhere overwrites setAttrs with a diff tuple's setCols on every row
+// whose attrs equal its cols. Key attributes are immutable; an update writes
+// a modified clone, so the replaced tuple is the pre-image fn sees.
+func (t *Table) UpdateWhere(attrs []string, rows []Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post Tuple)) (probed, updated int, err error) {
+	c, sig := t.core, indexSig(attrs)
+	setIdx, err := c.setColumns(nil, setAttrs)
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(setCols) != len(setIdx) {
+		return 0, 0, fmt.Errorf("rel: table %q: %d values for SET attributes %v", c.name, len(setCols), setAttrs)
+	}
+	var idx *hashIndex
+	err = c.chunked(len(rows), func(i int) (n int, err error) {
+		if idx == nil {
+			if idx, err = c.indexFor(attrs, sig, len(cols)); err != nil {
+				return 0, err
+			}
+		}
+		vals := gather(&c.valBuf, rows[i], cols)
+		n = c.updateMatching(idx, vals, setIdx, gather(&c.setValBuf, rows[i], setCols), fn)
+		probed, updated = probed+1, updated+n
+		return n, nil
+	})
+	return probed, updated, err
 }
 
-func (t *Table) updateWhere(attrs []string, sig string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
-	c := t.core
+// setColumns appends the SET attributes' columns to buf, refusing key attributes.
+func (c *tableCore) setColumns(buf []int, setAttrs []string) ([]int, error) {
 	for _, a := range setAttrs {
 		if Contains(c.schema.Key, a) {
-			return 0, fmt.Errorf("rel: table %q: cannot update key attribute %q", c.name, a)
+			return nil, fmt.Errorf("rel: table %q: cannot update key attribute %q", c.name, a)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	setIdx, err := c.schema.AppendIndices(c.setBuf[:0], setAttrs)
-	if err != nil {
-		return 0, err
-	}
-	c.setBuf = setIdx
-	positions, _, _, err := c.writeSet(attrs, sig, vals)
-	if err != nil {
-		return 0, err
-	}
+	return c.schema.AppendIndices(buf, setAttrs)
+}
+
+// updateMatching overwrites columns setIdx with setVals on every row idx files
+// under vals; the caller holds c.mu exclusively.
+func (c *tableCore) updateMatching(idx *hashIndex, vals []Value, setIdx []int, setVals []Value, fn func(pre, post Tuple)) int {
+	positions, _, _ := c.writeSet(idx, vals)
 	for _, p := range positions {
 		old := c.rows[p]
 		nr := old.Clone() // stored tuples are immutable: readers and the undo overlay alias old
@@ -556,13 +652,24 @@ func (t *Table) updateWhere(attrs []string, sig string, vals []Value, setAttrs [
 			fn(old, nr)
 		}
 	}
-	return len(positions), nil
+	return len(positions)
 }
 
-// UpdateKey updates the single row with the given primary key.
-func (t *Table) UpdateKey(key []Value, setAttrs []string, setVals []Value) (bool, error) {
-	n, err := t.updateWhere(t.core.schema.Key, t.core.keySig, key, setAttrs, setVals, nil)
-	return n > 0, err
+// UpdateKey updates the row with the given primary key and returns its pre-
+// and post-image (nil when there is none) from the update's critical section:
+// a logging caller needs no read before or after.
+func (t *Table) UpdateKey(key []Value, setAttrs []string, setVals []Value) (pre, post Tuple, err error) {
+	c := t.core
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.setBuf, err = c.setColumns(c.setBuf[:0], setAttrs); err != nil {
+		return nil, nil, err
+	}
+	if _, err = c.indexFor(c.schema.Key, c.keySig, len(key)); err != nil {
+		return nil, nil, err
+	}
+	c.updateMatching(c.primary, key, c.setBuf, setVals, func(o, n Tuple) { pre, post = o, n })
+	return pre, post, nil
 }
 
 // removeAt swap-removes the row at position p: the last row moves into the

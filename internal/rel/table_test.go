@@ -42,7 +42,7 @@ func TestTableInsertGet(t *testing.T) {
 
 func TestTableUpdateKeyImmutable(t *testing.T) {
 	tab := mkParts(t)
-	if _, err := tab.UpdateKey([]Value{String("P1")}, []string{"pid"}, []Value{String("PX")}); err == nil {
+	if _, _, err := tab.UpdateKey([]Value{String("P1")}, []string{"pid"}, []Value{String("PX")}); err == nil {
 		t.Fatal("updating a key attribute must fail")
 	}
 }
@@ -58,7 +58,7 @@ func TestTableDelete(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("len = %d, want 2", tab.Len())
 	}
-	n, err := tab.DeleteWhere([]string{"price"}, []Value{Int(20)}, nil)
+	n, err := DeleteRowsWhere(tab, []string{"price"}, []Value{Int(20)}, nil)
 	if err != nil || n != 1 {
 		t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 	}
@@ -72,7 +72,7 @@ func TestTableEpochPrePostIsolation(t *testing.T) {
 	tab.BeginEpoch()
 	defer tab.EndEpoch()
 
-	if _, err := tab.UpdateKey([]Value{String("P1")}, []string{"price"}, []Value{Int(11)}); err != nil {
+	if _, _, err := tab.UpdateKey([]Value{String("P1")}, []string{"price"}, []Value{Int(11)}); err != nil {
 		t.Fatal(err)
 	}
 	tab.DeleteKey([]Value{String("P2")})
@@ -108,7 +108,7 @@ func TestTableEpochSecondaryIndexes(t *testing.T) {
 	tab := mkParts(t)
 	tab.BeginEpoch()
 	defer tab.EndEpoch()
-	if _, err := tab.UpdateKey([]Value{String("P3")}, []string{"price"}, []Value{Int(99)}); err != nil {
+	if _, _, err := tab.UpdateKey([]Value{String("P3")}, []string{"price"}, []Value{Int(99)}); err != nil {
 		t.Fatal(err)
 	}
 	pre, err := tab.Lookup(StatePre, []string{"price"}, []Value{Int(20)})
@@ -123,15 +123,15 @@ func TestTableEpochSecondaryIndexes(t *testing.T) {
 
 func TestInsertIfAbsent(t *testing.T) {
 	tab := mkParts(t)
-	ins, err := tab.InsertIfAbsent(Tuple{String("P1"), Int(10)})
+	ins, err := InsertRowIfAbsent(tab, Tuple{String("P1"), Int(10)})
 	if err != nil || ins {
 		t.Fatalf("identical insert: ins=%v err=%v", ins, err)
 	}
-	ins, err = tab.InsertIfAbsent(Tuple{String("P9"), Int(90)})
+	ins, err = InsertRowIfAbsent(tab, Tuple{String("P9"), Int(90)})
 	if err != nil || !ins {
 		t.Fatalf("fresh insert: ins=%v err=%v", ins, err)
 	}
-	if _, err = tab.InsertIfAbsent(Tuple{String("P1"), Int(11)}); err == nil {
+	if _, err = InsertRowIfAbsent(tab, Tuple{String("P1"), Int(11)}); err == nil {
 		t.Fatal("conflicting insert must error")
 	}
 }
@@ -163,7 +163,8 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 			delete(model, k)
 		case 2:
 			v := int64(rng.Intn(1000))
-			ok, err := tab.UpdateKey([]Value{Int(k)}, []string{"v"}, []Value{Int(v)})
+			_, post, err := tab.UpdateKey([]Value{Int(k)}, []string{"v"}, []Value{Int(v)})
+			ok := post != nil
 			if err != nil {
 				t.Fatal(err)
 			}

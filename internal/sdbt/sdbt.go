@@ -203,8 +203,7 @@ func orZero(v rel.Value) rel.Value {
 
 func insertOrAddDP(t *storage.Handle, pid, did rel.Value) error {
 	if row, ok := t.Get(rel.StatePost, []rel.Value{pid, did}); ok {
-		_, err := t.UpdateWhere([]string{"pid", "did"}, []rel.Value{pid, did},
-			[]string{"cnt"}, []rel.Value{rel.Add(row[2], rel.Int(1))}, nil)
+		_, err := t.UpdateKey([]rel.Value{pid, did}, []string{"cnt"}, []rel.Value{rel.Add(row[2], rel.Int(1))})
 		return err
 	}
 	return t.Insert(rel.Tuple{pid, did, rel.Int(1)})
@@ -334,8 +333,7 @@ func (e *Engine) Check() error {
 // exact=true with the group's final membership knowledge).
 func addToGroup(t *storage.Handle, valCol string, did rel.Value, delta rel.Value) error {
 	if row, ok := t.Get(rel.StatePost, []rel.Value{did}); ok {
-		_, err := t.UpdateWhere(t.Schema().Key, []rel.Value{did},
-			[]string{valCol}, []rel.Value{rel.Add(row[1], delta)}, nil)
+		_, err := t.UpdateKey([]rel.Value{did}, []string{valCol}, []rel.Value{rel.Add(row[1], delta)})
 		return err
 	}
 	return t.Insert(rel.Tuple{did, delta})
@@ -367,8 +365,7 @@ func (e *Engine) partPriceUpdate(pre, post rel.Tuple) error {
 				return err
 			}
 		}
-		if _, err := e.mprice.UpdateWhere([]string{"pid"}, []rel.Value{pid},
-			[]string{"price"}, []rel.Value{post[1]}, nil); err != nil {
+		if _, err := e.mprice.UpdateKey([]rel.Value{pid}, []string{"price"}, []rel.Value{post[1]}); err != nil {
 			return err
 		}
 	}
@@ -434,8 +431,7 @@ func (e *Engine) deviceFlip(pre, post rel.Tuple) error {
 	if isPhone {
 		is = 1
 	}
-	if _, err := e.mphone.UpdateWhere([]string{"did"}, []rel.Value{did},
-		[]string{"isphone"}, []rel.Value{rel.Int(is)}, nil); err != nil {
+	if _, err := e.mphone.UpdateKey([]rel.Value{did}, []string{"isphone"}, []rel.Value{rel.Int(is)}); err != nil {
 		return err
 	}
 	// The device's parts move in or out of m_parts and the view.
@@ -481,8 +477,7 @@ func (e *Engine) dpChange(row rel.Tuple, sign int64) error {
 	} else if cur, ok := e.mdp.Get(rel.StatePost, []rel.Value{pid, did}); ok {
 		if cur[2].AsInt() <= 1 {
 			e.mdp.DeleteKey([]rel.Value{pid, did})
-		} else if _, err := e.mdp.UpdateWhere([]string{"pid", "did"}, []rel.Value{pid, did},
-			[]string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}, nil); err != nil {
+		} else if _, err := e.mdp.UpdateKey([]rel.Value{pid, did}, []string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}); err != nil {
 			return err
 		}
 	}
@@ -511,8 +506,7 @@ func (e *Engine) dpChange(row rel.Tuple, sign int64) error {
 	} else if cur, ok := e.mparts.Get(rel.StatePost, []rel.Value{pid, did}); ok {
 		if cur[2].AsInt() <= 1 {
 			e.mparts.DeleteKey([]rel.Value{pid, did})
-		} else if _, err := e.mparts.UpdateWhere([]string{"pid", "did"}, []rel.Value{pid, did},
-			[]string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}, nil); err != nil {
+		} else if _, err := e.mparts.UpdateKey([]rel.Value{pid, did}, []string{"cnt"}, []rel.Value{rel.Sub(cur[2], rel.Int(1))}); err != nil {
 			return err
 		}
 	}

@@ -119,31 +119,34 @@ func TestConformanceDiffApplyOps(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		tab := mkParts(t, e)
 		// InsertIfAbsent: identical row is a no-op, conflict errors.
-		ins, err := tab.InsertIfAbsent(rel.Tuple{rel.String("P1"), rel.Int(10)})
+		ins, err := epochtest.InsertRowIfAbsent(tab, rel.Tuple{rel.String("P1"), rel.Int(10)})
 		if err != nil || ins {
 			t.Fatalf("identical InsertIfAbsent: ins=%v err=%v", ins, err)
 		}
-		if _, err := tab.InsertIfAbsent(rel.Tuple{rel.String("P1"), rel.Int(11)}); err == nil {
+		if _, err := epochtest.InsertRowIfAbsent(tab, rel.Tuple{rel.String("P1"), rel.Int(11)}); err == nil {
 			t.Fatal("conflicting InsertIfAbsent must fail")
 		}
-		ins, err = tab.InsertIfAbsent(rel.Tuple{rel.String("P4"), rel.Int(40)})
+		ins, err = epochtest.InsertRowIfAbsent(tab, rel.Tuple{rel.String("P4"), rel.Int(40)})
 		if err != nil || !ins {
 			t.Fatalf("fresh InsertIfAbsent: ins=%v err=%v", ins, err)
 		}
 		// UpdateWhere via secondary attr; key attrs immutable.
-		n, err := tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
+		n, err := epochtest.UpdateRowsWhere(tab, []string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("UpdateWhere: n=%d err=%v", n, err)
 		}
-		if _, err := tab.UpdateKey([]rel.Value{rel.String("P1")}, []string{"pid"}, []rel.Value{rel.String("PX")}); err == nil {
+		if _, _, err := tab.UpdateKey([]rel.Value{rel.String("P1")}, []string{"pid"}, []rel.Value{rel.String("PX")}); err == nil {
 			t.Fatal("updating a key attribute must fail")
 		}
-		ok, err := tab.UpdateKey([]rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(12)})
-		if err != nil || !ok {
-			t.Fatalf("UpdateKey: ok=%v err=%v", ok, err)
+		pre, post, err := tab.UpdateKey([]rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(12)})
+		if err != nil || !pre.Equal(rel.Tuple{rel.String("P1"), rel.Int(10)}) || !post.Equal(rel.Tuple{rel.String("P1"), rel.Int(12)}) {
+			t.Fatalf("UpdateKey: pre=%v post=%v err=%v", pre, post, err)
+		}
+		if pre, post, err := tab.UpdateKey([]rel.Value{rel.String("P9")}, []string{"price"}, []rel.Value{rel.Int(12)}); pre != nil || post != nil || err != nil {
+			t.Fatalf("UpdateKey of an absent key: pre=%v post=%v err=%v", pre, post, err)
 		}
 		// DeleteWhere by the updated secondary value.
-		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(21)}, nil)
+		n, err = epochtest.DeleteRowsWhere(tab, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 		}
@@ -163,7 +166,7 @@ func TestConformanceEpoch(t *testing.T) {
 		if err := tab.Insert(rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tab.UpdateKey([]rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(11)}); err != nil {
+		if _, _, err := tab.UpdateKey([]rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(11)}); err != nil {
 			t.Fatal(err)
 		}
 		if !tab.DeleteKey([]rel.Value{rel.String("P3")}) {
@@ -228,6 +231,26 @@ func TestConformanceEpochModel(t *testing.T) {
 // TestConformancePartitionedScan pins the partition contract the parallel
 // operator kernels rely on: concatenating ScanPart(s, 0..Parts()-1) in part
 // order yields exactly Scan(s), for both epoch states.
+// TestConformanceInstanceApply is the instance-level APPLY contract on every
+// backend, through counting handles (epochtest.RunInstances): a multi-tuple
+// instance — of every kind, spanning lock chunks, with a conflict in the
+// middle — leaves the post-state, the pre-state of an open or advanced epoch,
+// the image-callback sequence and every cost counter exactly as its tuples
+// applied one call at a time do.
+func TestConformanceInstanceApply(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e Engine) {
+		epochtest.RunInstances(t, rand.New(rand.NewSource(53)), 150, func() (epochtest.InstanceTable, *rel.CostCounter) {
+			tab, err := e.Create("t", epochtest.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, cost := NewHandle(tab), new(rel.CostCounter)
+			h.SetCounter(cost)
+			return h, cost
+		})
+	})
+}
+
 func TestConformancePartitionedScan(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		tab := mkParts(t, e)
@@ -314,7 +337,7 @@ func TestConformanceRandomizedDifferential(t *testing.T) {
 		case k < 3:
 			row := rel.Tuple{rel.Int(int64(rng.Intn(200))), rel.Int(int64(rng.Intn(5))), rel.Int(int64(rng.Intn(50)))}
 			do = func(r run) (any, error) {
-				ins, err := r.h.InsertIfAbsent(row)
+				ins, err := epochtest.InsertRowIfAbsent(r.h, row)
 				if err != nil {
 					return "conflict", nil
 				}
@@ -325,7 +348,7 @@ func TestConformanceRandomizedDifferential(t *testing.T) {
 			do = func(r run) (any, error) { return r.h.DeleteKey(kv), nil }
 		case k < 6:
 			grp := []rel.Value{rel.Int(int64(rng.Intn(5)))}
-			do = func(r run) (any, error) { return r.h.DeleteWhere([]string{"grp"}, grp, nil) }
+			do = func(r run) (any, error) { return epochtest.DeleteRowsWhere(r.h, []string{"grp"}, grp, nil) }
 		case k < 8:
 			kv := key()
 			v := []rel.Value{rel.Int(int64(rng.Intn(50)))}
@@ -462,11 +485,11 @@ func TestConformanceKeyStats(t *testing.T) {
 		if err := r.h.Insert(rel.Tuple{rel.Int(101), rel.Int(0), rel.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := r.h.DeleteWhere([]string{"k"}, []rel.Value{rel.Int(35)}, nil); err != nil || n != 1 {
+		if n, err := epochtest.DeleteRowsWhere(r.h, []string{"k"}, []rel.Value{rel.Int(35)}, nil); err != nil || n != 1 {
 			t.Fatalf("%s: epoch delete n=%d err=%v", r.name, n, err)
 		}
 		// Group 3's rows move to group 8 (4 -> 0 and 0 -> 4).
-		if n, err := r.h.UpdateWhere([]string{"grp"}, []rel.Value{rel.Int(3)},
+		if n, err := epochtest.UpdateRowsWhere(r.h, []string{"grp"}, []rel.Value{rel.Int(3)},
 			[]string{"grp"}, []rel.Value{rel.Int(8)}, nil); err != nil || n != 4 {
 			t.Fatalf("%s: epoch update n=%d err=%v", r.name, n, err)
 		}
@@ -508,7 +531,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 		// UpdateWhereFunc: both price=20 rows move to 21; the callback sees
 		// the pre image with 20 and the post image with 21, full width.
 		seen := map[string][2]int64{}
-		n, err := tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)},
+		n, err := epochtest.UpdateRowsWhere(tab, []string{"price"}, []rel.Value{rel.Int(20)},
 			[]string{"price"}, []rel.Value{rel.Int(21)},
 			func(pre, post rel.Tuple) {
 				if len(pre) != 2 || len(post) != 2 {
@@ -535,7 +558,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 		}
 
 		// nil fn behaves exactly like the plain variant.
-		n, err = tab.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(10)},
+		n, err = epochtest.UpdateRowsWhere(tab, []string{"price"}, []rel.Value{rel.Int(10)},
 			[]string{"price"}, []rel.Value{rel.Int(11)}, nil)
 		if err != nil || n != 1 {
 			t.Fatalf("nil-fn UpdateWhereFunc: n=%d err=%v", n, err)
@@ -543,7 +566,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 
 		// DeleteWhereFunc: both 21-rows go; pre images are complete.
 		var deleted []string
-		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(21)},
+		n, err = epochtest.DeleteRowsWhere(tab, []string{"price"}, []rel.Value{rel.Int(21)},
 			func(pre rel.Tuple) {
 				if len(pre) != 2 || !pre[1].Equal(rel.Int(21)) {
 					t.Errorf("bad delete pre image %v", pre)
@@ -557,7 +580,7 @@ func TestConformanceCaptureOps(t *testing.T) {
 			t.Fatalf("len after capture delete = %d", tab.Len())
 		}
 		// No matches: no calls, no error.
-		n, err = tab.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(999)},
+		n, err = epochtest.DeleteRowsWhere(tab, []string{"price"}, []rel.Value{rel.Int(999)},
 			func(pre rel.Tuple) { t.Errorf("callback on zero-match delete: %v", pre) })
 		if err != nil || n != 0 {
 			t.Fatalf("zero-match DeleteWhereFunc: n=%d err=%v", n, err)

@@ -87,27 +87,38 @@ type Table interface {
 
 	// Insert adds a row, failing on a primary-key conflict.
 	Insert(row rel.Tuple) error
-	// InsertIfAbsent applies insert i-diff semantics: no-op on an identical
-	// existing row, error on a key conflict with different values.
-	InsertIfAbsent(row rel.Tuple) (inserted bool, err error)
+	// InsertIfAbsent, DeleteWhere and UpdateWhere are the three APPLY
+	// statements of the paper's Section 2, set-at-a-time: one call applies
+	// one i-diff instance. rows are the diff's tuples, applied in order; the
+	// column maps locate a statement's values inside a diff tuple. Each
+	// returns how many rows it probed (those whose index probe ran — what
+	// Handle charges lookups by) and how many stored rows it affected.
+	// Validation fails before any row; a key conflict in the middle of an
+	// insert instance leaves the rows before it applied and counts the
+	// conflicting row as probed. The image callbacks (when non-nil) run in
+	// apply order from the statement's own critical section — no extra
+	// probes, so (through Handle) the charge does not depend on fn — and
+	// must not call back into the table. This is how a view's applied
+	// i-diffs become the derived modification log a cascaded view consumes.
+	// A writer holds the table's lock for a bounded run of rows (or one
+	// DeleteWhere key), never for a whole instance.
+	//
+	// InsertIfAbsent stores, for each diff tuple, its src columns (in the
+	// table's attribute order) unless an identical row exists; a row with
+	// the same key and other values is an error. fn sees each row stored.
+	InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error)
 	// DeleteKey removes the row with the given primary-key values.
 	DeleteKey(key []rel.Value) bool
-	// DeleteWhere removes every row whose attrs equal vals (delete i-diff
-	// semantics), returning the removal count. It invokes fn (when non-nil)
-	// with each removed row's full pre-image, in removal order. The images
-	// come from the delete's own critical section — no extra probes, so
-	// (through Handle) the charge does not depend on fn. fn must not call
-	// back into the table. This is how a view's applied i-diffs become the
-	// derived modification log a cascaded view consumes.
-	DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error)
-	// UpdateWhere overwrites setAttrs with setVals on every row whose attrs
-	// equal vals (update i-diff semantics). Key attributes are immutable.
-	// It invokes fn (when non-nil) with each updated row's full pre- and
-	// post-image, in update order, under the same no-extra-probe contract
-	// as DeleteWhere.
-	UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error)
-	// UpdateKey updates the single row with the given primary key.
-	UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (bool, error)
+	// DeleteWhere removes, for each diff tuple, every row whose attrs equal
+	// the tuple's cols. fn sees each removed row's full pre-image.
+	DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error)
+	// UpdateWhere overwrites, for each diff tuple, setAttrs with the tuple's
+	// setCols on every row whose attrs equal its cols. Key attributes are
+	// immutable. fn sees each updated row's full pre- and post-image.
+	UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error)
+	// UpdateKey updates the single row with the given primary key and
+	// returns its pre- and post-image, both nil when there is no such row.
+	UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (pre, post rel.Tuple, err error)
 
 	// AdvanceEpoch atomically refreezes the pre-state at the current
 	// contents (EndEpoch + BeginEpoch in one step): concurrent StatePre

@@ -3,11 +3,13 @@ package storage
 import "idivm/internal/rel"
 
 // Handle binds a backend table to a cost counter, implementing the
-// access-count cost model of the paper's Section 6 as a decorator:
-// backends store, the Handle charges. Every consumer above the storage
-// boundary (catalog, evaluators, Δ-script executor) holds a *Handle, so
-// each backend is costed by exactly one piece of code and access counts
-// are identical across engines by construction.
+// access-count cost model of the paper's Section 6 as a decorator with
+// Table's method set (only UpdateKey differs: it reports whether a row
+// changed, UpdateKeyLogged returns the images): backends store, the Handle
+// charges. Every consumer above the storage boundary (catalog, evaluators,
+// Δ-script executor) holds a *Handle, so each backend is costed by exactly
+// one piece of code and access counts are identical across engines by
+// construction.
 //
 // Charging rules (matching the historical rel.Table accounting, which the
 // CI bench gate pins):
@@ -18,14 +20,17 @@ import "idivm/internal/rel"
 //     per match; nothing on an index error.
 //   - Insert: one tuple write on success; nothing on a width/duplicate
 //     error.
-//   - InsertIfAbsent: once the row width is valid, one index lookup (even
-//     when the row exists or conflicts), plus one tuple write when
-//     inserted.
+//   - InsertIfAbsent, DeleteWhere, UpdateWhere (one i-diff instance per
+//     call): one index lookup per diff tuple probed plus one tuple write
+//     per stored row inserted, removed or updated — derived from the two
+//     counts the backend returns, so an instance is charged exactly what
+//     its tuples applied one call at a time would be. A tuple that finds
+//     its row present, or conflicts, is probed; validation errors precede
+//     every tuple and charge nothing.
 //   - DeleteKey: one index lookup, plus one tuple write when removed.
-//   - DeleteWhere/UpdateWhere: on success, one index lookup plus one
-//     tuple write per affected row; nothing on a validation/index error.
 //   - UpdateKey: on success, one index lookup plus one tuple write when
-//     the row exists.
+//     the row exists. UpdateKeyLogged additionally charges the two Gets
+//     (pre- and post-image) it replaces.
 //   - Rows, Relation, Len, IndexCard and the epoch operations are
 //     uncharged (verification utilities, catalog statistics, and the
 //     snapshot the paper models as reading the log).
@@ -166,19 +171,13 @@ func (h *Handle) MustInsert(vals ...rel.Value) {
 	}
 }
 
-// InsertIfAbsent implements Table. Once the width check passes, one index
-// lookup is always charged — even when the row already exists or
-// conflicts — plus one write when the row is inserted.
-func (h *Handle) InsertIfAbsent(row rel.Tuple) (bool, error) {
-	if len(row) != len(h.t.Schema().Attrs) {
-		return h.t.InsertIfAbsent(row) // width error, uncharged
-	}
-	h.charge(0, 1, 0)
-	inserted, err := h.t.InsertIfAbsent(row)
-	if inserted {
-		h.charge(0, 0, 1)
-	}
-	return inserted, err
+// InsertIfAbsent implements Table, charging one index lookup per row probed —
+// a row that already exists or conflicts included — plus one write per row
+// inserted; nothing for a column map of the wrong width.
+func (h *Handle) InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
+	probed, inserted, err = h.t.InsertIfAbsent(rows, src, fn)
+	h.charge(0, int64(probed), int64(inserted))
+	return probed, inserted, err
 }
 
 // DeleteKey implements Table, charging one index lookup plus one write
@@ -192,42 +191,55 @@ func (h *Handle) DeleteKey(key []rel.Value) bool {
 	return true
 }
 
-// DeleteWhere implements Table, charging one index lookup plus one write
-// per removed row on success — with or without fn, which observes
-// pre-images the backend already holds, not extra probes.
-func (h *Handle) DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
-	n, err := h.t.DeleteWhere(attrs, vals, fn)
-	if err != nil {
-		return n, err
-	}
-	h.charge(0, 1, int64(n))
-	return n, nil
+// DeleteWhere implements Table, charging one index lookup per diff tuple
+// plus one write per removed row; nothing on a validation/index error, which
+// precedes every row. The charge is the same with or without fn, which
+// observes pre-images the backend already holds, not extra probes.
+func (h *Handle) DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
+	probed, deleted, err = h.t.DeleteWhere(attrs, rows, cols, fn)
+	h.charge(0, int64(probed), int64(deleted))
+	return probed, deleted, err
 }
 
-// UpdateWhere implements Table, charging one index lookup plus one write
-// per updated row on success, with or without fn like DeleteWhere.
-func (h *Handle) UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
-	n, err := h.t.UpdateWhere(attrs, vals, setAttrs, setVals, fn)
-	if err != nil {
-		return n, err
-	}
-	h.charge(0, 1, int64(n))
-	return n, nil
+// UpdateWhere implements Table, charging one index lookup per diff tuple plus
+// one write per updated row, with or without fn like DeleteWhere.
+func (h *Handle) UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
+	probed, updated, err = h.t.UpdateWhere(attrs, rows, cols, setAttrs, setCols, fn)
+	h.charge(0, int64(probed), int64(updated))
+	return probed, updated, err
 }
 
-// UpdateKey implements Table, charging one index lookup plus one write
-// when the row exists.
+// UpdateKey is Table.UpdateKey without the images, charging one index lookup
+// plus one write when the row exists; nothing on an error.
 func (h *Handle) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (bool, error) {
-	ok, err := h.t.UpdateKey(key, setAttrs, setVals)
+	_, post, err := h.t.UpdateKey(key, setAttrs, setVals)
 	if err != nil {
-		return ok, err
+		return false, err
 	}
 	var w int64
-	if ok {
+	if post != nil {
 		w = 1
 	}
 	h.charge(0, 1, w)
-	return ok, nil
+	return post != nil, nil
+}
+
+// UpdateKeyLogged is UpdateKey for a caller that logs the modification: it
+// returns the pre- and post-image of the updated row (nil when there is none)
+// and charges what reading them around the update would — Get, UpdateKey,
+// Get: three lookups, two reads and a write, or the one lookup of the first
+// Get when the key is absent — although the images come out of the update's
+// own critical section and the key is resolved once.
+func (h *Handle) UpdateKeyLogged(key []rel.Value, setAttrs []string, setVals []rel.Value) (pre, post rel.Tuple, err error) {
+	if pre, post, err = h.t.UpdateKey(key, setAttrs, setVals); err != nil {
+		return nil, nil, err
+	}
+	if post == nil {
+		h.charge(0, 1, 0)
+	} else {
+		h.charge(2, 3, 1)
+	}
+	return pre, post, nil
 }
 
 // BeginEpoch implements Table (uncharged).
@@ -241,5 +253,3 @@ func (h *Handle) EndEpoch() { h.t.EndEpoch() }
 
 // InEpoch implements Table.
 func (h *Handle) InEpoch() bool { return h.t.InEpoch() }
-
-var _ Table = (*Handle)(nil)

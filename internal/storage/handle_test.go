@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"idivm/internal/rel"
+	"idivm/internal/rel/epochtest"
 )
 
 func countedParts(t *testing.T, e Engine) (*Handle, *rel.CostCounter) {
@@ -54,7 +55,7 @@ func TestHandleCostAccounting(t *testing.T) {
 			t.Errorf("LookupInto charged %v", c)
 		}
 		c.Reset()
-		n, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
+		n, err := epochtest.UpdateRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("UpdateWhere: n=%d err=%v", n, err)
 		}
@@ -75,16 +76,16 @@ func TestHandleErrorPathsUncharged(t *testing.T) {
 		if err := h.Insert(rel.Tuple{rel.String("P1"), rel.Int(1)}); err == nil {
 			t.Fatal("duplicate error expected")
 		}
-		if _, err := h.InsertIfAbsent(rel.Tuple{rel.String("P9")}); err == nil {
+		if _, err := epochtest.InsertRowIfAbsent(h, rel.Tuple{rel.String("P9")}); err == nil {
 			t.Fatal("width error expected")
 		}
 		if _, err := h.Lookup(rel.StatePost, []string{"nope"}, []rel.Value{rel.Int(1)}); err == nil {
 			t.Fatal("index error expected")
 		}
-		if _, err := h.DeleteWhere([]string{"nope"}, []rel.Value{rel.Int(1)}, nil); err == nil {
+		if _, err := epochtest.DeleteRowsWhere(h, []string{"nope"}, []rel.Value{rel.Int(1)}, nil); err == nil {
 			t.Fatal("index error expected")
 		}
-		if _, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)}, []string{"pid"}, []rel.Value{rel.Int(1)}, nil); err == nil {
+		if _, err := epochtest.UpdateRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(20)}, []string{"pid"}, []rel.Value{rel.Int(1)}, nil); err == nil {
 			t.Fatal("key-update error expected")
 		}
 		if c.Total() != 0 {
@@ -93,7 +94,7 @@ func TestHandleErrorPathsUncharged(t *testing.T) {
 
 		// Conflicting InsertIfAbsent passes the width check, so it still
 		// charges its probe lookup — and nothing else.
-		if _, err := h.InsertIfAbsent(rel.Tuple{rel.String("P1"), rel.Int(99)}); err == nil {
+		if _, err := epochtest.InsertRowIfAbsent(h, rel.Tuple{rel.String("P1"), rel.Int(99)}); err == nil {
 			t.Fatal("conflict expected")
 		}
 		if c.IndexLookups != 1 || c.TupleReads != 0 || c.TupleWrites != 0 {
@@ -106,14 +107,14 @@ func TestHandleInsertIfAbsentCharges(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		h, c := countedParts(t, e)
 		c.Reset()
-		if ins, err := h.InsertIfAbsent(rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil || !ins {
+		if ins, err := epochtest.InsertRowIfAbsent(h, rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil || !ins {
 			t.Fatalf("fresh insert: %v %v", ins, err)
 		}
 		if c.IndexLookups != 1 || c.TupleWrites != 1 {
 			t.Fatalf("fresh InsertIfAbsent charged %v", c)
 		}
 		c.Reset()
-		if ins, err := h.InsertIfAbsent(rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil || ins {
+		if ins, err := epochtest.InsertRowIfAbsent(h, rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil || ins {
 			t.Fatalf("identical insert: %v %v", ins, err)
 		}
 		if c.IndexLookups != 1 || c.TupleWrites != 0 {
@@ -138,6 +139,41 @@ func TestHandleDeleteKeyCharges(t *testing.T) {
 		}
 		if c.IndexLookups != 1 || c.TupleWrites != 0 {
 			t.Fatalf("missing delete charged %v", c)
+		}
+	})
+}
+
+// UpdateKeyLogged returns both images from one key resolution and charges the
+// Get, UpdateKey, Get it stands for; UpdateKey charges its own lookup and write.
+func TestHandleUpdateKeyLoggedCharges(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e Engine) {
+		h, c := countedParts(t, e)
+		p1, price := []rel.Value{rel.String("P1")}, []string{"price"}
+		c.Reset()
+		pre, post, err := h.UpdateKeyLogged(p1, price, []rel.Value{rel.Int(11)})
+		if err != nil || !pre.Equal(rel.Tuple{p1[0], rel.Int(10)}) || !post.Equal(rel.Tuple{p1[0], rel.Int(11)}) {
+			t.Fatalf("UpdateKeyLogged = %v, %v, %v", pre, post, err)
+		}
+		if c.IndexLookups != 3 || c.TupleReads != 2 || c.TupleWrites != 1 {
+			t.Fatalf("UpdateKeyLogged charged %v", c)
+		}
+		c.Reset()
+		if pre, post, err := h.UpdateKeyLogged([]rel.Value{rel.String("P9")}, price, []rel.Value{rel.Int(1)}); pre != nil || post != nil || err != nil {
+			t.Fatalf("UpdateKeyLogged of an absent key = %v, %v, %v", pre, post, err)
+		}
+		if c.IndexLookups != 1 || c.TupleReads != 0 || c.TupleWrites != 0 {
+			t.Fatalf("absent UpdateKeyLogged charged %v", c)
+		}
+		c.Reset()
+		if ok, err := h.UpdateKey(p1, price, []rel.Value{rel.Int(12)}); !ok || err != nil {
+			t.Fatalf("UpdateKey = %v, %v", ok, err)
+		}
+		if c.IndexLookups != 1 || c.TupleReads != 0 || c.TupleWrites != 1 {
+			t.Fatalf("UpdateKey charged %v", c)
+		}
+		c.Reset()
+		if _, _, err := h.UpdateKeyLogged(p1, []string{"pid"}, p1); err == nil || c.Total() != 0 {
+			t.Fatalf("UpdateKeyLogged of the key attribute: err=%v, charged %v", err, c)
 		}
 	})
 }
@@ -242,7 +278,7 @@ func TestHandleCaptureOpCharges(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		h, c := countedParts(t, e)
 
-		n, err := h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(20)},
+		n, err := epochtest.UpdateRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(20)},
 			[]string{"price"}, []rel.Value{rel.Int(21)}, nil)
 		if err != nil || n != 2 {
 			t.Fatalf("UpdateWhere: n=%d err=%v", n, err)
@@ -250,7 +286,7 @@ func TestHandleCaptureOpCharges(t *testing.T) {
 		plain := *c
 		c.Reset()
 		fired := 0
-		n, err = h.UpdateWhere([]string{"price"}, []rel.Value{rel.Int(21)},
+		n, err = epochtest.UpdateRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(21)},
 			[]string{"price"}, []rel.Value{rel.Int(22)},
 			func(pre, post rel.Tuple) { fired++ })
 		if err != nil || n != 2 || fired != 2 {
@@ -261,14 +297,14 @@ func TestHandleCaptureOpCharges(t *testing.T) {
 		}
 
 		c.Reset()
-		n, err = h.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(10)}, nil)
+		n, err = epochtest.DeleteRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(10)}, nil)
 		if err != nil || n != 1 {
 			t.Fatalf("DeleteWhere: n=%d err=%v", n, err)
 		}
 		plain = *c
 		c.Reset()
 		fired = 0
-		n, err = h.DeleteWhere([]string{"price"}, []rel.Value{rel.Int(22)},
+		n, err = epochtest.DeleteRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(22)},
 			func(pre rel.Tuple) { fired++ })
 		if err != nil || n != 2 || fired != 2 {
 			t.Fatalf("DeleteWhereFunc: n=%d fired=%d err=%v", n, fired, err)

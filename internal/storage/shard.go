@@ -75,8 +75,9 @@ func (t *shardTable) forKey(key []rel.Value) *rel.Table {
 	return t.shards[ShardOf(rel.TupleKey(key), len(t.shards))]
 }
 
-func (t *shardTable) forRow(row rel.Tuple) *rel.Table {
-	return t.shards[ShardOf(rel.KeyOf(row, t.keyIdx), len(t.shards))]
+// forRow routes the row whose key is in keyCols.
+func (t *shardTable) forRow(row rel.Tuple, keyCols []int) *rel.Table {
+	return t.shards[ShardOf(rel.KeyOf(row, keyCols), len(t.shards))]
 }
 
 // Name implements Table.
@@ -182,16 +183,36 @@ func (t *shardTable) Insert(row rel.Tuple) error {
 	if len(row) != len(t.schema.Attrs) {
 		return t.shards[0].Insert(row)
 	}
-	return t.forRow(row).Insert(row)
+	return t.forRow(row, t.keyIdx).Insert(row)
 }
 
-// InsertIfAbsent implements Table: routed to the owning shard, which also
-// detects key conflicts (same key always routes to the same shard).
-func (t *shardTable) InsertIfAbsent(row rel.Tuple) (bool, error) {
-	if len(row) != len(t.schema.Attrs) {
-		return t.shards[0].InsertIfAbsent(row)
+// InsertIfAbsent implements Table: every run of consecutive diff tuples whose
+// keys route to one shard — which also detects their key conflicts — is one
+// instance on that shard, so rows are applied, and reported to fn, in diff
+// order.
+func (t *shardTable) InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
+	if len(src) != len(t.schema.Attrs) {
+		return t.shards[0].InsertIfAbsent(rows, src, fn) // reports the width error
 	}
-	return t.forRow(row).InsertIfAbsent(row)
+	keySrc := make([]int, len(t.keyIdx))
+	for k, j := range t.keyIdx {
+		keySrc[k] = src[j]
+	}
+	var next *rel.Table // the owner of rows[hi]: each tuple is routed once
+	if len(rows) > 0 {
+		next = t.forRow(rows[0], keySrc)
+	}
+	for lo, hi := 0, 0; lo < len(rows) && err == nil; lo = hi {
+		sh := next
+		for hi = lo + 1; hi < len(rows); hi++ {
+			if next = t.forRow(rows[hi], keySrc); next != sh {
+				break
+			}
+		}
+		p, n, e := sh.InsertIfAbsent(rows[lo:hi], src, fn)
+		probed, inserted, err = probed+p, inserted+n, e
+	}
+	return probed, inserted, err
 }
 
 // DeleteKey implements Table: routed to the owning shard.
@@ -199,41 +220,44 @@ func (t *shardTable) DeleteKey(key []rel.Value) bool {
 	return t.forKey(key).DeleteKey(key)
 }
 
-// DeleteWhere implements Table: fanned out over all shards; removal
-// counts sum. Index errors are schema-determined, so either every shard
-// fails identically before mutating or none does. fn is threaded through,
-// so each shard reports its removals' pre-images in shard order — matching
-// the order Scan would have returned the rows.
-func (t *shardTable) DeleteWhere(attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
-	n := 0
-	for _, sh := range t.shards {
-		sn, err := sh.DeleteWhere(attrs, vals, fn)
-		if err != nil {
-			return n, err
-		}
-		n += sn
-	}
-	return n, nil
+// DeleteWhere implements Table: each diff tuple is fanned out over all
+// shards, in shard order — the order Scan would have returned its rows in,
+// and the order fn sees the pre-images in — and removal counts sum. Index
+// errors are schema-determined, so shard 0 fails on the first tuple, before
+// any shard mutates, or no shard fails.
+func (t *shardTable) DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
+	return t.fanOut(len(rows), func(sh *rel.Table, i int) (int, int, error) {
+		return sh.DeleteWhere(attrs, rows[i:i+1], cols, fn)
+	})
 }
 
-// UpdateWhere implements Table: fanned out over all shards; update counts
-// sum. Validation errors (key-attribute update, unknown attribute) are
-// schema-determined and reported before any shard mutates. fn is threaded
-// through in shard order like DeleteWhere's.
-func (t *shardTable) UpdateWhere(attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
-	n := 0
-	for _, sh := range t.shards {
-		sn, err := sh.UpdateWhere(attrs, vals, setAttrs, setVals, fn)
-		if err != nil {
-			return n, err
+// UpdateWhere implements Table, fanned out like DeleteWhere. Validation
+// errors (key-attribute update, unknown attribute, map width) are
+// schema-determined and reported before any shard mutates.
+func (t *shardTable) UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
+	return t.fanOut(len(rows), func(sh *rel.Table, i int) (int, int, error) {
+		return sh.UpdateWhere(attrs, rows[i:i+1], cols, setAttrs, setCols, fn)
+	})
+}
+
+// fanOut applies diff tuples 0..n-1, each to every shard in shard order, and
+// sums what they affected; a tuple every shard probed counts as probed once.
+func (t *shardTable) fanOut(n int, apply func(sh *rel.Table, i int) (int, int, error)) (probed, affected int, err error) {
+	for i := 0; i < n; i++ {
+		for _, sh := range t.shards {
+			_, m, err := apply(sh, i)
+			if err != nil {
+				return probed, affected, err
+			}
+			affected += m
 		}
-		n += sn
+		probed++
 	}
-	return n, nil
+	return probed, affected, nil
 }
 
 // UpdateKey implements Table: routed to the owning shard.
-func (t *shardTable) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (bool, error) {
+func (t *shardTable) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (pre, post rel.Tuple, err error) {
 	return t.forKey(key).UpdateKey(key, setAttrs, setVals)
 }
 
