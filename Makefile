@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-sharded bench-smoke-serving
+.PHONY: check build vet test race race-sharded race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests on both storage engines, the repository linter, the non-test line
@@ -113,19 +113,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFeedJoin$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(TableChurn|FeedApplyShape)$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
-
-# bench-smoke-sharded re-runs the first three of those on the hash-partitioned
-# engine with 4 intra-operator workers. Report-only: accesses/op are
-# invariant under OpWorkers by construction (the race-sharded differential
-# matrix proves it), but physical scan order shifts some apply-phase costs
-# between engines, so this artifact is never gated against the mem-engine
-# baseline. The interesting column is ns/op on the ScanHeavyRecompute
-# seq-vs-op4 rows — which only separates on multi-core hosts.
-bench-smoke-sharded:
-	IDIVM_ENGINE=sharded:8 IDIVM_OP_WORKERS=4 $(GO) test -run '^$$' -bench '^BenchmarkFig12a_DiffSize$$/^d=200$$' -benchtime=1x . | tee bench_sharded.txt
-	IDIVM_ENGINE=sharded:8 IDIVM_OP_WORKERS=4 $(GO) test -run '^$$' -bench '^BenchmarkSPJNonConditionalUpdate$$' -benchtime=1x . | tee -a bench_sharded.txt
-	IDIVM_ENGINE=sharded:8 IDIVM_OP_WORKERS=4 $(GO) test -run '^$$' -bench '^BenchmarkScanHeavyRecompute$$' -benchtime=1x . | tee -a bench_sharded.txt
-	$(GO) run ./cmd/benchjson -o BENCH_sharded.json bench_sharded.txt
 
 # bench-smoke-serving is CI's bench-serving lane: BenchmarkServing's
 # replay lane reports accesses/op — the deterministic apply+maintenance

@@ -19,9 +19,7 @@ package idivm_test
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -60,28 +58,11 @@ func benchBSMAParams() bsma.Params {
 // (or SPJ) view in the given mode. workers > 1 runs the Δ-script on the
 // step-DAG scheduler; access counts are identical either way, so the
 // accesses/op column is schedule-independent.
-// benchOpWorkers reads $IDIVM_OP_WORKERS, the bench-smoke knob that grants
-// every maintenance round intra-operator workers (0 = sequential kernels).
-// Access counts are invariant under the knob, so the gated accesses/op
-// column is unaffected; only ns/op moves.
-func benchOpWorkers() int {
-	v := os.Getenv("IDIVM_OP_WORKERS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		panic(fmt.Sprintf("bad IDIVM_OP_WORKERS %q", v))
-	}
-	return n
-}
-
 func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode, workers int) {
 	b.Helper()
 	ds := workload.Build(p)
 	sys := ivm.NewSystem(ds.DB)
 	sys.Workers = workers
-	sys.OpWorkers = benchOpWorkers()
 	plan := ds.SPJPlan()
 	if agg {
 		plan = ds.AggPlan()
@@ -346,7 +327,6 @@ func BenchmarkFeedJoin(b *testing.B) {
 		b.Run(d.name, func(b *testing.B) {
 			ds := workload.BuildSkew(p)
 			sys := ivm.NewSystem(ds.DB)
-			sys.OpWorkers = benchOpWorkers()
 			if _, err := sys.RegisterView("feed", ds.FeedPlan(), ivm.ModeID); err != nil {
 				b.Fatal(err)
 			}
@@ -428,7 +408,6 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 	b.Run("cascade", func(b *testing.B) {
 		ds := bsma.Build(p)
 		sys := ivm.NewSystem(ds.DB)
-		sys.OpWorkers = benchOpWorkers()
 		if _, err := sys.RegisterView("v1", cascadeL1Plan(ds.DB), ivm.ModeID); err != nil {
 			b.Fatal(err)
 		}
@@ -469,7 +448,6 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		env := &opBenchEnv{Env: ds.DB, w: benchOpWorkers()}
 		var accesses int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -481,7 +459,7 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 			ds.DB.ResetLog()
 			ds.DB.Counter().Reset()
 			b.StartTimer()
-			if _, err := compiled.Run(env); err != nil {
+			if _, err := compiled.Run(ds.DB); err != nil {
 				b.Fatal(err)
 			}
 			accesses += ds.DB.Counter().Total()
@@ -490,23 +468,11 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 	})
 }
 
-// opBenchEnv grants a database environment intra-operator workers,
-// engaging the chunk-parallel form of the kernels in compiled plans.
-type opBenchEnv struct {
-	algebra.Env
-	w int
-}
-
-func (e *opBenchEnv) OpWorkers() int { return e.w }
-
 // BenchmarkScanHeavyRecompute measures full recomputation of the Figure 1b
 // (SPJ) and Figure 5b (aggregate) views over a ~200k-row devices_parts
-// instance through the compiled plans — the scan/join/γ-bound regime the
-// partition-parallel operator kernels target. The seq and op4 rows compute
-// identical results with identical access counts by construction; the
-// ns/op delta between them is the point, and it only materializes on a
-// partitioned engine (run with IDIVM_ENGINE=sharded:8 — a single mem part
-// leaves scans sequential).
+// instance through the compiled plans — the scan/join/γ-bound regime no
+// maintenance round produces. The rows keep the "/seq" suffix of the
+// baseline file.
 func BenchmarkScanHeavyRecompute(b *testing.B) {
 	p := workload.Defaults(20000) // 20k parts/devices, fanout 10 → ~200k dp rows
 	ds := workload.Build(p)
@@ -522,14 +488,9 @@ func BenchmarkScanHeavyRecompute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, w := range []struct {
-			name string
-			n    int
-		}{{"seq", 1}, {"op4", 4}} {
-			b.Run(v.name+"/"+w.name, func(b *testing.B) {
-				runCompiledBench(b, ds.DB, compiled, &opBenchEnv{Env: ds.DB, w: w.n})
-			})
-		}
+		b.Run(v.name+"/seq", func(b *testing.B) {
+			runCompiledBench(b, ds.DB, compiled)
+		})
 	}
 }
 
@@ -555,15 +516,15 @@ func batchBenchDB(b *testing.B, rows int) *db.Database {
 	return d
 }
 
-// runCompiledBench measures repeated runs of one compiled plan under env
-// (an environment over d), reporting the gated accesses/op plus rows/op.
-func runCompiledBench(b *testing.B, d *db.Database, compiled *algebra.ExecPlan, env algebra.Env) {
+// runCompiledBench measures repeated runs of one compiled plan over d,
+// reporting the gated accesses/op plus rows/op.
+func runCompiledBench(b *testing.B, d *db.Database, compiled *algebra.ExecPlan) {
 	var accesses, rows int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Counter().Reset()
-		r, err := compiled.Run(env)
+		r, err := compiled.Run(d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -584,7 +545,7 @@ func BenchmarkBatchFilter(b *testing.B) {
 		expr.And(
 			expr.Lt(expr.C("big.grp"), expr.IntLit(7)),
 			expr.Gt(expr.C("big.k"), expr.IntLit(1000))))
-	runCompiledBench(b, d, algebra.MustCompile(plan), d)
+	runCompiledBench(b, d, algebra.MustCompile(plan))
 }
 
 // BenchmarkBatchHashJoin isolates the hash-join kernel: a self-join of
@@ -605,7 +566,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 			{E: expr.C("big.val"), As: "rv"},
 		}),
 		expr.Eq(expr.C("lk"), expr.C("rk")))
-	runCompiledBench(b, d, algebra.MustCompile(plan), d)
+	runCompiledBench(b, d, algebra.MustCompile(plan))
 }
 
 // benchIVMOpts is benchIVM with generation options, for ablations.
@@ -667,7 +628,6 @@ func servingSetup(b *testing.B, opts serve.Options) (*workload.Dataset, *serve.S
 	p.Selectivity = 20
 	ds := workload.Build(p)
 	sys := ivm.NewSystem(ds.DB)
-	sys.OpWorkers = benchOpWorkers()
 	if _, err := sys.RegisterView("V", ds.SPJPlan(), ivm.ModeID); err != nil {
 		b.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package gostmt is the seeded fixture for the gostmt analyzer: one
-// deliberate violation and one blessed suppression; pool.go exercises the
+// deliberate violation and one blessed suppression; dispatch.go exercises the
 // exempt-file rule.
 package gostmt
 

@@ -86,74 +86,3 @@ func TestFacadeEngineOption(t *testing.T) {
 		}
 	}
 }
-
-// TestFacadeOpWorkersOption drives the same workload with intra-operator
-// parallelism enabled: view contents and access counts must be unchanged —
-// OpWorkers is a wall-clock knob, never a semantics or cost knob.
-func TestFacadeOpWorkersOption(t *testing.T) {
-	const view = `
-		CREATE VIEW v AS
-		SELECT did, pid, price
-		FROM parts NATURAL JOIN devices_parts NATURAL JOIN devices
-		WHERE category = 'phone'`
-
-	run := func(opts ...idivm.Option) (*idivm.Rows, [3]int64) {
-		d := idivm.Open(opts...)
-		d.MustCreateTable("parts", idivm.Columns("pid", "price"), "pid")
-		d.MustCreateTable("devices", idivm.Columns("did", "category"), "did")
-		d.MustCreateTable("devices_parts", idivm.Columns("did", "pid"), "did", "pid")
-		d.MustInsert("parts", "P1", 10)
-		d.MustInsert("parts", "P2", 20)
-		d.MustInsert("devices", "D1", "phone")
-		d.MustInsert("devices", "D2", "phone")
-		d.MustInsert("devices_parts", "D1", "P1")
-		d.MustInsert("devices_parts", "D2", "P1")
-		d.MustInsert("devices_parts", "D1", "P2")
-		d.MustCreateView(view)
-		if ok, err := d.Update("parts", []any{"P1"}, map[string]any{"price": 11}); err != nil || !ok {
-			t.Fatalf("update: ok=%v err=%v", ok, err)
-		}
-		d.ResetAccessCounter()
-		if _, err := d.Maintain(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.CheckConsistent("v"); err != nil {
-			t.Fatal(err)
-		}
-		var counts [3]int64
-		counts[0], counts[1], counts[2] = d.AccessCounter()
-		rows, err := d.View("v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows, counts
-	}
-
-	seqRows, seqCounts := run()
-	for _, opts := range [][]idivm.Option{
-		{idivm.WithOpWorkers(4)},
-		{idivm.WithEngine(idivm.ShardedEngine(4)), idivm.WithOpWorkers(4)},
-	} {
-		parRows, parCounts := run(opts...)
-		if !reflect.DeepEqual(parRows, seqRows) {
-			t.Fatalf("opworkers view = %v, sequential view = %v", parRows.Data, seqRows.Data)
-		}
-		if parCounts != seqCounts {
-			t.Fatalf("opworkers accesses %v != sequential %v", parCounts, seqCounts)
-		}
-	}
-
-	// SetOpWorkers adjusts the budget post-Open without disturbing results.
-	d := idivm.Open()
-	d.MustCreateTable("parts", idivm.Columns("pid", "price"), "pid")
-	d.MustInsert("parts", "P1", 10)
-	d.SetOpWorkers(8)
-	d.MustCreateView(`CREATE VIEW pv AS SELECT pid, price FROM parts WHERE price < 100`)
-	d.MustInsert("parts", "P2", 20)
-	if _, err := d.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CheckConsistent("pv"); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -56,29 +56,21 @@ func MemEngine() Engine { return storage.NewMem() }
 
 // ShardedEngine returns a hash-partitioned in-memory backend that splits
 // every table into n key-partitioned shards. State, query results and
-// access counts are identical to the default engine; the partitioning is
-// the substrate for per-shard parallel apply.
+// access counts are identical to the default engine; it is slower and
+// allocates more (whole-table reads merge the shards), and exists as the
+// second implementation that keeps the storage boundary honest.
 func ShardedEngine(n int) Engine { return storage.NewSharded(n) }
 
 // Option configures Open.
 type Option func(*openConfig)
 
 type openConfig struct {
-	engine    Engine
-	opWorkers int
-	serving   *ServingOptions
+	engine  Engine
+	serving *ServingOptions
 }
 
 // WithEngine selects the storage backend (default MemEngine()).
 func WithEngine(e Engine) Option { return func(c *openConfig) { c.engine = e } }
-
-// WithOpWorkers grants every compiled maintenance step n workers of
-// intra-operator parallelism: partitioned scans and filters, parallel join
-// probes and hash builds, and partitioned group-by pre-aggregation. Most
-// effective combined with ShardedEngine, whose partitions the scan kernels
-// split along. 0 or 1 (the default) keeps operators sequential; results
-// and access counts are identical either way.
-func WithOpWorkers(n int) Option { return func(c *openConfig) { c.opWorkers = n } }
 
 // ServingOptions tunes the concurrent serving layer; see WithServing.
 // Zero MaxBatch and Queue pick the defaults (128 and 1024); MaxDelay has
@@ -114,7 +106,6 @@ func Open(opts ...Option) *DB {
 	}
 	d := db.NewWith(cfg.engine)
 	sys := ivm.NewSystem(d)
-	sys.OpWorkers = cfg.opWorkers
 	x := &DB{d: d, sys: sys}
 	if cfg.serving != nil {
 		x.srv = serve.New(d, sys, serve.Options{
@@ -362,10 +353,6 @@ type MaintenanceStats struct {
 // step-DAG scheduler and maintains independent views concurrently.
 // Results and access counts are identical either way.
 func (x *DB) SetWorkers(n int) { x.sys.Workers = n }
-
-// SetOpWorkers adjusts the intra-operator worker budget after Open; see
-// WithOpWorkers.
-func (x *DB) SetOpWorkers(n int) { x.sys.OpWorkers = n }
 
 // Maintain incrementally brings every registered view up to date with the
 // base-table modifications since the previous call, and clears the log.

@@ -17,8 +17,9 @@
 // Every kernel reproduces the interpreted evaluator's semantics
 // bit-for-bit: row order, float widening in comparisons (Value.compare),
 // NULL folding (every comparison with NULL is false, including <>),
-// Same-based key equality (EncodeKey is canonical and injective w.r.t.
-// Same, so hash buckets verified column-wise with Same reproduce
+// EncodeKey-byte key equality (Value.KeyEqual holds exactly when the
+// canonical encodings are equal — Same is coarser: it widens ints to
+// floats — so hash buckets verified column-wise with KeyEqual reproduce
 // string-keyed buckets exactly), group first-appearance order, and float
 // aggregation fold order. Storage is touched through exactly the Handle
 // calls Eval makes — batches form right after a charged Scan/Lookup and
@@ -30,17 +31,10 @@
 // dedup-ordered semiProbeLeft. They stay row loops (nestedJoin, nestedSel,
 // probeLeft below), but over batches: children arrive as batches and the
 // result leaves as one, built from gather vectors.
-//
-// OpWorkers composes with every kernel the same way: the *Range form of a
-// kernel works on a chunk (or key partition) of its input; the sequential
-// run is the one-chunk case and the parallel run fans the chunks out via
-// pool.go — each worker on a probe clone and a private counter shard —
-// and merges in chunk order. No goroutine is launched here.
 
 package algebra
 
 import (
-	"sort"
 	"strings"
 
 	"idivm/internal/expr"
@@ -357,7 +351,7 @@ func (p *bPred) filter(b, empty *rel.Batch) *rel.Batch {
 // Join kernels
 
 // fnv1a64 hashes canonical key bytes (64-bit FNV-1a). Collisions are
-// resolved by column-wise Same verification, never trusted.
+// resolved by column-wise KeyEqual verification, never trusted.
 func fnv1a64(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -377,39 +371,23 @@ func appendBatchKey(buf []byte, b *rel.Batch, idx []int, row int) []byte {
 }
 
 // buildHashIdx hashes the idx columns of every row of b into digest
-// buckets of row indices, in row order. Chunks hash into local maps that
-// merge in chunk order, so a bucket's indices ascend whatever w is.
-func buildHashIdx(b *rel.Batch, idx []int, w int) map[uint64][]int32 {
-	spans := spansFor(b.Len(), w)
-	locals := make([]map[uint64][]int32, len(spans))
-	parallelFor(w, len(spans), func(i int) {
-		local := make(map[uint64][]int32, spans[i].hi-spans[i].lo)
-		var buf []byte
-		for r := spans[i].lo; r < spans[i].hi; r++ {
-			buf = appendBatchKey(buf[:0], b, idx, r)
-			h := fnv1a64(buf)
-			local[h] = append(local[h], int32(r))
-		}
-		locals[i] = local
-	})
-	var ht map[uint64][]int32
-	for _, local := range locals {
-		if ht == nil {
-			ht = local
-			continue
-		}
-		for h, rows := range local { //ivmlint:allow maprange — bucket contents keep chunk order; digest order is irrelevant
-			ht[h] = append(ht[h], rows...)
-		}
+// buckets of row indices, ascending within a bucket.
+func buildHashIdx(b *rel.Batch, idx []int) map[uint64][]int32 {
+	ht := make(map[uint64][]int32, b.Len())
+	var buf []byte
+	for r, n := 0, b.Len(); r < n; r++ {
+		buf = appendBatchKey(buf[:0], b, idx, r)
+		h := fnv1a64(buf)
+		ht[h] = append(ht[h], int32(r))
 	}
 	return ht
 }
 
-// keysSameIdx verifies an equi-key match column-wise with Same — the
-// equality EncodeKey bytes encode.
+// keysSameIdx verifies an equi-key match column-wise with KeyEqual — the
+// equality EncodeKey bytes encode, under which the buckets are filed.
 func keysSameIdx(left, right *rel.Batch, lidx, ridx []int, li, ri int) bool {
 	for k := range lidx {
-		if !left.Cols[lidx[k]].Value(li).Same(right.Cols[ridx[k]].Value(ri)) {
+		if !left.Cols[lidx[k]].Value(li).KeyEqual(right.Cols[ridx[k]].Value(ri)) {
 			return false
 		}
 	}
@@ -431,66 +409,30 @@ func (c *cJoin) drive() (idx []int, storedW int) {
 
 // probeJoin executes joinProbeRight/joinProbeLeft from a columnar driving
 // side. Per driving row the stored table is probed through exactly the
-// LookupInto calls Eval makes; the output is the driving side gathered by
+// LookupInto calls Eval makes (fill the key, one charged lookup, gather the
+// matches); the output is the driving side gathered by
 // the match vector (zero-copy) beside the probed tuples' values in dense
 // builders.
-func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch, w int) (*rel.Batch, error) {
-	if driving.Len() == 0 {
+func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, error) {
+	n := driving.Len()
+	if n == 0 {
 		return c.empty, nil
 	}
-	spans := spansFor(driving.Len(), w)
-	gs := make([][]int32, len(spans))
-	parts := make([][]rel.ColBuilder, len(spans))
-	err := chargedSpans(t, w, spans, func(i int, th *storage.Handle) (err error) {
-		pr := c.probe
-		if len(spans) > 1 {
-			pr = pr.clone()
-		}
-		gs[i], parts[i], err = c.probeRange(th, driving, pr, spans[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	G, stored := concatSel(gs), parts[0]
-	if len(G) == 0 {
-		return c.empty, nil
-	}
-	for _, p := range parts[1:] {
-		for j := range stored {
-			v := p[j].Vec()
-			stored[j].AppendVec(&v, p[j].Len())
-		}
-	}
-	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(G)}
-	dcols, scols := out.Cols[:c.lw], out.Cols[c.lw:]
-	if !c.drivingLeft() {
-		scols, dcols = dcols, scols
-	}
-	copy(dcols, driving.GatherRows(G).Cols)
-	for j := range stored {
-		scols[j] = stored[j].Vec()
-	}
-	return out, nil
-}
-
-// probeRange probes for the driving rows of one span: fill the key, one
-// charged lookup, gather the matches.
-func (c *cJoin) probeRange(t *storage.Handle, driving *rel.Batch, pr *cProbe, sp span) ([]int32, []rel.ColBuilder, error) {
 	idx, storedW := c.drive()
+	pr := c.probe
 	// The match count is unknown until probed (selectivity can be ≪1), so
 	// the stored builders size themselves by doubling rather than reserving
 	// a row per driving row up front.
 	stored := make([]rel.ColBuilder, storedW)
-	G := make([]int32, 0, sp.hi-sp.lo)
+	G := make([]int32, 0, n)
 	var scratch rel.Tuple
-	for i := sp.lo; i < sp.hi; i++ {
+	for i := 0; i < n; i++ {
 		if !pr.fill(driving, idx, i) {
 			continue
 		}
 		rows, err := pr.lookup(t)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(rows) == 0 {
 			continue
@@ -514,31 +456,35 @@ func (c *cJoin) probeRange(t *storage.Handle, driving *rel.Batch, pr *cProbe, sp
 			}
 		}
 	}
-	return G, stored, nil
+	if len(G) == 0 {
+		return c.empty, nil
+	}
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(G)}
+	dcols, scols := out.Cols[:c.lw], out.Cols[c.lw:]
+	if !c.drivingLeft() {
+		scols, dcols = dcols, scols
+	}
+	copy(dcols, driving.GatherRows(G).Cols)
+	for j := range stored {
+		scols[j] = stored[j].Vec()
+	}
+	return out, nil
 }
 
 // hashJoin executes joinHash: digest buckets of row indices on the build
-// side, candidates verified with Same, matches emitted as (left, right)
+// side, candidates verified with KeyEqual, matches emitted as (left, right)
 // gather-vector pairs — both outputs zero-copy.
-func (c *cJoin) hashJoin(left, right *rel.Batch, w int) *rel.Batch {
-	if left.Len() == 0 || right.Len() == 0 {
+func (c *cJoin) hashJoin(left, right *rel.Batch) *rel.Batch {
+	n := left.Len()
+	if n == 0 || right.Len() == 0 {
 		return c.empty
 	}
-	ht := buildHashIdx(right, c.ridx, w)
-	spans := spansFor(left.Len(), w)
-	gls, grs := make([][]int32, len(spans)), make([][]int32, len(spans))
-	parallelFor(w, len(spans), func(i int) {
-		gls[i], grs[i] = c.hashProbeRange(left, right, ht, spans[i])
-	})
-	return c.gatherPairs(left, right, concatSel(gls), concatSel(grs))
-}
-
-func (c *cJoin) hashProbeRange(left, right *rel.Batch, ht map[uint64][]int32, sp span) ([]int32, []int32) {
-	gl := make([]int32, 0, sp.hi-sp.lo)
-	gr := make([]int32, 0, sp.hi-sp.lo)
+	ht := buildHashIdx(right, c.ridx)
+	gl := make([]int32, 0, n)
+	gr := make([]int32, 0, n)
 	var buf []byte
 	var lbuf, rbuf rel.Tuple
-	for i := sp.lo; i < sp.hi; i++ {
+	for i := 0; i < n; i++ {
 		buf = appendBatchKey(buf[:0], left, c.lidx, i)
 		cands := ht[fnv1a64(buf)]
 		if len(cands) == 0 {
@@ -561,7 +507,7 @@ func (c *cJoin) hashProbeRange(left, right *rel.Batch, ht map[uint64][]int32, sp
 			gr = append(gr, ri)
 		}
 	}
-	return gl, gr
+	return c.gatherPairs(left, right, gl, gr)
 }
 
 // nestedJoin is the θ-join. With no equi-column to hash or probe on there
@@ -639,24 +585,11 @@ func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, erro
 
 // probeRightSel is semiProbeRight: keep/drop per left row by probing the
 // stored right — the Handle calls of Eval's loop — as a selection vector.
-func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch, w int) ([]int32, error) {
-	spans := spansFor(left.Len(), w)
-	sels := make([][]int32, len(spans))
-	err := chargedSpans(t, w, spans, func(i int, th *storage.Handle) (err error) {
-		pr := c.probe
-		if len(spans) > 1 {
-			pr = pr.clone()
-		}
-		sels[i], err = c.probeRightRange(th, left, pr, spans[i])
-		return err
-	})
-	return concatSel(sels), err
-}
-
-func (c *cSemi) probeRightRange(t *storage.Handle, left *rel.Batch, pr *cProbe, sp span) ([]int32, error) {
-	sel := make([]int32, 0, sp.hi-sp.lo)
+func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, error) {
+	pr, n := c.probe, left.Len()
+	sel := make([]int32, 0, n)
 	var scratch rel.Tuple
-	for i := sp.lo; i < sp.hi; i++ {
+	for i := 0; i < n; i++ {
 		matched := false
 		if pr.fill(left, c.lidx, i) {
 			rows, err := pr.lookup(t)
@@ -679,21 +612,13 @@ func (c *cSemi) probeRightRange(t *storage.Handle, left *rel.Batch, pr *cProbe, 
 
 // hashSel is semiHash: digest buckets over the right, each left row
 // tested against its bucket.
-func (c *cSemi) hashSel(left, right *rel.Batch, w int) []int32 {
-	ht := buildHashIdx(right, c.ridx, w)
-	spans := spansFor(left.Len(), w)
-	sels := make([][]int32, len(spans))
-	parallelFor(w, len(spans), func(i int) {
-		sels[i] = c.hashSelRange(left, right, ht, spans[i])
-	})
-	return concatSel(sels)
-}
-
-func (c *cSemi) hashSelRange(left, right *rel.Batch, ht map[uint64][]int32, sp span) []int32 {
-	sel := make([]int32, 0, sp.hi-sp.lo)
+func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
+	ht := buildHashIdx(right, c.ridx)
+	n := left.Len()
+	sel := make([]int32, 0, n)
 	var buf []byte
 	var lbuf, rbuf rel.Tuple
-	for i := sp.lo; i < sp.hi; i++ {
+	for i := 0; i < n; i++ {
 		buf = appendBatchKey(buf[:0], left, c.lidx, i)
 		matched := false
 		for _, ri := range ht[fnv1a64(buf)] {
@@ -740,81 +665,23 @@ func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
 	return sel
 }
 
-// concatSel concatenates per-chunk selection vectors in chunk order.
-func concatSel(sels [][]int32) []int32 {
-	if len(sels) == 1 {
-		return sels[0]
-	}
-	total := 0
-	for _, s := range sels {
-		total += len(s)
-	}
-	out := make([]int32, 0, total)
-	for _, s := range sels {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // γ kernel
 
-// bGroup is one aggregation group; firstIdx is the input index of its
-// first row, the merge order of the parallel fold.
+// bGroup is one aggregation group.
 type bGroup struct {
-	keyVals  rel.Tuple
-	states   []aggState
-	firstIdx int
+	keyVals rel.Tuple
+	states  []aggState
 }
 
-// maxGroupParts caps the key-partition count of the parallel γ so routing
-// tags fit a byte; more partitions than workers buys nothing anyway.
-const maxGroupParts = 64
-
-// fold groups the child's rows, in first-appearance order. With workers
-// and a large input, rows are routed to key partitions — every group
-// folds wholly inside one partition, in input order, which keeps
-// non-associative float SUM/AVG byte-identical to the sequential fold —
-// the partitions fold in parallel, and the merged groups sort by first
-// appearance.
-func (c *cGroupBy) fold(child *rel.Batch, w int) []*bGroup {
-	n := child.Len()
-	if w < 2 || n < MinOpRows {
-		return c.foldPart(child, nil, 0)
-	}
-	np := w
-	if np > maxGroupParts {
-		np = maxGroupParts
-	}
-	route := make([]uint8, n)
-	spans := chunkSpans(n, w)
-	parallelFor(w, len(spans), func(i int) {
-		var buf []byte
-		for j := spans[i].lo; j < spans[i].hi; j++ {
-			buf = appendBatchKey(buf[:0], child, c.keyIdx, j)
-			route[j] = uint8(fnv1a64(buf) % uint64(np))
-		}
-	})
-	partGroups := make([][]*bGroup, np)
-	parallelFor(w, np, func(p int) {
-		partGroups[p] = c.foldPart(child, route, uint8(p))
-	})
-	var all []*bGroup
-	for _, g := range partGroups {
-		all = append(all, g...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].firstIdx < all[j].firstIdx })
-	return all
-}
-
-// foldPart folds the child's rows (restricted to one route partition when
-// route != nil) into groups in input order. A single uniform-int key
-// column uses an int64-keyed map — no key encoding, no string interning
-// per group; any other key shape groups by the canonical encoded key.
-// Group identity is Same-equality in both paths (EncodeKey is injective
-// w.r.t. Same, and a uniform VecInt column contains only KindInt values,
-// whose encodings collide with nothing else in the column).
-func (c *cGroupBy) foldPart(child *rel.Batch, route []uint8, part uint8) []*bGroup {
+// fold folds the child's rows into groups, in first-appearance order, each
+// group's rows in input order (float SUM is not associative). A single
+// uniform-int key column uses an int64-keyed map — no key encoding, no
+// string interning per group; any other key shape groups by the canonical
+// encoded key. Group identity is equality of EncodeKey bytes in both paths
+// (a uniform VecInt column contains only KindInt values, whose encodings
+// are a bijection of the int).
+func (c *cGroupBy) fold(child *rel.Batch) []*bGroup {
 	var order []*bGroup
 	intKey := len(c.keyIdx) == 1 && child.Cols[c.keyIdx[0]].Kind == rel.VecInt
 	var byInt map[int64]*bGroup
@@ -828,9 +695,6 @@ func (c *cGroupBy) foldPart(child *rel.Batch, route []uint8, part uint8) []*bGro
 	var buf []byte
 	var scratch rel.Tuple
 	for i, n := 0, child.Len(); i < n; i++ {
-		if route != nil && route[i] != part {
-			continue
-		}
 		var grp *bGroup
 		if intKey {
 			kc := &child.Cols[c.keyIdx[0]]
@@ -885,7 +749,7 @@ func (c *cGroupBy) newBGroup(child *rel.Batch, i int) *bGroup {
 	for k, fn := range c.fns {
 		states[k] = aggState{fn: fn, sum: rel.Null(), best: rel.Null()}
 	}
-	return &bGroup{keyVals: kv, states: states, firstIdx: i}
+	return &bGroup{keyVals: kv, states: states}
 }
 
 // emitGroups lays the groups out columnarly in slice order.

@@ -2,9 +2,11 @@ package algebra_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"idivm/internal/algebra"
+	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
@@ -12,7 +14,7 @@ import (
 
 // mixedKeys drives hash joins with repeats, misses, a NULL, and a kind
 // mix (Int + Float with equal numeric value) so the batch key columns
-// degrade to VecAny and the Same-based bucket verification is exercised.
+// degrade to VecAny and the KeyEqual bucket verification is exercised.
 func mixedKeys() *rel.Relation {
 	sch := rel.NewSchema([]string{"jk"}, nil)
 	r := rel.NewRelation(sch)
@@ -21,7 +23,7 @@ func mixedKeys() *rel.Relation {
 		case i%503 == 0:
 			r.Add(rel.Tuple{rel.Null()})
 		case i%97 == 0:
-			r.Add(rel.Tuple{rel.Float(float64((i * 3) % 3300))}) // Same as the Int key
+			r.Add(rel.Tuple{rel.Float(float64((i * 3) % 3300))}) // KeyEqual to the Int key
 		default:
 			r.Add(rel.Tuple{rel.Int(int64((i * 3) % 3300))})
 		}
@@ -114,9 +116,8 @@ func batchPlans() map[string]algebra.Node {
 }
 
 // TestBatchMatchesTupleMode runs every plan through the interpreted
-// evaluator (the oracle) and through the compiled plan across
-// materialization chunks and worker counts, on mem and sharded backends:
-// rows must match in exact order and the access counters must be
+// evaluator (the oracle) and through the compiled plan, on mem and sharded
+// backends: rows must match in exact order and the access counters must be
 // byte-identical — the columnar kernels are invisible to the cost model.
 func TestBatchMatchesTupleMode(t *testing.T) {
 	plans := batchPlans()
@@ -135,10 +136,9 @@ func TestBatchMatchesTupleMode(t *testing.T) {
 	}
 }
 
-// TestBatchReuseAcrossRuns re-runs one compiled plan with interleaved
-// worker counts: compiled plans are shared
-// state, so scratch leaking between runs or workers shows up as drift
-// from the interpreted result (and as a data race under -race).
+// TestBatchReuseAcrossRuns re-runs one compiled plan: a compiled plan owns
+// scratch, so any of it leaking between runs shows up as drift from the
+// interpreted result.
 func TestBatchReuseAcrossRuns(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	plan := algebra.NewGroupBy(
@@ -157,11 +157,55 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4, 1, 8, 4, 1} {
-		got, err := compiled.Run(&opEnv{Env: base, w: w})
+	for run := 1; run <= 6; run++ {
+		got, err := compiled.Run(base)
 		if err != nil {
-			t.Fatalf("w=%d: %v", w, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
-		sameOrderedRelation(t, fmt.Sprintf("w=%d", w), ref, got)
+		sameOrderedRelation(t, fmt.Sprintf("run %d", run), ref, got)
+	}
+}
+
+// TestKeyEqualityAtTheEdgesOfSame runs the kernels that match rows by key
+// without a stored index — hash join, hash semijoin/antijoin, γ — over key
+// columns holding the values on which Same and the EncodeKey bytes the oracle
+// buckets by disagree or nearly do: 2^53 and 2^53+1 (Same, different keys),
+// Float(2^53) (KeyEqual to the first only), NaN (Same as every number, a key
+// of its own), -0.0 and 0 (one key) and NULL. The "ints" column stays a
+// uniform VecInt, which takes γ's int64-keyed path.
+func TestKeyEqualityAtTheEdgesOfSame(t *testing.T) {
+	const p53 = int64(1) << 53
+	keySets := map[string][]rel.Value{
+		"mixed": {rel.Int(p53), rel.Int(p53 + 1), rel.Float(float64(p53)), rel.Float(math.NaN()),
+			rel.Float(math.Copysign(0, -1)), rel.Int(0), rel.Null(), rel.Float(5)},
+		"ints": {rel.Int(p53), rel.Int(p53 + 1), rel.Int(0), rel.Null(), rel.Int(p53 + 1)},
+	}
+	side := func(name string, keys []rel.Value) *rel.Relation {
+		r := rel.NewRelation(rel.NewSchema([]string{name + "k", name + "v"}, nil))
+		for i, k := range keys {
+			r.Add(rel.Tuple{k, rel.Int(int64(i))})
+		}
+		return r
+	}
+	l := func() algebra.Node { return algebra.NewRelRef("l", rel.NewSchema([]string{"lk", "lv"}, nil)) }
+	r := func() algebra.Node { return algebra.NewRelRef("r", rel.NewSchema([]string{"rk", "rv"}, nil)) }
+	on := expr.Eq(expr.C("lk"), expr.C("rk"))
+	plans := map[string]algebra.Node{
+		"join-hash": algebra.NewJoin(l(), r(), on),
+		"semi-hash": algebra.NewSemiJoin(l(), r(), on),
+		"anti-hash": algebra.NewAntiJoin(l(), r(), on),
+		"groupby": algebra.NewGroupBy(l(), []string{"lk"}, []algebra.Agg{
+			{Fn: algebra.AggCount, As: "n"}, {Fn: algebra.AggSum, Arg: expr.C("lv"), As: "s"}}),
+	}
+	d := db.New()
+	for setName, keys := range keySets {
+		rev := append([]rel.Value(nil), keys...)
+		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+			rev[i], rev[j] = rev[j], rev[i]
+		}
+		env := &bindEnv{Database: d, rels: map[string]*rel.Relation{"l": side("l", keys), "r": side("r", rev)}}
+		for name, plan := range plans {
+			t.Run(setName+"/"+name, func(t *testing.T) { checkAgainstEval(t, d, env, plan) })
+		}
 	}
 }

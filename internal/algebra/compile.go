@@ -80,27 +80,6 @@ func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
 	return b.Materialize(), nil
 }
 
-// KnobEnv is the optional extension of Env through which an executor grants
-// the plans it runs intra-operator parallelism; the Δ-script executor
-// implements it from its ExecOptions. A plain Env runs sequentially.
-type KnobEnv interface {
-	Env
-	// OpWorkers > 1 lets large inputs run the chunk- and partition-parallel
-	// forms of the kernels on that many pool workers (pool.go). Output,
-	// reports and counters are byte-identical to the sequential run.
-	OpWorkers() int
-}
-
-// opWorkersOf is the worker budget env grants, at least 1.
-func opWorkersOf(env Env) int {
-	if ke, ok := env.(KnobEnv); ok {
-		if w := ke.OpWorkers(); w > 1 {
-			return w
-		}
-	}
-	return 1
-}
-
 // cNode is one compiled operator.
 type cNode interface {
 	run(env Env) (*rel.Batch, error)
@@ -159,32 +138,7 @@ func (c *cStored) run(env Env) (*rel.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rel.FromTuples(c.sch, scanRows(t, c.st, opWorkersOf(env))), nil
-}
-
-// scanRows is the charged full scan of a stored table: part-by-part on the
-// worker pool, concatenated in part order, when the table is partitioned
-// and large enough for that to pay; one flat Scan otherwise.
-func scanRows(t *storage.Handle, st rel.State, w int) []rel.Tuple {
-	np := t.Parts()
-	if w < 2 || np < 2 || t.Len() < MinOpRows {
-		return t.Scan(st)
-	}
-	parts := make([][]rel.Tuple, np)
-	shards := make([]rel.CostCounter, np)
-	parallelFor(w, np, func(i int) {
-		parts[i] = t.WithCounter(&shards[i]).ScanPart(st, i)
-	})
-	total := 0
-	for i := range parts {
-		t.Merge(shards[i])
-		total += len(parts[i])
-	}
-	out := make([]rel.Tuple, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	return rel.FromTuples(c.sch, t.Scan(c.st)), nil
 }
 
 // cBinding reads a named in-memory relation.
@@ -299,8 +253,7 @@ func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 			return batchOf(c.empty, rows), nil
 		}
 	}
-	rows := scanRows(t, c.st, opWorkersOf(env))
-	return c.full.filter(batchOf(c.empty, rows), c.empty), nil
+	return c.full.filter(batchOf(c.empty, t.Scan(c.st)), c.empty), nil
 }
 
 // cProject applies precompiled projection expressions. A plain column
@@ -415,17 +368,6 @@ func compileProbe(sh *probeShape, joinCols []string) (*cProbe, error) {
 		}
 	}
 	return p, nil
-}
-
-// clone derives a worker-private probe: the immutable prepared state
-// (signature, literal values, residual predicate) is shared, the mutable
-// scratch (value/result buffers) is fresh. An ExecPlan owns its
-// scratch, so the workers of a chunked probe each hold a clone.
-func (p *cProbe) clone() *cProbe {
-	q := *p
-	q.valsBuf = append([]rel.Value(nil), p.valsBuf...)
-	q.rowsBuf = nil
-	return &q
 }
 
 func (p *cProbe) resolve(env Env) (*storage.Handle, error) { return env.Table(p.table) }
@@ -594,7 +536,6 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 			return nil, err
 		}
 	}
-	w := opWorkersOf(env)
 	switch c.strategy {
 	case joinProbeRight, joinProbeLeft:
 		driving := left
@@ -605,9 +546,9 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.probeJoin(t, driving, w)
+		return c.probeJoin(t, driving)
 	case joinHash:
-		return c.hashJoin(left, right, w), nil
+		return c.hashJoin(left, right), nil
 	default:
 		return c.nestedJoin(left, right), nil
 	}
@@ -735,7 +676,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sel, err = c.probeRightSel(t, left, opWorkersOf(env)); err != nil {
+		if sel, err = c.probeRightSel(t, left); err != nil {
 			return nil, err
 		}
 	} else {
@@ -748,7 +689,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 		case right.Len() == 0 && !c.keep: // nothing to exclude (a semijoin's empty key set returned above)
 			return left, nil
 		case c.strategy == semiHash:
-			sel = c.hashSel(left, right, opWorkersOf(env))
+			sel = c.hashSel(left, right)
 		default:
 			sel = c.nestedSel(left, right)
 		}
@@ -828,7 +769,7 @@ func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 	if child.Len() == 0 {
 		return c.empty, nil
 	}
-	return c.emitGroups(c.fold(child, opWorkersOf(env))), nil
+	return c.emitGroups(c.fold(child)), nil
 }
 
 // cUnion concatenates its children column by column and appends the

@@ -11,19 +11,9 @@ import (
 	"idivm/internal/storage"
 )
 
-// opEnv grants a base Env intra-operator workers, engaging the parallel
-// form of the kernels in compiled plans.
-type opEnv struct {
-	algebra.Env
-	w int
-}
-
-func (e *opEnv) OpWorkers() int { return e.w }
-
-// bigDB builds a table large enough (3000 rows > MinOpRows) for every
-// parallel kernel to engage without lowering the threshold. val mixes
-// floats and NULLs so the partitioned group-by has to reproduce the exact
-// sequential fold order — float addition is not associative.
+// bigDB builds a 3000-row table: the large-input coverage of every kernel.
+// val mixes floats and NULLs so the group-by has to reproduce the oracle's
+// exact fold order — float addition is not associative.
 func bigDB(t testing.TB, e storage.Engine) *db.Database {
 	t.Helper()
 	d := db.NewWith(e)
@@ -44,7 +34,7 @@ func bigDB(t testing.TB, e storage.Engine) *db.Database {
 }
 
 // bigKeys returns a derived relation of 2000 join keys (with repeats and a
-// NULL) driving the probe and hash kernels past MinOpRows.
+// NULL) driving the probe and hash kernels.
 func bigKeys() *rel.Relation {
 	sch := rel.NewSchema([]string{"jk"}, nil)
 	r := rel.NewRelation(sch)
@@ -59,7 +49,7 @@ func bigKeys() *rel.Relation {
 }
 
 // sameOrderedRelation asserts exact equality including tuple order — the
-// kernels' deterministic-merge contract, stronger than set equality.
+// kernels' contract with the oracle, stronger than set equality.
 func sameOrderedRelation(t *testing.T, label string, a, b *rel.Relation) {
 	t.Helper()
 	if len(a.Tuples) != len(b.Tuples) {
@@ -76,9 +66,9 @@ func sameOrderedRelation(t *testing.T, label string, a, b *rel.Relation) {
 }
 
 // TestKernelsMatchSequential compiles representative plans over every
-// operator with a parallel kernel and runs them with 1 and 4 op-workers on
-// mem and sharded backends: results must be identical row-for-row and the
-// access counters byte-identical.
+// kernel and runs them on the 3000-row inputs, on mem and sharded backends,
+// against the interpreted oracle: results must be identical row-for-row, in
+// order, and the access counters byte-identical.
 func TestKernelsMatchSequential(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	scan := func() algebra.Node { return algebra.NewScan("big", "", sch) }
@@ -116,36 +106,15 @@ func TestKernelsMatchSequential(t *testing.T) {
 			d := bigDB(t, mk())
 			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
 			for name, plan := range plans {
-				t.Run(name, func(t *testing.T) {
-					compiled, err := algebra.Compile(plan)
-					if err != nil {
-						t.Fatalf("compile: %v", err)
-					}
-					d.Counter().Reset()
-					seq, err := compiled.Run(&opEnv{Env: base, w: 1})
-					if err != nil {
-						t.Fatalf("sequential run: %v", err)
-					}
-					seqCost := *d.Counter()
-					d.Counter().Reset()
-					par, err := compiled.Run(&opEnv{Env: base, w: 4})
-					if err != nil {
-						t.Fatalf("parallel run: %v", err)
-					}
-					if parCost := *d.Counter(); parCost != seqCost {
-						t.Fatalf("counters differ: sequential %v, parallel %v", seqCost, parCost)
-					}
-					sameOrderedRelation(t, name, seq, par)
-				})
+				t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
 			}
 		})
 	}
 }
 
-// TestKernelsReuseAcrossRuns re-runs one compiled plan many times with
-// varying worker counts: compiled plans are shared state, so any scratch
-// leaking between workers or runs shows up as drift (and as a data race
-// under -race).
+// TestKernelsReuseAcrossRuns re-runs one compiled plan many times: a
+// compiled plan owns scratch, so any of it leaking between runs shows up as
+// drift.
 func TestKernelsReuseAcrossRuns(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	plan := algebra.NewGroupBy(
@@ -160,15 +129,15 @@ func TestKernelsReuseAcrossRuns(t *testing.T) {
 	}
 	d := bigDB(t, storage.NewSharded(4))
 	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
-	ref, err := compiled.Run(&opEnv{Env: base, w: 1})
+	ref, err := compiled.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 8, 1, 4} {
-		got, err := compiled.Run(&opEnv{Env: base, w: w})
+	for run := 2; run <= 6; run++ {
+		got, err := compiled.Run(base)
 		if err != nil {
-			t.Fatalf("w=%d: %v", w, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
-		sameOrderedRelation(t, fmt.Sprintf("w=%d", w), ref, got)
+		sameOrderedRelation(t, fmt.Sprintf("run %d", run), ref, got)
 	}
 }

@@ -93,8 +93,7 @@ func strategyPlans() map[string]algebra.Node {
 }
 
 // TestCompiledStrategiesAtInputSizes runs every compiled strategy on 0-,
-// 1- and 1025-row inputs (the last crosses MinOpRows, so the four-worker
-// cell takes the chunked kernels) on both engines, and requires what Eval
+// 1- and 1025-row inputs on both engines, and requires what Eval
 // produces: the same schema, every row at schema width, the same rows in
 // the same order, and byte-identical access counters. A zero-row
 // short-circuit that hands back a batch of the wrong width, or returns
@@ -133,8 +132,8 @@ func TestCompiledStrategiesAtInputSizes(t *testing.T) {
 	}
 }
 
-// checkAgainstEval compiles plan and compares its runs — sequential and on
-// four workers — with the interpreted oracle: schema, row width, rows in order, access counters.
+// checkAgainstEval compiles plan and compares its run with the interpreted
+// oracle: schema, row width, rows in order, access counters.
 func checkAgainstEval(t *testing.T, d *db.Database, env algebra.Env, plan algebra.Node) {
 	t.Helper()
 	compiled, err := algebra.Compile(plan)
@@ -144,23 +143,18 @@ func checkAgainstEval(t *testing.T, d *db.Database, env algebra.Env, plan algebr
 	d.Counter().Reset()
 	want := eval(t, plan, env)
 	wantCost := *d.Counter()
-	for _, m := range []struct {
-		name string
-		w    int
-	}{{"seq", 1}, {"op4", 4}} {
-		d.Counter().Reset()
-		got, err := compiled.Run(&opEnv{Env: env, w: m.w})
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if cost := *d.Counter(); cost != wantCost {
-			t.Fatalf("%s: counters differ: eval %v, compiled %v", m.name, wantCost, cost)
-		}
-		sameOrderedRelation(t, m.name, want, got)
-		for i, row := range got.Tuples {
-			if len(row) != len(got.Schema.Attrs) {
-				t.Fatalf("%s: row %d has %d values under a %d-attribute schema", m.name, i, len(row), len(got.Schema.Attrs))
-			}
+	d.Counter().Reset()
+	got, err := compiled.Run(env)
+	if err != nil {
+		t.Fatalf("compiled: %v", err)
+	}
+	if cost := *d.Counter(); cost != wantCost {
+		t.Fatalf("counters differ: eval %v, compiled %v", wantCost, cost)
+	}
+	sameOrderedRelation(t, "compiled", want, got)
+	for i, row := range got.Tuples {
+		if len(row) != len(got.Schema.Attrs) {
+			t.Fatalf("row %d has %d values under a %d-attribute schema", i, len(row), len(got.Schema.Attrs))
 		}
 	}
 }

@@ -221,19 +221,19 @@ func TestCascadeMaintenance(t *testing.T) {
 // every round, the 2-level cascade's top view holds exactly the rows of
 // the equivalent flattened view registered directly over the base table —
 // across both engines and sequential and worker-pool scheduling. The
-// "tuple"/"batch64" sub-test names predate the single columnar path; both
-// run the same configuration now that System.BatchSize is ignored, and the
-// axis goes when the field does (ROADMAP item 1(a)).
+// "op-workers" and "tuple"/"batch64" sub-test names predate the single
+// columnar path: "op-workers" is Workers = 3, and both batch cells run the
+// same configuration now that System.BatchSize is ignored; the axis goes
+// when the field does (ROADMAP item 2(b)).
 func TestCascadeMatchesFlattened(t *testing.T) {
 	engs := []struct {
 		name string
 		mk   func() storage.Engine
 	}{{"mem", storage.NewMem}, {"sharded4", func() storage.Engine { return storage.NewSharded(4) }}}
 	execs := []struct {
-		name      string
-		workers   int
-		opWorkers int
-	}{{"seq", 0, 0}, {"op-workers", 3, 2}}
+		name    string
+		workers int
+	}{{"seq", 0}, {"op-workers", 3}}
 	batches := []struct {
 		name string
 		n    int
@@ -252,7 +252,6 @@ func TestCascadeMatchesFlattened(t *testing.T) {
 					flatSys := ivm.NewSystem(flat)
 					for _, s := range []*ivm.System{cascSys, flatSys} {
 						s.Workers = ex.workers
-						s.OpWorkers = ex.opWorkers
 						s.BatchSize = bs.n
 					}
 					register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"idivm/internal/algebra"
 	"idivm/internal/db"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
@@ -179,23 +178,15 @@ func TestCompiledParallelCounterParity(t *testing.T) {
 }
 
 // TestOpWorkersEngineMatrixDifferential is the differential net over the
-// intra-operator kernels: every seeded random plan runs, per storage
-// engine (mem, sharded:1, sharded:8), through the interpreted oracle and
-// as {sequential, OpWorkers only, step-DAG + OpWorkers} compiled twins,
-// fed identical modification streams. Every compiled cell must reproduce its engine's reference
-// byte-for-byte — per-step reports and the database access counters —
-// because the Handle charges partitioned scans exactly as flat scans and
-// every kernel merges in deterministic order. (The reference is
+// compiled kernels: every seeded random plan runs, per storage engine (mem,
+// sharded:1, sharded:8), through the interpreted oracle and as {sequential,
+// step-DAG} compiled twins, fed identical modification streams. Every
+// compiled cell must reproduce its engine's reference byte-for-byte —
+// per-step reports and the database access counters. (The reference is
 // per-engine: physical scan order differs between backends, which can
-// legitimately shift apply-phase costs; parallelism must not.) Final view
-// state must additionally agree across all engines. MinOpRows is forced
-// to 1 so the chunked kernels engage on the tiny Figure 2 instance; run
-// under -race this also proves the kernels are data-race free on every
-// backend.
+// legitimately shift apply-phase costs; the executor must not.) Final view
+// state must additionally agree across all engines.
 func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
-	defer func(old int) { algebra.MinOpRows = old }(algebra.MinOpRows)
-	algebra.MinOpRows = 1
-
 	trials := 20
 	if testing.Short() {
 		trials = 3
@@ -212,12 +203,10 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 		name      string
 		interpret bool
 		workers   int
-		opWorkers int
 	}{
-		{"interp", true, 0, 0}, // per-engine reference: the oracle; must come first
-		{"seq", false, 0, 0},
-		{"op4", false, 0, 4},
-		{"dag4+op4", false, 4, 4},
+		{"interp", true, 0}, // per-engine reference: the oracle; must come first
+		{"seq", false, 0},
+		{"dag4", false, 4},
 	}
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(11000 + trial)
@@ -245,7 +234,6 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 				sys := ivm.NewSystem(d)
 				sys.Interpret = s.interpret
 				sys.Workers = s.workers
-				sys.OpWorkers = s.opWorkers
 				if _, err := sys.RegisterView("V", plan, ivm.ModeID); err != nil {
 					t.Fatalf("trial %d: register %s/%s: %v\nplan: %s", trial, e.name, s.name, err, plan)
 				}

@@ -76,15 +76,8 @@ type ExecOptions struct {
 	// Interpret forces compute steps through the interpreted algebra.Eval
 	// path even when a compiled plan is cached — the reference-oracle mode
 	// the differential tests compare the compiled executor against.
-	Interpret bool
-	// OpWorkers bounds intra-operator parallelism: >1 lets each compiled
-	// compute step run the chunk- and partition-parallel forms of its
-	// kernels (scan, join probe/build, semijoin, group-by pre-aggregation)
-	// on that many pool workers. Orthogonal to Workers (which overlaps
-	// whole steps); results, per-step reports and access counters are
-	// identical to sequential execution. 0 or 1 keeps operators
-	// sequential; the interpreted path ignores it.
-	OpWorkers     int
+	Interpret     bool
+	OpWorkers     int // ignored: kept because the frozen benchmark/trace.go assigns it
 	BatchSize     int // ignored: kept because the frozen benchmark/trace.go assigns it
 	SkewThreshold int // ignored: kept because the frozen benchmark/trace.go assigns it
 }
@@ -143,11 +136,6 @@ func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
 	}
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
 }
-
-// OpWorkers implements algebra.KnobEnv.
-func (e *stepEnv) OpWorkers() int { return e.x.opts.OpWorkers }
-
-var _ algebra.KnobEnv = (*stepEnv)(nil)
 
 // RunScript executes a Δ-script against the database: base diff instances
 // are passed as bindings keyed by BaseBindName; the script's compute steps

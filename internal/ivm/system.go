@@ -99,11 +99,8 @@ type System struct {
 	// Interpret forces every maintenance round through the interpreted
 	// evaluator instead of the compiled plans cached at registration —
 	// the reference oracle the differential tests compare against.
-	Interpret bool
-	// OpWorkers bounds intra-operator parallelism inside each compiled
-	// compute step (partition-parallel scans, join probes/builds, group-by
-	// pre-aggregation). Orthogonal to Workers; see ExecOptions.OpWorkers.
-	OpWorkers     int
+	Interpret     bool
+	OpWorkers     int // ignored: kept because the frozen benchmark/setup.go assigns it
 	BatchSize     int // ignored: kept because the frozen benchmark/setup.go assigns it
 	SkewThreshold int // ignored: kept because the frozen benchmark/setup.go assigns it
 	// PinEpochs keeps every view, cache and logged base table in a
@@ -334,8 +331,7 @@ func (s *System) Maintain(name string) (*Report, error) {
 // execOptions is the System's knob set as one script run's options,
 // charging counter (nil = the database-wide one).
 func (s *System) execOptions(counter *rel.CostCounter) ExecOptions {
-	return ExecOptions{Workers: s.Workers, Counter: counter, Interpret: s.Interpret,
-		OpWorkers: s.OpWorkers}
+	return ExecOptions{Workers: s.Workers, Counter: counter, Interpret: s.Interpret}
 }
 
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged

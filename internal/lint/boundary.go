@@ -9,16 +9,12 @@ import (
 	"path/filepath"
 )
 
-// goStmtExemptFiles are the blessed goroutine-launch files, one per linted
-// package: the Δ-script scheduler owning internal/ivm's worker pool, the
-// operator pool owning internal/algebra's (parallelFor — the chunked form
-// of every columnar kernel in batch.go and the partitioned scan in
-// compile.go fan out through it and hold no go statement themselves), and
-// the serving layer's group-commit dispatcher. Everything else must route
-// concurrency through them.
+// goStmtExemptFiles are the blessed goroutine-launch files: the Δ-script
+// scheduler owning internal/ivm's worker pool and the serving layer's
+// group-commit dispatcher. Everything else — internal/algebra has no
+// launch site at all — must route concurrency through them.
 var goStmtExemptFiles = map[string]bool{
 	"sched.go":    true, // internal/ivm: step-DAG scheduler + view parallel-for
-	"pool.go":     true, // internal/algebra: intra-operator kernel pool
 	"dispatch.go": true, // internal/serve: group-commit dispatcher goroutine
 }
 
@@ -51,7 +47,7 @@ func runGoStmt(pass *Pass) {
 			if !ok {
 				return true
 			}
-			pass.Reportf(gs.Pos(), "goroutine launched outside the blessed pool files (sched.go, pool.go, dispatch.go); "+
+			pass.Reportf(gs.Pos(), "goroutine launched outside the blessed pool files (sched.go, dispatch.go); "+
 				"route concurrency through the worker pool "+
 				"(or annotate with //ivmlint:allow gostmt)")
 			return true

@@ -38,7 +38,6 @@ import (
 // raw backend bypasses the cost model.
 var chargedShape = map[string]bool{
 	"Scan":           true,
-	"ScanPart":       true,
 	"Get":            true,
 	"Lookup":         true,
 	"LookupInto":     true,

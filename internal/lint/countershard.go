@@ -1,9 +1,9 @@
 // countershard pins the deterministic counter-fold invariant of the
 // parallel executor: worker-local rel.CostCounter shards must be folded
-// back through the blessed helpers — Handle.Merge, db.MergeCounter, or
+// back through the blessed helpers — db.MergeCounter or
 // CostCounter.Add/Sub/Reset — whose fields are plain sums, so the fold
 // order cannot change totals and a parallel run stays byte-identical to
-// the sequential one (DESIGN.md §7, §8). Ad-hoc field arithmetic on a
+// the sequential one (DESIGN.md §7). Ad-hoc field arithmetic on a
 // counter outside internal/rel and internal/storage reintroduces exactly
 // the attribution bugs the shard discipline removed: a hand-written
 // `c.TupleReads += n` is an uncharged-by-Handle mutation no differential
@@ -59,6 +59,6 @@ func checkCounterWrite(pass *Pass, target ast.Expr) {
 		return
 	}
 	pass.Reportf(sel.Pos(), "direct write to CostCounter.%s outside the blessed fold helpers; "+
-		"fold shards via Handle.Merge / CostCounter.Add so parallel merges stay deterministic "+
+		"fold shards via db.MergeCounter / CostCounter.Add so parallel merges stay deterministic "+
 		"(or annotate with //ivmlint:allow countershard)", sel.Sel.Name)
 }

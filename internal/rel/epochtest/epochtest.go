@@ -21,8 +21,6 @@ type Table interface {
 	Len() int
 	Rows(s rel.State) []rel.Tuple
 	Scan(s rel.State) []rel.Tuple
-	Parts() int
-	ScanPart(s rel.State, i int) []rel.Tuple
 	Relation(s rel.State) *rel.Relation
 	Get(s rel.State, key []rel.Value) (rel.Tuple, bool)
 	Lookup(s rel.State, attrs []string, vals []rel.Value) ([]rel.Tuple, error)
@@ -502,14 +500,6 @@ func check(t testing.TB, tab Table, m *model, where string) {
 	for _, s := range states {
 		want := m.state(s)
 		all := m.matching(s, func(rel.Tuple) bool { return true })
-
-		var parts []rel.Tuple
-		for i := 0; i < tab.Parts(); i++ {
-			parts = append(parts, tab.ScanPart(s, i)...)
-		}
-		if scan := tab.Scan(s); !sameTuples(scan, parts) {
-			t.Errorf("%s: %s ScanPart concatenation %v != Scan %v", where, s, parts, scan)
-		}
 		for name, got := range map[string][]rel.Tuple{"Scan": tab.Scan(s), "Rows": tab.Rows(s), "Relation": tab.Relation(s).Tuples} {
 			if !sameSet(got, all) {
 				t.Errorf("%s: %s %s = %v, want %v", where, s, name, got, all)

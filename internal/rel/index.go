@@ -239,9 +239,8 @@ func indexSig(attrs []string) string { return strings.Join(attrs, "\x00") }
 // runs exactly once no matter how many readers hit the cold index
 // concurrently. Readers install the entry under idxMu, then build outside
 // it through once — concurrent probes for the same signature block on the
-// one in-flight build instead of each paying an O(n) rebuild (which
-// matters once partition-parallel kernels probe a cold index from many
-// workers at once).
+// one in-flight build instead of each paying an O(n) rebuild (concurrent
+// Δ-script steps and snapshot readers probe the same table).
 type idxEntry struct {
 	sig  string
 	once sync.Once

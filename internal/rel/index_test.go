@@ -108,8 +108,8 @@ func TestDeleteWhereKeepsIndexesFresh(t *testing.T) {
 }
 
 // Concurrent cold probes of the same index must build it exactly once
-// (single-flight): under partition-parallel kernels many workers hit the
-// same cold index at the same instant. Run with -race to catch unlocked
+// (single-flight): concurrent Δ-script steps and snapshot readers can hit
+// the same cold index at the same instant. Run with -race to catch unlocked
 // paths.
 func TestColdIndexBuildsOnce(t *testing.T) {
 	tab := MustNewTable("t", NewSchema([]string{"k", "g"}, []string{"k"}))

@@ -39,8 +39,8 @@ func (s State) String() string {
 //     indexes, the materialized pre-state) happen under an RLock (readers
 //     probing a cold structure), so the caches are additionally guarded by
 //     the leaf lock idxMu, and each cache slot is a single-flight entry:
-//     many concurrent probes of the same cold index — routine once the
-//     partition-parallel kernels fan probes out — build it exactly once.
+//     many concurrent probes of the same cold index — concurrent
+//     Δ-script steps, snapshot readers — build it exactly once.
 //     Writers never take idxMu: whoever installs or builds holds mu.RLock,
 //     which a writer's mu.Lock excludes, so the write hooks walk the cache
 //     lists and use the per-table scratch buffers freely.
@@ -204,19 +204,6 @@ func (t *Table) Scan(s State) []Tuple {
 	rows := t.core.stateRows(s)
 	t.core.mu.RUnlock()
 	return rows
-}
-
-// Parts reports the number of storage partitions: always 1 — the in-memory
-// table is unpartitioned.
-func (t *Table) Parts() int { return 1 }
-
-// ScanPart reads partition i of the requested state. With a single
-// partition it is exactly Scan; any other index is a caller bug.
-func (t *Table) ScanPart(s State, i int) []Tuple {
-	if i != 0 {
-		panic(fmt.Sprintf("rel: table %q has 1 part, ScanPart(%d)", t.core.name, i))
-	}
-	return t.Scan(s)
 }
 
 // Relation materializes the requested state as a Relation (snapshot

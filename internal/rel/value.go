@@ -208,8 +208,8 @@ func (v Value) SortCompare(o Value) int {
 }
 
 // EncodeKey appends a canonical, injective encoding of v to b, suitable for
-// use in hash keys. Numeric values that are equal encode identically
-// regardless of int/float kind, matching Same.
+// use in hash keys. An int and the integral float of the same value encode
+// identically; equal encodings are KeyEqual, which is finer than Same.
 func (v Value) EncodeKey(b []byte) []byte {
 	switch v.Kind {
 	case KindNull:

@@ -228,9 +228,6 @@ func TestConformanceEpochModel(t *testing.T) {
 	})
 }
 
-// TestConformancePartitionedScan pins the partition contract the parallel
-// operator kernels rely on: concatenating ScanPart(s, 0..Parts()-1) in part
-// order yields exactly Scan(s), for both epoch states.
 // TestConformanceInstanceApply is the instance-level APPLY contract on every
 // backend, through counting handles (epochtest.RunInstances): a multi-tuple
 // instance — of every kind, spanning lock chunks, with a conflict in the
@@ -249,60 +246,6 @@ func TestConformanceInstanceApply(t *testing.T) {
 			return h, cost
 		})
 	})
-}
-
-func TestConformancePartitionedScan(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
-		tab := mkParts(t, e)
-		if p := tab.Parts(); p < 1 {
-			t.Fatalf("Parts() = %d, want >= 1", p)
-		}
-		tab.BeginEpoch()
-		if err := tab.Insert(rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil {
-			t.Fatal(err)
-		}
-		if !tab.DeleteKey([]rel.Value{rel.String("P2")}) {
-			t.Fatal("delete P2")
-		}
-		defer tab.EndEpoch()
-		for _, st := range []rel.State{rel.StatePre, rel.StatePost} {
-			var concat []rel.Tuple
-			for i := 0; i < tab.Parts(); i++ {
-				concat = append(concat, tab.ScanPart(st, i)...)
-			}
-			flat := tab.Scan(st)
-			if len(concat) != len(flat) {
-				t.Fatalf("state %v: %d part rows != %d scan rows", st, len(concat), len(flat))
-			}
-			for i := range flat {
-				if !concat[i].Equal(flat[i]) {
-					t.Fatalf("state %v row %d: part concat %v != scan %v", st, i, concat[i], flat[i])
-				}
-			}
-		}
-	})
-}
-
-// TestConformancePartCounts pins the partition counts: 1 for mem, the
-// shard count for sharded backends.
-func TestConformancePartCounts(t *testing.T) {
-	for _, c := range []struct {
-		e    Engine
-		want int
-	}{
-		{NewMem(), 1},
-		{NewSharded(1), 1},
-		{NewSharded(3), 3},
-		{NewSharded(8), 8},
-	} {
-		tab, err := c.e.Create("t", rel.NewSchema([]string{"k"}, []string{"k"}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tab.Parts(); got != c.want {
-			t.Errorf("Parts() = %d, want %d", got, c.want)
-		}
-	}
 }
 
 // TestConformanceRandomizedDifferential drives an identical randomized

@@ -22,7 +22,7 @@
 // Two backends ship: the default in-memory engine (NewMem, backed by
 // rel.Table) and a hash-partitioned engine (NewSharded) that splits every
 // table into N key-partitioned rel.Tables — the existence proof that the
-// boundary is real, and the substrate for future per-shard parallel apply.
+// boundary is real.
 package storage
 
 import (
@@ -61,16 +61,6 @@ type Table interface {
 	// later writes, so it may be retained across them (and across
 	// AdvanceEpoch/EndEpoch).
 	Scan(s rel.State) []rel.Tuple
-	// Parts reports how many storage partitions back the table: 1 for
-	// unpartitioned backends, the shard count for partitioned ones.
-	// Uncharged runtime statistics, like IndexCard.
-	Parts() int
-	// ScanPart reads every tuple of partition i (0 ≤ i < Parts()) of the
-	// requested state. Concatenating all parts in part order yields exactly
-	// Scan's result — the contract the parallel operator kernels rely on
-	// for deterministic merges. Callers must not mutate the returned
-	// tuples; aliasing and retention are as for Scan.
-	ScanPart(s rel.State, i int) []rel.Tuple
 	// Relation materializes the requested state as an independent Relation.
 	Relation(s rel.State) *rel.Relation
 	// Get fetches the row with the given primary-key values.

@@ -64,16 +64,6 @@ func (h *Handle) WithCounter(c *rel.CostCounter) *Handle {
 	return &Handle{t: h.t, counter: c}
 }
 
-// Merge folds a detached counter shard into this handle's counter (a nil
-// counter discards it, matching charge). Parallel operator kernels give
-// each worker a WithCounter shard and fold the shards back in a fixed
-// order; counter fields are sums, so the fold order cannot change totals.
-func (h *Handle) Merge(c rel.CostCounter) {
-	if h.counter != nil {
-		h.counter.Add(c)
-	}
-}
-
 func (h *Handle) charge(reads, lookups, writes int64) {
 	if h.counter != nil {
 		h.counter.TupleReads += reads
@@ -105,19 +95,6 @@ func (h *Handle) IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n 
 // Scan implements Table, charging one tuple read per row.
 func (h *Handle) Scan(s rel.State) []rel.Tuple {
 	rows := h.t.Scan(s)
-	h.charge(int64(len(rows)), 0, 0)
-	return rows
-}
-
-// Parts implements Table (uncharged runtime statistics, like IndexCard).
-func (h *Handle) Parts() int { return h.t.Parts() }
-
-// ScanPart implements Table, charging one tuple read per row returned —
-// scanning all parts charges exactly what one flat Scan would, so
-// partition-parallel kernels leave every counter byte-identical to the
-// sequential plan by construction.
-func (h *Handle) ScanPart(s rel.State, i int) []rel.Tuple {
-	rows := h.t.ScanPart(s, i)
 	h.charge(int64(len(rows)), 0, 0)
 	return rows
 }

@@ -197,48 +197,6 @@ func TestHandleWithCounter(t *testing.T) {
 	NewHandle(h.Backend()).Scan(rel.StatePost)
 }
 
-// TestHandleScanPartCharges pins the partition-scan charging rule: the sum
-// of per-part read charges equals a flat Scan's charge on every backend,
-// Parts() itself is uncharged, and Merge folds a worker shard into the
-// handle's counter.
-func TestHandleScanPartCharges(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
-		h, c := countedParts(t, e)
-		c.Reset()
-		np := h.Parts()
-		if c.Total() != 0 {
-			t.Fatalf("Parts() charged %v", c)
-		}
-		total := 0
-		for i := 0; i < np; i++ {
-			total += len(h.ScanPart(rel.StatePost, i))
-		}
-		if total != 3 {
-			t.Fatalf("parts yielded %d rows", total)
-		}
-		if c.TupleReads != 3 || c.IndexLookups != 0 || c.TupleWrites != 0 {
-			t.Fatalf("partitioned scan charged %v, want 3 reads", c)
-		}
-		partReads := c.TupleReads
-		c.Reset()
-		h.Scan(rel.StatePost)
-		if c.TupleReads != partReads {
-			t.Fatalf("flat scan charged %d reads, parts charged %d", c.TupleReads, partReads)
-		}
-	})
-}
-
-func TestHandleMerge(t *testing.T) {
-	h, c := countedParts(t, NewMem())
-	c.Reset()
-	h.Merge(rel.CostCounter{TupleReads: 5, IndexLookups: 2, TupleWrites: 1})
-	if c.TupleReads != 5 || c.IndexLookups != 2 || c.TupleWrites != 1 {
-		t.Fatalf("Merge folded %v", c)
-	}
-	// A counterless handle discards merges without crashing.
-	NewHandle(h.Backend()).Merge(rel.CostCounter{TupleReads: 1})
-}
-
 func TestFromEnv(t *testing.T) {
 	cases := []struct {
 		v    string

@@ -115,15 +115,6 @@ func (t *shardTable) Scan(s rel.State) []rel.Tuple {
 	return out
 }
 
-// Parts implements Table: one part per shard.
-func (t *shardTable) Parts() int { return len(t.shards) }
-
-// ScanPart implements Table: the scan of shard i. Scan concatenates the
-// shards in the same order, so parts 0..N-1 in order reproduce it exactly.
-func (t *shardTable) ScanPart(s rel.State, i int) []rel.Tuple {
-	return t.shards[i].Scan(s)
-}
-
 // Relation implements Table.
 func (t *shardTable) Relation(s rel.State) *rel.Relation {
 	r := rel.NewRelation(t.schema)
