@@ -94,6 +94,11 @@ bench-e2e-smoke:
 # FeedApplyShape row is one feed_serving-sized apply round on a pinned epoch
 # (one delete instance of 64 buckets, one insert instance of 12 160 rows,
 # three indexes, one advance).
+# The ManyViewsRound row is bsma_views' shape — eleven views, one of them a
+# cascade, in one System, one MaintainAll — which no other gated row has: its
+# accesses/op is the views' sum, and its allocs/op is where work that a round
+# does once per view instead of once (log compaction, instance population)
+# would show.
 # The FeedJoin rows are the probe join under uniform and Zipf(1.1) keys:
 # one charged lookup per driving row, so the zipf row is the cost of a few
 # celebrity buckets being read once per tweet.
@@ -110,6 +115,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFig10$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkAggClasses$$' -benchtime=1x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkManyViewsRound$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFeedJoin$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(TableChurn|FeedApplyShape)$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt

@@ -7,6 +7,7 @@
 //	experiments -fig 12d           # Figure 12d (varying fanout)
 //	experiments -table 2           # eq. (1) validation (Table 2 model)
 //	experiments -table 3           # eq. (2) validation (Table 3 model)
+//	experiments -steps             # one many-views BSMA round, step by step
 //	experiments -all               # everything
 //
 // -scale and -users control dataset sizes (defaults keep a full run in
@@ -27,17 +28,18 @@ import (
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 10 | 12a | 12b | 12c | 12d | crossover")
 	table := flag.String("table", "", "table/model to validate: 2 | 3")
+	steps := flag.Bool("steps", false, "print one round of the eleven BSMA views in one system as a table: view, step, rows, accesses, µs")
 	all := flag.Bool("all", false, "run every experiment")
 	scale := flag.Int("scale", 4000, "parts/devices count for the Figure 12 sweeps")
 	users := flag.Int("users", 400, "user count for the Figure 10 workload")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
 	flag.Parse()
 
-	if !*all && *fig == "" && *table == "" {
+	if !*all && *fig == "" && *table == "" && !*steps {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*fig, *table, *all, *scale, *users, *csv); err != nil {
+	if err := run(*fig, *table, *all, *steps, *scale, *users, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -48,9 +50,19 @@ func crossoverDs(scale int) []int {
 	return []int{scale / 40, scale / 10, scale / 4, scale / 2, scale}
 }
 
-func run(fig, table string, all bool, scale, users int, csv bool) error {
+func run(fig, table string, all, steps bool, scale, users int, csv bool) error {
 	base := workload.Defaults(scale)
 	base.Devices = scale
+
+	if all || steps {
+		fmt.Println("== One round, step by step: the eight Figure 10 views and the three city views in one system ==")
+		reports, err := harness.RunSteps(bsma.Defaults(users))
+		if err != nil {
+			return err
+		}
+		harness.FprintSteps(os.Stdout, reports)
+		fmt.Println()
+	}
 
 	if all || fig == "10" {
 		fmt.Println("== Figure 10: speedup of ID-based over tuple-based IVM, BSMA views ==")

@@ -16,11 +16,11 @@ type bindEnv struct {
 	rels map[string]*rel.Relation
 }
 
-func (b *bindEnv) Rel(name string) (*rel.Relation, error) {
+func (b *bindEnv) Bound(name string) (*rel.Binding, error) {
 	if r, ok := b.rels[name]; ok {
-		return r, nil
+		return rel.BindRelation(r), nil
 	}
-	return b.Database.Rel(name)
+	return b.Database.Bound(name)
 }
 
 // runningExampleDB builds the paper's Figure 2 instance.

@@ -5,14 +5,17 @@
 //   - σ runs type-specialized predicate loops over []int64 / []float64 /
 //     []string payloads (no rel.Value boxing per row) and narrows the
 //     batch with a selection vector — payloads are never copied;
-//   - equi-joins over derived inputs hash 64-bit FNV-1a digests of the
-//     canonical key encoding (no per-row string allocation) and emit
-//     gather-vector pairs, so both join sides stay zero-copy; stored-side
-//     probe joins fill the probe buffer from columns and append only the
-//     probed tuples' values;
-//   - γ pre-aggregates through an int64-keyed group map when the key
-//     column is a uniform int vector, falling back to the canonical
-//     encoded-key map otherwise.
+//   - equi-joins and semijoins over derived inputs, γ and the two sets of
+//     semiProbeLeft file rows under the 64-bit key digest the stored indexes
+//     use (rel.KeyDigest, computed a column at a time by Batch.KeyDigests)
+//     in a flat digest → chain table (rel.DigestChains): no key is encoded,
+//     no string or bucket is allocated per row, and every candidate on a
+//     chain is verified column-wise with KeyEqual; joins emit gather-vector
+//     pairs, so both sides stay zero-copy; stored-side probe joins fill the
+//     probe buffer from columns and append only the probed tuples' values;
+//   - γ numbers its groups in first-appearance order, knows each by its
+//     first row (the output's key columns are the input's, gathered there)
+//     and carves their aggregate states from one array.
 //
 // Every kernel reproduces the interpreted evaluator's semantics
 // bit-for-bit: row order, float widening in comparisons (Value.compare),
@@ -23,8 +26,8 @@
 // string-keyed buckets exactly), group first-appearance order, and float
 // aggregation fold order. Storage is touched through exactly the Handle
 // calls Eval makes — batches form right after a charged Scan/Lookup and
-// materialize only at the plan root — so state, reports and access
-// counters are byte-identical to the oracle's.
+// nothing between two charged calls depends on the layout — so state,
+// reports and access counters are byte-identical to the oracle's.
 //
 // Three strategies are order-sensitive in ways columns cannot reproduce
 // cheaply — the nested-loop θ-join, the nested-loop semijoin and the
@@ -350,41 +353,37 @@ func (p *bPred) filter(b, empty *rel.Batch) *rel.Batch {
 // ---------------------------------------------------------------------------
 // Join kernels
 
-// fnv1a64 hashes canonical key bytes (64-bit FNV-1a). Collisions are
-// resolved by column-wise KeyEqual verification, never trusted.
-func fnv1a64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// keyMask narrows the key digests the hash kernels file rows under: all ones
+// outside tests, which cut it to a few bits so that unequal keys share chains
+// and every match is seen to rest on KeyEqual, never on a digest.
+var keyMask = ^uint64(0)
+
+// keyDigests is the digest (rel.KeyDigest) of every row's idx columns.
+func keyDigests(b *rel.Batch, idx []int) []uint64 {
+	dig := b.KeyDigests(idx)
+	if keyMask != ^uint64(0) {
+		for i := range dig {
+			dig[i] &= keyMask
+		}
 	}
-	return h
+	return dig
 }
 
-// appendBatchKey appends the canonical encoding of the idx columns of
-// logical row `row` — byte-identical to rel.AppendKey on the row's tuple.
-func appendBatchKey(buf []byte, b *rel.Batch, idx []int, row int) []byte {
-	for _, x := range idx {
-		buf = b.Cols[x].Value(row).EncodeKey(buf)
-	}
-	return buf
-}
-
-// buildHashIdx hashes the idx columns of every row of b into digest
-// buckets of row indices, ascending within a bucket.
-func buildHashIdx(b *rel.Batch, idx []int) map[uint64][]int32 {
-	ht := make(map[uint64][]int32, b.Len())
-	var buf []byte
-	for r, n := 0, b.Len(); r < n; r++ {
-		buf = appendBatchKey(buf[:0], b, idx, r)
-		h := fnv1a64(buf)
-		ht[h] = append(ht[h], int32(r))
+// buildHashIdx files every row of b under the digest of its idx columns, last
+// row first, so each chain lists its rows in ascending order.
+func buildHashIdx(b *rel.Batch, idx []int) *rel.DigestChains {
+	ht := &rel.DigestChains{}
+	ht.Reserve(b.Len())
+	dig := keyDigests(b, idx)
+	for r := b.Len() - 1; r >= 0; r-- {
+		ht.Push(dig[r], int32(r))
 	}
 	return ht
 }
 
 // keysSameIdx verifies an equi-key match column-wise with KeyEqual — the
-// equality EncodeKey bytes encode, under which the buckets are filed.
+// equality of EncodeKey bytes, which Eval's string-keyed buckets go by and
+// under which KeyEqual keys share a digest (rel.FuzzValueKey).
 func keysSameIdx(left, right *rel.Batch, lidx, ridx []int, li, ri int) bool {
 	for k := range lidx {
 		if !left.Cols[lidx[k]].Value(li).KeyEqual(right.Cols[ridx[k]].Value(ri)) {
@@ -471,7 +470,7 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, er
 	return out, nil
 }
 
-// hashJoin executes joinHash: digest buckets of row indices on the build
+// hashJoin executes joinHash: digest chains of row indices on the build
 // side, candidates verified with KeyEqual, matches emitted as (left, right)
 // gather-vector pairs — both outputs zero-copy.
 func (c *cJoin) hashJoin(left, right *rel.Batch) *rel.Batch {
@@ -480,20 +479,19 @@ func (c *cJoin) hashJoin(left, right *rel.Batch) *rel.Batch {
 		return c.empty
 	}
 	ht := buildHashIdx(right, c.ridx)
+	ldig := keyDigests(left, c.lidx)
 	gl := make([]int32, 0, n)
 	gr := make([]int32, 0, n)
-	var buf []byte
 	var lbuf, rbuf rel.Tuple
 	for i := 0; i < n; i++ {
-		buf = appendBatchKey(buf[:0], left, c.lidx, i)
-		cands := ht[fnv1a64(buf)]
-		if len(cands) == 0 {
+		ri := ht.First(ldig[i])
+		if ri < 0 {
 			continue
 		}
 		if c.residual != nil {
 			lbuf = left.Row(i, lbuf)
 		}
-		for _, ri := range cands {
+		for ; ri >= 0; ri = ht.Next(ri) {
 			if !keysSameIdx(left, right, c.lidx, c.ridx, i, int(ri)) {
 				continue
 			}
@@ -550,37 +548,55 @@ func (c *cJoin) gatherPairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
 
 // probeLeft is semiProbeLeft: each distinct right key probes the stored
 // left once and each left tuple is emitted once, in first-probe order — an
-// order two hash sets define and no selection vector can express, so this
-// strategy stays a row loop over the right batch. The emitted tuples come
-// straight from charged lookups and become a batch here.
+// order two sets define and no selection vector can express, so this
+// strategy stays a row loop over the right batch. The sets are digest chains:
+// seen files right rows, emitted the tuples of out, and membership is KeyEqual
+// on the key columns and on the whole tuple. The emitted tuples come straight
+// from charged lookups and become a batch here.
 func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, error) {
 	var out []rel.Tuple
-	seenKey := map[string]bool{}
-	emitted := map[string]bool{}
-	pr, buf := c.probe, c.keyBuf
+	var seen, emitted rel.DigestChains
+	seen.Reserve(right.Len())
+	pr, rdig := c.probe, keyDigests(right, c.ridx)
+next:
 	for i, n := 0, right.Len(); i < n; i++ {
 		if !pr.fill(right, c.ridx, i) {
 			continue
 		}
-		buf = rel.AppendTupleKey(buf[:0], pr.valsBuf[:pr.nJoin])
-		if seenKey[string(buf)] {
-			continue
+		for e := seen.First(rdig[i]); e >= 0; e = seen.Next(e) {
+			if keysSameIdx(right, right, c.ridx, c.ridx, i, int(e)) {
+				continue next
+			}
 		}
-		seenKey[string(buf)] = true
+		seen.Push(rdig[i], int32(i))
 		rows, err := pr.lookup(t)
 		if err != nil {
 			return nil, err
 		}
+	emit:
 		for _, lt := range rows {
-			buf = rel.AppendTupleKey(buf[:0], lt)
-			if !emitted[string(buf)] {
-				emitted[string(buf)] = true
-				out = append(out, lt)
+			d := rel.KeyDigest(lt) & keyMask
+			for e := emitted.First(d); e >= 0; e = emitted.Next(e) {
+				if tupleKeyEqual(out[e], lt) {
+					continue emit
+				}
 			}
+			emitted.Push(d, int32(len(out)))
+			out = append(out, lt)
 		}
 	}
-	c.keyBuf = buf
 	return batchOf(c.empty, out), nil
+}
+
+// tupleKeyEqual reports whether two tuples of one table are KeyEqual value by
+// value — equal TupleKey encodings.
+func tupleKeyEqual(a, b rel.Tuple) bool {
+	for j := range a {
+		if !a[j].KeyEqual(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // probeRightSel is semiProbeRight: keep/drop per left row by probing the
@@ -610,18 +626,17 @@ func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, erro
 	return sel, nil
 }
 
-// hashSel is semiHash: digest buckets over the right, each left row
-// tested against its bucket.
+// hashSel is semiHash: digest chains over the right, each left row
+// tested against its chain.
 func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
 	ht := buildHashIdx(right, c.ridx)
+	ldig := keyDigests(left, c.lidx)
 	n := left.Len()
 	sel := make([]int32, 0, n)
-	var buf []byte
 	var lbuf, rbuf rel.Tuple
 	for i := 0; i < n; i++ {
-		buf = appendBatchKey(buf[:0], left, c.lidx, i)
 		matched := false
-		for _, ri := range ht[fnv1a64(buf)] {
+		for ri := ht.First(ldig[i]); ri >= 0; ri = ht.Next(ri) {
 			if !keysSameIdx(left, right, c.lidx, c.ridx, i, int(ri)) {
 				continue
 			}
@@ -668,108 +683,69 @@ func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
 // ---------------------------------------------------------------------------
 // γ kernel
 
-// bGroup is one aggregation group.
-type bGroup struct {
-	keyVals rel.Tuple
-	states  []aggState
-}
-
-// fold folds the child's rows into groups, in first-appearance order, each
-// group's rows in input order (float SUM is not associative). A single
-// uniform-int key column uses an int64-keyed map — no key encoding, no
-// string interning per group; any other key shape groups by the canonical
-// encoded key. Group identity is equality of EncodeKey bytes in both paths
-// (a uniform VecInt column contains only KindInt values, whose encodings
-// are a bijection of the int).
-func (c *cGroupBy) fold(child *rel.Batch) []*bGroup {
-	var order []*bGroup
-	intKey := len(c.keyIdx) == 1 && child.Cols[c.keyIdx[0]].Kind == rel.VecInt
-	var byInt map[int64]*bGroup
-	var nullGrp *bGroup
-	var byKey map[string]*bGroup
-	if intKey {
-		byInt = make(map[int64]*bGroup)
-	} else {
-		byKey = make(map[string]*bGroup)
-	}
-	var buf []byte
-	var scratch rel.Tuple
-	for i, n := 0, child.Len(); i < n; i++ {
-		var grp *bGroup
-		if intKey {
-			kc := &child.Cols[c.keyIdx[0]]
-			p := kc.Phys(i)
-			if kc.Nulls != nil && kc.Nulls[p] {
-				if nullGrp == nil {
-					nullGrp = c.newBGroup(child, i)
-					order = append(order, nullGrp)
-				}
-				grp = nullGrp
-			} else {
-				k := kc.Ints[p]
-				g, ok := byInt[k]
-				if !ok {
-					g = c.newBGroup(child, i)
-					byInt[k] = g
-					order = append(order, g)
-				}
-				grp = g
+// fold aggregates the child's rows by key, groups in first-appearance order,
+// each group's rows in input order (float SUM is not associative). One pass
+// numbers the groups: a group is filed under the digest of its key and known
+// by its first row, and a row joins the group on its digest's chain whose
+// first row is KeyEqual to it on the key columns — equal EncodeKey bytes, the
+// oracle's group identity — or founds one. The second pass folds each row
+// into its group's states, which are carved from one array of exactly
+// groups × aggregates entries; the key values are never copied — the output's
+// key columns are the child's, gathered at the groups' first rows.
+func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
+	n, kw, na := child.Len(), len(c.keyIdx), len(c.fns)
+	dig := keyDigests(child, c.keyIdx)
+	var ht rel.DigestChains
+	ht.Reserve(n)
+	gid := make([]int32, n) // row → group
+	var first []int32       // group → its first row
+	for i := 0; i < n; i++ {
+		g := ht.First(dig[i])
+		for ; g >= 0; g = ht.Next(g) {
+			if keysSameIdx(child, child, c.keyIdx, c.keyIdx, i, int(first[g])) {
+				break
 			}
-		} else {
-			buf = appendBatchKey(buf[:0], child, c.keyIdx, i)
-			g, ok := byKey[string(buf)]
-			if !ok {
-				g = c.newBGroup(child, i)
-				byKey[string(buf)] = g
-				order = append(order, g)
-			}
-			grp = g
 		}
+		if g < 0 {
+			g = int32(len(first))
+			ht.Push(dig[i], g)
+			first = append(first, int32(i))
+		}
+		gid[i] = g
+	}
+
+	states := make([]aggState, len(first)*na)
+	for k := range states {
+		states[k] = aggState{fn: c.fns[k%na], sum: rel.Null(), best: rel.Null()}
+	}
+	var scratch rel.Tuple
+	for i := 0; i < n; i++ {
+		st := states[int(gid[i])*na:]
 		for a := range c.fns {
 			switch j := c.argIdx[a]; {
 			case j == argStar:
-				grp.states[a].add(rel.Null(), true)
+				st[a].add(rel.Null(), true)
 			case j >= 0:
-				grp.states[a].add(child.Cols[j].Value(i), false)
+				st[a].add(child.Cols[j].Value(i), false)
 			default:
 				scratch = child.Row(i, scratch)
-				grp.states[a].add(c.args[a].Eval(scratch), false)
+				st[a].add(c.args[a].Eval(scratch), false)
 			}
 		}
 	}
-	return order
-}
 
-func (c *cGroupBy) newBGroup(child *rel.Batch, i int) *bGroup {
-	kv := make(rel.Tuple, len(c.keyIdx))
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+na), N: len(first)}
+	heads := child.GatherRows(first)
 	for k, x := range c.keyIdx {
-		kv[k] = child.Cols[x].Value(i)
+		out.Cols[k] = heads.Cols[x]
 	}
-	states := make([]aggState, len(c.fns))
-	for k, fn := range c.fns {
-		states[k] = aggState{fn: fn, sum: rel.Null(), best: rel.Null()}
-	}
-	return &bGroup{keyVals: kv, states: states}
-}
-
-// emitGroups lays the groups out columnarly in slice order.
-func (c *cGroupBy) emitGroups(groups []*bGroup) *rel.Batch {
-	kw := len(c.keyIdx)
-	builders := make([]rel.ColBuilder, kw+len(c.fns))
-	for i := range builders {
-		builders[i].Grow(len(groups))
-	}
-	for _, g := range groups {
-		for i := 0; i < kw; i++ {
-			builders[i].Append(g.keyVals[i])
+	for a := 0; a < na; a++ {
+		var cb rel.ColBuilder
+		cb.Grow(len(first))
+		for g := range first {
+			cb.Append(states[g*na+a].result())
 		}
-		for i := range g.states {
-			builders[kw+i].Append(g.states[i].result())
-		}
-	}
-	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+len(c.fns)), N: len(groups)}
-	for i := range builders {
-		out.Cols[i] = builders[i].Vec()
+		out.Cols[kw+a] = cb.Vec()
 	}
 	return out
 }

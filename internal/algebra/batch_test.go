@@ -167,12 +167,14 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 }
 
 // TestKeyEqualityAtTheEdgesOfSame runs the kernels that match rows by key
-// without a stored index — hash join, hash semijoin/antijoin, γ — over key
-// columns holding the values on which Same and the EncodeKey bytes the oracle
-// buckets by disagree or nearly do: 2^53 and 2^53+1 (Same, different keys),
-// Float(2^53) (KeyEqual to the first only), NaN (Same as every number, a key
-// of its own), -0.0 and 0 (one key) and NULL. The "ints" column stays a
-// uniform VecInt, which takes γ's int64-keyed path.
+// digest — hash join, hash semijoin/antijoin, γ, and the two sets of the
+// semijoin that probes a stored left — over key columns holding the values
+// on which Same and the EncodeKey bytes the oracle buckets by disagree or
+// nearly do: 2^53 and 2^53+1 (Same, different keys), Float(2^53) (KeyEqual to
+// the first only), NaN (Same as every number, a key of its own), -0.0 and 0
+// (one key) and NULL. The "ints" column stays a uniform VecInt, which
+// Batch.KeyDigests folds without boxing. The -2col plans key on two such
+// columns: rows that agree on one of them only must not meet.
 func TestKeyEqualityAtTheEdgesOfSame(t *testing.T) {
 	const p53 = int64(1) << 53
 	keySets := map[string][]rel.Value{
@@ -180,28 +182,47 @@ func TestKeyEqualityAtTheEdgesOfSame(t *testing.T) {
 			rel.Float(math.Copysign(0, -1)), rel.Int(0), rel.Null(), rel.Float(5)},
 		"ints": {rel.Int(p53), rel.Int(p53 + 1), rel.Int(0), rel.Null(), rel.Int(p53 + 1)},
 	}
+	// The second key column of row i is the edge value two places on, so
+	// each first-column key meets several second-column partners.
 	side := func(name string, keys []rel.Value) *rel.Relation {
-		r := rel.NewRelation(rel.NewSchema([]string{name + "k", name + "v"}, nil))
+		r := rel.NewRelation(rel.NewSchema([]string{name + "k", name + "v", name + "k2"}, nil))
 		for i, k := range keys {
-			r.Add(rel.Tuple{k, rel.Int(int64(i))})
+			r.Add(rel.Tuple{k, rel.Int(int64(i)), keys[(i+2)%len(keys)]})
 		}
 		return r
 	}
-	l := func() algebra.Node { return algebra.NewRelRef("l", rel.NewSchema([]string{"lk", "lv"}, nil)) }
-	r := func() algebra.Node { return algebra.NewRelRef("r", rel.NewSchema([]string{"rk", "rv"}, nil)) }
+	l := func() algebra.Node { return algebra.NewRelRef("l", rel.NewSchema([]string{"lk", "lv", "lk2"}, nil)) }
+	r := func() algebra.Node { return algebra.NewRelRef("r", rel.NewSchema([]string{"rk", "rv", "rk2"}, nil)) }
 	on := expr.Eq(expr.C("lk"), expr.C("rk"))
+	on2 := expr.And(on, expr.Eq(expr.C("lk2"), expr.C("rk2")))
+	aggs := []algebra.Agg{{Fn: algebra.AggCount, As: "n"}, {Fn: algebra.AggSum, Arg: expr.C("lv"), As: "s"}}
+	stSchema := rel.NewSchema([]string{"id", "k", "k2"}, []string{"id"})
+	st := func() algebra.Node { return algebra.NewScan("st", "", stSchema) }
 	plans := map[string]algebra.Node{
-		"join-hash": algebra.NewJoin(l(), r(), on),
-		"semi-hash": algebra.NewSemiJoin(l(), r(), on),
-		"anti-hash": algebra.NewAntiJoin(l(), r(), on),
-		"groupby": algebra.NewGroupBy(l(), []string{"lk"}, []algebra.Agg{
-			{Fn: algebra.AggCount, As: "n"}, {Fn: algebra.AggSum, Arg: expr.C("lv"), As: "s"}}),
+		"join-hash":      algebra.NewJoin(l(), r(), on),
+		"semi-hash":      algebra.NewSemiJoin(l(), r(), on),
+		"anti-hash":      algebra.NewAntiJoin(l(), r(), on),
+		"groupby":        algebra.NewGroupBy(l(), []string{"lk"}, aggs),
+		"join-hash-2col": algebra.NewJoin(l(), r(), on2),
+		"semi-hash-2col": algebra.NewSemiJoin(l(), r(), on2),
+		"anti-hash-2col": algebra.NewAntiJoin(l(), r(), on2),
+		"groupby-2col":   algebra.NewGroupBy(l(), []string{"lk", "lk2"}, aggs),
+		"semi-probe-l":   algebra.NewSemiJoin(st(), r(), expr.Eq(expr.C("st.k"), expr.C("rk"))),
+		"semi-probe-l-2col": algebra.NewSemiJoin(st(), r(),
+			expr.And(expr.Eq(expr.C("st.k"), expr.C("rk")), expr.Eq(expr.C("st.k2"), expr.C("rk2")))),
 	}
-	d := db.New()
 	for setName, keys := range keySets {
 		rev := append([]rel.Value(nil), keys...)
 		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 			rev[i], rev[j] = rev[j], rev[i]
+		}
+		// The stored left of the probing semijoin: every key twice, once
+		// with the second column of side() and once with another.
+		d := db.New()
+		stored := d.MustCreateTable("st", stSchema)
+		for i, k := range keys {
+			stored.MustInsert(rel.Int(int64(2*i)), k, keys[(i+2)%len(keys)])
+			stored.MustInsert(rel.Int(int64(2*i+1)), k, keys[(i+3)%len(keys)])
 		}
 		env := &bindEnv{Database: d, rels: map[string]*rel.Relation{"l": side("l", keys), "r": side("r", rev)}}
 		for name, plan := range plans {

@@ -7,10 +7,13 @@
 // as the reference oracle.
 //
 // Every compiled operator has exactly one body, run, and the only currency
-// between operators is the column-major rel.Batch: rows enter columnar form
-// right after a charged Scan/Lookup (or when a bound relation is read) and
-// become tuples again once, in ExecPlan.Run. The kernels those bodies are
-// built from live in batch.go.
+// between operators — and between the steps of a Δ-script — is the
+// column-major rel.Batch: rows enter columnar form right after a charged
+// Scan/Lookup and a plan hands its root batch out as a rel.Binding
+// (ExecPlan.Bind), which a later plan's binding leaf reads as columns and
+// which becomes tuples at most once, when somebody asks for them (an APPLY,
+// the Eval oracle, ExecPlan.Run's caller). The kernels those bodies are built
+// from live in batch.go.
 //
 // The compiled and interpreted paths are built from the same shape
 // analysis (shapeOf) and the same selection split (expr.EqLiterals), and
@@ -19,8 +22,8 @@
 // counters match tuple-for-tuple. The differential suite in internal/ivm
 // asserts this on randomized plans.
 //
-// An ExecPlan owns mutable scratch (key-encoding buffers, probe result
-// buffers, selection vectors), so a single ExecPlan
+// An ExecPlan owns mutable scratch (probe value and result buffers,
+// selection vectors), so a single ExecPlan
 // must not be Run concurrently with itself. The Δ-script executor satisfies
 // this: each step runs at most once per round, and concurrently scheduled
 // steps hold distinct plans. Batches, by contrast, are immutable once
@@ -68,16 +71,26 @@ func MustCompile(n Node) *ExecPlan {
 // Schema returns the plan's output schema.
 func (p *ExecPlan) Schema() rel.Schema { return p.sch }
 
-// Run executes the compiled plan against an environment and materializes
-// the root batch. Stored tables are resolved through env on every run, so
-// WithCounter sharding keeps working: the plan pins strategies, not table
-// handles or counters.
-func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
+// Bind executes the compiled plan against an environment and returns its
+// root batch as a binding: columns for the plans that read it next, tuples
+// only if a reader asks. Stored tables are resolved through env on every
+// run, so WithCounter sharding keeps working: the plan pins strategies, not
+// table handles or counters.
+func (p *ExecPlan) Bind(env Env) (*rel.Binding, error) {
 	b, err := p.root.run(env)
 	if err != nil {
 		return nil, err
 	}
-	return b.Materialize(), nil
+	return rel.BindBatch(b), nil
+}
+
+// Run is Bind for a caller that wants the tuples.
+func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
+	bd, err := p.Bind(env)
+	if err != nil {
+		return nil, err
+	}
+	return bd.Relation(), nil
 }
 
 // cNode is one compiled operator.
@@ -141,23 +154,30 @@ func (c *cStored) run(env Env) (*rel.Batch, error) {
 	return rel.FromTuples(c.sch, t.Scan(c.st)), nil
 }
 
-// cBinding reads a named in-memory relation.
+// cBinding reads a named in-memory relation: the binding's columns — built
+// once however many leaves, steps or views read it — under this leaf's own
+// schema (the producer's names its plan's attributes, and a σ over the leaf
+// returns the batch it was handed).
 type cBinding struct {
 	name  string
 	empty *rel.Batch
 }
 
 func (c *cBinding) run(env Env) (*rel.Batch, error) {
-	rr, err := env.Rel(c.name)
+	bd, err := env.Bound(c.name)
 	if err != nil {
 		return nil, err
 	}
-	return batchOf(c.empty, rr.Tuples), nil
+	if bd.Len() == 0 {
+		return c.empty, nil
+	}
+	b := bd.Batch()
+	return &rel.Batch{Schema: c.empty.Schema, Cols: b.Cols, N: b.N}, nil
 }
 
-// batchOf columnarizes rows an operator just obtained — from a charged
-// lookup or scan, or from a bound relation — under the schema of its empty
-// batch, which it returns as is when there are none.
+// batchOf columnarizes rows an operator just obtained from a charged lookup
+// or scan under the schema of its empty batch, which it returns as is when
+// there are none.
 func batchOf(empty *rel.Batch, rows []rel.Tuple) *rel.Batch {
 	if len(rows) == 0 {
 		return empty
@@ -577,7 +597,6 @@ type cSemi struct {
 	residual    *expr.CompiledPair
 	pred        *expr.CompiledPair // nested-loop predicate
 	empty       *rel.Batch
-	keyBuf      []byte
 }
 
 func compileSemi(l, r Node, p expr.Expr, keep bool) (cNode, error) {
@@ -769,11 +788,12 @@ func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 	if child.Len() == 0 {
 		return c.empty, nil
 	}
-	return c.emitGroups(c.fold(child)), nil
+	return c.fold(child), nil
 }
 
 // cUnion concatenates its children column by column and appends the
-// branch attribute, like evalUnion.
+// branch attribute, like evalUnion; beside an empty child it shares the other
+// child's vectors and builds the branch column only.
 type cUnion struct {
 	left, right cNode
 	empty       *rel.Batch
@@ -806,12 +826,19 @@ func (c *cUnion) run(env Env) (*rel.Batch, error) {
 		return c.empty, nil
 	}
 	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.w+1), N: n}
-	for j := 0; j < c.w; j++ {
-		var cb rel.ColBuilder
-		cb.Grow(out.N)
-		cb.AppendVec(&left.Cols[j], left.Len())
-		cb.AppendVec(&right.Cols[j], right.Len())
-		out.Cols[j] = cb.Vec()
+	switch {
+	case right.Len() == 0: // the usual case under a γ rule: most diffs of a round are empty
+		copy(out.Cols, left.Cols[:c.w])
+	case left.Len() == 0:
+		copy(out.Cols, right.Cols[:c.w])
+	default:
+		for j := 0; j < c.w; j++ {
+			var cb rel.ColBuilder
+			cb.Grow(out.N)
+			cb.AppendVec(&left.Cols[j], left.Len())
+			cb.AppendVec(&right.Cols[j], right.Len())
+			out.Cols[j] = cb.Vec()
+		}
 	}
 	branch := make([]int64, out.N)
 	for i := left.Len(); i < out.N; i++ {

@@ -17,8 +17,9 @@ import (
 type Env interface {
 	// Table resolves a stored table by name.
 	Table(name string) (*storage.Handle, error)
-	// Rel resolves a named in-memory relation.
-	Rel(name string) (*rel.Relation, error)
+	// Bound resolves a named in-memory relation: Eval reads its tuples, a
+	// compiled plan its columns (rel.Binding converts at most once).
+	Bound(name string) (*rel.Binding, error)
 }
 
 // Eval evaluates the plan against the environment, returning a derived
@@ -78,11 +79,11 @@ func evalRelRef(r *RelRef, env Env) (*rel.Relation, error) {
 		}
 		return aliasTuples(r.Sch, t.Scan(r.St)), nil
 	}
-	rr, err := env.Rel(r.Name)
+	bd, err := env.Bound(r.Name)
 	if err != nil {
 		return nil, err
 	}
-	return aliasTuples(r.Sch, rr.Tuples), nil
+	return aliasTuples(r.Sch, bd.Relation().Tuples), nil
 }
 
 func evalSelect(s *Select, env Env) (*rel.Relation, error) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"idivm/internal/db"
+	"idivm/internal/expr"
 	"idivm/internal/rel"
 )
 
@@ -30,6 +32,83 @@ func TestKeysSameIdxIsKeyEquality(t *testing.T) {
 	} {
 		if got := keysSameIdx(one(c.l), one(c.r), []int{0}, []int{0}, 0, 0); got != c.want {
 			t.Errorf("keysSameIdx(%v, %v) = %v, want %v", c.l, c.r, got, c.want)
+		}
+	}
+}
+
+// mapEnv is a database plus named relations.
+type mapEnv struct {
+	*db.Database
+	rels map[string]*rel.Relation
+}
+
+func (e mapEnv) Bound(name string) (*rel.Binding, error) {
+	if r, ok := e.rels[name]; ok {
+		return rel.BindRelation(r), nil
+	}
+	return e.Database.Bound(name)
+}
+
+// TestCollidingDigestsNeverMerge cuts the key digests of the hash kernels to
+// two bits, so that every chain of every table mixes a dozen unequal keys,
+// and requires what the oracle — which files by encoded key and knows no
+// digest — produces: the same rows in the same order. A kernel that took a
+// digest's word for a match would join, drop or group rows of different keys
+// here; the γ check counts the groups outright.
+func TestCollidingDigestsNeverMerge(t *testing.T) {
+	keyMask = 3
+	defer func() { keyMask = ^uint64(0) }()
+
+	const n = 48
+	sch := func(p string) rel.Schema { return rel.NewSchema([]string{p + "k", p + "s", p + "v"}, nil) }
+	side := func(p string, step int) *rel.Relation {
+		r := rel.NewRelation(sch(p))
+		for i := 0; i < n; i++ {
+			k := (i * step) % n
+			r.Add(rel.Tuple{rel.Int(int64(k)), rel.String(string(rune('a' + k%7))), rel.Int(int64(i))})
+		}
+		return r
+	}
+	d := db.New()
+	stSchema := rel.NewSchema([]string{"id", "k", "s"}, []string{"id"})
+	st := d.MustCreateTable("st", stSchema)
+	for i := 0; i < 2*n; i++ {
+		st.MustInsert(rel.Int(int64(i)), rel.Int(int64(i%n)), rel.String(string(rune('a'+i%7))))
+	}
+	env := mapEnv{Database: d, rels: map[string]*rel.Relation{"l": side("l", 1), "r": side("r", 5)}}
+	l, r := NewRelRef("l", sch("l")), NewRelRef("r", sch("r"))
+	on := expr.Eq(expr.C("lk"), expr.C("rk"))
+	on2 := expr.And(on, expr.Eq(expr.C("ls"), expr.C("rs")))
+	count := []Agg{{Fn: AggCount, As: "n"}}
+	plans := map[string]Node{
+		"join-hash":      NewJoin(l, r, on),
+		"join-hash-2col": NewJoin(l, r, on2),
+		"semi-hash":      NewSemiJoin(l, NewSelect(r, expr.Lt(expr.C("rv"), expr.IntLit(20))), on),
+		"anti-hash":      NewAntiJoin(l, NewSelect(r, expr.Lt(expr.C("rv"), expr.IntLit(20))), on2),
+		"groupby":        NewGroupBy(l, []string{"lk"}, count),
+		"groupby-2col":   NewGroupBy(r, []string{"rs", "rk"}, count),
+		"semi-probe-l": NewSemiJoin(NewScan("st", "", stSchema), r,
+			expr.And(expr.Eq(expr.C("st.k"), expr.C("rk")), expr.Eq(expr.C("st.s"), expr.C("rs")))),
+	}
+	for name, plan := range plans {
+		want, err := Eval(plan, env)
+		if err != nil {
+			t.Fatalf("%s: eval: %v", name, err)
+		}
+		got, err := MustCompile(plan).Run(env)
+		if err != nil {
+			t.Fatalf("%s: compiled: %v", name, err)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: %d rows, the oracle has %d", name, got.Len(), want.Len())
+		}
+		for i := range want.Tuples {
+			if rel.TupleKey(got.Tuples[i]) != rel.TupleKey(want.Tuples[i]) {
+				t.Fatalf("%s: row %d is %v, the oracle has %v", name, i, got.Tuples[i], want.Tuples[i])
+			}
+		}
+		if name == "groupby" && got.Len() != n {
+			t.Fatalf("groupby: %d groups for %d distinct keys under 4 digests", got.Len(), n)
 		}
 	}
 }

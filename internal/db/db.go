@@ -188,8 +188,8 @@ func (d *Database) Table(name string) (*storage.Handle, error) {
 	return t, nil
 }
 
-// Rel implements algebra.Env; a bare database has no relation bindings.
-func (d *Database) Rel(name string) (*rel.Relation, error) {
+// Bound implements algebra.Env; a bare database has no relation bindings.
+func (d *Database) Bound(name string) (*rel.Binding, error) {
 	return nil, fmt.Errorf("db: no relation binding for %q", name)
 }
 

@@ -50,7 +50,7 @@ func TestModKindStrings(t *testing.T) {
 
 func TestRelBindingRefused(t *testing.T) {
 	d := New()
-	if _, err := d.Rel("anything"); err == nil {
+	if _, err := d.Bound("anything"); err == nil {
 		t.Fatal("bare database must refuse relation bindings")
 	}
 }

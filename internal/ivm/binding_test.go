@@ -1,0 +1,175 @@
+package ivm
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"idivm/internal/algebra"
+	"idivm/internal/db"
+	"idivm/internal/expr"
+	"idivm/internal/rel"
+)
+
+// bindingScript is a hand-built Δ-script with every way a binding is read:
+//
+//	T   := σ[x#post > 0](∆ins)                 transient: computes read it, no APPLY does
+//	Δ1  := π[k, x#post](T)                     read by two APPLYs and by two computes
+//	APPLY Δ1 TO c1;  APPLY Δ1 TO c2
+//	Δ2  := π[k, (x#post + w)→x#post](Δ1 ⋈ src) a charged probe per Δ1 row
+//	Δ3  := Δ1 ⋉ T                              hash semijoin of two bindings
+//	APPLY Δ2 TO v;  APPLY Δ3 TO c3
+//
+// Under the step DAG the two APPLYs of Δ1 (each asks for its tuples) and the
+// computes of Δ2 and Δ3 (each asks for its columns) are ready together, so a
+// run with workers exercises the once-guards of rel.Binding.
+func bindingScript(t *testing.T) (*Script, DiffSchema) {
+	t.Helper()
+	ins := func(target string) DiffSchema {
+		return DiffSchema{Type: DiffInsert, Rel: target, IDs: []string{"k"}, Post: []string{"x"}}
+	}
+	diffSch := ins("v").RelSchema()
+	srcSch := rel.NewSchema([]string{"k", "w"}, []string{"k"})
+	base := algebra.NewRelRef("ins", diffSch)
+	tRef := algebra.NewRelRef("T", diffSch)
+	d1 := algebra.NewRelRef("Δ1", diffSch)
+	keep := []algebra.ProjItem{{E: expr.C("k"), As: "k"}, {E: expr.C("x#post"), As: "x#post"}}
+	s := &Script{
+		View:   "v",
+		Caches: []CacheDef{{Name: "c1"}, {Name: "c2"}, {Name: "c3"}},
+		Steps: []Step{
+			&ComputeStep{Name: "T", Plan: algebra.NewSelect(base, expr.Gt(expr.C("x#post"), expr.IntLit(0))), Ph: PhaseCacheCompute},
+			&ComputeStep{Name: "Δ1", Plan: algebra.NewProject(tRef, keep), Ph: PhaseCacheCompute},
+			&ApplyStep{Table: "c1", DiffName: "Δ1", Diff: ins("c1"), Ph: PhaseCacheUpdate},
+			&ApplyStep{Table: "c2", DiffName: "Δ1", Diff: ins("c2"), Ph: PhaseCacheUpdate},
+			&ComputeStep{Name: "Δ2", Ph: PhaseViewCompute, Plan: algebra.NewProject(
+				algebra.NewJoin(d1, algebra.NewScan("src", "", srcSch), expr.Eq(expr.C("k"), expr.C("src.k"))),
+				[]algebra.ProjItem{{E: expr.C("k"), As: "k"}, {E: expr.AddE(expr.C("x#post"), expr.C("src.w")), As: "x#post"}})},
+			&ComputeStep{Name: "Δ3", Ph: PhaseViewCompute, Plan: algebra.NewSemiJoin(d1,
+				algebra.NewProject(tRef, []algebra.ProjItem{{E: expr.C("k"), As: "tk"}}), expr.Eq(expr.C("k"), expr.C("tk")))},
+			&ApplyStep{Table: "v", DiffName: "Δ2", Diff: ins("v"), Ph: PhaseViewUpdate},
+			&ApplyStep{Table: "c3", DiffName: "Δ3", Diff: ins("c3"), Ph: PhaseCacheUpdate},
+		},
+	}
+	if err := CompileScript(s); err != nil {
+		t.Fatal(err)
+	}
+	return s, ins("v")
+}
+
+// TestBindingsReadAsColumnsAndAsTuples runs bindingScript compiled and
+// interpreted, sequentially and on the step DAG, and requires one outcome:
+// the same rows in every target, the same per-step access counts and row
+// counts, the same Applied instances. With -race (make check runs it so, ten
+// rounds per cell here) the DAG cells also check that a binding's two lazy
+// conversions can be asked for from several steps at once.
+func TestBindingsReadAsColumnsAndAsTuples(t *testing.T) {
+	type outcome struct {
+		tables  map[string][]string
+		steps   []StepCost
+		total   rel.CostCounter
+		applied []string
+	}
+	run := func(workers int, interpret bool, round int) outcome {
+		d := db.New()
+		target := rel.NewSchema([]string{"k", "x"}, []string{"k"})
+		for _, name := range []string{"v", "c1", "c2", "c3"} {
+			d.MustCreateTable(name, target)
+		}
+		src := d.MustCreateTable("src", rel.NewSchema([]string{"k", "w"}, []string{"k"}))
+		s, ins := bindingScript(t)
+		rows := rel.NewRelation(ins.RelSchema())
+		for k := 0; k < 40+round; k++ {
+			src.MustInsert(rel.Int(int64(k)), rel.Int(int64(100*k)))
+			rows.Add(rel.Tuple{rel.Int(int64(k)), rel.Int(int64(k%5 - 1))}) // some fail σ
+		}
+		d.Counter().Reset()
+		pc, err := RunScriptOpts(d, s, map[string]*rel.Relation{"ins": rows}, ExecOptions{Workers: workers, Interpret: interpret})
+		if err != nil {
+			t.Fatalf("workers=%d interpret=%v: %v", workers, interpret, err)
+		}
+		o := outcome{tables: map[string][]string{}, total: *d.Counter()}
+		for _, st := range pc.Steps {
+			st.Time = 0
+			o.steps = append(o.steps, st)
+		}
+		for _, inst := range pc.Applied {
+			for _, row := range inst.Rows.Tuples {
+				o.applied = append(o.applied, inst.Schema.String()+rel.TupleKey(row))
+			}
+		}
+		for _, name := range []string{"v", "c1", "c2", "c3"} {
+			tab, _ := d.Table(name)
+			for _, row := range tab.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost).Sorted().Tuples {
+				o.tables[name] = append(o.tables[name], rel.TupleKey(row))
+			}
+		}
+		return o
+	}
+	for round := 0; round < 10; round++ {
+		ref := run(0, false, round)
+		if n := len(ref.tables["v"]); n == 0 || n == 40+round || len(ref.tables["c1"]) != n || len(ref.tables["c3"]) != n {
+			t.Fatalf("round %d: the script is not doing its job: %d of %d rows reached v, c1 has %d, c3 %d",
+				round, n, 40+round, len(ref.tables["c1"]), len(ref.tables["c3"]))
+		}
+		for _, cell := range []struct {
+			workers   int
+			interpret bool
+		}{{0, true}, {4, false}, {4, true}} {
+			got := run(cell.workers, cell.interpret, round)
+			label := fmt.Sprintf("round %d workers=%d interpret=%v", round, cell.workers, cell.interpret)
+			if fmt.Sprint(got.tables) != fmt.Sprint(ref.tables) {
+				t.Fatalf("%s: target states differ:\n%v\n%v", label, got.tables, ref.tables)
+			}
+			if fmt.Sprint(got.steps) != fmt.Sprint(ref.steps) || got.total != ref.total {
+				t.Fatalf("%s: step costs differ:\n%v\n%v", label, got.steps, ref.steps)
+			}
+			if fmt.Sprint(got.applied) != fmt.Sprint(ref.applied) {
+				t.Fatalf("%s: applied instances differ:\n%v\n%v", label, got.applied, ref.applied)
+			}
+		}
+	}
+}
+
+// mallocs counts the heap objects f allocates, the way testing.AllocsPerRun
+// does but for a single call: the first call is the one under test here.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestTransientStepNeverBecomesTuples pins the point of binding batches: after
+// a compiled run, a step only computes read still has no tuples — asking for
+// them is the first build, and allocates — while a step an APPLY read has
+// them, and asking again allocates nothing.
+func TestTransientStepNeverBecomesTuples(t *testing.T) {
+	d := db.New()
+	target := rel.NewSchema([]string{"k", "x"}, []string{"k"})
+	for _, name := range []string{"v", "c1", "c2", "c3"} {
+		d.MustCreateTable(name, target)
+	}
+	d.MustCreateTable("src", rel.NewSchema([]string{"k", "w"}, []string{"k"})).MustInsert(rel.Int(1), rel.Int(5))
+	s, ins := bindingScript(t)
+	rows := rel.NewRelation(ins.RelSchema())
+	rows.Add(rel.Tuple{rel.Int(1), rel.Int(3)})
+	bind := bindRelations(s, map[string]*rel.Relation{"ins": rows})
+	if _, err := runScript(d, s, bind, false, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if bind["T"].Len() != 1 || bind["Δ1"].Len() != 1 || bind["Δ3"].Len() != 1 {
+		t.Fatalf("bindings: T has %d rows, Δ1 %d, Δ3 %d", bind["T"].Len(), bind["Δ1"].Len(), bind["Δ3"].Len())
+	}
+	if n := mallocs(func() { bind["Δ1"].Relation() }); n != 0 {
+		t.Fatalf("Δ1 was applied, yet asking for its tuples again allocated %d objects", n)
+	}
+	if n := mallocs(func() { bind["T"].Relation() }); n == 0 {
+		t.Fatal("the transient step T already had tuples: some step materialised a binding no APPLY reads")
+	}
+	if n := mallocs(func() { bind["ins"].Batch() }); n != 0 {
+		t.Fatalf("the base instance was read by a compiled step, yet asking for its columns again allocated %d objects", n)
+	}
+}

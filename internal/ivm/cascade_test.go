@@ -21,6 +21,12 @@ import (
 func cascadeDB(t testing.TB, eng storage.Engine, rows int, seed int64) *db.Database {
 	t.Helper()
 	d := db.NewWith(eng)
+	addItems(d, rows, seed)
+	return d
+}
+
+// addItems creates and fills cascadeDB's item table in d.
+func addItems(d *db.Database, rows int, seed int64) {
 	item := d.MustCreateTable("item", rel.NewSchema([]string{"id", "region", "grp", "val"}, []string{"id"}))
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < rows; i++ {
@@ -30,7 +36,6 @@ func cascadeDB(t testing.TB, eng storage.Engine, rows int, seed int64) *db.Datab
 			rel.String(fmt.Sprintf("g%d-%d", r, rng.Intn(5))),
 			rel.Int(int64(rng.Intn(50))))
 	}
-	return d
 }
 
 // rollupL1Plan is the level-0 view: per-(region, grp) sums over item, with

@@ -34,7 +34,7 @@ func samePhases(t *testing.T, label string, a, b *ivm.Report) {
 	}
 	for i := range a.Phases.Steps {
 		sa, sb := a.Phases.Steps[i], b.Phases.Steps[i]
-		if sa.Step != sb.Step || sa.Cost != sb.Cost {
+		if sa.Step != sb.Step || sa.Cost != sb.Cost || sa.Rows != sb.Rows {
 			t.Fatalf("%s: step %d: compiled %s %v != interpreted %s %v",
 				label, i, sa.Step, sa.Cost, sb.Step, sb.Cost)
 		}

@@ -165,9 +165,31 @@ func CompactLog(log []db.Modification, schemaOf func(table string) (rel.Schema, 
 // schema, and each update goes to every update schema containing at least
 // one of the modified attributes.
 func PopulateInstances(nc *NetChange, schemas []DiffSchema) ([]*Instance, error) {
-	var out []*Instance
-	for _, ds := range schemas {
-		inst := NewInstance(ds)
+	rels := make([]rel.Schema, len(schemas))
+	for i, ds := range schemas {
+		rels[i] = ds.RelSchema()
+	}
+	all, err := populate(nc, schemas, rels)
+	if err != nil {
+		return nil, err
+	}
+	out := all[:0]
+	for _, inst := range all {
+		if inst.Len() > 0 {
+			out = append(out, inst)
+		}
+	}
+	return out, nil
+}
+
+// populate is PopulateInstances by position: out[i] is the instance of
+// schemas[i], empty or not, its rows under the relation schema rels[i]
+// (schemas[i].RelSchema(), which the caller computed once).
+func populate(nc *NetChange, schemas []DiffSchema, rels []rel.Schema) ([]*Instance, error) {
+	out := make([]*Instance, len(schemas))
+	for i, ds := range schemas {
+		inst := &Instance{Schema: ds, Rows: rel.NewRelation(rels[i])}
+		out[i] = inst
 		switch ds.Type {
 		case DiffInsert:
 			for _, row := range nc.Inserts {
@@ -196,9 +218,6 @@ func PopulateInstances(nc *NetChange, schemas []DiffSchema) ([]*Instance, error)
 				}
 				inst.Rows.Add(t)
 			}
-		}
-		if inst.Len() > 0 {
-			out = append(out, inst)
 		}
 	}
 	return out, nil

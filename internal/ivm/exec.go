@@ -23,10 +23,10 @@ type PhaseCosts struct {
 	ViewDiffTuples int
 	// ViewRowsTouched counts the view rows modified (|D_V|).
 	ViewRowsTouched int
-	// Steps records the per-step access counts, in script order, for
-	// plan-level diagnosis. Parallel runs attribute costs per step exactly
-	// (each step charges a private counter shard), so this breakdown is
-	// identical whatever the schedule.
+	// Steps records each step's access counts, rows and wall time, in script
+	// order, for plan-level diagnosis. Parallel runs attribute costs per step
+	// exactly (each step charges a private counter shard), so Cost and Rows
+	// are identical whatever the schedule; Time is a clock reading.
 	Steps []StepCost
 	// Applied lists the non-empty i-diff instances applied to the view
 	// itself, in script order — the per-round delta feed that derived
@@ -36,10 +36,15 @@ type PhaseCosts struct {
 	Applied []*Instance
 }
 
-// StepCost is one script step's access count.
+// StepCost is what one script step did: its charged accesses, the rows it
+// produced (a compute step's result) or modified in its target (an APPLY),
+// and the wall time it took — for a compute step without the tuple build a
+// later APPLY may ask of its result, which that APPLY's Time carries.
 type StepCost struct {
 	Step string
 	Cost rel.CostCounter
+	Rows int
+	Time time.Duration
 }
 
 // Total sums access counts across phases.
@@ -83,7 +88,10 @@ type ExecOptions struct {
 }
 
 // scriptExec is the shared state of one script execution: the database,
-// the script, and the binding environment that compute steps extend. The
+// the script, and the binding environment that compute steps extend — one
+// representation, rel.Binding, for base i-diff instances and step results
+// alike: compute steps read and write columns, and tuples are built at most
+// once per binding, when an APPLY, the Eval oracle or the self-check asks. The
 // binding map is guarded for concurrent step execution; everything else is
 // read-only during the run.
 type scriptExec struct {
@@ -96,17 +104,17 @@ type scriptExec struct {
 	logDerived bool
 
 	mu   sync.RWMutex
-	bind map[string]*rel.Relation
+	bind map[string]*rel.Binding
 }
 
-func (x *scriptExec) getBind(name string) (*rel.Relation, bool) {
+func (x *scriptExec) getBind(name string) (*rel.Binding, bool) {
 	x.mu.RLock()
 	r, ok := x.bind[name]
 	x.mu.RUnlock()
 	return r, ok
 }
 
-func (x *scriptExec) setBind(name string, r *rel.Relation) {
+func (x *scriptExec) setBind(name string, r *rel.Binding) {
 	x.mu.Lock()
 	x.bind[name] = r
 	x.mu.Unlock()
@@ -129,8 +137,8 @@ func (e *stepEnv) Table(name string) (*storage.Handle, error) {
 	return t.WithCounter(e.counter), nil
 }
 
-// Rel implements algebra.Env.
-func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
+// Bound implements algebra.Env.
+func (e *stepEnv) Bound(name string) (*rel.Binding, error) {
 	if r, ok := e.x.getBind(name); ok {
 		return r, nil
 	}
@@ -144,7 +152,7 @@ func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
 // maintenance epoch for the duration, so those plans may reference the
 // pre-state at any point; tables nobody pre-reads get no epoch.
 func RunScript(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*PhaseCosts, error) {
-	return runScript(d, s, bindings, false, ExecOptions{})
+	return runScript(d, s, bindRelations(s, bindings), false, ExecOptions{})
 }
 
 // RunScriptVerified is RunScript plus the Section 2 effectiveness
@@ -153,25 +161,33 @@ func RunScript(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*P
 // are what make the apply order irrelevant). The extra probes are charged
 // like any other access, so use it in tests, not in measured runs.
 func RunScriptVerified(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*PhaseCosts, error) {
-	return runScript(d, s, bindings, true, ExecOptions{})
+	return runScript(d, s, bindRelations(s, bindings), true, ExecOptions{})
 }
 
 // RunScriptOpts is RunScript with explicit execution options (worker count
 // and counter shard).
 func RunScriptOpts(d *db.Database, s *Script, bindings map[string]*rel.Relation, opts ExecOptions) (*PhaseCosts, error) {
-	return runScript(d, s, bindings, false, opts)
+	return runScript(d, s, bindRelations(s, bindings), false, opts)
 }
 
-func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, verify bool, opts ExecOptions) (*PhaseCosts, error) {
+// bindRelations is the binding environment of a run whose caller brought
+// its base instances as relations.
+func bindRelations(s *Script, bindings map[string]*rel.Relation) map[string]*rel.Binding {
+	bind := make(map[string]*rel.Binding, len(bindings)+len(s.Steps))
+	for k, v := range bindings { //ivmlint:allow maprange — map-to-map copy, order-free
+		bind[k] = rel.BindRelation(v)
+	}
+	return bind
+}
+
+// runScript executes s over bind, the base i-diff instances by name, which it
+// takes over and extends with the steps' results.
+func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify bool, opts ExecOptions) (*PhaseCosts, error) {
 	root := opts.Counter
 	if root == nil {
 		root = d.Counter()
 	}
-	x := &scriptExec{d: d, s: s, opts: opts,
-		logDerived: d.DerivedLoggingEnabled(s.View), bind: make(map[string]*rel.Relation, len(bindings)+8)}
-	for k, v := range bindings { //ivmlint:allow maprange — map-to-map copy, order-free
-		x.bind[k] = v
-	}
+	x := &scriptExec{d: d, s: s, opts: opts, logDerived: d.DerivedLoggingEnabled(s.View), bind: bind}
 	// Open epochs on the view and caches — but only the ones some step
 	// actually reads in pre-state (computed once per script). Opening is
 	// O(1), but inside an epoch every first write to a row sets its
@@ -225,14 +241,14 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 		pc.RowsTouched += r.rowsTouched
 		pc.ViewDiffTuples += r.viewDiffTuples
 		pc.ViewRowsTouched += r.viewRowsTouched
-		name := ""
+		name, rows := "", r.rows
 		switch x := st.(type) {
 		case *ComputeStep:
 			name = x.Name
 		case *ApplyStep:
-			name = "APPLY " + x.DiffName
+			name, rows = "APPLY "+x.DiffName, r.rowsTouched
 		}
-		pc.Steps = append(pc.Steps, StepCost{Step: name, Cost: r.cost})
+		pc.Steps = append(pc.Steps, StepCost{Step: name, Cost: r.cost, Rows: rows, Time: r.dur})
 		if r.applied != nil && r.applied.Len() > 0 {
 			pc.Applied = append(pc.Applied, r.applied)
 		}
@@ -281,27 +297,33 @@ func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
 	start := time.Now()
 	switch st := x.s.Steps[i].(type) {
 	case *ComputeStep:
-		// The compiled plan cached at registration time is the hot path;
-		// interpreted Eval remains the oracle (and the fallback for scripts
-		// that were never compiled).
-		var r *rel.Relation
+		// The compiled plan cached at registration time is the hot path: it
+		// binds its root batch, which the steps reading it take as columns.
+		// Interpreted Eval remains the oracle (and the fallback for scripts
+		// that were never compiled) and binds tuples.
+		var r *rel.Binding
 		var err error
 		if st.compiled != nil && !x.opts.Interpret {
-			r, err = st.compiled.Run(env)
+			r, err = st.compiled.Bind(env)
 		} else {
-			r, err = algebra.Eval(st.Plan, env)
+			var tuples *rel.Relation
+			if tuples, err = algebra.Eval(st.Plan, env); err == nil {
+				r = rel.BindRelation(tuples)
+			}
 		}
 		if err != nil {
 			res.err = fmt.Errorf("ivm: step %s: %w", st.Name, err)
 			return res
 		}
 		x.setBind(st.Name, r)
+		res.rows = r.Len()
 	case *ApplyStep:
-		r, ok := x.getBind(st.DiffName)
+		bd, ok := x.getBind(st.DiffName)
 		if !ok {
 			res.err = fmt.Errorf("ivm: apply of unbound diff %q", st.DiffName)
 			return res
 		}
+		r := bd.Relation() // the one place a step result becomes tuples
 		t, err := env.Table(st.Table)
 		if err != nil {
 			res.err = err

@@ -166,9 +166,9 @@ type testEnv struct {
 }
 
 func (e *testEnv) Table(name string) (*storage.Handle, error) { return e.d.Table(name) }
-func (e *testEnv) Rel(name string) (*rel.Relation, error) {
+func (e *testEnv) Bound(name string) (*rel.Binding, error) {
 	if r, ok := e.rels[name]; ok {
-		return r, nil
+		return rel.BindRelation(r), nil
 	}
-	return e.d.Rel(name)
+	return e.d.Bound(name)
 }

@@ -89,3 +89,165 @@ func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 		})
 	}
 }
+
+// sumViewsDB is the item table of the tests below under S (level 0), A (level
+// 0, a cascade source) and B (level 1, over A), registered in that order.
+func sumViewsDB(t *testing.T, workers int) (*db.Database, *System) {
+	t.Helper()
+	d := db.New()
+	item := d.MustCreateTable("item", rel.NewSchema([]string{"id", "grp", "val"}, []string{"id"}))
+	for i := 0; i < 12; i++ {
+		item.MustInsert(rel.Int(int64(i)), rel.String(fmt.Sprintf("g%d", i%3)), rel.Int(int64(i)))
+	}
+	s := NewSystem(d)
+	s.Workers = workers
+	registerSumView(t, s, "S", "item", "grp", "val")
+	registerSumView(t, s, "A", "item", "grp", "val")
+	registerSumView(t, s, "B", "A", "grp", "total")
+	return d, s
+}
+
+func sortedState(t *testing.T, d *db.Database, name string) string {
+	t.Helper()
+	tab, err := d.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(tab.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost).Sorted().Tuples)
+}
+
+// TestFailedRoundIsRetriedAgainstAFreshFeed fails a round midway — S has
+// been maintained, A fails on its first step, B is never reached — lets the
+// log grow, and retries. The retry must compact the log as it is then: a diff
+// feed kept from the failed round would leave out what arrived since, and the
+// views would miss it. The retried system must equal a twin that never
+// failed and saw the same modifications in one round: same view states, and
+// for A and B — untouched by the failed round — the same access counts and
+// applied instances.
+//
+// A fails before it applies anything, on purpose. A round that fails after a
+// cascade source applied its diffs retries wrongly today, feed or no feed:
+// the source's second APPLY records no-op modifications, and its children see
+// no change (ROADMAP item 1(c)).
+func TestFailedRoundIsRetriedAgainstAFreshFeed(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			refDB, ref := sumViewsDB(t, workers)
+			d, s := sumViewsDB(t, workers)
+			both := func(f func(*db.Database) error) {
+				t.Helper()
+				for _, x := range []*db.Database{refDB, d} {
+					if err := f(x); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			both(func(x *db.Database) error {
+				return x.Insert("item", rel.Tuple{rel.Int(100), rel.String("g0"), rel.Int(7)})
+			})
+			both(func(x *db.Database) error {
+				_, err := x.Update("item", []rel.Value{rel.Int(1)}, []string{"val"}, []rel.Value{rel.Int(50)})
+				return err
+			})
+
+			// For the length of the failing round A's script is the failing
+			// step alone: under the step DAG the steps beside it would be
+			// dispatched with it, and some APPLY might land before the
+			// failure is seen.
+			a := s.views["A"]
+			steps := a.Script.Steps
+			a.Script.Steps = []Step{&ComputeStep{Name: "boom", Ph: PhaseViewCompute,
+				Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}}
+			if _, err := s.MaintainAll(); err == nil {
+				t.Fatal("the sabotaged round succeeded")
+			}
+			a.Script.Steps = steps
+
+			// The log grows between the failure and the retry.
+			both(func(x *db.Database) error {
+				_, err := x.Delete("item", []rel.Value{rel.Int(2)})
+				return err
+			})
+			both(func(x *db.Database) error {
+				return x.Insert("item", rel.Tuple{rel.Int(101), rel.String("g9"), rel.Int(3)})
+			})
+
+			refDB.Counter().Reset()
+			d.Counter().Reset()
+			want, err := ref.MaintainAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.MaintainAll()
+			if err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			for i, name := range []string{"S", "A", "B"} {
+				if err := s.CheckConsistent(name); err != nil {
+					t.Fatalf("after the retry: %v", err)
+				}
+				if g, w := sortedState(t, d, name), sortedState(t, refDB, name); g != w {
+					t.Fatalf("%s after the retry:\n %s\nfault-free:\n %s", name, g, w)
+				}
+				if name == "S" {
+					continue // maintained twice; its second round re-applies
+				}
+				if got[i].Phases.Cost != want[i].Phases.Cost || got[i].DiffTuples != want[i].DiffTuples {
+					t.Fatalf("%s: retried round cost %v over %d diff tuples, fault-free %v over %d",
+						name, got[i].Phases.Cost, got[i].DiffTuples, want[i].Phases.Cost, want[i].DiffTuples)
+				}
+				if g, w := fmt.Sprint(appliedRows(got[i])), fmt.Sprint(appliedRows(want[i])); g != w {
+					t.Fatalf("%s: retried round applied %s, fault-free %s", name, g, w)
+				}
+			}
+			if len(d.Log()) != 0 {
+				t.Fatalf("the retried round left %d log entries", len(d.Log()))
+			}
+		})
+	}
+}
+
+func appliedRows(r *Report) []string {
+	var out []string
+	for _, inst := range r.Phases.Applied {
+		for _, row := range inst.Rows.Tuples {
+			out = append(out, inst.Schema.String()+" "+rel.TupleKey(row))
+		}
+	}
+	return out
+}
+
+// TestRefilledLogOfEqualLengthIsCompactedAgain runs rounds whose logs all
+// have the same length — one update each, of a different row — through
+// MaintainAll and, interleaved, through Maintain + ResetLog. The log is a
+// slice that is dropped and regrown, so nothing about it (its length, where
+// its backing array sits) says whether it was compacted before; anything that
+// remembered a compaction by such a mark would serve the previous round's
+// change here, and the views would lag one round behind.
+func TestRefilledLogOfEqualLengthIsCompactedAgain(t *testing.T) {
+	d, s := sumViewsDB(t, 0)
+	for round := 0; round < 12; round++ {
+		id := int64(round % 12)
+		if _, err := d.Update("item", []rel.Value{rel.Int(id)}, []string{"val"}, []rel.Value{rel.Int(1000 + int64(round))}); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Log()) != 1 {
+			t.Fatalf("round %d: log has %d entries, want 1", round, len(d.Log()))
+		}
+		if round%3 == 2 {
+			for _, name := range s.ViewNames() {
+				if _, err := s.Maintain(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.ResetLog()
+		} else if _, err := s.MaintainAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range s.ViewNames() {
+			if err := s.CheckConsistent(name); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+}

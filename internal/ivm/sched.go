@@ -23,6 +23,7 @@ type stepResult struct {
 	err             error
 	cost            rel.CostCounter
 	dur             time.Duration
+	rows            int // a compute step's result rows
 	rowsTouched     int
 	viewDiffTuples  int
 	viewRowsTouched int

@@ -46,6 +46,30 @@ type View struct {
 	// a lower level completed — while views inside one level still fan out
 	// over the worker pool.
 	Level int
+	// binds resolves the script's base i-diff bindings once, at registration:
+	// the name each is read under and the feed slot that holds its instance.
+	binds []baseBind
+}
+
+// baseBind is one base i-diff binding of a view: BaseBindName(table, i) for
+// the view's i-th schema of the table, and where a round's feed keeps the
+// instance — slot indexes System.slots[table].
+type baseBind struct {
+	name  string
+	table string
+	slot  int
+}
+
+// diffSlots are the distinct base i-diff schemas the registered views bind
+// over one logged table, in first-registration order. Views over the same
+// table mostly generate the same schemas (one insert, one delete, an update
+// per conditional attribute set), and a round populates each once for all of
+// them. rels and empty hold what every round would otherwise rebuild: the
+// instance relation's schema and the shared empty instance.
+type diffSlots struct {
+	schemas []DiffSchema
+	rels    []rel.Schema
+	empty   []*rel.Binding
 }
 
 // Report summarizes one maintenance run of one view.
@@ -85,6 +109,7 @@ type System struct {
 	DB    *db.Database
 	views map[string]*View
 	order []string
+	slots map[string]*diffSlots // by logged table (base table or cascade source)
 	// SelfCheck makes every maintenance run validate the effectiveness of
 	// the diffs it applies to views (Section 2). The extra probes are
 	// charged to the cost counters, so enable it in tests only.
@@ -120,7 +145,7 @@ type System struct {
 
 // NewSystem creates an idIVM system over a database.
 func NewSystem(d *db.Database) *System {
-	return &System{DB: d, views: make(map[string]*View)}
+	return &System{DB: d, views: make(map[string]*View), slots: make(map[string]*diffSlots)}
 }
 
 // RegisterView performs the view-definition-time work: pass 1–4 script
@@ -158,14 +183,7 @@ func (s *System) RegisterView(name string, plan algebra.Node, mode Mode, opts ..
 			}
 		}
 	}
-	tableSchema := func(t string) (rel.Schema, error) {
-		tab, err := s.DB.Table(t)
-		if err != nil {
-			return rel.Schema{}, err
-		}
-		return tab.Schema(), nil
-	}
-	base, err := GenerateBaseDiffSchemas(plan, tableSchema)
+	base, err := GenerateBaseDiffSchemas(plan, s.tableSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +222,8 @@ func (s *System) RegisterView(name string, plan algebra.Node, mode Mode, opts ..
 		}
 	}
 
-	v := &View{Name: name, Plan: script.ViewPlan, Script: script, Mode: mode, Sources: sources, Level: level}
+	v := &View{Name: name, Plan: script.ViewPlan, Script: script, Mode: mode, Sources: sources, Level: level,
+		binds: s.bindSlots(script.Base)}
 	s.views[name] = v
 	s.order = append(s.order, name)
 	return v, nil
@@ -256,76 +275,183 @@ func (s *System) View(name string) (*View, bool) {
 // ViewNames lists registered views in registration order.
 func (s *System) ViewNames() []string { return append([]string(nil), s.order...) }
 
-// GenerateInstances compacts the current modification log into effective
-// per-table net changes and populates the base diff instances a view's
-// script consumes, keyed by BaseBindName. All registered schemas get a
-// binding (possibly empty) so scripts can always resolve them.
-//
-// For a cascaded view the "log" additionally contains the derived logs of
-// its view sources — the i-diffs the same round already applied to the
-// parents — so a parent's output feeds its children with no recompute:
-// the cascade input is read at i-diff granularity, charged per the
-// Section 6 rules like any other diff feed. Compaction groups per table,
-// so concatenation order across sources is immaterial; per-key order
-// within one source follows its apply-step chain.
-func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, error) {
-	tableSchema := func(t string) (rel.Schema, error) {
-		tab, err := s.DB.Table(t)
+// bindSlots resolves a script's base i-diff schemas to feed slots, adding
+// the schemas no earlier view binds.
+func (s *System) bindSlots(base BaseDiffSchemas) []baseBind {
+	var binds []baseBind
+	for _, table := range base.Tables() {
+		sl := s.slots[table]
+		if sl == nil {
+			sl = &diffSlots{}
+			s.slots[table] = sl
+		}
+		for i, ds := range base[table] {
+			slot := 0
+			for slot < len(sl.schemas) && !sl.schemas[slot].Equal(ds) {
+				slot++
+			}
+			if slot == len(sl.schemas) {
+				rs := ds.RelSchema()
+				sl.schemas = append(sl.schemas, ds)
+				sl.rels = append(sl.rels, rs)
+				sl.empty = append(sl.empty, rel.BindRelation(rel.NewRelation(rs)))
+			}
+			binds = append(binds, baseBind{name: BaseBindName(table, i), table: table, slot: slot})
+		}
+	}
+	return binds
+}
+
+// diffFeed is one maintenance round's diff feed (Section 5's "populate the
+// base-table i-diff instances from the modification log", done once per round
+// rather than once per view): each logged table's modifications compacted
+// once, and one instance per distinct base i-diff schema, which every view —
+// and, under Workers > 1, every worker — binding that schema reads. The base
+// log is compacted when the feed is built, a cascade source's derived log by
+// addSources once the source is maintained; compaction is per table, so a
+// cascaded view's input is simply the base tables' instances plus its
+// sources'. The feed is filled by the goroutine driving the round before the
+// views that read it start, and is read-only from then on: no lock. It is a
+// value of the round — built by MaintainAll (a lone Maintain builds its own),
+// dropped when the round ends or fails — so a retried round compacts the log
+// again and nothing is remembered about a log that may since have been reset
+// and refilled.
+type diffFeed struct {
+	s *System
+	// inst[table][slot] is the instance of s.slots[table].schemas[slot]; a nil
+	// entry (or no entry for the table) stands for the slot's empty instance.
+	inst map[string][]*rel.Binding
+	done map[string]bool // cascade sources whose derived log is in
+}
+
+// newFeed compacts the base modification log into a feed.
+func (s *System) newFeed() (*diffFeed, error) {
+	f := &diffFeed{s: s, inst: make(map[string][]*rel.Binding), done: make(map[string]bool)}
+	return f, f.add(s.DB.Log())
+}
+
+// feedFor is the throw-away feed of a view maintained on its own: the base
+// log and the derived logs of v's sources, as they are now.
+func (s *System) feedFor(v *View) (*diffFeed, error) {
+	f, err := s.newFeed()
+	if err == nil {
+		err = f.addSources(v)
+	}
+	return f, err
+}
+
+// add compacts a log and populates the instances of every table it changed.
+func (f *diffFeed) add(log []db.Modification) error {
+	if len(log) == 0 {
+		return nil
+	}
+	changes, err := CompactLog(log, f.s.tableSchema)
+	if err != nil {
+		return err
+	}
+	for table, nc := range changes { //ivmlint:allow maprange — per-table results, order-free
+		sl := f.s.slots[table]
+		if sl == nil {
+			continue // logged, but no registered view binds it
+		}
+		insts, err := populate(nc, sl.schemas, sl.rels)
 		if err != nil {
-			return rel.Schema{}, err
+			return err
 		}
-		return tab.Schema(), nil
-	}
-	log := s.DB.Log()
-	if len(v.Sources) > 0 {
-		merged := append([]db.Modification(nil), log...)
-		for _, src := range v.Sources {
-			merged = append(merged, s.DB.DerivedLog(src)...)
+		bound := make([]*rel.Binding, len(insts))
+		for i, inst := range insts {
+			if inst.Len() > 0 {
+				bound[i] = rel.BindRelation(inst.Rows)
+			}
 		}
-		log = merged
+		f.inst[table] = bound
 	}
-	changes, err := CompactLog(log, tableSchema)
+	return nil
+}
+
+// addSources brings in the derived logs of v's cascade sources — the i-diffs
+// this round applied to them — that are not in yet. The sources must have
+// been maintained: MaintainAll calls it between a source's level and v's.
+func (f *diffFeed) addSources(v *View) error {
+	for _, src := range v.Sources {
+		if f.done[src] {
+			continue
+		}
+		if err := f.add(f.s.DB.DerivedLog(src)); err != nil {
+			return err
+		}
+		f.done[src] = true
+	}
+	return nil
+}
+
+// bindings returns v's binding environment — every base schema of its script
+// bound, to the slot's empty instance where the round left it empty — with
+// room for the script's step results, and the number of diff tuples bound.
+func (f *diffFeed) bindings(v *View) (map[string]*rel.Binding, int) {
+	bind := make(map[string]*rel.Binding, len(v.binds)+len(v.Script.Steps))
+	total := 0
+	for _, b := range v.binds {
+		var inst *rel.Binding
+		if insts := f.inst[b.table]; insts != nil {
+			inst = insts[b.slot]
+		}
+		if inst == nil {
+			inst = f.s.slots[b.table].empty[b.slot]
+		}
+		bind[b.name] = inst
+		total += inst.Len()
+	}
+	return bind, total
+}
+
+func (s *System) tableSchema(t string) (rel.Schema, error) {
+	tab, err := s.DB.Table(t)
+	if err != nil {
+		return rel.Schema{}, err
+	}
+	return tab.Schema(), nil
+}
+
+// GenerateInstances compacts the current modification log (and the derived
+// logs of v's cascade sources) into effective per-table net changes and
+// returns the base diff instances v's script consumes, keyed by BaseBindName,
+// with the number of diff tuples in them. All registered schemas get a
+// binding (possibly empty) so scripts can always resolve them. It is what a
+// lone Maintain(v) would read; the log is not consumed.
+func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, error) {
+	feed, err := s.feedFor(v)
 	if err != nil {
 		return nil, 0, err
 	}
-	bindings := make(map[string]*rel.Relation)
-	total := 0
-	for _, table := range v.Script.Base.Tables() {
-		schemas := v.Script.Base[table]
-		for i, ds := range schemas {
-			bindings[BaseBindName(table, i)] = rel.NewRelation(ds.RelSchema())
-		}
-		nc, ok := changes[table]
-		if !ok {
-			continue
-		}
-		insts, err := PopulateInstances(nc, schemas)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, inst := range insts {
-			for i, ds := range schemas {
-				if ds.Equal(inst.Schema) {
-					bindings[BaseBindName(table, i)] = inst.Rows
-					total += inst.Len()
-				}
-			}
-		}
+	bind, total := feed.bindings(v)
+	out := make(map[string]*rel.Relation, len(bind))
+	for name, inst := range bind { //ivmlint:allow maprange — map-to-map copy, order-free
+		out[name] = inst.Relation()
 	}
-	return bindings, total, nil
+	return out, total, nil
 }
 
 // Maintain brings one view up to date with the modification log without
 // consuming the log (other views may still need it); call ResetLog (or use
 // MaintainAll) once every view is maintained. With Workers > 1 the view's
-// Δ-script runs on the step-DAG scheduler.
+// Δ-script runs on the step-DAG scheduler. It compacts the log for itself —
+// a diff feed of its own, gone when it returns.
 //
 // In a cascade, maintain parents before children within the same round
 // (registration order always satisfies this; MaintainAll does it for
 // you): a child's diff feed is whatever its sources' derived logs hold.
 func (s *System) Maintain(name string) (*Report, error) {
+	v, ok := s.views[name]
+	if !ok {
+		return nil, fmt.Errorf("ivm: unknown view %q", name)
+	}
 	s.beginCascadeEpochs()
-	return s.maintain(name, s.execOptions(nil))
+	feed, err := s.feedFor(v)
+	if err != nil {
+		return nil, err
+	}
+	return s.maintain(v, feed, s.execOptions(nil))
 }
 
 // execOptions is the System's knob set as one script run's options,
@@ -354,25 +480,23 @@ func (s *System) beginCascadeEpochs() {
 	}
 }
 
-func (s *System) maintain(name string, opts ExecOptions) (*Report, error) {
-	v, ok := s.views[name]
-	if !ok {
-		return nil, fmt.Errorf("ivm: unknown view %q", name)
-	}
-	bindings, n, err := s.GenerateInstances(v)
-	if err != nil {
-		return nil, err
-	}
+// maintain runs v's Δ-script over its instances in the feed, which must hold
+// v's sources (addSources).
+func (s *System) maintain(v *View, feed *diffFeed, opts ExecOptions) (*Report, error) {
+	bind, n := feed.bindings(v)
 	start := time.Now()
-	pc, err := runScript(s.DB, v.Script, bindings, s.SelfCheck, opts)
+	pc, err := runScript(s.DB, v.Script, bind, s.SelfCheck, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Report{View: name, Phases: pc, Duration: time.Since(start), DiffTuples: n}, nil
+	return &Report{View: v.Name, Phases: pc, Duration: time.Since(start), DiffTuples: n}, nil
 }
 
 // MaintainAll maintains every registered view against the current log,
 // then clears the log (and every derived log) and closes the epochs. The
+// round has one diff feed (diffFeed): the log is compacted and the base
+// i-diff instances are populated once, whatever the number of views, and
+// every view reads the instances it binds from there. The
 // schedule is topological over the cascade DAG: registration order is
 // already sources-first, and with Workers > 1 the views fan out level by
 // level — levels are barriers, since a cascaded view's diff feed is the
@@ -399,13 +523,19 @@ func (s *System) MaintainAll() ([]*Report, error) {
 		s.Hooks.RoundBegin()
 	}
 	var out []*Report
-	var err error
-	if s.Workers > 1 && len(s.order) > 1 {
-		out, err = s.maintainAllParallel()
-	} else {
+	feed, err := s.newFeed()
+	switch {
+	case err != nil:
+	case s.Workers > 1 && len(s.order) > 1:
+		out, err = s.maintainAllParallel(feed)
+	default:
 		for _, name := range s.order {
+			v := s.views[name]
+			if err = feed.addSources(v); err != nil {
+				break
+			}
 			var r *Report
-			if r, err = s.Maintain(name); err != nil {
+			if r, err = s.maintain(v, feed, s.execOptions(nil)); err != nil {
 				break
 			}
 			out = append(out, r)
@@ -492,14 +622,16 @@ func (s *System) PinAllEpochs() {
 // level by level: cascade levels are barriers (a child's diff feed is its
 // parents' applied i-diffs, so level L starts only after every view of a
 // lower level completed), while the views inside one level — independent
-// subtrees by construction — still run concurrently. On failure it
+// subtrees by construction — still run concurrently. The feed gains the
+// derived logs a level reads before the level fans out, on this goroutine;
+// the workers only read it. On failure it
 // reports the erroring view earliest in registration order, with the
 // maintained (non-nil) reports of the views registered before it; views
 // at or below the failing level may or may not have been maintained, and
 // later levels are skipped (they would consume a broken feed), exactly
 // as consistent as the sequential path's early return leaves them. Log
 // reset and epoch release belong to MaintainAll.
-func (s *System) maintainAllParallel() ([]*Report, error) {
+func (s *System) maintainAllParallel(feed *diffFeed) ([]*Report, error) {
 	n := len(s.order)
 	reports := make([]*Report, n)
 	errs := make([]error, n)
@@ -518,14 +650,21 @@ func (s *System) maintainAllParallel() ([]*Report, error) {
 		if len(idxs) == 0 {
 			continue
 		}
-		parallelFor(s.Workers, len(idxs), func(k int) {
-			i := idxs[k]
-			reports[i], errs[i] = s.maintain(s.order[i], s.execOptions(&shards[i]))
-		})
 		failed := false
 		for _, i := range idxs {
-			if errs[i] != nil {
+			if errs[i] = feed.addSources(s.views[s.order[i]]); errs[i] != nil {
 				failed = true
+			}
+		}
+		if !failed {
+			parallelFor(s.Workers, len(idxs), func(k int) {
+				i := idxs[k]
+				reports[i], errs[i] = s.maintain(s.views[s.order[i]], feed, s.execOptions(&shards[i]))
+			})
+			for _, i := range idxs {
+				if errs[i] != nil {
+					failed = true
+				}
 			}
 		}
 		if failed {

@@ -21,11 +21,12 @@
 // cost model — which is only sound while every tuple they convert already
 // flowed through a Handle-charged call. The compiled plans in
 // internal/algebra (and internal/rel itself) are the blessed home of that
-// pattern — their leaves call FromTuples on rows a Handle just returned or
-// on a bound relation, ExecPlan.Run calls Materialize once at the root,
-// and the two nested-loop strategies box their inner side with it; a
-// converter call anywhere else is a channel for moving tuples around the
-// charge point and is flagged.
+// pattern — their leaves call FromTuples on rows a Handle just returned,
+// rel.Binding converts a step result or a base i-diff instance to its other
+// form at most once (the Δ-script executor only ever asks a Binding, it
+// calls no converter), and the two nested-loop strategies box their inner
+// side with Materialize; a converter call anywhere else is a channel for
+// moving tuples around the charge point and is flagged.
 
 package lint
 

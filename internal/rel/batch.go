@@ -9,7 +9,8 @@
 // Batches exist strictly between charged boundaries: rows enter columnar
 // form right after a Handle-charged Scan/Lookup and leave it
 // (Materialize) only where results must become tuples again — when they
-// are bound for storage, the modification log, or a plan's caller. The
+// are bound for storage, the modification log, or a plan's caller; between
+// the steps of a Δ-script a result stays a batch (Binding). The
 // converters therefore never touch storage themselves and charge nothing;
 // batching is invisible to the Section-6 cost model (DESIGN.md §8), and
 // the ivmlint chargepath analyzer pins the converters to the kernel layer.
@@ -163,6 +164,35 @@ func (b *Batch) Row(i int, buf Tuple) Tuple {
 		buf[j] = b.Cols[j].Value(i)
 	}
 	return buf
+}
+
+// KeyDigests returns the key digest of every row over the columns cols:
+// out[i] is KeyDigest of row i's cols values, folded a column at a time so
+// that the kind switch runs once per column, not once per value, and a dense
+// int column is read as the []int64 it is.
+func (b *Batch) KeyDigests(cols []int) []uint64 {
+	out := make([]uint64, b.N)
+	for i := range out {
+		out[i] = digestSeed
+	}
+	for _, j := range cols {
+		c := &b.Cols[j]
+		if c.Kind == VecInt && c.Nulls == nil {
+			for i := range out {
+				out[i] = mix(out[i], uint64(c.Ints[c.Phys(i)]))
+			}
+			continue
+		}
+		for i := range out {
+			out[i] = c.Value(i).keyDigest(out[i])
+		}
+	}
+	if digestMask != ^uint64(0) {
+		for i := range out {
+			out[i] &= digestMask
+		}
+	}
+	return out
 }
 
 // Gather returns the batch restricted to the logical rows in sel, which

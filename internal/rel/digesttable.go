@@ -107,3 +107,54 @@ func (t *digestTable) fit() {
 		t.resize(c)
 	}
 }
+
+// DigestChains is the digest table outside a stored index: it files entries
+// — small non-negative numbers a kernel assigns, the row numbers of a batch or
+// the ordinals of the groups or set members it has seen so far — under 64-bit
+// key digests (KeyDigest, Batch.KeyDigests), each digest's entries on a chain
+// threaded through one []int32, newest first. It stores no keys and decides
+// nothing: a caller walks the chain under a probe's digest and verifies every
+// entry against the probe with Value.KeyEqual, so keys that share a digest
+// merely share a chain. The zero value is ready to use.
+type DigestChains struct {
+	tab  digestTable
+	next []int32 // entry → the entry pushed before it under the same digest, or -1
+}
+
+// Reserve sizes the table for n entries up front, so a build of known size
+// never rehashes.
+func (c *DigestChains) Reserve(n int) {
+	if cells := (n+1)*4/3 + 1; cells > len(c.tab.cells) {
+		c.tab.resize(cells)
+	}
+	if n > cap(c.next) {
+		c.next = append(make([]int32, 0, n), c.next...)
+	}
+}
+
+// First returns the newest entry filed under d, or -1.
+func (c *DigestChains) First(d uint64) int32 {
+	if i := c.tab.find(d); i >= 0 {
+		return c.tab.cells[i].head
+	}
+	return -1
+}
+
+// Next returns the entry filed under e's digest just before e, or -1.
+func (c *DigestChains) Next(e int32) int32 { return c.next[e] }
+
+// Push files entry e, which must not be filed already, under d, ahead of the
+// digest's other entries: pushing the rows of a build side last to first
+// leaves every chain in ascending row order.
+func (c *DigestChains) Push(d uint64, e int32) {
+	for int(e) >= len(c.next) {
+		c.next = append(c.next, -1)
+	}
+	i := c.tab.cell(d)
+	cell := &c.tab.cells[i]
+	if cell.head < 0 {
+		cell.digest, cell.head = d, -1
+		c.tab.n++
+	}
+	c.next[e], cell.head = cell.head, e
+}

@@ -61,7 +61,7 @@ func (t *Table) CheckInvariants() error {
 		for _, j := range c.keyIdx {
 			key = append(key, c.rows[p][j])
 		}
-		if got := c.primary.first(digestVals(key), key); got != id {
+		if got := c.primary.first(KeyDigest(key), key); got != id {
 			return fmt.Errorf("the primary index resolves row %v to id %d; want %d", c.rows[p], got, id)
 		}
 	}

@@ -45,9 +45,12 @@ type hashIndex struct {
 	exact bool
 }
 
-// digestVals is the digest of a probe key; digestCols(row, cols) equals it
-// for every row whose cols are KeyEqual to vals.
-func digestVals(vals []Value) uint64 {
+// KeyDigest is the digest of a probe key; digestCols(row, cols) equals it
+// for every row whose cols are KeyEqual to vals, as does Batch.KeyDigests for
+// every batch row. Equal digests decide nothing: whoever files entries under
+// them (hashIndex, DigestChains' callers) verifies each candidate with
+// Value.KeyEqual.
+func KeyDigest(vals []Value) uint64 {
 	h := uint64(digestSeed)
 	for _, v := range vals {
 		h = v.keyDigest(h)

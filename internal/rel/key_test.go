@@ -37,10 +37,10 @@ func checkKeyTuples(t *testing.T, x, y Tuple) {
 	if enc := bytes.Equal(AppendTupleKey(nil, x), AppendTupleKey(nil, y)); eq != enc {
 		t.Errorf("%v and %v: column-wise KeyEqual = %v, equal encodings = %v", x, y, eq, enc)
 	}
-	if eq && digestVals(x) != digestVals(y) {
-		t.Errorf("%v and %v are KeyEqual but digest to %#x and %#x", x, y, digestVals(x), digestVals(y))
+	if eq && KeyDigest(x) != KeyDigest(y) {
+		t.Errorf("%v and %v are KeyEqual but digest to %#x and %#x", x, y, KeyDigest(x), KeyDigest(y))
 	}
-	if digestCols(x, cols) != digestVals(x) {
+	if digestCols(x, cols) != KeyDigest(x) {
 		t.Errorf("%v: the digest of a row's columns differs from the digest of the same values as a probe", x)
 	}
 }
@@ -143,7 +143,7 @@ func TestMixIsABijection(t *testing.T) {
 				t.Fatalf("unmix(%#x, mix(%#x, %#x)) = %#x", h, h, x, got)
 			}
 		}
-		if d := digestVals([]Value{Int(int64(x))}); unmix(digestSeed, d) != x {
+		if d := KeyDigest([]Value{Int(int64(x))}); unmix(digestSeed, d) != x {
 			t.Fatalf("the digest of Int(%d) is not mix of its bits", int64(x))
 		}
 	}
@@ -155,8 +155,8 @@ func TestMixIsABijection(t *testing.T) {
 // after the index was built (and ends its exact phase) or before.
 func TestCollidingKeysShareAChainAndStayApart(t *testing.T) {
 	half := Float(0.5)
-	twin := Int(int64(unmix(digestSeed, digestVals([]Value{half}))))
-	if digestVals([]Value{twin}) != digestVals([]Value{half}) || twin.KeyEqual(half) {
+	twin := Int(int64(unmix(digestSeed, KeyDigest([]Value{half}))))
+	if KeyDigest([]Value{twin}) != KeyDigest([]Value{half}) || twin.KeyEqual(half) {
 		t.Fatalf("%v and %v: want distinct keys with one digest", twin, half)
 	}
 	onG := []string{"g"}
@@ -200,5 +200,92 @@ func TestCollidingKeysShareAChainAndStayApart(t *testing.T) {
 		if err := tab.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBatchKeyDigestsMatchKeyDigest pins the column-at-a-time digest of the
+// hash kernels to the one the stored indexes use: for every row of a batch —
+// dense int columns, int columns with NULLs, mixed-kind columns, columns
+// behind a gather vector — KeyDigests over a column set is KeyDigest of the
+// row's values there, so a batch row and a stored row that are KeyEqual fold
+// alike.
+func TestBatchKeyDigestsMatchKeyDigest(t *testing.T) {
+	var rows []Tuple
+	for i, v := range keyEdgeValues {
+		rows = append(rows, Tuple{Int(int64(i * 7)), v, keyEdgeValues[(i+5)%len(keyEdgeValues)], Int(int64(i % 3))})
+	}
+	rows[4][3] = Null() // column 3: ints with a NULL
+	b := FromTuples(NewSchema([]string{"dense", "edge", "edge2", "sparse"}, nil), rows)
+	sel := make([]int32, 0, len(rows))
+	for i := len(rows) - 1; i >= 0; i -= 2 {
+		sel = append(sel, int32(i))
+	}
+	for name, bb := range map[string]*Batch{"dense": b, "gathered": b.GatherRows(sel)} {
+		for _, cols := range [][]int{{0}, {1}, {3}, {0, 3}, {1, 2}, {2, 0, 1, 3}, nil} {
+			dig := bb.KeyDigests(cols)
+			var row Tuple
+			for i := 0; i < bb.Len(); i++ {
+				row = bb.Row(i, row)
+				key := make([]Value, len(cols))
+				for k, j := range cols {
+					key[k] = row[j]
+				}
+				if dig[i] != KeyDigest(key) {
+					t.Fatalf("%s cols %v row %d (%v): KeyDigests %#x, KeyDigest %#x", name, cols, i, key, dig[i], KeyDigest(key))
+				}
+			}
+		}
+	}
+}
+
+// TestDigestChains files entries under a handful of digests, in the three
+// shapes the kernels use — a build side pushed last row first, ordinals
+// pushed as they are assigned, and sparse row numbers — and reads every chain
+// back newest first.
+func TestDigestChains(t *testing.T) {
+	const n = 200
+	digest := func(e int) uint64 { return mix(digestSeed, uint64(e%13)) }
+	check := func(c *DigestChains, entries []int32) {
+		t.Helper()
+		want := map[uint64][]int32{}
+		for _, e := range entries {
+			want[digest(int(e))] = append([]int32{e}, want[digest(int(e))]...)
+		}
+		for d, chain := range want {
+			e := c.First(d)
+			for _, w := range chain {
+				if e != w {
+					t.Fatalf("chain of %#x: entry %d, want %d", d, e, w)
+				}
+				e = c.Next(e)
+			}
+			if e != -1 {
+				t.Fatalf("chain of %#x continues with %d", d, e)
+			}
+		}
+		if c.First(mix(digestSeed, 99)) != -1 {
+			t.Fatal("a digest nobody filed has a chain")
+		}
+	}
+	var build, grown, sparse DigestChains
+	var be, ge, se []int32
+	build.Reserve(n)
+	for e := n - 1; e >= 0; e-- {
+		build.Push(digest(e), int32(e))
+		be = append(be, int32(e))
+	}
+	for e := 0; e < n; e++ {
+		grown.Push(digest(e), int32(e))
+		ge = append(ge, int32(e))
+	}
+	for e := 3; e < n; e += 7 {
+		sparse.Push(digest(e), int32(e))
+		se = append(se, int32(e))
+	}
+	check(&build, be)
+	check(&grown, ge)
+	check(&sparse, se)
+	if e := build.First(digest(5)); e != 5 {
+		t.Fatalf("a build side pushed last row first must chain ascending: head %d", e)
 	}
 }

@@ -235,7 +235,7 @@ func (t *Table) Get(s State, key []Value) (Tuple, bool) {
 
 // get resolves a primary key in the requested state; the caller holds c.mu.
 func (c *tableCore) get(s State, key []Value) (Tuple, bool) {
-	overlaid, d := c.overlaid(s), digestVals(key)
+	overlaid, d := c.overlaid(s), KeyDigest(key)
 	if id := c.primary.first(d, key); id >= 0 {
 		if p := int(c.posOf[id]); !overlaid || c.clean(p) {
 			return c.rows[p], true
@@ -304,7 +304,7 @@ func (c *tableCore) probe(s State, attrs []string, sig string, vals []Value, out
 	if err != nil {
 		return out, 0, err
 	}
-	n, d, overlaid := 0, digestVals(vals), c.overlaid(s)
+	n, d, overlaid := 0, KeyDigest(vals), c.overlaid(s)
 	var ov *hashIndex
 	if overlaid && len(c.undoRows) > 0 {
 		if ov, err = c.undoIndexOnSig(attrs, sig); err != nil {
@@ -509,7 +509,7 @@ func (t *Table) DeleteKey(key []Value) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := c.primary.first(digestVals(key), key)
+	id := c.primary.first(KeyDigest(key), key)
 	if id < 0 {
 		return false
 	}
@@ -571,7 +571,7 @@ func gather(buf *[]Value, row Tuple, cols []int) []Value {
 // index order, in the writer's position scratch —, the cell of their chain,
 // and whether they are the whole chain.
 func (c *tableCore) writeSet(idx *hashIndex, vals []Value) (pos []int32, cell int, whole bool) {
-	pos, whole, cell = c.posBuf[:0], true, idx.tab.find(digestVals(vals))
+	pos, whole, cell = c.posBuf[:0], true, idx.tab.find(KeyDigest(vals))
 	if cell >= 0 {
 		for id := idx.tab.cells[cell].head; id >= 0; id = idx.next[id] {
 			if idx.matches(id, vals) {
