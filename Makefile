@@ -98,7 +98,9 @@ bench-e2e-smoke:
 # cascade, in one System, one MaintainAll — which no other gated row has: its
 # accesses/op is the views' sum, and its allocs/op is where work that a round
 # does once per view instead of once (log compaction, instance population)
-# would show.
+# would show. ManyViewsRoundWorkers2 is the same round at Workers = 2, the
+# one parallel lane (a level's views maintained concurrently): its
+# accesses/op must equal ManyViewsRound's.
 # The FeedJoin rows are the probe join under uniform and Zipf(1.1) keys:
 # one charged lookup per driving row, so the zipf row is the cost of a few
 # celebrity buckets being read once per tweet.
@@ -115,7 +117,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFig10$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkAggClasses$$' -benchtime=1x . | tee -a bench.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkManyViewsRound$$' -benchtime=1x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkManyViewsRound(Workers2)?$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFeedJoin$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(TableChurn|FeedApplyShape)$$' -benchtime=20x ./internal/rel | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt

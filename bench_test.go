@@ -55,14 +55,11 @@ func benchBSMAParams() bsma.Params {
 }
 
 // benchIVM measures maintenance rounds of the running-example aggregate
-// (or SPJ) view in the given mode. workers > 1 runs the Δ-script on the
-// step-DAG scheduler; access counts are identical either way, so the
-// accesses/op column is schedule-independent.
-func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode, workers int) {
+// (or SPJ) view in the given mode.
+func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode) {
 	b.Helper()
 	ds := workload.Build(p)
 	sys := ivm.NewSystem(ds.DB)
-	sys.Workers = workers
 	plan := ds.SPJPlan()
 	if agg {
 		plan = ds.AggPlan()
@@ -120,22 +117,14 @@ func benchSDBT(b *testing.B, p workload.Params, variant sdbt.Variant) {
 	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
 }
 
-// benchWorkers is the pool size for the parallel-executor columns: enough
-// to overlap a script's independent compute steps without oversubscribing
-// CI runners.
-const benchWorkers = 4
-
-// approachSet runs the Figure 12 columns as sub-benchmarks, plus column E:
-// the id-based approach on the parallel step-DAG executor (same accesses/op
-// as column A by construction; the delta is ns/op).
+// approachSet runs the Figure 12 columns as sub-benchmarks.
 func approachSet(b *testing.B, p workload.Params, withSDBT bool) {
-	b.Run("A=idIVM", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID, 1) })
-	b.Run("B=tuple", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeTuple, 1) })
+	b.Run("A=idIVM", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID) })
+	b.Run("B=tuple", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeTuple) })
 	if withSDBT {
 		b.Run("C=sdbt-fixed", func(b *testing.B) { benchSDBT(b, p, sdbt.Fixed) })
 		b.Run("D=sdbt-streams", func(b *testing.B) { benchSDBT(b, p, sdbt.Streams) })
 	}
-	b.Run("E=parallel", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID, benchWorkers) })
 }
 
 // benchBSMAView measures maintenance rounds of one view over the BSMA data
@@ -292,9 +281,8 @@ func BenchmarkTable3_AggModel(b *testing.B) {
 // (Example 1.2): non-conditional updates through an SPJ view.
 func BenchmarkSPJNonConditionalUpdate(b *testing.B) {
 	p := benchWorkloadParams()
-	b.Run("id", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, 1) })
-	b.Run("tuple", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple, 1) })
-	b.Run("parallel", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, benchWorkers) })
+	b.Run("id", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID) })
+	b.Run("tuple", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple) })
 }
 
 // BenchmarkSmallDiff is the small-diff guard of the single columnar path
@@ -307,8 +295,8 @@ func BenchmarkSmallDiff(b *testing.B) {
 	for _, d := range []int{1, 10, 100, 1000} {
 		p := benchWorkloadParams()
 		p.DiffSize = d
-		b.Run(fmt.Sprintf("d=%d/id", d), func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, 1) })
-		b.Run(fmt.Sprintf("d=%d/tuple", d), func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple, 1) })
+		b.Run(fmt.Sprintf("d=%d/id", d), func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID) })
+		b.Run(fmt.Sprintf("d=%d/tuple", d), func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple) })
 	}
 }
 
@@ -475,9 +463,18 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 // MaintainAll. What a round does once per view rather than once — compacting
 // the log, populating the base i-diff instances — is no stored access, so
 // accesses/op (the views' sum) cannot see it; allocs/op and ns/op do.
-func BenchmarkManyViewsRound(b *testing.B) {
+func BenchmarkManyViewsRound(b *testing.B) { benchManyViews(b, 0) }
+
+// BenchmarkManyViewsRoundWorkers2 is the same round with Workers = 2: the
+// views of each cascade level maintained concurrently, the one parallel lane.
+// Its accesses/op equals BenchmarkManyViewsRound's by construction (per-view
+// counter shards); the difference is ns/op.
+func BenchmarkManyViewsRoundWorkers2(b *testing.B) { benchManyViews(b, 2) }
+
+func benchManyViews(b *testing.B, workers int) {
 	ds := bsma.Build(benchBSMAParams())
 	sys := ivm.NewSystem(ds.DB)
+	sys.Workers = workers
 	if err := harness.RegisterManyViews(sys, ds); err != nil {
 		b.Fatal(err)
 	}

@@ -349,9 +349,9 @@ type MaintenanceStats struct {
 }
 
 // SetWorkers bounds maintenance concurrency: 0 or 1 keeps maintenance
-// fully sequential, n > 1 runs each view's Δ-script on an n-worker
-// step-DAG scheduler and maintains independent views concurrently.
-// Results and access counts are identical either way.
+// fully sequential, n > 1 maintains the views of one cascade level
+// concurrently on up to n goroutines (a view's own Δ-script steps always run
+// in order). Results and access counts are identical either way.
 func (x *DB) SetWorkers(n int) { x.sys.Workers = n }
 
 // Maintain incrementally brings every registered view up to date with the

@@ -57,8 +57,8 @@ func Eval(n Node, env Env) (*rel.Relation, error) {
 // aliasTuples presents rows as a Relation without copying, clamping the
 // slice capacity so a later Add reallocates instead of writing into the
 // shared backing array. Rows scanned from a table stay valid for the
-// duration of a maintenance round: pre-state rows are frozen for the epoch
-// and the step DAG orders post-state reads after the table's last apply.
+// duration of a maintenance round: pre-state rows are frozen for the epoch,
+// and a post-state read runs after the table's last apply (script order).
 func aliasTuples(sch rel.Schema, rows []rel.Tuple) *rel.Relation {
 	return &rel.Relation{Schema: sch, Tuples: rows[:len(rows):len(rows)]}
 }

@@ -19,10 +19,6 @@ import (
 //	Δ2  := π[k, (x#post + w)→x#post](Δ1 ⋈ src) a charged probe per Δ1 row
 //	Δ3  := Δ1 ⋉ T                              hash semijoin of two bindings
 //	APPLY Δ2 TO v;  APPLY Δ3 TO c3
-//
-// Under the step DAG the two APPLYs of Δ1 (each asks for its tuples) and the
-// computes of Δ2 and Δ3 (each asks for its columns) are ready together, so a
-// run with workers exercises the once-guards of rel.Binding.
 func bindingScript(t *testing.T) (*Script, DiffSchema) {
 	t.Helper()
 	ins := func(target string) DiffSchema {
@@ -58,11 +54,10 @@ func bindingScript(t *testing.T) (*Script, DiffSchema) {
 }
 
 // TestBindingsReadAsColumnsAndAsTuples runs bindingScript compiled and
-// interpreted, sequentially and on the step DAG, and requires one outcome:
-// the same rows in every target, the same per-step access counts and row
-// counts, the same Applied instances. With -race (make check runs it so, ten
-// rounds per cell here) the DAG cells also check that a binding's two lazy
-// conversions can be asked for from several steps at once.
+// interpreted and requires one outcome: the same rows in every target, the
+// same per-step access counts and row counts, the same Applied instances.
+// (Concurrent reads of one binding's lazy conversions happen across views,
+// which share the round's base instances: TestMaintainAllParallelStress.)
 func TestBindingsReadAsColumnsAndAsTuples(t *testing.T) {
 	type outcome struct {
 		tables  map[string][]string
@@ -70,7 +65,7 @@ func TestBindingsReadAsColumnsAndAsTuples(t *testing.T) {
 		total   rel.CostCounter
 		applied []string
 	}
-	run := func(workers int, interpret bool, round int) outcome {
+	run := func(interpret bool, round int) outcome {
 		d := db.New()
 		target := rel.NewSchema([]string{"k", "x"}, []string{"k"})
 		for _, name := range []string{"v", "c1", "c2", "c3"} {
@@ -84,9 +79,9 @@ func TestBindingsReadAsColumnsAndAsTuples(t *testing.T) {
 			rows.Add(rel.Tuple{rel.Int(int64(k)), rel.Int(int64(k%5 - 1))}) // some fail σ
 		}
 		d.Counter().Reset()
-		pc, err := RunScriptOpts(d, s, map[string]*rel.Relation{"ins": rows}, ExecOptions{Workers: workers, Interpret: interpret})
+		pc, err := RunScriptOpts(d, s, map[string]*rel.Relation{"ins": rows}, ExecOptions{Interpret: interpret})
 		if err != nil {
-			t.Fatalf("workers=%d interpret=%v: %v", workers, interpret, err)
+			t.Fatalf("interpret=%v: %v", interpret, err)
 		}
 		o := outcome{tables: map[string][]string{}, total: *d.Counter()}
 		for _, st := range pc.Steps {
@@ -107,26 +102,20 @@ func TestBindingsReadAsColumnsAndAsTuples(t *testing.T) {
 		return o
 	}
 	for round := 0; round < 10; round++ {
-		ref := run(0, false, round)
+		ref := run(false, round)
 		if n := len(ref.tables["v"]); n == 0 || n == 40+round || len(ref.tables["c1"]) != n || len(ref.tables["c3"]) != n {
 			t.Fatalf("round %d: the script is not doing its job: %d of %d rows reached v, c1 has %d, c3 %d",
 				round, n, 40+round, len(ref.tables["c1"]), len(ref.tables["c3"]))
 		}
-		for _, cell := range []struct {
-			workers   int
-			interpret bool
-		}{{0, true}, {4, false}, {4, true}} {
-			got := run(cell.workers, cell.interpret, round)
-			label := fmt.Sprintf("round %d workers=%d interpret=%v", round, cell.workers, cell.interpret)
-			if fmt.Sprint(got.tables) != fmt.Sprint(ref.tables) {
-				t.Fatalf("%s: target states differ:\n%v\n%v", label, got.tables, ref.tables)
-			}
-			if fmt.Sprint(got.steps) != fmt.Sprint(ref.steps) || got.total != ref.total {
-				t.Fatalf("%s: step costs differ:\n%v\n%v", label, got.steps, ref.steps)
-			}
-			if fmt.Sprint(got.applied) != fmt.Sprint(ref.applied) {
-				t.Fatalf("%s: applied instances differ:\n%v\n%v", label, got.applied, ref.applied)
-			}
+		got := run(true, round)
+		if fmt.Sprint(got.tables) != fmt.Sprint(ref.tables) {
+			t.Fatalf("round %d: interpreted target states differ:\n%v\n%v", round, got.tables, ref.tables)
+		}
+		if fmt.Sprint(got.steps) != fmt.Sprint(ref.steps) || got.total != ref.total {
+			t.Fatalf("round %d: interpreted step costs differ:\n%v\n%v", round, got.steps, ref.steps)
+		}
+		if fmt.Sprint(got.applied) != fmt.Sprint(ref.applied) {
+			t.Fatalf("round %d: interpreted applied instances differ:\n%v\n%v", round, got.applied, ref.applied)
 		}
 	}
 }

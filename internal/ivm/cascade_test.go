@@ -225,70 +225,51 @@ func TestCascadeMaintenance(t *testing.T) {
 // TestCascadeMatchesFlattened is the differential acceptance test: after
 // every round, the 2-level cascade's top view holds exactly the rows of
 // the equivalent flattened view registered directly over the base table —
-// across both engines and sequential and worker-pool scheduling. The
-// "op-workers" and "tuple"/"batch64" sub-test names predate the single
-// columnar path: "op-workers" is Workers = 3, and both batch cells run the
-// same configuration now that System.BatchSize is ignored; the axis goes
-// when the field does (ROADMAP item 2(b)).
+// on both engines. (One view per level: the view fan-out has nothing to
+// overlap here; TestCascadeParallelMatchesSequential covers it.)
 func TestCascadeMatchesFlattened(t *testing.T) {
 	engs := []struct {
 		name string
 		mk   func() storage.Engine
 	}{{"mem", storage.NewMem}, {"sharded4", func() storage.Engine { return storage.NewSharded(4) }}}
-	execs := []struct {
-		name    string
-		workers int
-	}{{"seq", 0}, {"op-workers", 3}}
-	batches := []struct {
-		name string
-		n    int
-	}{{"tuple", 0}, {"batch64", 64}}
 
 	for _, eng := range engs {
-		for _, ex := range execs {
-			for _, bs := range batches {
-				t.Run(fmt.Sprintf("%s/%s/%s", eng.name, ex.name, bs.name), func(t *testing.T) {
-					const rows = 150
-					// Twin databases: one carries the cascade, one the
-					// flattened view; both see the same mutation stream.
-					casc := cascadeDB(t, eng.mk(), rows, 11)
-					flat := cascadeDB(t, eng.mk(), rows, 11)
-					cascSys := ivm.NewSystem(casc)
-					flatSys := ivm.NewSystem(flat)
-					for _, s := range []*ivm.System{cascSys, flatSys} {
-						s.Workers = ex.workers
-						s.BatchSize = bs.n
-					}
-					register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)
-					register(t, cascSys, "v2", rollupL2Plan(casc, "v1"), ivm.ModeID)
-					register(t, flatSys, "vflat", flatRollupPlan(flat), ivm.ModeID)
+		t.Run(eng.name, func(t *testing.T) {
+			const rows = 150
+			// Twin databases: one carries the cascade, one the flattened
+			// view; both see the same mutation stream.
+			casc := cascadeDB(t, eng.mk(), rows, 11)
+			flat := cascadeDB(t, eng.mk(), rows, 11)
+			cascSys := ivm.NewSystem(casc)
+			flatSys := ivm.NewSystem(flat)
+			register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)
+			register(t, cascSys, "v2", rollupL2Plan(casc, "v1"), ivm.ModeID)
+			register(t, flatSys, "vflat", flatRollupPlan(flat), ivm.ModeID)
 
-					cascRng := rand.New(rand.NewSource(23))
-					flatRng := rand.New(rand.NewSource(23))
-					cascID, flatID := int64(rows), int64(rows)
-					for round := 0; round < 5; round++ {
-						mutateItems(t, casc, cascRng, rows, &cascID)
-						mutateItems(t, flat, flatRng, rows, &flatID)
-						if _, err := cascSys.MaintainAll(); err != nil {
-							t.Fatalf("round %d cascade: %v", round, err)
-						}
-						if _, err := flatSys.MaintainAll(); err != nil {
-							t.Fatalf("round %d flat: %v", round, err)
-						}
-						got := sortedRowKeys(t, casc, "v2")
-						want := sortedRowKeys(t, flat, "vflat")
-						if len(got) != len(want) {
-							t.Fatalf("round %d: cascade %d rows vs flattened %d", round, len(got), len(want))
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("round %d row %d: cascade %q vs flattened %q", round, i, got[i], want[i])
-							}
-						}
+			cascRng := rand.New(rand.NewSource(23))
+			flatRng := rand.New(rand.NewSource(23))
+			cascID, flatID := int64(rows), int64(rows)
+			for round := 0; round < 5; round++ {
+				mutateItems(t, casc, cascRng, rows, &cascID)
+				mutateItems(t, flat, flatRng, rows, &flatID)
+				if _, err := cascSys.MaintainAll(); err != nil {
+					t.Fatalf("round %d cascade: %v", round, err)
+				}
+				if _, err := flatSys.MaintainAll(); err != nil {
+					t.Fatalf("round %d flat: %v", round, err)
+				}
+				got := sortedRowKeys(t, casc, "v2")
+				want := sortedRowKeys(t, flat, "vflat")
+				if len(got) != len(want) {
+					t.Fatalf("round %d: cascade %d rows vs flattened %d", round, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("round %d row %d: cascade %q vs flattened %q", round, i, got[i], want[i])
 					}
-				})
+				}
 			}
-		}
+		})
 	}
 }
 

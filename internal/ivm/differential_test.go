@@ -124,69 +124,15 @@ func TestCompiledMatchesInterpretedDifferential(t *testing.T) {
 	}
 }
 
-// TestCompiledParallelCounterParity pins the DAG executor on the compiled
-// path: a Workers>1 run of the same random plans must report the exact
-// sequential access counts (each step charges a private shard, merged in
-// order), and the same final state.
-func TestCompiledParallelCounterParity(t *testing.T) {
-	trials := 30
-	if testing.Short() {
-		trials = 5
-	}
-	for trial := 0; trial < trials; trial++ {
-		seed := int64(9000 + trial)
-		dS, dP := fig2DB(t), fig2DB(t)
-		g := &planGen{rng: rand.New(rand.NewSource(seed)), d: dS}
-		plan := g.gen()
-
-		sysS := ivm.NewSystem(dS)
-		sysP := ivm.NewSystem(dP)
-		sysP.Workers = 4
-		if _, err := sysS.RegisterView("V", plan, ivm.ModeID); err != nil {
-			t.Fatalf("trial %d: %v\nplan: %s", trial, err, plan)
-		}
-		if _, err := sysP.RegisterView("V", plan, ivm.ModeID); err != nil {
-			t.Fatalf("trial %d: %v\nplan: %s", trial, err, plan)
-		}
-
-		rngS := rand.New(rand.NewSource(seed * 17))
-		rngP := rand.New(rand.NewSource(seed * 17))
-		nextS, nextP := 50, 50
-		for round := 0; round < 4; round++ {
-			randomMods(dS, rngS, &nextS)
-			randomMods(dP, rngP, &nextP)
-			dS.Counter().Reset()
-			dP.Counter().Reset()
-			repS, err := sysS.MaintainAll()
-			if err != nil {
-				t.Fatalf("trial %d round %d: sequential: %v\nplan: %s", trial, round, err, plan)
-			}
-			repP, err := sysP.MaintainAll()
-			if err != nil {
-				t.Fatalf("trial %d round %d: parallel: %v\nplan: %s", trial, round, err, plan)
-			}
-			samePhases(t, "parallel-vs-seq", repS[0], repP[0])
-			if cs, cp := *dS.Counter(), *dP.Counter(); cs != cp {
-				t.Fatalf("trial %d round %d: counters differ:\n sequential %v\n parallel   %v\nplan: %s",
-					trial, round, cs, cp, plan)
-			}
-			if !viewState(t, dS, "V").EqualSet(viewState(t, dP, "V")) {
-				t.Fatalf("trial %d round %d: states diverge\nplan: %s", trial, round, plan)
-			}
-		}
-	}
-}
-
-// TestOpWorkersEngineMatrixDifferential is the differential net over the
-// compiled kernels: every seeded random plan runs, per storage engine (mem,
-// sharded:1, sharded:8), through the interpreted oracle and as {sequential,
-// step-DAG} compiled twins, fed identical modification streams. Every
-// compiled cell must reproduce its engine's reference byte-for-byte —
-// per-step reports and the database access counters. (The reference is
-// per-engine: physical scan order differs between backends, which can
-// legitimately shift apply-phase costs; the executor must not.) Final view
-// state must additionally agree across all engines.
-func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
+// TestEngineMatrixDifferential is the differential net over the compiled
+// kernels: every seeded random plan runs, per storage engine (mem, sharded:1,
+// sharded:8), through the interpreted oracle and compiled, fed identical
+// modification streams. Every compiled cell must reproduce its engine's
+// reference byte-for-byte — per-step reports and the database access
+// counters. (The reference is per-engine: physical scan order differs between
+// backends, which can legitimately shift apply-phase costs; the executor must
+// not.) Final view state must additionally agree across all engines.
+func TestEngineMatrixDifferential(t *testing.T) {
 	trials := 20
 	if testing.Short() {
 		trials = 3
@@ -202,11 +148,9 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 	strategies := []struct {
 		name      string
 		interpret bool
-		workers   int
 	}{
-		{"interp", true, 0}, // per-engine reference: the oracle; must come first
-		{"seq", false, 0},
-		{"dag4", false, 4},
+		{"interp", true}, // per-engine reference: the oracle; must come first
+		{"compiled", false},
 	}
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(11000 + trial)
@@ -233,7 +177,6 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 				d := fig2DBOn(t, e.mk())
 				sys := ivm.NewSystem(d)
 				sys.Interpret = s.interpret
-				sys.Workers = s.workers
 				if _, err := sys.RegisterView("V", plan, ivm.ModeID); err != nil {
 					t.Fatalf("trial %d: register %s/%s: %v\nplan: %s", trial, e.name, s.name, err, plan)
 				}

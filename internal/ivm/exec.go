@@ -2,7 +2,6 @@ package ivm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"idivm/internal/algebra"
@@ -24,9 +23,9 @@ type PhaseCosts struct {
 	// ViewRowsTouched counts the view rows modified (|D_V|).
 	ViewRowsTouched int
 	// Steps records each step's access counts, rows and wall time, in script
-	// order, for plan-level diagnosis. Parallel runs attribute costs per step
-	// exactly (each step charges a private counter shard), so Cost and Rows
-	// are identical whatever the schedule; Time is a clock reading.
+	// order, for plan-level diagnosis. The steps run one after another on one
+	// goroutine, so Time is elapsed time and the steps' times add up to the
+	// script's.
 	Steps []StepCost
 	// Applied lists the non-empty i-diff instances applied to the view
 	// itself, in script order — the per-round delta feed that derived
@@ -65,14 +64,10 @@ func (p *PhaseCosts) TotalTime() time.Duration {
 	return t
 }
 
-// ExecOptions configures one Δ-script execution.
+// ExecOptions configures one Δ-script execution. A script's steps always run
+// in script order on the calling goroutine; System.Workers parallelises across
+// views, never inside one script.
 type ExecOptions struct {
-	// Workers bounds the executor's concurrency. 0 or 1 executes the steps
-	// sequentially in script order (the legacy behavior); >1 schedules the
-	// step-dependency DAG on that many pool workers, which preserves the
-	// final view/cache state and the exact access counts of the sequential
-	// run while overlapping independent steps.
-	Workers int
 	// Counter, when non-nil, receives all access charges of this run
 	// instead of the database-wide counter. System.MaintainAll uses one
 	// shard per view so concurrent maintenance runs never write one
@@ -82,64 +77,44 @@ type ExecOptions struct {
 	// path even when a compiled plan is cached — the reference-oracle mode
 	// the differential tests compare the compiled executor against.
 	Interpret     bool
+	Workers       int // ignored: kept because the frozen benchmark/trace.go assigns it
 	OpWorkers     int // ignored: kept because the frozen benchmark/trace.go assigns it
 	BatchSize     int // ignored: kept because the frozen benchmark/trace.go assigns it
 	SkewThreshold int // ignored: kept because the frozen benchmark/trace.go assigns it
 }
 
-// scriptExec is the shared state of one script execution: the database,
-// the script, and the binding environment that compute steps extend — one
-// representation, rel.Binding, for base i-diff instances and step results
-// alike: compute steps read and write columns, and tuples are built at most
-// once per binding, when an APPLY, the Eval oracle or the self-check asks. The
-// binding map is guarded for concurrent step execution; everything else is
-// read-only during the run.
+// scriptExec is the state of one script execution: the database, the script,
+// the counter every stored access of the run is charged to, and the binding
+// environment that compute steps extend — one representation, rel.Binding, for
+// base i-diff instances and step results alike: compute steps read and write
+// columns, and tuples are built at most once per binding, when an APPLY, the
+// Eval oracle or the self-check asks. The steps run in script order on the
+// calling goroutine, which owns the binding map; scriptExec is also the
+// algebra.Env every step evaluates under.
 type scriptExec struct {
-	d    *db.Database
-	s    *Script
-	opts ExecOptions
+	d         *db.Database
+	s         *Script
+	counter   *rel.CostCounter
+	interpret bool
 	// logDerived records the view's applies into the database's derived
 	// modification log — set when the view is a cascade source (some other
 	// registered view scans it).
 	logDerived bool
-
-	mu   sync.RWMutex
-	bind map[string]*rel.Binding
+	bind       map[string]*rel.Binding
 }
 
-func (x *scriptExec) getBind(name string) (*rel.Binding, bool) {
-	x.mu.RLock()
-	r, ok := x.bind[name]
-	x.mu.RUnlock()
-	return r, ok
-}
-
-func (x *scriptExec) setBind(name string, r *rel.Binding) {
-	x.mu.Lock()
-	x.bind[name] = r
-	x.mu.Unlock()
-}
-
-// stepEnv is the algebra.Env one step evaluates under: bindings resolve
-// from the shared execution state, stored tables resolve to handles
-// charging this step's counter shard.
-type stepEnv struct {
-	x       *scriptExec
-	counter *rel.CostCounter
-}
-
-// Table implements algebra.Env.
-func (e *stepEnv) Table(name string) (*storage.Handle, error) {
-	t, err := e.x.d.Table(name)
+// Table implements algebra.Env: a stored table, charging the run's counter.
+func (x *scriptExec) Table(name string) (*storage.Handle, error) {
+	t, err := x.d.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	return t.WithCounter(e.counter), nil
+	return t.WithCounter(x.counter), nil
 }
 
 // Bound implements algebra.Env.
-func (e *stepEnv) Bound(name string) (*rel.Binding, error) {
-	if r, ok := e.x.getBind(name); ok {
+func (x *scriptExec) Bound(name string) (*rel.Binding, error) {
+	if r, ok := x.bind[name]; ok {
 		return r, nil
 	}
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
@@ -164,8 +139,8 @@ func RunScriptVerified(d *db.Database, s *Script, bindings map[string]*rel.Relat
 	return runScript(d, s, bindRelations(s, bindings), true, ExecOptions{})
 }
 
-// RunScriptOpts is RunScript with explicit execution options (worker count
-// and counter shard).
+// RunScriptOpts is RunScript with explicit execution options (counter shard,
+// interpreted oracle).
 func RunScriptOpts(d *db.Database, s *Script, bindings map[string]*rel.Relation, opts ExecOptions) (*PhaseCosts, error) {
 	return runScript(d, s, bindRelations(s, bindings), false, opts)
 }
@@ -187,7 +162,8 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 	if root == nil {
 		root = d.Counter()
 	}
-	x := &scriptExec{d: d, s: s, opts: opts, logDerived: d.DerivedLoggingEnabled(s.View), bind: bind}
+	x := &scriptExec{d: d, s: s, counter: root, interpret: opts.Interpret,
+		logDerived: d.DerivedLoggingEnabled(s.View), bind: bind}
 	// Open epochs on the view and caches — but only the ones some step
 	// actually reads in pre-state (computed once per script). Opening is
 	// O(1), but inside an epoch every first write to a row sets its
@@ -220,37 +196,10 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 		}
 	}()
 
-	var results []stepResult
-	var err error
-	if opts.Workers > 1 && len(s.Steps) > 1 {
-		results, err = x.runDAG(opts.Workers, root)
-	} else {
-		results, err = x.runSeq(root)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	pc := &PhaseCosts{}
-	for i := range results {
-		r := &results[i]
-		st := s.Steps[r.idx]
-		ph := st.Phase()
-		pc.Cost[ph].Add(r.cost)
-		pc.Time[ph] += r.dur
-		pc.RowsTouched += r.rowsTouched
-		pc.ViewDiffTuples += r.viewDiffTuples
-		pc.ViewRowsTouched += r.viewRowsTouched
-		name, rows := "", r.rows
-		switch x := st.(type) {
-		case *ComputeStep:
-			name = x.Name
-		case *ApplyStep:
-			name, rows = "APPLY "+x.DiffName, r.rowsTouched
-		}
-		pc.Steps = append(pc.Steps, StepCost{Step: name, Cost: r.cost, Rows: rows, Time: r.dur})
-		if r.applied != nil && r.applied.Len() > 0 {
-			pc.Applied = append(pc.Applied, r.applied)
+	pc := &PhaseCosts{Steps: make([]StepCost, 0, len(s.Steps))}
+	for _, st := range s.Steps {
+		if err := x.runStep(st, pc); err != nil {
+			return nil, err
 		}
 	}
 	if verify {
@@ -273,29 +222,15 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 	return pc, nil
 }
 
-// runSeq executes the steps in script order on the calling goroutine,
-// charging root directly (per-step costs are exact deltas because nothing
-// else charges root during the run).
-func (x *scriptExec) runSeq(root *rel.CostCounter) ([]stepResult, error) {
-	results := make([]stepResult, len(x.s.Steps))
-	for i := range x.s.Steps {
-		r := x.runStep(i, root)
-		if r.err != nil {
-			return nil, r.err
-		}
-		results[i] = r
-	}
-	return results, nil
-}
-
-// runStep executes one step, charging all of its stored accesses to the
-// given counter, and reports the delta it caused.
-func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
-	res := stepResult{idx: i}
-	env := &stepEnv{x: x, counter: counter}
-	before := *counter
+// runStep executes one step, charging its stored accesses to the run's
+// counter, and adds what it did — accesses, rows, wall time, and for a view
+// APPLY the applied instance — to pc.
+func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
+	before := *x.counter
 	start := time.Now()
-	switch st := x.s.Steps[i].(type) {
+	var name string
+	var rows int
+	switch st := step.(type) {
 	case *ComputeStep:
 		// The compiled plan cached at registration time is the hot path: it
 		// binds its root batch, which the steps reading it take as columns.
@@ -303,38 +238,34 @@ func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
 		// that were never compiled) and binds tuples.
 		var r *rel.Binding
 		var err error
-		if st.compiled != nil && !x.opts.Interpret {
-			r, err = st.compiled.Bind(env)
+		if st.compiled != nil && !x.interpret {
+			r, err = st.compiled.Bind(x)
 		} else {
 			var tuples *rel.Relation
-			if tuples, err = algebra.Eval(st.Plan, env); err == nil {
+			if tuples, err = algebra.Eval(st.Plan, x); err == nil {
 				r = rel.BindRelation(tuples)
 			}
 		}
 		if err != nil {
-			res.err = fmt.Errorf("ivm: step %s: %w", st.Name, err)
-			return res
+			return fmt.Errorf("ivm: step %s: %w", st.Name, err)
 		}
-		x.setBind(st.Name, r)
-		res.rows = r.Len()
+		x.bind[st.Name] = r
+		name, rows = st.Name, r.Len()
 	case *ApplyStep:
-		bd, ok := x.getBind(st.DiffName)
+		bd, ok := x.bind[st.DiffName]
 		if !ok {
-			res.err = fmt.Errorf("ivm: apply of unbound diff %q", st.DiffName)
-			return res
+			return fmt.Errorf("ivm: apply of unbound diff %q", st.DiffName)
 		}
 		r := bd.Relation() // the one place a step result becomes tuples
-		t, err := env.Table(st.Table)
+		t, err := x.Table(st.Table)
 		if err != nil {
-			res.err = err
-			return res
+			return err
 		}
 		inst := &Instance{Schema: st.Diff, Rows: r}
 		var n int
 		if st.Table == x.s.View && x.logDerived {
 			// The view is a cascade source: record the full images of every
-			// row this APPLY touches, batched per step so the derived log's
-			// order is the apply-step chain order whatever the schedule.
+			// row this APPLY touches, batched per step, in script order.
 			var mods []db.Modification
 			n, err = inst.ApplyLogged(t, func(m db.Modification) { mods = append(mods, m) })
 			if err == nil {
@@ -344,20 +275,24 @@ func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
 			n, err = inst.Apply(t)
 		}
 		if err != nil {
-			res.err = fmt.Errorf("ivm: applying %s to %s: %w", st.DiffName, st.Table, err)
-			return res
+			return fmt.Errorf("ivm: applying %s to %s: %w", st.DiffName, st.Table, err)
 		}
-		res.rowsTouched = n
+		name, rows = "APPLY "+st.DiffName, n
+		pc.RowsTouched += n
 		if st.Table == x.s.View {
-			res.viewDiffTuples = r.Len()
-			res.viewRowsTouched = n
-			res.applied = inst
+			pc.ViewDiffTuples += r.Len()
+			pc.ViewRowsTouched += n
+			if r.Len() > 0 {
+				pc.Applied = append(pc.Applied, inst)
+			}
 		}
 	default:
-		res.err = fmt.Errorf("ivm: unknown step type %T", x.s.Steps[i])
-		return res
+		return fmt.Errorf("ivm: unknown step type %T", step)
 	}
-	res.cost = counter.Sub(before)
-	res.dur = time.Since(start)
-	return res
+	cost, dur := x.counter.Sub(before), time.Since(start)
+	ph := step.Phase()
+	pc.Cost[ph].Add(cost)
+	pc.Time[ph] += dur
+	pc.Steps = append(pc.Steps, StepCost{Step: name, Cost: cost, Rows: rows, Time: dur})
+	return nil
 }

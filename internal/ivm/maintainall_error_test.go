@@ -117,8 +117,8 @@ func sortedState(t *testing.T, d *db.Database, name string) string {
 }
 
 // TestFailedRoundIsRetriedAgainstAFreshFeed fails a round midway — S has
-// been maintained, A fails on its first step, B is never reached — lets the
-// log grow, and retries. The retry must compact the log as it is then: a diff
+// been maintained, A fails just before its first APPLY, B is never reached —
+// lets the log grow, and retries. The retry must compact the log as it is then: a diff
 // feed kept from the failed round would leave out what arrived since, and the
 // views would miss it. The retried system must equal a twin that never
 // failed and saw the same modifications in one round: same view states, and
@@ -128,7 +128,9 @@ func sortedState(t *testing.T, d *db.Database, name string) string {
 // A fails before it applies anything, on purpose. A round that fails after a
 // cascade source applied its diffs retries wrongly today, feed or no feed:
 // the source's second APPLY records no-op modifications, and its children see
-// no change (ROADMAP item 1(c)).
+// no change (ROADMAP item 1(c)). A view's steps run in script order whatever
+// Workers is (TestFailedStepStopsItsScript), so a failing step of A can only
+// be preceded by A's own earlier steps.
 func TestFailedRoundIsRetriedAgainstAFreshFeed(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -150,18 +152,14 @@ func TestFailedRoundIsRetriedAgainstAFreshFeed(t *testing.T) {
 				return err
 			})
 
-			// For the length of the failing round A's script is the failing
-			// step alone: under the step DAG the steps beside it would be
-			// dispatched with it, and some APPLY might land before the
-			// failure is seen.
+			// A fails just before its first APPLY: its compute steps ran, none
+			// of its applies did.
 			a := s.views["A"]
-			steps := a.Script.Steps
-			a.Script.Steps = []Step{&ComputeStep{Name: "boom", Ph: PhaseViewCompute,
-				Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}}
+			restore := failAtStep(a, firstApply(t, a))
 			if _, err := s.MaintainAll(); err == nil {
 				t.Fatal("the sabotaged round succeeded")
 			}
-			a.Script.Steps = steps
+			restore()
 
 			// The log grows between the failure and the retry.
 			both(func(x *db.Database) error {
@@ -204,6 +202,94 @@ func TestFailedRoundIsRetriedAgainstAFreshFeed(t *testing.T) {
 				t.Fatalf("the retried round left %d log entries", len(d.Log()))
 			}
 		})
+	}
+}
+
+// failAtStep inserts a compute step reading a binding nothing produces in
+// front of v's step k, so v's next maintenance run fails there; the returned
+// func puts the script back.
+func failAtStep(v *View, k int) (restore func()) {
+	steps := v.Script.Steps
+	boom := &ComputeStep{Name: "boom", Ph: PhaseViewCompute,
+		Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
+	v.Script.Steps = append(append(append([]Step(nil), steps[:k]...), boom), steps[k:]...)
+	return func() { v.Script.Steps = steps }
+}
+
+// firstApply is the index of v's first APPLY step.
+func firstApply(t *testing.T, v *View) int {
+	t.Helper()
+	for i, st := range v.Script.Steps {
+		if _, ok := st.(*ApplyStep); ok {
+			return i
+		}
+	}
+	t.Fatalf("%s has no APPLY step", v.Name)
+	return -1
+}
+
+// TestFailedStepStopsItsScript fails A at each step k of its script in a
+// round that also maintains S beside it (level 0) and B over it (level 1),
+// with Workers 0 and 4. A view's steps run in script order on one goroutine
+// whatever Workers is, so nothing after step k may run: when k is at or
+// before A's first APPLY no APPLY of A lands, and at every k the tables and
+// the access counts of the failed round are those of the sequential run.
+func TestFailedStepStopsItsScript(t *testing.T) {
+	_, probe := sumViewsDB(t, 0)
+	nSteps, first := len(probe.views["A"].Script.Steps), firstApply(t, probe.views["A"])
+	for k := 0; k <= nSteps; k++ {
+		var want []string
+		var wantCost rel.CostCounter
+		for _, workers := range []int{0, 4} {
+			ctx := fmt.Sprintf("k=%d workers=%d", k, workers)
+			d, s := sumViewsDB(t, workers)
+			var tables []string
+			ofA := map[string]bool{} // A and its caches
+			for _, name := range s.ViewNames() {
+				tables = append(tables, name)
+				ofA[name] = name == "A"
+				for _, c := range s.views[name].Script.Caches {
+					tables = append(tables, c.Name)
+					ofA[c.Name] = name == "A"
+				}
+			}
+			snapshot := func() []string {
+				var out []string
+				for _, name := range tables {
+					out = append(out, name+" "+sortedState(t, d, name))
+				}
+				return out
+			}
+			if err := d.Insert("item", rel.Tuple{rel.Int(100), rel.String("g0"), rel.Int(7)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Update("item", []rel.Value{rel.Int(1)}, []string{"val"}, []rel.Value{rel.Int(50)}); err != nil {
+				t.Fatal(err)
+			}
+			before := snapshot()
+			failAtStep(s.views["A"], k)
+			d.Counter().Reset()
+			if _, err := s.MaintainAll(); err == nil {
+				t.Fatalf("%s: the sabotaged round succeeded", ctx)
+			}
+			got := snapshot()
+			for i, name := range tables {
+				if k <= first && ofA[name] && got[i] != before[i] {
+					t.Fatalf("%s: an APPLY of A landed after its failing step:\n %s\nbefore the round:\n %s",
+						ctx, got[i], before[i])
+				}
+			}
+			if workers == 0 {
+				want, wantCost = got, *d.Counter()
+				continue
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: state after the failed round\n %v\nsequential:\n %v", ctx, got, want)
+			}
+			if *d.Counter() != wantCost {
+				t.Fatalf("%s: the failed round charged %v, sequential %v", ctx, *d.Counter(), wantCost)
+			}
+		}
 	}
 }
 

@@ -236,8 +236,9 @@ func hasGroup(t *testing.T, d *db.Database, view string, v rel.Value) bool {
 // Tables 9/11 (on every other diff) both fire for one view and must not
 // overlap. After every round each view equals its recomputation; the
 // compiled executor matches the interpreted oracle in state, per-step
-// reports and counters; the step-DAG executor matches the sequential one
-// the same way; and the hash-partitioned engine agrees on state.
+// reports and counters; maintaining the views concurrently (Workers 4)
+// matches the sequential run the same way; and the hash-partitioned engine
+// agrees on state.
 func TestMixedRoundsDifferential(t *testing.T) {
 	rounds := 50
 	if testing.Short() {

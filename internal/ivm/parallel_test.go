@@ -95,57 +95,6 @@ func registerTwin(t *testing.T, seqSys, parSys *ivm.System, name string, seed in
 	return tables
 }
 
-// The acceptance property of the parallel executor: for random plans and
-// random modification batches, a system with Workers > 1 produces view and
-// cache state AND total access counts identical to the sequential system.
-// Run under -race this also exercises the locking in rel.Table and the
-// step scheduler.
-func TestParallelMatchesSequentialOnRandomPlans(t *testing.T) {
-	trials := 30
-	if testing.Short() {
-		trials = 6
-	}
-	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
-		t.Run(mode.String(), func(t *testing.T) {
-			for trial := 0; trial < trials; trial++ {
-				workers := 2 + trial%6
-				seed := int64(7000 + trial)
-				seqDB, parDB := fig2DB(t), fig2DB(t)
-				seqSys, parSys := ivm.NewSystem(seqDB), ivm.NewSystem(parDB)
-				parSys.Workers = workers
-				tables := registerTwin(t, seqSys, parSys, "V", seed, mode)
-
-				rngSeq := rand.New(rand.NewSource(seed + 1))
-				rngPar := rand.New(rand.NewSource(seed + 1))
-				nextSeq, nextPar := 50, 50
-				for round := 0; round < 4; round++ {
-					ctx := fmt.Sprintf("trial %d round %d workers=%d (%s)", trial, round, workers, mode)
-					randomMods(seqDB, rngSeq, &nextSeq)
-					randomMods(parDB, rngPar, &nextPar)
-					seqDB.Counter().Reset()
-					parDB.Counter().Reset()
-					seqReps, err := seqSys.MaintainAll()
-					if err != nil {
-						t.Fatalf("%s: sequential: %v", ctx, err)
-					}
-					parReps, err := parSys.MaintainAll()
-					if err != nil {
-						t.Fatalf("%s: parallel: %v", ctx, err)
-					}
-					assertReportsMatch(t, ctx, seqReps, parReps)
-					if sc, pc := *seqDB.Counter(), *parDB.Counter(); sc != pc {
-						t.Fatalf("%s: database counters diverged:\n seq %v\n par %v", ctx, sc, pc)
-					}
-					assertTablesMatch(t, ctx, seqDB, parDB, tables)
-					if err := parSys.CheckConsistent("V"); err != nil {
-						t.Fatalf("%s: %v", ctx, err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // Stress for the view-level fan-out: ~16 views maintained concurrently at
 // varying worker counts must agree — state, reports, and counters — with a
 // sequential twin. The race detector watches the shared base tables, the

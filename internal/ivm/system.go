@@ -115,11 +115,11 @@ type System struct {
 	// charged to the cost counters, so enable it in tests only.
 	SelfCheck bool
 	// Workers bounds maintenance concurrency. 0 or 1 keeps maintenance
-	// fully sequential; >1 schedules each Δ-script's step DAG on that many
-	// pool workers and lets MaintainAll maintain independent views
-	// concurrently (each view in its own epoch, charging its own counter
-	// shard). Final view state and total access counts are identical to
-	// the sequential run.
+	// fully sequential; >1 lets MaintainAll maintain the views of one
+	// cascade level concurrently on up to that many goroutines (each view in
+	// its own epoch, charging its own counter shard). A view's Δ-script runs
+	// its steps in script order whatever Workers is. Final view state,
+	// reports and access counts are identical to the sequential run.
 	Workers int
 	// Interpret forces every maintenance round through the interpreted
 	// evaluator instead of the compiled plans cached at registration —
@@ -434,9 +434,8 @@ func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, erro
 
 // Maintain brings one view up to date with the modification log without
 // consuming the log (other views may still need it); call ResetLog (or use
-// MaintainAll) once every view is maintained. With Workers > 1 the view's
-// Δ-script runs on the step-DAG scheduler. It compacts the log for itself —
-// a diff feed of its own, gone when it returns.
+// MaintainAll) once every view is maintained. It compacts the log for
+// itself — a diff feed of its own, gone when it returns.
 //
 // In a cascade, maintain parents before children within the same round
 // (registration order always satisfies this; MaintainAll does it for
@@ -457,7 +456,7 @@ func (s *System) Maintain(name string) (*Report, error) {
 // execOptions is the System's knob set as one script run's options,
 // charging counter (nil = the database-wide one).
 func (s *System) execOptions(counter *rel.CostCounter) ExecOptions {
-	return ExecOptions{Workers: s.Workers, Counter: counter, Interpret: s.Interpret}
+	return ExecOptions{Counter: counter, Interpret: s.Interpret}
 }
 
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged

@@ -205,9 +205,7 @@ func Verify(s *Script) error {
 				return err
 			}
 			// Freshness: post-state reads require all applies to the target
-			// to have executed already. This is also what entitles the
-			// parallel scheduler to hang a post-read's DAG edge off the
-			// target's final apply step (see buildDAG).
+			// to have executed already.
 			for _, l := range planLeaves(x.Plan) {
 				if l.Kind == leafStored && l.St == rel.StatePost && pendingApplies[l.Name] > 0 {
 					return verr(s, VerifyStalePostRead, i, x.Name,
@@ -320,10 +318,56 @@ func Verify(s *Script) error {
 	return nil
 }
 
-// checkPlanRefs validates the leaves of a plan — extracted by the same
-// planLeaves walk the DAG builder uses — in first-appearance order:
-// non-stored references must be bound, stored references must name a known
-// target, and scans must read base tables of the view.
+// leafKind classifies one leaf reference of a compiled plan.
+type leafKind uint8
+
+// The three leaf reference kinds.
+const (
+	leafBinding leafKind = iota // non-stored RelRef: a base diff or compute result
+	leafStored                  // stored RelRef: the view or a cache, with a state
+	leafScan                    // Scan of a base table
+)
+
+// planLeaf is one deduplicated leaf reference of a plan: what the plan
+// reads, and — for stored reads — which epoch state it reads.
+type planLeaf struct {
+	Kind leafKind
+	Name string
+	St   rel.State // meaningful for leafStored only
+}
+
+// planLeaves walks a plan in evaluation (pre-)order and returns its leaf
+// references, deduplicated on first appearance — the one extraction of what
+// a step reads, behind the verifier's def-before-use and freshness checks
+// and the generator's placement of transient steps (gen.share).
+func planLeaves(plan algebra.Node) []planLeaf {
+	var out []planLeaf
+	seen := map[planLeaf]bool{}
+	add := func(l planLeaf) {
+		if !seen[l] {
+			seen[l] = true
+			out = append(out, l)
+		}
+	}
+	algebra.Walk(plan, func(n algebra.Node) {
+		switch x := n.(type) {
+		case *algebra.RelRef:
+			if x.Stored {
+				add(planLeaf{Kind: leafStored, Name: x.Name, St: x.St})
+			} else {
+				add(planLeaf{Kind: leafBinding, Name: x.Name})
+			}
+		case *algebra.Scan:
+			add(planLeaf{Kind: leafScan, Name: x.Table})
+		}
+	})
+	return out
+}
+
+// checkPlanRefs validates the leaves of a plan (planLeaves) in
+// first-appearance order: non-stored references must be bound, stored
+// references must name a known target, and scans must read base tables of
+// the view.
 func checkPlanRefs(s *Script, step int, name string, plan algebra.Node,
 	isBound, isTarget func(string) bool, baseTables map[string]bool) error {
 	for _, l := range planLeaves(plan) {

@@ -442,3 +442,29 @@ func TestRepeatedSubplanRespectsApplies(t *testing.T) {
 		}
 	}
 }
+
+func TestPlanLeavesDedupAndOrder(t *testing.T) {
+	// Join children need pairwise-disjoint attributes; only the leaf names
+	// matter for the dedup assertion, so give every leaf its own columns.
+	mk := func(pfx string) rel.Schema {
+		return rel.NewSchema([]string{pfx + "_pid"}, []string{pfx + "_pid"})
+	}
+	plan := algebra.NewJoin(
+		algebra.NewJoin(algebra.NewRelRef("d1", mk("a")), algebra.NewStoredRef("V", mk("b"), rel.StatePre), nil),
+		algebra.NewJoin(algebra.NewRelRef("d1", mk("c")), algebra.NewScan("parts", "", mk("d")), nil),
+		nil)
+	got := planLeaves(plan)
+	want := []planLeaf{
+		{Kind: leafBinding, Name: "d1"},
+		{Kind: leafStored, Name: "V", St: rel.StatePre},
+		{Kind: leafScan, Name: "parts"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("planLeaves = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("leaf %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}

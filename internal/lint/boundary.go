@@ -9,12 +9,12 @@ import (
 	"path/filepath"
 )
 
-// goStmtExemptFiles are the blessed goroutine-launch files: the Δ-script
-// scheduler owning internal/ivm's worker pool and the serving layer's
-// group-commit dispatcher. Everything else — internal/algebra has no
-// launch site at all — must route concurrency through them.
+// goStmtExemptFiles are the blessed goroutine-launch files: internal/ivm's
+// view parallel-for and the serving layer's group-commit dispatcher.
+// Everything else — internal/algebra has no launch site at all — must route
+// concurrency through them.
 var goStmtExemptFiles = map[string]bool{
-	"sched.go":    true, // internal/ivm: step-DAG scheduler + view parallel-for
+	"sched.go":    true, // internal/ivm: parallelFor, the view fan-out of MaintainAll
 	"dispatch.go": true, // internal/serve: group-commit dispatcher goroutine
 }
 

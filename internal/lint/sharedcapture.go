@@ -1,9 +1,9 @@
 // sharedcapture is a static companion to -race for the repository's two
-// worker-launch points: closures handed to parallelFor (the bounded
-// worker pools of internal/ivm and internal/algebra) and closures
-// launched by `go` statements (the DAG scheduler's workers, plus blessed
-// or suppressed launches elsewhere). The pool contract — "fn must confine
-// its side effects to index-owned state" — lives only in a comment;
+// worker-launch shapes: closures handed to parallelFor (internal/ivm's one
+// launch point, MaintainAll's view fan-out; internal/algebra launches none)
+// and closures launched by `go` statements (parallelFor's own workers, plus
+// blessed or suppressed launches elsewhere). The pool contract — "fn must
+// confine its side effects to index-owned state" — lives only in a comment;
 // -race only catches a violation when a failing schedule actually runs.
 // This analyzer fires on the shape alone:
 //
