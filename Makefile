@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
+.PHONY: check build vet test race race-sharded race-ivm race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
-# tests on both storage engines, the repository linter, the non-test line
-# count per package, a short run of the three fuzz targets, and a smoke run
-# of the end-to-end benchmark (a module of its own that `./...` does not
-# reach). Any lint finding fails the build.
-check: build vet race race-sharded lint loc fuzz-smoke bench-e2e-smoke
+# tests on both storage engines and of maintenance at both GOMAXPROCS
+# shapes, the repository linter, the non-test line count per package, a
+# short run of the three fuzz targets, and a smoke run of the end-to-end
+# benchmark (a module of its own that `./...` does not reach). Any lint
+# finding fails the build.
+check: build vet race race-sharded race-ivm lint loc fuzz-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -26,6 +27,13 @@ race:
 # accesses/op stay comparable to testdata/bench_baseline.json.
 race-sharded:
 	IDIVM_ENGINE=sharded $(GO) test -race ./internal/...
+
+# race-ivm runs the maintenance and facade suites race-enabled at
+# GOMAXPROCS 1 and 4. ivm.System.Workers defaults to GOMAXPROCS, so at
+# -cpu 1 the default is the sequential program and at -cpu 4 the per-level
+# view fan-out: both get race coverage without a knob.
+race-ivm:
+	$(GO) test -race -cpu 1,4 ./internal/ivm/ .
 
 # race-serving is the serving-layer tear-check at both GOMAXPROCS shapes
 # CI uses; the suite matrixes both storage engines internally.

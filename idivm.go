@@ -348,10 +348,11 @@ type MaintenanceStats struct {
 	Duration    time.Duration
 }
 
-// SetWorkers bounds maintenance concurrency: 0 or 1 keeps maintenance
-// fully sequential, n > 1 maintains the views of one cascade level
-// concurrently on up to n goroutines (a view's own Δ-script steps always run
-// in order). Results and access counts are identical either way.
+// SetWorkers bounds maintenance concurrency: Maintain maintains the views of
+// one cascade level concurrently on up to n goroutines (a view's own
+// Δ-script steps always run in order). 1 keeps maintenance fully sequential;
+// 0, the default, means GOMAXPROCS. Results and access counts are identical
+// either way, and a failed Maintain leaves every view as it was.
 func (x *DB) SetWorkers(n int) { x.sys.Workers = n }
 
 // Maintain incrementally brings every registered view up to date with the

@@ -283,7 +283,7 @@ func TestCascadeParallelMatchesSequential(t *testing.T) {
 	parDB := cascadeDB(t, storage.NewMem(), rows, 31)
 	seqSys := ivm.NewSystem(seqDB)
 	parSys := ivm.NewSystem(parDB)
-	parSys.Workers = 4
+	seqSys.Workers, parSys.Workers = 1, 4
 
 	registerBoth := func(name string, mk func(d *db.Database) algebra.Node) {
 		register(t, seqSys, name, mk(seqDB), ivm.ModeID)

@@ -180,9 +180,9 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 		if err != nil {
 			return nil, fmt.Errorf("ivm: script target %q not materialized: %w", name, err)
 		}
-		// Skip tables already in an epoch (e.g. pinned for the whole round
-		// by System.MaintainAll under PinEpochs): their lifecycle belongs
-		// to whoever opened them, and BeginEpoch would be a no-op anyway.
+		// Skip tables already in an epoch (e.g. opened for the whole round
+		// by System.MaintainAll): their lifecycle belongs to whoever opened
+		// them, and BeginEpoch would be a no-op anyway.
 		if preRead[name] && !t.InEpoch() {
 			t.BeginEpoch()
 			opened = append(opened, name)

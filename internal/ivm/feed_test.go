@@ -82,7 +82,8 @@ func appliedKeys(r *ivm.Report) []string {
 // maintains view by view (each Maintain compacts the log for itself) and
 // resets the log by hand. View and cache state, per-view and per-step access
 // counts, diff tuple counts, Applied instances and the database counters
-// must agree after every round, at Workers 1 and 4, on both engines. The
+// must agree after every round, at Workers 1, 4 and the default (0:
+// GOMAXPROCS), on both engines. The
 // rounds differ from one another, so a feed that outlived its round — last
 // round's changes served again — shows up as a state mismatch in the next.
 func TestMaintainAllMatchesPerViewMaintain(t *testing.T) {
@@ -95,7 +96,7 @@ func TestMaintainAllMatchesPerViewMaintain(t *testing.T) {
 		seeds = 2
 	}
 	for name, mk := range engines {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 4, 0} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				for s := 0; s < seeds; s++ {
 					seed := int64(9100 + 10*s)

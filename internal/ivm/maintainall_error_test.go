@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"idivm/internal/algebra"
@@ -33,31 +34,18 @@ func registerSumView(t *testing.T, s *System, name, src, grpCol, valCol string) 
 	return v
 }
 
-// sabotageView appends a compute step referencing a binding nothing
-// produces, so the view's next maintenance run fails mid-script.
-func sabotageView(t *testing.T, s *System, name string) {
-	t.Helper()
-	v, ok := s.views[name]
-	if !ok {
-		t.Fatalf("unknown view %q", name)
-	}
-	v.Script.Steps = append(v.Script.Steps, &ComputeStep{
-		Name: "boom",
-		Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"})),
-		Ph:   PhaseViewCompute,
-	})
-}
-
 // TestMaintainAllSurfacesLateRegisteredLowerLevelError pins the failure
 // contract when registration order and level order disagree: "B" (level
-// 1) registers before "C" (level 0), and C's maintenance fails. The
-// level-ordered schedule skips B (nil report, nil error) while C carries
-// the round's only error — MaintainAll must return it, keep the base log
-// for retry, and drop the derived logs the successfully-maintained
-// parent "A" produced before the round collapsed (a kept derived log
-// would feed B duplicates on the retried round).
+// 1) registers before "C" (level 0), and C's maintenance fails after its
+// last step. The level-ordered schedule skips B (nil report, nil error)
+// while C carries the round's only error — MaintainAll must return it, keep
+// the base log for retry, and drop the derived logs the maintained parent
+// "A" produced before the round collapsed (a kept derived log would feed B
+// duplicates on the retried round). The retry must then leave every view
+// equal to its recomputation: A's applies were rolled back with the round,
+// so the retry applies them again and B sees them.
 func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
-	for _, workers := range []int{0, 4} {
+	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			d := db.New()
 			item := d.MustCreateTable("item", rel.NewSchema([]string{"id", "grp", "val"}, []string{"id"}))
@@ -67,9 +55,9 @@ func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 			}
 			s := NewSystem(d)
 			registerSumView(t, s, "A", "item", "grp", "val")
-			registerSumView(t, s, "B", "A", "grp", "total")  // level 1, registered before C
-			registerSumView(t, s, "C", "item", "grp", "val") // level 0, registered last
-			sabotageView(t, s, "C")
+			registerSumView(t, s, "B", "A", "grp", "total")       // level 1, registered before C
+			c := registerSumView(t, s, "C", "item", "grp", "val") // level 0, registered last
+			restore := failAtStep(c, len(c.Script.Steps))
 
 			if err := d.Insert("item", rel.Tuple{rel.Int(100), rel.String("g0"), rel.Int(7)}); err != nil {
 				t.Fatalf("insert: %v", err)
@@ -84,6 +72,15 @@ func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 			for _, name := range s.ViewNames() {
 				if mods := d.DerivedLog(name); len(mods) != 0 {
 					t.Fatalf("failed round left %d derived-log entries on %q", len(mods), name)
+				}
+			}
+			restore()
+			if _, err := s.MaintainAll(); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			for _, name := range s.ViewNames() {
+				if err := s.CheckConsistent(name); err != nil {
+					t.Fatalf("after the retry: %v", err)
 				}
 			}
 		})
@@ -118,21 +115,15 @@ func sortedState(t *testing.T, d *db.Database, name string) string {
 
 // TestFailedRoundIsRetriedAgainstAFreshFeed fails a round midway — S has
 // been maintained, A fails just before its first APPLY, B is never reached —
-// lets the log grow, and retries. The retry must compact the log as it is then: a diff
-// feed kept from the failed round would leave out what arrived since, and the
-// views would miss it. The retried system must equal a twin that never
-// failed and saw the same modifications in one round: same view states, and
-// for A and B — untouched by the failed round — the same access counts and
-// applied instances.
-//
-// A fails before it applies anything, on purpose. A round that fails after a
-// cascade source applied its diffs retries wrongly today, feed or no feed:
-// the source's second APPLY records no-op modifications, and its children see
-// no change (ROADMAP item 1(c)). A view's steps run in script order whatever
-// Workers is (TestFailedStepStopsItsScript), so a failing step of A can only
-// be preceded by A's own earlier steps.
+// lets the log grow, and retries. The retry must compact the log as it is
+// then: a diff feed kept from the failed round would leave out what arrived
+// since, and the views would miss it. The retried system must equal a twin
+// that never failed and saw the same modifications in one round: the same
+// view states, access counts and applied instances — for S too, whose
+// applies the failed round rolled back. TestFailedRoundRollsBack fails every
+// view at every step; this test is about the log that grows in between.
 func TestFailedRoundIsRetriedAgainstAFreshFeed(t *testing.T) {
-	for _, workers := range []int{0, 4} {
+	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			refDB, ref := sumViewsDB(t, workers)
 			d, s := sumViewsDB(t, workers)
@@ -187,9 +178,6 @@ func TestFailedRoundIsRetriedAgainstAFreshFeed(t *testing.T) {
 				if g, w := sortedState(t, d, name), sortedState(t, refDB, name); g != w {
 					t.Fatalf("%s after the retry:\n %s\nfault-free:\n %s", name, g, w)
 				}
-				if name == "S" {
-					continue // maintained twice; its second round re-applies
-				}
 				if got[i].Phases.Cost != want[i].Phases.Cost || got[i].DiffTuples != want[i].DiffTuples {
 					t.Fatalf("%s: retried round cost %v over %d diff tuples, fault-free %v over %d",
 						name, got[i].Phases.Cost, got[i].DiffTuples, want[i].Phases.Cost, want[i].DiffTuples)
@@ -230,35 +218,26 @@ func firstApply(t *testing.T, v *View) int {
 
 // TestFailedStepStopsItsScript fails A at each step k of its script in a
 // round that also maintains S beside it (level 0) and B over it (level 1),
-// with Workers 0 and 4. A view's steps run in script order on one goroutine
+// with Workers 1 and 4. A view's steps run in script order on one goroutine
 // whatever Workers is, so nothing after step k may run: when k is at or
 // before A's first APPLY no APPLY of A lands, and at every k the tables and
-// the access counts of the failed round are those of the sequential run.
+// the access counts of the failed round are those of the sequential run. The
+// tables are read in the UnpinBegin hook, when maintenance has stopped and
+// the rollback has not yet run; once MaintainAll returns, every table must
+// hold its state from before the round again.
 func TestFailedStepStopsItsScript(t *testing.T) {
-	_, probe := sumViewsDB(t, 0)
+	_, probe := sumViewsDB(t, 1)
 	nSteps, first := len(probe.views["A"].Script.Steps), firstApply(t, probe.views["A"])
 	for k := 0; k <= nSteps; k++ {
 		var want []string
 		var wantCost rel.CostCounter
-		for _, workers := range []int{0, 4} {
+		for _, workers := range []int{1, 4} {
 			ctx := fmt.Sprintf("k=%d workers=%d", k, workers)
 			d, s := sumViewsDB(t, workers)
-			var tables []string
-			ofA := map[string]bool{} // A and its caches
-			for _, name := range s.ViewNames() {
-				tables = append(tables, name)
-				ofA[name] = name == "A"
-				for _, c := range s.views[name].Script.Caches {
-					tables = append(tables, c.Name)
-					ofA[c.Name] = name == "A"
-				}
-			}
-			snapshot := func() []string {
-				var out []string
-				for _, name := range tables {
-					out = append(out, name+" "+sortedState(t, d, name))
-				}
-				return out
+			tables := viewAndCacheTables(s)
+			ofA := map[string]bool{"A": true} // A and its caches
+			for _, c := range s.views["A"].Script.Caches {
+				ofA[c.Name] = true
 			}
 			if err := d.Insert("item", rel.Tuple{rel.Int(100), rel.String("g0"), rel.Int(7)}); err != nil {
 				t.Fatal(err)
@@ -266,25 +245,29 @@ func TestFailedStepStopsItsScript(t *testing.T) {
 			if _, err := d.Update("item", []rel.Value{rel.Int(1)}, []string{"val"}, []rel.Value{rel.Int(50)}); err != nil {
 				t.Fatal(err)
 			}
-			before := snapshot()
+			before := tableStates(t, d, tables)
+			var got []string
+			s.Hooks.UnpinBegin = func() { got = tableStates(t, d, tables) }
 			failAtStep(s.views["A"], k)
 			d.Counter().Reset()
 			if _, err := s.MaintainAll(); err == nil {
 				t.Fatalf("%s: the sabotaged round succeeded", ctx)
 			}
-			got := snapshot()
+			if after := tableStates(t, d, tables); !slices.Equal(after, before) {
+				t.Fatalf("%s: the failed round was not rolled back:\n %v\nbefore the round:\n %v", ctx, after, before)
+			}
 			for i, name := range tables {
 				if k <= first && ofA[name] && got[i] != before[i] {
 					t.Fatalf("%s: an APPLY of A landed after its failing step:\n %s\nbefore the round:\n %s",
 						ctx, got[i], before[i])
 				}
 			}
-			if workers == 0 {
+			if workers == 1 {
 				want, wantCost = got, *d.Counter()
 				continue
 			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: state after the failed round\n %v\nsequential:\n %v", ctx, got, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: state when the failed round stopped\n %v\nsequential:\n %v", ctx, got, want)
 			}
 			if *d.Counter() != wantCost {
 				t.Fatalf("%s: the failed round charged %v, sequential %v", ctx, *d.Counter(), wantCost)
@@ -293,6 +276,9 @@ func TestFailedStepStopsItsScript(t *testing.T) {
 	}
 }
 
+// appliedRows renders the rows of a report's applied instances, sorted: a
+// row a rollback restored is back at the tail of its index chains, so a
+// retried round may meet it in another order than a twin that never failed.
 func appliedRows(r *Report) []string {
 	var out []string
 	for _, inst := range r.Phases.Applied {
@@ -300,6 +286,7 @@ func appliedRows(r *Report) []string {
 			out = append(out, inst.Schema.String()+" "+rel.TupleKey(row))
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

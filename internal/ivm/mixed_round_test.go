@@ -244,12 +244,12 @@ func TestMixedRoundsDifferential(t *testing.T) {
 	if testing.Short() {
 		rounds = 8
 	}
-	ref := newMixedCell(t, "mem/compiled", storage.NewMem(), 0, false)
+	ref := newMixedCell(t, "mem/compiled", storage.NewMem(), 1, false)
 	exact := []*mixedCell{
-		newMixedCell(t, "mem/interpreted", storage.NewMem(), 0, true),
+		newMixedCell(t, "mem/interpreted", storage.NewMem(), 1, true),
 		newMixedCell(t, "mem/workers4", storage.NewMem(), 4, false),
 	}
-	sharded := newMixedCell(t, "sharded8/compiled", storage.NewSharded(8), 0, false)
+	sharded := newMixedCell(t, "sharded8/compiled", storage.NewSharded(8), 1, false)
 	all := append([]*mixedCell{ref, sharded}, exact...)
 
 	// The dispatch under test is in play: Q*3 and Q*2 take the mixed row

@@ -109,7 +109,7 @@ func TestMaintainAllParallelStress(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			seqDB, parDB := fig2DB(t), fig2DB(t)
 			seqSys, parSys := ivm.NewSystem(seqDB), ivm.NewSystem(parDB)
-			parSys.Workers = workers
+			seqSys.Workers, parSys.Workers = 1, workers
 			var tables []string
 			var names []string
 			for i := 0; i < nViews; i++ {

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"idivm/internal/algebra"
@@ -87,14 +88,17 @@ type Report struct {
 // open. All three are optional (nil = no-op) and are called from the
 // goroutine driving MaintainAll:
 //
-//   - RoundBegin: the round's epochs are pinned (with PinEpochs, every
-//     view/cache table is in an epoch) and maintenance is about to run.
-//     Pre-state reads are stable from here on.
-//   - UnpinBegin: maintenance finished; the pinned epochs are about to
-//     close, so pre-state identities are about to move to the new
-//     post-state. Snapshot readers overlapping this window must retry.
-//   - RoundEnd: epochs are closed and (on success) the log is reset; the
-//     post-state is the new consistent snapshot.
+//   - RoundBegin: every view and cache table is in an epoch (with
+//     PinEpochs, every logged base table too) and maintenance is about to
+//     run. Pre-state reads are stable from here on.
+//   - UnpinBegin: maintenance finished; on success the epochs are about to
+//     close or advance, so pre-state identities are about to move to the
+//     new post-state, and on failure every view and cache table is about
+//     to be rolled back. Snapshot readers overlapping this window must
+//     retry.
+//   - RoundEnd: on success the log is reset and the post-state is the new
+//     consistent snapshot; on failure every view and cache table holds its
+//     state from before the round again, and the log is kept for a retry.
 type RoundHooks struct {
 	RoundBegin func()
 	UnpinBegin func()
@@ -114,12 +118,13 @@ type System struct {
 	// the diffs it applies to views (Section 2). The extra probes are
 	// charged to the cost counters, so enable it in tests only.
 	SelfCheck bool
-	// Workers bounds maintenance concurrency. 0 or 1 keeps maintenance
-	// fully sequential; >1 lets MaintainAll maintain the views of one
-	// cascade level concurrently on up to that many goroutines (each view in
-	// its own epoch, charging its own counter shard). A view's Δ-script runs
-	// its steps in script order whatever Workers is. Final view state,
-	// reports and access counts are identical to the sequential run.
+	// Workers bounds maintenance concurrency: MaintainAll maintains the
+	// views of one cascade level concurrently on up to that many goroutines
+	// (each view charging its own counter shard). 1 keeps maintenance fully
+	// sequential; 0 or less means runtime.GOMAXPROCS(0). A view's Δ-script
+	// runs its steps in script order whatever Workers is. Final view state,
+	// reports and access counts are identical to the sequential run's, and
+	// so is the state a failed round leaves: the one from before the round.
 	Workers int
 	// Interpret forces every maintenance round through the interpreted
 	// evaluator instead of the compiled plans cached at registration —
@@ -134,10 +139,10 @@ type System struct {
 	// the new post-state (AdvanceEpoch) instead of closing the epochs. A
 	// concurrent snapshot reader therefore always resolves StatePre to
 	// some completed round's frozen state, never to live storage. On a
-	// failed round nothing advances — readers keep the last good state
-	// and the log is retained for retry. Epoch operations are uncharged,
-	// so access counts are byte-identical with the flag on or off. Set by
-	// the serving layer (internal/serve).
+	// failed round nothing advances — the views roll back, readers keep the
+	// last good state and the log is retained for retry. Epoch operations
+	// are uncharged, so access counts are byte-identical with the flag on or
+	// off. Set by the serving layer (internal/serve).
 	PinEpochs bool
 	// Hooks receive round lifecycle notifications; see RoundHooks.
 	Hooks RoundHooks
@@ -459,6 +464,14 @@ func (s *System) execOptions(counter *rel.CostCounter) ExecOptions {
 	return ExecOptions{Counter: counter, Interpret: s.Interpret}
 }
 
+// workers is Workers resolved: as set when positive, else GOMAXPROCS.
+func (s *System) workers() int {
+	if s.Workers > 0 {
+		return s.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged
 // source view not already in one. A cascade parent's epoch must open
 // before the parent's own apply steps run, so that a child's pre-state
@@ -495,29 +508,37 @@ func (s *System) maintain(v *View, feed *diffFeed, opts ExecOptions) (*Report, e
 // then clears the log (and every derived log) and closes the epochs. The
 // round has one diff feed (diffFeed): the log is compacted and the base
 // i-diff instances are populated once, whatever the number of views, and
-// every view reads the instances it binds from there. The
-// schedule is topological over the cascade DAG: registration order is
-// already sources-first, and with Workers > 1 the views fan out level by
-// level — levels are barriers, since a cascaded view's diff feed is the
-// i-diffs the same round applied to its parents, while independent views
-// inside a level are maintained concurrently on the worker pool. Each
-// view runs in its own epoch (views and their caches are disjoint tables)
-// and charges a private counter shard, merged into the database counter in
-// registration order once all views complete — so reports and totals are
-// those of the sequential run.
+// every view reads the instances it binds from there. The schedule is
+// topological over the cascade DAG: registration order is already
+// sources-first, and with more than one worker (Workers; by default
+// GOMAXPROCS) the views fan out level by level — levels are barriers, since
+// a cascaded view's diff feed is the i-diffs the same round applied to its
+// parents, while independent views inside a level are maintained
+// concurrently on the worker pool. Views and their caches are disjoint
+// tables, and each view charges a private counter shard, merged into the
+// database counter in registration order once all views complete — so
+// reports and totals are those of the sequential run.
 //
-// With PinEpochs set, the round is bracketed for concurrent snapshot
-// readers: every view and cache table is placed in a maintenance epoch
-// before the first step runs and released only after the log is reset, so
-// StatePre reads anywhere inside the round observe exactly the previous
-// round's post-state. The Hooks fire around the pinned window; on error
-// the pinned epochs are still released (the log is kept, matching the
-// sequential early-return contract).
+// A round is atomic. Every view and cache table is in a maintenance epoch
+// from round start — one the round opens itself unless the table is
+// already in one — so each write sets its pre-image aside. If the round
+// fails, wherever and at whatever Workers, every view and cache table is
+// rolled back to its state before the round (RollbackEpoch), the derived
+// logs are dropped and the base log is kept: the retry is the fault-free
+// round. The epochs the round opened are closed when it ends.
+//
+// With PinEpochs set, every logged base table is pinned as well and the
+// epochs never close: on success each pre-state advances to the new
+// post-state after the log is cleared, so StatePre reads anywhere inside
+// the round observe exactly the previous round's post-state. The Hooks
+// fire around the round.
 func (s *System) MaintainAll() ([]*Report, error) {
 	if s.PinEpochs {
 		s.PinAllEpochs()
 	}
 	s.beginCascadeEpochs()
+	written := s.viewTables()
+	opened := openEpochs(written)
 	if s.Hooks.RoundBegin != nil {
 		s.Hooks.RoundBegin()
 	}
@@ -525,7 +546,7 @@ func (s *System) MaintainAll() ([]*Report, error) {
 	feed, err := s.newFeed()
 	switch {
 	case err != nil:
-	case s.Workers > 1 && len(s.order) > 1:
+	case s.workers() > 1 && len(s.order) > 1:
 		out, err = s.maintainAllParallel(feed)
 	default:
 		for _, name := range s.order {
@@ -561,12 +582,19 @@ func (s *System) MaintainAll() ([]*Report, error) {
 			s.DB.ResetLog()
 		}
 	} else {
-		// Failed round: the base log is kept so the round can be retried,
-		// but the derived logs are intra-round state — the retry re-runs
+		// Failed round: every view and cache goes back to its state before
+		// the round, and the base log is kept, so the retry is the fault-free
+		// round. The derived logs are intra-round state — the retry re-runs
 		// every parent, regenerating them — so keeping them would feed
 		// children duplicated (or, after a mid-apply failure, partial)
 		// modifications on the next round.
+		for _, t := range written {
+			t.RollbackEpoch()
+		}
 		s.DB.ClearDerivedLogs()
+	}
+	for _, t := range opened {
+		t.EndEpoch()
 	}
 	if s.Hooks.RoundEnd != nil {
 		s.Hooks.RoundEnd()
@@ -574,31 +602,34 @@ func (s *System) MaintainAll() ([]*Report, error) {
 	return out, err
 }
 
+// viewTables returns the handles of every view and its caches, in
+// registration order: the tables maintenance writes.
+func (s *System) viewTables() []*storage.Handle {
+	var out []*storage.Handle
+	for _, name := range s.order {
+		v := s.views[name]
+		if t, err := s.DB.Table(v.Name); err == nil {
+			out = append(out, t)
+		}
+		for _, c := range v.Script.Caches {
+			if t, err := s.DB.Table(c.Name); err == nil {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
 // epochTables returns the handles of every table serving snapshot readers
 // care about, in deterministic order: each view and its caches
 // (registration order), then every logged base table (catalog order).
 func (s *System) epochTables() []*storage.Handle {
-	var out []*storage.Handle
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		if t, err := s.DB.Table(name); err == nil {
-			out = append(out, t)
-		}
-	}
-	for _, name := range s.order {
-		v := s.views[name]
-		add(v.Name)
-		for _, c := range v.Script.Caches {
-			add(c.Name)
-		}
-	}
+	out := s.viewTables()
 	for _, name := range s.DB.TableNames() {
 		if s.DB.LoggingEnabled(name) {
-			add(name)
+			if t, err := s.DB.Table(name); err == nil {
+				out = append(out, t)
+			}
 		}
 	}
 	return out
@@ -609,12 +640,18 @@ func (s *System) epochTables() []*storage.Handle {
 // time (and MaintainAll at every pinned round start) so snapshot readers
 // are epoch-isolated from live storage from the very first batch. Epoch
 // operations are uncharged, so counters are unaffected.
-func (s *System) PinAllEpochs() {
-	for _, t := range s.epochTables() {
+func (s *System) PinAllEpochs() { openEpochs(s.epochTables()) }
+
+// openEpochs opens a maintenance epoch on each table not already in one and
+// returns those it opened.
+func openEpochs(tables []*storage.Handle) (opened []*storage.Handle) {
+	for _, t := range tables {
 		if !t.InEpoch() {
 			t.BeginEpoch()
+			opened = append(opened, t)
 		}
 	}
+	return opened
 }
 
 // maintainAllParallel fans the registered views out over the worker pool,
@@ -625,11 +662,11 @@ func (s *System) PinAllEpochs() {
 // derived logs a level reads before the level fans out, on this goroutine;
 // the workers only read it. On failure it
 // reports the erroring view earliest in registration order, with the
-// maintained (non-nil) reports of the views registered before it; views
-// at or below the failing level may or may not have been maintained, and
-// later levels are skipped (they would consume a broken feed), exactly
-// as consistent as the sequential path's early return leaves them. Log
-// reset and epoch release belong to MaintainAll.
+// maintained (non-nil) reports of the views registered before it. Every
+// view of the failing level has run to completion or to its own error, and
+// later levels are skipped (they would consume a broken feed); MaintainAll
+// then rolls back all of them, as it does after the sequential path's early
+// return. Log reset, rollback and epoch release belong to MaintainAll.
 func (s *System) maintainAllParallel(feed *diffFeed) ([]*Report, error) {
 	n := len(s.order)
 	reports := make([]*Report, n)
@@ -656,7 +693,7 @@ func (s *System) maintainAllParallel(feed *diffFeed) ([]*Report, error) {
 			}
 		}
 		if !failed {
-			parallelFor(s.Workers, len(idxs), func(k int) {
+			parallelFor(s.workers(), len(idxs), func(k int) {
 				i := idxs[k]
 				reports[i], errs[i] = s.maintain(s.views[s.order[i]], feed, s.execOptions(&shards[i]))
 			})

@@ -34,6 +34,59 @@ func (t *Table) AdvanceEpoch() {
 	c.preLen = len(c.rows)
 }
 
+// RollbackEpoch undoes every write since the epoch opened or last advanced,
+// atomically and in O(rows written): the rows the epoch wrote — at dirty
+// positions and past preLen — leave every index, each pre-image goes back to
+// the position it held, and the table is cut back to preLen. The table stays
+// in its epoch with a clean overlay; the pre-state, and a frozen
+// materialization of it, are what they were. Outside an epoch it does
+// nothing. A restored row may come back under another id, at the tail of
+// its index chains.
+func (t *Table) RollbackEpoch() {
+	c := t.core
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.inEpoch || !c.epochMutated {
+		return
+	}
+	for _, p := range c.undoPos {
+		if p < len(c.rows) {
+			c.unlinkAt(p)
+		}
+	}
+	for p := c.preLen; p < len(c.rows); p++ {
+		c.unlinkAt(p)
+	}
+	if n := c.preLen - len(c.rows); n > 0 { // removals vacated positions below preLen
+		c.rows, c.idOf = append(c.rows, make([]Tuple, n)...), append(c.idOf, make([]int32, n)...)
+	}
+	clear(c.rows[c.preLen:])
+	c.rows, c.idOf = c.rows[:c.preLen], c.idOf[:c.preLen]
+	for i, p := range c.undoPos {
+		row, n := c.undoRows[i], len(c.free)-1
+		id := c.free[n]
+		c.free = c.free[:n]
+		c.posOf[id], c.idOf[p], c.rows[p] = int32(p), id, row
+		for _, e := range c.indexes {
+			if e.h != nil {
+				e.h.add(row, id)
+			}
+		}
+	}
+	frozen := c.frozen
+	c.dropOverlay()
+	c.frozen = frozen
+}
+
+// unlinkAt takes the row at position p out of every index and frees its id,
+// leaving the position to the caller (RollbackEpoch).
+func (c *tableCore) unlinkAt(p int) {
+	id := c.idOf[p]
+	c.indexesRemove(c.rows[p], id, nil)
+	c.posOf[id] = -1
+	c.free = append(c.free, id)
+}
+
 // EndEpoch discards the pre-state, in O(rows written during the epoch).
 func (t *Table) EndEpoch() {
 	c := t.core

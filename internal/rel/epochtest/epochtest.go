@@ -35,6 +35,7 @@ type Table interface {
 	BeginEpoch()
 	AdvanceEpoch()
 	EndEpoch()
+	RollbackEpoch()
 	InEpoch() bool
 }
 
@@ -118,8 +119,10 @@ const (
 	opInsertInst // k₀ stride·g₀ n·v : 2–5 tuples (v, k, g), src = 1, 2, 0; a key conflict ends the instance
 	opDeleteInst // g₀ stride n : 1–4 tuples (-, g) over g; groups may repeat
 	opUpdateInst // g₀|k₀ variant·stride v₀ : 1–4 tuples over g setting v, or over k setting g and v
+	// The fourth epoch transition, appended for the same reason.
+	opRollback
 	numOps
-	numWrites = opBegin + numOps - 1 - opEnd // the write operations: every code but the three epoch ones
+	numWrites = opBegin + opRollback - 1 - opEnd // the write operations: every code but the four epoch ones
 
 	OpSize = 4
 )
@@ -182,8 +185,23 @@ func Seeds() map[string][]byte {
 			[4]byte{opBegin}, [4]byte{opUpdateInst, 1, 3, 9}, [4]byte{opDeleteKey, 4}, [4]byte{opUpdateInst, 1, 3, 10}, [4]byte{opUpdateInst, 0, 2, 4}, [4]byte{opEnd}),
 		"indexed-column-away-and-back-by-key": with(fill(4),
 			[4]byte{opBegin}, [4]byte{opUpdateKey, 1, 2, 0}, [4]byte{opUpdateKey, 1, 1, 0}, [4]byte{opAdvance}, [4]byte{opUpdateKey, 1, 0, 1}, [4]byte{opDeleteWhere, 1}, [4]byte{opUpdateKey, 1, 1, 1}),
+		// Rollback: an update, a swap-remove that moves the updated row, an
+		// insert into the vacated position and a move between g buckets are
+		// undone; the epoch stays open for more writes, a second rollback
+		// after an advance undoes only what followed it, and outside an epoch
+		// it does nothing.
+		"rollback-every-write-kind": with(fill(5),
+			[4]byte{opBegin}, [4]byte{opUpdateKey, 4, 2, 2}, [4]byte{opDeleteKey, 1}, [4]byte{opInsert, 8, 1, 2}, [4]byte{opUpdateWhereGrp, 0, 2},
+			[4]byte{opRollback}, [4]byte{opUpdateKey, 0, 1, 1}, [4]byte{opAdvance}, [4]byte{opDeleteWhere, 2}, [4]byte{opRollback},
+			[4]byte{opEnd}, [4]byte{opRollback}, [4]byte{opDeleteKey, 3}),
+		"rollback-after-emptying-and-refilling": with(fill(4),
+			[4]byte{opRollback}, [4]byte{opBegin}, [4]byte{opRollback}, [4]byte{opDeleteWhere, 0}, [4]byte{opDeleteWhere, 1}, [4]byte{opDeleteWhere, 2},
+			[4]byte{opInsert, 9, 0, 1}, [4]byte{opInsert, 2, 2, 2}, [4]byte{opRollback}, [4]byte{opInsertIfAbsent, 10, 1, 1}, [4]byte{opDeleteKey, 0}, [4]byte{opRollback}, [4]byte{opAdvance}),
 	}
 }
+
+// epochOps are the epoch transitions.
+var epochOps = []byte{opBegin, opAdvance, opEnd, opRollback}
 
 // RandomProg draws a program of n operations. Epoch transitions are a
 // fifth of the operations, so epochs stay open across several writes.
@@ -195,7 +213,7 @@ func RandomProg(rng *rand.Rand, n int) []byte {
 			op += opEnd + 1 - opBegin
 		}
 		if rng.Intn(5) == 0 {
-			op = opBegin + byte(rng.Intn(opEnd+1-opBegin))
+			op = epochOps[rng.Intn(len(epochOps))]
 		}
 		p = append(p, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 	}
@@ -481,6 +499,15 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 		tab.AdvanceEpoch()
 		m.snapshot()
 		return "advance epoch"
+	case opRollback:
+		tab.RollbackEpoch()
+		if m.inEpoch {
+			m.post = make(map[int64]rel.Tuple, len(m.pre))
+			for k, r := range m.pre {
+				m.post[k] = r
+			}
+		}
+		return "roll back epoch"
 	default:
 		tab.EndEpoch()
 		m.inEpoch, m.pre = false, nil
@@ -584,16 +611,18 @@ type InstanceTable interface {
 	BeginEpoch()
 	AdvanceEpoch()
 	EndEpoch()
+	RollbackEpoch()
 }
 
 // RunInstances is the differential check of instance-level APPLY: random
 // multi-tuple insert, delete and update instances — up to a few lock chunks
 // long, with duplicate and conflicting keys — go to one table in one call and
-// to a twin one tuple per call, between random epoch transitions. After every
-// instance the two must agree on the counts returned (a key conflict leaves
-// the same prefix applied), on the exact sequence of image callbacks, on the
-// contents of both states and, when mk hands out cost counters (nil
-// otherwise), on every counter: an instance is charged what its tuples are.
+// to a twin one tuple per call, between random epoch transitions (rollbacks
+// included). After every instance the two must agree on the counts returned
+// (a key conflict leaves the same prefix applied), on the exact sequence of
+// image callbacks, on the contents of both states and, when mk hands out
+// cost counters (nil otherwise), on every counter: an instance is charged
+// what its tuples are.
 // Malformed column maps must be refused before any row, and uncharged, and an
 // empty instance must do and charge nothing. Both tables come from mk, empty,
 // with Schema.
@@ -695,13 +724,15 @@ func RunInstances(t testing.TB, rng *rand.Rand, steps int, mk func() (InstanceTa
 				return tab.UpdateWhere(attrsG, rows[lo:hi], []int{2}, []string{"v"}, []int{0}, func(pre, post rel.Tuple) { see(pre, post) })
 			})
 		default:
-			transition := rng.Intn(3)
+			transition := rng.Intn(4)
 			for _, tab := range []InstanceTable{whole, single} {
 				switch transition {
 				case 0:
 					tab.BeginEpoch()
 				case 1:
 					tab.AdvanceEpoch()
+				case 2:
+					tab.RollbackEpoch()
 				default:
 					tab.EndEpoch()
 				}

@@ -31,7 +31,7 @@ func (s State) String() string {
 //
 //   - readers (Scan/Get/Lookup/Len/Rows/Relation) hold mu.RLock; the
 //     Δ-script scheduler may run many of them concurrently;
-//   - writers (Insert/Delete/Update/Begin-/Advance-/EndEpoch) hold mu.Lock;
+//   - writers (Insert/Delete/Update/Begin-/Advance-/Rollback-/EndEpoch) hold mu.Lock;
 //     the scheduler serializes apply steps per table, so writer contention
 //     is only with readers of *other* states (pre-state probes), which the
 //     lock makes safe;

@@ -2,12 +2,14 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"idivm/internal/algebra"
 	"idivm/internal/db"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
@@ -140,10 +142,8 @@ func applyDirect(t testing.TB, d *db.Database, sys *ivm.System, ms []mod) {
 	}
 }
 
-// applyServed drives one round through the dispatcher: enqueue every op,
-// flush, and check each op's outcome.
-func applyServed(t testing.TB, srv *serve.Server, ms []mod) {
-	t.Helper()
+// enqueue hands every op of a round to the dispatcher.
+func enqueue(srv *serve.Server, ms []mod) []*serve.Pending {
 	pend := make([]*serve.Pending, len(ms))
 	for i, m := range ms {
 		switch m.kind {
@@ -155,6 +155,14 @@ func applyServed(t testing.TB, srv *serve.Server, ms []mod) {
 			pend[i] = srv.EnqueueDelete(m.table, m.key)
 		}
 	}
+	return pend
+}
+
+// applyServed drives one round through the dispatcher: enqueue every op,
+// flush, and check each op's outcome.
+func applyServed(t testing.TB, srv *serve.Server, ms []mod) {
+	t.Helper()
+	pend := enqueue(srv, ms)
 	if err := srv.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -420,6 +428,131 @@ func TestSnapshotTearFreedom(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotTearFreedomUnderFailedRounds is TestSnapshotTearFreedom with
+// two more views: "c", a histogram over the served view (a cascade, one
+// level up), and "f", a copy of the served view that fails after its last
+// step in every third round. f shares the served view's level, so at the
+// default Workers the two are maintained one after the other at -cpu 1 and
+// side by side at -cpu 4; either way the served view has applied its diffs
+// when the round fails, and the round must roll it back — else the next
+// round re-applies them as no-ops and c never sees them. The failed round's
+// writes stay logged and the next round maintains them with its own.
+// Readers must only ever observe states of a replay that never fails, and
+// the final state must be the replay's, with every view equal to its
+// recomputation.
+func TestSnapshotTearFreedomUnderFailedRounds(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			rounds := 12
+			if testing.Short() {
+				rounds = 6
+			}
+			roundsMods := genRounds(testParams(), rounds, 8)
+
+			legalView := map[string]bool{}
+			legalQuery := map[string]bool{}
+			replay := newServed(t, e.mk, flushOpts)
+			snapInto(t, replay.srv, legalView, legalQuery)
+			for _, ms := range roundsMods {
+				applyServed(t, replay.srv, ms)
+				snapInto(t, replay.srv, legalView, legalQuery)
+			}
+
+			ds := workload.BuildWith(testParams(), e.mk())
+			sys := ivm.NewSystem(ds.DB)
+			for _, name := range []string{testView, "f"} {
+				if _, err := sys.RegisterView(name, ds.SPJPlan(), ivm.ModeID); err != nil {
+					t.Fatalf("RegisterView %s: %v", name, err)
+				}
+			}
+			vt, _ := ds.DB.Table(testView)
+			hist := algebra.NewGroupBy(algebra.NewScan(testView, "", vt.Schema()), []string{testView + ".price"},
+				[]algebra.Agg{{Fn: algebra.AggCount, As: "n"}})
+			if _, err := sys.RegisterView("c", hist, ivm.ModeID); err != nil {
+				t.Fatalf("RegisterView c: %v", err)
+			}
+			srv := serve.New(ds.DB, sys, flushOpts)
+			t.Cleanup(func() { srv.Close() })
+			f, _ := sys.View("f")
+			steps := f.Script.Steps
+			boom := &ivm.ComputeStep{Name: "boom", Ph: ivm.PhaseViewCompute,
+				Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
+
+			const readers = 3
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			obsView := make([][]string, readers)
+			obsQuery := make([][]string, readers)
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				//ivmlint:allow gostmt — test reader goroutines hammering snapshots
+				go hammer(&wg, srv, stop, &obsView[i], &obsQuery[i])
+			}
+			failed := 0
+			for r, ms := range roundsMods {
+				if r%3 != 1 || r == len(roundsMods)-1 {
+					applyServed(t, srv, ms)
+					continue
+				}
+				// The dispatcher reads the script only inside a round, and
+				// Flush returns after the round: no round runs while it changes.
+				f.Script.Steps = append(steps[:len(steps):len(steps)], boom)
+				if err := applyServedFailing(srv, ms); err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				f.Script.Steps = steps
+				failed++
+			}
+			close(stop)
+			wg.Wait()
+
+			for i := 0; i < readers; i++ {
+				for _, fp := range obsView[i] {
+					if !legalView[fp] {
+						t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
+					}
+				}
+				for _, fp := range obsQuery[i] {
+					if !legalQuery[fp] {
+						t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
+					}
+				}
+			}
+			final, err := srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := replay.srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fingerprint(final) != fingerprint(want) {
+				t.Fatalf("after %d failed rounds the view differs from the replay's", failed)
+			}
+			for _, name := range sys.ViewNames() {
+				if err := sys.CheckConsistent(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// applyServedFailing drives one round that must fail: Flush and every op
+// report the round's error.
+func applyServedFailing(srv *serve.Server, ms []mod) error {
+	pend := enqueue(srv, ms)
+	if err := srv.Flush(); err == nil {
+		return errors.New("the sabotaged round succeeded")
+	}
+	for i, p := range pend {
+		if p.Wait() == nil {
+			return fmt.Errorf("op %d (%v) of the failed round reported success", i, ms[i])
+		}
+	}
+	return nil
 }
 
 // TestRetainedSnapshotsSurviveRounds pins that a pre-state read never hands

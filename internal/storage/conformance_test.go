@@ -200,11 +200,87 @@ func TestConformanceEpoch(t *testing.T) {
 	})
 }
 
+// TestConformanceRollbackEpoch is the abort path of a failed maintenance
+// round: after inserts, updates (of an indexed column), key and predicate
+// deletes inside an epoch, RollbackEpoch leaves the post-state equal to the
+// pre-state — contents, key gets and secondary lookups, including an index
+// first built inside the epoch — keeps the epoch open and the pre-state (and
+// a scan of it taken before) untouched, charges nothing through a Handle,
+// and a later write and EndEpoch behave as in any epoch.
+func TestConformanceRollbackEpoch(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e Engine) {
+		h, cost := NewHandle(mkParts(t, e)), new(rel.CostCounter)
+		h.SetCounter(cost)
+		before := h.Relation(rel.StatePost).Sorted()
+		h.BeginEpoch()
+		if err := h.Insert(rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := epochtest.UpdateRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(20)}, []string{"price"}, []rel.Value{rel.Int(40)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !h.DeleteKey([]rel.Value{rel.String("P1")}) {
+			t.Fatal("delete P1")
+		}
+		if _, err := epochtest.DeleteRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(40)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Insert(rel.Tuple{rel.String("P2"), rel.Int(99)}); err != nil {
+			t.Fatal(err)
+		}
+		held := h.Backend().Scan(rel.StatePre)
+		heldWant := append([]rel.Tuple(nil), held...)
+		charged := *cost
+		h.RollbackEpoch()
+		if *cost != charged {
+			t.Fatalf("RollbackEpoch charged %v", cost.Sub(charged))
+		}
+		if !h.InEpoch() {
+			t.Fatal("RollbackEpoch closed the epoch")
+		}
+		for _, s := range []rel.State{rel.StatePost, rel.StatePre} {
+			if got := h.Relation(s).Sorted(); !got.EqualSet(before) || h.Len() != before.Len() {
+				t.Fatalf("%s after rollback = %v, want %v", s, got, before)
+			}
+			for _, r := range before.Tuples {
+				if got, ok := h.Backend().Get(s, r[:1]); !ok || !got.Equal(r) {
+					t.Fatalf("%s Get(%v) after rollback = %v, %v", s, r[0], got, ok)
+				}
+			}
+			for price, want := range map[int64]int{10: 1, 20: 2, 40: 0, 99: 0} {
+				if rows, err := h.Backend().Lookup(s, []string{"price"}, []rel.Value{rel.Int(price)}); err != nil || len(rows) != want {
+					t.Fatalf("%s Lookup(price=%d) after rollback = %v, %v; want %d rows", s, price, rows, err, want)
+				}
+			}
+		}
+		for i, r := range held {
+			if !r.Equal(heldWant[i]) {
+				t.Fatalf("RollbackEpoch modified a retained StatePre scan: row %d is %v, was %v", i, r, heldWant[i])
+			}
+		}
+		if _, err := h.UpdateKey([]rel.Value{rel.String("P3")}, []string{"price"}, []rel.Value{rel.Int(30)}); err != nil {
+			t.Fatal(err)
+		}
+		if pre, ok := h.Backend().Get(rel.StatePre, []rel.Value{rel.String("P3")}); !ok || !pre[1].Equal(rel.Int(20)) {
+			t.Fatalf("pre P3 after a write that followed the rollback = %v, %v", pre, ok)
+		}
+		h.EndEpoch()
+		if rows, err := h.Backend().Lookup(rel.StatePost, []string{"price"}, []rel.Value{rel.Int(30)}); err != nil || len(rows) != 1 || h.InEpoch() {
+			t.Fatalf("after EndEpoch: Lookup(price=30) = %v, %v; InEpoch %v", rows, err, h.InEpoch())
+		}
+		h.RollbackEpoch() // outside an epoch: nothing to undo
+		if h.Len() != 3 {
+			t.Fatalf("RollbackEpoch outside an epoch changed the table: %d rows", h.Len())
+		}
+	})
+}
+
 // TestConformanceEpochModel runs the epoch model programs — the overlay's
-// hand-written corners and random write × Begin/Advance/EndEpoch sequences
-// — on every backend against epochtest's full-copy oracle, comparing every
-// read in both states after every operation. It also pins the contract
-// that a StatePre scan result is never modified by later writes.
+// hand-written corners and random write × Begin/Advance/End/RollbackEpoch
+// sequences — on every backend against epochtest's full-copy oracle,
+// comparing every read in both states after every operation. It also pins
+// the contract that a StatePre scan result is never modified by later
+// writes.
 func TestConformanceEpochModel(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		run := func(t *testing.T, prog []byte) {

@@ -130,6 +130,14 @@ type Table interface {
 	// EndEpoch discards the pre-state, in time proportional to the rows
 	// written during the epoch.
 	EndEpoch()
+	// RollbackEpoch puts the post-state back to the pre-state — every write
+	// since the epoch opened or last advanced is undone — in time
+	// proportional to those writes, and leaves the epoch open. The
+	// pre-state does not change, so a concurrent StatePre reader is
+	// unaffected; outside an epoch it does nothing. A failed maintenance
+	// round calls it on every view and cache table it wrote. Sharded
+	// backends roll back shard by shard, like AdvanceEpoch.
+	RollbackEpoch()
 	// InEpoch reports whether a maintenance epoch is open.
 	InEpoch() bool
 }

@@ -228,5 +228,8 @@ func (h *Handle) AdvanceEpoch() { h.t.AdvanceEpoch() }
 // EndEpoch implements Table (uncharged).
 func (h *Handle) EndEpoch() { h.t.EndEpoch() }
 
+// RollbackEpoch implements Table (uncharged).
+func (h *Handle) RollbackEpoch() { h.t.RollbackEpoch() }
+
 // InEpoch implements Table.
 func (h *Handle) InEpoch() bool { return h.t.InEpoch() }

@@ -267,6 +267,14 @@ func (t *shardTable) AdvanceEpoch() {
 	}
 }
 
+// RollbackEpoch implements Table, shard by shard: no shard's pre-state moves,
+// so readers never see the sweep.
+func (t *shardTable) RollbackEpoch() {
+	for _, sh := range t.shards {
+		sh.RollbackEpoch()
+	}
+}
+
 // EndEpoch implements Table.
 func (t *shardTable) EndEpoch() {
 	for _, sh := range t.shards {
