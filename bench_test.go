@@ -82,9 +82,6 @@ func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode) {
 			b.Fatal(err)
 		}
 		accesses += reports[0].Phases.Total().Total()
-		b.StopTimer()
-		ds.DB.ResetLog()
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
 }
@@ -333,9 +330,6 @@ func BenchmarkFeedJoin(b *testing.B) {
 					b.Fatal(err)
 				}
 				accesses += reports[0].Phases.Total().Total()
-				b.StopTimer()
-				ds.DB.ResetLog()
-				b.StartTimer()
 			}
 			b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
 		})

@@ -29,6 +29,7 @@ var fixtureCases = []struct {
 	{"countershard", "CostCounter.TupleReads"},
 	{"sharedcapture", "captured variable"},
 	{"floatfold", "map-iteration order"},
+	{"epochcall", "outside the epoch protocol"},
 }
 
 func fixtureLoader(t *testing.T) *lint.Loader {

@@ -4,11 +4,11 @@
 //
 // Storage itself — rows, indexes, epoch pre-states — lives
 // behind the engine boundary (internal/storage); the catalog only decides
-// *when* epochs open (the first logged modification after the last
-// maintenance freezes the pre-state the views were last consistent with,
-// Section 3 of the paper) and maintenance consumes the log and closes the
-// epochs. Base-table modifications are applied eagerly, as in a live
-// DBMS.
+// *when* epochs move. A logged table enters its epoch when logging is
+// enabled on it and never leaves it; ResetLog, the end of a maintenance
+// round, advances every epoch, so the pre-state is always the state the
+// views were last consistent with (Section 3 of the paper). Base-table
+// modifications are applied eagerly, as in a live DBMS.
 package db
 
 import (
@@ -57,7 +57,7 @@ type Modification struct {
 // layers bindings on top).
 //
 // Concurrency contract: base-table modifications (Insert/Delete/Update,
-// which append to the log and open epochs) are single-writer operations
+// which append to the log) are single-writer operations
 // issued between maintenance rounds — the serving layer's group-commit
 // dispatcher is that writer when one is attached. During a maintenance
 // round the catalog and log are read-only, so the parallel Δ-script
@@ -215,12 +215,14 @@ func (d *Database) TableNames() []string {
 	return append([]string(nil), d.order...)
 }
 
-// EnableLogging marks a table's modifications for logging. The IVM system
-// enables it for every base table of a registered view.
+// EnableLogging marks a table's modifications for logging and puts the
+// table in its maintenance epoch. The IVM system enables it for every base
+// table of a registered view.
 func (d *Database) EnableLogging(table string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.logging[table] = true
+	d.mu.Unlock()
+	d.enterEpoch(table)
 }
 
 // LoggingEnabled reports whether modifications to the table are logged.
@@ -234,11 +236,23 @@ func (d *Database) LoggingEnabled(table string) bool {
 // Δ-script executor records every APPLY against it as full-image
 // Modifications (via LogDerived), which downstream views consume as their
 // modification-log input for the same round. The IVM system enables it
-// when a view registers another view as a source.
+// when a view registers another view as a source. The view is put in its
+// maintenance epoch (the IVM system materialized it in one already).
 func (d *Database) EnableDerivedLogging(view string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.derivedOn[view] = true
+	d.mu.Unlock()
+	d.enterEpoch(view)
+}
+
+// enterEpoch opens a table's maintenance epoch unless it is in one (or does
+// not exist yet). Nothing closes it again: ResetLog advances it. Opening is
+// O(1) whatever the table's size — the engine keeps the pre-state as an
+// undo overlay, not a copy.
+func (d *Database) enterEpoch(name string) {
+	if t, err := d.Table(name); err == nil && !t.InEpoch() {
+		t.BeginEpoch()
+	}
 }
 
 // DerivedLoggingEnabled reports whether a view's applied i-diffs are
@@ -250,10 +264,10 @@ func (d *Database) DerivedLoggingEnabled(view string) bool {
 }
 
 // LogDerived appends a batch of modifications to a view's derived log.
-// Batches arrive in apply-step order (applies to one table are chained by
-// the step scheduler), so per-key entry order is deterministic whatever
-// the worker schedule; the mutex only arbitrates appends for *different*
-// views maintained concurrently.
+// Batches arrive in apply-step order (a script runs its steps in order),
+// so per-key entry order is deterministic whatever the worker schedule;
+// the mutex only arbitrates appends for *different* views maintained
+// concurrently.
 func (d *Database) LogDerived(view string, mods []Modification) {
 	if len(mods) == 0 {
 		return
@@ -287,24 +301,12 @@ func (d *Database) clearDerived() {
 	d.derivedMu.Unlock()
 }
 
-// beginEpochIfLogged opens the table's maintenance epoch on the first
-// logged write since the last ResetLog, freezing the pre-state the views'
-// Δ-scripts will read. Opening is O(1) whatever the table's size — the
-// engine keeps the pre-state as an undo overlay, not a copy — so the first
-// modification of a round costs what every other one does.
-func (d *Database) beginEpochIfLogged(t *storage.Handle) {
-	if d.LoggingEnabled(t.Name()) && !t.InEpoch() {
-		t.BeginEpoch()
-	}
-}
-
 // Insert applies and logs an insertion into a base table.
 func (d *Database) Insert(table string, row rel.Tuple) error {
 	t, err := d.Table(table)
 	if err != nil {
 		return err
 	}
-	d.beginEpochIfLogged(t)
 	if err := t.Insert(row); err != nil {
 		return err
 	}
@@ -321,7 +323,6 @@ func (d *Database) Delete(table string, key []rel.Value) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	d.beginEpochIfLogged(t)
 	pre, ok := t.Get(rel.StatePost, key)
 	if !ok {
 		return false, nil
@@ -343,7 +344,6 @@ func (d *Database) Update(table string, key []rel.Value, setAttrs []string, setV
 	if err != nil {
 		return false, err
 	}
-	d.beginEpochIfLogged(t)
 	// One call resolves the key once and hands back both images from the
 	// update's critical section, charged as the Get–UpdateKey–Get it replaces.
 	pre, post, err := t.UpdateKeyLogged(key, setAttrs, setVals)
@@ -362,29 +362,29 @@ func (d *Database) Update(table string, key []rel.Value, setAttrs []string, setV
 func (d *Database) Log() []Modification { return d.log }
 
 // ClearLog clears the modification log (and every derived log) without
-// touching any epochs — the pinned-epoch maintenance path
-// (ivm.System.PinEpochs) keeps every served table in a permanent epoch
-// and advances the pre-states itself.
+// touching any epochs. Besides ResetLog, its only caller is the frozen
+// benchmark tracer (benchmark/trace.go), which advances the epochs itself;
+// everything else ends a round with ResetLog.
 func (d *Database) ClearLog() {
 	d.log = nil
 	d.clearDerived()
 }
 
-// ResetLog clears the modification log (and every derived log) and closes
-// the epochs of all logged base tables and derived-logged views: the
-// views are now consistent with the post-state.
+// ResetLog ends a successful maintenance round: it clears the modification
+// log (and every derived log) and advances every table in an epoch — each
+// pre-state refreezes at the post-state the views are now consistent with,
+// in time proportional to the rows the round wrote. No epoch closes.
 func (d *Database) ResetLog() {
-	d.log = nil
-	d.clearDerived()
+	d.ClearLog()
 	d.mu.RLock()
-	var logged []*storage.Handle
-	for _, name := range d.order {
-		if d.logging[name] || d.derivedOn[name] {
-			logged = append(logged, d.tables[name])
-		}
+	tables := make([]*storage.Handle, len(d.order))
+	for i, name := range d.order {
+		tables[i] = d.tables[name]
 	}
 	d.mu.RUnlock()
-	for _, t := range logged {
-		t.EndEpoch()
+	for _, t := range tables {
+		if t.InEpoch() {
+			t.AdvanceEpoch()
+		}
 	}
 }

@@ -85,10 +85,15 @@ func TestLoggingOnlyAppliesToEnabledTables(t *testing.T) {
 	}
 	ta, _ := d.Table("a")
 	tb, _ := d.Table("b")
-	if !ta.InEpoch() || tb.InEpoch() {
-		t.Fatal("epoch state wrong")
+	for _, when := range []string{"before", "after"} {
+		if !ta.InEpoch() || tb.InEpoch() {
+			t.Fatalf("%s ResetLog: the logged table must be in its epoch, the unlogged one not", when)
+		}
+		d.ResetLog()
 	}
-	d.ResetLog()
+	if ta.Len() != 1 || len(ta.Scan(rel.StatePre)) != 1 {
+		t.Fatal("ResetLog must advance the logged table's pre-state to its post-state")
+	}
 }
 
 func TestInsertUnknownTable(t *testing.T) {

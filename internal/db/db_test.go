@@ -59,26 +59,35 @@ func TestLoggingCapturesImages(t *testing.T) {
 	}
 }
 
-func TestEpochOpensOnFirstModification(t *testing.T) {
+// TestEpochLivesFromEnableLogging pins the catalog's half of the one epoch
+// protocol: a table enters its epoch when logging is enabled on it, and
+// ResetLog never closes it — it advances the pre-state to the post-state.
+func TestEpochLivesFromEnableLogging(t *testing.T) {
 	d := newDB(t)
-	d.ResetLog()
 	parts, _ := d.Table("parts")
-	if parts.InEpoch() {
-		t.Fatal("no epoch expected before modifications")
+	if !parts.InEpoch() {
+		t.Fatal("EnableLogging must open the epoch")
+	}
+	if _, ok := parts.Get(rel.StatePre, []rel.Value{rel.String("P1")}); ok {
+		t.Fatal("the pre-state must be the table as logging was enabled: empty")
+	}
+	d.ResetLog()
+	if !parts.InEpoch() {
+		t.Fatal("ResetLog must not close the epoch")
 	}
 	if _, err := d.Update("parts", []rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(99)}); err != nil {
 		t.Fatal(err)
 	}
-	if !parts.InEpoch() {
-		t.Fatal("epoch must open on first logged modification")
-	}
 	pre, ok := parts.Get(rel.StatePre, []rel.Value{rel.String("P1")})
 	if !ok || !pre[1].Equal(rel.Int(10)) {
-		t.Fatalf("pre state = %v", pre)
+		t.Fatalf("pre state = %v, want the state at the last ResetLog", pre)
 	}
 	d.ResetLog()
-	if parts.InEpoch() {
-		t.Fatal("ResetLog must close epochs")
+	if !parts.InEpoch() {
+		t.Fatal("ResetLog must not close the epoch")
+	}
+	if pre, _ := parts.Get(rel.StatePre, []rel.Value{rel.String("P1")}); !pre[1].Equal(rel.Int(99)) {
+		t.Fatalf("pre state = %v, want it advanced to the post-state", pre)
 	}
 	if len(d.Log()) != 0 {
 		t.Fatal("ResetLog must clear the log")

@@ -123,9 +123,9 @@ func (x *scriptExec) Bound(name string) (*rel.Binding, error) {
 // RunScript executes a Δ-script against the database: base diff instances
 // are passed as bindings keyed by BaseBindName; the script's compute steps
 // evaluate plans and bind results; apply steps mutate caches and the view.
-// Every view/cache table whose pre-state some step reads is placed in a
-// maintenance epoch for the duration, so those plans may reference the
-// pre-state at any point; tables nobody pre-reads get no epoch.
+// It opens and closes no epoch: the pre-state its plans read is the one the
+// tables' epochs hold (System keeps every view, cache and logged base table
+// in one for life).
 func RunScript(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*PhaseCosts, error) {
 	return runScript(d, s, bindRelations(s, bindings), false, ExecOptions{})
 }
@@ -164,37 +164,14 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 	}
 	x := &scriptExec{d: d, s: s, counter: root, interpret: opts.Interpret,
 		logDerived: d.DerivedLoggingEnabled(s.View), bind: bind}
-	// Open epochs on the view and caches — but only the ones some step
-	// actually reads in pre-state (computed once per script). Opening is
-	// O(1), but inside an epoch every first write to a row sets its
-	// pre-image aside, and a table whose pre-state nobody reads gets
-	// nothing from that. Counters are unaffected — epochs are uncharged.
-	epochTables := []string{s.View}
+	if _, err := d.Table(s.View); err != nil {
+		return nil, fmt.Errorf("ivm: script target %q not materialized: %w", s.View, err)
+	}
 	for _, c := range s.Caches {
-		epochTables = append(epochTables, c.Name)
-	}
-	preRead := s.preReadTables()
-	opened := make([]string, 0, len(epochTables))
-	for _, name := range epochTables {
-		t, err := d.Table(name)
-		if err != nil {
-			return nil, fmt.Errorf("ivm: script target %q not materialized: %w", name, err)
-		}
-		// Skip tables already in an epoch (e.g. opened for the whole round
-		// by System.MaintainAll): their lifecycle belongs to whoever opened
-		// them, and BeginEpoch would be a no-op anyway.
-		if preRead[name] && !t.InEpoch() {
-			t.BeginEpoch()
-			opened = append(opened, name)
+		if _, err := d.Table(c.Name); err != nil {
+			return nil, fmt.Errorf("ivm: script target %q not materialized: %w", c.Name, err)
 		}
 	}
-	defer func() {
-		for _, name := range opened {
-			if t, err := d.Table(name); err == nil {
-				t.EndEpoch()
-			}
-		}
-	}()
 
 	pc := &PhaseCosts{Steps: make([]StepCost, 0, len(s.Steps))}
 	for _, st := range s.Steps {

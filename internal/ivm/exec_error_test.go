@@ -48,13 +48,19 @@ func TestRunScriptComputeErrorPropagates(t *testing.T) {
 				Ph:   PhaseViewCompute},
 		},
 	}
-	if _, err := RunScript(d, s, nil); err == nil {
-		t.Fatal("expected compute error")
-	}
-	// Epochs must be closed even on failure.
+	// A run opens and closes no epoch, on failure as on success: a table
+	// outside its epoch stays outside, one inside stays inside.
 	vt, _ := d.Table("v")
-	if vt.InEpoch() {
-		t.Fatal("epoch leaked after failed run")
+	for _, inEpoch := range []bool{false, true} {
+		if inEpoch {
+			vt.BeginEpoch()
+		}
+		if _, err := RunScript(d, s, nil); err == nil {
+			t.Fatal("expected compute error")
+		}
+		if vt.InEpoch() != inEpoch {
+			t.Fatalf("a failed run moved the epoch: InEpoch %v, was %v", vt.InEpoch(), inEpoch)
+		}
 	}
 }
 

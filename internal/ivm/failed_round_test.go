@@ -81,15 +81,21 @@ func tableStates(t *testing.T, d *db.Database, names []string) []string {
 // workers, failing at step k of view fail (k = len(steps): after its last
 // step), against a twin that never fails. After the failure every view and
 // cache table must hold its state from before the round, the base log must be
-// kept, no derived log may survive and no epoch the round opened may stay
-// open. After the retry every view must equal its recomputation and the twin,
-// with the twin's per-view access counts, diff tuple counts and applied
-// instances (as sets, see appliedRows).
+// kept, no derived log may survive, and every view, cache and logged base
+// table must still be in its epoch with the pre-state it had before the round
+// (CheckEpochs). After the retry every view must equal its recomputation and
+// the twin, with the twin's per-view access counts, diff tuple counts and
+// applied instances (as sets, see appliedRows), and every pre-state must equal
+// its post-state.
 func failAndRetry(t *testing.T, order []string, fail string, k, workers int) {
 	t.Helper()
 	ctx := fmt.Sprintf("order %s, %s fails at step %d, workers %d", strings.Join(order, ","), fail, k, workers)
 	refDB, ref := abcDB(t, order, workers)
 	d, s := abcDB(t, order, workers)
+	preRound, err := s.CheckEpochs(nil)
+	if err != nil {
+		t.Fatalf("%s: after registration: %v", ctx, err)
+	}
 	abcRound(t, refDB)
 	abcRound(t, d)
 	tables := viewAndCacheTables(s)
@@ -109,9 +115,9 @@ func failAndRetry(t *testing.T, order []string, fail string, k, workers int) {
 		if mods := d.DerivedLog(name); len(mods) != 0 {
 			t.Fatalf("%s: the failed round left %d derived-log entries on %s", ctx, len(mods), name)
 		}
-		if tab, _ := d.Table(name); tab.InEpoch() && !d.DerivedLoggingEnabled(name) {
-			t.Fatalf("%s: the failed round left %s in an epoch", ctx, name)
-		}
+	}
+	if _, err := s.CheckEpochs(preRound); err != nil {
+		t.Fatalf("%s: after the failed round: %v", ctx, err)
 	}
 
 	want, err := ref.MaintainAll()
@@ -142,6 +148,11 @@ func failAndRetry(t *testing.T, order []string, fail string, k, workers int) {
 	}
 	if tabs := tableStates(t, d, tables); !slices.Equal(tabs, tableStates(t, refDB, tables)) {
 		t.Fatalf("%s: caches differ from the fault-free twin after the retry", ctx)
+	}
+	for _, sys := range []*System{ref, s} {
+		if _, err := sys.CheckEpochs(nil); err != nil {
+			t.Fatalf("%s: after the retry: %v", ctx, err)
+		}
 	}
 }
 

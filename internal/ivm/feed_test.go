@@ -76,6 +76,15 @@ func appliedKeys(r *ivm.Report) []string {
 	return out
 }
 
+// checkEpochs is System.CheckEpochs(nil) (export_test.go), the invariant of a
+// successful round.
+func checkEpochs(s *ivm.System) error {
+	_, err := any(s).(interface {
+		CheckEpochs(map[string]string) (map[string]string, error)
+	}).CheckEpochs(nil)
+	return err
+}
+
 // TestMaintainAllMatchesPerViewMaintain is the differential on the round's
 // diff feed: one MaintainAll — the log compacted once, one instance per
 // distinct base i-diff schema, shared by all views — against a twin that
@@ -83,7 +92,9 @@ func appliedKeys(r *ivm.Report) []string {
 // resets the log by hand. View and cache state, per-view and per-step access
 // counts, diff tuple counts, Applied instances and the database counters
 // must agree after every round, at Workers 1, 4 and the default (0:
-// GOMAXPROCS), on both engines. The
+// GOMAXPROCS), on both engines, and in both systems every view, cache and
+// logged base table must be in its epoch with its pre-state advanced to its
+// post-state (CheckEpochs). The
 // rounds differ from one another, so a feed that outlived its round — last
 // round's changes served again — shows up as a state mismatch in the next.
 func TestMaintainAllMatchesPerViewMaintain(t *testing.T) {
@@ -129,6 +140,11 @@ func TestMaintainAllMatchesPerViewMaintain(t *testing.T) {
 							t.Fatalf("%s: database counters differ: one feed %v, per view %v", ctx, a, e)
 						}
 						assertTablesMatch(t, ctx, each.d, all.d, all.tables)
+						for _, c := range []*feedCell{all, each} {
+							if err := checkEpochs(c.sys); err != nil {
+								t.Fatalf("%s: %v", ctx, err)
+							}
+						}
 						for _, view := range all.views {
 							if err := all.sys.CheckConsistent(view); err != nil {
 								t.Fatalf("%s: %v", ctx, err)

@@ -3,7 +3,6 @@ package ivm
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"idivm/internal/algebra"
 	"idivm/internal/expr"
@@ -106,43 +105,6 @@ type Script struct {
 	// Minimized records whether pass 4 (Minimize) ran on this script; the
 	// verifier only enforces the Figure 8 residue checks when it did.
 	Minimized bool
-
-	// preRead memoizes which stored tables some step plan reads in
-	// pre-state. The executor opens a maintenance epoch only on the
-	// view/cache tables in this set: an epoch exists solely to freeze the
-	// pre-state for readers, and setting aside the pre-images of a table
-	// nobody pre-reads is pure overhead on every round. Scripts are immutable after
-	// generation, so computing this once is safe.
-	preReadOnce sync.Once
-	preRead     map[string]bool
-}
-
-// preReadTables returns the set of stored tables some compute step reads
-// in StatePre, computed once per script.
-func (s *Script) preReadTables() map[string]bool {
-	s.preReadOnce.Do(func() {
-		m := make(map[string]bool)
-		for _, st := range s.Steps {
-			cs, ok := st.(*ComputeStep)
-			if !ok {
-				continue
-			}
-			algebra.Walk(cs.Plan, func(n algebra.Node) {
-				switch x := n.(type) {
-				case *algebra.RelRef:
-					if x.Stored && x.St == rel.StatePre {
-						m[x.Name] = true
-					}
-				case *algebra.Scan:
-					if x.St == rel.StatePre {
-						m[x.Table] = true
-					}
-				}
-			})
-		}
-		s.preRead = m
-	})
-	return s.preRead
 }
 
 // CompileScript builds and caches one executable plan per compute step —

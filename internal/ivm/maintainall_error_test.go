@@ -291,23 +291,32 @@ func appliedRows(r *Report) []string {
 }
 
 // TestRefilledLogOfEqualLengthIsCompactedAgain runs rounds whose logs all
-// have the same length — one update each, of a different row — through
-// MaintainAll and, interleaved, through Maintain + ResetLog. The log is a
-// slice that is dropped and regrown, so nothing about it (its length, where
-// its backing array sits) says whether it was compacted before; anything that
-// remembered a compaction by such a mark would serve the previous round's
-// change here, and the views would lag one round behind.
+// have the same length — one modification each, of a different row: an
+// update, or an insert opening a new group — through MaintainAll and,
+// interleaved, through Maintain + ResetLog. The log is a slice that is
+// dropped and regrown, so nothing about it (its length, where its backing
+// array sits) says whether it was compacted before; anything that remembered
+// a compaction by such a mark would serve the previous round's change here,
+// and the views would lag one round behind. The inserts also cover the
+// cascade on the lone path, which runs first, before any MaintainAll: B's
+// Δ-script keeps a new group of A only if it is absent from A's pre-state,
+// which must still be the round-start state after Maintain("A") applied it.
 func TestRefilledLogOfEqualLengthIsCompactedAgain(t *testing.T) {
 	d, s := sumViewsDB(t, 0)
 	for round := 0; round < 12; round++ {
-		id := int64(round % 12)
-		if _, err := d.Update("item", []rel.Value{rel.Int(id)}, []string{"val"}, []rel.Value{rel.Int(1000 + int64(round))}); err != nil {
+		var err error
+		if round%2 == 0 {
+			err = d.Insert("item", rel.Tuple{rel.Int(100 + int64(round)), rel.String(fmt.Sprintf("new%d", round)), rel.Int(int64(round))})
+		} else {
+			_, err = d.Update("item", []rel.Value{rel.Int(int64(round))}, []string{"val"}, []rel.Value{rel.Int(1000 + int64(round))})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(d.Log()) != 1 {
 			t.Fatalf("round %d: log has %d entries, want 1", round, len(d.Log()))
 		}
-		if round%3 == 2 {
+		if round%3 == 0 {
 			for _, name := range s.ViewNames() {
 				if _, err := s.Maintain(name); err != nil {
 					t.Fatal(err)

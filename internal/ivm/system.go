@@ -88,14 +88,13 @@ type Report struct {
 // open. All three are optional (nil = no-op) and are called from the
 // goroutine driving MaintainAll:
 //
-//   - RoundBegin: every view and cache table is in an epoch (with
-//     PinEpochs, every logged base table too) and maintenance is about to
-//     run. Pre-state reads are stable from here on.
+//   - RoundBegin: every view, cache and logged base table is in its epoch
+//     and maintenance is about to run. Pre-state reads are stable from
+//     here on.
 //   - UnpinBegin: maintenance finished; on success the epochs are about to
-//     close or advance, so pre-state identities are about to move to the
-//     new post-state, and on failure every view and cache table is about
-//     to be rolled back. Snapshot readers overlapping this window must
-//     retry.
+//     advance, so pre-state identities are about to move to the new
+//     post-state, and on failure every view and cache table is about to
+//     be rolled back. Snapshot readers overlapping this window must retry.
 //   - RoundEnd: on success the log is reset and the post-state is the new
 //     consistent snapshot; on failure every view and cache table holds its
 //     state from before the round again, and the log is kept for a retry.
@@ -133,16 +132,11 @@ type System struct {
 	OpWorkers     int // ignored: kept because the frozen benchmark/setup.go assigns it
 	BatchSize     int // ignored: kept because the frozen benchmark/setup.go assigns it
 	SkewThreshold int // ignored: kept because the frozen benchmark/setup.go assigns it
-	// PinEpochs keeps every view, cache and logged base table in a
-	// permanent maintenance epoch: MaintainAll pins any not yet pinned at
-	// round start and, at round end, atomically advances each pre-state to
-	// the new post-state (AdvanceEpoch) instead of closing the epochs. A
-	// concurrent snapshot reader therefore always resolves StatePre to
-	// some completed round's frozen state, never to live storage. On a
-	// failed round nothing advances — the views roll back, readers keep the
-	// last good state and the log is retained for retry. Epoch operations
-	// are uncharged, so access counts are byte-identical with the flag on or
-	// off. Set by the serving layer (internal/serve).
+	// PinEpochs is ignored and always true: every view, cache and logged
+	// base table stays in its maintenance epoch for life (see MaintainAll),
+	// so there is no unpinned protocol left to choose. NewSystem sets it
+	// because the frozen benchmark/trace.go and benchmark/layers.go read it
+	// to pick the pinned path of their hand-driven round.
 	PinEpochs bool
 	// Hooks receive round lifecycle notifications; see RoundHooks.
 	Hooks RoundHooks
@@ -150,7 +144,7 @@ type System struct {
 
 // NewSystem creates an idIVM system over a database.
 func NewSystem(d *db.Database) *System {
-	return &System{DB: d, views: make(map[string]*View), slots: make(map[string]*diffSlots)}
+	return &System{DB: d, views: make(map[string]*View), slots: make(map[string]*diffSlots), PinEpochs: true}
 }
 
 // RegisterView performs the view-definition-time work: pass 1–4 script
@@ -249,7 +243,8 @@ func (s *System) reachesView(from, target string) bool {
 	return false
 }
 
-// materialize evaluates a plan and stores the result as a keyed table.
+// materialize evaluates a plan and stores the result as a keyed table, which
+// enters its maintenance epoch there and never leaves it.
 func (s *System) materialize(name string, plan algebra.Node) error {
 	sch := plan.Schema()
 	if len(sch.Key) == 0 {
@@ -268,6 +263,7 @@ func (s *System) materialize(name string, plan algebra.Node) error {
 			return fmt.Errorf("ivm: materializing %q: %w", name, err)
 		}
 	}
+	t.BeginEpoch()
 	return nil
 }
 
@@ -439,8 +435,10 @@ func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, erro
 
 // Maintain brings one view up to date with the modification log without
 // consuming the log (other views may still need it); call ResetLog (or use
-// MaintainAll) once every view is maintained. It compacts the log for
-// itself — a diff feed of its own, gone when it returns.
+// MaintainAll) once every view is maintained — it advances the epochs, so
+// until then every pre-state stays the round-start state. It compacts the
+// log for itself — a diff feed of its own, gone when it returns. A failed
+// Maintain rolls nothing back.
 //
 // In a cascade, maintain parents before children within the same round
 // (registration order always satisfies this; MaintainAll does it for
@@ -450,7 +448,7 @@ func (s *System) Maintain(name string) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("ivm: unknown view %q", name)
 	}
-	s.beginCascadeEpochs()
+	s.PinAllEpochs()
 	feed, err := s.feedFor(v)
 	if err != nil {
 		return nil, err
@@ -472,26 +470,6 @@ func (s *System) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// beginCascadeEpochs opens a maintenance epoch on every derived-logged
-// source view not already in one. A cascade parent's epoch must open
-// before the parent's own apply steps run, so that a child's pre-state
-// reads of the parent observe the round-start state — the same "first
-// logged modification freezes the pre-state" rule db applies to base
-// tables, with the parent's applies playing the modification role.
-// ResetLog closes these epochs with the base tables'; under PinEpochs
-// every view is permanently pinned and this is a no-op. Epoch operations
-// are uncharged.
-func (s *System) beginCascadeEpochs() {
-	for _, name := range s.order {
-		if !s.DB.DerivedLoggingEnabled(name) {
-			continue
-		}
-		if t, err := s.DB.Table(name); err == nil && !t.InEpoch() {
-			t.BeginEpoch()
-		}
-	}
-}
-
 // maintain runs v's Δ-script over its instances in the feed, which must hold
 // v's sources (addSources).
 func (s *System) maintain(v *View, feed *diffFeed, opts ExecOptions) (*Report, error) {
@@ -505,7 +483,7 @@ func (s *System) maintain(v *View, feed *diffFeed, opts ExecOptions) (*Report, e
 }
 
 // MaintainAll maintains every registered view against the current log,
-// then clears the log (and every derived log) and closes the epochs. The
+// then clears the log (and every derived log) and advances the epochs. The
 // round has one diff feed (diffFeed): the log is compacted and the base
 // i-diff instances are populated once, whatever the number of views, and
 // every view reads the instances it binds from there. The schedule is
@@ -519,26 +497,18 @@ func (s *System) maintain(v *View, feed *diffFeed, opts ExecOptions) (*Report, e
 // database counter in registration order once all views complete — so
 // reports and totals are those of the sequential run.
 //
-// A round is atomic. Every view and cache table is in a maintenance epoch
-// from round start — one the round opens itself unless the table is
-// already in one — so each write sets its pre-image aside. If the round
-// fails, wherever and at whatever Workers, every view and cache table is
-// rolled back to its state before the round (RollbackEpoch), the derived
-// logs are dropped and the base log is kept: the retry is the fault-free
-// round. The epochs the round opened are closed when it ends.
-//
-// With PinEpochs set, every logged base table is pinned as well and the
-// epochs never close: on success each pre-state advances to the new
-// post-state after the log is cleared, so StatePre reads anywhere inside
-// the round observe exactly the previous round's post-state. The Hooks
-// fire around the round.
+// Every view, cache and logged base table is in its maintenance epoch for
+// life (PinAllEpochs), so StatePre reads anywhere inside the round observe
+// exactly the previous round's post-state — a cascade parent's too, while
+// its own applies run — and each write sets its pre-image aside. A round
+// ends one of two ways. On success db.ResetLog clears the logs and advances
+// every epoch to the new post-state. On failure, wherever and at whatever
+// Workers, every view and cache table is rolled back to its state before
+// the round (RollbackEpoch), the derived logs are dropped and the base log
+// is kept: the retry is the fault-free round. The Hooks fire around the
+// round.
 func (s *System) MaintainAll() ([]*Report, error) {
-	if s.PinEpochs {
-		s.PinAllEpochs()
-	}
-	s.beginCascadeEpochs()
-	written := s.viewTables()
-	opened := openEpochs(written)
+	s.PinAllEpochs()
 	if s.Hooks.RoundBegin != nil {
 		s.Hooks.RoundBegin()
 	}
@@ -565,22 +535,7 @@ func (s *System) MaintainAll() ([]*Report, error) {
 		s.Hooks.UnpinBegin()
 	}
 	if err == nil {
-		if s.PinEpochs {
-			// The pinned path never leaves the epoch: clear the consumed
-			// log, then atomically refreeze every served table's
-			// pre-state at the new post-state. Each advance costs O(rows
-			// the round wrote to that table) — untouched tables cost a
-			// lock — so the sweep, and with it the window snapshot
-			// readers retry through, is proportional to the round's
-			// writes, not to the state. A failed round skips both, so
-			// readers keep the last good state and the log is retained.
-			s.DB.ClearLog()
-			for _, t := range s.epochTables() {
-				t.AdvanceEpoch()
-			}
-		} else {
-			s.DB.ResetLog()
-		}
+		s.DB.ResetLog()
 	} else {
 		// Failed round: every view and cache goes back to its state before
 		// the round, and the base log is kept, so the retry is the fault-free
@@ -588,13 +543,10 @@ func (s *System) MaintainAll() ([]*Report, error) {
 		// every parent, regenerating them — so keeping them would feed
 		// children duplicated (or, after a mid-apply failure, partial)
 		// modifications on the next round.
-		for _, t := range written {
+		for _, t := range s.viewTables() {
 			t.RollbackEpoch()
 		}
 		s.DB.ClearDerivedLogs()
-	}
-	for _, t := range opened {
-		t.EndEpoch()
 	}
 	if s.Hooks.RoundEnd != nil {
 		s.Hooks.RoundEnd()
@@ -620,9 +572,9 @@ func (s *System) viewTables() []*storage.Handle {
 	return out
 }
 
-// epochTables returns the handles of every table serving snapshot readers
-// care about, in deterministic order: each view and its caches
-// (registration order), then every logged base table (catalog order).
+// epochTables returns the handles of every table in the epoch protocol, in
+// deterministic order: each view and its caches (registration order), then
+// every logged base table (catalog order).
 func (s *System) epochTables() []*storage.Handle {
 	out := s.viewTables()
 	for _, name := range s.DB.TableNames() {
@@ -636,22 +588,17 @@ func (s *System) epochTables() []*storage.Handle {
 }
 
 // PinAllEpochs opens a maintenance epoch on every view, cache and logged
-// base table not already in one. The serving layer calls it at attach
-// time (and MaintainAll at every pinned round start) so snapshot readers
-// are epoch-isolated from live storage from the very first batch. Epoch
-// operations are uncharged, so counters are unaffected.
-func (s *System) PinAllEpochs() { openEpochs(s.epochTables()) }
-
-// openEpochs opens a maintenance epoch on each table not already in one and
-// returns those it opened.
-func openEpochs(tables []*storage.Handle) (opened []*storage.Handle) {
-	for _, t := range tables {
+// base table not already in one — the one begin of the epoch protocol, and
+// idempotent: a table enters its epoch when it is materialized or marked
+// logged, and nothing takes it out again. MaintainAll and Maintain call it
+// at round start, the serving layer at attach time. Epoch operations are
+// uncharged, so counters are unaffected.
+func (s *System) PinAllEpochs() {
+	for _, t := range s.epochTables() {
 		if !t.InEpoch() {
 			t.BeginEpoch()
-			opened = append(opened, t)
 		}
 	}
-	return opened
 }
 
 // maintainAllParallel fans the registered views out over the worker pool,
@@ -666,7 +613,7 @@ func openEpochs(tables []*storage.Handle) (opened []*storage.Handle) {
 // view of the failing level has run to completion or to its own error, and
 // later levels are skipped (they would consume a broken feed); MaintainAll
 // then rolls back all of them, as it does after the sequential path's early
-// return. Log reset, rollback and epoch release belong to MaintainAll.
+// return. Log reset and rollback belong to MaintainAll.
 func (s *System) maintainAllParallel(feed *diffFeed) ([]*Report, error) {
 	n := len(s.order)
 	reports := make([]*Report, n)

@@ -1,11 +1,13 @@
-// Boundary analyzers ported from ivmlint v1: gostmt (goroutine launches
-// outside the blessed worker-pool files) and tabletype (concrete table
-// references punching through the storage boundary).
+// Boundary analyzers: gostmt (goroutine launches outside the blessed
+// worker-pool files), tabletype (concrete table references punching through
+// the storage boundary) and epochcall (epoch lifecycle calls outside the
+// one epoch protocol).
 
 package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"path/filepath"
 )
 
@@ -91,6 +93,64 @@ func runTableType(pass *Pass) {
 			pass.Reportf(sel.Pos(), "concrete table reference rel.%s outside the storage boundary; "+
 				"go through storage.Engine / storage.Handle "+
 				"(or annotate with //ivmlint:allow tabletype)", sel.Sel.Name)
+			return true
+		})
+	}
+}
+
+// epochCalls are the methods that move a table's maintenance epoch.
+var epochCalls = map[string]bool{
+	"BeginEpoch":    true,
+	"EndEpoch":      true,
+	"AdvanceEpoch":  true,
+	"RollbackEpoch": true,
+}
+
+// epochCallFiles are the one file per package above the storage boundary
+// that runs the epoch protocol: the catalog opens a logged table's epoch and
+// advances every epoch at round end, the IVM system opens the views' and
+// caches' epochs and rolls a failed round back.
+var epochCallFiles = map[string]string{
+	"internal/db":  "db.go",
+	"internal/ivm": "system.go",
+}
+
+// AnalyzerEpochCall flags calls to BeginEpoch, EndEpoch, AdvanceEpoch and
+// RollbackEpoch outside internal/rel, internal/storage and the protocol's
+// two files (epochCallFiles). A table enters its epoch once and a round ends
+// in an advance or a rollback; an epoch call anywhere else is a second
+// lifecycle growing back. Test files are not inspected, and neither is the
+// end-to-end benchmark, whose tracer replays MaintainAll's round by hand
+// and times the epoch operations themselves.
+var AnalyzerEpochCall = register(&Analyzer{
+	Name: "epochcall",
+	Doc:  "epoch lifecycle calls outside the one epoch protocol",
+	AppliesTo: func(rel string) bool {
+		return !pathIn(rel, "internal/rel", "internal/storage", "benchmark")
+	},
+	Run: runEpochCall,
+})
+
+func runEpochCall(pass *Pass) {
+	for _, f := range pass.Pkg.Files {
+		if epochCallFiles[pass.Pkg.Rel] == filepath.Base(pass.Pkg.Fset.Position(f.Pos()).Filename) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !epochCalls[sel.Sel.Name] {
+				return true
+			}
+			if fn, ok := pass.ObjectOf(sel.Sel).(*types.Func); !ok || fn.Type().(*types.Signature).Recv() == nil {
+				return true
+			}
+			pass.Reportf(call.Pos(), "%s outside the epoch protocol (internal/db/db.go, internal/ivm/system.go); "+
+				"tables enter their epoch once and a round ends in an advance or a rollback "+
+				"(or annotate with //ivmlint:allow epochcall)", sel.Sel.Name)
 			return true
 		})
 	}

@@ -27,11 +27,11 @@ func TestPathIn(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the analyzer suite: all nine analyzers registered,
+// TestRegistry pins the analyzer suite: all ten analyzers registered,
 // resolvable by name, and the stale pseudo-analyzer deliberately not.
 func TestRegistry(t *testing.T) {
 	want := []string{"maprange", "deepequal", "bindname", "gostmt", "tabletype",
-		"chargepath", "countershard", "sharedcapture", "floatfold"}
+		"chargepath", "countershard", "sharedcapture", "floatfold", "epochcall"}
 	if len(Analyzers()) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(Analyzers()), len(want))
 	}
@@ -63,11 +63,13 @@ func TestEnabledFor(t *testing.T) {
 		test bool
 		want string
 	}{
-		{"internal/ivm", false, "bindname chargepath countershard deepequal floatfold gostmt maprange sharedcapture tabletype"},
+		{"internal/ivm", false, "bindname chargepath countershard deepequal epochcall floatfold gostmt maprange sharedcapture tabletype"},
 		{"internal/rel", false, "bindname chargepath deepequal"},
+		{"internal/rel/epochtest", false, "bindname chargepath deepequal"},
 		{"internal/storage", false, "bindname"},
-		{"internal/sqlview", false, "bindname chargepath countershard maprange tabletype"},
-		{"cmd/ivmlint", false, "bindname chargepath countershard tabletype"},
+		{"internal/sqlview", false, "bindname chargepath countershard epochcall maprange tabletype"},
+		{"cmd/ivmlint", false, "bindname chargepath countershard epochcall tabletype"},
+		{"benchmark", false, "bindname chargepath countershard tabletype"},
 		// Test files run the reduced set: gostmt + sharedcapture inside
 		// internal/..., nothing elsewhere.
 		{"internal/rel", true, "gostmt sharedcapture"},

@@ -8,12 +8,14 @@
 //
 // Every stored table keeps two addressable states: StatePost (live) and
 // StatePre (the contents as of the moment the epoch opened or last
-// advanced, which the engine keeps as an undo overlay). While a
-// server is attached, every view, cache and logged base table lives in a
-// *permanent* epoch (System.PinEpochs): New pins them all, and each
+// advanced, which the engine keeps as an undo overlay). The pinning rule
+// is not the server's: it is every ivm.System's one epoch protocol. Every
+// view, cache and logged base table lives in a *permanent* epoch, and each
 // successful MaintainAll round ends by atomically refreezing each
-// pre-state at the new post-state (AdvanceEpoch) instead of closing the
-// epoch. The invariant serving reads are built on:
+// pre-state at the new post-state (AdvanceEpoch, in db.ResetLog); a failed
+// one rolls the views back and leaves every pre-state where it was. New
+// only calls System.PinAllEpochs, the protocol's idempotent begin. The
+// invariant serving reads are built on:
 //
 //	StatePre == some completed round's frozen post-state, always.
 //
@@ -157,8 +159,8 @@ type Server struct {
 	done    chan struct{}
 }
 
-// New wires a server onto the database and its IVM system: it sets
-// PinEpochs, composes the seqlock into any round hooks already installed,
+// New wires a server onto the database and its IVM system: it composes
+// the seqlock into any round hooks already installed,
 // and starts the dispatcher goroutine. The system's MaintainAll must from
 // now on be driven only through this server (Flush or batched writes) —
 // the dispatcher is the single writer.
@@ -176,7 +178,6 @@ func New(d *db.Database, sys *ivm.System, opts Options) *Server {
 		s.plans = newPlanCache(s.opts.PlanCache)
 	}
 
-	sys.PinEpochs = true
 	prev := sys.Hooks
 	sys.Hooks = ivm.RoundHooks{
 		RoundBegin: prev.RoundBegin,
@@ -194,8 +195,8 @@ func New(d *db.Database, sys *ivm.System, opts Options) *Server {
 			}
 		},
 	}
-	// Pin before any reader or writer exists so snapshot reads are
-	// epoch-isolated from the very first batch.
+	// Every epoch is open before any reader or writer exists, so snapshot
+	// reads are epoch-isolated from the very first batch.
 	sys.PinAllEpochs()
 
 	s.start()

@@ -114,8 +114,8 @@ type Table interface {
 	// contents (EndEpoch + BeginEpoch in one step): concurrent StatePre
 	// readers resolve either the old or the new pre-state, never a mix.
 	// Its cost must be proportional to the rows written since the epoch
-	// opened or last advanced, not to the table: the serving layer calls
-	// it on every pinned table after every round, inside the window
+	// opened or last advanced, not to the table: db.ResetLog calls it on
+	// every table in an epoch after every round, inside the window
 	// snapshot readers spin through. Sharded backends may advance shard by
 	// shard; callers needing cross-shard atomicity must coordinate above
 	// this interface.
@@ -123,9 +123,8 @@ type Table interface {
 	// BeginEpoch freezes the current contents as the pre-state; subsequent
 	// mutations affect only the post-state (deferred IVM, Section 3). It
 	// is O(1) — backends read the pre-state from the post-state and the
-	// pre-images of the rows written since, they do not copy the table —
-	// so the catalog can open an epoch on the first logged write of every
-	// round. A StatePre scan result is never modified by later writes.
+	// pre-images of the rows written since, they do not copy the table.
+	// A StatePre scan result is never modified by later writes.
 	BeginEpoch()
 	// EndEpoch discards the pre-state, in time proportional to the rows
 	// written during the epoch.
