@@ -29,9 +29,10 @@ race-sharded:
 	IDIVM_ENGINE=sharded $(GO) test -race ./internal/...
 
 # race-ivm runs the maintenance and facade suites race-enabled at
-# GOMAXPROCS 1 and 4. ivm.System.Workers defaults to GOMAXPROCS, so at
-# -cpu 1 the default is the sequential program and at -cpu 4 the per-level
-# view fan-out: both get race coverage without a knob.
+# GOMAXPROCS 1 and 4. ivm.System.Workers defaults to GOMAXPROCS, and
+# MaintainAll has one level schedule at every width: at -cpu 1 it runs each
+# level's views inline and at -cpu 4 on goroutines, so both get race
+# coverage without a knob.
 race-ivm:
 	$(GO) test -race -cpu 1,4 ./internal/ivm/ .
 

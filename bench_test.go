@@ -457,7 +457,7 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 // MaintainAll. What a round does once per view rather than once — compacting
 // the log, populating the base i-diff instances — is no stored access, so
 // accesses/op (the views' sum) cannot see it; allocs/op and ns/op do. It runs
-// at Workers 1, the sequential program, whatever the machine.
+// at Workers 1 (each level's views inline) whatever the machine.
 func BenchmarkManyViewsRound(b *testing.B) { benchManyViews(b, 1) }
 
 // BenchmarkManyViewsRoundWorkers2 is the same round with Workers = 2: the

@@ -84,10 +84,6 @@ type ServingOptions struct {
 	MaxDelay time.Duration
 	// Queue is the write queue capacity; a full queue blocks enqueuers.
 	Queue int
-	// PlanCache bounds the LRU over parsed QuerySnapshot plans: 0 picks
-	// the default (64), negative disables caching. The ServingStats
-	// hit/miss counters report its effectiveness.
-	PlanCache int
 }
 
 // WithServing opens the database with the concurrent serving layer
@@ -109,10 +105,9 @@ func Open(opts ...Option) *DB {
 	x := &DB{d: d, sys: sys}
 	if cfg.serving != nil {
 		x.srv = serve.New(d, sys, serve.Options{
-			MaxBatch:  cfg.serving.MaxBatch,
-			MaxDelay:  cfg.serving.MaxDelay,
-			Queue:     cfg.serving.Queue,
-			PlanCache: cfg.serving.PlanCache,
+			MaxBatch: cfg.serving.MaxBatch,
+			MaxDelay: cfg.serving.MaxDelay,
+			Queue:    cfg.serving.Queue,
 		})
 	}
 	return x
@@ -350,9 +345,10 @@ type MaintenanceStats struct {
 
 // SetWorkers bounds maintenance concurrency: Maintain maintains the views of
 // one cascade level concurrently on up to n goroutines (a view's own
-// Δ-script steps always run in order). 1 keeps maintenance fully sequential;
-// 0, the default, means GOMAXPROCS. Results and access counts are identical
-// either way, and a failed Maintain leaves every view as it was.
+// Δ-script steps always run in order). 1 runs each level's views one after
+// another; 0, the default, means GOMAXPROCS. Results, access counts and a
+// failed Maintain's error are the same at any n, and a failed Maintain
+// leaves every view as it was.
 func (x *DB) SetWorkers(n int) { x.sys.Workers = n }
 
 // Maintain incrementally brings every registered view up to date with the
@@ -534,18 +530,11 @@ func (s *Serving) Delete(table string, key ...any) error {
 	return s.EnqueueDelete(table, key...).Wait()
 }
 
-// failedWrite resolves a Pending immediately with an error (for
-// conversion failures that never reach the dispatcher).
-func failedWrite(err error) *PendingWrite {
-	p := serve.NewFailedPending(err)
-	return p
-}
-
 // EnqueueInsert queues an insert for the next batch without waiting.
 func (s *Serving) EnqueueInsert(table string, values ...any) *PendingWrite {
 	t, err := toTuple(values)
 	if err != nil {
-		return failedWrite(err)
+		return serve.NewFailedPending(err)
 	}
 	return s.s.EnqueueInsert(table, t)
 }
@@ -555,11 +544,11 @@ func (s *Serving) EnqueueInsert(table string, values ...any) *PendingWrite {
 func (s *Serving) EnqueueUpdate(table string, key []any, set map[string]any) *PendingWrite {
 	kt, err := s.x.keyTuple(table, key)
 	if err != nil {
-		return failedWrite(err)
+		return serve.NewFailedPending(err)
 	}
 	attrs, vals, err := s.x.setLists(table, set)
 	if err != nil {
-		return failedWrite(err)
+		return serve.NewFailedPending(err)
 	}
 	return s.s.EnqueueUpdate(table, kt, attrs, vals)
 }
@@ -569,7 +558,7 @@ func (s *Serving) EnqueueUpdate(table string, key []any, set map[string]any) *Pe
 func (s *Serving) EnqueueDelete(table string, key ...any) *PendingWrite {
 	kt, err := s.x.keyTuple(table, key)
 	if err != nil {
-		return failedWrite(err)
+		return serve.NewFailedPending(err)
 	}
 	return s.s.EnqueueDelete(table, kt)
 }

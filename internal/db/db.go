@@ -291,9 +291,7 @@ func (d *Database) DerivedLog(view string) []Modification {
 // logs are intra-round state — regenerated when the retried round
 // re-runs the parent views — so keeping them would feed children
 // duplicated entries.
-func (d *Database) ClearDerivedLogs() { d.clearDerived() }
-
-func (d *Database) clearDerived() {
+func (d *Database) ClearDerivedLogs() {
 	d.derivedMu.Lock()
 	for k := range d.derived {
 		delete(d.derived, k)
@@ -367,7 +365,7 @@ func (d *Database) Log() []Modification { return d.log }
 // everything else ends a round with ResetLog.
 func (d *Database) ClearLog() {
 	d.log = nil
-	d.clearDerived()
+	d.ClearDerivedLogs()
 }
 
 // ResetLog ends a successful maintenance round: it clears the modification

@@ -120,27 +120,13 @@ func (x *scriptExec) Bound(name string) (*rel.Binding, error) {
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
 }
 
-// RunScript executes a Δ-script against the database: base diff instances
-// are passed as bindings keyed by BaseBindName; the script's compute steps
-// evaluate plans and bind results; apply steps mutate caches and the view.
-// It opens and closes no epoch: the pre-state its plans read is the one the
+// RunScriptOpts executes a Δ-script against the database: base diff
+// instances are passed as bindings keyed by BaseBindName; the script's compute
+// steps evaluate plans and bind results; apply steps mutate caches and the
+// view. opts picks the counter the run charges and the interpreted oracle. It
+// opens and closes no epoch: the pre-state its plans read is the one the
 // tables' epochs hold (System keeps every view, cache and logged base table
 // in one for life).
-func RunScript(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*PhaseCosts, error) {
-	return runScript(d, s, bindRelations(s, bindings), false, ExecOptions{})
-}
-
-// RunScriptVerified is RunScript plus the Section 2 effectiveness
-// self-check: after execution, every diff instance that was applied to
-// the view is re-validated against the view's post-state (effective diffs
-// are what make the apply order irrelevant). The extra probes are charged
-// like any other access, so use it in tests, not in measured runs.
-func RunScriptVerified(d *db.Database, s *Script, bindings map[string]*rel.Relation) (*PhaseCosts, error) {
-	return runScript(d, s, bindRelations(s, bindings), true, ExecOptions{})
-}
-
-// RunScriptOpts is RunScript with explicit execution options (counter shard,
-// interpreted oracle).
 func RunScriptOpts(d *db.Database, s *Script, bindings map[string]*rel.Relation, opts ExecOptions) (*PhaseCosts, error) {
 	return runScript(d, s, bindRelations(s, bindings), false, opts)
 }

@@ -17,7 +17,7 @@ func TestRunScriptMissingTargets(t *testing.T) {
 			&ApplyStep{Table: "ghost", DiffName: "d", Ph: PhaseViewUpdate},
 		},
 	}
-	if _, err := RunScript(d, s, nil); err == nil || !strings.Contains(err.Error(), "not materialized") {
+	if _, err := RunScriptOpts(d, s, nil, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "not materialized") {
 		t.Fatalf("expected materialization error, got %v", err)
 	}
 }
@@ -32,7 +32,7 @@ func TestRunScriptUnboundDiff(t *testing.T) {
 				Diff: DiffSchema{Type: DiffDelete, Rel: "v", IDs: []string{"k"}}, Ph: PhaseViewUpdate},
 		},
 	}
-	if _, err := RunScript(d, s, nil); err == nil || !strings.Contains(err.Error(), "unbound diff") {
+	if _, err := RunScriptOpts(d, s, nil, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "unbound diff") {
 		t.Fatalf("expected unbound-diff error, got %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestRunScriptComputeErrorPropagates(t *testing.T) {
 		if inEpoch {
 			vt.BeginEpoch()
 		}
-		if _, err := RunScript(d, s, nil); err == nil {
+		if _, err := RunScriptOpts(d, s, nil, ExecOptions{}); err == nil {
 			t.Fatal("expected compute error")
 		}
 		if vt.InEpoch() != inEpoch {
@@ -86,7 +86,7 @@ func TestRunScriptVerifiedCatchesNonEffectiveDiff(t *testing.T) {
 		},
 	}
 	bind := map[string]*rel.Relation{"del": delRows, "ins": insRows}
-	if _, err := RunScriptVerified(d, s, bind); err == nil ||
+	if _, err := runScript(d, s, bindRelations(s, bind), true, ExecOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "non-effective") {
 		t.Fatalf("expected non-effective error, got %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // CheckEpochs checks the invariant the one epoch protocol leaves after every
 // round: every view, cache and logged base table is in its epoch. With a nil
-// want (after a successful MaintainAll, or Maintain + ResetLog) each StatePre
+// want (after a successful MaintainAll, or per-view scripts + ResetLog) each StatePre
 // must equal its StatePost; otherwise (after a failed round) each StatePre
 // must equal want[name], the pre-states recorded before the round. It returns
 // the pre-states it read, sorted and uncharged, for a later call to compare

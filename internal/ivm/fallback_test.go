@@ -77,9 +77,6 @@ func TestReportAccessors(t *testing.T) {
 	if err := s.CheckConsistent("ghost"); err == nil {
 		t.Fatal("consistency of ghost view must fail")
 	}
-	if _, err := s.Maintain("ghost"); err == nil {
-		t.Fatal("maintain of ghost view must fail")
-	}
 	if _, err := s.RegisterView("V", spjPlan(t, d), ivm.ModeID); err == nil {
 		t.Fatal("duplicate registration must fail")
 	}

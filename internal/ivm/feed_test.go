@@ -85,10 +85,72 @@ func checkEpochs(s *ivm.System) error {
 	return err
 }
 
+// viewInstances compacts the base log plus the derived logs of v's sources
+// and populates the i-diff instances of v's own base schemas, keyed by
+// BaseBindName, with the number of diff tuples in them; the log is not
+// consumed. PopulateInstances drops empty instances, so each schema starts
+// bound to an empty relation and an instance replaces the one its schema
+// equals.
+func viewInstances(d *db.Database, v *ivm.View) (map[string]*rel.Relation, int, error) {
+	log := append([]db.Modification(nil), d.Log()...)
+	for _, src := range v.Sources {
+		log = append(log, d.DerivedLog(src)...)
+	}
+	changes, err := ivm.CompactLog(log, func(name string) (rel.Schema, error) {
+		t, err := d.Table(name)
+		if err != nil {
+			return rel.Schema{}, err
+		}
+		return t.Schema(), nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	bindings := make(map[string]*rel.Relation)
+	n := 0
+	for _, table := range v.Script.Base.Tables() {
+		schemas := v.Script.Base[table]
+		for i, ds := range schemas {
+			bindings[ivm.BaseBindName(table, i)] = rel.NewRelation(ds.RelSchema())
+		}
+		nc, ok := changes[table]
+		if !ok {
+			continue
+		}
+		insts, err := ivm.PopulateInstances(nc, schemas)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, inst := range insts {
+			for i, ds := range schemas {
+				if ds.Equal(inst.Schema) {
+					bindings[ivm.BaseBindName(table, i)] = inst.Rows
+					n += inst.Len()
+				}
+			}
+		}
+	}
+	return bindings, n, nil
+}
+
+// maintainView is the per-view reference for one view: its instances
+// (viewInstances), then its Δ-script.
+func maintainView(d *db.Database, v *ivm.View) (*ivm.Report, error) {
+	bindings, n, err := viewInstances(d, v)
+	if err != nil {
+		return nil, err
+	}
+	pc, err := ivm.RunScriptOpts(d, v.Script, bindings, ivm.ExecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &ivm.Report{View: v.Name, Phases: pc, DiffTuples: n}, nil
+}
+
 // TestMaintainAllMatchesPerViewMaintain is the differential on the round's
 // diff feed: one MaintainAll — the log compacted once, one instance per
 // distinct base i-diff schema, shared by all views — against a twin that
-// maintains view by view (each Maintain compacts the log for itself) and
+// maintains view by view (maintainView compacts the log for each view) and
 // resets the log by hand. View and cache state, per-view and per-step access
 // counts, diff tuple counts, Applied instances and the database counters
 // must agree after every round, at Workers 1, 4 and the default (0:
@@ -122,9 +184,10 @@ func TestMaintainAllMatchesPerViewMaintain(t *testing.T) {
 						}
 						var eachReps []*ivm.Report
 						for _, view := range each.views {
-							r, err := each.sys.Maintain(view)
+							v, _ := each.sys.View(view)
+							r, err := maintainView(each.d, v)
 							if err != nil {
-								t.Fatalf("%s: Maintain(%s): %v", ctx, view, err)
+								t.Fatalf("%s: maintainView(%s): %v", ctx, view, err)
 							}
 							eachReps = append(eachReps, r)
 						}

@@ -7,9 +7,10 @@ import (
 	"idivm/internal/rel"
 )
 
-// GenerateInstances must bind EVERY registered base diff schema (empty
-// relations included) so scripts always resolve their references, and it
-// must not consume the log.
+// Instance generation binds EVERY registered base diff schema (empty
+// relations included) so scripts always resolve their references, and
+// compaction does not consume the log. The round's feed binds the same one
+// diff tuple.
 func TestGenerateInstancesBindsEverything(t *testing.T) {
 	d := fig2DB(t)
 	s := ivm.NewSystem(d)
@@ -17,7 +18,7 @@ func TestGenerateInstancesBindsEverything(t *testing.T) {
 
 	mustUpdate(t, d, "parts", []rel.Value{rel.String("P1")}, []string{"price"}, []rel.Value{rel.Int(11)})
 
-	bindings, n, err := s.GenerateInstances(v)
+	bindings, n, err := viewInstances(d, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestGenerateInstancesBindsEverything(t *testing.T) {
 		t.Fatalf("bound diff tuples = %d, want 1", total)
 	}
 	// The log is intact: a second call yields the same instances.
-	b2, n2, err := s.GenerateInstances(v)
+	b2, n2, err := viewInstances(d, v)
 	if err != nil || n2 != 1 {
 		t.Fatalf("second call: n=%d err=%v", n2, err)
 	}
@@ -48,9 +49,12 @@ func TestGenerateInstancesBindsEverything(t *testing.T) {
 			t.Fatalf("binding %s changed between calls", name)
 		}
 	}
-	// Clean up so the epoch closes.
-	if _, err := s.MaintainAll(); err != nil {
+	reports, err := s.MaintainAll()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if reports[0].DiffTuples != 1 {
+		t.Fatalf("the round's feed bound %d diff tuples, want 1", reports[0].DiffTuples)
 	}
 }
 
@@ -75,7 +79,7 @@ func TestInstancesRoutingAcrossSchemas(t *testing.T) {
 		[]string{"category", "weight"},
 		[]rel.Value{rel.String("phone"), rel.Int(280)})
 
-	bindings, _, err := s.GenerateInstances(v)
+	bindings, _, err := viewInstances(d, v)
 	if err != nil {
 		t.Fatal(err)
 	}

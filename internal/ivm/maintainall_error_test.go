@@ -3,6 +3,7 @@ package ivm
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"idivm/internal/algebra"
@@ -36,15 +37,18 @@ func registerSumView(t *testing.T, s *System, name, src, grpCol, valCol string) 
 
 // TestMaintainAllSurfacesLateRegisteredLowerLevelError pins the failure
 // contract when registration order and level order disagree: "B" (level
-// 1) registers before "C" (level 0), and C's maintenance fails after its
-// last step. The level-ordered schedule skips B (nil report, nil error)
-// while C carries the round's only error — MaintainAll must return it, keep
-// the base log for retry, and drop the derived logs the maintained parent
-// "A" produced before the round collapsed (a kept derived log would feed B
+// 1) registers before "C" (level 0), and both fail after their last step.
+// The level schedule runs A and C, stops at level 0 and skips B (nil report,
+// nil error), so C carries the round's only error — MaintainAll must return
+// it naming C, at every Workers with the same access counts, keep the base
+// log for retry, and drop the derived logs the maintained parent "A"
+// produced before the round collapsed (a kept derived log would feed B
 // duplicates on the retried round). The retry must then leave every view
 // equal to its recomputation: A's applies were rolled back with the round,
 // so the retry applies them again and B sees them.
 func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
+	var wantErr string
+	var wantCost rel.CostCounter
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			d := db.New()
@@ -55,16 +59,28 @@ func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 			}
 			s := NewSystem(d)
 			registerSumView(t, s, "A", "item", "grp", "val")
-			registerSumView(t, s, "B", "A", "grp", "total")       // level 1, registered before C
+			b := registerSumView(t, s, "B", "A", "grp", "total")  // level 1, registered before C
 			c := registerSumView(t, s, "C", "item", "grp", "val") // level 0, registered last
-			restore := failAtStep(c, len(c.Script.Steps))
+			restoreB := failAtStep(b, len(b.Script.Steps))
+			restoreC := failAtStep(c, len(c.Script.Steps))
 
 			if err := d.Insert("item", rel.Tuple{rel.Int(100), rel.String("g0"), rel.Int(7)}); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 			s.Workers = workers
-			if _, err := s.MaintainAll(); err == nil {
+			d.Counter().Reset()
+			_, err := s.MaintainAll()
+			if err == nil {
 				t.Fatal("MaintainAll swallowed the failing view's error behind a skipped higher-level view")
+			}
+			if !strings.HasPrefix(err.Error(), "ivm: view C: ") {
+				t.Fatalf("the round's error does not name C: %v", err)
+			}
+			if workers == 1 {
+				wantErr, wantCost = err.Error(), *d.Counter()
+			} else if err.Error() != wantErr || *d.Counter() != wantCost {
+				t.Fatalf("workers=%d failed with %q charging %v; workers=1 with %q charging %v",
+					workers, err, *d.Counter(), wantErr, wantCost)
 			}
 			if len(d.Log()) == 0 {
 				t.Fatal("failed round must keep the base log for retry")
@@ -74,7 +90,8 @@ func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 					t.Fatalf("failed round left %d derived-log entries on %q", len(mods), name)
 				}
 			}
-			restore()
+			restoreB()
+			restoreC()
 			if _, err := s.MaintainAll(); err != nil {
 				t.Fatalf("retry: %v", err)
 			}
@@ -221,7 +238,7 @@ func firstApply(t *testing.T, v *View) int {
 // with Workers 1 and 4. A view's steps run in script order on one goroutine
 // whatever Workers is, so nothing after step k may run: when k is at or
 // before A's first APPLY no APPLY of A lands, and at every k the tables and
-// the access counts of the failed round are those of the sequential run. The
+// the access counts of the failed round are the same at both widths. The
 // tables are read in the UnpinBegin hook, when maintenance has stopped and
 // the rollback has not yet run; once MaintainAll returns, every table must
 // hold its state from before the round again.
@@ -267,10 +284,10 @@ func TestFailedStepStopsItsScript(t *testing.T) {
 				continue
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s: state when the failed round stopped\n %v\nsequential:\n %v", ctx, got, want)
+				t.Fatalf("%s: state when the failed round stopped\n %v\nworkers=1:\n %v", ctx, got, want)
 			}
 			if *d.Counter() != wantCost {
-				t.Fatalf("%s: the failed round charged %v, sequential %v", ctx, *d.Counter(), wantCost)
+				t.Fatalf("%s: the failed round charged %v, workers=1 %v", ctx, *d.Counter(), wantCost)
 			}
 		}
 	}
@@ -292,15 +309,14 @@ func appliedRows(r *Report) []string {
 
 // TestRefilledLogOfEqualLengthIsCompactedAgain runs rounds whose logs all
 // have the same length — one modification each, of a different row: an
-// update, or an insert opening a new group — through MaintainAll and,
-// interleaved, through Maintain + ResetLog. The log is a slice that is
-// dropped and regrown, so nothing about it (its length, where its backing
-// array sits) says whether it was compacted before; anything that remembered
-// a compaction by such a mark would serve the previous round's change here,
-// and the views would lag one round behind. The inserts also cover the
-// cascade on the lone path, which runs first, before any MaintainAll: B's
-// Δ-script keeps a new group of A only if it is absent from A's pre-state,
-// which must still be the round-start state after Maintain("A") applied it.
+// update, or an insert opening a new group — through MaintainAll. The log is
+// a slice that is dropped and regrown, so nothing about it (its length, where
+// its backing array sits) says whether it was compacted before; anything that
+// remembered a compaction by such a mark would serve the previous round's
+// change here, and the views would lag one round behind. The inserts also
+// cover the cascade: B's Δ-script keeps a new group of A only if it is absent
+// from A's pre-state, which must still be the round-start state after A
+// applied it.
 func TestRefilledLogOfEqualLengthIsCompactedAgain(t *testing.T) {
 	d, s := sumViewsDB(t, 0)
 	for round := 0; round < 12; round++ {
@@ -316,14 +332,7 @@ func TestRefilledLogOfEqualLengthIsCompactedAgain(t *testing.T) {
 		if len(d.Log()) != 1 {
 			t.Fatalf("round %d: log has %d entries, want 1", round, len(d.Log()))
 		}
-		if round%3 == 0 {
-			for _, name := range s.ViewNames() {
-				if _, err := s.Maintain(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d.ResetLog()
-		} else if _, err := s.MaintainAll(); err != nil {
+		if _, err := s.MaintainAll(); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range s.ViewNames() {

@@ -42,10 +42,10 @@ type View struct {
 	// base tables only.
 	Sources []string
 	// Level is the view's height in the cascade DAG: 0 over base tables
-	// only, 1 + max(parent levels) otherwise. MaintainAll's scheduler uses
+	// only, 1 + max(parent levels) otherwise. MaintainAll's schedule uses
 	// levels as barriers — a level-L view starts only after every view of
-	// a lower level completed — while views inside one level still fan out
-	// over the worker pool.
+	// a lower level completed — while views inside one level fan out over
+	// up to Workers goroutines.
 	Level int
 	// binds resolves the script's base i-diff bindings once, at registration:
 	// the name each is read under and the feed slot that holds its instance.
@@ -112,18 +112,22 @@ type System struct {
 	DB    *db.Database
 	views map[string]*View
 	order []string
-	slots map[string]*diffSlots // by logged table (base table or cascade source)
+	// levels[l] lists the views of cascade level l as indexes into order,
+	// in registration order: MaintainAll's schedule, built by RegisterView.
+	levels [][]int
+	slots  map[string]*diffSlots // by logged table (base table or cascade source)
 	// SelfCheck makes every maintenance run validate the effectiveness of
 	// the diffs it applies to views (Section 2). The extra probes are
 	// charged to the cost counters, so enable it in tests only.
 	SelfCheck bool
 	// Workers bounds maintenance concurrency: MaintainAll maintains the
-	// views of one cascade level concurrently on up to that many goroutines
-	// (each view charging its own counter shard). 1 keeps maintenance fully
-	// sequential; 0 or less means runtime.GOMAXPROCS(0). A view's Δ-script
-	// runs its steps in script order whatever Workers is. Final view state,
-	// reports and access counts are identical to the sequential run's, and
-	// so is the state a failed round leaves: the one from before the round.
+	// views of one cascade level on up to that many goroutines (each view
+	// charging its own counter shard); 1 runs them one after another on the
+	// calling goroutine, and 0 or less means runtime.GOMAXPROCS(0). It is
+	// the width of the one schedule, not a choice between two: a view's
+	// Δ-script runs its steps in script order, and view state, reports,
+	// access counts and a failed round's error are the same at every
+	// Workers.
 	Workers int
 	// Interpret forces every maintenance round through the interpreted
 	// evaluator instead of the compiled plans cached at registration —
@@ -223,6 +227,10 @@ func (s *System) RegisterView(name string, plan algebra.Node, mode Mode, opts ..
 
 	v := &View{Name: name, Plan: script.ViewPlan, Script: script, Mode: mode, Sources: sources, Level: level,
 		binds: s.bindSlots(script.Base)}
+	if level == len(s.levels) {
+		s.levels = append(s.levels, nil) // a level-L view has a level L-1 source
+	}
+	s.levels[level] = append(s.levels[level], len(s.order))
 	s.views[name] = v
 	s.order = append(s.order, name)
 	return v, nil
@@ -307,16 +315,15 @@ func (s *System) bindSlots(base BaseDiffSchemas) []baseBind {
 // base-table i-diff instances from the modification log", done once per round
 // rather than once per view): each logged table's modifications compacted
 // once, and one instance per distinct base i-diff schema, which every view —
-// and, under Workers > 1, every worker — binding that schema reads. The base
+// on whichever goroutine maintains it — binding that schema reads. The base
 // log is compacted when the feed is built, a cascade source's derived log by
 // addSources once the source is maintained; compaction is per table, so a
 // cascaded view's input is simply the base tables' instances plus its
 // sources'. The feed is filled by the goroutine driving the round before the
 // views that read it start, and is read-only from then on: no lock. It is a
-// value of the round — built by MaintainAll (a lone Maintain builds its own),
-// dropped when the round ends or fails — so a retried round compacts the log
-// again and nothing is remembered about a log that may since have been reset
-// and refilled.
+// value of the round — built by MaintainAll, dropped when the round ends or
+// fails — so a retried round compacts the log again and nothing is
+// remembered about a log that may since have been reset and refilled.
 type diffFeed struct {
 	s *System
 	// inst[table][slot] is the instance of s.slots[table].schemas[slot]; a nil
@@ -329,16 +336,6 @@ type diffFeed struct {
 func (s *System) newFeed() (*diffFeed, error) {
 	f := &diffFeed{s: s, inst: make(map[string][]*rel.Binding), done: make(map[string]bool)}
 	return f, f.add(s.DB.Log())
-}
-
-// feedFor is the throw-away feed of a view maintained on its own: the base
-// log and the derived logs of v's sources, as they are now.
-func (s *System) feedFor(v *View) (*diffFeed, error) {
-	f, err := s.newFeed()
-	if err == nil {
-		err = f.addSources(v)
-	}
-	return f, err
 }
 
 // add compacts a log and populates the instances of every table it changed.
@@ -414,54 +411,6 @@ func (s *System) tableSchema(t string) (rel.Schema, error) {
 	return tab.Schema(), nil
 }
 
-// GenerateInstances compacts the current modification log (and the derived
-// logs of v's cascade sources) into effective per-table net changes and
-// returns the base diff instances v's script consumes, keyed by BaseBindName,
-// with the number of diff tuples in them. All registered schemas get a
-// binding (possibly empty) so scripts can always resolve them. It is what a
-// lone Maintain(v) would read; the log is not consumed.
-func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, error) {
-	feed, err := s.feedFor(v)
-	if err != nil {
-		return nil, 0, err
-	}
-	bind, total := feed.bindings(v)
-	out := make(map[string]*rel.Relation, len(bind))
-	for name, inst := range bind { //ivmlint:allow maprange — map-to-map copy, order-free
-		out[name] = inst.Relation()
-	}
-	return out, total, nil
-}
-
-// Maintain brings one view up to date with the modification log without
-// consuming the log (other views may still need it); call ResetLog (or use
-// MaintainAll) once every view is maintained — it advances the epochs, so
-// until then every pre-state stays the round-start state. It compacts the
-// log for itself — a diff feed of its own, gone when it returns. A failed
-// Maintain rolls nothing back.
-//
-// In a cascade, maintain parents before children within the same round
-// (registration order always satisfies this; MaintainAll does it for
-// you): a child's diff feed is whatever its sources' derived logs hold.
-func (s *System) Maintain(name string) (*Report, error) {
-	v, ok := s.views[name]
-	if !ok {
-		return nil, fmt.Errorf("ivm: unknown view %q", name)
-	}
-	s.PinAllEpochs()
-	feed, err := s.feedFor(v)
-	if err != nil {
-		return nil, err
-	}
-	return s.maintain(v, feed, s.execOptions(nil))
-}
-
-// execOptions is the System's knob set as one script run's options,
-// charging counter (nil = the database-wide one).
-func (s *System) execOptions(counter *rel.CostCounter) ExecOptions {
-	return ExecOptions{Counter: counter, Interpret: s.Interpret}
-}
-
 // workers is Workers resolved: as set when positive, else GOMAXPROCS.
 func (s *System) workers() int {
 	if s.Workers > 0 {
@@ -471,66 +420,49 @@ func (s *System) workers() int {
 }
 
 // maintain runs v's Δ-script over its instances in the feed, which must hold
-// v's sources (addSources).
-func (s *System) maintain(v *View, feed *diffFeed, opts ExecOptions) (*Report, error) {
+// v's sources (addSources), charging counter. An error names the view.
+func (s *System) maintain(v *View, feed *diffFeed, counter *rel.CostCounter) (*Report, error) {
 	bind, n := feed.bindings(v)
 	start := time.Now()
-	pc, err := runScript(s.DB, v.Script, bind, s.SelfCheck, opts)
+	pc, err := runScript(s.DB, v.Script, bind, s.SelfCheck, ExecOptions{Counter: counter, Interpret: s.Interpret})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ivm: view %s: %w", v.Name, err)
 	}
 	return &Report{View: v.Name, Phases: pc, Duration: time.Since(start), DiffTuples: n}, nil
 }
 
 // MaintainAll maintains every registered view against the current log,
-// then clears the log (and every derived log) and advances the epochs. The
-// round has one diff feed (diffFeed): the log is compacted and the base
-// i-diff instances are populated once, whatever the number of views, and
-// every view reads the instances it binds from there. The schedule is
-// topological over the cascade DAG: registration order is already
-// sources-first, and with more than one worker (Workers; by default
-// GOMAXPROCS) the views fan out level by level — levels are barriers, since
-// a cascaded view's diff feed is the i-diffs the same round applied to its
-// parents, while independent views inside a level are maintained
-// concurrently on the worker pool. Views and their caches are disjoint
-// tables, and each view charges a private counter shard, merged into the
-// database counter in registration order once all views complete — so
-// reports and totals are those of the sequential run.
+// then clears the log (and every derived log) and advances the epochs. It is
+// the one maintenance procedure. The round has one diff feed (diffFeed): the
+// log is compacted and the base i-diff instances are populated once, whatever
+// the number of views, and every view reads the instances it binds from
+// there. The schedule goes level by level over the cascade DAG: levels are
+// barriers, since a cascaded view's diff feed is the i-diffs the same round
+// applied to its parents, and parallelFor runs one level's views — inline at
+// Workers 1, on up to Workers goroutines above that. Views and their caches
+// are disjoint tables, and each view charges a private counter shard, merged
+// into the database counter in registration order once the views have run —
+// so reports and totals do not depend on Workers.
 //
 // Every view, cache and logged base table is in its maintenance epoch for
 // life (PinAllEpochs), so StatePre reads anywhere inside the round observe
 // exactly the previous round's post-state — a cascade parent's too, while
 // its own applies run — and each write sets its pre-image aside. A round
 // ends one of two ways. On success db.ResetLog clears the logs and advances
-// every epoch to the new post-state. On failure, wherever and at whatever
-// Workers, every view and cache table is rolled back to its state before
-// the round (RollbackEpoch), the derived logs are dropped and the base log
-// is kept: the retry is the fault-free round. The Hooks fire around the
-// round.
+// every epoch to the new post-state. On failure the level that failed runs
+// to completion (each of its views to its end or its own error), later
+// levels are skipped, and the error returned is that of the failing view
+// earliest in registration order, which it names; the reports are those of
+// the views registered before it that ran. Then every view and cache table
+// is rolled back to its state before the round (RollbackEpoch), the derived
+// logs are dropped and the base log is kept: the retry is the fault-free
+// round. The Hooks fire around the round.
 func (s *System) MaintainAll() ([]*Report, error) {
 	s.PinAllEpochs()
 	if s.Hooks.RoundBegin != nil {
 		s.Hooks.RoundBegin()
 	}
-	var out []*Report
-	feed, err := s.newFeed()
-	switch {
-	case err != nil:
-	case s.workers() > 1 && len(s.order) > 1:
-		out, err = s.maintainAllParallel(feed)
-	default:
-		for _, name := range s.order {
-			v := s.views[name]
-			if err = feed.addSources(v); err != nil {
-				break
-			}
-			var r *Report
-			if r, err = s.maintain(v, feed, s.execOptions(nil)); err != nil {
-				break
-			}
-			out = append(out, r)
-		}
-	}
+	out, err := s.runLevels()
 	if s.Hooks.UnpinBegin != nil {
 		s.Hooks.UnpinBegin()
 	}
@@ -550,6 +482,64 @@ func (s *System) MaintainAll() ([]*Report, error) {
 	}
 	if s.Hooks.RoundEnd != nil {
 		s.Hooks.RoundEnd()
+	}
+	return out, err
+}
+
+// viewRun is one view's part of a round: its report or error, and the
+// counter shard it charged.
+type viewRun struct {
+	report *Report
+	err    error
+	cost   rel.CostCounter
+}
+
+// runLevels is the body of a MaintainAll round, without its hooks, log
+// reset and rollback: it builds the round's feed and runs the levels in
+// order. The feed gains the derived logs a level reads before the level
+// runs, on this goroutine; the views only read it.
+func (s *System) runLevels() ([]*Report, error) {
+	feed, err := s.newFeed()
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]viewRun, len(s.order))
+	for l := range s.levels {
+		idxs := s.levels[l]
+		failed := false
+		for _, i := range idxs {
+			if runs[i].err = feed.addSources(s.views[s.order[i]]); runs[i].err != nil {
+				failed = true
+			}
+		}
+		if !failed {
+			parallelFor(s.workers(), len(idxs), func(k int) {
+				r := &runs[idxs[k]]
+				r.report, r.err = s.maintain(s.views[s.order[idxs[k]]], feed, &r.cost)
+			})
+			for _, i := range idxs {
+				if runs[i].err != nil {
+					failed = true
+				}
+			}
+		}
+		if failed {
+			break
+		}
+	}
+	// Registration order does not imply level order: a level-0 view may
+	// register after a level-1 view, so a view that never ran (a skipped
+	// level) can precede the failing view in registration order.
+	out := make([]*Report, 0, len(runs))
+	for i := range runs {
+		s.DB.MergeCounter(runs[i].cost)
+		switch {
+		case err != nil:
+		case runs[i].err != nil:
+			err = runs[i].err
+		case runs[i].report != nil:
+			out = append(out, runs[i].report)
+		}
 	}
 	return out, err
 }
@@ -590,8 +580,8 @@ func (s *System) epochTables() []*storage.Handle {
 // PinAllEpochs opens a maintenance epoch on every view, cache and logged
 // base table not already in one — the one begin of the epoch protocol, and
 // idempotent: a table enters its epoch when it is materialized or marked
-// logged, and nothing takes it out again. MaintainAll and Maintain call it
-// at round start, the serving layer at attach time. Epoch operations are
+// logged, and nothing takes it out again. MaintainAll calls it at round
+// start, the serving layer at attach time. Epoch operations are
 // uncharged, so counters are unaffected.
 func (s *System) PinAllEpochs() {
 	for _, t := range s.epochTables() {
@@ -599,90 +589,6 @@ func (s *System) PinAllEpochs() {
 			t.BeginEpoch()
 		}
 	}
-}
-
-// maintainAllParallel fans the registered views out over the worker pool,
-// level by level: cascade levels are barriers (a child's diff feed is its
-// parents' applied i-diffs, so level L starts only after every view of a
-// lower level completed), while the views inside one level — independent
-// subtrees by construction — still run concurrently. The feed gains the
-// derived logs a level reads before the level fans out, on this goroutine;
-// the workers only read it. On failure it
-// reports the erroring view earliest in registration order, with the
-// maintained (non-nil) reports of the views registered before it. Every
-// view of the failing level has run to completion or to its own error, and
-// later levels are skipped (they would consume a broken feed); MaintainAll
-// then rolls back all of them, as it does after the sequential path's early
-// return. Log reset and rollback belong to MaintainAll.
-func (s *System) maintainAllParallel(feed *diffFeed) ([]*Report, error) {
-	n := len(s.order)
-	reports := make([]*Report, n)
-	errs := make([]error, n)
-	shards := make([]rel.CostCounter, n)
-	levels := make(map[int][]int)
-	maxLevel := 0
-	for i, name := range s.order {
-		l := s.views[name].Level
-		levels[l] = append(levels[l], i)
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	for l := 0; l <= maxLevel; l++ {
-		idxs := levels[l]
-		if len(idxs) == 0 {
-			continue
-		}
-		failed := false
-		for _, i := range idxs {
-			if errs[i] = feed.addSources(s.views[s.order[i]]); errs[i] != nil {
-				failed = true
-			}
-		}
-		if !failed {
-			parallelFor(s.workers(), len(idxs), func(k int) {
-				i := idxs[k]
-				reports[i], errs[i] = s.maintain(s.views[s.order[i]], feed, s.execOptions(&shards[i]))
-			})
-			for _, i := range idxs {
-				if errs[i] != nil {
-					failed = true
-				}
-			}
-		}
-		if failed {
-			break
-		}
-	}
-	for i := range shards {
-		s.DB.MergeCounter(shards[i])
-	}
-	// Registration order does not imply level order: a level-0 view may
-	// register after a level-1 view, so a nil report (skipped level) can
-	// precede the failing view in registration order. Locate the earliest
-	// non-nil error first — walking reports and stopping at the first nil
-	// would hide an error registered past a skipped view and let the
-	// round commit as if it had succeeded.
-	errIdx := -1
-	for i := range errs {
-		if errs[i] != nil {
-			errIdx = i
-			break
-		}
-	}
-	var out []*Report
-	for i, r := range reports {
-		if errIdx >= 0 && i >= errIdx {
-			break
-		}
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	if errIdx >= 0 {
-		return out, errs[errIdx]
-	}
-	return out, nil
 }
 
 // Recompute evaluates a view's plan from scratch (the correctness oracle

@@ -16,7 +16,7 @@ import (
 	"idivm/internal/algebra"
 )
 
-// defaultPlanCache is the plan-cache capacity when Options.PlanCache is 0.
+// defaultPlanCache is the capacity of every server's plan cache.
 const defaultPlanCache = 64
 
 // planCache is a small LRU from SQL text to a parsed, StatePre-rewritten

@@ -53,24 +53,6 @@ func TestQuerySnapshotPlanCache(t *testing.T) {
 	}
 }
 
-// TestQuerySnapshotPlanCacheDisabled: negative capacity turns the cache
-// off and the counters stay zero.
-func TestQuerySnapshotPlanCacheDisabled(t *testing.T) {
-	opts := flushOpts
-	opts.PlanCache = -1
-	s := newServed(t, engines[0].mk, opts)
-	const sql = `SELECT pid FROM parts`
-	for i := 0; i < 3; i++ {
-		if _, err := s.srv.QuerySnapshot(sql); err != nil {
-			t.Fatalf("QuerySnapshot: %v", err)
-		}
-	}
-	st := s.srv.Stats()
-	if st.PlanCacheHits != 0 || st.PlanCacheMisses != 0 {
-		t.Fatalf("disabled cache moved counters: %+v", st)
-	}
-}
-
 // TestQuerySnapshotPlanCacheConcurrent shares one cached plan across
 // concurrent readers while the dispatcher commits rounds — the shared
 // immutable-plan claim, under -race. The writes go through the server (so

@@ -75,11 +75,6 @@ type Options struct {
 	// Queue is the enqueue buffer capacity (default 1024). A full queue
 	// makes enqueuers block until the dispatcher catches up.
 	Queue int
-	// PlanCache bounds the reader-side LRU over parsed QuerySnapshot
-	// plans, keyed on SQL text: 0 picks the default (64), negative
-	// disables caching. Hits skip the parse and pre-state rewrite; the
-	// Stats hit/miss counters report its effectiveness.
-	PlanCache int
 }
 
 func (o Options) withDefaults() Options {
@@ -88,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Queue <= 0 {
 		o.Queue = 1024
-	}
-	if o.PlanCache == 0 {
-		o.PlanCache = defaultPlanCache
 	}
 	return o
 }
@@ -112,8 +104,7 @@ type Stats struct {
 	// (including any driven outside the dispatcher).
 	Rounds int64
 	// PlanCacheHits counts QuerySnapshot calls served from the plan cache;
-	// PlanCacheMisses counts the ones that parsed. Both stay zero with the
-	// cache disabled.
+	// PlanCacheMisses counts the ones that parsed.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 }
@@ -141,8 +132,8 @@ type Server struct {
 	opCh    chan *pendingOp
 	flushCh chan chan error
 
-	// plans is the reader-side LRU over parsed QuerySnapshot plans (nil
-	// when disabled); the counters track its hit rate.
+	// plans is the reader-side LRU over parsed QuerySnapshot plans, keyed
+	// on SQL text; the counters track its hit rate.
 	plans      *planCache
 	planHits   atomic.Int64
 	planMisses atomic.Int64
@@ -166,17 +157,15 @@ type Server struct {
 // the dispatcher is the single writer.
 func New(d *db.Database, sys *ivm.System, opts Options) *Server {
 	s := &Server{
-		d:    d,
-		sys:  sys,
-		opts: opts.withDefaults(),
+		d:     d,
+		sys:   sys,
+		opts:  opts.withDefaults(),
+		plans: newPlanCache(defaultPlanCache),
 	}
 	s.opCh = make(chan *pendingOp, s.opts.Queue)
 	s.flushCh = make(chan chan error)
 	s.quit = make(chan struct{})
 	s.done = make(chan struct{})
-	if s.opts.PlanCache > 0 {
-		s.plans = newPlanCache(s.opts.PlanCache)
-	}
 
 	prev := sys.Hooks
 	sys.Hooks = ivm.RoundHooks{
@@ -269,8 +258,8 @@ func SnapshotPlan(d *db.Database, sql string) (algebra.Node, error) {
 // consistent with the last completed round (for logged base tables and
 // materialized views; an unlogged table has no snapshot machinery and
 // reads live). Uncharged, like ViewSnapshot. Repeated SQL text is served
-// from the plan cache (see Options.PlanCache): the parse and pre-state
-// rewrite happen once; only failed parses are never cached.
+// from the plan cache (an LRU of defaultPlanCache plans): the parse and
+// pre-state rewrite happen once; only failed parses are never cached.
 func (s *Server) QuerySnapshot(sql string) (*rel.Relation, error) {
 	plan, cached := s.cachedPlan(sql)
 	if !cached {
@@ -278,9 +267,7 @@ func (s *Server) QuerySnapshot(sql string) (*rel.Relation, error) {
 		if plan, err = SnapshotPlan(s.d, sql); err != nil {
 			return nil, err
 		}
-		if s.plans != nil {
-			s.plans.put(sql, plan)
-		}
+		s.plans.put(sql, plan)
 	}
 	env := db.Uncharged{Database: s.d}
 	return s.read(func() (*rel.Relation, error) {
@@ -289,11 +276,7 @@ func (s *Server) QuerySnapshot(sql string) (*rel.Relation, error) {
 }
 
 // cachedPlan consults the plan cache, maintaining the hit/miss counters.
-// With the cache disabled it reports a silent miss.
 func (s *Server) cachedPlan(sql string) (algebra.Node, bool) {
-	if s.plans == nil {
-		return nil, false
-	}
 	if p, ok := s.plans.get(sql); ok {
 		s.planHits.Add(1)
 		return p, true
