@@ -1,14 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-ivm race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
+.PHONY: check build vet test race race-ivm race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
-# tests on both storage engines and of maintenance at both GOMAXPROCS
-# shapes, the repository linter, the non-test line count per package, a
-# short run of the three fuzz targets, and a smoke run of the end-to-end
-# benchmark (a module of its own that `./...` does not reach). Any lint
-# finding fails the build.
-check: build vet race race-sharded race-ivm lint loc fuzz-smoke bench-e2e-smoke
+# tests, also of maintenance at both GOMAXPROCS shapes, the repository
+# linter, the non-test line count per package, a short run of the three
+# fuzz targets, and a smoke run of the end-to-end benchmark (a module of its
+# own that `./...` does not reach). Any lint finding fails the build.
+check: build vet race race-ivm lint loc fuzz-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -22,12 +21,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-sharded re-runs the internal suites on the hash-partitioned storage
-# engine. bench-smoke deliberately stays on the default engine so
-# accesses/op stay comparable to testdata/bench_baseline.json.
-race-sharded:
-	IDIVM_ENGINE=sharded $(GO) test -race ./internal/...
-
 # race-ivm runs the maintenance and facade suites race-enabled at
 # GOMAXPROCS 1 and 4. ivm.System.Workers defaults to GOMAXPROCS, and
 # MaintainAll has one level schedule at every width: at -cpu 1 it runs each
@@ -37,7 +30,8 @@ race-ivm:
 	$(GO) test -race -cpu 1,4 ./internal/ivm/ .
 
 # race-serving is the serving-layer tear-check at both GOMAXPROCS shapes
-# CI uses; the suite matrixes both storage engines internally.
+# CI uses; its readers join two tables in one snapshot, which is what a
+# read overlapping the round-end advance would tear.
 race-serving:
 	$(GO) test -race -cpu 1,4 -run 'Serving|Snapshot|Dispatcher' ./internal/serve/ .
 

@@ -27,7 +27,6 @@ import (
 	"idivm/internal/rel"
 	"idivm/internal/serve"
 	"idivm/internal/sqlview"
-	"idivm/internal/storage"
 )
 
 // Mode selects the diff propagation strategy for a view.
@@ -47,30 +46,12 @@ type DB struct {
 	srv *serve.Server // non-nil when opened WithServing
 }
 
-// Engine selects the storage backend of a database; see MemEngine and
-// ShardedEngine.
-type Engine = storage.Engine
-
-// MemEngine returns the default single-partition in-memory backend.
-func MemEngine() Engine { return storage.NewMem() }
-
-// ShardedEngine returns a hash-partitioned in-memory backend that splits
-// every table into n key-partitioned shards. State, query results and
-// access counts are identical to the default engine; it is slower and
-// allocates more (whole-table reads merge the shards), and exists as the
-// second implementation that keeps the storage boundary honest.
-func ShardedEngine(n int) Engine { return storage.NewSharded(n) }
-
 // Option configures Open.
 type Option func(*openConfig)
 
 type openConfig struct {
-	engine  Engine
 	serving *ServingOptions
 }
-
-// WithEngine selects the storage backend (default MemEngine()).
-func WithEngine(e Engine) Option { return func(c *openConfig) { c.engine = e } }
 
 // ServingOptions tunes the concurrent serving layer; see WithServing.
 // Zero MaxBatch and Queue pick the defaults (128 and 1024); MaxDelay has
@@ -96,11 +77,11 @@ func WithServing(o ServingOptions) Option {
 
 // Open creates an empty database.
 func Open(opts ...Option) *DB {
-	cfg := openConfig{engine: storage.NewMem()}
+	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	d := db.NewWith(cfg.engine)
+	d := db.New()
 	sys := ivm.NewSystem(d)
 	x := &DB{d: d, sys: sys}
 	if cfg.serving != nil {

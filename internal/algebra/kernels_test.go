@@ -8,15 +8,14 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
-	"idivm/internal/storage"
 )
 
 // bigDB builds a 3000-row table: the large-input coverage of every kernel.
 // val mixes floats and NULLs so the group-by has to reproduce the oracle's
 // exact fold order — float addition is not associative.
-func bigDB(t testing.TB, e storage.Engine) *db.Database {
+func bigDB(t testing.TB) *db.Database {
 	t.Helper()
-	d := db.NewWith(e)
+	d := db.New()
 	big := d.MustCreateTable("big", rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"}))
 	for i := 0; i < 3000; i++ {
 		var v rel.Value
@@ -66,9 +65,9 @@ func sameOrderedRelation(t *testing.T, label string, a, b *rel.Relation) {
 }
 
 // TestKernelsMatchSequential compiles representative plans over every
-// kernel and runs them on the 3000-row inputs, on mem and sharded backends,
-// against the interpreted oracle: results must be identical row-for-row, in
-// order, and the access counters byte-identical.
+// kernel and runs them on the 3000-row inputs against the interpreted
+// oracle: results must be identical row-for-row, in order, and the access
+// counters byte-identical.
 func TestKernelsMatchSequential(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	scan := func() algebra.Node { return algebra.NewScan("big", "", sch) }
@@ -97,19 +96,13 @@ func TestKernelsMatchSequential(t *testing.T) {
 			{Fn: algebra.AggAvg, Arg: expr.C("big.val"), As: "a"},
 		}),
 	}
-	engines := map[string]func() storage.Engine{
-		"mem":      storage.NewMem,
-		"sharded8": func() storage.Engine { return storage.NewSharded(8) },
-	}
-	for engName, mk := range engines {
-		t.Run(engName, func(t *testing.T) {
-			d := bigDB(t, mk())
-			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
-			for name, plan := range plans {
-				t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
-			}
-		})
-	}
+	t.Run("mem", func(t *testing.T) {
+		d := bigDB(t)
+		base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
+		for name, plan := range plans {
+			t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
+		}
+	})
 }
 
 // TestKernelsReuseAcrossRuns re-runs one compiled plan many times: a
@@ -127,7 +120,7 @@ func TestKernelsReuseAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := bigDB(t, storage.NewSharded(4))
+	d := bigDB(t)
 	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
 	ref, err := compiled.Run(base)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
-	"idivm/internal/storage"
 )
 
 // Params scales the generated instance.
@@ -65,16 +64,10 @@ type Dataset struct {
 	rng    *rand.Rand
 }
 
-// Build generates the instance on the $IDIVM_ENGINE-selected engine
-// (default in-memory).
+// Build generates the instance.
 func Build(p Params) *Dataset {
-	return BuildWith(p, storage.FromEnv())
-}
-
-// BuildWith is Build on an explicit storage engine.
-func BuildWith(p Params, e storage.Engine) *Dataset {
 	rng := rand.New(rand.NewSource(p.Seed))
-	d := db.NewWith(e)
+	d := db.New()
 
 	user := d.MustCreateTable("user", rel.NewSchema(
 		[]string{"uid", "city", "tweetsnum", "favornum"}, []string{"uid"}))

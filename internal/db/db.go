@@ -92,19 +92,17 @@ type Database struct {
 	derived   map[string][]Modification
 }
 
-// New creates an empty database on the default in-memory engine.
+// New creates an empty database on the in-memory engine.
 func New() *Database {
 	return NewWith(storage.NewMem())
 }
 
-// NewWith creates an empty database on the given storage engine.
+// NewWith creates an empty database on the given storage engine; tests use
+// it to run a database on internal/storage/storagetest's fault engine.
 func NewWith(e storage.Engine) *Database {
 	return &Database{engine: e, tables: make(map[string]*storage.Handle), logging: make(map[string]bool),
 		derivedOn: make(map[string]bool), derived: make(map[string][]Modification)}
 }
-
-// Engine returns the storage engine the catalog allocates tables from.
-func (d *Database) Engine() storage.Engine { return d.engine }
 
 // Counter returns the database-wide cost counter; all registered tables
 // charge to it.

@@ -6,56 +6,73 @@ import (
 
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
+	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/ivm"
 )
 
 // RegisterManyViews registers, in ID mode, the views of the end-to-end
 // benchmark's bsma_views workload in one system: the eight Figure 10 views
-// under their query names, then city_rollup (per-city sums over user),
-// city_hist (a histogram of cities by tweet sum over that view — a cascade)
-// and city_minmax (MIN/MAX of tweetsnum per city).
+// under their query names, then the CityViews.
 func RegisterManyViews(sys *ivm.System, ds *bsma.Dataset) error {
-	register := func(name string, plan algebra.Node) error {
-		if _, err := sys.RegisterView(name, plan, ivm.ModeID); err != nil {
+	register := func(name string, plan algebra.Node, err error) error {
+		if err == nil {
+			_, err = sys.RegisterView(name, plan, ivm.ModeID)
+		}
+		if err != nil {
 			return fmt.Errorf("harness: %s: %w", name, err)
 		}
 		return nil
 	}
 	for _, q := range bsma.QueryNames() {
 		plan, err := ds.Plan(q)
-		if err != nil {
-			return err
-		}
-		if err := register(q, plan); err != nil {
+		if err := register(q, plan, err); err != nil {
 			return err
 		}
 	}
-	user, err := ds.DB.Table("user")
+	for _, name := range CityViews {
+		plan, err := CityPlan(ds.DB, name)
+		if err := register(name, plan, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CityViews names the three views over the BSMA user table that
+// RegisterManyViews adds after the Figure 10 views, in registration order.
+var CityViews = []string{"city_rollup", "city_hist", "city_minmax"}
+
+// CityPlan builds the city view name over d: city_rollup (per-city sums over
+// user), city_hist (a histogram of cities by tweet sum over the city_rollup
+// view, which must be registered — a cascade) or city_minmax (MIN/MAX of
+// tweetsnum per city).
+func CityPlan(d *db.Database, name string) (algebra.Node, error) {
+	src := "user"
+	if name == "city_hist" {
+		src = "city_rollup"
+	}
+	t, err := d.Table(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	scan := algebra.NewScan("user", "", user.Schema())
+	scan := algebra.NewScan(src, "", t.Schema())
 	tweets := expr.C("user.tweetsnum")
-	rollup := algebra.NewProject(
-		algebra.NewGroupBy(scan, []string{"user.city"}, []algebra.Agg{
-			{Fn: algebra.AggSum, Arg: tweets, As: "tweets"},
-			{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "favors"}}),
-		[]algebra.ProjItem{{E: expr.C("user.city"), As: "city"}, {E: expr.C("tweets"), As: "tweets"}, {E: expr.C("favors"), As: "favors"}})
-	if err := register("city_rollup", rollup); err != nil {
-		return err
+	switch name {
+	case "city_rollup":
+		return algebra.NewProject(
+			algebra.NewGroupBy(scan, []string{"user.city"}, []algebra.Agg{
+				{Fn: algebra.AggSum, Arg: tweets, As: "tweets"},
+				{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "favors"}}),
+			[]algebra.ProjItem{{E: expr.C("user.city"), As: "city"}, {E: expr.C("tweets"), As: "tweets"}, {E: expr.C("favors"), As: "favors"}}), nil
+	case "city_hist":
+		return algebra.NewGroupBy(scan, []string{"city_rollup.tweets"},
+			[]algebra.Agg{{Fn: algebra.AggCount, As: "cities"}, {Fn: algebra.AggSum, Arg: expr.C("city_rollup.favors"), As: "favors"}}), nil
+	case "city_minmax":
+		return algebra.NewGroupBy(scan, []string{"user.city"}, []algebra.Agg{
+			{Fn: algebra.AggMin, Arg: tweets, As: "min_tweets"}, {Fn: algebra.AggMax, Arg: tweets, As: "max_tweets"}}), nil
 	}
-	rolled, err := ds.DB.Table("city_rollup")
-	if err != nil {
-		return err
-	}
-	hist := algebra.NewGroupBy(algebra.NewScan("city_rollup", "", rolled.Schema()), []string{"city_rollup.tweets"},
-		[]algebra.Agg{{Fn: algebra.AggCount, As: "cities"}, {Fn: algebra.AggSum, Arg: expr.C("city_rollup.favors"), As: "favors"}})
-	if err := register("city_hist", hist); err != nil {
-		return err
-	}
-	return register("city_minmax", algebra.NewGroupBy(scan, []string{"user.city"}, []algebra.Agg{
-		{Fn: algebra.AggMin, Arg: tweets, As: "min_tweets"}, {Fn: algebra.AggMax, Arg: tweets, As: "max_tweets"}}))
+	return nil, fmt.Errorf("harness: unknown city view %q", name)
 }
 
 // RunSteps maintains the many-views system through one round of the BSMA

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,14 +13,15 @@ import (
 
 	"idivm/internal/db"
 	"idivm/internal/rel"
+	"idivm/internal/storage/storagetest"
 )
 
-// abcDB registers, in the given order, the three views of the failed-round
-// tests over one item table: A, a SUM over item and a cascade source; B, a
-// SUM over A (so A must come before it); C, a SUM over item beside A.
-func abcDB(t *testing.T, order []string, workers int) (*db.Database, *System) {
+// abcDB registers in d, in the given order, the three views of the
+// failed-round tests over one item table: A, a SUM over item and a cascade
+// source; B, a SUM over A (so A must come before it); C, a SUM over item
+// beside A.
+func abcDB(t *testing.T, d *db.Database, order []string, workers int) (*db.Database, *System) {
 	t.Helper()
-	d := db.New()
 	item := d.MustCreateTable("item", rel.NewSchema([]string{"id", "grp", "val"}, []string{"id"}))
 	for i := 0; i < 12; i++ {
 		item.MustInsert(rel.Int(int64(i)), rel.String(fmt.Sprintf("g%d", i%3)), rel.Int(int64(i)))
@@ -79,19 +81,32 @@ func tableStates(t *testing.T, d *db.Database, names []string) []string {
 
 // failAndRetry runs one failed round and its retry: the views of order at
 // workers, failing at step k of view fail (k = len(steps): after its last
-// step), against a twin that never fails. After the failure every view and
-// cache table must hold its state from before the round, the base log must be
-// kept, no derived log may survive, and every view, cache and logged base
-// table must still be in its epoch with the pre-state it had before the round
-// (CheckEpochs). After the retry every view must equal its recomputation and
-// the twin, with the twin's per-view access counts, diff tuple counts and
-// applied instances (as sets, see appliedRows), and every pre-state must equal
-// its post-state.
+// step), against a twin that never fails (see checkFailAndRetry).
 func failAndRetry(t *testing.T, order []string, fail string, k, workers int) {
 	t.Helper()
 	ctx := fmt.Sprintf("order %s, %s fails at step %d, workers %d", strings.Join(order, ","), fail, k, workers)
-	refDB, ref := abcDB(t, order, workers)
-	d, s := abcDB(t, order, workers)
+	d, s := abcDB(t, db.New(), order, workers)
+	checkFailAndRetry(t, ctx, order, workers, d, s, func() error {
+		restore := failAtStep(s.views[fail], k)
+		defer restore()
+		_, err := s.MaintainAll()
+		return err
+	})
+}
+
+// checkFailAndRetry logs one round on d, runs it through sabotaged, which
+// must fail, then retries it, against a twin of s (the views of order at
+// workers) that never fails. After the failure every view and cache table
+// must hold its state from before the round, the base log must be kept, no
+// derived log may survive, and every view, cache and logged base table must
+// still be in its epoch with the pre-state it had before the round
+// (CheckEpochs). After the retry every view must equal its recomputation and
+// the twin, with the twin's per-view access counts, diff tuple counts and
+// applied instances (as sets, see appliedRows), and every pre-state must
+// equal its post-state.
+func checkFailAndRetry(t *testing.T, ctx string, order []string, workers int, d *db.Database, s *System, sabotaged func() error) {
+	t.Helper()
+	refDB, ref := abcDB(t, db.New(), order, workers)
 	preRound, err := s.CheckEpochs(nil)
 	if err != nil {
 		t.Fatalf("%s: after registration: %v", ctx, err)
@@ -100,11 +115,9 @@ func failAndRetry(t *testing.T, order []string, fail string, k, workers int) {
 	abcRound(t, d)
 	tables := viewAndCacheTables(s)
 	before := tableStates(t, d, tables)
-	restore := failAtStep(s.views[fail], k)
-	if _, err := s.MaintainAll(); err == nil {
+	if err := sabotaged(); err == nil {
 		t.Fatalf("%s: the sabotaged round succeeded", ctx)
 	}
-	restore()
 	if got := tableStates(t, d, tables); !slices.Equal(got, before) {
 		t.Fatalf("%s: the failed round was not rolled back:\n %v\nbefore the round:\n %v", ctx, got, before)
 	}
@@ -166,7 +179,7 @@ func failAndRetry(t *testing.T, order []string, fail string, k, workers int) {
 func TestFailedRoundRollsBack(t *testing.T) {
 	workersList := []int{1, 4, 0}
 	for _, seed := range failedRoundSeeds(t) {
-		_, probe := abcDB(t, seed.order, 1)
+		_, probe := abcDB(t, db.New(), seed.order, 1)
 		k := seed.step
 		if k < 0 {
 			k = len(probe.views[seed.fail].Script.Steps)
@@ -176,13 +189,49 @@ func TestFailedRoundRollsBack(t *testing.T) {
 		}
 	}
 	for _, order := range [][]string{{"A", "B", "C"}, {"A", "C", "B"}} {
-		_, probe := abcDB(t, order, 1)
+		_, probe := abcDB(t, db.New(), order, 1)
 		for _, fail := range order {
 			for k := 0; k <= len(probe.views[fail].Script.Steps); k++ {
 				for _, workers := range workersList {
 					failAndRetry(t, order, fail, k, workers)
 				}
 			}
+		}
+	}
+}
+
+// TestStorageFaultRollsBack fails the round inside storage: on the fault
+// engine, at every row n that a fault-free round writes — in the middle of
+// an APPLY instance as well as at its first or last row — at Workers 1 and 4,
+// and checks the failed round and its retry with checkFailAndRetry. The round
+// must fail with the injected error.
+func TestStorageFaultRollsBack(t *testing.T) {
+	order := []string{"A", "B", "C"}
+	for _, workers := range []int{1, 4} {
+		e := storagetest.New()
+		d, s := abcDB(t, db.NewWith(e), order, workers)
+		abcRound(t, d)
+		start := e.Written()
+		if _, err := s.MaintainAll(); err != nil {
+			t.Fatal(err)
+		}
+		rows := e.Written() - start
+		if rows < 10 {
+			t.Fatalf("a fault-free round wrote %d rows; the sweep would exercise nothing", rows)
+		}
+		for n := 1; n <= rows; n++ {
+			e := storagetest.New()
+			d, s := abcDB(t, db.NewWith(e), order, workers)
+			ctx := fmt.Sprintf("row %d of %d fails, workers %d", n, rows, workers)
+			checkFailAndRetry(t, ctx, order, workers, d, s, func() error {
+				e.Arm(n)
+				defer e.Arm(0)
+				_, err := s.MaintainAll()
+				if err != nil && !errors.Is(err, storagetest.ErrInjected) {
+					t.Fatalf("%s: the round failed with %v, not the injected fault", ctx, err)
+				}
+				return err
+			})
 		}
 	}
 }

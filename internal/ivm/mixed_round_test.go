@@ -3,67 +3,26 @@ package ivm_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/db"
-	"idivm/internal/expr"
+	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
-	"idivm/internal/storage"
 )
 
-// The three city views of benchmark/setup.go, re-declared here because a
-// main package cannot be imported: per-city sums over user, a histogram of
-// cities by tweet sum over that view (a cascade), and per-city extremes.
-
-func cityRollupPlan(d *db.Database) algebra.Node {
-	user, _ := d.Table("user")
-	g := algebra.NewGroupBy(algebra.NewScan("user", "", user.Schema()), []string{"user.city"}, []algebra.Agg{
-		{Fn: algebra.AggSum, Arg: expr.C("user.tweetsnum"), As: "tweets"},
-		{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "favors"},
-	})
-	return algebra.NewProject(g, []algebra.ProjItem{
-		{E: expr.C("user.city"), As: "city"},
-		{E: expr.C("tweets"), As: "tweets"},
-		{E: expr.C("favors"), As: "favors"},
-	})
-}
-
-func cityHistPlan(rollup rel.Schema) algebra.Node {
-	return algebra.NewGroupBy(algebra.NewScan("city_rollup", "", rollup), []string{"city_rollup.tweets"}, []algebra.Agg{
-		{Fn: algebra.AggCount, As: "cities"},
-		{Fn: algebra.AggSum, Arg: expr.C("city_rollup.favors"), As: "favors"},
-	})
-}
-
-func cityMinMaxPlan(d *db.Database) algebra.Node {
-	user, _ := d.Table("user")
-	return algebra.NewGroupBy(algebra.NewScan("user", "", user.Schema()), []string{"user.city"}, []algebra.Agg{
-		{Fn: algebra.AggMin, Arg: expr.C("user.tweetsnum"), As: "lo"},
-		{Fn: algebra.AggMax, Arg: expr.C("user.tweetsnum"), As: "hi"},
-	})
-}
-
-// bsmaOrCityPlan builds a BSMA query or one of the city views by name;
+// bsmaOrCityPlan builds a BSMA query or one of harness.CityViews by name;
 // city_hist needs city_rollup registered first.
 func bsmaOrCityPlan(t *testing.T, ds *bsma.Dataset, name string) algebra.Node {
 	t.Helper()
-	switch name {
-	case "city_rollup":
-		return cityRollupPlan(ds.DB)
-	case "city_minmax":
-		return cityMinMaxPlan(ds.DB)
-	case "city_hist":
-		rollup, err := ds.DB.Table("city_rollup")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cityHistPlan(rollup.Schema())
-	}
 	plan, err := ds.Plan(name)
+	if slices.Contains(harness.CityViews, name) {
+		plan, err = harness.CityPlan(ds.DB, name)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +38,7 @@ func mixedParams() bsma.Params {
 
 var mixedViews = []string{"Q*2", "Q*3", "city_rollup", "city_hist"}
 
-// mixedCell is one (engine, executor) configuration of the mixed-round
+// mixedCell is one executor configuration of the mixed-round
 // differential, with its own identically seeded dataset and stream.
 type mixedCell struct {
 	label string
@@ -90,10 +49,10 @@ type mixedCell struct {
 	count rel.CostCounter
 }
 
-func newMixedCell(t *testing.T, label string, e storage.Engine, workers int, interpret bool) *mixedCell {
+func newMixedCell(t *testing.T, label string, workers int, interpret bool) *mixedCell {
 	t.Helper()
 	p := mixedParams()
-	ds := bsma.BuildWith(p, e)
+	ds := bsma.Build(p)
 	sys := ivm.NewSystem(ds.DB)
 	sys.Workers, sys.Interpret = workers, interpret
 	for _, name := range mixedViews {
@@ -236,21 +195,19 @@ func hasGroup(t *testing.T, d *db.Database, view string, v rel.Value) bool {
 // Tables 9/11 (on every other diff) both fire for one view and must not
 // overlap. After every round each view equals its recomputation; the
 // compiled executor matches the interpreted oracle in state, per-step
-// reports and counters; maintaining the views concurrently (Workers 4)
-// matches the sequential run the same way; and the hash-partitioned engine
-// agrees on state.
+// reports and counters; and maintaining the views concurrently (Workers 4)
+// matches the sequential run the same way.
 func TestMixedRoundsDifferential(t *testing.T) {
 	rounds := 50
 	if testing.Short() {
 		rounds = 8
 	}
-	ref := newMixedCell(t, "mem/compiled", storage.NewMem(), 1, false)
+	ref := newMixedCell(t, "compiled", 1, false)
 	exact := []*mixedCell{
-		newMixedCell(t, "mem/interpreted", storage.NewMem(), 1, true),
-		newMixedCell(t, "mem/workers4", storage.NewMem(), 4, false),
+		newMixedCell(t, "interpreted", 1, true),
+		newMixedCell(t, "workers4", 4, false),
 	}
-	sharded := newMixedCell(t, "sharded8/compiled", storage.NewSharded(8), 1, false)
-	all := append([]*mixedCell{ref, sharded}, exact...)
+	all := append([]*mixedCell{ref}, exact...)
 
 	// The dispatch under test is in play: Q*3 and Q*2 take the mixed row
 	// (ΔG ▷ ΔK), the γ over a base-table scan does not.
@@ -283,11 +240,6 @@ func TestMixedRoundsDifferential(t *testing.T) {
 			}
 			if ref.count != c.count {
 				t.Fatalf("round %d %s: counters differ:\n %s %v\n %s %v", round, c.label, ref.label, ref.count, c.label, c.count)
-			}
-		}
-		for _, view := range mixedViews {
-			if want, got := viewState(t, ref.ds.DB, view), viewState(t, sharded.ds.DB, view); !want.EqualSet(got) {
-				t.Fatalf("round %d %s: %s diverges from %s:\n%v\n%v", round, view, sharded.label, ref.label, got.Sorted(), want.Sorted())
 			}
 		}
 

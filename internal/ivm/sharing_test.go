@@ -7,13 +7,14 @@ import (
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/expr"
+	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
 
 // Every script the repository's workloads generate passes the verifier's
 // duplicate-subplan check in both modes: the eight BSMA views, the three
-// city views of benchmark/setup.go (the histogram as a cascade over the
+// city views of harness.CityViews (the histogram as a cascade over the
 // rollup) and the Figure 7 view. RegisterView already runs Verify; it is
 // called again here so a failure names the check. The random-plan
 // generator's scripts go through the same check in
@@ -22,7 +23,7 @@ func TestSharingCheckOnRepositoryScripts(t *testing.T) {
 	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
 		ds := bsma.Build(bsma.Defaults(40))
 		sys := ivm.NewSystem(ds.DB)
-		for _, name := range append(bsma.QueryNames(), "city_rollup", "city_hist", "city_minmax") {
+		for _, name := range append(bsma.QueryNames(), harness.CityViews...) {
 			v := register(t, sys, name, bsmaOrCityPlan(t, ds, name), mode)
 			if err := ivm.Verify(v.Script); err != nil {
 				t.Errorf("%s %s: %v", mode, name, err)
@@ -62,13 +63,13 @@ func TestGroupRuleDispatch(t *testing.T) {
 		// AVG is rewritten to π over γ[SUM, COUNT] and dispatches like them.
 		{"avg over a cache, id mode: per-diff", avg, ivm.ModeID, ivm.GenOptions{}, true, true, false},
 		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
-		{"sum over a base scan: all Table 7", cityRollupPlan(ds.DB), ivm.ModeID, ivm.GenOptions{}, true, false, false},
+		{"sum over a base scan: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, true, false, false},
 		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum);
 		// user.tweetsnum is a key of that γ, whose input is a base scan, so
 		// it stays on Table 7 as well. Without caches there is no rewrite.
-		{"min/max over a base scan", cityMinMaxPlan(ds.DB), ivm.ModeID, ivm.GenOptions{}, true, false, true},
-		{"min/max, caches off", cityMinMaxPlan(ds.DB), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
-		{"min/max, tuple mode", cityMinMaxPlan(ds.DB), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
+		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, true, false, true},
+		{"min/max, caches off", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
+		{"min/max, tuple mode", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 	} {
 		v, err := sys.RegisterView(tc.name, tc.plan, tc.mode, tc.opts)
 		if err != nil {

@@ -26,8 +26,8 @@
 // returns a frozen slice no later write touches. A reader shares nothing
 // with the single writer but the per-table lock, held per operation.
 // The one consistency hazard is the advance window at round end: the
-// sweep refreezes tables (and, on the sharded engine, shards) one at a
-// time, so a reader overlapping it could combine tables from two rounds.
+// sweep refreezes tables one at a time, so a reader overlapping it could
+// combine tables from two rounds.
 // A seqlock brackets exactly that window: the round hooks bump
 // Server.pinSeq to odd when the advance begins and back to even when it
 // ends; readers retry if they started during, or were overlapped by, an

@@ -14,22 +14,16 @@ import (
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/serve"
-	"idivm/internal/storage"
 	"idivm/internal/workload"
 )
 
-// engines are the storage backends every concurrency test runs against:
-// the single-partition default and the sharded engine, whose non-atomic
-// cross-shard epoch close is exactly the tear the seqlock exists for.
-var engines = []struct {
-	name string
-	mk   func() storage.Engine
-}{
-	{"mem", storage.NewMem},
-	{"sharded4", func() storage.Engine { return storage.NewSharded(4) }},
-}
-
 const testView = "v"
+
+// joinQuery reads parts and the served view in one snapshot: every part in
+// the view beside the price the view holds for it. The round-end advance
+// refreezes the two tables one after the other, so a read that overlaps it
+// without the seqlock's retry sees parts from one round and v from another.
+const joinQuery = "SELECT parts.pid AS pid, parts.price AS now, v.price AS seen FROM parts JOIN v ON parts.pid = devices_parts.pid"
 
 // flushOpts never cuts a batch on its own: commits happen only on Flush
 // (or Close), which is how the deterministic tests pin batch composition.
@@ -47,9 +41,9 @@ type served struct {
 	srv *serve.Server
 }
 
-func newServed(t testing.TB, mk func() storage.Engine, opts serve.Options) *served {
+func newServed(t testing.TB, opts serve.Options) *served {
 	t.Helper()
-	ds := workload.BuildWith(testParams(), mk())
+	ds := workload.Build(testParams())
 	sys := ivm.NewSystem(ds.DB)
 	if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
 		t.Fatalf("RegisterView: %v", err)
@@ -180,68 +174,66 @@ func applyServed(t testing.TB, srv *serve.Server, ms []mod) {
 // provably still in flight. The reads must observe exactly the pre-round
 // state.
 func TestSnapshotDuringHeldRound(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			ds := workload.BuildWith(testParams(), e.mk())
-			sys := ivm.NewSystem(ds.DB)
-			if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
-				t.Fatalf("RegisterView: %v", err)
-			}
-			started := make(chan struct{})
-			release := make(chan struct{})
-			var hold sync.Once
-			// Installed before serve.New so the server composes around it.
-			sys.Hooks = ivm.RoundHooks{RoundBegin: func() {
-				hold.Do(func() {
-					close(started)
-					<-release
-				})
-			}}
-			var releaseOnce sync.Once
-			unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Run("mem", func(t *testing.T) {
+		ds := workload.Build(testParams())
+		sys := ivm.NewSystem(ds.DB)
+		if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
+			t.Fatalf("RegisterView: %v", err)
+		}
+		started := make(chan struct{})
+		release := make(chan struct{})
+		var hold sync.Once
+		// Installed before serve.New so the server composes around it.
+		sys.Hooks = ivm.RoundHooks{RoundBegin: func() {
+			hold.Do(func() {
+				close(started)
+				<-release
+			})
+		}}
+		var releaseOnce sync.Once
+		unblock := func() { releaseOnce.Do(func() { close(release) }) }
 
-			srv := serve.New(ds.DB, sys, serve.Options{MaxBatch: 8, MaxDelay: time.Millisecond})
-			defer srv.Close()
-			// Deferred after Close registration so it runs first: Close
-			// must never wait on a still-held round.
-			defer unblock()
+		srv := serve.New(ds.DB, sys, serve.Options{MaxBatch: 8, MaxDelay: time.Millisecond})
+		defer srv.Close()
+		// Deferred after Close registration so it runs first: Close
+		// must never wait on a still-held round.
+		defer unblock()
 
-			before, err := srv.ViewSnapshot(testView)
-			if err != nil {
-				t.Fatalf("ViewSnapshot: %v", err)
-			}
-			newPid := int64(1_000_000)
-			pend := srv.EnqueueInsert("parts", rel.Tuple{rel.Int(newPid), rel.Int(42)})
-			<-started // the round is pinned and provably still open
+		before, err := srv.ViewSnapshot(testView)
+		if err != nil {
+			t.Fatalf("ViewSnapshot: %v", err)
+		}
+		newPid := int64(1_000_000)
+		pend := srv.EnqueueInsert("parts", rel.Tuple{rel.Int(newPid), rel.Int(42)})
+		<-started // the round is pinned and provably still open
 
-			got, err := srv.ViewSnapshot(testView)
-			if err != nil {
-				t.Fatalf("ViewSnapshot during round: %v", err)
-			}
-			if fingerprint(got) != fingerprint(before) {
-				t.Fatalf("mid-round snapshot differs from last completed round")
-			}
-			q, err := srv.QuerySnapshot("SELECT pid, price FROM parts")
-			if err != nil {
-				t.Fatalf("QuerySnapshot during round: %v", err)
-			}
-			if containsPid(q, newPid) {
-				t.Fatalf("mid-round base snapshot leaked the in-flight insert")
-			}
+		got, err := srv.ViewSnapshot(testView)
+		if err != nil {
+			t.Fatalf("ViewSnapshot during round: %v", err)
+		}
+		if fingerprint(got) != fingerprint(before) {
+			t.Fatalf("mid-round snapshot differs from last completed round")
+		}
+		q, err := srv.QuerySnapshot("SELECT pid, price FROM parts")
+		if err != nil {
+			t.Fatalf("QuerySnapshot during round: %v", err)
+		}
+		if containsPid(q, newPid) {
+			t.Fatalf("mid-round base snapshot leaked the in-flight insert")
+		}
 
-			unblock()
-			if err := pend.Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			q, err = srv.QuerySnapshot("SELECT pid, price FROM parts")
-			if err != nil {
-				t.Fatalf("QuerySnapshot after round: %v", err)
-			}
-			if !containsPid(q, newPid) {
-				t.Fatalf("post-round snapshot missing the committed insert")
-			}
-		})
-	}
+		unblock()
+		if err := pend.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		q, err = srv.QuerySnapshot("SELECT pid, price FROM parts")
+		if err != nil {
+			t.Fatalf("QuerySnapshot after round: %v", err)
+		}
+		if !containsPid(q, newPid) {
+			t.Fatalf("post-round snapshot missing the committed insert")
+		}
+	})
 }
 
 func containsPid(r *rel.Relation, pid int64) bool {
@@ -263,9 +255,9 @@ type counterRun struct {
 	viewFP  string
 }
 
-func runDirect(t *testing.T, mk func() storage.Engine, roundsMods [][]mod) counterRun {
+func runDirect(t *testing.T, roundsMods [][]mod) counterRun {
 	t.Helper()
-	ds := workload.BuildWith(testParams(), mk())
+	ds := workload.Build(testParams())
 	sys := ivm.NewSystem(ds.DB)
 	if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
 		t.Fatalf("RegisterView: %v", err)
@@ -281,9 +273,9 @@ func runDirect(t *testing.T, mk func() storage.Engine, roundsMods [][]mod) count
 	return counterRun{counter: *ds.DB.Counter(), viewFP: fingerprint(vt.Relation(rel.StatePost))}
 }
 
-func runServed(t *testing.T, mk func() storage.Engine, roundsMods [][]mod, readers int) counterRun {
+func runServed(t *testing.T, roundsMods [][]mod, readers int) counterRun {
 	t.Helper()
-	s := newServed(t, mk, flushOpts)
+	s := newServed(t, flushOpts)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -329,7 +321,7 @@ func hammer(wg *sync.WaitGroup, srv *serve.Server, stop chan struct{}, viewOut, 
 			lastV = fp
 			record(viewOut, fp)
 		}
-		q, err := srv.QuerySnapshot("SELECT pid, price FROM parts")
+		q, err := srv.QuerySnapshot(joinQuery)
 		if err != nil {
 			record(queryOut, "err: "+err.Error())
 			return
@@ -352,82 +344,80 @@ func record(out *[]string, s string) {
 // concurrent snapshot readers — and identical to the direct
 // single-threaded path, batch for batch.
 func TestReadersDoNotPerturbCounters(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			roundsMods := genRounds(testParams(), 6, 8)
-			direct := runDirect(t, e.mk, roundsMods)
-			quiet := runServed(t, e.mk, roundsMods, 0)
-			loud := runServed(t, e.mk, roundsMods, 4)
+	t.Run("mem", func(t *testing.T) {
+		roundsMods := genRounds(testParams(), 6, 8)
+		direct := runDirect(t, roundsMods)
+		quiet := runServed(t, roundsMods, 0)
+		loud := runServed(t, roundsMods, 4)
 
-			if quiet.counter != direct.counter {
-				t.Errorf("served counters %+v differ from direct %+v", quiet.counter, direct.counter)
-			}
-			if loud.counter != quiet.counter {
-				t.Errorf("counters with readers %+v differ from without %+v", loud.counter, quiet.counter)
-			}
-			if direct.viewFP != quiet.viewFP || quiet.viewFP != loud.viewFP {
-				t.Errorf("final view states diverge across paths")
-			}
-		})
-	}
+		if quiet.counter != direct.counter {
+			t.Errorf("served counters %+v differ from direct %+v", quiet.counter, direct.counter)
+		}
+		if loud.counter != quiet.counter {
+			t.Errorf("counters with readers %+v differ from without %+v", loud.counter, quiet.counter)
+		}
+		if direct.viewFP != quiet.viewFP || quiet.viewFP != loud.viewFP {
+			t.Errorf("final view states diverge across paths")
+		}
+	})
 }
 
 // TestSnapshotTearFreedom is the race-enabled differential tear-check:
-// readers hammer ViewSnapshot and QuerySnapshot through randomized
-// maintenance rounds, and every state they observe must be some round's
-// exact post-state as recorded by a single-threaded replay of the same
-// scripted batches. Run under -race with -cpu 1,4 in CI.
+// readers hammer ViewSnapshot and a QuerySnapshot of joinQuery through
+// randomized maintenance rounds, and every state they observe must be some
+// round's exact post-state as recorded by a single-threaded replay of the
+// same scripted batches. One table advances atomically; the join spans two,
+// so it is the read that catches a seqlock that lets a read overlap the
+// advance. Run under -race with -cpu 1,4 in CI.
 func TestSnapshotTearFreedom(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			rounds := 25
-			if testing.Short() {
-				rounds = 8
-			}
-			roundsMods := genRounds(testParams(), rounds, 8)
+	t.Run("mem", func(t *testing.T) {
+		rounds := 25
+		if testing.Short() {
+			rounds = 8
+		}
+		roundsMods := genRounds(testParams(), rounds, 8)
 
-			// Replay: record every legal state, including the initial one.
-			legalView := map[string]bool{}
-			legalQuery := map[string]bool{}
-			replay := newServed(t, e.mk, flushOpts)
+		// Replay: record every legal state, including the initial one.
+		legalView := map[string]bool{}
+		legalQuery := map[string]bool{}
+		replay := newServed(t, flushOpts)
+		snapInto(t, replay.srv, legalView, legalQuery)
+		for _, ms := range roundsMods {
+			applyServed(t, replay.srv, ms)
 			snapInto(t, replay.srv, legalView, legalQuery)
-			for _, ms := range roundsMods {
-				applyServed(t, replay.srv, ms)
-				snapInto(t, replay.srv, legalView, legalQuery)
-			}
+		}
 
-			// Concurrent run: same batches, hammering readers.
-			s := newServed(t, e.mk, flushOpts)
-			const readers = 3
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			obsView := make([][]string, readers)
-			obsQuery := make([][]string, readers)
-			for i := 0; i < readers; i++ {
-				wg.Add(1)
-				//ivmlint:allow gostmt — test reader goroutines hammering snapshots
-				go hammer(&wg, s.srv, stop, &obsView[i], &obsQuery[i])
-			}
-			for _, ms := range roundsMods {
-				applyServed(t, s.srv, ms)
-			}
-			close(stop)
-			wg.Wait()
+		// Concurrent run: same batches, hammering readers.
+		s := newServed(t, flushOpts)
+		const readers = 3
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		obsView := make([][]string, readers)
+		obsQuery := make([][]string, readers)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			//ivmlint:allow gostmt — test reader goroutines hammering snapshots
+			go hammer(&wg, s.srv, stop, &obsView[i], &obsQuery[i])
+		}
+		for _, ms := range roundsMods {
+			applyServed(t, s.srv, ms)
+		}
+		close(stop)
+		wg.Wait()
 
-			for i := 0; i < readers; i++ {
-				for _, fp := range obsView[i] {
-					if !legalView[fp] {
-						t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
-					}
-				}
-				for _, fp := range obsQuery[i] {
-					if !legalQuery[fp] {
-						t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
-					}
+		for i := 0; i < readers; i++ {
+			for _, fp := range obsView[i] {
+				if !legalView[fp] {
+					t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
 				}
 			}
-		})
-	}
+			for _, fp := range obsQuery[i] {
+				if !legalQuery[fp] {
+					t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
+				}
+			}
+		}
+	})
 }
 
 // TestSnapshotTearFreedomUnderFailedRounds is TestSnapshotTearFreedom with
@@ -443,101 +433,99 @@ func TestSnapshotTearFreedom(t *testing.T) {
 // the final state must be the replay's, with every view equal to its
 // recomputation.
 func TestSnapshotTearFreedomUnderFailedRounds(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			rounds := 12
-			if testing.Short() {
-				rounds = 6
-			}
-			roundsMods := genRounds(testParams(), rounds, 8)
+	t.Run("mem", func(t *testing.T) {
+		rounds := 12
+		if testing.Short() {
+			rounds = 6
+		}
+		roundsMods := genRounds(testParams(), rounds, 8)
 
-			legalView := map[string]bool{}
-			legalQuery := map[string]bool{}
-			replay := newServed(t, e.mk, flushOpts)
+		legalView := map[string]bool{}
+		legalQuery := map[string]bool{}
+		replay := newServed(t, flushOpts)
+		snapInto(t, replay.srv, legalView, legalQuery)
+		for _, ms := range roundsMods {
+			applyServed(t, replay.srv, ms)
 			snapInto(t, replay.srv, legalView, legalQuery)
-			for _, ms := range roundsMods {
-				applyServed(t, replay.srv, ms)
-				snapInto(t, replay.srv, legalView, legalQuery)
-			}
+		}
 
-			ds := workload.BuildWith(testParams(), e.mk())
-			sys := ivm.NewSystem(ds.DB)
-			for _, name := range []string{testView, "f"} {
-				if _, err := sys.RegisterView(name, ds.SPJPlan(), ivm.ModeID); err != nil {
-					t.Fatalf("RegisterView %s: %v", name, err)
-				}
+		ds := workload.Build(testParams())
+		sys := ivm.NewSystem(ds.DB)
+		for _, name := range []string{testView, "f"} {
+			if _, err := sys.RegisterView(name, ds.SPJPlan(), ivm.ModeID); err != nil {
+				t.Fatalf("RegisterView %s: %v", name, err)
 			}
-			vt, _ := ds.DB.Table(testView)
-			hist := algebra.NewGroupBy(algebra.NewScan(testView, "", vt.Schema()), []string{testView + ".price"},
-				[]algebra.Agg{{Fn: algebra.AggCount, As: "n"}})
-			if _, err := sys.RegisterView("c", hist, ivm.ModeID); err != nil {
-				t.Fatalf("RegisterView c: %v", err)
-			}
-			srv := serve.New(ds.DB, sys, flushOpts)
-			t.Cleanup(func() { srv.Close() })
-			f, _ := sys.View("f")
-			steps := f.Script.Steps
-			boom := &ivm.ComputeStep{Name: "boom", Ph: ivm.PhaseViewCompute,
-				Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
+		}
+		vt, _ := ds.DB.Table(testView)
+		hist := algebra.NewGroupBy(algebra.NewScan(testView, "", vt.Schema()), []string{testView + ".price"},
+			[]algebra.Agg{{Fn: algebra.AggCount, As: "n"}})
+		if _, err := sys.RegisterView("c", hist, ivm.ModeID); err != nil {
+			t.Fatalf("RegisterView c: %v", err)
+		}
+		srv := serve.New(ds.DB, sys, flushOpts)
+		t.Cleanup(func() { srv.Close() })
+		f, _ := sys.View("f")
+		steps := f.Script.Steps
+		boom := &ivm.ComputeStep{Name: "boom", Ph: ivm.PhaseViewCompute,
+			Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
 
-			const readers = 3
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			obsView := make([][]string, readers)
-			obsQuery := make([][]string, readers)
-			for i := 0; i < readers; i++ {
-				wg.Add(1)
-				//ivmlint:allow gostmt — test reader goroutines hammering snapshots
-				go hammer(&wg, srv, stop, &obsView[i], &obsQuery[i])
+		const readers = 3
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		obsView := make([][]string, readers)
+		obsQuery := make([][]string, readers)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			//ivmlint:allow gostmt — test reader goroutines hammering snapshots
+			go hammer(&wg, srv, stop, &obsView[i], &obsQuery[i])
+		}
+		failed := 0
+		for r, ms := range roundsMods {
+			if r%3 != 1 || r == len(roundsMods)-1 {
+				applyServed(t, srv, ms)
+				continue
 			}
-			failed := 0
-			for r, ms := range roundsMods {
-				if r%3 != 1 || r == len(roundsMods)-1 {
-					applyServed(t, srv, ms)
-					continue
-				}
-				// The dispatcher reads the script only inside a round, and
-				// Flush returns after the round: no round runs while it changes.
-				f.Script.Steps = append(steps[:len(steps):len(steps)], boom)
-				if err := applyServedFailing(srv, ms); err != nil {
-					t.Fatalf("round %d: %v", r, err)
-				}
-				f.Script.Steps = steps
-				failed++
+			// The dispatcher reads the script only inside a round, and
+			// Flush returns after the round: no round runs while it changes.
+			f.Script.Steps = append(steps[:len(steps):len(steps)], boom)
+			if err := applyServedFailing(srv, ms); err != nil {
+				t.Fatalf("round %d: %v", r, err)
 			}
-			close(stop)
-			wg.Wait()
+			f.Script.Steps = steps
+			failed++
+		}
+		close(stop)
+		wg.Wait()
 
-			for i := 0; i < readers; i++ {
-				for _, fp := range obsView[i] {
-					if !legalView[fp] {
-						t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
-					}
-				}
-				for _, fp := range obsQuery[i] {
-					if !legalQuery[fp] {
-						t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
-					}
+		for i := 0; i < readers; i++ {
+			for _, fp := range obsView[i] {
+				if !legalView[fp] {
+					t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
 				}
 			}
-			final, err := srv.ViewSnapshot(testView)
-			if err != nil {
+			for _, fp := range obsQuery[i] {
+				if !legalQuery[fp] {
+					t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
+				}
+			}
+		}
+		final, err := srv.ViewSnapshot(testView)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := replay.srv.ViewSnapshot(testView)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(final) != fingerprint(want) {
+			t.Fatalf("after %d failed rounds the view differs from the replay's", failed)
+		}
+		for _, name := range sys.ViewNames() {
+			if err := sys.CheckConsistent(name); err != nil {
 				t.Fatal(err)
 			}
-			want, err := replay.srv.ViewSnapshot(testView)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fingerprint(final) != fingerprint(want) {
-				t.Fatalf("after %d failed rounds the view differs from the replay's", failed)
-			}
-			for _, name := range sys.ViewNames() {
-				if err := sys.CheckConsistent(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // applyServedFailing drives one round that must fail: Flush and every op
@@ -564,75 +552,73 @@ func applyServedFailing(srv *serve.Server, ms []mod) error {
 // retained result must stay what it was; under -race any write into the
 // retained memory is reported as well.
 func TestRetainedSnapshotsSurviveRounds(t *testing.T) {
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
-			s := newServed(t, e.mk, flushOpts)
-			roundsMods := genRounds(testParams(), 6, 24)
-			applyServed(t, s.srv, roundsMods[0]) // the epochs have advanced at least once
+	t.Run("mem", func(t *testing.T) {
+		s := newServed(t, flushOpts)
+		roundsMods := genRounds(testParams(), 6, 24)
+		applyServed(t, s.srv, roundsMods[0]) // the epochs have advanced at least once
 
-			scanPre := func(name string) []rel.Tuple {
-				h, err := s.ds.DB.Table(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return h.WithCounter(nil).Scan(rel.StatePre)
-			}
-			snap, err := s.srv.ViewSnapshot(testView)
+		scanPre := func(name string) []rel.Tuple {
+			h, err := s.ds.DB.Table(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			held := [][]rel.Tuple{scanPre(testView), scanPre("parts"), snap.Tuples}
-			want := make([]string, len(held))
-			render := func(rows []rel.Tuple) string {
-				var b strings.Builder
-				for _, r := range rows {
-					b.WriteString(r.String())
-				}
-				return b.String()
+			return h.WithCounter(nil).Scan(rel.StatePre)
+		}
+		snap, err := s.srv.ViewSnapshot(testView)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := [][]rel.Tuple{scanPre(testView), scanPre("parts"), snap.Tuples}
+		want := make([]string, len(held))
+		render := func(rows []rel.Tuple) string {
+			var b strings.Builder
+			for _, r := range rows {
+				b.WriteString(r.String())
 			}
-			for i, rows := range held {
-				want[i] = render(rows)
-			}
+			return b.String()
+		}
+		for i, rows := range held {
+			want[i] = render(rows)
+		}
 
-			stop := make(chan struct{})
-			changed := make(chan int, 1)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			//ivmlint:allow gostmt — test reader re-reading retained snapshots beside the rounds
-			go func() {
-				defer wg.Done()
-				for {
-					for i, rows := range held {
-						if render(rows) != want[i] {
-							select {
-							case changed <- i:
-							default:
-							}
-							return
+		stop := make(chan struct{})
+		changed := make(chan int, 1)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		//ivmlint:allow gostmt — test reader re-reading retained snapshots beside the rounds
+		go func() {
+			defer wg.Done()
+			for {
+				for i, rows := range held {
+					if render(rows) != want[i] {
+						select {
+						case changed <- i:
+						default:
 						}
-					}
-					select {
-					case <-stop:
 						return
-					default:
 					}
 				}
-			}()
-			for _, ms := range roundsMods[1:] {
-				applyServed(t, s.srv, ms)
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
-			close(stop)
-			wg.Wait()
-			select {
-			case i := <-changed:
-				t.Fatalf("retained result %d (0 view scan, 1 parts scan, 2 ViewSnapshot) was modified by a later round", i)
-			default:
-			}
-			if now := render(scanPre("parts")); now == want[1] {
-				t.Fatal("the rounds changed nothing in parts: the test exercised no write")
-			}
-		})
-	}
+		}()
+		for _, ms := range roundsMods[1:] {
+			applyServed(t, s.srv, ms)
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case i := <-changed:
+			t.Fatalf("retained result %d (0 view scan, 1 parts scan, 2 ViewSnapshot) was modified by a later round", i)
+		default:
+		}
+		if now := render(scanPre("parts")); now == want[1] {
+			t.Fatal("the rounds changed nothing in parts: the test exercised no write")
+		}
+	})
 }
 
 func snapInto(t testing.TB, srv *serve.Server, legalView, legalQuery map[string]bool) {
@@ -642,9 +628,17 @@ func snapInto(t testing.TB, srv *serve.Server, legalView, legalQuery map[string]
 		t.Fatalf("ViewSnapshot: %v", err)
 	}
 	legalView[fingerprint(v)] = true
-	q, err := srv.QuerySnapshot("SELECT pid, price FROM parts")
+	q, err := srv.QuerySnapshot(joinQuery)
 	if err != nil {
 		t.Fatalf("QuerySnapshot: %v", err)
+	}
+	if len(q.Tuples) == 0 {
+		t.Fatal("joinQuery read no rows")
+	}
+	for _, r := range q.Tuples {
+		if !r[1].Equal(r[2]) {
+			t.Fatalf("between rounds, part %v costs %v and the view holds %v", r[0], r[1], r[2])
+		}
 	}
 	legalQuery[fingerprint(q)] = true
 }
@@ -660,7 +654,7 @@ func clip(s string) string {
 // dispatcher's error and lifecycle semantics.
 func TestDispatcherBatching(t *testing.T) {
 	t.Run("maxbatch", func(t *testing.T) {
-		s := newServed(t, storage.NewMem, serve.Options{MaxBatch: 3, MaxDelay: time.Hour})
+		s := newServed(t, serve.Options{MaxBatch: 3, MaxDelay: time.Hour})
 		p1 := s.srv.EnqueueUpdate("parts", []rel.Value{rel.Int(1)}, []string{"price"}, []rel.Value{rel.Int(7)})
 		p2 := s.srv.EnqueueUpdate("parts", []rel.Value{rel.Int(2)}, []string{"price"}, []rel.Value{rel.Int(8)})
 		p3 := s.srv.EnqueueUpdate("parts", []rel.Value{rel.Int(3)}, []string{"price"}, []rel.Value{rel.Int(9)})
@@ -675,7 +669,7 @@ func TestDispatcherBatching(t *testing.T) {
 	})
 
 	t.Run("maxdelay", func(t *testing.T) {
-		s := newServed(t, storage.NewMem, serve.Options{MaxBatch: 1 << 20, MaxDelay: 2 * time.Millisecond})
+		s := newServed(t, serve.Options{MaxBatch: 1 << 20, MaxDelay: 2 * time.Millisecond})
 		if err := s.srv.Insert("parts", rel.Tuple{rel.Int(9_001), rel.Int(1)}); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
@@ -685,7 +679,7 @@ func TestDispatcherBatching(t *testing.T) {
 	})
 
 	t.Run("immediate", func(t *testing.T) {
-		s := newServed(t, storage.NewMem, serve.Options{MaxBatch: 1 << 20})
+		s := newServed(t, serve.Options{MaxBatch: 1 << 20})
 		if err := s.srv.Insert("parts", rel.Tuple{rel.Int(9_002), rel.Int(1)}); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
@@ -698,7 +692,7 @@ func TestDispatcherBatching(t *testing.T) {
 	})
 
 	t.Run("flush-idle", func(t *testing.T) {
-		s := newServed(t, storage.NewMem, flushOpts)
+		s := newServed(t, flushOpts)
 		if err := s.srv.Flush(); err != nil {
 			t.Fatalf("idle Flush: %v", err)
 		}
@@ -708,7 +702,7 @@ func TestDispatcherBatching(t *testing.T) {
 	})
 
 	t.Run("op-errors", func(t *testing.T) {
-		s := newServed(t, storage.NewMem, flushOpts)
+		s := newServed(t, flushOpts)
 		dup := s.srv.EnqueueInsert("parts", rel.Tuple{rel.Int(0), rel.Int(1)}) // pid 0 exists
 		ok := s.srv.EnqueueUpdate("parts", []rel.Value{rel.Int(1)}, []string{"price"}, []rel.Value{rel.Int(5)})
 		missing := s.srv.EnqueueDelete("parts", []rel.Value{rel.Int(99_999_999)})
@@ -727,7 +721,7 @@ func TestDispatcherBatching(t *testing.T) {
 	})
 
 	t.Run("close", func(t *testing.T) {
-		s := newServed(t, storage.NewMem, flushOpts)
+		s := newServed(t, flushOpts)
 		pend := s.srv.EnqueueInsert("parts", rel.Tuple{rel.Int(9_004), rel.Int(1)})
 		if err := s.srv.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -757,7 +751,7 @@ func TestDispatcherBatching(t *testing.T) {
 
 // TestSnapshotUnknownView pins the error path.
 func TestSnapshotUnknownView(t *testing.T) {
-	s := newServed(t, storage.NewMem, flushOpts)
+	s := newServed(t, flushOpts)
 	if _, err := s.srv.ViewSnapshot("nope"); err == nil || !strings.Contains(err.Error(), "unknown table") {
 		t.Fatalf("ViewSnapshot(nope) = %v, want unknown table", err)
 	}

@@ -52,68 +52,66 @@ func recvDelta(t testing.TB, sub *serve.Subscription) serve.Delta {
 // the stream onto a copy of the initial view state and comparing with
 // ViewSnapshot after every round.
 func TestSubscribeStreamsAppliedDiffs(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			s := newServed(t, eng.mk, flushOpts)
-			sub, err := s.srv.Subscribe(testView, 0)
-			if err != nil {
-				t.Fatalf("Subscribe: %v", err)
-			}
-			defer sub.Close()
-			if sub.View() != testView {
-				t.Fatalf("View() = %q", sub.View())
-			}
+	t.Run("mem", func(t *testing.T) {
+		s := newServed(t, flushOpts)
+		sub, err := s.srv.Subscribe(testView, 0)
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		defer sub.Close()
+		if sub.View() != testView {
+			t.Fatalf("View() = %q", sub.View())
+		}
 
-			// Shadow copy of the view, maintained only by replaying deltas.
-			snap, err := s.srv.ViewSnapshot(testView)
-			if err != nil {
-				t.Fatalf("ViewSnapshot: %v", err)
+		// Shadow copy of the view, maintained only by replaying deltas.
+		snap, err := s.srv.ViewSnapshot(testView)
+		if err != nil {
+			t.Fatalf("ViewSnapshot: %v", err)
+		}
+		shadow := db.New().MustCreateTable("shadow", snap.Schema)
+		for _, row := range snap.Tuples {
+			if err := shadow.Insert(row); err != nil {
+				t.Fatalf("seeding shadow: %v", err)
 			}
-			shadow := db.New().MustCreateTable("shadow", snap.Schema)
-			for _, row := range snap.Tuples {
-				if err := shadow.Insert(row); err != nil {
-					t.Fatalf("seeding shadow: %v", err)
-				}
-			}
+		}
 
-			for round := 1; round <= 5; round++ {
-				updateBatch(t, s, 40, 1000+round)
-				d := recvDelta(t, sub)
-				if d.Round != int64(round) || d.View != testView {
-					t.Fatalf("delta (round=%d view=%q), want (round=%d view=%q)",
-						d.Round, d.View, round, testView)
+		for round := 1; round <= 5; round++ {
+			updateBatch(t, s, 40, 1000+round)
+			d := recvDelta(t, sub)
+			if d.Round != int64(round) || d.View != testView {
+				t.Fatalf("delta (round=%d view=%q), want (round=%d view=%q)",
+					d.Round, d.View, round, testView)
+			}
+			if len(d.Diffs) == 0 {
+				t.Fatalf("round %d: delta carries no i-diffs", round)
+			}
+			for _, inst := range d.Diffs {
+				if inst.Schema.Rel != testView {
+					t.Fatalf("round %d: diff targets %q", round, inst.Schema.Rel)
 				}
-				if len(d.Diffs) == 0 {
-					t.Fatalf("round %d: delta carries no i-diffs", round)
-				}
-				for _, inst := range d.Diffs {
-					if inst.Schema.Rel != testView {
-						t.Fatalf("round %d: diff targets %q", round, inst.Schema.Rel)
-					}
-					if _, err := inst.Apply(shadow); err != nil {
-						t.Fatalf("round %d: replay: %v", round, err)
-					}
-				}
-				want, err := s.srv.ViewSnapshot(testView)
-				if err != nil {
-					t.Fatalf("round %d: ViewSnapshot: %v", round, err)
-				}
-				got := shadow.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost)
-				got.Schema = snap.Schema // same attrs; EqualSet checks names too
-				if !got.EqualSet(want) {
-					t.Fatalf("round %d: replayed state diverged:\n got %v\nwant %v",
-						round, got.Sorted(), want.Sorted())
+				if _, err := inst.Apply(shadow); err != nil {
+					t.Fatalf("round %d: replay: %v", round, err)
 				}
 			}
-		})
-	}
+			want, err := s.srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("round %d: ViewSnapshot: %v", round, err)
+			}
+			got := shadow.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost)
+			got.Schema = snap.Schema // same attrs; EqualSet checks names too
+			if !got.EqualSet(want) {
+				t.Fatalf("round %d: replayed state diverged:\n got %v\nwant %v",
+					round, got.Sorted(), want.Sorted())
+			}
+		}
+	})
 }
 
 // TestSubscribeBackpressure pins the bounded-buffer contract: with a full
 // buffer the dispatcher blocks (writes don't commit) until the consumer
 // drains or unsubscribes.
 func TestSubscribeBackpressure(t *testing.T) {
-	s := newServed(t, engines[0].mk, flushOpts)
+	s := newServed(t, flushOpts)
 	sub, err := s.srv.Subscribe(testView, 1)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -159,7 +157,7 @@ func TestSubscribeBackpressure(t *testing.T) {
 // over C() still drains buffered deltas before the channel closes; and
 // Close unblocks a dispatcher stuck on the closed subscription's buffer.
 func TestSubscribeCloseDrains(t *testing.T) {
-	s := newServed(t, engines[0].mk, flushOpts)
+	s := newServed(t, flushOpts)
 	sub, err := s.srv.Subscribe(testView, 4)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -219,7 +217,7 @@ func TestSubscribeCloseDrains(t *testing.T) {
 // best-effort once quit fires), resolve the in-flight writes, and still
 // close the channel so the buffered delta drains.
 func TestServerCloseUnblocksAbandonedSubscriber(t *testing.T) {
-	s := newServed(t, engines[0].mk, flushOpts)
+	s := newServed(t, flushOpts)
 	sub, err := s.srv.Subscribe(testView, 1)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -274,7 +272,7 @@ func TestServerCloseUnblocksAbandonedSubscriber(t *testing.T) {
 // TestSubscribeServerClose: server teardown closes every subscription
 // channel after the final commit's deltas were delivered.
 func TestSubscribeServerClose(t *testing.T) {
-	s := newServed(t, engines[0].mk, flushOpts)
+	s := newServed(t, flushOpts)
 	sub, err := s.srv.Subscribe(testView, 0)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -298,7 +296,7 @@ func TestSubscribeServerClose(t *testing.T) {
 
 // TestSubscribeUnknownView rejects names that aren't registered views.
 func TestSubscribeUnknownView(t *testing.T) {
-	s := newServed(t, engines[0].mk, flushOpts)
+	s := newServed(t, flushOpts)
 	_, err := s.srv.Subscribe("nope", 0)
 	if err == nil || !strings.Contains(err.Error(), "unknown view") {
 		t.Fatalf("Subscribe(nope): %v", err)
@@ -312,7 +310,7 @@ func TestSubscribeUnknownView(t *testing.T) {
 // TestSubscribeQuietRound: a committed round that doesn't touch the view
 // still delivers a delta (with empty Diffs), keeping Round contiguous.
 func TestSubscribeQuietRound(t *testing.T) {
-	s := newServed(t, engines[0].mk, flushOpts)
+	s := newServed(t, flushOpts)
 	// A table no view reads: its writes commit rounds with no view work.
 	s.ds.DB.MustCreateTable("side", rel.NewSchema([]string{"k", "v"}, []string{"k"}))
 	sub, err := s.srv.Subscribe(testView, 0)

@@ -5,9 +5,9 @@
 //
 // The boundary has three pieces:
 //
-//   - Engine — the backend factory: creating (and, for persistent backends,
-//     opening) named keyed tables. The catalog in internal/db owns the
-//     name→table mapping and delegates allocation here.
+//   - Engine — the backend factory: creating named keyed tables. The catalog
+//     in internal/db owns the name→table mapping and delegates allocation
+//     here.
 //   - Table — the per-relation data plane: full scans, keyed and secondary
 //     index lookups, the diff-batch apply operations (InsertIfAbsent /
 //     DeleteWhere / UpdateWhere, the APPLY semantics of the paper's
@@ -16,19 +16,16 @@
 //   - Handle — the cost-counting decorator every consumer goes through.
 //     Backends implement pure storage; Handle derives the paper's
 //     access-count charges (Section 6) from each call and its result, so
-//     every backend is costed by exactly one piece of code and access
-//     counts are byte-identical across engines by construction.
+//     charging is one piece of code whatever the backend.
 //
-// Two backends ship: the default in-memory engine (NewMem, backed by
-// rel.Table) and a hash-partitioned engine (NewSharded) that splits every
-// table into N key-partitioned rel.Tables — the existence proof that the
-// boundary is real.
+// One backend ships: the in-memory engine (NewMem, backed by rel.Table).
+// The boundary's second implementation is the fault-injecting test engine
+// in internal/storage/storagetest, which wraps it.
 package storage
 
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"idivm/internal/rel"
@@ -40,9 +37,11 @@ import (
 // uniformly by Handle.
 //
 // The concurrency contract matches rel.Table's: readers (Scan/Get/Lookup/
-// LookupInto/Len/Rows/Relation) may run concurrently; writers are
-// serialized per table by the Δ-script scheduler and must be safe against
-// concurrent readers of the other state (pre-state probes during apply).
+// LookupInto/Len/Rows/Relation) may run concurrently; a table has one
+// writer at a time — a maintenance round gives each view and cache table to
+// one view, whose Δ-script applies its steps in order — and writes must be
+// safe against concurrent readers of the other state (pre-state probes
+// during apply).
 type Table interface {
 	// Name returns the table's name.
 	Name() string
@@ -116,9 +115,7 @@ type Table interface {
 	// Its cost must be proportional to the rows written since the epoch
 	// opened or last advanced, not to the table: db.ResetLog calls it on
 	// every table in an epoch after every round, inside the window
-	// snapshot readers spin through. Sharded backends may advance shard by
-	// shard; callers needing cross-shard atomicity must coordinate above
-	// this interface.
+	// snapshot readers spin through.
 	AdvanceEpoch()
 	// BeginEpoch freezes the current contents as the pre-state; subsequent
 	// mutations affect only the post-state (deferred IVM, Section 3). It
@@ -134,8 +131,7 @@ type Table interface {
 	// proportional to those writes, and leaves the epoch open. The
 	// pre-state does not change, so a concurrent StatePre reader is
 	// unaffected; outside an epoch it does nothing. A failed maintenance
-	// round calls it on every view and cache table it wrote. Sharded
-	// backends roll back shard by shard, like AdvanceEpoch.
+	// round calls it on every view and cache table it wrote.
 	RollbackEpoch()
 	// InEpoch reports whether a maintenance epoch is open.
 	InEpoch() bool
@@ -146,40 +142,17 @@ type Table interface {
 // (db.Database) owns the name→table mapping, logging policy and the
 // database-wide counter; per-table state lives behind Table.
 type Engine interface {
-	// Kind identifies the backend ("mem", "sharded/4", …) for diagnostics.
-	Kind() string
 	// Create allocates a new empty table with the given schema. The schema
 	// must declare a non-empty primary key.
 	Create(name string, schema rel.Schema) (Table, error)
 }
 
-// EnvVar is the environment variable FromEnv consults; the test harness
-// uses it to route entire experiment runs onto an alternate backend
-// (CI runs the internal test suite with IDIVM_ENGINE=sharded).
-const EnvVar = "IDIVM_ENGINE"
-
-// DefaultShards is the partition count FromEnv uses for "sharded" without
-// an explicit count.
-const DefaultShards = 4
-
-// FromEnv selects an engine from $IDIVM_ENGINE: empty or "mem" is the
-// default in-memory engine, "sharded" is a hash-partitioned engine with
-// DefaultShards partitions, and "sharded:N" selects N partitions. A
-// malformed value panics: a typo silently falling back to the default
-// would defeat the CI job that exists to exercise the second backend.
+// FromEnv returns the in-memory engine, the only one. $IDIVM_ENGINE may be
+// empty or "mem"; any other value panics, so a run configured for another
+// backend fails instead of quietly testing mem.
 func FromEnv() Engine {
-	v := strings.TrimSpace(os.Getenv(EnvVar))
-	switch {
-	case v == "" || v == "mem":
-		return NewMem()
-	case v == "sharded":
-		return NewSharded(DefaultShards)
-	case strings.HasPrefix(v, "sharded:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(v, "sharded:"))
-		if err != nil || n < 1 {
-			panic(fmt.Sprintf("storage: malformed %s=%q (want sharded:N with N ≥ 1)", EnvVar, v))
-		}
-		return NewSharded(n)
+	if v := strings.TrimSpace(os.Getenv("IDIVM_ENGINE")); v != "" && v != "mem" {
+		panic(fmt.Sprintf("storage: IDIVM_ENGINE=%q names no engine; the only one is \"mem\"", v))
 	}
-	panic(fmt.Sprintf("storage: unknown %s=%q (want \"mem\", \"sharded\" or \"sharded:N\")", EnvVar, v))
+	return NewMem()
 }

@@ -1,6 +1,6 @@
-package storage
+package storage_test
 
-// Handle charging rules, asserted per backend: the decorator derives every
+// Handle charging rules, asserted per engine: the decorator derives every
 // charge from (call, result), so the same workload must charge the same
 // counts on every engine — the invariant the CI bench gate pins globally.
 
@@ -9,18 +9,19 @@ import (
 
 	"idivm/internal/rel"
 	"idivm/internal/rel/epochtest"
+	"idivm/internal/storage"
 )
 
-func countedParts(t *testing.T, e Engine) (*Handle, *rel.CostCounter) {
+func countedParts(t *testing.T, e storage.Engine) (*storage.Handle, *rel.CostCounter) {
 	t.Helper()
-	h := NewHandle(mkParts(t, e))
+	h := storage.NewHandle(mkParts(t, e))
 	c := new(rel.CostCounter)
 	h.SetCounter(c)
 	return h, c
 }
 
 func TestHandleCostAccounting(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
 		h, c := countedParts(t, e)
 
 		h.Scan(rel.StatePost)
@@ -66,7 +67,7 @@ func TestHandleCostAccounting(t *testing.T) {
 }
 
 func TestHandleErrorPathsUncharged(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
 		h, c := countedParts(t, e)
 		c.Reset()
 
@@ -104,7 +105,7 @@ func TestHandleErrorPathsUncharged(t *testing.T) {
 }
 
 func TestHandleInsertIfAbsentCharges(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
 		h, c := countedParts(t, e)
 		c.Reset()
 		if ins, err := epochtest.InsertRowIfAbsent(h, rel.Tuple{rel.String("P4"), rel.Int(40)}); err != nil || !ins {
@@ -124,7 +125,7 @@ func TestHandleInsertIfAbsentCharges(t *testing.T) {
 }
 
 func TestHandleDeleteKeyCharges(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
 		h, c := countedParts(t, e)
 		c.Reset()
 		if !h.DeleteKey([]rel.Value{rel.String("P1")}) {
@@ -146,7 +147,7 @@ func TestHandleDeleteKeyCharges(t *testing.T) {
 // UpdateKeyLogged returns both images from one key resolution and charges the
 // Get, UpdateKey, Get it stands for; UpdateKey charges its own lookup and write.
 func TestHandleUpdateKeyLoggedCharges(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
 		h, c := countedParts(t, e)
 		p1, price := []rel.Value{rel.String("P1")}, []string{"price"}
 		c.Reset()
@@ -179,8 +180,7 @@ func TestHandleUpdateKeyLoggedCharges(t *testing.T) {
 }
 
 func TestHandleWithCounter(t *testing.T) {
-	e := NewMem()
-	h, c := countedParts(t, e)
+	h, c := countedParts(t, storage.NewMem())
 	if h.WithCounter(c) != h {
 		t.Fatal("same-counter WithCounter must return the receiver")
 	}
@@ -194,36 +194,27 @@ func TestHandleWithCounter(t *testing.T) {
 		t.Fatal("WithCounter must share the backend")
 	}
 	// A nil counter discards charges without crashing.
-	NewHandle(h.Backend()).Scan(rel.StatePost)
+	storage.NewHandle(h.Backend()).Scan(rel.StatePost)
 }
 
+// TestFromEnv: the variable that once selected a backend accepts only the
+// one there is, and panics on anything else.
 func TestFromEnv(t *testing.T) {
-	cases := []struct {
-		v    string
-		kind string
-	}{
-		{"", "mem"},
-		{"mem", "mem"},
-		{"sharded", "sharded/4"},
-		{"sharded:2", "sharded/2"},
-		{"sharded:8", "sharded/8"},
-		{" mem ", "mem"}, // surrounding whitespace is trimmed
-	}
-	for _, tc := range cases {
-		t.Setenv(EnvVar, tc.v)
-		if got := FromEnv().Kind(); got != tc.kind {
-			t.Errorf("FromEnv(%q) = %s, want %s", tc.v, got, tc.kind)
+	for _, v := range []string{"", "mem", " mem "} {
+		t.Setenv("IDIVM_ENGINE", v)
+		if storage.FromEnv() != storage.NewMem() {
+			t.Errorf("FromEnv(%q) is not the mem engine", v)
 		}
 	}
-	for _, bad := range []string{"sharded:0", "sharded:-1", "sharded:x", "sharded:", "disk"} {
-		t.Setenv(EnvVar, bad)
+	for _, bad := range []string{"sharded", "sharded:2", "disk"} {
+		t.Setenv("IDIVM_ENGINE", bad)
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("FromEnv(%q) must panic", bad)
 				}
 			}()
-			FromEnv()
+			storage.FromEnv()
 		}()
 	}
 }
@@ -233,7 +224,7 @@ func TestFromEnv(t *testing.T) {
 // inside the mutation, never through charged reads — so enabling derived
 // logging for a cascade cannot perturb the gated access counts.
 func TestHandleCaptureOpCharges(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, e Engine) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
 		h, c := countedParts(t, e)
 
 		n, err := epochtest.UpdateRowsWhere(h, []string{"price"}, []rel.Value{rel.Int(20)},

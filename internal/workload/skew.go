@@ -7,7 +7,6 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
-	"idivm/internal/storage"
 )
 
 // SkewParams configures the skewed-join workload: a tweets ⋈ follows feed
@@ -57,18 +56,12 @@ func (ds *SkewDataset) userID() int64 {
 	return int64(ds.rng.Intn(ds.Params.Users))
 }
 
-// BuildSkew generates the dataset on the $IDIVM_ENGINE-selected backend:
-// follows(fid, uid) with uid ~ the key distribution (celebrities collect
-// huge follower buckets) and tweets(twid, uid) with the same author
-// distribution.
+// BuildSkew generates the dataset: follows(fid, uid) with uid ~ the key
+// distribution (celebrities collect huge follower buckets) and tweets(twid,
+// uid) with the same author distribution.
 func BuildSkew(p SkewParams) *SkewDataset {
-	return BuildSkewWith(p, storage.FromEnv())
-}
-
-// BuildSkewWith is BuildSkew on an explicit storage engine.
-func BuildSkewWith(p SkewParams, e storage.Engine) *SkewDataset {
 	rng := rand.New(rand.NewSource(p.Seed))
-	ds := &SkewDataset{DB: db.NewWith(e), Params: p, rng: rng}
+	ds := &SkewDataset{DB: db.New(), Params: p, rng: rng}
 	if p.ZipfS > 1 {
 		ds.zipf = rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Users-1))
 	}

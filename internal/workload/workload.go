@@ -13,7 +13,6 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
-	"idivm/internal/storage"
 )
 
 // Params configures one experiment instance. The paper's defaults
@@ -63,17 +62,8 @@ type Dataset struct {
 // when Joins > 2 — vertically-decomposed side tables R1..R(j-2) joined
 // 1-to-1 on (did, pid), mirroring Section 7.2's varying-joins setup.
 func Build(p Params) *Dataset {
-	return BuildWith(p, storage.FromEnv())
-}
-
-// BuildWith is Build on an explicit storage engine. Build itself selects
-// the engine from $IDIVM_ENGINE (default in-memory), which is how CI runs
-// the whole experiment harness against the sharded backend; the
-// engine-differential tests use BuildWith to hold two engines side by
-// side.
-func BuildWith(p Params, e storage.Engine) *Dataset {
 	rng := rand.New(rand.NewSource(p.Seed))
-	d := db.NewWith(e)
+	d := db.New()
 
 	parts := d.MustCreateTable("parts", rel.NewSchema([]string{"pid", "price"}, []string{"pid"}))
 	for i := 0; i < p.Parts; i++ {
