@@ -9,6 +9,8 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // mixedKeys drives hash joins with repeats, misses, a NULL, and a kind
@@ -115,18 +117,24 @@ func batchPlans() map[string]algebra.Node {
 }
 
 // TestBatchMatchesTupleMode runs every plan through the interpreted
-// evaluator (the oracle) and through the compiled plan: rows must match in
-// exact order and the access counters must be byte-identical — the columnar
-// kernels are invisible to the cost model.
+// evaluator (the oracle) and through the compiled plan, on mem and sharded
+// backends: rows must match in exact order and the access counters must be
+// byte-identical — the columnar kernels are invisible to the cost model.
 func TestBatchMatchesTupleMode(t *testing.T) {
 	plans := batchPlans()
-	t.Run("mem", func(t *testing.T) {
-		d := bigDB(t)
-		base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
-		for name, plan := range plans {
-			t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
-		}
-	})
+	engines := map[string]func() storage.Engine{
+		"mem":      storage.NewMem,
+		"sharded8": func() storage.Engine { return storagetest.Sharded(8) },
+	}
+	for engName, mk := range engines {
+		t.Run(engName, func(t *testing.T) {
+			d := bigDB(t, mk())
+			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
+			for name, plan := range plans {
+				t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
+			}
+		})
+	}
 }
 
 // TestBatchReuseAcrossRuns re-runs one compiled plan: a compiled plan owns
@@ -144,7 +152,7 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := bigDB(t)
+	d := bigDB(t, storagetest.Sharded(4))
 	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
 	ref, err := algebra.Eval(plan, base)
 	if err != nil {

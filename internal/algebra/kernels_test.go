@@ -8,14 +8,16 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // bigDB builds a 3000-row table: the large-input coverage of every kernel.
 // val mixes floats and NULLs so the group-by has to reproduce the oracle's
 // exact fold order — float addition is not associative.
-func bigDB(t testing.TB) *db.Database {
+func bigDB(t testing.TB, e storage.Engine) *db.Database {
 	t.Helper()
-	d := db.New()
+	d := db.NewWith(e)
 	big := d.MustCreateTable("big", rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"}))
 	for i := 0; i < 3000; i++ {
 		var v rel.Value
@@ -65,9 +67,9 @@ func sameOrderedRelation(t *testing.T, label string, a, b *rel.Relation) {
 }
 
 // TestKernelsMatchSequential compiles representative plans over every
-// kernel and runs them on the 3000-row inputs against the interpreted
-// oracle: results must be identical row-for-row, in order, and the access
-// counters byte-identical.
+// kernel and runs them on the 3000-row inputs, on mem and sharded backends,
+// against the interpreted oracle: results must be identical row-for-row, in
+// order, and the access counters byte-identical.
 func TestKernelsMatchSequential(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	scan := func() algebra.Node { return algebra.NewScan("big", "", sch) }
@@ -96,13 +98,19 @@ func TestKernelsMatchSequential(t *testing.T) {
 			{Fn: algebra.AggAvg, Arg: expr.C("big.val"), As: "a"},
 		}),
 	}
-	t.Run("mem", func(t *testing.T) {
-		d := bigDB(t)
-		base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
-		for name, plan := range plans {
-			t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
-		}
-	})
+	engines := map[string]func() storage.Engine{
+		"mem":      storage.NewMem,
+		"sharded8": func() storage.Engine { return storagetest.Sharded(8) },
+	}
+	for engName, mk := range engines {
+		t.Run(engName, func(t *testing.T) {
+			d := bigDB(t, mk())
+			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
+			for name, plan := range plans {
+				t.Run(name, func(t *testing.T) { checkAgainstEval(t, d, base, plan) })
+			}
+		})
+	}
 }
 
 // TestKernelsReuseAcrossRuns re-runs one compiled plan many times: a
@@ -120,7 +128,7 @@ func TestKernelsReuseAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := bigDB(t)
+	d := bigDB(t, storagetest.Sharded(4))
 	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": bigKeys()}}
 	ref, err := compiled.Run(base)
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // sizedInput builds n rows (k, g, v): k ascends from 0, g cycles 0..6 and v
@@ -92,12 +94,16 @@ func strategyPlans() map[string]algebra.Node {
 }
 
 // TestCompiledStrategiesAtInputSizes runs every compiled strategy on 0-,
-// 1- and 1025-row inputs, and requires what Eval
+// 1- and 1025-row inputs on both engines, and requires what Eval
 // produces: the same schema, every row at schema width, the same rows in
 // the same order, and byte-identical access counters. A zero-row
 // short-circuit that hands back a batch of the wrong width, or returns
 // before a charged access the oracle makes, fails here.
 func TestCompiledStrategiesAtInputSizes(t *testing.T) {
+	engines := []struct {
+		name string
+		mk   func() storage.Engine
+	}{{"mem", storage.NewMem}, {"sharded8", func() storage.Engine { return storagetest.Sharded(8) }}}
 	limRel := rel.NewRelation(rel.NewSchema([]string{"x"}, nil))
 	for _, x := range []int64{-1, 0, 1, 3, 700} {
 		limRel.Add(rel.Tuple{rel.Int(x)})
@@ -105,22 +111,24 @@ func TestCompiledStrategiesAtInputSizes(t *testing.T) {
 	limRel.Add(rel.Tuple{rel.Null()})
 	plans := strategyPlans()
 
-	for _, n := range []int{0, 1, 1025} {
-		d := bigDB(t)
-		sch := rel.NewSchema([]string{"k", "g", "v"}, []string{"k"})
-		tbl := d.MustCreateTable("t", sch)
-		rows := sizedInput(n)
-		for _, r := range rows {
-			tbl.MustInsert(r...)
-		}
-		env := &bindEnv{Database: d, rels: map[string]*rel.Relation{
-			"in":  {Schema: sch, Tuples: rows},
-			"lim": limRel,
-		}}
-		for name, plan := range plans {
-			t.Run(fmt.Sprintf("mem/n=%d/%s", n, name), func(t *testing.T) {
-				checkAgainstEval(t, d, env, plan)
-			})
+	for _, eng := range engines {
+		for _, n := range []int{0, 1, 1025} {
+			d := bigDB(t, eng.mk())
+			sch := rel.NewSchema([]string{"k", "g", "v"}, []string{"k"})
+			tbl := d.MustCreateTable("t", sch)
+			rows := sizedInput(n)
+			for _, r := range rows {
+				tbl.MustInsert(r...)
+			}
+			env := &bindEnv{Database: d, rels: map[string]*rel.Relation{
+				"in":  {Schema: sch, Tuples: rows},
+				"lim": limRel,
+			}}
+			for name, plan := range plans {
+				t.Run(fmt.Sprintf("%s/n=%d/%s", eng.name, n, name), func(t *testing.T) {
+					checkAgainstEval(t, d, env, plan)
+				})
+			}
 		}
 	}
 }

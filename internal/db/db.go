@@ -98,7 +98,7 @@ func New() *Database {
 }
 
 // NewWith creates an empty database on the given storage engine; tests use
-// it to run a database on internal/storage/storagetest's fault engine.
+// it to run a database on internal/storage/storagetest's engines.
 func NewWith(e storage.Engine) *Database {
 	return &Database{engine: e, tables: make(map[string]*storage.Handle), logging: make(map[string]bool),
 		derivedOn: make(map[string]bool), derived: make(map[string][]Modification)}

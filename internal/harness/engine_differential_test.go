@@ -2,9 +2,9 @@ package harness
 
 // End-to-end engine differential: the Fig. 12 views (SPJ view V of
 // Figure 1b and aggregate view V' of Figure 5b) registered on the
-// hash-partitioned engine must evolve through mixed
+// hash-partitioned test engine must evolve through mixed
 // insert/update/delete rounds to exactly the view state — and exactly
-// the access counts — of the default in-memory engine.
+// the access counts — of the in-memory engine.
 
 import (
 	"testing"
@@ -12,6 +12,7 @@ import (
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 	"idivm/internal/workload"
 )
 
@@ -20,11 +21,15 @@ type engineRun struct {
 	sys *ivm.System
 }
 
+// buildRun builds the dataset and, when e is not nil, moves it onto e.
 func buildRun(t *testing.T, e storage.Engine, agg bool, mode ivm.Mode) *engineRun {
 	t.Helper()
 	p := workload.Defaults(600)
 	p.DiffSize = 40
-	ds := workload.BuildWith(p, e)
+	ds := workload.Build(p)
+	if e != nil {
+		ds.DB = storagetest.Copy(ds.DB, e)
+	}
 	sys := ivm.NewSystem(ds.DB)
 	plan := ds.SPJPlan()
 	if agg {
@@ -69,8 +74,8 @@ func TestShardedEngineFig12Differential(t *testing.T) {
 		{"spj-tuple", false, ivm.ModeTuple},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := buildRun(t, storage.NewMem(), tc.agg, tc.mode)
-			shard := buildRun(t, storage.NewSharded(4), tc.agg, tc.mode)
+			mem := buildRun(t, nil, tc.agg, tc.mode)
+			shard := buildRun(t, storagetest.Sharded(4), tc.agg, tc.mode)
 			for round := 0; round < 4; round++ {
 				memCost := mem.round(t)
 				shardCost := shard.round(t)

@@ -12,14 +12,16 @@ import (
 	"idivm/internal/expr"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // cascadeDB builds the base table for the cascade tests: item(id, region,
-// grp, val), a two-level rollup hierarchy (region ⊃ grp), seeded so twin
-// databases hold identical instances.
-func cascadeDB(t testing.TB, rows int, seed int64) *db.Database {
+// grp, val), a two-level rollup hierarchy (region ⊃ grp), seeded so both
+// engines hold identical instances.
+func cascadeDB(t testing.TB, eng storage.Engine, rows int, seed int64) *db.Database {
 	t.Helper()
-	d := db.New()
+	d := db.NewWith(eng)
 	addItems(d, rows, seed)
 	return d
 }
@@ -126,7 +128,7 @@ func sortedRowKeys(t testing.TB, d *db.Database, name string) []string {
 }
 
 func TestCascadeRegistration(t *testing.T) {
-	d := cascadeDB(t, 100, 1)
+	d := cascadeDB(t, storage.NewMem(), 100, 1)
 	sys := ivm.NewSystem(d)
 	v1 := register(t, sys, "v1", rollupL1Plan(d), ivm.ModeID)
 	if len(v1.Sources) != 0 || v1.Level != 0 {
@@ -152,7 +154,7 @@ func TestCascadeRegistration(t *testing.T) {
 }
 
 func TestCyclicViewRejected(t *testing.T) {
-	d := cascadeDB(t, 50, 2)
+	d := cascadeDB(t, storage.NewMem(), 50, 2)
 	sys := ivm.NewSystem(d)
 	register(t, sys, "v1", rollupL1Plan(d), ivm.ModeID)
 
@@ -183,81 +185,93 @@ func TestCyclicViewRejected(t *testing.T) {
 // and checks every level against its recompute oracle each round, plus the
 // derived-log lifecycle.
 func TestCascadeMaintenance(t *testing.T) {
-	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
-		t.Run(fmt.Sprintf("mem/%s", mode), func(t *testing.T) {
-			const rows = 150
-			d := cascadeDB(t, rows, 3)
-			sys := ivm.NewSystem(d)
-			sys.SelfCheck = true
-			register(t, sys, "v1", rollupL1Plan(d), mode)
-			register(t, sys, "v2", rollupL2Plan(d, "v1"), mode)
-			register(t, sys, "v3", rollupL2Plan(d, "v2"), mode)
+	for _, eng := range []struct {
+		name string
+		mk   func() storage.Engine
+	}{{"mem", storage.NewMem}, {"sharded4", func() storage.Engine { return storagetest.Sharded(4) }}} {
+		for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
+			t.Run(fmt.Sprintf("%s/%s", eng.name, mode), func(t *testing.T) {
+				const rows = 150
+				d := cascadeDB(t, eng.mk(), rows, 3)
+				sys := ivm.NewSystem(d)
+				sys.SelfCheck = true
+				register(t, sys, "v1", rollupL1Plan(d), mode)
+				register(t, sys, "v2", rollupL2Plan(d, "v1"), mode)
+				register(t, sys, "v3", rollupL2Plan(d, "v2"), mode)
 
-			rng := rand.New(rand.NewSource(7))
-			nextID := int64(rows)
-			for round := 0; round < 5; round++ {
-				mutateItems(t, d, rng, rows, &nextID)
-				if _, err := sys.MaintainAll(); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				for _, v := range []string{"v1", "v2", "v3"} {
-					if err := sys.CheckConsistent(v); err != nil {
+				rng := rand.New(rand.NewSource(7))
+				nextID := int64(rows)
+				for round := 0; round < 5; round++ {
+					mutateItems(t, d, rng, rows, &nextID)
+					if _, err := sys.MaintainAll(); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
-					if n := len(d.DerivedLog(v)); n != 0 {
-						t.Fatalf("round %d: derived log of %s not cleared (%d entries)", round, v, n)
+					for _, v := range []string{"v1", "v2", "v3"} {
+						if err := sys.CheckConsistent(v); err != nil {
+							t.Fatalf("round %d: %v", round, err)
+						}
+						if n := len(d.DerivedLog(v)); n != 0 {
+							t.Fatalf("round %d: derived log of %s not cleared (%d entries)", round, v, n)
+						}
+					}
+					if n := len(d.Log()); n != 0 {
+						t.Fatalf("round %d: modification log not cleared (%d entries)", round, n)
 					}
 				}
-				if n := len(d.Log()); n != 0 {
-					t.Fatalf("round %d: modification log not cleared (%d entries)", round, n)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // TestCascadeMatchesFlattened is the differential acceptance test: after
 // every round, the 2-level cascade's top view holds exactly the rows of
-// the equivalent flattened view registered directly over the base table.
-// (One view per level: the view fan-out has nothing to
+// the equivalent flattened view registered directly over the base table —
+// on both engines. (One view per level: the view fan-out has nothing to
 // overlap here; TestCascadeParallelMatchesSequential covers it.)
 func TestCascadeMatchesFlattened(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		const rows = 150
-		// Twin databases: one carries the cascade, one the flattened
-		// view; both see the same mutation stream.
-		casc := cascadeDB(t, rows, 11)
-		flat := cascadeDB(t, rows, 11)
-		cascSys := ivm.NewSystem(casc)
-		flatSys := ivm.NewSystem(flat)
-		register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)
-		register(t, cascSys, "v2", rollupL2Plan(casc, "v1"), ivm.ModeID)
-		register(t, flatSys, "vflat", flatRollupPlan(flat), ivm.ModeID)
+	engs := []struct {
+		name string
+		mk   func() storage.Engine
+	}{{"mem", storage.NewMem}, {"sharded4", func() storage.Engine { return storagetest.Sharded(4) }}}
 
-		cascRng := rand.New(rand.NewSource(23))
-		flatRng := rand.New(rand.NewSource(23))
-		cascID, flatID := int64(rows), int64(rows)
-		for round := 0; round < 5; round++ {
-			mutateItems(t, casc, cascRng, rows, &cascID)
-			mutateItems(t, flat, flatRng, rows, &flatID)
-			if _, err := cascSys.MaintainAll(); err != nil {
-				t.Fatalf("round %d cascade: %v", round, err)
-			}
-			if _, err := flatSys.MaintainAll(); err != nil {
-				t.Fatalf("round %d flat: %v", round, err)
-			}
-			got := sortedRowKeys(t, casc, "v2")
-			want := sortedRowKeys(t, flat, "vflat")
-			if len(got) != len(want) {
-				t.Fatalf("round %d: cascade %d rows vs flattened %d", round, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("round %d row %d: cascade %q vs flattened %q", round, i, got[i], want[i])
+	for _, eng := range engs {
+		t.Run(eng.name, func(t *testing.T) {
+			const rows = 150
+			// Twin databases: one carries the cascade, one the flattened
+			// view; both see the same mutation stream.
+			casc := cascadeDB(t, eng.mk(), rows, 11)
+			flat := cascadeDB(t, eng.mk(), rows, 11)
+			cascSys := ivm.NewSystem(casc)
+			flatSys := ivm.NewSystem(flat)
+			register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)
+			register(t, cascSys, "v2", rollupL2Plan(casc, "v1"), ivm.ModeID)
+			register(t, flatSys, "vflat", flatRollupPlan(flat), ivm.ModeID)
+
+			cascRng := rand.New(rand.NewSource(23))
+			flatRng := rand.New(rand.NewSource(23))
+			cascID, flatID := int64(rows), int64(rows)
+			for round := 0; round < 5; round++ {
+				mutateItems(t, casc, cascRng, rows, &cascID)
+				mutateItems(t, flat, flatRng, rows, &flatID)
+				if _, err := cascSys.MaintainAll(); err != nil {
+					t.Fatalf("round %d cascade: %v", round, err)
+				}
+				if _, err := flatSys.MaintainAll(); err != nil {
+					t.Fatalf("round %d flat: %v", round, err)
+				}
+				got := sortedRowKeys(t, casc, "v2")
+				want := sortedRowKeys(t, flat, "vflat")
+				if len(got) != len(want) {
+					t.Fatalf("round %d: cascade %d rows vs flattened %d", round, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("round %d row %d: cascade %q vs flattened %q", round, i, got[i], want[i])
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestCascadeParallelMatchesSequential pins the leveled scheduler to the
@@ -266,8 +280,8 @@ func TestCascadeMatchesFlattened(t *testing.T) {
 // so one level genuinely fans out.
 func TestCascadeParallelMatchesSequential(t *testing.T) {
 	const rows = 150
-	seqDB := cascadeDB(t, rows, 31)
-	parDB := cascadeDB(t, rows, 31)
+	seqDB := cascadeDB(t, storage.NewMem(), rows, 31)
+	parDB := cascadeDB(t, storage.NewMem(), rows, 31)
 	seqSys := ivm.NewSystem(seqDB)
 	parSys := ivm.NewSystem(parDB)
 	seqSys.Workers, parSys.Workers = 1, 4
@@ -310,7 +324,7 @@ func TestCascadeParallelMatchesSequential(t *testing.T) {
 // pre-round state reproduces the post-round state.
 func TestCascadeAppliedFeedMatchesReport(t *testing.T) {
 	const rows = 120
-	d := cascadeDB(t, rows, 51)
+	d := cascadeDB(t, storage.NewMem(), rows, 51)
 	sys := ivm.NewSystem(d)
 	register(t, sys, "v1", rollupL1Plan(d), ivm.ModeID)
 	register(t, sys, "v2", rollupL2Plan(d, "v1"), ivm.ModeID)

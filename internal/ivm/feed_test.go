@@ -9,6 +9,8 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // feedCell is one system of the round-feed differential: the running-example
@@ -28,9 +30,9 @@ type feedCell struct {
 
 const feedRows = 120
 
-func newFeedCell(t *testing.T, seed int64, workers int) *feedCell {
+func newFeedCell(t *testing.T, eng storage.Engine, seed int64, workers int) *feedCell {
 	t.Helper()
-	d := fig2DB(t)
+	d := fig2DBOn(t, eng)
 	addItems(d, feedRows, seed)
 	c := &feedCell{d: d, sys: ivm.NewSystem(d), rng: rand.New(rand.NewSource(seed + 1)), nextPt: 50, nextID: feedRows}
 	c.sys.Workers = workers
@@ -153,61 +155,68 @@ func maintainView(d *db.Database, v *ivm.View) (*ivm.Report, error) {
 // resets the log by hand. View and cache state, per-view and per-step access
 // counts, diff tuple counts, Applied instances and the database counters
 // must agree after every round, at Workers 1, 4 and the default (0:
-// GOMAXPROCS), and in both systems every view, cache and logged base table
-// must be in its epoch with its pre-state advanced to its post-state
-// (CheckEpochs). The rounds differ from one another, so a feed that outlived its round — last
+// GOMAXPROCS), on both engines, and in both systems every view, cache and
+// logged base table must be in its epoch with its pre-state advanced to its
+// post-state (CheckEpochs). The
+// rounds differ from one another, so a feed that outlived its round — last
 // round's changes served again — shows up as a state mismatch in the next.
 func TestMaintainAllMatchesPerViewMaintain(t *testing.T) {
+	engines := map[string]func() storage.Engine{
+		"mem":      storage.NewMem,
+		"sharded4": func() storage.Engine { return storagetest.Sharded(4) },
+	}
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, workers := range []int{1, 4, 0} {
-		t.Run(fmt.Sprintf("mem/workers=%d", workers), func(t *testing.T) {
-			for s := 0; s < seeds; s++ {
-				seed := int64(9100 + 10*s)
-				all, each := newFeedCell(t, seed, workers), newFeedCell(t, seed, workers)
-				for round := 0; round < 5; round++ {
-					ctx := fmt.Sprintf("seed %d round %d", seed, round)
-					all.modify(t)
-					each.modify(t)
-					allReps, err := all.sys.MaintainAll()
-					if err != nil {
-						t.Fatalf("%s: MaintainAll: %v", ctx, err)
-					}
-					var eachReps []*ivm.Report
-					for _, view := range each.views {
-						v, _ := each.sys.View(view)
-						r, err := maintainView(each.d, v)
+	for name, mk := range engines {
+		for _, workers := range []int{1, 4, 0} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				for s := 0; s < seeds; s++ {
+					seed := int64(9100 + 10*s)
+					all, each := newFeedCell(t, mk(), seed, workers), newFeedCell(t, mk(), seed, workers)
+					for round := 0; round < 5; round++ {
+						ctx := fmt.Sprintf("seed %d round %d", seed, round)
+						all.modify(t)
+						each.modify(t)
+						allReps, err := all.sys.MaintainAll()
 						if err != nil {
-							t.Fatalf("%s: maintainView(%s): %v", ctx, view, err)
+							t.Fatalf("%s: MaintainAll: %v", ctx, err)
 						}
-						eachReps = append(eachReps, r)
-					}
-					each.d.ResetLog()
+						var eachReps []*ivm.Report
+						for _, view := range each.views {
+							v, _ := each.sys.View(view)
+							r, err := maintainView(each.d, v)
+							if err != nil {
+								t.Fatalf("%s: maintainView(%s): %v", ctx, view, err)
+							}
+							eachReps = append(eachReps, r)
+						}
+						each.d.ResetLog()
 
-					assertReportsMatch(t, ctx, eachReps, allReps)
-					for i := range allReps {
-						if a, e := fmt.Sprint(appliedKeys(allReps[i])), fmt.Sprint(appliedKeys(eachReps[i])); a != e {
-							t.Fatalf("%s: view %s: applied instances differ:\n one feed %s\n per view %s", ctx, allReps[i].View, a, e)
+						assertReportsMatch(t, ctx, eachReps, allReps)
+						for i := range allReps {
+							if a, e := fmt.Sprint(appliedKeys(allReps[i])), fmt.Sprint(appliedKeys(eachReps[i])); a != e {
+								t.Fatalf("%s: view %s: applied instances differ:\n one feed %s\n per view %s", ctx, allReps[i].View, a, e)
+							}
 						}
-					}
-					if a, e := *all.d.Counter(), *each.d.Counter(); a != e {
-						t.Fatalf("%s: database counters differ: one feed %v, per view %v", ctx, a, e)
-					}
-					assertTablesMatch(t, ctx, each.d, all.d, all.tables)
-					for _, c := range []*feedCell{all, each} {
-						if err := checkEpochs(c.sys); err != nil {
-							t.Fatalf("%s: %v", ctx, err)
+						if a, e := *all.d.Counter(), *each.d.Counter(); a != e {
+							t.Fatalf("%s: database counters differ: one feed %v, per view %v", ctx, a, e)
 						}
-					}
-					for _, view := range all.views {
-						if err := all.sys.CheckConsistent(view); err != nil {
-							t.Fatalf("%s: %v", ctx, err)
+						assertTablesMatch(t, ctx, each.d, all.d, all.tables)
+						for _, c := range []*feedCell{all, each} {
+							if err := checkEpochs(c.sys); err != nil {
+								t.Fatalf("%s: %v", ctx, err)
+							}
+						}
+						for _, view := range all.views {
+							if err := all.sys.CheckConsistent(view); err != nil {
+								t.Fatalf("%s: %v", ctx, err)
+							}
 						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -10,15 +10,16 @@ import (
 	"idivm/internal/expr"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
 )
 
 // minMaxItemsDB builds a table with large groups over few distinct values
 // — the regime the ordered-multiset cache targets: recomputing a group
 // from the cache touches one row per distinct value (≤ 15) instead of one
 // per tuple (120).
-func minMaxItemsDB(t testing.TB) *db.Database {
+func minMaxItemsDB(t testing.TB, e storage.Engine) *db.Database {
 	t.Helper()
-	d := db.New()
+	d := db.NewWith(e)
 	items := d.MustCreateTable("items", rel.NewSchema([]string{"id", "grp", "val"}, []string{"id"}))
 	rng := rand.New(rand.NewSource(5))
 	id := 0
@@ -84,9 +85,9 @@ func minMaxMods(t *testing.T, d *db.Database, rng *rand.Rand, nextID *int) {
 // input is a base-table scan, take the per-diff dispatch costs
 // 62 083 on this stream (DESIGN.md §16).
 func TestMinMaxCachedDifferential(t *testing.T) {
-	dC := minMaxItemsDB(t)
-	dI := minMaxItemsDB(t)
-	dN := minMaxItemsDB(t)
+	dC := minMaxItemsDB(t, storage.NewMem())
+	dI := minMaxItemsDB(t, storage.NewMem())
+	dN := minMaxItemsDB(t, storage.NewMem())
 	plan := minMaxItemsPlan(dC)
 
 	sysC := ivm.NewSystem(dC) // compiled, cached path (default)

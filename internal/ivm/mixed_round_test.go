@@ -13,6 +13,8 @@ import (
 	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // bsmaOrCityPlan builds a BSMA query or one of harness.CityViews by name;
@@ -38,7 +40,7 @@ func mixedParams() bsma.Params {
 
 var mixedViews = []string{"Q*2", "Q*3", "city_rollup", "city_hist"}
 
-// mixedCell is one executor configuration of the mixed-round
+// mixedCell is one (engine, executor) configuration of the mixed-round
 // differential, with its own identically seeded dataset and stream.
 type mixedCell struct {
 	label string
@@ -49,10 +51,14 @@ type mixedCell struct {
 	count rel.CostCounter
 }
 
-func newMixedCell(t *testing.T, label string, workers int, interpret bool) *mixedCell {
+// newMixedCell builds the cell's dataset on mem or, when e is not nil, on e.
+func newMixedCell(t *testing.T, label string, e storage.Engine, workers int, interpret bool) *mixedCell {
 	t.Helper()
 	p := mixedParams()
 	ds := bsma.Build(p)
+	if e != nil {
+		ds.DB = storagetest.Copy(ds.DB, e)
+	}
 	sys := ivm.NewSystem(ds.DB)
 	sys.Workers, sys.Interpret = workers, interpret
 	for _, name := range mixedViews {
@@ -195,19 +201,21 @@ func hasGroup(t *testing.T, d *db.Database, view string, v rel.Value) bool {
 // Tables 9/11 (on every other diff) both fire for one view and must not
 // overlap. After every round each view equals its recomputation; the
 // compiled executor matches the interpreted oracle in state, per-step
-// reports and counters; and maintaining the views concurrently (Workers 4)
-// matches the sequential run the same way.
+// reports and counters; maintaining the views concurrently (Workers 4)
+// matches the sequential run the same way; and the hash-partitioned test
+// engine agrees on state.
 func TestMixedRoundsDifferential(t *testing.T) {
 	rounds := 50
 	if testing.Short() {
 		rounds = 8
 	}
-	ref := newMixedCell(t, "compiled", 1, false)
+	ref := newMixedCell(t, "compiled", nil, 1, false)
 	exact := []*mixedCell{
-		newMixedCell(t, "interpreted", 1, true),
-		newMixedCell(t, "workers4", 4, false),
+		newMixedCell(t, "interpreted", nil, 1, true),
+		newMixedCell(t, "workers4", nil, 4, false),
 	}
-	all := append([]*mixedCell{ref}, exact...)
+	sharded := newMixedCell(t, "sharded8/compiled", storagetest.Sharded(8), 1, false)
+	all := append([]*mixedCell{ref, sharded}, exact...)
 
 	// The dispatch under test is in play: Q*3 and Q*2 take the mixed row
 	// (ΔG ▷ ΔK), the γ over a base-table scan does not.
@@ -240,6 +248,11 @@ func TestMixedRoundsDifferential(t *testing.T) {
 			}
 			if ref.count != c.count {
 				t.Fatalf("round %d %s: counters differ:\n %s %v\n %s %v", round, c.label, ref.label, ref.count, c.label, c.count)
+			}
+		}
+		for _, view := range mixedViews {
+			if want, got := viewState(t, ref.ds.DB, view), viewState(t, sharded.ds.DB, view); !want.EqualSet(got) {
+				t.Fatalf("round %d %s: %s diverges from %s:\n%v\n%v", round, view, sharded.label, ref.label, got.Sorted(), want.Sorted())
 			}
 		}
 

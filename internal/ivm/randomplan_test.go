@@ -11,6 +11,8 @@ import (
 	"idivm/internal/expr"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 // planGen builds random-but-valid QSPJADU plans over the running-example
@@ -306,7 +308,7 @@ func TestRandomPlansMaintainCorrectly(t *testing.T) {
 // rewrites (normalizeAggs). This is the check of the rewrites against the
 // plan as written: random γ plans mixing every aggregate class, over NULL
 // arguments and groups that die and come back, in both modes, with and
-// without caches — and after every round the stored view
+// without caches, on both engines — and after every round the stored view
 // must equal algebra.Eval of the plan the test built, which no part of
 // script generation has touched.
 func TestRandomAggregatePlansMatchWrittenPlan(t *testing.T) {
@@ -314,30 +316,36 @@ func TestRandomAggregatePlansMatchWrittenPlan(t *testing.T) {
 	if testing.Short() {
 		trials = 5
 	}
-	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
-		for _, noCache := range []bool{false, true} {
-			t.Run(fmt.Sprintf("mem/%s/nocache=%v", mode, noCache), func(t *testing.T) {
-				for trial := 0; trial < trials; trial++ {
-					rng := rand.New(rand.NewSource(int64(7000 + trial)))
-					d := fig2DB(t)
-					plan := (&planGen{rng: rng, d: d, aggMix: true}).gen()
-					if _, ok := plan.(*algebra.GroupBy); !ok {
-						continue // no did/pid/category column to group by
-					}
-					s := ivm.NewSystem(d)
-					if _, err := s.RegisterView("V", plan, mode, ivm.GenOptions{NoCache: noCache}); err != nil {
-						t.Fatalf("trial %d: register: %v\nplan: %s", trial, err, plan)
-					}
-					nextPart := 50
-					for round := 0; round < 6; round++ {
-						nullableMods(d, rng, &nextPart)
-						if _, err := s.MaintainAll(); err != nil {
-							t.Fatalf("trial %d round %d: %v\nplan: %s", trial, round, err, plan)
+	engines := []struct {
+		name string
+		mk   func() storage.Engine
+	}{{"mem", storage.NewMem}, {"sharded4", func() storage.Engine { return storagetest.Sharded(4) }}}
+	for _, eng := range engines {
+		for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
+			for _, noCache := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/nocache=%v", eng.name, mode, noCache), func(t *testing.T) {
+					for trial := 0; trial < trials; trial++ {
+						rng := rand.New(rand.NewSource(int64(7000 + trial)))
+						d := fig2DBOn(t, eng.mk())
+						plan := (&planGen{rng: rng, d: d, aggMix: true}).gen()
+						if _, ok := plan.(*algebra.GroupBy); !ok {
+							continue // no did/pid/category column to group by
 						}
-						sameAsWritten(t, d, "V", plan, fmt.Sprintf("trial %d round %d", trial, round))
+						s := ivm.NewSystem(d)
+						if _, err := s.RegisterView("V", plan, mode, ivm.GenOptions{NoCache: noCache}); err != nil {
+							t.Fatalf("trial %d: register: %v\nplan: %s", trial, err, plan)
+						}
+						nextPart := 50
+						for round := 0; round < 6; round++ {
+							nullableMods(d, rng, &nextPart)
+							if _, err := s.MaintainAll(); err != nil {
+								t.Fatalf("trial %d round %d: %v\nplan: %s", trial, round, err, plan)
+							}
+							sameAsWritten(t, d, "V", plan, fmt.Sprintf("trial %d round %d", trial, round))
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -401,7 +409,7 @@ func TestDerivedAggregateRounds(t *testing.T) {
 		sameAsWritten(t, d, "V", plan, "NULL mean becomes a number")
 	})
 	t.Run("min/max: delete the minimum", func(t *testing.T) {
-		d := minMaxItemsDB(t)
+		d := minMaxItemsDB(t, storage.NewMem())
 		plan := minMaxItemsPlan(d)
 		s := ivm.NewSystem(d)
 		register(t, s, "V", plan, ivm.ModeID)

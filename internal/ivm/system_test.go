@@ -9,12 +9,21 @@ import (
 	"idivm/internal/expr"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
 )
 
-// fig2DB builds the paper's Figure 2 initial database instance.
+// fig2DB builds the paper's Figure 2 initial database instance on the
+// default mem engine.
 func fig2DB(t testing.TB) *db.Database {
 	t.Helper()
-	d := db.New()
+	return fig2DBOn(t, storage.NewMem())
+}
+
+// fig2DBOn builds the same instance on an explicit storage engine, for the
+// engine-matrix differential tests.
+func fig2DBOn(t testing.TB, eng storage.Engine) *db.Database {
+	t.Helper()
+	d := db.NewWith(eng)
 	parts := d.MustCreateTable("parts", rel.NewSchema([]string{"pid", "price"}, []string{"pid"}))
 	parts.MustInsert(rel.String("P1"), rel.Int(10))
 	parts.MustInsert(rel.String("P2"), rel.Int(20))

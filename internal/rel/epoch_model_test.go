@@ -7,6 +7,7 @@ import (
 	"idivm/internal/rel"
 	"idivm/internal/rel/epochtest"
 	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 )
 
 func newModelTable() *rel.Table { return rel.MustNewTable("t", epochtest.Schema()) }
@@ -34,12 +35,13 @@ func TestTableEpochRandomPrograms(t *testing.T) {
 // The same programs with every key digest cut to two bits: an index then has
 // at most four chains, so nearly every chain mixes keys and each operation
 // runs reader verification, DeleteWhere's "chain only partly matches" branch
-// and head, tail and only-entry unlinks — on a rel.Table, which also checks
-// its chain invariants after every operation, against the full-copy oracle.
-// Correctness must never rest on the digest.
+// and head, tail and only-entry unlinks — on the mem engine (a rel.Table,
+// which also checks its chain invariants after every operation) and on a
+// three-shard table of them, against the full-copy oracle. Correctness must
+// never rest on the digest.
 func TestTableEpochUnderCollidingDigests(t *testing.T) {
 	defer any(newModelTable()).(interface{ NarrowDigests() func() }).NarrowDigests()()
-	runModel(t)
+	runModelOnEngines(t)
 }
 
 // And with the digests whole but only four home cells per digest table
@@ -49,29 +51,42 @@ func TestTableEpochUnderCollidingDigests(t *testing.T) {
 // every operation that each stored digest is still found by probing.
 func TestTableEpochUnderSqueezedHomes(t *testing.T) {
 	defer any(newModelTable()).(interface{ SqueezeHomes() func() }).SqueezeHomes()()
-	runModel(t)
+	runModelOnEngines(t)
 }
 
-// runModel runs the seed programs, random programs and the
-// instance-versus-tuple-by-tuple differential on the mem engine's table.
-func runModel(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		for name, prog := range epochtest.Seeds() {
-			t.Run(name, func(t *testing.T) { epochtest.Run(t, newModelTable(), prog) })
-		}
-		rng := rand.New(rand.NewSource(31))
-		for i := 0; i < 200; i++ {
-			prog := epochtest.RandomProg(rng, 20+rng.Intn(60))
-			if epochtest.Run(t, newModelTable(), prog); t.Failed() {
-				t.Fatalf("program %d failed: %v", i, prog)
+// runModelOnEngines runs the seed programs, random programs and the
+// instance-versus-tuple-by-tuple differential on the mem engine and on three
+// shards.
+func runModelOnEngines(t *testing.T) {
+	for _, eng := range []struct {
+		name string
+		e    storage.Engine
+	}{{"mem", storage.NewMem()}, {"sharded/3", storagetest.Sharded(3)}} {
+		create := func() storage.Table {
+			tab, err := eng.e.Create("t", epochtest.Schema())
+			if err != nil {
+				t.Fatal(err)
 			}
+			return tab
 		}
-		epochtest.RunInstances(t, rng, 60, func() (epochtest.InstanceTable, *rel.CostCounter) {
-			h, cost := storage.NewHandle(newModelTable()), new(rel.CostCounter)
-			h.SetCounter(cost)
-			return h, cost
+		t.Run(eng.name, func(t *testing.T) {
+			for name, prog := range epochtest.Seeds() {
+				t.Run(name, func(t *testing.T) { epochtest.Run(t, create(), prog) })
+			}
+			rng := rand.New(rand.NewSource(31))
+			for i := 0; i < 200; i++ {
+				prog := epochtest.RandomProg(rng, 20+rng.Intn(60))
+				if epochtest.Run(t, create(), prog); t.Failed() {
+					t.Fatalf("program %d failed: %v", i, prog)
+				}
+			}
+			epochtest.RunInstances(t, rng, 60, func() (epochtest.InstanceTable, *rel.CostCounter) {
+				h, cost := storage.NewHandle(create()), new(rel.CostCounter)
+				h.SetCounter(cost)
+				return h, cost
+			})
 		})
-	})
+	}
 }
 
 // maxFuzzOps bounds a fuzz input: the checks after every operation make a

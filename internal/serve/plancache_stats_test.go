@@ -60,59 +60,61 @@ func TestQuerySnapshotPlanCache(t *testing.T) {
 // every reader has read at least twice: a second read of the same SQL is a
 // cache hit, so the final assertion cannot race the readers' start.
 func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		s := newServed(t, serve.Options{MaxBatch: 8})
-		const sql = `SELECT pid, price FROM parts WHERE price < 100`
-		const readers = 4
-		var wg sync.WaitGroup
-		var reads [readers]atomic.Int64
-		stop := make(chan struct{})
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			//ivmlint:allow gostmt — test reader goroutines sharing one cached plan
-			go func(n *atomic.Int64) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			s := newServedOn(t, eng.mk, serve.Options{MaxBatch: 8})
+			const sql = `SELECT pid, price FROM parts WHERE price < 100`
+			const readers = 4
+			var wg sync.WaitGroup
+			var reads [readers]atomic.Int64
+			stop := make(chan struct{})
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				//ivmlint:allow gostmt — test reader goroutines sharing one cached plan
+				go func(n *atomic.Int64) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := s.srv.QuerySnapshot(sql); err != nil {
+							t.Errorf("QuerySnapshot: %v", err)
+							n.Store(2) // let the writer finish
+							return
+						}
+						n.Add(1)
 					}
-					if _, err := s.srv.QuerySnapshot(sql); err != nil {
-						t.Errorf("QuerySnapshot: %v", err)
-						n.Store(2) // let the writer finish
-						return
+				}(&reads[r])
+			}
+			everyReaderReadTwice := func() bool {
+				for r := range reads {
+					if reads[r].Load() < 2 {
+						return false
 					}
-					n.Add(1)
 				}
-			}(&reads[r])
-		}
-		everyReaderReadTwice := func() bool {
-			for r := range reads {
-				if reads[r].Load() < 2 {
-					return false
+				return true
+			}
+			for i := 0; i < 50 || !everyReaderReadTwice(); i++ {
+				pid, price := rel.Int(int64(i%testParams().Parts)), rel.Int(int64(1+i%100))
+				p := s.srv.EnqueueUpdate("parts", []rel.Value{pid}, []string{"price"}, []rel.Value{price})
+				if err := s.srv.Flush(); err != nil {
+					t.Fatalf("Flush: %v", err)
+				}
+				if err := p.Wait(); err != nil {
+					t.Fatalf("update %d: %v", i, err)
 				}
 			}
-			return true
-		}
-		for i := 0; i < 50 || !everyReaderReadTwice(); i++ {
-			pid, price := rel.Int(int64(i%testParams().Parts)), rel.Int(int64(1+i%100))
-			p := s.srv.EnqueueUpdate("parts", []rel.Value{pid}, []string{"price"}, []rel.Value{price})
-			if err := s.srv.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
+			close(stop)
+			wg.Wait()
+			st := s.srv.Stats()
+			if st.Ops < 50 || st.Rounds == 0 {
+				t.Fatalf("the writes bypassed the server: %+v", st)
 			}
-			if err := p.Wait(); err != nil {
-				t.Fatalf("update %d: %v", i, err)
+			if st.PlanCacheHits == 0 {
+				t.Fatalf("no cache hits under concurrency: %+v", st)
 			}
-		}
-		close(stop)
-		wg.Wait()
-		st := s.srv.Stats()
-		if st.Ops < 50 || st.Rounds == 0 {
-			t.Fatalf("the writes bypassed the server: %+v", st)
-		}
-		if st.PlanCacheHits == 0 {
-			t.Fatalf("no cache hits under concurrency: %+v", st)
-		}
-	})
+		})
+	}
 }

@@ -14,6 +14,8 @@ import (
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/serve"
+	"idivm/internal/storage"
+	"idivm/internal/storage/storagetest"
 	"idivm/internal/workload"
 )
 
@@ -33,6 +35,26 @@ func testParams() workload.Params {
 	return workload.Params{Parts: 200, Devices: 200, Selectivity: 20, Fanout: 3, Joins: 2, Seed: 11}
 }
 
+// engines are the storage engines the engine-matrix tests run on: mem, and
+// the hash-partitioned test engine, whose tables advance their epochs shard
+// by shard. A nil mk is mem: the dataset as workload.Build returns it.
+var engines = []struct {
+	name string
+	mk   func() storage.Engine
+}{
+	{"mem", nil},
+	{"sharded4", func() storage.Engine { return storagetest.Sharded(4) }},
+}
+
+// build builds the test dataset on mk's engine.
+func build(mk func() storage.Engine) *workload.Dataset {
+	ds := workload.Build(testParams())
+	if mk != nil {
+		ds.DB = storagetest.Copy(ds.DB, mk())
+	}
+	return ds
+}
+
 // served is one dataset wired for serving: workload tables, a registered
 // SPJ view, and a Server.
 type served struct {
@@ -43,7 +65,13 @@ type served struct {
 
 func newServed(t testing.TB, opts serve.Options) *served {
 	t.Helper()
-	ds := workload.Build(testParams())
+	return newServedOn(t, nil, opts)
+}
+
+// newServedOn is newServed on mk's engine.
+func newServedOn(t testing.TB, mk func() storage.Engine, opts serve.Options) *served {
+	t.Helper()
+	ds := build(mk)
 	sys := ivm.NewSystem(ds.DB)
 	if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
 		t.Fatalf("RegisterView: %v", err)
@@ -174,66 +202,68 @@ func applyServed(t testing.TB, srv *serve.Server, ms []mod) {
 // provably still in flight. The reads must observe exactly the pre-round
 // state.
 func TestSnapshotDuringHeldRound(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		ds := workload.Build(testParams())
-		sys := ivm.NewSystem(ds.DB)
-		if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
-			t.Fatalf("RegisterView: %v", err)
-		}
-		started := make(chan struct{})
-		release := make(chan struct{})
-		var hold sync.Once
-		// Installed before serve.New so the server composes around it.
-		sys.Hooks = ivm.RoundHooks{RoundBegin: func() {
-			hold.Do(func() {
-				close(started)
-				<-release
-			})
-		}}
-		var releaseOnce sync.Once
-		unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			ds := build(eng.mk)
+			sys := ivm.NewSystem(ds.DB)
+			if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
+				t.Fatalf("RegisterView: %v", err)
+			}
+			started := make(chan struct{})
+			release := make(chan struct{})
+			var hold sync.Once
+			// Installed before serve.New so the server composes around it.
+			sys.Hooks = ivm.RoundHooks{RoundBegin: func() {
+				hold.Do(func() {
+					close(started)
+					<-release
+				})
+			}}
+			var releaseOnce sync.Once
+			unblock := func() { releaseOnce.Do(func() { close(release) }) }
 
-		srv := serve.New(ds.DB, sys, serve.Options{MaxBatch: 8, MaxDelay: time.Millisecond})
-		defer srv.Close()
-		// Deferred after Close registration so it runs first: Close
-		// must never wait on a still-held round.
-		defer unblock()
+			srv := serve.New(ds.DB, sys, serve.Options{MaxBatch: 8, MaxDelay: time.Millisecond})
+			defer srv.Close()
+			// Deferred after Close registration so it runs first: Close
+			// must never wait on a still-held round.
+			defer unblock()
 
-		before, err := srv.ViewSnapshot(testView)
-		if err != nil {
-			t.Fatalf("ViewSnapshot: %v", err)
-		}
-		newPid := int64(1_000_000)
-		pend := srv.EnqueueInsert("parts", rel.Tuple{rel.Int(newPid), rel.Int(42)})
-		<-started // the round is pinned and provably still open
+			before, err := srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("ViewSnapshot: %v", err)
+			}
+			newPid := int64(1_000_000)
+			pend := srv.EnqueueInsert("parts", rel.Tuple{rel.Int(newPid), rel.Int(42)})
+			<-started // the round is pinned and provably still open
 
-		got, err := srv.ViewSnapshot(testView)
-		if err != nil {
-			t.Fatalf("ViewSnapshot during round: %v", err)
-		}
-		if fingerprint(got) != fingerprint(before) {
-			t.Fatalf("mid-round snapshot differs from last completed round")
-		}
-		q, err := srv.QuerySnapshot("SELECT pid, price FROM parts")
-		if err != nil {
-			t.Fatalf("QuerySnapshot during round: %v", err)
-		}
-		if containsPid(q, newPid) {
-			t.Fatalf("mid-round base snapshot leaked the in-flight insert")
-		}
+			got, err := srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("ViewSnapshot during round: %v", err)
+			}
+			if fingerprint(got) != fingerprint(before) {
+				t.Fatalf("mid-round snapshot differs from last completed round")
+			}
+			q, err := srv.QuerySnapshot("SELECT pid, price FROM parts")
+			if err != nil {
+				t.Fatalf("QuerySnapshot during round: %v", err)
+			}
+			if containsPid(q, newPid) {
+				t.Fatalf("mid-round base snapshot leaked the in-flight insert")
+			}
 
-		unblock()
-		if err := pend.Wait(); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-		q, err = srv.QuerySnapshot("SELECT pid, price FROM parts")
-		if err != nil {
-			t.Fatalf("QuerySnapshot after round: %v", err)
-		}
-		if !containsPid(q, newPid) {
-			t.Fatalf("post-round snapshot missing the committed insert")
-		}
-	})
+			unblock()
+			if err := pend.Wait(); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			q, err = srv.QuerySnapshot("SELECT pid, price FROM parts")
+			if err != nil {
+				t.Fatalf("QuerySnapshot after round: %v", err)
+			}
+			if !containsPid(q, newPid) {
+				t.Fatalf("post-round snapshot missing the committed insert")
+			}
+		})
+	}
 }
 
 func containsPid(r *rel.Relation, pid int64) bool {
@@ -255,9 +285,9 @@ type counterRun struct {
 	viewFP  string
 }
 
-func runDirect(t *testing.T, roundsMods [][]mod) counterRun {
+func runDirect(t *testing.T, mk func() storage.Engine, roundsMods [][]mod) counterRun {
 	t.Helper()
-	ds := workload.Build(testParams())
+	ds := build(mk)
 	sys := ivm.NewSystem(ds.DB)
 	if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
 		t.Fatalf("RegisterView: %v", err)
@@ -273,9 +303,9 @@ func runDirect(t *testing.T, roundsMods [][]mod) counterRun {
 	return counterRun{counter: *ds.DB.Counter(), viewFP: fingerprint(vt.Relation(rel.StatePost))}
 }
 
-func runServed(t *testing.T, roundsMods [][]mod, readers int) counterRun {
+func runServed(t *testing.T, mk func() storage.Engine, roundsMods [][]mod, readers int) counterRun {
 	t.Helper()
-	s := newServed(t, flushOpts)
+	s := newServedOn(t, mk, flushOpts)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -344,22 +374,24 @@ func record(out *[]string, s string) {
 // concurrent snapshot readers — and identical to the direct
 // single-threaded path, batch for batch.
 func TestReadersDoNotPerturbCounters(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		roundsMods := genRounds(testParams(), 6, 8)
-		direct := runDirect(t, roundsMods)
-		quiet := runServed(t, roundsMods, 0)
-		loud := runServed(t, roundsMods, 4)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			roundsMods := genRounds(testParams(), 6, 8)
+			direct := runDirect(t, eng.mk, roundsMods)
+			quiet := runServed(t, eng.mk, roundsMods, 0)
+			loud := runServed(t, eng.mk, roundsMods, 4)
 
-		if quiet.counter != direct.counter {
-			t.Errorf("served counters %+v differ from direct %+v", quiet.counter, direct.counter)
-		}
-		if loud.counter != quiet.counter {
-			t.Errorf("counters with readers %+v differ from without %+v", loud.counter, quiet.counter)
-		}
-		if direct.viewFP != quiet.viewFP || quiet.viewFP != loud.viewFP {
-			t.Errorf("final view states diverge across paths")
-		}
-	})
+			if quiet.counter != direct.counter {
+				t.Errorf("served counters %+v differ from direct %+v", quiet.counter, direct.counter)
+			}
+			if loud.counter != quiet.counter {
+				t.Errorf("counters with readers %+v differ from without %+v", loud.counter, quiet.counter)
+			}
+			if direct.viewFP != quiet.viewFP || quiet.viewFP != loud.viewFP {
+				t.Errorf("final view states diverge across paths")
+			}
+		})
+	}
 }
 
 // TestSnapshotTearFreedom is the race-enabled differential tear-check:
@@ -370,54 +402,56 @@ func TestReadersDoNotPerturbCounters(t *testing.T) {
 // so it is the read that catches a seqlock that lets a read overlap the
 // advance. Run under -race with -cpu 1,4 in CI.
 func TestSnapshotTearFreedom(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		rounds := 25
-		if testing.Short() {
-			rounds = 8
-		}
-		roundsMods := genRounds(testParams(), rounds, 8)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			rounds := 25
+			if testing.Short() {
+				rounds = 8
+			}
+			roundsMods := genRounds(testParams(), rounds, 8)
 
-		// Replay: record every legal state, including the initial one.
-		legalView := map[string]bool{}
-		legalQuery := map[string]bool{}
-		replay := newServed(t, flushOpts)
-		snapInto(t, replay.srv, legalView, legalQuery)
-		for _, ms := range roundsMods {
-			applyServed(t, replay.srv, ms)
+			// Replay: record every legal state, including the initial one.
+			legalView := map[string]bool{}
+			legalQuery := map[string]bool{}
+			replay := newServedOn(t, eng.mk, flushOpts)
 			snapInto(t, replay.srv, legalView, legalQuery)
-		}
+			for _, ms := range roundsMods {
+				applyServed(t, replay.srv, ms)
+				snapInto(t, replay.srv, legalView, legalQuery)
+			}
 
-		// Concurrent run: same batches, hammering readers.
-		s := newServed(t, flushOpts)
-		const readers = 3
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		obsView := make([][]string, readers)
-		obsQuery := make([][]string, readers)
-		for i := 0; i < readers; i++ {
-			wg.Add(1)
-			//ivmlint:allow gostmt — test reader goroutines hammering snapshots
-			go hammer(&wg, s.srv, stop, &obsView[i], &obsQuery[i])
-		}
-		for _, ms := range roundsMods {
-			applyServed(t, s.srv, ms)
-		}
-		close(stop)
-		wg.Wait()
+			// Concurrent run: same batches, hammering readers.
+			s := newServedOn(t, eng.mk, flushOpts)
+			const readers = 3
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			obsView := make([][]string, readers)
+			obsQuery := make([][]string, readers)
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				//ivmlint:allow gostmt — test reader goroutines hammering snapshots
+				go hammer(&wg, s.srv, stop, &obsView[i], &obsQuery[i])
+			}
+			for _, ms := range roundsMods {
+				applyServed(t, s.srv, ms)
+			}
+			close(stop)
+			wg.Wait()
 
-		for i := 0; i < readers; i++ {
-			for _, fp := range obsView[i] {
-				if !legalView[fp] {
-					t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
+			for i := 0; i < readers; i++ {
+				for _, fp := range obsView[i] {
+					if !legalView[fp] {
+						t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
+					}
+				}
+				for _, fp := range obsQuery[i] {
+					if !legalQuery[fp] {
+						t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
+					}
 				}
 			}
-			for _, fp := range obsQuery[i] {
-				if !legalQuery[fp] {
-					t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
-				}
-			}
-		}
-	})
+		})
+	}
 }
 
 // TestSnapshotTearFreedomUnderFailedRounds is TestSnapshotTearFreedom with
@@ -433,99 +467,101 @@ func TestSnapshotTearFreedom(t *testing.T) {
 // the final state must be the replay's, with every view equal to its
 // recomputation.
 func TestSnapshotTearFreedomUnderFailedRounds(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		rounds := 12
-		if testing.Short() {
-			rounds = 6
-		}
-		roundsMods := genRounds(testParams(), rounds, 8)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			rounds := 12
+			if testing.Short() {
+				rounds = 6
+			}
+			roundsMods := genRounds(testParams(), rounds, 8)
 
-		legalView := map[string]bool{}
-		legalQuery := map[string]bool{}
-		replay := newServed(t, flushOpts)
-		snapInto(t, replay.srv, legalView, legalQuery)
-		for _, ms := range roundsMods {
-			applyServed(t, replay.srv, ms)
+			legalView := map[string]bool{}
+			legalQuery := map[string]bool{}
+			replay := newServedOn(t, eng.mk, flushOpts)
 			snapInto(t, replay.srv, legalView, legalQuery)
-		}
-
-		ds := workload.Build(testParams())
-		sys := ivm.NewSystem(ds.DB)
-		for _, name := range []string{testView, "f"} {
-			if _, err := sys.RegisterView(name, ds.SPJPlan(), ivm.ModeID); err != nil {
-				t.Fatalf("RegisterView %s: %v", name, err)
+			for _, ms := range roundsMods {
+				applyServed(t, replay.srv, ms)
+				snapInto(t, replay.srv, legalView, legalQuery)
 			}
-		}
-		vt, _ := ds.DB.Table(testView)
-		hist := algebra.NewGroupBy(algebra.NewScan(testView, "", vt.Schema()), []string{testView + ".price"},
-			[]algebra.Agg{{Fn: algebra.AggCount, As: "n"}})
-		if _, err := sys.RegisterView("c", hist, ivm.ModeID); err != nil {
-			t.Fatalf("RegisterView c: %v", err)
-		}
-		srv := serve.New(ds.DB, sys, flushOpts)
-		t.Cleanup(func() { srv.Close() })
-		f, _ := sys.View("f")
-		steps := f.Script.Steps
-		boom := &ivm.ComputeStep{Name: "boom", Ph: ivm.PhaseViewCompute,
-			Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
 
-		const readers = 3
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		obsView := make([][]string, readers)
-		obsQuery := make([][]string, readers)
-		for i := 0; i < readers; i++ {
-			wg.Add(1)
-			//ivmlint:allow gostmt — test reader goroutines hammering snapshots
-			go hammer(&wg, srv, stop, &obsView[i], &obsQuery[i])
-		}
-		failed := 0
-		for r, ms := range roundsMods {
-			if r%3 != 1 || r == len(roundsMods)-1 {
-				applyServed(t, srv, ms)
-				continue
-			}
-			// The dispatcher reads the script only inside a round, and
-			// Flush returns after the round: no round runs while it changes.
-			f.Script.Steps = append(steps[:len(steps):len(steps)], boom)
-			if err := applyServedFailing(srv, ms); err != nil {
-				t.Fatalf("round %d: %v", r, err)
-			}
-			f.Script.Steps = steps
-			failed++
-		}
-		close(stop)
-		wg.Wait()
-
-		for i := 0; i < readers; i++ {
-			for _, fp := range obsView[i] {
-				if !legalView[fp] {
-					t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
+			ds := build(eng.mk)
+			sys := ivm.NewSystem(ds.DB)
+			for _, name := range []string{testView, "f"} {
+				if _, err := sys.RegisterView(name, ds.SPJPlan(), ivm.ModeID); err != nil {
+					t.Fatalf("RegisterView %s: %v", name, err)
 				}
 			}
-			for _, fp := range obsQuery[i] {
-				if !legalQuery[fp] {
-					t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
+			vt, _ := ds.DB.Table(testView)
+			hist := algebra.NewGroupBy(algebra.NewScan(testView, "", vt.Schema()), []string{testView + ".price"},
+				[]algebra.Agg{{Fn: algebra.AggCount, As: "n"}})
+			if _, err := sys.RegisterView("c", hist, ivm.ModeID); err != nil {
+				t.Fatalf("RegisterView c: %v", err)
+			}
+			srv := serve.New(ds.DB, sys, flushOpts)
+			t.Cleanup(func() { srv.Close() })
+			f, _ := sys.View("f")
+			steps := f.Script.Steps
+			boom := &ivm.ComputeStep{Name: "boom", Ph: ivm.PhaseViewCompute,
+				Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
+
+			const readers = 3
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			obsView := make([][]string, readers)
+			obsQuery := make([][]string, readers)
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				//ivmlint:allow gostmt — test reader goroutines hammering snapshots
+				go hammer(&wg, srv, stop, &obsView[i], &obsQuery[i])
+			}
+			failed := 0
+			for r, ms := range roundsMods {
+				if r%3 != 1 || r == len(roundsMods)-1 {
+					applyServed(t, srv, ms)
+					continue
+				}
+				// The dispatcher reads the script only inside a round, and
+				// Flush returns after the round: no round runs while it changes.
+				f.Script.Steps = append(steps[:len(steps):len(steps)], boom)
+				if err := applyServedFailing(srv, ms); err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				f.Script.Steps = steps
+				failed++
+			}
+			close(stop)
+			wg.Wait()
+
+			for i := 0; i < readers; i++ {
+				for _, fp := range obsView[i] {
+					if !legalView[fp] {
+						t.Fatalf("reader %d observed a torn view state:\n%s", i, clip(fp))
+					}
+				}
+				for _, fp := range obsQuery[i] {
+					if !legalQuery[fp] {
+						t.Fatalf("reader %d observed a torn query state:\n%s", i, clip(fp))
+					}
 				}
 			}
-		}
-		final, err := srv.ViewSnapshot(testView)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := replay.srv.ViewSnapshot(testView)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fingerprint(final) != fingerprint(want) {
-			t.Fatalf("after %d failed rounds the view differs from the replay's", failed)
-		}
-		for _, name := range sys.ViewNames() {
-			if err := sys.CheckConsistent(name); err != nil {
+			final, err := srv.ViewSnapshot(testView)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	})
+			want, err := replay.srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fingerprint(final) != fingerprint(want) {
+				t.Fatalf("after %d failed rounds the view differs from the replay's", failed)
+			}
+			for _, name := range sys.ViewNames() {
+				if err := sys.CheckConsistent(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // applyServedFailing drives one round that must fail: Flush and every op
@@ -552,73 +588,75 @@ func applyServedFailing(srv *serve.Server, ms []mod) error {
 // retained result must stay what it was; under -race any write into the
 // retained memory is reported as well.
 func TestRetainedSnapshotsSurviveRounds(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		s := newServed(t, flushOpts)
-		roundsMods := genRounds(testParams(), 6, 24)
-		applyServed(t, s.srv, roundsMods[0]) // the epochs have advanced at least once
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			s := newServedOn(t, eng.mk, flushOpts)
+			roundsMods := genRounds(testParams(), 6, 24)
+			applyServed(t, s.srv, roundsMods[0]) // the epochs have advanced at least once
 
-		scanPre := func(name string) []rel.Tuple {
-			h, err := s.ds.DB.Table(name)
+			scanPre := func(name string) []rel.Tuple {
+				h, err := s.ds.DB.Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h.WithCounter(nil).Scan(rel.StatePre)
+			}
+			snap, err := s.srv.ViewSnapshot(testView)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return h.WithCounter(nil).Scan(rel.StatePre)
-		}
-		snap, err := s.srv.ViewSnapshot(testView)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held := [][]rel.Tuple{scanPre(testView), scanPre("parts"), snap.Tuples}
-		want := make([]string, len(held))
-		render := func(rows []rel.Tuple) string {
-			var b strings.Builder
-			for _, r := range rows {
-				b.WriteString(r.String())
+			held := [][]rel.Tuple{scanPre(testView), scanPre("parts"), snap.Tuples}
+			want := make([]string, len(held))
+			render := func(rows []rel.Tuple) string {
+				var b strings.Builder
+				for _, r := range rows {
+					b.WriteString(r.String())
+				}
+				return b.String()
 			}
-			return b.String()
-		}
-		for i, rows := range held {
-			want[i] = render(rows)
-		}
+			for i, rows := range held {
+				want[i] = render(rows)
+			}
 
-		stop := make(chan struct{})
-		changed := make(chan int, 1)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		//ivmlint:allow gostmt — test reader re-reading retained snapshots beside the rounds
-		go func() {
-			defer wg.Done()
-			for {
-				for i, rows := range held {
-					if render(rows) != want[i] {
-						select {
-						case changed <- i:
-						default:
+			stop := make(chan struct{})
+			changed := make(chan int, 1)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			//ivmlint:allow gostmt — test reader re-reading retained snapshots beside the rounds
+			go func() {
+				defer wg.Done()
+				for {
+					for i, rows := range held {
+						if render(rows) != want[i] {
+							select {
+							case changed <- i:
+							default:
+							}
+							return
 						}
+					}
+					select {
+					case <-stop:
 						return
+					default:
 					}
 				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			}()
+			for _, ms := range roundsMods[1:] {
+				applyServed(t, s.srv, ms)
 			}
-		}()
-		for _, ms := range roundsMods[1:] {
-			applyServed(t, s.srv, ms)
-		}
-		close(stop)
-		wg.Wait()
-		select {
-		case i := <-changed:
-			t.Fatalf("retained result %d (0 view scan, 1 parts scan, 2 ViewSnapshot) was modified by a later round", i)
-		default:
-		}
-		if now := render(scanPre("parts")); now == want[1] {
-			t.Fatal("the rounds changed nothing in parts: the test exercised no write")
-		}
-	})
+			close(stop)
+			wg.Wait()
+			select {
+			case i := <-changed:
+				t.Fatalf("retained result %d (0 view scan, 1 parts scan, 2 ViewSnapshot) was modified by a later round", i)
+			default:
+			}
+			if now := render(scanPre("parts")); now == want[1] {
+				t.Fatal("the rounds changed nothing in parts: the test exercised no write")
+			}
+		})
+	}
 }
 
 func snapInto(t testing.TB, srv *serve.Server, legalView, legalQuery map[string]bool) {

@@ -52,59 +52,61 @@ func recvDelta(t testing.TB, sub *serve.Subscription) serve.Delta {
 // the stream onto a copy of the initial view state and comparing with
 // ViewSnapshot after every round.
 func TestSubscribeStreamsAppliedDiffs(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		s := newServed(t, flushOpts)
-		sub, err := s.srv.Subscribe(testView, 0)
-		if err != nil {
-			t.Fatalf("Subscribe: %v", err)
-		}
-		defer sub.Close()
-		if sub.View() != testView {
-			t.Fatalf("View() = %q", sub.View())
-		}
-
-		// Shadow copy of the view, maintained only by replaying deltas.
-		snap, err := s.srv.ViewSnapshot(testView)
-		if err != nil {
-			t.Fatalf("ViewSnapshot: %v", err)
-		}
-		shadow := db.New().MustCreateTable("shadow", snap.Schema)
-		for _, row := range snap.Tuples {
-			if err := shadow.Insert(row); err != nil {
-				t.Fatalf("seeding shadow: %v", err)
-			}
-		}
-
-		for round := 1; round <= 5; round++ {
-			updateBatch(t, s, 40, 1000+round)
-			d := recvDelta(t, sub)
-			if d.Round != int64(round) || d.View != testView {
-				t.Fatalf("delta (round=%d view=%q), want (round=%d view=%q)",
-					d.Round, d.View, round, testView)
-			}
-			if len(d.Diffs) == 0 {
-				t.Fatalf("round %d: delta carries no i-diffs", round)
-			}
-			for _, inst := range d.Diffs {
-				if inst.Schema.Rel != testView {
-					t.Fatalf("round %d: diff targets %q", round, inst.Schema.Rel)
-				}
-				if _, err := inst.Apply(shadow); err != nil {
-					t.Fatalf("round %d: replay: %v", round, err)
-				}
-			}
-			want, err := s.srv.ViewSnapshot(testView)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			s := newServedOn(t, eng.mk, flushOpts)
+			sub, err := s.srv.Subscribe(testView, 0)
 			if err != nil {
-				t.Fatalf("round %d: ViewSnapshot: %v", round, err)
+				t.Fatalf("Subscribe: %v", err)
 			}
-			got := shadow.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost)
-			got.Schema = snap.Schema // same attrs; EqualSet checks names too
-			if !got.EqualSet(want) {
-				t.Fatalf("round %d: replayed state diverged:\n got %v\nwant %v",
-					round, got.Sorted(), want.Sorted())
+			defer sub.Close()
+			if sub.View() != testView {
+				t.Fatalf("View() = %q", sub.View())
 			}
-		}
-	})
+
+			// Shadow copy of the view, maintained only by replaying deltas.
+			snap, err := s.srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("ViewSnapshot: %v", err)
+			}
+			shadow := db.New().MustCreateTable("shadow", snap.Schema)
+			for _, row := range snap.Tuples {
+				if err := shadow.Insert(row); err != nil {
+					t.Fatalf("seeding shadow: %v", err)
+				}
+			}
+
+			for round := 1; round <= 5; round++ {
+				updateBatch(t, s, 40, 1000+round)
+				d := recvDelta(t, sub)
+				if d.Round != int64(round) || d.View != testView {
+					t.Fatalf("delta (round=%d view=%q), want (round=%d view=%q)",
+						d.Round, d.View, round, testView)
+				}
+				if len(d.Diffs) == 0 {
+					t.Fatalf("round %d: delta carries no i-diffs", round)
+				}
+				for _, inst := range d.Diffs {
+					if inst.Schema.Rel != testView {
+						t.Fatalf("round %d: diff targets %q", round, inst.Schema.Rel)
+					}
+					if _, err := inst.Apply(shadow); err != nil {
+						t.Fatalf("round %d: replay: %v", round, err)
+					}
+				}
+				want, err := s.srv.ViewSnapshot(testView)
+				if err != nil {
+					t.Fatalf("round %d: ViewSnapshot: %v", round, err)
+				}
+				got := shadow.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost)
+				got.Schema = snap.Schema // same attrs; EqualSet checks names too
+				if !got.EqualSet(want) {
+					t.Fatalf("round %d: replayed state diverged:\n got %v\nwant %v",
+						round, got.Sorted(), want.Sorted())
+				}
+			}
+		})
+	}
 }
 
 // TestSubscribeBackpressure pins the bounded-buffer contract: with a full

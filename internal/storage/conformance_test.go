@@ -1,11 +1,13 @@
 package storage_test
 
 // Engine-conformance suite: every Table contract below runs against every
-// implementation of the boundary — the mem engine and, unarmed, the
-// fault-injecting test engine that wraps it. A new engine earns its place by
-// passing this file — see DESIGN.md §9.
+// implementation of the boundary — the mem engine, the fault-injecting test
+// engine that wraps it (unarmed), and the sharded test engine, including its
+// degenerate single shard and a shard count larger than typical row counts.
+// A new engine earns its place by passing this file — see DESIGN.md §9.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,11 +17,27 @@ import (
 	"idivm/internal/storage/storagetest"
 )
 
+// engineNames lists the engines engines returns, in run order.
+var engineNames = []string{"mem", "fault", "sharded-1", "sharded-3", "sharded-8"}
+
+// engines returns a fresh instance of every engine.
+func engines() map[string]storage.Engine {
+	return map[string]storage.Engine{
+		"mem":       storage.NewMem(),
+		"fault":     storagetest.New(),
+		"sharded-1": storagetest.Sharded(1),
+		"sharded-3": storagetest.Sharded(3),
+		"sharded-8": storagetest.Sharded(8),
+	}
+}
+
 // forEachEngine runs f once per engine.
 func forEachEngine(t *testing.T, f func(t *testing.T, e storage.Engine)) {
 	t.Helper()
-	t.Run("mem", func(t *testing.T) { f(t, storage.NewMem()) })
-	t.Run("fault", func(t *testing.T) { f(t, storagetest.New()) })
+	eng := engines()
+	for _, name := range engineNames {
+		t.Run(name, func(t *testing.T) { f(t, eng[name]) })
+	}
 }
 
 func mkParts(t *testing.T, e storage.Engine) storage.Table {
@@ -311,6 +329,95 @@ func TestConformanceInstanceApply(t *testing.T) {
 			return h, cost
 		})
 	})
+}
+
+// TestConformanceRandomizedDifferential drives an identical randomized
+// mixed workload through every engine and asserts that contents (as sets),
+// lookups and — through counting handles — access charges all agree with
+// the mem engine.
+func TestConformanceRandomizedDifferential(t *testing.T) {
+	type run struct {
+		h *storage.Handle
+		c *rel.CostCounter
+	}
+	eng := engines()
+	runs := make([]run, 0, len(engineNames))
+	schema := rel.NewSchema([]string{"k", "grp", "v"}, []string{"k"})
+	for _, name := range engineNames {
+		tab, err := eng[name].Create("t", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := new(rel.CostCounter)
+		h := storage.NewHandle(tab)
+		h.SetCounter(c)
+		runs = append(runs, run{h: h, c: c})
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	key := func() []rel.Value { return []rel.Value{rel.Int(int64(rng.Intn(200)))} }
+	for op := 0; op < 2000; op++ {
+		var do func(r run) (any, error)
+		switch k := rng.Intn(10); {
+		case k < 3:
+			row := rel.Tuple{rel.Int(int64(rng.Intn(200))), rel.Int(int64(rng.Intn(5))), rel.Int(int64(rng.Intn(50)))}
+			do = func(r run) (any, error) {
+				ins, err := epochtest.InsertRowIfAbsent(r.h, row)
+				if err != nil {
+					return "conflict", nil
+				}
+				return ins, nil
+			}
+		case k < 5:
+			kv := key()
+			do = func(r run) (any, error) { return r.h.DeleteKey(kv), nil }
+		case k < 6:
+			grp := []rel.Value{rel.Int(int64(rng.Intn(5)))}
+			do = func(r run) (any, error) { return epochtest.DeleteRowsWhere(r.h, []string{"grp"}, grp, nil) }
+		case k < 8:
+			kv := key()
+			v := []rel.Value{rel.Int(int64(rng.Intn(50)))}
+			do = func(r run) (any, error) { return r.h.UpdateKey(kv, []string{"v"}, v) }
+		case k < 9:
+			kv := key()
+			do = func(r run) (any, error) {
+				row, ok := r.h.Get(rel.StatePost, kv)
+				if !ok {
+					return "miss", nil
+				}
+				return row.String(), nil
+			}
+		default:
+			grp := []rel.Value{rel.Int(int64(rng.Intn(5)))}
+			do = func(r run) (any, error) {
+				rows, err := r.h.Lookup(rel.StatePost, []string{"grp"}, grp)
+				return len(rows), err
+			}
+		}
+		ref, refErr := do(runs[0])
+		for i := 1; i < len(runs); i++ {
+			got, gotErr := do(runs[i])
+			if fmt.Sprint(got) != fmt.Sprint(ref) || (gotErr == nil) != (refErr == nil) {
+				t.Fatalf("op %d: %s disagrees with mem: got %v/%v want %v/%v",
+					op, engineNames[i], got, gotErr, ref, refErr)
+			}
+		}
+	}
+	refRel := runs[0].h.Relation(rel.StatePost).Sorted()
+	for i := 1; i < len(runs); i++ {
+		if got := runs[i].h.Relation(rel.StatePost).Sorted(); !refRel.EqualSet(got) {
+			t.Fatalf("%s final contents differ from mem:\n%v\nvs\n%v", engineNames[i], got, refRel)
+		}
+		if runs[i].h.Len() != runs[0].h.Len() {
+			t.Fatalf("%s len %d != mem len %d", engineNames[i], runs[i].h.Len(), runs[0].h.Len())
+		}
+		if *runs[i].c != *runs[0].c {
+			t.Fatalf("%s counter %v != mem counter %v", engineNames[i], runs[i].c, runs[0].c)
+		}
+	}
+	if runs[0].c.Total() == 0 {
+		t.Fatal("workload charged nothing — counting is broken")
+	}
 }
 
 // TestConformanceKeyStats pins the key-frequency statistic the planner's

@@ -19,8 +19,9 @@
 //     charging is one piece of code whatever the backend.
 //
 // One backend ships: the in-memory engine (NewMem, backed by rel.Table).
-// The boundary's second implementation is the fault-injecting test engine
-// in internal/storage/storagetest, which wraps it.
+// The boundary's other implementations are the test engines in
+// internal/storage/storagetest: a fault-injecting wrapper of it and a
+// hash-partitioned one.
 package storage
 
 import (

@@ -1,10 +1,11 @@
-// Package storagetest is a storage engine for tests: the in-memory engine
-// behind a write budget that all its tables share, so a test can make the
-// nth written row fail — in the middle of an APPLY if it falls there — and
-// check what the layers above do with the error. It is the storage
-// boundary's second implementation: the conformance suite in
-// internal/storage runs every Table contract on it unarmed. Only tests
-// import it.
+// Package storagetest holds storage engines for tests. New is the in-memory
+// engine behind a write budget that all its tables share, so a test can make
+// the nth written row fail — in the middle of an APPLY if it falls there —
+// and check what the layers above do with the error. Sharded splits every
+// table over key-partitioned shards, so a test can run the same plans and
+// rounds on a second row order. They are the storage boundary's other
+// implementations: the conformance suite in internal/storage runs every
+// Table contract on both. Only tests import this package.
 package storagetest
 
 import (
