@@ -53,18 +53,21 @@ loc:
 	done
 	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec cat {} + | wc -l)"
 
-# fuzz-smoke runs internal/rel's three fuzz targets for ten seconds each
+# fuzz-smoke runs internal/rel's four fuzz targets for ten seconds each
 # (CI's fuzz step runs this target): FuzzTableEpoch — writes, multi-tuple
 # i-diff instances × Begin/Advance/EndEpoch programs against the full-copy
 # oracle, see internal/rel/epochtest —, FuzzValueKey — KeyEqual ⇔ equal
 # EncodeKey encodings ⇒ equal digests, the contract the keyless indexes rest
-# on — and FuzzDigestTable — set/get/delete/grow programs on the flat
-# digest → chain-head table against the map it replaced. A failure leaves its
+# on —, FuzzDigestTable — set/get/delete/grow programs on the flat
+# digest → chain-head table against the map it replaced — and
+# FuzzColumnRoundTrip — value sequences of every kind mix through a batch
+# column and back, each value returned exactly (==). A failure leaves its
 # minimised input under internal/rel/testdata/fuzz/ — check it in with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableEpoch$$' -fuzztime 10s ./internal/rel
 	$(GO) test -run '^$$' -fuzz '^FuzzValueKey$$' -fuzztime 10s ./internal/rel
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestTable$$' -fuzztime 10s ./internal/rel
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnRoundTrip$$' -fuzztime 10s ./internal/rel
 
 # bench-e2e-smoke vets, tests and smoke-runs the end-to-end benchmark
 # (benchmark/, BENCHMARK.json): every workload untraced and traced on a

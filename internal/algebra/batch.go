@@ -38,6 +38,7 @@
 package algebra
 
 import (
+	"math"
 	"strings"
 
 	"idivm/internal/expr"
@@ -164,43 +165,29 @@ func (tm *bTerm) applyDense(c *rel.ColVec, n int, sel []int32) []int32 {
 	if tm.lit.IsNull() {
 		return sel
 	}
-	idx, nulls := c.Idx, c.Nulls
+	idx, kinds := c.Idx, c.Kinds
 	switch c.Kind {
 	case rel.VecNull:
 		return sel
-	case rel.VecInt:
+	case rel.VecInt, rel.VecFloat:
 		if !tm.lit.IsNumeric() {
 			return sel
 		}
-		litF := tm.lit.AsFloat()
-		xs := c.Ints
+		litF, isInt := tm.lit.AsFloat(), c.Kind == rel.VecInt
+		xs := c.Nums
 		for i := 0; i < n; i++ {
 			p := i
 			if idx != nil {
 				p = int(idx[i])
 			}
-			if nulls != nil && nulls[p] {
+			if kinds != nil && kinds[p] == rel.KindNull {
 				continue
 			}
-			if passFloat(float64(xs[p]), litF, tm.op) {
-				sel = append(sel, int32(i))
+			x := math.Float64frombits(xs[p])
+			if isInt {
+				x = float64(int64(xs[p]))
 			}
-		}
-	case rel.VecFloat:
-		if !tm.lit.IsNumeric() {
-			return sel
-		}
-		litF := tm.lit.AsFloat()
-		xs := c.Floats
-		for i := 0; i < n; i++ {
-			p := i
-			if idx != nil {
-				p = int(idx[i])
-			}
-			if nulls != nil && nulls[p] {
-				continue
-			}
-			if passFloat(xs[p], litF, tm.op) {
+			if passFloat(x, litF, tm.op) {
 				sel = append(sel, int32(i))
 			}
 		}
@@ -215,7 +202,7 @@ func (tm *bTerm) applyDense(c *rel.ColVec, n int, sel []int32) []int32 {
 			if idx != nil {
 				p = int(idx[i])
 			}
-			if nulls != nil && nulls[p] {
+			if kinds != nil && kinds[p] == rel.KindNull {
 				continue
 			}
 			if cmpOutcome(strings.Compare(xs[p], lit), true, tm.op) {
@@ -227,19 +214,19 @@ func (tm *bTerm) applyDense(c *rel.ColVec, n int, sel []int32) []int32 {
 			return sel
 		}
 		lb := tm.lit.AsBool()
-		xs := c.Bools
+		xs := c.Nums
 		for i := 0; i < n; i++ {
 			p := i
 			if idx != nil {
 				p = int(idx[i])
 			}
-			if nulls != nil && nulls[p] {
+			if kinds != nil && kinds[p] == rel.KindNull {
 				continue
 			}
 			cv := 0
 			switch {
-			case xs[p] == lb:
-			case !xs[p]:
+			case (xs[p] != 0) == lb:
+			case xs[p] == 0:
 				cv = -1
 			default:
 				cv = 1
@@ -250,7 +237,7 @@ func (tm *bTerm) applyDense(c *rel.ColVec, n int, sel []int32) []int32 {
 		}
 	default: // VecAny
 		for i := 0; i < n; i++ {
-			cv, ok := c.Vals[c.Phys(i)].Compare(tm.lit)
+			cv, ok := c.Value(i).Compare(tm.lit)
 			if cmpOutcome(cv, ok, tm.op) {
 				sel = append(sel, int32(i))
 			}
@@ -268,24 +255,19 @@ func (tm *bTerm) passAt(c *rel.ColVec, i int) bool {
 	switch c.Kind {
 	case rel.VecNull:
 		return false
-	case rel.VecInt:
+	case rel.VecInt, rel.VecFloat:
 		if !tm.lit.IsNumeric() {
 			return false
 		}
 		p := c.Phys(i)
-		if c.Nulls != nil && c.Nulls[p] {
+		if c.Kinds != nil && c.Kinds[p] == rel.KindNull {
 			return false
 		}
-		return passFloat(float64(c.Ints[p]), tm.lit.AsFloat(), tm.op)
-	case rel.VecFloat:
-		if !tm.lit.IsNumeric() {
-			return false
+		x := math.Float64frombits(c.Nums[p])
+		if c.Kind == rel.VecInt {
+			x = float64(int64(c.Nums[p]))
 		}
-		p := c.Phys(i)
-		if c.Nulls != nil && c.Nulls[p] {
-			return false
-		}
-		return passFloat(c.Floats[p], tm.lit.AsFloat(), tm.op)
+		return passFloat(x, tm.lit.AsFloat(), tm.op)
 	}
 	cv, ok := c.Value(i).Compare(tm.lit)
 	return cmpOutcome(cv, ok, tm.op)

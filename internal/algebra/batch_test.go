@@ -231,3 +231,52 @@ func TestKeyEqualityAtTheEdgesOfSame(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterKernelsOnEveryLayout runs a comparison against a literal over a
+// derived column of every layout — int, float, string and bool, each with
+// NULL rows, and a mixed column — for every operator and literals of
+// matching and mismatching kinds, as a selection's first conjunct (the dense
+// loop over the payload) and as its second (the per-row check), against the
+// interpreted oracle.
+func TestFilterKernelsOnEveryLayout(t *testing.T) {
+	cols := []string{"id", "i", "f", "s", "b", "m"}
+	sch := rel.NewSchema(cols, nil)
+	typed := rel.NewRelation(sch)
+	for r := 0; r < 40; r++ {
+		row := rel.Tuple{rel.Int(int64(r)), rel.Int(int64(r%7 - 3)), rel.Float(float64(r%9)/2 - 1.5),
+			rel.String(string(rune('j' + r%6))), rel.Bool(r%3 == 0), rel.Null()}
+		switch r % 4 {
+		case 1:
+			row[5] = rel.Int(int64(r % 5))
+		case 2:
+			row[5] = rel.Float(2.5)
+		case 3:
+			row[5] = rel.String("m")
+		}
+		if r%5 == 4 {
+			row[1], row[2], row[3], row[4] = rel.Null(), rel.Null(), rel.Null(), rel.Null()
+		}
+		typed.Add(row)
+	}
+	d := db.New()
+	env := &bindEnv{Database: d, rels: map[string]*rel.Relation{"typed": typed}}
+	lits := []expr.Lit{expr.IntLit(2), expr.FloatLit(-0.5), expr.FloatLit(math.NaN()), expr.StrLit("m"),
+		{Val: rel.Bool(true)}, {Val: rel.Bool(false)}}
+	ops := []func(l, r expr.Expr) expr.Cmp{expr.Eq, expr.Ne, expr.Lt, expr.Le, expr.Gt, expr.Ge}
+	for _, col := range cols[1:] {
+		for li, lit := range lits {
+			for oi, op := range ops {
+				cmp := op(expr.C(col), lit)
+				plans := map[string]algebra.Node{
+					"first":  algebra.NewSelect(algebra.NewRelRef("typed", sch), cmp),
+					"second": algebra.NewSelect(algebra.NewRelRef("typed", sch), expr.And(expr.Ge(expr.C("id"), expr.IntLit(1)), cmp)),
+				}
+				for pos, plan := range plans {
+					t.Run(fmt.Sprintf("%s/lit%d/op%d/%s", col, li, oi, pos), func(t *testing.T) {
+						checkAgainstEval(t, d, env, plan)
+					})
+				}
+			}
+		}
+	}
+}

@@ -840,10 +840,10 @@ func (c *cUnion) run(env Env) (*rel.Batch, error) {
 			out.Cols[j] = cb.Vec()
 		}
 	}
-	branch := make([]int64, out.N)
+	branch := make([]uint64, out.N)
 	for i := left.Len(); i < out.N; i++ {
 		branch[i] = 1
 	}
-	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Ints: branch}
+	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Nums: branch}
 	return out, nil
 }

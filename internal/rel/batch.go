@@ -1,10 +1,11 @@
 // Column-major batches: the vectorized execution layout of the compiled
-// kernels. A Batch holds one column vector per schema attribute; uniform
-// columns store unboxed payloads ([]int64, []float64, []string, []bool)
-// with an optional null bitmap, and mixed-kind columns fall back to boxed
-// []Value storage. Columns may additionally carry a selection/gather
-// indirection (Idx), so filters and joins narrow or reorder a batch
-// without copying any payloads.
+// kernels. A Batch holds one column vector per schema attribute, and a
+// column stores its Values field by field: uniform columns keep one
+// unboxed payload (the 64-bit words of bools, ints or floats, or the
+// strings) and mark NULLs in a per-row kind slice; mixed-kind columns keep
+// the per-row kinds and whichever payloads their rows use. Columns may
+// additionally carry a selection/gather indirection (Idx), so filters and
+// joins narrow or reorder a batch without copying any payloads.
 //
 // Batches exist strictly between charged boundaries: rows enter columnar
 // form right after a Handle-charged Scan/Lookup and leave it
@@ -22,35 +23,39 @@ package rel
 
 // VecKind identifies the payload layout of a column vector. The zero
 // value is VecNull — a column of NULLs with no payload — so a zero ColVec
-// is valid for any row count.
+// is valid for any row count. The layouts of one value kind share that
+// Kind's number (VecInt is KindInt), which valueKind relies on.
 type VecKind uint8
 
 // The column layouts.
 const (
-	VecNull VecKind = iota // every value NULL; no payload
-	VecBool
-	VecInt
-	VecFloat
-	VecStr
-	VecAny // mixed kinds; boxed Vals payload
+	VecNull  VecKind = iota // every value NULL; no payload
+	VecBool                 // Nums: 0 or 1
+	VecInt                  // Nums: the int64s
+	VecFloat                // Nums: the float64 bits
+	VecStr                  // Strs
+	VecAny                  // mixed kinds: Kinds set, Nums and Strs where rows need them
 )
 
-// ColVec is one column of a Batch. Exactly one payload slice is active,
-// per Kind. Nulls, when non-nil, marks NULL positions of a typed payload
-// (VecAny stores NULLs directly in Vals; VecNull needs no marks). Idx,
-// when non-nil, maps logical row i to physical payload position Idx[i]:
-// a filtered or join-gathered column aliases its source payload and only
-// materializes the indirection vector.
+// ColVec is one column of a Batch: a Value's fields, one slice each. A
+// bool, int or float column keeps its payload in Nums (math.Float64frombits
+// reads a float) and a string column in Strs. Kinds, when non-nil, is the
+// kind of every physical row — KindNull marks a NULL of a typed column —
+// and is always set on a VecAny column, whose Nums and Strs are each nil
+// (every row's word, or string, is zero) or as long as Kinds. VecNull
+// needs no payload at all. Idx, when non-nil, maps logical row i to
+// physical payload position Idx[i]: a filtered or join-gathered column
+// aliases its source payload and only materializes the indirection vector.
 type ColVec struct {
-	Kind   VecKind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
-	Vals   []Value
-	Nulls  []bool
-	Idx    []int32
+	Kind  VecKind
+	Nums  []uint64
+	Strs  []string
+	Kinds []Kind
+	Idx   []int32
 }
+
+// valueKind is the Kind of every non-NULL value of a uniform layout.
+func (k VecKind) valueKind() Kind { return Kind(k) }
 
 // Phys maps a logical row to its physical payload position, resolving the
 // Idx indirection. Typed kernel loops use it to read payload slices
@@ -68,34 +73,25 @@ func (c *ColVec) Value(i int) Value {
 		return Value{}
 	}
 	p := c.Phys(i)
-	if c.Kind == VecAny {
-		return c.Vals[p]
+	v := Value{Kind: c.Kind.valueKind()}
+	if c.Kinds != nil {
+		v.Kind = c.Kinds[p]
 	}
-	if c.Nulls != nil && c.Nulls[p] {
-		return Value{}
+	if c.Nums != nil {
+		v.n = c.Nums[p]
 	}
-	switch c.Kind {
-	case VecInt:
-		return Value{Kind: KindInt, i: c.Ints[p]}
-	case VecFloat:
-		return Value{Kind: KindFloat, f: c.Floats[p]}
-	case VecStr:
-		return Value{Kind: KindString, s: c.Strs[p]}
-	case VecBool:
-		return Value{Kind: KindBool, b: c.Bools[p]}
+	if c.Strs != nil {
+		v.s = c.Strs[p]
 	}
-	return Value{}
+	return v
 }
 
 // IsNull reports whether the logical row i is NULL.
 func (c *ColVec) IsNull(i int) bool {
-	switch c.Kind {
-	case VecNull:
+	if c.Kind == VecNull {
 		return true
-	case VecAny:
-		return c.Vals[c.Phys(i)].IsNull()
 	}
-	return c.Nulls != nil && c.Nulls[c.Phys(i)]
+	return c.Kinds != nil && c.Kinds[c.Phys(i)] == KindNull
 }
 
 // gatherVec derives the column selecting logical rows sel, composing any
@@ -177,9 +173,9 @@ func (b *Batch) KeyDigests(cols []int) []uint64 {
 	}
 	for _, j := range cols {
 		c := &b.Cols[j]
-		if c.Kind == VecInt && c.Nulls == nil {
+		if c.Kind == VecInt && c.Kinds == nil {
 			for i := range out {
-				out[i] = mix(out[i], uint64(c.Ints[c.Phys(i)]))
+				out[i] = mix(out[i], c.Nums[c.Phys(i)])
 			}
 			continue
 		}
@@ -221,32 +217,22 @@ func (b *Batch) GatherRows(sel []int32) *Batch {
 
 // vecKindOf maps a value kind to the column layout that stores it.
 func vecKindOf(k Kind) VecKind {
-	switch k {
-	case KindBool:
-		return VecBool
-	case KindInt:
-		return VecInt
-	case KindFloat:
-		return VecFloat
-	case KindString:
-		return VecStr
+	if k > KindString {
+		return VecNull
 	}
-	return VecNull
+	return VecKind(k)
 }
 
 // ColBuilder accumulates one output column, keeping the payload unboxed
-// while every appended value shares one kind and degrading to boxed
-// storage on the first mismatch. The zero value is ready to use.
+// while every appended value shares one kind and degrading to a mixed
+// column on the first mismatch. The zero value is ready to use.
 type ColBuilder struct {
-	kind   VecKind // VecNull until the first non-null value fixes it
-	ints   []int64
-	floats []float64
-	strs   []string
-	bools  []bool
-	vals   []Value
-	nulls  []bool // lazily allocated on the first NULL of a typed column
-	n      int
-	hint   int // expected total length; sizes the payload allocations
+	kind  VecKind // VecNull until the first non-null value fixes it
+	nums  []uint64
+	strs  []string
+	kinds []Kind // lazily allocated on the first NULL of a typed column, or on degrading
+	n     int
+	hint  int // expected total length; sizes the payload allocations
 }
 
 // Len returns the number of values appended so far.
@@ -260,7 +246,7 @@ func (cb *ColBuilder) Grow(n int) {
 	}
 }
 
-// cap returns the capacity to allocate for a payload that must hold at
+// capFor returns the capacity to allocate for a payload that must hold at
 // least n values now.
 func (cb *ColBuilder) capFor(n int) int {
 	if cb.hint > n {
@@ -269,113 +255,79 @@ func (cb *ColBuilder) capFor(n int) int {
 	return n
 }
 
-// ensureNulls backfills the null bitmap for a typed column that just met
-// its first NULL.
-func (cb *ColBuilder) ensureNulls() {
-	if cb.nulls == nil {
-		cb.nulls = make([]bool, cb.n, cb.capFor(cb.n))
+// ensureKinds backfills the per-row kinds of a typed column that just met
+// its first NULL (or is degrading): every row so far has the column's kind.
+func (cb *ColBuilder) ensureKinds() {
+	if cb.kinds != nil {
+		return
+	}
+	cb.kinds = make([]Kind, cb.n, cb.capFor(cb.n+1))
+	k := cb.kind.valueKind()
+	for i := range cb.kinds {
+		cb.kinds[i] = k
 	}
 }
 
-// setKind turns an all-NULL column into a typed one, backfilling typed
-// zero payloads marked NULL.
+// setKind turns an all-NULL column into a typed one, backfilling zero
+// payloads marked NULL.
 func (cb *ColBuilder) setKind(k VecKind) {
 	cb.kind = k
 	c := cb.capFor(cb.n)
 	if cb.n > 0 {
-		cb.nulls = make([]bool, cb.n, c)
-		for i := range cb.nulls {
-			cb.nulls[i] = true
-		}
+		cb.kinds = make([]Kind, cb.n, c) // all KindNull
 	} else if c == 0 {
 		return // no backfill, no hint: let append allocate
 	}
-	switch k {
-	case VecInt:
-		cb.ints = make([]int64, cb.n, c)
-	case VecFloat:
-		cb.floats = make([]float64, cb.n, c)
-	case VecStr:
+	if k == VecStr {
 		cb.strs = make([]string, cb.n, c)
-	case VecBool:
-		cb.bools = make([]bool, cb.n, c)
+	} else {
+		cb.nums = make([]uint64, cb.n, c)
 	}
 }
 
-// degrade reboxes a typed column into VecAny storage (first kind
-// mismatch); appends stay correct, only the layout loses specialization.
+// degrade turns a typed column into a mixed one (first kind mismatch):
+// the payload it has stays, and the per-row kinds say how to read it.
 func (cb *ColBuilder) degrade() {
-	vals := make([]Value, cb.n, cb.capFor(cb.n+16))
-	for i := 0; i < cb.n; i++ {
-		if cb.nulls != nil && cb.nulls[i] {
-			continue // zero Value is NULL
-		}
-		switch cb.kind {
-		case VecInt:
-			vals[i] = Value{Kind: KindInt, i: cb.ints[i]}
-		case VecFloat:
-			vals[i] = Value{Kind: KindFloat, f: cb.floats[i]}
-		case VecStr:
-			vals[i] = Value{Kind: KindString, s: cb.strs[i]}
-		case VecBool:
-			vals[i] = Value{Kind: KindBool, b: cb.bools[i]}
-		}
-	}
+	cb.ensureKinds()
 	cb.kind = VecAny
-	cb.vals = vals
-	cb.ints, cb.floats, cb.strs, cb.bools, cb.nulls = nil, nil, nil, nil, nil
 }
 
 // Append adds one value to the column.
 func (cb *ColBuilder) Append(v Value) {
-	switch cb.kind {
-	case VecAny:
-		cb.vals = append(cb.vals, v)
-		cb.n++
-		return
-	case VecNull:
-		if v.Kind == KindNull {
+	k := vecKindOf(v.Kind)
+	switch {
+	case cb.kind == VecNull:
+		if k == VecNull {
 			cb.n++
 			return
 		}
-		cb.setKind(vecKindOf(v.Kind))
-		// fall through to the typed append below via recursion depth 1
-		cb.Append(v)
-		return
-	}
-	if v.Kind == KindNull {
-		cb.ensureNulls()
-		cb.nulls = append(cb.nulls, true)
-		switch cb.kind {
-		case VecInt:
-			cb.ints = append(cb.ints, 0)
-		case VecFloat:
-			cb.floats = append(cb.floats, 0)
-		case VecStr:
-			cb.strs = append(cb.strs, "")
-		case VecBool:
-			cb.bools = append(cb.bools, false)
-		}
-		cb.n++
-		return
-	}
-	if vecKindOf(v.Kind) != cb.kind {
+		cb.setKind(k)
+	case k != cb.kind && k != VecNull && cb.kind != VecAny:
 		cb.degrade()
-		cb.Append(v)
-		return
+	}
+	if cb.kinds != nil || k == VecNull {
+		cb.ensureKinds()
+		cb.kinds = append(cb.kinds, v.Kind)
 	}
 	switch cb.kind {
-	case VecInt:
-		cb.ints = append(cb.ints, v.i)
-	case VecFloat:
-		cb.floats = append(cb.floats, v.f)
 	case VecStr:
 		cb.strs = append(cb.strs, v.s)
-	case VecBool:
-		cb.bools = append(cb.bools, v.b)
-	}
-	if cb.nulls != nil {
-		cb.nulls = append(cb.nulls, false)
+	case VecAny:
+		// A mixed column allocates a payload the first time a row needs it.
+		if cb.nums == nil && v.n != 0 {
+			cb.nums = make([]uint64, cb.n, cb.capFor(cb.n+1))
+		}
+		if cb.strs == nil && v.s != "" {
+			cb.strs = make([]string, cb.n, cb.capFor(cb.n+1))
+		}
+		if cb.nums != nil {
+			cb.nums = append(cb.nums, v.n)
+		}
+		if cb.strs != nil {
+			cb.strs = append(cb.strs, v.s)
+		}
+	default:
+		cb.nums = append(cb.nums, v.n)
 	}
 	cb.n++
 }
@@ -389,51 +341,36 @@ func (cb *ColBuilder) AppendVec(c *ColVec, n int) {
 	if n == 0 {
 		return
 	}
-	if c.Kind == VecNull {
+	if c.Idx != nil || c.Kind == VecNull || c.Kind == VecAny || (cb.kind != c.Kind && cb.kind != VecNull) {
 		for i := 0; i < n; i++ {
-			cb.Append(Value{})
+			cb.Append(c.Value(i))
 		}
 		return
 	}
-	if c.Idx == nil && c.Kind != VecAny && (cb.kind == c.Kind || cb.kind == VecNull) {
-		if cb.kind == VecNull {
-			cb.setKind(c.Kind)
-		}
-		switch c.Kind {
-		case VecInt:
-			cb.ints = append(cb.ints, c.Ints[:n]...)
-		case VecFloat:
-			cb.floats = append(cb.floats, c.Floats[:n]...)
-		case VecStr:
-			cb.strs = append(cb.strs, c.Strs[:n]...)
-		case VecBool:
-			cb.bools = append(cb.bools, c.Bools[:n]...)
-		}
-		if c.Nulls != nil {
-			cb.ensureNulls()
-			cb.nulls = append(cb.nulls, c.Nulls[:n]...)
-		} else if cb.nulls != nil {
-			cb.nulls = append(cb.nulls, make([]bool, n)...)
-		}
-		cb.n += n
-		return
+	if cb.kind == VecNull {
+		cb.setKind(c.Kind)
 	}
-	for i := 0; i < n; i++ {
-		cb.Append(c.Value(i))
+	if c.Kind == VecStr {
+		cb.strs = append(cb.strs, c.Strs[:n]...)
+	} else {
+		cb.nums = append(cb.nums, c.Nums[:n]...)
 	}
+	switch {
+	case c.Kinds != nil:
+		cb.ensureKinds()
+		cb.kinds = append(cb.kinds, c.Kinds[:n]...)
+	case cb.kinds != nil:
+		k := cb.kind.valueKind()
+		for i := 0; i < n; i++ {
+			cb.kinds = append(cb.kinds, k)
+		}
+	}
+	cb.n += n
 }
 
 // Vec finalizes the column. The builder must not be appended to after.
 func (cb *ColBuilder) Vec() ColVec {
-	return ColVec{
-		Kind:   cb.kind,
-		Ints:   cb.ints,
-		Floats: cb.floats,
-		Strs:   cb.strs,
-		Bools:  cb.bools,
-		Vals:   cb.vals,
-		Nulls:  cb.nulls,
-	}
+	return ColVec{Kind: cb.kind, Nums: cb.nums, Strs: cb.strs, Kinds: cb.kinds}
 }
 
 // FromTuples converts a row-major tuple slice into a batch. It is a
@@ -501,29 +438,24 @@ func (b *Batch) Materialize() *Relation {
 // fillColumn writes one column's values for logical rows [base,
 // base+len(rows)) into position j of each tuple.
 func fillColumn(c *ColVec, rows []Tuple, base, j int) {
-	switch c.Kind {
-	case VecNull:
+	if c.Kind == VecNull {
 		return // zero Value is NULL
-	case VecAny:
+	}
+	if c.Kinds != nil || c.Idx != nil {
 		for r := range rows {
-			rows[r][j] = c.Vals[c.Phys(base+r)]
+			rows[r][j] = c.Value(base + r)
 		}
 		return
 	}
-	for r := range rows {
-		p := c.Phys(base + r)
-		if c.Nulls != nil && c.Nulls[p] {
-			continue
+	// A dense column without NULLs: one kind, one payload, no lookups.
+	k := c.Kind.valueKind()
+	if c.Kind == VecStr {
+		for r, s := range c.Strs[base : base+len(rows)] {
+			rows[r][j] = Value{Kind: k, s: s}
 		}
-		switch c.Kind {
-		case VecInt:
-			rows[r][j] = Value{Kind: KindInt, i: c.Ints[p]}
-		case VecFloat:
-			rows[r][j] = Value{Kind: KindFloat, f: c.Floats[p]}
-		case VecStr:
-			rows[r][j] = Value{Kind: KindString, s: c.Strs[p]}
-		case VecBool:
-			rows[r][j] = Value{Kind: KindBool, b: c.Bools[p]}
-		}
+		return
+	}
+	for r, x := range c.Nums[base : base+len(rows)] {
+		rows[r][j] = Value{Kind: k, n: x}
 	}
 }

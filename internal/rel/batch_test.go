@@ -116,7 +116,7 @@ func TestBatchGather(t *testing.T) {
 		}
 	}
 	// Payloads are shared, not copied.
-	if &g2.Cols[0].Ints[0] != &b.Cols[0].Ints[0] {
+	if &g2.Cols[0].Nums[0] != &b.Cols[0].Nums[0] {
 		t.Fatalf("gather copied the int payload")
 	}
 	// Columns sharing one Idx slice compose to one shared vector.

@@ -45,12 +45,14 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed SQL-style scalar. The zero Value is NULL.
-// Value is a comparable struct so it can be used directly as a map key.
+// Value is a comparable struct, 32 bytes wide: the kind, one 64-bit word
+// holding a bool (0 or 1), an int64 or a float64's bits, and a string
+// header. A payload field the kind does not use is zero, so == is identity
+// of kind and payload (for floats, of bits: -0.0 and 0 differ under ==, and
+// a NaN equals itself; Same and KeyEqual are the value equivalences).
 type Value struct {
 	Kind Kind
-	b    bool
-	i    int64
-	f    float64
+	n    uint64
 	s    string
 }
 
@@ -58,34 +60,39 @@ type Value struct {
 func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{Kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{Kind: KindBool, n: 1}
+	}
+	return Value{Kind: KindBool}
+}
 
 // Int returns a 64-bit integer value.
-func Int(i int64) Value { return Value{Kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{Kind: KindInt, n: uint64(i)} }
 
 // Float returns a 64-bit floating point value.
-func Float(f float64) Value { return Value{Kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, n: math.Float64bits(f)} }
 
 // String returns a string value. (Use Value.Text to read it back.)
 func String(s string) Value { return Value{Kind: KindString, s: s} }
+
+// int and float read the payload word of an int and a float.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
 // AsBool returns the boolean payload; it is false unless Kind is KindBool.
-func (v Value) AsBool() bool { return v.Kind == KindBool && v.b }
+func (v Value) AsBool() bool { return v.Kind == KindBool && v.n != 0 }
 
 // AsInt returns the value as an int64, truncating floats.
 func (v Value) AsInt() int64 {
 	switch v.Kind {
-	case KindInt:
-		return v.i
+	case KindInt, KindBool:
+		return v.int()
 	case KindFloat:
-		return int64(v.f)
-	case KindBool:
-		if v.b {
-			return 1
-		}
+		return int64(v.float())
 	}
 	return 0
 }
@@ -93,14 +100,10 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the value as a float64 (ints are widened).
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
-	case KindInt:
-		return float64(v.i)
+	case KindInt, KindBool:
+		return float64(v.int())
 	case KindFloat:
-		return v.f
-	case KindBool:
-		if v.b {
-			return 1
-		}
+		return v.float()
 	}
 	return 0
 }
@@ -166,9 +169,9 @@ func (v Value) compare(o Value) (int, bool) {
 	switch v.Kind {
 	case KindBool:
 		switch {
-		case v.b == o.b:
+		case v.n == o.n:
 			return 0, true
-		case !v.b:
+		case v.n == 0:
 			return -1, true
 		default:
 			return 1, true
@@ -215,18 +218,16 @@ func (v Value) EncodeKey(b []byte) []byte {
 	case KindNull:
 		return append(b, 'n', 0)
 	case KindBool:
-		if v.b {
-			return append(b, 'b', 1, 0)
-		}
-		return append(b, 'b', 0, 0)
+		return append(b, 'b', byte(v.n), 0)
 	case KindInt:
 		// Integral floats and ints must encode identically.
-		return appendNumKey(b, float64(v.i), v.i, true)
+		return appendNumKey(b, 0, v.int(), true)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= -9.2e18 && v.f <= 9.2e18 {
-			return appendNumKey(b, v.f, int64(v.f), true)
+		f := v.float()
+		if f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
+			return appendNumKey(b, f, int64(f), true)
 		}
-		return appendNumKey(b, v.f, 0, false)
+		return appendNumKey(b, f, 0, false)
 	case KindString:
 		b = append(b, 's')
 		for i := 0; i < len(v.s); i++ {
@@ -257,15 +258,16 @@ func appendNumKey(b []byte, f float64, i int64, integral bool) []byte {
 // bits with every NaN folded onto one pattern ('g' prints them all "NaN").
 func (v Value) keyNum() (bits uint64, integral bool) {
 	if v.Kind == KindInt {
-		return uint64(v.i), true
+		return v.n, true
 	}
-	if v.f == math.Trunc(v.f) && v.f >= -9.2e18 && v.f <= 9.2e18 {
-		return uint64(int64(v.f)), true
+	f := v.float()
+	if f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
+		return uint64(int64(f)), true
 	}
-	if v.f != v.f {
+	if f != f {
 		return math.Float64bits(math.NaN()), false
 	}
-	return math.Float64bits(v.f), false
+	return v.n, false
 }
 
 // KeyEqual reports whether v and o encode to the same key:
@@ -277,7 +279,7 @@ func (v Value) keyNum() (bits uint64, integral bool) {
 // and Int(1<<53+1) are Same but not KeyEqual, and NaN is KeyEqual only to NaN.
 func (v Value) KeyEqual(o Value) bool {
 	if v.Kind == KindInt && o.Kind == KindInt {
-		return v.i == o.i
+		return v.n == o.n
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		vb, vi := v.keyNum()
@@ -287,13 +289,7 @@ func (v Value) KeyEqual(o Value) bool {
 	if v.Kind != o.Kind {
 		return false
 	}
-	switch v.Kind {
-	case KindBool:
-		return v.b == o.b
-	case KindString:
-		return v.s == o.s
-	}
-	return true
+	return v.n == o.n && v.s == o.s
 }
 
 // digestMask truncates every key digest; all ones outside tests (see
@@ -316,7 +312,7 @@ func mix(h, x uint64) uint64 {
 func (v Value) keyDigest(h uint64) uint64 {
 	switch v.Kind {
 	case KindInt:
-		return mix(h, uint64(v.i))
+		return mix(h, v.n)
 	case KindFloat:
 		bits, integral := v.keyNum()
 		if !integral {
@@ -324,7 +320,7 @@ func (v Value) keyDigest(h uint64) uint64 {
 		}
 		return mix(h, bits)
 	case KindBool:
-		return mix(mix(h, 'b'), uint64(v.AsInt()))
+		return mix(mix(h, 'b'), v.n)
 	case KindString:
 		h = mix(h, 's')
 		for i := 0; i < len(v.s); i++ {
@@ -341,11 +337,11 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	}
@@ -369,7 +365,7 @@ func arith(a, b Value, op byte) Value {
 		return Null()
 	}
 	if a.Kind == KindInt && b.Kind == KindInt && op != '/' {
-		x, y := a.i, b.i
+		x, y := a.int(), b.int()
 		switch op {
 		case '+':
 			return Int(x + y)
