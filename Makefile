@@ -3,11 +3,12 @@ GO ?= go
 .PHONY: check build vet test race race-ivm race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
-# tests, also of maintenance at both GOMAXPROCS shapes, the repository
-# linter, the non-test line count per package, a short run of the three
-# fuzz targets, and a smoke run of the end-to-end benchmark (a module of its
-# own that `./...` does not reach). Any lint finding fails the build.
-check: build vet race race-ivm lint loc fuzz-smoke bench-e2e-smoke
+# tests, also of maintenance and of the serving layer at both GOMAXPROCS
+# shapes, the repository linter, the non-test line count per package, a
+# short run of the four fuzz targets, and a smoke run of the end-to-end
+# benchmark (a module of its own that `./...` does not reach). Any lint
+# finding fails the build.
+check: build vet race race-ivm race-serving lint loc fuzz-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -31,7 +32,8 @@ race-ivm:
 
 # race-serving is the serving-layer tear-check at both GOMAXPROCS shapes
 # CI uses; its readers join two tables in one snapshot, which is what a
-# read overlapping the round-end advance would tear.
+# read overlapping the round-end advance would tear, and its concurrent
+# plan-cache readers are what a compiled plan shared by two reads would race.
 race-serving:
 	$(GO) test -race -cpu 1,4 -run 'Serving|Snapshot|Dispatcher' ./internal/serve/ .
 

@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"idivm"
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/db"
@@ -33,6 +34,7 @@ import (
 	"idivm/internal/rel"
 	"idivm/internal/sdbt"
 	"idivm/internal/serve"
+	"idivm/internal/sqlview"
 	"idivm/internal/workload"
 )
 
@@ -786,5 +788,57 @@ func BenchmarkServing(b *testing.B) {
 			b.StartTimer()
 		}
 		b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+	})
+}
+
+// BenchmarkKeyedRead is one keyed SQL read of a 100 000-row view — the shape
+// of a serving read page — four ways: a compiled plan from the plan cache
+// (what Query and QuerySnapshot run), the plan compiled on every call, the
+// algebra.Eval oracle on the parsed plan, and the parse alone.
+func BenchmarkKeyedRead(b *testing.B) {
+	d := idivm.Open()
+	d.MustCreateTable("t", idivm.Columns("k", "g", "x"), "k")
+	for i := 0; i < 100_000; i++ {
+		d.MustInsert("t", i, i%1000, i)
+	}
+	d.MustCreateView(`CREATE VIEW v AS SELECT k, g, x FROM t`)
+	const sql = `SELECT k, x FROM v WHERE k = 4242`
+	dbx, _ := d.Unwrap()
+	v, err := sqlview.Parse(sql, dbx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	check := func(r *rel.Relation, err error) {
+		if err != nil || r.Len() != 1 {
+			b.Fatalf("read: %v rows, %v", r, err)
+		}
+	}
+	b.Run("cached", func(b *testing.B) {
+		plans := serve.NewPlanCache(dbx)
+		run := func(p *algebra.ExecPlan) (*rel.Relation, error) { return p.Run(dbx) }
+		for i := 0; i < b.N; i++ {
+			check(plans.Read(sql, rel.StatePost, run))
+		}
+	})
+	b.Run("compiled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p, err := algebra.Compile(v.Plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			check(p.Run(dbx))
+		}
+	})
+	b.Run("eval", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			check(algebra.Eval(v.Plan, dbx))
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sqlview.Parse(sql, dbx); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

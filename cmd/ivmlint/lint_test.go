@@ -30,6 +30,7 @@ var fixtureCases = []struct {
 	{"sharedcapture", "captured variable"},
 	{"floatfold", "map-iteration order"},
 	{"epochcall", "outside the epoch protocol"},
+	{"evalcall", "outside its oracle sites"},
 }
 
 func fixtureLoader(t *testing.T) *lint.Loader {

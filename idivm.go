@@ -41,9 +41,10 @@ const (
 
 // DB is an embedded database with incrementally maintained views.
 type DB struct {
-	d   *db.Database
-	sys *ivm.System
-	srv *serve.Server // non-nil when opened WithServing
+	d     *db.Database
+	sys   *ivm.System
+	srv   *serve.Server    // non-nil when opened WithServing
+	plans *serve.PlanCache // the server's when serving, else the DB's own
 }
 
 // Option configures Open.
@@ -84,13 +85,16 @@ func Open(opts ...Option) *DB {
 	d := db.New()
 	sys := ivm.NewSystem(d)
 	x := &DB{d: d, sys: sys}
-	if cfg.serving != nil {
-		x.srv = serve.New(d, sys, serve.Options{
-			MaxBatch: cfg.serving.MaxBatch,
-			MaxDelay: cfg.serving.MaxDelay,
-			Queue:    cfg.serving.Queue,
-		})
+	if cfg.serving == nil {
+		x.plans = serve.NewPlanCache(d)
+		return x
 	}
+	x.srv = serve.New(d, sys, serve.Options{
+		MaxBatch: cfg.serving.MaxBatch,
+		MaxDelay: cfg.serving.MaxDelay,
+		Queue:    cfg.serving.Queue,
+	})
+	x.plans = x.srv.Plans()
 	return x
 }
 
@@ -385,13 +389,15 @@ func (x *DB) View(name string) (*Rows, error) {
 }
 
 // Query evaluates an ad-hoc SELECT against the current base tables
-// (no materialization).
+// (no materialization). Its compiled plan comes from the database's plan
+// cache, and its stored accesses are charged to AccessCounter.
 func (x *DB) Query(sql string) (*Rows, error) {
-	v, err := sqlview.Parse(sql, x.d)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := algebra.Eval(v.Plan, x.d)
+	return x.read(sql, rel.StatePost, x.d)
+}
+
+// read runs sql's cached plan against env in state st.
+func (x *DB) read(sql string, st rel.State, env algebra.Env) (*Rows, error) {
+	rr, err := x.plans.Read(sql, st, func(p *algebra.ExecPlan) (*rel.Relation, error) { return p.Run(env) })
 	if err != nil {
 		return nil, err
 	}
@@ -456,15 +462,7 @@ func (x *DB) QuerySnapshot(sql string) (*Rows, error) {
 		}
 		return rowsFromRelation(rr), nil
 	}
-	plan, err := serve.SnapshotPlan(x.d, sql)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := algebra.Eval(plan, db.Uncharged{Database: x.d})
-	if err != nil {
-		return nil, err
-	}
-	return rowsFromRelation(rr), nil
+	return x.read(sql, rel.StatePre, db.Uncharged{Database: x.d})
 }
 
 // PendingWrite is a handle on a write queued through the serving layer;

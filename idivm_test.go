@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"idivm"
+	"idivm/internal/algebra"
+	"idivm/internal/sqlview"
 )
 
 func openRunningExample(t testing.TB) *idivm.DB {
@@ -157,15 +159,41 @@ func TestFacadeErrors(t *testing.T) {
 	}
 }
 
+// TestFacadeAccessCounter: Query runs a compiled plan from the plan cache
+// and charges exactly what the algebra.Eval oracle charges on the same plan,
+// on the first (compiling) call and on a cached one.
 func TestFacadeAccessCounter(t *testing.T) {
 	d := openRunningExample(t)
-	d.ResetAccessCounter()
-	if _, err := d.Query(`SELECT pid FROM parts`); err != nil {
-		t.Fatal(err)
-	}
-	reads, _, _ := d.AccessCounter()
-	if reads == 0 {
-		t.Fatal("query should charge reads")
+	dbx, _ := d.Unwrap()
+	for _, sql := range []string{
+		`SELECT pid FROM parts`,
+		`SELECT did FROM devices WHERE category = 'phone'`,
+		`SELECT devices_parts.did, parts.price FROM parts, devices_parts WHERE parts.pid = devices_parts.pid`,
+	} {
+		v, err := sqlview.Parse(sql, dbx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ResetAccessCounter()
+		if _, err := algebra.Eval(v.Plan, dbx); err != nil {
+			t.Fatal(err)
+		}
+		var want [3]int64
+		want[0], want[1], want[2] = d.AccessCounter()
+		if want[0] == 0 {
+			t.Fatalf("%s: Eval charged no reads", sql)
+		}
+		for call := 0; call < 2; call++ {
+			d.ResetAccessCounter()
+			if _, err := d.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+			var got [3]int64
+			got[0], got[1], got[2] = d.AccessCounter()
+			if got != want {
+				t.Fatalf("%s (call %d): Query charged %v, Eval %v", sql, call, got, want)
+			}
+		}
 	}
 }
 

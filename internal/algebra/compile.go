@@ -3,8 +3,8 @@
 // re-derives on every call is resolved exactly once — column positions,
 // predicate bindings, equi-join pairs, and the join/semijoin/probe
 // strategy. A Δ-script's steps are compiled at view-registration time and
-// the executor runs the compiled form every maintenance round; Eval stays
-// as the reference oracle.
+// the executor runs the compiled form every maintenance round; views
+// materialize and SQL reads run compiled plans too, and Eval is the oracle.
 //
 // Every compiled operator has exactly one body, run, and the only currency
 // between operators — and between the steps of a Δ-script — is the
@@ -23,10 +23,10 @@
 // asserts this on randomized plans.
 //
 // An ExecPlan owns mutable scratch (probe value and result buffers,
-// selection vectors), so a single ExecPlan
-// must not be Run concurrently with itself. The Δ-script executor satisfies
-// this: each step runs at most once per round, and concurrently scheduled
-// steps hold distinct plans. Batches, by contrast, are immutable once
+// selection vectors), so a single ExecPlan must not be Run concurrently
+// with itself. The Δ-script executor satisfies this (each step runs at most
+// once per round, on one goroutine), and the serving plan cache checks a
+// plan out for one read at a time. Batches, by contrast, are immutable once
 // built — kernels only ever derive new ones — which is what lets every
 // operator hand out one shared zero-row batch (its empty field, which also
 // carries the operator's output schema) instead of allocating a fresh one

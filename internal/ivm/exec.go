@@ -73,9 +73,9 @@ type ExecOptions struct {
 	// shard per view so concurrent maintenance runs never write one
 	// counter; callers merge the shard back via db.Database.MergeCounter.
 	Counter *rel.CostCounter
-	// Interpret forces compute steps through the interpreted algebra.Eval
-	// path even when a compiled plan is cached — the reference-oracle mode
-	// the differential tests compare the compiled executor against.
+	// Interpret runs compute steps through the interpreted algebra.Eval
+	// oracle instead of their compiled plans — the mode the differential
+	// tests compare the compiled executor against.
 	Interpret     bool
 	Workers       int // ignored: kept because the frozen benchmark/trace.go assigns it
 	OpWorkers     int // ignored: kept because the frozen benchmark/trace.go assigns it
@@ -195,19 +195,20 @@ func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
 	var rows int
 	switch st := step.(type) {
 	case *ComputeStep:
-		// The compiled plan cached at registration time is the hot path: it
-		// binds its root batch, which the steps reading it take as columns.
-		// Interpreted Eval remains the oracle (and the fallback for scripts
-		// that were never compiled) and binds tuples.
+		// The plan compiled at registration is the one production path and
+		// binds columns; Eval, binding tuples, is the Interpret oracle only.
 		var r *rel.Binding
 		var err error
-		if st.compiled != nil && !x.interpret {
-			r, err = st.compiled.Bind(x)
-		} else {
+		switch {
+		case x.interpret:
 			var tuples *rel.Relation
 			if tuples, err = algebra.Eval(st.Plan, x); err == nil {
 				r = rel.BindRelation(tuples)
 			}
+		case st.compiled == nil:
+			return fmt.Errorf("ivm: step %s has no compiled plan (run CompileScript)", st.Name)
+		default:
+			r, err = st.compiled.Bind(x)
 		}
 		if err != nil {
 			return fmt.Errorf("ivm: step %s: %w", st.Name, err)

@@ -48,6 +48,9 @@ func TestRunScriptComputeErrorPropagates(t *testing.T) {
 				Ph:   PhaseViewCompute},
 		},
 	}
+	if err := CompileScript(s); err != nil {
+		t.Fatal(err)
+	}
 	// A run opens and closes no epoch, on failure as on success: a table
 	// outside its epoch stays outside, one inside stays inside.
 	vt, _ := d.Table("v")
@@ -61,6 +64,35 @@ func TestRunScriptComputeErrorPropagates(t *testing.T) {
 		if vt.InEpoch() != inEpoch {
 			t.Fatalf("a failed run moved the epoch: InEpoch %v, was %v", vt.InEpoch(), inEpoch)
 		}
+	}
+}
+
+// TestComputeStepNeedsCompiledPlan: the executor has one production path.
+// A compute step that CompileScript never saw fails, naming the step, and
+// only the Interpret oracle evaluates its plan.
+func TestComputeStepNeedsCompiledPlan(t *testing.T) {
+	d := db.New()
+	d.MustCreateTable("v", rel.NewSchema([]string{"k"}, []string{"k"}))
+	ins := DiffSchema{Type: DiffInsert, Rel: "v", IDs: []string{"k"}}
+	s := &Script{
+		View: "v",
+		Steps: []Step{
+			&ComputeStep{Name: "Δraw", Diff: &ins, Plan: algebra.NewRelRef("in", ins.RelSchema()), Ph: PhaseViewCompute},
+			&ApplyStep{Table: "v", DiffName: "Δraw", Diff: ins, Ph: PhaseViewUpdate},
+		},
+	}
+	rows := rel.NewRelation(ins.RelSchema())
+	rows.Add(rel.Tuple{rel.Int(7)})
+	in := map[string]*rel.Relation{"in": rows}
+	if _, err := RunScriptOpts(d, s, in, ExecOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "step Δraw") || !strings.Contains(err.Error(), "no compiled plan") {
+		t.Fatalf("uncompiled step: err = %v, want a no-compiled-plan error naming Δraw", err)
+	}
+	if _, err := RunScriptOpts(d, s, in, ExecOptions{Interpret: true}); err != nil {
+		t.Fatalf("interpreted run: %v", err)
+	}
+	if vt, _ := d.Table("v"); len(vt.Scan(rel.StatePost)) != 1 {
+		t.Fatal("the interpreted run did not apply its diff")
 	}
 }
 

@@ -49,10 +49,8 @@ type ComputeStep struct {
 	Plan algebra.Node
 	Ph   Phase
 
-	// compiled is the step's cached executable plan, built once by
-	// CompileScript (RegisterView calls it after verification). The
-	// executor runs it when present; a nil value falls back to the
-	// interpreted algebra.Eval path.
+	// compiled is the step's executable plan, built once by CompileScript
+	// (RegisterView calls it); without one the step fails unless interpreted.
 	compiled *algebra.ExecPlan
 }
 
@@ -115,15 +113,12 @@ type Script struct {
 // generation, so this is only useful for tests).
 func CompileScript(s *Script) error {
 	for _, st := range s.Steps {
-		cs, ok := st.(*ComputeStep)
-		if !ok {
-			continue
+		if cs, ok := st.(*ComputeStep); ok {
+			var err error
+			if cs.compiled, err = algebra.Compile(cs.Plan); err != nil {
+				return fmt.Errorf("ivm: compiling step %s: %w", cs.Name, err)
+			}
 		}
-		p, err := algebra.Compile(cs.Plan)
-		if err != nil {
-			return fmt.Errorf("ivm: compiling step %s: %w", cs.Name, err)
-		}
-		cs.compiled = p
 	}
 	return nil
 }

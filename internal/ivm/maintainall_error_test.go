@@ -217,6 +217,9 @@ func failAtStep(v *View, k int) (restore func()) {
 	steps := v.Script.Steps
 	boom := &ComputeStep{Name: "boom", Ph: PhaseViewCompute,
 		Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
+	if err := CompileScript(&Script{Steps: []Step{boom}}); err != nil {
+		panic(err)
+	}
 	v.Script.Steps = append(append(append([]Step(nil), steps[:k]...), boom), steps[k:]...)
 	return func() { v.Script.Steps = steps }
 }

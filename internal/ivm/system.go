@@ -251,14 +251,18 @@ func (s *System) reachesView(from, target string) bool {
 	return false
 }
 
-// materialize evaluates a plan and stores the result as a keyed table, which
-// enters its maintenance epoch there and never leaves it.
+// materialize runs a plan compiled and stores the result as a keyed table,
+// which enters its maintenance epoch there and never leaves it.
 func (s *System) materialize(name string, plan algebra.Node) error {
 	sch := plan.Schema()
 	if len(sch.Key) == 0 {
 		return fmt.Errorf("ivm: plan for %q has no inferred IDs", name)
 	}
-	r, err := algebra.Eval(plan, s.DB)
+	p, err := algebra.Compile(plan)
+	if err != nil {
+		return err
+	}
+	r, err := p.Run(s.DB)
 	if err != nil {
 		return err
 	}

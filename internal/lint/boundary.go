@@ -1,7 +1,8 @@
 // Boundary analyzers: gostmt (goroutine launches outside the blessed
 // worker-pool files), tabletype (concrete table references punching through
-// the storage boundary) and epochcall (epoch lifecycle calls outside the
-// one epoch protocol).
+// the storage boundary), epochcall (epoch lifecycle calls outside the
+// one epoch protocol) and evalcall (the interpreted evaluator outside its
+// oracle sites).
 
 package lint
 
@@ -154,4 +155,62 @@ func runEpochCall(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// evalCallFuncs are the oracle sites outside internal/algebra: per package,
+// the functions (Type.Method for a method) that may call algebra.Eval — a
+// view's recompute check, the executor's Interpret branch and the SDBT
+// baseline's recompute.
+var evalCallFuncs = map[string]map[string]bool{
+	"internal/ivm":  {"System.Recompute": true, "scriptExec.runStep": true},
+	"internal/sdbt": {"Recompute": true},
+}
+
+// AnalyzerEvalCall flags references to algebra.Eval outside internal/algebra
+// and the oracle sites (evalCallFuncs). Production reads and maintenance run
+// compiled plans (algebra.Compile); Eval is the oracle they are checked
+// against, and a call anywhere else is a second evaluator growing back. Test
+// files are not inspected, nor are the packages below algebra, nor the
+// end-to-end benchmark, which times Eval beside the compiled path.
+var AnalyzerEvalCall = register(&Analyzer{
+	Name: "evalcall",
+	Doc:  "algebra.Eval outside its oracle sites",
+	AppliesTo: func(rel string) bool {
+		return !pathIn(rel, "internal/algebra", "internal/rel", "internal/storage", "benchmark")
+	},
+	Run: runEvalCall,
+})
+
+func runEvalCall(pass *Pass) {
+	blessed := evalCallFuncs[pass.Pkg.Rel]
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok {
+				return !blessed[funcDeclName(fd)]
+			}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Eval" || !isPkgIdent(pass, sel.X, algebraPkgPath) {
+				return true
+			}
+			pass.Reportf(sel.Pos(), "algebra.Eval outside its oracle sites; production plans run "+
+				"compiled (algebra.Compile, the serve plan cache) "+
+				"(or annotate with //ivmlint:allow evalcall)")
+			return true
+		})
+	}
+}
+
+// funcDeclName is a function's name, or Type.Method for a method.
+func funcDeclName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
 }

@@ -165,6 +165,7 @@ func everywhere(string) bool { return true }
 // Well-known module-internal package paths the type-aware analyzers pin
 // their checks to.
 const (
+	algebraPkgPath = "idivm/internal/algebra"
 	relPkgPath     = "idivm/internal/rel"
 	storagePkgPath = "idivm/internal/storage"
 )

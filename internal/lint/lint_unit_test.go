@@ -27,11 +27,11 @@ func TestPathIn(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the analyzer suite: all ten analyzers registered,
+// TestRegistry pins the analyzer suite: all eleven analyzers registered,
 // resolvable by name, and the stale pseudo-analyzer deliberately not.
 func TestRegistry(t *testing.T) {
 	want := []string{"maprange", "deepequal", "bindname", "gostmt", "tabletype",
-		"chargepath", "countershard", "sharedcapture", "floatfold", "epochcall"}
+		"chargepath", "countershard", "sharedcapture", "floatfold", "epochcall", "evalcall"}
 	if len(Analyzers()) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(Analyzers()), len(want))
 	}
@@ -63,12 +63,12 @@ func TestEnabledFor(t *testing.T) {
 		test bool
 		want string
 	}{
-		{"internal/ivm", false, "bindname chargepath countershard deepequal epochcall floatfold gostmt maprange sharedcapture tabletype"},
+		{"internal/ivm", false, "bindname chargepath countershard deepequal epochcall evalcall floatfold gostmt maprange sharedcapture tabletype"},
 		{"internal/rel", false, "bindname chargepath deepequal"},
 		{"internal/rel/epochtest", false, "bindname chargepath deepequal"},
 		{"internal/storage", false, "bindname"},
-		{"internal/sqlview", false, "bindname chargepath countershard epochcall maprange tabletype"},
-		{"cmd/ivmlint", false, "bindname chargepath countershard epochcall tabletype"},
+		{"internal/sqlview", false, "bindname chargepath countershard epochcall evalcall maprange tabletype"},
+		{"cmd/ivmlint", false, "bindname chargepath countershard epochcall evalcall tabletype"},
 		{"benchmark", false, "bindname chargepath countershard tabletype"},
 		// Test files run the reduced set: gostmt + sharedcapture inside
 		// internal/..., nothing elsewhere.

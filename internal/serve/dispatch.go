@@ -133,7 +133,8 @@ func (s *Server) Flush() error {
 
 // Close stops accepting modifications, commits a final batch of whatever
 // is queued, and stops the dispatcher. It returns the final round's error,
-// if any. Safe to call more than once.
+// if any — the error that round's writes see from Wait. Safe to call more
+// than once: a later Close waits for the first and returns nil.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -145,7 +146,7 @@ func (s *Server) Close() error {
 	s.closeMu.Unlock()
 	close(s.quit)
 	<-s.done
-	return nil
+	return s.closeErr
 }
 
 // start launches the dispatcher goroutine — the package's only go
@@ -206,7 +207,7 @@ func (s *Server) dispatch() {
 			// after the final round's deltas were offered (with quit
 			// closed, publish delivers best-effort — see subscribe.go).
 			batch = drain(s.opCh, batch)
-			commit()
+			s.closeErr = commit()
 			s.closeSubs()
 			return
 		}

@@ -1,74 +1,104 @@
-// The reader-side plan cache: repeated QuerySnapshot SQL skips the parse
-// and StatePre rewrite. Plans are immutable once built (the interpreted
-// evaluator never mutates nodes), so one cached plan serves concurrent
-// readers; the LRU bookkeeping itself is mutex-guarded. Entries key on
-// the exact SQL text and resolve against the catalog at insertion time —
-// the cache assumes the catalog is stable while serving (views are
-// registered before the server attaches), like the rest of the serving
-// layer.
+// The plan cache: every SQL read of a database — Server.QuerySnapshot and the
+// facade's Query and QuerySnapshot — runs a compiled plan from one LRU keyed
+// on the SQL text plus the state the plan reads, so repeated SQL skips the
+// parse and the compile. Plans resolve against the catalog when compiled:
+// no table may be dropped or redefined while the cache lives.
+//
+// An algebra.ExecPlan owns scratch and must not run on two goroutines at
+// once, so a read checks its plan out for the length of the read and then
+// puts it back; a concurrent read of the same SQL compiles its own copy. No
+// lock is held while a plan runs.
 
 package serve
 
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"idivm/internal/algebra"
+	"idivm/internal/db"
+	"idivm/internal/rel"
+	"idivm/internal/sqlview"
 )
 
-// defaultPlanCache is the capacity of every server's plan cache.
-const defaultPlanCache = 64
+// planCacheSize is the capacity of every plan cache.
+const planCacheSize = 64
 
-// planCache is a small LRU from SQL text to a parsed, StatePre-rewritten
-// plan.
-type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+// PlanCache is a database's one cache of compiled read plans: the server's
+// when it is served, its own otherwise. It is safe for concurrent use.
+type PlanCache struct {
+	d            *db.Database
+	mu           sync.Mutex
+	ll           *list.List // idle plans; front = most recently used
+	items        map[planKey]*list.Element
+	hits, misses atomic.Int64
+}
+
+// planKey names a plan: its SQL text and the state its stored tables read —
+// rel.StatePost for a live query, rel.StatePre for a snapshot.
+type planKey struct {
+	sql string
+	st  rel.State
 }
 
 type planEntry struct {
-	sql  string
-	plan algebra.Node
+	key  planKey
+	plan *algebra.ExecPlan
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
+// NewPlanCache returns an empty cache over d's catalog.
+func NewPlanCache(d *db.Database) *PlanCache {
+	return &PlanCache{d: d, ll: list.New(), items: make(map[planKey]*list.Element, planCacheSize)}
 }
 
-func (c *planCache) get(sql string) (algebra.Node, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[sql]
-	if !ok {
-		return nil, false
+// Read runs fn on sql's compiled plan reading state st — an idle cached one (a
+// hit) or a fresh compile (a miss; SQL that fails to compile is not cached) —
+// checked out while fn runs and put back after.
+func (c *PlanCache) Read(sql string, st rel.State, fn func(*algebra.ExecPlan) (*rel.Relation, error)) (*rel.Relation, error) {
+	k := planKey{sql, st}
+	p := c.take(k)
+	if p != nil {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+		v, err := sqlview.Parse(sql, c.d)
+		if err != nil {
+			return nil, err
+		}
+		if p, err = algebra.Compile(algebra.WithState(v.Plan, st)); err != nil {
+			return nil, err
+		}
 	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*planEntry).plan, true
+	defer c.put(k, p)
+	return fn(p)
 }
 
-func (c *planCache) put(sql string, plan algebra.Node) {
+// take checks k's idle plan out of the cache, or returns nil.
+func (c *PlanCache) take(k planKey) *algebra.ExecPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.items[sql]; ok {
-		// A concurrent miss on the same SQL raced us here; both plans are
-		// equivalent, keep the newer and refresh recency.
-		e.Value.(*planEntry).plan = plan
+	if e, ok := c.items[k]; ok {
+		c.ll.Remove(e)
+		delete(c.items, k)
+		return e.Value.(*planEntry).plan
+	}
+	return nil
+}
+
+// put returns a plan as the most recently used entry, evicting the least
+// recently used past capacity; if another reader's copy is back first, p goes.
+func (c *PlanCache) put(k planKey, p *algebra.ExecPlan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.items[k]; ok {
 		c.ll.MoveToFront(e)
 		return
 	}
-	c.items[sql] = c.ll.PushFront(&planEntry{sql: sql, plan: plan})
-	if c.ll.Len() > c.cap {
+	c.items[k] = c.ll.PushFront(&planEntry{key: k, plan: p})
+	if c.ll.Len() > planCacheSize {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.items, last.Value.(*planEntry).sql)
+		delete(c.items, last.Value.(*planEntry).key)
 	}
-}
-
-// len reports the current entry count (tests).
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -2,65 +2,96 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"idivm/internal/algebra"
 	"idivm/internal/rel"
 )
 
-func cachePlan(name string) algebra.Node {
-	return algebra.NewScan(name, "", rel.NewSchema([]string{"k"}, []string{"k"}))
+func cachePlan(name string) *algebra.ExecPlan {
+	return algebra.MustCompile(algebra.NewScan(name, "", rel.NewSchema([]string{"k"}, []string{"k"})))
+}
+
+func key(i int) planKey { return planKey{sql: fmt.Sprintf("q%d", i), st: rel.StatePre} }
+
+// len reports the idle entry count.
+func (c *PlanCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
 func TestPlanCacheLRU(t *testing.T) {
-	c := newPlanCache(2)
-	c.put("a", cachePlan("a"))
-	c.put("b", cachePlan("b"))
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	c := NewPlanCache(nil)
+	plans := make([]*algebra.ExecPlan, planCacheSize)
+	for i := range plans {
+		plans[i] = cachePlan(key(i).sql)
+		c.put(key(i), plans[i])
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("miss on a")
+	if c.len() != planCacheSize {
+		t.Fatalf("len = %d, want %d", c.len(), planCacheSize)
 	}
-	// a is now most recent; inserting c evicts b.
-	c.put("c", cachePlan("c"))
-	if c.len() != 2 {
-		t.Fatalf("len after evict = %d, want 2", c.len())
+	// A checked-out plan is not in the cache until it is put back.
+	if p := c.take(key(0)); p != plans[0] {
+		t.Fatalf("take q0 = %p, want %p", p, plans[0])
 	}
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction past capacity")
+	if p := c.take(key(0)); p != nil || c.len() != planCacheSize-1 {
+		t.Fatalf("q0 checked out twice (len %d)", c.len())
 	}
-	for _, k := range []string{"a", "c"} {
-		if p, ok := c.get(k); !ok || p.(*algebra.Scan).Table != k {
-			t.Fatalf("entry %q lost or wrong: %v %v", k, p, ok)
-		}
+	// Putting q0 back makes it the most recent; one more plan evicts q1.
+	c.put(key(0), plans[0])
+	c.put(key(planCacheSize), cachePlan("new"))
+	if c.len() != planCacheSize {
+		t.Fatalf("len after evict = %d, want %d", c.len(), planCacheSize)
 	}
-	// Re-putting an existing key replaces in place, no growth.
-	c.put("a", cachePlan("a"))
-	if c.len() != 2 {
-		t.Fatalf("len after re-put = %d, want 2", c.len())
+	if p := c.take(key(1)); p != nil {
+		t.Fatal("q1 survived eviction past capacity")
+	}
+	// The same SQL under the other read state is another plan.
+	if p := c.take(planKey{sql: key(2).sql, st: rel.StatePost}); p != nil {
+		t.Fatal("a live read found the snapshot plan")
+	}
+	// When a concurrent reader's copy came back first, it stays.
+	c.put(key(0), cachePlan("copy"))
+	if p := c.take(key(0)); p != plans[0] || c.len() != planCacheSize-1 {
+		t.Fatalf("second copy of q0 replaced the first (len %d)", c.len())
 	}
 }
 
+// TestPlanCacheConcurrent hammers the checkout rule: however many goroutines
+// read the same SQL, no plan is ever held by two of them at once, and the
+// cache never outgrows its capacity.
 func TestPlanCacheConcurrent(t *testing.T) {
-	c := newPlanCache(8)
-	done := make(chan struct{})
+	c := NewPlanCache(nil)
+	var held sync.Map // *algebra.ExecPlan → *atomic.Bool
+	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		wg.Add(1)
 		//ivmlint:allow gostmt — test goroutines hammering the cache
 		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				k := fmt.Sprintf("q%d", (g+i)%12)
-				if _, ok := c.get(k); !ok {
-					c.put(k, cachePlan(k))
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := key((g + i) % (planCacheSize + planCacheSize/2))
+				p := c.take(k)
+				if p == nil {
+					p = cachePlan(k.sql)
 				}
+				busy, _ := held.LoadOrStore(p, new(atomic.Bool))
+				if !busy.(*atomic.Bool).CompareAndSwap(false, true) {
+					t.Errorf("plan %s checked out by two readers", k.sql)
+					return
+				}
+				runtime.Gosched() // hold the plan across a reschedule
+				busy.(*atomic.Bool).Store(false)
+				c.put(k, p)
 			}
 		}(g)
 	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if n := c.len(); n > 8 {
+	wg.Wait()
+	if n := c.len(); n > planCacheSize {
 		t.Fatalf("cache overgrew its capacity: %d", n)
 	}
 }

@@ -58,7 +58,6 @@ import (
 	"idivm/internal/db"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
-	"idivm/internal/sqlview"
 )
 
 // Options tunes the group-commit dispatcher.
@@ -103,8 +102,8 @@ type Stats struct {
 	// Rounds counts completed MaintainAll rounds observed via the hooks
 	// (including any driven outside the dispatcher).
 	Rounds int64
-	// PlanCacheHits counts QuerySnapshot calls served from the plan cache;
-	// PlanCacheMisses counts the ones that parsed.
+	// PlanCacheHits counts SQL reads (QuerySnapshot, the facade's Query) that
+	// ran a cached plan; PlanCacheMisses counts the ones that compiled.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 }
@@ -132,11 +131,7 @@ type Server struct {
 	opCh    chan *pendingOp
 	flushCh chan chan error
 
-	// plans is the reader-side LRU over parsed QuerySnapshot plans, keyed
-	// on SQL text; the counters track its hit rate.
-	plans      *planCache
-	planHits   atomic.Int64
-	planMisses atomic.Int64
+	plans *PlanCache // the database's one cache of compiled SQL read plans
 
 	// subs are the live delta subscriptions; roundSeq numbers committed
 	// rounds for Delta.Round and is touched only by the dispatcher.
@@ -144,10 +139,11 @@ type Server struct {
 	subs     []*Subscription
 	roundSeq int64
 
-	closeMu sync.RWMutex // serializes enqueue/flush/subscribe against Close
-	closed  bool
-	quit    chan struct{}
-	done    chan struct{}
+	closeMu  sync.RWMutex // serializes enqueue/flush/subscribe against Close
+	closed   bool
+	quit     chan struct{}
+	done     chan struct{}
+	closeErr error // the final round's, set by the dispatcher before done closes
 }
 
 // New wires a server onto the database and its IVM system: it composes
@@ -160,7 +156,7 @@ func New(d *db.Database, sys *ivm.System, opts Options) *Server {
 		d:     d,
 		sys:   sys,
 		opts:  opts.withDefaults(),
-		plans: newPlanCache(defaultPlanCache),
+		plans: NewPlanCache(d),
 	}
 	s.opCh = make(chan *pendingOp, s.opts.Queue)
 	s.flushCh = make(chan chan error)
@@ -200,8 +196,8 @@ func (s *Server) Stats() Stats {
 		Ops:             s.ops.Load(),
 		Batches:         s.batches.Load(),
 		Rounds:          s.rounds.Load(),
-		PlanCacheHits:   s.planHits.Load(),
-		PlanCacheMisses: s.planMisses.Load(),
+		PlanCacheHits:   s.plans.hits.Load(),
+		PlanCacheMisses: s.plans.misses.Load(),
 	}
 }
 
@@ -242,45 +238,18 @@ func (s *Server) ViewSnapshot(name string) (*rel.Relation, error) {
 	})
 }
 
-// SnapshotPlan parses an ad-hoc SELECT against d's catalog and pins every
-// stored table it reads to the pre-state: the plan of a snapshot query,
-// with or without a server in front of d.
-func SnapshotPlan(d *db.Database, sql string) (algebra.Node, error) {
-	v, err := sqlview.Parse(sql, d)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.WithState(v.Plan, rel.StatePre), nil
-}
+// Plans returns the server's plan cache, which the facade's Query shares.
+func (s *Server) Plans() *PlanCache { return s.plans }
 
 // QuerySnapshot evaluates an ad-hoc SELECT against the pinned snapshot:
 // every stored table in the plan is read in StatePre, so the result is
 // consistent with the last completed round (for logged base tables and
 // materialized views; an unlogged table has no snapshot machinery and
-// reads live). Uncharged, like ViewSnapshot. Repeated SQL text is served
-// from the plan cache (an LRU of defaultPlanCache plans): the parse and
-// pre-state rewrite happen once; only failed parses are never cached.
+// reads live). Uncharged, like ViewSnapshot. The compiled plan comes from
+// the plan cache and stays checked out across the seqlock's retries.
 func (s *Server) QuerySnapshot(sql string) (*rel.Relation, error) {
-	plan, cached := s.cachedPlan(sql)
-	if !cached {
-		var err error
-		if plan, err = SnapshotPlan(s.d, sql); err != nil {
-			return nil, err
-		}
-		s.plans.put(sql, plan)
-	}
 	env := db.Uncharged{Database: s.d}
-	return s.read(func() (*rel.Relation, error) {
-		return algebra.Eval(plan, env)
+	return s.plans.Read(sql, rel.StatePre, func(p *algebra.ExecPlan) (*rel.Relation, error) {
+		return s.read(func() (*rel.Relation, error) { return p.Run(env) })
 	})
-}
-
-// cachedPlan consults the plan cache, maintaining the hit/miss counters.
-func (s *Server) cachedPlan(sql string) (algebra.Node, bool) {
-	if p, ok := s.plans.get(sql); ok {
-		s.planHits.Add(1)
-		return p, true
-	}
-	s.planMisses.Add(1)
-	return nil, false
 }

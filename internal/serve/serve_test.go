@@ -503,6 +503,9 @@ func TestSnapshotTearFreedomUnderFailedRounds(t *testing.T) {
 			steps := f.Script.Steps
 			boom := &ivm.ComputeStep{Name: "boom", Ph: ivm.PhaseViewCompute,
 				Plan: algebra.NewRelRef("unbound-boom", rel.NewSchema([]string{"k"}, []string{"k"}))}
+			if err := ivm.CompileScript(&ivm.Script{Steps: []ivm.Step{boom}}); err != nil {
+				t.Fatal(err)
+			}
 
 			const readers = 3
 			stop := make(chan struct{})
@@ -785,6 +788,34 @@ func TestDispatcherBatching(t *testing.T) {
 			t.Fatal("Close did not commit the queued insert")
 		}
 	})
+}
+
+// TestCloseReturnsFinalRoundError fails the round Close commits on the fault
+// engine: Close returns that round's error, the queued write's Wait returns
+// the same error, and a second Close returns nil.
+func TestCloseReturnsFinalRoundError(t *testing.T) {
+	e := storagetest.New()
+	s := newServedOn(t, func() storage.Engine { return e }, flushOpts)
+	v, err := s.srv.ViewSnapshot(testView)
+	if err != nil {
+		t.Fatalf("ViewSnapshot: %v", err)
+	}
+	if len(v.Tuples) == 0 {
+		t.Fatal("the served view is empty")
+	}
+	pid := v.Tuples[0][v.Schema.Index("devices_parts.pid")] // a part the view joins
+	pend := s.srv.EnqueueUpdate("parts", []rel.Value{pid}, []string{"price"}, []rel.Value{rel.Int(12_345)})
+	e.Arm(2) // the update is the first row written, the round's first view row the second
+	err = s.srv.Close()
+	if !errors.Is(err, storagetest.ErrInjected) {
+		t.Fatalf("Close = %v, want the final round's injected fault", err)
+	}
+	if werr := pend.Wait(); werr != err {
+		t.Fatalf("queued write's Wait = %v, Close = %v: want the same error", werr, err)
+	}
+	if err := s.srv.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
 }
 
 // TestSnapshotUnknownView pins the error path.

@@ -130,3 +130,26 @@ func TestSnapshotWithoutServing(t *testing.T) {
 		t.Fatalf("snapshot reads were charged: reads=%d lookups=%d writes=%d", r, l, w)
 	}
 }
+
+// TestReadsShareOnePlanCache: a served database has one plan cache, the
+// server's. Query (live) and QuerySnapshot (pre-state) of the same SQL are two
+// entries in it, each compiled once and then reused, and the server's
+// counters see both.
+func TestReadsShareOnePlanCache(t *testing.T) {
+	d := idivm.Open(idivm.WithServing(idivm.ServingOptions{}))
+	defer d.Close()
+	d.MustCreateTable("parts", idivm.Columns("pid", "price"), "pid")
+	d.MustInsert("parts", 1, 10)
+	const sql = "SELECT pid, price FROM parts"
+	for i := 0; i < 2; i++ {
+		if _, err := d.Query(sql); err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+		if _, err := d.QuerySnapshot(sql); err != nil {
+			t.Fatalf("QuerySnapshot: %v", err)
+		}
+	}
+	if st := d.Serving().Stats(); st.PlanCacheMisses != 2 || st.PlanCacheHits != 2 {
+		t.Fatalf("plan cache hits/misses = %d/%d, want 2/2", st.PlanCacheHits, st.PlanCacheMisses)
+	}
+}
