@@ -137,6 +137,28 @@ func TestFacadeDuplicateView(t *testing.T) {
 	}
 }
 
+// A NATURAL JOIN of two sources with no column name in common is an error
+// from CreateView and Query, not a panic out of plan construction.
+func TestFacadeNaturalJoinWithoutSharedColumns(t *testing.T) {
+	d := idivm.Open()
+	d.MustCreateTable("a", idivm.Columns("id", "x"), "id")
+	d.MustCreateTable("b", idivm.Columns("pk", "y"), "pk")
+	d.MustInsert("a", 1, 10)
+	d.MustInsert("b", 2, 20)
+	const sql = `SELECT x FROM a NATURAL JOIN b`
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%q panicked: %v", sql, r)
+		}
+	}()
+	if _, err := d.Query(sql); err == nil || !strings.Contains(err.Error(), "NATURAL JOIN") {
+		t.Errorf("Query: %v, want a NATURAL JOIN error", err)
+	}
+	if err := d.CreateView("CREATE VIEW v AS " + sql); err == nil || !strings.Contains(err.Error(), "NATURAL JOIN") {
+		t.Errorf("CreateView: %v, want a NATURAL JOIN error", err)
+	}
+}
+
 // A select list that names two output columns alike is an error from
 // CreateView and Query, never a panic out of plan construction (ROADMAP
 // item 4a): explicit aliases, derived bare names, repeated aggregates, and

@@ -63,25 +63,19 @@ func (a *aggState) result() rel.Value {
 	return rel.Null()
 }
 
+// evalGroupBy hash-aggregates the child's rows; output tuple order follows
+// first appearance of each group, making results deterministic.
 func evalGroupBy(g *GroupBy, env Env) (*rel.Relation, error) {
 	child, err := Eval(g.Child, env)
 	if err != nil {
 		return nil, err
 	}
-	return AggregateRelation(child, g.Keys, g.Aggs)
-}
-
-// AggregateRelation hash-aggregates an in-memory relation; it is exposed
-// for the IVM rule engine, which aggregates diff relations directly.
-// Output tuple order follows first appearance of each group, making
-// results deterministic.
-func AggregateRelation(child *rel.Relation, keys []string, aggs []Agg) (*rel.Relation, error) {
-	keyIdx, err := child.Schema.Indices(keys)
+	keyIdx, err := child.Schema.Indices(g.Keys)
 	if err != nil {
 		return nil, err
 	}
-	compiled := make([]*expr.Compiled, len(aggs))
-	for i, a := range aggs {
+	compiled := make([]*expr.Compiled, len(g.Aggs))
+	for i, a := range g.Aggs {
 		if a.Arg == nil {
 			continue
 		}
@@ -106,15 +100,15 @@ func AggregateRelation(child *rel.Relation, keys []string, aggs []Agg) (*rel.Rel
 			for i, j := range keyIdx {
 				kv[i] = t[j]
 			}
-			states := make([]*aggState, len(aggs))
-			for i, a := range aggs {
+			states := make([]*aggState, len(g.Aggs))
+			for i, a := range g.Aggs {
 				states[i] = newAggState(a.Fn)
 			}
 			grp = &group{keyVals: kv, states: states}
 			byKey[k] = grp
 			order = append(order, grp)
 		}
-		for i, a := range aggs {
+		for i, a := range g.Aggs {
 			if a.Arg == nil {
 				grp.states[i].add(rel.Null(), true)
 			} else {
@@ -123,11 +117,11 @@ func AggregateRelation(child *rel.Relation, keys []string, aggs []Agg) (*rel.Rel
 		}
 	}
 
-	attrs := append([]string(nil), keys...)
-	for _, a := range aggs {
+	attrs := append([]string(nil), g.Keys...)
+	for _, a := range g.Aggs {
 		attrs = append(attrs, a.As)
 	}
-	out := rel.NewRelation(rel.NewSchema(attrs, keys))
+	out := rel.NewRelation(rel.NewSchema(attrs, g.Keys))
 	for _, grp := range order {
 		nt := append(rel.Tuple{}, grp.keyVals...)
 		for _, st := range grp.states {

@@ -246,9 +246,16 @@ func TestNaturalJoin(t *testing.T) {
 	dp, _ := d.Table("devices_parts")
 	sp := algebra.NewScan("parts", "", parts.Schema())
 	sdp := algebra.NewScan("devices_parts", "", dp.Schema())
-	nj := algebra.NaturalJoin(sp, sdp)
+	nj, err := algebra.NaturalJoin(sp, sdp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := eval(t, nj, d).Len(); got != 3 {
 		t.Fatalf("natural join len = %d, want 3", got)
+	}
+	renamed := algebra.NewProject(algebra.NewScan("parts", "zz", parts.Schema()), []algebra.ProjItem{{E: expr.C("zz.pid"), As: "q"}})
+	if _, err := algebra.NaturalJoin(algebra.Keep(sp, "parts.price"), renamed); err == nil {
+		t.Error("natural join without shared attributes must fail, not become a cross product")
 	}
 }
 

@@ -400,7 +400,7 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, er
 		return c.empty, nil
 	}
 	idx, storedW := c.drive()
-	pr := c.probe
+	pr := c.pr
 	// The match count is unknown until probed (selectivity can be ≪1), so
 	// the stored builders size themselves by doubling rather than reserving
 	// a row per driving row up front.
@@ -418,16 +418,16 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, er
 		if len(rows) == 0 {
 			continue
 		}
-		if c.residual != nil {
+		if c.match != nil {
 			scratch = driving.Row(i, scratch)
 		}
 		for _, mt := range rows {
-			if c.residual != nil {
+			if c.match != nil {
 				lt, rt := scratch, mt
 				if !c.drivingLeft() {
 					lt, rt = mt, scratch
 				}
-				if !c.residual.EvalBool(lt, rt) {
+				if !c.match.EvalBool(lt, rt) {
 					continue
 				}
 			}
@@ -470,16 +470,16 @@ func (c *cJoin) hashJoin(left, right *rel.Batch) *rel.Batch {
 		if ri < 0 {
 			continue
 		}
-		if c.residual != nil {
+		if c.match != nil {
 			lbuf = left.Row(i, lbuf)
 		}
 		for ; ri >= 0; ri = ht.Next(ri) {
 			if !keysSameIdx(left, right, c.lidx, c.ridx, i, int(ri)) {
 				continue
 			}
-			if c.residual != nil {
+			if c.match != nil {
 				rbuf = right.Row(int(ri), rbuf)
-				if !c.residual.EvalBool(lbuf, rbuf) {
+				if !c.match.EvalBool(lbuf, rbuf) {
 					continue
 				}
 			}
@@ -504,7 +504,7 @@ func (c *cJoin) nestedJoin(left, right *rel.Batch) *rel.Batch {
 	for i := 0; i < left.Len(); i++ {
 		lbuf = left.Row(i, lbuf)
 		for j, rt := range rrows {
-			if c.pred.EvalBool(lbuf, rt) {
+			if c.match == nil || c.match.EvalBool(lbuf, rt) {
 				gl = append(gl, int32(i))
 				gr = append(gr, int32(j))
 			}
@@ -539,7 +539,7 @@ func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, erro
 	var out []rel.Tuple
 	var seen, emitted rel.DigestChains
 	seen.Reserve(right.Len())
-	pr, rdig := c.probe, keyDigests(right, c.ridx)
+	pr, rdig := c.pr, keyDigests(right, c.ridx)
 next:
 	for i, n := 0, right.Len(); i < n; i++ {
 		if !pr.fill(right, c.ridx, i) {
@@ -584,7 +584,7 @@ func tupleKeyEqual(a, b rel.Tuple) bool {
 // probeRightSel is semiProbeRight: keep/drop per left row by probing the
 // stored right — the Handle calls of Eval's loop — as a selection vector.
 func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, error) {
-	pr, n := c.probe, left.Len()
+	pr, n := c.pr, left.Len()
 	sel := make([]int32, 0, n)
 	var scratch rel.Tuple
 	for i := 0; i < n; i++ {
@@ -594,7 +594,7 @@ func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, erro
 			if err != nil {
 				return nil, err
 			}
-			if c.residual == nil {
+			if c.match == nil {
 				matched = len(rows) > 0
 			} else {
 				scratch = left.Row(i, scratch)
@@ -622,13 +622,13 @@ func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
 			if !keysSameIdx(left, right, c.lidx, c.ridx, i, int(ri)) {
 				continue
 			}
-			if c.residual == nil {
+			if c.match == nil {
 				matched = true
 				break
 			}
 			lbuf = left.Row(i, lbuf)
 			rbuf = right.Row(int(ri), rbuf)
-			if c.residual.EvalBool(lbuf, rbuf) {
+			if c.match.EvalBool(lbuf, rbuf) {
 				matched = true
 				break
 			}
@@ -650,7 +650,7 @@ func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
 		lbuf = left.Row(i, lbuf)
 		matched := false
 		for _, rt := range rrows {
-			if c.pred.EvalBool(lbuf, rt) {
+			if c.match == nil || c.match.EvalBool(lbuf, rt) {
 				matched = true
 				break
 			}

@@ -15,12 +15,13 @@
 // the Eval oracle, ExecPlan.Run's caller). The kernels those bodies are built
 // from live in batch.go.
 //
-// The compiled and interpreted paths are built from the same shape
-// analysis (shapeOf) and the same selection split (expr.EqLiterals), and
-// charge stored accesses through the same Handle entry points, so for every
-// plan they perform identical stored accesses: state, reports and access
-// counters match tuple-for-tuple. The differential suite in internal/ivm
-// asserts this on randomized plans.
+// The compiled and interpreted paths make no access-path decision of their
+// own: both run the plans of the one physical planner (shape.go: joinPlan,
+// semiPlan, probePlan and the useIndex rule), probe stored tables through
+// the same cProbe and charge through the same Handle entry points, so for
+// every plan they perform identical stored accesses: state, reports and
+// access counters match tuple-for-tuple. Compilation only turns a plan into
+// kernels; the differential suites assert the parity on randomized plans.
 //
 // An ExecPlan owns mutable scratch (probe value and result buffers,
 // selection vectors), so a single ExecPlan must not be Run concurrently
@@ -204,76 +205,45 @@ func (c *cSelect) run(env Env) (*rel.Batch, error) {
 	return c.pred.filter(child, c.empty), nil
 }
 
-// cStoredSelect runs a σ-chain over a stored leaf with the same
-// index-vs-scan planning as evalStoredSelect: the column = literal
-// equalities of the predicate become an index probe whenever the index
-// cardinality makes the probe (1 lookup + p reads) strictly cheaper than
-// the full scan (n reads). The decision inputs (p, n) are deterministic
-// state, so both executors always pick the same access path.
+// cStoredSelect runs a σ-chain over a stored leaf: the probe on the
+// chain's literal equalities when useIndex takes it, else a scan filtered by
+// the whole predicate.
 type cStoredSelect struct {
-	table    string
-	st       rel.State
-	empty    *rel.Batch
-	eqBare   []string
-	eqVals   []rel.Value
-	prep     rel.PrepLookup
-	residual *expr.Compiled // after removing the eq literals; nil when TRUE
-	full     *bPred         // the whole predicate, for the scan path
-	rowsBuf  []rel.Tuple
+	probe *cProbe
+	full  *bPred // the whole predicate, for the scan
+	empty *rel.Batch
 }
 
 func compileStoredSelect(sh *probeShape) (cNode, error) {
-	cols, vals, residual := expr.EqLiterals(sh.extra, sh.schema)
+	probe, err := compileProbe(planProbe(sh, nil))
+	if err != nil {
+		return nil, err
+	}
 	full, err := compileBatchPred(sh.extra, sh.schema)
 	if err != nil {
 		return nil, err
 	}
-	c := &cStoredSelect{table: sh.table, st: sh.st, empty: rel.NewBatch(sh.schema), eqVals: vals, full: full}
-	if len(cols) > 0 {
-		c.eqBare = make([]string, len(cols))
-		for i, col := range cols {
-			c.eqBare[i] = sh.toBare(col)
-		}
-		c.prep = rel.PrepareLookup(c.eqBare)
-		if !expr.IsTrueLit(residual) {
-			if c.residual, err = expr.Compile(residual, sh.schema); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return c, nil
+	return &cStoredSelect{probe: probe, full: full, empty: rel.NewBatch(sh.schema)}, nil
 }
 
 func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
-	t, err := env.Table(c.table)
+	t, err := c.probe.resolve(env)
 	if err != nil {
 		return nil, err
 	}
-	if len(c.eqBare) > 0 {
-		p, n, err := t.IndexCard(c.st, c.eqBare, c.eqVals)
-		if err != nil {
-			return nil, err
-		}
-		if p+1 < n {
-			// The batch copies the values out, so the row buffer is scratch.
-			rows, err := t.LookupInto(c.st, c.prep, c.eqVals, c.rowsBuf[:0])
-			c.rowsBuf = rows[:0]
-			if err != nil {
-				return nil, err
-			}
-			if c.residual != nil {
-				kept := rows[:0]
-				for _, r := range rows {
-					if c.residual.EvalBool(r) {
-						kept = append(kept, r)
-					}
-				}
-				rows = kept
-			}
-			return batchOf(c.empty, rows), nil
-		}
+	index, err := useIndex(t, &c.probe.plan)
+	if err != nil {
+		return nil, err
 	}
-	return c.full.filter(batchOf(c.empty, t.Scan(c.st)), c.empty), nil
+	if !index {
+		return c.full.filter(batchOf(c.empty, t.Scan(c.probe.plan.st)), c.empty), nil
+	}
+	// The batch copies the values out, so the probe's row buffer is scratch.
+	rows, err := c.probe.lookup(t)
+	if err != nil {
+		return nil, err
+	}
+	return batchOf(c.empty, rows), nil
 }
 
 // cProject applies precompiled projection expressions. A plain column
@@ -345,52 +315,29 @@ func (c *cProject) run(env Env) (*rel.Batch, error) {
 	return out, nil
 }
 
-// cProbe is a compiled probeTarget: the full probe attribute list (join
-// columns plus folded literal-equality columns) mapped to bare names and
-// prepared once, the residual σ predicate compiled once, and reusable
-// value/key/result buffers for the probe loop.
+// cProbe runs a probePlan: the residual σ predicate compiled once, and
+// reusable value and result buffers for the probe loop. Eval probes through
+// it too, so both evaluators issue the same LookupInto calls.
 type cProbe struct {
-	table    string
-	st       rel.State
-	prep     rel.PrepLookup
-	nJoin    int // leading entries of valsBuf filled per probe
-	litVals  []rel.Value
-	residual *expr.Compiled // probe target's σ residual; nil when TRUE
-
-	valsBuf []rel.Value
-	rowsBuf []rel.Tuple
+	plan     probePlan
+	residual *expr.Compiled // nil when TRUE
+	valsBuf  []rel.Value    // join values, then the plan's literal values
+	rowsBuf  []rel.Tuple
 }
 
-// compileProbe prepares a probe of sh on joinCols (qualified names over
-// sh.schema).
-func compileProbe(sh *probeShape, joinCols []string) (*cProbe, error) {
-	litCols, litVals, residual := expr.EqLiterals(sh.extra, sh.schema)
-	attrs := make([]string, 0, len(joinCols)+len(litCols))
-	for _, a := range joinCols {
-		attrs = append(attrs, sh.toBare(a))
-	}
-	for _, a := range litCols {
-		attrs = append(attrs, sh.toBare(a))
-	}
-	p := &cProbe{
-		table:   sh.table,
-		st:      sh.st,
-		prep:    rel.PrepareLookup(attrs),
-		nJoin:   len(joinCols),
-		litVals: litVals,
-		valsBuf: make([]rel.Value, len(joinCols)+len(litVals)),
-	}
-	copy(p.valsBuf[len(joinCols):], litVals)
-	if !expr.IsTrueLit(residual) {
+func compileProbe(pp probePlan) (*cProbe, error) {
+	p := &cProbe{plan: pp, valsBuf: make([]rel.Value, pp.nJoin+len(pp.litVals))}
+	copy(p.valsBuf[pp.nJoin:], pp.litVals)
+	if !expr.IsTrueLit(pp.residual) {
 		var err error
-		if p.residual, err = expr.Compile(residual, sh.schema); err != nil {
+		if p.residual, err = expr.Compile(pp.residual, pp.schema); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-func (p *cProbe) resolve(env Env) (*storage.Handle, error) { return env.Table(p.table) }
+func (p *cProbe) resolve(env Env) (*storage.Handle, error) { return env.Table(p.plan.table) }
 
 // fill writes the idx columns of row i of b into the probe's join values,
 // reporting false when one of them is NULL (NULL never joins).
@@ -408,7 +355,7 @@ func (p *cProbe) fill(b *rel.Batch, idx []int, i int) bool {
 // lookup probes the resolved table with the join values previously written
 // into valsBuf[:nJoin]. The returned slice is valid until the next lookup.
 func (p *cProbe) lookup(t *storage.Handle) ([]rel.Tuple, error) {
-	rows, err := t.LookupInto(p.st, p.prep, p.valsBuf, p.rowsBuf[:0])
+	rows, err := t.LookupInto(p.plan.st, p.plan.prep, p.valsBuf, p.rowsBuf[:0])
 	p.rowsBuf = rows[:0]
 	if err != nil {
 		return nil, err
@@ -426,101 +373,52 @@ func (p *cProbe) lookup(t *storage.Handle) ([]rel.Tuple, error) {
 	return kept, nil
 }
 
-// join strategies, pinned at compile time.
-type joinStrategy uint8
+// compilePair compiles a join or semijoin predicate over its two inputs;
+// nil stands for TRUE.
+func compilePair(e expr.Expr, ls, rs rel.Schema) (*expr.CompiledPair, error) {
+	if expr.IsTrueLit(e) {
+		return nil, nil
+	}
+	return expr.CompilePair(e, ls, rs)
+}
 
-const (
-	joinProbeRight joinStrategy = iota // derived left probes stored right
-	joinProbeLeft                      // derived right probes stored left
-	joinHash                           // hash join over two derived inputs
-	joinNested                         // nested-loop theta join
-)
-
-// cJoin executes an inner join with a pinned strategy. shortLeft/shortRight
-// mark a stored-free (pure diff) side that is evaluated first so an empty
-// diff makes the whole join free, mirroring the interpreted short-circuit.
+// cJoin executes an inner join under its joinPlan. The short-circuit side
+// (shortLeft/shortRight) is evaluated first so an empty diff makes the
+// whole join free, mirroring Eval.
 type cJoin struct {
-	strategy   joinStrategy
-	left       cNode // nil when the left side is the probe target
-	right      cNode // nil when the right side is the probe target
-	probe      *cProbe
-	lidx, ridx []int // driving-side positions of the equi columns
-	residual   *expr.CompiledPair
-	pred       *expr.CompiledPair // nested-loop predicate
-	shortLeft  bool
-	shortRight bool
-	empty      *rel.Batch
-	lw, rw     int // child widths, for output column layout
+	joinPlan
+	left   cNode // nil when the left side is the probe target
+	right  cNode // nil when the right side is the probe target
+	pr     *cProbe
+	match  *expr.CompiledPair // the plan's residual; nil when TRUE
+	empty  *rel.Batch
+	lw, rw int // child widths, for output column layout
 }
 
 func compileJoin(j *Join) (cNode, error) {
-	ls, rs := j.Left.Schema(), j.Right.Schema()
-	lcols, rcols, residual := expr.EquiPairs(j.Pred, ls, rs)
-	c := &cJoin{
-		empty: rel.NewBatch(j.Schema()),
-		lw:    len(ls.Attrs),
-		rw:    len(rs.Attrs),
+	pl, err := planJoin(j)
+	if err != nil {
+		return nil, err
 	}
-	c.shortLeft = !TouchesStored(j.Left)
-	c.shortRight = !c.shortLeft && !TouchesStored(j.Right)
-
-	var err error
-	if !expr.IsTrueLit(residual) {
-		if c.residual, err = expr.CompilePair(residual, ls, rs); err != nil {
+	ls, rs := j.Left.Schema(), j.Right.Schema()
+	c := &cJoin{joinPlan: pl, empty: rel.NewBatch(j.Schema()), lw: len(ls.Attrs), rw: len(rs.Attrs)}
+	if c.match, err = compilePair(pl.residual, ls, rs); err != nil {
+		return nil, err
+	}
+	if pl.probe != nil {
+		if c.pr, err = compileProbe(*pl.probe); err != nil {
 			return nil, err
 		}
 	}
-	if len(lcols) > 0 {
-		if sh, ok := shapeOf(j.Right); ok {
-			c.strategy = joinProbeRight
-			if c.probe, err = compileProbe(sh, rcols); err != nil {
-				return nil, err
-			}
-			if c.left, err = compileNode(j.Left); err != nil {
-				return nil, err
-			}
-			if c.lidx, err = ls.Indices(lcols); err != nil {
-				return nil, err
-			}
-			return c, nil
-		}
-		if sh, ok := shapeOf(j.Left); ok {
-			c.strategy = joinProbeLeft
-			if c.probe, err = compileProbe(sh, lcols); err != nil {
-				return nil, err
-			}
-			if c.right, err = compileNode(j.Right); err != nil {
-				return nil, err
-			}
-			if c.ridx, err = rs.Indices(rcols); err != nil {
-				return nil, err
-			}
-			return c, nil
-		}
-		c.strategy = joinHash
+	if pl.strategy != joinProbeLeft {
 		if c.left, err = compileNode(j.Left); err != nil {
 			return nil, err
 		}
+	}
+	if pl.strategy != joinProbeRight {
 		if c.right, err = compileNode(j.Right); err != nil {
 			return nil, err
 		}
-		if c.lidx, err = ls.Indices(lcols); err != nil {
-			return nil, err
-		}
-		if c.ridx, err = rs.Indices(rcols); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c.strategy = joinNested
-	if c.left, err = compileNode(j.Left); err != nil {
-		return nil, err
-	}
-	if c.right, err = compileNode(j.Right); err != nil {
-		return nil, err
-	}
-	if c.pred, err = expr.CompilePair(j.Pred, ls, rs); err != nil {
-		return nil, err
 	}
 	return c, nil
 }
@@ -531,14 +429,14 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 	// side charges nothing, so charges match the interpreted re-evaluation.
 	var left, right *rel.Batch
 	var err error
-	if c.shortLeft && c.left != nil {
+	if c.shortLeft {
 		if left, err = c.left.run(env); err != nil {
 			return nil, err
 		}
 		if left.Len() == 0 {
 			return c.empty, nil
 		}
-	} else if c.shortRight && c.right != nil {
+	} else if c.shortRight {
 		if right, err = c.right.run(env); err != nil {
 			return nil, err
 		}
@@ -562,7 +460,7 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 		if !c.drivingLeft() {
 			driving = right
 		}
-		t, err := c.probe.resolve(env)
+		t, err := c.pr.resolve(env)
 		if err != nil {
 			return nil, err
 		}
@@ -574,91 +472,41 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 	}
 }
 
-// semijoin strategies, pinned at compile time (they mirror evalSemi's
-// preference order exactly).
-type semiStrategy uint8
-
-const (
-	semiProbeLeft  semiStrategy = iota // distinct right keys probe the stored left
-	semiProbeRight                     // each left tuple probes the stored right
-	semiHash                           // hash the right, test each left tuple
-	semiNested                         // nested loop
-)
-
-// cSemi executes a semijoin (keep=true) or antijoin (keep=false).
+// cSemi executes a semijoin (keep=true) or antijoin (keep=false) under its
+// semiPlan.
 type cSemi struct {
-	keep        bool
-	strategy    semiStrategy
-	keysetFirst bool  // evaluate the right key set first; empty → empty result
-	left        cNode // nil when the left side is the probe target
-	right       cNode // nil when the right side is the probe target
-	probe       *cProbe
-	lidx, ridx  []int
-	residual    *expr.CompiledPair
-	pred        *expr.CompiledPair // nested-loop predicate
-	empty       *rel.Batch
+	semiPlan
+	keep  bool
+	left  cNode // nil when the left side is the probe target
+	right cNode // nil when the right side is the probe target
+	pr    *cProbe
+	match *expr.CompiledPair // the plan's residual; nil when TRUE
+	empty *rel.Batch
 }
 
 func compileSemi(l, r Node, p expr.Expr, keep bool) (cNode, error) {
-	ls, rs := l.Schema(), r.Schema()
-	lcols, rcols, residual := expr.EquiPairs(p, ls, rs)
-	_, rightProbe := shapeOf(r)
-	c := &cSemi{keep: keep, empty: rel.NewBatch(ls)}
-	c.keysetFirst = keep && !rightProbe
-
-	var err error
-	if !expr.IsTrueLit(residual) && len(lcols) > 0 {
-		if c.residual, err = expr.CompilePair(residual, ls, rs); err != nil {
-			return nil, err
-		}
-	}
-
-	if keep && !rightProbe && len(lcols) > 0 && expr.IsTrueLit(residual) {
-		if sh, ok := shapeOf(l); ok {
-			c.strategy = semiProbeLeft
-			if c.probe, err = compileProbe(sh, lcols); err != nil {
-				return nil, err
-			}
-			if c.right, err = compileNode(r); err != nil {
-				return nil, err
-			}
-			if c.ridx, err = rs.Indices(rcols); err != nil {
-				return nil, err
-			}
-			return c, nil
-		}
-	}
-
-	if c.left, err = compileNode(l); err != nil {
+	pl, err := planSemi(l, r, p, keep)
+	if err != nil {
 		return nil, err
 	}
-	if len(lcols) > 0 {
-		if c.lidx, err = ls.Indices(lcols); err != nil {
+	c := &cSemi{semiPlan: pl, keep: keep, empty: rel.NewBatch(l.Schema())}
+	if c.match, err = compilePair(pl.residual, l.Schema(), r.Schema()); err != nil {
+		return nil, err
+	}
+	if pl.probe != nil {
+		if c.pr, err = compileProbe(*pl.probe); err != nil {
 			return nil, err
 		}
-		if rightProbe {
-			c.strategy = semiProbeRight
-			sh, _ := shapeOf(r)
-			if c.probe, err = compileProbe(sh, rcols); err != nil {
-				return nil, err
-			}
-			return c, nil
+	}
+	if pl.strategy != semiProbeLeft {
+		if c.left, err = compileNode(l); err != nil {
+			return nil, err
 		}
-		c.strategy = semiHash
+	}
+	if pl.strategy != semiProbeRight {
 		if c.right, err = compileNode(r); err != nil {
 			return nil, err
 		}
-		if c.ridx, err = rs.Indices(rcols); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c.strategy = semiNested
-	if c.right, err = compileNode(r); err != nil {
-		return nil, err
-	}
-	if c.pred, err = expr.CompilePair(p, ls, rs); err != nil {
-		return nil, err
 	}
 	return c, nil
 }
@@ -675,7 +523,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 		}
 	}
 	if c.strategy == semiProbeLeft {
-		t, err := c.probe.resolve(env)
+		t, err := c.pr.resolve(env)
 		if err != nil {
 			return nil, err
 		}
@@ -691,7 +539,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 	}
 	var sel []int32
 	if c.strategy == semiProbeRight {
-		t, err := c.probe.resolve(env)
+		t, err := c.pr.resolve(env)
 		if err != nil {
 			return nil, err
 		}
@@ -721,7 +569,7 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 
 func (c *cSemi) anyMatch(lt rel.Tuple, rows []rel.Tuple) bool {
 	for _, rt := range rows {
-		if c.residual == nil || c.residual.EvalBool(lt, rt) {
+		if c.match == nil || c.match.EvalBool(lt, rt) {
 			return true
 		}
 	}
@@ -737,7 +585,7 @@ const (
 
 // cGroupBy hash-aggregates with precompiled aggregate arguments and
 // resolved key positions; group order follows first appearance, exactly
-// like AggregateRelation.
+// like evalGroupBy.
 type cGroupBy struct {
 	child  cNode
 	keyIdx []int

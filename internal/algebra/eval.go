@@ -42,9 +42,9 @@ func Eval(n Node, env Env) (*rel.Relation, error) {
 	case *Join:
 		return evalJoin(x, env)
 	case *SemiJoin:
-		return evalSemi(x, env, true)
+		return evalSemi(x.Left, x.Right, x.Pred, true, env)
 	case *AntiJoin:
-		return evalSemi(x, env, false)
+		return evalSemi(x.Left, x.Right, x.Pred, false, env)
 	case *GroupBy:
 		return evalGroupBy(x, env)
 	case *UnionAll:
@@ -107,55 +107,38 @@ func evalSelect(s *Select, env Env) (*rel.Relation, error) {
 	return out, nil
 }
 
-// evalStoredSelect runs a σ-chain over a stored leaf. When the predicate
-// carries column = literal equalities, the planner consults the index
-// cardinality (uncharged catalog metadata) and takes the index probe —
-// 1 lookup + p matching reads — whenever it is strictly cheaper than the
-// n-read scan, so access counts never increase over the scan plan. The
-// compiled path makes the identical decision (see compile.go), preserving
-// counter parity between the two executors.
+// evalStoredSelect runs a σ-chain over a stored leaf: the probe on the
+// chain's literal equalities when useIndex takes it, filtered by what is
+// left of the chain, else a scan filtered by the whole chain.
 func evalStoredSelect(sh *probeShape, env Env) (*rel.Relation, error) {
-	t, err := env.Table(sh.table)
+	pp := planProbe(sh, nil)
+	t, err := env.Table(pp.table)
 	if err != nil {
 		return nil, err
 	}
-	cols, vals, residual := expr.EqLiterals(sh.extra, sh.schema)
-	if len(cols) > 0 {
-		bare := make([]string, len(cols))
-		for i, c := range cols {
-			bare[i] = sh.toBare(c)
-		}
-		p, n, err := t.IndexCard(sh.st, bare, vals)
-		if err != nil {
+	index, err := useIndex(t, &pp)
+	if err != nil {
+		return nil, err
+	}
+	var rows []rel.Tuple
+	filter := sh.extra
+	if index {
+		if rows, err = t.LookupInto(pp.st, pp.prep, pp.litVals, nil); err != nil {
 			return nil, err
 		}
-		if p+1 < n {
-			rows, err := t.Lookup(sh.st, bare, vals)
-			if err != nil {
-				return nil, err
-			}
-			if expr.IsTrueLit(residual) {
-				return aliasTuples(sh.schema, rows), nil
-			}
-			pred, err := expr.Compile(residual, sh.schema)
-			if err != nil {
-				return nil, err
-			}
-			out := rel.NewRelation(sh.schema)
-			for _, r := range rows {
-				if pred.EvalBool(r) {
-					out.Add(r)
-				}
-			}
-			return out, nil
-		}
+		filter = pp.residual
+	} else {
+		rows = t.Scan(pp.st)
 	}
-	pred, err := expr.Compile(sh.extra, sh.schema)
+	if expr.IsTrueLit(filter) {
+		return aliasTuples(sh.schema, rows), nil
+	}
+	pred, err := expr.Compile(filter, sh.schema)
 	if err != nil {
 		return nil, err
 	}
 	out := rel.NewRelation(sh.schema)
-	for _, r := range t.Scan(sh.st) {
+	for _, r := range rows {
 		if pred.EvalBool(r) {
 			out.Add(r)
 		}
@@ -187,427 +170,205 @@ func evalProject(p *Project, env Env) (*rel.Relation, error) {
 	return out, nil
 }
 
-// probeTarget is a probeShape resolved against an environment, with the
-// selection predicate split once: column = literal equalities fold into
-// every index probe (narrowing it to the rows that also satisfy them, for
-// the same single lookup charge), and the residual predicate is compiled
-// once instead of per probe.
-type probeTarget struct {
-	table   *storage.Handle
-	state   rel.State
-	schema  rel.Schema // qualified output schema
-	toBare  func(string) string
-	litBare []string // bare names of literal-equality columns, folded into probes
-	litVals []rel.Value
-	pred    *expr.Compiled // residual extra predicate; nil when TRUE
+// openProbe compiles pp and resolves its table for one evaluation.
+func openProbe(pp *probePlan, env Env) (*cProbe, *storage.Handle, error) {
+	pr, err := compileProbe(*pp)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := env.Table(pp.table)
+	return pr, t, err
 }
 
-func asProbe(n Node, env Env) (*probeTarget, bool) {
-	sh, ok := shapeOf(n)
-	if !ok {
-		return nil, false
-	}
-	t, err := env.Table(sh.table)
-	if err != nil {
-		return nil, false
-	}
-	litCols, litVals, residual := expr.EqLiterals(sh.extra, sh.schema)
-	var pred *expr.Compiled
-	if !expr.IsTrueLit(residual) {
-		if pred, err = expr.Compile(residual, sh.schema); err != nil {
-			return nil, false
+// probeRow probes pr's table with row's idx columns as the join values; a
+// NULL among them never joins and charges nothing.
+func probeRow(pr *cProbe, t *storage.Handle, row rel.Tuple, idx []int) ([]rel.Tuple, error) {
+	for k, x := range idx {
+		if row[x].IsNull() {
+			return nil, nil
 		}
+		pr.valsBuf[k] = row[x]
 	}
-	litBare := make([]string, len(litCols))
-	for i, c := range litCols {
-		litBare[i] = sh.toBare(c)
-	}
-	return &probeTarget{
-		table:   t,
-		state:   sh.st,
-		schema:  sh.schema,
-		toBare:  sh.toBare,
-		litBare: litBare,
-		litVals: litVals,
-		pred:    pred,
-	}, true
-}
-
-func (p *probeTarget) lookup(attrs []string, vals []rel.Value) ([]rel.Tuple, error) {
-	bare := make([]string, 0, len(attrs)+len(p.litBare))
-	for _, a := range attrs {
-		bare = append(bare, p.toBare(a))
-	}
-	bare = append(bare, p.litBare...)
-	if len(p.litVals) > 0 {
-		all := make([]rel.Value, 0, len(vals)+len(p.litVals))
-		vals = append(append(all, vals...), p.litVals...)
-	}
-	rows, err := p.table.Lookup(p.state, bare, vals)
-	if err != nil {
-		return nil, err
-	}
-	if p.pred == nil {
-		return rows, nil
-	}
-	var out []rel.Tuple
-	for _, r := range rows {
-		if p.pred.EvalBool(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return pr.lookup(t)
 }
 
 func evalJoin(j *Join, env Env) (*rel.Relation, error) {
-	ls, rs := j.Left.Schema(), j.Right.Schema()
-	outSchema := j.Schema()
-	lcols, rcols, residual := expr.EquiPairs(j.Pred, ls, rs)
-
-	// Diff-driven short-circuit: if one side reads no stored data (it is a
-	// pure diff computation), evaluate it first; an empty diff makes the
-	// whole join free, as a diff-driven DBMS plan would.
-	if !TouchesStored(j.Left) {
-		left, err := Eval(j.Left, env)
-		if err != nil {
+	pl, err := planJoin(j)
+	if err != nil {
+		return nil, err
+	}
+	out := rel.NewRelation(j.Schema())
+	// Diff-driven short-circuit: the side that reads no stored data is
+	// evaluated first, and an empty diff makes the whole join free, as a
+	// diff-driven DBMS plan would.
+	var left, right *rel.Relation
+	if pl.shortLeft {
+		if left, err = Eval(j.Left, env); err != nil {
 			return nil, err
 		}
 		if left.Len() == 0 {
-			return rel.NewRelation(outSchema), nil
+			return out, nil
 		}
-	} else if !TouchesStored(j.Right) {
-		right, err := Eval(j.Right, env)
-		if err != nil {
+	} else if pl.shortRight {
+		if right, err = Eval(j.Right, env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
-			return rel.NewRelation(outSchema), nil
-		}
-	}
-
-	concat := func(out *rel.Relation, lt, rt rel.Tuple) {
-		nt := make(rel.Tuple, 0, len(lt)+len(rt))
-		nt = append(nt, lt...)
-		nt = append(nt, rt...)
-		out.Add(nt)
-	}
-
-	if len(lcols) > 0 {
-		// Index nested-loop against a stored right side.
-		if probe, ok := asProbe(j.Right, env); ok {
-			left, err := Eval(j.Left, env)
-			if err != nil {
-				return nil, err
-			}
-			lidx, err := left.Schema.Indices(lcols)
-			if err != nil {
-				return nil, err
-			}
-			var res *expr.CompiledPair
-			if !expr.IsTrueLit(residual) {
-				if res, err = expr.CompilePair(residual, ls, rs); err != nil {
-					return nil, err
-				}
-			}
-			out := rel.NewRelation(outSchema)
-			vals := make([]rel.Value, len(lidx))
-			for _, lt := range left.Tuples {
-				for i, x := range lidx {
-					vals[i] = lt[x]
-				}
-				if hasNull(vals) {
-					continue
-				}
-				rows, err := probe.lookup(rcols, vals)
-				if err != nil {
-					return nil, err
-				}
-				for _, rt := range rows {
-					if res == nil || res.EvalBool(lt, rt) {
-						concat(out, lt, rt)
-					}
-				}
-			}
 			return out, nil
 		}
-		// Symmetric case: probe a stored left side from a derived right.
-		if probe, ok := asProbe(j.Left, env); ok {
-			right, err := Eval(j.Right, env)
+	}
+	if left == nil && pl.strategy != joinProbeLeft {
+		if left, err = Eval(j.Left, env); err != nil {
+			return nil, err
+		}
+	}
+	if right == nil && pl.strategy != joinProbeRight {
+		if right, err = Eval(j.Right, env); err != nil {
+			return nil, err
+		}
+	}
+	match, err := compilePair(pl.residual, j.Left.Schema(), j.Right.Schema())
+	if err != nil {
+		return nil, err
+	}
+	emit := func(lt, rt rel.Tuple) {
+		if match == nil || match.EvalBool(lt, rt) {
+			out.Add(append(append(make(rel.Tuple, 0, len(lt)+len(rt)), lt...), rt...))
+		}
+	}
+	switch pl.strategy {
+	case joinProbeRight, joinProbeLeft:
+		pr, t, err := openProbe(pl.probe, env)
+		if err != nil {
+			return nil, err
+		}
+		driving, idx := left, pl.lidx
+		if pl.strategy == joinProbeLeft {
+			driving, idx = right, pl.ridx
+		}
+		for _, dt := range driving.Tuples {
+			rows, err := probeRow(pr, t, dt, idx)
 			if err != nil {
 				return nil, err
 			}
-			ridx, err := right.Schema.Indices(rcols)
-			if err != nil {
-				return nil, err
-			}
-			var res *expr.CompiledPair
-			if !expr.IsTrueLit(residual) {
-				if res, err = expr.CompilePair(residual, ls, rs); err != nil {
-					return nil, err
+			for _, st := range rows {
+				if pl.strategy == joinProbeRight {
+					emit(dt, st)
+				} else {
+					emit(st, dt)
 				}
 			}
-			out := rel.NewRelation(outSchema)
-			vals := make([]rel.Value, len(ridx))
-			for _, rt := range right.Tuples {
-				for i, x := range ridx {
-					vals[i] = rt[x]
-				}
-				if hasNull(vals) {
-					continue
-				}
-				rows, err := probe.lookup(lcols, vals)
-				if err != nil {
-					return nil, err
-				}
-				for _, lt := range rows {
-					if res == nil || res.EvalBool(lt, rt) {
-						concat(out, lt, rt)
-					}
-				}
-			}
-			return out, nil
 		}
-		// Hash join over two derived inputs.
-		left, err := Eval(j.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Eval(j.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		lidx, err := left.Schema.Indices(lcols)
-		if err != nil {
-			return nil, err
-		}
-		ridx, err := right.Schema.Indices(rcols)
-		if err != nil {
-			return nil, err
-		}
-		var res *expr.CompiledPair
-		if !expr.IsTrueLit(residual) {
-			if res, err = expr.CompilePair(residual, ls, rs); err != nil {
-				return nil, err
-			}
-		}
+	case joinHash:
 		buckets := make(map[string][]rel.Tuple)
 		for _, rt := range right.Tuples {
-			k := rel.KeyOf(rt, ridx)
+			k := rel.KeyOf(rt, pl.ridx)
 			buckets[k] = append(buckets[k], rt)
 		}
-		out := rel.NewRelation(outSchema)
 		for _, lt := range left.Tuples {
-			for _, rt := range buckets[rel.KeyOf(lt, lidx)] {
-				if res == nil || res.EvalBool(lt, rt) {
-					concat(out, lt, rt)
-				}
+			for _, rt := range buckets[rel.KeyOf(lt, pl.lidx)] {
+				emit(lt, rt)
 			}
 		}
-		return out, nil
-	}
-
-	// Pure theta join: nested loop over materialized inputs.
-	left, err := Eval(j.Left, env)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Eval(j.Right, env)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := expr.CompilePair(j.Pred, ls, rs)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.NewRelation(outSchema)
-	for _, lt := range left.Tuples {
-		for _, rt := range right.Tuples {
-			if pred.EvalBool(lt, rt) {
-				concat(out, lt, rt)
+	default:
+		for _, lt := range left.Tuples {
+			for _, rt := range right.Tuples {
+				emit(lt, rt)
 			}
 		}
 	}
 	return out, nil
 }
 
-func evalSemi(n Node, env Env, keepMatching bool) (*rel.Relation, error) {
-	var l, r Node
-	var p expr.Expr
-	if keepMatching {
-		s := n.(*SemiJoin)
-		l, r, p = s.Left, s.Right, s.Pred
-	} else {
-		a := n.(*AntiJoin)
-		l, r, p = a.Left, a.Right, a.Pred
+// evalSemi evaluates a semijoin (keep) or antijoin of l and r on pred.
+func evalSemi(l, r Node, pred expr.Expr, keep bool, env Env) (*rel.Relation, error) {
+	pl, err := planSemi(l, r, pred, keep)
+	if err != nil {
+		return nil, err
 	}
-	ls, rs := l.Schema(), r.Schema()
-	lcols, rcols, residual := expr.EquiPairs(p, ls, rs)
-
-	// Memoized right-side evaluation, so key-set-first ordering never
-	// charges stored accesses twice.
-	var rightRel *rel.Relation
-	evalRight := func() (*rel.Relation, error) {
-		if rightRel == nil {
-			var err error
-			rightRel, err = Eval(r, env)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return rightRel, nil
-	}
-
-	_, rightProbe := asProbe(r, env)
-
-	// Key-set-first ordering: for a semijoin whose right (filter) side is
-	// not index-probeable, that side is the small key set driving the
-	// operation. Evaluate it first and return empty — without touching the
-	// potentially expensive left side — when it is empty.
-	if keepMatching && !rightProbe {
-		right, err := evalRight()
-		if err != nil {
+	out := rel.NewRelation(l.Schema())
+	var right *rel.Relation
+	if pl.keysetFirst {
+		if right, err = Eval(r, env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
-			return rel.NewRelation(ls), nil
+			return out, nil
 		}
 	}
-
-	// Probe-left strategy: a semijoin of a stored left side against a small
-	// derived key set probes the left index once per distinct right key,
-	// reading only the matching stored rows. Only valid for pure equi
-	// predicates.
-	if keepMatching && !rightProbe && len(lcols) > 0 && expr.IsTrueLit(residual) {
-		if probe, ok := asProbe(l, env); ok {
-			right, err := evalRight()
-			if err != nil {
-				return nil, err
-			}
-			ridx, err := right.Schema.Indices(rcols)
-			if err != nil {
-				return nil, err
-			}
-			out := rel.NewRelation(ls)
-			seenKey := map[string]bool{}
-			emitted := map[string]bool{}
-			vals := make([]rel.Value, len(ridx))
-			for _, rt := range right.Tuples {
-				for i, x := range ridx {
-					vals[i] = rt[x]
-				}
-				if hasNull(vals) {
-					continue
-				}
-				k := rel.TupleKey(vals)
-				if seenKey[k] {
-					continue
-				}
-				seenKey[k] = true
-				rows, err := probe.lookup(lcols, vals)
+	var pr *cProbe
+	var t *storage.Handle
+	if pl.probe != nil {
+		if pr, t, err = openProbe(pl.probe, env); err != nil {
+			return nil, err
+		}
+	}
+	if pl.strategy == semiProbeLeft {
+		// Each distinct right key probes the stored left once; each left
+		// tuple is emitted once, in first-probe order.
+		seen, emitted := map[string]bool{}, map[string]bool{}
+		for _, rt := range right.Tuples {
+			if k := rel.KeyOf(rt, pl.ridx); !seen[k] {
+				seen[k] = true
+				rows, err := probeRow(pr, t, rt, pl.ridx)
 				if err != nil {
 					return nil, err
 				}
 				for _, lt := range rows {
-					tk := rel.TupleKey(lt)
-					if !emitted[tk] {
+					if tk := rel.TupleKey(lt); !emitted[tk] {
 						emitted[tk] = true
 						out.Add(lt)
 					}
 				}
 			}
-			return out, nil
 		}
+		return out, nil
 	}
 
 	left, err := Eval(l, env)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.NewRelation(ls)
 	if left.Len() == 0 {
 		return out, nil
 	}
-
-	if len(lcols) > 0 {
-		var res *expr.CompiledPair
-		if !expr.IsTrueLit(residual) {
-			if res, err = expr.CompilePair(residual, ls, rs); err != nil {
-				return nil, err
-			}
-		}
-		matchFn := func(lt rel.Tuple, rows []rel.Tuple) bool {
-			for _, rt := range rows {
-				if res == nil || res.EvalBool(lt, rt) {
-					return true
-				}
-			}
-			return false
-		}
-		lidx, err := left.Schema.Indices(lcols)
-		if err != nil {
+	if right == nil && pl.strategy != semiProbeRight {
+		if right, err = Eval(r, env); err != nil {
 			return nil, err
 		}
-		if probe, ok := asProbe(r, env); ok {
-			vals := make([]rel.Value, len(lidx))
-			for _, lt := range left.Tuples {
-				for i, x := range lidx {
-					vals[i] = lt[x]
-				}
-				matched := false
-				if !hasNull(vals) {
-					rows, err := probe.lookup(rcols, vals)
-					if err != nil {
-						return nil, err
-					}
-					matched = matchFn(lt, rows)
-				}
-				if matched == keepMatching {
-					out.Add(lt)
-				}
-			}
-			return out, nil
-		}
-		right, err := evalRight()
-		if err != nil {
-			return nil, err
-		}
-		ridx, err := right.Schema.Indices(rcols)
-		if err != nil {
-			return nil, err
-		}
-		buckets := make(map[string][]rel.Tuple)
+	}
+	match, err := compilePair(pl.residual, l.Schema(), r.Schema())
+	if err != nil {
+		return nil, err
+	}
+	var buckets map[string][]rel.Tuple
+	if pl.strategy == semiHash {
+		buckets = make(map[string][]rel.Tuple)
 		for _, rt := range right.Tuples {
-			k := rel.KeyOf(rt, ridx)
+			k := rel.KeyOf(rt, pl.ridx)
 			buckets[k] = append(buckets[k], rt)
 		}
-		for _, lt := range left.Tuples {
-			k := rel.KeyOf(lt, lidx)
-			matched := matchFn(lt, buckets[k])
-			if matched == keepMatching {
-				out.Add(lt)
-			}
-		}
-		return out, nil
-	}
-
-	// Non-equi: nested loop.
-	right, err := evalRight()
-	if err != nil {
-		return nil, err
-	}
-	pred, err := expr.CompilePair(p, ls, rs)
-	if err != nil {
-		return nil, err
 	}
 	for _, lt := range left.Tuples {
+		var rows []rel.Tuple
+		switch pl.strategy {
+		case semiProbeRight:
+			if rows, err = probeRow(pr, t, lt, pl.lidx); err != nil {
+				return nil, err
+			}
+		case semiHash:
+			rows = buckets[rel.KeyOf(lt, pl.lidx)]
+		default:
+			rows = right.Tuples
+		}
 		matched := false
-		for _, rt := range right.Tuples {
-			if pred.EvalBool(lt, rt) {
+		for _, rt := range rows {
+			if match == nil || match.EvalBool(lt, rt) {
 				matched = true
 				break
 			}
 		}
-		if matched == keepMatching {
+		if matched == keep {
 			out.Add(lt)
 		}
 	}
@@ -633,15 +394,6 @@ func evalUnion(u *UnionAll, env Env) (*rel.Relation, error) {
 	return out, nil
 }
 
-func hasNull(vals []rel.Value) bool {
-	for _, v := range vals {
-		if v.IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
 // WithState returns a deep copy of the plan with every Scan and stored
 // RelRef retargeted at the given table state. It is how the rule engine
 // materializes Input_pre vs Input_post (Section 4).
@@ -657,21 +409,6 @@ func WithState(n Node, st rel.State) Node {
 			c.St = st
 		}
 		return &c
-	case *Select:
-		return &Select{Child: WithState(x.Child, st), Pred: x.Pred}
-	case *Project:
-		return &Project{Child: WithState(x.Child, st), Items: x.Items}
-	case *Join:
-		return &Join{Left: WithState(x.Left, st), Right: WithState(x.Right, st), Pred: x.Pred}
-	case *SemiJoin:
-		return &SemiJoin{Left: WithState(x.Left, st), Right: WithState(x.Right, st), Pred: x.Pred}
-	case *AntiJoin:
-		return &AntiJoin{Left: WithState(x.Left, st), Right: WithState(x.Right, st), Pred: x.Pred}
-	case *GroupBy:
-		return &GroupBy{Child: WithState(x.Child, st), Keys: x.Keys, Aggs: x.Aggs}
-	case *UnionAll:
-		return &UnionAll{Left: WithState(x.Left, st), Right: WithState(x.Right, st), BranchAttr: x.BranchAttr}
-	default:
-		return n
 	}
+	return MapChildren(n, func(c Node) Node { return WithState(c, st) })
 }

@@ -341,11 +341,6 @@ func TestConstructorPanics(t *testing.T) {
 	expectPanic("agg without arg", func() {
 		algebra.NewGroupBy(sp, []string{"parts.pid"}, []algebra.Agg{{Fn: algebra.AggSum, As: "s"}})
 	})
-	expectPanic("natural join without shared attrs", func() {
-		other := algebra.NewScan("parts", "zz", parts.Schema())
-		renamed := algebra.NewProject(other, []algebra.ProjItem{{E: expr.C("zz.pid"), As: "q"}})
-		algebra.NaturalJoin(algebra.Keep(sp, "parts.price"), renamed)
-	})
 }
 
 func TestEvalErrors(t *testing.T) {

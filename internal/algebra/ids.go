@@ -22,12 +22,6 @@ func EnsureIDs(n Node) (Node, error) {
 			return nil, fmt.Errorf("algebra: leaf %s has no key/IDs", n)
 		}
 		return n, nil
-	case *Select:
-		c, err := EnsureIDs(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &Select{Child: c, Pred: x.Pred}, nil
 	case *Project:
 		c, err := EnsureIDs(x.Child)
 		if err != nil {
@@ -54,66 +48,32 @@ func EnsureIDs(n Node) (Node, error) {
 			items = append(items, ProjItem{E: expr.C(k), As: k})
 		}
 		return NewProject(c, items), nil
-	case *Join:
-		l, err := EnsureIDs(x.Left)
+	case *Select, *Join, *SemiJoin, *AntiJoin, *GroupBy, *UnionAll:
+		var err error
+		out := MapChildren(n, func(c Node) Node {
+			if err == nil {
+				c, err = EnsureIDs(c)
+			}
+			return c
+		})
 		if err != nil {
 			return nil, err
 		}
-		r, err := EnsureIDs(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &Join{Left: l, Right: r, Pred: x.Pred}, nil
-	case *SemiJoin:
-		l, err := EnsureIDs(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := EnsureIDs(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &SemiJoin{Left: l, Right: r, Pred: x.Pred}, nil
-	case *AntiJoin:
-		l, err := EnsureIDs(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := EnsureIDs(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &AntiJoin{Left: l, Right: r, Pred: x.Pred}, nil
-	case *GroupBy:
-		c, err := EnsureIDs(x.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &GroupBy{Child: c, Keys: x.Keys, Aggs: x.Aggs}, nil
-	case *UnionAll:
-		l, err := EnsureIDs(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := EnsureIDs(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &UnionAll{Left: l, Right: r, BranchAttr: x.BranchAttr}, nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("algebra: EnsureIDs: unknown node type %T", n)
 	}
 }
 
 // NaturalJoin joins two subplans on equality of every attribute pair whose
-// bare (unqualified) names coincide, keeping both columns. It panics if no
+// bare (unqualified) names coincide, keeping both columns. It fails if no
 // shared attribute exists, since that would silently be a cross product.
-func NaturalJoin(l, r Node) *Join {
+func NaturalJoin(l, r Node) (*Join, error) {
 	pred := NaturalJoinPred(l, r)
 	if expr.IsTrueLit(pred) {
-		panic("algebra: natural join with no shared attributes")
+		return nil, fmt.Errorf("algebra: natural join of %s and %s has no shared attributes", l, r)
 	}
-	return NewJoin(l, r, pred)
+	return NewJoin(l, r, pred), nil
 }
 
 // NaturalJoinPred builds the natural-join predicate between two subplans:
@@ -131,6 +91,28 @@ func NaturalJoinPred(l, r Node) expr.Expr {
 		}
 	}
 	return expr.And(terms...)
+}
+
+// MapChildren rebuilds n over f(child) for each of its children; a leaf
+// (or a node of an unknown type) is returned as it is.
+func MapChildren(n Node, f func(Node) Node) Node {
+	switch x := n.(type) {
+	case *Select:
+		return &Select{Child: f(x.Child), Pred: x.Pred}
+	case *Project:
+		return &Project{Child: f(x.Child), Items: x.Items}
+	case *GroupBy:
+		return &GroupBy{Child: f(x.Child), Keys: x.Keys, Aggs: x.Aggs}
+	case *Join:
+		return &Join{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+	case *SemiJoin:
+		return &SemiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+	case *AntiJoin:
+		return &AntiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+	case *UnionAll:
+		return &UnionAll{Left: f(x.Left), Right: f(x.Right), BranchAttr: x.BranchAttr}
+	}
+	return n
 }
 
 // Walk applies fn to every node of the plan in pre-order.

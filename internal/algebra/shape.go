@@ -3,15 +3,19 @@ package algebra
 import (
 	"idivm/internal/expr"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
 )
 
-// This file holds the shared access-strategy analysis of the two
-// executors. The interpreted evaluator (eval.go: asProbe,
-// evalStoredSelect) and the plan compiler (compile.go: cStoredSelect,
-// cProbe) must make identical index-vs-scan and probe decisions — the
-// differential suite asserts their access counters are byte-identical —
-// so both derive their strategies from the one probeShape analysis
-// defined here instead of reimplementing (and drifting on) it.
+// This file is the physical planner of both evaluators. Every access-path
+// decision is made here, once: planJoin and planSemi pick a join or
+// semijoin strategy (which side is probed, hashed or short-circuited, and
+// whether a semijoin's key set is evaluated first), planProbe folds a stored
+// leaf's literal equalities into its index probe, and useIndex is the
+// index-vs-scan rule of a σ-chain over a stored leaf. The plan compiler
+// (compile.go) turns these plans into columnar kernels and Eval (eval.go)
+// runs them with row loops; neither chooses an access path of its own, so
+// for every plan both make the same stored accesses through the same Handle
+// entry points, and their access counters match byte for byte.
 
 // probeShape is the environment-free description of a plan fragment that
 // can be probed through a stored table's secondary index: a Scan,
@@ -82,4 +86,164 @@ func shapeOf(n Node) (*probeShape, bool) {
 		}, true
 	}
 	return nil, false
+}
+
+// probePlan is an index probe of a stored leaf. Its probe attributes are
+// bare column names, prepared once: the join columns, filled per probe, then
+// the columns the leaf's σ-chain fixes to literals, which narrow every probe
+// to the rows that also satisfy them for the same single lookup charge.
+type probePlan struct {
+	table    string
+	st       rel.State
+	schema   rel.Schema // the leaf's qualified output schema
+	prep     rel.PrepLookup
+	nJoin    int         // leading probe attributes that are join columns
+	litVals  []rel.Value // values of the trailing, literal probe attributes
+	residual expr.Expr   // the rest of the σ-chain; TRUE when nothing is left
+}
+
+// planProbe plans a probe of sh on joinCols, qualified names over sh.schema;
+// a σ-chain probed on its literals alone passes none.
+func planProbe(sh *probeShape, joinCols []string) probePlan {
+	litCols, litVals, residual := expr.EqLiterals(sh.extra, sh.schema)
+	attrs := make([]string, 0, len(joinCols)+len(litCols))
+	for _, a := range joinCols {
+		attrs = append(attrs, sh.toBare(a))
+	}
+	for _, a := range litCols {
+		attrs = append(attrs, sh.toBare(a))
+	}
+	return probePlan{table: sh.table, st: sh.st, schema: sh.schema, prep: rel.PrepareLookup(attrs),
+		nJoin: len(joinCols), litVals: litVals, residual: residual}
+}
+
+// useIndex is the index-vs-scan rule of a σ-chain over a stored leaf,
+// planned as a probe on its literals: the probe (1 lookup + p reads) is
+// taken exactly when it is strictly cheaper than the n-read scan, so the
+// choice never charges more than the scan. p and n are uncharged catalog
+// metadata of the state read, so both evaluators always choose alike.
+func useIndex(t *storage.Handle, pp *probePlan) (bool, error) {
+	if len(pp.litVals) == 0 {
+		return false, nil
+	}
+	p, n, err := t.IndexCard(pp.st, pp.prep.Attrs(), pp.litVals)
+	return err == nil && p+1 < n, err
+}
+
+// joinStrategy is the access path of a Join.
+type joinStrategy uint8
+
+const (
+	joinProbeRight joinStrategy = iota // derived left probes stored right
+	joinProbeLeft                      // derived right probes stored left
+	joinHash                           // hash join over two derived inputs
+	joinNested                         // nested-loop theta join
+)
+
+// joinPlan is the physical plan of a Join.
+type joinPlan struct {
+	strategy joinStrategy
+	// lidx and ridx pair the equi-join columns' positions in the left and
+	// right input schemas (none under joinNested).
+	lidx, ridx []int
+	// residual is what the equi pairs leave of the predicate — the whole
+	// predicate under joinNested; TRUE when nothing is left.
+	residual expr.Expr
+	// probe is the stored side's probe under joinProbeRight/joinProbeLeft.
+	probe *probePlan
+	// shortLeft/shortRight mark a side that reads no stored data (a pure
+	// diff computation): it is evaluated first, and when it is empty the
+	// whole join is, for free.
+	shortLeft, shortRight bool
+}
+
+// planJoin plans j: a stored right side is probed from the left, else a
+// stored left side from the right, else two derived sides are hashed; with
+// no equi pair the join is a nested loop.
+func planJoin(j *Join) (joinPlan, error) {
+	ls, rs := j.Left.Schema(), j.Right.Schema()
+	lcols, rcols, residual := expr.EquiPairs(j.Pred, ls, rs)
+	p := joinPlan{residual: residual, shortLeft: !TouchesStored(j.Left)}
+	p.shortRight = !p.shortLeft && !TouchesStored(j.Right)
+	if len(lcols) == 0 {
+		p.strategy, p.residual = joinNested, j.Pred
+		return p, nil
+	}
+	var err error
+	if p.lidx, p.ridx, err = equiIndices(ls, rs, lcols, rcols); err != nil {
+		return p, err
+	}
+	var pp probePlan
+	if sh, ok := shapeOf(j.Right); ok {
+		p.strategy, pp = joinProbeRight, planProbe(sh, rcols)
+	} else if sh, ok := shapeOf(j.Left); ok {
+		p.strategy, pp = joinProbeLeft, planProbe(sh, lcols)
+	} else {
+		p.strategy = joinHash
+		return p, nil
+	}
+	p.probe = &pp
+	return p, nil
+}
+
+// semiStrategy is the access path of a SemiJoin or AntiJoin.
+type semiStrategy uint8
+
+const (
+	semiProbeLeft  semiStrategy = iota // distinct right keys probe the stored left
+	semiProbeRight                     // each left tuple probes the stored right
+	semiHash                           // hash the right, test each left tuple
+	semiNested                         // nested loop
+)
+
+// semiPlan is the physical plan of a SemiJoin (keep) or AntiJoin.
+type semiPlan struct {
+	strategy semiStrategy
+	// keysetFirst evaluates the right side first, and an empty right side
+	// is an empty semijoin without touching the left: a semijoin whose right
+	// (filter) side cannot be probed is driven by that key set.
+	keysetFirst bool
+	lidx, ridx  []int     // as in joinPlan
+	residual    expr.Expr // as in joinPlan; TRUE under semiProbeLeft
+	probe       *probePlan
+}
+
+// planSemi plans a semijoin (keep) or antijoin of l and r on pred. A
+// key-set-first semijoin with a pure equi predicate probes a stored left
+// side once per distinct right key; otherwise a stored right side is probed
+// per left tuple, else the right side is hashed; with no equi pair it is a
+// nested loop.
+func planSemi(l, r Node, pred expr.Expr, keep bool) (semiPlan, error) {
+	ls, rs := l.Schema(), r.Schema()
+	lcols, rcols, residual := expr.EquiPairs(pred, ls, rs)
+	rsh, rightProbe := shapeOf(r)
+	p := semiPlan{keysetFirst: keep && !rightProbe, residual: residual}
+	if len(lcols) == 0 {
+		p.strategy, p.residual = semiNested, pred
+		return p, nil
+	}
+	var err error
+	if p.lidx, p.ridx, err = equiIndices(ls, rs, lcols, rcols); err != nil {
+		return p, err
+	}
+	var pp probePlan
+	if lsh, ok := shapeOf(l); ok && p.keysetFirst && expr.IsTrueLit(residual) {
+		p.strategy, pp = semiProbeLeft, planProbe(lsh, lcols)
+	} else if rightProbe {
+		p.strategy, pp = semiProbeRight, planProbe(rsh, rcols)
+	} else {
+		p.strategy = semiHash
+		return p, nil
+	}
+	p.probe = &pp
+	return p, nil
+}
+
+// equiIndices resolves equi pairs to positions in the two input schemas.
+func equiIndices(ls, rs rel.Schema, lcols, rcols []string) (lidx, ridx []int, err error) {
+	if lidx, err = ls.Indices(lcols); err != nil {
+		return nil, nil, err
+	}
+	ridx, err = rs.Indices(rcols)
+	return lidx, ridx, err
 }

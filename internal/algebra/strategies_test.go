@@ -30,14 +30,21 @@ func sizedInput(n int) []rel.Tuple {
 	return rows
 }
 
+// strategyPlan is a plan and the strategy it exercises.
+type strategyPlan struct {
+	strategy string
+	plan     algebra.Node
+}
+
 // strategyPlans covers every compiled strategy over an n-row stored table
 // "t" and an n-row binding "in" (same rows), the fixed 3000-row "big" of
 // bigDB, and a six-row binding "lim" (five ints and a NULL) for the θ
 // strategies. The stacked plans
 // put the two row-loop strategies that change the output shape — the
 // nested-loop join and semiProbeLeft — above a columnar subtree and below
-// one.
-func strategyPlans() map[string]algebra.Node {
+// one. Each entry names the strategy its one join, semijoin or antijoin
+// exercises (empty for a plan without one), as planJoin/planSemi call it.
+func strategyPlans() map[string]strategyPlan {
 	sch := rel.NewSchema([]string{"k", "g", "v"}, []string{"k"})
 	t := func() algebra.Node { return algebra.NewScan("t", "", sch) }
 	big := func() algebra.Node {
@@ -58,38 +65,39 @@ func strategyPlans() map[string]algebra.Node {
 	}
 	theta := expr.Lt(expr.C("k"), expr.C("x"))
 
-	return map[string]algebra.Node{
-		"scan":          t(),
-		"select-index":  algebra.NewSelect(t(), expr.Eq(expr.C("t.k"), expr.IntLit(0))),
-		"select-scan":   algebra.NewSelect(t(), expr.Lt(expr.C("t.g"), expr.IntLit(3))),
-		"select-all":    algebra.NewSelect(in(), expr.Ge(expr.C("g"), expr.IntLit(0))),
-		"select-none":   algebra.NewSelect(in(), expr.Lt(expr.C("g"), expr.IntLit(0))),
-		"select-some":   lowG(in()),
-		"project":       algebra.NewProject(in(), []algebra.ProjItem{{E: expr.C("v"), As: "v"}, {E: expr.AddE(expr.C("k"), expr.IntLit(1)), As: "k1"}}),
-		"union":         algebra.NewUnionAll(in(), lowG(in()), "branch"),
-		"join-probe-r":  algebra.NewJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k"))),
-		"join-probe-l":  algebra.NewJoin(big(), in(), expr.Eq(expr.C("big.k"), expr.C("k"))),
-		"join-hash":     algebra.NewJoin(in(), derivedBig(), expr.Eq(expr.C("k"), expr.C("bk"))),
-		"join-hash-rev": algebra.NewJoin(derivedBig(), algebra.NewProject(t(), []algebra.ProjItem{{E: expr.C("t.k"), As: "tk"}}), expr.Eq(expr.C("bk"), expr.C("tk"))),
-		"join-nested":   algebra.NewJoin(in(), lim(), theta),
-		"semi-probe-l":  algebra.NewSemiJoin(big(), in(), expr.Eq(expr.C("big.k"), expr.C("k"))),
-		"semi-probe-r":  algebra.NewSemiJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k"))),
-		"anti-probe-r":  algebra.NewAntiJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k"))),
-		"semi-hash":     algebra.NewSemiJoin(derivedBig(), in(), expr.Eq(expr.C("bk"), expr.C("k"))),
-		"anti-hash":     algebra.NewAntiJoin(derivedBig(), in(), expr.Eq(expr.C("bk"), expr.C("k"))),
-		"semi-nested":   algebra.NewSemiJoin(in(), lim(), theta),
-		"anti-nested":   algebra.NewAntiJoin(in(), lim(), theta),
-		"anti-stored-l": algebra.NewAntiJoin(t(), lim(), expr.Lt(expr.C("t.k"), expr.C("x"))),
-		"groupby":       algebra.NewGroupBy(in(), []string{"g"}, aggs),
-		"groupby-all":   algebra.NewGroupBy(in(), nil, aggs),
-		"stacked-nested": algebra.NewProject(
+	return map[string]strategyPlan{
+		"scan":            {"", t()},
+		"select-index":    {"", algebra.NewSelect(t(), expr.Eq(expr.C("t.k"), expr.IntLit(0)))},
+		"select-scan":     {"", algebra.NewSelect(t(), expr.Lt(expr.C("t.g"), expr.IntLit(3)))},
+		"select-all":      {"", algebra.NewSelect(in(), expr.Ge(expr.C("g"), expr.IntLit(0)))},
+		"select-none":     {"", algebra.NewSelect(in(), expr.Lt(expr.C("g"), expr.IntLit(0)))},
+		"select-some":     {"", lowG(in())},
+		"project":         {"", algebra.NewProject(in(), []algebra.ProjItem{{E: expr.C("v"), As: "v"}, {E: expr.AddE(expr.C("k"), expr.IntLit(1)), As: "k1"}})},
+		"union":           {"", algebra.NewUnionAll(in(), lowG(in()), "branch")},
+		"join-probe-r":    {"joinProbeRight", algebra.NewJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k")))},
+		"join-probe-l":    {"joinProbeLeft", algebra.NewJoin(big(), in(), expr.Eq(expr.C("big.k"), expr.C("k")))},
+		"join-probe-both": {"joinProbeRight", algebra.NewJoin(t(), big(), expr.Eq(expr.C("t.k"), expr.C("big.k")))},
+		"join-hash":       {"joinHash", algebra.NewJoin(in(), derivedBig(), expr.Eq(expr.C("k"), expr.C("bk")))},
+		"join-hash-rev":   {"joinHash", algebra.NewJoin(derivedBig(), algebra.NewProject(t(), []algebra.ProjItem{{E: expr.C("t.k"), As: "tk"}}), expr.Eq(expr.C("bk"), expr.C("tk")))},
+		"join-nested":     {"joinNested", algebra.NewJoin(in(), lim(), theta)},
+		"semi-probe-l":    {"semiProbeLeft", algebra.NewSemiJoin(big(), in(), expr.Eq(expr.C("big.k"), expr.C("k")))},
+		"semi-probe-r":    {"semiProbeRight", algebra.NewSemiJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k")))},
+		"anti-probe-r":    {"semiProbeRight", algebra.NewAntiJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k")))},
+		"semi-hash":       {"semiHash", algebra.NewSemiJoin(derivedBig(), in(), expr.Eq(expr.C("bk"), expr.C("k")))},
+		"anti-hash":       {"semiHash", algebra.NewAntiJoin(derivedBig(), in(), expr.Eq(expr.C("bk"), expr.C("k")))},
+		"semi-nested":     {"semiNested", algebra.NewSemiJoin(in(), lim(), theta)},
+		"anti-nested":     {"semiNested", algebra.NewAntiJoin(in(), lim(), theta)},
+		"anti-stored-l":   {"semiNested", algebra.NewAntiJoin(t(), lim(), expr.Lt(expr.C("t.k"), expr.C("x")))},
+		"groupby":         {"", algebra.NewGroupBy(in(), []string{"g"}, aggs)},
+		"groupby-all":     {"", algebra.NewGroupBy(in(), nil, aggs)},
+		"stacked-nested": {"joinNested", algebra.NewProject(
 			algebra.NewSelect(algebra.NewJoin(lowG(in()), lim(), theta), expr.Gt(expr.C("x"), expr.IntLit(1))),
-			[]algebra.ProjItem{{E: expr.C("x"), As: "x"}, {E: expr.C("k"), As: "k"}}),
-		"stacked-semi-probe-l": algebra.NewGroupBy(
+			[]algebra.ProjItem{{E: expr.C("x"), As: "x"}, {E: expr.C("k"), As: "k"}})},
+		"stacked-semi-probe-l": {"semiProbeLeft", algebra.NewGroupBy(
 			algebra.NewSelect(
 				algebra.NewSemiJoin(big(), lowG(in()), expr.Eq(expr.C("big.k"), expr.C("k"))),
 				expr.Gt(expr.C("big.grp"), expr.IntLit(2))),
-			[]string{"big.grp"}, []algebra.Agg{{Fn: algebra.AggCount, As: "n"}}),
+			[]string{"big.grp"}, []algebra.Agg{{Fn: algebra.AggCount, As: "n"}})},
 	}
 }
 
@@ -124,11 +132,33 @@ func TestCompiledStrategiesAtInputSizes(t *testing.T) {
 				"in":  {Schema: sch, Tuples: rows},
 				"lim": limRel,
 			}}
-			for name, plan := range plans {
+			for name, sp := range plans {
 				t.Run(fmt.Sprintf("%s/n=%d/%s", eng.name, n, name), func(t *testing.T) {
-					checkAgainstEval(t, d, env, plan)
+					checkAgainstEval(t, d, env, sp.plan)
 				})
 			}
+		}
+	}
+}
+
+// TestPlannerPicksNamedStrategies checks that planJoin/planSemi pick the
+// strategy each strategyPlans entry is named for, so a planner change that
+// moves a plan to another strategy fails here by name and not only through
+// changed counters.
+func TestPlannerPicksNamedStrategies(t *testing.T) {
+	for name, sp := range strategyPlans() {
+		var got []string
+		algebra.Walk(sp.plan, func(n algebra.Node) {
+			if s, ok := n.(interface{ Strategy() string }); ok {
+				got = append(got, s.Strategy())
+			}
+		})
+		want := []string{sp.strategy}
+		if sp.strategy == "" {
+			want = nil
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: planned %v, want %v", name, got, want)
 		}
 	}
 }

@@ -226,7 +226,7 @@ func (g *gen) shareRepeats() {
 			} else if !sp.driven() { // nor is anything below it
 				return n
 			}
-			return mapChildren(n, replace)
+			return algebra.MapChildren(n, replace)
 		}
 		for _, st := range g.steps[prev+1 : at+1] {
 			if cs, ok := st.(*ComputeStep); ok {

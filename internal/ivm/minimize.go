@@ -55,7 +55,7 @@ type minimizer struct {
 }
 
 func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
-	n = mapChildren(n, m.rewrite) // bottom-up: the cases below see rewritten inputs
+	n = algebra.MapChildren(n, m.rewrite) // bottom-up: the cases below see rewritten inputs
 	switch x := n.(type) {
 	case *algebra.Select:
 		child := x.Child

@@ -29,7 +29,7 @@ const minMaxMultCol = "#mult"
 //     tuple. Without caches the inner γ would be recomputed from the base
 //     tables every round, so tuple mode and NoCache keep the plain γ.
 func (g *gen) normalizeAggs(n algebra.Node) algebra.Node {
-	n = mapChildren(n, g.normalizeAggs)
+	n = algebra.MapChildren(n, g.normalizeAggs)
 	op, ok := n.(*algebra.GroupBy)
 	if !ok || len(op.Aggs) == 0 {
 		return n

@@ -510,7 +510,7 @@ func (m *subplans) of(n algebra.Node) subplan {
 	case *algebra.RelRef:
 		sp.stored, sp.bound = x.Stored, !x.Stored
 	}
-	key := mapChildren(n, func(c algebra.Node) algebra.Node {
+	key := algebra.MapChildren(n, func(c algebra.Node) algebra.Node {
 		k := m.of(c)
 		sp.stored, sp.bound = sp.stored || k.stored, sp.bound || k.bound
 		return &algebra.RelRef{Name: fmt.Sprint("#", k.id)}
@@ -521,28 +521,6 @@ func (m *subplans) of(n algebra.Node) subplan {
 	}
 	m.nodes[n] = sp
 	return sp
-}
-
-// mapChildren rebuilds n over f(child) for each of its children; a leaf is
-// returned as it is.
-func mapChildren(n algebra.Node, f func(algebra.Node) algebra.Node) algebra.Node {
-	switch x := n.(type) {
-	case *algebra.Select:
-		return &algebra.Select{Child: f(x.Child), Pred: x.Pred}
-	case *algebra.Project:
-		return &algebra.Project{Child: f(x.Child), Items: x.Items}
-	case *algebra.GroupBy:
-		return &algebra.GroupBy{Child: f(x.Child), Keys: x.Keys, Aggs: x.Aggs}
-	case *algebra.Join:
-		return &algebra.Join{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
-	case *algebra.SemiJoin:
-		return &algebra.SemiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
-	case *algebra.AntiJoin:
-		return &algebra.AntiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
-	case *algebra.UnionAll:
-		return &algebra.UnionAll{Left: f(x.Left), Right: f(x.Right), BranchAttr: x.BranchAttr}
-	}
-	return n
 }
 
 // repeatedSubplan finds the first breach of "computed once and referenced

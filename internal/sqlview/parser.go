@@ -214,7 +214,10 @@ func (p *parser) selectStmt() (algebra.Node, error) {
 	if having != nil {
 		// HAVING is a selection above the aggregation; its columns are the
 		// SELECT list's output names (aggregate aliases) or group columns.
-		resolved := p.resolveHaving(having, out.Schema())
+		resolved, err := p.resolveHaving(having, out.Schema())
+		if err != nil {
+			return nil, err
+		}
 		out = algebra.NewSelect(out, resolved)
 	}
 	return out, nil
@@ -222,17 +225,19 @@ func (p *parser) selectStmt() (algebra.Node, error) {
 
 // resolveHaving maps HAVING's column references onto the aggregation's
 // output schema: exact output names win, then qualified group columns.
-func (p *parser) resolveHaving(e expr.Expr, sch rel.Schema) expr.Expr {
+func (p *parser) resolveHaving(e expr.Expr, sch rel.Schema) (expr.Expr, error) {
 	m := map[string]string{}
 	for _, c := range e.Cols() {
 		if sch.Has(c) {
 			continue
 		}
-		if q, err := p.resolveCol(c); err == nil && sch.Has(q) {
-			m[c] = q
+		q, err := p.resolveCol(c)
+		if err != nil || !sch.Has(q) {
+			return nil, p.errf("HAVING column %q is neither a select-list output nor a group column", c)
 		}
+		m[c] = q
 	}
-	return expr.Rename(e, m)
+	return expr.Rename(e, m), nil
 }
 
 // selectItem := agg | expr [AS ident]
@@ -307,7 +312,9 @@ func (p *parser) fromClause() ([]algebra.Node, expr.Expr, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			current = algebra.NaturalJoin(current, s)
+			if current, err = algebra.NaturalJoin(current, s); err != nil {
+				return nil, nil, p.errf("NATURAL JOIN %s shares no column name with the sources before it", s.Table)
+			}
 		case p.peekJoin():
 			p.acceptKeyword("INNER")
 			if err := p.expectKeyword("JOIN"); err != nil {
@@ -327,6 +334,9 @@ func (p *parser) fromClause() ([]algebra.Node, expr.Expr, error) {
 			rcond, err := p.resolve(cond)
 			if err != nil {
 				return nil, nil, err
+			}
+			if !rel.Subset(rcond.Cols(), rel.Union(current.Schema().Attrs, s.Schema().Attrs)) {
+				return nil, nil, p.errf("ON condition of JOIN %s references a source outside the join", s.Table)
 			}
 			current = algebra.NewJoin(current, s, rcond)
 		case p.acceptSymbol(","):

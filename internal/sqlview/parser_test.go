@@ -216,6 +216,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// A NATURAL JOIN of sources that share no column name would be a cross
+// product; the parser rejects it with a positioned error instead.
+func TestParseNaturalJoinWithoutSharedColumns(t *testing.T) {
+	d := db.New()
+	d.MustCreateTable("a", rel.NewSchema([]string{"id", "x"}, []string{"id"}))
+	d.MustCreateTable("b", rel.NewSchema([]string{"pk", "y"}, []string{"pk"}))
+	_, err := Parse(`SELECT x FROM a NATURAL JOIN b`, d)
+	if err == nil {
+		t.Fatal("NATURAL JOIN without a shared column must fail")
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "sqlview: ") || !strings.Contains(msg, "near position") {
+		t.Fatalf("error %q is not a positioned sqlview error", msg)
+	}
+}
+
 func TestParseAmbiguousColumn(t *testing.T) {
 	d := catalog(t)
 	_, err := Parse(`SELECT pid FROM parts p1, parts p2 WHERE p1.pid = p2.pid`, d)
