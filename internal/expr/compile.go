@@ -2,30 +2,37 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 
 	"idivm/internal/rel"
 )
 
+// evaluator computes one compiled expression over a (left, right) tuple
+// pair. Compile binds every column to the left tuple and passes no right
+// one; CompilePair binds each column to the side that holds it. Evaluators
+// are closures built once at compile time and never written after, so a
+// compiled expression is safe to share between goroutines, and evaluating
+// one allocates nothing unless a builtin builds a string.
+type evaluator func(l, r rel.Tuple) rel.Value
+
 // Compiled is an expression bound to a schema, evaluated directly against
 // tuples of that schema.
-type Compiled struct {
-	expr   Expr
-	schema rel.Schema
-	idx    map[string]int
-}
+type Compiled struct{ eval evaluator }
 
-// Compile binds e to schema, resolving every referenced column. It returns
-// an error naming the first unresolved column.
+// Compile binds e to schema, resolving every referenced column to its
+// position. It returns an error naming the first unresolved column or
+// unknown function.
 func Compile(e Expr, schema rel.Schema) (*Compiled, error) {
-	idx := make(map[string]int)
-	for _, c := range e.Cols() {
-		j := schema.Index(c)
-		if j < 0 {
-			return nil, fmt.Errorf("expr: column %q not in schema %v", c, schema.Attrs)
+	ev, err := compile(e, func(name string) (evaluator, error) {
+		if j := schema.Index(name); j >= 0 {
+			return leftCol(j), nil
 		}
-		idx[c] = j
+		return nil, fmt.Errorf("expr: column %q not in schema %v", name, schema.Attrs)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &Compiled{expr: e, schema: schema, idx: idx}, nil
+	return &Compiled{eval: ev}, nil
 }
 
 // MustCompile is Compile that panics on error, for static plans and tests.
@@ -38,59 +45,142 @@ func MustCompile(e Expr, schema rel.Schema) *Compiled {
 }
 
 // Eval evaluates the bound expression against a tuple of the bound schema.
-func (c *Compiled) Eval(t rel.Tuple) rel.Value {
-	return c.expr.eval(func(name string) rel.Value {
-		return t[c.idx[name]]
-	})
-}
+func (c *Compiled) Eval(t rel.Tuple) rel.Value { return c.eval(t, nil) }
 
 // EvalBool evaluates the expression as a predicate.
-func (c *Compiled) EvalBool(t rel.Tuple) bool { return c.Eval(t).AsBool() }
+func (c *Compiled) EvalBool(t rel.Tuple) bool { return c.eval(t, nil).AsBool() }
 
-// EvalPair evaluates an expression over the concatenation of two tuples
-// under a pair schema created by CompilePair.
-type CompiledPair struct {
-	expr Expr
-	idx  map[string]pairRef
-}
-
-type pairRef struct {
-	left bool
-	pos  int
-}
+// CompiledPair is an expression bound by CompilePair, evaluated over the
+// concatenation of two tuples.
+type CompiledPair struct{ eval evaluator }
 
 // CompilePair binds e against the concatenation of two schemas (left then
 // right), as needed by join predicates, without materializing concatenated
 // tuples. Columns present in both schemas resolve to the left side.
 func CompilePair(e Expr, left, right rel.Schema) (*CompiledPair, error) {
-	idx := make(map[string]pairRef)
-	for _, c := range e.Cols() {
-		if j := left.Index(c); j >= 0 {
-			idx[c] = pairRef{left: true, pos: j}
-			continue
+	ev, err := compile(e, func(name string) (evaluator, error) {
+		if j := left.Index(name); j >= 0 {
+			return leftCol(j), nil
 		}
-		if j := right.Index(c); j >= 0 {
-			idx[c] = pairRef{left: false, pos: j}
-			continue
+		if j := right.Index(name); j >= 0 {
+			return rightCol(j), nil
 		}
-		return nil, fmt.Errorf("expr: column %q not in %v or %v", c, left.Attrs, right.Attrs)
+		return nil, fmt.Errorf("expr: column %q not in %v or %v", name, left.Attrs, right.Attrs)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &CompiledPair{expr: e, idx: idx}, nil
+	return &CompiledPair{eval: ev}, nil
 }
 
 // Eval evaluates against a (left, right) tuple pair.
-func (c *CompiledPair) Eval(l, r rel.Tuple) rel.Value {
-	return c.expr.eval(func(name string) rel.Value {
-		ref := c.idx[name]
-		if ref.left {
-			return l[ref.pos]
-		}
-		return r[ref.pos]
-	})
-}
+func (c *CompiledPair) Eval(l, r rel.Tuple) rel.Value { return c.eval(l, r) }
 
 // EvalBool evaluates the pair expression as a predicate.
-func (c *CompiledPair) EvalBool(l, r rel.Tuple) bool { return c.Eval(l, r).AsBool() }
+func (c *CompiledPair) EvalBool(l, r rel.Tuple) bool { return c.eval(l, r).AsBool() }
+
+func leftCol(j int) evaluator  { return func(l, _ rel.Tuple) rel.Value { return l[j] } }
+func rightCol(j int) evaluator { return func(_, r rel.Tuple) rel.Value { return r[j] } }
+
+// constant evaluates to v on every row.
+func constant(v rel.Value) evaluator { return func(_, _ rel.Tuple) rel.Value { return v } }
+
+// ariths maps an Arith operator to its rel function; any other operator
+// yields NULL.
+var ariths = map[byte]func(a, b rel.Value) rel.Value{'+': rel.Add, '-': rel.Sub, '*': rel.Mul, '/': rel.Div}
+
+// compile builds e's evaluator, resolving each column reference through col
+// and choosing each operator and builtin once, here rather than per row.
+func compile(e Expr, col func(string) (evaluator, error)) (evaluator, error) {
+	switch x := e.(type) {
+	case Col:
+		return col(x.Name)
+	case Lit:
+		return constant(x.Val), nil
+	case Cmp:
+		args, err := compileAll(col, x.L, x.R)
+		if err != nil {
+			return nil, err
+		}
+		a, b := args[0], args[1]
+		// The outcomes of Compare the operator accepts; none for an unknown one.
+		lt := x.Op == LT || x.Op == LE || x.Op == NE
+		eq := x.Op == EQ || x.Op == LE || x.Op == GE
+		gt := x.Op == GT || x.Op == GE || x.Op == NE
+		return func(l, r rel.Tuple) rel.Value {
+			c, ok := a(l, r).Compare(b(l, r))
+			return rel.Bool(ok && (c < 0 && lt || c == 0 && eq || c > 0 && gt))
+		}, nil
+	case AndExpr:
+		return compileTerms(col, x.Terms, false)
+	case OrExpr:
+		return compileTerms(col, x.Terms, true)
+	case NotExpr:
+		a, err := compile(x.E, col)
+		if err != nil {
+			return nil, err
+		}
+		return func(l, r rel.Tuple) rel.Value { return rel.Bool(!a(l, r).AsBool()) }, nil
+	case IsNullExpr:
+		a, err := compile(x.E, col)
+		if err != nil {
+			return nil, err
+		}
+		return func(l, r rel.Tuple) rel.Value { return rel.Bool(a(l, r).IsNull()) }, nil
+	case Arith:
+		args, err := compileAll(col, x.L, x.R)
+		if err != nil {
+			return nil, err
+		}
+		op, ok := ariths[x.Op]
+		if !ok {
+			return constant(rel.Null()), nil
+		}
+		a, b := args[0], args[1]
+		return func(l, r rel.Tuple) rel.Value { return op(a(l, r), b(l, r)) }, nil
+	case Func:
+		args, err := compileAll(col, x.Args...)
+		if err != nil {
+			return nil, err
+		}
+		build, ok := builtins[strings.ToLower(x.Name)]
+		if !ok {
+			return nil, fmt.Errorf("expr: unknown function %q", x.Name)
+		}
+		return build(args), nil
+	}
+	return nil, fmt.Errorf("expr: cannot compile %T", e)
+}
+
+// compileTerms builds a conjunction (decisive false) or a disjunction
+// (decisive true): the first term whose truth is decisive is the result, and
+// with none it is the other truth value.
+func compileTerms(col func(string) (evaluator, error), es []Expr, decisive bool) (evaluator, error) {
+	terms, err := compileAll(col, es...)
+	if err != nil {
+		return nil, err
+	}
+	return func(l, r rel.Tuple) rel.Value {
+		for _, t := range terms {
+			if t(l, r).AsBool() == decisive {
+				return rel.Bool(decisive)
+			}
+		}
+		return rel.Bool(!decisive)
+	}, nil
+}
+
+// compileAll compiles es in order, stopping at the first error.
+func compileAll(col func(string) (evaluator, error), es ...Expr) ([]evaluator, error) {
+	out := make([]evaluator, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], err = compile(e, col); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 // Rename returns a copy of e with column names substituted per the map.
 // Names absent from the map are kept. It is used by the IVM rule engine to

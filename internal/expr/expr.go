@@ -18,8 +18,6 @@ type Expr interface {
 	Cols() []string
 	// String renders the expression in SQL-ish syntax.
 	String() string
-	// eval evaluates against a bound row accessor.
-	eval(get func(string) rel.Value) rel.Value
 }
 
 // Col references a column by name.
@@ -33,8 +31,6 @@ func (c Col) Cols() []string { return []string{c.Name} }
 
 // String implements Expr.
 func (c Col) String() string { return c.Name }
-
-func (c Col) eval(get func(string) rel.Value) rel.Value { return get(c.Name) }
 
 // Lit is a literal value.
 type Lit struct{ Val rel.Value }
@@ -56,8 +52,6 @@ func (l Lit) Cols() []string { return nil }
 
 // String implements Expr.
 func (l Lit) String() string { return l.Val.String() }
-
-func (l Lit) eval(func(string) rel.Value) rel.Value { return l.Val }
 
 // CmpOp is a comparison operator.
 type CmpOp string
@@ -104,32 +98,6 @@ func (c Cmp) Cols() []string { return mergeCols(c.L, c.R) }
 // String implements Expr.
 func (c Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
 
-func (c Cmp) eval(get func(string) rel.Value) rel.Value {
-	a, b := c.L.eval(get), c.R.eval(get)
-	if c.Op == NE {
-		// a <> b is true iff comparable and not equal.
-		cv, ok := a.Compare(b)
-		return rel.Bool(ok && cv != 0)
-	}
-	cv, ok := a.Compare(b)
-	if !ok {
-		return rel.Bool(false)
-	}
-	switch c.Op {
-	case EQ:
-		return rel.Bool(cv == 0)
-	case LT:
-		return rel.Bool(cv < 0)
-	case LE:
-		return rel.Bool(cv <= 0)
-	case GT:
-		return rel.Bool(cv > 0)
-	case GE:
-		return rel.Bool(cv >= 0)
-	}
-	return rel.Bool(false)
-}
-
 // AndExpr is a conjunction of subexpressions (true when empty).
 type AndExpr struct{ Terms []Expr }
 
@@ -170,15 +138,6 @@ func (a AndExpr) String() string {
 	return strings.Join(parts, " AND ")
 }
 
-func (a AndExpr) eval(get func(string) rel.Value) rel.Value {
-	for _, t := range a.Terms {
-		if !t.eval(get).AsBool() {
-			return rel.Bool(false)
-		}
-	}
-	return rel.Bool(true)
-}
-
 // OrExpr is a disjunction of subexpressions (false when empty).
 type OrExpr struct{ Terms []Expr }
 
@@ -202,15 +161,6 @@ func (o OrExpr) String() string {
 	return strings.Join(parts, " OR ")
 }
 
-func (o OrExpr) eval(get func(string) rel.Value) rel.Value {
-	for _, t := range o.Terms {
-		if t.eval(get).AsBool() {
-			return rel.Bool(true)
-		}
-	}
-	return rel.Bool(false)
-}
-
 // NotExpr negates a boolean subexpression.
 type NotExpr struct{ E Expr }
 
@@ -222,10 +172,6 @@ func (n NotExpr) Cols() []string { return n.E.Cols() }
 
 // String implements Expr.
 func (n NotExpr) String() string { return "NOT (" + n.E.String() + ")" }
-
-func (n NotExpr) eval(get func(string) rel.Value) rel.Value {
-	return rel.Bool(!n.E.eval(get).AsBool())
-}
 
 // Arith is a binary arithmetic expression.
 type Arith struct {
@@ -251,21 +197,6 @@ func (a Arith) Cols() []string { return mergeCols(a.L, a.R) }
 // String implements Expr.
 func (a Arith) String() string { return fmt.Sprintf("(%s %c %s)", a.L, a.Op, a.R) }
 
-func (a Arith) eval(get func(string) rel.Value) rel.Value {
-	x, y := a.L.eval(get), a.R.eval(get)
-	switch a.Op {
-	case '+':
-		return rel.Add(x, y)
-	case '-':
-		return rel.Sub(x, y)
-	case '*':
-		return rel.Mul(x, y)
-	case '/':
-		return rel.Div(x, y)
-	}
-	return rel.Null()
-}
-
 // Func applies a named builtin function; see funcs.go for the library.
 type Func struct {
 	Name string
@@ -287,18 +218,6 @@ func (f Func) String() string {
 	return f.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
-func (f Func) eval(get func(string) rel.Value) rel.Value {
-	fn, ok := builtins[strings.ToLower(f.Name)]
-	if !ok {
-		return rel.Null()
-	}
-	args := make([]rel.Value, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = a.eval(get)
-	}
-	return fn(args)
-}
-
 // IsNullExpr tests a subexpression for NULL.
 type IsNullExpr struct{ E Expr }
 
@@ -310,10 +229,6 @@ func (n IsNullExpr) Cols() []string { return n.E.Cols() }
 
 // String implements Expr.
 func (n IsNullExpr) String() string { return "(" + n.E.String() + ") IS NULL" }
-
-func (n IsNullExpr) eval(get func(string) rel.Value) rel.Value {
-	return rel.Bool(n.E.eval(get).IsNull())
-}
 
 func mergeCols(es ...Expr) []string {
 	var out []string

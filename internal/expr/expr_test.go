@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,11 +124,21 @@ func TestFuncs(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.e, got, c.want)
 		}
 	}
-	if !evalOn(t, Call("nosuchfn", C("a")), tup).IsNull() {
-		t.Error("unknown function must yield NULL")
-	}
 	if HasBuiltin("nosuchfn") || !HasBuiltin("ABS") {
 		t.Error("HasBuiltin misbehaves")
+	}
+}
+
+func TestCompileUnknownFunction(t *testing.T) {
+	e := AddE(C("a"), Call("nosuchfn", C("b")))
+	if _, err := Compile(e, testSchema); err == nil || !strings.Contains(err.Error(), `"nosuchfn"`) {
+		t.Errorf("Compile of an unknown function: err = %v, want one naming it", err)
+	}
+	if _, err := CompilePair(e, testSchema, testSchema); err == nil || !strings.Contains(err.Error(), `"nosuchfn"`) {
+		t.Errorf("CompilePair of an unknown function: err = %v, want one naming it", err)
+	}
+	if _, err := Compile(Call("COALESCE", C("a")), testSchema); err != nil {
+		t.Errorf("builtin names are case-insensitive: %v", err)
 	}
 }
 

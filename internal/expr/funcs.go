@@ -8,106 +8,137 @@ import (
 )
 
 // builtins is the scalar function library available to generalized
-// projections (the π with functions of QSPJADU).
-var builtins = map[string]func([]rel.Value) rel.Value{
-	"abs": func(a []rel.Value) rel.Value {
-		if len(a) != 1 || !a[0].IsNumeric() {
+// projections (the π with functions of QSPJADU). Each entry builds a
+// function's evaluator from its argument evaluators once, at compile time;
+// a call at an arity the function does not take compiles to its constant
+// result (NULL, or 0 for notnull).
+var builtins = map[string]func(args []evaluator) evaluator{
+	"abs": unary(func(v rel.Value) rel.Value {
+		if !v.IsNumeric() {
 			return rel.Null()
 		}
-		if a[0].Kind == rel.KindInt {
-			v := a[0].AsInt()
-			if v < 0 {
-				v = -v
+		if v.Kind == rel.KindInt {
+			i := v.AsInt()
+			if i < 0 {
+				i = -i
 			}
-			return rel.Int(v)
+			return rel.Int(i)
 		}
-		return rel.Float(math.Abs(a[0].AsFloat()))
-	},
-	"lower": func(a []rel.Value) rel.Value {
-		if len(a) != 1 || a[0].Kind != rel.KindString {
+		return rel.Float(math.Abs(v.AsFloat()))
+	}),
+	"lower": unary(func(v rel.Value) rel.Value {
+		if v.Kind != rel.KindString {
 			return rel.Null()
 		}
-		return rel.String(strings.ToLower(a[0].Text()))
-	},
-	"upper": func(a []rel.Value) rel.Value {
-		if len(a) != 1 || a[0].Kind != rel.KindString {
+		return rel.String(strings.ToLower(v.Text()))
+	}),
+	"upper": unary(func(v rel.Value) rel.Value {
+		if v.Kind != rel.KindString {
 			return rel.Null()
 		}
-		return rel.String(strings.ToUpper(a[0].Text()))
-	},
-	"length": func(a []rel.Value) rel.Value {
-		if len(a) != 1 || a[0].Kind != rel.KindString {
+		return rel.String(strings.ToUpper(v.Text()))
+	}),
+	"length": unary(func(v rel.Value) rel.Value {
+		if v.Kind != rel.KindString {
 			return rel.Null()
 		}
-		return rel.Int(int64(len(a[0].Text())))
-	},
-	"concat": func(a []rel.Value) rel.Value {
-		var b strings.Builder
-		for _, v := range a {
-			if v.IsNull() {
+		return rel.Int(int64(len(v.Text())))
+	}),
+	"round": unary(func(v rel.Value) rel.Value {
+		if !v.IsNumeric() {
+			return rel.Null()
+		}
+		return rel.Float(math.Round(v.AsFloat()))
+	}),
+	"mod": func(args []evaluator) evaluator {
+		if len(args) != 2 {
+			return constant(rel.Null())
+		}
+		a, b := args[0], args[1]
+		return func(l, r rel.Tuple) rel.Value {
+			x, y := a(l, r), b(l, r)
+			if x.Kind != rel.KindInt || y.Kind != rel.KindInt || y.AsInt() == 0 {
 				return rel.Null()
 			}
-			switch v.Kind {
-			case rel.KindString:
-				b.WriteString(v.Text())
-			default:
-				b.WriteString(strings.Trim(v.String(), `"`))
-			}
+			return rel.Int(x.AsInt() % y.AsInt())
 		}
-		return rel.String(b.String())
-	},
-	"mod": func(a []rel.Value) rel.Value {
-		if len(a) != 2 || a[0].Kind != rel.KindInt || a[1].Kind != rel.KindInt || a[1].AsInt() == 0 {
-			return rel.Null()
-		}
-		return rel.Int(a[0].AsInt() % a[1].AsInt())
-	},
-	"round": func(a []rel.Value) rel.Value {
-		if len(a) != 1 || !a[0].IsNumeric() {
-			return rel.Null()
-		}
-		return rel.Float(math.Round(a[0].AsFloat()))
 	},
 	// notnull(x) is 1 when x is non-NULL and 0 otherwise; the incremental
 	// COUNT rules use it to track per-tuple count contributions.
-	"notnull": func(a []rel.Value) rel.Value {
-		if len(a) != 1 || a[0].IsNull() {
-			return rel.Int(0)
+	"notnull": func(args []evaluator) evaluator {
+		if len(args) != 1 {
+			return constant(rel.Int(0))
 		}
-		return rel.Int(1)
-	},
-	"coalesce": func(a []rel.Value) rel.Value {
-		for _, v := range a {
-			if !v.IsNull() {
-				return v
+		a := args[0]
+		return func(l, r rel.Tuple) rel.Value {
+			if a(l, r).IsNull() {
+				return rel.Int(0)
 			}
+			return rel.Int(1)
 		}
-		return rel.Null()
 	},
-	"greatest": func(a []rel.Value) rel.Value {
-		if len(a) == 0 {
+	"coalesce": func(args []evaluator) evaluator {
+		return func(l, r rel.Tuple) rel.Value {
+			for _, a := range args {
+				if v := a(l, r); !v.IsNull() {
+					return v
+				}
+			}
 			return rel.Null()
 		}
-		best := a[0]
-		for _, v := range a[1:] {
-			if c, ok := v.Compare(best); ok && c > 0 {
-				best = v
-			}
-		}
-		return best
 	},
-	"least": func(a []rel.Value) rel.Value {
-		if len(a) == 0 {
-			return rel.Null()
-		}
-		best := a[0]
-		for _, v := range a[1:] {
-			if c, ok := v.Compare(best); ok && c < 0 {
-				best = v
+	"concat": func(args []evaluator) evaluator {
+		return func(l, r rel.Tuple) rel.Value {
+			var b strings.Builder
+			for _, a := range args {
+				v := a(l, r)
+				if v.IsNull() {
+					return rel.Null()
+				}
+				switch v.Kind {
+				case rel.KindString:
+					b.WriteString(v.Text())
+				default:
+					b.WriteString(strings.Trim(v.String(), `"`))
+				}
 			}
+			return rel.String(b.String())
 		}
-		return best
 	},
+	"greatest": extreme(1),
+	"least":    extreme(-1),
+}
+
+// unary builds a one-argument builtin from its per-value body.
+func unary(f func(rel.Value) rel.Value) func([]evaluator) evaluator {
+	return func(args []evaluator) evaluator {
+		if len(args) != 1 {
+			return constant(rel.Null())
+		}
+		a := args[0]
+		return func(l, r rel.Tuple) rel.Value { return f(a(l, r)) }
+	}
+}
+
+// extreme builds greatest (sign 1) or least (sign -1): the first argument,
+// replaced by each later one that compares beyond it in that direction.
+// A NULL first argument is never replaced, since NULL compares with nothing.
+func extreme(sign int) func([]evaluator) evaluator {
+	return func(args []evaluator) evaluator {
+		if len(args) == 0 {
+			return constant(rel.Null())
+		}
+		return func(l, r rel.Tuple) rel.Value {
+			best := args[0](l, r)
+			for _, a := range args[1:] {
+				v := a(l, r)
+				if c, ok := v.Compare(best); ok && c*sign > 0 {
+					best = v
+				}
+			}
+			return best
+		}
+	}
 }
 
 // HasBuiltin reports whether a scalar function with the given name exists.

@@ -124,25 +124,38 @@ func TestRenameUnknownKeptVerbatim(t *testing.T) {
 }
 
 func TestFuncsEdgeCases(t *testing.T) {
-	if !Call("abs", StrLit("x")).eval(func(string) rel.Value { return rel.Null() }).IsNull() {
+	tup := rel.Tuple{rel.Int(1), rel.Int(2), rel.String("x")}
+	if !evalOn(t, Call("abs", StrLit("x")), tup).IsNull() {
 		t.Error("abs of string must be NULL")
 	}
-	if !Call("mod", IntLit(5), IntLit(0)).eval(nil).IsNull() {
+	if !evalOn(t, Call("abs"), tup).IsNull() || !evalOn(t, Call("abs", C("a"), C("b")), tup).IsNull() {
+		t.Error("abs at the wrong arity must be NULL")
+	}
+	if !evalOn(t, Call("mod", IntLit(5), IntLit(0)), tup).IsNull() {
 		t.Error("mod by zero must be NULL")
 	}
-	if got := Call("concat", StrLit("a"), IntLit(1)).eval(nil); got.Text() != "a1" {
+	if !evalOn(t, Call("mod", FloatLit(5), IntLit(2)), tup).IsNull() || !evalOn(t, Call("mod", IntLit(5)), tup).IsNull() {
+		t.Error("mod of a float, or of one argument, must be NULL")
+	}
+	if got := evalOn(t, Call("concat", StrLit("a"), IntLit(1)), tup); got.Text() != "a1" {
 		t.Errorf("concat mixing types = %v", got)
 	}
-	if !Call("concat", StrLit("a"), V(rel.Null())).eval(nil).IsNull() {
+	if !evalOn(t, Call("concat", StrLit("a"), V(rel.Null())), tup).IsNull() {
 		t.Error("concat with NULL must be NULL")
 	}
-	if !Call("greatest").eval(nil).IsNull() {
+	if !evalOn(t, Call("greatest"), tup).IsNull() {
 		t.Error("greatest of nothing is NULL")
 	}
-	if got := Call("notnull", IntLit(1)).eval(nil); !got.Same(rel.Int(1)) {
+	if !evalOn(t, Call("greatest", V(rel.Null()), C("a")), tup).IsNull() {
+		t.Error("greatest with a NULL first argument is NULL")
+	}
+	if got := evalOn(t, Call("notnull", IntLit(1)), tup); !got.Same(rel.Int(1)) {
 		t.Errorf("notnull(1) = %v", got)
 	}
-	if got := Call("notnull", V(rel.Null())).eval(nil); !got.Same(rel.Int(0)) {
+	if got := evalOn(t, Call("notnull", V(rel.Null())), tup); !got.Same(rel.Int(0)) {
 		t.Errorf("notnull(NULL) = %v", got)
+	}
+	if got := evalOn(t, Call("notnull", C("a"), C("b")), tup); !got.Same(rel.Int(0)) {
+		t.Errorf("notnull at arity 2 = %v, want 0", got)
 	}
 }
