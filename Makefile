@@ -5,7 +5,7 @@ GO ?= go
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests, also of maintenance and of the serving layer at both GOMAXPROCS
 # shapes, the repository linter, the non-test line count per package, a
-# short run of the six fuzz targets, and a smoke run of the end-to-end
+# short run of the seven fuzz targets, and a smoke run of the end-to-end
 # benchmark (a module of its own that `./...` does not reach). Any lint
 # finding fails the build.
 check: build vet race race-ivm race-serving lint loc fuzz-smoke bench-e2e-smoke
@@ -55,7 +55,7 @@ loc:
 	done
 	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec cat {} + | wc -l)"
 
-# fuzz-smoke runs six fuzz targets for ten seconds each (CI's fuzz step
+# fuzz-smoke runs seven fuzz targets for ten seconds each (CI's fuzz step
 # runs this target). internal/rel has four: FuzzTableEpoch — writes,
 # multi-tuple i-diff instances × Begin/Advance/EndEpoch programs against the
 # full-copy oracle, see internal/rel/epochtest —, FuzzValueKey — KeyEqual ⇔
@@ -70,9 +70,14 @@ loc:
 # internal/expr has FuzzCompile: expression trees over every node kind and
 # builtin, on rows of edge values (NULL, NaN, ±0.0, 2^53, 2^53+1, "", mixed
 # kinds), where Compile and CompilePair evaluate exactly (==) like the
-# interpreter oracle kept in the test and never panic. A failure
-# leaves its minimised input under the package's testdata/fuzz/ — check it
-# in with the fix.
+# interpreter oracle kept in the test and never panic. internal/ivm has
+# FuzzCompactLog: insert/update/delete histories over a keyed table with
+# values at the edges of Value.Same, where CompactLog's net change replays
+# the start state into the end state (by TupleKey), touches each key at
+# most once and keeps no KeyEqual no-op update, and PopulateInstances files
+# an update under exactly the update schemas whose post columns it changed
+# under KeyEqual. A failure leaves its minimised input under the package's
+# testdata/fuzz/ — check it in with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableEpoch$$' -fuzztime 10s ./internal/rel
 	$(GO) test -run '^$$' -fuzz '^FuzzValueKey$$' -fuzztime 10s ./internal/rel
@@ -80,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnRoundTrip$$' -fuzztime 10s ./internal/rel
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlview
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/expr
+	$(GO) test -run '^$$' -fuzz '^FuzzCompactLog$$' -fuzztime 10s ./internal/ivm
 
 # bench-e2e-smoke vets, tests and smoke-runs the end-to-end benchmark
 # (benchmark/, BENCHMARK.json): every workload untraced and traced on a

@@ -563,9 +563,10 @@ func runCompiledBench(b *testing.B, d *db.Database, compiled *algebra.ExecPlan) 
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
-// BenchmarkBatchFilter isolates the σ kernel: a conjunctive comparison
-// filter over a 200k-row scan through the type-specialized predicate
-// loops. The access count is the full scan.
+// BenchmarkBatchFilter isolates the σ over a stored scan: a conjunctive
+// comparison filter over 200k rows, evaluated by expr's compiled closures
+// tuple by tuple before the kept rows become columns. The access count is
+// the full scan.
 func BenchmarkBatchFilter(b *testing.B) {
 	d := batchBenchDB(b, 200000)
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})

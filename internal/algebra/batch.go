@@ -2,9 +2,9 @@
 // are built from. They move column vectors (rel.Batch) instead of boxed
 // tuples:
 //
-//   - σ runs type-specialized predicate loops over []int64 / []float64 /
-//     []string payloads (no rel.Value boxing per row) and narrows the
-//     batch with a selection vector — payloads are never copied;
+//   - σ evaluates its predicate row by row on one reused scratch row and
+//     narrows the batch with a selection vector — payloads are never
+//     copied;
 //   - equi-joins and semijoins over derived inputs, γ and the two sets of
 //     semiProbeLeft file rows under the 64-bit key digest the stored indexes
 //     use (rel.KeyDigest, computed a column at a time by Batch.KeyDigests)
@@ -17,9 +17,10 @@
 //     first row (the output's key columns are the input's, gathered there)
 //     and carves their aggregate states from one array.
 //
-// Every kernel reproduces the interpreted evaluator's semantics
-// bit-for-bit: row order, float widening in comparisons (Value.compare),
-// NULL folding (every comparison with NULL is false, including <>),
+// Predicates, projection items and aggregate arguments are evaluated by
+// expr.Compile's closures, the evaluator Eval calls too, so comparison
+// semantics (float widening, NULL folding) live in expr and Value.Compare
+// only. What the kernels themselves reproduce bit-for-bit is row order,
 // EncodeKey-byte key equality (Value.KeyEqual holds exactly when the
 // canonical encodings are equal — Same is coarser: it widens ints to
 // floats — so hash buckets verified column-wise with KeyEqual reproduce
@@ -38,296 +39,37 @@
 package algebra
 
 import (
-	"math"
-	"strings"
-
-	"idivm/internal/expr"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
-// Specialized predicate evaluation (σ)
-
-// bTerm is one col-vs-literal comparison conjunct, specialized at compile
-// time. op is applied as <col> op <lit> (flipped from the source when the
-// literal was on the left).
-type bTerm struct {
-	col int
-	op  expr.CmpOp
-	lit rel.Value
-}
-
-// bPred is a batch-compiled predicate: the col-vs-literal conjuncts run
-// as typed loops, any remaining conjuncts (rest) evaluate generically on
-// scratch rows.
-type bPred struct {
-	terms []bTerm
-	rest  *expr.Compiled // nil when the terms cover the whole predicate
-	sel   []int32        // filter's candidate-selection scratch
-}
-
-// flipCmp mirrors a comparison for operand swap: lit op col ≡ col flip(op) lit.
-func flipCmp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	}
-	return op
-}
-
-// compileBatchPred splits a predicate into specialized col-vs-literal
-// terms and a generic rest, over the given input schema.
-func compileBatchPred(e expr.Expr, sch rel.Schema) (*bPred, error) {
-	p := &bPred{}
-	var rest []expr.Expr
-	for _, cj := range expr.Conjuncts(e) {
-		if cm, ok := cj.(expr.Cmp); ok {
-			if col, okc := cm.L.(expr.Col); okc {
-				if lit, okl := cm.R.(expr.Lit); okl {
-					if j := sch.Index(col.Name); j >= 0 {
-						p.terms = append(p.terms, bTerm{col: j, op: cm.Op, lit: lit.Val})
-						continue
-					}
-				}
-			}
-			if lit, okl := cm.L.(expr.Lit); okl {
-				if col, okc := cm.R.(expr.Col); okc {
-					if j := sch.Index(col.Name); j >= 0 {
-						p.terms = append(p.terms, bTerm{col: j, op: flipCmp(cm.Op), lit: lit.Val})
-						continue
-					}
-				}
-			}
-		}
-		rest = append(rest, cj)
-	}
-	if len(rest) > 0 {
-		r := expr.And(rest...)
-		if !expr.IsTrueLit(r) {
-			var err error
-			if p.rest, err = expr.Compile(r, sch); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return p, nil
-}
-
-// cmpOutcome applies op to a Value.Compare outcome with Cmp.eval
-// semantics: an incomparable pair (ok=false — NULL involved or
-// non-numeric kind mismatch) is false for every operator, including <>.
-func cmpOutcome(cv int, ok bool, op expr.CmpOp) bool {
-	if !ok {
-		return false
-	}
-	switch op {
-	case expr.EQ:
-		return cv == 0
-	case expr.NE:
-		return cv != 0
-	case expr.LT:
-		return cv < 0
-	case expr.LE:
-		return cv <= 0
-	case expr.GT:
-		return cv > 0
-	case expr.GE:
-		return cv >= 0
-	}
-	return false
-}
-
-// passFloat compares through the same three-way float ordering as
-// Value.compare (NaN folds to "equal", matching the a<b/a>b/default
-// switch there), then applies op.
-func passFloat(a, b float64, op expr.CmpOp) bool {
-	var cv int
-	switch {
-	case a < b:
-		cv = -1
-	case a > b:
-		cv = 1
-	}
-	return cmpOutcome(cv, true, op)
-}
-
-// applyDense evaluates the term over all n logical rows of c, appending
-// passing row indices to sel. The per-kind loops read payload slices
-// directly — no Value is constructed per row.
-func (tm *bTerm) applyDense(c *rel.ColVec, n int, sel []int32) []int32 {
-	if tm.lit.IsNull() {
-		return sel
-	}
-	idx, kinds := c.Idx, c.Kinds
-	switch c.Kind {
-	case rel.VecNull:
-		return sel
-	case rel.VecInt, rel.VecFloat:
-		if !tm.lit.IsNumeric() {
-			return sel
-		}
-		litF, isInt := tm.lit.AsFloat(), c.Kind == rel.VecInt
-		xs := c.Nums
-		for i := 0; i < n; i++ {
-			p := i
-			if idx != nil {
-				p = int(idx[i])
-			}
-			if kinds != nil && kinds[p] == rel.KindNull {
-				continue
-			}
-			x := math.Float64frombits(xs[p])
-			if isInt {
-				x = float64(int64(xs[p]))
-			}
-			if passFloat(x, litF, tm.op) {
-				sel = append(sel, int32(i))
-			}
-		}
-	case rel.VecStr:
-		if tm.lit.Kind != rel.KindString {
-			return sel
-		}
-		lit := tm.lit.Text()
-		xs := c.Strs
-		for i := 0; i < n; i++ {
-			p := i
-			if idx != nil {
-				p = int(idx[i])
-			}
-			if kinds != nil && kinds[p] == rel.KindNull {
-				continue
-			}
-			if cmpOutcome(strings.Compare(xs[p], lit), true, tm.op) {
-				sel = append(sel, int32(i))
-			}
-		}
-	case rel.VecBool:
-		if tm.lit.Kind != rel.KindBool {
-			return sel
-		}
-		lb := tm.lit.AsBool()
-		xs := c.Nums
-		for i := 0; i < n; i++ {
-			p := i
-			if idx != nil {
-				p = int(idx[i])
-			}
-			if kinds != nil && kinds[p] == rel.KindNull {
-				continue
-			}
-			cv := 0
-			switch {
-			case (xs[p] != 0) == lb:
-			case xs[p] == 0:
-				cv = -1
-			default:
-				cv = 1
-			}
-			if cmpOutcome(cv, true, tm.op) {
-				sel = append(sel, int32(i))
-			}
-		}
-	default: // VecAny
-		for i := 0; i < n; i++ {
-			cv, ok := c.Value(i).Compare(tm.lit)
-			if cmpOutcome(cv, ok, tm.op) {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel
-}
-
-// passAt evaluates the term for one logical row (secondary conjuncts,
-// applied to an already-narrowed selection).
-func (tm *bTerm) passAt(c *rel.ColVec, i int) bool {
-	if tm.lit.IsNull() {
-		return false
-	}
-	switch c.Kind {
-	case rel.VecNull:
-		return false
-	case rel.VecInt, rel.VecFloat:
-		if !tm.lit.IsNumeric() {
-			return false
-		}
-		p := c.Phys(i)
-		if c.Kinds != nil && c.Kinds[p] == rel.KindNull {
-			return false
-		}
-		x := math.Float64frombits(c.Nums[p])
-		if c.Kind == rel.VecInt {
-			x = float64(int64(c.Nums[p]))
-		}
-		return passFloat(x, tm.lit.AsFloat(), tm.op)
-	}
-	cv, ok := c.Value(i).Compare(tm.lit)
-	return cmpOutcome(cv, ok, tm.op)
-}
+// σ kernel
 
 // filter narrows a batch by the predicate, returning a gathered view
 // (shared payloads, fresh selection vector). When every row passes it
-// returns the input batch itself and when none does the caller's empty
-// batch; neither case allocates — the candidate selection is built in
-// scratch and copied, at its exact size, only when it is a proper subset.
-func (p *bPred) filter(b, empty *rel.Batch) *rel.Batch {
+// returns the input batch itself and when none does the operator's empty
+// batch; neither case allocates — the selection and the row are built in
+// the operator's scratch, and the selection is copied, at its exact size,
+// only when it is a proper subset.
+func (c *cSelect) filter(b *rel.Batch) *rel.Batch {
 	n := b.Len()
-	if n == 0 || (len(p.terms) == 0 && p.rest == nil) {
+	if n == 0 || c.pred == nil {
 		return b
 	}
-	sel := p.sel[:0]
-	for t := range p.terms {
-		tm := &p.terms[t]
-		col := &b.Cols[tm.col]
-		if t == 0 {
-			sel = tm.applyDense(col, n, sel)
-		} else {
-			kept := sel[:0]
-			for _, i := range sel {
-				if tm.passAt(col, int(i)) {
-					kept = append(kept, i)
-				}
-			}
-			sel = kept
-		}
-		if len(sel) == 0 {
-			break
+	sel := c.sel[:0]
+	for i := 0; i < n; i++ {
+		c.row = b.Row(i, c.row)
+		if c.pred.EvalBool(c.row) {
+			sel = append(sel, int32(i))
 		}
 	}
-	if p.rest != nil {
-		var buf rel.Tuple
-		if len(p.terms) == 0 {
-			for i := 0; i < n; i++ {
-				buf = b.Row(i, buf)
-				if p.rest.EvalBool(buf) {
-					sel = append(sel, int32(i))
-				}
-			}
-		} else {
-			kept := sel[:0]
-			for _, i := range sel {
-				buf = b.Row(int(i), buf)
-				if p.rest.EvalBool(buf) {
-					kept = append(kept, i)
-				}
-			}
-			sel = kept
-		}
-	}
-	p.sel = sel[:0]
+	c.sel = sel[:0]
 	switch len(sel) {
 	case n:
 		return b
 	case 0:
-		return empty
+		return c.empty
 	}
 	return b.GatherRows(append([]int32(nil), sel...))
 }
@@ -559,7 +301,7 @@ next:
 		for _, lt := range rows {
 			d := rel.KeyDigest(lt) & keyMask
 			for e := emitted.First(d); e >= 0; e = emitted.Next(e) {
-				if tupleKeyEqual(out[e], lt) {
+				if out[e].KeyEqual(lt) {
 					continue emit
 				}
 			}
@@ -568,17 +310,6 @@ next:
 		}
 	}
 	return batchOf(c.empty, out), nil
-}
-
-// tupleKeyEqual reports whether two tuples of one table are KeyEqual value by
-// value — equal TupleKey encodings.
-func tupleKeyEqual(a, b rel.Tuple) bool {
-	for j := range a {
-		if !a[j].KeyEqual(b[j]) {
-			return false
-		}
-	}
-	return true
 }
 
 // probeRightSel is semiProbeRight: keep/drop per left row by probing the

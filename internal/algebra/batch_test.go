@@ -32,10 +32,11 @@ func mixedKeys() *rel.Relation {
 	return r
 }
 
-// batchPlans compiles a plan set covering every batch kernel: typed and
-// degraded filter columns, index-probe vs scan stored selects, aliased
-// and computed projections, probe/hash joins with residuals, semi/anti
-// joins, int-keyed and encoded-key aggregation, and union-all.
+// batchPlans compiles a plan set covering every batch kernel: stored
+// selects by scan (over typed and mixed-kind columns, with the literal on
+// either side, conjunctions and a col-vs-col conjunct) and by index probe,
+// aliased and computed projections, probe/hash joins with residuals,
+// semi/anti joins, int-keyed and encoded-key aggregation, and union-all.
 func batchPlans() map[string]algebra.Node {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	scan := func() algebra.Node { return algebra.NewScan("big", "", sch) }
@@ -48,14 +49,14 @@ func batchPlans() map[string]algebra.Node {
 			expr.Lt(expr.C("big.grp"), expr.IntLit(7))),
 		"filter-flip": algebra.NewSelect(scan(), // literal on the left
 			expr.Ge(expr.IntLit(7), expr.C("big.grp"))),
-		"filter-mixed-col": algebra.NewSelect(scan(), // val holds Int/Float/NULL → VecAny
+		"filter-mixed-col": algebra.NewSelect(scan(), // val holds Int/Float/NULL: a VecAny column
 			expr.Gt(expr.C("big.val"), expr.FloatLit(40))),
 		"filter-conj": algebra.NewSelect(scan(),
 			expr.And(
 				expr.Lt(expr.C("big.grp"), expr.IntLit(11)),
 				expr.Ne(expr.C("big.grp"), expr.IntLit(3)),
 				expr.Gt(expr.C("big.k"), expr.IntLit(100)))),
-		"filter-rest": algebra.NewSelect(scan(), // col-vs-col conjunct lands in rest
+		"filter-rest": algebra.NewSelect(scan(), // a col-vs-col conjunct
 			expr.And(
 				expr.Lt(expr.C("big.grp"), expr.IntLit(9)),
 				expr.Lt(expr.C("big.grp"), expr.C("big.k")))),
@@ -235,9 +236,10 @@ func TestKeyEqualityAtTheEdgesOfSame(t *testing.T) {
 // TestFilterKernelsOnEveryLayout runs a comparison against a literal over a
 // derived column of every layout — int, float, string and bool, each with
 // NULL rows, and a mixed column — for every operator and literals of
-// matching and mismatching kinds, as a selection's first conjunct (the dense
-// loop over the payload) and as its second (the per-row check), against the
-// interpreted oracle.
+// matching and mismatching kinds, alone and behind another conjunct, and
+// checks the compiled σ (expr's closures over rows read from the columns)
+// against the Eval oracle: each layout's Batch.Row must hand the predicate
+// the values the oracle's tuples hold.
 func TestFilterKernelsOnEveryLayout(t *testing.T) {
 	cols := []string{"id", "i", "f", "s", "b", "m"}
 	sch := rel.NewSchema(cols, nil)

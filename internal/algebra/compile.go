@@ -118,7 +118,7 @@ func compileNode(n Node) (cNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compileBatchPred(x.Pred, x.Child.Schema())
+		pred, err := compilePred(x.Pred, x.Child.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -190,10 +190,22 @@ type cEmpty struct{ empty *rel.Batch }
 
 func (c *cEmpty) run(Env) (*rel.Batch, error) { return c.empty, nil }
 
-// cSelect filters a derived child with a type-specialized predicate.
+// compilePred compiles a predicate over one input; nil stands for TRUE.
+func compilePred(e expr.Expr, sch rel.Schema) (*expr.Compiled, error) {
+	if expr.IsTrueLit(e) {
+		return nil, nil
+	}
+	return expr.Compile(e, sch)
+}
+
+// cSelect filters a derived child with its compiled predicate (filter, in
+// batch.go). The selection vector and the row the predicate reads are
+// scratch, reused by every run.
 type cSelect struct {
 	child cNode
-	pred  *bPred
+	pred  *expr.Compiled // nil when TRUE
+	sel   []int32
+	row   rel.Tuple
 	empty *rel.Batch
 }
 
@@ -202,15 +214,17 @@ func (c *cSelect) run(env Env) (*rel.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.pred.filter(child, c.empty), nil
+	return c.filter(child), nil
 }
 
 // cStoredSelect runs a σ-chain over a stored leaf: the probe on the
 // chain's literal equalities when useIndex takes it, else a scan filtered by
-// the whole predicate.
+// the whole predicate. Either way the rows are filtered as tuples and only
+// the kept ones become columns.
 type cStoredSelect struct {
 	probe *cProbe
-	full  *bPred // the whole predicate, for the scan
+	full  *expr.Compiled // the whole predicate, for the scan; nil when TRUE
+	kept  []rel.Tuple    // the scan's kept rows (scratch)
 	empty *rel.Batch
 }
 
@@ -219,7 +233,7 @@ func compileStoredSelect(sh *probeShape) (cNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, err := compileBatchPred(sh.extra, sh.schema)
+	full, err := compilePred(sh.extra, sh.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -235,15 +249,22 @@ func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !index {
-		return c.full.filter(batchOf(c.empty, t.Scan(c.probe.plan.st)), c.empty), nil
+	if index {
+		// The batch copies the values out, so the probe's row buffer is scratch.
+		rows, err := c.probe.lookup(t)
+		if err != nil {
+			return nil, err
+		}
+		return batchOf(c.empty, rows), nil
 	}
-	// The batch copies the values out, so the probe's row buffer is scratch.
-	rows, err := c.probe.lookup(t)
-	if err != nil {
-		return nil, err
+	rows := t.Scan(c.probe.plan.st)
+	if c.full != nil {
+		c.kept = keepRows(c.full, rows, c.kept[:0])
+		rows = c.kept
 	}
-	return batchOf(c.empty, rows), nil
+	b := batchOf(c.empty, rows)
+	clear(c.kept) // hold no stored rows between runs
+	return b, nil
 }
 
 // cProject applies precompiled projection expressions. A plain column
@@ -328,11 +349,9 @@ type cProbe struct {
 func compileProbe(pp probePlan) (*cProbe, error) {
 	p := &cProbe{plan: pp, valsBuf: make([]rel.Value, pp.nJoin+len(pp.litVals))}
 	copy(p.valsBuf[pp.nJoin:], pp.litVals)
-	if !expr.IsTrueLit(pp.residual) {
-		var err error
-		if p.residual, err = expr.Compile(pp.residual, pp.schema); err != nil {
-			return nil, err
-		}
+	var err error
+	if p.residual, err = compilePred(pp.residual, pp.schema); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -363,14 +382,18 @@ func (p *cProbe) lookup(t *storage.Handle) ([]rel.Tuple, error) {
 	if p.residual == nil {
 		return rows, nil
 	}
-	// Compact in place: rows is scratch.
-	kept := rows[:0]
+	return keepRows(p.residual, rows, rows[:0]), nil // in place: rows is scratch
+}
+
+// keepRows appends the rows pred accepts to dst, which may be rows[:0]: the
+// loop never writes ahead of where it reads.
+func keepRows(pred *expr.Compiled, rows, dst []rel.Tuple) []rel.Tuple {
 	for _, r := range rows {
-		if p.residual.EvalBool(r) {
-			kept = append(kept, r)
+		if pred.EvalBool(r) {
+			dst = append(dst, r)
 		}
 	}
-	return kept, nil
+	return dst
 }
 
 // compilePair compiles a join or semijoin predicate over its two inputs;

@@ -36,6 +36,9 @@ func (n *NetChange) Empty() bool {
 // insert, insert∘delete → nothing, update∘update → merged update,
 // update∘delete → delete, delete∘insert → update (or nothing when the
 // reinserted tuple equals the deleted one), and no-op updates are dropped.
+// Tuples are equal when they are KeyEqual value by value — the equality
+// stored tables index under; Same would take Int(1<<53) → Int(1<<53+1)
+// or 1 → NaN for a no-op, since it compares numbers through float64.
 func CompactLog(log []db.Modification, schemaOf func(table string) (rel.Schema, error)) (map[string]*NetChange, error) {
 	type slot struct {
 		// state machine over the tuple's fate since the last maintenance
@@ -92,7 +95,7 @@ func CompactLog(log []db.Modification, schemaOf func(table string) (rel.Schema, 
 				sl.present, sl.kind, sl.post = true, db.ModInsert, m.Post
 			case sl.kind == db.ModDelete:
 				// delete ∘ insert = update (pre = originally deleted row)
-				if sl.pre.Equal(m.Post) {
+				if sl.pre.KeyEqual(m.Post) {
 					sl.present = false
 				} else {
 					sl.kind, sl.post = db.ModUpdate, m.Post
@@ -146,7 +149,7 @@ func CompactLog(log []db.Modification, schemaOf func(table string) (rel.Schema, 
 			case db.ModDelete:
 				nc.Deletes = append(nc.Deletes, sl.pre.Clone())
 			case db.ModUpdate:
-				if sl.pre.Equal(sl.post) {
+				if sl.pre.KeyEqual(sl.post) {
 					continue // no-op update
 				}
 				nc.Updates = append(nc.Updates, UpdatePair{Pre: sl.pre.Clone(), Post: sl.post.Clone()})
@@ -223,12 +226,12 @@ func populate(nc *NetChange, schemas []DiffSchema, rels []rel.Schema) ([]*Instan
 	return out, nil
 }
 
-// updateTouches reports whether the update modified at least one attribute
-// carried in the schema's post set.
+// updateTouches reports whether the update modified (under KeyEqual) at
+// least one attribute carried in the schema's post set.
 func updateTouches(ds DiffSchema, schema rel.Schema, up UpdatePair) bool {
 	for _, a := range ds.Post {
 		i := schema.Index(a)
-		if i >= 0 && !up.Pre[i].Same(up.Post[i]) {
+		if i >= 0 && !up.Pre[i].KeyEqual(up.Post[i]) {
 			return true
 		}
 	}

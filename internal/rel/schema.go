@@ -28,6 +28,21 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
+// KeyEqual reports whether two tuples are KeyEqual value by value — equal
+// TupleKey encodings. It is finer than Equal: Int(1<<53) and Int(1<<53+1)
+// are Same but not KeyEqual.
+func (t Tuple) KeyEqual(o Tuple) bool {
+	if len(t) != len(o) {
+		return false
+	}
+	for i := range t {
+		if !t[i].KeyEqual(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the tuple for debugging.
 func (t Tuple) String() string {
 	parts := make([]string, len(t))
