@@ -68,9 +68,10 @@ loc:
 # and every plan it accepts fails alike or returns the same rows, in order,
 # with the same access counters under algebra.Eval and compiled.
 # internal/expr has FuzzCompile: expression trees over every node kind and
-# builtin, on rows of edge values (NULL, NaN, ±0.0, 2^53, 2^53+1, "", mixed
-# kinds), where Compile and CompilePair evaluate exactly (==) like the
-# interpreter oracle kept in the test and never panic. internal/ivm has
+# builtin — keyeq, the KeyEqual test of the π change guard, included — on
+# rows of edge values (NULL, NaN, ±0.0, 1.0, 2^53, 2^53+1, "", mixed kinds),
+# where Compile and CompilePair evaluate exactly (==) like the interpreter
+# oracle kept in the test and never panic. internal/ivm has
 # FuzzCompactLog: insert/update/delete histories over a keyed table with
 # values at the edges of Value.Same, where CompactLog's net change replays
 # the start state into the end state (by TupleKey), touches each key at

@@ -46,8 +46,9 @@ import (
 // producing the same relation, in the same order, with the same stored
 // access charges as Eval on the source plan.
 type ExecPlan struct {
-	root cNode
-	sch  rel.Schema
+	root  cNode
+	sch   rel.Schema
+	empty *rel.Binding // what Bind returns for zero rows, shared like the operators' empty batches
 }
 
 // Compile compiles a plan. It fails on the same malformed plans Eval would
@@ -57,7 +58,7 @@ func Compile(n Node) (*ExecPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ExecPlan{root: root, sch: n.Schema()}, nil
+	return &ExecPlan{root: root, sch: n.Schema(), empty: rel.BindBatch(rel.NewBatch(n.Schema()))}, nil
 }
 
 // MustCompile is Compile that panics on error, for static plans and tests.
@@ -76,22 +77,26 @@ func (p *ExecPlan) Schema() rel.Schema { return p.sch }
 // root batch as a binding: columns for the plans that read it next, tuples
 // only if a reader asks. Stored tables are resolved through env on every
 // run, so WithCounter sharding keeps working: the plan pins strategies, not
-// table handles or counters.
+// table handles or counters. Every empty result is the one binding built at
+// Compile, so an empty step costs no allocation.
 func (p *ExecPlan) Bind(env Env) (*rel.Binding, error) {
 	b, err := p.root.run(env)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case b.N == 0:
+		return p.empty, nil
 	}
 	return rel.BindBatch(b), nil
 }
 
-// Run is Bind for a caller that wants the tuples.
+// Run evaluates the plan into tuples of the caller's own.
 func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
-	bd, err := p.Bind(env)
+	b, err := p.root.run(env)
 	if err != nil {
 		return nil, err
 	}
-	return bd.Relation(), nil
+	return b.Materialize(), nil
 }
 
 // cNode is one compiled operator.

@@ -150,6 +150,12 @@ var oracleBuiltins = map[string]func([]rel.Value) rel.Value{
 		}
 		return rel.Float(math.Round(a[0].AsFloat()))
 	},
+	"keyeq": func(a []rel.Value) rel.Value {
+		if len(a) != 2 {
+			return rel.Null()
+		}
+		return rel.Bool(a[0].KeyEqual(a[1]))
+	},
 	"notnull": func(a []rel.Value) rel.Value {
 		if len(a) != 1 || a[0].IsNull() {
 			return rel.Int(0)
@@ -200,16 +206,17 @@ var fuzzValues = []rel.Value{
 	rel.Int(math.MinInt64), rel.Int(math.MaxInt64), rel.Float(0), rel.Float(math.Copysign(0, -1)),
 	rel.Float(math.NaN()), rel.Float(float64(p53)), rel.Float(2.5), rel.Float(-0.5),
 	rel.Float(math.Inf(1)), rel.String(""), rel.String("x"), rel.String(`Q"q`),
-	rel.Bool(true), rel.Bool(false),
+	rel.Bool(true), rel.Bool(false), rel.Float(1),
 }
 
 var (
 	fuzzCols   = []string{"c0", "c1", "c2", "c3", "c4", "c5"}
 	fuzzCmps   = []CmpOp{EQ, NE, LT, LE, GT, GE, "!"}
 	fuzzAriths = []byte{'+', '-', '*', '/', '%'}
-	// fuzzFuncs is every builtin, two in other cases, and an unknown name.
+	// fuzzFuncs is every builtin, two in other cases, and an unknown name;
+	// a new builtin goes last, so the corpus keeps decoding as it did.
 	fuzzFuncs = []string{"abs", "coalesce", "concat", "greatest", "least", "length", "lower",
-		"mod", "notnull", "round", "upper", "COALESCE", "NotNull", "nosuchfn"}
+		"mod", "notnull", "round", "upper", "COALESCE", "NotNull", "nosuchfn", "keyeq"}
 )
 
 // exprDecoder turns fuzz bytes into an expression tree; an exhausted input
@@ -329,6 +336,7 @@ var (
 		"least":     Call("least", C("a#pre"), C("x")),
 		"length":    Call("length", C("s")),
 		"mod":       Call("mod", C("a#pre"), IntLit(2)),
+		"keyeq":     Call("keyeq", C("a#post"), C("a#pre")),
 		"round":     Call("round", C("x")),
 	}
 )

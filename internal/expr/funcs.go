@@ -63,6 +63,16 @@ var builtins = map[string]func(args []evaluator) evaluator{
 			return rel.Int(x.AsInt() % y.AsInt())
 		}
 	},
+	// keyeq(a, b) is a.KeyEqual(b), the equality stored tables index under:
+	// unlike =, it tells 2^53 from 2^53+1, and NaN and NULL equal themselves.
+	// The π rules' change guard (σ_isupd) tests post = pre with it.
+	"keyeq": func(args []evaluator) evaluator {
+		if len(args) != 2 {
+			return constant(rel.Null())
+		}
+		a, b := args[0], args[1]
+		return func(l, r rel.Tuple) rel.Value { return rel.Bool(a(l, r).KeyEqual(b(l, r))) }
+	},
 	// notnull(x) is 1 when x is non-NULL and 0 otherwise; the incremental
 	// COUNT rules use it to track per-tuple count contributions.
 	"notnull": func(args []evaluator) evaluator {

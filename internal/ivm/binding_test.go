@@ -145,20 +145,24 @@ func TestTransientStepNeverBecomesTuples(t *testing.T) {
 	s, ins := bindingScript(t)
 	rows := rel.NewRelation(ins.RelSchema())
 	rows.Add(rel.Tuple{rel.Int(1), rel.Int(3)})
-	bind := bindRelations(s, map[string]*rel.Relation{"ins": rows})
-	if _, err := runScript(d, s, bind, false, ExecOptions{}); err != nil {
+	slots, err := inputSlots(s, map[string]*rel.Relation{"ins": rows})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bind["T"].Len() != 1 || bind["Δ1"].Len() != 1 || bind["Δ3"].Len() != 1 {
-		t.Fatalf("bindings: T has %d rows, Δ1 %d, Δ3 %d", bind["T"].Len(), bind["Δ1"].Len(), bind["Δ3"].Len())
+	if _, err := runScript(d, s, slots, false, ExecOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	if n := mallocs(func() { bind["Δ1"].Relation() }); n != 0 {
+	bind := func(name string) *rel.Binding { return slots[s.slotOf[name]] }
+	if bind("T").Len() != 1 || bind("Δ1").Len() != 1 || bind("Δ3").Len() != 1 {
+		t.Fatalf("bindings: T has %d rows, Δ1 %d, Δ3 %d", bind("T").Len(), bind("Δ1").Len(), bind("Δ3").Len())
+	}
+	if n := mallocs(func() { bind("Δ1").Relation() }); n != 0 {
 		t.Fatalf("Δ1 was applied, yet asking for its tuples again allocated %d objects", n)
 	}
-	if n := mallocs(func() { bind["T"].Relation() }); n == 0 {
+	if n := mallocs(func() { bind("T").Relation() }); n == 0 {
 		t.Fatal("the transient step T already had tuples: some step materialised a binding no APPLY reads")
 	}
-	if n := mallocs(func() { bind["ins"].Batch() }); n != 0 {
+	if n := mallocs(func() { bind("ins").Batch() }); n != 0 {
 		t.Fatalf("the base instance was read by a compiled step, yet asking for its columns again allocated %d objects", n)
 	}
 }

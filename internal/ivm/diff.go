@@ -13,6 +13,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"idivm/internal/db"
@@ -96,19 +97,7 @@ func (d DiffSchema) String() string {
 // Equal reports whether two diff schemas are identical.
 func (d DiffSchema) Equal(o DiffSchema) bool {
 	return d.Type == o.Type && d.Rel == o.Rel &&
-		eqStrs(d.IDs, o.IDs) && eqStrs(d.Pre, o.Pre) && eqStrs(d.Post, o.Post)
-}
-
-func eqStrs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		slices.Equal(d.IDs, o.IDs) && slices.Equal(d.Pre, o.Pre) && slices.Equal(d.Post, o.Post)
 }
 
 // Instance couples a diff schema with a relation of diff tuples.
@@ -140,101 +129,93 @@ func (i *Instance) Len() int { return i.Rows.Len() }
 // The target is a *storage.Handle, not the raw storage.Table interface:
 // every APPLY write is a charged access of the paper's cost model, and the
 // Handle is the sole charge point (the chargepath analyzer pins this).
+// Apply resolves the diff's columns on every call; a Δ-script's APPLY steps
+// resolved theirs at CompileScript.
 func (i *Instance) Apply(t *storage.Handle) (int, error) {
-	return i.ApplyLogged(t, nil)
+	c, err := resolveApply(i.Schema, i.Rows.Schema, t.Schema())
+	if err != nil {
+		return 0, err
+	}
+	return applyRows(t, &i.Schema, i.Rows.Tuples, &c, nil)
 }
 
-// ApplyLogged is Apply that additionally records every row the APPLY
-// touches as a full-image db.Modification through rec (when non-nil) — a
-// derived modification log that a cascaded (view-over-view) consumer
-// compacts exactly like a trigger log on a base table. Charges are
-// identical to Apply's: the images are captured inside the storage
-// critical sections where they are already in hand (DeleteWhere /
-// UpdateWhere's fn), never through extra probes, so the paper's Section 6
-// access counts cannot tell the two entry points apart. The recorded
-// tuples alias stored rows, which are immutable once stored.
-func (i *Instance) ApplyLogged(t *storage.Handle, rec func(db.Modification)) (int, error) {
-	switch i.Schema.Type {
+// applyCols are an APPLY's column positions in its diff rows: id the diff's
+// ID columns, set an update's post columns, and src, for an insert, the
+// diff column of every target attribute in the target's attribute order.
+type applyCols struct{ id, set, src []int }
+
+// resolveApply resolves the columns of diff ds, whose rows have schema src,
+// for an APPLY to a table of schema target.
+func resolveApply(ds DiffSchema, src, target rel.Schema) (applyCols, error) {
+	var c applyCols
+	var err error
+	if c.id, err = src.Indices(ds.IDs); err != nil {
+		return c, err
+	}
+	switch ds.Type {
 	case DiffUpdate:
-		return i.applyUpdate(t, rec)
+		c.set = make([]int, len(ds.Post))
+		for k, a := range ds.Post {
+			if c.set[k] = src.Index(PostName(a)); c.set[k] < 0 {
+				return c, fmt.Errorf("ivm: update diff lacks %q", PostName(a))
+			}
+		}
 	case DiffInsert:
-		return i.applyInsert(t, rec)
+		if !slices.Equal(ds.IDs, target.Key) {
+			return c, fmt.Errorf("ivm: insert diff IDs %v must equal the full key %v", ds.IDs, target.Key)
+		}
+		c.src = make([]int, len(target.Attrs))
+		for k, a := range target.Attrs {
+			if c.src[k] = src.Index(a); c.src[k] < 0 {
+				c.src[k] = src.Index(PostName(a))
+			}
+			if c.src[k] < 0 {
+				return c, fmt.Errorf("ivm: insert diff lacks attribute %q", a)
+			}
+		}
 	case DiffDelete:
-		return i.applyDelete(t, rec)
+	default:
+		return c, fmt.Errorf("ivm: unknown diff type %d", ds.Type)
 	}
-	return 0, fmt.Errorf("ivm: unknown diff type %d", i.Schema.Type)
+	return c, nil
 }
 
-// The three statements hand storage the whole instance — the diff's tuples
-// and where in a tuple the ID, SET and target columns are — so an ApplyStep is
-// one storage call, not one per diff tuple.
-
-func (i *Instance) applyUpdate(t *storage.Handle, rec func(db.Modification)) (int, error) {
-	sch := i.Rows.Schema
-	idIdx, err := sch.Indices(i.Schema.IDs)
-	if err != nil {
-		return 0, err
-	}
-	postCols := make([]string, len(i.Schema.Post))
-	for k, a := range i.Schema.Post {
-		postCols[k] = PostName(a)
-	}
-	postIdx, err := sch.Indices(postCols)
-	if err != nil {
-		return 0, err
-	}
-	var record func(pre, post rel.Tuple)
-	if rec != nil {
-		record = func(pre, post rel.Tuple) {
-			rec(db.Modification{Kind: db.ModUpdate, Table: t.Name(), Pre: pre, Post: post})
+// applyRows applies rows, diff tuples of ds with columns c, to t, recording
+// every row it touches as a full-image db.Modification through rec when rec
+// is non-nil — the derived modification log a cascaded (view-over-view)
+// consumer compacts exactly like a trigger log on a base table. Each
+// statement hands storage the whole instance and where in a tuple its ID,
+// SET and target columns are, so an APPLY is one storage call, not one per
+// diff tuple. Recording charges nothing: the images are captured inside the
+// storage critical sections where they are already in hand, never through
+// extra probes, and the recorded tuples alias stored rows, which are
+// immutable once stored.
+func applyRows(t *storage.Handle, ds *DiffSchema, rows []rel.Tuple, c *applyCols, rec func(db.Modification)) (int, error) {
+	var n int
+	var err error
+	switch ds.Type {
+	case DiffUpdate:
+		var record func(pre, post rel.Tuple)
+		if rec != nil {
+			record = func(pre, post rel.Tuple) {
+				rec(db.Modification{Kind: db.ModUpdate, Table: t.Name(), Pre: pre, Post: post})
+			}
 		}
-	}
-	_, touched, err := t.UpdateWhere(i.Schema.IDs, i.Rows.Tuples, idIdx, i.Schema.Post, postIdx, record)
-	return touched, err
-}
-
-func (i *Instance) applyInsert(t *storage.Handle, rec func(db.Modification)) (int, error) {
-	tSchema := t.Schema()
-	if !eqStrs(i.Schema.IDs, tSchema.Key) {
-		return 0, fmt.Errorf("ivm: insert diff IDs %v must equal the full key %v of %s",
-			i.Schema.IDs, tSchema.Key, t.Name())
-	}
-	// Storage builds each target row in the table's attribute order.
-	srcIdx := make([]int, len(tSchema.Attrs))
-	diffSch := i.Rows.Schema
-	for k, a := range tSchema.Attrs {
-		j := diffSch.Index(a)
-		if j < 0 {
-			j = diffSch.Index(PostName(a))
+		_, n, err = t.UpdateWhere(ds.IDs, rows, c.id, ds.Post, c.set, record)
+	case DiffInsert:
+		var record func(post rel.Tuple)
+		if rec != nil {
+			record = func(post rel.Tuple) { rec(db.Modification{Kind: db.ModInsert, Table: t.Name(), Post: post}) }
 		}
-		if j < 0 {
-			return 0, fmt.Errorf("ivm: insert diff lacks attribute %q of %s", a, t.Name())
+		_, n, err = t.InsertIfAbsent(rows, c.src, record)
+	default:
+		var record func(pre rel.Tuple)
+		if rec != nil {
+			record = func(pre rel.Tuple) { rec(db.Modification{Kind: db.ModDelete, Table: t.Name(), Pre: pre}) }
 		}
-		srcIdx[k] = j
+		_, n, err = t.DeleteWhere(ds.IDs, rows, c.id, record)
 	}
-	var record func(post rel.Tuple)
-	if rec != nil {
-		record = func(post rel.Tuple) {
-			rec(db.Modification{Kind: db.ModInsert, Table: t.Name(), Post: post})
-		}
-	}
-	_, inserted, err := t.InsertIfAbsent(i.Rows.Tuples, srcIdx, record)
-	return inserted, err
-}
-
-func (i *Instance) applyDelete(t *storage.Handle, rec func(db.Modification)) (int, error) {
-	idIdx, err := i.Rows.Schema.Indices(i.Schema.IDs)
-	if err != nil {
-		return 0, err
-	}
-	var record func(pre rel.Tuple)
-	if rec != nil {
-		record = func(pre rel.Tuple) {
-			rec(db.Modification{Kind: db.ModDelete, Table: t.Name(), Pre: pre})
-		}
-	}
-	_, deleted, err := t.DeleteWhere(i.Schema.IDs, i.Rows.Tuples, idIdx, record)
-	return deleted, err
+	return n, err
 }
 
 // IsEffective checks the effectiveness conditions of Section 2 against the
@@ -245,64 +226,49 @@ func (i *Instance) applyDelete(t *storage.Handle, rec func(db.Modification)) (in
 //	∆u: every post-state tuple matching Ī′ has its Ā″ attributes equal to
 //	    the diff's post values.
 //
-// It is used by tests and by the optional self-check mode of the executor.
-// Lookups performed here go through the Handle and are charged to its
-// counter like any other access, so production paths should only enable
-// self-checking when measuring correctness, not cost.
+// Values are equal when they are KeyEqual — the equality stored tables
+// index under, so an update to 2^53+1 over a stored 2^53, or to NaN over 1,
+// is not effective. It is used by tests and by the optional self-check mode
+// of the executor. Lookups performed here go through the Handle and are
+// charged to its counter like any other access, so production paths should
+// only enable self-checking when measuring correctness, not cost.
 func (i *Instance) IsEffective(t *storage.Handle) (bool, error) {
-	sch := i.Rows.Schema
-	idIdx, err := sch.Indices(i.Schema.IDs)
+	c, err := resolveApply(i.Schema, i.Rows.Schema, t.Schema())
 	if err != nil {
 		return false, err
 	}
-	tSchema := t.Schema()
-	for _, row := range i.Rows.Tuples {
-		idVals := make([]rel.Value, len(idIdx))
-		for k, j := range idIdx {
-			idVals[k] = row[j]
+	return isEffective(t, &i.Schema, i.Rows.Tuples, &c)
+}
+
+// isEffective is IsEffective over rows, diff tuples of ds with columns c.
+// An insert's full-key lookup finds at most one row, which must hold every
+// value; an update's matches must hold its SET values.
+func isEffective(t *storage.Handle, ds *DiffSchema, rows []rel.Tuple, c *applyCols) (bool, error) {
+	sch := t.Schema()
+	set, from := sch.Attrs, c.src
+	if ds.Type == DiffUpdate {
+		set, from = ds.Post, c.set
+	}
+	at, err := sch.Indices(set)
+	if err != nil {
+		return false, err
+	}
+	ids := make([]rel.Value, len(c.id))
+	for _, row := range rows {
+		for k, j := range c.id {
+			ids[k] = row[j]
 		}
-		matches, err := t.Lookup(rel.StatePost, i.Schema.IDs, idVals)
+		matches, err := t.Lookup(rel.StatePost, ds.IDs, ids)
 		if err != nil {
 			return false, err
 		}
-		switch i.Schema.Type {
-		case DiffDelete:
-			if len(matches) > 0 {
-				return false, nil
-			}
-		case DiffInsert:
-			found := false
-			for _, m := range matches {
-				same := true
-				for k, a := range tSchema.Attrs {
-					j := sch.Index(a)
-					if j < 0 {
-						j = sch.Index(PostName(a))
-					}
-					if j < 0 || !m[k].Same(row[j]) {
-						same = false
-						break
-					}
-				}
-				if same {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false, nil
-			}
-		case DiffUpdate:
-			for _, m := range matches {
-				for _, a := range i.Schema.Post {
-					k := tSchema.Index(a)
-					j := sch.Index(PostName(a))
-					if k < 0 || j < 0 {
-						return false, fmt.Errorf("ivm: update diff attr %q missing", a)
-					}
-					if !m[k].Same(row[j]) {
-						return false, nil
-					}
+		if len(matches) > 0 && ds.Type == DiffDelete || len(matches) == 0 && ds.Type == DiffInsert {
+			return false, nil
+		}
+		for _, m := range matches {
+			for k, j := range from {
+				if !m[at[k]].KeyEqual(row[j]) {
+					return false, nil
 				}
 			}
 		}

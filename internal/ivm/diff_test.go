@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"math"
 	"testing"
 
 	"idivm/internal/rel"
@@ -158,6 +159,36 @@ func TestIsEffective(t *testing.T) {
 	ins2.Rows.Add(rel.Tuple{rel.String("D9"), rel.String("P9"), rel.Int(1)})
 	if ok, _ := ins2.IsEffective(vt); ok {
 		t.Fatal("insert of an absent row is not effective (not in post state)")
+	}
+}
+
+// TestIsEffectiveComparesUnderKeyEqual: a stored value and a diff's post
+// value agree only when they are KeyEqual, the equality stored rows are told
+// apart by. Same compares numerics through float64 and would call an update
+// to 2^53+1 over a stored 2^53, or to NaN over 1, effective.
+func TestIsEffectiveComparesUnderKeyEqual(t *testing.T) {
+	const p53 = int64(1) << 53
+	for _, c := range []struct {
+		stored, post rel.Value
+		effective    bool
+	}{
+		{rel.Int(p53), rel.Int(p53 + 1), false},
+		{rel.Int(p53 + 1), rel.Int(p53), false},
+		{rel.Int(1), rel.Float(math.NaN()), false},
+		{rel.Float(math.NaN()), rel.Float(math.NaN()), true},
+		{rel.Int(p53), rel.Int(p53), true},
+		{rel.Int(1), rel.Float(1), true},
+	} {
+		for _, typ := range []DiffType{DiffUpdate, DiffInsert} {
+			vt := rel.MustNewTable("V", rel.NewSchema([]string{"k", "v"}, []string{"k"}))
+			vt.MustInsert(rel.Int(1), c.stored)
+			inst := NewInstance(DiffSchema{Type: typ, Rel: "V", IDs: []string{"k"}, Post: []string{"v"}})
+			inst.Rows.Add(rel.Tuple{rel.Int(1), c.post})
+			if ok, err := inst.IsEffective(storage.NewHandle(vt)); err != nil || ok != c.effective {
+				t.Errorf("%s over stored %v, post %v: effective = %v (err %v), want %v",
+					typ, c.stored, c.post, ok, err, c.effective)
+			}
+		}
 	}
 }
 

@@ -83,14 +83,15 @@ type ExecOptions struct {
 	SkewThreshold int // ignored: kept because the frozen benchmark/trace.go assigns it
 }
 
-// scriptExec is the state of one script execution: the database, the script,
-// the counter every stored access of the run is charged to, and the binding
-// environment that compute steps extend — one representation, rel.Binding, for
-// base i-diff instances and step results alike: compute steps read and write
-// columns, and tuples are built at most once per binding, when an APPLY, the
-// Eval oracle or the self-check asks. The steps run in script order on the
-// calling goroutine, which owns the binding map; scriptExec is also the
-// algebra.Env every step evaluates under.
+// scriptExec is the state of one script execution: the database, the
+// compiled script, the counter every stored access of the run is charged to,
+// and the run's environment by position — slots, the bindings (one
+// representation, rel.Binding, for base i-diff instances and step results
+// alike: compute steps read and write columns, and tuples are built at most
+// once per binding, when an APPLY, the Eval oracle or the self-check asks),
+// and tables, the script's stored tables. The steps run in script order on
+// the calling goroutine, which owns both; scriptExec is also the algebra.Env
+// every step evaluates under, resolving names through the script's maps.
 type scriptExec struct {
 	d         *db.Database
 	s         *Script
@@ -100,63 +101,74 @@ type scriptExec struct {
 	// modification log — set when the view is a cascade source (some other
 	// registered view scans it).
 	logDerived bool
-	bind       map[string]*rel.Binding
+	slots      []*rel.Binding
+	tables     []*storage.Handle
 }
 
-// Table implements algebra.Env: a stored table, charging the run's counter.
+// Table implements algebra.Env.
 func (x *scriptExec) Table(name string) (*storage.Handle, error) {
-	t, err := x.d.Table(name)
-	if err != nil {
-		return nil, err
+	if i, ok := x.s.tableOf[name]; ok {
+		return x.tables[i], nil
 	}
-	return t.WithCounter(x.counter), nil
+	return nil, fmt.Errorf("ivm: table %q is not one of the script's", name)
 }
 
 // Bound implements algebra.Env.
 func (x *scriptExec) Bound(name string) (*rel.Binding, error) {
-	if r, ok := x.bind[name]; ok {
-		return r, nil
+	if i, ok := x.s.slotOf[name]; ok && x.slots[i] != nil {
+		return x.slots[i], nil
 	}
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
 }
 
-// RunScriptOpts executes a Δ-script against the database: base diff
-// instances are passed as bindings keyed by BaseBindName; the script's compute
-// steps evaluate plans and bind results; apply steps mutate caches and the
-// view. opts picks the counter the run charges and the interpreted oracle. It
-// opens and closes no epoch: the pre-state its plans read is the one the
-// tables' epochs hold (System keeps every view, cache and logged base table
-// in one for life).
+// RunScriptOpts executes a compiled Δ-script against the database: base diff
+// instances are passed as relations keyed by BaseBindName (a hand-built
+// script's other inputs by their names); the script's compute steps evaluate
+// plans and bind results; apply steps mutate caches and the view. opts picks
+// the counter the run charges and the interpreted oracle. It opens and closes
+// no epoch: the pre-state its plans read is the one the tables' epochs hold
+// (System keeps every view, cache and logged base table in one for life).
 func RunScriptOpts(d *db.Database, s *Script, bindings map[string]*rel.Relation, opts ExecOptions) (*PhaseCosts, error) {
-	return runScript(d, s, bindRelations(s, bindings), false, opts)
-}
-
-// bindRelations is the binding environment of a run whose caller brought
-// its base instances as relations.
-func bindRelations(s *Script, bindings map[string]*rel.Relation) map[string]*rel.Binding {
-	bind := make(map[string]*rel.Binding, len(bindings)+len(s.Steps))
-	for k, v := range bindings { //ivmlint:allow maprange — map-to-map copy, order-free
-		bind[k] = rel.BindRelation(v)
+	slots, err := inputSlots(s, bindings)
+	if err != nil {
+		return nil, err
 	}
-	return bind
+	return runScript(d, s, slots, false, opts)
 }
 
-// runScript executes s over bind, the base i-diff instances by name, which it
-// takes over and extends with the steps' results.
-func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify bool, opts ExecOptions) (*PhaseCosts, error) {
+// inputSlots is the slots of a run of s with the caller's relations bound.
+func inputSlots(s *Script, bindings map[string]*rel.Relation) ([]*rel.Binding, error) {
+	if s.slotOf == nil {
+		return nil, fmt.Errorf("ivm: the Δ-script for %s was never compiled (run CompileScript)", s.View)
+	}
+	slots := make([]*rel.Binding, len(s.slots))
+	for _, i := range s.inputs {
+		r, ok := bindings[s.slots[i]]
+		if !ok {
+			return nil, fmt.Errorf("ivm: unbound diff relation %q", s.slots[i])
+		}
+		slots[i] = rel.BindRelation(r)
+	}
+	return slots, nil
+}
+
+// runScript executes the compiled script s over slots, one per binding of s
+// with its inputs bound, which the compute steps fill. The script's tables
+// are resolved once, charging the run's counter, and the steps run by
+// position.
+func runScript(d *db.Database, s *Script, slots []*rel.Binding, verify bool, opts ExecOptions) (*PhaseCosts, error) {
 	root := opts.Counter
 	if root == nil {
 		root = d.Counter()
 	}
 	x := &scriptExec{d: d, s: s, counter: root, interpret: opts.Interpret,
-		logDerived: d.DerivedLoggingEnabled(s.View), bind: bind}
-	if _, err := d.Table(s.View); err != nil {
-		return nil, fmt.Errorf("ivm: script target %q not materialized: %w", s.View, err)
-	}
-	for _, c := range s.Caches {
-		if _, err := d.Table(c.Name); err != nil {
-			return nil, fmt.Errorf("ivm: script target %q not materialized: %w", c.Name, err)
+		logDerived: d.DerivedLoggingEnabled(s.View), slots: slots, tables: make([]*storage.Handle, len(s.tables))}
+	for i, name := range s.tables {
+		t, err := d.Table(name)
+		if err != nil {
+			return nil, fmt.Errorf("ivm: script table %q not materialized: %w", name, err)
 		}
+		x.tables[i] = t.WithCounter(root)
 	}
 
 	pc := &PhaseCosts{Steps: make([]StepCost, 0, len(s.Steps))}
@@ -166,19 +178,16 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 		}
 	}
 	if verify {
-		vt, err := d.Table(s.View)
-		if err != nil {
-			return nil, err
-		}
-		vt = vt.WithCounter(root)
-		for _, inst := range pc.Applied {
-			ok, err := inst.IsEffective(vt)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("ivm: non-effective view diff applied: %s (%d tuples)",
-					inst.Schema, inst.Len())
+		for _, st := range s.Steps {
+			if a, ok := st.(*ApplyStep); ok && a.table == 0 && slots[a.src].Len() > 0 {
+				rows := slots[a.src].Relation().Tuples
+				ok, err := isEffective(x.tables[0], &a.Diff, rows, &a.cols)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					return nil, fmt.Errorf("ivm: non-effective view diff applied: %s (%d tuples)", a.Diff, len(rows))
+				}
 			}
 		}
 	}
@@ -187,7 +196,8 @@ func runScript(d *db.Database, s *Script, bind map[string]*rel.Binding, verify b
 
 // runStep executes one step, charging its stored accesses to the run's
 // counter, and adds what it did — accesses, rows, wall time, and for a view
-// APPLY the applied instance — to pc.
+// APPLY the applied instance — to pc. An APPLY over an empty binding only
+// records its zero cost.
 func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
 	before := *x.counter
 	start := time.Now()
@@ -199,59 +209,46 @@ func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
 		// binds columns; Eval, binding tuples, is the Interpret oracle only.
 		var r *rel.Binding
 		var err error
-		switch {
-		case x.interpret:
+		if x.interpret {
 			var tuples *rel.Relation
 			if tuples, err = algebra.Eval(st.Plan, x); err == nil {
 				r = rel.BindRelation(tuples)
 			}
-		case st.compiled == nil:
-			return fmt.Errorf("ivm: step %s has no compiled plan (run CompileScript)", st.Name)
-		default:
+		} else {
 			r, err = st.compiled.Bind(x)
 		}
 		if err != nil {
 			return fmt.Errorf("ivm: step %s: %w", st.Name, err)
 		}
-		x.bind[st.Name] = r
+		x.slots[st.slot] = r
 		name, rows = st.Name, r.Len()
 	case *ApplyStep:
-		bd, ok := x.bind[st.DiffName]
-		if !ok {
-			return fmt.Errorf("ivm: apply of unbound diff %q", st.DiffName)
+		name = st.name
+		if x.slots[st.src].Len() == 0 {
+			break
 		}
-		r := bd.Relation() // the one place a step result becomes tuples
-		t, err := x.Table(st.Table)
-		if err != nil {
-			return err
-		}
-		inst := &Instance{Schema: st.Diff, Rows: r}
-		var n int
-		if st.Table == x.s.View && x.logDerived {
+		r := x.slots[st.src].Relation() // the one place a step result becomes tuples
+		view := st.table == 0
+		var rec func(db.Modification)
+		var mods []db.Modification
+		if view && x.logDerived {
 			// The view is a cascade source: record the full images of every
 			// row this APPLY touches, batched per step, in script order.
-			var mods []db.Modification
-			n, err = inst.ApplyLogged(t, func(m db.Modification) { mods = append(mods, m) })
-			if err == nil {
-				x.d.LogDerived(st.Table, mods)
-			}
-		} else {
-			n, err = inst.Apply(t)
+			rec = func(m db.Modification) { mods = append(mods, m) }
 		}
-		if err != nil {
+		var err error
+		if rows, err = applyRows(x.tables[st.table], &st.Diff, r.Tuples, &st.cols, rec); err != nil {
 			return fmt.Errorf("ivm: applying %s to %s: %w", st.DiffName, st.Table, err)
 		}
-		name, rows = "APPLY "+st.DiffName, n
-		pc.RowsTouched += n
-		if st.Table == x.s.View {
-			pc.ViewDiffTuples += r.Len()
-			pc.ViewRowsTouched += n
-			if r.Len() > 0 {
-				pc.Applied = append(pc.Applied, inst)
-			}
+		if rec != nil {
+			x.d.LogDerived(st.Table, mods)
 		}
-	default:
-		return fmt.Errorf("ivm: unknown step type %T", step)
+		pc.RowsTouched += rows
+		if view {
+			pc.ViewDiffTuples += r.Len()
+			pc.ViewRowsTouched += rows
+			pc.Applied = append(pc.Applied, &Instance{Schema: st.Diff, Rows: r})
+		}
 	}
 	cost, dur := x.counter.Sub(before), time.Since(start)
 	ph := step.Phase()

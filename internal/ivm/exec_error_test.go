@@ -17,7 +17,11 @@ func TestRunScriptMissingTargets(t *testing.T) {
 			&ApplyStep{Table: "ghost", DiffName: "d", Ph: PhaseViewUpdate},
 		},
 	}
-	if _, err := RunScriptOpts(d, s, nil, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "not materialized") {
+	if err := CompileScript(s); err != nil {
+		t.Fatal(err)
+	}
+	in := map[string]*rel.Relation{"d": rel.NewRelation(DiffSchema{}.RelSchema())}
+	if _, err := RunScriptOpts(d, s, in, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "not materialized") {
 		t.Fatalf("expected materialization error, got %v", err)
 	}
 }
@@ -31,6 +35,9 @@ func TestRunScriptUnboundDiff(t *testing.T) {
 			&ApplyStep{Table: "v", DiffName: "nope",
 				Diff: DiffSchema{Type: DiffDelete, Rel: "v", IDs: []string{"k"}}, Ph: PhaseViewUpdate},
 		},
+	}
+	if err := CompileScript(s); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := RunScriptOpts(d, s, nil, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "unbound diff") {
 		t.Fatalf("expected unbound-diff error, got %v", err)
@@ -67,9 +74,10 @@ func TestRunScriptComputeErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestComputeStepNeedsCompiledPlan: the executor has one production path.
-// A compute step that CompileScript never saw fails, naming the step, and
-// only the Interpret oracle evaluates its plan.
+// TestComputeStepNeedsCompiledPlan: a run executes what CompileScript
+// resolved, so a script it never saw fails to run — compiled or under the
+// Interpret oracle — with one error naming the script's view, and runs
+// once compiled.
 func TestComputeStepNeedsCompiledPlan(t *testing.T) {
 	d := db.New()
 	d.MustCreateTable("v", rel.NewSchema([]string{"k"}, []string{"k"}))
@@ -84,15 +92,20 @@ func TestComputeStepNeedsCompiledPlan(t *testing.T) {
 	rows := rel.NewRelation(ins.RelSchema())
 	rows.Add(rel.Tuple{rel.Int(7)})
 	in := map[string]*rel.Relation{"in": rows}
-	if _, err := RunScriptOpts(d, s, in, ExecOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "step Δraw") || !strings.Contains(err.Error(), "no compiled plan") {
-		t.Fatalf("uncompiled step: err = %v, want a no-compiled-plan error naming Δraw", err)
+	for _, interpret := range []bool{false, true} {
+		if _, err := RunScriptOpts(d, s, in, ExecOptions{Interpret: interpret}); err == nil ||
+			!strings.Contains(err.Error(), "for v was never compiled") {
+			t.Fatalf("uncompiled script, interpret=%v: err = %v, want a never-compiled error naming v", interpret, err)
+		}
 	}
-	if _, err := RunScriptOpts(d, s, in, ExecOptions{Interpret: true}); err != nil {
-		t.Fatalf("interpreted run: %v", err)
+	if err := CompileScript(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunScriptOpts(d, s, in, ExecOptions{}); err != nil {
+		t.Fatalf("compiled run: %v", err)
 	}
 	if vt, _ := d.Table("v"); len(vt.Scan(rel.StatePost)) != 1 {
-		t.Fatal("the interpreted run did not apply its diff")
+		t.Fatal("the compiled run did not apply its diff")
 	}
 }
 
@@ -117,8 +130,14 @@ func TestRunScriptVerifiedCatchesNonEffectiveDiff(t *testing.T) {
 			&ApplyStep{Table: "v", DiffName: "ins", Diff: ins, Ph: PhaseViewUpdate},
 		},
 	}
-	bind := map[string]*rel.Relation{"del": delRows, "ins": insRows}
-	if _, err := runScript(d, s, bindRelations(s, bind), true, ExecOptions{}); err == nil ||
+	if err := CompileScript(s); err != nil {
+		t.Fatal(err)
+	}
+	slots, err := inputSlots(s, map[string]*rel.Relation{"del": delRows, "ins": insRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runScript(d, s, slots, true, ExecOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "non-effective") {
 		t.Fatalf("expected non-effective error, got %v", err)
 	}

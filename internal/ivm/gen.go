@@ -49,9 +49,10 @@ type ComputeStep struct {
 	Plan algebra.Node
 	Ph   Phase
 
-	// compiled is the step's executable plan, built once by CompileScript
-	// (RegisterView calls it); without one the step fails unless interpreted.
+	// compiled is the step's executable plan and slot the position a run
+	// binds its result at, both set by CompileScript.
 	compiled *algebra.ExecPlan
+	slot     int
 }
 
 // Phase implements Step.
@@ -72,6 +73,13 @@ type ApplyStep struct {
 	DiffName string
 	Diff     DiffSchema
 	Ph       Phase
+
+	// Set by CompileScript: src is the slot the diff is read from, table the
+	// target's position in the script's tables, cols the diff's columns and
+	// name the step's StepCost name.
+	src, table int
+	cols       applyCols
+	name       string
 }
 
 // Phase implements Step.
@@ -103,21 +111,96 @@ type Script struct {
 	// Minimized records whether pass 4 (Minimize) ran on this script; the
 	// verifier only enforces the Figure 8 residue checks when it did.
 	Minimized bool
+
+	// Set by CompileScript. slots names the bindings a run holds, by
+	// position: the base i-diffs first, in Base.Tables() order, then each
+	// step's result and each name read before any step computes it (a
+	// hand-built script's input) in script order; inputs lists the slots
+	// the caller binds. tables names every stored table the script reads or
+	// writes, the view first and its caches next. slotOf and tableOf invert
+	// slots and tables.
+	slots, tables   []string
+	slotOf, tableOf map[string]int
+	inputs          []int
 }
 
-// CompileScript builds and caches one executable plan per compute step —
-// the compile-once contract: column positions, predicate bindings, equi
-// pairs and probe strategies are resolved here, at registration time, and
-// every maintenance round reuses them. Apply steps have no plan and are
-// unaffected. Calling it again recompiles (scripts are never mutated after
-// generation, so this is only useful for tests).
+// CompileScript turns the script into what a run executes, once, at
+// registration — the compile-once contract: every binding name becomes a
+// slot, every stored table a position in the script's tables, each compute
+// step gets its executable plan (column positions, predicate bindings, equi
+// pairs and probe strategies resolved) and each APPLY its ID, SET and source
+// column positions. A round then works on positions only. An unknown step, a
+// binding defined twice or read before the step computing it, or an APPLY
+// whose columns do not resolve fails here. Calling it again recompiles.
 func CompileScript(s *Script) error {
+	s.slots, s.tables, s.inputs = nil, nil, nil
+	s.slotOf, s.tableOf = map[string]int{}, map[string]int{}
+	slot := func(name string) int {
+		s.slotOf[name] = len(s.slots)
+		s.slots = append(s.slots, name)
+		return len(s.slots) - 1
+	}
+	input := func(name string) {
+		if _, ok := s.slotOf[name]; !ok {
+			s.inputs = append(s.inputs, slot(name))
+		}
+	}
+	table := func(name string) int {
+		if _, ok := s.tableOf[name]; !ok {
+			s.tableOf[name] = len(s.tables)
+			s.tables = append(s.tables, name)
+		}
+		return s.tableOf[name]
+	}
+	// An insert builds rows in the attribute order of the plan RegisterView
+	// materialized its target from.
+	plans := map[string]algebra.Node{s.View: s.ViewPlan}
+	table(s.View)
+	for _, c := range s.Caches {
+		plans[c.Name] = c.Plan
+		table(c.Name)
+	}
+	for _, t := range s.Base.Tables() {
+		for i := range s.Base[t] {
+			input(BaseBindName(t, i))
+		}
+	}
+	computed := map[string]rel.Schema{}
 	for _, st := range s.Steps {
-		if cs, ok := st.(*ComputeStep); ok {
-			var err error
-			if cs.compiled, err = algebra.Compile(cs.Plan); err != nil {
-				return fmt.Errorf("ivm: compiling step %s: %w", cs.Name, err)
+		var err error
+		switch x := st.(type) {
+		case *ComputeStep:
+			for _, l := range planLeaves(x.Plan) {
+				if l.Kind == leafBinding {
+					input(l.Name)
+				} else {
+					table(l.Name)
+				}
 			}
+			if _, dup := s.slotOf[x.Name]; dup {
+				return fmt.Errorf("ivm: step %s: binding defined twice or read before it is computed", x.Name)
+			}
+			if x.compiled, err = algebra.Compile(x.Plan); err != nil {
+				return fmt.Errorf("ivm: compiling step %s: %w", x.Name, err)
+			}
+			x.slot, computed[x.Name] = slot(x.Name), x.Plan.Schema()
+		case *ApplyStep:
+			input(x.DiffName)
+			src, ok := computed[x.DiffName]
+			if !ok { // a caller's input
+				src = x.Diff.RelSchema()
+			}
+			// A target without a plan (a hand-built script's) is in the diff's order.
+			target := rel.NewSchema(append(slices.Clip(x.Diff.IDs), x.Diff.Post...), x.Diff.IDs)
+			if p := plans[x.Table]; p != nil {
+				target = p.Schema()
+			}
+			x.src, x.table, x.name = s.slotOf[x.DiffName], table(x.Table), "APPLY "+x.DiffName
+			if x.cols, err = resolveApply(x.Diff, src, target); err != nil {
+				return fmt.Errorf("ivm: APPLY %s TO %s: %w", x.DiffName, x.Table, err)
+			}
+		default:
+			return fmt.Errorf("ivm: unknown step type %T", st)
 		}
 	}
 	return nil

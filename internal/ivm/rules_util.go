@@ -242,15 +242,17 @@ func dedupKeys(plan algebra.Node, cols []string) algebra.Node {
 func subsetOf(a, b []string) bool { return rel.Subset(a, b) }
 
 // changeGuard builds the σ_isupd filter of Table 8: it keeps only diff
-// tuples where at least one post value differs from its pre counterpart.
-// attrs must be present in both the diff's pre and post sets.
+// tuples where at least one post value differs from its pre counterpart —
+// differs under KeyEqual (keyeq), the equality stored rows are told apart
+// by, not SQL =, which compares numerics through float64 and NaN or NULL
+// to nothing. attrs must be present in both the diff's pre and post sets.
 func changeGuard(ds DiffSchema) (expr.Expr, bool) {
 	var eqs []expr.Expr
 	for _, a := range ds.Post {
 		if !rel.Contains(ds.Pre, a) {
 			return nil, false
 		}
-		eqs = append(eqs, expr.Eq(expr.C(PostName(a)), expr.C(PreName(a))))
+		eqs = append(eqs, expr.Call("keyeq", expr.C(PostName(a)), expr.C(PreName(a))))
 	}
 	if len(eqs) == 0 {
 		return nil, false

@@ -48,15 +48,14 @@ type View struct {
 	// up to Workers goroutines.
 	Level int
 	// binds resolves the script's base i-diff bindings once, at registration:
-	// the name each is read under and the feed slot that holds its instance.
+	// binds[k] is where a round's feed keeps the instance of the script's
+	// slot k.
 	binds []baseBind
 }
 
-// baseBind is one base i-diff binding of a view: BaseBindName(table, i) for
-// the view's i-th schema of the table, and where a round's feed keeps the
-// instance — slot indexes System.slots[table].
+// baseBind is where a round's feed keeps one base i-diff instance of a view:
+// slot indexes System.slots[table].
 type baseBind struct {
-	name  string
 	table string
 	slot  int
 }
@@ -298,7 +297,7 @@ func (s *System) bindSlots(base BaseDiffSchemas) []baseBind {
 			sl = &diffSlots{}
 			s.slots[table] = sl
 		}
-		for i, ds := range base[table] {
+		for _, ds := range base[table] {
 			slot := 0
 			for slot < len(sl.schemas) && !sl.schemas[slot].Equal(ds) {
 				slot++
@@ -309,7 +308,7 @@ func (s *System) bindSlots(base BaseDiffSchemas) []baseBind {
 				sl.rels = append(sl.rels, rs)
 				sl.empty = append(sl.empty, rel.BindRelation(rel.NewRelation(rs)))
 			}
-			binds = append(binds, baseBind{name: BaseBindName(table, i), table: table, slot: slot})
+			binds = append(binds, baseBind{table: table, slot: slot})
 		}
 	}
 	return binds
@@ -319,15 +318,17 @@ func (s *System) bindSlots(base BaseDiffSchemas) []baseBind {
 // base-table i-diff instances from the modification log", done once per round
 // rather than once per view): each logged table's modifications compacted
 // once, and one instance per distinct base i-diff schema, which every view —
-// on whichever goroutine maintains it — binding that schema reads. The base
-// log is compacted when the feed is built, a cascade source's derived log by
-// addSources once the source is maintained; compaction is per table, so a
-// cascaded view's input is simply the base tables' instances plus its
-// sources'. The feed is filled by the goroutine driving the round before the
-// views that read it start, and is read-only from then on: no lock. It is a
-// value of the round — built by MaintainAll, dropped when the round ends or
-// fails — so a retried round compacts the log again and nothing is
-// remembered about a log that may since have been reset and refilled.
+// on whichever goroutine maintains it — binding that schema reads: a view's
+// run takes it into the script's base slot by position (slots), no name
+// looked up. The base log is compacted when the feed is built, a cascade
+// source's derived log by addSources once the source is maintained;
+// compaction is per table, so a cascaded view's input is simply the base
+// tables' instances plus its sources'. The feed is filled by the goroutine
+// driving the round before the views that read it start, and is read-only
+// from then on: no lock. It is a value of the round — built by MaintainAll,
+// dropped when the round ends or fails — so a retried round compacts the log
+// again and nothing is remembered about a log that may since have been reset
+// and refilled.
 type diffFeed struct {
 	s *System
 	// inst[table][slot] is the instance of s.slots[table].schemas[slot]; a nil
@@ -387,24 +388,21 @@ func (f *diffFeed) addSources(v *View) error {
 	return nil
 }
 
-// bindings returns v's binding environment — every base schema of its script
-// bound, to the slot's empty instance where the round left it empty — with
-// room for the script's step results, and the number of diff tuples bound.
-func (f *diffFeed) bindings(v *View) (map[string]*rel.Binding, int) {
-	bind := make(map[string]*rel.Binding, len(v.binds)+len(v.Script.Steps))
+// slots returns the slots of a run of v's script with every base i-diff
+// bound — to the feed slot's shared empty instance where the round left it
+// empty — and the number of diff tuples bound.
+func (f *diffFeed) slots(v *View) ([]*rel.Binding, int) {
+	slots := make([]*rel.Binding, len(v.Script.slots))
 	total := 0
-	for _, b := range v.binds {
-		var inst *rel.Binding
-		if insts := f.inst[b.table]; insts != nil {
+	for k, b := range v.binds {
+		inst := f.s.slots[b.table].empty[b.slot]
+		if insts := f.inst[b.table]; insts != nil && insts[b.slot] != nil {
 			inst = insts[b.slot]
 		}
-		if inst == nil {
-			inst = f.s.slots[b.table].empty[b.slot]
-		}
-		bind[b.name] = inst
+		slots[k] = inst
 		total += inst.Len()
 	}
-	return bind, total
+	return slots, total
 }
 
 func (s *System) tableSchema(t string) (rel.Schema, error) {
@@ -426,9 +424,9 @@ func (s *System) workers() int {
 // maintain runs v's Δ-script over its instances in the feed, which must hold
 // v's sources (addSources), charging counter. An error names the view.
 func (s *System) maintain(v *View, feed *diffFeed, counter *rel.CostCounter) (*Report, error) {
-	bind, n := feed.bindings(v)
+	slots, n := feed.slots(v)
 	start := time.Now()
-	pc, err := runScript(s.DB, v.Script, bind, s.SelfCheck, ExecOptions{Counter: counter, Interpret: s.Interpret})
+	pc, err := runScript(s.DB, v.Script, slots, s.SelfCheck, ExecOptions{Counter: counter, Interpret: s.Interpret})
 	if err != nil {
 		return nil, fmt.Errorf("ivm: view %s: %w", v.Name, err)
 	}

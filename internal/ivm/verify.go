@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 
 	"idivm/internal/algebra"
 	"idivm/internal/rel"
@@ -436,7 +437,7 @@ func checkIDSet(s *Script, step int, a *ApplyStep, tSchema rel.Schema) error {
 	}
 	switch ds.Type {
 	case DiffInsert:
-		if !eqStrs(ds.IDs, tSchema.Key) {
+		if !slices.Equal(ds.IDs, tSchema.Key) {
 			return verr(s, VerifyIDSet, step, a.DiffName,
 				"insert diff IDs %v must equal the full key %v of %s", ds.IDs, tSchema.Key, a.Table)
 		}
