@@ -3,9 +3,11 @@ package ivm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"idivm/internal/algebra"
+	"idivm/internal/bsma"
 	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
@@ -164,5 +166,44 @@ func TestTransientStepNeverBecomesTuples(t *testing.T) {
 	}
 	if n := mallocs(func() { bind("ins").Batch() }); n != 0 {
 		t.Fatalf("the base instance was read by a compiled step, yet asking for its columns again allocated %d objects", n)
+	}
+}
+
+// TestUnreadBaseDiffNotBound: Q11's script declares ∆u_user(post: city), but
+// no step reads it — user.city is in no predicate of Q11 and its input cache
+// does not hold it. The compiled script does not bind it and a System
+// holding only Q11 registers no feed slot for it, so no round populates it.
+// Registering Q*1, which joins on city, adds the slot.
+func TestUnreadBaseDiffNotBound(t *testing.T) {
+	cityUpd := DiffSchema{Type: DiffUpdate, Rel: "user", IDs: []string{"uid"},
+		Pre: []string{"city", "tweetsnum", "favornum"}, Post: []string{"city"}}
+	hasCitySlot := func(s *System) bool {
+		sl := s.slots["user"]
+		for _, ds := range sl.schemas {
+			if ds.Equal(cityUpd) {
+				return true
+			}
+		}
+		return false
+	}
+	ds := bsma.Build(bsma.Defaults(20))
+	sys := NewSystem(ds.DB)
+	for _, q := range []string{"Q11", "Q*1"} {
+		plan, err := ds.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := sys.RegisterView(q, plan, ModeID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(v.Script.Base["user"], cityUpd.Equal)
+		if i < 0 {
+			t.Fatalf("%s declares no %s", q, cityUpd)
+		}
+		_, bound := v.Script.slotOf[BaseBindName("user", i)]
+		if want := q == "Q*1"; bound != want || hasCitySlot(sys) != want {
+			t.Errorf("%s: %s bound %v, feed slot %v; want %v", q, cityUpd, bound, hasCitySlot(sys), want)
+		}
 	}
 }

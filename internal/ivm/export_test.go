@@ -33,3 +33,11 @@ func (s *System) CheckEpochs(want map[string]string) (map[string]string, error) 
 	}
 	return pre, nil
 }
+
+// ReadsBinding reports whether the compiled script binds name: a base i-diff
+// no step reads is not one of its inputs. External tests reach it through an
+// interface assertion, like CheckEpochs.
+func (s *Script) ReadsBinding(name string) bool {
+	_, ok := s.slotOf[name]
+	return ok
+}

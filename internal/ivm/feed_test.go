@@ -86,10 +86,16 @@ func checkEpochs(s *ivm.System) error {
 	return err
 }
 
+// readsBinding is Script.ReadsBinding (export_test.go).
+func readsBinding(s *ivm.Script, name string) bool {
+	return any(s).(interface{ ReadsBinding(string) bool }).ReadsBinding(name)
+}
+
 // viewInstances compacts the base log plus the derived logs of v's sources
 // and populates the i-diff instances of v's own base schemas, keyed by
-// BaseBindName, with the number of diff tuples in them; the log is not
-// consumed. PopulateInstances drops empty instances, so each schema starts
+// BaseBindName, with the number of diff tuples in those its script reads
+// (Script.ReadsBinding, export_test.go) — a round binds no other; the log is
+// not consumed. PopulateInstances drops empty instances, so each schema starts
 // bound to an empty relation and an instance replaces the one its schema
 // equals.
 func viewInstances(d *db.Database, v *ivm.View) (map[string]*rel.Relation, int, error) {
@@ -124,9 +130,11 @@ func viewInstances(d *db.Database, v *ivm.View) (map[string]*rel.Relation, int, 
 		}
 		for _, inst := range insts {
 			for i, ds := range schemas {
-				if ds.Equal(inst.Schema) {
-					bindings[ivm.BaseBindName(table, i)] = inst.Rows
-					n += inst.Len()
+				if name := ivm.BaseBindName(table, i); ds.Equal(inst.Schema) {
+					bindings[name] = inst.Rows
+					if readsBinding(v.Script, name) {
+						n += inst.Len()
+					}
 				}
 			}
 		}

@@ -113,9 +113,9 @@ type Script struct {
 	Minimized bool
 
 	// Set by CompileScript. slots names the bindings a run holds, by
-	// position: the base i-diffs first, in Base.Tables() order, then each
-	// step's result and each name read before any step computes it (a
-	// hand-built script's input) in script order; inputs lists the slots
+	// position: the base i-diffs a step reads first, in Base.Tables() order,
+	// then each step's result and each name read before any step computes it
+	// (a hand-built script's input) in script order; inputs lists the slots
 	// the caller binds. tables names every stored table the script reads or
 	// writes, the view first and its caches next. slotOf and tableOf invert
 	// slots and tables.
@@ -160,9 +160,26 @@ func CompileScript(s *Script) error {
 		plans[c.Name] = c.Plan
 		table(c.Name)
 	}
+	// A base i-diff no step reads is not an input: no run binds it, and a
+	// System neither registers nor populates it for this script.
+	read := map[string]bool{}
+	for _, st := range s.Steps {
+		switch x := st.(type) {
+		case *ComputeStep:
+			for _, l := range planLeaves(x.Plan) {
+				if l.Kind == leafBinding {
+					read[l.Name] = true
+				}
+			}
+		case *ApplyStep:
+			read[x.DiffName] = true
+		}
+	}
 	for _, t := range s.Base.Tables() {
 		for i := range s.Base[t] {
-			input(BaseBindName(t, i))
+			if name := BaseBindName(t, i); read[name] {
+				input(name)
+			}
 		}
 	}
 	computed := map[string]rel.Schema{}
@@ -555,8 +572,9 @@ func (g *gen) groupNode(x *algebra.GroupBy, out *mat) ([]decl, algebra.Node, err
 		return nil, nil, err
 	}
 
-	// Input materialization: idIVM materializes the aggregate's input as an
-	// intermediate cache unless the input is a base table (Example 4.6).
+	// Input materialization: idIVM materializes the aggregate's input, narrowed
+	// to what the γ reads, as an intermediate cache unless the input is a base
+	// table (Example 4.6).
 	var input inputFn
 	if g.tupleMode || g.opts.NoCache {
 		input = recomputeInput(childMat)
@@ -566,6 +584,9 @@ func (g *gen) groupNode(x *algebra.GroupBy, out *mat) ([]decl, algebra.Node, err
 		// Child is already materialized (an out-cache of a deeper γ).
 		input = recomputeInput(childMat)
 	} else {
+		if childMat, ins, err = g.narrowInput(x, childMat, ins); err != nil {
+			return nil, nil, err
+		}
 		cname := g.freshCache()
 		g.caches = append(g.caches, CacheDef{Name: cname, Plan: childMat})
 		ins = g.emitAndRef(cname, ins, PhaseCacheCompute, PhaseCacheUpdate)
@@ -613,6 +634,39 @@ func (g *gen) groupNode(x *algebra.GroupBy, out *mat) ([]decl, algebra.Node, err
 		return outs, selfPlan, nil
 	}
 	return outs, algebra.NewStoredRef(out.name, selfPlan.Schema(), rel.StatePost), nil
+}
+
+// narrowInput narrows the input of a γ that groupNode caches to what the γ
+// reads — the child's IDs, the grouping attributes and the aggregate
+// arguments —, as F-IVM's view trees keep at each node only the variables
+// its parent needs. The cache becomes π[kept](child) and the π rules (Table
+// 8) derive its diffs from the child's: an update whose post columns are all
+// projected away yields none, every other diff carries only kept columns.
+// The γ rules read nothing of x.Child beyond its key, which the π keeps. A
+// child that is already narrow is returned as is.
+func (g *gen) narrowInput(x *algebra.GroupBy, child algebra.Node, ins []decl) (algebra.Node, []decl, error) {
+	sch := child.Schema()
+	read := rel.Union(sch.Key, x.Keys)
+	for _, a := range x.Aggs {
+		if a.Arg != nil {
+			read = rel.Union(read, a.Arg.Cols())
+		}
+	}
+	keep := rel.Intersect(sch.Attrs, read)
+	if len(keep) == len(sch.Attrs) {
+		return child, ins, nil
+	}
+	p := algebra.Keep(child, keep...)
+	input := recomputeInput(child)
+	var outs []decl
+	for _, in := range ins {
+		ds, err := g.projectRules(p, in, input)
+		if err != nil {
+			return nil, nil, err
+		}
+		outs = append(outs, ds...)
+	}
+	return p, outs, nil
 }
 
 // scanDecls instantiates the scan-level decls: each base-table diff schema

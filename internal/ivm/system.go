@@ -225,7 +225,7 @@ func (s *System) RegisterView(name string, plan algebra.Node, mode Mode, opts ..
 	}
 
 	v := &View{Name: name, Plan: script.ViewPlan, Script: script, Mode: mode, Sources: sources, Level: level,
-		binds: s.bindSlots(script.Base)}
+		binds: s.bindSlots(script)}
 	if level == len(s.levels) {
 		s.levels = append(s.levels, nil) // a level-L view has a level L-1 source
 	}
@@ -287,17 +287,21 @@ func (s *System) View(name string) (*View, bool) {
 // ViewNames lists registered views in registration order.
 func (s *System) ViewNames() []string { return append([]string(nil), s.order...) }
 
-// bindSlots resolves a script's base i-diff schemas to feed slots, adding
-// the schemas no earlier view binds.
-func (s *System) bindSlots(base BaseDiffSchemas) []baseBind {
+// bindSlots resolves the base i-diff schemas a compiled script reads to feed
+// slots, adding the schemas no earlier view binds. They are the script's
+// first slots, in the same order.
+func (s *System) bindSlots(script *Script) []baseBind {
 	var binds []baseBind
-	for _, table := range base.Tables() {
+	for _, table := range script.Base.Tables() {
 		sl := s.slots[table]
 		if sl == nil {
 			sl = &diffSlots{}
 			s.slots[table] = sl
 		}
-		for _, ds := range base[table] {
+		for i, ds := range script.Base[table] {
+			if _, read := script.slotOf[BaseBindName(table, i)]; !read {
+				continue
+			}
 			slot := 0
 			for slot < len(sl.schemas) && !sl.schemas[slot].Equal(ds) {
 				slot++
