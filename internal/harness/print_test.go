@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"idivm/internal/ivm"
+	"idivm/internal/rel"
 )
 
 func sampleSweep() []SweepPoint {
@@ -69,5 +73,21 @@ func TestShortNames(t *testing.T) {
 		if got := shortName(in); got != want {
 			t.Errorf("shortName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestFprintStepsEndsWithTotal: the step table ends with one row summing
+// every view's (round) row — rows, accesses and µs.
+func TestFprintStepsEndsWithTotal(t *testing.T) {
+	report := func(view string, rows int, reads int64, d time.Duration) *ivm.Report {
+		pc := &ivm.PhaseCosts{Steps: []ivm.StepCost{{Step: "Δ1", Rows: rows, Cost: rel.CostCounter{TupleReads: reads}, Time: d}}}
+		pc.Cost[2].TupleReads = reads
+		return &ivm.Report{View: view, Phases: pc, Duration: d, DiffTuples: rows}
+	}
+	var buf bytes.Buffer
+	FprintSteps(&buf, []*ivm.Report{report("A", 3, 40, 1500*time.Nanosecond), report("B", 5, 2, 500*time.Nanosecond)})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if got := strings.Fields(lines[len(lines)-1]); strings.Join(got, " ") != "total (round) 8 42 2.0" {
+		t.Fatalf("last row %q, want the sum of the views' (round) rows:\n%s", got, buf.String())
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
@@ -103,13 +104,24 @@ func RunSteps(p bsma.Params) ([]*ivm.Report, error) {
 // FprintSteps renders one round step by step: what each Δ-script step of
 // each view produced (rows), what it was charged (accesses) and how long it
 // took — the table that shows where a many-view round spends its time, in
-// steps the access count never sees as often as in those it does.
+// steps the access count never sees as often as in those it does. Each
+// view ends with its (round) row; the last row, "total", sums those rows
+// over all views: the round's maintenance accesses, and the views' times
+// added up (they overlap when the views run concurrently).
 func FprintSteps(w io.Writer, reports []*ivm.Report) {
+	line := func(view, step string, rows int, accesses int64, d time.Duration) {
+		fmt.Fprintf(w, "%-12s %-12s %7d %9d %9.1f\n", view, step, rows, accesses, float64(d.Nanoseconds())/1000)
+	}
 	fmt.Fprintf(w, "%-12s %-12s %7s %9s %9s\n", "view", "step", "rows", "accesses", "µs")
+	var rows int
+	var accesses int64
+	var d time.Duration
 	for _, r := range reports {
 		for _, st := range r.Phases.Steps {
-			fmt.Fprintf(w, "%-12s %-12s %7d %9d %9.1f\n", r.View, st.Step, st.Rows, st.Cost.Total(), float64(st.Time.Nanoseconds())/1000)
+			line(r.View, st.Step, st.Rows, st.Cost.Total(), st.Time)
 		}
-		fmt.Fprintf(w, "%-12s %-12s %7d %9d %9.1f\n", r.View, "(round)", r.DiffTuples, r.Phases.Total().Total(), float64(r.Duration.Nanoseconds())/1000)
+		line(r.View, "(round)", r.DiffTuples, r.Phases.Total().Total(), r.Duration)
+		rows, accesses, d = rows+r.DiffTuples, accesses+r.Phases.Total().Total(), d+r.Duration
 	}
+	line("total", "(round)", rows, accesses, d)
 }

@@ -187,86 +187,93 @@ func PopulateInstances(nc *NetChange, schemas []DiffSchema) ([]*Instance, error)
 
 // populate is PopulateInstances by position: out[i] is the instance of
 // schemas[i], empty or not, its rows under the relation schema rels[i]
-// (schemas[i].RelSchema(), which the caller computed once).
+// (schemas[i].RelSchema(), which the caller computed once). Each schema's
+// columns are resolved against the base table's schema once, before its
+// first row.
 func populate(nc *NetChange, schemas []DiffSchema, rels []rel.Schema) ([]*Instance, error) {
 	out := make([]*Instance, len(schemas))
+	var positions [32]int // every schema's positions, one schema at a time
 	for i, ds := range schemas {
+		c, err := resolveDiffCols(ds, nc.Schema, positions[:0])
+		if err != nil {
+			return nil, err
+		}
 		inst := &Instance{Schema: ds, Rows: rel.NewRelation(rels[i])}
 		out[i] = inst
 		switch ds.Type {
 		case DiffInsert:
 			for _, row := range nc.Inserts {
-				t, err := diffRowFrom(ds, nc.Schema, nil, row)
-				if err != nil {
-					return nil, err
-				}
-				inst.Rows.Add(t)
+				inst.Rows.Add(c.row(nil, row))
 			}
 		case DiffDelete:
 			for _, row := range nc.Deletes {
-				t, err := diffRowFrom(ds, nc.Schema, row, nil)
-				if err != nil {
-					return nil, err
-				}
-				inst.Rows.Add(t)
+				inst.Rows.Add(c.row(row, nil))
 			}
 		case DiffUpdate:
 			for _, up := range nc.Updates {
-				if !updateTouches(ds, nc.Schema, up) {
-					continue
+				if c.touches(up) {
+					inst.Rows.Add(c.row(up.Pre, up.Post))
 				}
-				t, err := diffRowFrom(ds, nc.Schema, up.Pre, up.Post)
-				if err != nil {
-					return nil, err
-				}
-				inst.Rows.Add(t)
 			}
 		}
 	}
 	return out, nil
 }
 
-// updateTouches reports whether the update modified (under KeyEqual) at
-// least one attribute carried in the schema's post set.
-func updateTouches(ds DiffSchema, schema rel.Schema, up UpdatePair) bool {
-	for _, a := range ds.Post {
-		i := schema.Index(a)
-		if i >= 0 && !up.Pre[i].KeyEqual(up.Post[i]) {
-			return true
+// diffCols is a diff schema's ID, pre and post attributes as positions in
+// its base table's schema.
+type diffCols struct{ ids, pre, post []int }
+
+// resolveDiffCols resolves ds against the base table's schema, appending the
+// positions to buf. An attribute the table lacks is an error, and so is a
+// pre attribute of an insert or a post attribute of a delete, which have no
+// such image.
+func resolveDiffCols(ds DiffSchema, schema rel.Schema, buf []int) (c diffCols, err error) {
+	resolve := func(attrs []string, hasImage bool, msg string) []int {
+		start := len(buf)
+		for _, a := range attrs {
+			i := schema.Index(a)
+			if (i < 0 || !hasImage) && err == nil {
+				err = fmt.Errorf(msg, a, ds.Rel)
+			}
+			buf = append(buf, i)
 		}
+		return buf[start:len(buf):len(buf)]
 	}
-	return false
+	c.ids = resolve(ds.IDs, true, "ivm: diff ID attr %q not in %s")
+	c.pre = resolve(ds.Pre, ds.Type != DiffInsert, "ivm: diff pre attr %q unavailable for %s")
+	c.post = resolve(ds.Post, ds.Type != DiffDelete, "ivm: diff post attr %q unavailable for %s")
+	return c, err
 }
 
-// diffRowFrom builds one diff tuple of schema ds from the base table's
-// pre/post images. For inserts pre is nil; for deletes post is nil. ID
-// values come from whichever image is available (keys are immutable).
-func diffRowFrom(ds DiffSchema, schema rel.Schema, pre, post rel.Tuple) (rel.Tuple, error) {
+// row builds one diff tuple from the base table's pre/post images. For
+// inserts pre is nil; for deletes post is nil. ID values come from whichever
+// image is available (keys are immutable).
+func (c *diffCols) row(pre, post rel.Tuple) rel.Tuple {
 	src := post
 	if src == nil {
 		src = pre
 	}
-	row := make(rel.Tuple, 0, len(ds.IDs)+len(ds.Pre)+len(ds.Post))
-	for _, a := range ds.IDs {
-		i := schema.Index(a)
-		if i < 0 {
-			return nil, fmt.Errorf("ivm: diff ID attr %q not in %s", a, ds.Rel)
-		}
+	row := make(rel.Tuple, 0, len(c.ids)+len(c.pre)+len(c.post))
+	for _, i := range c.ids {
 		row = append(row, src[i])
 	}
-	for _, a := range ds.Pre {
-		i := schema.Index(a)
-		if i < 0 || pre == nil {
-			return nil, fmt.Errorf("ivm: diff pre attr %q unavailable for %s", a, ds.Rel)
-		}
+	for _, i := range c.pre {
 		row = append(row, pre[i])
 	}
-	for _, a := range ds.Post {
-		i := schema.Index(a)
-		if i < 0 || post == nil {
-			return nil, fmt.Errorf("ivm: diff post attr %q unavailable for %s", a, ds.Rel)
-		}
+	for _, i := range c.post {
 		row = append(row, post[i])
 	}
-	return row, nil
+	return row
+}
+
+// touches reports whether the update modified (under KeyEqual) at least one
+// attribute carried in the schema's post set.
+func (c *diffCols) touches(up UpdatePair) bool {
+	for _, i := range c.post {
+		if !up.Pre[i].KeyEqual(up.Post[i]) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"strings"
 	"testing"
 
 	"idivm/internal/db"
@@ -173,5 +174,33 @@ func TestPopulateInstancesRouting(t *testing.T) {
 	}
 	if got := counts[schemas[3].String()]; got != 1 {
 		t.Errorf("note update instance rows = %d, want 1", got)
+	}
+}
+
+// TestPopulateInstancesRejectsUnresolvableColumns: populate resolves each
+// schema's columns against the base table once, and a column that does not
+// resolve — an attribute the table lacks, a pre attribute of an insert, a
+// post attribute of a delete — fails the call, rows or not.
+func TestPopulateInstancesRejectsUnresolvableColumns(t *testing.T) {
+	row := tup("P1", 10)
+	for _, c := range []struct {
+		ds   DiffSchema
+		want string
+	}{
+		{DiffSchema{Type: DiffInsert, Rel: "parts", IDs: []string{"nope"}, Post: []string{"price"}}, `diff ID attr "nope" not in parts`},
+		{DiffSchema{Type: DiffInsert, Rel: "parts", IDs: []string{"pid"}, Pre: []string{"price"}}, `diff pre attr "price" unavailable for parts`},
+		{DiffSchema{Type: DiffDelete, Rel: "parts", IDs: []string{"pid"}, Post: []string{"price"}}, `diff post attr "price" unavailable for parts`},
+		{DiffSchema{Type: DiffUpdate, Rel: "parts", IDs: []string{"pid"}, Pre: []string{"price"}, Post: []string{"nope"}}, `diff post attr "nope" unavailable for parts`},
+	} {
+		for _, nc := range []*NetChange{
+			{Table: "parts", Schema: partsSchema},
+			{Table: "parts", Schema: partsSchema, Inserts: []rel.Tuple{row}, Deletes: []rel.Tuple{row},
+				Updates: []UpdatePair{{Pre: row, Post: tup("P1", 11)}}},
+		} {
+			_, err := PopulateInstances(nc, []DiffSchema{c.ds})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s with %d rows: error %v, want %q", c.ds, len(nc.Inserts), err, c.want)
+			}
+		}
 	}
 }

@@ -333,11 +333,14 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 		cdPlan = algebra.NewAntiJoin(cdPlan, renameAll(ak, "@k"), idEq(keys, "@k"))
 	}
 	cd := renameAll(g.share("ΔG", cdPlan, ph), "@d")
+	// 3. The matched groups ΔM = CD ⋈Ḡ Output_pre: the operator's one
+	// Output probe — one view index lookup per affected group, the |D|pg
+	// term of Table 3. Bound ahead of the deferred applies, like ΔG.
+	outPre := renamedInput(output, rel.StatePre, "") // plain names
+	matched := g.share("ΔM", algebra.NewJoin(cd, outPre, idEqBoth(keys, "@d", "")), ph)
 	g.flushPending()
 
-	// 3. ∆u for existing groups: CD ⋈Ḡ Output_pre (one view index lookup
-	// per affected group — the |D|pg term of Table 3).
-	outPre := renamedInput(output, rel.StatePre, "") // plain names
+	// ∆u for existing groups: a π over ΔM.
 	// Columns in the diff's own layout (IDs, pre, post): an interior γ's
 	// diff is read back through a reference declared with that layout.
 	updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys}
@@ -351,13 +354,14 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 		posts = append(posts, algebra.ProjItem{E: expr.AddE(expr.C(a.As), expr.C(deltaCol(j)+"Σ@d")), As: PostName(a.As)})
 	}
 	updItems = append(updItems, posts...)
-	updOut := algebra.NewProject(algebra.NewJoin(cd, outPre, idEqBoth(keys, "@d", "")), updItems)
+	updOut := algebra.NewProject(matched, updItems)
 
 	// 4–5. ∆+ for newly created and ∆- for dying groups (extension): the
-	// groups of the combined delta that Output_pre does not hold yet,
-	// recomputed from the input's post-state, and those that received
-	// deletions and have no tuple left in it.
-	newKeys := projectSuffixToPlain(algebra.NewAntiJoin(cd, outPre, idEqBoth(keys, "@d", "")), keys, "@d")
+	// groups of the combined delta that ΔM did not match — CD has one row
+	// per group, so CD ▷ ΔM equals CD ▷ Output_pre and reads no stored
+	// table —, recomputed from the input's post-state, and those that
+	// received deletions and have no tuple left in it.
+	newKeys := projectSuffixToPlain(algebra.NewAntiJoin(cd, algebra.Keep(matched, keys...), idEqBoth(keys, "@d", "")), keys, "@d")
 	recNew := algebra.NewGroupBy(
 		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
 		keys, op.Aggs)
@@ -455,16 +459,21 @@ func (g *gen) classifyRecomputed(op *algebra.GroupBy, ak algebra.Node, input, ou
 	outPre := renamedInput(output, rel.StatePre, "@o")
 
 	var outs []decl
-	// 3. Existing groups → ∆u (dummy updates for groups never in the view
-	// are overestimation and cost only their index lookup).
+	// 3. Existing groups → ∆u, read from ΔM = ΔR ⋉ Output_pre, the rule's
+	// one Output probe (dummy updates for groups never in the view are
+	// overestimation and cost only their index lookup).
+	held := outPre // the groups ∆+ leaves out
 	if len(aggCols) > 0 {
 		updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys, Post: aggCols}
-		upd := toDiff(algebra.NewSemiJoin(rec, outPre, idEq(keys, "@o")), updDS, nil)
-		outs = append(outs, decl{schema: updDS, plan: upd})
+		matched := g.share("ΔM", algebra.NewSemiJoin(rec, outPre, idEq(keys, "@o")), ph)
+		outs = append(outs, decl{schema: updDS, plan: toDiff(matched, updDS, nil)})
+		// ΔR has one row per group, so ΔR ▷ ΔM equals ΔR ▷ Output_pre
+		// and reads no stored table.
+		held = renameAll(algebra.Keep(matched, keys...), "@o")
 	}
 	// 4. New groups → ∆+.
 	insDS := insertSchemaFor("", op.Schema())
-	ins := toDiff(algebra.NewAntiJoin(rec, outPre, idEq(keys, "@o")), insDS, nil)
+	ins := toDiff(algebra.NewAntiJoin(rec, held, idEq(keys, "@o")), insDS, nil)
 	outs = append(outs, decl{schema: insDS, plan: ins})
 	// 5. Vanished groups → ∆-: affected keys with no recomputed group.
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
