@@ -8,6 +8,7 @@
 //	experiments -table 2           # eq. (1) validation (Table 2 model)
 //	experiments -table 3           # eq. (2) validation (Table 3 model)
 //	experiments -steps             # one many-views BSMA round, step by step
+//	experiments -scripts           # the Δ-scripts of those views
 //	experiments -all               # everything
 //
 // -scale and -users control dataset sizes (defaults keep a full run in
@@ -29,12 +30,20 @@ func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 10 | 12a | 12b | 12c | 12d | crossover")
 	table := flag.String("table", "", "table/model to validate: 2 | 3")
 	steps := flag.Bool("steps", false, "print one round of the eleven BSMA views in one system as a table: view, step, rows, accesses, µs")
+	scripts := flag.Bool("scripts", false, "print the Δ-script of each of the eleven BSMA views and exit")
 	all := flag.Bool("all", false, "run every experiment")
 	scale := flag.Int("scale", 4000, "parts/devices count for the Figure 12 sweeps")
 	users := flag.Int("users", 400, "user count for the Figure 10 workload")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
 	flag.Parse()
 
+	if *scripts {
+		if err := harness.FprintScripts(os.Stdout, bsma.Defaults(*users)); err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if !*all && *fig == "" && *table == "" && !*steps {
 		flag.Usage()
 		os.Exit(2)

@@ -38,6 +38,7 @@ type Scan struct {
 	// St selects pre- or post-state during a maintenance epoch.
 	St     rel.State
 	schema rel.Schema
+	suffix string // appended to every attribute by Renamed
 }
 
 // NewScan builds a scan node given the stored table's (bare) schema.
@@ -57,16 +58,29 @@ func (s *Scan) Children() []Node { return nil }
 
 // String implements Node.
 func (s *Scan) String() string {
+	out := "SCAN " + s.Table
 	if s.Alias != s.Table {
-		return fmt.Sprintf("SCAN %s AS %s", s.Table, s.Alias)
+		out += " AS " + s.Alias
 	}
-	return "SCAN " + s.Table
+	if s.suffix != "" {
+		out += "[" + s.suffix + "]"
+	}
+	return out
 }
 
-// BareAttr maps one of the scan's qualified attribute names back to the
-// stored table's bare attribute name.
+// Renamed returns a copy of the scan presenting each attribute with the
+// given suffix appended. It is still a Scan, so the planner probes it by
+// index like the plain scan.
+func (s *Scan) Renamed(suffix string) *Scan {
+	c := *s
+	c.schema, c.suffix = suffixSchema(s.schema, suffix), s.suffix+suffix
+	return &c
+}
+
+// BareAttr maps one of the scan's qualified (and possibly renamed)
+// attribute names back to the stored table's bare attribute name.
 func (s *Scan) BareAttr(qualified string) string {
-	return strings.TrimPrefix(qualified, s.Alias+".")
+	return strings.TrimSuffix(strings.TrimPrefix(qualified, s.Alias+"."), s.suffix)
 }
 
 // Select filters its child by a predicate.
@@ -422,21 +436,25 @@ func (r *RelRef) Renamed(suffix string) *RelRef {
 	if len(bare) == 0 {
 		bare = append([]string(nil), r.Sch.Attrs...)
 	}
-	attrs := make([]string, len(r.Sch.Attrs))
-	for i, a := range r.Sch.Attrs {
-		attrs[i] = a + suffix
-	}
-	key := make([]string, len(r.Sch.Key))
-	for i, k := range r.Sch.Key {
-		key[i] = k + suffix
-	}
 	return &RelRef{
 		Name:   r.Name,
-		Sch:    rel.NewSchema(attrs, key),
+		Sch:    suffixSchema(r.Sch, suffix),
 		Stored: r.Stored,
 		St:     r.St,
 		Bare:   bare,
 	}
+}
+
+// suffixSchema appends suffix to every attribute and key of s.
+func suffixSchema(s rel.Schema, suffix string) rel.Schema {
+	add := func(names []string) []string {
+		out := make([]string, len(names))
+		for i, n := range names {
+			out[i] = n + suffix
+		}
+		return out
+	}
+	return rel.NewSchema(add(s.Attrs), add(s.Key))
 }
 
 // Schema implements Node.

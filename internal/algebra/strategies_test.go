@@ -189,3 +189,77 @@ func checkAgainstEval(t *testing.T, d *db.Database, env algebra.Env, plan algebr
 		}
 	}
 }
+
+// TestRenamedScanPlansLikeScan: Scan.Renamed presents the scan's attributes
+// under a suffix and stays the same stored leaf to the planner. Every plan
+// below picks the same strategy over the renamed scan as over the plain
+// one, never a hash strategy, and charges the same accesses under Compile
+// as under Eval, and as the plain plan.
+func TestRenamedScanPlansLikeScan(t *testing.T) {
+	bigSch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
+	plain := algebra.NewScan("big", "", bigSch)
+	ren := plain.Renamed("@x")
+	if got := ren.String(); got != "SCAN big[@x]" {
+		t.Errorf("String() = %q", got)
+	}
+	if got := ren.Schema(); fmt.Sprint(got.Attrs, got.Key) != "[big.k@x big.grp@x big.val@x] [big.k@x]" {
+		t.Errorf("schema %v key %v", got.Attrs, got.Key)
+	}
+	for i, a := range ren.Schema().Attrs {
+		if got := ren.BareAttr(a); got != bigSch.Attrs[i] {
+			t.Errorf("BareAttr(%q) = %q, want %q", a, got, bigSch.Attrs[i])
+		}
+	}
+	aliased := algebra.NewScan("big", "b", bigSch).Renamed("@x").Renamed("@y")
+	if got, bare := aliased.String(), aliased.BareAttr("b.grp@x@y"); got != "SCAN big AS b[@x@y]" || bare != "grp" {
+		t.Errorf("aliased, renamed twice: String() = %q, BareAttr = %q", got, bare)
+	}
+
+	sch := rel.NewSchema([]string{"k", "g", "v"}, []string{"k"})
+	in := algebra.NewRelRef("in", sch)
+	// Each plan reads the stored leaf s, whose columns col names.
+	plans := map[string]func(s algebra.Node, col func(string) string) algebra.Node{
+		"join-probe-r": func(s algebra.Node, col func(string) string) algebra.Node {
+			return algebra.NewJoin(in, s, expr.Eq(expr.C("k"), expr.C(col("big.k"))))
+		},
+		"join-probe-l": func(s algebra.Node, col func(string) string) algebra.Node {
+			return algebra.NewJoin(s, in, expr.Eq(expr.C(col("big.k")), expr.C("k")))
+		},
+		"semi-probe-l": func(s algebra.Node, col func(string) string) algebra.Node {
+			return algebra.NewSemiJoin(s, in, expr.Eq(expr.C(col("big.grp")), expr.C("g")))
+		},
+		"semi-probe-r": func(s algebra.Node, col func(string) string) algebra.Node {
+			return algebra.NewSemiJoin(in, s, expr.Eq(expr.C("g"), expr.C(col("big.grp"))))
+		},
+		"anti-probe-r": func(s algebra.Node, col func(string) string) algebra.Node {
+			return algebra.NewAntiJoin(in, s, expr.Eq(expr.C("k"), expr.C(col("big.k"))))
+		},
+		"select-index": func(s algebra.Node, col func(string) string) algebra.Node {
+			return algebra.NewSelect(s, expr.Eq(expr.C(col("big.k")), expr.IntLit(7)))
+		},
+	}
+	d := bigDB(t, storage.NewMem())
+	env := &bindEnv{Database: d, rels: map[string]*rel.Relation{"in": {Schema: sch, Tuples: sizedInput(40)}}}
+	strategy := func(n algebra.Node) string {
+		if s, ok := n.(interface{ Strategy() string }); ok {
+			return s.Strategy()
+		}
+		return ""
+	}
+	for name, build := range plans {
+		t.Run(name, func(t *testing.T) {
+			p := build(plain, func(c string) string { return c })
+			r := build(ren, func(c string) string { return c + "@x" })
+			if sp, sr := strategy(p), strategy(r); sp != sr || sr == "joinHash" || sr == "semiHash" {
+				t.Fatalf("strategy %q over the scan, %q over the renamed scan", sp, sr)
+			}
+			d.Counter().Reset()
+			eval(t, p, env)
+			plainCost := *d.Counter()
+			checkAgainstEval(t, d, env, r) // leaves the compiled run's counters
+			if cost := *d.Counter(); cost != plainCost {
+				t.Fatalf("renamed scan charged %v, plain scan %v", cost, plainCost)
+			}
+		})
+	}
+}

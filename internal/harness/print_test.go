@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"idivm/internal/bsma"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
@@ -89,5 +91,23 @@ func TestFprintStepsEndsWithTotal(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if got := strings.Fields(lines[len(lines)-1]); strings.Join(got, " ") != "total (round) 8 42 2.0" {
 		t.Fatalf("last row %q, want the sum of the views' (round) rows:\n%s", got, buf.String())
+	}
+}
+
+// TestFprintScriptsPrintsEveryView: the -scripts output is one Δ-script per
+// view of RegisterManyViews, in registration order.
+func TestFprintScriptsPrintsEveryView(t *testing.T) {
+	var buf bytes.Buffer
+	if err := FprintScripts(&buf, bsma.Defaults(40)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "-- Δ-script for "); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	if want := append(bsma.QueryNames(), CityViews...); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scripts for %v, want %v", got, want)
 	}
 }

@@ -101,6 +101,22 @@ func RunSteps(p bsma.Params) ([]*ivm.Report, error) {
 	return reports, nil
 }
 
+// FprintScripts registers the views of RegisterManyViews over a dataset
+// built from p and prints every view's Δ-script in registration order: the
+// text to diff between two commits when a rule change moves a dispatch.
+func FprintScripts(w io.Writer, p bsma.Params) error {
+	ds := bsma.Build(p)
+	sys := ivm.NewSystem(ds.DB)
+	if err := RegisterManyViews(sys, ds); err != nil {
+		return err
+	}
+	for _, name := range sys.ViewNames() {
+		v, _ := sys.View(name)
+		fmt.Fprintln(w, v.Script)
+	}
+	return nil
+}
+
 // FprintSteps renders one round step by step: what each Δ-script step of
 // each view produced (rows), what it was charged (accesses) and how long it
 // took — the table that shows where a many-view round spends its time, in

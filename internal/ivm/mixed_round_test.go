@@ -38,7 +38,7 @@ func mixedParams() bsma.Params {
 	return p
 }
 
-var mixedViews = []string{"Q*2", "Q*3", "city_rollup", "city_hist"}
+var mixedViews = []string{"Q*2", "Q*3", "city_rollup", "city_hist", "city_minmax"}
 
 // mixedCell is one (engine, executor) configuration of the mixed-round
 // differential, with its own identically seeded dataset and stream.
@@ -217,9 +217,10 @@ func TestMixedRoundsDifferential(t *testing.T) {
 	sharded := newMixedCell(t, "sharded8/compiled", storagetest.Sharded(8), 1, false)
 	all := append([]*mixedCell{ref, sharded}, exact...)
 
-	// The dispatch under test is in play: Q*3 and Q*2 take the mixed row
-	// (ΔG ▷ ΔK), the γ over a base-table scan does not.
-	for view, mixed := range map[string]bool{"Q*3": true, "Q*2": true, "city_rollup": false} {
+	// The dispatch under test is in play: Q*3 and Q*2 (γ over a cache)
+	// and city_rollup (γ over a base-table scan) take the mixed row
+	// (ΔG ▷ ΔK).
+	for view, mixed := range map[string]bool{"Q*3": true, "Q*2": true, "city_rollup": true} {
 		v, _ := ref.sys.View(view)
 		script := v.Script.String()
 		if !strings.Contains(script, "ΔK") || strings.Contains(script, "ΔG") != mixed {

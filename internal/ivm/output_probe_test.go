@@ -12,6 +12,7 @@ import (
 	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
+	"idivm/internal/storage"
 )
 
 // readsPreState reports whether plan reads some table in its pre-state: a
@@ -63,42 +64,55 @@ func outputProbes(s *ivm.Script) map[string]int {
 	return probes
 }
 
-// TestOutputProbedOncePerDelta pins the cost shape of the γ rules: each
-// group delta — ΔR of the recompute rule (Table 7), ΔG of the incremental
-// rule (Tables 9/11) — is read against its γ's Output pre-state by exactly
-// one compute step, ΔM. The updates are a π over ΔM and the new groups
-// ΔR ▷ ΔM (ΔG ▷ ΔM), which read two bindings and no Output. It covers the
-// Figure 7 Vagg view, the eight BSMA views, the three city views and the
-// plans of BenchmarkAggClasses, in both modes.
-func TestOutputProbedOncePerDelta(t *testing.T) {
-	check := func(label string, s *ivm.Script) {
-		t.Helper()
-		probes := outputProbes(s)
-		hasGamma := false
-		algebra.Walk(s.ViewPlan, func(n algebra.Node) { _, g := n.(*algebra.GroupBy); hasGamma = hasGamma || g })
-		if hasGamma == (len(probes) == 0) {
-			t.Errorf("%s: %d ΔR and ΔG steps in the script of a plan with γ = %v:\n%s", label, len(probes), hasGamma, s)
-		}
-		for name, n := range probes {
-			if n != 1 {
-				t.Errorf("%s: %s is read against Output by %d compute steps, want 1:\n%s", label, name, n, s)
-			}
-		}
-	}
+// scriptCase is one generated Δ-script of repositoryScripts.
+type scriptCase struct {
+	label  string
+	script *ivm.Script
+}
+
+// repositoryScripts registers, in both modes, the Figure 7 Vagg view, the
+// eight BSMA views, the three city views, the plans of BenchmarkAggClasses
+// and the MIN/MAX items view, and returns their Δ-scripts.
+func repositoryScripts(t *testing.T) []scriptCase {
+	var out []scriptCase
 	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
+		add := func(label string, v *ivm.View) { out = append(out, scriptCase{label + "/" + mode.String(), v.Script}) }
 		d := fig2DB(t)
-		check("Vagg/"+mode.String(), register(t, ivm.NewSystem(d), "Vagg", aggPlan(t, d), mode).Script)
+		add("Vagg", register(t, ivm.NewSystem(d), "Vagg", aggPlan(t, d), mode))
 
 		ds := bsma.Build(bsma.Defaults(40))
 		sys := ivm.NewSystem(ds.DB)
 		for _, name := range append(bsma.QueryNames(), harness.CityViews...) {
-			v := register(t, sys, name, bsmaOrCityPlan(t, ds, name), mode)
-			check(name+"/"+mode.String(), v.Script)
+			add(name, register(t, sys, name, bsmaOrCityPlan(t, ds, name), mode))
 		}
 		for _, class := range []string{"avg", "sum+avg", "minmax", "minmax-over-join"} {
 			ds := bsma.Build(bsma.Defaults(40))
-			v := register(t, ivm.NewSystem(ds.DB), "V", aggClassPlan(t, ds, class), mode)
-			check(class+"/"+mode.String(), v.Script)
+			add(class, register(t, ivm.NewSystem(ds.DB), "V", aggClassPlan(t, ds, class), mode))
+		}
+		items := minMaxItemsDB(t, storage.NewMem())
+		add("items", register(t, ivm.NewSystem(items), "V", minMaxItemsPlan(items), mode))
+	}
+	return out
+}
+
+// TestOutputProbedOncePerDelta pins the cost shape of the γ rules: each
+// group delta — ΔR of the recompute rule (Table 7), ΔG of the incremental
+// rule (Tables 9/11) — is read against its γ's Output pre-state by exactly
+// one compute step, ΔM. The updates are a π over ΔM and the new groups
+// ΔR ▷ ΔM (ΔG ▷ ΔM), which read two bindings and no Output. It covers
+// every script of repositoryScripts.
+func TestOutputProbedOncePerDelta(t *testing.T) {
+	for _, c := range repositoryScripts(t) {
+		probes := outputProbes(c.script)
+		hasGamma := false
+		algebra.Walk(c.script.ViewPlan, func(n algebra.Node) { _, g := n.(*algebra.GroupBy); hasGamma = hasGamma || g })
+		if hasGamma == (len(probes) == 0) {
+			t.Errorf("%s: %d ΔR and ΔG steps in the script of a plan with γ = %v:\n%s", c.label, len(probes), hasGamma, c.script)
+		}
+		for name, n := range probes {
+			if n != 1 {
+				t.Errorf("%s: %s is read against Output by %d compute steps, want 1:\n%s", c.label, name, n, c.script)
+			}
 		}
 	}
 }

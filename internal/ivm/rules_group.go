@@ -15,13 +15,26 @@ func deltaCol(j int) string { return fmt.Sprintf("Δx%d", j) }
 const tupleCntCol = "Δcnt"
 
 // renamedInput returns the subview in the given state with every column
-// suffixed, staying index-probeable when the subview is materialized.
+// suffixed, staying index-probeable when the subview is a stored leaf.
 func renamedInput(in inputFn, st rel.State, sfx string) algebra.Node {
 	n := in(st)
-	if ref, ok := n.(*algebra.RelRef); ok && ref.Stored {
-		return ref.Renamed(sfx)
+	switch x := n.(type) {
+	case *algebra.Scan:
+		return x.Renamed(sfx)
+	case *algebra.RelRef:
+		if x.Stored {
+			return x.Renamed(sfx)
+		}
 	}
 	return renameAll(n, sfx)
+}
+
+// probeableLeaf reports whether n is a leaf renamedInput keeps
+// index-probeable: a Scan or a stored RelRef.
+func probeableLeaf(n algebra.Node) bool {
+	ref, isRef := n.(*algebra.RelRef)
+	_, isScan := n.(*algebra.Scan)
+	return isScan || isRef && ref.Stored
 }
 
 // groupRules dispatches each input diff of a γ to one of two rules: the
@@ -32,20 +45,19 @@ func renamedInput(in inputFn, st rel.State, sfx string) algebra.Node {
 // key-moving when it is an update whose post set intersects the grouping
 // attributes: it moves tuples between groups, which only Table 7 handles.
 //
-//	aggregates   mode / input           key-moving diffs   other diffs
-//	SUM/COUNT    any, none key-moving   —                  Tables 9/11
-//	SUM/COUNT    ID mode, stored input  Table 7 on ΔK      Tables 9/11, ΔG ▷ ΔK
-//	anything else                       Table 7            Table 7
+//	aggregates   mode / input             key-moving diffs   other diffs
+//	SUM/COUNT    any, none key-moving     —                  Tables 9/11
+//	SUM/COUNT    ID mode, scan or cache   Table 7 on ΔK      Tables 9/11, ΔG ▷ ΔK
+//	anything else                         Table 7            Table 7
 //
 // The mixed row is exact because ΔK holds the pre- and the post-group of
 // every moved tuple: a group outside ΔK neither lost nor gained a moved
 // tuple, so the other diffs' combined delta ΔG ▷ ΔK describes it
 // completely, and a group inside ΔK is recomputed from the input's
 // post-state, which already reflects every diff. No group takes both
-// paths. It is confined to stored inputs because the incremental path's
-// new-group and dead-group probes read the input by group key — an index
-// lookup on a cache, repeated scans of an unmaterialized input (DESIGN.md
-// §16 records the measured regression).
+// paths. It needs an input the planner probes by index (probeableLeaf):
+// the incremental path's new-group and dead-group probes read it by group
+// key, and would hash any other input whole (DESIGN.md §16).
 func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
 	if len(ins) == 0 {
 		return nil, nil
@@ -64,11 +76,10 @@ func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output 
 			rest = append(rest, in)
 		}
 	}
-	inRef, _ := input(rel.StatePost).(*algebra.RelRef)
 	switch {
 	case incremental && len(moving) == 0:
 		return g.groupIncremental(op, ins, nil, input, output, ph)
-	case incremental && !g.tupleMode && inRef != nil && inRef.Stored:
+	case incremental && !g.tupleMode && probeableLeaf(input(rel.StatePost)):
 		ak := g.share("ΔK", affectedGroupKeys(op, moving, input), ph)
 		incr, err := g.groupIncremental(op, rest, ak, input, output, ph)
 		if err != nil {

@@ -63,11 +63,14 @@ func TestGroupRuleDispatch(t *testing.T) {
 		// AVG is rewritten to π over γ[SUM, COUNT] and dispatches like them.
 		{"avg over a cache, id mode: per-diff", avg, ivm.ModeID, ivm.GenOptions{}, true, true, false},
 		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
-		{"sum over a base scan: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, true, false, false},
-		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum);
-		// user.tweetsnum is a key of that γ, whose input is a base scan, so
-		// it stays on Table 7 as well. Without caches there is no rewrite.
-		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, true, false, true},
+		// A base scan is index-probeable like a cache (Scan.Renamed).
+		{"sum over a base scan, id mode: per-diff", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, true, true, false},
+		{"sum over a base scan, tuple mode: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
+		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum)
+		// over SCAN user; user.tweetsnum is a key of that γ, which takes the
+		// per-diff dispatch, while the outer MIN/MAX γ recomputes (ΔK).
+		// Without caches there is no rewrite.
+		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, true, true, true},
 		{"min/max, caches off", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
 		{"min/max, tuple mode", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 	} {
