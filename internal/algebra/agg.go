@@ -5,15 +5,15 @@ import (
 	"idivm/internal/rel"
 )
 
-// aggState incrementally folds one aggregate over a group.
+// aggState incrementally folds one aggregate over a group: acc is the
+// running sum of a SUM or an AVG and the best value of a MIN or a MAX.
 type aggState struct {
 	fn    AggFn
 	count int64
-	sum   rel.Value
-	best  rel.Value // min/max
+	acc   rel.Value
 }
 
-func newAggState(fn AggFn) *aggState { return &aggState{fn: fn, sum: rel.Null(), best: rel.Null()} }
+func newAggState(fn AggFn) *aggState { return &aggState{fn: fn, acc: rel.Null()} }
 
 func (a *aggState) add(v rel.Value, isStar bool) {
 	if isStar {
@@ -26,39 +26,37 @@ func (a *aggState) add(v rel.Value, isStar bool) {
 	a.count++
 	switch a.fn {
 	case AggSum, AggAvg:
-		if a.sum.IsNull() {
-			a.sum = v
+		if a.acc.IsNull() {
+			a.acc = v
 		} else {
-			a.sum = rel.Add(a.sum, v)
+			a.acc = rel.Add(a.acc, v)
 		}
 	case AggMin:
-		if a.best.IsNull() {
-			a.best = v
-		} else if c, ok := v.Compare(a.best); ok && c < 0 {
-			a.best = v
+		if a.acc.IsNull() {
+			a.acc = v
+		} else if c, ok := v.Compare(a.acc); ok && c < 0 {
+			a.acc = v
 		}
 	case AggMax:
-		if a.best.IsNull() {
-			a.best = v
-		} else if c, ok := v.Compare(a.best); ok && c > 0 {
-			a.best = v
+		if a.acc.IsNull() {
+			a.acc = v
+		} else if c, ok := v.Compare(a.acc); ok && c > 0 {
+			a.acc = v
 		}
 	}
 }
 
 func (a *aggState) result() rel.Value {
 	switch a.fn {
-	case AggSum:
-		return a.sum
+	case AggSum, AggMin, AggMax:
+		return a.acc
 	case AggCount:
 		return rel.Int(a.count)
 	case AggAvg:
-		if a.count == 0 || a.sum.IsNull() {
+		if a.count == 0 || a.acc.IsNull() {
 			return rel.Null()
 		}
-		return rel.Float(a.sum.AsFloat() / float64(a.count))
-	case AggMin, AggMax:
-		return a.best
+		return rel.Float(a.acc.AsFloat() / float64(a.count))
 	}
 	return rel.Null()
 }

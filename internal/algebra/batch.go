@@ -145,8 +145,13 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, er
 	pr := c.pr
 	// The match count is unknown until probed (selectivity can be ≪1), so
 	// the stored builders size themselves by doubling rather than reserving
-	// a row per driving row up front.
+	// a row per driving row up front — unless a probe of the key bounds it.
 	stored := make([]rel.ColBuilder, storedW)
+	if pr.plan.unique {
+		for j := range stored {
+			stored[j].Grow(n)
+		}
+	}
 	G := make([]int32, 0, n)
 	var scratch rel.Tuple
 	for i := 0; i < n; i++ {
@@ -429,7 +434,7 @@ func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
 
 	states := make([]aggState, len(first)*na)
 	for k := range states {
-		states[k] = aggState{fn: c.fns[k%na], sum: rel.Null(), best: rel.Null()}
+		states[k] = aggState{fn: c.fns[k%na], acc: rel.Null()}
 	}
 	var scratch rel.Tuple
 	for i := 0; i < n; i++ {

@@ -151,11 +151,12 @@ func (p *Project) Schema() rel.Schema {
 	for i, it := range p.Items {
 		attrs[i] = it.As
 	}
-	key := p.KeyMapping()
+	childKey := p.Child.Schema().Key // once: a chain of π would read it 2^depth times
+	key := p.keyMapping(childKey)
 	var outKey []string
 	if key != nil {
 		outKey = make([]string, 0, len(key))
-		for _, k := range p.Child.Schema().Key {
+		for _, k := range childKey {
 			outKey = append(outKey, key[k])
 		}
 	}
@@ -165,8 +166,9 @@ func (p *Project) Schema() rel.Schema {
 // KeyMapping returns, when the child's key survives the projection, the
 // map from each child key attribute to its output column name; nil when
 // some key attribute is dropped or computed away.
-func (p *Project) KeyMapping() map[string]string {
-	childKey := p.Child.Schema().Key
+func (p *Project) KeyMapping() map[string]string { return p.keyMapping(p.Child.Schema().Key) }
+
+func (p *Project) keyMapping(childKey []string) map[string]string {
 	if len(childKey) == 0 {
 		return nil
 	}

@@ -100,6 +100,7 @@ type probePlan struct {
 	nJoin    int         // leading probe attributes that are join columns
 	litVals  []rel.Value // values of the trailing, literal probe attributes
 	residual expr.Expr   // the rest of the σ-chain; TRUE when nothing is left
+	unique   bool        // the probe covers the leaf's key and no σ is left: ≤ 1 match per probe
 }
 
 // planProbe plans a probe of sh on joinCols, qualified names over sh.schema;
@@ -113,8 +114,10 @@ func planProbe(sh *probeShape, joinCols []string) probePlan {
 	for _, a := range litCols {
 		attrs = append(attrs, sh.toBare(a))
 	}
+	key := sh.schema.Key
 	return probePlan{table: sh.table, st: sh.st, schema: sh.schema, prep: rel.PrepareLookup(attrs),
-		nJoin: len(joinCols), litVals: litVals, residual: residual}
+		nJoin: len(joinCols), litVals: litVals, residual: residual,
+		unique: len(key) > 0 && expr.IsTrueLit(residual) && rel.Subset(key, append(append([]string(nil), joinCols...), litCols...))}
 }
 
 // useIndex is the index-vs-scan rule of a σ-chain over a stored leaf,

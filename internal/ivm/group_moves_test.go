@@ -1,9 +1,13 @@
 package ivm_test
 
 import (
+	"strings"
 	"testing"
 
+	"idivm/internal/algebra"
 	"idivm/internal/bsma"
+	"idivm/internal/db"
+	"idivm/internal/expr"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
@@ -16,16 +20,18 @@ import (
 // attributes from the pre-state — so the affected keys must also be read
 // from the input's post-state (testdata/mixed_round_seeds.txt, seed 1).
 // ID mode only: in tuple mode the widening join rule already hands the γ
-// wrong pre-images here (seed 3, an open gap in ROADMAP item 4).
+// wrong pre-images here (seed 3, an open gap in ROADMAP item 4). Over its
+// cache the γ folds both moves into its group delta; without caches it
+// takes Table 7, whose affected keys must name the tuple's new group.
 func TestTwoMovesOnOneTuple(t *testing.T) {
-	for _, mode := range []ivm.Mode{ivm.ModeID} {
+	for _, opts := range [][]ivm.GenOptions{nil, {{NoCache: true}}} {
 		ds := bsma.Build(bsma.Defaults(60))
 		sys := ivm.NewSystem(ds.DB)
 		plan, err := ds.Plan("Q11")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.RegisterView("Q11", plan, mode); err != nil {
+		if _, err := sys.RegisterView("Q11", plan, ivm.ModeID, opts...); err != nil {
 			t.Fatal(err)
 		}
 		rt, _ := ds.DB.Table("retweets")
@@ -41,10 +47,191 @@ func TestTwoMovesOnOneTuple(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := sys.MaintainAll(); err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%v: %v", opts, err)
 		}
 		if err := sys.CheckConsistent("Q11"); err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%v: %v", opts, err)
+		}
+	}
+}
+
+// movesDB holds item(iid, gid, val, oid), own(oid, region) and an empty
+// hold(iid): nine items in groups 0–2 (iid mod 3), item i owned by owner
+// i mod 4.
+func movesDB(t *testing.T) *db.Database {
+	t.Helper()
+	d := db.New()
+	item := d.MustCreateTable("item", rel.NewSchema([]string{"iid", "gid", "val", "oid"}, []string{"iid"}))
+	own := d.MustCreateTable("own", rel.NewSchema([]string{"oid", "region"}, []string{"oid"}))
+	d.MustCreateTable("hold", rel.NewSchema([]string{"iid"}, []string{"iid"}))
+	for o := 0; o < 4; o++ {
+		own.MustInsert(rel.Int(int64(o)), rel.String("r"))
+	}
+	for i := 0; i < 9; i++ {
+		item.MustInsert(rel.Int(int64(i)), rel.Int(int64(i%3)), rel.Int(int64(10*i)), rel.Int(int64(i%4)))
+	}
+	return d
+}
+
+// movesPlan groups items by gid, read straight from the item table (via
+// "") or, a cache in ID mode, through item ⋈ own (via "⋈") or through the
+// items not held, item ▷ hold (via "▷"), with aggs.
+func movesPlan(d *db.Database, via string, aggs []algebra.Agg) algebra.Node {
+	item, _ := d.Table("item")
+	var in algebra.Node = algebra.NewScan("item", "", item.Schema())
+	switch via {
+	case "⋈":
+		own, _ := d.Table("own")
+		in = algebra.NewJoin(in, algebra.NewScan("own", "", own.Schema()), expr.Eq(expr.C("item.oid"), expr.C("own.oid")))
+	case "▷":
+		hold, _ := d.Table("hold")
+		in = algebra.NewAntiJoin(in, algebra.NewScan("hold", "", hold.Schema()), expr.Eq(expr.C("item.iid"), expr.C("hold.iid")))
+	}
+	return algebra.NewGroupBy(in, []string{"item.gid"}, aggs)
+}
+
+var (
+	sumAndCount = []algebra.Agg{{Fn: algebra.AggSum, Arg: expr.C("item.val"), As: "s"}, {Fn: algebra.AggCount, As: "n"}}
+	countsOnly  = []algebra.Agg{{Fn: algebra.AggCount, As: "n"}, {Fn: algebra.AggCount, Arg: expr.C("item.val"), As: "c"}}
+)
+
+// TestMovesFoldIntoGroupDelta runs the group-move corners through SUM/COUNT
+// γs in ID mode, over a base-table scan and over a cache, with and without
+// a SUM: a key-moving update is two rows of the group delta ΔG, −old at the
+// tuple's pre-group and +new at its post-group, and Table 7 recomputes no
+// group (no ΔK). The caches are item ⋈ own and item ▷ hold, whose ID-mode
+// diffs name more tuples than it holds (Section 4's overestimation): the
+// item table's deletes and updates pass the anti-join whether the item is
+// held or not. After every round each view equals its recomputation and
+// every diff is effective (SelfCheck).
+func TestMovesFoldIntoGroupDelta(t *testing.T) {
+	d := movesDB(t)
+	s := ivm.NewSystem(d)
+	s.SelfCheck = true
+	for _, via := range []string{"", "⋈", "▷"} {
+		for _, v := range []struct {
+			name string
+			aggs []algebra.Agg
+		}{{"sum", sumAndCount}, {"counts", countsOnly}} {
+			name := v.name + map[string]string{"": "", "⋈": "/cached", "▷": "/unheld"}[via]
+			script := register(t, s, name, movesPlan(d, via, v.aggs), ivm.ModeID).Script.String()
+			if strings.Contains(script, "ΔK") || !strings.Contains(script, "ΔG") {
+				t.Fatalf("%s: moves should fold into ΔG:\n%s", name, script)
+			}
+		}
+	}
+	ints := func(vs ...int) []rel.Value {
+		out := make([]rel.Value, len(vs))
+		for i, v := range vs {
+			out[i] = rel.Int(int64(v))
+		}
+		return out
+	}
+	move := func(iid, gid int) { mustUpdate(t, d, "item", ints(iid), []string{"gid"}, ints(gid)) }
+	groups := func(view string) map[int64]bool {
+		out := map[int64]bool{}
+		for _, row := range viewState(t, d, view).Tuples {
+			out[row[0].AsInt()] = true
+		}
+		return out
+	}
+	round := func(what string, want map[int]bool) {
+		t.Helper()
+		maintainAndCheck(t, s)
+		for _, view := range s.ViewNames() {
+			got := groups(view)
+			for g, in := range want {
+				if got[int64(g)] != in {
+					t.Fatalf("%s: %s holds group %d = %v, want %v", what, view, g, !in, in)
+				}
+			}
+		}
+	}
+
+	move(0, 1) // group 0 keeps items 3 and 6
+	round("a move into an existing group", map[int]bool{0: true, 1: true})
+	move(3, 2)
+	move(6, 1)
+	round("a move that empties a group", map[int]bool{0: false})
+	move(3, 7)
+	round("a move into a new group", map[int]bool{7: true})
+	move(1, 2) // items 1 and 2 change places
+	move(2, 1)
+	round("two tuples swapping groups", map[int]bool{1: true, 2: true})
+	move(4, 2)
+	mustUpdate(t, d, "item", ints(4), []string{"val"}, []rel.Value{rel.Null()})
+	round("a move beside an argument update of the same tuple", map[int]bool{2: true})
+	move(5, 8) // item 5 is owner 1's, as is item 1
+	if _, err := d.Delete("own", ints(1)); err != nil {
+		t.Fatal(err)
+	}
+	round("a move of a cache tuple another table deletes", nil)
+	if got := groups("sum/cached"); got[8] || !groups("sum")[8] {
+		t.Fatalf("group 8 holds only the item whose owner left: in the join view = %v, in the scan view = %v", got[8], groups("sum")[8])
+	}
+
+	// Held items sit in group 5, which the views over item ▷ hold lack.
+	add := func(iid, gid int, held bool) {
+		t.Helper()
+		if err := d.Insert("item", rel.Tuple{rel.Int(int64(iid)), rel.Int(int64(gid)), rel.Int(int64(iid)), rel.Int(0)}); err != nil {
+			t.Fatal(err)
+		}
+		if held {
+			if err := d.Insert("hold", rel.Tuple{rel.Int(int64(iid))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	del := func(iid int) {
+		t.Helper()
+		if _, err := d.Delete("item", ints(iid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unheld := func(what string, want bool) {
+		t.Helper()
+		maintainAndCheck(t, s)
+		for _, view := range []string{"sum/unheld", "counts/unheld"} {
+			if groups(view)[5] != want {
+				t.Fatalf("%s: %s holds group 5 = %v, want %v", what, view, !want, want)
+			}
+		}
+	}
+	add(10, 5, true)
+	unheld("a held item", false)
+	add(11, 5, false)
+	del(10)
+	unheld("a new group beside a held item's delete", true)
+	add(12, 5, true)
+	unheld("a held item beside a live group", true)
+	mustUpdate(t, d, "item", ints(12), []string{"val"}, ints(100))
+	unheld("a held item's argument update", true)
+	del(12)
+	unheld("a held item's delete", true)
+}
+
+// A SUM over NULL arguments is NULL, not the 0 its deltas add up to, so a
+// new group whose SUM delta is 0 is recomputed from the γ's input: here a
+// new group is formed only by moved tuples whose argument is NULL.
+func TestNewGroupOfNullsSumsToNull(t *testing.T) {
+	for _, via := range []string{"", "⋈"} {
+		d := movesDB(t)
+		s := ivm.NewSystem(d)
+		register(t, s, "V", movesPlan(d, via, sumAndCount), ivm.ModeID)
+		for _, iid := range []int64{20, 21} {
+			if err := d.Insert("item", rel.Tuple{rel.Int(iid), rel.Int(0), rel.Null(), rel.Int(0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		maintainAndCheck(t, s)
+		for _, iid := range []int64{20, 21} {
+			mustUpdate(t, d, "item", []rel.Value{rel.Int(iid)}, []string{"gid"}, []rel.Value{rel.Int(9)})
+		}
+		maintainAndCheck(t, s)
+		v, _ := d.Table("V")
+		row, ok := v.Get(rel.StatePost, []rel.Value{rel.Int(9)})
+		if !ok || !row[1].IsNull() || row[2].AsInt() != 2 {
+			t.Fatalf("via %q: group 9 = %v (found %v), want SUM NULL over 2 tuples", via, row, ok)
 		}
 	}
 }

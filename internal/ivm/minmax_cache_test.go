@@ -79,11 +79,11 @@ func minMaxMods(t *testing.T, d *db.Database, rng *rand.Rand, nextID *int) {
 // recompute every round. A third system registered with NoCache pins the
 // point of the cache: the cached path must spend less than half the
 // accesses of group recompute from the base table on the same stream
-// (6 244 against 19 209, so "fewer" alone would not say much). The bound
+// (4 118 against 19 209, so "fewer" alone would not say much). The bound
 // also guards the dispatch: the multiset γ-COUNT, whose input is a
-// base-table scan, takes the per-diff dispatch, and its new-group and
-// dead-group probes must read that scan by index. Hiding the scan from the
-// planner behind a rename π costs 61 289 on this stream (DESIGN.md §16).
+// base-table scan, folds its moves into its group delta, and its probes of
+// that scan must go by index. Hiding the scan from the planner behind a
+// rename π cost 61 289 on this stream when it was measured (DESIGN.md §16).
 func TestMinMaxCachedDifferential(t *testing.T) {
 	dC := minMaxItemsDB(t, storage.NewMem())
 	dI := minMaxItemsDB(t, storage.NewMem())

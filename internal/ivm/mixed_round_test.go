@@ -196,10 +196,11 @@ func hasGroup(t *testing.T, d *db.Database, view string, v rel.Value) bool {
 	return false
 }
 
-// TestMixedRoundsDifferential covers what the per-diff dispatch of the γ
-// rules added: rounds in which Table 7 (on the moved tuples' groups) and
-// Tables 9/11 (on every other diff) both fire for one view and must not
-// overlap. After every round each view equals its recomputation; the
+// TestMixedRoundsDifferential covers the moves the incremental γ rule
+// folds into its group delta: rounds in which key-moving updates, value
+// updates, inserts and deletes land on the same groups of one view and
+// their contributions must neither overlap nor miss a tuple. After every
+// round each view equals its recomputation; the
 // compiled executor matches the interpreted oracle in state, per-step
 // reports and counters; maintaining the views concurrently (Workers 4)
 // matches the sequential run the same way; and the hash-partitioned test
@@ -217,14 +218,14 @@ func TestMixedRoundsDifferential(t *testing.T) {
 	sharded := newMixedCell(t, "sharded8/compiled", storagetest.Sharded(8), 1, false)
 	all := append([]*mixedCell{ref, sharded}, exact...)
 
-	// The dispatch under test is in play: Q*3 and Q*2 (γ over a cache)
-	// and city_rollup (γ over a base-table scan) take the mixed row
-	// (ΔG ▷ ΔK).
-	for view, mixed := range map[string]bool{"Q*3": true, "Q*2": true, "city_rollup": true} {
+	// The dispatch under test is in play: the moves of Q*3 and Q*2 (γ
+	// over a cache) and city_rollup (γ over a base-table scan) fold into
+	// ΔG, and none of them recomputes a group (ΔK).
+	for _, view := range []string{"Q*3", "Q*2", "city_rollup"} {
 		v, _ := ref.sys.View(view)
 		script := v.Script.String()
-		if !strings.Contains(script, "ΔK") || strings.Contains(script, "ΔG") != mixed {
-			t.Fatalf("%s: unexpected dispatch (mixed=%v):\n%s", view, mixed, script)
+		if strings.Contains(script, "ΔK") || !strings.Contains(script, "ΔG") {
+			t.Fatalf("%s: unexpected dispatch:\n%s", view, script)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
+	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
@@ -68,14 +69,15 @@ func TestScriptOrdering(t *testing.T) {
 			t.Fatalf("step %d reads the cache's post-state before its last apply (step %d)", i, lastCacheApply)
 		}
 	}
-	// The same on a script with Table 7's transient steps: Q*3's ΔR reads
-	// the input cache's post-state; its ΔG does not.
+	// The same on a script with Table 7's transient steps: city_minmax's
+	// MIN/MAX γ recomputes its groups from the #mult cache, so its ΔR reads
+	// the cache's post-state; the ΔG of the #mult γ does not.
 	ds := bsma.Build(bsma.Defaults(40))
-	qs3, err := ds.Plan("Q*3")
+	minmax, err := harness.CityPlan(ds.DB, "city_minmax")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := register(t, ivm.NewSystem(ds.DB), "Q*3", qs3, ivm.ModeID)
+	q := register(t, ivm.NewSystem(ds.DB), "city_minmax", minmax, ivm.ModeID)
 	last, transientReaders := -1, 0
 	for i, st := range q.Script.Steps {
 		if a, ok := st.(*ivm.ApplyStep); ok && a.Table == q.Script.Caches[0].Name {
@@ -95,7 +97,7 @@ func TestScriptOrdering(t *testing.T) {
 		}
 	}
 	if transientReaders == 0 {
-		t.Fatalf("Q*3 should have a transient step reading the cache's post-state:\n%s", q.Script)
+		t.Fatalf("city_minmax should have a transient step reading the cache's post-state:\n%s", q.Script)
 	}
 	// Apply ordering within a table: deletes, then updates, then inserts.
 	var kinds []ivm.DiffType

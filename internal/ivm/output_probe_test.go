@@ -139,8 +139,8 @@ func classifyDB(t *testing.T) *db.Database {
 // groupRules: "incr" groups on grp.gid, which no update changes (the
 // incremental rule in both modes; an item.gid update reaches it as a
 // delete and an insert); "moving" groups on item.gid, which updates move
-// (the mixed row in ID mode, Table 7 in tuple mode); "max" adds a MAX (Table
-// 7 in both modes).
+// (their −old/+new rows fold into ΔG in ID mode, Table 7 in tuple mode);
+// "max" adds a MAX (Table 7 in both modes).
 func classifyPlan(d *db.Database, view string) algebra.Node {
 	item, _ := d.Table("item")
 	grp, _ := d.Table("grp")
@@ -239,7 +239,7 @@ func classifyRound(t *testing.T, d *db.Database, rng *rand.Rand, round int, next
 // overlap the updated ones.
 func TestGroupClassificationExact(t *testing.T) {
 	rows := map[string]string{"incr/id-based": "incremental", "incr/tuple-based": "incremental",
-		"moving/id-based": "mixed", "moving/tuple-based": "Table 7",
+		"moving/id-based": "incremental", "moving/tuple-based": "Table 7",
 		"max/id-based": "Table 7", "max/tuple-based": "Table 7"}
 	for _, view := range []string{"incr", "moving", "max"} {
 		for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {

@@ -365,9 +365,9 @@ func sameAsWritten(t *testing.T, d *db.Database, view string, plan algebra.Node,
 }
 
 // Two scripted rounds on the derived aggregates. An AVG view over a cached
-// join takes the per-diff dispatch like the SUM it is rewritten to: one
-// round moves a tuple to another group while a value update hits a third
-// tuple, and both ΔK and ΔG are in its script. A MIN/MAX view that loses
+// join dispatches like the SUM it is rewritten to: one round moves a tuple
+// to another group while a value update hits a third tuple, and the move
+// folds into ΔG — its script has no ΔK. A MIN/MAX view that loses
 // every tuple holding a group's minimum reads that group's distinct values
 // from the multiset cache, not its 120 tuples.
 func TestDerivedAggregateRounds(t *testing.T) {
@@ -386,10 +386,13 @@ func TestDerivedAggregateRounds(t *testing.T) {
 			[]algebra.Agg{{Fn: algebra.AggAvg, Arg: expr.C("items.val"), As: "mean"}, {Fn: algebra.AggCount, As: "n"}})
 		s := ivm.NewSystem(d)
 		script := register(t, s, "V", plan, ivm.ModeID).Script.String()
-		for _, step := range []string{"ΔK", "ΔG", "mean#sum", "mean#cnt"} {
+		for _, step := range []string{"ΔG", "mean#sum", "mean#cnt"} {
 			if !strings.Contains(script, step) {
 				t.Fatalf("script lacks %s:\n%s", step, script)
 			}
+		}
+		if strings.Contains(script, "ΔK") {
+			t.Fatalf("a move recomputes its groups:\n%s", script)
 		}
 		mustUpdate(t, d, "items", []rel.Value{rel.Int(4)}, []string{"grp"}, []rel.Value{rel.Int(7)}) // new group
 		mustUpdate(t, d, "items", []rel.Value{rel.Int(5)}, []string{"val"}, []rel.Value{rel.Null()})

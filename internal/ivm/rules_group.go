@@ -8,11 +8,23 @@ import (
 	"idivm/internal/rel"
 )
 
-// Delta column names used by the incremental aggregation path: one per
-// aggregate, plus the change in the group's tuple count.
+// Delta column names used by the incremental aggregation path: the change
+// in the group's tuple count, which is a COUNT(*)'s delta, and one per
+// other aggregate.
 func deltaCol(j int) string { return fmt.Sprintf("Δx%d", j) }
 
 const tupleCntCol = "Δcnt"
+
+// countsTuples reports whether a is a COUNT(*), whose delta is Δcnt.
+func countsTuples(a algebra.Agg) bool { return a.Fn == algebra.AggCount && a.Arg == nil }
+
+// deltaOf names the delta column of op's j-th aggregate.
+func deltaOf(op *algebra.GroupBy, j int) string {
+	if countsTuples(op.Aggs[j]) {
+		return tupleCntCol
+	}
+	return deltaCol(j)
+}
 
 // renamedInput returns the subview in the given state with every column
 // suffixed, staying index-probeable when the subview is a stored leaf.
@@ -43,21 +55,19 @@ func probeableLeaf(n algebra.Node) bool {
 // general recompute rule (Table 7). Derived aggregates never get here as
 // such — normalizeAggs rewrote them into plans over these two. A diff is
 // key-moving when it is an update whose post set intersects the grouping
-// attributes: it moves tuples between groups, which only Table 7 handles.
+// attributes (movesGroups): it moves tuples between groups.
 //
-//	aggregates   mode / input             key-moving diffs   other diffs
-//	SUM/COUNT    any, none key-moving     —                  Tables 9/11
-//	SUM/COUNT    ID mode, scan or cache   Table 7 on ΔK      Tables 9/11, ΔG ▷ ΔK
-//	anything else                         Table 7            Table 7
+//	aggregates   mode / input             key-moving diffs       other diffs
+//	SUM/COUNT    any, none key-moving     —                      Tables 9/11
+//	SUM/COUNT    ID mode, scan or cache   −old/+new rows in ΔG   Tables 9/11
+//	anything else                         Table 7                Table 7
 //
-// The mixed row is exact because ΔK holds the pre- and the post-group of
-// every moved tuple: a group outside ΔK neither lost nor gained a moved
-// tuple, so the other diffs' combined delta ΔG ▷ ΔK describes it
-// completely, and a group inside ΔK is recomputed from the input's
-// post-state, which already reflects every diff. No group takes both
-// paths. It needs an input the planner probes by index (probeableLeaf):
-// the incremental path's new-group and dead-group probes read it by group
-// key, and would hash any other input whole (DESIGN.md §16).
+// In the middle row a moved tuple contributes to the combined group delta
+// twice, leaving its pre-group and entering its post-group (contribution),
+// so no group is recomputed. Its contributions read the input by ID and
+// its new groups by group key, so it needs an input the planner probes by
+// index (probeableLeaf); any other input would be hashed whole at every
+// probe (DESIGN.md §16).
 func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
 	if len(ins) == 0 {
 		return nil, nil
@@ -68,27 +78,21 @@ func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output 
 			incremental = false
 		}
 	}
-	var moving, rest []decl
+	moving := false
 	for _, in := range ins {
-		if in.schema.Type == DiffUpdate && len(rel.Intersect(op.Keys, in.schema.Post)) > 0 {
-			moving = append(moving, in)
-		} else {
-			rest = append(rest, in)
-		}
+		moving = moving || movesGroups(op, in.schema)
 	}
-	switch {
-	case incremental && len(moving) == 0:
-		return g.groupIncremental(op, ins, nil, input, output, ph)
-	case incremental && !g.tupleMode && probeableLeaf(input(rel.StatePost)):
-		ak := g.share("ΔK", affectedGroupKeys(op, moving, input), ph)
-		incr, err := g.groupIncremental(op, rest, ak, input, output, ph)
-		if err != nil {
-			return nil, err
-		}
-		return append(g.classifyRecomputed(op, ak, input, output, ph), incr...), nil
+	if incremental && (!moving || !g.tupleMode && probeableLeaf(input(rel.StatePost))) {
+		return g.groupIncremental(op, ins, input, output, ph)
 	}
 	ak := g.share("ΔK", affectedGroupKeys(op, ins, input), ph)
 	return g.classifyRecomputed(op, ak, input, output, ph), nil
+}
+
+// movesGroups reports whether ds is a key-moving diff of op: an update
+// whose post set intersects the grouping attributes.
+func movesGroups(op *algebra.GroupBy, ds DiffSchema) bool {
+	return ds.Type == DiffUpdate && len(rel.Intersect(op.Keys, ds.Post)) > 0
 }
 
 // kappaCol names the i-th input-tuple ID column carried by contribution
@@ -97,29 +101,44 @@ func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output 
 // deletion both removing the same cache tuple).
 func kappaCol(i int) string { return fmt.Sprintf("κ%d", i) }
 
-// contribution builds, for one input diff, a plan producing one row per
-// affected input tuple with the input tuple's full ID, the group key, and
-// one delta column per aggregate: (κ̄, Ḡ, Δx_j, Δcnt). This realizes
+// contribution builds, for the input diff ins[at], a plan producing one row
+// per affected input tuple with the input tuple's full ID, the group key,
+// and one delta column per aggregate: (κ̄, Ḡ, Δx_j, Δcnt). This realizes
 // the ∆1/∆2/∆3 rules of Tables 9 and 11; partial-ID update diffs are
 // expanded to per-tuple granularity by joining the input's pre-state on
-// the diff's IDs — the central trick of the paper's Figure 7 script.
-func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra.Node, error) {
+// the diff's IDs — the central trick of the paper's Figure 7 script. A
+// key-moving diff yields two rows per moved tuple, one leaving its
+// pre-group, (κ̄, Ḡ_pre, −w_pre, −1), and one entering its post-group,
+// (κ̄, Ḡ_post, +w_post, +1), its post image completed by what the other
+// update diffs of the round carry for the tuple.
+func (g *gen) contribution(op *algebra.GroupBy, ins []decl, at int, input inputFn) (algebra.Node, error) {
+	in := ins[at]
 	ds := in.schema
 	childKey := op.Child.Schema().Key
+	move := movesGroups(op, ds)
 
-	// Columns the contribution needs from the input tuple.
-	needed := append([]string(nil), op.Keys...)
+	// Columns the contribution needs from the input tuple: its values —
+	// the group key and the aggregate arguments — and its ID.
+	values := append([]string(nil), op.Keys...)
 	for _, a := range op.Aggs {
 		if a.Arg != nil {
-			needed = rel.Union(needed, a.Arg.Cols())
+			values = rel.Union(values, a.Arg.Cols())
 		}
 	}
-	needed = rel.Union(needed, childKey)
+	needed := rel.Union(values, childKey)
 
 	// source plan + rename maps from child attrs to source columns.
 	var source algebra.Node
 	var preRen, postRen map[string]string
 	fullID := len(ds.IDs) == len(childKey) && subsetOf(ds.IDs, childKey) && subsetOf(childKey, ds.IDs)
+	// A base table's deletes and updates name only its own rows. A cache's
+	// may name tuples the cache never held (Section 4's overestimation: an
+	// anti-join passes its left input's deletes through), and a
+	// contribution read from the diff alone would count them, so over a
+	// cache they take their tuples from Input_pre.
+	pre := input(rel.StatePre)
+	_, isScan := pre.(*algebra.Scan)
+	overDiffs := probeableLeaf(pre) && !isScan
 
 	switch ds.Type {
 	case DiffInsert:
@@ -131,7 +150,7 @@ func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra
 		preRen, postRen = identityMap(needed), identityMap(needed)
 
 	case DiffDelete:
-		if canReconstruct(in, needed, rel.StatePre) {
+		if !overDiffs && canReconstruct(in, needed, rel.StatePre) {
 			source = reconstruct(in, needed, rel.StatePre)
 			preRen, postRen = identityMap(needed), identityMap(needed)
 		} else {
@@ -141,9 +160,9 @@ func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra
 		}
 
 	case DiffUpdate:
-		// An update touching neither the aggregate arguments nor the tuple
-		// count leaves every group unchanged: contribute nothing.
-		affectsAny := false
+		// An update that moves no tuple and touches no aggregate argument
+		// leaves every group unchanged: contribute nothing.
+		affectsAny := move
 		for _, a := range op.Aggs {
 			if a.Arg != nil && len(rel.Intersect(a.Arg.Cols(), ds.Post)) > 0 {
 				affectsAny = true
@@ -152,7 +171,7 @@ func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra
 		if !affectsAny {
 			return nil, nil
 		}
-		if fullID && canReconstruct(in, needed, rel.StatePre) && canReconstruct(in, needed, rel.StatePost) {
+		if fullID && !overDiffs && canReconstruct(in, needed, rel.StatePre) && canReconstruct(in, needed, rel.StatePost) {
 			source = in.plan
 			preRen = restrictMap(preMap(ds), ds.IDs, needed)
 			postRen = restrictMap(postMap(ds), ds.IDs, needed)
@@ -171,48 +190,102 @@ func (g *gen) contribution(op *algebra.GroupBy, in decl, input inputFn) (algebra
 		}
 	}
 
-	// Build the projection items: input-tuple ID, group key, deltas. A SUM
-	// changes by the argument (NULL counts 0), a COUNT(x) by whether it is
-	// non-NULL, COUNT(*) and the group's size by the tuple itself.
-	var items []algebra.ProjItem
-	for i, k := range childKey {
-		items = append(items, algebra.ProjItem{E: expr.C(preRen[k]), As: kappaCol(i)})
-	}
-	for _, k := range op.Keys {
-		items = append(items, algebra.ProjItem{E: expr.C(preRen[k]), As: k})
-	}
+	// rows projects src to (κ̄, Ḡ, Δx_j, Δcnt), reading κ̄ and Ḡ through
+	// ren. A SUM changes by the argument (NULL counts 0), a COUNT(x) by
+	// whether it is non-NULL, COUNT(*) and the group's size by the tuple
+	// itself: a tuple entering its group (cnt 1) adds its weight, one
+	// leaving it (cnt −1) removes it, and an update that keeps the tuple
+	// in its group (cnt 0) adds the change of every weight it touches.
 	zero := expr.IntLit(0)
-	var tupleCnt expr.Expr = zero // an update keeps every tuple in its group
-	switch ds.Type {
-	case DiffInsert:
-		tupleCnt = expr.IntLit(1)
-	case DiffDelete:
-		tupleCnt = expr.IntLit(-1)
+	weight := func(a algebra.Agg, ren map[string]string) expr.Expr {
+		arg := expr.Rename(a.Arg, ren)
+		if a.Fn == algebra.AggSum {
+			return expr.Call("coalesce", arg, zero)
+		}
+		return expr.Call("notnull", arg)
 	}
-	for j, a := range op.Aggs {
-		delta := tupleCnt
-		if a.Arg != nil {
-			weight := func(ren map[string]string) expr.Expr {
-				arg := expr.Rename(a.Arg, ren)
-				if a.Fn == algebra.AggSum {
-					return expr.Call("coalesce", arg, zero)
-				}
-				return expr.Call("notnull", arg)
+	rows := func(src algebra.Node, ren map[string]string, cnt int64) algebra.Node {
+		var items []algebra.ProjItem
+		for i, k := range childKey {
+			items = append(items, algebra.ProjItem{E: expr.C(ren[k]), As: kappaCol(i)})
+		}
+		for _, k := range op.Keys {
+			items = append(items, algebra.ProjItem{E: expr.C(ren[k]), As: k})
+		}
+		for j, a := range op.Aggs {
+			if countsTuples(a) {
+				continue
 			}
+			var delta expr.Expr = expr.IntLit(cnt)
 			switch {
-			case ds.Type == DiffInsert:
-				delta = weight(postRen)
-			case ds.Type == DiffDelete:
-				delta = expr.SubE(zero, weight(preRen))
+			case cnt > 0:
+				delta = weight(a, ren)
+			case cnt < 0:
+				delta = expr.SubE(zero, weight(a, ren))
 			case len(rel.Intersect(a.Arg.Cols(), ds.Post)) > 0:
-				delta = expr.SubE(weight(postRen), weight(preRen))
+				delta = expr.SubE(weight(a, postRen), weight(a, preRen))
+			}
+			items = append(items, algebra.ProjItem{E: delta, As: deltaCol(j)})
+		}
+		items = append(items, algebra.ProjItem{E: expr.IntLit(cnt), As: tupleCntCol})
+		return algebra.NewProject(src, items)
+	}
+
+	switch {
+	case ds.Type == DiffInsert:
+		return rows(source, postRen, 1), nil
+	case ds.Type == DiffDelete:
+		return rows(source, preRen, -1), nil
+	case !move:
+		return rows(source, preRen, 0), nil
+	}
+	image := postImage(source, postRen, ins, at, needed, values)
+	return unionPlans([]algebra.Node{rows(source, preRen, -1), rows(image, suffixMap(needed, "@v"), 1)}), nil
+}
+
+// postImage projects source to the post image of ins[at]'s tuples, each
+// column c of cols (the input's key among them) read from ren[c] into c@v.
+// That image takes the values the diff does not update from the pre-state,
+// which is wrong for a tuple a rival diff updates in the same round — an
+// update diff whose post set holds a column of watched that ins[at] does
+// not update. Every rival overlays the post values it carries on the tuples
+// it names: a left outer join by the rival's IDs, written as a join and an
+// anti-join, that reads round bindings only.
+func postImage(source algebra.Node, ren map[string]string, ins []decl, at int, cols, watched []string) algebra.Node {
+	image := algebra.Node(algebra.NewProject(source, renameItems(cols, ren, "@v")))
+	for j, o := range ins {
+		if j == at || !rivals(ins[at].schema, o.schema, watched) {
+			continue
+		}
+		sfx := fmt.Sprintf("@r%d", j)
+		on := idEqBoth(o.schema.IDs, "@v", sfx)
+		over := map[string]string{}
+		for _, c := range cols {
+			over[c] = c + "@v"
+			if rel.Contains(o.schema.Post, c) {
+				over[c] = PostName(c) + sfx
 			}
 		}
-		items = append(items, algebra.ProjItem{E: delta, As: deltaCol(j)})
+		hit := algebra.NewProject(algebra.NewJoin(image, renameAll(o.plan, sfx), on), renameItems(cols, over, "@v"))
+		miss := algebra.NewAntiJoin(image, renameAll(algebra.Keep(o.plan, o.schema.IDs...), sfx), on)
+		image = unionPlans([]algebra.Node{hit, miss})
 	}
-	items = append(items, algebra.ProjItem{E: tupleCnt, As: tupleCntCol})
+	return image
+}
 
-	return algebra.NewProject(source, items), nil
+// rivals reports whether o is an update diff whose post set holds a column
+// of watched that ds does not update.
+func rivals(ds, o DiffSchema, watched []string) bool {
+	return o.Type == DiffUpdate && len(rel.Intersect(rel.Minus(watched, ds.Post), o.Post)) > 0
+}
+
+// renameItems projects each name n, read from column ren[n], to n+sfx.
+func renameItems(names []string, ren map[string]string, sfx string) []algebra.ProjItem {
+	items := make([]algebra.ProjItem, len(names))
+	for i, n := range names {
+		items[i] = algebra.ProjItem{E: expr.C(ren[n]), As: n + sfx}
+	}
+	return items
 }
 
 // identityMap maps each name to itself.
@@ -250,32 +323,38 @@ func restrictMap(base map[string]string, ids, needed []string) map[string]string
 }
 
 // groupIncremental implements the blocking incremental rules for SUM and
-// COUNT (Tables 9 and 11): it combines every input diff into one
-// per-group delta relation, joins it with the operator's Output to update
-// existing groups, and — as an extension over the paper, which "does not
-// handle group creation/deletion" — recomputes newly created groups from
-// the input cache and deletes groups whose tuple count reaches zero. A
-// non-nil ak names the groups the caller recomputes instead (groupRules'
-// mixed dispatch); they are removed from the combined delta.
-func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node, input inputFn, output inputFn, ph Phase) ([]decl, error) {
+// COUNT (Tables 9 and 11): it combines every input diff, key-moving ones
+// included, into one per-group delta relation ΔG, joins it with the
+// operator's Output once (ΔM) to update existing groups, and — as an
+// extension over the paper, which "does not handle group
+// creation/deletion" — inserts the groups ΔM did not match and deletes
+// those whose tuple count reaches zero.
+func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
 	// 1. Contributions from every diff, partitioned by diff kind so that
 	// overlapping contributions from different base-diff paths can be
-	// deduplicated: two paths deleting (or inserting) the same input tuple
-	// yield identical rows and are collapsed; an update contribution for a
-	// tuple that some path deletes or inserts is dropped (the delete already
-	// accounts for the tuple's entire pre-state value, the insert for its
-	// entire post-state value — an update delta on top would double-count).
+	// deduplicated — two paths deleting (or inserting) the same input tuple
+	// yield identical rows and are collapsed — and pruned by κ̄: a move or
+	// update contribution for a tuple that some path deletes or inserts is
+	// dropped (the delete already accounts for the tuple's entire pre-state
+	// value, the insert for its entire post-state value), and so is an
+	// update contribution for a tuple that moves (the move's rows carry its
+	// exact post image).
 	byKind := map[DiffType][]algebra.Node{}
-	for _, in := range ins {
-		c, err := g.contribution(op, in, input)
+	var moves []algebra.Node
+	for i, in := range ins {
+		c, err := g.contribution(op, ins, i, input)
 		if err != nil {
 			return nil, err
 		}
-		if c != nil {
+		switch {
+		case c == nil:
+		case movesGroups(op, in.schema):
+			moves = append(moves, c)
+		default:
 			byKind[in.schema.Type] = append(byKind[in.schema.Type], c)
 		}
 	}
-	if len(byKind) == 0 {
+	if len(byKind) == 0 && len(moves) == 0 {
 		return nil, nil
 	}
 	childKey := op.Child.Schema().Key
@@ -283,12 +362,9 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 	for i := range childKey {
 		kcols = append(kcols, kappaCol(i))
 	}
-	upds := byKind[DiffUpdate]
-	var parts []algebra.Node
 	var allCols []string
-	// collect unions one kind's contributions into the combined delta.
-	collect := func(kind DiffType) algebra.Node {
-		ps := byKind[kind]
+	// union bag-unions one kind's contributions, collapsing duplicates.
+	union := func(ps []algebra.Node, dedup bool) algebra.Node {
 		if len(ps) == 0 {
 			return nil
 		}
@@ -296,55 +372,63 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 		if allCols == nil {
 			allCols = u.Schema().Attrs
 		}
-		if len(ps) > 1 {
+		if dedup && len(ps) > 1 {
 			u = dedupKeys(u, allCols)
 		}
-		parts = append(parts, u)
 		return u
 	}
-	dels := collect(DiffDelete)
-	insrt := collect(DiffInsert)
-	if len(upds) > 0 {
-		u := unionPlans(upds)
-		if allCols == nil {
-			allCols = u.Schema().Attrs
+	// without drops the rows of u whose κ̄ appears in by.
+	without := func(u, by algebra.Node, sfx string) algebra.Node {
+		if by == nil {
+			return u
 		}
-		pruned := u
-		if dels != nil {
-			pruned = algebra.NewAntiJoin(pruned, renameAll(algebra.Keep(dels, kcols...), "@x"), idEq(kcols, "@x"))
-		}
-		if insrt != nil {
-			// Insert contributions pass ∆3's anti-join with Input_pre, so
-			// their κ̄ keys are exactly the effectively-new tuples — the ones
-			// whose post-state value the insert path fully accounts. A
-			// same-epoch update of such a tuple (possible with full-tuple
-			// diffs, whose update rule enumerates post-state join tuples)
-			// must not also contribute its pre→post delta.
-			pruned = algebra.NewAntiJoin(pruned, renameAll(algebra.Keep(insrt, kcols...), "@y"), idEq(kcols, "@y"))
-		}
-		if pruned != u {
-			parts = append(parts, algebra.Keep(pruned, allCols...))
-		} else {
-			parts = append(parts, u)
+		return algebra.NewAntiJoin(u, renameAll(algebra.Keep(by, kcols...), sfx), idEq(kcols, sfx))
+	}
+	dels := union(byKind[DiffDelete], true)
+	insrt := union(byKind[DiffInsert], true)
+	// Two moves of one tuple yield the same rows, as every move's post
+	// image is exact: a move keeps only the tuples no earlier move holds.
+	for k := range moves {
+		for j := range k {
+			moves[k] = without(moves[k], moves[j], fmt.Sprintf("@m%d", j))
 		}
 	}
+	moved := union(moves, false)
+	upds := union(byKind[DiffUpdate], false)
+	// Insert contributions pass ∆3's anti-join with Input_pre, so their κ̄
+	// keys are exactly the effectively-new tuples — the ones whose
+	// post-state value the insert path fully accounts. A same-epoch update
+	// of such a tuple (possible with full-tuple diffs, whose update rule
+	// enumerates post-state join tuples) must not also contribute its
+	// pre→post delta, nor a move's exact post image, read by partial IDs,
+	// an entering row.
+	var parts []algebra.Node
+	for _, p := range []algebra.Node{dels, insrt} {
+		if p != nil {
+			parts = append(parts, p)
+		}
+	}
+	if upds != nil {
+		parts = append(parts, without(without(without(upds, dels, "@x"), insrt, "@y"), moved, "@z"))
+	}
+	if moved != nil {
+		parts = append(parts, without(without(moved, dels, "@x"), insrt, "@y"))
+	}
 
-	// 2. The combined group-delta relation CD = γ_Ḡ, sum(Δ…), scheduled
+	// 2. The combined group-delta relation ΔG = γ_Ḡ, sum(Δ…), scheduled
 	// before the input cache's (deferred) applies: it reads only pre-state,
 	// so its probes reuse the cache's live post-state indexes.
 	keys := op.Keys
 	var cdAggs []algebra.Agg
 	sumOf := func(c string) { cdAggs = append(cdAggs, algebra.Agg{Fn: algebra.AggSum, Arg: expr.C(c), As: c + "Σ"}) }
-	for j := range op.Aggs {
-		sumOf(deltaCol(j))
+	for j, a := range op.Aggs {
+		if !countsTuples(a) {
+			sumOf(deltaCol(j))
+		}
 	}
 	sumOf(tupleCntCol)
-	var cdPlan algebra.Node = algebra.NewGroupBy(unionPlans(parts), keys, cdAggs)
-	if ak != nil {
-		cdPlan = algebra.NewAntiJoin(cdPlan, renameAll(ak, "@k"), idEq(keys, "@k"))
-	}
-	cd := renameAll(g.share("ΔG", cdPlan, ph), "@d")
-	// 3. The matched groups ΔM = CD ⋈Ḡ Output_pre: the operator's one
+	cd := renameAll(g.share("ΔG", algebra.NewGroupBy(unionPlans(parts), keys, cdAggs), ph), "@d")
+	// 3. The matched groups ΔM = ΔG ⋈Ḡ Output_pre: the operator's one
 	// Output probe — one view index lookup per affected group, the |D|pg
 	// term of Table 3. Bound ahead of the deferred applies, like ΔG.
 	outPre := renamedInput(output, rel.StatePre, "") // plain names
@@ -359,36 +443,70 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 	for _, k := range keys {
 		updItems = append(updItems, algebra.ProjItem{E: expr.C(k), As: k})
 	}
+	cnt := "" // a COUNT(*): with one, ΔM alone tells which groups die
 	for j, a := range op.Aggs {
+		if countsTuples(a) {
+			cnt = a.As
+		}
 		updDS.Pre, updDS.Post = append(updDS.Pre, a.As), append(updDS.Post, a.As)
 		updItems = append(updItems, algebra.ProjItem{E: expr.C(a.As), As: PreName(a.As)})
-		posts = append(posts, algebra.ProjItem{E: expr.AddE(expr.C(a.As), expr.C(deltaCol(j)+"Σ@d")), As: PostName(a.As)})
+		posts = append(posts, algebra.ProjItem{E: expr.AddE(expr.C(a.As), expr.C(deltaOf(op, j)+"Σ@d")), As: PostName(a.As)})
 	}
 	updItems = append(updItems, posts...)
-	updOut := algebra.NewProject(matched, updItems)
+	cntSum := expr.C(tupleCntCol + "Σ@d")
 
-	// 4–5. ∆+ for newly created and ∆- for dying groups (extension): the
-	// groups of the combined delta that ΔM did not match — CD has one row
-	// per group, so CD ▷ ΔM equals CD ▷ Output_pre and reads no stored
-	// table —, recomputed from the input's post-state, and those that
-	// received deletions and have no tuple left in it.
-	newKeys := projectSuffixToPlain(algebra.NewAntiJoin(cd, algebra.Keep(matched, keys...), idEqBoth(keys, "@d", "")), keys, "@d")
-	recNew := algebra.NewGroupBy(
-		algebra.NewSemiJoin(input(rel.StatePost), renameAll(newKeys, "@k"), idEq(keys, "@k")),
-		keys, op.Aggs)
-	delCandidates := projectSuffixToPlain(
-		algebra.NewSelect(cd, expr.Lt(expr.C(tupleCntCol+"Σ@d"), expr.IntLit(0))),
-		keys, "@d")
-	dead := algebra.Keep(
-		algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s")),
-		keys...)
+	// 4. ∆- for dying groups (extension): the matched groups whose
+	// COUNT(*) reaches zero, the rest of ΔM being ∆u; without a COUNT(*),
+	// the groups that received deletions and have no tuple left in the
+	// input's post-state.
+	var dead, alive algebra.Node = nil, matched
+	if cnt != "" {
+		empties := expr.Eq(expr.AddE(expr.C(cnt), cntSum), expr.IntLit(0))
+		dead = algebra.Keep(algebra.NewSelect(matched, empties), keys...)
+		alive = algebra.NewSelect(matched, expr.Not(empties))
+	} else {
+		delCandidates := projectSuffixToPlain(algebra.NewSelect(cd, expr.Lt(cntSum, expr.IntLit(0))), keys, "@d")
+		dead = algebra.Keep(
+			algebra.NewAntiJoin(delCandidates, renamedInput(input, rel.StatePost, "@s"), idEq(keys, "@s")),
+			keys...)
+	}
+	updOut := algebra.NewProject(alive, updItems)
+
+	// 5. ∆+ for newly created groups (extension): the groups of ΔG that
+	// ΔM did not match — ΔG has one row per group, so ΔG ▷ ΔM equals
+	// ΔG ▷ Output_pre and reads no stored table — and that gained tuples.
+	// Their values are their deltas, except where a SUM's delta is 0: over
+	// NULL arguments only, the SUM is NULL, so those groups are recomputed
+	// from the input's post-state.
+	born := algebra.NewSelect(algebra.NewAntiJoin(cd, algebra.Keep(matched, keys...), idEqBoth(keys, "@d", "")),
+		expr.Gt(cntSum, expr.IntLit(0)))
+	items := make([]algebra.ProjItem, 0, len(keys)+len(op.Aggs))
+	for _, k := range keys {
+		items = append(items, algebra.ProjItem{E: expr.C(k + "@d"), As: k})
+	}
+	var sums []expr.Expr
+	for j, a := range op.Aggs {
+		items = append(items, algebra.ProjItem{E: expr.C(deltaOf(op, j) + "Σ@d"), As: a.As})
+		if a.Fn == algebra.AggSum {
+			sums = append(sums, expr.Not(expr.Eq(expr.C(deltaCol(j)+"Σ@d"), expr.IntLit(0))))
+		}
+	}
+	var news algebra.Node = algebra.NewProject(born, items)
+	if len(sums) > 0 {
+		numbers := expr.And(sums...)
+		recount := algebra.NewGroupBy(
+			algebra.NewSemiJoin(input(rel.StatePost),
+				renameAll(projectSuffixToPlain(algebra.NewSelect(born, expr.Not(numbers)), keys, "@d"), "@k"), idEq(keys, "@k")),
+			keys, op.Aggs)
+		news = unionPlans([]algebra.Node{algebra.NewProject(algebra.NewSelect(born, numbers), items), recount})
+	}
 	insDS := insertSchemaFor("", op.Schema())
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
 
 	return []decl{
 		{schema: delDS, plan: dead},
 		{schema: updDS, plan: updOut},
-		{schema: insDS, plan: toDiff(recNew, insDS, nil)},
+		{schema: insDS, plan: toDiff(news, insDS, nil)},
 	}, nil
 }
 
@@ -399,57 +517,51 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, ak algebra.Node,
 // name more groups, never fewer.
 func affectedGroupKeys(op *algebra.GroupBy, ins []decl, input inputFn) algebra.Node {
 	keys := op.Keys
-	moving := func(ds DiffSchema) bool {
-		return ds.Type == DiffUpdate && len(rel.Intersect(keys, ds.Post)) > 0
-	}
+	childKey := op.Child.Schema().Key
 	var keyPlans []algebra.Node
 	for i, in := range ins {
 		ds := in.schema
-		states := []rel.State{rel.StatePre}
-		if ds.Type == DiffInsert {
-			states[0] = rel.StatePost
-		} else if moving(ds) {
-			states = append(states, rel.StatePost)
-		}
-		// A diff that does not carry Ḡ joins the input's pre-state on its
-		// IDs to recover it — one join, whichever images are read from it.
+		// A diff that does not carry what it needs joins the input's
+		// pre-state on its IDs to recover it — one join, whichever images
+		// are read from it.
 		var widened algebra.Node
-		for _, st := range states {
-			if canReconstruct(in, keys, st) {
-				keyPlans = append(keyPlans, algebra.Keep(reconstruct(in, keys, st), keys...))
-				continue
+		read := func(cols []string, st rel.State) (algebra.Node, map[string]string) {
+			if canReconstruct(in, cols, st) {
+				return reconstruct(in, cols, st), identityMap(cols)
 			}
 			if widened == nil {
 				widened = algebra.NewJoin(in.plan, renamedInput(input, rel.StatePre, "@in"), idEq(ds.IDs, "@in"))
 			}
-			var items []algebra.ProjItem
-			for _, k := range keys {
-				src := k + "@in"
-				if st == rel.StatePost && rel.Contains(ds.Post, k) {
-					src = PostName(k)
-				} else if rel.Contains(ds.IDs, k) {
-					src = k
+			ren := map[string]string{}
+			for _, c := range cols {
+				ren[c] = c + "@in"
+				if st == rel.StatePost && rel.Contains(ds.Post, c) {
+					ren[c] = PostName(c)
+				} else if rel.Contains(ds.IDs, c) {
+					ren[c] = c
 				}
-				items = append(items, algebra.ProjItem{E: expr.C(src), As: k})
 			}
-			keyPlans = append(keyPlans, algebra.NewProject(widened, items))
+			return widened, ren
 		}
-		// The post image above takes the grouping attributes this diff does
-		// not update from the tuple's pre-state. That is the tuple's group
-		// unless another key-moving diff changed one of them in the same
-		// round: whenever such a diff is non-empty, read the groups of this
-		// diff's tuples from the input's post-state as well.
-		var rivals []algebra.Node
+		st := rel.StatePre
+		if ds.Type == DiffInsert {
+			st = rel.StatePost
+		}
+		src, ren := read(keys, st)
+		keyPlans = append(keyPlans, algebra.NewProject(src, renameItems(keys, ren, "")))
+		if !movesGroups(op, ds) {
+			continue
+		}
+		// A moved tuple's post group, exact under the round's rival diffs
+		// (postImage), which join on the input's key.
+		cols := keys
 		for j, o := range ins {
-			if len(states) > 1 && j != i && moving(o.schema) && len(rel.Intersect(rel.Minus(keys, ds.Post), o.schema.Post)) > 0 {
-				rivals = append(rivals, algebra.NewProject(o.plan, []algebra.ProjItem{{E: expr.IntLit(1), As: "#hit"}}))
+			if j != i && rivals(ds, o.schema, keys) {
+				cols = rel.Union(keys, childKey)
 			}
 		}
-		if len(rivals) > 0 {
-			hit := algebra.NewSemiJoin(in.plan, unionPlans(rivals), expr.True())
-			exact := algebra.NewJoin(hit, renamedInput(input, rel.StatePost, "@p"), idEq(ds.IDs, "@p"))
-			keyPlans = append(keyPlans, projectSuffixToPlain(exact, keys, "@p"))
-		}
+		src, ren = read(cols, rel.StatePost)
+		keyPlans = append(keyPlans, projectSuffixToPlain(postImage(src, ren, ins, i, cols, keys), keys, "@v"))
 	}
 	return dedupKeys(unionPlans(keyPlans), keys)
 }

@@ -38,7 +38,7 @@ func TestSharingCheckOnRepositoryScripts(t *testing.T) {
 }
 
 // The dispatch table on groupRules, read off generated scripts: ΔK marks
-// Table 7, ΔG the incremental path, both together the per-diff dispatch.
+// Table 7, ΔG the incremental path, which in ID mode takes the moves too.
 // Every view below has a diff schema that updates a grouping attribute.
 func TestGroupRuleDispatch(t *testing.T) {
 	ds := bsma.Build(bsma.Defaults(40))
@@ -57,18 +57,20 @@ func TestGroupRuleDispatch(t *testing.T) {
 		table7, incr  bool
 		multisetCache bool
 	}{
-		{"sum over a cache, id mode: per-diff", qs3, ivm.ModeID, ivm.GenOptions{}, true, true, false},
+		// In ID mode a key-moving diff folds into ΔG as −old/+new rows: no
+		// group is recomputed, so there is no ΔK.
+		{"sum over a cache, id mode: moves in ΔG", qs3, ivm.ModeID, ivm.GenOptions{}, false, true, false},
 		{"sum over a cache, tuple mode: all Table 7", qs3, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 		{"sum, caches off: all Table 7", qs3, ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
 		// AVG is rewritten to π over γ[SUM, COUNT] and dispatches like them.
-		{"avg over a cache, id mode: per-diff", avg, ivm.ModeID, ivm.GenOptions{}, true, true, false},
+		{"avg over a cache, id mode: moves in ΔG", avg, ivm.ModeID, ivm.GenOptions{}, false, true, false},
 		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 		// A base scan is index-probeable like a cache (Scan.Renamed).
-		{"sum over a base scan, id mode: per-diff", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, true, true, false},
+		{"sum over a base scan, id mode: moves in ΔG", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, false, true, false},
 		{"sum over a base scan, tuple mode: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
 		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum)
-		// over SCAN user; user.tweetsnum is a key of that γ, which takes the
-		// per-diff dispatch, while the outer MIN/MAX γ recomputes (ΔK).
+		// over SCAN user; user.tweetsnum is a key of that γ, whose moves
+		// fold into its ΔG, while the outer MIN/MAX γ recomputes (ΔK).
 		// Without caches there is no rewrite.
 		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, true, true, true},
 		{"min/max, caches off", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
