@@ -415,8 +415,8 @@ func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
 	dig := keyDigests(child, c.keyIdx)
 	var ht rel.DigestChains
 	ht.Reserve(n)
-	gid := make([]int32, n) // row → group
-	var first []int32       // group → its first row
+	gid := make([]int32, n)                 // row → group
+	first := make([]int32, 0, min(n, 1024)) // group → its first row
 	for i := 0; i < n; i++ {
 		g := ht.First(dig[i])
 		for ; g >= 0; g = ht.Next(g) {

@@ -280,6 +280,7 @@ type cProject struct {
 	items   []*expr.Compiled
 	colIdx  []int // child column position for plain Col items, -1 otherwise
 	generic []int // the items with colIdx < 0
+	prefix  bool  // item i is the child's column i: the output shares its column slice
 	child   cNode
 	empty   *rel.Batch
 }
@@ -304,6 +305,10 @@ func compileProject(p *Project) (cNode, error) {
 			c.generic = append(c.generic, i)
 		}
 	}
+	c.prefix = len(c.generic) == 0
+	for i, j := range c.colIdx {
+		c.prefix = c.prefix && i == j
+	}
 	return c, nil
 }
 
@@ -316,7 +321,11 @@ func (c *cProject) run(env Env) (*rel.Batch, error) {
 	if n == 0 {
 		return c.empty, nil
 	}
-	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, len(c.items)), N: n}
+	w := len(c.items)
+	if c.prefix { // a rename or a π dropping trailing columns, e.g. a union's branch column
+		return &rel.Batch{Schema: c.empty.Schema, Cols: child.Cols[:w:w], N: n}, nil
+	}
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, w), N: n}
 	for i, j := range c.colIdx {
 		if j >= 0 {
 			out.Cols[i] = child.Cols[j]
@@ -669,7 +678,7 @@ func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 
 // cUnion concatenates its children column by column and appends the
 // branch attribute, like evalUnion; beside an empty child it shares the other
-// child's vectors and builds the branch column only.
+// child's vectors and, up to len(branchWords) rows, a branch column too.
 type cUnion struct {
 	left, right cNode
 	empty       *rel.Batch
@@ -716,10 +725,33 @@ func (c *cUnion) run(env Env) (*rel.Batch, error) {
 			out.Cols[j] = cb.Vec()
 		}
 	}
-	branch := make([]uint64, out.N)
-	for i := left.Len(); i < out.N; i++ {
+	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Nums: branchCol(left.Len(), out.N)}
+	return out, nil
+}
+
+// branchWords backs the branch column of a one-sided union: a column of n ≤
+// len(branchWords) rows that all come from one side is sliced from it instead
+// of allocated. Read-only: no kernel writes a ColVec's Nums in place.
+var branchWords = func() (w [2][4096]uint64) {
+	for i := range w[1] {
+		w[1][i] = 1
+	}
+	return w
+}()
+
+// branchCol returns the branch column of a union whose first l of n rows come
+// from its left side (0) and the rest from its right (1). The shared slices
+// are capacity-limited, so an append copies them.
+func branchCol(l, n int) []uint64 {
+	switch {
+	case n <= len(branchWords[0]) && l == n:
+		return branchWords[0][:n:n]
+	case n <= len(branchWords[1]) && l == 0:
+		return branchWords[1][:n:n]
+	}
+	branch := make([]uint64, n)
+	for i := l; i < n; i++ {
 		branch[i] = 1
 	}
-	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Nums: branch}
-	return out, nil
+	return branch
 }

@@ -24,10 +24,12 @@ const minMaxMultCol = "#mult"
 //   - every aggregate a MIN or MAX with an argument, in ID mode with caches
 //     on: the same γ over γ_{Ḡ∪v̄}[COUNT(*) AS #mult], v̄ the argument
 //     columns — the ordered-multiset cache. MIN and MAX are
-//     duplicate-insensitive, so recomputing an affected group from it is
-//     exact and reads one row per distinct value instead of one per input
-//     tuple. Without caches the inner γ would be recomputed from the base
-//     tables every round, so tuple mode and NoCache keep the plain γ.
+//     duplicate-insensitive, so recomputing a group from it is exact and
+//     reads one row per distinct value instead of one per input tuple, and
+//     the γ above it recomputes only the groups that lose an extremum
+//     (groupExtrema): the cache's diffs carry Ḡ and v̄ as IDs. Without
+//     caches the inner γ would be recomputed from the base tables every
+//     round, so tuple mode and NoCache keep the plain γ.
 func (g *gen) normalizeAggs(n algebra.Node) algebra.Node {
 	n = algebra.MapChildren(n, g.normalizeAggs)
 	op, ok := n.(*algebra.GroupBy)

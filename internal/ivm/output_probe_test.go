@@ -42,26 +42,58 @@ func readsStep(plan algebra.Node, name string) bool {
 }
 
 // outputProbes maps each ΔR and ΔG of the script to the number of compute
-// steps that read it directly together with some pre-state. The only
-// pre-state a reader of a γ's ΔR or ΔG reads is that γ's Output (the view, a
-// γ cache or, for an interior γ in tuple mode, the γ recomputed over the
-// pre-state): its new groups are recomputed from the input's post-state and
-// its dead groups probed against it.
+// steps that read it directly together with some pre-state, plus those that
+// so read a ΔK it derives from. The only pre-state a reader of a γ's group
+// delta reads is that γ's Output (the view, a γ cache or, for an interior γ in
+// tuple mode, the γ recomputed over the pre-state): Table 7 probes it with
+// ΔR, whose groups are recomputed from the input's post-state, the
+// incremental rule with ΔG, and the guarded MIN/MAX rule with ΔK, before it
+// knows which groups ΔR recomputes.
 func outputProbes(s *ivm.Script) map[string]int {
-	probes := map[string]int{}
+	transient := map[string]algebra.Node{}
 	for _, st := range s.Steps {
-		cs, ok := st.(*ivm.ComputeStep)
-		if !ok || cs.Diff != nil || !(strings.HasPrefix(cs.Name, "ΔR") || strings.HasPrefix(cs.Name, "ΔG")) {
+		if cs, ok := st.(*ivm.ComputeStep); ok && cs.Diff == nil {
+			transient[cs.Name] = cs.Plan
+		}
+	}
+	probes := map[string]int{}
+	for name, plan := range transient {
+		if !strings.HasPrefix(name, "ΔR") && !strings.HasPrefix(name, "ΔG") {
 			continue
 		}
-		probes[cs.Name] = 0
-		for _, rd := range s.Steps {
-			if r, ok := rd.(*ivm.ComputeStep); ok && readsStep(r.Plan, cs.Name) && readsPreState(r.Plan) {
-				probes[cs.Name]++
+		probes[name] = 0
+		for _, src := range append([]string{name}, keySteps(transient, plan)...) {
+			for _, rd := range s.Steps {
+				if r, ok := rd.(*ivm.ComputeStep); ok && readsStep(r.Plan, src) && readsPreState(r.Plan) {
+					probes[name]++
+				}
 			}
 		}
 	}
 	return probes
+}
+
+// keySteps returns the ΔK steps plan reads, directly or through other
+// transient steps.
+func keySteps(transient map[string]algebra.Node, plan algebra.Node) []string {
+	var out []string
+	seen := map[string]bool{}
+	var visit func(algebra.Node)
+	visit = func(n algebra.Node) {
+		algebra.Walk(n, func(n algebra.Node) {
+			r, ok := n.(*algebra.RelRef)
+			if !ok || r.Stored || seen[r.Name] || transient[r.Name] == nil {
+				return
+			}
+			seen[r.Name] = true
+			if strings.HasPrefix(r.Name, "ΔK") {
+				out = append(out, r.Name)
+			}
+			visit(transient[r.Name])
+		})
+	}
+	visit(plan)
+	return out
 }
 
 // scriptCase is one generated Δ-script of repositoryScripts.
@@ -96,14 +128,21 @@ func repositoryScripts(t *testing.T) []scriptCase {
 }
 
 // TestOutputProbedOncePerDelta pins the cost shape of the γ rules: each
-// group delta — ΔR of the recompute rule (Table 7), ΔG of the incremental
-// rule (Tables 9/11) — is read against its γ's Output pre-state by exactly
-// one compute step, ΔM. The updates are a π over ΔM and the new groups
-// ΔR ▷ ΔM (ΔG ▷ ΔM), which read two bindings and no Output. It covers
-// every script of repositoryScripts.
+// group delta — ΔR of the recompute rule (Table 7) or of the guarded MIN/MAX
+// rule, ΔG of the incremental rule (Tables 9/11) — is read against its γ's
+// Output pre-state by exactly one compute step, ΔM, which in the guarded rule
+// reads ΔK instead of ΔR. The updates are a π over ΔM (a σ over ΔR ⋈ ΔM in
+// the guarded rule) and the new groups ΔR ▷ ΔM (ΔG ▷ ΔM), which read
+// bindings and no Output, and no ΔR reads a pre-state itself. It covers every
+// script of repositoryScripts.
 func TestOutputProbedOncePerDelta(t *testing.T) {
 	for _, c := range repositoryScripts(t) {
 		probes := outputProbes(c.script)
+		for _, st := range c.script.Steps {
+			if cs, ok := st.(*ivm.ComputeStep); ok && strings.HasPrefix(cs.Name, "ΔR") && readsPreState(cs.Plan) {
+				t.Errorf("%s: %s reads a pre-state:\n%s", c.label, cs.Name, c.script)
+			}
+		}
 		hasGamma := false
 		algebra.Walk(c.script.ViewPlan, func(n algebra.Node) { _, g := n.(*algebra.GroupBy); hasGamma = hasGamma || g })
 		if hasGamma == (len(probes) == 0) {
@@ -140,7 +179,9 @@ func classifyDB(t *testing.T) *db.Database {
 // incremental rule in both modes; an item.gid update reaches it as a
 // delete and an insert); "moving" groups on item.gid, which updates move
 // (their −old/+new rows fold into ΔG in ID mode, Table 7 in tuple mode);
-// "max" adds a MAX (Table 7 in both modes).
+// "max" adds a MAX (Table 7 in both modes); "minmax" has a MIN and a MAX
+// only (the guarded recompute over the #mult cache in ID mode, Table 7 in
+// tuple mode).
 func classifyPlan(d *db.Database, view string) algebra.Node {
 	item, _ := d.Table("item")
 	grp, _ := d.Table("grp")
@@ -152,6 +193,9 @@ func classifyPlan(d *db.Database, view string) algebra.Node {
 		return algebra.NewGroupBy(j, []string{"grp.gid"}, []algebra.Agg{sum, {Fn: algebra.AggCount, As: "n"}})
 	case "moving":
 		return algebra.NewGroupBy(j, []string{"item.gid"}, []algebra.Agg{sum, {Fn: algebra.AggCount, As: "n"}})
+	case "minmax":
+		return algebra.NewGroupBy(j, []string{"item.gid"}, []algebra.Agg{
+			{Fn: algebra.AggMin, Arg: expr.C("item.val"), As: "lo"}, {Fn: algebra.AggMax, Arg: expr.C("item.val"), As: "hi"}})
 	}
 	return algebra.NewGroupBy(j, []string{"item.gid"}, []algebra.Agg{sum, {Fn: algebra.AggMax, Arg: expr.C("item.val"), As: "hi"}})
 }
@@ -240,8 +284,9 @@ func classifyRound(t *testing.T, d *db.Database, rng *rand.Rand, round int, next
 func TestGroupClassificationExact(t *testing.T) {
 	rows := map[string]string{"incr/id-based": "incremental", "incr/tuple-based": "incremental",
 		"moving/id-based": "incremental", "moving/tuple-based": "Table 7",
-		"max/id-based": "Table 7", "max/tuple-based": "Table 7"}
-	for _, view := range []string{"incr", "moving", "max"} {
+		"max/id-based": "Table 7", "max/tuple-based": "Table 7",
+		"minmax/id-based": "guarded", "minmax/tuple-based": "Table 7"}
+	for _, view := range []string{"incr", "moving", "max", "minmax"} {
 		for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
 			label := view + "/" + mode.String()
 			d := classifyDB(t)
@@ -250,6 +295,9 @@ func TestGroupClassificationExact(t *testing.T) {
 			script := v.Script.String()
 			row := map[[2]bool]string{{false, true}: "incremental", {true, true}: "mixed", {true, false}: "Table 7"}[[2]bool{
 				strings.Contains(script, "ΔK"), strings.Contains(script, "ΔG")}]
+			if strings.Contains(script, "ΔX") {
+				row = "guarded"
+			}
 			if row != rows[label] {
 				t.Fatalf("%s: dispatch row %q, want %q:\n%s", label, row, rows[label], script)
 			}

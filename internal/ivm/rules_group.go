@@ -49,25 +49,30 @@ func probeableLeaf(n algebra.Node) bool {
 	return isScan || isRef && ref.Stored
 }
 
-// groupRules dispatches each input diff of a γ to one of two rules: the
+// groupRules dispatches each input diff of a γ to one of three rules: the
 // incremental rule (Tables 9 and 11, extended with group creation and
-// deletion), which needs every aggregate to be a SUM or a COUNT, or the
-// general recompute rule (Table 7). Derived aggregates never get here as
-// such — normalizeAggs rewrote them into plans over these two. A diff is
-// key-moving when it is an update whose post set intersects the grouping
-// attributes (movesGroups): it moves tuples between groups.
+// deletion), which needs every aggregate to be a SUM or a COUNT, the guarded
+// recompute of MIN and MAX (groupExtrema), or the general recompute rule
+// (Table 7). Derived aggregates never get here as such — normalizeAggs
+// rewrote them into plans over these. A diff is key-moving when it is an
+// update whose post set intersects the grouping attributes (movesGroups): it
+// moves tuples between groups.
 //
-//	aggregates   mode / input             key-moving diffs       other diffs
-//	SUM/COUNT    any, none key-moving     —                      Tables 9/11
-//	SUM/COUNT    ID mode, scan or cache   −old/+new rows in ΔG   Tables 9/11
-//	anything else                         Table 7                Table 7
+//	aggregates       mode / input             key-moving diffs       other diffs
+//	SUM/COUNT        any, none key-moving     —                      Tables 9/11
+//	SUM/COUNT        ID mode, scan or cache   −old/+new rows in ΔG   Tables 9/11
+//	MIN/MAX of cols  ID mode, stored input    —                      Table 7 on ΔX
+//	anything else                             Table 7                Table 7
 //
-// In the middle row a moved tuple contributes to the combined group delta
+// In the second row a moved tuple contributes to the combined group delta
 // twice, leaving its pre-group and entering its post-group (contribution),
 // so no group is recomputed. Its contributions read the input by ID and
 // its new groups by group key, so it needs an input the planner probes by
 // index (probeableLeaf); any other input would be hashed whole at every
-// probe (DESIGN.md §16).
+// probe (DESIGN.md §16). The third row (extremaGuardable) recomputes only
+// the groups ΔX that lose an extremum; its input is the ordered-multiset
+// cache normalizeAggs builds under every all-MIN/MAX γ in ID mode, whose
+// updates change a multiplicity only and move no group.
 func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output inputFn, ph Phase) ([]decl, error) {
 	if len(ins) == 0 {
 		return nil, nil
@@ -84,6 +89,9 @@ func (g *gen) groupRules(op *algebra.GroupBy, ins []decl, input inputFn, output 
 	}
 	if incremental && (!moving || !g.tupleMode && probeableLeaf(input(rel.StatePost))) {
 		return g.groupIncremental(op, ins, input, output, ph)
+	}
+	if cols, ok := extremaGuardable(op, ins, input); ok && !g.tupleMode {
+		return g.groupExtrema(op, ins, cols, input, output, ph), nil
 	}
 	ak := g.share("ΔK", affectedGroupKeys(op, ins, input), ph)
 	return g.classifyRecomputed(op, ak, input, output, ph), nil
@@ -573,35 +581,170 @@ func affectedGroupKeys(op *algebra.GroupBy, ins []decl, input inputFn) algebra.N
 // ΔK/ΔR by reference.
 func (g *gen) classifyRecomputed(op *algebra.GroupBy, ak algebra.Node, input, output inputFn, ph Phase) []decl {
 	keys := op.Keys
-	var aggCols []string
-	for _, a := range op.Aggs {
-		aggCols = append(aggCols, a.As)
-	}
 	rec := g.share("ΔR", algebra.NewGroupBy(
 		algebra.NewSemiJoin(input(rel.StatePost), renameAll(ak, "@k"), idEq(keys, "@k")), keys, op.Aggs), ph)
-	outPre := renamedInput(output, rel.StatePre, "@o")
-
-	var outs []decl
 	// 3. Existing groups → ∆u, read from ΔM = ΔR ⋉ Output_pre, the rule's
 	// one Output probe (dummy updates for groups never in the view are
 	// overestimation and cost only their index lookup).
-	held := outPre // the groups ∆+ leaves out
-	if len(aggCols) > 0 {
-		updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys, Post: aggCols}
-		matched := g.share("ΔM", algebra.NewSemiJoin(rec, outPre, idEq(keys, "@o")), ph)
-		outs = append(outs, decl{schema: updDS, plan: toDiff(matched, updDS, nil)})
+	held := renamedInput(output, rel.StatePre, "@o") // the groups ∆+ leaves out
+	var matched algebra.Node
+	if len(op.Aggs) > 0 {
+		matched = g.share("ΔM", algebra.NewSemiJoin(rec, held, idEq(keys, "@o")), ph)
 		// ΔR has one row per group, so ΔR ▷ ΔM equals ΔR ▷ Output_pre
 		// and reads no stored table.
 		held = renameAll(algebra.Keep(matched, keys...), "@o")
 	}
-	// 4. New groups → ∆+.
+	return classify(op, rec, matched, held, ak)
+}
+
+// classify is steps 3–5 of Table 7 once Output has been probed: the rows of
+// upd (rows of rec, nil for a γ without aggregates) are ∆u, the groups of
+// rec that held (Output's groups among them, renamed @o) lacks are ∆+ (step
+// 4), and the keys of gone that rec lacks are ∆- (step 5).
+func classify(op *algebra.GroupBy, rec, upd, held, gone algebra.Node) []decl {
+	keys := op.Keys
+	var outs []decl
+	if upd != nil {
+		var aggCols []string
+		for _, a := range op.Aggs {
+			aggCols = append(aggCols, a.As)
+		}
+		updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys, Post: aggCols}
+		outs = append(outs, decl{schema: updDS, plan: toDiff(upd, updDS, nil)})
+	}
 	insDS := insertSchemaFor("", op.Schema())
 	ins := toDiff(algebra.NewAntiJoin(rec, held, idEq(keys, "@o")), insDS, nil)
 	outs = append(outs, decl{schema: insDS, plan: ins})
-	// 5. Vanished groups → ∆-: affected keys with no recomputed group.
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
-	del := algebra.NewAntiJoin(ak, renameAll(algebra.Keep(rec, keys...), "@r"), idEq(keys, "@r"))
+	del := algebra.NewAntiJoin(gone, renameAll(algebra.Keep(rec, keys...), "@r"), idEq(keys, "@r"))
 	return append(outs, decl{schema: delDS, plan: del})
+}
+
+// extremaGuardable reports whether groupExtrema maintains op over input, and
+// returns the columns it reads of each input row, the grouping attributes and
+// the aggregate arguments: every aggregate is a MIN or a MAX of a bare column,
+// the input is stored, and every diff is an insert, a delete whose IDs carry
+// those columns, or an update that changes none of them (a multiplicity).
+func extremaGuardable(op *algebra.GroupBy, ins []decl, input inputFn) ([]string, bool) {
+	if ref, ok := input(rel.StatePost).(*algebra.RelRef); !ok || !ref.Stored || len(op.Aggs) == 0 {
+		return nil, false
+	}
+	cols := append([]string(nil), op.Keys...)
+	for _, a := range op.Aggs {
+		c, ok := a.Arg.(expr.Col)
+		if !ok || a.Fn != algebra.AggMin && a.Fn != algebra.AggMax {
+			return nil, false
+		}
+		cols = rel.Union(cols, []string{c.Name})
+	}
+	for _, in := range ins {
+		ds := in.schema
+		switch {
+		case ds.Type == DiffInsert && canReconstruct(in, cols, rel.StatePost):
+		case ds.Type == DiffDelete && subsetOf(cols, ds.IDs):
+		case ds.Type == DiffUpdate && len(rel.Intersect(cols, ds.Post)) == 0:
+		default:
+			return nil, false
+		}
+	}
+	return cols, true
+}
+
+// groupExtrema is the guarded recompute of a γ whose aggregates are MINs and
+// MAXes (extremaGuardable; cols are the columns it reads of a diff row). MIN
+// and MAX have no inverse, so a deleted extremum needs the input; every other
+// change needs only the group's current row:
+//
+//  1. ΔK, the groups of the inserted and deleted rows. An update changes a
+//     multiplicity only, and one that stays positive moves no extremum.
+//  2. ΔM = ΔK ⋈ Output_pre, the rule's one Output probe: each group's
+//     current row, its columns suffixed @o.
+//  3. ΔX, the groups in which a deleted value is KeyEqual to the current
+//     extremum of an aggregate over its column, or in which a deleted or an
+//     inserted value cannot be ordered against it (Value.Compare fails, or
+//     says equal without KeyEqual); and the all-NULL groups that lose a row,
+//     which may die. A NULL argument is never an extremum otherwise: MIN and
+//     MAX skip it. ΔX reads bindings only.
+//  4. ΔR, one γ with the aggregates of op over the argument values of the
+//     groups of ΔX in Input_post (Table 7's recompute), the current rows of
+//     the other groups and the inserted values. Input_post holds the inserted
+//     values already, and adding a value to MIN or MAX a second time after
+//     its first never changes the result; the accumulator skips NULLs exactly
+//     as a recompute does.
+//  5. classify, with ∆u narrowed to the groups whose aggregates changed
+//     under KeyEqual, ∆+ = ΔR ▷ ΔM and ∆- = ΔX ▷ ΔR.
+func (g *gen) groupExtrema(op *algebra.GroupBy, ins []decl, cols []string, input, output inputFn, ph Phase) []decl {
+	keys := op.Keys
+	var changed []decl
+	var dels, adds []algebra.Node // the deleted and the inserted rows, over cols
+	for _, in := range ins {
+		switch in.schema.Type {
+		case DiffDelete:
+			dels = append(dels, reconstruct(in, cols, rel.StatePre))
+		case DiffInsert:
+			adds = append(adds, reconstruct(in, cols, rel.StatePost))
+		default:
+			continue
+		}
+		changed = append(changed, in)
+	}
+	if len(changed) == 0 {
+		return nil
+	}
+	ak := g.share("ΔK", affectedGroupKeys(op, changed, input), ph)
+	matched := g.share("ΔM", algebra.NewJoin(ak, renamedInput(output, rel.StatePre, "@o"), idEq(keys, "@o")), ph)
+
+	// Per aggregate, v is its argument in a diff row and e the current
+	// extremum; unordered(v, e) holds when Compare does not order them
+	// strictly, and only then can v be e or stand beside it undecided.
+	var allNull, delHits, addHits, same []expr.Expr
+	for _, a := range op.Aggs {
+		v, e := a.Arg, expr.C(a.As+"@o")
+		unordered := expr.Not(expr.Or(expr.Lt(v, e), expr.Gt(v, e)))
+		allNull = append(allNull, expr.IsNull(e))
+		delHits = append(delHits, expr.And(expr.Not(expr.IsNull(v)), unordered))
+		addHits = append(addHits, expr.And(expr.Not(expr.IsNull(v)), expr.Not(expr.IsNull(e)),
+			expr.Not(expr.Call("keyeq", v, e)), unordered))
+		same = append(same, expr.Call("keyeq", expr.C(a.As), e))
+	}
+	delHit, addHit := expr.Or(expr.And(allNull...), expr.Or(delHits...)), expr.Or(addHits...)
+	var rows algebra.Node // the diff rows that can put their group in ΔX
+	var hits expr.Expr
+	switch {
+	case len(adds) == 0:
+		rows, hits = unionPlans(dels), delHit
+	case len(dels) == 0:
+		rows, hits = unionPlans(adds), addHit
+	default: // the branch column tells a deleted row (0) from an inserted one (1)
+		isAdd := "#b"
+		for rel.Contains(cols, isAdd) {
+			isAdd += "#"
+		}
+		rows = algebra.NewUnionAll(unionPlans(dels), unionPlans(adds), isAdd)
+		hits = expr.Or(expr.And(expr.Eq(expr.C(isAdd), expr.IntLit(0)), delHit),
+			expr.And(expr.Eq(expr.C(isAdd), expr.IntLit(1)), addHit))
+	}
+	lost := g.share("ΔX", algebra.Keep(algebra.NewSemiJoin(matched, rows, expr.And(idEqBoth(keys, "@o", ""), hits)), keys...), ph)
+
+	folds := make([]algebra.Agg, len(op.Aggs))
+	argItems := renameItems(keys, identityMap(keys), "")
+	curItems := renameItems(keys, identityMap(keys), "")
+	for j, a := range op.Aggs {
+		folds[j] = algebra.Agg{Fn: a.Fn, Arg: expr.C(a.As), As: a.As}
+		argItems = append(argItems, algebra.ProjItem{E: a.Arg, As: a.As})
+		curItems = append(curItems, algebra.ProjItem{E: expr.C(a.As + "@o"), As: a.As})
+	}
+	values := []algebra.Node{
+		algebra.NewProject(algebra.NewSemiJoin(input(rel.StatePost), renameAll(lost, "@k"), idEq(keys, "@k")), argItems),
+		algebra.NewProject(algebra.NewAntiJoin(matched, renameAll(lost, "@x"), idEq(keys, "@x")), curItems),
+	}
+	for _, r := range adds {
+		values = append(values, algebra.NewProject(r, argItems))
+	}
+	rec := g.share("ΔR", algebra.NewGroupBy(unionPlans(values), keys, folds), ph)
+
+	upd := algebra.NewSemiJoin(rec, matched, expr.And(idEq(keys, "@o"), expr.Not(expr.And(same...))))
+	return classify(op, rec, upd, matched, lost)
 }
 
 // projectSuffixToPlain projects suffixed key columns back to plain names.

@@ -37,9 +37,10 @@ func TestSharingCheckOnRepositoryScripts(t *testing.T) {
 	}
 }
 
-// The dispatch table on groupRules, read off generated scripts: ΔK marks
-// Table 7, ΔG the incremental path, which in ID mode takes the moves too.
-// Every view below has a diff schema that updates a grouping attribute.
+// The dispatch table on groupRules, read off generated scripts: ΔX marks the
+// guarded MIN/MAX recompute, ΔK without ΔX Table 7, ΔG the incremental path,
+// which in ID mode takes the moves too. Every view below has a diff schema
+// that updates a grouping attribute.
 func TestGroupRuleDispatch(t *testing.T) {
 	ds := bsma.Build(bsma.Defaults(40))
 	sys := ivm.NewSystem(ds.DB)
@@ -56,33 +57,39 @@ func TestGroupRuleDispatch(t *testing.T) {
 		opts          ivm.GenOptions
 		table7, incr  bool
 		multisetCache bool
+		guarded       bool
 	}{
 		// In ID mode a key-moving diff folds into ΔG as −old/+new rows: no
 		// group is recomputed, so there is no ΔK.
-		{"sum over a cache, id mode: moves in ΔG", qs3, ivm.ModeID, ivm.GenOptions{}, false, true, false},
-		{"sum over a cache, tuple mode: all Table 7", qs3, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
-		{"sum, caches off: all Table 7", qs3, ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
+		{"sum over a cache, id mode: moves in ΔG", qs3, ivm.ModeID, ivm.GenOptions{}, false, true, false, false},
+		{"sum over a cache, tuple mode: all Table 7", qs3, ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
+		{"sum, caches off: all Table 7", qs3, ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false, false},
 		// AVG is rewritten to π over γ[SUM, COUNT] and dispatches like them.
-		{"avg over a cache, id mode: moves in ΔG", avg, ivm.ModeID, ivm.GenOptions{}, false, true, false},
-		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
+		{"avg over a cache, id mode: moves in ΔG", avg, ivm.ModeID, ivm.GenOptions{}, false, true, false, false},
+		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
 		// A base scan is index-probeable like a cache (Scan.Renamed).
-		{"sum over a base scan, id mode: moves in ΔG", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, false, true, false},
-		{"sum over a base scan, tuple mode: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
+		{"sum over a base scan, id mode: moves in ΔG", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, false, true, false, false},
+		{"sum over a base scan, tuple mode: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
 		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum)
 		// over SCAN user; user.tweetsnum is a key of that γ, whose moves
-		// fold into its ΔG, while the outer MIN/MAX γ recomputes (ΔK).
-		// Without caches there is no rewrite.
-		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, true, true, true},
-		{"min/max, caches off", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false},
-		{"min/max, tuple mode", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false},
+		// fold into its ΔG, while the outer MIN/MAX γ recomputes only the
+		// groups that lose an extremum (ΔX). Without caches there is no
+		// rewrite, and Table 7 recomputes every affected group.
+		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, false, true, true, true},
+		{"min/max, caches off", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false, false},
+		{"min/max, tuple mode", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
 	} {
 		v, err := sys.RegisterView(tc.name, tc.plan, tc.mode, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		script := v.Script.String()
-		if got := strings.Contains(script, "ΔK"); got != tc.table7 {
+		guarded := strings.Contains(script, "ΔX")
+		if got := strings.Contains(script, "ΔK") && !guarded; got != tc.table7 {
 			t.Errorf("%s: Table 7 in play = %v, want %v", tc.name, got, tc.table7)
+		}
+		if guarded != tc.guarded {
+			t.Errorf("%s: guarded MIN/MAX recompute in play = %v, want %v", tc.name, guarded, tc.guarded)
 		}
 		if got := strings.Contains(script, "ΔG"); got != tc.incr {
 			t.Errorf("%s: incremental path in play = %v, want %v", tc.name, got, tc.incr)
