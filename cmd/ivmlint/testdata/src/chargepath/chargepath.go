@@ -33,3 +33,8 @@ func smuggleRel(r *rel.Relation) *rel.Batch {
 func smuggleOut(b *rel.Batch) *rel.Relation {
 	return b.Materialize() // violation: uncharged materialization outside the compiled plans
 }
+
+// A step result's tuples are built only where internal/ivm blesses it.
+func tuplesOf(bd *rel.Binding) *rel.Relation {
+	return bd.Relation() // violation: a tuple build off the blessed sites
+}

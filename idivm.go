@@ -554,7 +554,10 @@ func (s *Serving) Stats() ServingStats { return s.s.Stats() }
 type Subscription = serve.Subscription
 
 // Delta is one committed round's applied i-diffs for one view, as
-// delivered on a Subscription.
+// delivered on a Subscription. Each instance in Diffs holds the columns its
+// round applied; inst.Tuples() builds its rows as tuples (once, on the
+// caller's goroutine — the round never does), inst.RowSchema() names their
+// columns and inst.Len() counts them without building anything.
 type Delta = serve.Delta
 
 // Subscribe registers a streaming delta subscription on a materialized

@@ -277,14 +277,19 @@ func (c *cJoin) gatherPairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
 
 // probeLeft is semiProbeLeft: each distinct right key probes the stored
 // left once and each left tuple is emitted once, in first-probe order — an
-// order two sets define and no selection vector can express, so this
-// strategy stays a row loop over the right batch. The sets are digest chains:
-// seen files right rows, emitted the tuples of out, and membership is KeyEqual
-// on the key columns and on the whole tuple. The emitted tuples come straight
-// from charged lookups and become a batch here.
+// order no selection vector can express, so this strategy stays a row loop
+// over the right batch. seen, a digest chain set of the right rows, makes the
+// probe keys pairwise distinct under KeyEqual, and that alone keeps every left
+// tuple to one emission: KeyEqual is equality of encodings, so no stored value
+// equals two distinct keys, and one probe returns each row of its state once
+// (TestDistinctProbeKeysReturnDisjointRows, over 2^53 and 2^53+1, ints beside
+// floats and NaN, in both states of a written epoch). The Eval oracle still
+// keeps its emitted set, which is what that test compares against. The
+// emitted tuples come straight from charged lookups and become a batch here;
+// out starts at one per probe, the size of a key-to-key match.
 func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, error) {
-	var out []rel.Tuple
-	var seen, emitted rel.DigestChains
+	out := make([]rel.Tuple, 0, right.Len())
+	var seen rel.DigestChains
 	seen.Reserve(right.Len())
 	pr, rdig := c.pr, keyDigests(right, c.ridx)
 next:
@@ -302,17 +307,7 @@ next:
 		if err != nil {
 			return nil, err
 		}
-	emit:
-		for _, lt := range rows {
-			d := rel.KeyDigest(lt) & keyMask
-			for e := emitted.First(d); e >= 0; e = emitted.Next(e) {
-				if out[e].KeyEqual(lt) {
-					continue emit
-				}
-			}
-			emitted.Push(d, int32(len(out)))
-			out = append(out, lt)
-		}
+		out = append(out, rows...)
 	}
 	return batchOf(c.empty, out), nil
 }

@@ -11,8 +11,9 @@
 // column-major rel.Batch: rows enter columnar form right after a charged
 // Scan/Lookup and a plan hands its root batch out as a rel.Binding
 // (ExecPlan.Bind), which a later plan's binding leaf reads as columns and
-// which becomes tuples at most once, when somebody asks for them (an APPLY,
-// the Eval oracle, ExecPlan.Run's caller). The kernels those bodies are built
+// which becomes tuples at most once, when somebody asks for them (the Eval
+// oracle, ExecPlan.Run's caller, a reader of a view's applied i-diffs); the
+// APPLY statements read it as columns. The kernels those bodies are built
 // from live in batch.go.
 //
 // The compiled and interpreted paths make no access-path decision of their
@@ -36,6 +37,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"idivm/internal/expr"
 	"idivm/internal/rel"
@@ -163,7 +165,9 @@ func (c *cStored) run(env Env) (*rel.Batch, error) {
 // cBinding reads a named in-memory relation: the binding's columns — built
 // once however many leaves, steps or views read it — under this leaf's own
 // schema (the producer's names its plan's attributes, and a σ over the leaf
-// returns the batch it was handed).
+// returns the batch it was handed). Where the schema is the producer's, which
+// a run decides once, on the attribute and key names, the producer's batch is
+// returned as is; otherwise a batch relabels its columns.
 type cBinding struct {
 	name  string
 	empty *rel.Batch
@@ -178,6 +182,9 @@ func (c *cBinding) run(env Env) (*rel.Batch, error) {
 		return c.empty, nil
 	}
 	b := bd.Batch()
+	if sch := c.empty.Schema; slices.Equal(b.Schema.Attrs, sch.Attrs) && slices.Equal(b.Schema.Key, sch.Key) {
+		return b, nil
+	}
 	return &rel.Batch{Schema: c.empty.Schema, Cols: b.Cols, N: b.N}, nil
 }
 

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -109,6 +110,93 @@ func TestCollidingDigestsNeverMerge(t *testing.T) {
 		}
 		if name == "groupby" && got.Len() != n {
 			t.Fatalf("groupby: %d groups for %d distinct keys under 4 digests", got.Len(), n)
+		}
+	}
+}
+
+// TestDistinctProbeKeysReturnDisjointRows is what lets the probe-left
+// semijoin emit every probed row without remembering the ones it emitted:
+// one index probed with two keys that are not KeyEqual — 2^53 and 2^53+1, an
+// int and a float that differ, NaN and a number — never returns the same
+// stored row twice, and one probe never returns a row twice, in either state
+// of an epoch whose writes moved, deleted and re-added rows. KeyEqual is
+// equality of encodings, an equivalence, so a stored value KeyEqual to both
+// keys would make them KeyEqual to each other. The semijoin over the same
+// values, right keys repeated under KeyEqual twins, matches the oracle, which
+// keeps its emitted set, row for row.
+func TestDistinctProbeKeysReturnDisjointRows(t *testing.T) {
+	const p53 = int64(1) << 53
+	vals := []rel.Value{
+		rel.Int(p53), rel.Int(p53 + 1), rel.Float(float64(p53)), rel.Float(float64(p53) + 2),
+		rel.Int(1), rel.Float(1), rel.Float(1.5), rel.Float(math.NaN()), rel.Float(math.Copysign(0, -1)),
+		rel.Int(0), rel.String("1"), rel.Null(),
+	}
+	d := db.New()
+	stSchema := rel.NewSchema([]string{"id", "g"}, []string{"id"})
+	st := d.MustCreateTable("st", stSchema)
+	for i := 0; i < 3*len(vals); i++ {
+		st.MustInsert(rel.Int(int64(i)), vals[i%len(vals)])
+	}
+	if _, err := st.Lookup(rel.StatePost, []string{"g"}, vals[:1]); err != nil {
+		t.Fatal(err)
+	}
+	st.BeginEpoch()
+	defer st.EndEpoch()
+	for i := 0; i < len(vals); i++ { // move, delete and re-add rows under the index
+		if _, err := st.UpdateKey([]rel.Value{rel.Int(int64(i))}, []string{"g"}, []rel.Value{vals[(i+5)%len(vals)]}); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			st.DeleteKey([]rel.Value{rel.Int(int64(len(vals) + i))})
+			st.MustInsert(rel.Int(int64(100+i)), vals[(i+7)%len(vals)])
+		}
+	}
+	for _, s := range []rel.State{rel.StatePost, rel.StatePre} {
+		owner := map[int64]rel.Value{} // row id → the probe key that returned it
+		for _, v := range vals {
+			rows, err := st.Lookup(s, []string{"g"}, []rel.Value{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) == 0 {
+				t.Fatalf("%s: probing %v found nothing: the test does not reach its rows", s, v)
+			}
+			mine := map[int64]bool{}
+			for _, row := range rows {
+				id := row[0].AsInt()
+				if mine[id] {
+					t.Errorf("%s: probing %v returned row %v twice", s, v, row)
+				}
+				mine[id] = true
+				if o, ok := owner[id]; ok && !o.KeyEqual(v) {
+					t.Errorf("%s: row %v is returned by %v and by %v, keys that are not KeyEqual", s, row, o, v)
+				}
+				owner[id] = v
+			}
+		}
+	}
+	right := rel.NewRelation(rel.NewSchema([]string{"rg"}, nil))
+	for _, v := range append(append([]rel.Value(nil), vals...), vals...) {
+		right.Add(rel.Tuple{v})
+	}
+	env := mapEnv{Database: d, rels: map[string]*rel.Relation{"r": right}}
+	for _, s := range []rel.State{rel.StatePost, rel.StatePre} {
+		scan := NewScan("st", "", stSchema)
+		scan.St = s
+		plan := NewSemiJoin(scan, NewRelRef("r", right.Schema), expr.Eq(expr.C("st.g"), expr.C("rg")))
+		if pl, err := planSemi(plan.Left, plan.Right, plan.Pred, true); err != nil || pl.strategy != semiProbeLeft {
+			t.Fatalf("%s: strategy %v, %v; want the probe-left semijoin", s, pl.strategy, err)
+		}
+		want, err := Eval(plan, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MustCompile(plan).Run(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) || got.Len() == 0 {
+			t.Errorf("%s: compiled %v, the oracle %v", s, got.Tuples, want.Tuples)
 		}
 	}
 }

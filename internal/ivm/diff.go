@@ -100,10 +100,15 @@ func (d DiffSchema) Equal(o DiffSchema) bool {
 		slices.Equal(d.IDs, o.IDs) && slices.Equal(d.Pre, o.Pre) && slices.Equal(d.Post, o.Post)
 }
 
-// Instance couples a diff schema with a relation of diff tuples.
+// Instance couples a diff schema with its diff rows. A base instance — one
+// PopulateInstances or NewInstance built — holds them as tuples in Rows. An
+// instance a Δ-script applied to its view (PhaseCosts.Applied) holds the
+// binding its APPLY read instead, the compute step's columns, and Rows is
+// nil: read its rows through Tuples, which builds them on first use.
 type Instance struct {
 	Schema DiffSchema
 	Rows   *rel.Relation
+	bound  *rel.Binding
 }
 
 // NewInstance returns an empty instance of the schema.
@@ -111,8 +116,44 @@ func NewInstance(s DiffSchema) *Instance {
 	return &Instance{Schema: s, Rows: rel.NewRelation(s.RelSchema())}
 }
 
-// Len returns the number of diff tuples.
-func (i *Instance) Len() int { return i.Rows.Len() }
+// Len returns the number of diff rows; it converts nothing.
+func (i *Instance) Len() int {
+	if i.bound != nil {
+		return i.bound.Len()
+	}
+	return i.Rows.Len()
+}
+
+// Tuples returns the diff rows as tuples. An applied instance builds them the
+// first time anyone asks — once, however many goroutines ask (the binding's
+// conversion is once-guarded) — so a consumer that wants tuples pays for them
+// on its own goroutine, and the maintenance round that produced the instance
+// never does. Callers must not mutate the tuples.
+func (i *Instance) Tuples() []rel.Tuple {
+	if i.bound != nil {
+		return i.bound.Relation().Tuples
+	}
+	return i.Rows.Tuples
+}
+
+// RowSchema is the schema of the rows Tuples returns: an applied instance's
+// is its compute step's, which may order or name its columns unlike
+// Schema.RelSchema(). It converts nothing.
+func (i *Instance) RowSchema() rel.Schema {
+	if i.bound != nil {
+		return i.bound.Schema()
+	}
+	return i.Rows.Schema
+}
+
+// binding is the instance's rows as a binding: the applied step's, or a new
+// one over Rows.
+func (i *Instance) binding() *rel.Binding {
+	if i.bound != nil {
+		return i.bound
+	}
+	return rel.BindRelation(i.Rows)
+}
 
 // Apply applies the diff instance to a stored table (a materialized view,
 // cache, or — in tests — any keyed relation), implementing the APPLY
@@ -130,13 +171,14 @@ func (i *Instance) Len() int { return i.Rows.Len() }
 // every APPLY write is a charged access of the paper's cost model, and the
 // Handle is the sole charge point (the chargepath analyzer pins this).
 // Apply resolves the diff's columns on every call; a Δ-script's APPLY steps
-// resolved theirs at CompileScript.
+// resolved theirs at CompileScript. Like theirs, it reads the rows as columns:
+// an applied instance replays without ever becoming tuples.
 func (i *Instance) Apply(t *storage.Handle) (int, error) {
-	c, err := resolveApply(i.Schema, i.Rows.Schema, t.Schema())
+	c, err := resolveApply(i.Schema, i.RowSchema(), t.Schema())
 	if err != nil {
 		return 0, err
 	}
-	return applyRows(t, &i.Schema, i.Rows.Tuples, &c, nil)
+	return applyRows(t, &i.Schema, i.binding().Batch(), &c, nil)
 }
 
 // applyCols are an APPLY's column positions in its diff rows: id the diff's
@@ -180,17 +222,18 @@ func resolveApply(ds DiffSchema, src, target rel.Schema) (applyCols, error) {
 	return c, nil
 }
 
-// applyRows applies rows, diff tuples of ds with columns c, to t, recording
-// every row it touches as a full-image db.Modification through rec when rec
-// is non-nil — the derived modification log a cascaded (view-over-view)
+// applyRows applies b, diff rows of ds with columns c, to t, recording every
+// row it touches as a full-image db.Modification through rec when rec is
+// non-nil — the derived modification log a cascaded (view-over-view)
 // consumer compacts exactly like a trigger log on a base table. Each
-// statement hands storage the whole instance and where in a tuple its ID,
-// SET and target columns are, so an APPLY is one storage call, not one per
-// diff tuple. Recording charges nothing: the images are captured inside the
-// storage critical sections where they are already in hand, never through
-// extra probes, and the recorded tuples alias stored rows, which are
+// statement hands storage the whole instance, as the columns its compute
+// step produced, and which of them hold its ID, SET and target values, so an
+// APPLY is one storage call, not one per diff row, and reads only the
+// columns it needs. Recording charges nothing: the images are captured
+// inside the storage critical sections where they are already in hand, never
+// through extra probes, and the recorded tuples alias stored rows, which are
 // immutable once stored.
-func applyRows(t *storage.Handle, ds *DiffSchema, rows []rel.Tuple, c *applyCols, rec func(db.Modification)) (int, error) {
+func applyRows(t *storage.Handle, ds *DiffSchema, b *rel.Batch, c *applyCols, rec func(db.Modification)) (int, error) {
 	var n int
 	var err error
 	switch ds.Type {
@@ -201,19 +244,19 @@ func applyRows(t *storage.Handle, ds *DiffSchema, rows []rel.Tuple, c *applyCols
 				rec(db.Modification{Kind: db.ModUpdate, Table: t.Name(), Pre: pre, Post: post})
 			}
 		}
-		_, n, err = t.UpdateWhere(ds.IDs, rows, c.id, ds.Post, c.set, record)
+		_, n, err = t.UpdateWhere(ds.IDs, b, c.id, ds.Post, c.set, record)
 	case DiffInsert:
 		var record func(post rel.Tuple)
 		if rec != nil {
 			record = func(post rel.Tuple) { rec(db.Modification{Kind: db.ModInsert, Table: t.Name(), Post: post}) }
 		}
-		_, n, err = t.InsertIfAbsent(rows, c.src, record)
+		_, n, err = t.InsertIfAbsent(b, c.src, record)
 	default:
 		var record func(pre rel.Tuple)
 		if rec != nil {
 			record = func(pre rel.Tuple) { rec(db.Modification{Kind: db.ModDelete, Table: t.Name(), Pre: pre}) }
 		}
-		_, n, err = t.DeleteWhere(ds.IDs, rows, c.id, record)
+		_, n, err = t.DeleteWhere(ds.IDs, b, c.id, record)
 	}
 	return n, err
 }
@@ -233,11 +276,11 @@ func applyRows(t *storage.Handle, ds *DiffSchema, rows []rel.Tuple, c *applyCols
 // charged to its counter like any other access, so production paths should
 // only enable self-checking when measuring correctness, not cost.
 func (i *Instance) IsEffective(t *storage.Handle) (bool, error) {
-	c, err := resolveApply(i.Schema, i.Rows.Schema, t.Schema())
+	c, err := resolveApply(i.Schema, i.RowSchema(), t.Schema())
 	if err != nil {
 		return false, err
 	}
-	return isEffective(t, &i.Schema, i.Rows.Tuples, &c)
+	return isEffective(t, &i.Schema, i.Tuples(), &c)
 }
 
 // isEffective is IsEffective over rows, diff tuples of ds with columns c.

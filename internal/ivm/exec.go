@@ -30,15 +30,16 @@ type PhaseCosts struct {
 	// Applied lists the non-empty i-diff instances applied to the view
 	// itself, in script order — the per-round delta feed that derived
 	// (cascaded) views consume and Subscribe streams to consumers. An
-	// instance that matched no rows applies nothing and is omitted. The
-	// instances' rows are shared, not copied; treat them as read-only.
+	// instance that matched no rows applies nothing and is omitted. Each
+	// holds the binding its APPLY read, shared, not copied: its rows are
+	// columns until a reader asks Instance.Tuples for tuples. Treat them as
+	// read-only.
 	Applied []*Instance
 }
 
 // StepCost is what one script step did: its charged accesses, the rows it
 // produced (a compute step's result) or modified in its target (an APPLY),
-// and the wall time it took — for a compute step without the tuple build a
-// later APPLY may ask of its result, which that APPLY's Time carries.
+// and the wall time it took.
 type StepCost struct {
 	Step string
 	Cost rel.CostCounter
@@ -87,8 +88,9 @@ type ExecOptions struct {
 // compiled script, the counter every stored access of the run is charged to,
 // and the run's environment by position — slots, the bindings (one
 // representation, rel.Binding, for base i-diff instances and step results
-// alike: compute steps read and write columns, and tuples are built at most
-// once per binding, when an APPLY, the Eval oracle or the self-check asks),
+// alike: compute steps and APPLY statements read columns, and tuples are
+// built at most once per binding, when the Eval oracle, the self-check or a
+// reader of an applied instance asks),
 // and tables, the script's stored tables. The steps run in script order on
 // the calling goroutine, which owns both; scriptExec is also the algebra.Env
 // every step evaluates under, resolving names through the script's maps.
@@ -178,20 +180,31 @@ func runScript(d *db.Database, s *Script, slots []*rel.Binding, verify bool, opt
 		}
 	}
 	if verify {
-		for _, st := range s.Steps {
-			if a, ok := st.(*ApplyStep); ok && a.table == 0 && slots[a.src].Len() > 0 {
-				rows := slots[a.src].Relation().Tuples
-				ok, err := isEffective(x.tables[0], &a.Diff, rows, &a.cols)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					return nil, fmt.Errorf("ivm: non-effective view diff applied: %s (%d tuples)", a.Diff, len(rows))
-				}
-			}
+		if err := x.verifyApplied(); err != nil {
+			return nil, err
 		}
 	}
 	return pc, nil
+}
+
+// verifyApplied is the self-check of a verifying run: every non-empty i-diff
+// instance the script applied to its view must be effective against the
+// view's post-state. It reads the instances as tuples, the one place in the
+// executor that builds them; its lookups are charged like any other.
+func (x *scriptExec) verifyApplied() error {
+	for _, st := range x.s.Steps {
+		if a, ok := st.(*ApplyStep); ok && a.table == 0 && x.slots[a.src].Len() > 0 {
+			rows := x.slots[a.src].Relation().Tuples
+			ok, err := isEffective(x.tables[0], &a.Diff, rows, &a.cols)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("ivm: non-effective view diff applied: %s (%d tuples)", a.Diff, len(rows))
+			}
+		}
+	}
+	return nil
 }
 
 // runStep executes one step, charging its stored accesses to the run's
@@ -224,10 +237,10 @@ func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
 		name, rows = st.Name, r.Len()
 	case *ApplyStep:
 		name = st.name
-		if x.slots[st.src].Len() == 0 {
+		src := x.slots[st.src]
+		if src.Len() == 0 {
 			break
 		}
-		r := x.slots[st.src].Relation() // the one place a step result becomes tuples
 		view := st.table == 0
 		var rec func(db.Modification)
 		var mods []db.Modification
@@ -237,7 +250,9 @@ func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
 			rec = func(m db.Modification) { mods = append(mods, m) }
 		}
 		var err error
-		if rows, err = applyRows(x.tables[st.table], &st.Diff, r.Tuples, &st.cols, rec); err != nil {
+		// The statement reads the step's columns: no step result becomes
+		// tuples on the maintenance path.
+		if rows, err = applyRows(x.tables[st.table], &st.Diff, src.Batch(), &st.cols, rec); err != nil {
 			return fmt.Errorf("ivm: applying %s to %s: %w", st.DiffName, st.Table, err)
 		}
 		if rec != nil {
@@ -245,9 +260,9 @@ func (x *scriptExec) runStep(step Step, pc *PhaseCosts) error {
 		}
 		pc.RowsTouched += rows
 		if view {
-			pc.ViewDiffTuples += r.Len()
+			pc.ViewDiffTuples += src.Len()
 			pc.ViewRowsTouched += rows
-			pc.Applied = append(pc.Applied, &Instance{Schema: st.Diff, Rows: r})
+			pc.Applied = append(pc.Applied, &Instance{Schema: st.Diff, bound: src})
 		}
 	}
 	cost, dur := x.counter.Sub(before), time.Since(start)

@@ -70,7 +70,7 @@ func (c *feedCell) modify(t *testing.T) {
 func appliedKeys(r *ivm.Report) []string {
 	var out []string
 	for _, inst := range r.Phases.Applied {
-		for _, row := range inst.Rows.Tuples {
+		for _, row := range inst.Tuples() {
 			out = append(out, inst.Schema.String()+" "+rel.TupleKey(row))
 		}
 	}

@@ -302,7 +302,7 @@ func TestFailedStepStopsItsScript(t *testing.T) {
 func appliedRows(r *Report) []string {
 	var out []string
 	for _, inst := range r.Phases.Applied {
-		for _, row := range inst.Rows.Tuples {
+		for _, row := range inst.Tuples() {
 			out = append(out, inst.Schema.String()+" "+rel.TupleKey(row))
 		}
 	}

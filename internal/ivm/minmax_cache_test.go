@@ -290,7 +290,7 @@ func TestMinMaxGuardedRecompute(t *testing.T) {
 		updated := 0
 		for _, inst := range reps[0].Phases.Applied {
 			if inst.Schema.Type == ivm.DiffUpdate {
-				updated += len(inst.Rows.Tuples)
+				updated += inst.Len()
 			}
 		}
 		if updated != r.updated {

@@ -317,7 +317,7 @@ func TestGroupClassificationExact(t *testing.T) {
 				updated := map[string]bool{}
 				var inserted []string
 				for _, inst := range reps[0].Phases.Applied {
-					for _, row := range inst.Rows.Tuples {
+					for _, row := range inst.Tuples() {
 						k := rel.TupleKey(row[:len(inst.Schema.IDs)])
 						switch inst.Schema.Type {
 						case ivm.DiffUpdate:

@@ -27,6 +27,13 @@
 // calls no converter), and the two nested-loop strategies box their inner
 // side with Materialize; a converter call anywhere else is a channel for
 // moving tuples around the charge point and is flagged.
+//
+// Asking a Binding for tuples (Binding.Relation) is the converter behind a
+// once-guard, and the analyzer keeps it off the maintenance path too: the
+// compute steps and the APPLY statements read columns, so above the kernel
+// layer only the sites in relationSites may build a step result's tuples —
+// an applied instance's Instance.Tuples, whose caller pays for them, and the
+// executor's self-check.
 
 package lint
 
@@ -75,9 +82,22 @@ func batchLayer(rel string) bool {
 	return pathIn(rel, "internal/algebra", "internal/rel")
 }
 
+// relationSites are, per package above the kernel layer, the functions (Type.
+// Method for a method) that may ask a rel.Binding for its tuples.
+var relationSites = map[string]map[string]bool{
+	"internal/ivm": {"Instance.Tuples": true, "scriptExec.verifyApplied": true},
+}
+
 func runChargePath(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
+		relationOK := false // inside one of relationSites
 		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				relationOK = relationSites[pass.Pkg.Rel][funcDeclName(d)]
+			case *ast.GenDecl:
+				relationOK = false
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -118,6 +138,12 @@ func runChargePath(pass *Pass) {
 				pass.Reportf(sel.Pos(), "Batch.Materialize outside the compiled kernel layer: batch "+
 					"materialization is invisible to the cost model, which is only sound where "+
 					"inputs are Handle-charged; keep it under internal/algebra "+
+					"(or annotate with //ivmlint:allow chargepath)")
+			case sel.Sel.Name == "Relation" && !batchLayer(pass.Pkg.Rel) && !relationOK &&
+				isNamed(recv, relPkgPath, "Binding"):
+				pass.Reportf(sel.Pos(), "Binding.Relation builds a step result's tuples, work the cost "+
+					"model never sees; compute steps and APPLY statements read Batch, and only "+
+					"Instance.Tuples and the executor's self-check may build tuples "+
 					"(or annotate with //ivmlint:allow chargepath)")
 			}
 			return true

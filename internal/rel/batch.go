@@ -9,9 +9,10 @@
 //
 // Batches exist strictly between charged boundaries: rows enter columnar
 // form right after a Handle-charged Scan/Lookup and leave it
-// (Materialize) only where results must become tuples again — when they
-// are bound for storage, the modification log, or a plan's caller; between
-// the steps of a Δ-script a result stays a batch (Binding). The
+// (Materialize) only where results must become tuples again — for a plan's
+// caller, or a reader of a view's applied i-diffs. Between the steps of a
+// Δ-script a result stays a batch (Binding), and the APPLY statements read
+// it as one: a stored row is built straight from the columns. The
 // converters therefore never touch storage themselves and charge nothing;
 // batching is invisible to the Section-6 cost model (DESIGN.md §8), and
 // the ivmlint chargepath analyzer pins the converters to the kernel layer.
@@ -215,6 +216,34 @@ func (b *Batch) GatherRows(sel []int32) *Batch {
 	return nb
 }
 
+// Slice returns logical rows [lo, hi) of the batch, sharing its payloads; the
+// whole range is the batch itself.
+func (b *Batch) Slice(lo, hi int) *Batch {
+	if lo == 0 && hi == b.N {
+		return b
+	}
+	nb := &Batch{Schema: b.Schema, Cols: make([]ColVec, len(b.Cols)), N: hi - lo}
+	for j, c := range b.Cols {
+		switch {
+		case c.Kind == VecNull:
+		case c.Idx != nil:
+			c.Idx = c.Idx[lo:hi]
+		default:
+			c.Nums, c.Strs, c.Kinds = window(c.Nums, lo, hi), window(c.Strs, lo, hi), window(c.Kinds, lo, hi)
+		}
+		nb.Cols[j] = c
+	}
+	return nb
+}
+
+// window is s[lo:hi], or nil for a payload the column does not have.
+func window[T any](s []T, lo, hi int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[lo:hi]
+}
+
 // vecKindOf maps a value kind to the column layout that stores it.
 func vecKindOf(k Kind) VecKind {
 	if k > KindString {
@@ -407,8 +436,8 @@ const materializeChunk = 1024
 
 // Materialize converts the batch back into a row-major relation, the
 // inverse charged-boundary converter: it runs only where batch results
-// leave the kernel layer (plan output bound for storage, the modlog or
-// the caller). Tuples are laid out in arena chunks of materializeChunk
+// leave the kernel layer as tuples (a plan's output for its caller, an
+// applied i-diff a reader asks tuples of). Tuples are laid out in arena chunks of materializeChunk
 // rows instead of one allocation per tuple; values are written by
 // per-column typed loops.
 func (b *Batch) Materialize() *Relation {

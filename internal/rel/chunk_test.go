@@ -87,7 +87,7 @@ func TestInstanceReleasesTheLockBetweenChunks(t *testing.T) {
 		}
 		gaps = 0
 	}
-	p, m, err := tab.InsertIfAbsent(rows, []int{2, 1, 0}, nil)
+	p, m, err := tab.InsertIfAbsent(Diff(rows), []int{2, 1, 0}, nil)
 	expect("InsertIfAbsent", p, m, err, tuples)
 	for i := range rows {
 		if i%2 == 0 {
@@ -95,14 +95,14 @@ func TestInstanceReleasesTheLockBetweenChunks(t *testing.T) {
 		}
 		rows[i][1] = Int(int64((i + 1) % groups))
 	}
-	p, m, err = tab.UpdateWhere([]string{"k"}, rows, []int{2}, []string{"g", "v"}, []int{1, 0}, nil)
+	p, m, err = tab.UpdateWhere([]string{"k"}, Diff(rows), []int{2}, []string{"g", "v"}, []int{1, 0}, nil)
 	expect("UpdateWhere", p, m, err, tuples)
-	p, m, err = tab.DeleteWhere([]string{"k"}, rows, []int{2}, nil)
+	p, m, err = tab.DeleteWhere([]string{"k"}, Diff(rows), []int{2}, nil)
 	expect("DeleteWhere", p, m, err, tuples)
 	// Every odd group still holds its 200 odd old keys — more than a chunk's
 	// worth: each key of a delete instance over them is a lock hold of its own.
 	heavy := []Tuple{{Int(1)}, {Int(3)}, {Int(5)}, {Int(7)}}
-	if p, m, err := tab.DeleteWhere([]string{"g"}, heavy, []int{0}, nil); p != 4 || m != 4*n/groups || err != nil || gaps != 3 {
+	if p, m, err := tab.DeleteWhere([]string{"g"}, Diff(heavy), []int{0}, nil); p != 4 || m != 4*n/groups || err != nil || gaps != 3 {
 		t.Errorf("DeleteWhere of 4 heavy keys = %d, %d, %v with %d lock releases; want 4, %d, 3 releases", p, m, err, gaps, 4*n/groups)
 	}
 	stop.Store(true)
@@ -111,13 +111,13 @@ func TestInstanceReleasesTheLockBetweenChunks(t *testing.T) {
 	// An empty instance returns without the lock: here it is taken.
 	tab.core.mu.Lock()
 	defer tab.core.mu.Unlock()
-	if p, m, err := tab.InsertIfAbsent(nil, Cols(0, 3), nil); p != 0 || m != 0 || err != nil {
+	if p, m, err := tab.InsertIfAbsent(Diff(nil), Cols(0, 3), nil); p != 0 || m != 0 || err != nil {
 		t.Errorf("empty InsertIfAbsent = %d, %d, %v", p, m, err)
 	}
-	if p, m, err := tab.DeleteWhere([]string{"g"}, nil, Cols(0, 1), nil); p != 0 || m != 0 || err != nil {
+	if p, m, err := tab.DeleteWhere([]string{"g"}, Diff(nil), Cols(0, 1), nil); p != 0 || m != 0 || err != nil {
 		t.Errorf("empty DeleteWhere = %d, %d, %v", p, m, err)
 	}
-	if p, m, err := tab.UpdateWhere([]string{"g"}, nil, Cols(0, 1), []string{"v"}, Cols(1, 2), nil); p != 0 || m != 0 || err != nil {
+	if p, m, err := tab.UpdateWhere([]string{"g"}, Diff(nil), Cols(0, 1), []string{"v"}, Cols(1, 2), nil); p != 0 || m != 0 || err != nil {
 		t.Errorf("empty UpdateWhere = %d, %d, %v", p, m, err)
 	}
 }

@@ -32,7 +32,8 @@ func BenchmarkTableChurn(b *testing.B) {
 				}
 			}
 			row, key, val := make(rel.Tuple, 4), make([]rel.Value, 1), make([]rel.Value, 1)
-			bucket, keyCol := []rel.Tuple{key}, []int{0} // the one-tuple delete instance
+			bucket, setBucket := intBatch(1, 1) // the one-row delete instance
+			keyCol := []int{0}
 			cycle := func(c int64) {
 				g := rel.Int(-1 - c)
 				for i := int64(0); i < int64(k); i++ {
@@ -41,7 +42,7 @@ func BenchmarkTableChurn(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				key[0] = g
+				setBucket(0, 0, -1-c)
 				if _, got, err := tab.DeleteWhere(onG, bucket, keyCol, nil); got != k || err != nil {
 					b.Fatalf("DeleteWhere = %d, %v; want %d", got, err, k)
 				}
@@ -80,34 +81,31 @@ func BenchmarkFeedApplyShape(b *testing.B) {
 	var cost rel.CostCounter
 	tab := storage.NewHandle(rel.MustNewTable("feed", rel.NewSchema([]string{"fid", "twid", "uid"}, []string{"fid", "twid"})))
 	onTwid := []string{"twid"}
-	// diffs returns n diff tuples of the given width over one backing array;
-	// storage copies what it stores, so a round overwrites them in place.
-	diffs := func(n, width int) []rel.Tuple {
-		rows, vals := make([]rel.Tuple, n), make([]rel.Value, n*width)
-		for i := range rows {
-			rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
-		}
-		return rows
-	}
-	// deliveries fills rows with tweet tw's diff tuples, in attribute order.
-	deliveries := func(rows []rel.Tuple, tw int64) {
-		for j, row := range rows {
-			row[0], row[1], row[2] = rel.Int((tw*7+int64(j)*3)%followers), rel.Int(tw), rel.Int(tw%97)
+	// The two instances' columns; storage copies what it stores, so a round
+	// overwrites them in place.
+	retract, setRetract := intBatch(perRound, 1)
+	deliver, setDeliver := intBatch(perRound*fanout, 3)
+	// deliveries fills deliver's rows lo.. with tweet tw's diff rows, in
+	// attribute order.
+	deliveries := func(lo int, tw int64) {
+		for j := 0; j < fanout; j++ {
+			setDeliver(lo+j, 0, (tw*7+int64(j)*3)%followers)
+			setDeliver(lo+j, 1, tw)
+			setDeliver(lo+j, 2, tw%97)
 		}
 	}
 	keyCol, inOrder := []int{0}, []int{0, 1, 2}
-	apply := func(retract, deliver []rel.Tuple) {
-		if p, n, err := tab.DeleteWhere(onTwid, retract, keyCol, nil); p != len(retract) || n != len(retract)*fanout || err != nil {
-			b.Fatalf("DeleteWhere = %d, %d, %v; want %d keys, %d rows", p, n, err, len(retract), len(retract)*fanout)
+	apply := func(retract, deliver *rel.Batch) {
+		if p, n, err := tab.DeleteWhere(onTwid, retract, keyCol, nil); p != retract.N || n != retract.N*fanout || err != nil {
+			b.Fatalf("DeleteWhere = %d, %d, %v; want %d keys, %d rows", p, n, err, retract.N, retract.N*fanout)
 		}
-		if p, n, err := tab.InsertIfAbsent(deliver, inOrder, nil); p != len(deliver) || n != len(deliver) || err != nil {
-			b.Fatalf("InsertIfAbsent = %d, %d, %v; want %d rows", p, n, err, len(deliver))
+		if p, n, err := tab.InsertIfAbsent(deliver, inOrder, nil); p != deliver.N || n != deliver.N || err != nil {
+			b.Fatalf("InsertIfAbsent = %d, %d, %v; want %d rows", p, n, err, deliver.N)
 		}
 	}
-	retract, deliver := diffs(perRound, 1), diffs(perRound*fanout, 3)
 	for tw := int64(0); tw < tweets; tw++ {
-		deliveries(deliver[:fanout], tw)
-		apply(nil, deliver[:fanout])
+		deliveries(0, tw)
+		apply(retract.Slice(0, 0), deliver.Slice(0, fanout))
 	}
 	for _, attrs := range [][]string{onTwid, {"fid"}} {
 		if _, err := tab.Lookup(rel.StatePost, attrs, []rel.Value{rel.Int(0)}); err != nil {
@@ -118,9 +116,9 @@ func BenchmarkFeedApplyShape(b *testing.B) {
 	defer tab.EndEpoch()
 	oldest, next := int64(0), int64(tweets)
 	round := func() {
-		for i := range retract {
-			retract[i][0] = rel.Int(oldest)
-			deliveries(deliver[i*fanout:(i+1)*fanout], next)
+		for i := 0; i < perRound; i++ {
+			setRetract(i, 0, oldest)
+			deliveries(i*fanout, next)
 			oldest, next = oldest+1, next+1
 		}
 		apply(retract, deliver)
@@ -134,4 +132,15 @@ func BenchmarkFeedApplyShape(b *testing.B) {
 		round()
 	}
 	b.ReportMetric(float64(cost.Total())/float64(b.N), "accesses/op")
+}
+
+// intBatch is an n-row batch of width int columns, all zero, that a benchmark
+// rewrites in place between instances through set, which writes v into row
+// i's column j.
+func intBatch(n, width int) (b *rel.Batch, set func(i, j int, v int64)) {
+	b = &rel.Batch{Schema: rel.NewSchema(make([]string, width), nil), Cols: make([]rel.ColVec, width), N: n}
+	for j := range b.Cols {
+		b.Cols[j] = rel.ColVec{Kind: rel.VecInt, Nums: make([]uint64, n)}
+	}
+	return b, func(i, j int, v int64) { b.Cols[j].Nums[i] = uint64(v) }
 }

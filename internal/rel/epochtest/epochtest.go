@@ -43,24 +43,37 @@ type Table interface {
 // contract): rel.Table, every storage backend and the charging storage.Handle
 // have it.
 type Applier interface {
-	InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error)
-	DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error)
-	UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error)
+	InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error)
+	DeleteWhere(attrs []string, b *rel.Batch, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error)
+	UpdateWhere(attrs []string, b *rel.Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error)
 }
 
-// The one-row conveniences of tests: each is a one-tuple instance through the
+// Diff is the batch of diff rows an APPLY statement reads, built from tuples
+// under a schema that names column j "c<j>" (the statements address columns
+// by position, never by name).
+func Diff(rows []rel.Tuple) *rel.Batch {
+	var attrs []string
+	if len(rows) > 0 {
+		for j := range rows[0] {
+			attrs = append(attrs, fmt.Sprintf("c%d", j))
+		}
+	}
+	return rel.FromTuples(rel.NewSchema(attrs, nil), rows)
+}
+
+// The one-row conveniences of tests: each is a one-row instance through the
 // instance-level method, so it behaves and (through a Handle) is charged so.
 
 // InsertRowIfAbsent inserts row, given in the table's attribute order, unless
 // an identical row exists.
 func InsertRowIfAbsent(t Applier, row rel.Tuple) (inserted bool, err error) {
-	_, n, err := t.InsertIfAbsent([]rel.Tuple{row}, Cols(0, len(row)), nil)
+	_, n, err := t.InsertIfAbsent(Diff([]rel.Tuple{row}), Cols(0, len(row)), nil)
 	return n > 0, err
 }
 
 // DeleteRowsWhere removes every row whose attrs equal vals.
 func DeleteRowsWhere(t Applier, attrs []string, vals []rel.Value, fn func(pre rel.Tuple)) (int, error) {
-	_, n, err := t.DeleteWhere(attrs, []rel.Tuple{vals}, Cols(0, len(vals)), fn)
+	_, n, err := t.DeleteWhere(attrs, Diff([]rel.Tuple{vals}), Cols(0, len(vals)), fn)
 	return n, err
 }
 
@@ -68,7 +81,7 @@ func DeleteRowsWhere(t Applier, attrs []string, vals []rel.Value, fn func(pre re
 // equal vals.
 func UpdateRowsWhere(t Applier, attrs []string, vals []rel.Value, setAttrs []string, setVals []rel.Value, fn func(pre, post rel.Tuple)) (int, error) {
 	k, row := len(vals), append(append(make(rel.Tuple, 0, len(vals)+len(setVals)), vals...), setVals...)
-	_, n, err := t.UpdateWhere(attrs, []rel.Tuple{row}, Cols(0, k), setAttrs, Cols(k, len(row)), fn)
+	_, n, err := t.UpdateWhere(attrs, Diff([]rel.Tuple{row}), Cols(0, k), setAttrs, Cols(k, len(row)), fn)
 	return n, err
 }
 
@@ -431,7 +444,7 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 			}
 		}
 		var seen []rel.Tuple
-		p, ins, err := tab.InsertIfAbsent(rows, []int{1, 2, 0}, func(post rel.Tuple) { seen = append(seen, post) })
+		p, ins, err := tab.InsertIfAbsent(Diff(rows), []int{1, 2, 0}, func(post rel.Tuple) { seen = append(seen, post) })
 		if p != probes || ins != len(want) || (err != nil) != failed || !sameTuples(seen, want) {
 			t.Errorf("InsertIfAbsent(%v) = %d, %d, %v, fn saw %v; model probes %d and inserts %v, conflict: %v", rows, p, ins, err, seen, probes, want, failed)
 		}
@@ -450,7 +463,7 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 			groups, total = append(groups, victims), total+len(victims)
 		}
 		var seen []rel.Tuple
-		p, n, err := tab.DeleteWhere(attrsG, rows, []int{1}, func(pre rel.Tuple) { seen = append(seen, pre) })
+		p, n, err := tab.DeleteWhere(attrsG, Diff(rows), []int{1}, func(pre rel.Tuple) { seen = append(seen, pre) })
 		if p != len(rows) || n != total || err != nil || !sameGroups(seen, groups) {
 			t.Errorf("DeleteWhere(g in %v) = %d, %d, %v, fn saw %v; model removes %v", rows, p, n, err, seen, groups)
 		}
@@ -482,7 +495,7 @@ func step(t testing.TB, tab Table, m *model, op, a, b, c byte) string {
 			pres, posts, total = append(pres, hits), append(posts, rel.SortTuples(after)), total+len(hits)
 		}
 		var seenPre, seenPost []rel.Tuple
-		p, n, err := tab.UpdateWhere(attrs, rows, []int{2}, setAttrs, setCols, func(pre, post rel.Tuple) {
+		p, n, err := tab.UpdateWhere(attrs, Diff(rows), []int{2}, setAttrs, setCols, func(pre, post rel.Tuple) {
 			seenPre, seenPost = append(seenPre, pre), append(seenPost, post)
 		})
 		if p != len(rows) || n != total || err != nil || !sameGroups(seenPre, pres) || !sameGroups(seenPost, posts) {
@@ -705,7 +718,7 @@ func RunInstances(t testing.TB, rng *rand.Rand, steps int, mk func() (InstanceTa
 				}
 			}
 			apply("InsertIfAbsent", n, func(tab InstanceTable, lo, hi int, see func(...rel.Tuple)) (int, int, error) {
-				return tab.InsertIfAbsent(rows[lo:hi], []int{1, 2, 0}, func(post rel.Tuple) { see(post) })
+				return tab.InsertIfAbsent(Diff(rows[lo:hi]), []int{1, 2, 0}, func(post rel.Tuple) { see(post) })
 			})
 		case 3, 4:
 			attrs, col := attrsK, 1
@@ -713,15 +726,15 @@ func RunInstances(t testing.TB, rng *rand.Rand, steps int, mk func() (InstanceTa
 				attrs, col = attrsG, 2
 			}
 			apply("DeleteWhere", n, func(tab InstanceTable, lo, hi int, see func(...rel.Tuple)) (int, int, error) {
-				return tab.DeleteWhere(attrs, rows[lo:hi], []int{col}, func(pre rel.Tuple) { see(pre) })
+				return tab.DeleteWhere(attrs, Diff(rows[lo:hi]), []int{col}, func(pre rel.Tuple) { see(pre) })
 			})
 		case 5:
 			apply("UpdateWhere by key", n, func(tab InstanceTable, lo, hi int, see func(...rel.Tuple)) (int, int, error) {
-				return tab.UpdateWhere(attrsK, rows[lo:hi], []int{1}, []string{"g", "v"}, []int{2, 0}, func(pre, post rel.Tuple) { see(pre, post) })
+				return tab.UpdateWhere(attrsK, Diff(rows[lo:hi]), []int{1}, []string{"g", "v"}, []int{2, 0}, func(pre, post rel.Tuple) { see(pre, post) })
 			})
 		case 6:
 			apply("UpdateWhere by group", min(n, 5), func(tab InstanceTable, lo, hi int, see func(...rel.Tuple)) (int, int, error) {
-				return tab.UpdateWhere(attrsG, rows[lo:hi], []int{2}, []string{"v"}, []int{0}, func(pre, post rel.Tuple) { see(pre, post) })
+				return tab.UpdateWhere(attrsG, Diff(rows[lo:hi]), []int{2}, []string{"v"}, []int{0}, func(pre, post rel.Tuple) { see(pre, post) })
 			})
 		default:
 			transition := rng.Intn(4)
@@ -746,15 +759,15 @@ func RunInstances(t testing.TB, rng *rand.Rand, steps int, mk func() (InstanceTa
 		before = *wc
 	}
 	for what, f := range map[string]func(rows []rel.Tuple) (int, int, error){
-		"InsertIfAbsent with a two-column map": func(rows []rel.Tuple) (int, int, error) { return whole.InsertIfAbsent(rows, []int{1, 2}, nil) },
+		"InsertIfAbsent with a two-column map": func(rows []rel.Tuple) (int, int, error) { return whole.InsertIfAbsent(Diff(rows), []int{1, 2}, nil) },
 		"DeleteWhere with two columns for one attribute": func(rows []rel.Tuple) (int, int, error) {
-			return whole.DeleteWhere(attrsG, rows, []int{1, 2}, nil)
+			return whole.DeleteWhere(attrsG, Diff(rows), []int{1, 2}, nil)
 		},
 		"UpdateWhere with two columns for one SET attribute": func(rows []rel.Tuple) (int, int, error) {
-			return whole.UpdateWhere(attrsK, rows, []int{1}, []string{"v"}, []int{0, 2}, nil)
+			return whole.UpdateWhere(attrsK, Diff(rows), []int{1}, []string{"v"}, []int{0, 2}, nil)
 		},
 		"UpdateWhere of the key": func(rows []rel.Tuple) (int, int, error) {
-			return whole.UpdateWhere(attrsG, rows, []int{2}, attrsK, []int{1}, nil)
+			return whole.UpdateWhere(attrsG, Diff(rows), []int{2}, attrsK, []int{1}, nil)
 		},
 	} {
 		if p, n, err := f(rows); p != 0 || n != 0 || err == nil {
@@ -762,10 +775,10 @@ func RunInstances(t testing.TB, rng *rand.Rand, steps int, mk func() (InstanceTa
 		}
 	}
 	for what, f := range map[string]func() (int, int, error){
-		"InsertIfAbsent": func() (int, int, error) { return whole.InsertIfAbsent(nil, []int{1, 2, 0}, nil) },
-		"DeleteWhere":    func() (int, int, error) { return whole.DeleteWhere(attrsG, nil, []int{2}, nil) },
+		"InsertIfAbsent": func() (int, int, error) { return whole.InsertIfAbsent(Diff(nil), []int{1, 2, 0}, nil) },
+		"DeleteWhere":    func() (int, int, error) { return whole.DeleteWhere(attrsG, Diff(nil), []int{2}, nil) },
 		"UpdateWhere": func() (int, int, error) {
-			return whole.UpdateWhere(attrsG, nil, []int{2}, []string{"v"}, []int{0}, nil)
+			return whole.UpdateWhere(attrsG, Diff(nil), []int{2}, []string{"v"}, []int{0}, nil)
 		},
 	} {
 		if p, n, err := f(); p != 0 || n != 0 || err != nil {

@@ -166,21 +166,32 @@ func (h *hashIndex) check(want int) error {
 // Applier and the one-row conveniences are epochtest's, repeated here for this
 // package's internal tests, which cannot import it (it imports rel).
 type Applier interface {
-	InsertIfAbsent(rows []Tuple, src []int, fn func(post Tuple)) (probed, inserted int, err error)
-	DeleteWhere(attrs []string, rows []Tuple, cols []int, fn func(pre Tuple)) (probed, deleted int, err error)
-	UpdateWhere(attrs []string, rows []Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post Tuple)) (probed, updated int, err error)
+	InsertIfAbsent(b *Batch, src []int, fn func(post Tuple)) (probed, inserted int, err error)
+	DeleteWhere(attrs []string, b *Batch, cols []int, fn func(pre Tuple)) (probed, deleted int, err error)
+	UpdateWhere(attrs []string, b *Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post Tuple)) (probed, updated int, err error)
+}
+
+// Diff is epochtest.Diff: the diff rows as the batch an APPLY statement reads.
+func Diff(rows []Tuple) *Batch {
+	var attrs []string
+	if len(rows) > 0 {
+		for j := range rows[0] {
+			attrs = append(attrs, fmt.Sprintf("c%d", j))
+		}
+	}
+	return FromTuples(NewSchema(attrs, nil), rows)
 }
 
 // InsertRowIfAbsent inserts row, given in the table's attribute order, unless
 // an identical row exists.
 func InsertRowIfAbsent(t Applier, row Tuple) (inserted bool, err error) {
-	_, n, err := t.InsertIfAbsent([]Tuple{row}, Cols(0, len(row)), nil)
+	_, n, err := t.InsertIfAbsent(Diff([]Tuple{row}), Cols(0, len(row)), nil)
 	return n > 0, err
 }
 
 // DeleteRowsWhere removes every row whose attrs equal vals.
 func DeleteRowsWhere(t Applier, attrs []string, vals []Value, fn func(pre Tuple)) (int, error) {
-	_, n, err := t.DeleteWhere(attrs, []Tuple{vals}, Cols(0, len(vals)), fn)
+	_, n, err := t.DeleteWhere(attrs, Diff([]Tuple{vals}), Cols(0, len(vals)), fn)
 	return n, err
 }
 
@@ -188,7 +199,7 @@ func DeleteRowsWhere(t Applier, attrs []string, vals []Value, fn func(pre Tuple)
 // equal vals.
 func UpdateRowsWhere(t Applier, attrs []string, vals []Value, setAttrs []string, setVals []Value, fn func(pre, post Tuple)) (int, error) {
 	k, row := len(vals), append(append(make(Tuple, 0, len(vals)+len(setVals)), vals...), setVals...)
-	_, n, err := t.UpdateWhere(attrs, []Tuple{row}, Cols(0, k), setAttrs, Cols(k, len(row)), fn)
+	_, n, err := t.UpdateWhere(attrs, Diff([]Tuple{row}), Cols(0, k), setAttrs, Cols(k, len(row)), fn)
 	return n, err
 }
 

@@ -74,15 +74,19 @@ func TestWritePathAllocations(t *testing.T) {
 			t.Fatal("DeleteKey missed")
 		}
 	})
-	// An instance is one call: its diff tuples are the caller's (here reused,
-	// storage copies what it stores), so an n-row insert instance allocates
-	// the n stored rows and the instance's key-column map, and a delete
-	// instance — 3 keys, 100-row buckets — nothing at all.
+	// An instance is one call: its diff columns are the caller's (here
+	// rewritten in place, storage copies what it stores), so an n-row insert
+	// instance allocates the n stored rows and the instance's key-column map,
+	// and a delete instance — 3 keys, 100-row buckets — nothing at all.
 	const batch = 64
-	diffs, src := make([]Tuple, batch), Cols(0, 4)
-	for i := range diffs {
-		diffs[i] = make(Tuple, 4)
+	intCols := func(n, width int) *Batch {
+		b := &Batch{Schema: NewSchema(make([]string, width), nil), Cols: make([]ColVec, width), N: n}
+		for j := range b.Cols {
+			b.Cols[j] = ColVec{Kind: VecInt, Nums: make([]uint64, n)}
+		}
+		return b
 	}
+	diffs, src := intCols(batch, 4), Cols(0, 4)
 	const runs = 51 // AllocsPerRun's 50 and its warm-up
 	for k := int64(1000); k < 1000+2*batch*runs; k += 2 {
 		tab.DeleteKey([]Value{Int(k)}) // thin the g buckets out: the even keys go
@@ -91,18 +95,20 @@ func TestWritePathAllocations(t *testing.T) {
 	pin("an InsertIfAbsent instance into existing buckets", batch+1, func() {
 		// Back into the thinned-out g buckets, and into the h and (g, h)
 		// buckets of each group's last row.
-		for _, row := range diffs {
-			row[0], row[1], row[2], row[3] = Int(next), Int(next/100), Int(next/100*100+99), Int(0)
+		for i := 0; i < batch; i++ {
+			for j, v := range [4]int64{next, next / 100, next/100*100 + 99, 0} {
+				diffs.Cols[j].Nums[i] = uint64(v)
+			}
 			next += 2
 		}
 		if p, ins, err := tab.InsertIfAbsent(diffs, src, nil); p != batch || ins != batch || err != nil {
 			t.Fatalf("InsertIfAbsent = %d, %d, %v", p, ins, err)
 		}
 	})
-	group, keys, keyCol := int64(n/100-1), []Tuple{make(Tuple, 1), make(Tuple, 1), make(Tuple, 1)}, Cols(0, 1)
+	group, keys, keyCol := int64(n/100-1), intCols(3, 1), Cols(0, 1)
 	pin("a DeleteWhere instance of 100-row buckets", 0, func() {
-		for _, key := range keys {
-			key[0] = Int(group)
+		for i := range keys.Cols[0].Nums {
+			keys.Cols[0].Nums[i] = uint64(group)
 			group--
 		}
 		if p, n, err := tab.DeleteWhere(onG, keys, keyCol, nil); p != 3 || n != 300 || err != nil {

@@ -354,7 +354,7 @@ func (t *Table) Insert(row Tuple) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cell, d, id := c.locate(row, c.keyIdx)
+	cell, d, id := c.locate(gather(&c.valBuf, row, c.keyIdx))
 	if id >= 0 {
 		return fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
 	}
@@ -362,22 +362,17 @@ func (t *Table) Insert(row Tuple) error {
 	return nil
 }
 
-// locate resolves the primary key row holds in keyCols with one probe: its
-// digest, its cell in the primary index — made room for, so store can file a
-// new chain there without probing again — and the live row's id, or -1.
-func (c *tableCore) locate(row Tuple, keyCols []int) (cell int, d uint64, id int32) {
+// locate resolves a primary key with one probe: its digest, its cell in the
+// primary index — made room for, so store can file a new chain there without
+// probing again — and the live row's id, or -1.
+func (c *tableCore) locate(key []Value) (cell int, d uint64, id int32) {
 	h := c.primary
-	d = digestCols(row, keyCols)
+	d = KeyDigest(key)
 	cell = h.tab.cell(d)
-next:
 	for id = h.tab.cells[cell].head; id >= 0; id = h.next[id] {
-		old := h.row(id)
-		for k, j := range h.cols {
-			if !old[j].KeyEqual(row[keyCols[k]]) {
-				continue next
-			}
+		if h.matches(id, key) {
+			return cell, d, id
 		}
-		return cell, d, id
 	}
 	return cell, d, -1
 }
@@ -416,19 +411,22 @@ func (t *Table) MustInsert(vals ...Value) {
 }
 
 // The three APPLY statements of Section 2 are set-at-a-time, like the
-// paper's: one call applies one i-diff instance. rows are the diff's tuples,
-// applied in order, and the column maps say where in a tuple the statement's
-// values are. Each returns how many tuples it probed — those whose index
-// probe ran, what storage.Handle charges lookups by — and how many stored
-// rows it affected. Validation fails before any tuple; a key conflict, the
-// one failure that strikes mid-instance, leaves the tuples before it applied
-// and counts the conflicting one as probed. The image callbacks (when
-// non-nil) run in apply order inside the critical section, where the full
-// images are in hand; the images alias stored tuples, immutable once stored,
-// and fn must not call back into the table.
+// paper's: one call applies one i-diff instance. b holds the diff's rows as
+// columns, applied in row order, and the column maps say which of b's columns
+// hold the statement's values. A statement reads only those: a delete or
+// update gathers its ID (and SET) values of one row at a time into a scratch
+// vector, and an insert builds the row it stores straight from the columns,
+// so no diff row is ever built as a tuple. Each returns how many diff rows it
+// probed — those whose index probe ran, what storage.Handle charges lookups
+// by — and how many stored rows it affected. Validation fails before any row;
+// a key conflict, the one failure that strikes mid-instance, leaves the rows
+// before it applied and counts the conflicting one as probed. The image
+// callbacks (when non-nil) run in apply order inside the critical section,
+// where the full images are in hand; the images alias stored tuples,
+// immutable once stored, and fn must not call back into the table.
 //
-// An instance takes the write lock once per applyChunk tuples (or rows they
-// affect) — not per tuple, and not once for all: concurrent pre-state readers
+// An instance takes the write lock once per applyChunk diff rows (or rows they
+// affect) — not per row, and not once for all: concurrent pre-state readers
 // wait for at most one chunk (or one DeleteWhere key, whatever its bucket
 // holds), as they did when every tuple was its own call. Measured on
 // feed_serving (DESIGN.md §9): 1 costs a fifth of the apply phase in lock
@@ -438,10 +436,11 @@ const applyChunk = 16
 // chunkGap (tests only) runs between two chunks, while the lock is released.
 var chunkGap func()
 
-// chunked applies diff tuples 0..n-1 in order, each chunk under one hold of
-// c.mu. apply reports how many stored rows tuple i affected: a chunk ends once
-// it has applied applyChunk tuples or rows, so a delete of heavy keys releases
-// the lock after every key, like the per-tuple calls it replaces.
+// chunked applies diff rows 0..n-1 in order, each chunk under one hold of
+// c.mu. apply reports how many stored rows diff row i affected: a chunk ends
+// once it has applied applyChunk diff rows or stored rows, so a delete of
+// heavy keys releases the lock after every key, like the per-row calls it
+// replaces.
 func (c *tableCore) chunked(n int, apply func(i int) (rows int, err error)) (err error) {
 	for i := 0; i < n && err == nil; {
 		if i > 0 && chunkGap != nil {
@@ -460,11 +459,11 @@ func (c *tableCore) chunked(n int, apply func(i int) (rows int, err error)) (err
 	return err
 }
 
-// InsertIfAbsent stores each diff tuple's src columns — the table's
+// InsertIfAbsent stores each diff row's src columns — the table's
 // attributes, in order — unless an identical row exists; a row with the same
 // key and other values is a primary-key violation, a non-effective diff. fn
 // sees each stored row.
-func (t *Table) InsertIfAbsent(rows []Tuple, src []int, fn func(post Tuple)) (probed, inserted int, err error) {
+func (t *Table) InsertIfAbsent(b *Batch, src []int, fn func(post Tuple)) (probed, inserted int, err error) {
 	c := t.core
 	if len(src) != len(c.schema.Attrs) {
 		return 0, 0, fmt.Errorf("rel: table %q: tuple width %d != schema width %d", c.name, len(src), len(c.schema.Attrs))
@@ -473,14 +472,13 @@ func (t *Table) InsertIfAbsent(rows []Tuple, src []int, fn func(post Tuple)) (pr
 	for k, j := range c.keyIdx {
 		keySrc[k] = src[j]
 	}
-	err = c.chunked(len(rows), func(i int) (int, error) {
-		row := rows[i]
+	err = c.chunked(b.N, func(i int) (int, error) {
 		probed++
-		cell, d, id := c.locate(row, keySrc)
+		cell, d, id := c.locate(gatherRow(&c.valBuf, b, i, keySrc))
 		if id < 0 {
 			stored := make(Tuple, len(src))
 			for k, j := range src {
-				stored[k] = row[j]
+				stored[k] = b.Cols[j].Value(i)
 			}
 			c.store(stored, cell, d)
 			if inserted++; fn != nil {
@@ -492,8 +490,8 @@ func (t *Table) InsertIfAbsent(rows []Tuple, src []int, fn func(post Tuple)) (pr
 		// was just resolved under; Tuple.Equal is coarser (see hashIndex.update).
 		old := c.rows[c.posOf[id]]
 		for k, j := range src {
-			if !old[k].KeyEqual(row[j]) {
-				return 0, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, row.String(), old.String())
+			if !old[k].KeyEqual(b.Cols[j].Value(i)) {
+				return 0, fmt.Errorf("rel: table %q: key conflict inserting %s over %s", c.name, b.Row(i, nil).String(), old.String())
 			}
 		}
 		return 0, nil
@@ -517,22 +515,22 @@ func (t *Table) DeleteKey(key []Value) bool {
 	return true
 }
 
-// DeleteWhere removes every row whose attrs equal a diff tuple's cols; fn sees
+// DeleteWhere removes every row whose attrs equal a diff row's cols; fn sees
 // their pre-images in index order. Each key is deleted set-at-a-time: its chain is resolved
 // once and — unless a colliding key shares it — dropped from its index as a
 // whole, and the rows go in descending position order — a swap-remove then
 // only ever moves a row from outside the set, so the resolved positions stay
 // valid without re-probing anything.
-func (t *Table) DeleteWhere(attrs []string, rows []Tuple, cols []int, fn func(pre Tuple)) (probed, deleted int, err error) {
+func (t *Table) DeleteWhere(attrs []string, b *Batch, cols []int, fn func(pre Tuple)) (probed, deleted int, err error) {
 	c, sig := t.core, indexSig(attrs)
 	var idx *hashIndex
-	err = c.chunked(len(rows), func(i int) (n int, err error) {
+	err = c.chunked(b.N, func(i int) (n int, err error) {
 		if idx == nil { // resolved once per instance: an index, once built, stays
 			if idx, err = c.indexFor(attrs, sig, len(cols)); err != nil {
 				return 0, err
 			}
 		}
-		pos, cell, whole := c.writeSet(idx, gather(&c.valBuf, rows[i], cols))
+		pos, cell, whole := c.writeSet(idx, gatherRow(&c.valBuf, b, i, cols))
 		if probed++; len(pos) == 0 {
 			return 0, nil
 		}
@@ -567,6 +565,16 @@ func gather(buf *[]Value, row Tuple, cols []int) []Value {
 	return vals
 }
 
+// gatherRow copies the values of b's row i in cols into *buf, like gather.
+func gatherRow(buf *[]Value, b *Batch, i int, cols []int) []Value {
+	vals := (*buf)[:0]
+	for _, j := range cols {
+		vals = append(vals, b.Cols[j].Value(i))
+	}
+	*buf = vals
+	return vals
+}
+
 // writeSet resolves the positions of the live rows idx files under vals — in
 // index order, in the writer's position scratch —, the cell of their chain,
 // and whether they are the whole chain.
@@ -585,10 +593,10 @@ func (c *tableCore) writeSet(idx *hashIndex, vals []Value) (pos []int32, cell in
 	return pos, cell, whole
 }
 
-// UpdateWhere overwrites setAttrs with a diff tuple's setCols on every row
+// UpdateWhere overwrites setAttrs with a diff row's setCols on every row
 // whose attrs equal its cols. Key attributes are immutable; an update writes
 // a modified clone, so the replaced tuple is the pre-image fn sees.
-func (t *Table) UpdateWhere(attrs []string, rows []Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post Tuple)) (probed, updated int, err error) {
+func (t *Table) UpdateWhere(attrs []string, b *Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post Tuple)) (probed, updated int, err error) {
 	c, sig := t.core, indexSig(attrs)
 	setIdx, err := c.setColumns(nil, setAttrs)
 	if err != nil {
@@ -598,14 +606,14 @@ func (t *Table) UpdateWhere(attrs []string, rows []Tuple, cols []int, setAttrs [
 		return 0, 0, fmt.Errorf("rel: table %q: %d values for SET attributes %v", c.name, len(setCols), setAttrs)
 	}
 	var idx *hashIndex
-	err = c.chunked(len(rows), func(i int) (n int, err error) {
+	err = c.chunked(b.N, func(i int) (n int, err error) {
 		if idx == nil {
 			if idx, err = c.indexFor(attrs, sig, len(cols)); err != nil {
 				return 0, err
 			}
 		}
-		vals := gather(&c.valBuf, rows[i], cols)
-		n = c.updateMatching(idx, vals, setIdx, gather(&c.setValBuf, rows[i], setCols), fn)
+		vals := gatherRow(&c.valBuf, b, i, cols)
+		n = c.updateMatching(idx, vals, setIdx, gatherRow(&c.setValBuf, b, i, setCols), fn)
 		probed, updated = probed+1, updated+n
 		return n, nil
 	})

@@ -28,8 +28,11 @@ import (
 
 // Delta is one committed round's applied i-diffs for one view. Rounds are
 // numbered per server, monotonically, starting at 1; a round that did not
-// touch the view carries an empty Diffs. The instances' rows are shared
-// with the maintenance machinery — treat them as read-only.
+// touch the view carries an empty Diffs. The instances are the round's own,
+// handed over untouched: each holds the columns its APPLY read, and a
+// subscriber that wants tuples asks Instance.Tuples, which builds them once,
+// on the asking goroutine — the dispatcher never does, and a delta may be
+// read long after later rounds committed. Treat the rows as read-only.
 type Delta struct {
 	Round int64
 	View  string

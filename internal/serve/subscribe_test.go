@@ -1,11 +1,14 @@
 package serve_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"idivm/internal/db"
+	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/serve"
 )
@@ -104,6 +107,86 @@ func TestSubscribeStreamsAppliedDiffs(t *testing.T) {
 					t.Fatalf("round %d: replayed state diverged:\n got %v\nwant %v",
 						round, got.Sorted(), want.Sorted())
 				}
+			}
+		})
+	}
+}
+
+// TestServingSubscribersReadDeltaTuples: a delta's instances hold the
+// columns their APPLY read, and a subscriber that wants tuples builds them on
+// its own goroutine. Two subscribers on one view get the same instances and
+// ask for their tuples concurrently (the race-enabled runs check the build is
+// once-guarded); each round's delta is read only after the next round has
+// committed, and replaying its tuples onto a shadow copy of the view must
+// reproduce, byte for byte, the ViewSnapshot taken when that round committed.
+func TestServingSubscribersReadDeltaTuples(t *testing.T) {
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			s := newServedOn(t, eng.mk, flushOpts)
+			var subs [2]*serve.Subscription
+			for k := range subs {
+				sub, err := s.srv.Subscribe(testView, 0)
+				if err != nil {
+					t.Fatalf("Subscribe: %v", err)
+				}
+				defer sub.Close()
+				subs[k] = sub
+			}
+			snap, err := s.srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("ViewSnapshot: %v", err)
+			}
+			shadow := db.New().MustCreateTable("shadow", snap.Schema)
+			for _, row := range snap.Tuples {
+				if err := shadow.Insert(row); err != nil {
+					t.Fatalf("seeding shadow: %v", err)
+				}
+			}
+			render := func(r *rel.Relation) string { return fmt.Sprint(r.Sorted().Tuples) }
+
+			var late [2]serve.Delta // the previous round's deltas, unread so far
+			var lateWant string     // the view when that round committed
+			for round := 1; round <= 6; round++ {
+				updateBatch(t, s, 40, 1000+round)
+				var now [2]serve.Delta
+				for k, sub := range subs {
+					if now[k] = recvDelta(t, sub); now[k].Round != int64(round) || len(now[k].Diffs) == 0 {
+						t.Fatalf("subscriber %d: delta of round %d with %d diffs, want round %d with diffs", k, now[k].Round, len(now[k].Diffs), round)
+					}
+				}
+				if round > 1 {
+					// Round-1 tuples, first built now that round has committed.
+					var got [2][][]rel.Tuple
+					var wg sync.WaitGroup
+					for k := range late {
+						wg.Add(1)
+						//ivmlint:allow gostmt — test subscribers reading one delta concurrently
+						go func(k int) {
+							defer wg.Done()
+							for _, inst := range late[k].Diffs {
+								got[k] = append(got[k], inst.Tuples())
+							}
+						}(k)
+					}
+					wg.Wait()
+					for i, inst := range late[0].Diffs {
+						if late[1].Diffs[i] != inst || fmt.Sprint(got[0][i]) != fmt.Sprint(got[1][i]) {
+							t.Fatalf("round %d: the two subscribers got different instance %d", round-1, i)
+						}
+						replay := &ivm.Instance{Schema: inst.Schema, Rows: &rel.Relation{Schema: inst.RowSchema(), Tuples: got[0][i]}}
+						if _, err := replay.Apply(shadow); err != nil {
+							t.Fatalf("round %d: replay: %v", round-1, err)
+						}
+					}
+					if got := render(shadow.WithCounter(new(rel.CostCounter)).Relation(rel.StatePost)); got != lateWant {
+						t.Fatalf("round %d, read after round %d committed: replayed state diverged:\n got %s\nwant %s", round-1, round, got, lateWant)
+					}
+				}
+				want, err := s.srv.ViewSnapshot(testView)
+				if err != nil {
+					t.Fatalf("round %d: ViewSnapshot: %v", round, err)
+				}
+				late, lateWant = now, render(want)
 			}
 		})
 	}

@@ -79,10 +79,14 @@ type Table interface {
 	Insert(row rel.Tuple) error
 	// InsertIfAbsent, DeleteWhere and UpdateWhere are the three APPLY
 	// statements of the paper's Section 2, set-at-a-time: one call applies
-	// one i-diff instance. rows are the diff's tuples, applied in order; the
-	// column maps locate a statement's values inside a diff tuple. Each
-	// returns how many rows it probed (those whose index probe ran — what
-	// Handle charges lookups by) and how many stored rows it affected.
+	// one i-diff instance. b holds the diff's rows as columns — the batch the
+	// Δ-script step that computed the diff produced — applied in row order;
+	// the column maps say which of b's columns hold a statement's values, and
+	// a statement reads no other column: it gathers a row's ID and SET
+	// values, or builds the row it stores, straight from the columns, and
+	// never turns a diff row into a tuple. Each returns how many diff rows it
+	// probed (those whose index probe ran — what Handle charges lookups by)
+	// and how many stored rows it affected.
 	// Validation fails before any row; a key conflict in the middle of an
 	// insert instance leaves the rows before it applied and counts the
 	// conflicting row as probed. The image callbacks (when non-nil) run in
@@ -93,19 +97,19 @@ type Table interface {
 	// A writer holds the table's lock for a bounded run of rows (or one
 	// DeleteWhere key), never for a whole instance.
 	//
-	// InsertIfAbsent stores, for each diff tuple, its src columns (in the
-	// table's attribute order) unless an identical row exists; a row with
-	// the same key and other values is an error. fn sees each row stored.
-	InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error)
+	// InsertIfAbsent stores, for each diff row, its src columns (in the
+	// table's attribute order) unless an identical row exists; a row with the
+	// same key and other values is an error. fn sees each row stored.
+	InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error)
 	// DeleteKey removes the row with the given primary-key values.
 	DeleteKey(key []rel.Value) bool
-	// DeleteWhere removes, for each diff tuple, every row whose attrs equal
-	// the tuple's cols. fn sees each removed row's full pre-image.
-	DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error)
-	// UpdateWhere overwrites, for each diff tuple, setAttrs with the tuple's
-	// setCols on every row whose attrs equal its cols. Key attributes are
-	// immutable. fn sees each updated row's full pre- and post-image.
-	UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error)
+	// DeleteWhere removes, for each diff row, every row whose attrs equal
+	// the diff row's cols. fn sees each removed row's full pre-image.
+	DeleteWhere(attrs []string, b *rel.Batch, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error)
+	// UpdateWhere overwrites, for each diff row, setAttrs with the diff
+	// row's setCols on every row whose attrs equal its cols. Key attributes
+	// are immutable. fn sees each updated row's full pre- and post-image.
+	UpdateWhere(attrs []string, b *rel.Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error)
 	// UpdateKey updates the single row with the given primary key and
 	// returns its pre- and post-image, both nil when there is no such row.
 	UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (pre, post rel.Tuple, err error)

@@ -21,12 +21,12 @@ import "idivm/internal/rel"
 //   - Insert: one tuple write on success; nothing on a width/duplicate
 //     error.
 //   - InsertIfAbsent, DeleteWhere, UpdateWhere (one i-diff instance per
-//     call): one index lookup per diff tuple probed plus one tuple write
+//     call): one index lookup per diff row probed plus one tuple write
 //     per stored row inserted, removed or updated — derived from the two
 //     counts the backend returns, so an instance is charged exactly what
-//     its tuples applied one call at a time would be. A tuple that finds
-//     its row present, or conflicts, is probed; validation errors precede
-//     every tuple and charge nothing.
+//     its rows applied one call at a time would be. A row that finds its
+//     stored row present, or conflicts, is probed; validation errors
+//     precede every row and charge nothing.
 //   - DeleteKey: one index lookup, plus one tuple write when removed.
 //   - UpdateKey: on success, one index lookup plus one tuple write when
 //     the row exists. UpdateKeyLogged additionally charges the two Gets
@@ -151,8 +151,8 @@ func (h *Handle) MustInsert(vals ...rel.Value) {
 // InsertIfAbsent implements Table, charging one index lookup per row probed —
 // a row that already exists or conflicts included — plus one write per row
 // inserted; nothing for a column map of the wrong width.
-func (h *Handle) InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
-	probed, inserted, err = h.t.InsertIfAbsent(rows, src, fn)
+func (h *Handle) InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
+	probed, inserted, err = h.t.InsertIfAbsent(b, src, fn)
 	h.charge(0, int64(probed), int64(inserted))
 	return probed, inserted, err
 }
@@ -168,20 +168,20 @@ func (h *Handle) DeleteKey(key []rel.Value) bool {
 	return true
 }
 
-// DeleteWhere implements Table, charging one index lookup per diff tuple
+// DeleteWhere implements Table, charging one index lookup per diff row
 // plus one write per removed row; nothing on a validation/index error, which
 // precedes every row. The charge is the same with or without fn, which
 // observes pre-images the backend already holds, not extra probes.
-func (h *Handle) DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
-	probed, deleted, err = h.t.DeleteWhere(attrs, rows, cols, fn)
+func (h *Handle) DeleteWhere(attrs []string, b *rel.Batch, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
+	probed, deleted, err = h.t.DeleteWhere(attrs, b, cols, fn)
 	h.charge(0, int64(probed), int64(deleted))
 	return probed, deleted, err
 }
 
-// UpdateWhere implements Table, charging one index lookup per diff tuple plus
+// UpdateWhere implements Table, charging one index lookup per diff row plus
 // one write per updated row, with or without fn like DeleteWhere.
-func (h *Handle) UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
-	probed, updated, err = h.t.UpdateWhere(attrs, rows, cols, setAttrs, setCols, fn)
+func (h *Handle) UpdateWhere(attrs []string, b *rel.Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
+	probed, updated, err = h.t.UpdateWhere(attrs, b, cols, setAttrs, setCols, fn)
 	h.charge(0, int64(probed), int64(updated))
 	return probed, updated, err
 }

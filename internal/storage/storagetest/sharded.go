@@ -158,19 +158,24 @@ func (t *shardedTable) Insert(row rel.Tuple) error {
 // InsertIfAbsent implements storage.Table: each run of consecutive rows
 // routed to one shard is one instance there, so rows are applied, and
 // reported to fn, in diff order.
-func (t *shardedTable) InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
+func (t *shardedTable) InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
 	if len(src) != len(t.Schema().Attrs) {
-		return t.shards[0].InsertIfAbsent(rows, src, fn) // reports the width error
+		return t.shards[0].InsertIfAbsent(b, src, fn) // reports the width error
 	}
 	keySrc := make([]int, len(t.keyIdx))
 	for k, j := range t.keyIdx {
 		keySrc[k] = src[j]
 	}
-	for lo, hi := 0, 0; lo < len(rows) && err == nil; lo = hi {
-		sh := t.forRow(rows[lo], keySrc)
-		for hi = lo + 1; hi < len(rows) && t.forRow(rows[hi], keySrc) == sh; hi++ {
+	var row rel.Tuple
+	shardOf := func(i int) *rel.Table {
+		row = b.Row(i, row)
+		return t.forRow(row, keySrc)
+	}
+	for lo, hi := 0, 0; lo < b.N && err == nil; lo = hi {
+		sh := shardOf(lo)
+		for hi = lo + 1; hi < b.N && shardOf(hi) == sh; hi++ {
 		}
-		p, n, e := sh.InsertIfAbsent(rows[lo:hi], src, fn)
+		p, n, e := sh.InsertIfAbsent(b.Slice(lo, hi), src, fn)
 		probed, inserted, err = probed+p, inserted+n, e
 	}
 	return probed, inserted, err
@@ -188,17 +193,17 @@ func (t *shardedTable) UpdateKey(key []rel.Value, setAttrs []string, setVals []r
 // shard order — the order Scan returns rows in — and the counts sum. Index
 // errors depend on the schema only, so shard 0 fails on the first row,
 // before any shard changes, or no shard fails.
-func (t *shardedTable) DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
-	return t.fanOut(len(rows), func(sh *rel.Table, i int) (int, int, error) {
-		return sh.DeleteWhere(attrs, rows[i:i+1], cols, fn)
+func (t *shardedTable) DeleteWhere(attrs []string, b *rel.Batch, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
+	return t.fanOut(b.N, func(sh *rel.Table, i int) (int, int, error) {
+		return sh.DeleteWhere(attrs, b.Slice(i, i+1), cols, fn)
 	})
 }
 
 // UpdateWhere implements storage.Table like DeleteWhere; its validation
 // errors depend on the schema only too.
-func (t *shardedTable) UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
-	return t.fanOut(len(rows), func(sh *rel.Table, i int) (int, int, error) {
-		return sh.UpdateWhere(attrs, rows[i:i+1], cols, setAttrs, setCols, fn)
+func (t *shardedTable) UpdateWhere(attrs []string, b *rel.Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
+	return t.fanOut(b.N, func(sh *rel.Table, i int) (int, int, error) {
+		return sh.UpdateWhere(attrs, b.Slice(i, i+1), cols, setAttrs, setCols, fn)
 	})
 }
 

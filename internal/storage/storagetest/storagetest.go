@@ -99,23 +99,23 @@ func (t *table) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Valu
 
 // InsertIfAbsent implements storage.Table. An instance the fault falls in
 // applies the rows before the failing one and then fails (see injected).
-func (t *table) InsertIfAbsent(rows []rel.Tuple, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
-	n, fail := t.e.take(len(rows))
-	probed, inserted, err = t.Table.InsertIfAbsent(rows[:n], src, fn)
+func (t *table) InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error) {
+	n, fail := t.e.take(b.N)
+	probed, inserted, err = t.Table.InsertIfAbsent(b.Slice(0, n), src, fn)
 	return injected(probed, inserted, err, fail)
 }
 
 // DeleteWhere implements storage.Table, failing like InsertIfAbsent.
-func (t *table) DeleteWhere(attrs []string, rows []rel.Tuple, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
-	n, fail := t.e.take(len(rows))
-	probed, deleted, err = t.Table.DeleteWhere(attrs, rows[:n], cols, fn)
+func (t *table) DeleteWhere(attrs []string, b *rel.Batch, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error) {
+	n, fail := t.e.take(b.N)
+	probed, deleted, err = t.Table.DeleteWhere(attrs, b.Slice(0, n), cols, fn)
 	return injected(probed, deleted, err, fail)
 }
 
 // UpdateWhere implements storage.Table, failing like InsertIfAbsent.
-func (t *table) UpdateWhere(attrs []string, rows []rel.Tuple, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
-	n, fail := t.e.take(len(rows))
-	probed, updated, err = t.Table.UpdateWhere(attrs, rows[:n], cols, setAttrs, setCols, fn)
+func (t *table) UpdateWhere(attrs []string, b *rel.Batch, cols []int, setAttrs []string, setCols []int, fn func(pre, post rel.Tuple)) (probed, updated int, err error) {
+	n, fail := t.e.take(b.N)
+	probed, updated, err = t.Table.UpdateWhere(attrs, b.Slice(0, n), cols, setAttrs, setCols, fn)
 	return injected(probed, updated, err, fail)
 }
 

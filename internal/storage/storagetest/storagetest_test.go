@@ -39,11 +39,11 @@ func TestArmFailsTheNthRow(t *testing.T) {
 	if _, _, err := a.UpdateKey([]rel.Value{rel.Int(1)}, []string{"v"}, []rel.Value{rel.Int(7)}); err != nil {
 		t.Fatal(err)
 	}
-	probed, inserted, err := b.InsertIfAbsent(rows(1, 2, 3, 4, 5), epochtest.Cols(0, 2), nil)
+	probed, inserted, err := b.InsertIfAbsent(epochtest.Diff(rows(1, 2, 3, 4, 5)), epochtest.Cols(0, 2), nil)
 	if !errors.Is(err, storagetest.ErrInjected) || probed != 3 || inserted != 2 || b.Len() != 2 {
 		t.Fatalf("InsertIfAbsent with the 3rd row armed = (%d, %d, %v), %d rows stored; want (3, 2, ErrInjected), 2", probed, inserted, err, b.Len())
 	}
-	if probed, deleted, err := b.DeleteWhere([]string{"v"}, rows(1, 2), epochtest.Cols(1, 2), nil); err != nil || probed != 2 || deleted != 2 {
+	if probed, deleted, err := b.DeleteWhere([]string{"v"}, epochtest.Diff(rows(1, 2)), epochtest.Cols(1, 2), nil); err != nil || probed != 2 || deleted != 2 {
 		t.Fatalf("DeleteWhere after the fault fired = (%d, %d, %v); the fault must fire once", probed, deleted, err)
 	}
 	if got := e.Written(); got != 1+1+3+2 {
