@@ -276,23 +276,25 @@ func (d *Database) LogDerived(view string, mods []Modification) {
 }
 
 // DerivedLog returns the modifications recorded against a view since the
-// last ClearLog/ResetLog — the same-round delta feed of a cascade parent.
+// last ClearLog/ResetLog — the same-round delta feed of a cascade parent. The
+// slice is valid until then: clearing keeps its backing array for the next
+// round's entries. The images alias stored rows, which never change.
 func (d *Database) DerivedLog(view string) []Modification {
 	d.derivedMu.Lock()
 	defer d.derivedMu.Unlock()
 	return d.derived[view]
 }
 
-// ClearDerivedLogs drops every view's derived modification log without
+// ClearDerivedLogs empties every view's derived modification log without
 // touching the base log or any epochs. The IVM system calls it when a
 // maintenance round fails: the base log is kept for retry, but derived
 // logs are intra-round state — regenerated when the retried round
 // re-runs the parent views — so keeping them would feed children
-// duplicated entries.
+// duplicated entries. Each log keeps its backing array (see Reuse).
 func (d *Database) ClearDerivedLogs() {
 	d.derivedMu.Lock()
-	for k := range d.derived {
-		delete(d.derived, k)
+	for k, log := range d.derived {
+		d.derived[k] = Reuse(log)
 	}
 	d.derivedMu.Unlock()
 }
@@ -303,11 +305,14 @@ func (d *Database) Insert(table string, row rel.Tuple) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Insert(row); err != nil {
+	// One call stores the row and hands back the table's copy, which the log
+	// keeps: stored rows are immutable once stored.
+	post, err := t.InsertLogged(row)
+	if err != nil {
 		return err
 	}
 	if d.LoggingEnabled(table) {
-		d.log = append(d.log, Modification{Kind: ModInsert, Table: table, Post: row.Clone()})
+		d.log = append(d.log, Modification{Kind: ModInsert, Table: table, Post: post})
 	}
 	return nil
 }
@@ -319,11 +324,10 @@ func (d *Database) Delete(table string, key []rel.Value) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	pre, ok := t.Get(rel.StatePost, key)
-	if !ok {
-		return false, nil
-	}
-	if !t.DeleteKey(key) {
+	// One call resolves the key once and hands back the removed row, charged
+	// as the Get–DeleteKey it replaces.
+	pre := t.DeleteKeyLogged(key)
+	if pre == nil {
 		return false, nil
 	}
 	if d.LoggingEnabled(table) {
@@ -354,16 +358,39 @@ func (d *Database) Update(table string, key []rel.Value, setAttrs []string, setV
 	return true, nil
 }
 
-// Log returns the modifications logged since the last ResetLog.
+// Log returns the modifications logged since the last ResetLog. The slice is
+// valid until the next ClearLog or ResetLog, which keep its backing array for
+// the next round's entries; the images alias stored rows, which never change.
 func (d *Database) Log() []Modification { return d.log }
 
-// ClearLog clears the modification log (and every derived log) without
-// touching any epochs. Besides ResetLog, its only caller is the frozen
-// benchmark tracer (benchmark/trace.go), which advances the epochs itself;
-// everything else ends a round with ResetLog.
+// ClearLog empties the modification log (and every derived log) without
+// touching any epochs. The logs keep their backing arrays (see Reuse), so a
+// round's log does not grow from nothing again. Besides ResetLog, its only
+// caller is the frozen benchmark tracer (benchmark/trace.go), which advances
+// the epochs itself; everything else ends a round with ResetLog.
 func (d *Database) ClearLog() {
-	d.log = nil
+	d.log = Reuse(d.log)
 	d.ClearDerivedLogs()
+}
+
+// retainFloor and retainRatio bound what a round's emptied buffers keep (see
+// Reuse).
+const (
+	retainFloor = 1 << 10
+	retainRatio = 4
+)
+
+// Reuse empties a buffer a round filled — a log here, the compactor's slots and
+// net changes in internal/ivm — for the next round. It zeroes the entries, so
+// the buffer keeps no row alive, and keeps the backing array unless it is
+// above retainFloor entries and more than retainRatio times what the round
+// used: one large round does not pin its buffer for good.
+func Reuse[T any](buf []T) []T {
+	if cap(buf) > max(retainFloor, retainRatio*len(buf)) {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
 }
 
 // ResetLog ends a successful maintenance round: it clears the modification

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"runtime"
 	"testing"
 
 	"idivm/internal/rel"
@@ -153,5 +154,63 @@ func TestUpdateIsChargedAsGetUpdateGet(t *testing.T) {
 	}
 	if c := *d.Counter(); c.Total() != 0 {
 		t.Errorf("refused: charged %+v", c)
+	}
+}
+
+// mallocs counts the heap objects f allocates, like internal/ivm's test
+// helper of that name: a collection runs first, so none starts inside f and
+// counts the runtime's own objects.
+func mallocs(f func()) uint64 {
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestLoggedWritesAllocateOnlyTheStoredRow pins what a logged write allocates
+// once the log is warm — its backing array kept by ResetLog from the round
+// before: an Insert and an Update one object each, the row the table stores,
+// which the log keeps too, and a Delete nothing. A log regrown from nil every
+// round, or an image copied for the log, allocates more.
+func TestLoggedWritesAllocateOnlyTheStoredRow(t *testing.T) {
+	const n = 16
+	d := New()
+	d.MustCreateTable("t", rel.NewSchema([]string{"k", "v"}, []string{"k"}))
+	d.EnableLogging("t")
+	rows, keys := make([]rel.Tuple, n), make([][]rel.Value, n)
+	for i := range rows {
+		rows[i] = rel.Tuple{rel.Int(int64(i)), rel.Int(0)}
+		keys[i] = rows[i][:1]
+	}
+	set, val := []string{"v"}, []rel.Value{rel.Int(1)}
+	ops := []struct {
+		name string
+		want uint64
+		do   func(i int) error
+	}{
+		{"Insert", 1, func(i int) error { return d.Insert("t", rows[i]) }},
+		{"Update", 1, func(i int) error { _, err := d.Update("t", keys[i], set, val); return err }},
+		{"Delete", 0, func(i int) error { _, err := d.Delete("t", keys[i]); return err }},
+	}
+	for round := 0; round < 3; round++ {
+		for _, op := range ops {
+			for i := range rows {
+				var err error
+				got := mallocs(func() { err = op.do(i) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if round == 2 && got != op.want {
+					t.Errorf("a warm logged %s of row %d allocated %d objects, want %d", op.name, i, got, op.want)
+				}
+			}
+		}
+		if len(d.Log()) != 3*n {
+			t.Fatalf("round %d logged %d entries, want %d", round, len(d.Log()), 3*n)
+		}
+		d.ResetLog()
 	}
 }

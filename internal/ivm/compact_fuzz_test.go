@@ -1,7 +1,9 @@
 package ivm
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"idivm/internal/db"
@@ -178,15 +180,95 @@ func checkCompaction(t *testing.T, start, end map[string]rel.Tuple, log []db.Mod
 	}
 }
 
+// reusedCompactor is the long-lived compactor of FuzzCompactLog: it carries
+// its buffers from one input to the next, as a System's does from round to
+// round.
+var reusedCompactor compactor
+
+// checkReusedCompactor compacts log with reusedCompactor after two other
+// compactions — a different history over the same table, then one that fails
+// midway (the different history over a second table, then a double delete)
+// — and checks that its net change equals a fresh CompactLog's, order
+// included: nothing one compaction folded leaks into the next.
+func checkReusedCompactor(t *testing.T, data []byte, log []db.Modification) {
+	t.Helper()
+	schemaOf := func(string) (rel.Schema, error) { return compactSchema, nil }
+	rotated := append(append([]byte(nil), data[len(data)/2:]...), data[:len(data)/2]...)
+	_, _, other := decodeHistory(rotated)
+	failing := make([]db.Modification, 0, len(other)+2)
+	for _, m := range other {
+		m.Table = "u"
+		failing = append(failing, m)
+	}
+	gone := rel.Tuple{rel.Int(99), rel.Null(), rel.Null()}
+	failing = append(failing, db.Modification{Kind: db.ModDelete, Table: "t", Pre: gone},
+		db.Modification{Kind: db.ModDelete, Table: "t", Pre: gone})
+
+	c := &reusedCompactor
+	if _, err := c.compact(other, schemaOf); err != nil {
+		t.Fatalf("compacting the rotated history: %v", err)
+	}
+	c.reset()
+	if _, err := c.compact(failing, schemaOf); err == nil {
+		t.Fatal("a double delete compacted without an error")
+	}
+	c.reset()
+	tables, err := c.compact(log, schemaOf)
+	defer c.reset()
+	if err != nil {
+		t.Fatalf("reused compactor: %v", err)
+	}
+	fresh, err := CompactLog(log, schemaOf)
+	if err != nil {
+		t.Fatalf("CompactLog: %v", err)
+	}
+	want := fresh["t"]
+	if want == nil {
+		want = &NetChange{Table: "t", Schema: compactSchema}
+	}
+	var got *NetChange
+	for _, a := range tables {
+		if a.nc.Table != "t" {
+			t.Fatalf("reused compactor returned table %q, the log has only t", a.nc.Table)
+		}
+		got = &a.nc
+	}
+	if got == nil {
+		if len(log) == 0 {
+			return
+		}
+		t.Fatal("reused compactor returned no table for a non-empty log")
+	}
+	render := func(nc *NetChange) string {
+		var b strings.Builder
+		for _, row := range nc.Inserts {
+			fmt.Fprintf(&b, "+%s ", rel.TupleKey(row))
+		}
+		for _, row := range nc.Deletes {
+			fmt.Fprintf(&b, "-%s ", rel.TupleKey(row))
+		}
+		for _, up := range nc.Updates {
+			fmt.Fprintf(&b, "u%s→%s ", rel.TupleKey(up.Pre), rel.TupleKey(up.Post))
+		}
+		return b.String()
+	}
+	if g, w := render(got), render(want); g != w {
+		t.Fatalf("reused compactor's net change differs from a fresh one's:\n got %s\nwant %s", g, w)
+	}
+}
+
 // FuzzCompactLog decodes the input as a start state and a history of
 // inserts, updates and deletes over a keyed table whose values sit at the
 // edges of Value.Same (decodeHistory), and checks CompactLog and
-// PopulateInstances against it (checkCompaction). The corpus under
+// PopulateInstances against it (checkCompaction), and a long-lived compactor
+// against a fresh one (checkReusedCompactor). The corpus under
 // testdata/fuzz/FuzzCompactLog holds the corners that used to be dropped
-// as no-ops because they compared through float64.
+// as no-ops because they compared through float64, and histories whose
+// rotation touches keys, or fails on rows, the history itself does not.
 func FuzzCompactLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start, end, log := decodeHistory(data)
 		checkCompaction(t, start, end, log)
+		checkReusedCompactor(t, data, log)
 	})
 }

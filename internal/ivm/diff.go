@@ -100,11 +100,12 @@ func (d DiffSchema) Equal(o DiffSchema) bool {
 		slices.Equal(d.IDs, o.IDs) && slices.Equal(d.Pre, o.Pre) && slices.Equal(d.Post, o.Post)
 }
 
-// Instance couples a diff schema with its diff rows. A base instance — one
-// PopulateInstances or NewInstance built — holds them as tuples in Rows. An
+// Instance couples a diff schema with its diff rows. One NewInstance built
+// holds them as tuples in Rows. One PopulateInstances built holds them as the
+// columns a round binds and as tuples in Rows, built from those columns. An
 // instance a Δ-script applied to its view (PhaseCosts.Applied) holds the
-// binding its APPLY read instead, the compute step's columns, and Rows is
-// nil: read its rows through Tuples, which builds them on first use.
+// binding its APPLY read, the compute step's columns, and Rows is nil: read
+// its rows through Tuples, which builds them on first use.
 type Instance struct {
 	Schema DiffSchema
 	Rows   *rel.Relation

@@ -2,7 +2,6 @@ package ivm
 
 import (
 	"fmt"
-	"sort"
 
 	"idivm/internal/db"
 	"idivm/internal/rel"
@@ -39,55 +38,97 @@ func (n *NetChange) Empty() bool {
 // Tuples are equal when they are KeyEqual value by value — the equality
 // stored tables index under; Same would take Int(1<<53) → Int(1<<53+1)
 // or 1 → NaN for a no-op, since it compares numbers through float64.
+// Within a table, net changes keep the order in which their keys were first
+// logged. The images are the log's own, not copies: a log's images alias
+// stored rows, which never change.
 func CompactLog(log []db.Modification, schemaOf func(table string) (rel.Schema, error)) (map[string]*NetChange, error) {
-	type slot struct {
-		// state machine over the tuple's fate since the last maintenance
-		kind    db.ModKind
-		present bool // whether a net change exists
-		pre     rel.Tuple
-		post    rel.Tuple
-		order   int
+	var c compactor
+	tables, err := c.compact(log, schemaOf)
+	if err != nil {
+		return nil, err
 	}
-	type tableAcc struct {
-		schema rel.Schema
-		keyIdx []int
-		slots  map[string]*slot
-		order  []string
+	out := make(map[string]*NetChange, len(tables))
+	for _, a := range tables {
+		if !a.nc.Empty() {
+			out[a.nc.Table] = &a.nc
+		}
 	}
+	return out, nil
+}
 
-	accs := make(map[string]*tableAcc)
-	acc := func(table string) (*tableAcc, error) {
-		if a, ok := accs[table]; ok {
-			return a, nil
-		}
-		s, err := schemaOf(table)
-		if err != nil {
-			return nil, err
-		}
-		a := &tableAcc{schema: s, keyIdx: s.KeyIndices(), slots: make(map[string]*slot)}
-		accs[table] = a
+// compactor is CompactLog's state: one accumulator per table it has seen,
+// kept with its buffers from one compaction to the next. A System owns one
+// and compacts every log of every round with it (diffFeed.add), resetting it
+// once a log's instances are populated, so a warm round folds its log into
+// buffers the earlier rounds grew. CompactLog runs a fresh one.
+type compactor struct {
+	tables map[string]*tableAcc
+	used   []*tableAcc // the tables of the current compaction, first seen first
+	key    []rel.Value // a log entry's primary key, gathered for its digest
+	// pre and post are the updates an update schema takes (populate).
+	pre, post []rel.Tuple
+}
+
+// tableAcc folds one table's log: a slot per primary key in slots, in the
+// order keys were first seen, found through chains under the key's digest.
+type tableAcc struct {
+	keyIdx []int
+	slots  []slot
+	chains rel.DigestChains // key digest → slot indexes
+	// nc is the table's net change, built from slots; nc.Table is set while
+	// a compaction uses the accumulator and empty between compactions.
+	nc NetChange
+}
+
+// slot is the state machine over one tuple's fate since the last
+// maintenance.
+type slot struct {
+	key       rel.Tuple // the image whose primary key files the slot
+	pre, post rel.Tuple
+	kind      db.ModKind
+	present   bool // whether a net change exists
+}
+
+// acc returns the accumulator of table for the current compaction, asking
+// schemaOf for the table's schema the first time the compaction sees it.
+func (c *compactor) acc(table string, schemaOf func(string) (rel.Schema, error)) (*tableAcc, error) {
+	a := c.tables[table]
+	if a != nil && a.nc.Table != "" {
 		return a, nil
 	}
+	s, err := schemaOf(table)
+	if err != nil {
+		return nil, err
+	}
+	if a == nil {
+		if c.tables == nil {
+			c.tables = make(map[string]*tableAcc)
+		}
+		a = &tableAcc{}
+		c.tables[table] = a
+	}
+	a.keyIdx, a.nc.Table, a.nc.Schema = s.KeyIndices(), table, s
+	c.used = append(c.used, a)
+	return a, nil
+}
 
+// compact folds log into the accumulators of the tables it touches and
+// returns them, first seen first, each with its net change in nc. They are
+// the compactor's: valid until reset.
+func (c *compactor) compact(log []db.Modification, schemaOf func(string) (rel.Schema, error)) ([]*tableAcc, error) {
+	var a *tableAcc
 	for _, m := range log {
-		a, err := acc(m.Table)
-		if err != nil {
-			return nil, err
+		if a == nil || a.nc.Table != m.Table {
+			var err error
+			if a, err = c.acc(m.Table, schemaOf); err != nil {
+				return nil, err
+			}
 		}
-		var keyRow rel.Tuple
-		switch m.Kind {
-		case db.ModInsert:
+		keyRow := m.Pre
+		if m.Kind == db.ModInsert {
 			keyRow = m.Post
-		default:
-			keyRow = m.Pre
 		}
-		k := rel.KeyOf(keyRow, a.keyIdx)
-		sl, ok := a.slots[k]
-		if !ok {
-			sl = &slot{}
-			a.slots[k] = sl
-			a.order = append(a.order, k)
-		}
+		sl := c.slotOf(a, keyRow)
 		switch m.Kind {
 		case db.ModInsert:
 			switch {
@@ -128,96 +169,159 @@ func CompactLog(log []db.Modification, schemaOf func(table string) (rel.Schema, 
 			}
 		}
 	}
-
-	out := make(map[string]*NetChange)
-	tables := make([]string, 0, len(accs))
-	for table := range accs { //ivmlint:allow maprange
-		tables = append(tables, table)
-	}
-	sort.Strings(tables)
-	for _, table := range tables {
-		a := accs[table]
-		nc := &NetChange{Table: table, Schema: a.schema}
-		for _, k := range a.order {
-			sl := a.slots[k]
+	for _, a := range c.used {
+		nc := &a.nc
+		for i := range a.slots {
+			sl := &a.slots[i]
 			if !sl.present {
 				continue
 			}
 			switch sl.kind {
 			case db.ModInsert:
-				nc.Inserts = append(nc.Inserts, sl.post.Clone())
+				nc.Inserts = append(nc.Inserts, sl.post)
 			case db.ModDelete:
-				nc.Deletes = append(nc.Deletes, sl.pre.Clone())
+				nc.Deletes = append(nc.Deletes, sl.pre)
 			case db.ModUpdate:
-				if sl.pre.KeyEqual(sl.post) {
-					continue // no-op update
+				if !sl.pre.KeyEqual(sl.post) { // else a no-op update
+					nc.Updates = append(nc.Updates, UpdatePair{Pre: sl.pre, Post: sl.post})
 				}
-				nc.Updates = append(nc.Updates, UpdatePair{Pre: sl.pre.Clone(), Post: sl.post.Clone()})
 			}
 		}
-		if !nc.Empty() {
-			out[table] = nc
+	}
+	return c.used, nil
+}
+
+// slotOf returns the slot of row's primary key in a, filing a new one when
+// the key is not there yet: the key's chain is walked under its digest and
+// each candidate verified with KeyEqual.
+func (c *compactor) slotOf(a *tableAcc, row rel.Tuple) *slot {
+	c.key = c.key[:0]
+	for _, j := range a.keyIdx {
+		c.key = append(c.key, row[j])
+	}
+	d := rel.KeyDigest(c.key)
+	for e := a.chains.First(d); e >= 0; e = a.chains.Next(e) {
+		if sl := &a.slots[e]; keyEqualAt(sl.key, c.key, a.keyIdx) {
+			return sl
 		}
 	}
-	return out, nil
+	a.chains.Push(d, int32(len(a.slots)))
+	a.slots = append(a.slots, slot{key: row})
+	return &a.slots[len(a.slots)-1]
+}
+
+// keyEqualAt reports whether row's values at keyIdx are KeyEqual to key.
+func keyEqualAt(row rel.Tuple, key []rel.Value, keyIdx []int) bool {
+	for i, j := range keyIdx {
+		if !row[j].KeyEqual(key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// reset ends a compaction: its slots, chains, net changes and the
+// instances' scratch are emptied for the next one, their buffers kept within
+// the retention bound of db.Reuse.
+func (c *compactor) reset() {
+	for _, a := range c.used {
+		if a.slots = db.Reuse(a.slots); a.slots == nil {
+			a.chains = rel.DigestChains{}
+		} else {
+			a.chains.Reset()
+		}
+		a.nc.Inserts, a.nc.Deletes, a.nc.Updates = db.Reuse(a.nc.Inserts), db.Reuse(a.nc.Deletes), db.Reuse(a.nc.Updates)
+		a.nc.Table = "" // not in a compaction
+	}
+	c.used = db.Reuse(c.used)
+	c.pre, c.post = db.Reuse(c.pre), db.Reuse(c.post)
 }
 
 // PopulateInstances translates a table's net changes into instances of the
 // base-table i-diff schemas generated at view definition time (Section 5):
 // inserts go to the single insert schema, deletes to the single delete
 // schema, and each update goes to every update schema containing at least
-// one of the modified attributes.
+// one of the modified attributes. Empty instances are left out. An instance
+// is built as columns, the form a round binds, and Rows holds the same rows
+// as tuples, built from the columns (Instance.Tuples).
 func PopulateInstances(nc *NetChange, schemas []DiffSchema) ([]*Instance, error) {
 	rels := make([]rel.Schema, len(schemas))
 	for i, ds := range schemas {
 		rels[i] = ds.RelSchema()
 	}
-	all, err := populate(nc, schemas, rels)
+	var c compactor
+	bound, err := c.populate(nc, schemas, rels)
 	if err != nil {
 		return nil, err
 	}
-	out := all[:0]
-	for _, inst := range all {
-		if inst.Len() > 0 {
+	var out []*Instance
+	for i, b := range bound {
+		if b != nil {
+			inst := &Instance{Schema: schemas[i], bound: b}
+			inst.Rows = &rel.Relation{Schema: rels[i], Tuples: inst.Tuples()}
 			out = append(out, inst)
 		}
 	}
 	return out, nil
 }
 
-// populate is PopulateInstances by position: out[i] is the instance of
-// schemas[i], empty or not, its rows under the relation schema rels[i]
-// (schemas[i].RelSchema(), which the caller computed once). Each schema's
-// columns are resolved against the base table's schema once, before its
-// first row.
-func populate(nc *NetChange, schemas []DiffSchema, rels []rel.Schema) ([]*Instance, error) {
-	out := make([]*Instance, len(schemas))
+// populate is PopulateInstances by position and as columns: out[i] is the
+// instance of schemas[i], a batch under the relation schema rels[i]
+// (schemas[i].RelSchema(), which the caller computed once), or nil when it
+// is empty. Each schema's columns are resolved against the base table's
+// schema once, and each column is written from the images in one pass: no
+// diff row is built as a tuple.
+func (c *compactor) populate(nc *NetChange, schemas []DiffSchema, rels []rel.Schema) ([]*rel.Binding, error) {
+	out := make([]*rel.Binding, len(schemas))
 	var positions [32]int // every schema's positions, one schema at a time
 	for i, ds := range schemas {
-		c, err := resolveDiffCols(ds, nc.Schema, positions[:0])
+		dc, err := resolveDiffCols(ds, nc.Schema, positions[:0])
 		if err != nil {
 			return nil, err
 		}
-		inst := &Instance{Schema: ds, Rows: rel.NewRelation(rels[i])}
-		out[i] = inst
+		// ids, pre and post are the images the ID, pre and post columns come
+		// from: IDs from whichever image there is (keys are immutable).
+		var ids, pre, post []rel.Tuple
 		switch ds.Type {
 		case DiffInsert:
-			for _, row := range nc.Inserts {
-				inst.Rows.Add(c.row(nil, row))
-			}
+			ids, post = nc.Inserts, nc.Inserts
 		case DiffDelete:
-			for _, row := range nc.Deletes {
-				inst.Rows.Add(c.row(row, nil))
-			}
+			ids, pre = nc.Deletes, nc.Deletes
 		case DiffUpdate:
+			c.pre, c.post = c.pre[:0], c.post[:0]
 			for _, up := range nc.Updates {
-				if c.touches(up) {
-					inst.Rows.Add(c.row(up.Pre, up.Post))
+				if dc.touches(up) {
+					c.pre, c.post = append(c.pre, up.Pre), append(c.post, up.Post)
 				}
 			}
+			ids, pre, post = c.post, c.pre, c.post
 		}
+		if len(ids) == 0 {
+			continue
+		}
+		b := &rel.Batch{Schema: rels[i], Cols: make([]rel.ColVec, 0, len(rels[i].Attrs)), N: len(ids)}
+		for _, p := range dc.ids {
+			b.Cols = append(b.Cols, column(ids, p))
+		}
+		for _, p := range dc.pre {
+			b.Cols = append(b.Cols, column(pre, p))
+		}
+		for _, p := range dc.post {
+			b.Cols = append(b.Cols, column(post, p))
+		}
+		out[i] = rel.BindBatch(b)
 	}
 	return out, nil
+}
+
+// column is the column of the images' values at position p.
+func column(images []rel.Tuple, p int) rel.ColVec {
+	var cb rel.ColBuilder
+	cb.Grow(len(images))
+	for _, row := range images {
+		cb.Append(row[p])
+	}
+	return cb.Vec()
 }
 
 // diffCols is a diff schema's ID, pre and post attributes as positions in
@@ -244,27 +348,6 @@ func resolveDiffCols(ds DiffSchema, schema rel.Schema, buf []int) (c diffCols, e
 	c.pre = resolve(ds.Pre, ds.Type != DiffInsert, "ivm: diff pre attr %q unavailable for %s")
 	c.post = resolve(ds.Post, ds.Type != DiffDelete, "ivm: diff post attr %q unavailable for %s")
 	return c, err
-}
-
-// row builds one diff tuple from the base table's pre/post images. For
-// inserts pre is nil; for deletes post is nil. ID values come from whichever
-// image is available (keys are immutable).
-func (c *diffCols) row(pre, post rel.Tuple) rel.Tuple {
-	src := post
-	if src == nil {
-		src = pre
-	}
-	row := make(rel.Tuple, 0, len(c.ids)+len(c.pre)+len(c.post))
-	for _, i := range c.ids {
-		row = append(row, src[i])
-	}
-	for _, i := range c.pre {
-		row = append(row, pre[i])
-	}
-	for _, i := range c.post {
-		row = append(row, post[i])
-	}
-	return row
 }
 
 // touches reports whether the update modified (under KeyEqual) at least one

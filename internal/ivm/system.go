@@ -115,6 +115,9 @@ type System struct {
 	// in registration order: MaintainAll's schedule, built by RegisterView.
 	levels [][]int
 	slots  map[string]*diffSlots // by logged table (base table or cascade source)
+	// compactor folds every log of every round (diffFeed.add), keeping its
+	// buffers from one round to the next.
+	compactor compactor
 	// SelfCheck makes every maintenance run validate the effectiveness of
 	// the diffs it applies to views (Section 2). The extra probes are
 	// charged to the cost counters, so enable it in tests only.
@@ -332,7 +335,9 @@ func (s *System) bindSlots(script *Script) []baseBind {
 // from then on: no lock. It is a value of the round — built by MaintainAll,
 // dropped when the round ends or fails — so a retried round compacts the log
 // again and nothing is remembered about a log that may since have been reset
-// and refilled.
+// and refilled. Only buffers outlive it: the System's compactor folds each log
+// into the slots and net-change slices earlier rounds grew, and is reset once
+// the log's instances, which are the round's own columns, are built.
 type diffFeed struct {
 	s *System
 	// inst[table][slot] is the instance of s.slots[table].schemas[slot]; a nil
@@ -347,31 +352,27 @@ func (s *System) newFeed() (*diffFeed, error) {
 	return f, f.add(s.DB.Log())
 }
 
-// add compacts a log and populates the instances of every table it changed.
+// add compacts a log with the system's compactor and populates the instances
+// of every table it changed; the compactor is reset before add returns, so
+// only the instances outlive the call.
 func (f *diffFeed) add(log []db.Modification) error {
 	if len(log) == 0 {
 		return nil
 	}
-	changes, err := CompactLog(log, f.s.tableSchema)
+	c := &f.s.compactor
+	defer c.reset()
+	tables, err := c.compact(log, f.s.tableSchema)
 	if err != nil {
 		return err
 	}
-	for table, nc := range changes { //ivmlint:allow maprange — per-table results, order-free
-		sl := f.s.slots[table]
-		if sl == nil {
-			continue // logged, but no registered view binds it
+	for _, a := range tables {
+		sl := f.s.slots[a.nc.Table]
+		if sl == nil || a.nc.Empty() {
+			continue // logged, but no registered view binds it, or no net change
 		}
-		insts, err := populate(nc, sl.schemas, sl.rels)
-		if err != nil {
+		if f.inst[a.nc.Table], err = c.populate(&a.nc, sl.schemas, sl.rels); err != nil {
 			return err
 		}
-		bound := make([]*rel.Binding, len(insts))
-		for i, inst := range insts {
-			if inst.Len() > 0 {
-				bound[i] = rel.BindRelation(inst.Rows)
-			}
-		}
-		f.inst[table] = bound
 	}
 	return nil
 }

@@ -50,8 +50,10 @@ var chargedShape = map[string]bool{
 	"Lookup":         true,
 	"LookupInto":     true,
 	"Insert":         true,
+	"InsertRow":      true,
 	"InsertIfAbsent": true,
 	"DeleteKey":      true,
+	"DeleteRow":      true,
 	"DeleteWhere":    true,
 	"UpdateWhere":    true,
 	"UpdateKey":      true,

@@ -132,6 +132,18 @@ func (c *DigestChains) Reserve(n int) {
 	}
 }
 
+// Reset empties the chains and keeps their storage, so a caller that files a
+// similar number of entries again allocates nothing.
+func (c *DigestChains) Reset() {
+	if c.tab.n > 0 {
+		for i := range c.tab.cells {
+			c.tab.cells[i].head = -1
+		}
+		c.tab.n = 0
+	}
+	c.next = c.next[:0]
+}
+
 // First returns the newest entry filed under d, or -1.
 func (c *DigestChains) First(d uint64) int32 {
 	if i := c.tab.find(d); i >= 0 {

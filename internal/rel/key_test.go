@@ -288,4 +288,23 @@ func TestDigestChains(t *testing.T) {
 	if e := build.First(digest(5)); e != 5 {
 		t.Fatalf("a build side pushed last row first must chain ascending: head %d", e)
 	}
+	// Reset forgets every entry and keeps the storage: refiling a subset
+	// allocates nothing and chains only what was filed since.
+	var even []int32
+	refile := func() {
+		grown.Reset()
+		even = even[:0]
+		for e := 0; e < n; e += 2 {
+			grown.Push(digest(e), int32(e))
+			even = append(even, int32(e))
+		}
+	}
+	refile()
+	if a := testing.AllocsPerRun(10, refile); a != 0 {
+		t.Fatalf("refiling after Reset allocated %v objects", a)
+	}
+	check(&grown, even)
+	if grown.Reset(); grown.First(digest(0)) != -1 {
+		t.Fatal("an entry survived Reset")
+	}
 }

@@ -348,18 +348,26 @@ func (t *Table) IndexCard(s State, attrs []string, vals []Value) (p, n int, err 
 
 // Insert adds a row, failing on a primary-key conflict.
 func (t *Table) Insert(row Tuple) error {
+	_, err := t.InsertRow(row)
+	return err
+}
+
+// InsertRow is Insert returning the stored row: the table's own clone of row,
+// which it never modifies, so a logging caller may keep it.
+func (t *Table) InsertRow(row Tuple) (stored Tuple, err error) {
 	c := t.core
 	if len(row) != len(c.schema.Attrs) {
-		return fmt.Errorf("rel: table %q: tuple width %d != schema width %d", c.name, len(row), len(c.schema.Attrs))
+		return nil, fmt.Errorf("rel: table %q: tuple width %d != schema width %d", c.name, len(row), len(c.schema.Attrs))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cell, d, id := c.locate(gather(&c.valBuf, row, c.keyIdx))
 	if id >= 0 {
-		return fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
+		return nil, fmt.Errorf("rel: table %q: duplicate key %s", c.name, Tuple(row).String())
 	}
-	c.store(row.Clone(), cell, d)
-	return nil
+	stored = row.Clone()
+	c.store(stored, cell, d)
+	return stored, nil
 }
 
 // locate resolves a primary key with one probe: its digest, its cell in the
@@ -500,19 +508,25 @@ func (t *Table) InsertIfAbsent(b *Batch, src []int, fn func(post Tuple)) (probed
 }
 
 // DeleteKey removes the row with the given primary-key values if present.
-func (t *Table) DeleteKey(key []Value) bool {
+func (t *Table) DeleteKey(key []Value) bool { return t.DeleteRow(key) != nil }
+
+// DeleteRow is DeleteKey returning the removed row (nil when there is none),
+// resolved by the delete's own probe: a logging caller needs no read first.
+func (t *Table) DeleteRow(key []Value) (pre Tuple) {
 	c := t.core
 	if len(key) != len(c.keyIdx) {
-		return false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.primary.first(KeyDigest(key), key)
 	if id < 0 {
-		return false
+		return nil
 	}
-	c.removeAt(int(c.posOf[id]), nil)
-	return true
+	p := int(c.posOf[id])
+	pre = c.rows[p]
+	c.removeAt(p, nil)
+	return pre
 }
 
 // DeleteWhere removes every row whose attrs equal a diff row's cols; fn sees

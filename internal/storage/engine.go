@@ -77,6 +77,9 @@ type Table interface {
 
 	// Insert adds a row, failing on a primary-key conflict.
 	Insert(row rel.Tuple) error
+	// InsertRow is Insert returning the stored row, the table's own copy of
+	// row, which it never modifies.
+	InsertRow(row rel.Tuple) (stored rel.Tuple, err error)
 	// InsertIfAbsent, DeleteWhere and UpdateWhere are the three APPLY
 	// statements of the paper's Section 2, set-at-a-time: one call applies
 	// one i-diff instance. b holds the diff's rows as columns — the batch the
@@ -103,6 +106,9 @@ type Table interface {
 	InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.Tuple)) (probed, inserted int, err error)
 	// DeleteKey removes the row with the given primary-key values.
 	DeleteKey(key []rel.Value) bool
+	// DeleteRow is DeleteKey returning the removed row, nil when there is
+	// none.
+	DeleteRow(key []rel.Value) (pre rel.Tuple)
 	// DeleteWhere removes, for each diff row, every row whose attrs equal
 	// the diff row's cols. fn sees each removed row's full pre-image.
 	DeleteWhere(attrs []string, b *rel.Batch, cols []int, fn func(pre rel.Tuple)) (probed, deleted int, err error)

@@ -5,7 +5,8 @@ import "idivm/internal/rel"
 // Handle binds a backend table to a cost counter, implementing the
 // access-count cost model of the paper's Section 6 as a decorator with
 // Table's method set (only UpdateKey differs: it reports whether a row
-// changed, UpdateKeyLogged returns the images): backends store, the Handle
+// changed, UpdateKeyLogged returns the images — as InsertLogged and
+// DeleteKeyLogged do for InsertRow and DeleteRow): backends store, the Handle
 // charges. Every consumer above the storage boundary (catalog, evaluators,
 // Δ-script executor) holds a *Handle, so each backend is costed by exactly
 // one piece of code and access counts are identical across engines by
@@ -28,6 +29,8 @@ import "idivm/internal/rel"
 //     stored row present, or conflicts, is probed; validation errors
 //     precede every row and charge nothing.
 //   - DeleteKey: one index lookup, plus one tuple write when removed.
+//     DeleteKeyLogged additionally charges the Get (pre-image) it replaces;
+//     InsertLogged charges what Insert does.
 //   - UpdateKey: on success, one index lookup plus one tuple write when
 //     the row exists. UpdateKeyLogged additionally charges the two Gets
 //     (pre- and post-image) it replaces.
@@ -134,11 +137,19 @@ func (h *Handle) LookupInto(s rel.State, pl rel.PrepLookup, vals []rel.Value, ou
 
 // Insert implements Table, charging one tuple write on success.
 func (h *Handle) Insert(row rel.Tuple) error {
-	err := h.t.Insert(row)
+	_, err := h.InsertLogged(row)
+	return err
+}
+
+// InsertLogged is Insert for a caller that logs the modification: it returns
+// the stored row, which the table never modifies, and charges what Insert
+// does — the one call clones the row once, for the table and the log alike.
+func (h *Handle) InsertLogged(row rel.Tuple) (rel.Tuple, error) {
+	stored, err := h.t.InsertRow(row)
 	if err == nil {
 		h.charge(0, 0, 1)
 	}
-	return err
+	return stored, err
 }
 
 // MustInsert is Insert that panics on error, for generators and tests.
@@ -166,6 +177,21 @@ func (h *Handle) DeleteKey(key []rel.Value) bool {
 	}
 	h.charge(0, 0, 1)
 	return true
+}
+
+// DeleteKeyLogged is DeleteKey for a caller that logs the modification: it
+// returns the removed row (nil when there is none) and charges what reading it
+// before the delete would — Get, DeleteKey: two lookups, a read and a write,
+// or the one lookup of the Get when the key is absent — although the key is
+// resolved once.
+func (h *Handle) DeleteKeyLogged(key []rel.Value) rel.Tuple {
+	pre := h.t.DeleteRow(key)
+	if pre == nil {
+		h.charge(0, 1, 0)
+	} else {
+		h.charge(1, 2, 1)
+	}
+	return pre
 }
 
 // DeleteWhere implements Table, charging one index lookup per diff row

@@ -144,6 +144,70 @@ func TestHandleDeleteKeyCharges(t *testing.T) {
 	})
 }
 
+// InsertLogged and DeleteKeyLogged hand back the image a logging caller keeps
+// from the one storage call, and charge what the calls they replace do:
+// InsertLogged an Insert, DeleteKeyLogged a Get and a DeleteKey — two lookups,
+// a read and a write, or the one lookup of the Get when the key is absent.
+func TestHandleLoggedInsertAndDeleteCharges(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e storage.Engine) {
+		h, c := countedParts(t, e)
+		p4 := rel.Tuple{rel.String("P4"), rel.Int(40)}
+		c.Reset()
+		stored, err := h.InsertLogged(p4)
+		if err != nil || !stored.Equal(p4) {
+			t.Fatalf("InsertLogged = %v, %v", stored, err)
+		}
+		if got, _ := h.WithCounter(nil).Get(rel.StatePost, p4[:1]); &got[0] != &stored[0] {
+			t.Fatal("InsertLogged returned a copy, not the stored row")
+		}
+		if &stored[0] == &p4[0] {
+			t.Fatal("InsertLogged stored the caller's row, not a copy")
+		}
+		if c.IndexLookups != 0 || c.TupleReads != 0 || c.TupleWrites != 1 {
+			t.Fatalf("InsertLogged charged %v", c)
+		}
+		c.Reset()
+		if stored, err := h.InsertLogged(p4); err == nil || stored != nil || c.Total() != 0 {
+			t.Fatalf("duplicate InsertLogged = %v, %v, charged %v", stored, err, c)
+		}
+
+		c.Reset()
+		pre := h.DeleteKeyLogged(p4[:1])
+		if !pre.Equal(p4) || &pre[0] != &stored[0] {
+			t.Fatalf("DeleteKeyLogged = %v, want the stored row %v", pre, stored)
+		}
+		if c.IndexLookups != 2 || c.TupleReads != 1 || c.TupleWrites != 1 {
+			t.Fatalf("DeleteKeyLogged charged %v", c)
+		}
+		c.Reset()
+		if pre := h.DeleteKeyLogged(p4[:1]); pre != nil {
+			t.Fatalf("DeleteKeyLogged of an absent key = %v", pre)
+		}
+		if c.IndexLookups != 1 || c.TupleReads != 0 || c.TupleWrites != 0 {
+			t.Fatalf("absent DeleteKeyLogged charged %v", c)
+		}
+
+		// The calls they replace charge the same on a twin table.
+		h2, c2 := countedParts(t, e)
+		c2.Reset()
+		if err := h2.Insert(p4); err != nil {
+			t.Fatal(err)
+		}
+		insert := *c2
+		c2.Reset()
+		if _, ok := h2.Get(rel.StatePost, p4[:1]); !ok || !h2.DeleteKey(p4[:1]) {
+			t.Fatal("Get–DeleteKey of P4 failed")
+		}
+		del := *c2
+		c2.Reset()
+		h2.Get(rel.StatePost, p4[:1])
+		if insert != (rel.CostCounter{TupleWrites: 1}) || del != (rel.CostCounter{IndexLookups: 2, TupleReads: 1, TupleWrites: 1}) ||
+			*c2 != (rel.CostCounter{IndexLookups: 1}) {
+			t.Fatalf("Insert charged %v, Get–DeleteKey %v, a missing Get %v", insert, del, *c2)
+		}
+	})
+}
+
 // UpdateKeyLogged returns both images from one key resolution and charges the
 // Get, UpdateKey, Get it stands for; UpdateKey charges its own lookup and write.
 func TestHandleUpdateKeyLoggedCharges(t *testing.T) {

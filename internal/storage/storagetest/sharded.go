@@ -146,13 +146,19 @@ func (t *shardedTable) IndexCard(s rel.State, attrs []string, vals []rel.Value) 
 	return p, n, nil
 }
 
-// Insert implements storage.Table. A row of the wrong width cannot be
-// routed; shard 0 reports the schema error.
+// Insert implements storage.Table.
 func (t *shardedTable) Insert(row rel.Tuple) error {
+	_, err := t.InsertRow(row)
+	return err
+}
+
+// InsertRow implements storage.Table. A row of the wrong width cannot be
+// routed; shard 0 reports the schema error.
+func (t *shardedTable) InsertRow(row rel.Tuple) (rel.Tuple, error) {
 	if len(row) != len(t.Schema().Attrs) {
-		return t.shards[0].Insert(row)
+		return t.shards[0].InsertRow(row)
 	}
-	return t.forRow(row, t.keyIdx).Insert(row)
+	return t.forRow(row, t.keyIdx).InsertRow(row)
 }
 
 // InsertIfAbsent implements storage.Table: each run of consecutive rows
@@ -182,7 +188,10 @@ func (t *shardedTable) InsertIfAbsent(b *rel.Batch, src []int, fn func(post rel.
 }
 
 // DeleteKey implements storage.Table.
-func (t *shardedTable) DeleteKey(key []rel.Value) bool { return t.forKey(key).DeleteKey(key) }
+func (t *shardedTable) DeleteKey(key []rel.Value) bool { return t.DeleteRow(key) != nil }
+
+// DeleteRow implements storage.Table.
+func (t *shardedTable) DeleteRow(key []rel.Value) rel.Tuple { return t.forKey(key).DeleteRow(key) }
 
 // UpdateKey implements storage.Table.
 func (t *shardedTable) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (pre, post rel.Tuple, err error) {

@@ -21,8 +21,8 @@ var ErrInjected = errors.New("storagetest: injected storage fault")
 
 // Engine is the in-memory engine with a write budget. The rows it counts are
 // the rows of every InsertIfAbsent, DeleteWhere and UpdateWhere instance,
-// whether or not they change anything, plus one per Insert and UpdateKey
-// call, across all its tables. It is safe for concurrent use.
+// whether or not they change anything, plus one per Insert (InsertRow) and
+// UpdateKey call, across all its tables. It is safe for concurrent use.
 type Engine struct {
 	mu      sync.Mutex
 	written int // rows counted since New
@@ -83,10 +83,16 @@ type table struct {
 
 // Insert implements storage.Table.
 func (t *table) Insert(row rel.Tuple) error {
+	_, err := t.InsertRow(row)
+	return err
+}
+
+// InsertRow implements storage.Table.
+func (t *table) InsertRow(row rel.Tuple) (rel.Tuple, error) {
 	if _, fail := t.e.take(1); fail {
-		return ErrInjected
+		return nil, ErrInjected
 	}
-	return t.Table.Insert(row)
+	return t.Table.InsertRow(row)
 }
 
 // UpdateKey implements storage.Table.
