@@ -64,9 +64,12 @@ loc:
 # flat digest → chain-head table against the map it replaced — and
 # FuzzColumnRoundTrip — value sequences of every kind mix through a batch
 # column and back, each value returned exactly (==). internal/sqlview has
-# FuzzParse: SQL over a fixed three-table catalog, where Parse never panics
-# and every plan it accepts fails alike or returns the same rows, in order,
-# with the same access counters under algebra.Eval and compiled.
+# FuzzParse: SQL over a fixed three-table catalog, where Parse never panics,
+# every plan it accepts fails alike or returns the same rows, in order,
+# with the same access counters under algebra.Eval and compiled, and the
+# database's shape cache — on the fill, on a hit, on a hit with other
+# literals and after the tables are redefined — returns what the full
+# parse returns.
 # internal/expr has FuzzCompile: expression trees over every node kind and
 # builtin — keyeq, the KeyEqual test of the π change guard, included — on
 # rows of edge values (NULL, NaN, ±0.0, 1.0, 2^53, 2^53+1, "", mixed kinds),

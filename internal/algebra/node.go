@@ -17,7 +17,12 @@ import (
 	"idivm/internal/rel"
 )
 
-// Node is a relational algebra plan node.
+// Node is a relational algebra plan node. Plan nodes are immutable once
+// built: a rewrite builds new nodes and may share every unchanged subtree,
+// expression and slice with the plan it started from. The SQL front end
+// relies on it — a statement bound into a cached shape template
+// (internal/sqlview) shares all of the template but the nodes on the paths
+// to its literals.
 type Node interface {
 	// Schema returns the node's output schema; Schema().Key holds the
 	// node's ID attributes (empty if IDs were lost by a projection and

@@ -90,6 +90,8 @@ type Database struct {
 	derivedOn map[string]bool
 	derivedMu sync.Mutex
 	derived   map[string][]Modification
+
+	memo Memo
 }
 
 // New creates an empty database on the in-memory engine.
@@ -103,6 +105,10 @@ func NewWith(e storage.Engine) *Database {
 	return &Database{engine: e, tables: make(map[string]*storage.Handle), logging: make(map[string]bool),
 		derivedOn: make(map[string]bool), derived: make(map[string][]Modification)}
 }
+
+// Memo returns the database's store of values computed against its
+// catalog; internal/sqlview keeps its statement shapes there.
+func (d *Database) Memo() *Memo { return &d.memo }
 
 // Counter returns the database-wide cost counter; all registered tables
 // charge to it.

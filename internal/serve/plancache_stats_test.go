@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,5 +117,70 @@ func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
 				t.Fatalf("no cache hits under concurrency: %+v", st)
 			}
 		})
+	}
+}
+
+// TestQuerySnapshotShapeCacheConcurrent runs readers of one statement shape
+// with a different key on every read beside dispatcher rounds: each new SQL
+// text misses the plan cache and is parsed, so the readers bind their own
+// literals into the database's one shape template concurrently — under
+// -race in make race-serving. Every read must return its own part.
+func TestQuerySnapshotShapeCacheConcurrent(t *testing.T) {
+	s := newServedOn(t, nil, serve.Options{MaxBatch: 8})
+	parts := testParams().Parts
+	const readers = 4
+	var wg sync.WaitGroup
+	var reads [readers]atomic.Int64
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		//ivmlint:allow gostmt — test readers parsing one shape with distinct literals
+		go func(r int, n *atomic.Int64) {
+			defer wg.Done()
+			for i := r; ; i += readers {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pid := int64(i % parts)
+				got, err := s.srv.QuerySnapshot(fmt.Sprintf("SELECT pid, price FROM parts WHERE pid = %d", pid))
+				if err == nil && (got.Len() != 1 || !got.Tuples[0][0].Same(rel.Int(pid))) {
+					err = fmt.Errorf("read of part %d returned %v", pid, got)
+				}
+				if err != nil {
+					t.Error(err)
+					n.Store(int64(parts)) // let the writer finish
+					return
+				}
+				n.Add(1)
+			}
+		}(r, &reads[r])
+	}
+	everyReaderReadAll := func() bool {
+		for r := range reads {
+			if reads[r].Load() < int64(parts/readers) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 20 || !everyReaderReadAll(); i++ {
+		pid, price := rel.Int(int64(i%parts)), rel.Int(int64(1+i%100))
+		p := s.srv.EnqueueUpdate("parts", []rel.Value{pid}, []string{"price"}, []rel.Value{price})
+		if err := s.srv.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if err := p.Wait(); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := s.srv.Stats(); st.PlanCacheMisses < int64(parts) {
+		t.Fatalf("%d plan-cache misses for %d distinct statements: %+v", st.PlanCacheMisses, parts, st)
+	}
+	if n := s.ds.DB.Memo().Len(); n != 1 {
+		t.Fatalf("%d shapes kept, want 1", n)
 	}
 }

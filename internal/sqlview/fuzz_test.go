@@ -2,16 +2,18 @@ package sqlview
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"idivm/internal/algebra"
 	"idivm/internal/db"
+	"idivm/internal/expr"
 	"idivm/internal/rel"
 )
 
-// fuzzCatalog is FuzzParse's fixed catalog: three small keyed tables of
-// ints, floats, strings and NULLs. a and b share the column id, a and c
-// share g, and b and c share no column name.
+// fuzzCatalog is FuzzParse's catalog: three small keyed tables of ints,
+// floats, strings and NULLs. a and b share the column id, a and c share g,
+// and b and c share no column name.
 func fuzzCatalog() *db.Database {
 	d := db.New()
 	a := d.MustCreateTable("a", rel.NewSchema([]string{"id", "x", "g"}, []string{"id"}))
@@ -30,44 +32,191 @@ func fuzzCatalog() *db.Database {
 	return d
 }
 
+// redefineFuzzCatalog drops each of fuzzCatalog's tables and creates it
+// again under the same name with another schema, so that every plan over
+// the old catalog differs from the plan of the same SQL over the new one.
+func redefineFuzzCatalog(d *db.Database) {
+	for _, t := range []struct {
+		name string
+		cols []string
+	}{
+		{"a", []string{"id", "g", "z"}},
+		{"b", []string{"pk", "y", "id", "w"}},
+		{"c", []string{"g", "label"}},
+	} {
+		d.DropTable(t.name)
+		d.MustCreateTable(t.name, rel.NewSchema(t.cols, t.cols[:1]))
+	}
+}
+
+// uncached is a Catalog without a db.Memo: Parse over it parses in full.
+type uncached struct{ Catalog }
+
 // FuzzParse parses arbitrary SQL over fuzzCatalog. Parse must never panic,
 // and every plan it accepts must run alike under the Eval oracle and
 // compiled: both fail, or both return the same rows in the same order and
 // charge the same stored accesses — the invariant of the one physical
-// planner (internal/algebra/shape.go). The seed corpus is in
-// testdata/fuzz/FuzzParse; `go test` replays it without -fuzz.
+// planner (internal/algebra/shape.go). An accepted statement is then parsed
+// through the database's shape cache — the fill, a hit, a hit of the same
+// shape with other literals, and, once every table has been dropped and
+// created again with another schema, the same statement again — and each
+// result must be the full parse's: the same view, or the same error. The
+// seed corpus is in testdata/fuzz/FuzzParse; `go test` replays it without
+// -fuzz.
 func FuzzParse(f *testing.F) {
-	d := fuzzCatalog()
 	f.Fuzz(func(t *testing.T, sql string) {
-		v, err := Parse(sql, d)
+		d := fuzzCatalog()
+		v, err := Parse(sql, uncached{d})
 		if err != nil {
 			return
 		}
-		d.Counter().Reset()
-		want, evalErr := algebra.Eval(v.Plan, d)
-		wantCost := *d.Counter()
-		d.Counter().Reset()
-		p, runErr := algebra.Compile(v.Plan)
-		var got *rel.Relation
-		if runErr == nil {
-			got, runErr = p.Run(d)
+		checkEvalMatchesCompiled(t, d, sql, v)
+		variant := otherLiterals(sql)
+		for _, src := range []string{sql, sql, variant} {
+			checkShapeCache(t, d, src)
 		}
-		if (evalErr == nil) != (runErr == nil) {
-			t.Fatalf("%q: Eval error %v, compiled error %v", sql, evalErr, runErr)
+		redefineFuzzCatalog(d)
+		checkShapeCache(t, d, sql)
+		checkShapeCache(t, d, sql)
+	})
+}
+
+func checkEvalMatchesCompiled(t *testing.T, d *db.Database, sql string, v *View) {
+	d.Counter().Reset()
+	want, evalErr := algebra.Eval(v.Plan, d)
+	wantCost := *d.Counter()
+	d.Counter().Reset()
+	p, runErr := algebra.Compile(v.Plan)
+	var got *rel.Relation
+	if runErr == nil {
+		got, runErr = p.Run(d)
+	}
+	if (evalErr == nil) != (runErr == nil) {
+		t.Fatalf("%q: Eval error %v, compiled error %v", sql, evalErr, runErr)
+	}
+	if evalErr != nil {
+		return
+	}
+	if cost := *d.Counter(); cost != wantCost {
+		t.Fatalf("%q: counters differ: Eval %v, compiled %v", sql, wantCost, cost)
+	}
+	if fmt.Sprint(want.Schema.Attrs) != fmt.Sprint(got.Schema.Attrs) || len(want.Tuples) != len(got.Tuples) {
+		t.Fatalf("%q: Eval %v %d rows, compiled %v %d rows", sql, want.Schema.Attrs, len(want.Tuples), got.Schema.Attrs, len(got.Tuples))
+	}
+	for i, w := range want.Tuples {
+		if rel.TupleKey(w) != rel.TupleKey(got.Tuples[i]) {
+			t.Fatalf("%q: row %d: Eval %v, compiled %v", sql, i, w, got.Tuples[i])
 		}
-		if evalErr != nil {
-			return
+	}
+}
+
+// checkShapeCache parses src through d's shape cache and in full, and
+// fails unless both give the same view or the same error.
+func checkShapeCache(t *testing.T, d *db.Database, src string) {
+	t.Helper()
+	got, gotErr := Parse(src, d)
+	want, wantErr := Parse(src, uncached{d})
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%q: shape cache error %v, full parse error %v", src, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if g, w := describe(got), describe(want); g != w {
+		t.Fatalf("%q: shape cache gave\n%s\nthe full parse\n%s", src, g, w)
+	}
+}
+
+// describe renders a view exactly enough to tell two parses apart: its
+// name, its plan, every node's schema and every literal with its kind. It
+// fails on a placeholder, which must never leave the package.
+func describe(v *View) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q %s\n", v.Name, v.Plan)
+	var lit func(e expr.Expr)
+	lit = func(e expr.Expr) {
+		switch x := e.(type) {
+		case expr.Lit:
+			fmt.Fprintf(&b, " %s:%s", x.Val.Kind, x.Val)
+		case expr.Cmp:
+			lit(x.L)
+			lit(x.R)
+		case expr.Arith:
+			lit(x.L)
+			lit(x.R)
+		case expr.NotExpr:
+			lit(x.E)
+		case expr.IsNullExpr:
+			lit(x.E)
+		case expr.AndExpr:
+			for _, e := range x.Terms {
+				lit(e)
+			}
+		case expr.OrExpr:
+			for _, e := range x.Terms {
+				lit(e)
+			}
+		case expr.Func:
+			for _, e := range x.Args {
+				lit(e)
+			}
+		case expr.Col:
+		default:
+			fmt.Fprintf(&b, " PLACEHOLDER %T %v", e, e)
 		}
-		if cost := *d.Counter(); cost != wantCost {
-			t.Fatalf("%q: counters differ: Eval %v, compiled %v", sql, wantCost, cost)
-		}
-		if fmt.Sprint(want.Schema.Attrs) != fmt.Sprint(got.Schema.Attrs) || len(want.Tuples) != len(got.Tuples) {
-			t.Fatalf("%q: Eval %v %d rows, compiled %v %d rows", sql, want.Schema.Attrs, len(want.Tuples), got.Schema.Attrs, len(got.Tuples))
-		}
-		for i, w := range want.Tuples {
-			if rel.TupleKey(w) != rel.TupleKey(got.Tuples[i]) {
-				t.Fatalf("%q: row %d: Eval %v, compiled %v", sql, i, w, got.Tuples[i])
+	}
+	algebra.Walk(v.Plan, func(n algebra.Node) {
+		fmt.Fprintf(&b, "%T %v key %v:", n, n.Schema().Attrs, n.Schema().Key)
+		switch x := n.(type) {
+		case *algebra.Select:
+			lit(x.Pred)
+		case *algebra.Join:
+			lit(x.Pred)
+		case *algebra.Project:
+			for _, it := range x.Items {
+				lit(it.E)
+			}
+		case *algebra.GroupBy:
+			for _, a := range x.Aggs {
+				if a.Arg != nil {
+					lit(a.Arg)
+				}
 			}
 		}
+		b.WriteByte('\n')
 	})
+	if strings.Contains(b.String(), "PLACEHOLDER") {
+		panic("sqlview: a placeholder left the package: " + b.String())
+	}
+	return b.String()
+}
+
+// otherLiterals returns src with every literal replaced by another of its
+// kind, each by a different value: the i-th becomes 100+i (or 200+i where
+// that is what it was), as an int, a float (100.5+i) or a string ('v100').
+func otherLiterals(src string) string {
+	_, lits, err := scan(src, nil, nil, nil)
+	if err != nil {
+		return src
+	}
+	var b strings.Builder
+	at := 0
+	for i, l := range lits {
+		old, text := src[l.start:l.end], ""
+		for n := 100 + i; text == "" || text == old; n += 100 {
+			switch l.kind {
+			case litInt:
+				text = fmt.Sprint(n)
+			case litFloat:
+				text = fmt.Sprintf("%d.5", n)
+			default:
+				text = fmt.Sprintf("v%d", n)
+			}
+		}
+		b.WriteString(src[at:l.start])
+		b.WriteString(text)
+		at = l.end
+	}
+	b.WriteString(src[at:])
+	return b.String()
 }

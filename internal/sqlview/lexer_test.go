@@ -114,3 +114,18 @@ func TestParseNeverPanics(t *testing.T) {
 		}()
 	}
 }
+
+// An identifier stops at *: a*b is three tokens.
+func TestLexStarEndsAnIdentifier(t *testing.T) {
+	toks, err := lex("a*b t.* COUNT(*)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tok := range toks[:len(toks)-1] {
+		got = append(got, tok.text)
+	}
+	if s := strings.Join(got, "|"); s != "a|*|b|t.|*|COUNT|(|*|)" {
+		t.Fatalf("tokens %s", s)
+	}
+}

@@ -2,6 +2,7 @@ package sqlview
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -22,13 +23,27 @@ type View struct {
 	Plan algebra.Node
 }
 
-// Parse compiles a SQL view definition against a catalog.
+// Parse compiles a SQL view definition against a catalog. A catalog that
+// owns a db.Memo (a *db.Database does) keeps the statement's shape there, so
+// a later statement of the same shape is bound, not parsed (shape.go).
 func Parse(src string, cat Catalog) (*View, error) {
+	if mc, ok := cat.(memoCatalog); ok {
+		return parseShape(src, cat, mc.Memo())
+	}
+	return parse(src, cat)
+}
+
+// parse lexes and parses src in full.
+func parse(src string, cat Catalog) (*View, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, cat: cat}
+	return (&parser{toks: toks, cat: cat}).parse()
+}
+
+// parse parses the whole statement.
+func (p *parser) parse() (*View, error) {
 	v, err := p.view()
 	if err != nil {
 		return nil, err
@@ -44,6 +59,10 @@ type parser struct {
 	pos  int
 	cat  Catalog
 
+	// slots, when set, makes the parse build a template (shape.go): the
+	// literal token at index i becomes the placeholder slots[i].
+	slots map[int]slot
+
 	// FROM-clause sources, in order.
 	sources []source
 }
@@ -53,6 +72,7 @@ type source struct {
 	alias  string
 	scan   *algebra.Scan
 	schema rel.Schema
+	handle *storage.Handle // what the catalog resolved table to
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -251,10 +271,7 @@ func (p *parser) selectItem() (selectItem, error) {
 			if err := p.expectSymbol("("); err != nil {
 				return it, err
 			}
-			if p.peek().kind == tokIdent && p.peek().text == "*" {
-				p.pos++
-				it.star = true
-			} else if p.acceptSymbol("*") {
+			if p.acceptSymbol("*") {
 				it.star = true
 			} else {
 				e, err := p.addExpr()
@@ -383,7 +400,7 @@ func (p *parser) fromItem() (*algebra.Scan, error) {
 		return nil, fmt.Errorf("sqlview: %w", err)
 	}
 	s := algebra.NewScan(name, alias, tab.Schema())
-	p.sources = append(p.sources, source{table: name, alias: alias, scan: s, schema: s.Schema()})
+	p.sources = append(p.sources, source{table: name, alias: alias, scan: s, schema: s.Schema(), handle: tab})
 	return s, nil
 }
 
@@ -786,23 +803,8 @@ func (p *parser) mulExpr() (expr.Expr, error) {
 func (p *parser) primary() (expr.Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokNumber:
-		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return expr.FloatLit(f), nil
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
-		}
-		return expr.IntLit(i), nil
-	case tokString:
-		p.pos++
-		return expr.StrLit(t.text), nil
+	case tokNumber, tokString:
+		return p.literal(false)
 	case tokKeyword:
 		switch t.text {
 		case "TRUE":
@@ -843,6 +845,10 @@ func (p *parser) primary() (expr.Expr, error) {
 		}
 		return expr.C(t.text), nil
 	case tokSymbol:
+		if t.text == "-" && p.toks[p.pos+1].kind == tokNumber {
+			p.pos++
+			return p.literal(true)
+		}
 		if t.text == "(" {
 			p.pos++
 			e, err := p.orExpr()
@@ -856,4 +862,55 @@ func (p *parser) primary() (expr.Expr, error) {
 		}
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)
+}
+
+// literal parses the number or string literal at the current token, the
+// negative of a number when neg is set. In a template parse it is the
+// token's placeholder instead.
+func (p *parser) literal(neg bool) (expr.Expr, error) {
+	t := p.peek()
+	p.pos++
+	if p.slots != nil {
+		s := p.slots[p.pos-1]
+		s.neg = neg
+		p.slots[p.pos-1] = s
+		return s, nil
+	}
+	v, ok := literalValue(t.lit, t.text, neg)
+	if !ok {
+		text := t.text
+		if neg {
+			text = "-" + text
+		}
+		return nil, p.errf("bad number %q", text)
+	}
+	return expr.V(v), nil
+}
+
+// literalValue is the value of a literal's text, read as its kind. It
+// allocates nothing.
+func literalValue(kind litKind, text string, neg bool) (rel.Value, bool) {
+	switch kind {
+	case litString:
+		return rel.String(text), true
+	case litFloat:
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return rel.Value{}, false
+		}
+		if neg {
+			f = -f
+		}
+		return rel.Float(f), true
+	}
+	u, err := strconv.ParseUint(text, 10, 64)
+	switch {
+	case err != nil:
+		return rel.Value{}, false
+	case neg && u <= 1<<63:
+		return rel.Int(-int64(u)), true
+	case !neg && u <= math.MaxInt64:
+		return rel.Int(int64(u)), true
+	}
+	return rel.Value{}, false
 }

@@ -6,6 +6,7 @@ import (
 
 	"idivm/internal/algebra"
 	"idivm/internal/db"
+	"idivm/internal/expr"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
@@ -275,5 +276,69 @@ func TestParsedViewThroughIVM(t *testing.T) {
 	row, ok := vt.Get(rel.StatePost, []rel.Value{rel.String("D1")})
 	if !ok || !row[1].Equal(rel.Int(31)) {
 		t.Fatalf("D1 cost = %v, want 31", row)
+	}
+}
+
+// A minus sign just before a number in operand position is part of the
+// literal: b = -3 compares with the constant -3, which index pushdown reads
+// as one, not with 0 − 3. Elsewhere a minus is still subtraction.
+func TestParseNegativeLiterals(t *testing.T) {
+	d := db.New()
+	tab := d.MustCreateTable("t", rel.NewSchema([]string{"a", "b"}, []string{"a"}))
+	tab.MustInsert(rel.Int(1), rel.Int(-3))
+	tab.MustInsert(rel.Int(2), rel.Int(3))
+	tab.MustInsert(rel.Int(3), rel.Float(-2.5))
+	v, err := Parse("SELECT a FROM t WHERE b = -3", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := v.Plan.Children()[0].(*algebra.Select)
+	if cmp, ok := sel.Pred.(expr.Cmp); !ok || cmp.R != expr.Lit(expr.IntLit(-3)) {
+		t.Fatalf("predicate %s is not b = the literal -3", sel.Pred)
+	}
+	for _, c := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT a FROM t WHERE b = -3", 1},
+		{"SELECT a FROM t WHERE b = - 3", 1},
+		{"SELECT a FROM t WHERE b = -2.5", 1},
+		{"SELECT a FROM t WHERE b - -3 = 0", 1},
+		{"SELECT a FROM t WHERE b -3 = 0", 1},
+		{"SELECT a FROM t WHERE b * -1 > 0", 2},
+		{"SELECT a FROM t WHERE b > -9223372036854775808", 3},
+	} {
+		if r := parseEval(t, d, c.sql); r.Len() != c.rows {
+			t.Errorf("%q: %d rows, want %d", c.sql, r.Len(), c.rows)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE b = -b",
+		"SELECT a FROM t WHERE b = -(3)",
+		"SELECT a FROM t WHERE b > -9223372036854775809",
+		"SELECT a FROM t WHERE b > 9223372036854775808",
+	} {
+		if _, err := Parse(sql, d); err == nil {
+			t.Errorf("%q parsed", sql)
+		}
+	}
+}
+
+// * is an operator, not part of a name: a*b multiplies like a * b, and
+// COUNT(*) still counts rows.
+func TestParseStarIsNotAnIdentifier(t *testing.T) {
+	d := db.New()
+	tab := d.MustCreateTable("t", rel.NewSchema([]string{"k", "a", "b"}, []string{"k"}))
+	tab.MustInsert(rel.Int(1), rel.Int(2), rel.Int(3))
+	tab.MustInsert(rel.Int(2), rel.Int(2), rel.Int(5))
+	for _, sql := range []string{"SELECT k, a*b AS x FROM t", "SELECT k, a * b AS x FROM t"} {
+		r := parseEval(t, d, sql).Sorted()
+		if r.Len() != 2 || !r.Tuples[0][1].Same(rel.Int(6)) || !r.Tuples[1][1].Same(rel.Int(10)) {
+			t.Fatalf("%q: %v", sql, r)
+		}
+	}
+	r := parseEval(t, d, "SELECT a, COUNT(*) AS n FROM t GROUP BY a")
+	if r.Len() != 1 || !r.Tuples[0][1].Same(rel.Int(2)) {
+		t.Fatalf("COUNT(*): %v", r)
 	}
 }
