@@ -6,16 +6,15 @@ import (
 )
 
 // aggState incrementally folds one aggregate over a group: acc is the
-// running sum of a SUM or an AVG and the best value of a MIN or a MAX.
+// running sum of a SUM or an AVG and the best value of a MIN or a MAX. The
+// zero value is a state over no rows; the caller keeps the aggregate's
+// function, which add and result take.
 type aggState struct {
-	fn    AggFn
 	count int64
 	acc   rel.Value
 }
 
-func newAggState(fn AggFn) *aggState { return &aggState{fn: fn, acc: rel.Null()} }
-
-func (a *aggState) add(v rel.Value, isStar bool) {
+func (a *aggState) add(fn AggFn, v rel.Value, isStar bool) {
 	if isStar {
 		a.count++
 		return
@@ -24,7 +23,7 @@ func (a *aggState) add(v rel.Value, isStar bool) {
 		return
 	}
 	a.count++
-	switch a.fn {
+	switch fn {
 	case AggSum, AggAvg:
 		if a.acc.IsNull() {
 			a.acc = v
@@ -46,8 +45,8 @@ func (a *aggState) add(v rel.Value, isStar bool) {
 	}
 }
 
-func (a *aggState) result() rel.Value {
-	switch a.fn {
+func (a *aggState) result(fn AggFn) rel.Value {
+	switch fn {
 	case AggSum, AggMin, AggMax:
 		return a.acc
 	case AggCount:
@@ -86,7 +85,7 @@ func evalGroupBy(g *GroupBy, env Env) (*rel.Relation, error) {
 
 	type group struct {
 		keyVals rel.Tuple
-		states  []*aggState
+		states  []aggState
 	}
 	byKey := make(map[string]*group)
 	var order []*group
@@ -98,19 +97,15 @@ func evalGroupBy(g *GroupBy, env Env) (*rel.Relation, error) {
 			for i, j := range keyIdx {
 				kv[i] = t[j]
 			}
-			states := make([]*aggState, len(g.Aggs))
-			for i, a := range g.Aggs {
-				states[i] = newAggState(a.Fn)
-			}
-			grp = &group{keyVals: kv, states: states}
+			grp = &group{keyVals: kv, states: make([]aggState, len(g.Aggs))}
 			byKey[k] = grp
 			order = append(order, grp)
 		}
 		for i, a := range g.Aggs {
 			if a.Arg == nil {
-				grp.states[i].add(rel.Null(), true)
+				grp.states[i].add(a.Fn, rel.Null(), true)
 			} else {
-				grp.states[i].add(compiled[i].Eval(t), false)
+				grp.states[i].add(a.Fn, compiled[i].Eval(t), false)
 			}
 		}
 	}
@@ -122,8 +117,8 @@ func evalGroupBy(g *GroupBy, env Env) (*rel.Relation, error) {
 	out := rel.NewRelation(rel.NewSchema(attrs, g.Keys))
 	for _, grp := range order {
 		nt := append(rel.Tuple{}, grp.keyVals...)
-		for _, st := range grp.states {
-			nt = append(nt, st.result())
+		for i := range grp.states {
+			nt = append(nt, grp.states[i].result(g.Aggs[i].Fn))
 		}
 		out.Add(nt)
 	}

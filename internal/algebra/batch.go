@@ -17,6 +17,10 @@
 //     first row (the output's key columns are the input's, gathered there)
 //     and carves their aggregate states from one array.
 //
+// A kernel allocates the batch it returns and nothing else: chains,
+// digests, group ids, states and the like are borrowed for the call from the
+// kernel scratch pool (scratch.go).
+//
 // Predicates, projection items and aggregate arguments are evaluated by
 // expr.Compile's closures, the evaluator Eval calls too, so comparison
 // semantics (float widening, NULL folding) live in expr and Value.Compare
@@ -82,29 +86,6 @@ func (c *cSelect) filter(b *rel.Batch) *rel.Batch {
 // and every match is seen to rest on KeyEqual, never on a digest.
 var keyMask = ^uint64(0)
 
-// keyDigests is the digest (rel.KeyDigest) of every row's idx columns.
-func keyDigests(b *rel.Batch, idx []int) []uint64 {
-	dig := b.KeyDigests(idx)
-	if keyMask != ^uint64(0) {
-		for i := range dig {
-			dig[i] &= keyMask
-		}
-	}
-	return dig
-}
-
-// buildHashIdx files every row of b under the digest of its idx columns, last
-// row first, so each chain lists its rows in ascending order.
-func buildHashIdx(b *rel.Batch, idx []int) *rel.DigestChains {
-	ht := &rel.DigestChains{}
-	ht.Reserve(b.Len())
-	dig := keyDigests(b, idx)
-	for r := b.Len() - 1; r >= 0; r-- {
-		ht.Push(dig[r], int32(r))
-	}
-	return ht
-}
-
 // keysSameIdx verifies an equi-key match column-wise with KeyEqual — the
 // equality of EncodeKey bytes, which Eval's string-keyed buckets go by and
 // under which KeyEqual keys share a digest (rel.FuzzValueKey).
@@ -141,19 +122,30 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, er
 	if n == 0 {
 		return c.empty, nil
 	}
+	s := getScratch()
+	defer s.release()
 	idx, storedW := c.drive()
 	pr := c.pr
-	// The match count is unknown until probed (selectivity can be ≪1), so
-	// the stored builders size themselves by doubling rather than reserving
-	// a row per driving row up front — unless a probe of the key bounds it.
-	stored := make([]rel.ColBuilder, storedW)
-	if pr.plan.unique {
-		for j := range stored {
-			stored[j].Grow(n)
+	// The match count is unknown until probed (selectivity can be ≪1): the
+	// output is sized at the previous run's matches per driving row, or at
+	// one per driving row where a probe of the key bounds it at that.
+	size := n
+	if c.fanout >= 0 {
+		size = (c.fanout*n + fanoutUnit - 1) / fanoutUnit
+		if pr.plan.unique {
+			size = min(size, n)
 		}
 	}
-	G := make([]int32, 0, n)
-	var scratch rel.Tuple
+	s.builders = take(s.builders, storedW)
+	stored := s.builders
+	clear(stored)
+	if c.fanout >= 0 || pr.plan.unique {
+		for j := range stored {
+			stored[j].Grow(size)
+		}
+	}
+	G := make([]int32, 0, size)
+	scratch := s.row
 	for i := 0; i < n; i++ {
 		if !pr.fill(driving, idx, i) {
 			continue
@@ -184,6 +176,7 @@ func (c *cJoin) probeJoin(t *storage.Handle, driving *rel.Batch) (*rel.Batch, er
 			}
 		}
 	}
+	s.row, c.fanout = scratch, (len(G)*fanoutUnit+n-1)/n
 	if len(G) == 0 {
 		return c.empty, nil
 	}
@@ -207,8 +200,10 @@ func (c *cJoin) hashJoin(left, right *rel.Batch) *rel.Batch {
 	if n == 0 || right.Len() == 0 {
 		return c.empty
 	}
-	ht := buildHashIdx(right, c.ridx)
-	ldig := keyDigests(left, c.lidx)
+	s := getScratch()
+	defer s.release()
+	ht := s.buildHashIdx(right, c.ridx)
+	ldig := s.keyDigests(left, c.lidx)
 	gl := make([]int32, 0, n)
 	gr := make([]int32, 0, n)
 	var lbuf, rbuf rel.Tuple
@@ -286,12 +281,15 @@ func (c *cJoin) gatherPairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
 // floats and NaN, in both states of a written epoch). The Eval oracle still
 // keeps its emitted set, which is what that test compares against. The
 // emitted tuples come straight from charged lookups and become a batch here;
-// out starts at one per probe, the size of a key-to-key match.
+// out starts at one per probe, the size of a key-to-key match. The set and
+// the digests are the kernel's scratch.
 func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, error) {
 	out := make([]rel.Tuple, 0, right.Len())
-	var seen rel.DigestChains
+	s := getScratch()
+	defer s.release()
+	seen := &s.chains
 	seen.Reserve(right.Len())
-	pr, rdig := c.pr, keyDigests(right, c.ridx)
+	pr, rdig := c.pr, s.keyDigests(right, c.ridx)
 next:
 	for i, n := 0, right.Len(); i < n; i++ {
 		if !pr.fill(right, c.ridx, i) {
@@ -342,8 +340,10 @@ func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, erro
 // hashSel is semiHash: digest chains over the right, each left row
 // tested against its chain.
 func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
-	ht := buildHashIdx(right, c.ridx)
-	ldig := keyDigests(left, c.lidx)
+	s := getScratch()
+	defer s.release()
+	ht := s.buildHashIdx(right, c.ridx)
+	ldig := s.keyDigests(left, c.lidx)
 	n := left.Len()
 	sel := make([]int32, 0, n)
 	var lbuf, rbuf rel.Tuple
@@ -404,13 +404,18 @@ func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
 // oracle's group identity — or founds one. The second pass folds each row
 // into its group's states, which are carved from one array of exactly
 // groups × aggregates entries; the key values are never copied — the output's
-// key columns are the child's, gathered at the groups' first rows.
+// key columns are the child's, gathered at the groups' first rows. The
+// digests, the chains, the group ids and the states are scratch; first
+// becomes the key columns' Idx.
 func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
 	n, kw, na := child.Len(), len(c.keyIdx), len(c.fns)
-	dig := keyDigests(child, c.keyIdx)
-	var ht rel.DigestChains
+	s := getScratch()
+	defer s.release()
+	dig := s.keyDigests(child, c.keyIdx)
+	ht := &s.chains
 	ht.Reserve(n)
-	gid := make([]int32, n)                 // row → group
+	s.gid = take(s.gid, n)
+	gid := s.gid                            // row → group
 	first := make([]int32, 0, min(n, 1024)) // group → its first row
 	for i := 0; i < n; i++ {
 		g := ht.First(dig[i])
@@ -427,25 +432,25 @@ func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
 		gid[i] = g
 	}
 
-	states := make([]aggState, len(first)*na)
-	for k := range states {
-		states[k] = aggState{fn: c.fns[k%na], acc: rel.Null()}
-	}
-	var scratch rel.Tuple
+	s.states = take(s.states, len(first)*na)
+	states := s.states
+	clear(states)
+	scratch := s.row
 	for i := 0; i < n; i++ {
 		st := states[int(gid[i])*na:]
-		for a := range c.fns {
+		for a, fn := range c.fns {
 			switch j := c.argIdx[a]; {
 			case j == argStar:
-				st[a].add(rel.Null(), true)
+				st[a].add(fn, rel.Null(), true)
 			case j >= 0:
-				st[a].add(child.Cols[j].Value(i), false)
+				st[a].add(fn, child.Cols[j].Value(i), false)
 			default:
 				scratch = child.Row(i, scratch)
-				st[a].add(c.args[a].Eval(scratch), false)
+				st[a].add(fn, c.args[a].Eval(scratch), false)
 			}
 		}
 	}
+	s.row = scratch
 
 	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+na), N: len(first)}
 	heads := child.GatherRows(first)
@@ -456,7 +461,7 @@ func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
 		var cb rel.ColBuilder
 		cb.Grow(len(first))
 		for g := range first {
-			cb.Append(states[g*na+a].result())
+			cb.Append(states[g*na+a].result(c.fns[a]))
 		}
 		out.Cols[kw+a] = cb.Vec()
 	}

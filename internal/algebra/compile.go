@@ -25,10 +25,12 @@
 // kernels; the differential suites assert the parity on randomized plans.
 //
 // An ExecPlan owns mutable scratch (probe value and result buffers,
-// selection vectors), so a single ExecPlan must not be Run concurrently
-// with itself. The Δ-script executor satisfies this (each step runs at most
-// once per round, on one goroutine), and the serving plan cache checks a
-// plan out for one read at a time. Batches, by contrast, are immutable once
+// selection vectors, a probe join's last match ratio), so a single ExecPlan
+// must not be Run concurrently with itself. The Δ-script executor satisfies
+// this (each step runs at most once per round, on one goroutine), and the
+// serving plan cache checks a plan out for one read at a time. Everything
+// else a kernel works in it borrows for one call from a pool shared by every
+// plan (kernelScratch, scratch.go). Batches, by contrast, are immutable once
 // built — kernels only ever derive new ones — which is what lets every
 // operator hand out one shared zero-row batch (its empty field, which also
 // carries the operator's output schema) instead of allocating a fresh one
@@ -437,7 +439,11 @@ type cJoin struct {
 	match  *expr.CompiledPair // the plan's residual; nil when TRUE
 	empty  *rel.Batch
 	lw, rw int // child widths, for output column layout
+	fanout int // a probe join's matches per fanoutUnit driving rows in its previous run; -1 before the first
 }
+
+// fanoutUnit is the denominator of cJoin.fanout.
+const fanoutUnit = 1024
 
 func compileJoin(j *Join) (cNode, error) {
 	pl, err := planJoin(j)
@@ -445,7 +451,7 @@ func compileJoin(j *Join) (cNode, error) {
 		return nil, err
 	}
 	ls, rs := j.Left.Schema(), j.Right.Schema()
-	c := &cJoin{joinPlan: pl, empty: rel.NewBatch(j.Schema()), lw: len(ls.Attrs), rw: len(rs.Attrs)}
+	c := &cJoin{joinPlan: pl, empty: rel.NewBatch(j.Schema()), lw: len(ls.Attrs), rw: len(rs.Attrs), fanout: -1}
 	if c.match, err = compilePair(pl.residual, ls, rs); err != nil {
 		return nil, err
 	}

@@ -296,11 +296,11 @@ func (d *Database) DerivedLog(view string) []Modification {
 // maintenance round fails: the base log is kept for retry, but derived
 // logs are intra-round state — regenerated when the retried round
 // re-runs the parent views — so keeping them would feed children
-// duplicated entries. Each log keeps its backing array (see Reuse).
+// duplicated entries. Each log keeps its backing array (see rel.Reuse).
 func (d *Database) ClearDerivedLogs() {
 	d.derivedMu.Lock()
 	for k, log := range d.derived {
-		d.derived[k] = Reuse(log)
+		d.derived[k] = rel.Reuse(log)
 	}
 	d.derivedMu.Unlock()
 }
@@ -370,33 +370,13 @@ func (d *Database) Update(table string, key []rel.Value, setAttrs []string, setV
 func (d *Database) Log() []Modification { return d.log }
 
 // ClearLog empties the modification log (and every derived log) without
-// touching any epochs. The logs keep their backing arrays (see Reuse), so a
+// touching any epochs. The logs keep their backing arrays (see rel.Reuse), so a
 // round's log does not grow from nothing again. Besides ResetLog, its only
 // caller is the frozen benchmark tracer (benchmark/trace.go), which advances
 // the epochs itself; everything else ends a round with ResetLog.
 func (d *Database) ClearLog() {
-	d.log = Reuse(d.log)
+	d.log = rel.Reuse(d.log)
 	d.ClearDerivedLogs()
-}
-
-// retainFloor and retainRatio bound what a round's emptied buffers keep (see
-// Reuse).
-const (
-	retainFloor = 1 << 10
-	retainRatio = 4
-)
-
-// Reuse empties a buffer a round filled — a log here, the compactor's slots and
-// net changes in internal/ivm — for the next round. It zeroes the entries, so
-// the buffer keeps no row alive, and keeps the backing array unless it is
-// above retainFloor entries and more than retainRatio times what the round
-// used: one large round does not pin its buffer for good.
-func Reuse[T any](buf []T) []T {
-	if cap(buf) > max(retainFloor, retainRatio*len(buf)) {
-		return nil
-	}
-	clear(buf)
-	return buf[:0]
 }
 
 // ResetLog ends a successful maintenance round: it clears the modification

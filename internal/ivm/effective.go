@@ -222,19 +222,16 @@ func keyEqualAt(row rel.Tuple, key []rel.Value, keyIdx []int) bool {
 
 // reset ends a compaction: its slots, chains, net changes and the
 // instances' scratch are emptied for the next one, their buffers kept within
-// the retention bound of db.Reuse.
+// the retention bound of rel.Reuse.
 func (c *compactor) reset() {
 	for _, a := range c.used {
-		if a.slots = db.Reuse(a.slots); a.slots == nil {
-			a.chains = rel.DigestChains{}
-		} else {
-			a.chains.Reset()
-		}
-		a.nc.Inserts, a.nc.Deletes, a.nc.Updates = db.Reuse(a.nc.Inserts), db.Reuse(a.nc.Deletes), db.Reuse(a.nc.Updates)
+		a.slots = rel.Reuse(a.slots)
+		a.chains.Reset()
+		a.nc.Inserts, a.nc.Deletes, a.nc.Updates = rel.Reuse(a.nc.Inserts), rel.Reuse(a.nc.Deletes), rel.Reuse(a.nc.Updates)
 		a.nc.Table = "" // not in a compaction
 	}
-	c.used = db.Reuse(c.used)
-	c.pre, c.post = db.Reuse(c.pre), db.Reuse(c.post)
+	c.used = rel.Reuse(c.used)
+	c.pre, c.post = rel.Reuse(c.pre), rel.Reuse(c.post)
 }
 
 // PopulateInstances translates a table's net changes into instances of the

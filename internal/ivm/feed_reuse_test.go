@@ -109,7 +109,7 @@ func TestCompactorAndLogReleaseLargeBuffers(t *testing.T) {
 		"updates":     cap(a.nc.Updates),
 	}
 	for name, n := range held {
-		if n > 1<<10 { // db.Reuse's floor
+		if n > 1<<10 { // rel.Reuse's floor
 			t.Errorf("after two 16-entry rounds the %s still hold %d entries", name, n)
 		}
 	}

@@ -98,7 +98,7 @@ func (c *ColVec) IsNull(i int) bool {
 // gatherVec derives the column selecting logical rows sel, composing any
 // existing indirection. memo shares composed vectors between columns that
 // alias one Idx slice (joined sides share a single gather vector).
-func (c ColVec) gatherVec(sel []int32, memo map[*int32][]int32) ColVec {
+func (c ColVec) gatherVec(sel []int32, memo *gatherMemo) ColVec {
 	out := c
 	if c.Kind == VecNull {
 		out.Idx = nil
@@ -109,7 +109,7 @@ func (c ColVec) gatherVec(sel []int32, memo map[*int32][]int32) ColVec {
 		return out
 	}
 	key := &c.Idx[0]
-	if composed, ok := memo[key]; ok {
+	if composed := memo.get(key); composed != nil {
 		out.Idx = composed
 		return out
 	}
@@ -117,9 +117,35 @@ func (c ColVec) gatherVec(sel []int32, memo map[*int32][]int32) ColVec {
 	for k, s := range sel {
 		composed[k] = c.Idx[s]
 	}
-	memo[key] = composed
+	memo.put(key, composed)
 	out.Idx = composed
 	return out
+}
+
+// gatherMemo is GatherRows' memo of the vectors it composed, by the first
+// element of the Idx slice they were composed from. It lives on the caller's
+// stack: a batch's columns alias few gather vectors (a join's output two, one
+// per side), and a source past the last slot is composed anew.
+type gatherMemo struct {
+	n    int
+	keys [4]*int32
+	vecs [4][]int32
+}
+
+func (m *gatherMemo) get(key *int32) []int32 {
+	for i, k := range m.keys[:m.n] {
+		if k == key {
+			return m.vecs[i]
+		}
+	}
+	return nil
+}
+
+func (m *gatherMemo) put(key *int32, vec []int32) {
+	if m.n < len(m.keys) {
+		m.keys[m.n], m.vecs[m.n] = key, vec
+		m.n++
+	}
 }
 
 // Batch is a column-major relation fragment: N logical rows over one
@@ -167,8 +193,16 @@ func (b *Batch) Row(i int, buf Tuple) Tuple {
 // out[i] is KeyDigest of row i's cols values, folded a column at a time so
 // that the kind switch runs once per column, not once per value, and a dense
 // int column is read as the []int64 it is.
-func (b *Batch) KeyDigests(cols []int) []uint64 {
-	out := make([]uint64, b.N)
+func (b *Batch) KeyDigests(cols []int) []uint64 { return b.KeyDigestsInto(cols, nil) }
+
+// KeyDigestsInto is KeyDigests into buf, which it reallocates only when buf
+// is too small; it returns buf[:b.N].
+func (b *Batch) KeyDigestsInto(cols []int, buf []uint64) []uint64 {
+	out := buf
+	if cap(out) < b.N {
+		out = make([]uint64, b.N)
+	}
+	out = out[:b.N]
 	for i := range out {
 		out[i] = digestSeed
 	}
@@ -209,9 +243,9 @@ func (b *Batch) Gather(sel []int32) *Batch {
 // shortcut applies.
 func (b *Batch) GatherRows(sel []int32) *Batch {
 	nb := &Batch{Schema: b.Schema, Cols: make([]ColVec, len(b.Cols)), N: len(sel)}
-	memo := make(map[*int32][]int32, 2)
+	var memo gatherMemo
 	for i := range b.Cols {
-		nb.Cols[i] = b.Cols[i].gatherVec(sel, memo)
+		nb.Cols[i] = b.Cols[i].gatherVec(sel, &memo)
 	}
 	return nb
 }

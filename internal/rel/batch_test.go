@@ -123,6 +123,32 @@ func TestBatchGather(t *testing.T) {
 	if &g2.Cols[0].Idx[0] != &g2.Cols[1].Idx[0] {
 		t.Fatalf("composed Idx not shared between columns")
 	}
+
+	// A batch over more distinct Idx sources than GatherRows' memo holds,
+	// two columns per source: every row is composed right, and the columns
+	// of a source the memo holds share one composed vector.
+	const sources = 2*len(gatherMemo{}.keys) + 1
+	payload := []uint64{10, 11, 12, 13, 14, 15}
+	wide := &Batch{N: 4}
+	for src := 0; src < sources; src++ {
+		idx := []int32{int32(src % 6), int32((src + 1) % 6), int32((src + 2) % 6), int32((src + 3) % 6)}
+		for k := 0; k < 2; k++ {
+			wide.Schema.Attrs = append(wide.Schema.Attrs, string(rune('a'+2*src+k)))
+			wide.Cols = append(wide.Cols, ColVec{Kind: VecInt, Nums: payload, Idx: idx})
+		}
+	}
+	sel := []int32{3, 0, 0, 2}
+	g3 := wide.GatherRows(sel)
+	for j, c := range g3.Cols {
+		for i, s := range sel {
+			if got, want := c.Value(i), wide.Cols[j].Value(int(s)); !got.Equal(want) {
+				t.Fatalf("column %d row %d = %v, want %v", j, i, got, want)
+			}
+		}
+		if src := j / 2; j%2 == 1 && src < len(gatherMemo{}.keys) && &c.Idx[0] != &g3.Cols[j-1].Idx[0] {
+			t.Fatalf("source %d: its two columns compose two vectors", src)
+		}
+	}
 }
 
 // Row returns a scratch view that matches the logical tuples.

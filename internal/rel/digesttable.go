@@ -117,14 +117,19 @@ func (t *digestTable) fit() {
 // entry against the probe with Value.KeyEqual, so keys that share a digest
 // merely share a chain. The zero value is ready to use.
 type DigestChains struct {
-	tab  digestTable
-	next []int32 // entry → the entry pushed before it under the same digest, or -1
+	tab      digestTable
+	next     []int32 // entry → the entry pushed before it under the same digest, or -1
+	reserved int     // the largest Reserve since the last Reset
 }
+
+// cellsFor is the table size that holds n digests at ¾ load.
+func cellsFor(n int) int { return (n+1)*4/3 + 1 }
 
 // Reserve sizes the table for n entries up front, so a build of known size
 // never rehashes.
 func (c *DigestChains) Reserve(n int) {
-	if cells := (n+1)*4/3 + 1; cells > len(c.tab.cells) {
+	c.reserved = max(c.reserved, n)
+	if cells := cellsFor(n); cells > len(c.tab.cells) {
 		c.tab.resize(cells)
 	}
 	if n > cap(c.next) {
@@ -132,14 +137,27 @@ func (c *DigestChains) Reserve(n int) {
 	}
 }
 
-// Reset empties the chains and keeps their storage, so a caller that files a
-// similar number of entries again allocates nothing.
+// Reset empties the chains for their next use. Their storage is kept within
+// Reuse's retention bound of what this use reserved or filed, so a reset
+// clears O(max(retainFloor, that)) cells and one large use does not pin a
+// large table for good. Chains nothing was reserved in or filed under since
+// the last Reset are left as they are.
 func (c *DigestChains) Reset() {
-	if c.tab.n > 0 {
+	used := max(c.reserved, len(c.next))
+	if used == 0 {
+		return
+	}
+	c.reserved = 0
+	if !retains(len(c.tab.cells), cellsFor(used)) {
+		c.tab = digestTable{}
+	} else if c.tab.n > 0 {
 		for i := range c.tab.cells {
 			c.tab.cells[i].head = -1
 		}
 		c.tab.n = 0
+	}
+	if !retains(cap(c.next), used) {
+		c.next = nil
 	}
 	c.next = c.next[:0]
 }
@@ -169,4 +187,29 @@ func (c *DigestChains) Push(d uint64, e int32) {
 		c.tab.n++
 	}
 	c.next[e], cell.head = cell.head, e
+}
+
+// retainFloor and retainRatio bound what an emptied buffer keeps (see Reuse).
+const (
+	retainFloor = 1 << 10
+	retainRatio = 4
+)
+
+// retains reports whether a buffer of capacity entries is kept after a use of
+// used entries: it is at most retainFloor entries, or at most retainRatio
+// times the use.
+func retains(capacity, used int) bool { return capacity <= max(retainFloor, retainRatio*used) }
+
+// Reuse empties a buffer that a round or a call filled — a modification log,
+// the compactor's slots and net changes in internal/ivm, a compiled kernel's
+// scratch in internal/algebra — for its next use. It zeroes the entries, so
+// the buffer keeps no row alive, and keeps the backing array unless it is
+// above retainFloor entries and more than retainRatio times what the use
+// filled: one large use does not pin its buffer for good.
+func Reuse[T any](buf []T) []T {
+	if !retains(cap(buf), len(buf)) {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
 }

@@ -41,8 +41,11 @@ func (s slot) String() string { return fmt.Sprintf("?%d%c", s.i, s.kind) }
 
 // template is one shape's parse: the view with a slot in place of every
 // literal, each literal's slot, and the tables its FROM clause resolved,
-// each with the handle it resolved to. It is immutable once stored, so
-// binds share it freely.
+// each with a handle of the stored table it resolved to: a plan holds table
+// names and schemas, not handles, so a later parse binds wherever its
+// catalog's handle fronts the same table — a catalog may hand out a new
+// handle per call (db.Uncharged does). It is immutable once stored, so binds
+// share it freely.
 type template struct {
 	name    string
 	plan    algebra.Node
@@ -54,8 +57,8 @@ type template struct {
 // parseShape is Parse over a catalog that owns memo. One scan of src
 // yields its shape key and its literals, building no tokens and no
 // strings. A stored template of the shape whose tables still resolve to
-// the same handles is bound to the literals; otherwise src is parsed in
-// full and, when its shape can be templated, the template is stored,
+// the same stored tables is bound to the literals; otherwise src is parsed
+// in full and, when its shape can be templated, the template is stored,
 // replacing any stale one. Errors are never kept.
 func parseShape(src string, cat Catalog, memo *db.Memo) (*View, error) {
 	var keyBuf [256]byte
@@ -128,8 +131,8 @@ func newTemplate(toks []token, cat Catalog, src string, lits []literal, want *Vi
 }
 
 // bind returns the template's view with src's literals in its slots, or
-// nil when a table of the template no longer resolves to the handle it was
-// parsed against or a literal has no value (an int out of range). It
+// nil when a table of the template no longer resolves to the stored table it
+// was parsed against or a literal has no value (an int out of range). It
 // allocates the nodes and expressions on the paths to the slots and the
 // View; the rest of the plan is the template's. seen, when set, records
 // which slots the plan reached.
@@ -138,7 +141,7 @@ func (t *template) bind(src string, lits []literal, cat Catalog, seen []bool) *V
 		return nil
 	}
 	for i, name := range t.tables {
-		if h, err := cat.Table(name); err != nil || h != t.handles[i] {
+		if h, err := cat.Table(name); err != nil || !h.SameTable(t.handles[i]) {
 			return nil
 		}
 	}

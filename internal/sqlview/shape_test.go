@@ -142,6 +142,79 @@ func TestShapeCachePerDatabase(t *testing.T) {
 	}
 }
 
+// db.Uncharged hands out a new handle on every Table call. A template is
+// kept against the stored tables behind the handles, so a statement parsed
+// through it hits — the entry stays, and the hit allocates what a hit
+// through the database does plus the handle bind resolves v through —, a
+// template filled through the database binds through it and the reverse,
+// and a table dropped and created again still misses.
+func TestShapeCacheThroughUncharged(t *testing.T) {
+	sql := func(k int) string { return fmt.Sprintf(pointRead, k) }
+	key := func() []byte {
+		k, _, err := scan(sql(0), nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}()
+	entry := func(d *db.Database) any {
+		e, ok := d.Memo().Get(key)
+		if !ok || d.Memo().Len() != 1 {
+			t.Fatalf("the memo holds %d shapes, not the point read's", d.Memo().Len())
+		}
+		return e
+	}
+	database := func(d *db.Database) Catalog { return d }
+	unch := func(d *db.Database) Catalog { return db.Uncharged{Database: d} }
+	for _, c := range []struct {
+		name       string
+		fill, read func(*db.Database) Catalog
+		allocs     float64 // TestShapeCacheHitAllocations' five, and Uncharged's handle
+	}{
+		{"through Uncharged", unch, unch, 6},
+		{"filled through the database, read through Uncharged", database, unch, 6},
+		{"filled through Uncharged, read through the database", unch, database, 5},
+	} {
+		d := pointCatalog()
+		if _, err := Parse(sql(1), c.fill(d)); err != nil {
+			t.Fatal(err)
+		}
+		filled := entry(d)
+		read, src := c.read(d), sql(2)
+		runtime.GC()
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(src, read); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.allocs {
+			t.Errorf("%s: a parse allocates %v times, want a hit's %v", c.name, got, c.allocs)
+		}
+		if entry(d) != filled {
+			t.Errorf("%s: the parse replaced the template: a miss", c.name)
+		}
+		v, _ := Parse(sql(3), read)
+		if want, _ := Parse(sql(3), uncached{d}); describe(v) != describe(want) {
+			t.Errorf("%s: %s, the full parse %s", c.name, describe(v), describe(want))
+		}
+	}
+
+	d := pointCatalog()
+	u := db.Uncharged{Database: d}
+	if _, err := Parse(sql(1), u); err != nil {
+		t.Fatal(err)
+	}
+	filled := entry(d)
+	d.DropTable("v")
+	d.MustCreateTable("v", rel.NewSchema([]string{"did", "pid", "price"}, []string{"did", "pid"}))
+	if _, err := Parse(sql(2), u); err != nil {
+		t.Fatal(err)
+	}
+	if entry(d) == filled {
+		t.Fatalf("a statement over the re-created table hit the template of the dropped one")
+	}
+}
+
 // mapCatalog is a Catalog of its own, without a db.Memo.
 type mapCatalog map[string]*storage.Handle
 

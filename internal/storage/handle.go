@@ -54,6 +54,10 @@ func NewHandle(t Table) *Handle { return &Handle{t: t} }
 // engine-specific tooling).
 func (h *Handle) Backend() Table { return h.t }
 
+// SameTable reports whether h and o front one backend table, whatever
+// counters they charge: WithCounter derives a new handle over the same table.
+func (h *Handle) SameTable(o *Handle) bool { return h.t == o.t }
+
 // SetCounter attaches the cost counter charged by subsequent accesses
 // through this handle.
 func (h *Handle) SetCounter(c *rel.CostCounter) { h.counter = c }
