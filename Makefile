@@ -132,6 +132,12 @@ bench-e2e-smoke:
 # The FeedJoin rows are the probe join under uniform and Zipf(1.1) keys:
 # one charged lookup per driving row, so the zipf row is the cost of a few
 # celebrity buckets being read once per tweet.
+# The KeyedRead rows are one keyed SQL read of a 100 000-row view: from its
+# shape's compiled plan with the same key (cached) and a new key (fresh)
+# every read, compiled per call, under Eval — each one lookup and one read,
+# so accesses/op is 2 — and parsed only; the Parse rows are the point
+# read's parse uncached, as a shape-cache miss and as a hit. Their
+# allocs/op column is the read path's allocations.
 # Regenerate the baseline after a deliberate cost change with:
 #   make bench-smoke BENCHJSON_FLAGS='-o testdata/bench_baseline.json'
 # and carry the BenchmarkServing rows over (the serving lane gates against
@@ -148,6 +154,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkManyViewsRound(Workers2)?$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFeedJoin$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^Benchmark(TableChurn|FeedApplyShape)$$' -benchtime=20x ./internal/rel | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkKeyedRead$$' -benchtime=20000x . | tee -a bench.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkParse$$' -benchtime=20000x ./internal/sqlview | tee -a bench.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) bench.txt
 
 # bench-smoke-serving is CI's bench-serving lane: BenchmarkServing's

@@ -793,17 +793,26 @@ func BenchmarkServing(b *testing.B) {
 }
 
 // BenchmarkKeyedRead is one keyed SQL read of a 100 000-row view — the shape
-// of a serving read page — four ways: a compiled plan from the plan cache
-// (what Query and QuerySnapshot run), the plan compiled on every call, the
-// algebra.Eval oracle on the parsed plan, and the parse alone.
+// of a serving read page — five ways: a compiled plan from the plan cache
+// (what Query and QuerySnapshot run) for the same key every read (cached)
+// and for a new key every read (fresh: the shape's compiled plan with the
+// new literal bound), the plan compiled on every call, the algebra.Eval
+// oracle on the parsed plan, and the parse alone. Every row but the parse
+// reports accesses/op, the one lookup and one read of the key's row each
+// way charges alike.
 func BenchmarkKeyedRead(b *testing.B) {
 	d := idivm.Open()
 	d.MustCreateTable("t", idivm.Columns("k", "g", "x"), "k")
-	for i := 0; i < 100_000; i++ {
+	const rows = 100_000
+	for i := 0; i < rows; i++ {
 		d.MustInsert("t", i, i%1000, i)
 	}
 	d.MustCreateView(`CREATE VIEW v AS SELECT k, g, x FROM t`)
 	const sql = `SELECT k, x FROM v WHERE k = 4242`
+	fresh := make([]string, 4096)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf(`SELECT k, x FROM v WHERE k = %d`, i*(rows/len(fresh)))
+	}
 	dbx, _ := d.Unwrap()
 	v, err := sqlview.Parse(sql, dbx)
 	if err != nil {
@@ -814,28 +823,31 @@ func BenchmarkKeyedRead(b *testing.B) {
 			b.Fatalf("read: %v rows, %v", r, err)
 		}
 	}
-	b.Run("cached", func(b *testing.B) {
-		plans := serve.NewPlanCache(dbx)
-		run := func(p *algebra.ExecPlan) (*rel.Relation, error) { return p.Run(dbx) }
-		for i := 0; i < b.N; i++ {
-			check(plans.Read(sql, rel.StatePost, run))
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := algebra.Compile(v.Plan)
-			if err != nil {
-				b.Fatal(err)
+	bench := func(name string, read func(i int)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			c0 := dbx.Counter().Total()
+			for i := 0; i < b.N; i++ {
+				read(i)
 			}
-			check(p.Run(dbx))
+			b.ReportMetric(float64(dbx.Counter().Total()-c0)/float64(b.N), "accesses/op")
+		})
+	}
+	run := func(p *algebra.ExecPlan) (*rel.Relation, error) { return p.Run(dbx) }
+	cached := serve.NewPlanCache(dbx)
+	bench("cached", func(int) { check(cached.Read(sql, rel.StatePost, run)) })
+	plans := serve.NewPlanCache(dbx)
+	bench("fresh", func(i int) { check(plans.Read(fresh[i%len(fresh)], rel.StatePost, run)) })
+	bench("compiled", func(int) {
+		p, err := algebra.Compile(v.Plan)
+		if err != nil {
+			b.Fatal(err)
 		}
+		check(p.Run(dbx))
 	})
-	b.Run("eval", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check(algebra.Eval(v.Plan, dbx))
-		}
-	})
+	bench("eval", func(int) { check(algebra.Eval(v.Plan, dbx)) })
 	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sqlview.Parse(sql, dbx); err != nil {
 				b.Fatal(err)

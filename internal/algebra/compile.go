@@ -50,19 +50,23 @@ import (
 // producing the same relation, in the same order, with the same stored
 // access charges as Eval on the source plan.
 type ExecPlan struct {
-	root  cNode
-	sch   rel.Schema
-	empty *rel.Binding // what Bind returns for zero rows, shared like the operators' empty batches
+	root   cNode
+	sch    rel.Schema
+	empty  *rel.Binding // what Bind returns for zero rows, shared like the operators' empty batches
+	params expr.Params  // the values the plan's parameters (expr.Param) read, set by SetParams
 }
 
 // Compile compiles a plan. It fails on the same malformed plans Eval would
-// reject (unknown node types, unresolvable predicate columns).
+// reject (unknown node types, unresolvable predicate columns). A plan may
+// hold parameters (expr.Param), which Eval rejects: each run reads the
+// values SetParams set last.
 func Compile(n Node) (*ExecPlan, error) {
-	root, err := compileNode(n)
-	if err != nil {
+	p := &ExecPlan{sch: n.Schema(), empty: rel.BindBatch(rel.NewBatch(n.Schema()))}
+	var err error
+	if p.root, err = compileNode(n, &p.params); err != nil {
 		return nil, err
 	}
-	return &ExecPlan{root: root, sch: n.Schema(), empty: rel.BindBatch(rel.NewBatch(n.Schema()))}, nil
+	return p, nil
 }
 
 // MustCompile is Compile that panics on error, for static plans and tests.
@@ -76,6 +80,11 @@ func MustCompile(n Node) *ExecPlan {
 
 // Schema returns the plan's output schema.
 func (p *ExecPlan) Schema() rel.Schema { return p.sch }
+
+// SetParams makes vals[i] the value of the plan's parameter i on its next
+// runs. vals must hold a value for each of the plan's parameters. Like a
+// run, it must not overlap another run of the plan.
+func (p *ExecPlan) SetParams(vals []rel.Value) { p.params.Set(vals) }
 
 // Bind executes the compiled plan against an environment and returns its
 // root batch as a binding: columns for the plans that read it next, tuples
@@ -108,7 +117,9 @@ type cNode interface {
 	run(env Env) (*rel.Batch, error)
 }
 
-func compileNode(n Node) (cNode, error) {
+// compileNode compiles n; the expressions in it read their parameters from
+// ps.
+func compileNode(n Node, ps *expr.Params) (cNode, error) {
 	switch x := n.(type) {
 	case *Scan:
 		return &cStored{table: x.Table, st: x.St, sch: x.schema}, nil
@@ -121,29 +132,29 @@ func compileNode(n Node) (cNode, error) {
 		return &cBinding{name: x.Name, empty: rel.NewBatch(x.Sch)}, nil
 	case *Select:
 		if sh, ok := shapeOf(x); ok {
-			return compileStoredSelect(sh)
+			return compileStoredSelect(sh, ps)
 		}
-		child, err := compileNode(x.Child)
+		child, err := compileNode(x.Child, ps)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compilePred(x.Pred, x.Child.Schema())
+		pred, err := compilePred(x.Pred, x.Child.Schema(), ps)
 		if err != nil {
 			return nil, err
 		}
 		return &cSelect{child: child, pred: pred, empty: rel.NewBatch(x.Child.Schema())}, nil
 	case *Project:
-		return compileProject(x)
+		return compileProject(x, ps)
 	case *Join:
-		return compileJoin(x)
+		return compileJoin(x, ps)
 	case *SemiJoin:
-		return compileSemi(x.Left, x.Right, x.Pred, true)
+		return compileSemi(x.Left, x.Right, x.Pred, true, ps)
 	case *AntiJoin:
-		return compileSemi(x.Left, x.Right, x.Pred, false)
+		return compileSemi(x.Left, x.Right, x.Pred, false, ps)
 	case *GroupBy:
-		return compileGroupBy(x)
+		return compileGroupBy(x, ps)
 	case *UnionAll:
-		return compileUnion(x)
+		return compileUnion(x, ps)
 	default:
 		return nil, fmt.Errorf("algebra: cannot compile node type %T", n)
 	}
@@ -205,11 +216,11 @@ type cEmpty struct{ empty *rel.Batch }
 func (c *cEmpty) run(Env) (*rel.Batch, error) { return c.empty, nil }
 
 // compilePred compiles a predicate over one input; nil stands for TRUE.
-func compilePred(e expr.Expr, sch rel.Schema) (*expr.Compiled, error) {
+func compilePred(e expr.Expr, sch rel.Schema, ps *expr.Params) (*expr.Compiled, error) {
 	if expr.IsTrueLit(e) {
 		return nil, nil
 	}
-	return expr.Compile(e, sch)
+	return ps.Compile(e, sch)
 }
 
 // cSelect filters a derived child with its compiled predicate (filter, in
@@ -242,12 +253,12 @@ type cStoredSelect struct {
 	empty *rel.Batch
 }
 
-func compileStoredSelect(sh *probeShape) (cNode, error) {
-	probe, err := compileProbe(planProbe(sh, nil))
+func compileStoredSelect(sh *probeShape, ps *expr.Params) (cNode, error) {
+	probe, err := compileProbe(planProbe(sh, nil), ps)
 	if err != nil {
 		return nil, err
 	}
-	full, err := compilePred(sh.extra, sh.schema)
+	full, err := compilePred(sh.extra, sh.schema, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +270,7 @@ func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, err := useIndex(t, &c.probe.plan)
+	index, err := useIndex(t, &c.probe.plan, c.probe.valsBuf)
 	if err != nil {
 		return nil, err
 	}
@@ -294,8 +305,8 @@ type cProject struct {
 	empty   *rel.Batch
 }
 
-func compileProject(p *Project) (cNode, error) {
-	child, err := compileNode(p.Child)
+func compileProject(p *Project, ps *expr.Params) (cNode, error) {
+	child, err := compileNode(p.Child, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +314,7 @@ func compileProject(p *Project) (cNode, error) {
 	c := &cProject{items: make([]*expr.Compiled, len(p.Items)), colIdx: make([]int, len(p.Items)),
 		child: child, empty: rel.NewBatch(p.Schema())}
 	for i, it := range p.Items {
-		if c.items[i], err = expr.Compile(it.E, cs); err != nil {
+		if c.items[i], err = ps.Compile(it.E, cs); err != nil {
 			return nil, err
 		}
 		c.colIdx[i] = -1
@@ -365,21 +376,43 @@ func (c *cProject) run(env Env) (*rel.Batch, error) {
 type cProbe struct {
 	plan     probePlan
 	residual *expr.Compiled // nil when TRUE
-	valsBuf  []rel.Value    // join values, then the plan's literal values
+	valsBuf  []rel.Value    // join values, then the literal values of this run
+	params   []probeParam   // the literal values that are parameters
 	rowsBuf  []rel.Tuple
 }
 
-func compileProbe(pp probePlan) (*cProbe, error) {
+// probeParam is a parameter among a probe's literal values: valsBuf[at]
+// takes its value at the start of every run.
+type probeParam struct {
+	at  int
+	val *expr.Compiled
+}
+
+func compileProbe(pp probePlan, ps *expr.Params) (*cProbe, error) {
 	p := &cProbe{plan: pp, valsBuf: make([]rel.Value, pp.nJoin+len(pp.litVals))}
 	copy(p.valsBuf[pp.nJoin:], pp.litVals)
 	var err error
-	if p.residual, err = compilePred(pp.residual, pp.schema); err != nil {
+	for _, x := range pp.params {
+		pr := probeParam{at: pp.nJoin + x.At}
+		if pr.val, err = ps.Compile(x.Param, rel.Schema{}); err != nil {
+			return nil, err
+		}
+		p.params = append(p.params, pr)
+	}
+	if p.residual, err = compilePred(pp.residual, pp.schema, ps); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *cProbe) resolve(env Env) (*storage.Handle, error) { return env.Table(p.plan.table) }
+// resolve starts a run of the probe: it writes this run's parameter values
+// among the literal values and resolves the probed table.
+func (p *cProbe) resolve(env Env) (*storage.Handle, error) {
+	for _, x := range p.params {
+		p.valsBuf[x.at] = x.val.Eval(nil)
+	}
+	return env.Table(p.plan.table)
+}
 
 // fill writes the idx columns of row i of b into the probe's join values,
 // reporting false when one of them is NULL (NULL never joins).
@@ -421,11 +454,11 @@ func keepRows(pred *expr.Compiled, rows, dst []rel.Tuple) []rel.Tuple {
 
 // compilePair compiles a join or semijoin predicate over its two inputs;
 // nil stands for TRUE.
-func compilePair(e expr.Expr, ls, rs rel.Schema) (*expr.CompiledPair, error) {
+func compilePair(e expr.Expr, ls, rs rel.Schema, ps *expr.Params) (*expr.CompiledPair, error) {
 	if expr.IsTrueLit(e) {
 		return nil, nil
 	}
-	return expr.CompilePair(e, ls, rs)
+	return ps.CompilePair(e, ls, rs)
 }
 
 // cJoin executes an inner join under its joinPlan. The short-circuit side
@@ -445,28 +478,28 @@ type cJoin struct {
 // fanoutUnit is the denominator of cJoin.fanout.
 const fanoutUnit = 1024
 
-func compileJoin(j *Join) (cNode, error) {
+func compileJoin(j *Join, ps *expr.Params) (cNode, error) {
 	pl, err := planJoin(j)
 	if err != nil {
 		return nil, err
 	}
 	ls, rs := j.Left.Schema(), j.Right.Schema()
 	c := &cJoin{joinPlan: pl, empty: rel.NewBatch(j.Schema()), lw: len(ls.Attrs), rw: len(rs.Attrs), fanout: -1}
-	if c.match, err = compilePair(pl.residual, ls, rs); err != nil {
+	if c.match, err = compilePair(pl.residual, ls, rs, ps); err != nil {
 		return nil, err
 	}
 	if pl.probe != nil {
-		if c.pr, err = compileProbe(*pl.probe); err != nil {
+		if c.pr, err = compileProbe(*pl.probe, ps); err != nil {
 			return nil, err
 		}
 	}
 	if pl.strategy != joinProbeLeft {
-		if c.left, err = compileNode(j.Left); err != nil {
+		if c.left, err = compileNode(j.Left, ps); err != nil {
 			return nil, err
 		}
 	}
 	if pl.strategy != joinProbeRight {
-		if c.right, err = compileNode(j.Right); err != nil {
+		if c.right, err = compileNode(j.Right, ps); err != nil {
 			return nil, err
 		}
 	}
@@ -534,27 +567,27 @@ type cSemi struct {
 	empty *rel.Batch
 }
 
-func compileSemi(l, r Node, p expr.Expr, keep bool) (cNode, error) {
+func compileSemi(l, r Node, p expr.Expr, keep bool, ps *expr.Params) (cNode, error) {
 	pl, err := planSemi(l, r, p, keep)
 	if err != nil {
 		return nil, err
 	}
 	c := &cSemi{semiPlan: pl, keep: keep, empty: rel.NewBatch(l.Schema())}
-	if c.match, err = compilePair(pl.residual, l.Schema(), r.Schema()); err != nil {
+	if c.match, err = compilePair(pl.residual, l.Schema(), r.Schema(), ps); err != nil {
 		return nil, err
 	}
 	if pl.probe != nil {
-		if c.pr, err = compileProbe(*pl.probe); err != nil {
+		if c.pr, err = compileProbe(*pl.probe, ps); err != nil {
 			return nil, err
 		}
 	}
 	if pl.strategy != semiProbeLeft {
-		if c.left, err = compileNode(l); err != nil {
+		if c.left, err = compileNode(l, ps); err != nil {
 			return nil, err
 		}
 	}
 	if pl.strategy != semiProbeRight {
-		if c.right, err = compileNode(r); err != nil {
+		if c.right, err = compileNode(r, ps); err != nil {
 			return nil, err
 		}
 	}
@@ -645,8 +678,8 @@ type cGroupBy struct {
 	empty  *rel.Batch
 }
 
-func compileGroupBy(g *GroupBy) (cNode, error) {
-	child, err := compileNode(g.Child)
+func compileGroupBy(g *GroupBy, ps *expr.Params) (cNode, error) {
+	child, err := compileNode(g.Child, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +697,7 @@ func compileGroupBy(g *GroupBy) (cNode, error) {
 			argIdx[i] = argStar
 			continue
 		}
-		if args[i], err = expr.Compile(a.Arg, cs); err != nil {
+		if args[i], err = ps.Compile(a.Arg, cs); err != nil {
 			return nil, err
 		}
 		argIdx[i] = argComplex
@@ -698,12 +731,12 @@ type cUnion struct {
 	w           int // child width (without the branch attribute)
 }
 
-func compileUnion(u *UnionAll) (cNode, error) {
-	left, err := compileNode(u.Left)
+func compileUnion(u *UnionAll, ps *expr.Params) (cNode, error) {
+	left, err := compileNode(u.Left, ps)
 	if err != nil {
 		return nil, err
 	}
-	right, err := compileNode(u.Right)
+	right, err := compileNode(u.Right, ps)
 	if err != nil {
 		return nil, err
 	}

@@ -109,14 +109,18 @@ func evalSelect(s *Select, env Env) (*rel.Relation, error) {
 
 // evalStoredSelect runs a σ-chain over a stored leaf: the probe on the
 // chain's literal equalities when useIndex takes it, filtered by what is
-// left of the chain, else a scan filtered by the whole chain.
+// left of the chain, else a scan filtered by the whole chain. Like every
+// Eval path, it takes no parameters.
 func evalStoredSelect(sh *probeShape, env Env) (*rel.Relation, error) {
 	pp := planProbe(sh, nil)
+	if len(pp.params) > 0 {
+		return nil, fmt.Errorf("algebra: Eval of parameter %s", pp.params[0].Param)
+	}
 	t, err := env.Table(pp.table)
 	if err != nil {
 		return nil, err
 	}
-	index, err := useIndex(t, &pp)
+	index, err := useIndex(t, &pp, pp.litVals)
 	if err != nil {
 		return nil, err
 	}
@@ -172,11 +176,11 @@ func evalProject(p *Project, env Env) (*rel.Relation, error) {
 
 // openProbe compiles pp and resolves its table for one evaluation.
 func openProbe(pp *probePlan, env Env) (*cProbe, *storage.Handle, error) {
-	pr, err := compileProbe(*pp)
+	pr, err := compileProbe(*pp, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := env.Table(pp.table)
+	t, err := pr.resolve(env)
 	return pr, t, err
 }
 
@@ -227,7 +231,7 @@ func evalJoin(j *Join, env Env) (*rel.Relation, error) {
 			return nil, err
 		}
 	}
-	match, err := compilePair(pl.residual, j.Left.Schema(), j.Right.Schema())
+	match, err := compilePair(pl.residual, j.Left.Schema(), j.Right.Schema(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +341,7 @@ func evalSemi(l, r Node, pred expr.Expr, keep bool, env Env) (*rel.Relation, err
 			return nil, err
 		}
 	}
-	match, err := compilePair(pl.residual, l.Schema(), r.Schema())
+	match, err := compilePair(pl.residual, l.Schema(), r.Schema(), nil)
 	if err != nil {
 		return nil, err
 	}

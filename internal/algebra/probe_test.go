@@ -123,3 +123,50 @@ func TestAsProbeResidualThroughRenaming(t *testing.T) {
 		t.Fatalf("compiled counters %v != interpreted %v", cc, c)
 	}
 }
+
+// TestParamsBindPerRun compiles a plan once with parameters in a stored σ
+// (probed on its own) and in the probed side of a join, and runs it with
+// each set of values: every run returns and charges what the plan with
+// those values as literals does under Eval. Eval takes no parameters.
+func TestParamsBindPerRun(t *testing.T) {
+	d := db.New()
+	it := d.MustCreateTable("items", rel.NewSchema([]string{"id", "grp", "qty"}, []string{"id"}))
+	for i := int64(0); i < 12; i++ {
+		it.MustInsert(rel.Int(i), rel.String(string(rune('a'+i%3))), rel.Int(i))
+	}
+	keySch := rel.NewSchema([]string{"g"}, []string{"g"})
+	diff := rel.NewRelation(keySch)
+	diff.Add(rel.Tuple{rel.String("a")})
+	diff.Add(rel.Tuple{rel.String("b")})
+	env := &bindEnv{Database: d, rels: map[string]*rel.Relation{"diff": diff}}
+
+	plan := func(id, qty expr.Expr) algebra.Node {
+		point := algebra.NewSelect(algebra.NewScan("items", "p", it.Schema()), expr.Eq(expr.C("p.id"), id))
+		probed := algebra.NewSelect(algebra.NewScan("items", "q", it.Schema()),
+			expr.And(expr.Eq(expr.C("q.grp"), expr.StrLit("a")), expr.Eq(expr.C("q.qty"), qty), expr.Lt(expr.C("q.id"), id)))
+		j := algebra.NewJoin(algebra.NewRelRef("diff", keySch), probed, expr.Eq(expr.C("g"), expr.C("q.grp")))
+		return algebra.NewProject(algebra.NewJoin(point, j, expr.True()), []algebra.ProjItem{
+			{E: expr.C("p.grp"), As: "pg"}, {E: expr.C("q.id"), As: "qid"}})
+	}
+	p, err := algebra.Compile(plan(expr.Param{I: 0}, expr.Param{I: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := algebra.Eval(plan(expr.Param{I: 0}, expr.Param{I: 1}), env); err == nil {
+		t.Fatal("Eval ran a plan with parameters")
+	}
+	for _, vals := range [][]rel.Value{{rel.Int(3), rel.Int(0)}, {rel.Int(11), rel.Int(6)}, {rel.Int(5), rel.Int(1)}, {rel.Int(99), rel.Int(9)}} {
+		d.Counter().Reset()
+		want := eval(t, plan(expr.V(vals[0]), expr.V(vals[1])), env)
+		wantCost := *d.Counter()
+		d.Counter().Reset()
+		p.SetParams(vals)
+		got, err := p.Run(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualSet(want) || *d.Counter() != wantCost || vals[0].AsInt() == 11 && got.Len() != 1 {
+			t.Fatalf("params %v: %v charging %v, want %v charging %v", vals, got, *d.Counter(), want, wantCost)
+		}
+	}
+}

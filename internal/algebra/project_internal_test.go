@@ -37,7 +37,7 @@ func TestProjectAllocationsDoNotGrowWithRows(t *testing.T) {
 			}
 			rows[i] = rel.Tuple{rel.Int(int64(i)), pre, rel.Int(int64(i % 11))}
 		}
-		c, err := compileProject(p)
+		c, err := compileProject(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestSelectAllocationsDoNotGrowWithRows(t *testing.T) {
 		return rows
 	}
 	allocs := func(n int, plan Node, env Env, setup func(cNode)) float64 {
-		c, err := compileNode(plan)
+		c, err := compileNode(plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,23 +90,25 @@ func shapeOf(n Node) (*probeShape, bool) {
 
 // probePlan is an index probe of a stored leaf. Its probe attributes are
 // bare column names, prepared once: the join columns, filled per probe, then
-// the columns the leaf's σ-chain fixes to literals, which narrow every probe
-// to the rows that also satisfy them for the same single lookup charge.
+// the columns the leaf's σ-chain fixes to literals or parameters, which
+// narrow every probe to the rows that also satisfy them for the same single
+// lookup charge.
 type probePlan struct {
 	table    string
 	st       rel.State
 	schema   rel.Schema // the leaf's qualified output schema
 	prep     rel.PrepLookup
-	nJoin    int         // leading probe attributes that are join columns
-	litVals  []rel.Value // values of the trailing, literal probe attributes
-	residual expr.Expr   // the rest of the σ-chain; TRUE when nothing is left
-	unique   bool        // the probe covers the leaf's key and no σ is left: ≤ 1 match per probe
+	nJoin    int            // leading probe attributes that are join columns
+	litVals  []rel.Value    // values of the trailing, literal probe attributes
+	params   []expr.ParamAt // the literal probe attributes whose values are parameters, set per run
+	residual expr.Expr      // the rest of the σ-chain; TRUE when nothing is left
+	unique   bool           // the probe covers the leaf's key and no σ is left: ≤ 1 match per probe
 }
 
 // planProbe plans a probe of sh on joinCols, qualified names over sh.schema;
 // a σ-chain probed on its literals alone passes none.
 func planProbe(sh *probeShape, joinCols []string) probePlan {
-	litCols, litVals, residual := expr.EqLiterals(sh.extra, sh.schema)
+	litCols, litVals, params, residual := expr.EqLiterals(sh.extra, sh.schema)
 	attrs := make([]string, 0, len(joinCols)+len(litCols))
 	for _, a := range joinCols {
 		attrs = append(attrs, sh.toBare(a))
@@ -116,7 +118,7 @@ func planProbe(sh *probeShape, joinCols []string) probePlan {
 	}
 	key := sh.schema.Key
 	return probePlan{table: sh.table, st: sh.st, schema: sh.schema, prep: rel.PrepareLookup(attrs),
-		nJoin: len(joinCols), litVals: litVals, residual: residual,
+		nJoin: len(joinCols), litVals: litVals, params: params, residual: residual,
 		unique: len(key) > 0 && expr.IsTrueLit(residual) && rel.Subset(key, append(append([]string(nil), joinCols...), litCols...))}
 }
 
@@ -124,12 +126,14 @@ func planProbe(sh *probeShape, joinCols []string) probePlan {
 // planned as a probe on its literals: the probe (1 lookup + p reads) is
 // taken exactly when it is strictly cheaper than the n-read scan, so the
 // choice never charges more than the scan. p and n are uncharged catalog
-// metadata of the state read, so both evaluators always choose alike.
-func useIndex(t *storage.Handle, pp *probePlan) (bool, error) {
-	if len(pp.litVals) == 0 {
+// metadata of the state read, for vals, the literal values of this run, so
+// both evaluators always choose alike, and a compiled plan run with new
+// parameter values chooses anew.
+func useIndex(t *storage.Handle, pp *probePlan, vals []rel.Value) (bool, error) {
+	if len(vals) == 0 {
 		return false, nil
 	}
-	p, n, err := t.IndexCard(pp.st, pp.prep.Attrs(), pp.litVals)
+	p, n, err := t.IndexCard(pp.st, pp.prep.Attrs(), vals)
 	return err == nil && p+1 < n, err
 }
 

@@ -33,7 +33,7 @@ func TestOneSidedUnionSharesItsBranchColumn(t *testing.T) {
 		{"both sides", 3, 4, false},
 	} {
 		scan := NewScan("t", "", sch)
-		c, err := compileNode(NewUnionAll(scan, scan, "b"))
+		c, err := compileNode(NewUnionAll(scan, scan, "b"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,19 @@ import (
 // pair. Compile binds every column to the left tuple and passes no right
 // one; CompilePair binds each column to the side that holds it. Evaluators
 // are closures built once at compile time and never written after, so a
-// compiled expression is safe to share between goroutines, and evaluating
-// one allocates nothing unless a builtin builds a string.
+// compiled expression without parameters is safe to share between
+// goroutines, and evaluating one allocates nothing unless a builtin builds a
+// string.
 type evaluator func(l, r rel.Tuple) rel.Value
+
+// Params is the parameter vector of compiled expressions: a Param compiled
+// against it reads the vector's value when evaluated, so an expression
+// compiled once runs with whatever values were Set last. Whoever owns the
+// vector sets it between evaluations, never during one.
+type Params struct{ vals []rel.Value }
+
+// Set makes vals[i] the value of parameter i.
+func (ps *Params) Set(vals []rel.Value) { ps.vals = append(ps.vals[:0], vals...) }
 
 // Compiled is an expression bound to a schema, evaluated directly against
 // tuples of that schema.
@@ -21,9 +31,15 @@ type Compiled struct{ eval evaluator }
 
 // Compile binds e to schema, resolving every referenced column to its
 // position. It returns an error naming the first unresolved column or
-// unknown function.
+// unknown function, or a parameter, which only Params.Compile takes.
 func Compile(e Expr, schema rel.Schema) (*Compiled, error) {
-	ev, err := compile(e, func(name string) (evaluator, error) {
+	var ps *Params
+	return ps.Compile(e, schema)
+}
+
+// Compile is expr.Compile with e's parameters read from ps.
+func (ps *Params) Compile(e Expr, schema rel.Schema) (*Compiled, error) {
+	ev, err := ps.compile(e, func(name string) (evaluator, error) {
 		if j := schema.Index(name); j >= 0 {
 			return leftCol(j), nil
 		}
@@ -58,7 +74,13 @@ type CompiledPair struct{ eval evaluator }
 // right), as needed by join predicates, without materializing concatenated
 // tuples. Columns present in both schemas resolve to the left side.
 func CompilePair(e Expr, left, right rel.Schema) (*CompiledPair, error) {
-	ev, err := compile(e, func(name string) (evaluator, error) {
+	var ps *Params
+	return ps.CompilePair(e, left, right)
+}
+
+// CompilePair is expr.CompilePair with e's parameters read from ps.
+func (ps *Params) CompilePair(e Expr, left, right rel.Schema) (*CompiledPair, error) {
+	ev, err := ps.compile(e, func(name string) (evaluator, error) {
 		if j := left.Index(name); j >= 0 {
 			return leftCol(j), nil
 		}
@@ -90,15 +112,21 @@ func constant(v rel.Value) evaluator { return func(_, _ rel.Tuple) rel.Value { r
 var ariths = map[byte]func(a, b rel.Value) rel.Value{'+': rel.Add, '-': rel.Sub, '*': rel.Mul, '/': rel.Div}
 
 // compile builds e's evaluator, resolving each column reference through col
-// and choosing each operator and builtin once, here rather than per row.
-func compile(e Expr, col func(string) (evaluator, error)) (evaluator, error) {
+// and each parameter to ps, and choosing each operator and builtin once, here
+// rather than per row.
+func (ps *Params) compile(e Expr, col func(string) (evaluator, error)) (evaluator, error) {
 	switch x := e.(type) {
 	case Col:
 		return col(x.Name)
 	case Lit:
 		return constant(x.Val), nil
+	case Param:
+		if ps == nil {
+			return nil, fmt.Errorf("expr: parameter %s outside a parameterized plan", x)
+		}
+		return func(_, _ rel.Tuple) rel.Value { return ps.vals[x.I] }, nil
 	case Cmp:
-		args, err := compileAll(col, x.L, x.R)
+		args, err := ps.compileAll(col, x.L, x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -112,23 +140,23 @@ func compile(e Expr, col func(string) (evaluator, error)) (evaluator, error) {
 			return rel.Bool(ok && (c < 0 && lt || c == 0 && eq || c > 0 && gt))
 		}, nil
 	case AndExpr:
-		return compileTerms(col, x.Terms, false)
+		return ps.compileTerms(col, x.Terms, false)
 	case OrExpr:
-		return compileTerms(col, x.Terms, true)
+		return ps.compileTerms(col, x.Terms, true)
 	case NotExpr:
-		a, err := compile(x.E, col)
+		a, err := ps.compile(x.E, col)
 		if err != nil {
 			return nil, err
 		}
 		return func(l, r rel.Tuple) rel.Value { return rel.Bool(!a(l, r).AsBool()) }, nil
 	case IsNullExpr:
-		a, err := compile(x.E, col)
+		a, err := ps.compile(x.E, col)
 		if err != nil {
 			return nil, err
 		}
 		return func(l, r rel.Tuple) rel.Value { return rel.Bool(a(l, r).IsNull()) }, nil
 	case Arith:
-		args, err := compileAll(col, x.L, x.R)
+		args, err := ps.compileAll(col, x.L, x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +167,7 @@ func compile(e Expr, col func(string) (evaluator, error)) (evaluator, error) {
 		a, b := args[0], args[1]
 		return func(l, r rel.Tuple) rel.Value { return op(a(l, r), b(l, r)) }, nil
 	case Func:
-		args, err := compileAll(col, x.Args...)
+		args, err := ps.compileAll(col, x.Args...)
 		if err != nil {
 			return nil, err
 		}
@@ -155,8 +183,8 @@ func compile(e Expr, col func(string) (evaluator, error)) (evaluator, error) {
 // compileTerms builds a conjunction (decisive false) or a disjunction
 // (decisive true): the first term whose truth is decisive is the result, and
 // with none it is the other truth value.
-func compileTerms(col func(string) (evaluator, error), es []Expr, decisive bool) (evaluator, error) {
-	terms, err := compileAll(col, es...)
+func (ps *Params) compileTerms(col func(string) (evaluator, error), es []Expr, decisive bool) (evaluator, error) {
+	terms, err := ps.compileAll(col, es...)
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +199,11 @@ func compileTerms(col func(string) (evaluator, error), es []Expr, decisive bool)
 }
 
 // compileAll compiles es in order, stopping at the first error.
-func compileAll(col func(string) (evaluator, error), es ...Expr) ([]evaluator, error) {
+func (ps *Params) compileAll(col func(string) (evaluator, error), es ...Expr) ([]evaluator, error) {
 	out := make([]evaluator, len(es))
 	for i, e := range es {
 		var err error
-		if out[i], err = compile(e, col); err != nil {
+		if out[i], err = ps.compile(e, col); err != nil {
 			return nil, err
 		}
 	}
@@ -283,33 +311,49 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// EqLiterals splits e's conjuncts into column = literal equalities whose
-// column resolves in schema and whose literal is non-NULL, plus the
-// residual predicate (TRUE when none remains). The extracted pairs can run
-// as secondary-index probes: rel.Value key encoding is injective and agrees
+// EqLiterals splits e's conjuncts into column = value equalities whose
+// column resolves in schema and whose value is a non-NULL literal or a
+// parameter, plus the residual predicate (TRUE when none remains). vals
+// holds each equality's literal; an equality on a parameter leaves its
+// place in vals zero and is listed in params. The extracted pairs can run as
+// secondary-index probes: rel.Value key encoding is injective and agrees
 // with Compare on non-NULL values, so an index probe returns exactly the
 // rows the equality accepts. NULL literals stay in the residual — SQL's
 // col = NULL is always false, while an index probe on the encoded NULL
-// would wrongly match stored NULLs.
-func EqLiterals(e Expr, schema rel.Schema) (cols []string, vals []rel.Value, residual Expr) {
+// would wrongly match stored NULLs; a parameter is never NULL.
+func EqLiterals(e Expr, schema rel.Schema) (cols []string, vals []rel.Value, params []ParamAt, residual Expr) {
 	var rest []Expr
 	for _, c := range Conjuncts(e) {
 		if cmp, ok := c.(Cmp); ok && cmp.Op == EQ {
 			col, colOK := cmp.L.(Col)
-			lit, litOK := cmp.R.(Lit)
-			if !colOK || !litOK {
+			val := cmp.R
+			if !colOK {
 				col, colOK = cmp.R.(Col)
-				lit, litOK = cmp.L.(Lit)
+				val = cmp.L
 			}
-			if colOK && litOK && schema.Has(col.Name) && !lit.Val.IsNull() {
-				cols = append(cols, col.Name)
-				vals = append(vals, lit.Val)
-				continue
+			if colOK && schema.Has(col.Name) {
+				switch x := val.(type) {
+				case Param:
+					params = append(params, ParamAt{At: len(vals), Param: x})
+					cols, vals = append(cols, col.Name), append(vals, rel.Value{})
+					continue
+				case Lit:
+					if !x.Val.IsNull() {
+						cols, vals = append(cols, col.Name), append(vals, x.Val)
+						continue
+					}
+				}
 			}
 		}
 		rest = append(rest, c)
 	}
-	return cols, vals, And(rest...)
+	return cols, vals, params, And(rest...)
+}
+
+// ParamAt is a parameter among EqLiterals' values: it stands for vals[At].
+type ParamAt struct {
+	At    int
+	Param Param
 }
 
 // EquiPairs extracts the equality pairs (leftCol, rightCol) from the

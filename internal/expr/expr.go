@@ -53,6 +53,17 @@ func (l Lit) Cols() []string { return nil }
 // String implements Expr.
 func (l Lit) String() string { return l.Val.String() }
 
+// Param is a statement parameter: the value at position I of the Params an
+// expression is compiled against, set before each run. A parameter stands
+// for a number or string literal, so its value is never NULL.
+type Param struct{ I int }
+
+// Cols implements Expr.
+func (p Param) Cols() []string { return nil }
+
+// String implements Expr.
+func (p Param) String() string { return fmt.Sprintf("$%d", p.I+1) }
+
 // CmpOp is a comparison operator.
 type CmpOp string
 

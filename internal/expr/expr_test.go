@@ -244,3 +244,39 @@ func TestDeMorgan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A parameter reads its vector's value when evaluated, so one compiled
+// expression runs with each vector set; it compiles only against a vector,
+// and EqLiterals takes it as an index-probe value.
+func TestParamReadsItsVector(t *testing.T) {
+	sch := rel.NewSchema([]string{"a", "b"}, nil)
+	e := And(Eq(C("a"), Param{I: 1}), Ne(Param{I: 0}, C("b")))
+	if _, err := Compile(e, sch); err == nil || !strings.Contains(err.Error(), "parameter $2") {
+		t.Fatalf("a parameter compiled without a vector: %v", err)
+	}
+	var ps Params
+	c, err := ps.Compile(e, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rel.Tuple{rel.Int(5), rel.String("x")}
+	for _, tc := range []struct {
+		vals []rel.Value
+		want bool
+	}{
+		{[]rel.Value{rel.String("y"), rel.Int(5)}, true},
+		{[]rel.Value{rel.String("y"), rel.Float(5)}, true},
+		{[]rel.Value{rel.String("y"), rel.Int(6)}, false},
+		{[]rel.Value{rel.String("x"), rel.Int(5)}, false},
+	} {
+		ps.Set(tc.vals)
+		if got := c.EvalBool(row); got != tc.want {
+			t.Errorf("params %v: %v, want %v", tc.vals, got, tc.want)
+		}
+	}
+	cols, vals, params, residual := EqLiterals(And(Eq(C("b"), StrLit("x")), e), sch)
+	if len(cols) != 2 || cols[1] != "a" || vals[0] != rel.String("x") || len(params) != 1 ||
+		params[0] != (ParamAt{At: 1, Param: Param{I: 1}}) || residual.String() != "$1 <> b" {
+		t.Fatalf("EqLiterals: %v %v %v %v", cols, vals, params, residual)
+	}
+}

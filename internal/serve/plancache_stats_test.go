@@ -38,19 +38,32 @@ func TestQuerySnapshotPlanCache(t *testing.T) {
 		t.Fatalf("after repeats: hits=%d misses=%d, want 3/1", st.PlanCacheHits, st.PlanCacheMisses)
 	}
 
-	// A failed parse is never cached: each attempt is a fresh miss-less
-	// error (the counters only move for parseable SQL).
-	if _, err := s.srv.QuerySnapshot("SELECT FROM nothing"); err == nil {
-		t.Fatal("bad SQL parsed")
+	// A failed parse is a miss and is never cached.
+	for i := 0; i < 2; i++ {
+		if _, err := s.srv.QuerySnapshot("SELECT FROM nothing"); err == nil {
+			t.Fatal("bad SQL parsed")
+		}
 	}
 
-	// Distinct SQL is its own entry.
-	if _, err := s.srv.QuerySnapshot(`SELECT pid, price FROM parts WHERE price < 10`); err != nil {
+	// Another literal of the shape runs the shape's compiled plan, and
+	// returns its own rows; another shape is its own entry.
+	fewer, err := s.srv.QuerySnapshot(`SELECT pid, price FROM parts WHERE price < 10`)
+	if err != nil {
 		t.Fatalf("QuerySnapshot: %v", err)
 	}
-	st = s.srv.Stats()
-	if st.PlanCacheMisses < 2 {
-		t.Fatalf("distinct SQL did not miss: %+v", st)
+	for _, r := range fewer.Tuples {
+		if c, ok := r[1].Compare(rel.Int(10)); !ok || c >= 0 {
+			t.Fatalf("price < 10 returned %v", r)
+		}
+	}
+	if st = s.srv.Stats(); st.PlanCacheMisses != 3 || st.PlanCacheHits != 4 {
+		t.Fatalf("another literal of the shape: hits=%d misses=%d, want 4/3", st.PlanCacheHits, st.PlanCacheMisses)
+	}
+	if _, err := s.srv.QuerySnapshot(`SELECT pid FROM parts WHERE price < 10`); err != nil {
+		t.Fatalf("QuerySnapshot: %v", err)
+	}
+	if st = s.srv.Stats(); st.PlanCacheMisses != 4 {
+		t.Fatalf("another shape did not miss: %+v", st)
 	}
 }
 
@@ -121,10 +134,11 @@ func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
 }
 
 // TestQuerySnapshotShapeCacheConcurrent runs readers of one statement shape
-// with a different key on every read beside dispatcher rounds: each new SQL
-// text misses the plan cache and is parsed, so the readers bind their own
-// literals into the database's one shape template concurrently — under
-// -race in make race-serving. Every read must return its own part.
+// with a different key on every read beside dispatcher rounds: the readers
+// bind their own literals into the shape's one template and its compiled
+// plan concurrently — under -race in make race-serving —, a reader that
+// finds the plan checked out compiling a copy of its own. Every read must
+// return its own part and nothing else.
 func TestQuerySnapshotShapeCacheConcurrent(t *testing.T) {
 	s := newServedOn(t, nil, serve.Options{MaxBatch: 8})
 	parts := testParams().Parts
@@ -177,8 +191,8 @@ func TestQuerySnapshotShapeCacheConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := s.srv.Stats(); st.PlanCacheMisses < int64(parts) {
-		t.Fatalf("%d plan-cache misses for %d distinct statements: %+v", st.PlanCacheMisses, parts, st)
+	if st := s.srv.Stats(); st.PlanCacheHits == 0 {
+		t.Fatalf("no reader ran the shape's compiled plan: %+v", st)
 	}
 	if n := s.ds.DB.Memo().Len(); n != 1 {
 		t.Fatalf("%d shapes kept, want 1", n)

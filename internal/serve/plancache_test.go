@@ -8,65 +8,81 @@ import (
 	"testing"
 
 	"idivm/internal/algebra"
+	"idivm/internal/db"
 	"idivm/internal/rel"
 )
 
-func cachePlan(name string) *algebra.ExecPlan {
-	return algebra.MustCompile(algebra.NewScan(name, "", rel.NewSchema([]string{"k"}, []string{"k"})))
+// shapes is the capacity of the database's shape store (db.Memo), which
+// holds the compiled plans.
+const shapes = 64
+
+// keyed holds t(k, v) with v = 10·k for k < 8.
+func keyed() *db.Database {
+	d := db.New()
+	h := d.MustCreateTable("t", rel.NewSchema([]string{"k", "v"}, []string{"k"}))
+	for k := int64(0); k < 8; k++ {
+		h.MustInsert(rel.Int(k), rel.Int(10*k))
+	}
+	return d
 }
 
-func key(i int) planKey { return planKey{sql: fmt.Sprintf("q%d", i), st: rel.StatePre} }
+// shapeSQL is a read of key k in the i-th shape: each shape names another
+// output alias.
+func shapeSQL(i, k int) string { return fmt.Sprintf("SELECT v AS v%d FROM t WHERE k = %d", i, k) }
 
-// len reports the idle entry count.
-func (c *PlanCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+// readKey reads shapeSQL(i, k) through c in state st, checks that it
+// returned k's row, and returns the plan it ran.
+func readKey(t *testing.T, c *PlanCache, i, k int, st rel.State) *algebra.ExecPlan {
+	t.Helper()
+	var ran *algebra.ExecPlan
+	r, err := c.Read(shapeSQL(i, k), st, func(p *algebra.ExecPlan) (*rel.Relation, error) {
+		ran = p
+		return p.Run(c.d)
+	})
+	if err != nil || r.Len() != 1 || !r.Tuples[0][0].Same(rel.Int(int64(10*k))) {
+		t.Fatalf("%s: %v, %v", shapeSQL(i, k), r, err)
+	}
+	return ran
 }
 
+// One compiled plan per shape and read state serves every literal, and the
+// shape store evicts the least recently used shape past its capacity.
 func TestPlanCacheLRU(t *testing.T) {
-	c := NewPlanCache(nil)
-	plans := make([]*algebra.ExecPlan, planCacheSize)
-	for i := range plans {
-		plans[i] = cachePlan(key(i).sql)
-		c.put(key(i), plans[i])
+	c := NewPlanCache(keyed())
+	p0 := readKey(t, c, 0, 1, rel.StatePre)
+	for k := 2; k < 8; k++ {
+		if p := readKey(t, c, 0, k, rel.StatePre); p != p0 {
+			t.Fatalf("key %d ran another plan than key 1 of the same shape", k)
+		}
 	}
-	if c.len() != planCacheSize {
-		t.Fatalf("len = %d, want %d", c.len(), planCacheSize)
+	if p := readKey(t, c, 0, 1, rel.StatePost); p == p0 {
+		t.Fatal("a live read ran the snapshot plan")
 	}
-	// A checked-out plan is not in the cache until it is put back.
-	if p := c.take(key(0)); p != plans[0] {
-		t.Fatalf("take q0 = %p, want %p", p, plans[0])
+	if h, m := c.hits.Load(), c.misses.Load(); h != 6 || m != 2 {
+		t.Fatalf("hits %d, misses %d; want 6 and 2", h, m)
 	}
-	if p := c.take(key(0)); p != nil || c.len() != planCacheSize-1 {
-		t.Fatalf("q0 checked out twice (len %d)", c.len())
+	// shapes other shapes evict shape 0, the least recently used.
+	for i := 1; i <= shapes; i++ {
+		readKey(t, c, i, 3, rel.StatePre)
 	}
-	// Putting q0 back makes it the most recent; one more plan evicts q1.
-	c.put(key(0), plans[0])
-	c.put(key(planCacheSize), cachePlan("new"))
-	if c.len() != planCacheSize {
-		t.Fatalf("len after evict = %d, want %d", c.len(), planCacheSize)
+	if p := readKey(t, c, 0, 4, rel.StatePre); p == p0 {
+		t.Fatal("shape 0 survived eviction past capacity")
 	}
-	if p := c.take(key(1)); p != nil {
-		t.Fatal("q1 survived eviction past capacity")
-	}
-	// The same SQL under the other read state is another plan.
-	if p := c.take(planKey{sql: key(2).sql, st: rel.StatePost}); p != nil {
-		t.Fatal("a live read found the snapshot plan")
-	}
-	// When a concurrent reader's copy came back first, it stays.
-	c.put(key(0), cachePlan("copy"))
-	if p := c.take(key(0)); p != plans[0] || c.len() != planCacheSize-1 {
-		t.Fatalf("second copy of q0 replaced the first (len %d)", c.len())
+	// Shape 0 came back and evicted shape 1; shape 2 is still kept.
+	h := c.hits.Load()
+	readKey(t, c, 2, 5, rel.StatePre)
+	if c.hits.Load() != h+1 {
+		t.Fatal("a kept shape missed")
 	}
 }
 
 // TestPlanCacheConcurrent hammers the checkout rule: however many goroutines
-// read the same SQL, no plan is ever held by two of them at once, and the
-// cache never outgrows its capacity.
+// read the same shapes with their own keys, no plan is ever held by two of
+// them at once and every read returns its own key's row.
 func TestPlanCacheConcurrent(t *testing.T) {
-	c := NewPlanCache(nil)
-	var held sync.Map // *algebra.ExecPlan → *atomic.Bool
+	c := NewPlanCache(keyed())
+	env := db.Uncharged{Database: c.d} // concurrent reads charge no counter, as snapshot reads do
+	var held sync.Map                  // *algebra.ExecPlan → *atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -74,24 +90,28 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				k := key((g + i) % (planCacheSize + planCacheSize/2))
-				p := c.take(k)
-				if p == nil {
-					p = cachePlan(k.sql)
+				shape, k := (g+i)%(shapes+shapes/2), (g+i)%8
+				r, err := c.Read(shapeSQL(shape, k), rel.StatePre, func(p *algebra.ExecPlan) (*rel.Relation, error) {
+					busy, _ := held.LoadOrStore(p, new(atomic.Bool))
+					if !busy.(*atomic.Bool).CompareAndSwap(false, true) {
+						return nil, fmt.Errorf("plan of shape %d checked out by two readers", shape)
+					}
+					defer busy.(*atomic.Bool).Store(false)
+					runtime.Gosched() // hold the plan across a reschedule
+					return p.Run(env)
+				})
+				if err == nil && (r.Len() != 1 || !r.Tuples[0][0].Same(rel.Int(int64(10*k)))) {
+					err = fmt.Errorf("%s returned %v", shapeSQL(shape, k), r)
 				}
-				busy, _ := held.LoadOrStore(p, new(atomic.Bool))
-				if !busy.(*atomic.Bool).CompareAndSwap(false, true) {
-					t.Errorf("plan %s checked out by two readers", k.sql)
+				if err != nil {
+					t.Error(err)
 					return
 				}
-				runtime.Gosched() // hold the plan across a reschedule
-				busy.(*atomic.Bool).Store(false)
-				c.put(k, p)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := c.len(); n > planCacheSize {
-		t.Fatalf("cache overgrew its capacity: %d", n)
+	if n := c.d.Memo().Len(); n > shapes {
+		t.Fatalf("the shape store overgrew its capacity: %d", n)
 	}
 }

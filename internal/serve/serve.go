@@ -103,7 +103,9 @@ type Stats struct {
 	// (including any driven outside the dispatcher).
 	Rounds int64
 	// PlanCacheHits counts SQL reads (QuerySnapshot, the facade's Query) that
-	// ran a cached plan; PlanCacheMisses counts the ones that compiled.
+	// ran their statement shape's idle compiled plan with their own literals
+	// bound: a shape hit, whatever the literals. PlanCacheMisses counts the
+	// ones that compiled a plan, or failed to parse.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 }
@@ -131,7 +133,7 @@ type Server struct {
 	opCh    chan *pendingOp
 	flushCh chan chan error
 
-	plans *PlanCache // the database's one cache of compiled SQL read plans
+	plans *PlanCache // runs the database's SQL reads on compiled plans
 
 	// subs are the live delta subscriptions; roundSeq numbers committed
 	// rounds for Delta.Round and is touched only by the dispatcher.

@@ -60,9 +60,12 @@ type uncached struct{ Catalog }
 // through the database's shape cache — the fill, a hit, a hit of the same
 // shape with other literals, and, once every table has been dropped and
 // created again with another schema, the same statement again — and each
-// result must be the full parse's: the same view, or the same error. The
-// seed corpus is in testdata/fuzz/FuzzParse; `go test` replays it without
-// -fuzz.
+// result must be the full parse's: the same view, or the same error. Before
+// the tables are redefined, the statement and variants of it with edge
+// literals run through Run, which binds each variant's literals into the
+// shape's compiled plan: each must return what a fresh compile of the
+// variant's full parse and Eval return, or the full parse's error. The seed
+// corpus is in testdata/fuzz/FuzzParse; `go test` replays it without -fuzz.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		d := fuzzCatalog()
@@ -75,39 +78,125 @@ func FuzzParse(f *testing.F) {
 		for _, src := range []string{sql, sql, variant} {
 			checkShapeCache(t, d, src)
 		}
+		for _, src := range append([]string{sql}, edgeLiterals(sql)...) {
+			checkBoundPlan(t, d, src)
+		}
 		redefineFuzzCatalog(d)
 		checkShapeCache(t, d, sql)
 		checkShapeCache(t, d, sql)
 	})
 }
 
-func checkEvalMatchesCompiled(t *testing.T, d *db.Database, sql string, v *View) {
+// outcome is what running a plan gave: its rows, or its error, and the
+// stored accesses it charged.
+type outcome struct {
+	rows *rel.Relation
+	err  error
+	cost rel.CostCounter
+}
+
+// runOn runs fn against d with d's counter reset, and returns its outcome.
+func runOn(d *db.Database, fn func() (*rel.Relation, error)) outcome {
 	d.Counter().Reset()
-	want, evalErr := algebra.Eval(v.Plan, d)
-	wantCost := *d.Counter()
-	d.Counter().Reset()
-	p, runErr := algebra.Compile(v.Plan)
-	var got *rel.Relation
-	if runErr == nil {
-		got, runErr = p.Run(d)
+	rows, err := fn()
+	return outcome{rows: rows, err: err, cost: *d.Counter()}
+}
+
+// compiled is the outcome of compiling plan afresh and running it on d.
+func compiled(d *db.Database, plan algebra.Node) outcome {
+	return runOn(d, func() (*rel.Relation, error) {
+		p, err := algebra.Compile(plan)
+		if err != nil {
+			return nil, err
+		}
+		return p.Run(d)
+	})
+}
+
+// evaluated is the outcome of algebra.Eval of plan on d.
+func evaluated(d *db.Database, plan algebra.Node) outcome {
+	return runOn(d, func() (*rel.Relation, error) { return algebra.Eval(plan, d) })
+}
+
+// mustAgree fails unless both outcomes failed, or both returned the same
+// rows in the same order and charged the same accesses.
+func mustAgree(t *testing.T, sql, what string, want, got outcome) {
+	t.Helper()
+	if (want.err == nil) != (got.err == nil) {
+		t.Fatalf("%q: error %v, %s error %v", sql, want.err, what, got.err)
 	}
-	if (evalErr == nil) != (runErr == nil) {
-		t.Fatalf("%q: Eval error %v, compiled error %v", sql, evalErr, runErr)
-	}
-	if evalErr != nil {
+	if want.err != nil {
 		return
 	}
-	if cost := *d.Counter(); cost != wantCost {
-		t.Fatalf("%q: counters differ: Eval %v, compiled %v", sql, wantCost, cost)
+	if got.cost != want.cost {
+		t.Fatalf("%q: counters differ: %v, %s %v", sql, want.cost, what, got.cost)
 	}
-	if fmt.Sprint(want.Schema.Attrs) != fmt.Sprint(got.Schema.Attrs) || len(want.Tuples) != len(got.Tuples) {
-		t.Fatalf("%q: Eval %v %d rows, compiled %v %d rows", sql, want.Schema.Attrs, len(want.Tuples), got.Schema.Attrs, len(got.Tuples))
+	w, g := want.rows, got.rows
+	if fmt.Sprint(w.Schema.Attrs) != fmt.Sprint(g.Schema.Attrs) || len(w.Tuples) != len(g.Tuples) {
+		t.Fatalf("%q: %v %d rows, %s %v %d rows", sql, w.Schema.Attrs, len(w.Tuples), what, g.Schema.Attrs, len(g.Tuples))
 	}
-	for i, w := range want.Tuples {
-		if rel.TupleKey(w) != rel.TupleKey(got.Tuples[i]) {
-			t.Fatalf("%q: row %d: Eval %v, compiled %v", sql, i, w, got.Tuples[i])
+	for i, r := range w.Tuples {
+		if rel.TupleKey(r) != rel.TupleKey(g.Tuples[i]) {
+			t.Fatalf("%q: row %d: %v, %s %v", sql, i, r, what, g.Tuples[i])
 		}
 	}
+}
+
+func checkEvalMatchesCompiled(t *testing.T, d *db.Database, sql string, v *View) {
+	mustAgree(t, sql, "compiled", evaluated(d, v.Plan), compiled(d, v.Plan))
+}
+
+// checkBoundPlan runs src through Run and fails unless it returns what a
+// fresh compile of src's full parse and Eval return — or, when src does not
+// parse, the full parse's error.
+func checkBoundPlan(t *testing.T, d *db.Database, src string) {
+	t.Helper()
+	v, err := Parse(src, uncached{d})
+	got := runOn(d, func() (*rel.Relation, error) {
+		r, _, err := Run(src, d, rel.StatePost, func(p *algebra.ExecPlan) (*rel.Relation, error) { return p.Run(d) })
+		return r, err
+	})
+	if err != nil {
+		if got.err == nil || got.err.Error() != err.Error() {
+			t.Fatalf("%q: Run error %v, full parse error %v", src, got.err, err)
+		}
+		return
+	}
+	fresh := compiled(d, v.Plan)
+	mustAgree(t, src, "bound", fresh, got)
+	mustAgree(t, src, "Eval", fresh, evaluated(d, v.Plan))
+}
+
+// edgeLiterals returns variants of src with other literals of the same
+// kinds: variant j gives the i-th literal the (i+j)-th value of its kind's
+// list, so each literal takes every value of its list once. The ints hold 0,
+// keys of fuzzCatalog's rows, and 2^63, which is out of range unless a minus
+// sign negates it; the floats 0.0 and a stored 2.5; the strings escaped
+// quotes, the empty string and a stored value.
+func edgeLiterals(src string) []string {
+	_, lits, err := scan(src, nil, nil, nil)
+	if err != nil || len(lits) == 0 {
+		return nil
+	}
+	edges := map[litKind][]string{
+		litInt:    {"0", "3", "9223372036854775808", "1"},
+		litFloat:  {"0.0", "2.5", "10.0", "1.5"},
+		litString: {"it''s", "", "p", "''''"},
+	}
+	out := make([]string, 4)
+	for j := range out {
+		var b strings.Builder
+		at := 0
+		for i, l := range lits {
+			vals := edges[l.kind]
+			b.WriteString(src[at:l.start])
+			b.WriteString(vals[(i+j)%len(vals)])
+			at = l.end
+		}
+		b.WriteString(src[at:])
+		out[j] = b.String()
+	}
+	return out
 }
 
 // checkShapeCache parses src through d's shape cache and in full, and

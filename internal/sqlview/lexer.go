@@ -19,13 +19,13 @@
 //
 // Parse parses each statement shape once per database (shape.go): a
 // statement's shape is its tokens with keywords case-folded and every
-// number and string literal replaced by a typed slot. The first parse of a
-// shape also builds a template plan with a placeholder in each slot, kept
-// in the database's db.Memo; a later statement of the same shape is
-// scanned once, without building tokens, and its literals are bound into
-// a copy of the template that rebuilds only the nodes on the paths to
-// them. A Catalog that does not own a db.Memo parses every statement in
-// full.
+// number and string literal replaced by a typed slot. A parse builds the
+// shape's template, a plan with a parameter in each slot, kept in the
+// database's db.Memo; a later statement of the same shape is scanned once,
+// without building tokens, and its literals are bound into a copy of the
+// template that rebuilds only the nodes on the paths to them, or, by Run,
+// into the parameters of the template's compiled plan. A Catalog that does
+// not own a db.Memo parses every statement in full.
 package sqlview
 
 import (
@@ -49,6 +49,7 @@ const (
 type token struct {
 	kind tokenKind
 	lit  litKind // a literal's type
+	n    int32   // a literal's index among the statement's literals
 	text string
 	pos  int
 }
@@ -170,6 +171,7 @@ func (l literal) text(src string) string {
 // literal's litKind alone.
 func scan(src string, key []byte, lits []literal, toks *[]token) ([]byte, []literal, error) {
 	i := 0
+	var nlit int32 // the literal tokens so far
 	for {
 		for i < len(src) && class[src[i]] == clSpace {
 			i++
@@ -248,7 +250,10 @@ func scan(src string, key []byte, lits []literal, toks *[]token) ([]byte, []lite
 			case tokString:
 				text = literal{escaped: escaped, start: start, end: end}.text(src)
 			}
-			*toks = append(*toks, token{kind: kind, lit: lk, text: text, pos: pos})
+			*toks = append(*toks, token{kind: kind, lit: lk, n: nlit, text: text, pos: pos})
+			if kind == tokNumber || kind == tokString {
+				nlit++
+			}
 		case kind == tokNumber || kind == tokString:
 			key = append(key, byte(kind), byte(lk))
 			lits = append(lits, literal{kind: lk, escaped: escaped, start: start, end: end})

@@ -23,23 +23,17 @@ type View struct {
 	Plan algebra.Node
 }
 
-// Parse compiles a SQL view definition against a catalog. A catalog that
-// owns a db.Memo (a *db.Database does) keeps the statement's shape there, so
-// a later statement of the same shape is bound, not parsed (shape.go).
+// Parse compiles a SQL view definition against a catalog: src's template,
+// bound to its literals. A catalog that owns a db.Memo (a *db.Database does)
+// keeps the statement's shape there, so a later statement of the same shape
+// is bound, not parsed (shape.go).
 func Parse(src string, cat Catalog) (*View, error) {
-	if mc, ok := cat.(memoCatalog); ok {
-		return parseShape(src, cat, mc.Memo())
-	}
-	return parse(src, cat)
-}
-
-// parse lexes and parses src in full.
-func parse(src string, cat Catalog) (*View, error) {
-	toks, err := lex(src)
+	var valBuf [8]rel.Value
+	t, vals, err := find(src, cat, valBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	return (&parser{toks: toks, cat: cat}).parse()
+	return t.bind(vals, nil), nil
 }
 
 // parse parses the whole statement.
@@ -59,9 +53,11 @@ type parser struct {
 	pos  int
 	cat  Catalog
 
-	// slots, when set, makes the parse build a template (shape.go): the
-	// literal token at index i becomes the placeholder slots[i].
-	slots map[int]slot
+	// The statement's i-th literal becomes parameter i (expr.Param) of the
+	// plan, a template (shape.go): slots[i] records its kind and sign,
+	// vals[i] its value.
+	slots []slot
+	vals  []rel.Value
 
 	// FROM-clause sources, in order.
 	sources []source
@@ -865,17 +861,10 @@ func (p *parser) primary() (expr.Expr, error) {
 }
 
 // literal parses the number or string literal at the current token, the
-// negative of a number when neg is set. In a template parse it is the
-// token's placeholder instead.
+// negative of a number when neg is set, into its parameter.
 func (p *parser) literal(neg bool) (expr.Expr, error) {
 	t := p.peek()
 	p.pos++
-	if p.slots != nil {
-		s := p.slots[p.pos-1]
-		s.neg = neg
-		p.slots[p.pos-1] = s
-		return s, nil
-	}
 	v, ok := literalValue(t.lit, t.text, neg)
 	if !ok {
 		text := t.text
@@ -884,7 +873,8 @@ func (p *parser) literal(neg bool) (expr.Expr, error) {
 		}
 		return nil, p.errf("bad number %q", text)
 	}
-	return expr.V(v), nil
+	p.slots[t.n], p.vals[t.n] = slot{kind: t.lit, neg: neg}, v
+	return expr.Param{I: int(t.n)}, nil
 }
 
 // literalValue is the value of a literal's text, read as its kind. It

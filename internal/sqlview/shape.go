@@ -2,14 +2,19 @@
 // with keywords upper-cased and every number and string literal replaced by
 // a typed slot: `SELECT a FROM t WHERE b = 3` and `select a from t where
 // b = 4` share one, `... WHERE b = 3.0` and `... WHERE b = '3'` do not.
-// Parse keeps a template per shape in the catalog's db.Memo — the plan
-// parsed with a placeholder in each slot — and answers a later statement
-// of the shape by binding its literals into a copy of the template.
+// Every parse yields a template — the plan with a parameter (expr.Param) in
+// each slot — and the statement's literal values; the parser never sees a
+// literal's value in the plan, so the template serves every statement of
+// the shape. Parse keeps the template per shape in the catalog's db.Memo and
+// answers a statement by binding its literals into a copy of the template;
+// Run compiles the template once per read state and binds a statement's
+// literals into the compiled plan's parameters.
 
 package sqlview
 
 import (
-	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"idivm/internal/algebra"
 	"idivm/internal/db"
@@ -24,157 +29,167 @@ type memoCatalog interface {
 	Memo() *db.Memo
 }
 
-// slot is a template's placeholder for the statement's i-th literal,
-// negated when a minus sign comes just before it. No slot leaves the
-// package: bind replaces each with its literal's value.
+// slot is a template's record of one of the statement's literals: its
+// kind, and whether a minus sign just before it negates it. The template
+// plan reads the i-th literal's value as parameter i (expr.Param).
 type slot struct {
-	i    int
 	kind litKind
 	neg  bool
 }
 
-// Cols implements expr.Expr.
-func (s slot) Cols() []string { return nil }
-
-// String implements expr.Expr.
-func (s slot) String() string { return fmt.Sprintf("?%d%c", s.i, s.kind) }
-
-// template is one shape's parse: the view with a slot in place of every
-// literal, each literal's slot, and the tables its FROM clause resolved,
-// each with a handle of the stored table it resolved to: a plan holds table
-// names and schemas, not handles, so a later parse binds wherever its
-// catalog's handle fronts the same table — a catalog may hand out a new
-// handle per call (db.Uncharged does). It is immutable once stored, so binds
-// share it freely.
+// template is one shape's parse: the view with a parameter in place of
+// every literal, each literal's slot, and the tables its FROM clause
+// resolved, each with a handle of the stored table it resolved to: a plan
+// holds table names and schemas, not handles, so a later statement binds
+// wherever its catalog's handle fronts the same table — a catalog may hand
+// out a new handle per call (db.Uncharged does). Its plan and slots are
+// immutable once stored, so binds share them freely. idle holds, per read
+// state, the template's compiled plan while no read runs it (Run).
 type template struct {
 	name    string
 	plan    algebra.Node
 	slots   []slot // by literal index
 	tables  []string
 	handles []*storage.Handle
+	idle    [2]atomic.Pointer[algebra.ExecPlan] // by rel.State
 }
 
-// parseShape is Parse over a catalog that owns memo. One scan of src
-// yields its shape key and its literals, building no tokens and no
-// strings. A stored template of the shape whose tables still resolve to
-// the same stored tables is bound to the literals; otherwise src is parsed
-// in full and, when its shape can be templated, the template is stored,
-// replacing any stale one. Errors are never kept.
-func parseShape(src string, cat Catalog, memo *db.Memo) (*View, error) {
+// Run runs fn on a plan of src compiled to read its stored tables in state
+// st, and reports whether that plan was a hit: the compiled plan of src's
+// shape, idle and now run with src's literals as its parameters. Otherwise
+// the plan is compiled for this read from src's template, which keeps it for
+// the next read of the shape once fn returns — unless another read's copy
+// came back first. A compiled plan is checked out while fn runs, so it never
+// runs on two goroutines at once. Errors are never kept.
+func Run(src string, cat Catalog, st rel.State, fn func(*algebra.ExecPlan) (*rel.Relation, error)) (r *rel.Relation, hit bool, err error) {
+	var valBuf [8]rel.Value
+	t, vals, err := find(src, cat, valBuf[:0])
+	if err != nil {
+		return nil, false, err
+	}
+	p := t.idle[st].Swap(nil)
+	if hit = p != nil; !hit {
+		if p, err = algebra.Compile(algebra.WithState(t.plan, st)); err != nil {
+			return nil, false, err
+		}
+	}
+	p.SetParams(vals)
+	defer t.idle[st].CompareAndSwap(nil, p)
+	r, err = fn(p)
+	return r, hit, err
+}
+
+// find returns src's template and its literal values, appended to vals. A
+// catalog that owns a db.Memo is asked first: src is scanned once, building
+// no tokens and no strings, for its shape key and its literals, and a stored
+// template of the shape whose tables still resolve to the same stored tables
+// is the answer. Otherwise src is parsed, and its template, when every
+// literal reached the plan, stored in place of any stale one.
+func find(src string, cat Catalog, vals []rel.Value) (*template, []rel.Value, error) {
+	mc, ok := cat.(memoCatalog)
+	if !ok {
+		return parseTemplate(src, cat)
+	}
 	var keyBuf [256]byte
 	var litBuf [8]literal
 	key, lits, err := scan(src, keyBuf[:0], litBuf[:0], nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	memo := mc.Memo()
 	if e, ok := memo.Get(key); ok {
-		if t, ok := e.(*template); ok {
-			if v := t.bind(src, lits, cat, nil); v != nil {
-				return v, nil
+		if t, ok := e.(*template); ok && t.resolves(cat) {
+			if vals, ok := t.values(src, lits, vals); ok {
+				return t, vals, nil
 			}
 		}
 	}
-	toks, err := lex(src)
+	t, parsed, err := parseTemplate(src, cat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	v, err := (&parser{toks: toks, cat: cat}).parse()
-	if err != nil {
-		return nil, err
-	}
-	if t := newTemplate(toks, cat, src, lits, v); t != nil {
+	seen := make([]bool, len(parsed))
+	t.bind(parsed, seen)
+	if !slices.Contains(seen, false) {
 		memo.Put(string(key), t)
 	}
-	return v, nil
+	return t, parsed, nil
 }
 
-// newTemplate parses toks, the tokens of src, with a slot in place of
-// each literal, and returns the template — or nil when the shape cannot be
-// templated: the template parse fails, some literal does not reach the
-// plan through the nodes and expressions bind rebuilds, or binding src's
-// own literals does not give back want, the full parse of src.
-func newTemplate(toks []token, cat Catalog, src string, lits []literal, want *View) *template {
-	p := &parser{toks: toks, cat: cat, slots: make(map[int]slot, len(lits))}
-	var order []int // the literal tokens' indexes
-	for i, tok := range toks {
+// parseTemplate lexes and parses src into its template and its literal
+// values.
+func parseTemplate(src string, cat Catalog) (*template, []rel.Value, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := 0
+	for _, tok := range toks {
 		if tok.kind == tokNumber || tok.kind == tokString {
-			p.slots[i] = slot{i: len(order), kind: tok.lit}
-			order = append(order, i)
+			n++
 		}
 	}
-	if len(order) != len(lits) {
-		return nil
-	}
+	p := &parser{toks: toks, cat: cat, slots: make([]slot, n), vals: make([]rel.Value, n)}
 	v, err := p.parse()
 	if err != nil {
-		return nil
+		return nil, nil, err
 	}
-	t := &template{name: v.Name, plan: v.Plan}
-	for _, i := range order {
-		t.slots = append(t.slots, p.slots[i]) // with the sign the parse gave it
-	}
+	t := &template{name: v.Name, plan: v.Plan, slots: p.slots}
 	for _, s := range p.sources {
 		t.tables = append(t.tables, s.table)
 		t.handles = append(t.handles, s.handle)
 	}
-	seen := make([]bool, len(lits))
-	got := t.bind(src, lits, cat, seen)
-	if got == nil || got.Name != want.Name || got.Plan.String() != want.Plan.String() {
-		return nil
-	}
-	for _, reached := range seen {
-		if !reached {
-			return nil
-		}
-	}
-	return t
+	return t, p.vals, nil
 }
 
-// bind returns the template's view with src's literals in its slots, or
-// nil when a table of the template no longer resolves to the stored table it
-// was parsed against or a literal has no value (an int out of range). It
-// allocates the nodes and expressions on the paths to the slots and the
-// View; the rest of the plan is the template's. seen, when set, records
-// which slots the plan reached.
-func (t *template) bind(src string, lits []literal, cat Catalog, seen []bool) *View {
-	if len(lits) != len(t.slots) {
-		return nil
-	}
+// resolves reports whether every table of the template still resolves in
+// cat to the stored table it was parsed against.
+func (t *template) resolves(cat Catalog) bool {
 	for i, name := range t.tables {
 		if h, err := cat.Table(name); err != nil || !h.SameTable(t.handles[i]) {
-			return nil
+			return false
 		}
 	}
-	var valBuf [8]rel.Value
-	vals := valBuf[:0]
+	return true
+}
+
+// values appends the values of src's literals, read as the template's slots,
+// to vals; ok is false when a literal has no value (an int out of range) or
+// the number of src's literals is not the number of slots.
+func (t *template) values(src string, lits []literal, vals []rel.Value) ([]rel.Value, bool) {
+	if len(lits) != len(t.slots) {
+		return vals, false
+	}
 	for i, s := range t.slots {
 		v, ok := literalValue(s.kind, lits[i].text(src), s.neg)
 		if !ok {
-			return nil
+			return vals, false
 		}
 		vals = append(vals, v)
 	}
+	return vals, true
+}
+
+// bind returns the template's view with vals in its parameters, and marks
+// in seen, when set, each parameter the plan holds. It allocates the nodes
+// and expressions on the paths to the parameters and the View; the rest of
+// the plan is the template's.
+func (t *template) bind(vals []rel.Value, seen []bool) *View {
 	b := binder{vals: vals, seen: seen}
 	plan, _ := b.node(t.plan)
-	if b.bad {
-		return nil
-	}
 	return &View{Name: t.name, Plan: plan}
 }
 
 // binder rebuilds a template plan with a statement's literal values in its
-// slots. Each method returns its input as it is when nothing under it
-// changed.
+// parameters. Each method returns its input as it is when nothing under it
+// changed. It knows every node and expression the parser builds.
 type binder struct {
 	vals []rel.Value // by literal index
 	seen []bool
-	bad  bool // the plan holds a node or expression bind cannot rebuild
 }
 
 func (b *binder) node(n algebra.Node) (algebra.Node, bool) {
 	switch x := n.(type) {
-	case *algebra.Scan:
-		return x, false
 	case *algebra.Select:
 		child, cc := b.node(x.Child)
 		pred, pc := b.expr(x.Pred)
@@ -224,19 +239,16 @@ func (b *binder) node(n algebra.Node) (algebra.Node, bool) {
 		}
 		return &algebra.GroupBy{Child: child, Keys: x.Keys, Aggs: aggs}, true
 	}
-	b.bad = true
-	return n, false
+	return n, false // a Scan
 }
 
 func (b *binder) expr(e expr.Expr) (expr.Expr, bool) {
 	switch x := e.(type) {
-	case slot:
+	case expr.Param:
 		if b.seen != nil {
-			b.seen[x.i] = true
+			b.seen[x.I] = true
 		}
-		return expr.V(b.vals[x.i]), true
-	case expr.Col, expr.Lit:
-		return e, false
+		return expr.V(b.vals[x.I]), true
 	case expr.Cmp:
 		l, lc := b.expr(x.L)
 		r, rc := b.expr(x.R)
@@ -255,29 +267,23 @@ func (b *binder) expr(e expr.Expr) (expr.Expr, bool) {
 		if in, c := b.expr(x.E); c {
 			return expr.NotExpr{E: in}, true
 		}
-		return e, false
 	case expr.IsNullExpr:
 		if in, c := b.expr(x.E); c {
 			return expr.IsNullExpr{E: in}, true
 		}
-		return e, false
 	case expr.AndExpr:
 		if ts, c := b.exprs(x.Terms); c {
 			return expr.AndExpr{Terms: ts}, true
 		}
-		return e, false
 	case expr.OrExpr:
 		if ts, c := b.exprs(x.Terms); c {
 			return expr.OrExpr{Terms: ts}, true
 		}
-		return e, false
 	case expr.Func:
 		if as, c := b.exprs(x.Args); c {
 			return expr.Func{Name: x.Name, Args: as}, true
 		}
-		return e, false
 	}
-	b.bad = true
 	return e, false
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"idivm/internal/algebra"
 	"idivm/internal/db"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
@@ -327,4 +328,53 @@ func BenchmarkParse(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		run(b, d, func(i int) string { return sqls[i%len(sqls)] })
 	})
+}
+
+// runRead runs sql through Run on d, reading the post-state, and returns its
+// outcome and whether it ran the shape's idle compiled plan.
+func runRead(d *db.Database, sql string) (outcome, bool) {
+	var hit bool
+	o := runOn(d, func() (*rel.Relation, error) {
+		r, h, err := Run(sql, d, rel.StatePost, func(p *algebra.ExecPlan) (*rel.Relation, error) { return p.Run(d) })
+		hit = h
+		return r, err
+	})
+	return o, hit
+}
+
+// One shape over a hot key, where scanning is cheaper than probing, and a
+// cold key, where probing is: the compiled plan chooses per run from the
+// value bound to it (useIndex), so each bound run charges exactly what a
+// fresh compile of its statement charges.
+func TestBoundPlanChoosesPerValue(t *testing.T) {
+	d := db.New()
+	h := d.MustCreateTable("t", rel.NewSchema([]string{"k", "g"}, []string{"k"}))
+	const n = 100
+	for k := int64(0); k < n; k++ {
+		g := int64(1) // the hot key: every row but the last
+		if k == n-1 {
+			g = 2
+		}
+		h.MustInsert(rel.Int(k), rel.Int(g))
+	}
+	sql := func(g int) string { return fmt.Sprintf("SELECT k FROM t WHERE g = %d", g) }
+	for i, g := range []int{1, 2, 1, 3, 2, 1} {
+		v, err := Parse(sql(g), uncached{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := compiled(d, v.Plan)
+		got, hit := runRead(d, sql(g))
+		mustAgree(t, sql(g), "bound", fresh, got)
+		if hit != (i > 0) {
+			t.Fatalf("read %d (g = %d): hit %v", i, g, hit)
+		}
+		want := rel.CostCounter{TupleReads: n} // the hot key scans
+		if g != 1 {
+			want = rel.CostCounter{IndexLookups: 1, TupleReads: int64(got.rows.Len())}
+		}
+		if got.cost != want {
+			t.Fatalf("g = %d charged %v, want %v", g, got.cost, want)
+		}
+	}
 }
