@@ -15,7 +15,9 @@
 //     probe buffer from columns and append only the probed tuples' values;
 //   - γ numbers its groups in first-appearance order, knows each by its
 //     first row (the output's key columns are the input's, gathered there)
-//     and carves their aggregate states from one array.
+//     and carves their aggregate states from one array;
+//   - γ and a semijoin's key side read an n-ary union's branches one after
+//     another, numbering rows across them, instead of a concatenation.
 //
 // A kernel allocates the batch it returns and nothing else: chains,
 // digests, group ids, states and the like are borrowed for the call from the
@@ -202,8 +204,8 @@ func (c *cJoin) hashJoin(left, right *rel.Batch) *rel.Batch {
 	}
 	s := getScratch()
 	defer s.release()
-	ht := s.buildHashIdx(right, c.ridx)
-	ldig := s.keyDigests(left, c.lidx)
+	ht := s.buildHashIdx(c.ridx, right)
+	ldig := s.keyDigests(c.lidx, left)
 	gl := make([]int32, 0, n)
 	gr := make([]int32, 0, n)
 	var lbuf, rbuf rel.Tuple
@@ -273,7 +275,7 @@ func (c *cJoin) gatherPairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
 // probeLeft is semiProbeLeft: each distinct right key probes the stored
 // left once and each left tuple is emitted once, in first-probe order — an
 // order no selection vector can express, so this strategy stays a row loop
-// over the right batch. seen, a digest chain set of the right rows, makes the
+// over the right batches. seen, a digest chain set of the right rows, makes the
 // probe keys pairwise distinct under KeyEqual, and that alone keeps every left
 // tuple to one emission: KeyEqual is equality of encodings, so no stored value
 // equals two distinct keys, and one probe returns each row of its state once
@@ -283,29 +285,32 @@ func (c *cJoin) gatherPairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
 // emitted tuples come straight from charged lookups and become a batch here;
 // out starts at one per probe, the size of a key-to-key match. The set and
 // the digests are the kernel's scratch.
-func (c *cSemi) probeLeft(t *storage.Handle, right *rel.Batch) (*rel.Batch, error) {
-	out := make([]rel.Tuple, 0, right.Len())
+func (c *cSemi) probeLeft(t *storage.Handle, right []*rel.Batch) (*rel.Batch, error) {
 	s := getScratch()
 	defer s.release()
+	pr, rdig := c.pr, s.keyDigests(c.ridx, right...)
+	out := make([]rel.Tuple, 0, len(rdig))
 	seen := &s.chains
-	seen.Reserve(right.Len())
-	pr, rdig := c.pr, s.keyDigests(right, c.ridx)
-next:
-	for i, n := 0, right.Len(); i < n; i++ {
-		if !pr.fill(right, c.ridx, i) {
-			continue
-		}
-		for e := seen.First(rdig[i]); e >= 0; e = seen.Next(e) {
-			if keysSameIdx(right, right, c.ridx, c.ridx, i, int(e)) {
-				continue next
+	seen.Reserve(len(rdig))
+	i := 0
+	for _, b := range right {
+	next:
+		for r := 0; r < b.N; r, i = r+1, i+1 {
+			if !pr.fill(b, c.ridx, r) {
+				continue
 			}
+			for e := seen.First(rdig[i]); e >= 0; e = seen.Next(e) {
+				if eb, er := at(right, int(e)); keysSameIdx(b, eb, c.ridx, c.ridx, r, er) {
+					continue next
+				}
+			}
+			seen.Push(rdig[i], int32(i))
+			rows, err := pr.lookup(t)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, rows...)
 		}
-		seen.Push(rdig[i], int32(i))
-		rows, err := pr.lookup(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
 	}
 	return batchOf(c.empty, out), nil
 }
@@ -337,20 +342,21 @@ func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, erro
 	return sel, nil
 }
 
-// hashSel is semiHash: digest chains over the right, each left row
+// hashSel is semiHash: digest chains over the right batches, each left row
 // tested against its chain.
-func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
+func (c *cSemi) hashSel(left *rel.Batch, right []*rel.Batch) []int32 {
 	s := getScratch()
 	defer s.release()
-	ht := s.buildHashIdx(right, c.ridx)
-	ldig := s.keyDigests(left, c.lidx)
+	ht := s.buildHashIdx(c.ridx, right...)
+	ldig := s.keyDigests(c.lidx, left)
 	n := left.Len()
 	sel := make([]int32, 0, n)
 	var lbuf, rbuf rel.Tuple
 	for i := 0; i < n; i++ {
 		matched := false
 		for ri := ht.First(ldig[i]); ri >= 0; ri = ht.Next(ri) {
-			if !keysSameIdx(left, right, c.lidx, c.ridx, i, int(ri)) {
+			rb, r := at(right, int(ri))
+			if !keysSameIdx(left, rb, c.lidx, c.ridx, i, r) {
 				continue
 			}
 			if c.match == nil {
@@ -358,7 +364,7 @@ func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
 				break
 			}
 			lbuf = left.Row(i, lbuf)
-			rbuf = right.Row(int(ri), rbuf)
+			rbuf = rb.Row(r, rbuf)
 			if c.match.EvalBool(lbuf, rbuf) {
 				matched = true
 				break
@@ -373,8 +379,11 @@ func (c *cSemi) hashSel(left, right *rel.Batch) []int32 {
 
 // nestedSel is semiNested, the θ-semijoin: like nestedJoin, a row loop
 // over the boxed inner side, returning the kept left rows.
-func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
-	rrows := right.Materialize().Tuples
+func (c *cSemi) nestedSel(left *rel.Batch, right []*rel.Batch) []int32 {
+	var rrows []rel.Tuple
+	for _, b := range right {
+		rrows = append(rrows, b.Materialize().Tuples...)
+	}
 	var sel []int32
 	var lbuf rel.Tuple
 	for i := 0; i < left.Len(); i++ {
@@ -396,66 +405,85 @@ func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
 // ---------------------------------------------------------------------------
 // γ kernel
 
-// fold aggregates the child's rows by key, groups in first-appearance order,
-// each group's rows in input order (float SUM is not associative). One pass
-// numbers the groups: a group is filed under the digest of its key and known
-// by its first row, and a row joins the group on its digest's chain whose
-// first row is KeyEqual to it on the key columns — equal EncodeKey bytes, the
-// oracle's group identity — or founds one. The second pass folds each row
-// into its group's states, which are carved from one array of exactly
-// groups × aggregates entries; the key values are never copied — the output's
-// key columns are the child's, gathered at the groups' first rows. The
-// digests, the chains, the group ids and the states are scratch; first
-// becomes the key columns' Idx.
-func (c *cGroupBy) fold(child *rel.Batch) *rel.Batch {
-	n, kw, na := child.Len(), len(c.keyIdx), len(c.fns)
+// fold aggregates the rows of parts, one batch after another, by key, groups
+// in first-appearance order, each group's rows in input order (float SUM is
+// not associative). One pass numbers the groups: a group is filed under the
+// digest of its key and known by its first row, and a row joins the group on
+// its digest's chain whose first row is KeyEqual to it on the key columns —
+// equal EncodeKey bytes, the oracle's group identity — or founds one. The
+// second pass folds each row into its group's states, which are carved from
+// one array of exactly groups × aggregates entries. The output's key columns
+// are the input's, gathered at the groups' first rows when those all lie in
+// the first batch, else copied from them. The digests, the chains, the group
+// ids and the states are scratch; first becomes the gathered columns' Idx.
+func (c *cGroupBy) fold(parts []*rel.Batch) *rel.Batch {
+	kw, na := len(c.keyIdx), len(c.fns)
 	s := getScratch()
 	defer s.release()
-	dig := s.keyDigests(child, c.keyIdx)
+	dig := s.keyDigests(c.keyIdx, parts...)
+	n := len(dig)
 	ht := &s.chains
 	ht.Reserve(n)
 	s.gid = take(s.gid, n)
 	gid := s.gid                            // row → group
 	first := make([]int32, 0, min(n, 1024)) // group → its first row
-	for i := 0; i < n; i++ {
-		g := ht.First(dig[i])
-		for ; g >= 0; g = ht.Next(g) {
-			if keysSameIdx(child, child, c.keyIdx, c.keyIdx, i, int(first[g])) {
-				break
+	i := 0
+	for _, b := range parts {
+		for r := 0; r < b.N; r, i = r+1, i+1 {
+			g := ht.First(dig[i])
+			for ; g >= 0; g = ht.Next(g) {
+				if hb, hr := at(parts, int(first[g])); keysSameIdx(b, hb, c.keyIdx, c.keyIdx, r, hr) {
+					break
+				}
 			}
+			if g < 0 {
+				g = int32(len(first))
+				ht.Push(dig[i], g)
+				first = append(first, int32(i))
+			}
+			gid[i] = g
 		}
-		if g < 0 {
-			g = int32(len(first))
-			ht.Push(dig[i], g)
-			first = append(first, int32(i))
-		}
-		gid[i] = g
 	}
 
 	s.states = take(s.states, len(first)*na)
 	states := s.states
 	clear(states)
 	scratch := s.row
-	for i := 0; i < n; i++ {
-		st := states[int(gid[i])*na:]
-		for a, fn := range c.fns {
-			switch j := c.argIdx[a]; {
-			case j == argStar:
-				st[a].add(fn, rel.Null(), true)
-			case j >= 0:
-				st[a].add(fn, child.Cols[j].Value(i), false)
-			default:
-				scratch = child.Row(i, scratch)
-				st[a].add(fn, c.args[a].Eval(scratch), false)
+	i = 0
+	for _, b := range parts {
+		for r := 0; r < b.N; r, i = r+1, i+1 {
+			st := states[int(gid[i])*na:]
+			for a, fn := range c.fns {
+				switch j := c.argIdx[a]; {
+				case j == argStar:
+					st[a].add(fn, rel.Null(), true)
+				case j >= 0:
+					st[a].add(fn, b.Cols[j].Value(r), false)
+				default:
+					scratch = b.Row(r, scratch)
+					st[a].add(fn, c.args[a].Eval(scratch), false)
+				}
 			}
 		}
 	}
 	s.row = scratch
 
 	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+na), N: len(first)}
-	heads := child.GatherRows(first)
-	for k, x := range c.keyIdx {
-		out.Cols[k] = heads.Cols[x]
+	if int(first[len(first)-1]) < parts[0].N { // first ascends: every group starts in the first batch
+		heads := parts[0].GatherRows(first)
+		for k, x := range c.keyIdx {
+			out.Cols[k] = heads.Cols[x]
+		}
+	} else {
+		for k, x := range c.keyIdx {
+			var cb rel.ColBuilder
+			cb.Grow(len(first))
+			for _, f := range first {
+				hb, hr := at(parts, int(f))
+				cb.Append(hb.Cols[x].Value(hr))
+			}
+			out.Cols[k] = cb.Vec()
+		}
 	}
 	for a := 0; a < na; a++ {
 		var cb rel.ColBuilder

@@ -36,8 +36,77 @@ func mixedKeys() *rel.Relation {
 // selects by scan (over typed and mixed-kind columns, with the literal on
 // either side, conjunctions and a col-vs-col conjunct) and by index probe,
 // aliased and computed projections, probe/hash joins with residuals,
-// semi/anti joins, int-keyed and encoded-key aggregation, and union-all.
+// semi/anti joins, int-keyed and encoded-key aggregation, and union-all —
+// binary, and the π∘∪all towers of towerPlans.
 func batchPlans() map[string]algebra.Node {
+	plans := kernelPlans()
+	for name, p := range towerPlans() {
+		plans[name] = p
+	}
+	return plans
+}
+
+// unionTower unites the branches left to right as the γ rules do
+// (unionPlans in internal/ivm), each ∪all's branch attribute dropped by a π
+// above it: compiled, one n-ary union without a branch column.
+func unionTower(branches []algebra.Node) algebra.Node {
+	acc := branches[0]
+	attrs := acc.Schema().Attrs
+	for i, b := range branches[1:] {
+		acc = algebra.Keep(algebra.NewUnionAll(acc, b, fmt.Sprintf("#b%d", i)), attrs...)
+	}
+	return acc
+}
+
+// towerPlans puts π∘∪all towers of one to five branches, some of them
+// empty, under every kind of consumer: the root, γ (branches folded one
+// after another, by a key whose groups start in one branch or in several),
+// the key side of a hash antijoin and of a probe-left semijoin, a join's
+// driving side, a renaming π that keeps a prefix and a computing π — and
+// under a ∪all whose branch column a semijoin's residual reads.
+func towerPlans() map[string]algebra.Node {
+	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
+	scan := func() *algebra.Scan { return algebra.NewScan("big", "", sch) }
+	keys := func() algebra.Node { return algebra.NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil)) }
+	tower := func(n, salt int) algebra.Node {
+		branches := make([]algebra.Node, n)
+		for i := range branches {
+			g := int64((3*i + salt) % 13)
+			if (i+n+salt)%3 == 0 {
+				g = 99 // no row has it: an empty branch
+			}
+			branches[i] = algebra.NewSelect(scan(), expr.Eq(expr.C("big.grp"), expr.IntLit(g)))
+		}
+		return unionTower(branches)
+	}
+	aggs := []algebra.Agg{{Fn: algebra.AggSum, Arg: expr.C("big.val"), As: "s"}, {Fn: algebra.AggCount, As: "n"}}
+	plans := map[string]algebra.Node{}
+	for n := 1; n <= 5; n++ {
+		for name, p := range map[string]algebra.Node{
+			"":               tower(n, 0),
+			"-groupby":       algebra.NewGroupBy(tower(n, 0), []string{"big.grp"}, aggs),
+			"-groupby-mixed": algebra.NewGroupBy(tower(n, 1), []string{"big.val"}, aggs[1:]),
+			"-anti":          algebra.NewAntiJoin(keys(), tower(n, 0), expr.Eq(expr.C("jk"), expr.C("big.k"))),
+			"-semi-probe-left": algebra.NewSemiJoin(scan().Renamed("@s"), tower(n, 2),
+				expr.Eq(expr.C("big.k@s"), expr.C("big.k"))),
+			"-join": algebra.NewJoin(tower(n, 1), scan().Renamed("@r"),
+				expr.Eq(expr.C("big.val"), expr.C("big.k@r"))),
+			"-rename": algebra.NewProject(tower(n, 0), []algebra.ProjItem{
+				{E: expr.C("big.k"), As: "a"}, {E: expr.C("big.grp"), As: "b"}}),
+			"-project": algebra.NewProject(tower(n, 0), []algebra.ProjItem{
+				{E: expr.C("big.val"), As: "v"}, {E: expr.AddE(expr.C("big.k"), expr.IntLit(1)), As: "k1"}}),
+			"-branch": algebra.NewUnionAll(tower(n, 0), tower(6-n, 1), "isAdd"),
+			"-semi-branch": algebra.NewSemiJoin(keys(), algebra.NewUnionAll(tower(n, 0), tower(6-n, 1), "isAdd"),
+				expr.And(expr.Eq(expr.C("jk"), expr.C("big.k")), expr.Eq(expr.C("isAdd"), expr.IntLit(1)))),
+		} {
+			plans[fmt.Sprintf("tower%d%s", n, name)] = p
+		}
+	}
+	return plans
+}
+
+// kernelPlans are batchPlans' one or two plans per kernel.
+func kernelPlans() map[string]algebra.Node {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	scan := func() algebra.Node { return algebra.NewScan("big", "", sch) }
 	keySch := rel.NewSchema([]string{"jk"}, nil)
@@ -62,6 +131,12 @@ func batchPlans() map[string]algebra.Node {
 				expr.Lt(expr.C("big.grp"), expr.C("big.k")))),
 		"probe-select": algebra.NewSelect(scan(), // index probe path
 			expr.Eq(expr.C("big.k"), expr.IntLit(42))),
+		"probe-project": algebra.NewProject( // a keyed read: Run builds tuples from the probed rows
+			algebra.NewSelect(scan(), expr.Eq(expr.C("big.k"), expr.IntLit(42))),
+			[]algebra.ProjItem{{E: expr.C("big.val"), As: "v"}, {E: expr.C("big.k"), As: "k"}}),
+		"filter-project": algebra.NewProject( // the same from a scan's kept rows
+			algebra.NewSelect(scan(), expr.Lt(expr.C("big.grp"), expr.IntLit(3))),
+			[]algebra.ProjItem{{E: expr.C("big.k"), As: "k"}, {E: expr.C("big.val"), As: "v"}}),
 		"project": algebra.NewProject(scan(), []algebra.ProjItem{
 			{E: expr.C("big.grp"), As: "g"},
 			{E: expr.AddE(expr.C("big.k"), expr.IntLit(1)), As: "k1"},

@@ -13,8 +13,17 @@
 // (ExecPlan.Bind), which a later plan's binding leaf reads as columns and
 // which becomes tuples at most once, when somebody asks for them (the Eval
 // oracle, ExecPlan.Run's caller, a reader of a view's applied i-diffs); the
-// APPLY statements read it as columns. The kernels those bodies are built
-// from live in batch.go.
+// APPLY statements read it as columns. One operator may hand over a sequence
+// of batches instead: the n-ary ∪all (cUnion) gives γ and a semijoin's key
+// side its branches one after another (runParts), and concatenates them into
+// one batch only for a consumer that needs one. The kernels those bodies are
+// built from live in batch.go.
+//
+// Compilation rewrites the operator tree, never the plan: a chain of π's
+// runs as one π (fuseProjects), and a tower of ∪all's joined by π's that
+// only rename or drop a branch attribute runs as one cUnion of all its
+// branches (compileUnion). The rewritten tree yields the same rows in the
+// same order from the same stored accesses.
 //
 // The compiled and interpreted paths make no access-path decision of their
 // own: both run the plans of the one physical planner (shape.go: joinPlan,
@@ -103,8 +112,15 @@ func (p *ExecPlan) Bind(env Env) (*rel.Binding, error) {
 	return rel.BindBatch(b), nil
 }
 
-// Run evaluates the plan into tuples of the caller's own.
+// Run evaluates the plan into tuples of the caller's own. A π of plain
+// columns over a σ-chain on a stored leaf — a keyed SQL read — builds them
+// straight from the stored rows the σ keeps, never as columns.
 func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
+	if pr, ok := p.root.(*cProject); ok && len(pr.generic) == 0 {
+		if sel, ok := pr.child.(*cStoredSelect); ok {
+			return sel.project(env, p.sch, pr.colIdx)
+		}
+	}
 	b, err := p.root.run(env)
 	if err != nil {
 		return nil, err
@@ -154,7 +170,7 @@ func compileNode(n Node, ps *expr.Params) (cNode, error) {
 	case *GroupBy:
 		return compileGroupBy(x, ps)
 	case *UnionAll:
-		return compileUnion(x, ps)
+		return compileUnion(x, true, ps)
 	default:
 		return nil, fmt.Errorf("algebra: cannot compile node type %T", n)
 	}
@@ -194,11 +210,19 @@ func (c *cBinding) run(env Env) (*rel.Batch, error) {
 	if bd.Len() == 0 {
 		return c.empty, nil
 	}
-	b := bd.Batch()
-	if sch := c.empty.Schema; slices.Equal(b.Schema.Attrs, sch.Attrs) && slices.Equal(b.Schema.Key, sch.Key) {
-		return b, nil
+	return relabel(bd.Batch(), c.empty), nil
+}
+
+// relabel returns b under the schema of empty, whose attributes name b's
+// leading columns: b itself when its schema already has those attributes and
+// that key, else a batch sharing its columns.
+func relabel(b, empty *rel.Batch) *rel.Batch {
+	sch := empty.Schema
+	if slices.Equal(b.Schema.Attrs, sch.Attrs) && slices.Equal(b.Schema.Key, sch.Key) {
+		return b
 	}
-	return &rel.Batch{Schema: c.empty.Schema, Cols: b.Cols, N: b.N}, nil
+	w := len(sch.Attrs)
+	return &rel.Batch{Schema: sch, Cols: b.Cols[:w:w], N: b.N}
 }
 
 // batchOf columnarizes rows an operator just obtained from a charged lookup
@@ -266,6 +290,18 @@ func compileStoredSelect(sh *probeShape, ps *expr.Params) (cNode, error) {
 }
 
 func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
+	rows, err := c.rows(env)
+	if err != nil {
+		return nil, err
+	}
+	b := batchOf(c.empty, rows) // copies the values out of the scratch rows
+	clear(c.kept)               // hold no stored rows between runs
+	return b, nil
+}
+
+// rows returns the stored rows the σ-chain keeps, in the probe's row buffer
+// or the scan's kept rows: scratch, valid until the next run.
+func (c *cStoredSelect) rows(env Env) ([]rel.Tuple, error) {
 	t, err := c.probe.resolve(env)
 	if err != nil {
 		return nil, err
@@ -275,21 +311,39 @@ func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 		return nil, err
 	}
 	if index {
-		// The batch copies the values out, so the probe's row buffer is scratch.
-		rows, err := c.probe.lookup(t)
-		if err != nil {
-			return nil, err
-		}
-		return batchOf(c.empty, rows), nil
+		return c.probe.lookup(t)
 	}
 	rows := t.Scan(c.probe.plan.st)
 	if c.full != nil {
 		c.kept = keepRows(c.full, rows, c.kept[:0])
 		rows = c.kept
 	}
-	b := batchOf(c.empty, rows)
-	clear(c.kept) // hold no stored rows between runs
-	return b, nil
+	return rows, nil
+}
+
+// project is Run of a π of plain columns (cols, positions in the σ-chain's
+// schema) over the σ-chain: the kept rows' values copied into new tuples,
+// which share one backing array and cannot grow into each other.
+func (c *cStoredSelect) project(env Env, sch rel.Schema, cols []int) (*rel.Relation, error) {
+	rows, err := c.rows(env)
+	if err != nil {
+		return nil, err
+	}
+	out := rel.NewRelation(sch)
+	if len(rows) > 0 {
+		w := len(cols)
+		vals := make([]rel.Value, len(rows)*w)
+		out.Tuples = make([]rel.Tuple, len(rows))
+		for i, r := range rows {
+			t := vals[i*w : (i+1)*w : (i+1)*w]
+			for j, x := range cols {
+				t[j] = r[x]
+			}
+			out.Tuples[i] = t
+		}
+	}
+	clear(c.kept)
+	return out, nil
 }
 
 // cProject applies precompiled projection expressions. A plain column
@@ -305,15 +359,35 @@ type cProject struct {
 	empty   *rel.Batch
 }
 
+// compileProject compiles p fused with the π's below it. Over a ∪all whose
+// branch attribute it does not read, the union runs without its branch
+// column, and a π that only renames or drops its trailing columns is the
+// union itself, under the π's schema.
 func compileProject(p *Project, ps *expr.Params) (cNode, error) {
-	child, err := compileNode(p.Child, ps)
-	if err != nil {
-		return nil, err
+	items, below := fuseProjects(p)
+	var child cNode
+	var cs rel.Schema
+	if u, ok := below.(*UnionAll); ok && !readsAttr(items, u.BranchAttr) {
+		un, err := compileUnion(u, false, ps)
+		if err != nil {
+			return nil, err
+		}
+		if cs = un.empty.Schema; isPrefix(items, cs) {
+			un.w, un.empty = len(items), rel.NewBatch(p.Schema())
+			return un, nil
+		}
+		child = un
+	} else {
+		var err error
+		if child, err = compileNode(below, ps); err != nil {
+			return nil, err
+		}
+		cs = below.Schema()
 	}
-	cs := p.Child.Schema()
-	c := &cProject{items: make([]*expr.Compiled, len(p.Items)), colIdx: make([]int, len(p.Items)),
+	c := &cProject{items: make([]*expr.Compiled, len(items)), colIdx: make([]int, len(items)),
 		child: child, empty: rel.NewBatch(p.Schema())}
-	for i, it := range p.Items {
+	for i, it := range items {
+		var err error
 		if c.items[i], err = ps.Compile(it.E, cs); err != nil {
 			return nil, err
 		}
@@ -325,11 +399,51 @@ func compileProject(p *Project, ps *expr.Params) (cNode, error) {
 			c.generic = append(c.generic, i)
 		}
 	}
-	c.prefix = len(c.generic) == 0
-	for i, j := range c.colIdx {
-		c.prefix = c.prefix && i == j
-	}
+	c.prefix = isPrefix(items, cs)
 	return c, nil
+}
+
+// fuseProjects composes p with the chain of π's under it: p's items with
+// every column reference replaced by the item below that defines it, over
+// the first operator under the chain that is not a π.
+func fuseProjects(p *Project) ([]ProjItem, Node) {
+	items, below := p.Items, p.Child
+	for {
+		inner, ok := below.(*Project)
+		if !ok {
+			return items, below
+		}
+		defs := make(map[string]expr.Expr, len(inner.Items))
+		for _, it := range inner.Items {
+			defs[it.As] = it.E
+		}
+		fused := make([]ProjItem, len(items))
+		for i, it := range items {
+			fused[i] = ProjItem{E: expr.Subst(it.E, defs), As: it.As}
+		}
+		items, below = fused, inner.Child
+	}
+}
+
+// isPrefix reports whether item i is the plain column i of sch, for every
+// item: the π keeps (and may rename) a prefix of its child's columns.
+func isPrefix(items []ProjItem, sch rel.Schema) bool {
+	for i, it := range items {
+		if col, ok := it.E.(expr.Col); !ok || sch.Index(col.Name) != i {
+			return false
+		}
+	}
+	return true
+}
+
+// readsAttr reports whether an item reads the attribute a.
+func readsAttr(items []ProjItem, a string) bool {
+	for _, it := range items {
+		if slices.Contains(it.E.Cols(), a) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *cProject) run(env Env) (*rel.Batch, error) {
@@ -341,10 +455,10 @@ func (c *cProject) run(env Env) (*rel.Batch, error) {
 	if n == 0 {
 		return c.empty, nil
 	}
-	w := len(c.items)
-	if c.prefix { // a rename or a π dropping trailing columns, e.g. a union's branch column
-		return &rel.Batch{Schema: c.empty.Schema, Cols: child.Cols[:w:w], N: n}, nil
+	if c.prefix { // a rename or a π dropping trailing columns
+		return relabel(child, c.empty), nil
 	}
+	w := len(c.items)
 	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, w), N: n}
 	for i, j := range c.colIdx {
 		if j >= 0 {
@@ -556,7 +670,9 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 }
 
 // cSemi executes a semijoin (keep=true) or antijoin (keep=false) under its
-// semiPlan.
+// semiPlan. Its key (right) side arrives as a sequence of batches
+// (runParts), which the kernels read one after another; parts holds them
+// for one run.
 type cSemi struct {
 	semiPlan
 	keep  bool
@@ -565,6 +681,7 @@ type cSemi struct {
 	pr    *cProbe
 	match *expr.CompiledPair // the plan's residual; nil when TRUE
 	empty *rel.Batch
+	parts []*rel.Batch
 }
 
 func compileSemi(l, r Node, p expr.Expr, keep bool, ps *expr.Params) (cNode, error) {
@@ -594,14 +711,22 @@ func compileSemi(l, r Node, p expr.Expr, keep bool, ps *expr.Params) (cNode, err
 	return c, nil
 }
 
+// keys runs the key side into c.parts.
+func (c *cSemi) keys(env Env) ([]*rel.Batch, error) {
+	right, err := runParts(c.right, env, c.parts[:0])
+	c.parts = right[:0]
+	return right, err
+}
+
 func (c *cSemi) run(env Env) (*rel.Batch, error) {
-	var right *rel.Batch
+	defer func() { clear(c.parts[:cap(c.parts)]) }() // hold no batch between runs
+	var right []*rel.Batch
 	var err error
 	if c.keysetFirst {
-		if right, err = c.right.run(env); err != nil {
+		if right, err = c.keys(env); err != nil {
 			return nil, err
 		}
-		if right.Len() == 0 {
+		if len(right) == 0 {
 			return c.empty, nil
 		}
 	}
@@ -630,13 +755,13 @@ func (c *cSemi) run(env Env) (*rel.Batch, error) {
 			return nil, err
 		}
 	} else {
-		if right == nil {
-			if right, err = c.right.run(env); err != nil {
+		if !c.keysetFirst {
+			if right, err = c.keys(env); err != nil {
 				return nil, err
 			}
 		}
 		switch {
-		case right.Len() == 0 && !c.keep: // nothing to exclude (a semijoin's empty key set returned above)
+		case len(right) == 0 && !c.keep: // nothing to exclude (a semijoin's empty key set returned above)
 			return left, nil
 		case c.strategy == semiHash:
 			sel = c.hashSel(left, right)
@@ -676,6 +801,7 @@ type cGroupBy struct {
 	args   []*expr.Compiled // nil entry means COUNT(*)
 	argIdx []int            // argStar, argComplex, or a plain column position
 	empty  *rel.Batch
+	parts  []*rel.Batch // the child's batches of one run (runParts)
 }
 
 func compileGroupBy(g *GroupBy, ps *expr.Params) (cNode, error) {
@@ -712,92 +838,138 @@ func compileGroupBy(g *GroupBy, ps *expr.Params) (cNode, error) {
 }
 
 func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
-	child, err := c.child.run(env)
-	if err != nil {
+	parts, err := runParts(c.child, env, c.parts[:0])
+	c.parts = parts[:0]
+	defer clear(parts) // hold no batch between runs
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if child.Len() == 0 {
+	case len(parts) == 0:
 		return c.empty, nil
 	}
-	return c.fold(child), nil
+	return c.fold(parts), nil
 }
 
-// cUnion concatenates its children column by column and appends the
-// branch attribute, like evalUnion; beside an empty child it shares the other
-// child's vectors and, up to len(branchWords) rows, a branch column too.
+// cUnion is the n-ary ∪all: the branches of a tower of binary ∪all's, in
+// left-to-right order, each contributing its first w columns. A ∪all under a
+// π that does not read its branch attribute has no branch column (tags is
+// nil), and a side that is such a union contributes its branches instead of
+// itself; otherwise tags[i] is the branch column's value on the rows of
+// branch i — the binary ∪all's 0 or 1, whichever side the branch came from.
+// γ and a semijoin's key side read the non-empty branches one after another
+// (parts); run concatenates them into one batch, column by column, once.
 type cUnion struct {
-	left, right cNode
-	empty       *rel.Batch
-	w           int // child width (without the branch attribute)
+	branches []cNode
+	tags     []uint64
+	w        int
+	empty    *rel.Batch
+	buf      []*rel.Batch // the non-empty branches of one run
 }
 
-func compileUnion(u *UnionAll, ps *expr.Params) (cNode, error) {
-	left, err := compileNode(u.Left, ps)
-	if err != nil {
-		return nil, err
+// compileUnion compiles u as one n-ary union: with its branch column when
+// tagged, else without, under u's schema less the branch attribute.
+func compileUnion(u *UnionAll, tagged bool, ps *expr.Params) (*cUnion, error) {
+	sch := u.Schema()
+	w := len(sch.Attrs) - 1
+	c := &cUnion{w: w}
+	for tag, side := range []Node{u.Left, u.Right} {
+		n, err := compileNode(side, ps)
+		if err != nil {
+			return nil, err
+		}
+		if in, ok := n.(*cUnion); ok && in.tags == nil {
+			c.branches = append(c.branches, in.branches...)
+		} else {
+			c.branches = append(c.branches, n)
+		}
+		for tagged && len(c.tags) < len(c.branches) {
+			c.tags = append(c.tags, uint64(tag))
+		}
 	}
-	right, err := compileNode(u.Right, ps)
-	if err != nil {
-		return nil, err
+	if !tagged {
+		sch = rel.NewSchema(sch.Attrs[:w], slices.DeleteFunc(slices.Clone(sch.Key), func(a string) bool { return a == u.BranchAttr }))
 	}
-	return &cUnion{left: left, right: right, empty: rel.NewBatch(u.Schema()), w: len(u.Left.Schema().Attrs)}, nil
+	c.empty = rel.NewBatch(sch)
+	return c, nil
 }
 
 func (c *cUnion) run(env Env) (*rel.Batch, error) {
-	left, err := c.left.run(env)
-	if err != nil {
-		return nil, err
-	}
-	right, err := c.right.run(env)
-	if err != nil {
-		return nil, err
-	}
-	n := left.Len() + right.Len()
-	if n == 0 {
-		return c.empty, nil
-	}
-	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, c.w+1), N: n}
+	parts, err := c.parts(env, c.buf[:0])
+	c.buf = parts[:0]
+	defer clear(parts) // hold no batch between runs
 	switch {
-	case right.Len() == 0: // the usual case under a γ rule: most diffs of a round are empty
-		copy(out.Cols, left.Cols[:c.w])
-	case left.Len() == 0:
-		copy(out.Cols, right.Cols[:c.w])
-	default:
-		for j := 0; j < c.w; j++ {
-			var cb rel.ColBuilder
-			cb.Grow(out.N)
-			cb.AppendVec(&left.Cols[j], left.Len())
-			cb.AppendVec(&right.Cols[j], right.Len())
-			out.Cols[j] = cb.Vec()
-		}
+	case err != nil:
+		return nil, err
+	case len(parts) == 0:
+		return c.empty, nil
+	case len(parts) == 1:
+		return relabel(parts[0], c.empty), nil
 	}
-	out.Cols[c.w] = rel.ColVec{Kind: rel.VecInt, Nums: branchCol(left.Len(), out.N)}
+	n := 0
+	for _, b := range parts {
+		n += b.N
+	}
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, len(c.empty.Schema.Attrs)), N: n}
+	for j := range out.Cols {
+		var cb rel.ColBuilder
+		cb.Grow(n)
+		for _, b := range parts {
+			cb.AppendVec(&b.Cols[j], b.N)
+		}
+		out.Cols[j] = cb.Vec()
+	}
 	return out, nil
 }
 
-// branchWords backs the branch column of a one-sided union: a column of n ≤
-// len(branchWords) rows that all come from one side is sliced from it instead
-// of allocated. Read-only: no kernel writes a ColVec's Nums in place.
-var branchWords = func() (w [2][4096]uint64) {
-	for i := range w[1] {
-		w[1][i] = 1
+// parts appends the union's non-empty branches to dst, in order: each one's
+// batch as its branch returned it (a consumer reads its first w columns by
+// position), or, when the union has a branch column, its first w columns
+// and the branch column.
+func (c *cUnion) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	for i, br := range c.branches {
+		b, err := br.run(env)
+		if err != nil {
+			return dst, err
+		}
+		if b.N == 0 {
+			continue
+		}
+		if c.tags != nil {
+			tag := make([]uint64, b.N)
+			for r := range tag {
+				tag[r] = c.tags[i]
+			}
+			cols := append(b.Cols[:c.w:c.w], rel.ColVec{Kind: rel.VecInt, Nums: tag})
+			b = &rel.Batch{Schema: c.empty.Schema, Cols: cols, N: b.N}
+		}
+		dst = append(dst, b)
 	}
-	return w
-}()
+	return dst, nil
+}
 
-// branchCol returns the branch column of a union whose first l of n rows come
-// from its left side (0) and the rest from its right (1). The shared slices
-// are capacity-limited, so an append copies them.
-func branchCol(l, n int) []uint64 {
-	switch {
-	case n <= len(branchWords[0]) && l == n:
-		return branchWords[0][:n:n]
-	case n <= len(branchWords[1]) && l == 0:
-		return branchWords[1][:n:n]
+// runParts runs n and appends its rows to dst as a sequence of non-empty
+// batches: an n-ary union's branches one after another, any other
+// operator's one batch. A consumer that reads rows in order, as γ and a
+// semijoin's key side do, reads them without a concatenation.
+func runParts(n cNode, env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	if u, ok := n.(*cUnion); ok {
+		return u.parts(env, dst)
 	}
-	branch := make([]uint64, n)
-	for i := l; i < n; i++ {
-		branch[i] = 1
+	b, err := n.run(env)
+	if err != nil || b.N == 0 {
+		return dst, err
 	}
-	return branch
+	return append(dst, b), nil
+}
+
+// at locates row r of a sequence of batches: the batch that holds it and
+// the row there.
+func at(parts []*rel.Batch, r int) (*rel.Batch, int) {
+	for _, b := range parts {
+		if r < b.N {
+			return b, r
+		}
+		r -= b.N
+	}
+	panic(fmt.Sprintf("algebra: row %d past the end of a sequence of batches", r))
 }

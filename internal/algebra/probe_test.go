@@ -170,3 +170,60 @@ func TestParamsBindPerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestUniqueProbeChoiceOnSmallTables pins the index-vs-scan choice of a σ
+// fixing a table's whole key, which matches p ≤ 1 rows: the probe (1 lookup +
+// p reads) is taken exactly when p+1 < n, for n, the row count of the state
+// read — over more than two rows without counting p. The tables hold 0–3
+// rows before an epoch and up to two more after it, the key is present or
+// absent, and both states are read: Eval and the compiled plan charge what
+// that rule prescribes.
+func TestUniqueProbeChoiceOnSmallTables(t *testing.T) {
+	sch := rel.NewSchema([]string{"k", "v"}, []string{"k"})
+	for pre := 0; pre <= 3; pre++ {
+		for added := 0; added <= 2; added++ {
+			d := db.New()
+			tab := d.MustCreateTable("t", sch)
+			for k := 0; k < pre; k++ {
+				tab.MustInsert(rel.Int(int64(k)), rel.Int(int64(10*k)))
+			}
+			tab.BeginEpoch()
+			for k := pre; k < pre+added; k++ {
+				tab.MustInsert(rel.Int(int64(k)), rel.Int(int64(10*k)))
+			}
+			for _, st := range []rel.State{rel.StatePre, rel.StatePost} {
+				n := pre
+				if st == rel.StatePost {
+					n += added
+				}
+				for _, key := range []int64{0, 9} {
+					p := 0
+					if key < int64(n) {
+						p = 1
+					}
+					want := rel.CostCounter{TupleReads: int64(n)}
+					if p+1 < n {
+						want = rel.CostCounter{TupleReads: int64(p), IndexLookups: 1}
+					}
+					plan := algebra.NewSelect(algebra.NewScan("t", "", sch), expr.Eq(expr.C("t.k"), expr.IntLit(key)))
+					plan = algebra.WithState(plan, st).(*algebra.Select)
+					d.Counter().Reset()
+					if _, err := algebra.Eval(plan, d); err != nil {
+						t.Fatal(err)
+					}
+					evalCost := *d.Counter()
+					d.Counter().Reset()
+					rows, err := algebra.MustCompile(plan).Run(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := *d.Counter(); got != want || evalCost != want || rows.Len() != p {
+						t.Errorf("%d rows + %d, %v, k = %d: compiled charged %+v (%d rows), Eval %+v; want %+v (%d rows)",
+							pre, added, st, key, got, rows.Len(), evalCost, want, p)
+					}
+				}
+			}
+			tab.EndEpoch()
+		}
+	}
+}

@@ -69,9 +69,18 @@ func take[T any](buf []T, n int) []T {
 }
 
 // keyDigests is the digest (rel.KeyDigest) of every row's idx columns, in
-// the scratch's digest buffer.
-func (s *kernelScratch) keyDigests(b *rel.Batch, idx []int) []uint64 {
-	s.dig = b.KeyDigestsInto(idx, s.dig)
+// the scratch's digest buffer: the rows of parts one batch after another.
+func (s *kernelScratch) keyDigests(idx []int, parts ...*rel.Batch) []uint64 {
+	n := 0
+	for _, b := range parts {
+		n += b.N
+	}
+	s.dig = take(s.dig, n)
+	off := 0
+	for _, b := range parts {
+		b.KeyDigestsInto(idx, s.dig[off:off+b.N])
+		off += b.N
+	}
 	if keyMask != ^uint64(0) {
 		for i := range s.dig {
 			s.dig[i] &= keyMask
@@ -80,12 +89,13 @@ func (s *kernelScratch) keyDigests(b *rel.Batch, idx []int) []uint64 {
 	return s.dig
 }
 
-// buildHashIdx files every row of b under the digest of its idx columns, last
-// row first, so each chain lists its rows in ascending order.
-func (s *kernelScratch) buildHashIdx(b *rel.Batch, idx []int) *rel.DigestChains {
-	s.chains.Reserve(b.Len())
-	dig := s.keyDigests(b, idx)
-	for r := b.Len() - 1; r >= 0; r-- {
+// buildHashIdx files every row of parts, numbered one batch after another,
+// under the digest of its idx columns, last row first, so each chain lists
+// its rows in ascending order.
+func (s *kernelScratch) buildHashIdx(idx []int, parts ...*rel.Batch) *rel.DigestChains {
+	dig := s.keyDigests(idx, parts...)
+	s.chains.Reserve(len(dig))
+	for r := len(dig) - 1; r >= 0; r-- {
 		s.chains.Push(dig[r], int32(r))
 	}
 	return &s.chains

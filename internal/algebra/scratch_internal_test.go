@@ -98,20 +98,27 @@ func scratchPlans(t *testing.T, st rel.Schema) map[string]Node {
 		"join-hash-match": NewJoin(l, r, expr.And(on, expr.Lt(expr.C("lv"), expr.C("rv")))),
 		"join-probe":      NewJoin(r, scan(), expr.Eq(expr.C("rk"), expr.C("st.k"))),
 	}
+	// A two-branch tower of r and l under r's names: the kernels that read a
+	// union's branches one after another number rows across them.
+	rl := unionTower(r, renameAs(l, r.Sch.Attrs))
 	semis := map[string]struct {
 		l, r Node
 		pred expr.Expr
 		keep bool
 	}{
-		"semi-hash":       {l, r, on, true},
-		"anti-hash-2col":  {l, r, expr.And(on, expr.Eq(expr.C("ls"), expr.C("rs"))), false},
-		"semi-probe-left": {scan(), r, expr.Eq(expr.C("st.k"), expr.C("rk")), true},
+		"semi-hash":             {l, r, on, true},
+		"anti-hash-2col":        {l, r, expr.And(on, expr.Eq(expr.C("ls"), expr.C("rs"))), false},
+		"semi-probe-left":       {scan(), r, expr.Eq(expr.C("st.k"), expr.C("rk")), true},
+		"semi-hash-union":       {l, rl, on, true},
+		"semi-probe-left-union": {scan(), rl, expr.Eq(expr.C("st.k"), expr.C("rk")), true},
 	}
 	want := map[string]string{"join-hash": "joinHash", "join-hash-match": "joinHash", "join-probe": "joinProbeRight",
-		"semi-hash": "semiHash", "anti-hash-2col": "semiHash", "semi-probe-left": "semiProbeLeft"}
+		"semi-hash": "semiHash", "anti-hash-2col": "semiHash", "semi-probe-left": "semiProbeLeft",
+		"semi-hash-union": "semiHash", "semi-probe-left-union": "semiProbeLeft"}
 	plans := map[string]Node{
-		"groupby":      NewGroupBy(l, []string{"lk"}, aggs),
-		"groupby-2col": NewGroupBy(l, []string{"ls", "lk"}, aggs[:6]),
+		"groupby":       NewGroupBy(l, []string{"lk"}, aggs),
+		"groupby-2col":  NewGroupBy(l, []string{"ls", "lk"}, aggs[:6]),
+		"groupby-union": NewGroupBy(unionTower(l, renameAs(r, l.Sch.Attrs)), []string{"lk"}, aggs),
 	}
 	for name, j := range joins {
 		p, err := planJoin(j)
@@ -132,6 +139,15 @@ func scratchPlans(t *testing.T, st rel.Schema) map[string]Node {
 		}
 	}
 	return plans
+}
+
+// renameAs presents n's attributes under names.
+func renameAs(n Node, names []string) Node {
+	items := make([]ProjItem, len(names))
+	for i, a := range n.Schema().Attrs {
+		items[i] = ProjItem{E: expr.C(a), As: names[i]}
+	}
+	return NewProject(n, items)
 }
 
 // scratchDB holds the stored side of the probe kernels: 2 000 rows whose k

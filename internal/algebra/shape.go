@@ -128,10 +128,14 @@ func planProbe(sh *probeShape, joinCols []string) probePlan {
 // choice never charges more than the scan. p and n are uncharged catalog
 // metadata of the state read, for vals, the literal values of this run, so
 // both evaluators always choose alike, and a compiled plan run with new
-// parameter values chooses anew.
+// parameter values chooses anew. A unique probe matches p ≤ 1 rows, so over
+// more than two rows it is taken without counting p.
 func useIndex(t *storage.Handle, pp *probePlan, vals []rel.Value) (bool, error) {
 	if len(vals) == 0 {
 		return false, nil
+	}
+	if pp.unique && t.StateLen(pp.st) > 2 {
+		return true, nil
 	}
 	p, n, err := t.IndexCard(pp.st, pp.prep.Attrs(), vals)
 	return err == nil && p+1 < n, err

@@ -331,6 +331,15 @@ func (c *tableCore) probe(s State, attrs []string, sig string, vals []Value, out
 	return out, n, nil
 }
 
+// StateLen is the row count of the requested state: IndexCard's n, without
+// a probe.
+func (t *Table) StateLen(s State) int {
+	c := t.core
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.stateLen(s)
+}
+
 // IndexCard reports (p, n): how many rows of the requested state match vals
 // on the secondary index over attrs, and the state's total row count —
 // catalog metadata, the cardinality a planner consults when choosing

@@ -51,6 +51,8 @@ type Table interface {
 
 	// Len returns the number of live (post-state) rows.
 	Len() int
+	// StateLen returns the row count of the requested state, IndexCard's n.
+	StateLen(s rel.State) int
 	// Rows returns the raw tuples of the requested state (verification and
 	// snapshot utility; plan evaluation must go through Scan on a Handle).
 	// Callers must not mutate the tuples.

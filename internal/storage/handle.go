@@ -94,6 +94,9 @@ func (h *Handle) Rows(s rel.State) []rel.Tuple { return h.t.Rows(s) }
 // Relation implements Table (uncharged snapshot utility).
 func (h *Handle) Relation(s rel.State) *rel.Relation { return h.t.Relation(s) }
 
+// StateLen implements Table (uncharged catalog statistics).
+func (h *Handle) StateLen(s rel.State) int { return h.t.StateLen(s) }
+
 // IndexCard implements Table (uncharged catalog statistics).
 func (h *Handle) IndexCard(s rel.State, attrs []string, vals []rel.Value) (p, n int, err error) {
 	return h.t.IndexCard(s, attrs, vals)

@@ -86,6 +86,15 @@ func (t *shardedTable) Len() int {
 	return n
 }
 
+// StateLen implements storage.Table.
+func (t *shardedTable) StateLen(s rel.State) int {
+	n := 0
+	for _, sh := range t.shards {
+		n += sh.StateLen(s)
+	}
+	return n
+}
+
 // Rows implements storage.Table: shard contents concatenated in shard order.
 func (t *shardedTable) Rows(s rel.State) []rel.Tuple { return t.Scan(s) }
 
