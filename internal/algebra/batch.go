@@ -2,9 +2,9 @@
 // are built from. They move column vectors (rel.Batch) instead of boxed
 // tuples:
 //
-//   - σ evaluates its predicate row by row on one reused scratch row and
-//     narrows the batch with a selection vector — payloads are never
-//     copied;
+//   - σ evaluates its predicate row by row on a scratch row of the columns
+//     it reads and narrows each batch with a selection vector — payloads
+//     are never copied;
 //   - equi-joins and semijoins over derived inputs, γ and the two sets of
 //     semiProbeLeft file rows under the 64-bit key digest the stored indexes
 //     use (rel.KeyDigest, computed a column at a time by Batch.KeyDigests)
@@ -16,8 +16,10 @@
 //   - γ numbers its groups in first-appearance order, knows each by its
 //     first row (the output's key columns are the input's, gathered there)
 //     and carves their aggregate states from one array;
-//   - γ and a semijoin's key side read an n-ary union's branches one after
-//     another, numbering rows across them, instead of a concatenation.
+//   - γ, σ and both sides of a semijoin read a sequence of batches — an
+//     n-ary union's branches, or what σ, ⋉/▷ and π made of them — one after
+//     another, numbering rows across them where they hash, instead of a
+//     concatenation; σ and ⋉/▷ narrow each batch where it lies.
 //
 // A kernel allocates the batch it returns and nothing else: chains,
 // digests, group ids, states and the like are borrowed for the call from the
@@ -45,6 +47,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"idivm/internal/rel"
 	"idivm/internal/storage"
 )
@@ -52,32 +56,64 @@ import (
 // ---------------------------------------------------------------------------
 // σ kernel
 
-// filter narrows a batch by the predicate, returning a gathered view
-// (shared payloads, fresh selection vector). When every row passes it
-// returns the input batch itself and when none does the operator's empty
-// batch; neither case allocates — the selection and the row are built in
-// the operator's scratch, and the selection is copied, at its exact size,
-// only when it is a proper subset.
-func (c *cSelect) filter(b *rel.Batch) *rel.Batch {
-	n := b.Len()
-	if n == 0 || c.pred == nil {
-		return b
-	}
-	sel := c.sel[:0]
-	for i := 0; i < n; i++ {
-		c.row = b.Row(i, c.row)
-		if c.pred.EvalBool(c.row) {
-			sel = append(sel, int32(i))
+// filter appends to dst each part narrowed by the predicate (keepParts),
+// which reads a row of the columns it names. The selection is built in the
+// operator's scratch and copied only when some part keeps a proper subset.
+func (c *cSelect) filter(dst, parts []*rel.Batch) []*rel.Batch {
+	sel, ends := selection(c.sel, c.ends, parts)
+	for _, b := range parts {
+		for i := 0; i < b.N; i++ {
+			c.row = c.refs.row(b, i, c.row)
+			if c.pred.EvalBool(c.row) {
+				sel = append(sel, int32(i))
+			}
 		}
+		ends = append(ends, len(sel))
 	}
-	c.sel = sel[:0]
-	switch len(sel) {
-	case n:
-		return b
-	case 0:
-		return c.empty
+	c.sel, c.ends = sel[:0], ends[:0]
+	return keepParts(dst, parts, sel, ends)
+}
+
+// selection returns sel and ends emptied, with room for a row of every part
+// and the end of every part: a selection kernel's buffers, reallocated at
+// once to their largest size when they are short.
+func selection(sel []int32, ends []int, parts []*rel.Batch) ([]int32, []int) {
+	n := 0
+	for _, b := range parts {
+		n += b.N
 	}
-	return b.GatherRows(append([]int32(nil), sel...))
+	if cap(sel) < n {
+		sel = make([]int32, 0, n)
+	}
+	if cap(ends) < len(parts) {
+		ends = make([]int, 0, len(parts))
+	}
+	return sel[:0], ends[:0]
+}
+
+// keepParts appends to dst each part narrowed to its kept rows, numbered
+// within it: part p's are sel[ends[p-1]:ends[p]]. A part kept whole is
+// appended as it is and one that keeps nothing is dropped; every other one
+// gathers its own sub-slice of one copy of sel, made at the first of them —
+// payloads are never copied. sel and ends are scratch. dst may be parts[:0]
+// or end where parts begins: no part is written before it is read.
+func keepParts(dst, parts []*rel.Batch, sel []int32, ends []int) []*rel.Batch {
+	var own []int32 // sel[base:], copied
+	lo, base := 0, 0
+	for p, b := range parts {
+		hi := ends[p]
+		switch k := hi - lo; {
+		case k == b.N:
+			dst = append(dst, b)
+		case k > 0:
+			if own == nil {
+				own, base = slices.Clone(sel[lo:]), lo
+			}
+			dst = append(dst, b.GatherRows(own[lo-base:hi-base:hi-base]))
+		}
+		lo = hi
+	}
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -315,91 +351,103 @@ func (c *cSemi) probeLeft(t *storage.Handle, right []*rel.Batch) (*rel.Batch, er
 	return batchOf(c.empty, out), nil
 }
 
+// The three selection kernels below write the kept rows of each left part,
+// numbered within it, to s.sel, and where each part's end there to s.ends:
+// what keepParts narrows the parts by.
+
 // probeRightSel is semiProbeRight: keep/drop per left row by probing the
-// stored right — the Handle calls of Eval's loop — as a selection vector.
-func (c *cSemi) probeRightSel(t *storage.Handle, left *rel.Batch) ([]int32, error) {
-	pr, n := c.pr, left.Len()
-	sel := make([]int32, 0, n)
-	var scratch rel.Tuple
-	for i := 0; i < n; i++ {
-		matched := false
-		if pr.fill(left, c.lidx, i) {
-			rows, err := pr.lookup(t)
-			if err != nil {
-				return nil, err
+// stored right — the Handle calls of Eval's loop, part after part.
+func (c *cSemi) probeRightSel(s *kernelScratch, t *storage.Handle, left []*rel.Batch) error {
+	pr := c.pr
+	sel, ends := selection(s.sel, s.ends, left)
+	scratch := s.row
+	for _, b := range left {
+		for i := 0; i < b.N; i++ {
+			matched := false
+			if pr.fill(b, c.lidx, i) {
+				rows, err := pr.lookup(t)
+				if err != nil {
+					return err
+				}
+				if c.match == nil {
+					matched = len(rows) > 0
+				} else {
+					scratch = b.Row(i, scratch)
+					matched = c.anyMatch(scratch, rows)
+				}
 			}
-			if c.match == nil {
-				matched = len(rows) > 0
-			} else {
-				scratch = left.Row(i, scratch)
-				matched = c.anyMatch(scratch, rows)
+			if matched == c.keep {
+				sel = append(sel, int32(i))
 			}
 		}
-		if matched == c.keep {
-			sel = append(sel, int32(i))
-		}
+		ends = append(ends, len(sel))
 	}
-	return sel, nil
+	s.sel, s.ends, s.row = sel, ends, scratch
+	return nil
 }
 
 // hashSel is semiHash: digest chains over the right batches, each left row
 // tested against its chain.
-func (c *cSemi) hashSel(left *rel.Batch, right []*rel.Batch) []int32 {
-	s := getScratch()
-	defer s.release()
+func (c *cSemi) hashSel(s *kernelScratch, left, right []*rel.Batch) {
 	ht := s.buildHashIdx(c.ridx, right...)
-	ldig := s.keyDigests(c.lidx, left)
-	n := left.Len()
-	sel := make([]int32, 0, n)
+	ldig := s.keyDigests(c.lidx, left...)
+	sel, ends := selection(s.sel, s.ends, left)
 	var lbuf, rbuf rel.Tuple
-	for i := 0; i < n; i++ {
-		matched := false
-		for ri := ht.First(ldig[i]); ri >= 0; ri = ht.Next(ri) {
-			rb, r := at(right, int(ri))
-			if !keysSameIdx(left, rb, c.lidx, c.ridx, i, r) {
-				continue
+	i := 0
+	for _, lb := range left {
+		for l := 0; l < lb.N; l, i = l+1, i+1 {
+			matched := false
+			for ri := ht.First(ldig[i]); ri >= 0; ri = ht.Next(ri) {
+				rb, r := at(right, int(ri))
+				if !keysSameIdx(lb, rb, c.lidx, c.ridx, l, r) {
+					continue
+				}
+				if c.match == nil {
+					matched = true
+					break
+				}
+				lbuf = lb.Row(l, lbuf)
+				rbuf = rb.Row(r, rbuf)
+				if c.match.EvalBool(lbuf, rbuf) {
+					matched = true
+					break
+				}
 			}
-			if c.match == nil {
-				matched = true
-				break
-			}
-			lbuf = left.Row(i, lbuf)
-			rbuf = rb.Row(r, rbuf)
-			if c.match.EvalBool(lbuf, rbuf) {
-				matched = true
-				break
+			if matched == c.keep {
+				sel = append(sel, int32(l))
 			}
 		}
-		if matched == c.keep {
-			sel = append(sel, int32(i))
-		}
+		ends = append(ends, len(sel))
 	}
-	return sel
+	s.sel, s.ends = sel, ends
 }
 
 // nestedSel is semiNested, the θ-semijoin: like nestedJoin, a row loop
-// over the boxed inner side, returning the kept left rows.
-func (c *cSemi) nestedSel(left *rel.Batch, right []*rel.Batch) []int32 {
+// over the boxed inner side.
+func (c *cSemi) nestedSel(s *kernelScratch, left, right []*rel.Batch) {
 	var rrows []rel.Tuple
 	for _, b := range right {
 		rrows = append(rrows, b.Materialize().Tuples...)
 	}
-	var sel []int32
+	sel, ends := selection(s.sel, s.ends, left)
 	var lbuf rel.Tuple
-	for i := 0; i < left.Len(); i++ {
-		lbuf = left.Row(i, lbuf)
-		matched := false
-		for _, rt := range rrows {
-			if c.match == nil || c.match.EvalBool(lbuf, rt) {
-				matched = true
-				break
+	for _, lb := range left {
+		for i := 0; i < lb.N; i++ {
+			lbuf = lb.Row(i, lbuf)
+			matched := false
+			for _, rt := range rrows {
+				if c.match == nil || c.match.EvalBool(lbuf, rt) {
+					matched = true
+					break
+				}
+			}
+			if matched == c.keep {
+				sel = append(sel, int32(i))
 			}
 		}
-		if matched == c.keep {
-			sel = append(sel, int32(i))
-		}
+		ends = append(ends, len(sel))
 	}
-	return sel
+	s.sel, s.ends = sel, ends
 }
 
 // ---------------------------------------------------------------------------
@@ -415,7 +463,8 @@ func (c *cSemi) nestedSel(left *rel.Batch, right []*rel.Batch) []int32 {
 // one array of exactly groups × aggregates entries. The output's key columns
 // are the input's, gathered at the groups' first rows when those all lie in
 // the first batch, else copied from them. The digests, the chains, the group
-// ids and the states are scratch; first becomes the gathered columns' Idx.
+// ids, the first rows and the states are scratch; a copy of the first rows
+// becomes the gathered columns' Idx.
 func (c *cGroupBy) fold(parts []*rel.Batch) *rel.Batch {
 	kw, na := len(c.keyIdx), len(c.fns)
 	s := getScratch()
@@ -425,8 +474,8 @@ func (c *cGroupBy) fold(parts []*rel.Batch) *rel.Batch {
 	ht := &s.chains
 	ht.Reserve(n)
 	s.gid = take(s.gid, n)
-	gid := s.gid                            // row → group
-	first := make([]int32, 0, min(n, 1024)) // group → its first row
+	gid := s.gid         // row → group
+	first := s.first[:0] // group → its first row
 	i := 0
 	for _, b := range parts {
 		for r := 0; r < b.N; r, i = r+1, i+1 {
@@ -466,11 +515,11 @@ func (c *cGroupBy) fold(parts []*rel.Batch) *rel.Batch {
 			}
 		}
 	}
-	s.row = scratch
+	s.row, s.first = scratch, first
 
 	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+na), N: len(first)}
 	if int(first[len(first)-1]) < parts[0].N { // first ascends: every group starts in the first batch
-		heads := parts[0].GatherRows(first)
+		heads := parts[0].GatherRows(slices.Clone(first))
 		for k, x := range c.keyIdx {
 			out.Cols[k] = heads.Cols[x]
 		}

@@ -63,25 +63,80 @@ func unionTower(branches []algebra.Node) algebra.Node {
 // after another, by a key whose groups start in one branch or in several),
 // the key side of a hash antijoin and of a probe-left semijoin, a join's
 // driving side, a renaming π that keeps a prefix and a computing π — and
-// under a ∪all whose branch column a semijoin's residual reads.
+// under a ∪all whose branch column a semijoin's residual reads. The towers
+// are also the filtered side of ⋉ and ▷, which filter them branch by
+// branch: hashing derived keys, probing a stored right side (with a
+// residual), with an empty key side, over a tower of empty branches only,
+// chained three deep as the γ rules' matched/unmatched streams are, as
+// branches of a ∪all under γ, under σ and under a π with a literal — each
+// read whole, by γ and by a join.
 func towerPlans() map[string]algebra.Node {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
 	scan := func() *algebra.Scan { return algebra.NewScan("big", "", sch) }
 	keys := func() algebra.Node { return algebra.NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil)) }
-	tower := func(n, salt int) algebra.Node {
-		branches := make([]algebra.Node, n)
-		for i := range branches {
+	someKeys := func(lo, hi int64) algebra.Node {
+		return algebra.NewSelect(keys(), expr.And(expr.Ge(expr.C("jk"), expr.IntLit(lo)), expr.Lt(expr.C("jk"), expr.IntLit(hi))))
+	}
+	branches := func(n, salt int, empty func(i int) bool) algebra.Node {
+		bs := make([]algebra.Node, n)
+		for i := range bs {
 			g := int64((3*i + salt) % 13)
-			if (i+n+salt)%3 == 0 {
+			if empty(i) {
 				g = 99 // no row has it: an empty branch
 			}
-			branches[i] = algebra.NewSelect(scan(), expr.Eq(expr.C("big.grp"), expr.IntLit(g)))
+			bs[i] = algebra.NewSelect(scan(), expr.Eq(expr.C("big.grp"), expr.IntLit(g)))
 		}
-		return unionTower(branches)
+		return unionTower(bs)
 	}
+	tower := func(n, salt int) algebra.Node {
+		return branches(n, salt, func(i int) bool { return (i+n+salt)%3 == 0 })
+	}
+	onK := expr.Eq(expr.C("big.k"), expr.C("jk"))
+	anti := func(l algebra.Node, lo, hi int64) algebra.Node { return algebra.NewAntiJoin(l, someKeys(lo, hi), onK) }
+	stored := scan().Renamed("@r")
 	aggs := []algebra.Agg{{Fn: algebra.AggSum, Arg: expr.C("big.val"), As: "s"}, {Fn: algebra.AggCount, As: "n"}}
+	byGrp := func(l algebra.Node) algebra.Node { return algebra.NewGroupBy(l, []string{"big.grp"}, aggs) }
 	plans := map[string]algebra.Node{}
 	for n := 1; n <= 5; n++ {
+		chain := anti(anti(anti(tower(n, 0), 0, 900), 1500, 2400), 2700, 3300)
+		withOne := algebra.NewProject(anti(tower(n, 1), 0, 1800), []algebra.ProjItem{
+			{E: expr.C("big.grp"), As: "g"}, {E: expr.IntLit(-1), As: "one"}, {E: expr.C("big.val"), As: "v"}})
+		for name, p := range map[string]algebra.Node{
+			"-semi-hash":  algebra.NewSemiJoin(tower(n, 0), keys(), onK),
+			"-anti-hash":  algebra.NewAntiJoin(tower(n, 1), keys(), onK),
+			"-anti-empty": anti(branches(n, 2, func(int) bool { return true }), 0, 3300),
+			"-anti-nokeys": algebra.NewAntiJoin(tower(n, 2), algebra.NewSelect(keys(), expr.Eq(expr.C("jk"), expr.IntLit(-7))),
+				onK),
+			"-semi-probe": algebra.NewSemiJoin(tower(n, 0), stored, expr.And(
+				expr.Eq(expr.C("big.val"), expr.C("big.k@r")), expr.Lt(expr.C("big.grp"), expr.C("big.grp@r")))),
+			"-anti-probe": algebra.NewAntiJoin(tower(n, 1), stored, expr.Eq(expr.C("big.val"), expr.C("big.k@r"))),
+			// θ-semijoins over a stored right side, one of whose rows the σ
+			// keeps and none: a nested loop over the right side's rows.
+			"-semi-theta": algebra.NewSemiJoin(tower(n, 0), algebra.NewSelect(scan().Renamed("@r"),
+				expr.Eq(expr.C("big.k@r"), expr.IntLit(5))), expr.Lt(expr.C("big.val"), expr.C("big.grp@r"))),
+			"-semi-theta-none": algebra.NewSemiJoin(tower(n, 0), algebra.NewSelect(scan().Renamed("@r"),
+				expr.Eq(expr.C("big.k@r"), expr.IntLit(-1))), expr.Lt(expr.C("big.val"), expr.C("big.grp@r"))),
+			"-anti-chain":         chain,
+			"-groupby-anti-chain": byGrp(chain),
+			"-join-anti-chain":    algebra.NewJoin(chain, stored, expr.Eq(expr.C("big.val"), expr.C("big.k@r"))),
+			"-groupby-semi-anti": byGrp(unionTower([]algebra.Node{
+				algebra.NewSemiJoin(tower(n, 0), someKeys(0, 1600), onK), anti(tower(n, 1), 0, 1600),
+				algebra.NewAntiJoin(tower(n, 2), stored, expr.Eq(expr.C("big.val"), expr.C("big.k@r")))})),
+			"-select":         algebra.NewSelect(anti(tower(n, 2), 0, 1200), expr.Gt(expr.C("big.val"), expr.IntLit(40))),
+			"-groupby-select": byGrp(algebra.NewSelect(tower(n, 0), expr.Lt(expr.C("big.val"), expr.C("big.grp")))),
+			// The first branch (grp 0) kept whole, the second (grp 3) narrowed.
+			"-select-after-whole": algebra.NewSelect(tower(n, 0),
+				expr.Or(expr.Ne(expr.C("big.grp"), expr.IntLit(3)), expr.Lt(expr.C("big.k"), expr.IntLit(1500)))),
+			"-project-lit": withOne,
+			"-groupby-project-lit": algebra.NewGroupBy(withOne, []string{"g"}, []algebra.Agg{
+				{Fn: algebra.AggSum, Arg: expr.C("one"), As: "s"}, {Fn: algebra.AggSum, Arg: expr.C("v"), As: "sv"}}),
+			"-semi-tagged-keys": algebra.NewSemiJoin(algebra.NewProject(tower(n, 1), []algebra.ProjItem{
+				{E: expr.C("big.k"), As: "a"}, {E: expr.C("big.val"), As: "v"}}),
+				algebra.NewUnionAll(tower(n, 0), tower(6-n, 1), "isAdd"),
+				expr.And(expr.Eq(expr.C("a"), expr.C("big.val")), expr.Eq(expr.C("isAdd"), expr.IntLit(0)))),
+		} {
+			plans[fmt.Sprintf("tower%d%s", n, name)] = p
+		}
 		for name, p := range map[string]algebra.Node{
 			"":               tower(n, 0),
 			"-groupby":       algebra.NewGroupBy(tower(n, 0), []string{"big.grp"}, aggs),

@@ -13,17 +13,20 @@
 // (ExecPlan.Bind), which a later plan's binding leaf reads as columns and
 // which becomes tuples at most once, when somebody asks for them (the Eval
 // oracle, ExecPlan.Run's caller, a reader of a view's applied i-diffs); the
-// APPLY statements read it as columns. One operator may hand over a sequence
-// of batches instead: the n-ary ∪all (cUnion) gives γ and a semijoin's key
-// side its branches one after another (runParts), and concatenates them into
-// one batch only for a consumer that needs one. The kernels those bodies are
-// built from live in batch.go.
+// APPLY statements read it as columns. Some operators may hand over a
+// sequence of batches instead (partsNode, runParts): the n-ary ∪all (cUnion)
+// its branches, and σ, ⋉/▷ and π the parts of their input, each filtered or
+// computed where it lies. γ and both sides of a semijoin read such a
+// sequence one batch after another; only a consumer that needs one batch —
+// a step's root, a join's side — concatenates it, once (concat). The
+// kernels those bodies are built from live in batch.go.
 //
 // Compilation rewrites the operator tree, never the plan: a chain of π's
-// runs as one π (fuseProjects), and a tower of ∪all's joined by π's that
-// only rename or drop a branch attribute runs as one cUnion of all its
-// branches (compileUnion). The rewritten tree yields the same rows in the
-// same order from the same stored accesses.
+// runs as one π (fuseProjects), a tower of ∪all's joined by π's that only
+// rename or drop a branch attribute runs as one cUnion of all its branches
+// (compileUnion), and a π literal or a branch column is a constant column
+// (rel.Constant), which no run allocates. The rewritten tree yields the same
+// rows in the same order from the same stored accesses.
 //
 // The compiled and interpreted paths make no access-path decision of their
 // own: both run the plans of the one physical planner (shape.go: joinPlan,
@@ -116,7 +119,7 @@ func (p *ExecPlan) Bind(env Env) (*rel.Binding, error) {
 // columns over a σ-chain on a stored leaf — a keyed SQL read — builds them
 // straight from the stored rows the σ keeps, never as columns.
 func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
-	if pr, ok := p.root.(*cProject); ok && len(pr.generic) == 0 {
+	if pr, ok := p.root.(*cProject); ok && pr.plain() {
 		if sel, ok := pr.child.(*cStoredSelect); ok {
 			return sel.project(env, p.sch, pr.colIdx)
 		}
@@ -131,6 +134,16 @@ func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
 // cNode is one compiled operator.
 type cNode interface {
 	run(env Env) (*rel.Batch, error)
+}
+
+// partsNode is an operator that can hand its rows over as a sequence of
+// non-empty batches (runParts): the n-ary ∪all its branches, and σ, ⋉/▷ and
+// π the parts of their input, each filtered or computed where it lies. Its
+// run makes one batch of them (runWhole), except π's, which computes over
+// its input's one batch.
+type partsNode interface {
+	cNode
+	parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error)
 }
 
 // compileNode compiles n; the expressions in it read their parameters from
@@ -154,11 +167,15 @@ func compileNode(n Node, ps *expr.Params) (cNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compilePred(x.Pred, x.Child.Schema(), ps)
-		if err != nil {
-			return nil, err
+		c := &cSelect{child: child, empty: rel.NewBatch(x.Child.Schema())}
+		if !expr.IsTrueLit(x.Pred) {
+			refs, pred, err := compileRefs(ps, x.Child.Schema(), x.Pred)
+			if err != nil {
+				return nil, err
+			}
+			c.refs, c.pred = refs, pred[0]
 		}
-		return &cSelect{child: child, pred: pred, empty: rel.NewBatch(x.Child.Schema())}, nil
+		return c, nil
 	case *Project:
 		return compileProject(x, ps)
 	case *Join:
@@ -248,22 +265,74 @@ func compilePred(e expr.Expr, sch rel.Schema, ps *expr.Params) (*expr.Compiled, 
 }
 
 // cSelect filters a derived child with its compiled predicate (filter, in
-// batch.go). The selection vector and the row the predicate reads are
-// scratch, reused by every run.
+// batch.go), part by part. The selection, the parts' ends in it and the row
+// the predicate reads are scratch, reused by every run.
 type cSelect struct {
 	child cNode
-	pred  *expr.Compiled // nil when TRUE
+	pred  *expr.Compiled // nil when TRUE; compiled against refs
+	refs  refCols
 	sel   []int32
+	ends  []int
 	row   rel.Tuple
 	empty *rel.Batch
+	buf   []*rel.Batch // the parts of one run
 }
 
-func (c *cSelect) run(env Env) (*rel.Batch, error) {
-	child, err := c.child.run(env)
-	if err != nil {
-		return nil, err
+func (c *cSelect) run(env Env) (*rel.Batch, error) { return runWhole(c, env, &c.buf, c.empty) }
+
+func (c *cSelect) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	n0 := len(dst)
+	dst, err := runParts(c.child, env, dst)
+	if err != nil || c.pred == nil {
+		return dst, err
 	}
-	return c.filter(child), nil
+	return c.filter(dst[:n0], dst[n0:]), nil
+}
+
+// refCols are the columns of an input that compiled expressions read, by
+// position: the expressions are compiled against these columns alone
+// (compileRefs), and row boxes just their values of one input row.
+type refCols []int
+
+// row boxes the refs columns of b's row i into buf, which it returns.
+func (refs refCols) row(b *rel.Batch, i int, buf rel.Tuple) rel.Tuple {
+	buf = buf[:0]
+	for _, j := range refs {
+		buf = append(buf, b.Cols[j].Value(i))
+	}
+	return buf
+}
+
+// compileRefs compiles es over the columns of sch they read, returned as
+// their positions in sch. An expression naming a column sch lacks fails as
+// it fails against sch.
+func compileRefs(ps *expr.Params, sch rel.Schema, es ...expr.Expr) (refCols, []*expr.Compiled, error) {
+	if len(es) == 0 {
+		return nil, nil, nil
+	}
+	var refs refCols
+	var attrs []string
+	for _, e := range es {
+		for _, a := range e.Cols() {
+			j := sch.Index(a)
+			if j < 0 {
+				_, err := ps.Compile(e, sch) // the error naming a
+				return nil, nil, err
+			}
+			if !slices.Contains(refs, j) {
+				refs, attrs = append(refs, j), append(attrs, a)
+			}
+		}
+	}
+	read := rel.NewSchema(attrs, nil)
+	out := make([]*expr.Compiled, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], err = ps.Compile(e, read); err != nil {
+			return nil, nil, err
+		}
+	}
+	return refs, out, nil
 }
 
 // cStoredSelect runs a σ-chain over a stored leaf: the probe on the
@@ -348,15 +417,22 @@ func (c *cStoredSelect) project(env Env, sch rel.Schema, cols []int) (*rel.Relat
 
 // cProject applies precompiled projection expressions. A plain column
 // reference aliases the child's vector — payload and indirection shared,
-// zero copies, zero evaluations; only the generic items are evaluated, on a
-// scratch row.
+// zero copies, zero evaluations; a literal is a constant column, built at
+// compile time; only the computed items are evaluated, on a row of the
+// columns they read. That row and the computed columns' builders are
+// scratch, reused by every run.
 type cProject struct {
-	items   []*expr.Compiled
-	colIdx  []int // child column position for plain Col items, -1 otherwise
-	generic []int // the items with colIdx < 0
-	prefix  bool  // item i is the child's column i: the output shares its column slice
-	child   cNode
-	empty   *rel.Batch
+	colIdx   []int          // child column position of a plain Col item, -1 otherwise
+	lit      []int          // the literal items
+	lits     []rel.Constant // their columns
+	gen      []int          // the computed items (colIdx -1)
+	evals    []*expr.Compiled
+	refs     refCols // the child columns the computed items read
+	row      rel.Tuple
+	builders []rel.ColBuilder
+	prefix   bool // item i is the child's column i: the output shares its column slice
+	child    cNode
+	empty    *rel.Batch
 }
 
 // compileProject compiles p fused with the π's below it. Over a ∪all whose
@@ -384,23 +460,32 @@ func compileProject(p *Project, ps *expr.Params) (cNode, error) {
 		}
 		cs = below.Schema()
 	}
-	c := &cProject{items: make([]*expr.Compiled, len(items)), colIdx: make([]int, len(items)),
-		child: child, empty: rel.NewBatch(p.Schema())}
+	c := &cProject{colIdx: make([]int, len(items)), child: child, empty: rel.NewBatch(p.Schema())}
+	var computed []expr.Expr
 	for i, it := range items {
-		var err error
-		if c.items[i], err = ps.Compile(it.E, cs); err != nil {
-			return nil, err
-		}
 		c.colIdx[i] = -1
-		if col, ok := it.E.(expr.Col); ok {
-			c.colIdx[i] = cs.Index(col.Name)
+		switch x := it.E.(type) {
+		case expr.Col:
+			if c.colIdx[i] = cs.Index(x.Name); c.colIdx[i] >= 0 {
+				continue
+			}
+		case expr.Lit:
+			c.lit, c.lits = append(c.lit, i), append(c.lits, rel.NewConstant(x.Val))
+			continue
 		}
-		if c.colIdx[i] < 0 {
-			c.generic = append(c.generic, i)
-		}
+		c.gen, computed = append(c.gen, i), append(computed, it.E)
+	}
+	var err error
+	if c.refs, c.evals, err = compileRefs(ps, cs, computed...); err != nil {
+		return nil, err
 	}
 	c.prefix = isPrefix(items, cs)
 	return c, nil
+}
+
+// plain reports whether every item is a plain column.
+func (c *cProject) plain() bool {
+	return !slices.ContainsFunc(c.colIdx, func(j int) bool { return j < 0 })
 }
 
 // fuseProjects composes p with the chain of π's under it: p's items with
@@ -451,37 +536,60 @@ func (c *cProject) run(env Env) (*rel.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := child.Len()
-	if n == 0 {
+	if child.N == 0 {
 		return c.empty, nil
 	}
-	if c.prefix { // a rename or a π dropping trailing columns
-		return relabel(child, c.empty), nil
+	return c.project(child), nil
+}
+
+// parts projects each part of the child where it lies.
+func (c *cProject) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	n0 := len(dst)
+	dst, err := runParts(c.child, env, dst)
+	if err != nil {
+		return dst, err
 	}
-	w := len(c.items)
-	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, w), N: n}
+	for i, b := range dst[n0:] {
+		dst[n0+i] = c.project(b)
+	}
+	return dst, nil
+}
+
+// project computes the items over a non-empty batch.
+func (c *cProject) project(b *rel.Batch) *rel.Batch {
+	if c.prefix { // a rename or a π dropping trailing columns
+		return relabel(b, c.empty)
+	}
+	n := b.N
+	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, len(c.colIdx)), N: n}
 	for i, j := range c.colIdx {
 		if j >= 0 {
-			out.Cols[i] = child.Cols[j]
+			out.Cols[i] = b.Cols[j]
 		}
 	}
-	if len(c.generic) > 0 {
-		builders := make([]rel.ColBuilder, len(c.generic))
-		for k := range builders {
-			builders[k].Grow(n)
-		}
-		var buf rel.Tuple
-		for r := 0; r < n; r++ {
-			buf = child.Row(r, buf)
-			for k, i := range c.generic {
-				builders[k].Append(c.items[i].Eval(buf))
-			}
-		}
-		for k, i := range c.generic {
-			out.Cols[i] = builders[k].Vec()
+	for k, i := range c.lit {
+		out.Cols[i] = c.lits[k].Col(n)
+	}
+	if len(c.gen) == 0 {
+		return out
+	}
+	if c.builders == nil {
+		c.builders = make([]rel.ColBuilder, len(c.gen))
+	}
+	for k := range c.builders {
+		c.builders[k].Grow(n)
+	}
+	for r := 0; r < n; r++ {
+		c.row = c.refs.row(b, r, c.row)
+		for k, ev := range c.evals {
+			c.builders[k].Append(ev.Eval(c.row))
 		}
 	}
-	return out, nil
+	for k, i := range c.gen {
+		out.Cols[i] = c.builders[k].Vec()
+	}
+	clear(c.builders) // hold no column between runs
+	return out
 }
 
 // cProbe runs a probePlan: the residual σ predicate compiled once, and
@@ -670,18 +778,19 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 }
 
 // cSemi executes a semijoin (keep=true) or antijoin (keep=false) under its
-// semiPlan. Its key (right) side arrives as a sequence of batches
-// (runParts), which the kernels read one after another; parts holds them
-// for one run.
+// semiPlan. Both sides arrive as sequences of batches (runParts): the
+// kernels read the key (right) side's one after another, and filter each
+// part of the left where it lies.
 type cSemi struct {
 	semiPlan
-	keep  bool
-	left  cNode // nil when the left side is the probe target
-	right cNode // nil when the right side is the probe target
-	pr    *cProbe
-	match *expr.CompiledPair // the plan's residual; nil when TRUE
-	empty *rel.Batch
-	parts []*rel.Batch
+	keep     bool
+	left     cNode // nil when the left side is the probe target
+	right    cNode // nil when the right side is the probe target
+	pr       *cProbe
+	match    *expr.CompiledPair // the plan's residual; nil when TRUE
+	empty    *rel.Batch
+	keyParts []*rel.Batch // the key side's parts of one run
+	buf      []*rel.Batch // the parts of one run
 }
 
 func compileSemi(l, r Node, p expr.Expr, keep bool, ps *expr.Params) (cNode, error) {
@@ -711,68 +820,71 @@ func compileSemi(l, r Node, p expr.Expr, keep bool, ps *expr.Params) (cNode, err
 	return c, nil
 }
 
-// keys runs the key side into c.parts.
+// keys runs the key side into c.keyParts.
 func (c *cSemi) keys(env Env) ([]*rel.Batch, error) {
-	right, err := runParts(c.right, env, c.parts[:0])
-	c.parts = right[:0]
+	right, err := runParts(c.right, env, c.keyParts[:0])
+	c.keyParts = right[:0]
 	return right, err
 }
 
-func (c *cSemi) run(env Env) (*rel.Batch, error) {
-	defer func() { clear(c.parts[:cap(c.parts)]) }() // hold no batch between runs
+func (c *cSemi) run(env Env) (*rel.Batch, error) { return runWhole(c, env, &c.buf, c.empty) }
+
+// parts appends the kept rows of each part of the left side to dst, a part
+// kept whole as it is (keepParts). Its stored accesses are a part-by-part
+// run's over one batch of the parts: the same lookups in the same order.
+func (c *cSemi) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	defer func() { clear(c.keyParts[:cap(c.keyParts)]) }() // hold no batch between runs
 	var right []*rel.Batch
 	var err error
 	if c.keysetFirst {
-		if right, err = c.keys(env); err != nil {
-			return nil, err
-		}
-		if len(right) == 0 {
-			return c.empty, nil
+		if right, err = c.keys(env); err != nil || len(right) == 0 {
+			return dst, err
 		}
 	}
 	if c.strategy == semiProbeLeft {
 		t, err := c.pr.resolve(env)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return c.probeLeft(t, right)
+		b, err := c.probeLeft(t, right)
+		if err != nil || b.N == 0 {
+			return dst, err
+		}
+		return append(dst, b), nil
 	}
 
-	left, err := c.left.run(env)
-	if err != nil {
-		return nil, err
+	n0 := len(dst)
+	if dst, err = runParts(c.left, env, dst); err != nil || len(dst) == n0 {
+		return dst, err
 	}
-	if left.Len() == 0 {
-		return c.empty, nil
-	}
-	var sel []int32
+	left := dst[n0:]
+	var t *storage.Handle
 	if c.strategy == semiProbeRight {
-		t, err := c.pr.resolve(env)
-		if err != nil {
-			return nil, err
+		if t, err = c.pr.resolve(env); err != nil {
+			return dst, err
 		}
-		if sel, err = c.probeRightSel(t, left); err != nil {
-			return nil, err
+	} else if !c.keysetFirst {
+		if right, err = c.keys(env); err != nil {
+			return dst, err
 		}
-	} else {
-		if !c.keysetFirst {
-			if right, err = c.keys(env); err != nil {
-				return nil, err
-			}
-		}
-		switch {
-		case len(right) == 0 && !c.keep: // nothing to exclude (a semijoin's empty key set returned above)
-			return left, nil
-		case c.strategy == semiHash:
-			sel = c.hashSel(left, right)
-		default:
-			sel = c.nestedSel(left, right)
+		if len(right) == 0 && !c.keep { // nothing to exclude (a semijoin's empty key set returned above)
+			return dst, nil
 		}
 	}
-	if len(sel) == 0 {
-		return c.empty, nil
+	s := getScratch()
+	defer s.release()
+	switch c.strategy {
+	case semiProbeRight:
+		err = c.probeRightSel(s, t, left)
+	case semiHash:
+		c.hashSel(s, left, right)
+	default:
+		c.nestedSel(s, left, right)
 	}
-	return left.Gather(sel), nil
+	if err != nil {
+		return dst, err
+	}
+	return keepParts(dst[:n0], left, s.sel, s.ends), nil
 }
 
 func (c *cSemi) anyMatch(lt rel.Tuple, rows []rel.Tuple) bool {
@@ -840,7 +952,7 @@ func compileGroupBy(g *GroupBy, ps *expr.Params) (cNode, error) {
 func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 	parts, err := runParts(c.child, env, c.parts[:0])
 	c.parts = parts[:0]
-	defer clear(parts) // hold no batch between runs
+	defer clear(parts[:cap(parts)]) // hold no batch between runs
 	switch {
 	case err != nil:
 		return nil, err
@@ -856,8 +968,8 @@ func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 // nil), and a side that is such a union contributes its branches instead of
 // itself; otherwise tags[i] is the branch column's value on the rows of
 // branch i — the binary ∪all's 0 or 1, whichever side the branch came from.
-// γ and a semijoin's key side read the non-empty branches one after another
-// (parts); run concatenates them into one batch, column by column, once.
+// Its parts are its branches' parts, one after another (a branch that is a
+// partsNode contributes its own), and its run concatenates them (runWhole).
 type cUnion struct {
 	branches []cNode
 	tags     []uint64
@@ -893,23 +1005,78 @@ func compileUnion(u *UnionAll, tagged bool, ps *expr.Params) (*cUnion, error) {
 	return c, nil
 }
 
-func (c *cUnion) run(env Env) (*rel.Batch, error) {
-	parts, err := c.parts(env, c.buf[:0])
-	c.buf = parts[:0]
-	defer clear(parts) // hold no batch between runs
-	switch {
-	case err != nil:
+func (c *cUnion) run(env Env) (*rel.Batch, error) { return runWhole(c, env, &c.buf, c.empty) }
+
+// branchTags are the branch column's values, as constant columns.
+var branchTags = [2]rel.Constant{rel.NewConstant(rel.Int(0)), rel.NewConstant(rel.Int(1))}
+
+// parts appends the union's branches' parts to dst, in order: each as its
+// branch returned it (a consumer reads its first w columns by position),
+// or, when the union has a branch column, its first w columns and the
+// branch column.
+func (c *cUnion) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	for i, br := range c.branches {
+		n0 := len(dst)
+		var err error
+		if dst, err = runParts(br, env, dst); err != nil {
+			return dst, err
+		}
+		if c.tags == nil {
+			continue
+		}
+		for j, b := range dst[n0:] {
+			cols := append(b.Cols[:c.w:c.w], branchTags[c.tags[i]].Col(b.N))
+			dst[n0+j] = &rel.Batch{Schema: c.empty.Schema, Cols: cols, N: b.N}
+		}
+	}
+	return dst, nil
+}
+
+// runParts runs n and appends its rows to dst as a sequence of non-empty
+// batches: a partsNode's parts, any other operator's one batch. A consumer
+// that reads rows in order, as γ and a semijoin's either side do, reads
+// them without a concatenation. The caller owns dst and clears it to its
+// capacity once read: a partsNode may drop parts it appended.
+func runParts(n cNode, env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	if p, ok := n.(partsNode); ok {
+		return p.parts(env, dst)
+	}
+	b, err := n.run(env)
+	if err != nil || b.N == 0 {
+		return dst, err
+	}
+	return append(dst, b), nil
+}
+
+// runWhole runs n into one batch: its parts, in *buf — which keeps its
+// backing array for the next run and holds no batch between runs —
+// concatenated under empty's schema.
+func runWhole(n partsNode, env Env, buf *[]*rel.Batch, empty *rel.Batch) (*rel.Batch, error) {
+	parts, err := n.parts(env, (*buf)[:0])
+	*buf = parts[:0]
+	defer clear(parts[:cap(parts)])
+	if err != nil {
 		return nil, err
-	case len(parts) == 0:
-		return c.empty, nil
-	case len(parts) == 1:
-		return relabel(parts[0], c.empty), nil
+	}
+	return concat(parts, empty), nil
+}
+
+// concat is the one batch of a sequence of batches, under empty's schema,
+// each contributing its first columns: empty for none, the one relabeled,
+// else a payload per column that AppendVec fills batch after batch. It is
+// the only place a sequence of batches is copied into one.
+func concat(parts []*rel.Batch, empty *rel.Batch) *rel.Batch {
+	switch len(parts) {
+	case 0:
+		return empty
+	case 1:
+		return relabel(parts[0], empty)
 	}
 	n := 0
 	for _, b := range parts {
 		n += b.N
 	}
-	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, len(c.empty.Schema.Attrs)), N: n}
+	out := &rel.Batch{Schema: empty.Schema, Cols: make([]rel.ColVec, len(empty.Schema.Attrs)), N: n}
 	for j := range out.Cols {
 		var cb rel.ColBuilder
 		cb.Grow(n)
@@ -918,48 +1085,7 @@ func (c *cUnion) run(env Env) (*rel.Batch, error) {
 		}
 		out.Cols[j] = cb.Vec()
 	}
-	return out, nil
-}
-
-// parts appends the union's non-empty branches to dst, in order: each one's
-// batch as its branch returned it (a consumer reads its first w columns by
-// position), or, when the union has a branch column, its first w columns
-// and the branch column.
-func (c *cUnion) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
-	for i, br := range c.branches {
-		b, err := br.run(env)
-		if err != nil {
-			return dst, err
-		}
-		if b.N == 0 {
-			continue
-		}
-		if c.tags != nil {
-			tag := make([]uint64, b.N)
-			for r := range tag {
-				tag[r] = c.tags[i]
-			}
-			cols := append(b.Cols[:c.w:c.w], rel.ColVec{Kind: rel.VecInt, Nums: tag})
-			b = &rel.Batch{Schema: c.empty.Schema, Cols: cols, N: b.N}
-		}
-		dst = append(dst, b)
-	}
-	return dst, nil
-}
-
-// runParts runs n and appends its rows to dst as a sequence of non-empty
-// batches: an n-ary union's branches one after another, any other
-// operator's one batch. A consumer that reads rows in order, as γ and a
-// semijoin's key side do, reads them without a concatenation.
-func runParts(n cNode, env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
-	if u, ok := n.(*cUnion); ok {
-		return u.parts(env, dst)
-	}
-	b, err := n.run(env)
-	if err != nil || b.N == 0 {
-		return dst, err
-	}
-	return append(dst, b), nil
+	return out
 }
 
 // at locates row r of a sequence of batches: the batch that holds it and

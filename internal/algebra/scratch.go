@@ -9,8 +9,9 @@ import (
 // kernelScratch is what a kernel works in and never returns: the digest
 // chains and key digests of the hash kernels (γ's, the hash join's and
 // semijoin's, and the probe-left semijoin's set of probed keys), γ's row →
-// group ids and aggregate states, the builders of a probe join's stored
-// side, and a row to evaluate expressions on. A kernel takes one from
+// group ids, groups' first rows and aggregate states, the builders of a
+// probe join's stored side, the kept rows of ⋉/▷'s filtered side with each
+// part's end among them, and a row to evaluate expressions on. A kernel takes one from
 // scratchPool for exactly one call and releases it when the call ends, so
 // nothing in it may be reachable from the batch the call returns: a buffer
 // that becomes an output's Idx (gatherVec shares its selection) is
@@ -23,8 +24,11 @@ type kernelScratch struct {
 	chains   rel.DigestChains
 	dig      []uint64
 	gid      []int32
+	first    []int32
 	states   []aggState
 	builders []rel.ColBuilder
+	sel      []int32
+	ends     []int
 	row      rel.Tuple
 }
 
@@ -43,8 +47,9 @@ func getScratch() *kernelScratch { return scratchPool.Get().(*kernelScratch) }
 // to the pool. A buffer the call did not use is left as it is.
 func (s *kernelScratch) release() {
 	s.chains.Reset()
-	s.dig, s.gid, s.states = reuse(s.dig), reuse(s.gid), reuse(s.states)
+	s.dig, s.gid, s.first, s.states = reuse(s.dig), reuse(s.gid), reuse(s.first), reuse(s.states)
 	s.builders, s.row = reuse(s.builders), reuse(s.row)
+	s.sel, s.ends = reuse(s.sel), reuse(s.ends)
 	if scratchReleased != nil {
 		scratchReleased(s)
 	}

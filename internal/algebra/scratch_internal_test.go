@@ -36,6 +36,14 @@ func poisonScratch(t *testing.T) {
 		for i := range s.row[:cap(s.row)] {
 			s.row[:cap(s.row)][i] = rel.String("poison")
 		}
+		for _, buf := range [][]int32{s.first[:cap(s.first)], s.sel[:cap(s.sel)]} {
+			for i := range buf {
+				buf[i] = 1 << 30
+			}
+		}
+		for i := range s.ends[:cap(s.ends)] {
+			s.ends[:cap(s.ends)][i] = 1 << 30
+		}
 	}
 	t.Cleanup(func() { scratchReleased = nil })
 }
@@ -111,14 +119,22 @@ func scratchPlans(t *testing.T, st rel.Schema) map[string]Node {
 		"semi-probe-left":       {scan(), r, expr.Eq(expr.C("st.k"), expr.C("rk")), true},
 		"semi-hash-union":       {l, rl, on, true},
 		"semi-probe-left-union": {scan(), rl, expr.Eq(expr.C("st.k"), expr.C("rk")), true},
+		// The union as the filtered side, filtered branch by branch.
+		"anti-hash-tower":        {rl, l, expr.And(on, expr.Eq(expr.C("ls"), expr.C("rs"))), false},
+		"semi-probe-right-tower": {rl, scan(), expr.And(expr.Eq(expr.C("rk"), expr.C("st.k")), expr.Ne(expr.C("rs"), expr.C("st.s"))), true},
 	}
 	want := map[string]string{"join-hash": "joinHash", "join-hash-match": "joinHash", "join-probe": "joinProbeRight",
 		"semi-hash": "semiHash", "anti-hash-2col": "semiHash", "semi-probe-left": "semiProbeLeft",
-		"semi-hash-union": "semiHash", "semi-probe-left-union": "semiProbeLeft"}
+		"semi-hash-union": "semiHash", "semi-probe-left-union": "semiProbeLeft",
+		"anti-hash-tower": "semiHash", "semi-probe-right-tower": "semiProbeRight"}
 	plans := map[string]Node{
 		"groupby":       NewGroupBy(l, []string{"lk"}, aggs),
 		"groupby-2col":  NewGroupBy(l, []string{"ls", "lk"}, aggs[:6]),
 		"groupby-union": NewGroupBy(unionTower(l, renameAs(r, l.Sch.Attrs)), []string{"lk"}, aggs),
+		// σ and a computing π over the union, each part in its own rows.
+		"select-tower": NewSelect(rl, expr.Or(expr.Lt(expr.C("rv"), expr.IntLit(40)), expr.Eq(expr.C("rs"), expr.StrLit("s1")))),
+		"project-tower": NewProject(rl, []ProjItem{{E: expr.C("rk"), As: "k"}, {E: expr.IntLit(1), As: "one"},
+			{E: expr.AddE(expr.Call("coalesce", expr.C("rv"), expr.IntLit(0)), expr.C("rk")), As: "x"}}),
 	}
 	for name, j := range joins {
 		p, err := planJoin(j)
@@ -235,6 +251,9 @@ func scratchHeld(s *kernelScratch) map[string]int {
 		"states":      cap(s.states),
 		"builders":    cap(s.builders),
 		"row":         cap(s.row),
+		"first rows":  cap(s.first),
+		"selection":   cap(s.sel),
+		"part ends":   cap(s.ends),
 		"chain links": chains.FieldByName("next").Cap(),
 		"chain cells": chains.FieldByName("tab").FieldByName("cells").Len(),
 	}

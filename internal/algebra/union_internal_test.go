@@ -132,3 +132,132 @@ func TestUnionBranchColumnMatchesBinaryUnion(t *testing.T) {
 		}
 	}
 }
+
+// TestAntiJoinFiltersTowerBranchByBranch compiles γ over (tower ▷ keys), the
+// shape of the γ rules' unmatched streams: the antijoin's filtered side is
+// the three-branch union itself, and the antijoin hands γ each branch
+// narrowed where it lies — a part reads its branch's own payload slices
+// (only a selection is new) — so a warm run allocates the same objects at
+// 16 and at 2 048 rows a branch, and fewer bytes than a concatenated column.
+func TestAntiJoinFiltersTowerBranchByBranch(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops what is put back at random (the race detector's pool does)")
+	}
+	keys := NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil))
+	anti := NewAntiJoin(unionTower(towerLeaf("a"), towerLeaf("b"), towerLeaf("c")), keys, expr.Eq(expr.C("k"), expr.C("jk")))
+	plan := NewGroupBy(anti, []string{"k"}, []Agg{{Fn: AggSum, Arg: expr.C("v"), As: "s"}, {Fn: AggCount, As: "n"}})
+	p := MustCompile(plan)
+	semi, ok := p.root.(*cGroupBy).child.(*cSemi)
+	if !ok {
+		t.Fatalf("γ's child compiled to %T, want the antijoin", p.root.(*cGroupBy).child)
+	}
+	if u, ok := semi.left.(*cUnion); !ok || len(u.branches) != 3 {
+		t.Fatalf("the antijoin's filtered side compiled to %T, want one three-branch union", semi.left)
+	}
+	d, _ := scratchDB()
+	allocs := map[int]float64{}
+	for _, n := range []int{16, 2048} {
+		// The even keys, n of them: the key side's chains and the γ's stay
+		// within four times each other, so the pooled scratch they share
+		// keeps both (rel.Reuse's rule).
+		keyRows := rel.NewRelation(keys.Sch)
+		for i := 0; i < n; i++ {
+			keyRows.Add(rel.Tuple{rel.Int(int64(2 * (i % 4)))})
+		}
+		binds := towerSides(n)
+		binds["keys"] = rel.BindRelation(keyRows)
+		env := &bindingEnv{Env: d, binds: binds}
+		for _, q := range []Node{anti, plan} {
+			want, err := Eval(q, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MustCompile(q).Run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("%d rows a branch, %T", n, q), got, want)
+		}
+		parts, err := runParts(semi, env, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != 3 {
+			t.Fatalf("%d rows a branch: the antijoin returned %d parts, want one per branch", n, len(parts))
+		}
+		for i, name := range []string{"a", "b", "c"} {
+			src := binds[name].Batch()
+			for j := range src.Cols {
+				if &parts[i].Cols[j].Nums[0] != &src.Cols[j].Nums[0] {
+					t.Fatalf("%d rows a branch: part %d column %d copied its branch's payload", n, i, j)
+				}
+			}
+			if parts[i].N != n/2 {
+				t.Fatalf("%d rows a branch: part %d kept %d rows, want %d", n, i, parts[i].N, n/2)
+			}
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs[n] = testing.AllocsPerRun(50, func() {
+			if _, err := p.Bind(env); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if perRun, column := (after.TotalAlloc-before.TotalAlloc)/51, uint64(3*n*8); n > 16 && perRun >= column {
+			t.Errorf("%d rows a branch: %d bytes a run, as much as a concatenated column (%d)", n, perRun, column)
+		}
+	}
+	if allocs[16] != allocs[2048] {
+		t.Errorf("%v allocations at 16 rows a branch, %v at 2 048", allocs[16], allocs[2048])
+	}
+}
+
+// TestLiteralsAreConstantColumns: a π literal, like the ±1→Δcnt the γ rules
+// add to every branch, and a tagged union's branch column are constant
+// columns: a π with a literal allocates what the π without it does (the
+// batch and its columns), and a tagged union's part only the batch and its
+// columns, at 16 rows as at 4 096.
+func TestLiteralsAreConstantColumns(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops what is put back at random (the race detector's pool does)")
+	}
+	swap := []ProjItem{{E: expr.C("v"), As: "v"}, {E: expr.C("k"), As: "k"}}
+	withLit := append(slices.Clone(swap), ProjItem{E: expr.IntLit(-1), As: "d"}, ProjItem{E: expr.StrLit("x"), As: "s"})
+	tagged := NewUnionAll(towerLeaf("a"), towerLeaf("b"), "isAdd")
+	d, _ := scratchDB()
+	for _, n := range []int{16, 4096} {
+		env := &bindingEnv{Env: d, binds: towerSides(n)}
+		count := func(plan Node) float64 {
+			t.Helper()
+			c, err := compileNode(plan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Eval(plan, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := (&ExecPlan{root: c, sch: plan.Schema()}).Run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, plan.String(), got, want)
+			var buf []*rel.Batch
+			return testing.AllocsPerRun(20, func() {
+				parts, err := runParts(c, env, buf[:0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf = parts
+			})
+		}
+		if lit, plain := count(NewProject(towerLeaf("a"), withLit)), count(NewProject(towerLeaf("a"), swap)); lit != plain || plain != 2 {
+			t.Errorf("%d rows: a π with literals allocates %v, without %v; want 2 for both", n, lit, plain)
+		}
+		if tags := count(tagged); tags != 4 {
+			t.Errorf("%d rows: a tagged union's two parts allocate %v, want a batch and its columns each (4)", n, tags)
+		}
+	}
+}

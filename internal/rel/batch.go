@@ -22,6 +22,8 @@
 // batch per operator can be shared by every run that comes up empty.
 package rel
 
+import "sync/atomic"
+
 // VecKind identifies the payload layout of a column vector. The zero
 // value is VecNull — a column of NULLs with no payload — so a zero ColVec
 // is valid for any row count. The layouts of one value kind share that
@@ -95,9 +97,72 @@ func (c *ColVec) IsNull(i int) bool {
 	return c.Kinds != nil && c.Kinds[c.Phys(i)] == KindNull
 }
 
+// physLen is the number of physical payload positions of a column that has
+// a payload.
+func (c *ColVec) physLen() int {
+	switch {
+	case c.Kinds != nil:
+		return len(c.Kinds)
+	case c.Kind == VecStr:
+		return len(c.Strs)
+	}
+	return len(c.Nums)
+}
+
+// Constant is a value as a column: Col(n) is n rows that all hold it, its
+// one-value payload, built once, read through a shared all-zero Idx. Making
+// such a column allocates nothing, and neither does gathering it.
+type Constant struct{ one ColVec }
+
+// NewConstant returns v as a constant column.
+func NewConstant(v Value) Constant {
+	var cb ColBuilder
+	cb.Append(v)
+	return Constant{one: cb.Vec()}
+}
+
+// Col returns the column of n rows holding the constant.
+func (k Constant) Col(n int) ColVec {
+	c := k.one
+	if c.Kind != VecNull {
+		c.Idx = zeros(n)
+	}
+	return c
+}
+
+// zeroIdx backs the Idx of constant columns: all zero and never written (no
+// code writes an Idx), so every column of every goroutine may share it. A
+// column longer than it replaces it with one at least twice as long, up to
+// maxZeroIdx entries; a longer column's Idx is its own.
+var zeroIdx atomic.Pointer[[]int32]
+
+// maxZeroIdx bounds what zeroIdx keeps alive: 32 KiB, far above a round's
+// diffs, where a recompute's batch is large enough to pay for its own Idx.
+const maxZeroIdx = 1 << 13
+
+// zeros returns n zero indices.
+func zeros(n int) []int32 {
+	if n > maxZeroIdx {
+		return make([]int32, n)
+	}
+	z := zeroIdx.Load()
+	if z == nil || len(*z) < n {
+		size := 1024
+		if z != nil {
+			size = min(2*len(*z), maxZeroIdx)
+		}
+		grown := make([]int32, max(n, size))
+		zeroIdx.Store(&grown)
+		z = &grown
+	}
+	return (*z)[:n:n]
+}
+
 // gatherVec derives the column selecting logical rows sel, composing any
 // existing indirection. memo shares composed vectors between columns that
-// alias one Idx slice (joined sides share a single gather vector).
+// alias one Idx slice (joined sides share a single gather vector). An
+// indirect column with one payload position — a constant — reads that
+// position on every row it selects too, through zeros.
 func (c ColVec) gatherVec(sel []int32, memo *gatherMemo) ColVec {
 	out := c
 	if c.Kind == VecNull {
@@ -106,6 +171,10 @@ func (c ColVec) gatherVec(sel []int32, memo *gatherMemo) ColVec {
 	}
 	if c.Idx == nil || len(c.Idx) == 0 {
 		out.Idx = sel
+		return out
+	}
+	if c.physLen() == 1 {
+		out.Idx = zeros(len(sel))
 		return out
 	}
 	key := &c.Idx[0]

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -169,5 +170,119 @@ func TestBatchRowScratch(t *testing.T) {
 	}
 	if out := empty.Materialize(); len(out.Tuples) != 0 {
 		t.Fatalf("empty materialize: %d tuples", len(out.Tuples))
+	}
+}
+
+// A constant column is the column of its value on every row, whatever reads
+// it: Value, Row, KeyDigests, Gather and GatherRows (which keep it constant
+// without composing an Idx), Slice, AppendVec, Materialize, and the APPLY
+// writes, which store what a dense column of the same values stores. Making
+// one, and gathering one, allocates nothing.
+func TestConstantColumn(t *testing.T) {
+	const n = 6
+	vals := []Value{Int(-1), String("c"), Float(2.5), Bool(true), Null()}
+	attrs := []string{"k", "i", "s", "f", "b", "z"}
+	sch := NewSchema(attrs, []string{"k"})
+	konst := &Batch{Schema: sch, Cols: make([]ColVec, len(attrs)), N: n}
+	var dense []Tuple
+	var kb ColBuilder
+	for r := 0; r < n; r++ {
+		kb.Append(Int(int64(r)))
+		dense = append(dense, append(Tuple{Int(int64(r))}, vals...))
+	}
+	konst.Cols[0] = kb.Vec()
+	for j, v := range vals {
+		konst.Cols[j+1] = NewConstant(v).Col(n)
+	}
+	same := func(label string, got *Batch, want []Tuple) {
+		t.Helper()
+		if got.N != len(want) {
+			t.Fatalf("%s: %d rows, want %d", label, got.N, len(want))
+		}
+		out := got.Materialize()
+		for r, w := range want {
+			if row := got.Row(r, nil); !row.Equal(w) || !out.Tuples[r].Equal(w) {
+				t.Fatalf("%s: row %d = %v (materialized %v), want %v", label, r, row, out.Tuples[r], w)
+			}
+			for j := range w {
+				if got.Cols[j].Value(r).String() != w[j].String() || got.Cols[j].IsNull(r) != w[j].IsNull() {
+					t.Fatalf("%s: row %d column %d = %v, want %v", label, r, j, got.Cols[j].Value(r), w[j])
+				}
+			}
+		}
+	}
+	same("constant", konst, dense)
+	want := FromTuples(sch, dense)
+	all := []int{0, 1, 2, 3, 4, 5}
+	if got, w := konst.KeyDigests(all), want.KeyDigests(all); !slices.Equal(got, w) {
+		t.Fatalf("KeyDigests = %v, a dense batch's %v", got, w)
+	}
+	sel := []int32{5, 2, 2, 0}
+	g := konst.GatherRows(sel)
+	same("GatherRows", g, []Tuple{dense[5], dense[2], dense[2], dense[0]})
+	same("Gather", konst.Gather([]int32{1, 4}), []Tuple{dense[1], dense[4]})
+	same("Gather of a gather", g.GatherRows([]int32{3, 1}), []Tuple{dense[0], dense[2]})
+	same("Slice", konst.Slice(2, 5), dense[2:5])
+	for j := 1; j < 5; j++ {
+		if c := g.Cols[j]; c.physLen() != 1 || len(c.Idx) != len(sel) {
+			t.Fatalf("gathered constant column %d: %d payload positions, Idx %v", j, c.physLen(), c.Idx)
+		}
+	}
+	cat := &Batch{Schema: sch, Cols: make([]ColVec, len(attrs)), N: 2 * n}
+	for j := range cat.Cols {
+		var cb ColBuilder
+		cb.AppendVec(&want.Cols[j], n)
+		cb.AppendVec(&konst.Cols[j], n)
+		cat.Cols[j] = cb.Vec()
+	}
+	same("AppendVec", cat, append(append([]Tuple(nil), dense...), dense...))
+	if a := testing.AllocsPerRun(20, func() {
+		konst.Cols[1] = NewConstant(Int(-1)).Col(n)
+		_ = konst.Cols[2].gatherVec(sel, &gatherMemo{})
+	}); a != 1 { // NewConstant's one-value payload
+		t.Fatalf("a constant column: %v allocations, want only the payload's 1", a)
+	}
+
+	// A column longer than the shared zeros gets its own, and the shared
+	// ones stay within their bound.
+	long := NewConstant(Int(3)).Col(maxZeroIdx + 1)
+	if v := long.Value(maxZeroIdx); !v.Equal(Int(3)) {
+		t.Fatalf("row %d of a long constant column = %v", maxZeroIdx, v)
+	}
+	if z := zeroIdx.Load(); z == nil || len(*z) > maxZeroIdx {
+		t.Fatalf("the shared zeros are missing or above their bound of %d entries", maxZeroIdx)
+	}
+
+	// APPLY: the writes read a constant column as the dense one — an insert,
+	// an update setting a column from a constant one, and a delete matching
+	// on a constant column, which removes every row.
+	apply := func(b *Batch) (kept, left []Tuple) {
+		tab, err := NewTable("t", sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tab.InsertIfAbsent(b, all, nil); err != nil {
+			t.Fatal(err)
+		}
+		upd := &Batch{Schema: sch, Cols: []ColVec{b.Cols[0], b.Cols[1]}, N: 3}
+		if _, _, err := tab.UpdateWhere([]string{"k"}, upd, []int{0}, []string{"f"}, []int{1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		kept = slices.Clone(tab.Rows(StatePost))
+		if _, _, err := tab.DeleteWhere([]string{"i"}, b.Slice(5, 6), []int{1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return kept, tab.Rows(StatePost)
+	}
+	got, gotLeft := apply(konst)
+	w, wLeft := apply(want)
+	if len(got) != n || len(w) != n || len(gotLeft) != 0 || len(wLeft) != 0 {
+		t.Fatalf("APPLY: %d rows stored and %d left from the constant batch, %d and %d from the dense one; want %d and 0",
+			len(got), len(gotLeft), len(w), len(wLeft), n)
+	}
+	for i := range w {
+		if !got[i].Equal(w[i]) {
+			t.Fatalf("APPLY row %d = %v from the constant batch, %v from the dense one", i, got[i], w[i])
+		}
 	}
 }
