@@ -7,7 +7,7 @@
 //     are never copied;
 //   - equi-joins and semijoins over derived inputs, γ and the two sets of
 //     semiProbeLeft file rows under the 64-bit key digest the stored indexes
-//     use (rel.KeyDigest, computed a column at a time by Batch.KeyDigests)
+//     use (rel.KeyDigest, computed a column at a time by Batch.KeyDigestsInto)
 //     in a flat digest → chain table (rel.DigestChains): no key is encoded,
 //     no string or bucket is allocated per row, and every candidate on a
 //     chain is verified column-wise with KeyEqual; joins emit gather-vector
@@ -462,9 +462,9 @@ func (c *cSemi) nestedSel(s *kernelScratch, left, right []*rel.Batch) {
 // second pass folds each row into its group's states, which are carved from
 // one array of exactly groups × aggregates entries. The output's key columns
 // are the input's, gathered at the groups' first rows when those all lie in
-// the first batch, else copied from them. The digests, the chains, the group
-// ids, the first rows and the states are scratch; a copy of the first rows
-// becomes the gathered columns' Idx.
+// the first batch (its key columns alone), else copied from them. The
+// digests, the chains, the group ids, the first rows and the states are
+// scratch; a copy of the first rows becomes the gathered columns' Idx.
 func (c *cGroupBy) fold(parts []*rel.Batch) *rel.Batch {
 	kw, na := len(c.keyIdx), len(c.fns)
 	s := getScratch()
@@ -519,10 +519,11 @@ func (c *cGroupBy) fold(parts []*rel.Batch) *rel.Batch {
 
 	out := &rel.Batch{Schema: c.empty.Schema, Cols: make([]rel.ColVec, kw+na), N: len(first)}
 	if int(first[len(first)-1]) < parts[0].N { // first ascends: every group starts in the first batch
-		heads := parts[0].GatherRows(slices.Clone(first))
+		keys := rel.Batch{Cols: out.Cols[:kw], N: parts[0].N} // its key columns alone
 		for k, x := range c.keyIdx {
-			out.Cols[k] = heads.Cols[x]
+			keys.Cols[k] = parts[0].Cols[x]
 		}
+		copy(out.Cols, keys.GatherRows(slices.Clone(first)).Cols)
 	} else {
 		for k, x := range c.keyIdx {
 			var cb rel.ColBuilder

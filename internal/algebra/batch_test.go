@@ -305,7 +305,7 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 // nearly do: 2^53 and 2^53+1 (Same, different keys), Float(2^53) (KeyEqual to
 // the first only), NaN (Same as every number, a key of its own), -0.0 and 0
 // (one key) and NULL. The "ints" column stays a uniform VecInt, which
-// Batch.KeyDigests folds without boxing. The -2col plans key on two such
+// Batch.KeyDigestsInto folds without boxing. The -2col plans key on two such
 // columns: rows that agree on one of them only must not meet.
 func TestKeyEqualityAtTheEdgesOfSame(t *testing.T) {
 	const p53 = int64(1) << 53

@@ -149,20 +149,16 @@ type partsNode interface {
 // compileNode compiles n; the expressions in it read their parameters from
 // ps.
 func compileNode(n Node, ps *expr.Params) (cNode, error) {
+	// A stored leaf is a σ-chain over it of length zero.
+	if sh, ok := shapeOf(n); ok {
+		return compileStoredSelect(sh, ps)
+	}
 	switch x := n.(type) {
-	case *Scan:
-		return &cStored{table: x.Table, st: x.St, sch: x.schema}, nil
 	case *Empty:
 		return &cEmpty{empty: rel.NewBatch(x.Sch)}, nil
 	case *RelRef:
-		if x.Stored {
-			return &cStored{table: x.Name, st: x.St, sch: x.Sch}, nil
-		}
 		return &cBinding{name: x.Name, empty: rel.NewBatch(x.Sch)}, nil
 	case *Select:
-		if sh, ok := shapeOf(x); ok {
-			return compileStoredSelect(sh, ps)
-		}
 		child, err := compileNode(x.Child, ps)
 		if err != nil {
 			return nil, err
@@ -181,9 +177,7 @@ func compileNode(n Node, ps *expr.Params) (cNode, error) {
 	case *Join:
 		return compileJoin(x, ps)
 	case *SemiJoin:
-		return compileSemi(x.Left, x.Right, x.Pred, true, ps)
-	case *AntiJoin:
-		return compileSemi(x.Left, x.Right, x.Pred, false, ps)
+		return compileSemi(x, ps)
 	case *GroupBy:
 		return compileGroupBy(x, ps)
 	case *UnionAll:
@@ -191,21 +185,6 @@ func compileNode(n Node, ps *expr.Params) (cNode, error) {
 	default:
 		return nil, fmt.Errorf("algebra: cannot compile node type %T", n)
 	}
-}
-
-// cStored scans a stored table (Scan or stored RelRef leaf).
-type cStored struct {
-	table string
-	st    rel.State
-	sch   rel.Schema
-}
-
-func (c *cStored) run(env Env) (*rel.Batch, error) {
-	t, err := env.Table(c.table)
-	if err != nil {
-		return nil, err
-	}
-	return rel.FromTuples(c.sch, t.Scan(c.st)), nil
 }
 
 // cBinding reads a named in-memory relation: the binding's columns — built
@@ -335,10 +314,11 @@ func compileRefs(ps *expr.Params, sch rel.Schema, es ...expr.Expr) (refCols, []*
 	return refs, out, nil
 }
 
-// cStoredSelect runs a σ-chain over a stored leaf: the probe on the
-// chain's literal equalities when useIndex takes it, else a scan filtered by
-// the whole predicate. Either way the rows are filtered as tuples and only
-// the kept ones become columns.
+// cStoredSelect runs a σ-chain over a stored leaf — a bare leaf is a chain
+// of length zero, one scan: the probe on the chain's literal equalities
+// when useIndex takes it, else a scan filtered by the whole predicate.
+// Either way the rows are filtered as tuples and only the kept ones become
+// columns.
 type cStoredSelect struct {
 	probe *cProbe
 	full  *expr.Compiled // the whole predicate, for the scan; nil when TRUE
@@ -793,12 +773,13 @@ type cSemi struct {
 	buf      []*rel.Batch // the parts of one run
 }
 
-func compileSemi(l, r Node, p expr.Expr, keep bool, ps *expr.Params) (cNode, error) {
-	pl, err := planSemi(l, r, p, keep)
+func compileSemi(s *SemiJoin, ps *expr.Params) (cNode, error) {
+	pl, err := planSemi(s)
 	if err != nil {
 		return nil, err
 	}
-	c := &cSemi{semiPlan: pl, keep: keep, empty: rel.NewBatch(l.Schema())}
+	l, r := s.Left, s.Right
+	c := &cSemi{semiPlan: pl, keep: !s.Anti, empty: rel.NewBatch(l.Schema())}
 	if c.match, err = compilePair(pl.residual, l.Schema(), r.Schema(), ps); err != nil {
 		return nil, err
 	}

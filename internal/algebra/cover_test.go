@@ -135,7 +135,7 @@ func TestEnsureIDsAllOperators(t *testing.T) {
 	wrappers := []algebra.Node{
 		algebra.NewSelect(bad, expr.True()),
 		&algebra.SemiJoin{Left: bad, Right: sdp, Pred: expr.True()},
-		&algebra.AntiJoin{Left: sp, Right: bad, Pred: expr.True()},
+		&algebra.SemiJoin{Left: sp, Right: bad, Pred: expr.True(), Anti: true},
 		&algebra.GroupBy{Child: bad, Keys: []string{"a"}},
 	}
 	for _, w := range wrappers {

@@ -28,9 +28,11 @@ type Env interface {
 // The returned relation's tuples may alias stored rows and must not be
 // mutated.
 func Eval(n Node, env Env) (*rel.Relation, error) {
+	// A stored leaf is a σ-chain over it of length zero.
+	if sh, ok := shapeOf(n); ok {
+		return evalStoredSelect(sh, env)
+	}
 	switch x := n.(type) {
-	case *Scan:
-		return evalScan(x, env)
 	case *Empty:
 		return rel.NewRelation(x.Sch), nil
 	case *RelRef:
@@ -42,9 +44,7 @@ func Eval(n Node, env Env) (*rel.Relation, error) {
 	case *Join:
 		return evalJoin(x, env)
 	case *SemiJoin:
-		return evalSemi(x.Left, x.Right, x.Pred, true, env)
-	case *AntiJoin:
-		return evalSemi(x.Left, x.Right, x.Pred, false, env)
+		return evalSemi(x, env)
 	case *GroupBy:
 		return evalGroupBy(x, env)
 	case *UnionAll:
@@ -63,22 +63,7 @@ func aliasTuples(sch rel.Schema, rows []rel.Tuple) *rel.Relation {
 	return &rel.Relation{Schema: sch, Tuples: rows[:len(rows):len(rows)]}
 }
 
-func evalScan(s *Scan, env Env) (*rel.Relation, error) {
-	t, err := env.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	return aliasTuples(s.schema, t.Scan(s.St)), nil
-}
-
 func evalRelRef(r *RelRef, env Env) (*rel.Relation, error) {
-	if r.Stored {
-		t, err := env.Table(r.Name)
-		if err != nil {
-			return nil, err
-		}
-		return aliasTuples(r.Sch, t.Scan(r.St)), nil
-	}
 	bd, err := env.Bound(r.Name)
 	if err != nil {
 		return nil, err
@@ -87,9 +72,6 @@ func evalRelRef(r *RelRef, env Env) (*rel.Relation, error) {
 }
 
 func evalSelect(s *Select, env Env) (*rel.Relation, error) {
-	if sh, ok := shapeOf(s); ok {
-		return evalStoredSelect(sh, env)
-	}
 	child, err := Eval(s.Child, env)
 	if err != nil {
 		return nil, err
@@ -107,10 +89,10 @@ func evalSelect(s *Select, env Env) (*rel.Relation, error) {
 	return out, nil
 }
 
-// evalStoredSelect runs a σ-chain over a stored leaf: the probe on the
-// chain's literal equalities when useIndex takes it, filtered by what is
-// left of the chain, else a scan filtered by the whole chain. Like every
-// Eval path, it takes no parameters.
+// evalStoredSelect runs a σ-chain over a stored leaf (a bare leaf is one of
+// length zero): the probe on the chain's literal equalities when useIndex
+// takes it, filtered by what is left of the chain, else a scan filtered by
+// the whole chain. Like every Eval path, it takes no parameters.
 func evalStoredSelect(sh *probeShape, env Env) (*rel.Relation, error) {
 	pp := planProbe(sh, nil)
 	if len(pp.params) > 0 {
@@ -284,16 +266,16 @@ func evalJoin(j *Join, env Env) (*rel.Relation, error) {
 	return out, nil
 }
 
-// evalSemi evaluates a semijoin (keep) or antijoin of l and r on pred.
-func evalSemi(l, r Node, pred expr.Expr, keep bool, env Env) (*rel.Relation, error) {
-	pl, err := planSemi(l, r, pred, keep)
+// evalSemi evaluates a semijoin or antijoin.
+func evalSemi(s *SemiJoin, env Env) (*rel.Relation, error) {
+	pl, err := planSemi(s)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.NewRelation(l.Schema())
+	out := rel.NewRelation(s.Left.Schema())
 	var right *rel.Relation
 	if pl.keysetFirst {
-		if right, err = Eval(r, env); err != nil {
+		if right, err = Eval(s.Right, env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
@@ -329,7 +311,7 @@ func evalSemi(l, r Node, pred expr.Expr, keep bool, env Env) (*rel.Relation, err
 		return out, nil
 	}
 
-	left, err := Eval(l, env)
+	left, err := Eval(s.Left, env)
 	if err != nil {
 		return nil, err
 	}
@@ -337,11 +319,11 @@ func evalSemi(l, r Node, pred expr.Expr, keep bool, env Env) (*rel.Relation, err
 		return out, nil
 	}
 	if right == nil && pl.strategy != semiProbeRight {
-		if right, err = Eval(r, env); err != nil {
+		if right, err = Eval(s.Right, env); err != nil {
 			return nil, err
 		}
 	}
-	match, err := compilePair(pl.residual, l.Schema(), r.Schema(), nil)
+	match, err := compilePair(pl.residual, s.Left.Schema(), s.Right.Schema(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +354,7 @@ func evalSemi(l, r Node, pred expr.Expr, keep bool, env Env) (*rel.Relation, err
 				break
 			}
 		}
-		if matched == keep {
+		if matched != s.Anti {
 			out.Add(lt)
 		}
 	}

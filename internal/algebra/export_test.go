@@ -1,7 +1,5 @@
 package algebra
 
-import "idivm/internal/expr"
-
 var (
 	joinStrategyNames = [...]string{joinProbeRight: "joinProbeRight", joinProbeLeft: "joinProbeLeft",
 		joinHash: "joinHash", joinNested: "joinNested"}
@@ -21,13 +19,8 @@ func (j *Join) Strategy() string {
 }
 
 // Strategy names the strategy planSemi picks for s.
-func (s *SemiJoin) Strategy() string { return semiStrategyName(s.Left, s.Right, s.Pred, true) }
-
-// Strategy names the strategy planSemi picks for a.
-func (a *AntiJoin) Strategy() string { return semiStrategyName(a.Left, a.Right, a.Pred, false) }
-
-func semiStrategyName(l, r Node, pred expr.Expr, keep bool) string {
-	p, err := planSemi(l, r, pred, keep)
+func (s *SemiJoin) Strategy() string {
+	p, err := planSemi(s)
 	if err != nil {
 		return err.Error()
 	}

@@ -48,7 +48,7 @@ func EnsureIDs(n Node) (Node, error) {
 			items = append(items, ProjItem{E: expr.C(k), As: k})
 		}
 		return NewProject(c, items), nil
-	case *Select, *Join, *SemiJoin, *AntiJoin, *GroupBy, *UnionAll:
+	case *Select, *Join, *SemiJoin, *GroupBy, *UnionAll:
 		var err error
 		out := MapChildren(n, func(c Node) Node {
 			if err == nil {
@@ -93,8 +93,9 @@ func NaturalJoinPred(l, r Node) expr.Expr {
 	return expr.And(terms...)
 }
 
-// MapChildren rebuilds n over f(child) for each of its children; a leaf
-// (or a node of an unknown type) is returned as it is.
+// MapChildren rebuilds n over f(child) for each of its children, calling f
+// on them left before right; a leaf (or a node of an unknown type) is
+// returned as it is.
 func MapChildren(n Node, f func(Node) Node) Node {
 	switch x := n.(type) {
 	case *Select:
@@ -106,9 +107,7 @@ func MapChildren(n Node, f func(Node) Node) Node {
 	case *Join:
 		return &Join{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
 	case *SemiJoin:
-		return &SemiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
-	case *AntiJoin:
-		return &AntiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred}
+		return &SemiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred, Anti: x.Anti}
 	case *UnionAll:
 		return &UnionAll{Left: f(x.Left), Right: f(x.Right), BranchAttr: x.BranchAttr}
 	}

@@ -184,7 +184,7 @@ func TestDistinctProbeKeysReturnDisjointRows(t *testing.T) {
 		scan := NewScan("st", "", stSchema)
 		scan.St = s
 		plan := NewSemiJoin(scan, NewRelRef("r", right.Schema), expr.Eq(expr.C("st.g"), expr.C("rg")))
-		if pl, err := planSemi(plan.Left, plan.Right, plan.Pred, true); err != nil || pl.strategy != semiProbeLeft {
+		if pl, err := planSemi(plan); err != nil || pl.strategy != semiProbeLeft {
 			t.Fatalf("%s: strategy %v, %v; want the probe-left semijoin", s, pl.strategy, err)
 		}
 		want, err := Eval(plan, env)

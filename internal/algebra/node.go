@@ -245,10 +245,14 @@ func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 // String implements Node.
 func (j *Join) String() string { return fmt.Sprintf("(%s ⋈[%s] %s)", j.Left, j.Pred, j.Right) }
 
-// SemiJoin keeps the left tuples having at least one match on the right.
+// SemiJoin keeps the left tuples having at least one match on the right,
+// or, as the antisemijoin (Anti), the left tuples having none; the
+// antisemijoin captures negation/difference per the paper, and the
+// semijoin is its dual (Table 13).
 type SemiJoin struct {
 	Left, Right Node
 	Pred        expr.Expr
+	Anti        bool
 }
 
 // NewSemiJoin builds a semijoin.
@@ -257,7 +261,14 @@ func NewSemiJoin(l, r Node, pred expr.Expr) *SemiJoin {
 	return &SemiJoin{Left: l, Right: r, Pred: pred}
 }
 
-// Schema implements Node.
+// NewAntiJoin builds an antisemijoin.
+func NewAntiJoin(l, r Node, pred expr.Expr) *SemiJoin {
+	s := NewSemiJoin(l, r, pred)
+	s.Anti = true
+	return s
+}
+
+// Schema implements Node. Per Table 1, ID(R ⋉ S) = ID(R ▷ S) = ID(R).
 func (s *SemiJoin) Schema() rel.Schema { return s.Left.Schema() }
 
 // Children implements Node.
@@ -265,31 +276,11 @@ func (s *SemiJoin) Children() []Node { return []Node{s.Left, s.Right} }
 
 // String implements Node.
 func (s *SemiJoin) String() string {
-	return fmt.Sprintf("(%s ⋉[%s] %s)", s.Left, s.Pred, s.Right)
-}
-
-// AntiJoin (antisemijoin) keeps the left tuples having no match on the
-// right; it captures negation/difference per the paper.
-type AntiJoin struct {
-	Left, Right Node
-	Pred        expr.Expr
-}
-
-// NewAntiJoin builds an antisemijoin.
-func NewAntiJoin(l, r Node, pred expr.Expr) *AntiJoin {
-	mustHavePairCols(l.Schema(), r.Schema(), pred.Cols(), "antisemijoin predicate")
-	return &AntiJoin{Left: l, Right: r, Pred: pred}
-}
-
-// Schema implements Node. Per Table 1, ID(R ▷ S) = ID(R).
-func (a *AntiJoin) Schema() rel.Schema { return a.Left.Schema() }
-
-// Children implements Node.
-func (a *AntiJoin) Children() []Node { return []Node{a.Left, a.Right} }
-
-// String implements Node.
-func (a *AntiJoin) String() string {
-	return fmt.Sprintf("(%s ▷[%s] %s)", a.Left, a.Pred, a.Right)
+	op := "⋉"
+	if s.Anti {
+		op = "▷"
+	}
+	return fmt.Sprintf("(%s %s[%s] %s)", s.Left, op, s.Pred, s.Right)
 }
 
 // AggFn names an aggregation function.

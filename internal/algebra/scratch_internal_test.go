@@ -144,15 +144,13 @@ func scratchPlans(t *testing.T, st rel.Schema) map[string]Node {
 		plans[name] = j
 	}
 	for name, s := range semis {
-		p, err := planSemi(s.l, s.r, s.pred, s.keep)
+		sj := NewSemiJoin(s.l, s.r, s.pred)
+		sj.Anti = !s.keep
+		p, err := planSemi(sj)
 		if err != nil || semiStrategyNames[p.strategy] != want[name] {
 			t.Fatalf("%s: strategy %v, %v; want %s", name, semiStrategyNames[p.strategy], err, want[name])
 		}
-		if s.keep {
-			plans[name] = NewSemiJoin(s.l, s.r, s.pred)
-		} else {
-			plans[name] = NewAntiJoin(s.l, s.r, s.pred)
-		}
+		plans[name] = sj
 	}
 	return plans
 }

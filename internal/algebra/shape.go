@@ -197,7 +197,7 @@ func planJoin(j *Join) (joinPlan, error) {
 	return p, nil
 }
 
-// semiStrategy is the access path of a SemiJoin or AntiJoin.
+// semiStrategy is the access path of a semijoin or antijoin.
 type semiStrategy uint8
 
 const (
@@ -207,7 +207,7 @@ const (
 	semiNested                         // nested loop
 )
 
-// semiPlan is the physical plan of a SemiJoin (keep) or AntiJoin.
+// semiPlan is the physical plan of a semijoin or antijoin.
 type semiPlan struct {
 	strategy semiStrategy
 	// keysetFirst evaluates the right side first, and an empty right side
@@ -219,18 +219,17 @@ type semiPlan struct {
 	probe       *probePlan
 }
 
-// planSemi plans a semijoin (keep) or antijoin of l and r on pred. A
-// key-set-first semijoin with a pure equi predicate probes a stored left
-// side once per distinct right key; otherwise a stored right side is probed
-// per left tuple, else the right side is hashed; with no equi pair it is a
-// nested loop.
-func planSemi(l, r Node, pred expr.Expr, keep bool) (semiPlan, error) {
-	ls, rs := l.Schema(), r.Schema()
-	lcols, rcols, residual := expr.EquiPairs(pred, ls, rs)
-	rsh, rightProbe := shapeOf(r)
-	p := semiPlan{keysetFirst: keep && !rightProbe, residual: residual}
+// planSemi plans a semijoin or antijoin. A key-set-first semijoin with a
+// pure equi predicate probes a stored left side once per distinct right
+// key; otherwise a stored right side is probed per left tuple, else the
+// right side is hashed; with no equi pair it is a nested loop.
+func planSemi(s *SemiJoin) (semiPlan, error) {
+	ls, rs := s.Left.Schema(), s.Right.Schema()
+	lcols, rcols, residual := expr.EquiPairs(s.Pred, ls, rs)
+	rsh, rightProbe := shapeOf(s.Right)
+	p := semiPlan{keysetFirst: !s.Anti && !rightProbe, residual: residual}
 	if len(lcols) == 0 {
-		p.strategy, p.residual = semiNested, pred
+		p.strategy, p.residual = semiNested, s.Pred
 		return p, nil
 	}
 	var err error
@@ -238,7 +237,7 @@ func planSemi(l, r Node, pred expr.Expr, keep bool) (semiPlan, error) {
 		return p, err
 	}
 	var pp probePlan
-	if lsh, ok := shapeOf(l); ok && p.keysetFirst && expr.IsTrueLit(residual) {
+	if lsh, ok := shapeOf(s.Left); ok && p.keysetFirst && expr.IsTrueLit(residual) {
 		p.strategy, pp = semiProbeLeft, planProbe(lsh, lcols)
 	} else if rightProbe {
 		p.strategy, pp = semiProbeRight, planProbe(rsh, rcols)

@@ -448,119 +448,59 @@ func (g *gen) node(n algebra.Node, out *mat) ([]decl, algebra.Node, error) {
 	switch x := n.(type) {
 	case *algebra.Scan:
 		return g.scanDecls(x), x, nil
-
-	case *algebra.Select:
-		ins, childMat, err := g.node(x.Child, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		matPlan := &algebra.Select{Child: childMat, Pred: x.Pred}
-		input := recomputeInput(childMat)
-		var outs []decl
-		for _, in := range ins {
-			ds, err := g.selectRules(x, in, input)
-			if err != nil {
-				return nil, nil, err
-			}
-			outs = append(outs, ds...)
-		}
-		return outs, matPlan, nil
-
-	case *algebra.Project:
-		ins, childMat, err := g.node(x.Child, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		matPlan := &algebra.Project{Child: childMat, Items: x.Items}
-		input := recomputeInput(childMat)
-		var outs []decl
-		for _, in := range ins {
-			ds, err := g.projectRules(x, in, input)
-			if err != nil {
-				return nil, nil, err
-			}
-			outs = append(outs, ds...)
-		}
-		return outs, matPlan, nil
-
-	case *algebra.UnionAll:
-		lIns, lMat, err := g.node(x.Left, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		rIns, rMat, err := g.node(x.Right, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		matPlan := &algebra.UnionAll{Left: lMat, Right: rMat, BranchAttr: x.BranchAttr}
-		var outs []decl
-		for _, in := range lIns {
-			outs = append(outs, g.unionRules(x, in, 0))
-		}
-		for _, in := range rIns {
-			outs = append(outs, g.unionRules(x, in, 1))
-		}
-		return outs, matPlan, nil
-
-	case *algebra.Join:
-		return g.binaryNode(x, x.Left, x.Right,
-			func(l, r algebra.Node) algebra.Node { return &algebra.Join{Left: l, Right: r, Pred: x.Pred} },
-			func(in decl, fromLeft bool, li, ri inputFn) ([]decl, error) {
-				return g.joinRules(x, in, fromLeft, li, ri)
-			})
-
-	case *algebra.SemiJoin:
-		return g.binaryNode(x, x.Left, x.Right,
-			func(l, r algebra.Node) algebra.Node { return &algebra.SemiJoin{Left: l, Right: r, Pred: x.Pred} },
-			func(in decl, fromLeft bool, li, ri inputFn) ([]decl, error) {
-				return g.semiRules(x.Pred, x.Left, x.Right, in, fromLeft, li, ri, true)
-			})
-
-	case *algebra.AntiJoin:
-		return g.binaryNode(x, x.Left, x.Right,
-			func(l, r algebra.Node) algebra.Node { return &algebra.AntiJoin{Left: l, Right: r, Pred: x.Pred} },
-			func(in decl, fromLeft bool, li, ri inputFn) ([]decl, error) {
-				return g.semiRules(x.Pred, x.Left, x.Right, in, fromLeft, li, ri, false)
-			})
-
 	case *algebra.GroupBy:
 		return g.groupNode(x, out)
-
+	case *algebra.Select, *algebra.Project, *algebra.UnionAll, *algebra.Join, *algebra.SemiJoin:
 	default:
 		return nil, nil, fmt.Errorf("ivm: unsupported operator %T", n)
 	}
+	// The operator's diffs are its children's through its rules, and its
+	// plan is itself over its children's plans.
+	var ins [][]decl
+	var mats []algebra.Node
+	var inputs []inputFn
+	for _, c := range n.Children() {
+		cIns, cMat, err := g.node(c, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		ins, mats, inputs = append(ins, cIns), append(mats, cMat), append(inputs, recomputeInput(cMat))
+	}
+	outs, err := g.through(n, ins, inputs)
+	if err != nil {
+		return nil, nil, err
+	}
+	next := -1
+	return outs, algebra.MapChildren(n, func(algebra.Node) algebra.Node { next++; return mats[next] }), nil
 }
 
-func (g *gen) binaryNode(n algebra.Node, l, r algebra.Node,
-	rebuild func(l, r algebra.Node) algebra.Node,
-	rules func(in decl, fromLeft bool, li, ri inputFn) ([]decl, error),
-) ([]decl, algebra.Node, error) {
-	lIns, lMat, err := g.node(l, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	rIns, rMat, err := g.node(r, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	matPlan := rebuild(lMat, rMat)
-	li, ri := recomputeInput(lMat), recomputeInput(rMat)
+// through runs each diff of n's children — ins[i] from child i, whose
+// subview inputs[i] supplies — through n's propagation rules.
+func (g *gen) through(n algebra.Node, ins [][]decl, inputs []inputFn) ([]decl, error) {
 	var outs []decl
-	for _, in := range lIns {
-		ds, err := rules(in, true, li, ri)
-		if err != nil {
-			return nil, nil, err
+	for side, sideIns := range ins {
+		for _, in := range sideIns {
+			var ds []decl
+			var err error
+			switch x := n.(type) {
+			case *algebra.Select:
+				ds, err = g.selectRules(x, in, inputs[0])
+			case *algebra.Project:
+				ds, err = g.projectRules(x, in, inputs[0])
+			case *algebra.UnionAll:
+				ds = []decl{g.unionRules(x, in, int64(side))}
+			case *algebra.Join:
+				ds, err = g.joinRules(x, in, side == 0, inputs[0], inputs[1])
+			case *algebra.SemiJoin:
+				ds, err = g.semiRules(x, in, side == 0, inputs[0], inputs[1])
+			}
+			if err != nil {
+				return nil, err
+			}
+			outs = append(outs, ds...)
 		}
-		outs = append(outs, ds...)
 	}
-	for _, in := range rIns {
-		ds, err := rules(in, false, li, ri)
-		if err != nil {
-			return nil, nil, err
-		}
-		outs = append(outs, ds...)
-	}
-	return outs, matPlan, nil
+	return outs, nil
 }
 
 // groupNode handles aggregation: input cache creation (idIVM mode), rule
@@ -657,16 +597,8 @@ func (g *gen) narrowInput(x *algebra.GroupBy, child algebra.Node, ins []decl) (a
 		return child, ins, nil
 	}
 	p := algebra.Keep(child, keep...)
-	input := recomputeInput(child)
-	var outs []decl
-	for _, in := range ins {
-		ds, err := g.projectRules(p, in, input)
-		if err != nil {
-			return nil, nil, err
-		}
-		outs = append(outs, ds...)
-	}
-	return p, outs, nil
+	outs, err := g.through(p, [][]decl{ins}, []inputFn{recomputeInput(child)})
+	return p, outs, err
 }
 
 // scanDecls instantiates the scan-level decls: each base-table diff schema

@@ -132,33 +132,18 @@ func (m *minimizer) rewrite(n algebra.Node) algebra.Node {
 		if isEmpty(l) {
 			return &algebra.Empty{Sch: x.Schema()}
 		}
-		if isEmpty(r) {
+		// Nothing matches an empty right side, nor (C2) does a delete diff
+		// its own target's post-state: ∆-R ⋉ σφ(R_post) → ∅ and
+		// ∆-R ▷ σφ(R_post) → ∆-R.
+		if isEmpty(r) || m.deleteDiffVsOwnPost(l, r, x.Pred) {
+			if x.Anti {
+				return l
+			}
 			return &algebra.Empty{Sch: x.Schema()}
 		}
-		// ∆-R ⋉ σφ(R_post) → ∅  (C2)
-		if m.deleteDiffVsOwnPost(l, r, x.Pred) {
-			return &algebra.Empty{Sch: x.Schema()}
-		}
-		// ∆+R ⋉ σφ(R_post) → σφ(post)(∆+R)  (C1)
-		if out, ok := m.diffSemiOwnPost(l, r, x.Pred, true); ok {
-			return m.rewrite(out)
-		}
-		return x
-
-	case *algebra.AntiJoin:
-		l, r := x.Left, x.Right
-		if isEmpty(l) {
-			return &algebra.Empty{Sch: x.Schema()}
-		}
-		if isEmpty(r) {
-			return l
-		}
-		// ∆-R ▷ σφ(R_post) → ∆-R  (C2: nothing matches)
-		if m.deleteDiffVsOwnPost(l, r, x.Pred) {
-			return l
-		}
+		// ∆+R ⋉ σφ(R_post) → σφ(post)(∆+R) and
 		// ∆+R ▷ σφ(R_post) → σ¬φ(post)(∆+R)  (C1)
-		if out, ok := m.diffSemiOwnPost(l, r, x.Pred, false); ok {
+		if out, ok := m.diffSemiOwnPost(l, r, x.Pred, !x.Anti); ok {
 			return m.rewrite(out)
 		}
 		return x

@@ -201,7 +201,7 @@ func TestMinimizeEmptyPropagation(t *testing.T) {
 		t.Fatalf("∅ ⋈ R must be ∅, got %s", got)
 	}
 	// Antijoin against ∅ is the left side.
-	a := &algebra.AntiJoin{Left: stored, Right: empty, Pred: expr.Eq(expr.C("pid"), expr.C("pid"))}
+	a := &algebra.SemiJoin{Left: stored, Right: empty, Pred: expr.Eq(expr.C("pid"), expr.C("pid")), Anti: true}
 	got = MinimizePlan(a, minDiffs())
 	if _, ok := got.(*algebra.RelRef); !ok {
 		t.Fatalf("R ▷ ∅ must be R, got %s", got)

@@ -273,3 +273,31 @@ func TestMixedRoundsDifferential(t *testing.T) {
 		}
 	}
 }
+
+// A known wrong answer (README "Limitations", ROADMAP item 2): one round
+// updates a user's city and then its tweetsnum. The update lands in two of
+// user's update i-diff schemas (post: city and post: tweetsnum), each
+// claiming that the other's column did not change, and Q*1 — whose join
+// condition reads city and whose SUM reads tweetsnum — is left wrong in
+// both modes. The test pins the fault: once an update that spans two
+// schemas reaches the rules as one diff it fails, and the round becomes a
+// regression test.
+func TestUpdateSpanningTwoSchemasLeavesQs1Wrong(t *testing.T) {
+	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
+		t.Run(mode.String(), func(t *testing.T) {
+			ds := bsma.Build(bsma.Defaults(200))
+			s := ivm.NewSystem(ds.DB)
+			register(t, s, "Q*1", bsmaOrCityPlan(t, ds, "Q*1"), mode)
+			user7 := []rel.Value{rel.Int(7)}
+			mustUpdate(t, ds.DB, "user", user7, []string{"city"}, []rel.Value{rel.String("city3")})
+			mustUpdate(t, ds.DB, "user", user7, []string{"tweetsnum"}, []rel.Value{rel.Int(123456)})
+			if _, err := s.MaintainAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckConsistent("Q*1"); err == nil {
+				t.Fatal("Q*1 is consistent after an update spanning two schemas: the fault is mended — " +
+					"update README \"Limitations\" and ROADMAP item 2, and keep this round as a regression test")
+			}
+		})
+	}
+}

@@ -508,13 +508,12 @@ func (g *gen) groupIncremental(op *algebra.GroupBy, ins []decl, input inputFn, o
 			keys, op.Aggs)
 		news = unionPlans([]algebra.Node{algebra.NewProject(algebra.NewSelect(born, numbers), items), recount})
 	}
-	insDS := insertSchemaFor("", op.Schema())
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
 
 	return []decl{
 		{schema: delDS, plan: dead},
 		{schema: updDS, plan: updOut},
-		{schema: insDS, plan: toDiff(news, insDS, nil)},
+		insertOf("", op.Schema(), news),
 	}, nil
 }
 
@@ -612,9 +611,7 @@ func classify(op *algebra.GroupBy, rec, upd, held, gone algebra.Node) []decl {
 		updDS := DiffSchema{Type: DiffUpdate, Rel: "", IDs: keys, Post: aggCols}
 		outs = append(outs, decl{schema: updDS, plan: toDiff(upd, updDS, nil)})
 	}
-	insDS := insertSchemaFor("", op.Schema())
-	ins := toDiff(algebra.NewAntiJoin(rec, held, idEq(keys, "@o")), insDS, nil)
-	outs = append(outs, decl{schema: insDS, plan: ins})
+	outs = append(outs, insertOf("", op.Schema(), algebra.NewAntiJoin(rec, held, idEq(keys, "@o"))))
 	delDS := DiffSchema{Type: DiffDelete, Rel: "", IDs: keys}
 	del := algebra.NewAntiJoin(gone, renameAll(algebra.Keep(rec, keys...), "@r"), idEq(keys, "@r"))
 	return append(outs, decl{schema: delDS, plan: del})

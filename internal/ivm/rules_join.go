@@ -8,16 +8,6 @@ import (
 	"idivm/internal/rel"
 )
 
-// preSrcMap maps each pre attribute of ds to the plain column of the same
-// name, for toDiff over plans carrying plain attribute values.
-func preSrcFromPlain(ds DiffSchema) map[string]string {
-	m := map[string]string{}
-	for _, a := range ds.Pre {
-		m[PreName(a)] = a
-	}
-	return m
-}
-
 // joinRules implements the i-diff propagation rules for the theta-join
 // (Table 10) and, with Pred == TRUE, the cross product (Table 4).
 //
@@ -30,22 +20,26 @@ func preSrcFromPlain(ds DiffSchema) map[string]string {
 // tuple-based IVM (Example 1.2).
 func (g *gen) joinRules(op *algebra.Join, in decl, fromLeft bool, li, ri inputFn) ([]decl, error) {
 	ds := in.schema
-	dChild, oInput, dInput := op.Left, ri, li
+	dChild, oChild, oInput, dInput := op.Left, op.Right, ri, li
 	if !fromLeft {
-		dChild, oInput, dInput = op.Right, li, ri
+		dChild, oChild, oInput, dInput = op.Right, op.Left, li, ri
 	}
 	dAttrs := dChild.Schema().Attrs
 	outSchema := op.Schema()
-	outKey := outSchema.Key
 	pred := op.Pred
 
-	// ordered builds the join in the operator's original child order so
-	// output columns line up with the out schema.
-	ordered := func(dPlan algebra.Node, st rel.State) algebra.Node {
+	// join joins dPlan with the other input in state st on p, in the
+	// operator's original child order so output columns line up with the
+	// out schema.
+	join := func(dPlan algebra.Node, st rel.State, p expr.Expr) algebra.Node {
 		if fromLeft {
-			return algebra.NewJoin(dPlan, oInput(st), pred)
+			return algebra.NewJoin(dPlan, oInput(st), p)
 		}
-		return algebra.NewJoin(oInput(st), dPlan, pred)
+		return algebra.NewJoin(oInput(st), dPlan, p)
+	}
+	// matches is the join of the diff's st-images with the other input.
+	matches := func(st rel.State) algebra.Node {
+		return join(reconstructOrWiden(in, dInput, dAttrs, st), st, pred)
 	}
 
 	// dOnly is the part of the predicate referencing only the diff side.
@@ -60,17 +54,13 @@ func (g *gen) joinRules(op *algebra.Join, in decl, fromLeft bool, li, ri inputFn
 	switch ds.Type {
 	case DiffInsert:
 		// ∆+V = ∆+ ⋈φ Other_post (Table 10).
-		rec := reconstruct(in, dAttrs, rel.StatePost)
-		outDS := insertSchemaFor(ds.Rel, outSchema)
-		return []decl{{schema: outDS, plan: toDiff(ordered(rec, rel.StatePost), outDS, nil)}}, nil
+		return []decl{insertOf(ds.Rel, outSchema, join(reconstruct(in, dAttrs, rel.StatePost), rel.StatePost, pred))}, nil
 
 	case DiffDelete:
 		if g.tupleMode {
 			// Tuple mode: widen to full view tuples by joining with the
 			// other input's pre-state.
-			rec := reconstructOrWiden(in, dInput, dAttrs, rel.StatePre)
-			outDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: outKey, Pre: outSchema.NonKey()}
-			return []decl{{schema: outDS, plan: toDiff(ordered(rec, rel.StatePre), outDS, preSrcFromPlain(outDS))}}, nil
+			return []decl{deleteOf(ds.Rel, outSchema, matches(rel.StatePre), true)}, nil
 		}
 		// ID mode: pass through (∆-V = ∆-, Table 10), filtered by the
 		// diff-side-only predicate when evaluable. Dummy deletions for
@@ -86,13 +76,11 @@ func (g *gen) joinRules(op *algebra.Join, in decl, fromLeft bool, li, ri inputFn
 
 		if !touched {
 			if g.tupleMode {
-				var oSchema rel.Schema
-				if fromLeft {
-					oSchema = op.Right.Schema()
-				} else {
-					oSchema = op.Left.Schema()
-				}
-				return g.joinWidenUpdate(in, outSchema, outKey, oSchema, oInput, pred, fromLeft)
+				// The predicate's diff-side columns are read from the
+				// diff's columns; condition attributes are untouched so
+				// post falls back to pre values for them.
+				j := join(in.plan, rel.StatePost, expr.Rename(pred, postMap(ds)))
+				return joinWidenUpdate(ds, outSchema.Key, oChild.Schema(), j), nil
 			}
 			// The i-diff fast path: propagate unchanged. ∆u ⋈ R → ∆u.
 			if !expr.IsTrueLit(dOnly) && canEvalPre(dOnly, ds) {
@@ -100,109 +88,70 @@ func (g *gen) joinRules(op *algebra.Join, in decl, fromLeft bool, li, ri inputFn
 			}
 			return []decl{in}, nil
 		}
-		return g.joinCondUpdate(in, dInput, dAttrs, outSchema, outKey, ordered)
+		return joinCondUpdate(ds, outSchema, matches), nil
 	}
 	return nil, fmt.Errorf("ivm: join rules: unknown diff type")
 }
 
 // joinWidenUpdate is the tuple-mode update rule for condition-untouched
-// attributes: join the diff with the other input (post-state) so the
-// resulting D-diff names each view tuple by its full ID.
-func (g *gen) joinWidenUpdate(in decl, outSchema rel.Schema, outKey []string, oSchema rel.Schema,
-	oInput inputFn, pred expr.Expr, fromLeft bool) ([]decl, error) {
-	ds := in.schema
-	// The predicate's diff-side columns must be read from the diff's
-	// columns; condition attributes are untouched so post falls back to
-	// pre values for them.
-	predR := expr.Rename(pred, postMap(ds))
-	var j algebra.Node
-	if fromLeft {
-		j = algebra.NewJoin(in.plan, oInput(rel.StatePost), predR)
-	} else {
-		j = algebra.NewJoin(oInput(rel.StatePost), in.plan, predR)
-	}
+// attributes: j, the diff joined with the other input (post-state), names
+// each view tuple by its full ID.
+func joinWidenUpdate(ds DiffSchema, outKey []string, oSchema rel.Schema, j algebra.Node) []decl {
 	// The widened t-diff carries the other side's values too (they are
 	// unchanged, so their post equals their pre), keeping downstream
 	// operators able to reconstruct full tuples.
 	pre := rel.Union(ds.Pre, rel.Minus(oSchema.Attrs, outKey))
 	outDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: outKey, Pre: pre, Post: ds.Post}
-	return []decl{{schema: outDS, plan: toDiff(j, outDS, nil)}}, nil
+	return []decl{{schema: outDS, plan: toDiff(j, outDS, nil)}}
 }
 
 // joinCondUpdate handles updates that touch join-condition attributes: the
 // pre- and post-state match sets are computed against the other input and
 // classified into leaving (∆-), entering (∆+) and persisting (∆u) pairs.
-func (g *gen) joinCondUpdate(in decl, dInput inputFn, dAttrs []string, outSchema rel.Schema, outKey []string,
-	ordered func(algebra.Node, rel.State) algebra.Node) ([]decl, error) {
-	ds := in.schema
-	mPre := ordered(reconstructOrWiden(in, dInput, dAttrs, rel.StatePre), rel.StatePre)
-	mPost := ordered(reconstructOrWiden(in, dInput, dAttrs, rel.StatePost), rel.StatePost)
-	mPreKeys := renameAll(algebra.Keep(mPre, outKey...), "@o")
-	mPostKeys := renameAll(algebra.Keep(mPost, outKey...), "@n")
-
-	delDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: outKey, Pre: outSchema.NonKey()}
-	insDS := insertSchemaFor(ds.Rel, outSchema)
-	// Only the diff's own updated attributes may have changed for the
-	// persisting pairs; the remaining attributes are carried as pre-state
-	// (their post values equal their pre values), so downstream operators
-	// see a precise update diff and keep their fast paths.
-	updPost := rel.Intersect(outSchema.NonKey(), ds.Post)
-	updPre := rel.Minus(outSchema.NonKey(), updPost)
-	updDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: outKey, Pre: updPre, Post: updPost}
-
-	return []decl{
-		{schema: delDS, plan: toDiff(
-			algebra.NewAntiJoin(mPre, mPostKeys, idEq(outKey, "@n")), delDS, preSrcFromPlain(delDS))},
-		{schema: insDS, plan: toDiff(
-			algebra.NewAntiJoin(mPost, mPreKeys, idEq(outKey, "@o")), insDS, nil)},
-		{schema: updDS, plan: toDiff(
-			algebra.NewSemiJoin(mPost, mPreKeys, idEq(outKey, "@o")), updDS, preSrcFromPlain(updDS))},
-	}, nil
+func joinCondUpdate(ds DiffSchema, outSchema rel.Schema, matches func(rel.State) algebra.Node) []decl {
+	del, ins, upd := transitions(ds, outSchema, matches(rel.StatePre), matches(rel.StatePost), true)
+	return []decl{del, ins, upd}
 }
 
-// semiRules implements the rules for semijoin and antisemijoin
-// (keepMatching selects which; Table 13 covers the antisemijoin, the
-// semijoin is its dual). The output schema is the left child's schema, so
-// only left-side diffs carry values; right-side diffs change membership.
-func (g *gen) semiRules(pred expr.Expr, left, right algebra.Node, in decl, fromLeft bool,
-	li, ri inputFn, keepMatching bool) ([]decl, error) {
+// semiRules implements the rules for semijoin and antisemijoin (Table 13
+// covers the antisemijoin, the semijoin is its dual). The output schema is
+// the left child's schema, so only left-side diffs carry values;
+// right-side diffs change membership.
+func (g *gen) semiRules(op *algebra.SemiJoin, in decl, fromLeft bool, li, ri inputFn) ([]decl, error) {
 	if fromLeft {
-		return g.semiLeftRules(pred, left, in, li, ri, keepMatching)
+		return g.semiLeftRules(op, in, li, ri)
 	}
-	return g.semiRightRules(pred, left, right, in, li, ri, keepMatching)
+	return g.semiRightRules(op, in, li, ri)
 }
 
-func (g *gen) semiLeftRules(pred expr.Expr, left algebra.Node, in decl, li, ri inputFn, keepMatching bool) ([]decl, error) {
+func (g *gen) semiLeftRules(op *algebra.SemiJoin, in decl, li, ri inputFn) ([]decl, error) {
 	ds := in.schema
-	lSchema := left.Schema()
+	lSchema := op.Left.Schema()
 	lAttrs := lSchema.Attrs
 	lKey := lSchema.Key
 
+	// member keeps the tuples of dPlan that belong to the output in state st.
 	member := func(dPlan algebra.Node, st rel.State) algebra.Node {
-		if keepMatching {
-			return algebra.NewSemiJoin(dPlan, ri(st), pred)
-		}
-		return algebra.NewAntiJoin(dPlan, ri(st), pred)
+		m := algebra.NewSemiJoin(dPlan, ri(st), op.Pred)
+		m.Anti = op.Anti
+		return m
 	}
 
 	switch ds.Type {
 	case DiffInsert:
-		rec := reconstruct(in, lAttrs, rel.StatePost)
-		outDS := insertSchemaFor(ds.Rel, lSchema)
-		return []decl{{schema: outDS, plan: toDiff(member(rec, rel.StatePost), outDS, nil)}}, nil
+		return []decl{insertOf(ds.Rel, lSchema, member(reconstruct(in, lAttrs, rel.StatePost), rel.StatePost))}, nil
 
 	case DiffDelete:
 		if g.tupleMode {
 			// Exact tuple-mode deletion: only tuples that were members.
 			rec := reconstructOrWiden(in, li, lAttrs, rel.StatePre)
-			outDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: lKey, Pre: lSchema.NonKey()}
-			return []decl{{schema: outDS, plan: toDiff(member(rec, rel.StatePre), outDS, preSrcFromPlain(outDS))}}, nil
+			return []decl{deleteOf(ds.Rel, lSchema, member(rec, rel.StatePre), true)}, nil
 		}
 		// Pass through with overestimation (∆-V = ∆-, Table 13).
 		return []decl{in}, nil
 
 	case DiffUpdate:
-		dCond := rel.Intersect(pred.Cols(), lAttrs)
+		dCond := rel.Intersect(op.Pred.Cols(), lAttrs)
 		touched := len(rel.Intersect(dCond, ds.Post)) > 0
 		if !touched {
 			if g.tupleMode {
@@ -218,95 +167,63 @@ func (g *gen) semiLeftRules(pred expr.Expr, left algebra.Node, in decl, li, ri i
 			// Membership unchanged: pass through (∆uV = ∆u, Table 13).
 			return []decl{in}, nil
 		}
-
 		// Condition attributes updated: classify membership transitions.
-		inPre := member(reconstructOrWiden(in, li, lAttrs, rel.StatePre), rel.StatePre)
-		inPost := member(reconstructOrWiden(in, li, lAttrs, rel.StatePost), rel.StatePost)
-		preKeys := renameAll(algebra.Keep(inPre, lKey...), "@o")
-		postKeys := renameAll(algebra.Keep(inPost, lKey...), "@n")
-
-		updPost := rel.Intersect(lSchema.NonKey(), ds.Post)
-		updPre := rel.Minus(lSchema.NonKey(), updPost)
-		updDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: lKey, Pre: updPre, Post: updPost}
-		insDS := insertSchemaFor(ds.Rel, lSchema)
-		delDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: lKey, Pre: lSchema.NonKey()}
-		return []decl{
-			{schema: updDS, plan: toDiff(
-				algebra.NewSemiJoin(inPost, preKeys, idEq(lKey, "@o")), updDS, preSrcFromPlain(updDS))},
-			{schema: insDS, plan: toDiff(
-				algebra.NewAntiJoin(inPost, preKeys, idEq(lKey, "@o")), insDS, nil)},
-			{schema: delDS, plan: toDiff(
-				algebra.NewAntiJoin(inPre, postKeys, idEq(lKey, "@n")), delDS, preSrcFromPlain(delDS))},
-		}, nil
+		del, ins, upd := transitions(ds, lSchema,
+			member(reconstructOrWiden(in, li, lAttrs, rel.StatePre), rel.StatePre),
+			member(reconstructOrWiden(in, li, lAttrs, rel.StatePost), rel.StatePost), true)
+		return []decl{upd, ins, del}, nil
 	}
 	return nil, fmt.Errorf("ivm: semijoin rules: unknown diff type")
 }
 
 // semiRightRules handles diffs arriving on the right (filtering) input of
 // a semijoin/antisemijoin: they only move left tuples in or out of the
-// view (the ∆_Inputr rules of Table 13).
-func (g *gen) semiRightRules(pred expr.Expr, left, right algebra.Node, in decl,
-	li, ri inputFn, keepMatching bool) ([]decl, error) {
+// view (the ∆_Inputr rules of Table 13). A right insert makes left tuples
+// gain a match, a right delete makes some lose their last one, and an
+// update that touches the condition does both, as a delete of its
+// pre-image and an insert of its post-image. The gaining tuples enter a
+// semijoin (overestimated: APPLY skips those already present) and leave an
+// antisemijoin (Table 13: ∆-V = π_Ī(Input_l^post ⋉φ ∆+_Inputr)); the
+// losing ones leave a semijoin and re-enter an antisemijoin.
+func (g *gen) semiRightRules(op *algebra.SemiJoin, in decl, li, ri inputFn) ([]decl, error) {
 	ds := in.schema
-	lSchema := left.Schema()
-	lKey := lSchema.Key
-	rAttrs := right.Schema().Attrs
-
-	insDS := insertSchemaFor(ds.Rel, lSchema)
-	delDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: lKey}
-
-	// matching(st, rPlan) = left tuples (post-state) with a φ-match in rPlan.
-	matching := func(rPlan algebra.Node) algebra.Node {
-		return algebra.NewSemiJoin(li(rel.StatePost), rPlan, pred)
+	rAttrs := op.Right.Schema().Attrs
+	// gain(st) = left tuples (post-state) with a φ-match among the diff's
+	// st-images; lose(st) = those of them with no φ-match left at all.
+	gain := func(st rel.State) algebra.Node {
+		return algebra.NewSemiJoin(li(rel.StatePost), reconstructOrWiden(in, ri, rAttrs, st), op.Pred)
 	}
-	// survivors(plan) = plan's tuples with no remaining φ-match on the right.
-	survivors := func(plan algebra.Node) algebra.Node {
-		return algebra.NewAntiJoin(plan, ri(rel.StatePost), pred)
+	lose := func(st rel.State) algebra.Node {
+		return algebra.NewAntiJoin(gain(st), ri(rel.StatePost), op.Pred)
 	}
 
+	var gaining, losing algebra.Node
 	switch ds.Type {
 	case DiffInsert:
-		rec := reconstructOrWiden(in, ri, rAttrs, rel.StatePost)
-		if keepMatching {
-			// Semijoin: left tuples gaining a match may enter the view
-			// (overestimated; APPLY skips those already present).
-			return []decl{{schema: insDS, plan: toDiff(matching(rec), insDS, nil)}}, nil
-		}
-		// Antisemijoin: left tuples now matching must leave (Table 13:
-		// ∆-V = π_Ī(Input_l^post ⋉φ ∆+_Inputr)).
-		return []decl{{schema: delDS, plan: algebra.Keep(matching(rec), lKey...)}}, nil
-
+		gaining = gain(rel.StatePost)
 	case DiffDelete:
-		rec := reconstructOrWiden(in, ri, rAttrs, rel.StatePre)
-		if keepMatching {
-			// Left tuples that matched a deleted right tuple and now have
-			// no match leave the semijoin view.
-			return []decl{{schema: delDS, plan: algebra.Keep(survivors(matching(rec)), lKey...)}}, nil
-		}
-		// Antisemijoin: such tuples re-enter the view (Table 13).
-		return []decl{{schema: insDS, plan: toDiff(survivors(matching(rec)), insDS, nil)}}, nil
-
+		losing = lose(rel.StatePre)
 	case DiffUpdate:
-		rCond := rel.Intersect(pred.Cols(), rAttrs)
-		if len(rel.Intersect(rCond, ds.Post)) == 0 {
+		if len(rel.Intersect(rel.Intersect(op.Pred.Cols(), rAttrs), ds.Post)) == 0 {
 			return nil, nil // "not triggered": matches unchanged
 		}
-		// Treat as delete of the pre-image plus insert of the post-image
-		// (Table 13's ∆u_Inputr handling).
-		oldRec := reconstructOrWiden(in, ri, rAttrs, rel.StatePre)
-		newRec := reconstructOrWiden(in, ri, rAttrs, rel.StatePost)
-		if keepMatching {
-			return []decl{
-				{schema: delDS, plan: algebra.Keep(survivors(matching(oldRec)), lKey...)},
-				{schema: insDS, plan: toDiff(matching(newRec), insDS, nil)},
-			}, nil
-		}
-		return []decl{
-			{schema: delDS, plan: algebra.Keep(matching(newRec), lKey...)},
-			{schema: insDS, plan: toDiff(survivors(matching(oldRec)), insDS, nil)},
-		}, nil
+		losing, gaining = lose(rel.StatePre), gain(rel.StatePost)
+	default:
+		return nil, fmt.Errorf("ivm: semijoin right rules: unknown diff type")
 	}
-	return nil, fmt.Errorf("ivm: semijoin right rules: unknown diff type")
+	entering, leaving := gaining, losing
+	if op.Anti {
+		entering, leaving = losing, gaining
+	}
+	lSchema := op.Left.Schema()
+	var outs []decl
+	if leaving != nil {
+		outs = append(outs, deleteOf(ds.Rel, lSchema, leaving, false))
+	}
+	if entering != nil {
+		outs = append(outs, insertOf(ds.Rel, lSchema, entering))
+	}
+	return outs, nil
 }
 
 // suffixed returns each name with the suffix appended.

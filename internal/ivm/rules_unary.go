@@ -8,17 +8,6 @@ import (
 	"idivm/internal/rel"
 )
 
-// insertSchemaFor builds the canonical insert diff schema over a node's
-// output: full IDs plus post-state values for every non-ID attribute.
-func insertSchemaFor(relName string, sch rel.Schema) DiffSchema {
-	return DiffSchema{
-		Type: DiffInsert,
-		Rel:  relName,
-		IDs:  append([]string(nil), sch.Key...),
-		Post: sch.NonKey(),
-	}
-}
-
 // selectRules implements the i-diff propagation rules for σφ (Table 6).
 //
 // The fast paths filter the diff itself using its pre/post columns; when
@@ -54,9 +43,9 @@ func (g *gen) selectRules(op *algebra.Select, in decl, input inputFn) ([]decl, e
 		}
 
 		if canEvalPre(pred, ds) && canEvalPost(pred, ds) {
-			return g.selectUpdateFast(op, in, pred, childSchema, input)
+			return selectUpdateFast(in, pred, childSchema, input), nil
 		}
-		return g.selectUpdateFallback(op, in, pred, childSchema, input)
+		return selectUpdateFallback(in, pred, childSchema, input), nil
 	}
 	return nil, fmt.Errorf("ivm: select rules: unknown diff type")
 }
@@ -65,18 +54,10 @@ func (g *gen) selectRules(op *algebra.Select, in decl, input inputFn) ([]decl, e
 // needed pre/post column: the staying, entering and leaving tuples are all
 // computed from the diff alone — except that an entering tuple's other
 // attributes, when the diff does not carry them, come from Input_post.
-func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, childSchema rel.Schema, input inputFn) ([]decl, error) {
+func selectUpdateFast(in decl, pred expr.Expr, childSchema rel.Schema, input inputFn) []decl {
 	ds := in.schema
 	prePred := expr.Rename(pred, preMap(ds))
 	postPred := expr.Rename(pred, postMap(ds))
-
-	var outs []decl
-
-	// Staying tuples: φ(pre) ∧ φ(post) → update.
-	outs = append(outs, decl{
-		schema: ds,
-		plan:   algebra.NewSelect(in.plan, expr.And(prePred, postPred)),
-	})
 
 	// Entering tuples: ¬φ(pre) ∧ φ(post) → insert (needs full post tuples).
 	entering := algebra.NewSelect(in.plan, expr.And(expr.Not(prePred), postPred))
@@ -86,65 +67,33 @@ func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, chil
 	} else {
 		full = algebra.NewSemiJoin(input(rel.StatePost), renameAll(algebra.Keep(entering, ds.IDs...), "@k"), idEq(ds.IDs, "@k"))
 	}
-	insDS := insertSchemaFor(ds.Rel, childSchema)
-	outs = append(outs, decl{schema: insDS, plan: toDiff(full, insDS, nil)})
-
 	// Leaving tuples: φ(pre) ∧ ¬φ(post) → delete.
 	leaving := algebra.NewSelect(in.plan, expr.And(prePred, expr.Not(postPred)))
 	delDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: ds.IDs, Pre: ds.Pre}
-	var cols []string
-	cols = append(cols, ds.IDs...)
-	for _, a := range ds.Pre {
-		cols = append(cols, PreName(a))
+	return []decl{
+		// Staying tuples: φ(pre) ∧ φ(post) → update.
+		{schema: ds, plan: algebra.NewSelect(in.plan, expr.And(prePred, postPred))},
+		insertOf(ds.Rel, childSchema, full),
+		{schema: delDS, plan: toDiff(leaving, delDS, nil)},
 	}
-	outs = append(outs, decl{schema: delDS, plan: algebra.Keep(leaving, cols...)})
-	return outs, nil
 }
 
 // selectUpdateFallback handles updates touching φ when the diff lacks the
 // columns to evaluate φ: it consults the operator's input in pre- and
-// post-state (the non-blue variants of Table 6).
-func (g *gen) selectUpdateFallback(op *algebra.Select, in decl, pred expr.Expr, childSchema rel.Schema, input inputFn) ([]decl, error) {
-	ds := in.schema
-	ids := ds.IDs
+// post-state (the non-blue variants of Table 6). Its deletes carry IDs
+// only.
+func selectUpdateFallback(in decl, pred expr.Expr, childSchema rel.Schema, input inputFn) []decl {
+	ids := in.schema.IDs
 	keys := algebra.Keep(in.plan, ids...)
-
+	// affected(st) = the input tuples the diff names that satisfy φ in st.
 	affected := func(st rel.State, sfx string) algebra.Node {
 		return algebra.NewSelect(
 			algebra.NewSemiJoin(input(st), renameAll(keys, sfx), idEq(ids, sfx)),
 			pred)
 	}
-	oldSat := affected(rel.StatePre, "@k1")
-	newSat := affected(rel.StatePost, "@k2")
-
-	fullIDs := childSchema.Key
-	oldKeys := renameAll(algebra.Keep(oldSat, fullIDs...), "@o")
-	newKeys := renameAll(algebra.Keep(newSat, fullIDs...), "@n")
-
-	var outs []decl
-
-	// Entering: satisfy now, not before.
-	insDS := insertSchemaFor(ds.Rel, childSchema)
-	outs = append(outs, decl{
-		schema: insDS,
-		plan:   toDiff(algebra.NewAntiJoin(newSat, oldKeys, idEq(fullIDs, "@o")), insDS, nil),
-	})
-	// Leaving: satisfied before, not now.
-	delDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: fullIDs}
-	outs = append(outs, decl{
-		schema: delDS,
-		plan:   algebra.Keep(algebra.NewAntiJoin(oldSat, newKeys, idEq(fullIDs, "@n")), fullIDs...),
-	})
-	// Staying: satisfied both; emit the diff's updated attributes as the
-	// update's post values, the rest as (unchanged) pre-state.
-	updPost := rel.Intersect(childSchema.NonKey(), ds.Post)
-	updPre := rel.Minus(childSchema.NonKey(), updPost)
-	updDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: fullIDs, Pre: updPre, Post: updPost}
-	outs = append(outs, decl{
-		schema: updDS,
-		plan:   toDiff(algebra.NewSemiJoin(newSat, oldKeys, idEq(fullIDs, "@o")), updDS, preSrcFromPlain(updDS)),
-	})
-	return outs, nil
+	del, ins, upd := transitions(in.schema, childSchema,
+		affected(rel.StatePre, "@k1"), affected(rel.StatePost, "@k2"), false)
+	return []decl{ins, del, upd}
 }
 
 // mapIDs maps child-side ID names through a projection's key mapping.
@@ -154,6 +103,15 @@ func mapIDs(ids []string, km map[string]string) []string {
 		out[i] = km[id]
 	}
 	return out
+}
+
+// idItems are the projection items passing ids through the key mapping km.
+func idItems(ids []string, km map[string]string) []algebra.ProjItem {
+	items := make([]algebra.ProjItem, len(ids))
+	for i, id := range ids {
+		items[i] = algebra.ProjItem{E: expr.C(id), As: km[id]}
+	}
+	return items
 }
 
 // projectRules implements the rules for the generalized projection
@@ -185,51 +143,32 @@ func (g *gen) projectRules(op *algebra.Project, in decl, input inputFn) ([]decl,
 
 	switch ds.Type {
 	case DiffInsert:
-		outDS := insertSchemaFor(ds.Rel, outSchema)
+		// The column order of outDS.RelSchema: IDs, then the posts in
+		// valueItems order.
 		pm := postMap(ds)
-		var items []algebra.ProjItem
-		for _, k := range op.Child.Schema().Key {
-			items = append(items, algebra.ProjItem{E: expr.C(k), As: km[k]})
-		}
-		for _, vi := range valueItems {
-			items = append(items, algebra.ProjItem{E: expr.Rename(vi.e, pm), As: PostName(vi.as)})
-		}
-		// Keep the column order of outDS.RelSchema (IDs then posts); the
-		// outDS post list order must match valueItems order.
-		outDS.Post = nil
+		outDS := DiffSchema{Type: DiffInsert, Rel: ds.Rel, IDs: outIDs}
+		items := idItems(op.Child.Schema().Key, km)
 		for _, vi := range valueItems {
 			outDS.Post = append(outDS.Post, vi.as)
+			items = append(items, algebra.ProjItem{E: expr.Rename(vi.e, pm), As: PostName(vi.as)})
 		}
 		return []decl{{schema: outDS, plan: algebra.NewProject(in.plan, items)}}, nil
 
-	case DiffDelete:
+	case DiffDelete, DiffUpdate:
+		// The pre values of every item the diff's pre columns compute.
 		pm := preMap(ds)
-		outDS := DiffSchema{Type: DiffDelete, Rel: ds.Rel, IDs: mapIDs(ds.IDs, km)}
-		var items []algebra.ProjItem
-		for _, id := range ds.IDs {
-			items = append(items, algebra.ProjItem{E: expr.C(id), As: km[id]})
-		}
+		outDS := DiffSchema{Type: ds.Type, Rel: ds.Rel, IDs: mapIDs(ds.IDs, km)}
+		items := idItems(ds.IDs, km)
 		for _, vi := range valueItems {
 			if colsAvailable(vi.e.Cols(), ds, pm) {
 				outDS.Pre = append(outDS.Pre, vi.as)
 				items = append(items, algebra.ProjItem{E: expr.Rename(vi.e, pm), As: PreName(vi.as)})
 			}
 		}
-		return []decl{{schema: outDS, plan: algebra.NewProject(in.plan, items)}}, nil
-
-	case DiffUpdate:
-		pm, qm := preMap(ds), postMap(ds)
-		outDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: mapIDs(ds.IDs, km)}
-		var items []algebra.ProjItem
-		for _, id := range ds.IDs {
-			items = append(items, algebra.ProjItem{E: expr.C(id), As: km[id]})
+		if ds.Type == DiffDelete {
+			return []decl{{schema: outDS, plan: algebra.NewProject(in.plan, items)}}, nil
 		}
-		for _, vi := range valueItems {
-			if colsAvailable(vi.e.Cols(), ds, pm) {
-				outDS.Pre = append(outDS.Pre, vi.as)
-				items = append(items, algebra.ProjItem{E: expr.Rename(vi.e, pm), As: PreName(vi.as)})
-			}
-		}
+		qm := postMap(ds)
 		// Split the affected output columns: items computable from the diff
 		// alone keep the compressed partial-ID update (their values are
 		// functionally determined by the diff's IDs); items mixing in
@@ -261,10 +200,7 @@ func (g *gen) projectRules(op *algebra.Project, in decl, input inputFn) ([]decl,
 			needed = rel.Union(needed, childKey)
 			src := widenReconstruct(in, input, needed, rel.StatePost)
 			wDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: mapIDs(childKey, km)}
-			var wItems []algebra.ProjItem
-			for _, id := range childKey {
-				wItems = append(wItems, algebra.ProjItem{E: expr.C(id), As: km[id]})
-			}
+			wItems := idItems(childKey, km)
 			for _, vi := range mixed {
 				wDS.Post = append(wDS.Post, vi.as)
 				wItems = append(wItems, algebra.ProjItem{E: vi.e, As: PostName(vi.as)})
@@ -304,15 +240,13 @@ func (g *gen) unionRules(op *algebra.UnionAll, in decl, branch int64) decl {
 			child = op.Right
 		}
 		childAttrs := child.Schema().Attrs
-		outDS := insertSchemaFor(ds.Rel, op.Schema())
 		rec := reconstruct(in, childAttrs, rel.StatePost)
 		var items []algebra.ProjItem
 		for _, a := range childAttrs {
 			items = append(items, algebra.ProjItem{E: expr.C(a), As: a})
 		}
 		items = append(items, algebra.ProjItem{E: expr.IntLit(branch), As: op.BranchAttr})
-		withB := algebra.NewProject(rec, items)
-		return decl{schema: outDS, plan: toDiff(withB, outDS, nil)}
+		return insertOf(ds.Rel, op.Schema(), algebra.NewProject(rec, items))
 	}
 	outDS := DiffSchema{
 		Type: ds.Type,

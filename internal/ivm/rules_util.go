@@ -168,6 +168,56 @@ func toDiff(plan algebra.Node, ds DiffSchema, src map[string]string) algebra.Nod
 	return algebra.NewProject(plan, items)
 }
 
+// transitions classifies the tuples an update moves across an operator's
+// condition (Tables 6, 10 and 13): pre and post are the operator's output
+// tuples, under sch, that the diff ds matches in the pre- and the
+// post-state. A tuple only in pre leaves (del), one only in post enters
+// (ins), and one in both stays (upd), an update whose post values are the
+// diff's updated attributes and whose other attributes are carried as
+// pre-state (their post values equal their pre values), so downstream
+// operators see a precise update diff and keep their fast paths. del
+// carries the leaving tuples' pre-state values when delPre, else their IDs
+// alone.
+func transitions(ds DiffSchema, sch rel.Schema, pre, post algebra.Node, delPre bool) (del, ins, upd decl) {
+	key := sch.Key
+	preKeys := renameAll(algebra.Keep(pre, key...), "@o")
+	postKeys := renameAll(algebra.Keep(post, key...), "@n")
+	updPost := rel.Intersect(sch.NonKey(), ds.Post)
+	updDS := DiffSchema{Type: DiffUpdate, Rel: ds.Rel, IDs: key, Pre: rel.Minus(sch.NonKey(), updPost), Post: updPost}
+	return deleteOf(ds.Rel, sch, algebra.NewAntiJoin(pre, postKeys, idEq(key, "@n")), delPre),
+		insertOf(ds.Rel, sch, algebra.NewAntiJoin(post, preKeys, idEq(key, "@o"))),
+		decl{schema: updDS, plan: toDiff(algebra.NewSemiJoin(post, preKeys, idEq(key, "@o")), updDS, preSrcFromPlain(updDS))}
+}
+
+// insertOf is the insert diff of the full tuples over sch that plan holds
+// under their plain attribute names: their IDs and every other attribute's
+// post-state value.
+func insertOf(relName string, sch rel.Schema, plan algebra.Node) decl {
+	ds := DiffSchema{Type: DiffInsert, Rel: relName, IDs: append([]string(nil), sch.Key...), Post: sch.NonKey()}
+	return decl{schema: ds, plan: toDiff(plan, ds, nil)}
+}
+
+// deleteOf is the delete diff of the tuples over sch that plan holds under
+// their plain attribute names: their IDs and, when pre, their other
+// attributes as pre-state values.
+func deleteOf(relName string, sch rel.Schema, plan algebra.Node, pre bool) decl {
+	ds := DiffSchema{Type: DiffDelete, Rel: relName, IDs: sch.Key}
+	if pre {
+		ds.Pre = sch.NonKey()
+	}
+	return decl{schema: ds, plan: toDiff(plan, ds, preSrcFromPlain(ds))}
+}
+
+// preSrcFromPlain maps each pre attribute of ds to the plain column of the
+// same name, for toDiff over plans carrying plain attribute values.
+func preSrcFromPlain(ds DiffSchema) map[string]string {
+	m := map[string]string{}
+	for _, a := range ds.Pre {
+		m[PreName(a)] = a
+	}
+	return m
+}
+
 // widenReconstruct rebuilds full target-relation tuples for a diff that
 // lacks some of the target's columns, by joining the diff with the
 // subview itself (the Input keyword of Section 4) on the diff's IDs and

@@ -146,8 +146,6 @@ func conditionalSets(plan algebra.Node, tableSchema func(string) (rel.Schema, er
 			add(x.Pred.Cols())
 		case *algebra.SemiJoin:
 			add(x.Pred.Cols())
-		case *algebra.AntiJoin:
-			add(x.Pred.Cols())
 		case *algebra.GroupBy:
 			add(x.Keys)
 		}

@@ -297,13 +297,11 @@ func Verify(s *Script) error {
 					}
 				case *algebra.SemiJoin:
 					if m.deleteDiffVsOwnPost(x.Left, x.Right, x.Pred) {
-						bad = verr(s, VerifyUnsafeShape, i, cs.Name,
-							"delete diff semijoined with its own target's post-state (C2 makes this empty)")
-					}
-				case *algebra.AntiJoin:
-					if m.deleteDiffVsOwnPost(x.Left, x.Right, x.Pred) {
-						bad = verr(s, VerifyUnsafeShape, i, cs.Name,
-							"delete diff antijoined with its own target's post-state (C2 makes this the diff itself)")
+						what := "semijoined with its own target's post-state (C2 makes this empty)"
+						if x.Anti {
+							what = "antijoined with its own target's post-state (C2 makes this the diff itself)"
+						}
+						bad = verr(s, VerifyUnsafeShape, i, cs.Name, "delete diff %s", what)
 					}
 				}
 			})

@@ -341,12 +341,8 @@ func TestVerifyRejectsInlinedSharedSubplan(t *testing.T) {
 			if x.Name == shared.Name {
 				return shared.Plan
 			}
-		case *algebra.Project:
-			return &algebra.Project{Child: inline(x.Child), Items: x.Items}
-		case *algebra.SemiJoin:
-			return &algebra.SemiJoin{Left: inline(x.Left), Right: inline(x.Right), Pred: x.Pred}
-		case *algebra.AntiJoin:
-			return &algebra.AntiJoin{Left: inline(x.Left), Right: inline(x.Right), Pred: x.Pred}
+		case *algebra.Project, *algebra.SemiJoin:
+			return algebra.MapChildren(n, inline)
 		}
 		return n
 	}

@@ -231,7 +231,7 @@ type Batch struct {
 var nullCols [64]ColVec
 
 // NewBatch returns an empty (zero-row) batch with one VecNull column per
-// attribute — safe to Gather, Materialize or read at any width.
+// attribute — safe to gather, Materialize or read at any width.
 func NewBatch(sch Schema) *Batch {
 	w := len(sch.Attrs)
 	if w > len(nullCols) {
@@ -258,14 +258,11 @@ func (b *Batch) Row(i int, buf Tuple) Tuple {
 	return buf
 }
 
-// KeyDigests returns the key digest of every row over the columns cols:
-// out[i] is KeyDigest of row i's cols values, folded a column at a time so
-// that the kind switch runs once per column, not once per value, and a dense
-// int column is read as the []int64 it is.
-func (b *Batch) KeyDigests(cols []int) []uint64 { return b.KeyDigestsInto(cols, nil) }
-
-// KeyDigestsInto is KeyDigests into buf, which it reallocates only when buf
-// is too small; it returns buf[:b.N].
+// KeyDigestsInto returns the key digest of every row over the columns cols
+// in buf, which it reallocates only when buf is too small: out[i] is
+// KeyDigest of row i's cols values, folded a column at a time so that the
+// kind switch runs once per column, not once per value, and a dense int
+// column is read as the []int64 it is. It returns buf[:b.N].
 func (b *Batch) KeyDigestsInto(cols []int, buf []uint64) []uint64 {
 	out := buf
 	if cap(out) < b.N {
@@ -295,21 +292,9 @@ func (b *Batch) KeyDigestsInto(cols []int, buf []uint64) []uint64 {
 	return out
 }
 
-// Gather returns the batch restricted to the logical rows in sel, which
-// must be strictly increasing (a filter selection). Payloads are shared;
-// only indirection vectors are built. A full-length selection is the
-// identity and returns the batch unchanged. For selections with repeats
-// (join gathers) use GatherRows.
-func (b *Batch) Gather(sel []int32) *Batch {
-	if len(sel) == b.N {
-		return b
-	}
-	return b.GatherRows(sel)
-}
-
-// GatherRows is Gather for arbitrary selections: sel may repeat or
-// reorder rows (a join emits one driving row per match), so no identity
-// shortcut applies.
+// GatherRows returns the batch's logical rows in sel, which may repeat or
+// reorder rows (a join emits one driving row per match). Payloads are
+// shared; only indirection vectors are built.
 func (b *Batch) GatherRows(sel []int32) *Batch {
 	nb := &Batch{Schema: b.Schema, Cols: make([]ColVec, len(b.Cols)), N: len(sel)}
 	var memo gatherMemo

@@ -90,16 +90,17 @@ func TestBatchDegradedColumns(t *testing.T) {
 	}
 }
 
-// Gather must compose chained selections and share payloads.
+// GatherRows must compose chained selections and share payloads; the
+// whole-batch Slice is the batch itself.
 func TestBatchGather(t *testing.T) {
 	sch := batchSchema(t)
 	rows := sampleRows()
 	b := FromTuples(sch, rows)
 
-	if g := b.Gather([]int32{0, 1, 2, 3}); g != b {
-		t.Fatalf("identity gather must return the batch unchanged")
+	if g := b.Slice(0, b.N); g != b {
+		t.Fatalf("whole-batch slice must return the batch unchanged")
 	}
-	g1 := b.Gather([]int32{3, 1, 0})
+	g1 := b.GatherRows([]int32{3, 1, 0})
 	wantRows := []Tuple{rows[3], rows[1], rows[0]}
 	for i, want := range wantRows {
 		got := g1.Row(i, nil)
@@ -108,7 +109,7 @@ func TestBatchGather(t *testing.T) {
 		}
 	}
 	// Chained gather composes indirection (logical rows of g1).
-	g2 := g1.Gather([]int32{2, 0})
+	g2 := g1.GatherRows([]int32{2, 0})
 	want2 := []Tuple{rows[0], rows[3]}
 	out := g2.Materialize()
 	for i, want := range want2 {
@@ -214,13 +215,13 @@ func TestConstantColumn(t *testing.T) {
 	same("constant", konst, dense)
 	want := FromTuples(sch, dense)
 	all := []int{0, 1, 2, 3, 4, 5}
-	if got, w := konst.KeyDigests(all), want.KeyDigests(all); !slices.Equal(got, w) {
-		t.Fatalf("KeyDigests = %v, a dense batch's %v", got, w)
+	if got, w := konst.KeyDigestsInto(all, nil), want.KeyDigestsInto(all, nil); !slices.Equal(got, w) {
+		t.Fatalf("KeyDigestsInto = %v, a dense batch's %v", got, w)
 	}
 	sel := []int32{5, 2, 2, 0}
 	g := konst.GatherRows(sel)
 	same("GatherRows", g, []Tuple{dense[5], dense[2], dense[2], dense[0]})
-	same("Gather", konst.Gather([]int32{1, 4}), []Tuple{dense[1], dense[4]})
+	same("GatherRows, increasing", konst.GatherRows([]int32{1, 4}), []Tuple{dense[1], dense[4]})
 	same("Gather of a gather", g.GatherRows([]int32{3, 1}), []Tuple{dense[0], dense[2]})
 	same("Slice", konst.Slice(2, 5), dense[2:5])
 	for j := 1; j < 5; j++ {

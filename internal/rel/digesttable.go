@@ -111,7 +111,7 @@ func (t *digestTable) fit() {
 // DigestChains is the digest table outside a stored index: it files entries
 // — small non-negative numbers a kernel assigns, the row numbers of a batch or
 // the ordinals of the groups or set members it has seen so far — under 64-bit
-// key digests (KeyDigest, Batch.KeyDigests), each digest's entries on a chain
+// key digests (KeyDigest, Batch.KeyDigestsInto), each digest's entries on a chain
 // threaded through one []int32, newest first. It stores no keys and decides
 // nothing: a caller walks the chain under a probe's digest and verifies every
 // entry against the probe with Value.KeyEqual, so keys that share a digest

@@ -46,10 +46,10 @@ type hashIndex struct {
 }
 
 // KeyDigest is the digest of a probe key; digestCols(row, cols) equals it
-// for every row whose cols are KeyEqual to vals, as does Batch.KeyDigests for
-// every batch row. Equal digests decide nothing: whoever files entries under
-// them (hashIndex, DigestChains' callers) verifies each candidate with
-// Value.KeyEqual.
+// for every row whose cols are KeyEqual to vals, as does
+// Batch.KeyDigestsInto for every batch row. Equal digests decide nothing:
+// whoever files entries under them (hashIndex, DigestChains' callers)
+// verifies each candidate with Value.KeyEqual.
 func KeyDigest(vals []Value) uint64 {
 	h := uint64(digestSeed)
 	for _, v := range vals {

@@ -206,7 +206,7 @@ func TestCollidingKeysShareAChainAndStayApart(t *testing.T) {
 // TestBatchKeyDigestsMatchKeyDigest pins the column-at-a-time digest of the
 // hash kernels to the one the stored indexes use: for every row of a batch —
 // dense int columns, int columns with NULLs, mixed-kind columns, columns
-// behind a gather vector — KeyDigests over a column set is KeyDigest of the
+// behind a gather vector — KeyDigestsInto over a column set is KeyDigest of the
 // row's values there, so a batch row and a stored row that are KeyEqual fold
 // alike.
 func TestBatchKeyDigestsMatchKeyDigest(t *testing.T) {
@@ -222,7 +222,7 @@ func TestBatchKeyDigestsMatchKeyDigest(t *testing.T) {
 	}
 	for name, bb := range map[string]*Batch{"dense": b, "gathered": b.GatherRows(sel)} {
 		for _, cols := range [][]int{{0}, {1}, {3}, {0, 3}, {1, 2}, {2, 0, 1, 3}, nil} {
-			dig := bb.KeyDigests(cols)
+			dig := bb.KeyDigestsInto(cols, nil)
 			var row Tuple
 			for i := 0; i < bb.Len(); i++ {
 				row = bb.Row(i, row)
@@ -231,7 +231,7 @@ func TestBatchKeyDigestsMatchKeyDigest(t *testing.T) {
 					key[k] = row[j]
 				}
 				if dig[i] != KeyDigest(key) {
-					t.Fatalf("%s cols %v row %d (%v): KeyDigests %#x, KeyDigest %#x", name, cols, i, key, dig[i], KeyDigest(key))
+					t.Fatalf("%s cols %v row %d (%v): KeyDigestsInto %#x, KeyDigest %#x", name, cols, i, key, dig[i], KeyDigest(key))
 				}
 			}
 		}

@@ -63,7 +63,7 @@ func TestValueIdentity(t *testing.T) {
 // checkColumn builds vals into a column three ways — value by value, by
 // AppendVec of two dense halves, and as a gathered view — and requires each
 // to give back exactly (==) the values it was given, through every reader:
-// Value, IsNull, Row, Materialize and KeyDigests. It also checks the layout
+// Value, IsNull, Row, Materialize and KeyDigestsInto. It also checks the layout
 // ColVec documents: a VecAny column has Kinds, and every payload slice is
 // nil or one entry per row.
 func checkColumn(t *testing.T, vals []Value) {
@@ -92,7 +92,7 @@ func checkColumn(t *testing.T, vals []Value) {
 		sch := NewSchema([]string{"c"}, nil)
 		b := &Batch{Schema: sch, Cols: []ColVec{c}, N: len(vals)}
 		rows := b.Materialize().Tuples
-		digests := b.KeyDigests([]int{0})
+		digests := b.KeyDigestsInto([]int{0}, nil)
 		for i, want := range vals {
 			if got := c.Value(i); got != want {
 				t.Fatalf("%s %v: row %d reads %#v, want %#v", name, vals, i, got, want)
