@@ -1,13 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race race-ivm race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving
+.PHONY: check build vet test race race-ivm race-serving lint lint-json loc fuzz-smoke bench-e2e-smoke bench-smoke bench-smoke-serving experiments
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests, also of maintenance and of the serving layer at both GOMAXPROCS
 # shapes, the repository linter, the non-test line count per package, a
 # short run of the seven fuzz targets, and a smoke run of the end-to-end
 # benchmark (a module of its own that `./...` does not reach). Any lint
-# finding fails the build.
+# finding fails the build. The tests include cmd/experiments'
+# TestExperimentsDoc, which renders every count table of EXPERIMENTS.md and
+# fails on any difference from the document (`make experiments` rewrites
+# them).
 check: build vet race race-ivm race-serving lint loc fuzz-smoke bench-e2e-smoke
 
 build:
@@ -39,6 +42,11 @@ race-serving:
 
 lint:
 	$(GO) run ./cmd/ivmlint ./...
+
+# experiments regenerates the count tables of EXPERIMENTS.md — each section
+# between <!-- experiments:NAME --> markers — after a deliberate cost change.
+experiments:
+	$(GO) test ./cmd/experiments -run '^TestExperimentsDoc$$' -update-golden
 
 # lint-json keeps the text findings on stdout and additionally writes
 # lint.json (the stable CI-artifact schema: file/line/col/analyzer/message

@@ -186,13 +186,7 @@ func BenchmarkAggClasses(b *testing.B) {
 			return algebra.NewGroupBy(qs3.(*algebra.GroupBy).Child, []string{"microblog.topic"}, aggs), nil
 		}
 	}
-	perCity := func(ds *bsma.Dataset) (algebra.Node, error) {
-		user, err := ds.DB.Table("user")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NewGroupBy(algebra.NewScan("user", "", user.Schema()), []string{"user.city"}, minmax), nil
-	}
+	perCity := func(ds *bsma.Dataset) (algebra.Node, error) { return ds.Plan("city_minmax") }
 	for _, row := range []struct {
 		name string
 		plan func(*bsma.Dataset) (algebra.Node, error)
@@ -338,40 +332,11 @@ func BenchmarkFeedJoin(b *testing.B) {
 	}
 }
 
-// cascadeL1Plan is the level-0 rollup of the cascade benchmark: per-city
-// sums over the BSMA user table, with bare output names so the level-1
-// view can scan it like a base table.
-func cascadeL1Plan(d *db.Database) algebra.Node {
-	user, _ := d.Table("user")
-	g := algebra.NewGroupBy(algebra.NewScan("user", "", user.Schema()),
-		[]string{"user.city"},
-		[]algebra.Agg{
-			{Fn: algebra.AggSum, Arg: expr.C("user.tweetsnum"), As: "tweets"},
-			{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "favors"},
-		})
-	return algebra.NewProject(g, []algebra.ProjItem{
-		{E: expr.C("user.city"), As: "city"},
-		{E: expr.C("tweets"), As: "tweets"},
-		{E: expr.C("favors"), As: "favors"},
-	})
-}
-
-// cascadeL2Plan is the level-1 rollup over v1: a histogram of cities by
-// per-city tweet sum — every user update that moves a city's sum deletes
-// one bucket row and feeds another, real churn at both levels.
-func cascadeL2Plan(d *db.Database, parent string) algebra.Node {
-	p, _ := d.Table(parent)
-	return algebra.NewGroupBy(algebra.NewScan(parent, "", p.Schema()),
-		[]string{parent + ".tweets"},
-		[]algebra.Agg{
-			{Fn: algebra.AggCount, As: "cities"},
-			{Fn: algebra.AggSum, Arg: expr.C(parent + ".favors"), As: "favors"},
-		})
-}
-
 // BenchmarkCascadeMaintenance measures the cascade charge model on a
 // 2-level rollup-over-rollup (BSMA user → per-city sums → tweet-sum
-// histogram) under the 100-user-update round.
+// histogram: the catalogue's city_rollup and city_hist) under the
+// 100-user-update round; every user update that moves a city's sum deletes
+// one bucket row and feeds another, real churn at both levels.
 //
 // The "cascade" row maintains both levels incrementally: the level-1 view
 // consumes the i-diffs the round applied to its parent (the derived log),
@@ -392,12 +357,7 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 	b.Run("cascade", func(b *testing.B) {
 		ds := bsma.Build(p)
 		sys := ivm.NewSystem(ds.DB)
-		if _, err := sys.RegisterView("v1", cascadeL1Plan(ds.DB), ivm.ModeID); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RegisterView("v2", cascadeL2Plan(ds.DB, "v1"), ivm.ModeID); err != nil {
-			b.Fatal(err)
-		}
+		registerBSMAViews(b, sys, ds, []string{"city_rollup", "city_hist"})
 		var accesses int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -422,7 +382,10 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 		ds := bsma.Build(p)
 		// The composed plan: the histogram rollup inlined over the per-city
 		// rollup, reading base tables only.
-		inner := cascadeL1Plan(ds.DB)
+		inner, err := ds.Plan("city_rollup")
+		if err != nil {
+			b.Fatal(err)
+		}
 		flat := algebra.NewGroupBy(inner, []string{"tweets"},
 			[]algebra.Agg{
 				{Fn: algebra.AggCount, As: "cities"},
@@ -472,9 +435,7 @@ func benchManyViews(b *testing.B, workers int) {
 	ds := bsma.Build(benchBSMAParams())
 	sys := ivm.NewSystem(ds.DB)
 	sys.Workers = workers
-	if err := harness.RegisterManyViews(sys, ds); err != nil {
-		b.Fatal(err)
-	}
+	registerBSMAViews(b, sys, ds, bsma.ViewNames())
 	var accesses int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -494,6 +455,20 @@ func benchManyViews(b *testing.B, workers int) {
 		}
 	}
 	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+}
+
+// registerBSMAViews registers the named views of the BSMA catalogue in ID
+// mode, in order (city_hist scans city_rollup).
+func registerBSMAViews(b *testing.B, sys *ivm.System, ds *bsma.Dataset, names []string) {
+	for _, name := range names {
+		plan, err := ds.Plan(name)
+		if err == nil {
+			_, err = sys.RegisterView(name, plan, ivm.ModeID)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkScanHeavyRecompute measures full recomputation of the Figure 1b

@@ -1,148 +1,280 @@
-// Command experiments regenerates the paper's evaluation artifacts:
-//
-//	experiments -fig 10            # Figure 10 (BSMA speedups)
-//	experiments -fig 12a           # Figure 12a (varying diff size)
-//	experiments -fig 12b           # Figure 12b (varying joins)
-//	experiments -fig 12c           # Figure 12c (varying selectivity)
-//	experiments -fig 12d           # Figure 12d (varying fanout)
-//	experiments -table 2           # eq. (1) validation (Table 2 model)
-//	experiments -table 3           # eq. (2) validation (Table 3 model)
-//	experiments -steps             # one many-views BSMA round, step by step
-//	experiments -scripts           # the Δ-scripts of those views
-//	experiments -all               # everything
-//
-// -scale and -users control dataset sizes (defaults keep a full run in
-// tens of seconds; raise them on beefier machines to approach the paper's
-// ratios more closely).
+// Command experiments regenerates the paper's evaluation tables as markdown:
+// one figure (-fig 10, 12a–12d, crossover), one cost-model table (-table 2,
+// 3), the many-view BSMA round step by step (-steps), or every table, the
+// ablations included (-all). -scripts prints the Δ-scripts of the eleven
+// BSMA views instead. -scale and -users size the datasets. Every count is
+// deterministic; the test of this command checks each table against its
+// section of EXPERIMENTS.md.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strconv"
+	"time"
 
 	"idivm/internal/bsma"
 	"idivm/internal/harness"
+	"idivm/internal/ivm"
 	"idivm/internal/workload"
 )
 
-func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 10 | 12a | 12b | 12c | 12d | crossover")
-	table := flag.String("table", "", "table/model to validate: 2 | 3")
-	steps := flag.Bool("steps", false, "print one round of the eleven BSMA views in one system as a table: view, step, rows, accesses, µs")
-	scripts := flag.Bool("scripts", false, "print the Δ-script of each of the eleven BSMA views and exit")
-	all := flag.Bool("all", false, "run every experiment")
-	scale := flag.Int("scale", 4000, "parts/devices count for the Figure 12 sweeps")
-	users := flag.Int("users", 400, "user count for the Figure 10 workload")
-	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
-	flag.Parse()
+// params are the flag values a table is rendered at.
+type params struct {
+	scale, users int
+	// perStep precedes the step table's per-view totals with every step's
+	// rows, accesses and µs (-steps).
+	perStep bool
+}
 
+// table is one markdown table of the command.
+type table struct {
+	name   string // its section in EXPERIMENTS.md
+	sel    string // the flags that select it
+	title  string
+	render func(w io.Writer, p params) error
+}
+
+var tables = []table{
+	{"fig10", "-fig 10", "Figure 10: speedup of ID-based over tuple-based IVM, BSMA views", renderFig10},
+	{"fig12a", "-fig 12a", "Figure 12a: varying d (A=idIVM, B=tuple, C=SDBT-fixed, D=SDBT-streams)", fig12(workload.VaryDiffSize, true)},
+	{"fig12b", "-fig 12b", "Figure 12b: varying j, selection disabled (A=idIVM, B=tuple)", fig12(workload.VaryJoins, false)},
+	{"fig12c", "-fig 12c", "Figure 12c: varying s (A=idIVM, B=tuple, C=SDBT-fixed, D=SDBT-streams)", fig12(workload.VarySelectivity, true)},
+	{"fig12d", "-fig 12d", "Figure 12d: varying f (A=idIVM, B=tuple, C=SDBT-fixed, D=SDBT-streams)", fig12(workload.VaryFanout, true)},
+	{"table2", "-table 2", "Table 2 / equation (1): SPJ cost model validation", validation(false)},
+	{"table3", "-table 3", "Table 3 / equation (2): aggregate cost model validation", validation(true)},
+	{"crossover", "-fig crossover", "Footnote 9: IVM vs full recomputation crossover", renderCrossover},
+	{"ablation", "-all", "Ablations: the aggregate view at the Figure 12a default point", renderAblation},
+	{"steps", "-steps", "One round of the eleven bsma_views views in one system", renderSteps},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it returns the exit status, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "figure to regenerate: 10 | 12a | 12b | 12c | 12d | crossover")
+	tab := fs.String("table", "", "table/model to validate: 2 | 3")
+	steps := fs.Bool("steps", false, "print one round of the eleven BSMA views in one system: every step's rows, accesses and µs, then each view's accesses")
+	scripts := fs.Bool("scripts", false, "print the Δ-script of each of the eleven BSMA views and exit")
+	all := fs.Bool("all", false, "run every experiment")
+	scale := fs.Int("scale", 4000, "parts/devices count for the Figure 12 sweeps")
+	users := fs.Int("users", 400, "user count for the BSMA workload")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *scripts {
-		if err := harness.FprintScripts(os.Stdout, bsma.Defaults(*users)); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		if err := printScripts(stdout, bsma.Defaults(*users)); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	if !*all && *fig == "" && *table == "" && !*steps {
-		flag.Usage()
-		os.Exit(2)
+	var sel []table
+	for _, t := range tables {
+		if *all || t.sel == "-fig "+*fig || t.sel == "-table "+*tab || (*steps && t.sel == "-steps") {
+			sel = append(sel, t)
+		}
 	}
-	if err := run(*fig, *table, *all, *steps, *scale, *users, *csv); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+	known := func(prefix, v string) bool {
+		return v == "" || slices.ContainsFunc(tables, func(t table) bool { return t.sel == prefix+v })
+	}
+	if len(sel) == 0 || !known("-fig ", *fig) || !known("-table ", *tab) {
+		fs.Usage()
+		return 2
+	}
+	for _, t := range sel {
+		fmt.Fprintf(stdout, "## %s\n\n", t.title)
+		if err := t.render(stdout, params{scale: *scale, users: *users, perStep: *steps}); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
+		}
+		fmt.Fprintln(stdout)
+	}
+	return 0
+}
+
+// num renders a count with its thousands separated by spaces: 12 164.
+func num(n int64) string {
+	s := strconv.FormatInt(n, 10)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + " " + s[i:]
+	}
+	return s
+}
+
+// times renders b's cost over a's with the given decimals: 2.3×.
+func times(a, b harness.ApproachResult, decimals int) string {
+	return fmt.Sprintf("%.*f×", decimals, harness.Speedup(a, b))
+}
+
+func renderFig10(w io.Writer, p params) error {
+	rows, err := harness.RunFig10(bsma.Defaults(p.users))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "| view | id accesses | tuple accesses | speedup |")
+	fmt.Fprintln(w, "|------|------------:|---------------:|--------:|")
+	for _, r := range rows {
+		fmt.Fprintf(w, "| %s | %s | %s | %s |\n", r.Query, num(r.ID.Accesses), num(r.Tuple.Accesses), times(r.ID, r.Tuple, 1))
+	}
+	return nil
+}
+
+// fig12 renders one Figure 12 sweep over the paper's values: each
+// approach's accesses and the ratios to idIVM (A), B/A being the figure's
+// speedup and C/A, D/A Section 7.3's comparison with the SDBT variants.
+func fig12(vary workload.Fig12Vary, withSDBT bool) func(io.Writer, params) error {
+	return func(w io.Writer, p params) error {
+		points, err := harness.RunFig12(vary, workload.PaperValues(vary), workload.Defaults(p.scale), withSDBT)
+		if err != nil {
+			return err
+		}
+		if withSDBT {
+			fmt.Fprintf(w, "| %s | A | B | C | D | B/A | C/A | D/A |\n|--:|--:|--:|--:|--:|--:|--:|--:|\n", vary)
+		} else {
+			fmt.Fprintf(w, "| %s | A | B | B/A |\n|--:|--:|--:|--:|\n", vary)
+		}
+		for _, pt := range points {
+			fmt.Fprintf(w, "| %d |", pt.Value)
+			for _, r := range pt.Results {
+				fmt.Fprintf(w, " %s |", num(r.Accesses))
+			}
+			decimals := []int{1, 2, 1} // B/A, C/A, D/A: C/A lies near 1
+			for i, r := range pt.Results[1:] {
+				fmt.Fprintf(w, " %s |", times(pt.Results[0], r, decimals[i]))
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
 	}
 }
 
-// crossoverDs picks diff sizes spanning well past the expected crossover.
-func crossoverDs(scale int) []int {
-	return []int{scale / 40, scale / 10, scale / 4, scale / 2, scale}
+// validation renders the measured cost-model parameters of equation (1)
+// (SPJ) or (2) (aggregate) with the predicted and the measured speedup.
+func validation(agg bool) func(io.Writer, params) error {
+	return func(w io.Writer, p params) error {
+		v, err := harness.RunCostModelValidation(workload.Defaults(p.scale), agg)
+		if err != nil {
+			return err
+		}
+		g := "—"
+		if agg {
+			g = fmt.Sprintf("%.2f", v.Params.G)
+		}
+		fmt.Fprintln(w, "| a | p | g | predicted | measured |\n|--:|--:|--:|--:|--:|")
+		fmt.Fprintf(w, "| %.1f | %.2f | %s | %.2f× | %.2f× |\n", v.Params.A, v.Params.P, g, v.PredictedSpeedup, v.MeasuredSpeedup)
+		return nil
+	}
 }
 
-func run(fig, table string, all, steps bool, scale, users int, csv bool) error {
-	base := workload.Defaults(scale)
-	base.Devices = scale
+// renderCrossover runs diff sizes from a fortieth of the parts to all of
+// them, well past the crossover.
+func renderCrossover(w io.Writer, p params) error {
+	s := p.scale
+	rows, err := harness.RunCrossover(workload.Defaults(s), []int{s / 40, s / 10, s / 4, s / 2, s})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "| d | ivm | recompute (raw) | recompute (seq÷%d) | winner |\n|--:|--:|--:|--:|--|\n", harness.SeqDiscount)
+	for _, r := range rows {
+		winner := "recompute"
+		if r.IVMWins {
+			winner = "ivm"
+		}
+		fmt.Fprintf(w, "| %s | %s | %s | %s | %s |\n", num(int64(r.DiffSize)), num(r.IVMAccesses),
+			num(r.RecomputeAccesses), num(r.RecomputeWeighted), winner)
+	}
+	return nil
+}
 
-	if all || steps {
-		fmt.Println("== One round, step by step: the eight Figure 10 views and the three city views in one system ==")
-		reports, err := harness.RunSteps(bsma.Defaults(users))
-		if err != nil {
-			return err
-		}
-		harness.FprintSteps(os.Stdout, reports)
-		fmt.Println()
+func renderAblation(w io.Writer, p params) error {
+	rows, err := harness.RunAblation(workload.Defaults(p.scale))
+	if err != nil {
+		return err
 	}
+	fmt.Fprintln(w, "| ablation | accesses/round | vs. full system |\n|---|--:|--:|")
+	for i, r := range rows {
+		vs := "—"
+		if i > 0 {
+			vs = times(rows[0], r, 2)
+		}
+		fmt.Fprintf(w, "| %s | %s | %s |\n", r.Name, num(r.Accesses), vs)
+	}
+	return nil
+}
 
-	if all || fig == "10" {
-		fmt.Println("== Figure 10: speedup of ID-based over tuple-based IVM, BSMA views ==")
-		p := bsma.Defaults(users)
-		rows, err := harness.RunFig10(p)
-		if err != nil {
-			return err
-		}
-		if csv {
-			harness.WriteFig10CSV(os.Stdout, rows)
-		} else {
-			harness.FprintFig10(os.Stdout, rows)
-		}
-		fmt.Println()
+// renderSteps runs harness.RunSteps and renders each view's round total and
+// their sum, the round's maintenance accesses. With perStep it first lists
+// what each Δ-script step of each view produced (rows), what it was charged
+// (accesses) and how long it took (µs) — where a many-view round spends its
+// time, in steps the access count never sees as often as in those it does.
+func renderSteps(w io.Writer, p params) error {
+	reports, err := harness.RunSteps(bsma.Defaults(p.users))
+	if err != nil {
+		return err
 	}
+	if p.perStep {
+		printSteps(w, reports)
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w, "| view | accesses |\n|------|---------:|")
+	var total int64
+	for _, r := range reports {
+		fmt.Fprintf(w, "| %s | %s |\n", r.View, num(r.Phases.Total().Total()))
+		total += r.Phases.Total().Total()
+	}
+	fmt.Fprintf(w, "| **total** | **%s** |\n", num(total))
+	return nil
+}
 
-	sweeps := []struct {
-		id   string
-		vary harness.Fig12Vary
-		sdbt bool
-	}{
-		{"12a", harness.VaryDiffSize, true},
-		{"12b", harness.VaryJoins, false},
-		{"12c", harness.VarySelectivity, true},
-		{"12d", harness.VaryFanout, true},
+// printSteps renders one round step by step. Each view ends with its
+// (round) row; the last row, "total", sums those rows over all views: the
+// round's maintenance accesses, and the views' times added up (they
+// overlap when the views run concurrently).
+func printSteps(w io.Writer, reports []*ivm.Report) {
+	line := func(view, step string, rows int, accesses int64, d time.Duration) {
+		fmt.Fprintf(w, "| %s | %s | %d | %d | %.1f |\n", view, step, rows, accesses, float64(d.Nanoseconds())/1000)
 	}
-	for _, s := range sweeps {
-		if !all && fig != s.id {
-			continue
+	fmt.Fprintln(w, "| view | step | rows | accesses | µs |\n|---|---|--:|--:|--:|")
+	var rows int
+	var accesses int64
+	var d time.Duration
+	for _, r := range reports {
+		for _, st := range r.Phases.Steps {
+			line(r.View, st.Step, st.Rows, st.Cost.Total(), st.Time)
 		}
-		fmt.Printf("== Figure %s: varying %s (A=idIVM, B=tuple, C=SDBT-fixed, D=SDBT-streams) ==\n",
-			s.id, s.vary)
-		points, err := harness.RunFig12(s.vary, harness.PaperValues(s.vary), base, s.sdbt)
-		if err != nil {
-			return err
-		}
-		if csv {
-			harness.WriteFig12CSV(os.Stdout, s.vary, points)
-		} else {
-			harness.FprintFig12(os.Stdout, s.vary, points)
-		}
-		fmt.Println()
+		line(r.View, "(round)", r.DiffTuples, r.Phases.Total().Total(), r.Duration)
+		rows, accesses, d = rows+r.DiffTuples, accesses+r.Phases.Total().Total(), d+r.Duration
 	}
+	line("total", "(round)", rows, accesses, d)
+}
 
-	if all || table == "2" {
-		fmt.Println("== Table 2 / equation (1): SPJ cost model validation ==")
-		v, err := harness.RunCostModelValidation(base, false)
-		if err != nil {
-			return err
+// printScripts registers the views of bsma.ViewNames in ID mode over a
+// dataset built from p and prints every view's Δ-script in registration
+// order: the text to diff between two commits when a rule change moves a
+// dispatch.
+func printScripts(w io.Writer, p bsma.Params) error {
+	ds := bsma.Build(p)
+	sys := ivm.NewSystem(ds.DB)
+	for _, name := range bsma.ViewNames() {
+		plan, err := ds.Plan(name)
+		if err == nil {
+			_, err = sys.RegisterView(name, plan, ivm.ModeID)
 		}
-		harness.FprintValidation(os.Stdout, v)
-		fmt.Println()
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
 	}
-	if all || fig == "crossover" {
-		fmt.Println("== Footnote 9: IVM vs full recomputation crossover ==")
-		rows, err := harness.RunCrossover(base, crossoverDs(scale))
-		if err != nil {
-			return err
-		}
-		harness.FprintCrossover(os.Stdout, rows)
-		fmt.Println()
-	}
-
-	if all || table == "3" {
-		fmt.Println("== Table 3 / equation (2): aggregate cost model validation ==")
-		v, err := harness.RunCostModelValidation(base, true)
-		if err != nil {
-			return err
-		}
-		harness.FprintValidation(os.Stdout, v)
-		fmt.Println()
+	for _, name := range sys.ViewNames() {
+		v, _ := sys.View(name)
+		fmt.Fprintln(w, v.Script)
 	}
 	return nil
 }

@@ -5,6 +5,8 @@
 // paper: SELECT extended with tweetsnum and favornum, ORDER BY/LIMIT and
 // ID parameters removed) plus the three additional aggregate views Q*1,
 // Q*2 and Q*3 whose aggregates are affected by the update workload.
+// With the three city views over user it is the catalogue of the eleven
+// views the bsma_views workload maintains in one system (ViewNames).
 //
 // The generator preserves the paper's table-size ratios (Figure 9a):
 // friendlist = users × friends-per-user, retweets = tweets × 10% × 2,
@@ -194,9 +196,19 @@ func QueryNames() []string {
 	return []string{"Q7", "Q10", "Q11", "Q15", "Q18", "Q*1", "Q*2", "Q*3"}
 }
 
-// Plan builds the named view's algebra plan.
+// ViewNames lists the eleven views of the bsma_views workload in
+// registration order: the eight Figure 10 queries, then city_rollup,
+// city_hist and city_minmax. city_hist scans the registered city_rollup
+// view (a cascade), so it must come after it.
+func ViewNames() []string {
+	return append(QueryNames(), "city_rollup", "city_hist", "city_minmax")
+}
+
+// Plan builds the named view's algebra plan, for every name of ViewNames.
 func (ds *Dataset) Plan(name string) (algebra.Node, error) {
 	switch name {
+	case "city_rollup", "city_hist", "city_minmax":
+		return ds.cityPlan(name)
 	case "Q7":
 		return ds.q7(), nil
 	case "Q10":
@@ -345,4 +357,33 @@ func (ds *Dataset) qs3() algebra.Node {
 			{Fn: algebra.AggSum, Arg: expr.C("user.tweetsnum"), As: "topic_tweets"},
 			{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "topic_favor"},
 		})
+}
+
+// cityPlan builds a city view over user: city_rollup (per-city sums),
+// city_hist (a histogram of cities by tweet sum over the city_rollup view,
+// which must be registered) or city_minmax (MIN/MAX of tweetsnum per city).
+func (ds *Dataset) cityPlan(name string) (algebra.Node, error) {
+	src := "user"
+	if name == "city_hist" {
+		src = "city_rollup"
+	}
+	t, err := ds.DB.Table(src)
+	if err != nil {
+		return nil, err
+	}
+	scan := algebra.NewScan(src, "", t.Schema())
+	tweets := expr.C("user.tweetsnum")
+	switch name {
+	case "city_rollup":
+		return algebra.NewProject(
+			algebra.NewGroupBy(scan, []string{"user.city"}, []algebra.Agg{
+				{Fn: algebra.AggSum, Arg: tweets, As: "tweets"},
+				{Fn: algebra.AggSum, Arg: expr.C("user.favornum"), As: "favors"}}),
+			[]algebra.ProjItem{{E: expr.C("user.city"), As: "city"}, {E: expr.C("tweets"), As: "tweets"}, {E: expr.C("favors"), As: "favors"}}), nil
+	case "city_hist":
+		return algebra.NewGroupBy(scan, []string{"city_rollup.tweets"},
+			[]algebra.Agg{{Fn: algebra.AggCount, As: "cities"}, {Fn: algebra.AggSum, Arg: expr.C("city_rollup.favors"), As: "favors"}}), nil
+	}
+	return algebra.NewGroupBy(scan, []string{"user.city"}, []algebra.Agg{
+		{Fn: algebra.AggMin, Arg: tweets, As: "min_tweets"}, {Fn: algebra.AggMax, Arg: tweets, As: "max_tweets"}}), nil
 }

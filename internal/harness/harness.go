@@ -1,4 +1,4 @@
-// Package harness drives the paper's experiments end-to-end and formats
+// Package harness drives the paper's experiments end-to-end and returns
 // their results as the rows/series the evaluation section reports:
 //
 //   - Figure 10 — speedup of ID-based over tuple-based IVM on the eight
@@ -8,17 +8,17 @@
 //     count, selectivity and fanout, with the per-phase breakdown the
 //     paper stacks in its bars;
 //   - Tables 2/3 & equations (1)/(2) — measured access counts compared to
-//     the analytical cost model's predictions.
+//     the analytical cost model's predictions;
+//   - footnote 9's IVM-versus-recomputation crossover, the cache and
+//     minimization ablations, and one many-view BSMA round step by step.
 //
-// Costs are reported in the paper's unit (tuple accesses + index lookups)
-// alongside wall-clock time; every run is verified against full view
-// recomputation before its numbers are accepted.
+// Costs are counted in the paper's unit (tuple accesses + index lookups);
+// every run is verified against full view recomputation before its numbers
+// are accepted. cmd/experiments renders the results as markdown.
 package harness
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"idivm/internal/bsma"
 	"idivm/internal/costmodel"
@@ -35,7 +35,6 @@ type ApproachResult struct {
 	// cache update, view diff computation, view update); SDBT reports its
 	// whole cost as view diff computation + view update combined in [2].
 	Breakdown [4]int64
-	Millis    float64
 	// ViewDiffTuples, ViewRowsTouched and RowsTouched feed the cost-model
 	// validation (RowsTouched additionally counts cache rows).
 	ViewDiffTuples  int
@@ -52,10 +51,10 @@ func Speedup(a, b ApproachResult) float64 {
 	return float64(b.Accesses) / float64(a.Accesses)
 }
 
-// RunIVM registers the workload view in the given mode, applies `rounds`
-// update rounds, maintains after each, verifies consistency, and returns
-// accumulated costs.
-func RunIVM(p workload.Params, agg bool, mode ivm.Mode, rounds int) (ApproachResult, error) {
+// RunIVM registers the workload view in the given mode (and generation
+// options), applies one update round, maintains, verifies consistency and
+// returns the round's costs.
+func RunIVM(p workload.Params, agg bool, mode ivm.Mode, opts ...ivm.GenOptions) (ApproachResult, error) {
 	out := ApproachResult{Name: "idIVM"}
 	if mode == ivm.ModeTuple {
 		out.Name = "tuple-IVM"
@@ -66,64 +65,49 @@ func RunIVM(p workload.Params, agg bool, mode ivm.Mode, rounds int) (ApproachRes
 	if agg {
 		plan = ds.AggPlan()
 	}
-	if _, err := s.RegisterView("V", plan, mode); err != nil {
+	if _, err := s.RegisterView("V", plan, mode, opts...); err != nil {
 		return out, err
 	}
-	for r := 0; r < rounds; r++ {
-		if err := ds.ApplyPriceUpdates(); err != nil {
-			return out, err
-		}
-		ds.DB.Counter().Reset()
-		start := time.Now()
-		reports, err := s.MaintainAll()
-		if err != nil {
-			return out, err
-		}
-		out.Millis += float64(time.Since(start).Microseconds()) / 1000
-		rep := reports[0]
-		for ph := 0; ph < 4; ph++ {
-			out.Breakdown[ph] += rep.Phases.Cost[ph].Total()
-		}
-		out.Accesses += rep.Phases.Total().Total()
-		out.ViewDiffTuples += rep.Phases.ViewDiffTuples
-		out.ViewRowsTouched += rep.Phases.ViewRowsTouched
-		out.RowsTouched += rep.Phases.RowsTouched
-		out.DiffTuples += rep.DiffTuples
-		if err := s.CheckConsistent("V"); err != nil {
-			return out, err
-		}
+	if err := ds.ApplyPriceUpdates(); err != nil {
+		return out, err
 	}
-	return out, nil
+	ds.DB.Counter().Reset()
+	reports, err := s.MaintainAll()
+	if err != nil {
+		return out, err
+	}
+	rep := reports[0]
+	for ph := 0; ph < 4; ph++ {
+		out.Breakdown[ph] = rep.Phases.Cost[ph].Total()
+	}
+	out.Accesses = rep.Phases.Total().Total()
+	out.ViewDiffTuples = rep.Phases.ViewDiffTuples
+	out.ViewRowsTouched = rep.Phases.ViewRowsTouched
+	out.RowsTouched = rep.Phases.RowsTouched
+	out.DiffTuples = rep.DiffTuples
+	return out, s.CheckConsistent("V")
 }
 
-// RunSDBT runs the same workload through a Simulated-DBToaster variant
+// RunSDBT runs the same round through a Simulated-DBToaster variant
 // (aggregate view only, matching Section 7.3's setup).
-func RunSDBT(p workload.Params, variant sdbt.Variant, rounds int) (ApproachResult, error) {
+func RunSDBT(p workload.Params, variant sdbt.Variant) (ApproachResult, error) {
 	out := ApproachResult{Name: variant.String()}
 	ds := workload.Build(p)
 	e, err := sdbt.New(ds, variant)
 	if err != nil {
 		return out, err
 	}
-	for r := 0; r < rounds; r++ {
-		if err := ds.ApplyPriceUpdates(); err != nil {
-			return out, err
-		}
-		ds.DB.Counter().Reset()
-		start := time.Now()
-		if err := e.Maintain(); err != nil {
-			return out, err
-		}
-		out.Millis += float64(time.Since(start).Microseconds()) / 1000
-		total := ds.DB.Counter().Total()
-		out.Accesses += total
-		out.Breakdown[ivm.PhaseViewCompute] += total
-		ds.DB.ResetLog()
-		if err := e.Check(); err != nil {
-			return out, err
-		}
+	if err := ds.ApplyPriceUpdates(); err != nil {
+		return out, err
 	}
-	return out, nil
+	ds.DB.Counter().Reset()
+	if err := e.Maintain(); err != nil {
+		return out, err
+	}
+	out.Accesses = ds.DB.Counter().Total()
+	out.Breakdown[ivm.PhaseViewCompute] = out.Accesses
+	ds.DB.ResetLog()
+	return out, e.Check()
 }
 
 // SweepPoint is one x-value of a Figure 12 sweep with every approach's
@@ -131,33 +115,6 @@ func RunSDBT(p workload.Params, variant sdbt.Variant, rounds int) (ApproachResul
 type SweepPoint struct {
 	Value   int
 	Results []ApproachResult
-	// Speedup is tuple-based over ID-based, the figure's headline number.
-	Speedup float64
-}
-
-// Fig12Vary names the four parameters of Figure 12.
-type Fig12Vary string
-
-// The four sweeps of Figure 12.
-const (
-	VaryDiffSize    Fig12Vary = "d"
-	VaryJoins       Fig12Vary = "j"
-	VarySelectivity Fig12Vary = "s"
-	VaryFanout      Fig12Vary = "f"
-)
-
-// PaperValues returns the x-axis values the paper uses for each sweep.
-func PaperValues(v Fig12Vary) []int {
-	switch v {
-	case VaryDiffSize:
-		return []int{100, 200, 300, 400, 500}
-	case VaryJoins:
-		return []int{2, 3, 4, 5, 6}
-	case VarySelectivity:
-		return []int{6, 12, 25, 50, 100}
-	default:
-		return []int{5, 10, 15, 20, 25}
-	}
 }
 
 // RunFig12 runs one sweep of the Figure 12 experiment over the aggregate
@@ -165,44 +122,43 @@ func PaperValues(v Fig12Vary) []int {
 // (SDBT-fixed and SDBT-streams). The joins sweep cannot include SDBT (the
 // simulated system is specific to the 2-join view) and disables the
 // selection, as the paper does.
-func RunFig12(vary Fig12Vary, values []int, base workload.Params, withSDBT bool) ([]SweepPoint, error) {
+func RunFig12(vary workload.Fig12Vary, values []int, base workload.Params, withSDBT bool) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for _, v := range values {
 		p := base
 		switch vary {
-		case VaryDiffSize:
+		case workload.VaryDiffSize:
 			p.DiffSize = v
-		case VaryJoins:
+		case workload.VaryJoins:
 			p.Joins = v
 			p.NoSelection = true
 			withSDBT = false
-		case VarySelectivity:
+		case workload.VarySelectivity:
 			p.Selectivity = v
-		case VaryFanout:
+		case workload.VaryFanout:
 			p.Fanout = v
 		}
 		point := SweepPoint{Value: v}
-		id, err := RunIVM(p, true, ivm.ModeID, 1)
+		id, err := RunIVM(p, true, ivm.ModeID)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s=%d idIVM: %w", vary, v, err)
 		}
-		tu, err := RunIVM(p, true, ivm.ModeTuple, 1)
+		tu, err := RunIVM(p, true, ivm.ModeTuple)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s=%d tuple: %w", vary, v, err)
 		}
 		point.Results = append(point.Results, id, tu)
 		if withSDBT {
-			cf, err := RunSDBT(p, sdbt.Fixed, 1)
+			cf, err := RunSDBT(p, sdbt.Fixed)
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s=%d sdbt-fixed: %w", vary, v, err)
 			}
-			cs, err := RunSDBT(p, sdbt.Streams, 1)
+			cs, err := RunSDBT(p, sdbt.Streams)
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s=%d sdbt-streams: %w", vary, v, err)
 			}
 			point.Results = append(point.Results, cf, cs)
 		}
-		point.Speedup = Speedup(id, tu)
 		out = append(out, point)
 	}
 	return out, nil
@@ -210,10 +166,9 @@ func RunFig12(vary Fig12Vary, values []int, base workload.Params, withSDBT bool)
 
 // Fig10Row is one bar of Figure 10.
 type Fig10Row struct {
-	Query   string
-	ID      ApproachResult
-	Tuple   ApproachResult
-	Speedup float64
+	Query string
+	ID    ApproachResult
+	Tuple ApproachResult
 }
 
 // RunFig10 runs the BSMA experiment: each view maintained under one round
@@ -236,7 +191,6 @@ func RunFig10(p bsma.Params) ([]Fig10Row, error) {
 				return nil, err
 			}
 			ds.DB.Counter().Reset()
-			start := time.Now()
 			reports, err := s.MaintainAll()
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s (%s): %w", name, mode, err)
@@ -244,8 +198,7 @@ func RunFig10(p bsma.Params) ([]Fig10Row, error) {
 			if err := s.CheckConsistent(name); err != nil {
 				return nil, fmt.Errorf("harness: %s (%s): %w", name, mode, err)
 			}
-			res := ApproachResult{Name: "idIVM", Accesses: reports[0].Phases.Total().Total(),
-				Millis: float64(time.Since(start).Microseconds()) / 1000}
+			res := ApproachResult{Name: "idIVM", Accesses: reports[0].Phases.Total().Total()}
 			for ph := 0; ph < 4; ph++ {
 				res.Breakdown[ph] = reports[0].Phases.Cost[ph].Total()
 			}
@@ -256,7 +209,6 @@ func RunFig10(p bsma.Params) ([]Fig10Row, error) {
 				row.Tuple = res
 			}
 		}
-		row.Speedup = Speedup(row.ID, row.Tuple)
 		out = append(out, row)
 	}
 	return out, nil
@@ -292,7 +244,7 @@ func RunCrossover(base workload.Params, dValues []int) ([]CrossoverRow, error) {
 	for _, d := range dValues {
 		p := base
 		p.DiffSize = d
-		ivmRes, err := RunIVM(p, true, ivm.ModeID, 1)
+		ivmRes, err := RunIVM(p, true, ivm.ModeID)
 		if err != nil {
 			return nil, err
 		}
@@ -337,23 +289,8 @@ func RunCrossover(base workload.Params, dValues []int) ([]CrossoverRow, error) {
 	return out, nil
 }
 
-// FprintCrossover renders the crossover experiment.
-func FprintCrossover(w io.Writer, rows []CrossoverRow) {
-	fmt.Fprintf(w, "%-8s %14s %15s %18s %s\n", "d", "ivm-accesses", "recompute(raw)",
-		fmt.Sprintf("recompute(seq÷%d)", SeqDiscount), "winner")
-	for _, r := range rows {
-		winner := "recompute"
-		if r.IVMWins {
-			winner = "ivm"
-		}
-		fmt.Fprintf(w, "%-8d %14d %15d %18d %s\n",
-			r.DiffSize, r.IVMAccesses, r.RecomputeAccesses, r.RecomputeWeighted, winner)
-	}
-}
-
 // Validation compares a measured speedup against the analytical model.
 type Validation struct {
-	Kind             string // "spj" or "agg"
 	Params           costmodel.Params
 	MeasuredSpeedup  float64
 	PredictedSpeedup float64
@@ -362,16 +299,12 @@ type Validation struct {
 // RunCostModelValidation measures a and p on the running-example workload
 // and compares the measured ID/tuple speedup with equations (1)/(2).
 func RunCostModelValidation(p workload.Params, agg bool) (Validation, error) {
-	kind := "spj"
-	if agg {
-		kind = "agg"
-	}
-	v := Validation{Kind: kind}
-	id, err := RunIVM(p, agg, ivm.ModeID, 1)
+	var v Validation
+	id, err := RunIVM(p, agg, ivm.ModeID)
 	if err != nil {
 		return v, err
 	}
-	tu, err := RunIVM(p, agg, ivm.ModeTuple, 1)
+	tu, err := RunIVM(p, agg, ivm.ModeTuple)
 	if err != nil {
 		return v, err
 	}
@@ -386,7 +319,7 @@ func RunCostModelValidation(p workload.Params, agg bool) (Validation, error) {
 		}
 		// In the aggregate model, p is the cache fanout |Du_Vspj|/|∆u_R|.
 		if tu.DiffTuples > 0 {
-			mp.P = float64(cacheRows) / float64(maxInt(1, tu.DiffTuples))
+			mp.P = float64(cacheRows) / float64(max(1, tu.DiffTuples))
 		}
 	}
 	v.Params = mp
@@ -399,81 +332,26 @@ func RunCostModelValidation(p workload.Params, agg bool) (Validation, error) {
 	return v, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// FprintFig10 renders Figure 10 as a text table.
-func FprintFig10(w io.Writer, rows []Fig10Row) {
-	fmt.Fprintf(w, "%-5s %12s %12s %9s %10s %10s\n",
-		"view", "id-accesses", "tup-accesses", "speedup", "id-ms", "tup-ms")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-5s %12d %12d %8.1fx %10.2f %10.2f\n",
-			r.Query, r.ID.Accesses, r.Tuple.Accesses, r.Speedup, r.ID.Millis, r.Tuple.Millis)
-	}
-}
-
-// FprintFig12 renders one Figure 12 sweep as a text table with the
-// paper's stacked components.
-func FprintFig12(w io.Writer, vary Fig12Vary, points []SweepPoint) {
-	fmt.Fprintf(w, "%-4s | %-9s | %10s %10s %10s %10s %10s | %8s\n",
-		string(vary), "approach", "cache-cmp", "cache-upd", "view-cmp", "view-upd", "total", "ms")
-	for _, pt := range points {
-		for i, r := range pt.Results {
-			label := ""
-			if i == 0 {
-				label = fmt.Sprintf("%d", pt.Value)
-			}
-			fmt.Fprintf(w, "%-4s | %-9s | %10d %10d %10d %10d %10d | %8.2f\n",
-				label, shortName(r.Name),
-				r.Breakdown[0], r.Breakdown[1], r.Breakdown[2], r.Breakdown[3],
-				r.Accesses, r.Millis)
+// RunAblation runs the aggregate view of the running example in ID mode at
+// p, once with every generation pass on and once with each of them off: the
+// intermediate cache (§6.2) and pass 4's minimization. Each result is named
+// after the pass it lacks.
+func RunAblation(p workload.Params) ([]ApproachResult, error) {
+	var out []ApproachResult
+	for _, a := range []struct {
+		name string
+		opts ivm.GenOptions
+	}{
+		{"full idIVM", ivm.GenOptions{}},
+		{"no intermediate cache", ivm.GenOptions{NoCache: true}},
+		{"no pass-4 minimization", ivm.GenOptions{NoMinimize: true}},
+	} {
+		r, err := RunIVM(p, true, ivm.ModeID, a.opts)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s: %w", a.name, err)
 		}
-		fmt.Fprintf(w, "%-4s | speedup (B/A) = %.1fx\n", "", pt.Speedup)
+		r.Name = a.name
+		out = append(out, r)
 	}
-}
-
-func shortName(n string) string {
-	switch n {
-	case "idIVM":
-		return "A:idIVM"
-	case "tuple-IVM":
-		return "B:tuple"
-	case "sdbt-fixed":
-		return "C:sdbt-f"
-	case "sdbt-streams":
-		return "D:sdbt-s"
-	}
-	return n
-}
-
-// WriteFig12CSV emits a sweep as CSV (one row per approach per x-value),
-// ready for plotting.
-func WriteFig12CSV(w io.Writer, vary Fig12Vary, points []SweepPoint) {
-	fmt.Fprintf(w, "%s,approach,cache_compute,cache_update,view_compute,view_update,total_accesses,millis,speedup\n", string(vary))
-	for _, pt := range points {
-		for _, r := range pt.Results {
-			fmt.Fprintf(w, "%d,%s,%d,%d,%d,%d,%d,%.3f,%.3f\n",
-				pt.Value, r.Name, r.Breakdown[0], r.Breakdown[1], r.Breakdown[2], r.Breakdown[3],
-				r.Accesses, r.Millis, pt.Speedup)
-		}
-	}
-}
-
-// WriteFig10CSV emits the BSMA results as CSV.
-func WriteFig10CSV(w io.Writer, rows []Fig10Row) {
-	fmt.Fprintln(w, "query,id_accesses,tuple_accesses,speedup,id_millis,tuple_millis")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s,%d,%d,%.3f,%.3f,%.3f\n",
-			r.Query, r.ID.Accesses, r.Tuple.Accesses, r.Speedup, r.ID.Millis, r.Tuple.Millis)
-	}
-}
-
-// FprintValidation renders a cost-model validation row.
-func FprintValidation(w io.Writer, v Validation) {
-	fmt.Fprintf(w, "%s: a=%.1f p=%.2f g=%.2f  measured=%.2fx predicted=%.2fx\n",
-		v.Kind, v.Params.A, v.Params.P, v.Params.G, v.MeasuredSpeedup, v.PredictedSpeedup)
+	return out, nil
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"idivm/internal/bsma"
@@ -17,11 +15,14 @@ func testParams() workload.Params {
 	return p
 }
 
+// speedup is tuple-based over ID-based, the figure's headline number.
+func speedup(pt SweepPoint) float64 { return Speedup(pt.Results[0], pt.Results[1]) }
+
 // Figure 12a shape: ID-based beats tuple-based at every diff size, and
 // SDBT-streams is the most expensive column while SDBT-fixed is cheaper
 // than idIVM (Section 7.3's ordering).
 func TestFig12DiffSizeSweep(t *testing.T) {
-	points, err := RunFig12(VaryDiffSize, []int{20, 40, 60}, testParams(), true)
+	points, err := RunFig12(workload.VaryDiffSize, []int{20, 40, 60}, testParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +31,8 @@ func TestFig12DiffSizeSweep(t *testing.T) {
 			t.Fatalf("d=%d: results = %d, want A..D", pt.Value, len(pt.Results))
 		}
 		a, b, c, d := pt.Results[0], pt.Results[1], pt.Results[2], pt.Results[3]
-		if pt.Speedup <= 1 {
-			t.Errorf("d=%d: speedup %.2f ≤ 1", pt.Value, pt.Speedup)
+		if speedup(pt) <= 1 {
+			t.Errorf("d=%d: speedup %.2f ≤ 1", pt.Value, speedup(pt))
 		}
 		if c.Accesses > a.Accesses {
 			t.Errorf("d=%d: SDBT-fixed (%d) should be ≤ idIVM (%d)", pt.Value, c.Accesses, a.Accesses)
@@ -43,26 +44,21 @@ func TestFig12DiffSizeSweep(t *testing.T) {
 			t.Errorf("d=%d: tuple (%d) should exceed idIVM (%d)", pt.Value, b.Accesses, a.Accesses)
 		}
 	}
-	var buf bytes.Buffer
-	FprintFig12(&buf, VaryDiffSize, points)
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Error("printout missing speedup lines")
-	}
 }
 
 // Figure 12b shape: the speedup grows monotonically-ish with the number
 // of joins (we assert the endpoints).
 func TestFig12JoinsSweep(t *testing.T) {
-	points, err := RunFig12(VaryJoins, []int{2, 4}, testParams(), true)
+	points, err := RunFig12(workload.VaryJoins, []int{2, 4}, testParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points[0].Results) != 2 {
 		t.Fatal("joins sweep must drop the SDBT columns")
 	}
-	if points[1].Speedup <= points[0].Speedup {
+	if speedup(points[1]) <= speedup(points[0]) {
 		t.Errorf("speedup must widen with joins: %.2f then %.2f",
-			points[0].Speedup, points[1].Speedup)
+			speedup(points[0]), speedup(points[1]))
 	}
 	// idIVM's own cost stays flat while tuple's grows (Section 7.2).
 	a2, a4 := points[0].Results[0].Accesses, points[1].Results[0].Accesses
@@ -78,28 +74,28 @@ func TestFig12JoinsSweep(t *testing.T) {
 // Figure 12c shape: the speedup declines as selectivity grows but stays
 // at or above ~1.
 func TestFig12SelectivitySweep(t *testing.T) {
-	points, err := RunFig12(VarySelectivity, []int{6, 100}, testParams(), false)
+	points, err := RunFig12(workload.VarySelectivity, []int{6, 100}, testParams(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if points[0].Speedup <= points[1].Speedup {
+	if speedup(points[0]) <= speedup(points[1]) {
 		t.Errorf("speedup must shrink with selectivity: %.2f then %.2f",
-			points[0].Speedup, points[1].Speedup)
+			speedup(points[0]), speedup(points[1]))
 	}
-	if points[1].Speedup < 0.95 {
-		t.Errorf("at s=100%% idIVM must stay ≈ on par, got %.2f", points[1].Speedup)
+	if speedup(points[1]) < 0.95 {
+		t.Errorf("at s=100%% idIVM must stay ≈ on par, got %.2f", speedup(points[1]))
 	}
 }
 
 // Figure 12d shape: ID-based wins across fanouts.
 func TestFig12FanoutSweep(t *testing.T) {
-	points, err := RunFig12(VaryFanout, []int{5, 15}, testParams(), false)
+	points, err := RunFig12(workload.VaryFanout, []int{5, 15}, testParams(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pt := range points {
-		if pt.Speedup <= 1 {
-			t.Errorf("f=%d: speedup %.2f ≤ 1", pt.Value, pt.Speedup)
+		if speedup(pt) <= 1 {
+			t.Errorf("f=%d: speedup %.2f ≤ 1", pt.Value, speedup(pt))
 		}
 	}
 }
@@ -115,14 +111,9 @@ func TestFig10Small(t *testing.T) {
 		t.Fatalf("rows = %d, want 8", len(rows))
 	}
 	for _, r := range rows {
-		if r.Speedup < 1 {
-			t.Errorf("%s: speedup %.2f < 1", r.Query, r.Speedup)
+		if Speedup(r.ID, r.Tuple) < 1 {
+			t.Errorf("%s: speedup %.2f < 1", r.Query, Speedup(r.ID, r.Tuple))
 		}
-	}
-	var buf bytes.Buffer
-	FprintFig10(&buf, rows)
-	if !strings.Contains(buf.String(), "Q*1") {
-		t.Error("printout missing Q*1")
 	}
 }
 
@@ -155,11 +146,6 @@ func TestCostModelValidationAgg(t *testing.T) {
 	if ratio < 0.4 || ratio > 2.5 {
 		t.Errorf("measured/predicted = %.2f outside [0.4, 2.5]", ratio)
 	}
-	var buf bytes.Buffer
-	FprintValidation(&buf, v)
-	if buf.Len() == 0 {
-		t.Error("empty validation printout")
-	}
 }
 
 // Footnote 9: small diffs favour IVM; once most of a base table changes,
@@ -181,24 +167,29 @@ func TestCrossover(t *testing.T) {
 	if rows[0].RecomputeAccesses <= rows[0].RecomputeWeighted {
 		t.Error("weighted recompute cost must discount the raw cost")
 	}
-	var buf bytes.Buffer
-	FprintCrossover(&buf, rows)
-	if !strings.Contains(buf.String(), "winner") {
-		t.Error("crossover printout")
+}
+
+func TestSpeedupZeroGuard(t *testing.T) {
+	if s := Speedup(ApproachResult{Accesses: 0}, ApproachResult{Accesses: 10}); s != 0 {
+		t.Fatalf("zero-access speedup = %v", s)
 	}
 }
 
-func TestPaperValues(t *testing.T) {
-	if got := PaperValues(VaryDiffSize); len(got) != 5 || got[0] != 100 {
-		t.Errorf("d values = %v", got)
+// The ablations at a small Figure 12a point: dropping the intermediate
+// cache costs the aggregate view more accesses (§6.2), and pass 4 never
+// makes a script dearer.
+func TestAblation(t *testing.T) {
+	rows, err := RunAblation(testParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := PaperValues(VaryJoins); got[len(got)-1] != 6 {
-		t.Errorf("j values = %v", got)
+	if len(rows) != 3 || rows[0].Name != "full idIVM" {
+		t.Fatalf("rows = %+v, want full, no-cache, no-minimization", rows)
 	}
-	if got := PaperValues(VarySelectivity); got[0] != 6 {
-		t.Errorf("s values = %v", got)
+	if rows[1].Accesses <= rows[0].Accesses {
+		t.Errorf("no cache: %d accesses, want more than the full system's %d", rows[1].Accesses, rows[0].Accesses)
 	}
-	if got := PaperValues(VaryFanout); got[0] != 5 {
-		t.Errorf("f values = %v", got)
+	if rows[2].Accesses < rows[0].Accesses {
+		t.Errorf("no minimization: %d accesses, below the full system's %d", rows[2].Accesses, rows[0].Accesses)
 	}
 }

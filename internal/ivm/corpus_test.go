@@ -14,7 +14,6 @@ import (
 	"idivm/internal/bsma"
 	"idivm/internal/db"
 	"idivm/internal/expr"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
@@ -39,18 +38,8 @@ func scriptCorpus(t *testing.T) []corpusPlan {
 	var out []corpusPlan
 	ds := bsma.Build(bsma.Defaults(40))
 	sys := ivm.NewSystem(ds.DB)
-	for _, q := range bsma.QueryNames() {
-		plan, err := ds.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, corpusPlan{"bsma/" + q, ds.DB, plan})
-	}
-	for _, name := range harness.CityViews {
-		plan, err := harness.CityPlan(ds.DB, name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range bsma.ViewNames() {
+		plan := bsmaPlan(t, ds, name)
 		out = append(out, corpusPlan{"bsma/" + name, ds.DB, plan})
 		if name == "city_rollup" { // city_hist scans it
 			register(t, sys, name, plan, ivm.ModeID)

@@ -7,7 +7,6 @@ import (
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/expr"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
@@ -96,8 +95,8 @@ func TestIdleViewCostsNoPerStepAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := roundAllocs(t, sys, ds)
-	for _, name := range append(bsma.QueryNames(), harness.CityViews...) {
-		v, err := sys.RegisterView(name, bsmaOrCityPlan(t, ds, name), ivm.ModeID)
+	for _, name := range bsma.ViewNames() {
+		v, err := sys.RegisterView(name, bsmaPlan(t, ds, name), ivm.ModeID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/db"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/workload"
 )
@@ -22,9 +21,7 @@ import (
 func TestMaterializedPlansMatchEval(t *testing.T) {
 	ds := bsma.Build(bsma.Defaults(60))
 	sys := ivm.NewSystem(ds.DB)
-	if err := harness.RegisterManyViews(sys, ds); err != nil {
-		t.Fatal(err)
-	}
+	registerBSMAViews(t, sys, ds)
 	checkMaterialized(t, sys)
 
 	tuple := bsma.Build(bsma.Defaults(60))

@@ -3,32 +3,36 @@ package ivm_test
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/db"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
 	"idivm/internal/storage/storagetest"
 )
 
-// bsmaOrCityPlan builds a BSMA query or one of harness.CityViews by name;
-// city_hist needs city_rollup registered first.
-func bsmaOrCityPlan(t *testing.T, ds *bsma.Dataset, name string) algebra.Node {
+// bsmaPlan builds one of the views of bsma.ViewNames by name; city_hist
+// needs city_rollup registered first.
+func bsmaPlan(t *testing.T, ds *bsma.Dataset, name string) algebra.Node {
 	t.Helper()
 	plan, err := ds.Plan(name)
-	if slices.Contains(harness.CityViews, name) {
-		plan, err = harness.CityPlan(ds.DB, name)
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// registerBSMAViews registers the eleven views of bsma.ViewNames in ID mode
+// in sys, the bsma_views system.
+func registerBSMAViews(t *testing.T, sys *ivm.System, ds *bsma.Dataset) {
+	t.Helper()
+	for _, name := range bsma.ViewNames() {
+		register(t, sys, name, bsmaPlan(t, ds, name), ivm.ModeID)
+	}
 }
 
 func mixedParams() bsma.Params {
@@ -62,7 +66,7 @@ func newMixedCell(t *testing.T, label string, e storage.Engine, workers int, int
 	sys := ivm.NewSystem(ds.DB)
 	sys.Workers, sys.Interpret = workers, interpret
 	for _, name := range mixedViews {
-		if _, err := sys.RegisterView(name, bsmaOrCityPlan(t, ds, name), ivm.ModeID); err != nil {
+		if _, err := sys.RegisterView(name, bsmaPlan(t, ds, name), ivm.ModeID); err != nil {
 			t.Fatalf("%s: register %s: %v", label, name, err)
 		}
 	}
@@ -287,7 +291,7 @@ func TestUpdateSpanningTwoSchemasLeavesQs1Wrong(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			ds := bsma.Build(bsma.Defaults(200))
 			s := ivm.NewSystem(ds.DB)
-			register(t, s, "Q*1", bsmaOrCityPlan(t, ds, "Q*1"), mode)
+			register(t, s, "Q*1", bsmaPlan(t, ds, "Q*1"), mode)
 			user7 := []rel.Value{rel.Int(7)}
 			mustUpdate(t, ds.DB, "user", user7, []string{"city"}, []rel.Value{rel.String("city3")})
 			mustUpdate(t, ds.DB, "user", user7, []string{"tweetsnum"}, []rel.Value{rel.Int(123456)})

@@ -8,7 +8,6 @@ import (
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/expr"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 )
 
@@ -55,9 +54,7 @@ func aggClassPlan(t *testing.T, ds *bsma.Dataset, name string) algebra.Node {
 func TestNarrowInputCaches(t *testing.T) {
 	ds := bsma.Build(bsma.Defaults(40))
 	sys := ivm.NewSystem(ds.DB)
-	if err := harness.RegisterManyViews(sys, ds); err != nil {
-		t.Fatal(err)
-	}
+	registerBSMAViews(t, sys, ds)
 	const tweetsFavors = "user.uid user.tweetsnum user.favornum"
 	for _, c := range []struct {
 		view   string

@@ -6,7 +6,6 @@ import (
 
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
@@ -73,7 +72,7 @@ func TestScriptOrdering(t *testing.T) {
 	// MIN/MAX γ recomputes its groups from the #mult cache, so its ΔR reads
 	// the cache's post-state; the ΔG of the #mult γ does not.
 	ds := bsma.Build(bsma.Defaults(40))
-	minmax, err := harness.CityPlan(ds.DB, "city_minmax")
+	minmax, err := ds.Plan("city_minmax")
 	if err != nil {
 		t.Fatal(err)
 	}

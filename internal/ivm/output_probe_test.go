@@ -9,7 +9,6 @@ import (
 	"idivm/internal/bsma"
 	"idivm/internal/db"
 	"idivm/internal/expr"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
@@ -114,8 +113,8 @@ func repositoryScripts(t *testing.T) []scriptCase {
 
 		ds := bsma.Build(bsma.Defaults(40))
 		sys := ivm.NewSystem(ds.DB)
-		for _, name := range append(bsma.QueryNames(), harness.CityViews...) {
-			add(name, register(t, sys, name, bsmaOrCityPlan(t, ds, name), mode))
+		for _, name := range bsma.ViewNames() {
+			add(name, register(t, sys, name, bsmaPlan(t, ds, name), mode))
 		}
 		for _, class := range []string{"avg", "sum+avg", "minmax", "minmax-over-join"} {
 			ds := bsma.Build(bsma.Defaults(40))

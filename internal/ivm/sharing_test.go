@@ -7,14 +7,13 @@ import (
 	"idivm/internal/algebra"
 	"idivm/internal/bsma"
 	"idivm/internal/expr"
-	"idivm/internal/harness"
 	"idivm/internal/ivm"
 	"idivm/internal/rel"
 )
 
 // Every script the repository's workloads generate passes the verifier's
 // duplicate-subplan check in both modes: the eight BSMA views, the three
-// city views of harness.CityViews (the histogram as a cascade over the
+// city views of bsma.ViewNames (the histogram as a cascade over the
 // rollup) and the Figure 7 view. RegisterView already runs Verify; it is
 // called again here so a failure names the check. The random-plan
 // generator's scripts go through the same check in
@@ -23,8 +22,8 @@ func TestSharingCheckOnRepositoryScripts(t *testing.T) {
 	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
 		ds := bsma.Build(bsma.Defaults(40))
 		sys := ivm.NewSystem(ds.DB)
-		for _, name := range append(bsma.QueryNames(), harness.CityViews...) {
-			v := register(t, sys, name, bsmaOrCityPlan(t, ds, name), mode)
+		for _, name := range bsma.ViewNames() {
+			v := register(t, sys, name, bsmaPlan(t, ds, name), mode)
 			if err := ivm.Verify(v.Script); err != nil {
 				t.Errorf("%s %s: %v", mode, name, err)
 			}
@@ -68,16 +67,16 @@ func TestGroupRuleDispatch(t *testing.T) {
 		{"avg over a cache, id mode: moves in ΔG", avg, ivm.ModeID, ivm.GenOptions{}, false, true, false, false},
 		{"avg over a cache, tuple mode: all Table 7", avg, ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
 		// A base scan is index-probeable like a cache (Scan.Renamed).
-		{"sum over a base scan, id mode: moves in ΔG", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, false, true, false, false},
-		{"sum over a base scan, tuple mode: all Table 7", bsmaOrCityPlan(t, ds, "city_rollup"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
+		{"sum over a base scan, id mode: moves in ΔG", bsmaPlan(t, ds, "city_rollup"), ivm.ModeID, ivm.GenOptions{}, false, true, false, false},
+		{"sum over a base scan, tuple mode: all Table 7", bsmaPlan(t, ds, "city_rollup"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
 		// MIN/MAX is rewritten to read a γ-COUNT(*) per (city, tweetsnum)
 		// over SCAN user; user.tweetsnum is a key of that γ, whose moves
 		// fold into its ΔG, while the outer MIN/MAX γ recomputes only the
 		// groups that lose an extremum (ΔX). Without caches there is no
 		// rewrite, and Table 7 recomputes every affected group.
-		{"min/max over a base scan", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, false, true, true, true},
-		{"min/max, caches off", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false, false},
-		{"min/max, tuple mode", bsmaOrCityPlan(t, ds, "city_minmax"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
+		{"min/max over a base scan", bsmaPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{}, false, true, true, true},
+		{"min/max, caches off", bsmaPlan(t, ds, "city_minmax"), ivm.ModeID, ivm.GenOptions{NoCache: true}, true, false, false, false},
+		{"min/max, tuple mode", bsmaPlan(t, ds, "city_minmax"), ivm.ModeTuple, ivm.GenOptions{}, true, false, false, false},
 	} {
 		v, err := sys.RegisterView(tc.name, tc.plan, tc.mode, tc.opts)
 		if err != nil {

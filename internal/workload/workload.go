@@ -2,7 +2,7 @@
 // paper's Section 7.2 (Figure 11): the devices/parts/devices_parts schema
 // of the running example, scaled and parameterized by diff size d, number
 // of joins j, selectivity s and fanout f, plus the view definitions of
-// Figures 1b and 5b.
+// Figures 1b and 5b and the values each Figure 12 sweep takes.
 package workload
 
 import (
@@ -228,4 +228,29 @@ func (ds *Dataset) ApplyPartChurn(nIns, nDel int) error {
 		}
 	}
 	return nil
+}
+
+// Fig12Vary names the parameter one Figure 12 sweep varies.
+type Fig12Vary string
+
+// The four sweeps of Figure 12.
+const (
+	VaryDiffSize    Fig12Vary = "d"
+	VaryJoins       Fig12Vary = "j"
+	VarySelectivity Fig12Vary = "s"
+	VaryFanout      Fig12Vary = "f"
+)
+
+// PaperValues returns the x-axis values the paper uses for each sweep.
+func PaperValues(v Fig12Vary) []int {
+	switch v {
+	case VaryDiffSize:
+		return []int{100, 200, 300, 400, 500}
+	case VaryJoins:
+		return []int{2, 3, 4, 5, 6}
+	case VarySelectivity:
+		return []int{6, 12, 25, 50, 100}
+	default:
+		return []int{5, 10, 15, 20, 25}
+	}
 }

@@ -161,3 +161,18 @@ func TestAggPlanShape(t *testing.T) {
 		t.Fatalf("group keys = %v", g.Keys)
 	}
 }
+
+func TestPaperValues(t *testing.T) {
+	if got := PaperValues(VaryDiffSize); len(got) != 5 || got[0] != 100 {
+		t.Errorf("d values = %v", got)
+	}
+	if got := PaperValues(VaryJoins); got[len(got)-1] != 6 {
+		t.Errorf("j values = %v", got)
+	}
+	if got := PaperValues(VarySelectivity); got[0] != 6 {
+		t.Errorf("s values = %v", got)
+	}
+	if got := PaperValues(VaryFanout); got[0] != 5 {
+		t.Errorf("f values = %v", got)
+	}
+}
