@@ -26,7 +26,8 @@ import (
 type params struct {
 	scale, users int
 	// perStep precedes the step table's per-view totals with every step's
-	// rows, accesses and µs (-steps).
+	// rows and accesses in the first round and its median µs over
+	// warmRounds more (-steps).
 	perStep bool
 }
 
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "", "figure to regenerate: 10 | 12a | 12b | 12c | 12d | crossover")
 	tab := fs.String("table", "", "table/model to validate: 2 | 3")
-	steps := fs.Bool("steps", false, "print one round of the eleven BSMA views in one system: every step's rows, accesses and µs, then each view's accesses")
+	steps := fs.Bool("steps", false, fmt.Sprintf("print one round of the eleven BSMA views in one system: every step's rows and accesses, its median µs over %d further rounds, then each view's accesses", warmRounds))
 	scripts := fs.Bool("scripts", false, "print the Δ-script of each of the eleven BSMA views and exit")
 	all := fs.Bool("all", false, "run every experiment")
 	scale := fs.Int("scale", 4000, "parts/devices count for the Figure 12 sweeps")
@@ -210,23 +211,32 @@ func renderAblation(w io.Writer, p params) error {
 	return nil
 }
 
-// renderSteps runs harness.RunSteps and renders each view's round total and
-// their sum, the round's maintenance accesses. With perStep it first lists
-// what each Δ-script step of each view produced (rows), what it was charged
-// (accesses) and how long it took (µs) — where a many-view round spends its
-// time, in steps the access count never sees as often as in those it does.
+// warmRounds is how many rounds -steps times after the first: each step's µs
+// is its median over them.
+const warmRounds = 20
+
+// renderSteps runs harness.RunSteps and renders each view's first-round total
+// and their sum, the round's maintenance accesses. With perStep it first
+// lists what each Δ-script step of each view produced (rows) and was charged
+// (accesses) in that round and how long it took (µs, the median over
+// warmRounds further rounds) — where a many-view round spends its time, in
+// steps the access count never sees as often as in those it does.
 func renderSteps(w io.Writer, p params) error {
-	reports, err := harness.RunSteps(bsma.Defaults(p.users))
+	rounds := 1
+	if p.perStep {
+		rounds += warmRounds
+	}
+	all, err := harness.RunSteps(bsma.Defaults(p.users), rounds)
 	if err != nil {
 		return err
 	}
 	if p.perStep {
-		printSteps(w, reports)
+		printSteps(w, all[0], all[1:])
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "| view | accesses |\n|------|---------:|")
 	var total int64
-	for _, r := range reports {
+	for _, r := range all[0] {
 		fmt.Fprintf(w, "| %s | %s |\n", r.View, num(r.Phases.Total().Total()))
 		total += r.Phases.Total().Total()
 	}
@@ -234,26 +244,54 @@ func renderSteps(w io.Writer, p params) error {
 	return nil
 }
 
-// printSteps renders one round step by step. Each view ends with its
-// (round) row; the last row, "total", sums those rows over all views: the
-// round's maintenance accesses, and the views' times added up (they
-// overlap when the views run concurrently).
-func printSteps(w io.Writer, reports []*ivm.Report) {
+// printSteps renders one round step by step: rows and accesses of the first
+// round, µs the median over the warm rounds that followed it (the same views
+// and scripts, so step j of view i is the same step in every round). Each
+// view ends with its (round) row; the last row, "total", sums those rows over
+// all views: the round's maintenance accesses, and the views' times added up
+// (they overlap when the views run concurrently).
+func printSteps(w io.Writer, first []*ivm.Report, warm [][]*ivm.Report) {
 	line := func(view, step string, rows int, accesses int64, d time.Duration) {
 		fmt.Fprintf(w, "| %s | %s | %d | %d | %.1f |\n", view, step, rows, accesses, float64(d.Nanoseconds())/1000)
 	}
+	median := func(of func(round []*ivm.Report) time.Duration) time.Duration {
+		ds := make([]time.Duration, len(warm))
+		for k, round := range warm {
+			ds[k] = of(round)
+		}
+		return medianDuration(ds)
+	}
+	fmt.Fprintf(w, "Rows and accesses of the first round; µs the median of the %d rounds after it.\n\n", len(warm))
 	fmt.Fprintln(w, "| view | step | rows | accesses | µs |\n|---|---|--:|--:|--:|")
 	var rows int
 	var accesses int64
-	var d time.Duration
-	for _, r := range reports {
-		for _, st := range r.Phases.Steps {
-			line(r.View, st.Step, st.Rows, st.Cost.Total(), st.Time)
+	for i, r := range first {
+		for j, st := range r.Phases.Steps {
+			line(r.View, st.Step, st.Rows, st.Cost.Total(), median(func(round []*ivm.Report) time.Duration { return round[i].Phases.Steps[j].Time }))
 		}
-		line(r.View, "(round)", r.DiffTuples, r.Phases.Total().Total(), r.Duration)
-		rows, accesses, d = rows+r.DiffTuples, accesses+r.Phases.Total().Total(), d+r.Duration
+		line(r.View, "(round)", r.DiffTuples, r.Phases.Total().Total(), median(func(round []*ivm.Report) time.Duration { return round[i].Duration }))
+		rows, accesses = rows+r.DiffTuples, accesses+r.Phases.Total().Total()
 	}
-	line("total", "(round)", rows, accesses, d)
+	line("total", "(round)", rows, accesses, median(func(round []*ivm.Report) time.Duration {
+		var d time.Duration
+		for _, r := range round {
+			d += r.Duration
+		}
+		return d
+	}))
+}
+
+// medianDuration returns the median of ds (the mean of the middle two for an
+// even count), 0 for none. It sorts ds.
+func medianDuration(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	slices.Sort(ds)
+	if n := len(ds); n%2 == 0 {
+		return (ds[n/2-1] + ds[n/2]) / 2
+	}
+	return ds[len(ds)/2]
 }
 
 // printScripts registers the views of bsma.ViewNames in ID mode over a

@@ -140,18 +140,29 @@ func TestUnknownSelectionIsUsageError(t *testing.T) {
 }
 
 // TestPrintStepsEndsWithTotal: the step table ends with one row summing
-// every view's (round) row — rows, accesses and µs.
+// every view's (round) row — rows and accesses of the first round — and
+// timing it with the median over the warm rounds of their summed times.
 func TestPrintStepsEndsWithTotal(t *testing.T) {
 	report := func(view string, rows int, reads int64, d time.Duration) *ivm.Report {
 		pc := &ivm.PhaseCosts{Steps: []ivm.StepCost{{Step: "Δ1", Rows: rows, Cost: rel.CostCounter{TupleReads: reads}, Time: d}}}
 		pc.Cost[2].TupleReads = reads
 		return &ivm.Report{View: view, Phases: pc, Duration: d, DiffTuples: rows}
 	}
+	round := func(a, b time.Duration) []*ivm.Report {
+		return []*ivm.Report{report("A", 3, 40, a), report("B", 5, 2, b)}
+	}
 	var buf bytes.Buffer
-	printSteps(&buf, []*ivm.Report{report("A", 3, 40, 1500*time.Nanosecond), report("B", 5, 2, 500*time.Nanosecond)})
+	// The first round's 9 ms is cold and not timed. The warm rounds' sums
+	// are 2, 30 and 13 µs: the total's median is 13, not the sum of the
+	// views' medians (3 + 2).
+	printSteps(&buf, round(9*time.Millisecond, 0), [][]*ivm.Report{
+		round(1500*time.Nanosecond, 500*time.Nanosecond), round(28*time.Microsecond, 2*time.Microsecond), round(3*time.Microsecond, 10*time.Microsecond)})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if got := lines[len(lines)-1]; got != "| total | (round) | 8 | 42 | 2.0 |" {
+	if got := lines[len(lines)-1]; got != "| total | (round) | 8 | 42 | 13.0 |" {
 		t.Fatalf("last row %q, want the sum of the views' (round) rows:\n%s", got, buf.String())
+	}
+	if got := lines[len(lines)-4]; got != "| A | (round) | 3 | 40 | 3.0 |" {
+		t.Fatalf("view A's row %q, want its first-round counts and median warm time:\n%s", got, buf.String())
 	}
 }
 

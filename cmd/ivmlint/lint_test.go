@@ -31,6 +31,7 @@ var fixtureCases = []struct {
 	{"floatfold", "map-iteration order"},
 	{"epochcall", "outside the epoch protocol"},
 	{"evalcall", "outside its oracle sites"},
+	{"nodemut", "kept schema stale"},
 }
 
 func fixtureLoader(t *testing.T) *lint.Loader {

@@ -11,7 +11,9 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"idivm/internal/expr"
 	"idivm/internal/rel"
@@ -22,7 +24,10 @@ import (
 // expression and slice with the plan it started from. The SQL front end
 // relies on it — a statement bound into a cached shape template
 // (internal/sqlview) shares all of the template but the nodes on the paths
-// to its literals.
+// to its literals — and so do the nodes whose schema is derived from their
+// children's (π, ⋈, ∪all): each derives it on the first Schema call and
+// keeps it (schemaOnce). ivmlint's nodemut rule rejects a field write to
+// such a node outside its composite literal.
 type Node interface {
 	// Schema returns the node's output schema; Schema().Key holds the
 	// node's ID attributes (empty if IDs were lost by a projection and
@@ -119,15 +124,17 @@ type ProjItem struct {
 type Project struct {
 	Child Node
 	Items []ProjItem
+	sch   schemaOnce
 }
 
 // NewProject builds a projection. The output key is the child's key if all
 // its attributes survive as plain column references; otherwise the key is
 // empty and EnsureIDs must repair the plan before IVM.
 func NewProject(child Node, items []ProjItem) *Project {
+	cs := child.Schema()
 	seen := map[string]bool{}
 	for _, it := range items {
-		mustHaveCols(child.Schema(), it.E.Cols(), "projection item "+it.As)
+		mustHaveCols(cs, it.E.Cols(), "projection item "+it.As)
 		if it.As == "" {
 			panic("algebra: projection item without output name")
 		}
@@ -151,12 +158,14 @@ func Keep(child Node, cols ...string) *Project {
 // Schema implements Node. The output key is the child's key mapped
 // through the projection: each child key attribute must survive as a
 // plain column reference (possibly renamed) for the key to carry over.
-func (p *Project) Schema() rel.Schema {
+func (p *Project) Schema() rel.Schema { return p.sch.get(p.derive) }
+
+func (p *Project) derive() rel.Schema {
 	attrs := make([]string, len(p.Items))
 	for i, it := range p.Items {
 		attrs[i] = it.As
 	}
-	childKey := p.Child.Schema().Key // once: a chain of π would read it 2^depth times
+	childKey := p.Child.Schema().Key
 	key := p.keyMapping(childKey)
 	var outKey []string
 	if key != nil {
@@ -216,20 +225,24 @@ func (p *Project) String() string {
 type Join struct {
 	Left, Right Node
 	Pred        expr.Expr
+	sch         schemaOnce
 }
 
 // NewJoin builds a join, validating disjoint schemas and predicate columns.
 func NewJoin(l, r Node, pred expr.Expr) *Join {
-	checkDisjoint(l.Schema(), r.Schema(), "join")
+	ls, rs := l.Schema(), r.Schema()
+	checkDisjoint(ls, rs, "join")
 	if pred == nil {
 		pred = expr.True()
 	}
-	mustHavePairCols(l.Schema(), r.Schema(), pred.Cols(), "join predicate")
+	mustHavePairCols(ls, rs, pred.Cols(), "join predicate")
 	return &Join{Left: l, Right: r, Pred: pred}
 }
 
 // Schema implements Node. Per Table 1, ID(R ⋈ S) = ID(R) ∪ ID(S).
-func (j *Join) Schema() rel.Schema {
+func (j *Join) Schema() rel.Schema { return j.sch.get(j.derive) }
+
+func (j *Join) derive() rel.Schema {
 	ls, rs := j.Left.Schema(), j.Right.Schema()
 	attrs := append(append([]string(nil), ls.Attrs...), rs.Attrs...)
 	var key []string
@@ -367,6 +380,7 @@ func (g *GroupBy) String() string {
 type UnionAll struct {
 	Left, Right Node
 	BranchAttr  string
+	sch         schemaOnce
 }
 
 // NewUnionAll builds a union-all node.
@@ -385,7 +399,9 @@ func NewUnionAll(l, r Node, branchAttr string) *UnionAll {
 }
 
 // Schema implements Node. Per Table 1, ID = ID(R) ∪ ID(S) ∪ {b}.
-func (u *UnionAll) Schema() rel.Schema {
+func (u *UnionAll) Schema() rel.Schema { return u.sch.get(u.derive) }
+
+func (u *UnionAll) derive() rel.Schema {
 	ls, rs := u.Left.Schema(), u.Right.Schema()
 	attrs := append(append([]string(nil), ls.Attrs...), u.BranchAttr)
 	var key []string
@@ -482,6 +498,21 @@ func (e *Empty) Children() []Node { return nil }
 
 // String implements Node.
 func (e *Empty) String() string { return "∅" }
+
+// schemaOnce keeps the schema a node derives from its fields and its
+// children's schemas. Racing first calls derive equal schemas and either is
+// kept. The kept slices are clipped, so a caller appending to them copies.
+type schemaOnce struct{ p atomic.Pointer[rel.Schema] }
+
+func (o *schemaOnce) get(derive func() rel.Schema) rel.Schema {
+	if s := o.p.Load(); s != nil {
+		return *s
+	}
+	s := derive()
+	s.Attrs, s.Key = slices.Clip(s.Attrs), slices.Clip(s.Key)
+	o.p.Store(&s)
+	return s
+}
 
 func mustHaveCols(s rel.Schema, cols []string, what string) {
 	for _, c := range cols {

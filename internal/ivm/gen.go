@@ -102,12 +102,18 @@ type CacheDef struct {
 // steps maintaining a single view, plus the caches it relies on and the
 // base-table diff schemas it consumes.
 type Script struct {
-	View      string
-	ViewPlan  algebra.Node
-	Steps     []Step
-	Caches    []CacheDef
-	Base      BaseDiffSchemas
-	TupleMode bool
+	View     string
+	ViewPlan algebra.Node
+	// CachedPlan is ViewPlan over the script's caches: every cached subview
+	// read from its cache, and a γ view's γ over its input cache. It has
+	// ViewPlan's attributes and key (Verify checks), and RegisterView
+	// materializes the view from it once the caches are loaded, so a join a
+	// cache holds is not run a second time. ViewPlan stays the oracle.
+	CachedPlan algebra.Node
+	Steps      []Step
+	Caches     []CacheDef
+	Base       BaseDiffSchemas
+	TupleMode  bool
 	// Minimized records whether pass 4 (Minimize) ran on this script; the
 	// verifier only enforces the Figure 8 residue checks when it did.
 	Minimized bool
@@ -366,19 +372,20 @@ func Generate(viewTable string, plan algebra.Node, base BaseDiffSchemas, tupleMo
 	// Passes 2–3: rule instantiation and composition, on the plan with its
 	// derived aggregates rewritten. ViewPlan stays the plan as written: it
 	// is what the view is checked against.
-	decls, _, err := g.node(g.normalizeAggs(fixed), &mat{name: viewTable, schema: fixed.Schema()})
+	decls, cached, err := g.node(g.normalizeAggs(fixed), &mat{name: viewTable, schema: fixed.Schema()})
 	if err != nil {
 		return nil, err
 	}
 	g.emit(viewTable, decls, PhaseViewCompute, PhaseViewUpdate)
 
 	s := &Script{
-		View:      viewTable,
-		ViewPlan:  fixed,
-		Steps:     g.steps,
-		Caches:    g.caches,
-		Base:      base,
-		TupleMode: tupleMode,
+		View:       viewTable,
+		ViewPlan:   fixed,
+		CachedPlan: cached,
+		Steps:      g.steps,
+		Caches:     g.caches,
+		Base:       base,
+		TupleMode:  tupleMode,
 	}
 	// Pass 4: semantic minimization.
 	if !o.NoMinimize {
@@ -443,7 +450,8 @@ func (g *gen) emitAndRef(table string, decls []decl, computePh, applyPh Phase) [
 // out of n, plus the materialization-aware plan for n (with cached
 // subviews replaced by stored references), suitable for Input_pre/post.
 // out is non-nil only when the caller materializes n's output (the root
-// view); aggregation nodes use it as their Output keyword target.
+// view); aggregation nodes use it as their Output keyword target, and the
+// plan returned for the root is the one the view is materialized from.
 func (g *gen) node(n algebra.Node, out *mat) ([]decl, algebra.Node, error) {
 	switch x := n.(type) {
 	case *algebra.Scan:
@@ -571,9 +579,8 @@ func (g *gen) groupNode(x *algebra.GroupBy, out *mat) ([]decl, algebra.Node, err
 			outs = g.emitAndRef(outName, outs, PhaseCacheCompute, PhaseCacheUpdate)
 			return outs, algebra.NewStoredRef(outName, selfPlan.Schema(), rel.StatePost), nil
 		}
-		return outs, selfPlan, nil
 	}
-	return outs, algebra.NewStoredRef(out.name, selfPlan.Schema(), rel.StatePost), nil
+	return outs, selfPlan, nil
 }
 
 // narrowInput narrows the input of a γ that groupNode caches to what the γ

@@ -20,7 +20,7 @@ import (
 // attributes from the pre-state — so the affected keys must also be read
 // from the input's post-state (testdata/mixed_round_seeds.txt, seed 1).
 // ID mode only: in tuple mode the widening join rule already hands the γ
-// wrong pre-images here (seed 3, an open gap in ROADMAP item 4). Over its
+// wrong pre-images here (seed 3, an open gap in ROADMAP item 2). Over its
 // cache the γ folds both moves into its group delta; without caches it
 // takes Table 7, whose affected keys must name the tuple's new group.
 func TestTwoMovesOnOneTuple(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 //
 // A row is updated once per round, under one attribute set: a row updated
 // under two update i-diff schemas in one round, one of them a join
-// attribute, is ROADMAP item 1(a)'s open gap (user.city then user.tweetsnum
+// attribute, is ROADMAP item 2's open gap (user.city then user.tweetsnum
 // on one user breaks Q*1), not what this test covers.
 func TestPrunedColumnsDifferential(t *testing.T) {
 	p := bsma.Defaults(40)

@@ -136,7 +136,7 @@ func (g *planGen) gen() algebra.Node {
 // mixedAggs draws one to three aggregates over col from every class the γ
 // rules and the normalisation step know: SUM, COUNT(x), COUNT(*), AVG, MIN,
 // MAX. SUM reads coalesce(col, 0): a SUM whose group has no non-NULL
-// argument left is an open bug of the incremental rule (ROADMAP item 4),
+// argument left is an open bug of the incremental rule (ROADMAP item 3),
 // older than the rewrite this generator checks.
 func (g *planGen) mixedAggs(col string) []algebra.Agg {
 	if col == "" {

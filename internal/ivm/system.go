@@ -209,13 +209,13 @@ func (s *System) RegisterView(name string, plan algebra.Node, mode Mode, opts ..
 	}
 
 	// Materialize caches first (γ output caches may read input caches),
-	// then the view.
+	// then the view from them.
 	for _, c := range script.Caches {
 		if err := s.materialize(c.Name, c.Plan); err != nil {
 			return nil, fmt.Errorf("ivm: materializing cache %s: %w", c.Name, err)
 		}
 	}
-	if err := s.materialize(name, script.ViewPlan); err != nil {
+	if err := s.materialize(name, script.CachedPlan); err != nil {
 		return nil, fmt.Errorf("ivm: materializing view %s: %w", name, err)
 	}
 
@@ -254,7 +254,8 @@ func (s *System) reachesView(from, target string) bool {
 }
 
 // materialize runs a plan compiled and stores the result as a keyed table,
-// which enters its maintenance epoch there and never leaves it.
+// loaded as one insert instance, which enters its maintenance epoch there and
+// never leaves it. Two result rows with one key fail it.
 func (s *System) materialize(name string, plan algebra.Node) error {
 	sch := plan.Schema()
 	if len(sch.Key) == 0 {
@@ -264,7 +265,7 @@ func (s *System) materialize(name string, plan algebra.Node) error {
 	if err != nil {
 		return err
 	}
-	r, err := p.Run(s.DB)
+	r, err := p.Bind(s.DB)
 	if err != nil {
 		return err
 	}
@@ -272,10 +273,15 @@ func (s *System) materialize(name string, plan algebra.Node) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range r.Tuples {
-		if err := t.Insert(row); err != nil {
-			return fmt.Errorf("ivm: materializing %q: %w", name, err)
-		}
+	b := r.Batch()
+	all := make([]int, len(sch.Attrs))
+	for i := range all {
+		all[i] = i
+	}
+	if _, n, err := t.InsertIfAbsent(b, all, nil); err != nil {
+		return fmt.Errorf("ivm: materializing %q: %w", name, err)
+	} else if n != b.N {
+		return fmt.Errorf("ivm: materializing %q: %d of %d rows repeat a key", name, b.N-n, b.N)
 	}
 	t.BeginEpoch()
 	return nil

@@ -108,7 +108,9 @@ func verr(s *Script, code VerifyCode, step int, name, format string, args ...any
 //   - schema/type soundness: each compute step's plan produces exactly the
 //     columns of its declared diff schema, diff schemas have the Section 2
 //     shape for their type, and every applied diff's ID set is consistent
-//     with the Table 1 IDs (the key) of its target table;
+//     with the Table 1 IDs (the key) of its target table, and the view's
+//     plan over its caches (CachedPlan) gives the view ViewPlan's columns
+//     and key;
 //   - cache bookkeeping: apply targets are declared, and every declared
 //     cache is maintained;
 //   - minimization safety (minimized scripts only): no surviving join,
@@ -160,9 +162,20 @@ func Verify(s *Script) error {
 			return err
 		}
 	}
-	if err := checkPlanRefs(s, -1, s.View, s.ViewPlan, func(string) bool { return false },
-		func(name string) bool { _, ok := cacheIdx[name]; return ok }, baseTables); err != nil {
+	isCache := func(name string) bool { _, ok := cacheIdx[name]; return ok }
+	if err := checkPlanRefs(s, -1, s.View, s.ViewPlan, func(string) bool { return false }, isCache, baseTables); err != nil {
 		return err
+	}
+	// The view is materialized from CachedPlan and checked against ViewPlan:
+	// both must give its table the same columns, in order, and key.
+	if s.CachedPlan != nil {
+		if err := checkPlanRefs(s, -1, s.View, s.CachedPlan, func(string) bool { return false }, isCache, baseTables); err != nil {
+			return err
+		}
+		if got, want := s.CachedPlan.Schema(), targets[s.View]; !slices.Equal(got.Attrs, want.Attrs) || !slices.Equal(got.Key, want.Key) {
+			return verr(s, VerifySchemaMismatch, -1, s.View,
+				"view plan over its caches yields %v key %v, the view plan %v key %v", got.Attrs, got.Key, want.Attrs, want.Key)
+		}
 	}
 
 	// Pending apply counts per target, for the freshness check.

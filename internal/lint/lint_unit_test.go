@@ -3,6 +3,9 @@ package lint
 import (
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,11 +30,11 @@ func TestPathIn(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the analyzer suite: all eleven analyzers registered,
+// TestRegistry pins the analyzer suite: all twelve analyzers registered,
 // resolvable by name, and the stale pseudo-analyzer deliberately not.
 func TestRegistry(t *testing.T) {
 	want := []string{"maprange", "deepequal", "bindname", "gostmt", "tabletype",
-		"chargepath", "countershard", "sharedcapture", "floatfold", "epochcall", "evalcall"}
+		"chargepath", "countershard", "sharedcapture", "floatfold", "epochcall", "evalcall", "nodemut"}
 	if len(Analyzers()) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(Analyzers()), len(want))
 	}
@@ -63,18 +66,18 @@ func TestEnabledFor(t *testing.T) {
 		test bool
 		want string
 	}{
-		{"internal/ivm", false, "bindname chargepath countershard deepequal epochcall evalcall floatfold gostmt maprange sharedcapture tabletype"},
-		{"internal/rel", false, "bindname chargepath deepequal"},
-		{"internal/rel/epochtest", false, "bindname chargepath deepequal"},
-		{"internal/storage", false, "bindname"},
-		{"internal/sqlview", false, "bindname chargepath countershard epochcall evalcall maprange tabletype"},
-		{"cmd/ivmlint", false, "bindname chargepath countershard epochcall evalcall tabletype"},
-		{"benchmark", false, "bindname chargepath countershard tabletype"},
+		{"internal/ivm", false, "bindname chargepath countershard deepequal epochcall evalcall floatfold gostmt maprange nodemut sharedcapture tabletype"},
+		{"internal/rel", false, "bindname chargepath deepequal nodemut"},
+		{"internal/rel/epochtest", false, "bindname chargepath deepequal nodemut"},
+		{"internal/storage", false, "bindname nodemut"},
+		{"internal/sqlview", false, "bindname chargepath countershard epochcall evalcall maprange nodemut tabletype"},
+		{"cmd/ivmlint", false, "bindname chargepath countershard epochcall evalcall nodemut tabletype"},
+		{"benchmark", false, "bindname chargepath countershard nodemut tabletype"},
 		// Test files run the reduced set: gostmt + sharedcapture inside
-		// internal/..., nothing elsewhere.
-		{"internal/rel", true, "gostmt sharedcapture"},
-		{"internal/ivm", true, "gostmt sharedcapture"},
-		{"cmd/ivmlint", true, ""},
+		// internal/..., and nodemut everywhere.
+		{"internal/rel", true, "gostmt nodemut sharedcapture"},
+		{"internal/ivm", true, "gostmt nodemut sharedcapture"},
+		{"cmd/ivmlint", true, "nodemut"},
 	}
 	for _, c := range cases {
 		pkg := &Package{Rel: c.rel, Test: c.test}
@@ -181,5 +184,71 @@ func TestSortFindings(t *testing.T) {
 		if fs[i].String() != w {
 			t.Errorf("fs[%d] = %q, want %q", i, fs[i], w)
 		}
+	}
+}
+
+// nodeMutFindings type-checks src as a package importing the module's
+// algebra and returns the lines nodemut flags in it.
+func nodeMutFindings(t *testing.T, src string) []int {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, f := range LintPackage(pkg, []*Analyzer{AnalyzerNodeMut}) {
+		lines = append(lines, f.Pos.Line)
+	}
+	return lines
+}
+
+// TestNodeMutFlagsFieldWrites: a write to a field of π, ⋈ or ∪all — or
+// to anything reached through one — is flagged.
+func TestNodeMutFlagsFieldWrites(t *testing.T) {
+	got := nodeMutFindings(t, `package p
+
+import "idivm/internal/algebra"
+
+func f(p *algebra.Project, j *algebra.Join, u algebra.UnionAll, c algebra.Node) {
+	p.Child = c
+	p.Items[0].As = "x"
+	(*j).Left = c
+	u.BranchAttr += "b"
+}
+`)
+	if want := []int{6, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Errorf("flagged lines %v, want %v", got, want)
+	}
+}
+
+// TestNodeMutAllowsLiteralsAndSemiJoin: composite literals, reads, the
+// semijoin's Anti flag and fields of other types are not flagged.
+func TestNodeMutAllowsLiteralsAndSemiJoin(t *testing.T) {
+	got := nodeMutFindings(t, `package p
+
+import "idivm/internal/algebra"
+
+type Join struct{ Left int }
+
+func f(l, r algebra.Node, s *algebra.SemiJoin, lj *Join) algebra.Node {
+	j := &algebra.Join{Left: l, Right: r, Pred: s.Pred}
+	s.Anti = true
+	lj.Left = 1
+	if j.Left.Schema().Has("x") {
+		return j.Right
+	}
+	return j
+}
+`)
+	if len(got) != 0 {
+		t.Errorf("flagged lines %v, want none", got)
 	}
 }
