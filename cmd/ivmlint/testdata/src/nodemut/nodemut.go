@@ -17,9 +17,10 @@ func build(l, r algebra.Node, pred expr.Expr) algebra.Node {
 	j := &algebra.Join{Left: l, Right: r, Pred: pred} // a literal: no finding
 	s := algebra.NewSemiJoin(j, r, pred)
 	s.Anti = true // a semijoin's schema is its left child's: no finding
+	u := algebra.NewUnionAll("", j, s)
 	//ivmlint:allow nodemut — fixture bless
-	j.Pred = expr.True()
-	return s
+	u.Branches[1] = j
+	return u
 }
 
 // Project is a local type, not the algebra node.

@@ -162,7 +162,7 @@ func TestIDInferenceRules(t *testing.T) {
 		{E: expr.C("parts2.price"), As: "parts.price"},
 	})
 	// p2 has no key (renamed); give it one via EnsureIDs on p1 only.
-	u := algebra.NewUnionAll(p1, p1, "b")
+	u := algebra.NewUnionAll("b", p1, p1)
 	if k := u.Schema().Key; len(k) != 2 || k[1] != "b" {
 		t.Errorf("union IDs = %v", k)
 	}
@@ -220,23 +220,34 @@ func TestUnionAllBranchAttr(t *testing.T) {
 	d := runningExampleDB(t)
 	parts, _ := d.Table("parts")
 	sp := algebra.NewScan("parts", "", parts.Schema())
-	u := algebra.NewUnionAll(sp, sp, "b")
+	u := algebra.NewUnionAll("b", sp, sp, sp)
 	got := eval(t, u, d)
-	if got.Len() != 4 {
+	if got.Len() != 6 {
 		t.Fatalf("union len = %d", got.Len())
 	}
-	zeros, ones := 0, 0
+	counts := map[int64]int{}
 	bi := got.Schema.Index("b")
 	for _, tup := range got.Tuples {
-		switch tup[bi].AsInt() {
-		case 0:
-			zeros++
-		case 1:
-			ones++
-		}
+		counts[tup[bi].AsInt()]++
 	}
-	if zeros != 2 || ones != 2 {
-		t.Fatalf("branch counts = %d, %d", zeros, ones)
+	if counts[0] != 2 || counts[1] != 2 || counts[2] != 2 {
+		t.Fatalf("branch counts = %v, want 2 rows on each of 0, 1 and 2", counts)
+	}
+
+	// An untagged union appends nothing, has no key and takes the branches
+	// of an untagged union among its own; a tagged one keeps it a branch.
+	flat := algebra.NewUnionAll("", algebra.NewUnionAll("", sp, sp), sp)
+	if sch := flat.Schema(); len(flat.Branches) != 3 || len(sch.Attrs) != 2 || len(sch.Key) != 0 {
+		t.Fatalf("untagged union of a union and a scan: %d branches, schema %v key %v", len(flat.Branches), sch.Attrs, sch.Key)
+	}
+	if got := eval(t, flat, d); got.Len() != 6 {
+		t.Fatalf("untagged union len = %d", got.Len())
+	}
+	if nested := algebra.NewUnionAll("b", algebra.NewUnionAll("", sp, sp), sp); len(nested.Branches) != 2 {
+		t.Fatalf("tagged union flattened its untagged branch: %s", nested)
+	}
+	if _, err := algebra.EnsureIDs(flat); err == nil {
+		t.Error("EnsureIDs accepted an untagged union, which has no IDs")
 	}
 }
 

@@ -37,7 +37,7 @@ func mixedKeys() *rel.Relation {
 // either side, conjunctions and a col-vs-col conjunct) and by index probe,
 // aliased and computed projections, probe/hash joins with residuals,
 // semi/anti joins, int-keyed and encoded-key aggregation, and union-all —
-// binary, and the π∘∪all towers of towerPlans.
+// tagged, and the untagged n-ary unions of towerPlans.
 func batchPlans() map[string]algebra.Node {
 	plans := kernelPlans()
 	for name, p := range towerPlans() {
@@ -46,20 +46,17 @@ func batchPlans() map[string]algebra.Node {
 	return plans
 }
 
-// unionTower unites the branches left to right as the γ rules do
-// (unionPlans in internal/ivm), each ∪all's branch attribute dropped by a π
-// above it: compiled, one n-ary union without a branch column.
+// unionTower unites the branches as the γ rules do (unionPlans in
+// internal/ivm): one untagged ∪all, or the one branch.
 func unionTower(branches []algebra.Node) algebra.Node {
-	acc := branches[0]
-	attrs := acc.Schema().Attrs
-	for i, b := range branches[1:] {
-		acc = algebra.Keep(algebra.NewUnionAll(acc, b, fmt.Sprintf("#b%d", i)), attrs...)
+	if len(branches) == 1 {
+		return branches[0]
 	}
-	return acc
+	return algebra.NewUnionAll("", branches...)
 }
 
-// towerPlans puts π∘∪all towers of one to five branches, some of them
-// empty, under every kind of consumer: the root, γ (branches folded one
+// towerPlans puts untagged unions ("towers") of one to five branches, some
+// of them empty, under every kind of consumer: the root, γ (branches folded one
 // after another, by a key whose groups start in one branch or in several),
 // the key side of a hash antijoin and of a probe-left semijoin, a join's
 // driving side, a renaming π that keeps a prefix and a computing π — and
@@ -132,7 +129,7 @@ func towerPlans() map[string]algebra.Node {
 				{Fn: algebra.AggSum, Arg: expr.C("one"), As: "s"}, {Fn: algebra.AggSum, Arg: expr.C("v"), As: "sv"}}),
 			"-semi-tagged-keys": algebra.NewSemiJoin(algebra.NewProject(tower(n, 1), []algebra.ProjItem{
 				{E: expr.C("big.k"), As: "a"}, {E: expr.C("big.val"), As: "v"}}),
-				algebra.NewUnionAll(tower(n, 0), tower(6-n, 1), "isAdd"),
+				algebra.NewUnionAll("isAdd", tower(n, 0), tower(6-n, 1)),
 				expr.And(expr.Eq(expr.C("a"), expr.C("big.val")), expr.Eq(expr.C("isAdd"), expr.IntLit(0)))),
 		} {
 			plans[fmt.Sprintf("tower%d%s", n, name)] = p
@@ -150,8 +147,8 @@ func towerPlans() map[string]algebra.Node {
 				{E: expr.C("big.k"), As: "a"}, {E: expr.C("big.grp"), As: "b"}}),
 			"-project": algebra.NewProject(tower(n, 0), []algebra.ProjItem{
 				{E: expr.C("big.val"), As: "v"}, {E: expr.AddE(expr.C("big.k"), expr.IntLit(1)), As: "k1"}}),
-			"-branch": algebra.NewUnionAll(tower(n, 0), tower(6-n, 1), "isAdd"),
-			"-semi-branch": algebra.NewSemiJoin(keys(), algebra.NewUnionAll(tower(n, 0), tower(6-n, 1), "isAdd"),
+			"-branch": algebra.NewUnionAll("isAdd", tower(n, 0), tower(6-n, 1)),
+			"-semi-branch": algebra.NewSemiJoin(keys(), algebra.NewUnionAll("isAdd", tower(n, 0), tower(6-n, 1)),
 				expr.And(expr.Eq(expr.C("jk"), expr.C("big.k")), expr.Eq(expr.C("isAdd"), expr.IntLit(1)))),
 		} {
 			plans[fmt.Sprintf("tower%d%s", n, name)] = p
@@ -240,10 +237,9 @@ func kernelPlans() map[string]algebra.Node {
 		"groupby-expr-arg": algebra.NewGroupBy(scan(), []string{"big.grp"}, []algebra.Agg{
 			{Fn: algebra.AggSum, Arg: expr.MulE(expr.C("big.k"), expr.IntLit(2)), As: "s2"},
 		}),
-		"union": algebra.NewUnionAll(
+		"union": algebra.NewUnionAll("branch",
 			algebra.NewSelect(scan(), expr.Lt(expr.C("big.grp"), expr.IntLit(4))),
-			algebra.NewSelect(scan(), expr.Ge(expr.C("big.grp"), expr.IntLit(11))),
-			"branch"),
+			algebra.NewSelect(scan(), expr.Ge(expr.C("big.grp"), expr.IntLit(11)))),
 	}
 }
 

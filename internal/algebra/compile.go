@@ -21,12 +21,11 @@
 // a step's root, a join's side — concatenates it, once (concat). The
 // kernels those bodies are built from live in batch.go.
 //
-// Compilation rewrites the operator tree, never the plan: a chain of π's
-// runs as one π (fuseProjects), a tower of ∪all's joined by π's that only
-// rename or drop a branch attribute runs as one cUnion of all its branches
-// (compileUnion), and a π literal or a branch column is a constant column
-// (rel.Constant), which no run allocates. The rewritten tree yields the same
-// rows in the same order from the same stored accesses.
+// Compile compiles the plan it is given, one operator per plan node: it
+// rewrites nothing, so the plan a Δ-script prints is the plan that runs
+// (its rewrites are pass 4's, ivm.Minimize). A π literal or a tagged
+// union's branch column is a constant column (rel.Constant), which no run
+// allocates.
 //
 // The compiled and interpreted paths make no access-path decision of their
 // own: both run the plans of the one physical planner (shape.go: joinPlan,
@@ -181,7 +180,7 @@ func compileNode(n Node, ps *expr.Params) (cNode, error) {
 	case *GroupBy:
 		return compileGroupBy(x, ps)
 	case *UnionAll:
-		return compileUnion(x, true, ps)
+		return compileUnion(x, ps)
 	default:
 		return nil, fmt.Errorf("algebra: cannot compile node type %T", n)
 	}
@@ -415,34 +414,15 @@ type cProject struct {
 	empty    *rel.Batch
 }
 
-// compileProject compiles p fused with the π's below it. Over a ∪all whose
-// branch attribute it does not read, the union runs without its branch
-// column, and a π that only renames or drops its trailing columns is the
-// union itself, under the π's schema.
 func compileProject(p *Project, ps *expr.Params) (cNode, error) {
-	items, below := fuseProjects(p)
-	var child cNode
-	var cs rel.Schema
-	if u, ok := below.(*UnionAll); ok && !readsAttr(items, u.BranchAttr) {
-		un, err := compileUnion(u, false, ps)
-		if err != nil {
-			return nil, err
-		}
-		if cs = un.empty.Schema; isPrefix(items, cs) {
-			un.w, un.empty = len(items), rel.NewBatch(p.Schema())
-			return un, nil
-		}
-		child = un
-	} else {
-		var err error
-		if child, err = compileNode(below, ps); err != nil {
-			return nil, err
-		}
-		cs = below.Schema()
+	child, err := compileNode(p.Child, ps)
+	if err != nil {
+		return nil, err
 	}
-	c := &cProject{colIdx: make([]int, len(items)), child: child, empty: rel.NewBatch(p.Schema())}
+	cs := p.Child.Schema()
+	c := &cProject{colIdx: make([]int, len(p.Items)), child: child, empty: rel.NewBatch(p.Schema())}
 	var computed []expr.Expr
-	for i, it := range items {
+	for i, it := range p.Items {
 		c.colIdx[i] = -1
 		switch x := it.E.(type) {
 		case expr.Col:
@@ -455,39 +435,16 @@ func compileProject(p *Project, ps *expr.Params) (cNode, error) {
 		}
 		c.gen, computed = append(c.gen, i), append(computed, it.E)
 	}
-	var err error
 	if c.refs, c.evals, err = compileRefs(ps, cs, computed...); err != nil {
 		return nil, err
 	}
-	c.prefix = isPrefix(items, cs)
+	c.prefix = isPrefix(p.Items, cs)
 	return c, nil
 }
 
 // plain reports whether every item is a plain column.
 func (c *cProject) plain() bool {
 	return !slices.ContainsFunc(c.colIdx, func(j int) bool { return j < 0 })
-}
-
-// fuseProjects composes p with the chain of π's under it: p's items with
-// every column reference replaced by the item below that defines it, over
-// the first operator under the chain that is not a π.
-func fuseProjects(p *Project) ([]ProjItem, Node) {
-	items, below := p.Items, p.Child
-	for {
-		inner, ok := below.(*Project)
-		if !ok {
-			return items, below
-		}
-		defs := make(map[string]expr.Expr, len(inner.Items))
-		for _, it := range inner.Items {
-			defs[it.As] = it.E
-		}
-		fused := make([]ProjItem, len(items))
-		for i, it := range items {
-			fused[i] = ProjItem{E: expr.Subst(it.E, defs), As: it.As}
-		}
-		items, below = fused, inner.Child
-	}
 }
 
 // isPrefix reports whether item i is the plain column i of sch, for every
@@ -499,16 +456,6 @@ func isPrefix(items []ProjItem, sch rel.Schema) bool {
 		}
 	}
 	return true
-}
-
-// readsAttr reports whether an item reads the attribute a.
-func readsAttr(items []ProjItem, a string) bool {
-	for _, it := range items {
-		if slices.Contains(it.E.Cols(), a) {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *cProject) run(env Env) (*rel.Batch, error) {
@@ -943,59 +890,37 @@ func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
 	return c.fold(parts), nil
 }
 
-// cUnion is the n-ary ∪all: the branches of a tower of binary ∪all's, in
-// left-to-right order, each contributing its first w columns. A ∪all under a
-// π that does not read its branch attribute has no branch column (tags is
-// nil), and a side that is such a union contributes its branches instead of
-// itself; otherwise tags[i] is the branch column's value on the rows of
-// branch i — the binary ∪all's 0 or 1, whichever side the branch came from.
-// Its parts are its branches' parts, one after another (a branch that is a
-// partsNode contributes its own), and its run concatenates them (runWhole).
+// cUnion is the n-ary ∪all. Its parts are its branches' parts, one after
+// another (a branch that is a partsNode contributes its own), and its run
+// concatenates them (runWhole). A tagged union's tags[i] is the constant
+// branch column of branch i's rows.
 type cUnion struct {
 	branches []cNode
-	tags     []uint64
-	w        int
+	tags     []rel.Constant // nil when untagged
 	empty    *rel.Batch
 	buf      []*rel.Batch // the non-empty branches of one run
 }
 
-// compileUnion compiles u as one n-ary union: with its branch column when
-// tagged, else without, under u's schema less the branch attribute.
-func compileUnion(u *UnionAll, tagged bool, ps *expr.Params) (*cUnion, error) {
-	sch := u.Schema()
-	w := len(sch.Attrs) - 1
-	c := &cUnion{w: w}
-	for tag, side := range []Node{u.Left, u.Right} {
-		n, err := compileNode(side, ps)
-		if err != nil {
+func compileUnion(u *UnionAll, ps *expr.Params) (*cUnion, error) {
+	c := &cUnion{branches: make([]cNode, len(u.Branches)), empty: rel.NewBatch(u.Schema())}
+	for i, b := range u.Branches {
+		var err error
+		if c.branches[i], err = compileNode(b, ps); err != nil {
 			return nil, err
 		}
-		if in, ok := n.(*cUnion); ok && in.tags == nil {
-			c.branches = append(c.branches, in.branches...)
-		} else {
-			c.branches = append(c.branches, n)
-		}
-		for tagged && len(c.tags) < len(c.branches) {
-			c.tags = append(c.tags, uint64(tag))
+		if u.BranchAttr != "" {
+			c.tags = append(c.tags, rel.NewConstant(rel.Int(int64(i))))
 		}
 	}
-	if !tagged {
-		sch = rel.NewSchema(sch.Attrs[:w], slices.DeleteFunc(slices.Clone(sch.Key), func(a string) bool { return a == u.BranchAttr }))
-	}
-	c.empty = rel.NewBatch(sch)
 	return c, nil
 }
 
 func (c *cUnion) run(env Env) (*rel.Batch, error) { return runWhole(c, env, &c.buf, c.empty) }
 
-// branchTags are the branch column's values, as constant columns.
-var branchTags = [2]rel.Constant{rel.NewConstant(rel.Int(0)), rel.NewConstant(rel.Int(1))}
-
 // parts appends the union's branches' parts to dst, in order: each as its
-// branch returned it (a consumer reads its first w columns by position),
-// or, when the union has a branch column, its first w columns and the
-// branch column.
+// branch returned it, or, when the union is tagged, with its branch column.
 func (c *cUnion) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
+	w := len(c.empty.Schema.Attrs) - 1
 	for i, br := range c.branches {
 		n0 := len(dst)
 		var err error
@@ -1006,7 +931,7 @@ func (c *cUnion) parts(env Env, dst []*rel.Batch) ([]*rel.Batch, error) {
 			continue
 		}
 		for j, b := range dst[n0:] {
-			cols := append(b.Cols[:c.w:c.w], branchTags[c.tags[i]].Col(b.N))
+			cols := append(b.Cols[:w:w], c.tags[i].Col(b.N))
 			dst[n0+j] = &rel.Batch{Schema: c.empty.Schema, Cols: cols, N: b.N}
 		}
 	}

@@ -113,7 +113,7 @@ func TestEnsureIDsAllOperators(t *testing.T) {
 		algebra.NewSelect(sp, expr.True()),
 		algebra.NewSemiJoin(sp, sdp, pred),
 		algebra.NewAntiJoin(sp, sdp, pred),
-		algebra.NewUnionAll(sp, sp, "b"),
+		algebra.NewUnionAll("b", sp, sp),
 		algebra.NewGroupBy(sp, []string{"parts.price"}, nil),
 		algebra.NewJoin(sp, sdp, pred),
 	}
@@ -173,7 +173,7 @@ func TestMoreNodeStrings(t *testing.T) {
 	if e.Children() != nil {
 		t.Fatal("empty children")
 	}
-	u := algebra.NewUnionAll(sp, sp, "b")
+	u := algebra.NewUnionAll("b", sp, sp)
 	if u.String() == "" || len(u.Children()) != 2 {
 		t.Fatal("union accessors")
 	}

@@ -362,20 +362,18 @@ func evalSemi(s *SemiJoin, env Env) (*rel.Relation, error) {
 }
 
 func evalUnion(u *UnionAll, env Env) (*rel.Relation, error) {
-	left, err := Eval(u.Left, env)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Eval(u.Right, env)
-	if err != nil {
-		return nil, err
-	}
 	out := rel.NewRelation(u.Schema())
-	for _, t := range left.Tuples {
-		out.Add(append(append(rel.Tuple{}, t...), rel.Int(0)))
-	}
-	for _, t := range right.Tuples {
-		out.Add(append(append(rel.Tuple{}, t...), rel.Int(1)))
+	for i, b := range u.Branches {
+		r, err := Eval(b, env)
+		if err != nil {
+			return nil, err
+		}
+		for _, t := range r.Tuples {
+			if u.BranchAttr != "" {
+				t = append(t[:len(t):len(t)], rel.Int(int64(i)))
+			}
+			out.Add(t)
+		}
 	}
 	return out, nil
 }

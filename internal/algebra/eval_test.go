@@ -191,8 +191,8 @@ func TestWithStateCoversAllNodes(t *testing.T) {
 		}
 	}
 	// Union, semijoin, antijoin and stored refs too.
-	u := algebra.NewUnionAll(sp, sp, "b")
-	if algebra.WithState(u, rel.StatePre).(*algebra.UnionAll).Left.(*algebra.Scan).St != rel.StatePre {
+	u := algebra.NewUnionAll("b", sp, sp)
+	if algebra.WithState(u, rel.StatePre).(*algebra.UnionAll).Branches[0].(*algebra.Scan).St != rel.StatePre {
 		t.Fatal("union children not retargeted")
 	}
 	ref := algebra.NewStoredRef("parts", parts.Schema(), rel.StatePost)
@@ -273,7 +273,7 @@ func TestNodeStrings(t *testing.T) {
 		algebra.NewSelect(sp, expr.Gt(expr.C("p.price"), expr.IntLit(1))),
 		algebra.Keep(sp, "p.pid"),
 		algebra.NewGroupBy(sp, []string{"p.price"}, []algebra.Agg{{Fn: algebra.AggCount, As: "n"}}),
-		algebra.NewUnionAll(sp, sp, "b"),
+		algebra.NewUnionAll("b", sp, sp),
 		algebra.NewSemiJoin(sp, algebra.NewScan("parts", "q", parts.Schema()),
 			expr.Eq(expr.C("p.pid"), expr.C("q.pid"))),
 	}
@@ -333,10 +333,10 @@ func TestConstructorPanics(t *testing.T) {
 		algebra.NewJoin(sp, sp, expr.True())
 	})
 	expectPanic("union schema mismatch", func() {
-		algebra.NewUnionAll(sp, algebra.Keep(sp, "parts.pid"), "b")
+		algebra.NewUnionAll("b", sp, algebra.Keep(sp, "parts.pid"))
 	})
 	expectPanic("union branch collision", func() {
-		algebra.NewUnionAll(sp, sp, "parts.pid")
+		algebra.NewUnionAll("parts.pid", sp, sp)
 	})
 	expectPanic("agg without arg", func() {
 		algebra.NewGroupBy(sp, []string{"parts.pid"}, []algebra.Agg{{Fn: algebra.AggSum, As: "s"}})

@@ -49,6 +49,9 @@ func EnsureIDs(n Node) (Node, error) {
 		}
 		return NewProject(c, items), nil
 	case *Select, *Join, *SemiJoin, *GroupBy, *UnionAll:
+		if u, ok := n.(*UnionAll); ok && u.BranchAttr == "" {
+			return nil, fmt.Errorf("algebra: union %s has no branch attribute, so no IDs", n)
+		}
 		var err error
 		out := MapChildren(n, func(c Node) Node {
 			if err == nil {
@@ -95,7 +98,8 @@ func NaturalJoinPred(l, r Node) expr.Expr {
 
 // MapChildren rebuilds n over f(child) for each of its children, calling f
 // on them left before right; a leaf (or a node of an unknown type) is
-// returned as it is.
+// returned as it is. An untagged union flattens the untagged unions f
+// returns for its branches, as NewUnionAll does.
 func MapChildren(n Node, f func(Node) Node) Node {
 	switch x := n.(type) {
 	case *Select:
@@ -109,7 +113,11 @@ func MapChildren(n Node, f func(Node) Node) Node {
 	case *SemiJoin:
 		return &SemiJoin{Left: f(x.Left), Right: f(x.Right), Pred: x.Pred, Anti: x.Anti}
 	case *UnionAll:
-		return &UnionAll{Left: f(x.Left), Right: f(x.Right), BranchAttr: x.BranchAttr}
+		bs := make([]Node, len(x.Branches))
+		for i, b := range x.Branches {
+			bs[i] = f(b)
+		}
+		return &UnionAll{Branches: flatten(x.BranchAttr, bs), BranchAttr: x.BranchAttr}
 	}
 	return n
 }

@@ -112,7 +112,7 @@ func (s *Select) Schema() rel.Schema { return s.Child.Schema() }
 func (s *Select) Children() []Node { return []Node{s.Child} }
 
 // String implements Node.
-func (s *Select) String() string { return fmt.Sprintf("σ[%s](%s)", s.Pred, s.Child) }
+func (s *Select) String() string { return Op(s) + "(" + s.Child.String() + ")" }
 
 // ProjItem is one output column of a generalized projection.
 type ProjItem struct {
@@ -209,17 +209,7 @@ func (p *Project) keyMapping(childKey []string) map[string]string {
 func (p *Project) Children() []Node { return []Node{p.Child} }
 
 // String implements Node.
-func (p *Project) String() string {
-	parts := make([]string, len(p.Items))
-	for i, it := range p.Items {
-		if c, ok := it.E.(expr.Col); ok && c.Name == it.As {
-			parts[i] = it.As
-		} else {
-			parts[i] = fmt.Sprintf("%s→%s", it.E, it.As)
-		}
-	}
-	return fmt.Sprintf("π[%s](%s)", strings.Join(parts, ", "), p.Child)
-}
+func (p *Project) String() string { return Op(p) + "(" + p.Child.String() + ")" }
 
 // Join is an inner theta-join; a cross product when Pred is TRUE.
 type Join struct {
@@ -256,7 +246,7 @@ func (j *Join) derive() rel.Schema {
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
 // String implements Node.
-func (j *Join) String() string { return fmt.Sprintf("(%s ⋈[%s] %s)", j.Left, j.Pred, j.Right) }
+func (j *Join) String() string { return infix(j, j.Left, j.Right) }
 
 // SemiJoin keeps the left tuples having at least one match on the right,
 // or, as the antisemijoin (Anti), the left tuples having none; the
@@ -288,13 +278,7 @@ func (s *SemiJoin) Schema() rel.Schema { return s.Left.Schema() }
 func (s *SemiJoin) Children() []Node { return []Node{s.Left, s.Right} }
 
 // String implements Node.
-func (s *SemiJoin) String() string {
-	op := "⋉"
-	if s.Anti {
-		op = "▷"
-	}
-	return fmt.Sprintf("(%s %s[%s] %s)", s.Left, op, s.Pred, s.Right)
-}
+func (s *SemiJoin) String() string { return infix(s, s.Left, s.Right) }
 
 // AggFn names an aggregation function.
 type AggFn string
@@ -362,60 +346,79 @@ func (g *GroupBy) Schema() rel.Schema {
 func (g *GroupBy) Children() []Node { return []Node{g.Child} }
 
 // String implements Node.
-func (g *GroupBy) String() string {
-	parts := make([]string, len(g.Aggs))
-	for i, a := range g.Aggs {
-		arg := "*"
-		if a.Arg != nil {
-			arg = a.Arg.String()
-		}
-		parts[i] = fmt.Sprintf("%s(%s)→%s", a.Fn, arg, a.As)
-	}
-	return fmt.Sprintf("γ[%s; %s](%s)", strings.Join(g.Keys, ","), strings.Join(parts, ","), g.Child)
-}
+func (g *GroupBy) String() string { return Op(g) + "(" + g.Child.String() + ")" }
 
-// UnionAll is the special bag union of the paper's Section 2: it appends a
-// branch attribute b (0 for left, 1 for right) so output IDs remain keys.
-// Both children must have identical attribute lists.
+// UnionAll is the bag union of its branches, which have identical attribute
+// lists. Tagged (BranchAttr set), it is the special union of the paper's
+// Section 2: it appends the branch attribute, i on the rows of branch i, so
+// output IDs remain keys. Untagged, it appends nothing and has no key: the
+// γ rules unite their per-diff contributions this way, and pass 4 turns a
+// tagged union under a π that does not read its branch attribute into one.
 type UnionAll struct {
-	Left, Right Node
-	BranchAttr  string
-	sch         schemaOnce
+	Branches   []Node
+	BranchAttr string
+	sch        schemaOnce
 }
 
-// NewUnionAll builds a union-all node.
-func NewUnionAll(l, r Node, branchAttr string) *UnionAll {
-	ls, rs := l.Schema(), r.Schema()
-	if strings.Join(ls.Attrs, ",") != strings.Join(rs.Attrs, ",") {
-		panic(fmt.Sprintf("algebra: union children schemas differ: %v vs %v", ls.Attrs, rs.Attrs))
+// NewUnionAll builds the union of its branches, tagged with
+// branchAttr unless it is "". An untagged union's branches that are
+// untagged unions contribute their own branches, so no tower is built.
+func NewUnionAll(branchAttr string, branches ...Node) *UnionAll {
+	attrs := branches[0].Schema().Attrs
+	for _, b := range branches[1:] {
+		if bs := b.Schema(); !slices.Equal(bs.Attrs, attrs) {
+			panic(fmt.Sprintf("algebra: union branch schemas differ: %v vs %v", attrs, bs.Attrs))
+		}
 	}
-	if branchAttr == "" {
-		branchAttr = "b"
+	if slices.Contains(attrs, branchAttr) {
+		panic(fmt.Sprintf("algebra: branch attribute %q collides with the branches' schema", branchAttr))
 	}
-	if ls.Has(branchAttr) {
-		panic(fmt.Sprintf("algebra: branch attribute %q collides with child schema", branchAttr))
-	}
-	return &UnionAll{Left: l, Right: r, BranchAttr: branchAttr}
+	return &UnionAll{Branches: flatten(branchAttr, branches), BranchAttr: branchAttr}
 }
 
-// Schema implements Node. Per Table 1, ID = ID(R) ∪ ID(S) ∪ {b}.
+// flatten returns the branches of a union tagged with branchAttr: under an
+// untagged one, an untagged union among them is replaced by its branches.
+func flatten(branchAttr string, branches []Node) []Node {
+	out := make([]Node, 0, len(branches))
+	for _, b := range branches {
+		if u, ok := b.(*UnionAll); ok && branchAttr == "" && u.BranchAttr == "" {
+			out = append(out, u.Branches...)
+		} else {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// Schema implements Node. Per Table 1, a tagged union's ID is the union of
+// its branches' IDs and {b}.
 func (u *UnionAll) Schema() rel.Schema { return u.sch.get(u.derive) }
 
 func (u *UnionAll) derive() rel.Schema {
-	ls, rs := u.Left.Schema(), u.Right.Schema()
-	attrs := append(append([]string(nil), ls.Attrs...), u.BranchAttr)
-	var key []string
-	if len(ls.Key) > 0 && len(rs.Key) > 0 {
-		key = append(rel.Union(ls.Key, rs.Key), u.BranchAttr)
+	attrs := u.Branches[0].Schema().Attrs
+	if u.BranchAttr == "" {
+		return rel.NewSchema(attrs, nil)
 	}
-	return rel.NewSchema(attrs, key)
+	var key []string
+	for _, b := range u.Branches {
+		bk := b.Schema().Key
+		if len(bk) == 0 {
+			key = nil
+			break
+		}
+		key = rel.Union(key, bk)
+	}
+	if key != nil {
+		key = append(key, u.BranchAttr)
+	}
+	return rel.NewSchema(append(slices.Clip(attrs), u.BranchAttr), key)
 }
 
 // Children implements Node.
-func (u *UnionAll) Children() []Node { return []Node{u.Left, u.Right} }
+func (u *UnionAll) Children() []Node { return u.Branches }
 
 // String implements Node.
-func (u *UnionAll) String() string { return fmt.Sprintf("(%s ∪all %s)", u.Left, u.Right) }
+func (u *UnionAll) String() string { return infix(u, u.Branches...) }
 
 // RelRef is a leaf referring to a named relation bound at evaluation time
 // through the Env: diff tables, cache contents, or precomputed inputs. It
@@ -498,6 +501,58 @@ func (e *Empty) Children() []Node { return nil }
 
 // String implements Node.
 func (e *Empty) String() string { return "∅" }
+
+// Op renders n's operator without its inputs — σ[p], π[items], ⋈[p], ⋉[p]
+// or ▷[p], γ[keys; aggs], ∪all or ∪all[b] — and a leaf whole. A node
+// renders as its Op over its inputs' renderings: σ, π and γ put theirs in
+// parentheses after it, ⋈, ⋉/▷ and ∪all write it between theirs (infix).
+func Op(n Node) string {
+	switch x := n.(type) {
+	case *Select:
+		return "σ[" + x.Pred.String() + "]"
+	case *Project:
+		parts := make([]string, len(x.Items))
+		for i, it := range x.Items {
+			parts[i] = it.As
+			if c, ok := it.E.(expr.Col); !ok || c.Name != it.As {
+				parts[i] = it.E.String() + "→" + it.As
+			}
+		}
+		return "π[" + strings.Join(parts, ", ") + "]"
+	case *Join:
+		return "⋈[" + x.Pred.String() + "]"
+	case *SemiJoin:
+		if x.Anti {
+			return "▷[" + x.Pred.String() + "]"
+		}
+		return "⋉[" + x.Pred.String() + "]"
+	case *GroupBy:
+		parts := make([]string, len(x.Aggs))
+		for i, a := range x.Aggs {
+			arg := "*"
+			if a.Arg != nil {
+				arg = a.Arg.String()
+			}
+			parts[i] = string(a.Fn) + "(" + arg + ")→" + a.As
+		}
+		return "γ[" + strings.Join(x.Keys, ",") + "; " + strings.Join(parts, ",") + "]"
+	case *UnionAll:
+		if x.BranchAttr == "" {
+			return "∪all"
+		}
+		return "∪all[" + x.BranchAttr + "]"
+	}
+	return n.String()
+}
+
+// infix renders n's inputs in parentheses with n's Op between each two.
+func infix(n Node, inputs ...Node) string {
+	parts := make([]string, len(inputs))
+	for i, in := range inputs {
+		parts[i] = in.String()
+	}
+	return "(" + strings.Join(parts, " "+Op(n)+" ") + ")"
+}
 
 // schemaOnce keeps the schema a node derives from its fields and its
 // children's schemas. Racing first calls derive equal schemas and either is

@@ -73,7 +73,7 @@ func strategyPlans() map[string]strategyPlan {
 		"select-none":     {"", algebra.NewSelect(in(), expr.Lt(expr.C("g"), expr.IntLit(0)))},
 		"select-some":     {"", lowG(in())},
 		"project":         {"", algebra.NewProject(in(), []algebra.ProjItem{{E: expr.C("v"), As: "v"}, {E: expr.AddE(expr.C("k"), expr.IntLit(1)), As: "k1"}})},
-		"union":           {"", algebra.NewUnionAll(in(), lowG(in()), "branch")},
+		"union":           {"", algebra.NewUnionAll("branch", in(), lowG(in()))},
 		"join-probe-r":    {"joinProbeRight", algebra.NewJoin(in(), big(), expr.Eq(expr.C("k"), expr.C("big.k")))},
 		"join-probe-l":    {"joinProbeLeft", algebra.NewJoin(big(), in(), expr.Eq(expr.C("big.k"), expr.C("k")))},
 		"join-probe-both": {"joinProbeRight", algebra.NewJoin(t(), big(), expr.Eq(expr.C("t.k"), expr.C("big.k")))},

@@ -10,17 +10,9 @@ import (
 	"idivm/internal/rel"
 )
 
-// unionTower is the π∘∪all tower the γ rules build over per-diff
-// contributions (unionPlans in internal/ivm): the branches united left to
-// right, each union's branch attribute dropped by a π above it.
-func unionTower(branches ...Node) Node {
-	acc := branches[0]
-	attrs := acc.Schema().Attrs
-	for i, b := range branches[1:] {
-		acc = Keep(NewUnionAll(acc, b, fmt.Sprintf("#b%d", i)), attrs...)
-	}
-	return acc
-}
+// unionTower is the union the γ rules build over per-diff contributions
+// (unionPlans in internal/ivm): one untagged ∪all of the branches.
+func unionTower(branches ...Node) Node { return NewUnionAll("", branches...) }
 
 // towerSides are n-row derived inputs a, b and c over k, v: eight keys and
 // int values, so that a γ over them has the same output columns at any n.
@@ -38,8 +30,8 @@ func towerSides(n int) map[string]*rel.Binding {
 
 func towerLeaf(name string) Node { return NewRelRef(name, rel.NewSchema([]string{"k", "v"}, nil)) }
 
-// TestUnionTowerFoldsBranchByBranch compiles a γ over a three-branch tower to
-// one n-ary union without a branch column under the γ, and checks that the γ
+// TestUnionTowerFoldsBranchByBranch compiles a γ over an untagged
+// three-branch union to one n-ary union under the γ, and checks that the γ
 // folds the branches where they lie: with rows in every branch, a warm run
 // allocates the same objects at 16 and at 2 048 rows a branch — the groups'
 // first rows, the key columns gathered at them (batch, columns), the output
@@ -87,20 +79,26 @@ func TestUnionTowerFoldsBranchByBranch(t *testing.T) {
 	}
 }
 
-// TestUnionBranchColumnMatchesBinaryUnion unites two towers with a ∪all whose
-// branch attribute is read, as the MIN/MAX rule's ΔX does: the compiled plan
-// is one n-ary union with tags 0 for the left tower's branches and 1 for the
-// right's, and it yields the binary unions' rows and branch column, in order,
-// whichever branches are empty — read whole at the root, and by a semijoin's
-// residual branch by branch.
+// TestUnionBranchColumnMatchesBinaryUnion unites two untagged unions with a
+// tagged ∪all whose branch attribute is read, as the MIN/MAX rule's ΔX does:
+// the compiled plan is a two-branch union tagged 0 and 1 over two untagged
+// two-branch unions, and it yields the oracle's rows and branch column, in
+// order, whichever branches are empty — read whole at the root, and by a
+// semijoin's residual branch by branch.
 func TestUnionBranchColumnMatchesBinaryUnion(t *testing.T) {
-	u := NewUnionAll(unionTower(towerLeaf("a"), towerLeaf("b")), unionTower(towerLeaf("c"), towerLeaf("a")), "isAdd")
+	u := NewUnionAll("isAdd", unionTower(towerLeaf("a"), towerLeaf("b")), unionTower(towerLeaf("c"), towerLeaf("a")))
 	c, err := compileNode(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cu := c.(*cUnion); len(cu.branches) != 4 || !slices.Equal(cu.tags, []uint64{0, 0, 1, 1}) {
-		t.Fatalf("compiled to %d branches tagged %v, want 4 tagged [0 0 1 1]", len(cu.branches), cu.tags)
+	cu := c.(*cUnion)
+	if len(cu.branches) != 2 || len(cu.tags) != 2 {
+		t.Fatalf("compiled to %d branches with %d tags, want 2 tagged", len(cu.branches), len(cu.tags))
+	}
+	for i, br := range cu.branches {
+		if in, ok := br.(*cUnion); !ok || len(in.branches) != 2 || in.tags != nil {
+			t.Fatalf("branch %d compiled to %T, want an untagged two-branch union", i, br)
+		}
 	}
 	keys := NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil))
 	semi := NewSemiJoin(keys, u, expr.And(expr.Eq(expr.C("jk"), expr.C("k")), expr.Eq(expr.C("isAdd"), expr.IntLit(1))))
@@ -133,9 +131,9 @@ func TestUnionBranchColumnMatchesBinaryUnion(t *testing.T) {
 	}
 }
 
-// TestAntiJoinFiltersTowerBranchByBranch compiles γ over (tower ▷ keys), the
+// TestAntiJoinFiltersTowerBranchByBranch compiles γ over (∪all ▷ keys), the
 // shape of the γ rules' unmatched streams: the antijoin's filtered side is
-// the three-branch union itself, and the antijoin hands γ each branch
+// an untagged three-branch union, and the antijoin hands γ each branch
 // narrowed where it lies — a part reads its branch's own payload slices
 // (only a selection is new) — so a warm run allocates the same objects at
 // 16 and at 2 048 rows a branch, and fewer bytes than a concatenated column.
@@ -225,7 +223,7 @@ func TestLiteralsAreConstantColumns(t *testing.T) {
 	}
 	swap := []ProjItem{{E: expr.C("v"), As: "v"}, {E: expr.C("k"), As: "k"}}
 	withLit := append(slices.Clone(swap), ProjItem{E: expr.IntLit(-1), As: "d"}, ProjItem{E: expr.StrLit("x"), As: "s"})
-	tagged := NewUnionAll(towerLeaf("a"), towerLeaf("b"), "isAdd")
+	tagged := NewUnionAll("isAdd", towerLeaf("a"), towerLeaf("b"))
 	d, _ := scratchDB()
 	for _, n := range []int{16, 4096} {
 		env := &bindingEnv{Env: d, binds: towerSides(n)}

@@ -5,7 +5,7 @@
 package expr
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"idivm/internal/rel"
@@ -62,7 +62,7 @@ type Param struct{ I int }
 func (p Param) Cols() []string { return nil }
 
 // String implements Expr.
-func (p Param) String() string { return fmt.Sprintf("$%d", p.I+1) }
+func (p Param) String() string { return "$" + strconv.Itoa(p.I+1) }
 
 // CmpOp is a comparison operator.
 type CmpOp string
@@ -107,7 +107,7 @@ func Ge(l, r Expr) Cmp { return Cmp{Op: GE, L: l, R: r} }
 func (c Cmp) Cols() []string { return mergeCols(c.L, c.R) }
 
 // String implements Expr.
-func (c Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
+func (c Cmp) String() string { return c.L.String() + " " + string(c.Op) + " " + c.R.String() }
 
 // AndExpr is a conjunction of subexpressions (true when empty).
 type AndExpr struct{ Terms []Expr }
@@ -206,7 +206,9 @@ func DivE(l, r Expr) Arith { return Arith{Op: '/', L: l, R: r} }
 func (a Arith) Cols() []string { return mergeCols(a.L, a.R) }
 
 // String implements Expr.
-func (a Arith) String() string { return fmt.Sprintf("(%s %c %s)", a.L, a.Op, a.R) }
+func (a Arith) String() string {
+	return "(" + a.L.String() + " " + string(rune(a.Op)) + " " + a.R.String() + ")"
+}
 
 // Func applies a named builtin function; see funcs.go for the library.
 type Func struct {

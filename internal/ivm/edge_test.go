@@ -120,7 +120,7 @@ func TestThreeWayUnion(t *testing.T) {
 				}
 				return f
 			}
-			u12 := algebra.NewUnionAll(fix(scan("t1")), fix(scan("t2")), "b1")
+			u12 := algebra.NewUnionAll("b1", fix(scan("t1")), fix(scan("t2")))
 			p12 := algebra.Keep(u12, "k", "v", "b1")
 			t3 := algebra.NewProject(fix(scan("t3")), []algebra.ProjItem{
 				{E: expr.C("k"), As: "k"},
@@ -129,8 +129,8 @@ func TestThreeWayUnion(t *testing.T) {
 			})
 			t3fixed := fix(t3)
 			// Align attribute lists (t3fixed may have appended its key copy).
-			u := algebra.NewUnionAll(algebra.Keep(p12, "k", "v", "b1"),
-				algebra.Keep(t3fixed, "k", "v", "b1"), "b2")
+			u := algebra.NewUnionAll("b2", algebra.Keep(p12, "k", "v", "b1"),
+				algebra.Keep(t3fixed, "k", "v", "b1"))
 
 			s := ivm.NewSystem(d)
 			register(t, s, "all3", u, mode)

@@ -135,8 +135,8 @@ func TestUnionAllView(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Keep attribute lists identical for the union.
-			u := algebra.NewUnionAll(algebra.Keep(sp, "parts.pid", "parts.price"),
-				algebra.Keep(fixed, "parts.pid", "parts.price"), "b")
+			u := algebra.NewUnionAll("b", algebra.Keep(sp, "parts.pid", "parts.price"),
+				algebra.Keep(fixed, "parts.pid", "parts.price"))
 
 			s := ivm.NewSystem(d)
 			register(t, s, "all_parts", u, mode)

@@ -72,7 +72,7 @@ func rebuild(n algebra.Node) (algebra.Node, error) {
 	case *algebra.Join:
 		r = algebra.NewJoin(kids[0], kids[1], x.Pred)
 	case *algebra.UnionAll:
-		r = algebra.NewUnionAll(kids[0], kids[1], x.BranchAttr)
+		r = algebra.NewUnionAll(x.BranchAttr, kids...)
 	case *algebra.Select:
 		r = algebra.NewSelect(kids[0], x.Pred)
 	case *algebra.SemiJoin:

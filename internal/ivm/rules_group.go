@@ -717,7 +717,7 @@ func (g *gen) groupExtrema(op *algebra.GroupBy, ins []decl, cols []string, input
 		for rel.Contains(cols, isAdd) {
 			isAdd += "#"
 		}
-		rows = algebra.NewUnionAll(unionPlans(dels), unionPlans(adds), isAdd)
+		rows = algebra.NewUnionAll(isAdd, unionPlans(dels), unionPlans(adds))
 		hits = expr.Or(expr.And(expr.Eq(expr.C(isAdd), expr.IntLit(0)), delHit),
 			expr.And(expr.Eq(expr.C(isAdd), expr.IntLit(1)), addHit))
 	}

@@ -232,14 +232,10 @@ func (g *gen) projectRules(op *algebra.Project, in decl, input inputFn) ([]decl,
 func (g *gen) unionRules(op *algebra.UnionAll, in decl, branch int64) decl {
 	ds := in.schema
 	if ds.Type == DiffInsert {
-		// Insert diffs must carry the union's full key (both children's IDs
-		// plus the branch attribute); reconstruct the child tuple, tag the
+		// Insert diffs must carry the union's full key (every branch's IDs
+		// plus the branch attribute); reconstruct the branch tuple, tag the
 		// branch, and relabel.
-		child := op.Left
-		if branch == 1 {
-			child = op.Right
-		}
-		childAttrs := child.Schema().Attrs
+		childAttrs := op.Branches[branch].Schema().Attrs
 		rec := reconstruct(in, childAttrs, rel.StatePost)
 		var items []algebra.ProjItem
 		for _, a := range childAttrs {

@@ -1,8 +1,6 @@
 package ivm
 
 import (
-	"fmt"
-
 	"idivm/internal/algebra"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
@@ -267,19 +265,13 @@ func renameAll(plan algebra.Node, suffix string) algebra.Node {
 // ids+suffix on the right plan.
 func idEq(ids []string, suffix string) expr.Expr { return idEqBoth(ids, "", suffix) }
 
-// unionPlans chains UnionAll over plans with identical attribute lists,
-// projecting out the branch attributes, yielding their bag union.
+// unionPlans is the bag union of plans with identical attribute lists: one
+// untagged ∪all, or the one plan.
 func unionPlans(plans []algebra.Node) algebra.Node {
 	if len(plans) == 1 {
 		return plans[0]
 	}
-	acc := plans[0]
-	attrs := acc.Schema().Attrs
-	for i, p := range plans[1:] {
-		u := algebra.NewUnionAll(acc, p, fmt.Sprintf("#b%d", i))
-		acc = algebra.Keep(u, attrs...)
-	}
-	return acc
+	return algebra.NewUnionAll("", plans...)
 }
 
 // dedupKeys builds a distinct projection of the given columns via a

@@ -117,9 +117,9 @@ func TestRepeatedUserSubexpressionRegisters(t *testing.T) {
 					algebra.NewScan("devices_parts", "", dp.Schema()),
 					expr.Eq(expr.C("parts.pid"), expr.C("devices_parts.pid"))), pred)
 			}
-			plan := algebra.NewUnionAll(
+			plan := algebra.NewUnionAll("b",
 				branch(expr.Gt(expr.C("parts.price"), expr.IntLit(10))),
-				branch(expr.Lt(expr.C("parts.price"), expr.IntLit(11))), "b")
+				branch(expr.Lt(expr.C("parts.price"), expr.IntLit(11))))
 			s := ivm.NewSystem(d)
 			v := register(t, s, "u", plan, mode)
 			if !strings.Contains(v.Script.String(), "ΔS") {

@@ -3,6 +3,7 @@ package ivm
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"idivm/internal/algebra"
 	"idivm/internal/rel"
@@ -483,8 +484,8 @@ func setEqualStrs(a, b []string) bool {
 }
 
 // subplans interns plan nodes bottom-up: two nodes get the same id iff they
-// render alike and scan the same states. An id is built from the node's
-// own rendering over its children's ids, so interning a plan is linear in
+// render alike and scan the same states. A node's key is its own operator
+// (algebra.Op) over its children's ids, so interning a plan is linear in
 // its size (registration time is a benchmark metric); nodes are immutable,
 // so generation keeps one table across the iterations of shareRepeats.
 //
@@ -515,21 +516,22 @@ func (m *subplans) of(n algebra.Node) subplan {
 	if ok {
 		return sp
 	}
-	state := "" // of a Scan, which its rendering omits
+	key := []byte(algebra.Op(n))
+	for _, c := range n.Children() {
+		k := m.of(c)
+		sp.stored, sp.bound = sp.stored || k.stored, sp.bound || k.bound
+		key = strconv.AppendInt(append(key, '#'), int64(k.id), 10)
+	}
 	switch x := n.(type) {
 	case *algebra.Scan:
-		sp.stored, state = true, fmt.Sprint("|", x.St)
+		sp.stored = true
+		key = append(append(key, '|'), x.St.String()...) // the state, which Op omits
 	case *algebra.RelRef:
 		sp.stored, sp.bound = x.Stored, !x.Stored
 	}
-	key := algebra.MapChildren(n, func(c algebra.Node) algebra.Node {
-		k := m.of(c)
-		sp.stored, sp.bound = sp.stored || k.stored, sp.bound || k.bound
-		return &algebra.RelRef{Name: fmt.Sprint("#", k.id)}
-	}).String() + state
-	if sp.id, ok = m.ids[key]; !ok {
+	if sp.id, ok = m.ids[string(key)]; !ok {
 		sp.id = len(m.ids)
-		m.ids[key] = sp.id
+		m.ids[string(key)] = sp.id
 	}
 	m.nodes[n] = sp
 	return sp

@@ -222,9 +222,10 @@ func f(p *algebra.Project, j *algebra.Join, u algebra.UnionAll, c algebra.Node) 
 	p.Items[0].As = "x"
 	(*j).Left = c
 	u.BranchAttr += "b"
+	u.Branches[0] = c
 }
 `)
-	if want := []int{6, 7, 8, 9}; !slices.Equal(got, want) {
+	if want := []int{6, 7, 8, 9, 10}; !slices.Equal(got, want) {
 		t.Errorf("flagged lines %v, want %v", got, want)
 	}
 }

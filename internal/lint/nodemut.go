@@ -1,11 +1,11 @@
 // nodemut keeps the plan nodes that derive their schema from their
 // children's immutable. algebra.Project, Join and UnionAll derive it on the
 // first Schema call and keep it, so a field written after construction —
-// a child swapped, an item renamed, a branch attribute changed — leaves
-// the kept schema describing a node that no longer exists. A rewrite
-// builds a new node instead (a composite literal, a constructor or
-// algebra.MapChildren). algebra.SemiJoin is not among them: its schema is
-// its left child's, whatever its Anti flag says.
+// a child or a union's branch swapped, an item renamed, a branch attribute
+// changed — leaves the kept schema describing a node that no longer exists.
+// A rewrite builds a new node instead (a composite literal, a constructor
+// or algebra.MapChildren). algebra.SemiJoin is not among them: its schema
+// is its left child's, whatever its Anti flag says.
 
 package lint
 
